@@ -419,7 +419,7 @@ func BenchmarkIdlePlatform(b *testing.B) {
 // event fires that tick (each lazy agent catches up in one horizon-bounded
 // bulk replay) and drains only the popped-due + notified set. Results are
 // bit-identical (TestBulkDenseEquivalence); the ns/op ratio is the
-// headline, recorded in BENCH_bulk.json.
+// headline (the trajectory is bench/history.json's peak_hour rows).
 func BenchmarkDenseBulk(b *testing.B) {
 	run := func(b *testing.B, noBulk bool) {
 		b.Helper()
@@ -459,9 +459,10 @@ func BenchmarkDenseBulk(b *testing.B) {
 // sharded runtime disabled (Config.NoShards), isolating what the shard
 // partition, mailboxes and shard-local phases buy over the identical
 // worker pool; sequential is the single-core reference. Results are
-// bit-identical across all rows (TestShardedEquivalence*); the ns/op
-// ratios land in BENCH_shard.json. Scaling requires real cores: with
-// GOMAXPROCS=1 the barrier overhead is all cost and no win.
+// bit-identical across all rows (TestShardedEquivalence*); compare the
+// ns/op ratios (the trajectory is bench/history.json's peak_hour_sharded
+// rows). Scaling requires real cores: with GOMAXPROCS=1 the barrier
+// overhead is all cost and no win.
 func BenchmarkShardScaling(b *testing.B) {
 	run := func(b *testing.B, mk func() core.Engine, noShards bool) {
 		b.Helper()
@@ -521,7 +522,7 @@ func BenchmarkShardScaling(b *testing.B) {
 // through the shard inboxes. Results are bit-identical across all rows
 // (TestStretchBarrierDrop, TestMailboxDueTimeSafety, the NoStretch
 // equivalence legs); compare ns/op, barriers and windows-stretched between
-// the paired rows. Numbers land in BENCH_lookahead.json.
+// the paired rows.
 func BenchmarkWindowStretch(b *testing.B) {
 	night := func(b *testing.B, shards int, noStretch bool) {
 		b.Helper()

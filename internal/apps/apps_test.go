@@ -230,3 +230,41 @@ func TestPDMOpsAreDBHeavy(t *testing.T) {
 		t.Errorf("PDM op count = %d, want 7", n)
 	}
 }
+
+// An operation launched through a launcher's Scratch — binding, OpRun, the
+// expansion of every step, retirement — stays within one allocation per
+// step once the scratch is warm; the steps themselves expand into recycled
+// storage and allocate nothing.
+func TestCADExpandAllocationBudget(t *testing.T) {
+	_, inf := validationLikeInfra(t)
+	na := inf.DC("NA")
+	var sc cascade.Scratch
+	for _, op := range CADOps(25) {
+		var run core.OpRun
+		instance := func() {
+			var err error
+			if run, err = sc.Instantiate(op, cascade.NewBinding(inf, na, na)); err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < run.NumSteps; s++ {
+				if len(run.Expand(s)) != len(op.Steps[s]) {
+					t.Fatalf("%s step %d: wrong number of plans", op.Name, s)
+				}
+			}
+			run.Retire()
+		}
+		instance() // warm the scratch
+		if n := testing.AllocsPerRun(20, instance); n > float64(len(op.Steps)) {
+			t.Errorf("%s: %v allocs for %d steps, want at most one per step", op.Name, n, len(op.Steps))
+		}
+		run, err := sc.Instantiate(op, cascade.NewBinding(inf, na, na))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Expand(0) // binds the servers
+		if n := testing.AllocsPerRun(20, func() { run.Expand(1) }); n != 0 {
+			t.Errorf("%s: expanding a step into recycled storage: %v allocs, want 0", op.Name, n)
+		}
+		run.Retire()
+	}
+}

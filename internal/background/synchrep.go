@@ -228,11 +228,11 @@ type hop struct {
 func concatHops(inf *topology.Infrastructure, hops ...hop) (core.MessagePlan, error) {
 	var plan core.MessagePlan
 	for _, h := range hops {
-		p, err := inf.ExpandHop(h.from, h.to, h.cost)
+		var err error
+		plan.Stages, err = inf.AppendHop(plan.Stages, h.from, h.to, h.cost)
 		if err != nil {
 			return core.MessagePlan{}, fmt.Errorf("background: %w", err)
 		}
-		plan.Stages = append(plan.Stages, p.Stages...)
 	}
 	return plan, nil
 }

@@ -249,13 +249,48 @@ func (b *Binding) Resolve(e End) (topology.Endpoint, error) {
 }
 
 // Instantiate turns an operation definition plus a binding into a runnable
-// core.OpRun. Expansion happens step by step at run time.
+// core.OpRun. Expansion happens step by step at run time. The returned
+// OpRun owns one stage buffer and one plan slice that every step's
+// expansion reuses (see core.OpRun.Expand for the lifetime rule), so it
+// drives a single flow.
 func Instantiate(op Op, b *Binding) (core.OpRun, error) {
+	return instantiate(op, b, nil)
+}
+
+// Scratch is a launcher's free list of expansion state: operations
+// instantiated through it hand their stage buffer and plan slice back when
+// their flow finishes (core.OpRun.Retire), and the launcher's next
+// operation expands into them. One launcher owns one Scratch; all its
+// operations must start at one data center, which confines the list to that
+// data center's lane (or the sequential phase) under the sharded runtime,
+// so it needs no locking. It grows to the launcher's peak number of
+// operations in flight.
+type Scratch struct{ free []*expander }
+
+// Instantiate is the package-level Instantiate drawing on the free list.
+func (sc *Scratch) Instantiate(op Op, b *Binding) (core.OpRun, error) {
+	return instantiate(op, b, sc)
+}
+
+// instantiate builds the OpRun around a recycled expander of sc, or around a
+// fresh one that retires to sc; a nil sc means no recycling.
+func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 	if err := op.Validate(); err != nil {
 		return core.OpRun{}, err
 	}
-	steps := op.Steps
-	binding := b
+	var x *expander
+	if sc != nil && len(sc.free) > 0 {
+		n := len(sc.free)
+		x = sc.free[n-1]
+		sc.free = sc.free[:n-1]
+	} else {
+		x = new(expander)
+		x.expandFn = x.expand
+		if sc != nil {
+			x.retireFn = func() { sc.retire(x) }
+		}
+	}
+	x.steps, x.binding = op.Steps, b
 	return core.OpRun{
 		Name: op.Name,
 		DC:   b.Local.Name,
@@ -264,26 +299,65 @@ func Instantiate(op Op, b *Binding) (core.OpRun, error) {
 		// master, i.e. the same DC), so the whole cascade is shard-confined
 		// and eligible for stretched-span execution.
 		Local:    b.Local == b.Master,
-		NumSteps: len(steps),
-		Expand: func(step int) []core.MessagePlan {
-			msgs := steps[step]
-			plans := make([]core.MessagePlan, 0, len(msgs))
-			for _, m := range msgs {
-				from, err := binding.Resolve(m.From)
-				if err != nil {
-					panic(err)
-				}
-				to, err := binding.Resolve(m.To)
-				if err != nil {
-					panic(err)
-				}
-				plan, err := binding.Inf.ExpandHop(from, to, m.Cost)
-				if err != nil {
-					panic(err)
-				}
-				plans = append(plans, plan)
-			}
-			return plans
-		},
+		NumSteps: len(op.Steps),
+		Expand:   x.expandFn,
+		Retire:   x.retireFn,
 	}, nil
+}
+
+// retire takes back a finished operation's expansion state, dropping every
+// pointer into the platform and the binding.
+func (sc *Scratch) retire(x *expander) {
+	clear(x.stages)
+	clear(x.plans)
+	x.stages, x.plans = x.stages[:0], x.plans[:0]
+	x.steps, x.binding = nil, nil
+	sc.free = append(sc.free, x)
+}
+
+// expander is the per-operation-instance expansion state: the flow's steps
+// are strictly sequential, so one stage buffer and one plan slice serve
+// them all. The two funcs are bound once, so a recycled expander costs its
+// next operation no closure.
+type expander struct {
+	steps    [][]Msg
+	binding  *Binding
+	stages   []core.Stage
+	plans    []core.MessagePlan
+	expandFn func(int) []core.MessagePlan
+	retireFn func()
+}
+
+func (x *expander) expand(step int) []core.MessagePlan {
+	// The previous step's plans are dead; drop their queue and occupancy
+	// pointers before the storage is reused.
+	clear(x.stages)
+	clear(x.plans)
+	stages, plans := x.stages[:0], x.plans[:0]
+	for _, m := range x.steps[step] {
+		from, err := x.binding.Resolve(m.From)
+		if err != nil {
+			panic(err)
+		}
+		to, err := x.binding.Resolve(m.To)
+		if err != nil {
+			panic(err)
+		}
+		start := len(stages)
+		stages, err = x.binding.Inf.AppendHop(stages, from, to, m.Cost)
+		if err != nil {
+			panic(err)
+		}
+		plans = append(plans, core.MessagePlan{Stages: stages[start:]})
+	}
+	// A grown buffer moved the earlier messages' stages: re-slice every plan
+	// out of the final one, capped so no plan can append into its neighbour.
+	off := 0
+	for i := range plans {
+		end := off + len(plans[i].Stages)
+		plans[i].Stages = stages[off:end:end]
+		off = end
+	}
+	x.stages, x.plans = stages, plans
+	return plans
 }

@@ -327,3 +327,99 @@ func TestScaleDistributes(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fanOp has a three-message parallel step between two single-message ones,
+// so one step's plans share the expander's stage buffer.
+func fanOp() Op {
+	req := Msg{From: End{Role: Client}, To: End{Role: App, Site: SiteMaster},
+		Cost: R{CPUCycles: 2e8, NetBytes: 30e3, MemBytes: 5e6, DiskBytes: 1e6}}
+	resp := Msg{From: End{Role: App, Site: SiteMaster}, To: End{Role: Client},
+		Cost: R{CPUCycles: 2e8, NetBytes: 250e3}}
+	toFS := Msg{From: End{Role: Client}, To: End{Role: FS, Site: SiteLocal},
+		Cost: R{CPUCycles: 1e8, NetBytes: 1e6, DiskBytes: 1e6}}
+	return Op{Name: "FAN", Steps: [][]Msg{{req}, {toFS, req, toFS}, {resp}}}
+}
+
+// The plans of one step are cut out of one buffer: each must hold exactly
+// the stages ExpandHop gives for its message, and none may be able to append
+// into its neighbour.
+func TestExpandPlansShareOneBufferWithoutAliasing(t *testing.T) {
+	_, inf := testInfra(t)
+	na, aus := inf.DC("NA"), inf.DC("AUS")
+	op := fanOp()
+	b := NewBinding(inf, aus, na)
+	run, err := Instantiate(op, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, msgs := range op.Steps {
+		plans := run.Expand(s)
+		if len(plans) != len(msgs) {
+			t.Fatalf("step %d: %d plans for %d messages", s, len(plans), len(msgs))
+		}
+		for i, m := range msgs {
+			from, _ := b.Resolve(m.From)
+			to, _ := b.Resolve(m.To)
+			want, err := inf.ExpandHop(from, to, m.Cost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := plans[i].Stages
+			if len(got) != len(want.Stages) || cap(got) != len(got) {
+				t.Fatalf("step %d plan %d: len %d cap %d, want len = cap = %d", s, i, len(got), cap(got), len(want.Stages))
+			}
+			for k := range got {
+				if got[k] != want.Stages[k] {
+					t.Fatalf("step %d plan %d stage %d = %+v, want %+v", s, i, k, got[k], want.Stages[k])
+				}
+			}
+		}
+	}
+}
+
+// A retired expander keeps its capacity and nothing else: no queue, no
+// occupancy, no binding, no steps — and the launcher's next operation gets
+// the same storage back.
+func TestScratchRetiresCleanAndReuses(t *testing.T) {
+	_, inf := testInfra(t)
+	na := inf.DC("NA")
+	var sc Scratch
+	run, err := sc.Instantiate(fanOp(), NewBinding(inf, na, na))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < run.NumSteps; s++ {
+		run.Expand(s)
+	}
+	run.Retire()
+	if len(sc.free) != 1 {
+		t.Fatalf("%d expanders on the free list after one retirement", len(sc.free))
+	}
+	x := sc.free[0]
+	if x.binding != nil || x.steps != nil || len(x.stages) != 0 || len(x.plans) != 0 {
+		t.Fatalf("retired expander still bound: %+v", x)
+	}
+	for _, st := range x.stages[:cap(x.stages)] {
+		if st != (core.Stage{}) {
+			t.Fatalf("retired stage buffer retains %+v", st)
+		}
+	}
+	for _, p := range x.plans[:cap(x.plans)] {
+		if p.Stages != nil {
+			t.Fatal("retired plan slice retains a stage slice")
+		}
+	}
+	if cap(x.stages) == 0 {
+		t.Fatal("retired expander lost its stage buffer")
+	}
+	again, err := sc.Instantiate(loginOp(), NewBinding(inf, na, na))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.free) != 0 {
+		t.Fatal("second operation did not take the retired expander")
+	}
+	if plans := again.Expand(0); len(plans) != 1 || len(plans[0].Stages) == 0 {
+		t.Fatalf("recycled expander expanded step 0 into %v", plans)
+	}
+}

@@ -3,6 +3,7 @@ package cascade
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -17,6 +18,7 @@ func Estimate(op Op, b *Binding, step float64) (float64, error) {
 		return 0, err
 	}
 	total := 0.0
+	var plan core.MessagePlan // one stage buffer serves every message
 	for _, msgs := range op.Steps {
 		slowest := 0.0
 		for _, m := range msgs {
@@ -28,7 +30,7 @@ func Estimate(op Op, b *Binding, step float64) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			plan, err := b.Inf.ExpandHop(from, to, m.Cost)
+			plan.Stages, err = b.Inf.AppendHop(plan.Stages[:0], from, to, m.Cost)
 			if err != nil {
 				return 0, err
 			}

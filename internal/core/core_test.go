@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -132,19 +134,26 @@ func TestForkJoinStepWaitsForAllMessages(t *testing.T) {
 	}
 }
 
-func TestInstantStagesRunHooksInOrder(t *testing.T) {
+// recordingHold logs occupancy calls with their amounts.
+type recordingHold struct{ events []string }
+
+func (h *recordingHold) Acquire(b float64) { h.events = append(h.events, fmt.Sprintf("acquire %g", b)) }
+func (h *recordingHold) Release(b float64) { h.events = append(h.events, fmt.Sprintf("release %g", b)) }
+
+func TestStageOccupancyCallsRunInOrder(t *testing.T) {
 	s := NewSimulation(Config{Step: 0.01, Seed: 1})
 	cpu := newTestQueueAgent(s, "cpu", 1, 100)
-	var events []string
+	hold := &recordingHold{}
 	op := OpRun{
-		Name: "HOOKS", DC: "NA", NumSteps: 1,
+		Name: "HOLD", DC: "NA", NumSteps: 1,
 		Expand: func(int) []MessagePlan {
 			return []MessagePlan{{Stages: []Stage{
-				{Begin: func() { events = append(events, "acquire") }},
-				{Queue: cpu, Demand: 10,
-					Begin: func() { events = append(events, "work-begin") },
-					End:   func() { events = append(events, "work-end") }},
-				{End: func() { events = append(events, "release") }},
+				// An instantaneous stage acquires and falls through; the
+				// queued stage opens and closes its own occupancy around
+				// the service; a trailing instantaneous stage releases.
+				{Hold: hold, HoldAmount: 1, Acquire: true},
+				{Queue: cpu, Demand: 10, Hold: hold, HoldAmount: 2, Acquire: true, Release: true},
+				{Hold: hold, HoldAmount: 1, Release: true},
 			}}}
 		},
 	}
@@ -155,17 +164,46 @@ func TestInstantStagesRunHooksInOrder(t *testing.T) {
 			sim.StartOp(op)
 		}
 	}))
+	s.RunFor(0.05)
+	if got := strings.Join(hold.events, ","); got != "acquire 1,acquire 2" {
+		t.Fatalf("mid-service events = %q, want the two acquisitions only", got)
+	}
 	if err := s.RunUntilIdle(5); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"acquire", "work-begin", "work-end", "release"}
-	if len(events) != len(want) {
-		t.Fatalf("events = %v", events)
+	want := "acquire 1,acquire 2,release 2,release 1"
+	if got := strings.Join(hold.events, ","); got != want {
+		t.Fatalf("events = %q, want %q", got, want)
 	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("events = %v, want %v", events, want)
+}
+
+// Retire runs exactly once, when the flow has finished and before
+// OnComplete; on its own it does not make the flow cross-capable.
+func TestRetireRunsOnceBeforeOnComplete(t *testing.T) {
+	s := NewSimulation(Config{Step: 0.01, Seed: 1})
+	cpu := newTestQueueAgent(s, "cpu", 1, 100)
+	var events []string
+	op := singleStageOp("RETIRE", "NA", cpu, 10)
+	op.NumSteps = 2 // the same single stage twice: Retire must wait for both
+	op.Retire = func() { events = append(events, "retire") }
+	op.OnComplete = func(now, dur float64) { events = append(events, "complete") }
+	local := singleStageOp("LOCAL", "NA", cpu, 10)
+	local.Local = true
+	local.Retire = func() { events = append(events, "local-retire") }
+	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
+		if now == 0 {
+			sim.StartOp(op)
+			if f := sim.startOp(local); f.global {
+				t.Error("a Retire hook made a Local flow cross-capable")
+			}
 		}
+	}))
+	if err := s.RunUntilIdle(5); err != nil {
+		t.Fatal(err)
+	}
+	want := "local-retire,retire,complete"
+	if got := strings.Join(events, ","); got != want {
+		t.Fatalf("events = %q, want %q", got, want)
 	}
 }
 

@@ -7,6 +7,15 @@ import (
 	"repro/internal/simtime"
 )
 
+// Occupancy is a resource a message holds across a run of consecutive
+// stages — a server's memory during processing (Fig. 3-5). The flow
+// machinery calls it in the sequential phase (or on the owning shard's lane
+// inside a stretched span) with the amount the stage carries.
+type Occupancy interface {
+	Acquire(amount float64)
+	Release(amount float64)
+}
+
 // Stage is one hop of a message through the infrastructure: a piece of work
 // performed by a single hardware agent (NIC transmit, link transit, CPU
 // service, storage access) or a pure delay (client-side think/render time).
@@ -14,20 +23,23 @@ import (
 // message into the agents along the route (§3.3.2).
 type Stage struct {
 	// Queue is the agent that serves this stage. A nil Queue makes the
-	// stage instantaneous: its hooks run and the token advances within the
-	// same interaction phase.
+	// stage instantaneous: its occupancy calls run and the token advances
+	// within the same interaction phase.
 	Queue QueueAgent
 	// Demand is the work amount in the target agent's units (cycles for
 	// CPUs, bits for network elements, bytes for storage).
 	Demand float64
 	// Delay is a fixed latency in seconds, used by delay-line stages.
 	Delay float64
-	// Begin runs when the stage starts (sequential phase). Used to acquire
-	// memory occupancy at a server.
-	Begin func()
-	// End runs when the stage completes (sequential phase). Used to
-	// release memory occupancy.
-	End func()
+	// Hold, when non-nil, is the occupancy this stage opens and/or closes:
+	// HoldAmount is acquired when the stage starts if Acquire is set, and
+	// released when it completes if Release is set. The router marks
+	// Acquire on the first and Release on the last processing stage at a
+	// server; a lone processing stage carries both.
+	Hold       Occupancy
+	HoldAmount float64
+	Acquire    bool
+	Release    bool
 }
 
 // MessagePlan is a fully-expanded message of a cascade: the ordered stages
@@ -57,11 +69,22 @@ type OpRun struct {
 	// NumSteps is the number of sequential steps in the cascade.
 	NumSteps int
 	// Expand returns the parallel messages of the given step (0-based).
-	// An empty result completes the step immediately.
+	// An empty result completes the step immediately. The flow calls it
+	// with strictly increasing steps, and step k+1 only after every message
+	// of step k has finished, so the plans of step k are dead once step k+1
+	// is expanded: an implementation may reuse the returned slice and the
+	// stage storage behind it from one call to the next. That makes one
+	// OpRun value drive one flow — start each flow from its own OpRun.
 	Expand func(step int) []MessagePlan
 	// OnComplete, when non-nil, runs in the sequential phase after the
 	// operation finishes. now and dur are simulated seconds.
 	OnComplete func(now, dur float64)
+	// Retire, when non-nil, runs once when the flow has finished, before
+	// OnComplete: the point where Expand's storage may go back to its
+	// launcher. Unlike OnComplete it does not make the flow cross-capable,
+	// so inside a stretched span it runs on the lane of DC and must touch
+	// only state confined to that data center.
+	Retire func()
 	// Silent suppresses response-time recording (used by warm-up traffic).
 	Silent bool
 	// Local declares that every stage of every message of this cascade
@@ -260,8 +283,8 @@ func (s *Simulation) advanceFlow(f *Flow) {
 func (s *Simulation) startStage(tok *token) {
 	for tok.idx < len(tok.stages) {
 		st := &tok.stages[tok.idx]
-		if st.Begin != nil {
-			st.Begin()
+		if st.Acquire {
+			st.Hold.Acquire(st.HoldAmount)
 		}
 		if st.Queue != nil {
 			tok.task.Demand = st.Demand
@@ -315,9 +338,9 @@ func (s *Simulation) startStage(tok *token) {
 			}
 			return
 		}
-		// Instantaneous stage: run End and fall through to the next.
-		if st.End != nil {
-			st.End()
+		// Instantaneous stage: release and fall through to the next.
+		if st.Release {
+			st.Hold.Release(st.HoldAmount)
 		}
 		tok.idx++
 	}
@@ -331,8 +354,8 @@ func (s *Simulation) onTaskDone(t *queueing.Task) {
 		panic("core: completed task without token payload")
 	}
 	st := &tok.stages[tok.idx]
-	if st.End != nil {
-		st.End()
+	if st.Release {
+		st.Hold.Release(st.HoldAmount)
 	}
 	tok.idx++
 	s.startStage(tok)
@@ -388,6 +411,9 @@ func (s *Simulation) completeFlow(f *Flow) {
 				ln.resp.Record(f.op.Name, f.op.DC, now, dur)
 			}
 			ln.completed++
+			if f.op.Retire != nil {
+				f.op.Retire()
+			}
 			return
 		}
 	}
@@ -406,6 +432,9 @@ func (s *Simulation) completeFlow(f *Flow) {
 		s.Responses.Record(f.op.Name, f.op.DC, now, dur)
 	}
 	s.completedOps++
+	if f.op.Retire != nil {
+		f.op.Retire()
+	}
 	if f.op.OnComplete != nil {
 		f.op.OnComplete(now, dur)
 	}

@@ -326,8 +326,8 @@ func (st *shardState) postInbox(s *Simulation, q QueueAgent, tok *token) {
 	if !ok {
 		panic(fmt.Sprintf("core: mid-span cross-shard hand-off to %T, want a latencied transit link", q))
 	}
-	if sg := &tok.stages[tok.idx]; sg.Begin != nil || sg.End != nil {
-		panic(fmt.Sprintf("core: cross-shard stage on %s carries Begin/End hooks — those run on the wrong lane mid-span", q.Base().Name()))
+	if tok.stages[tok.idx].Hold != nil {
+		panic(fmt.Sprintf("core: cross-shard stage on %s holds an occupancy — its calls would run on the wrong lane mid-span", q.Base().Name()))
 	}
 	lat := lq.Latency()
 	post := ln.tick

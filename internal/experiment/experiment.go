@@ -83,7 +83,7 @@ type LoopFlags struct {
 	// refuses to form spans while any cross-capable flow is live (the PR 8
 	// behavior). The A/B switch isolating what mid-span mailbox delivery
 	// buys on cross-DC-heavy phases (compare Result.Stats.MailboxApplied
-	// and the peak-hour WindowsStretched row in BENCH_lookahead.json).
+	// and WindowsStretched on BenchmarkWindowStretch's peak rows).
 	NoCrossStretch bool
 	// NoFaults skips fault-controller attachment entirely, turning any
 	// chaos scenario back into its healthy baseline — bit-identical to a

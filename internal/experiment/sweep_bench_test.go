@@ -9,9 +9,9 @@ import (
 
 // BenchmarkSweepThroughput measures sweep points per second at 1, 4 and
 // NumCPU workers over the small PDM experiment (an 8-point grid per
-// iteration). The BENCH_sweep.json snapshot at the repo root records the
-// committed numbers; CI runs one iteration as a smoke pass and posts both
-// to the job summary.
+// iteration). CI runs one iteration as a smoke pass and posts it to the
+// job summary; the committed trajectory is bench/history.json's campaign
+// rows.
 func BenchmarkSweepThroughput(b *testing.B) {
 	counts := []int{1, 4, runtime.NumCPU()}
 	if counts[2] == counts[1] || counts[2] == counts[0] {

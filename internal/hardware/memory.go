@@ -12,7 +12,7 @@ import (
 // for the duration of a message's processing at the server. It is the one
 // component not modeled as a queue (§3.4.2), so it is not an agent; the
 // topology router consults it while expanding messages (sequential phase)
-// and wires Acquire/Release into stage hooks.
+// and marks it as the occupancy (core.Occupancy) of the processing stages.
 type Memory struct {
 	capacity float64 // bytes
 	used     float64 // bytes currently held
@@ -58,14 +58,22 @@ func (m *Memory) Acquire(b float64) {
 	}
 }
 
+// releaseSlack bounds the float rounding a balanced acquire/release history
+// can leave behind, relative to the peak occupancy: every operation rounds
+// at most half an ulp of the magnitude held (2^-53 of it), so 1e-9 covers
+// ~10^7 operations even if every rounding fell the same way, while a real
+// imbalance is a whole message's bytes. The absolute floor keeps small
+// memories as tolerant as they were.
+const releaseSlack = 1e-9
+
 // Release returns b bytes. Releasing more than held panics: it indicates
-// unbalanced stage hooks.
+// unbalanced stage occupancy. Rounding residue below zero is clamped.
 func (m *Memory) Release(b float64) {
 	if b < 0 {
 		panic("hardware: negative memory release")
 	}
 	m.used -= b
-	if m.used < -1e-6 {
+	if m.used < -max(1e-6, m.peak*releaseSlack) {
 		panic(fmt.Sprintf("hardware: memory over-released to %v", m.used))
 	}
 	if m.used < 0 {

@@ -13,6 +13,7 @@ type NIC struct {
 	core.AgentBase
 	q    *queueing.FCFS
 	rate float64
+	done queueing.DoneFunc // BufferDone, bound once (see stepBulk)
 }
 
 // NewNIC creates and registers a NIC with speed in Gbps.
@@ -23,6 +24,7 @@ func NewNIC(sim *core.Simulation, name string, gbps float64) *NIC {
 	rate := gbps * 1e9 / 8 // bytes per second
 	n := &NIC{q: queueing.NewFCFS(1, rate), rate: rate}
 	n.q.SetNotify(n.MarkDirty)
+	n.done = n.BufferDone
 	n.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(n)
 	return n
@@ -43,7 +45,7 @@ func (n *NIC) Enqueue(t *queueing.Task) {
 func (n *NIC) Step(dt float64) { n.q.Step(dt, n.BufferDone) }
 
 // StepN advances the queue through nticks quiet ticks in bulk.
-func (n *NIC) StepN(nticks int, dt float64) { stepBulk(n.q, nticks, dt, n.BufferDone) }
+func (n *NIC) StepN(nticks int, dt float64) { stepBulk(n.q, nticks, dt, n.done) }
 
 // Idle reports whether the NIC has no work.
 func (n *NIC) Idle() bool { return n.q.Idle() }
@@ -60,6 +62,7 @@ type Switch struct {
 	core.AgentBase
 	q    *queueing.FCFS
 	rate float64
+	done queueing.DoneFunc // BufferDone, bound once (see stepBulk)
 }
 
 // NewSwitch creates and registers a switch with speed in Gbps.
@@ -70,6 +73,7 @@ func NewSwitch(sim *core.Simulation, name string, gbps float64) *Switch {
 	rate := gbps * 1e9 / 8
 	s := &Switch{q: queueing.NewFCFS(1, rate), rate: rate}
 	s.q.SetNotify(s.MarkDirty)
+	s.done = s.BufferDone
 	s.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(s)
 	return s
@@ -90,7 +94,7 @@ func (s *Switch) Enqueue(t *queueing.Task) {
 func (s *Switch) Step(dt float64) { s.q.Step(dt, s.BufferDone) }
 
 // StepN advances the queue through n quiet ticks in bulk.
-func (s *Switch) StepN(n int, dt float64) { stepBulk(s.q, n, dt, s.BufferDone) }
+func (s *Switch) StepN(n int, dt float64) { stepBulk(s.q, n, dt, s.done) }
 
 // Idle reports whether the switch has no work.
 func (s *Switch) Idle() bool { return s.q.Idle() }
@@ -110,6 +114,7 @@ type Link struct {
 	rate     float64
 	capShare float64 // fraction of raw bandwidth allocated to this platform
 	failed   bool
+	done     queueing.DoneFunc // BufferDone, bound once (see stepBulk)
 
 	// Healthy-state parameters, restored by Repair after a Degrade.
 	baseRate    float64
@@ -150,6 +155,7 @@ func NewLink(sim *core.Simulation, name string, spec LinkSpec) *Link {
 		baseLatency: spec.LatencyMS / 1000,
 	}
 	l.q.SetNotify(l.MarkDirty)
+	l.done = l.BufferDone
 	l.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(l)
 	return l
@@ -191,7 +197,7 @@ func (l *Link) Step(dt float64) { l.q.Step(dt, l.BufferDone) }
 // StepN advances the queue through n quiet ticks in bulk, falling back to
 // per-tick stepping when a completion or latency expiry might fall inside
 // the window.
-func (l *Link) StepN(n int, dt float64) { stepBulk(l.q, n, dt, l.BufferDone) }
+func (l *Link) StepN(n int, dt float64) { stepBulk(l.q, n, dt, l.done) }
 
 // bulkQueue is the method set FCFS and PS share for bulk-stepped replays.
 type bulkQueue interface {
@@ -201,7 +207,9 @@ type bulkQueue interface {
 }
 
 // stepBulk advances a queue through n quiet ticks in bulk, replaying tick
-// by tick when the no-event guarantee does not hold.
+// by tick when the no-event guarantee does not hold. done crosses an
+// interface call and so escapes: callers pass a func bound at construction,
+// not a fresh method value, or every call would allocate one.
 func stepBulk(q bulkQueue, n int, dt float64, done queueing.DoneFunc) {
 	if q.CanBulk(float64(n) * dt) {
 		q.BulkStep(n, dt)

@@ -56,49 +56,49 @@ func newDiskUnit(s DiskSpec) *diskUnit {
 
 func (d *diskUnit) idle() bool { return d.dcc.Idle() && d.hdd.Idle() }
 
-// extReq tracks an external storage request through the array's internal
-// pipeline, preserving its original byte demand for forking.
-type extReq struct {
+// extSlab tracks an external storage request through the array's ingress
+// pipeline: the internal task that queues at the controller stages plus the
+// caller's task and its original byte demand (stage queues consume
+// task.Demand, so the fork needs the preserved value).
+type extSlab struct {
+	task   queueing.Task
 	parent *queueing.Task
 	demand float64
 }
 
-// forkJoin joins the stripes of one forked request.
-type forkJoin struct {
-	parent  *queueing.Task
-	pending int
-}
-
-// stripeReq tracks one stripe of a forked request through its disk.
-type stripeReq struct {
-	fj     *forkJoin
+// stripeSlab carries one stripe's task and its tracking record contiguously,
+// so the task's payload points back into the same forkSlab.
+type stripeSlab struct {
+	task   queueing.Task
+	fj     *forkSlab
 	stripe float64 // stripe byte demand
 	disk   int     // owning disk index
 }
 
-// stripeSlab carries one stripe's task and tracking record contiguously:
-// fork hands out pointers into a single per-request slab, so an n-way fork
-// costs two allocations (slab + join) instead of 2n+1 — the dominant
-// allocation site of storage-heavy sweeps.
-type stripeSlab struct {
-	task queueing.Task
-	sr   stripeReq
-}
-
-// extSlab carries an admitted request's internal task and tracking record
-// in one allocation (the ingress analogue of stripeSlab).
-type extSlab struct {
-	task queueing.Task
-	ext  extReq
+// forkSlab is the whole state of one forked request: the join header and one
+// stripe per disk of the owning array.
+type forkSlab struct {
+	parent  *queueing.Task
+	pending int
+	stripes []stripeSlab
 }
 
 // diskArray implements the shared mechanics of RAID and SAN: an n-way
 // fork-join of disk pipelines plus the cache-hit routing around them.
+//
+// Request state is recycled through two free lists owned by the array (and
+// so by one agent): every slab on forkFree has pending == 0, i.e. each of
+// its stripes has left every disk queue, and every slab on extFree has left
+// the last controller stage. Only the owning agent's Enqueue and Step touch
+// them, which the engines never run concurrently for one agent, so lanes
+// need no locking. The lists grow to the peak number of requests in flight.
 type diskArray struct {
 	disks    []*diskUnit
 	diskSpec DiskSpec
 	rng      *rand.Rand
 	buffer   func(*queueing.Task) // parent-agent completion buffer
+	forkFree []*forkSlab
+	extFree  []*extSlab
 }
 
 func newDiskArray(n int, spec DiskSpec, seed uint64, buffer func(*queueing.Task)) *diskArray {
@@ -113,17 +113,47 @@ func newDiskArray(n int, spec DiskSpec, seed uint64, buffer func(*queueing.Task)
 	return a
 }
 
-// fork splits the external request across all disks with striped demand.
-func (a *diskArray) fork(ext *extReq) {
-	stripe := ext.demand / float64(len(a.disks))
-	slab := make([]stripeSlab, len(a.disks))
-	fj := &forkJoin{parent: ext.parent, pending: len(a.disks)}
+// admit wraps an external request into an ingress slab whose task the
+// caller enqueues at its first controller stage.
+func (a *diskArray) admit(t *queueing.Task) *extSlab {
+	var e *extSlab
+	if n := len(a.extFree); n > 0 {
+		e = a.extFree[n-1]
+		a.extFree = a.extFree[:n-1]
+	} else {
+		e = new(extSlab)
+	}
+	e.parent, e.demand = t, t.Demand
+	e.task = queueing.Task{ID: t.ID, Demand: t.Demand, Payload: e}
+	return e
+}
+
+// release recycles an ingress slab once its task has left the last
+// controller stage (cache hit, or handed to fork).
+func (a *diskArray) release(e *extSlab) {
+	e.parent = nil
+	a.extFree = append(a.extFree, e)
+}
+
+// fork splits the external request across all disks with striped demand and
+// recycles its ingress slab.
+func (a *diskArray) fork(e *extSlab) {
+	var fj *forkSlab
+	if n := len(a.forkFree); n > 0 {
+		fj = a.forkFree[n-1]
+		a.forkFree = a.forkFree[:n-1]
+	} else {
+		fj = &forkSlab{stripes: make([]stripeSlab, len(a.disks))}
+	}
+	fj.parent, fj.pending = e.parent, len(a.disks)
+	stripe := e.demand / float64(len(a.disks))
 	for i, d := range a.disks {
-		s := &slab[i]
-		s.sr = stripeReq{fj: fj, stripe: stripe, disk: i}
-		s.task = queueing.Task{ID: ext.parent.ID, Demand: stripe, Payload: &s.sr}
+		s := &fj.stripes[i]
+		s.fj, s.stripe, s.disk = fj, stripe, i
+		s.task = queueing.Task{ID: e.parent.ID, Demand: stripe, Payload: s}
 		d.dcc.Enqueue(&s.task)
 	}
+	a.release(e)
 }
 
 // step advances every disk pipeline, routing stripes from controller cache
@@ -144,23 +174,27 @@ func (a *diskArray) step(dt float64) {
 }
 
 func (a *diskArray) onDiskCtrlDone(t *queueing.Task) {
-	sr := t.Payload.(*stripeReq)
+	s := t.Payload.(*stripeSlab)
 	if a.rng.Float64() < a.diskSpec.HitRate {
-		a.join(sr)
+		a.join(s.fj)
 		return
 	}
-	t.Demand = sr.stripe
-	a.disks[sr.disk].hdd.Enqueue(t)
+	t.Demand = s.stripe
+	a.disks[s.disk].hdd.Enqueue(t)
 }
 
 func (a *diskArray) onDriveDone(t *queueing.Task) {
-	a.join(t.Payload.(*stripeReq))
+	a.join(t.Payload.(*stripeSlab).fj)
 }
 
-func (a *diskArray) join(sr *stripeReq) {
-	sr.fj.pending--
-	if sr.fj.pending == 0 {
-		a.buffer(sr.fj.parent)
+// join accounts one finished stripe; the last one completes the parent and
+// returns the slab to the free list.
+func (a *diskArray) join(fj *forkSlab) {
+	fj.pending--
+	if fj.pending == 0 {
+		a.buffer(fj.parent)
+		fj.parent = nil
+		a.forkFree = append(a.forkFree, fj)
 	}
 }
 
@@ -299,10 +333,7 @@ func (r *RAID) Spec() RAIDSpec { return r.spec }
 func (r *RAID) Enqueue(t *queueing.Task) {
 	r.Sync()
 	r.inflight++
-	e := new(extSlab)
-	e.ext = extReq{parent: t, demand: t.Demand}
-	e.task = queueing.Task{ID: t.ID, Demand: t.Demand, Payload: &e.ext}
-	r.dacc.Enqueue(&e.task)
+	r.dacc.Enqueue(&r.array.admit(t).task)
 }
 
 // complete buffers a finished external request.
@@ -345,12 +376,13 @@ func (r *RAID) StepN(n int, dt float64) {
 }
 
 func (r *RAID) onCtrlDone(t *queueing.Task) {
-	ext := t.Payload.(*extReq)
+	e := t.Payload.(*extSlab)
 	if r.rng.Float64() < r.spec.HitRate {
-		r.complete(ext.parent) // array-cache hit bypasses the fork-join
+		r.complete(e.parent) // array-cache hit bypasses the fork-join
+		r.array.release(e)
 		return
 	}
-	r.array.fork(ext)
+	r.array.fork(e)
 }
 
 // Idle reports whether the whole array is empty.
@@ -459,10 +491,7 @@ func (s *SAN) Spec() SANSpec { return s.spec }
 func (s *SAN) Enqueue(t *queueing.Task) {
 	s.Sync()
 	s.inflight++
-	e := new(extSlab)
-	e.ext = extReq{parent: t, demand: t.Demand}
-	e.task = queueing.Task{ID: t.ID, Demand: t.Demand, Payload: &e.ext}
-	s.fcsw.Enqueue(&e.task)
+	s.fcsw.Enqueue(&s.array.admit(t).task)
 }
 
 // complete buffers a finished external request.
@@ -511,23 +540,23 @@ func (s *SAN) StepN(n int, dt float64) {
 }
 
 func (s *SAN) onFCSwitchDone(t *queueing.Task) {
-	ext := t.Payload.(*extReq)
-	t.Demand = ext.demand
+	t.Demand = t.Payload.(*extSlab).demand
 	s.dacc.Enqueue(t)
 }
 
 func (s *SAN) onCtrlDone(t *queueing.Task) {
-	ext := t.Payload.(*extReq)
+	e := t.Payload.(*extSlab)
 	if s.rng.Float64() < s.spec.HitRate {
-		s.complete(ext.parent) // cache hit bypasses loop and disks
+		s.complete(e.parent) // cache hit bypasses loop and disks
+		s.array.release(e)
 		return
 	}
-	t.Demand = ext.demand
+	t.Demand = e.demand
 	s.fcal.Enqueue(t)
 }
 
 func (s *SAN) onLoopDone(t *queueing.Task) {
-	s.array.fork(t.Payload.(*extReq))
+	s.array.fork(t.Payload.(*extSlab))
 }
 
 // Idle reports whether the whole SAN is empty.

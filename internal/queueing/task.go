@@ -66,8 +66,12 @@ func (f *fifo) pop() *Task {
 	t := f.items[f.head]
 	f.items[f.head] = nil
 	f.head++
-	// Reclaim space once the consumed prefix dominates.
-	if f.head > 64 && f.head*2 >= len(f.items) {
+	// An emptied queue rewinds in place, so a lightly loaded queue never
+	// grows; otherwise reclaim space once the consumed prefix dominates.
+	if f.head == len(f.items) {
+		f.items = f.items[:0]
+		f.head = 0
+	} else if f.head > 64 && f.head*2 >= len(f.items) {
 		n := copy(f.items, f.items[f.head:])
 		f.items = f.items[:n]
 		f.head = 0

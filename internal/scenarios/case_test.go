@@ -2,9 +2,12 @@ package scenarios
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/refdata"
+	"repro/internal/topology"
 )
 
 func TestCaseConfigValidation(t *testing.T) {
@@ -13,6 +16,42 @@ func TestCaseConfigValidation(t *testing.T) {
 	}
 	if _, err := NewConsolidation(CaseConfig{EndHour: 30}); err == nil {
 		t.Error("out-of-range end hour accepted")
+	}
+}
+
+// Twenty builds of the consolidation spec register the client pools under
+// the same agent IDs, in sorted data-center order: those IDs fix the drain
+// order of same-tick completions, so they are part of a seed's results, and
+// the Clients map's iteration order must not reach them.
+func TestConsolidationClientPoolOrderIsStable(t *testing.T) {
+	cfg := CaseConfig{Seed: 7}
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := caseInfraSpec(cfg, consolidatedTraits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []core.AgentID
+	for i := 0; i < 20; i++ {
+		inf, err := topology.Build(core.NewSimulation(core.Config{Step: cfg.Step, Seed: cfg.Seed}), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []core.AgentID
+		for _, name := range inf.DCNames() {
+			if pool := inf.DC(name).Clients; pool != nil {
+				ids = append(ids, pool.Local.ID())
+			}
+		}
+		if len(ids) < 2 || !slices.IsSorted(ids) {
+			t.Fatalf("build %d: client pool IDs %v over sorted DCs are not ascending", i, ids)
+		}
+		if i == 0 {
+			first = ids
+		} else if !slices.Equal(ids, first) {
+			t.Fatalf("build %d: client pool IDs %v, first build had %v", i, ids, first)
+		}
 	}
 }
 

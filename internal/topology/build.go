@@ -131,7 +131,14 @@ func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 			inf.links[wanKey{w.To, w.From}] = rev
 		}
 	}
-	for dcName, cs := range spec.Clients {
+	// Sorted data-center order, not the map's: client-pool agent IDs decide
+	// the drain order of same-tick completions, so they must not vary from
+	// build to build. (validate has rejected keys that name no DC.)
+	for _, dcName := range inf.dcOrder {
+		cs, ok := spec.Clients[dcName]
+		if !ok {
+			continue
+		}
 		dc := inf.DCs[dcName]
 		pool, err := newClientPool(sim, dc, cs)
 		if err != nil {

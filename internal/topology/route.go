@@ -175,32 +175,46 @@ func (inf *Infrastructure) usableLink(from, to string) *hardware.Link {
 	return nil
 }
 
-// ExpandHop expands one cascade message between two holons into the chain
-// of hardware stages it traverses, implementing the decomposition of
-// Eqs. 3.2-3.5: origin NIC, network path (local links, switches, WAN
-// links), destination NIC, then destination processing (memory occupancy,
-// CPU cycles and storage access with cache-hit bypass).
+// ExpandHop expands one cascade message between two holons into a message
+// plan that owns its stage slice. Callers expanding many messages should
+// reuse one buffer through AppendHop instead.
 func (inf *Infrastructure) ExpandHop(from, to Endpoint, cost Cost) (core.MessagePlan, error) {
-	// A hop expands into at most origin NIC+link, the switch/link fabric
-	// along the DC path, destination link+NIC and the processing stages;
-	// presizing for the common single-DC case keeps the append chain to
-	// one allocation.
-	stages := make([]core.Stage, 0, 12)
-	add := func(q core.QueueAgent, demand float64) {
-		if demand > 0 {
-			stages = append(stages, core.Stage{Queue: q, Demand: demand})
-		}
+	// Origin NIC+link, the same-DC switch, destination link+NIC and the
+	// processing stages fit in 12, with room for a short WAN path.
+	stages, err := inf.AppendHop(make([]core.Stage, 0, 12), from, to, cost)
+	if err != nil {
+		return core.MessagePlan{}, err
 	}
+	return core.MessagePlan{Stages: stages}, nil
+}
+
+// appendStage appends a queued stage unless its demand is zero.
+func appendStage(dst []core.Stage, q core.QueueAgent, demand float64) []core.Stage {
+	if demand > 0 {
+		dst = append(dst, core.Stage{Queue: q, Demand: demand})
+	}
+	return dst
+}
+
+// AppendHop expands one cascade message between two holons into the chain
+// of hardware stages it traverses and appends them to dst, implementing the
+// decomposition of Eqs. 3.2-3.5: origin NIC, network path (local links,
+// switches, WAN links), destination NIC, then destination processing
+// (memory occupancy, CPU cycles and storage access with cache-hit bypass).
+// It allocates only when dst lacks capacity. On error dst is returned
+// unextended.
+func (inf *Infrastructure) AppendHop(dst []core.Stage, from, to Endpoint, cost Cost) ([]core.Stage, error) {
+	stages := dst
 	net := cost.NetBytes
 
 	// Origin side: NIC then egress to the DC switch.
 	switch from.kind {
 	case epClient:
-		add(from.client.NIC, net)
-		add(from.dc.ClientLink, net)
+		stages = appendStage(stages, from.client.NIC, net)
+		stages = appendStage(stages, from.dc.ClientLink, net)
 	case epServer:
-		add(from.server.NIC, net)
-		add(from.server.Link, net)
+		stages = appendStage(stages, from.server.NIC, net)
+		stages = appendStage(stages, from.server.Link, net)
 	case epDaemon:
 		// Daemons attach directly to the DC switch fabric.
 	}
@@ -211,28 +225,28 @@ func (inf *Infrastructure) ExpandHop(from, to Endpoint, cost Cost) (core.Message
 	switch {
 	case net <= 0:
 	case from.dc == to.dc:
-		add(from.dc.Switch, net)
+		stages = appendStage(stages, from.dc.Switch, net)
 	default:
 		path, err := inf.Path(from.dc.Name, to.dc.Name)
 		if err != nil {
-			return core.MessagePlan{}, err
+			return dst, err
 		}
-		add(inf.DCs[path[0]].Switch, net)
+		stages = appendStage(stages, inf.DCs[path[0]].Switch, net)
 		for i := 1; i < len(path); i++ {
 			l := inf.usableLink(path[i-1], path[i])
 			if l == nil {
-				return core.MessagePlan{}, fmt.Errorf("topology: link %s->%s vanished", path[i-1], path[i])
+				return dst, fmt.Errorf("topology: link %s->%s vanished", path[i-1], path[i])
 			}
-			add(l, net)
-			add(inf.DCs[path[i]].Switch, net)
+			stages = appendStage(stages, l, net)
+			stages = appendStage(stages, inf.DCs[path[i]].Switch, net)
 		}
 	}
 
 	// Destination side: ingress, NIC, then processing.
 	switch to.kind {
 	case epClient:
-		add(to.dc.ClientLink, net)
-		add(to.client.NIC, net)
+		stages = appendStage(stages, to.dc.ClientLink, net)
+		stages = appendStage(stages, to.client.NIC, net)
 		pool := to.client.Pool
 		if d := pool.LocalDelay(cost.CPUCycles, cost.DiskBytes); d > 0 {
 			stages = append(stages, core.Stage{Queue: pool.Local, Delay: d})
@@ -245,18 +259,17 @@ func (inf *Infrastructure) ExpandHop(from, to Endpoint, cost Cost) (core.Message
 			})
 		}
 	case epServer:
-		add(to.server.Link, net)
-		add(to.server.NIC, net)
-		stages = inf.appendServerProcessing(stages, to.server, cost)
+		stages = appendStage(stages, to.server.Link, net)
+		stages = appendStage(stages, to.server.NIC, net)
+		stages = appendServerProcessing(stages, to.server, cost)
 	}
-	return core.MessagePlan{Stages: stages}, nil
+	return stages, nil
 }
 
-// appendServerProcessing appends the destination-holon stages at a server
-// into the hop's stage slice (no intermediate allocation): memory
-// occupancy held across CPU service and the storage access, with the
+// appendServerProcessing appends the destination-holon stages at a server:
+// memory occupancy held across CPU service and the storage access, with the
 // storage stage bypassed on a memory cache hit (Fig. 3-5).
-func (inf *Infrastructure) appendServerProcessing(stages []core.Stage, srv *Server, cost Cost) []core.Stage {
+func appendServerProcessing(stages []core.Stage, srv *Server, cost Cost) []core.Stage {
 	start := len(stages)
 	if cost.CPUCycles > 0 {
 		stages = append(stages, core.Stage{Queue: srv.CPU, Demand: cost.CPUCycles})
@@ -272,10 +285,9 @@ func (inf *Infrastructure) appendServerProcessing(stages []core.Stage, srv *Serv
 		}
 	}
 	if len(stages) > start && cost.MemBytes > 0 {
-		mem, bytes := srv.Mem, cost.MemBytes
-		stages[start].Begin = func() { mem.Acquire(bytes) }
-		last := &stages[len(stages)-1]
-		last.End = func() { mem.Release(bytes) }
+		first, last := &stages[start], &stages[len(stages)-1]
+		first.Hold, first.HoldAmount, first.Acquire = srv.Mem, cost.MemBytes, true
+		last.Hold, last.HoldAmount, last.Release = srv.Mem, cost.MemBytes, true
 	}
 	return stages
 }

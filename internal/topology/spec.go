@@ -9,6 +9,8 @@ package topology
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/hardware"
 )
@@ -161,13 +163,22 @@ func (s InfraSpec) validate() error {
 			return fmt.Errorf("topology: WAN %s->%s needs bandwidth", w.From, w.To)
 		}
 	}
-	for dc, c := range s.Clients {
+	// Sorted, so a spec with several bad entries always reports the same one.
+	for _, dc := range slices.Sorted(maps.Keys(s.Clients)) {
 		if !names[dc] {
-			return fmt.Errorf("topology: clients reference unknown DC %q", dc)
+			return &UnknownClientDCError{DC: dc}
 		}
-		if err := c.validate(); err != nil {
+		if err := s.Clients[dc].validate(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// UnknownClientDCError reports an InfraSpec.Clients key that names no data
+// center of the spec.
+type UnknownClientDCError struct{ DC string }
+
+func (e *UnknownClientDCError) Error() string {
+	return fmt.Sprintf("topology: clients reference unknown DC %q", e.DC)
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -99,6 +100,16 @@ func TestBuildWANValidation(t *testing.T) {
 	spec.WAN[0].From = spec.WAN[0].To
 	if _, err := Build(sim, spec); err == nil {
 		t.Error("WAN self-loop accepted")
+	}
+}
+
+func TestBuildRejectsClientsAtUnknownDC(t *testing.T) {
+	spec := twoDCSpec()
+	spec.Clients["MARS"] = spec.Clients["NA"]
+	_, err := Build(core.NewSimulation(core.Config{}), spec)
+	var unknown *UnknownClientDCError
+	if !errors.As(err, &unknown) || unknown.DC != "MARS" {
+		t.Fatalf("Build error = %v, want UnknownClientDCError for MARS", err)
 	}
 }
 
@@ -227,6 +238,25 @@ func TestExpandHopLocalClientToServer(t *testing.T) {
 	// Lower bound: cpu 50ms + ~4x10ms transfers + disk 10e6/(2x100MB/s).
 	if dur < 0.09 || dur > 1.0 {
 		t.Errorf("hop duration = %v, outside plausible band", dur)
+	}
+}
+
+// AppendHop into a buffer with room allocates nothing, memory occupancy
+// and storage stages included.
+func TestAppendHopPresizedAllocatesNothing(t *testing.T) {
+	_, inf := buildTestInfra(t)
+	na := inf.DC("NA")
+	from, to := ClientEndpoint(na.Clients.Next()), ServerEndpoint(na.Tier("app").Servers[0])
+	cost := Cost{CPUCycles: 1e8, NetBytes: 1e5, MemBytes: 1e9, DiskBytes: 1e6}
+	buf := make([]core.Stage, 0, 16)
+	n := testing.AllocsPerRun(100, func() {
+		out, err := inf.AppendHop(buf, from, to, cost)
+		if err != nil || len(out) != 7 {
+			t.Fatalf("AppendHop = %d stages, %v; want 7", len(out), err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("AppendHop into a presized buffer: %v allocs, want 0", n)
 	}
 }
 

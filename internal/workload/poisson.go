@@ -63,6 +63,8 @@ type AppWorkload struct {
 	Stream uint64
 
 	cum      []float64
+	names    []string // "<App> <op name>" per operation of the mix
+	scratch  cascade.Scratch
 	rng      *rand.Rand
 	active   core.Gauge // interned "<prefix>:active"
 	loggedin core.Gauge // interned "<prefix>:loggedin"
@@ -100,8 +102,10 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 		panic(err)
 	}
 	w.cum = make([]float64, len(w.Ops))
+	w.names = make([]string, len(w.Ops))
 	total := 0.0
 	for i := range w.Ops {
+		w.names[i] = w.App + " " + w.Ops[i].Name
 		wgt := 1.0
 		if w.Weights != nil {
 			wgt = w.Weights[i]
@@ -282,15 +286,15 @@ func (w *AppWorkload) NextPoll(now float64) float64 {
 }
 
 func (w *AppWorkload) launch(s *core.Simulation) {
-	op := w.Ops[w.pickOp()]
+	i := w.pickOp()
 	local := w.Inf.DC(w.DC)
 	master := w.Inf.DC(w.APM.Owner(w.DC, w.rng))
 	b := cascade.NewBinding(w.Inf, local, master)
-	run, err := cascade.Instantiate(op, b)
+	run, err := w.scratch.Instantiate(w.Ops[i], b)
 	if err != nil {
 		panic(err)
 	}
-	run.Name = w.App + " " + op.Name
+	run.Name = w.names[i]
 	run.Gauge = w.active
 	s.StartOp(run)
 }

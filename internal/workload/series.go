@@ -43,6 +43,7 @@ type SeriesLauncher struct {
 
 	next        float64
 	gauge       core.Gauge
+	scratch     cascade.Scratch
 	initialized bool
 }
 
@@ -86,7 +87,7 @@ func (l *SeriesLauncher) launch(s *core.Simulation) {
 
 // startOp chains the series' operations: completion of op i starts op i+1.
 func (l *SeriesLauncher) startOp(s *core.Simulation, b *cascade.Binding, i int) {
-	run, err := cascade.Instantiate(l.Series.Ops[i], b)
+	run, err := l.scratch.Instantiate(l.Series.Ops[i], b)
 	if err != nil {
 		panic(fmt.Sprintf("workload: series %s op %d: %v", l.Series.Name, i, err))
 	}
