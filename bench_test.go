@@ -391,7 +391,8 @@ func BenchmarkIdlePlatform(b *testing.B) {
 			cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
 				Seed: 7, Scale: 0.25,
 				StartHour: 2, EndHour: 3,
-				DisableClients: true, NoFastForward: noFF,
+				DisableClients: true,
+				LoopFlags:      core.LoopFlags{NoFastForward: noFF},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -410,18 +411,18 @@ func BenchmarkIdlePlatform(b *testing.B) {
 	b.Run("tick-by-tick", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkDenseBulk contrasts the bulk-dense loop against the lock-step
-// calendar loop on the regime it targets: the global-peak business hour of
-// the consolidation scenario, where every AppWorkload polls per tick and
-// the calendar loop — its scheduling already O(changed) — still paid an
-// O(active) Step sweep and an unconditional Drain over every active agent
-// on every iteration. The bulk-dense loop steps only the agents whose
-// event fires that tick (each lazy agent catches up in one horizon-bounded
-// bulk replay) and drains only the popped-due + notified set. Results are
-// bit-identical (TestBulkDenseEquivalence); the ns/op ratio is the
-// headline (the trajectory is bench/history.json's peak_hour rows).
+// BenchmarkDenseBulk contrasts the production loop against the reference
+// tick loop on the regime where skipping buys least: the global-peak
+// business hour of the consolidation scenario, where every AppWorkload
+// polls per tick and ~50 agents stay hot. The reference loop steps and
+// drains every active agent every tick; the production loop steps only the
+// agents whose event fires that tick (each lazy agent catches up in one
+// horizon-bounded bulk replay) and drains only the popped-due + notified
+// set. BenchmarkIdlePlatform is the same A/B on the sparse regime. Results
+// are bit-identical unthinned (TestBulkDenseEquivalence); the production
+// leg's trajectory is bench/history.json's peak_hour rows.
 func BenchmarkDenseBulk(b *testing.B) {
-	run := func(b *testing.B, noBulk bool) {
+	run := func(b *testing.B, ref bool) {
 		b.Helper()
 		b.ReportAllocs()
 		var ops uint64
@@ -431,7 +432,7 @@ func BenchmarkDenseBulk(b *testing.B) {
 			cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
 				Step: 0.01, Seed: 7, Scale: 1,
 				StartHour: 13, EndHour: 14,
-				NoBulkDense: noBulk,
+				LoopFlags: core.LoopFlags{NoFastForward: ref},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -448,15 +449,15 @@ func BenchmarkDenseBulk(b *testing.B) {
 		b.ReportMetric(float64(ops), "ops")
 		b.ReportMetric(float64(active), "active-agents")
 	}
-	b.Run("bulk-dense", func(b *testing.B) { run(b, false) })
-	b.Run("lock-step", func(b *testing.B) { run(b, true) })
+	b.Run("production", func(b *testing.B) { run(b, false) })
+	b.Run("reference", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkShardScaling measures the sharded PDES engine on the dense
 // peak-hour scenario — the same global business hour BenchmarkDenseBulk
 // uses, where ~50 agents stay hot and every window carries cross-DC
 // cascade traffic. The noshards case runs the 4-shard engine with the
-// sharded runtime disabled (Config.NoShards), isolating what the shard
+// sharded runtime disabled (LoopFlags.NoShards), isolating what the shard
 // partition, mailboxes and shard-local phases buy over the identical
 // worker pool; sequential is the single-core reference. Results are
 // bit-identical across all rows (TestShardedEquivalence*); compare the
@@ -478,8 +479,8 @@ func BenchmarkShardScaling(b *testing.B) {
 			cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
 				Step: 0.01, Seed: 7, Scale: 1,
 				StartHour: 13, EndHour: 14,
-				Engine:   eng,
-				NoShards: noShards,
+				Engine:    eng,
+				LoopFlags: core.LoopFlags{NoShards: noShards},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -510,8 +511,8 @@ func BenchmarkShardScaling(b *testing.B) {
 
 // BenchmarkWindowStretch measures what spending the WAN lookahead buys:
 // the same run with Chandy-Misra window stretching on (default), off
-// (Config.NoStretch — the per-window global barrier of the sharded PR),
-// and cross-blocked (Config.NoCrossStretch — stretching that stands aside
+// (LoopFlags.NoStretch — the per-window global barrier of the sharded PR),
+// and cross-blocked (LoopFlags.NoCrossStretch — stretching that stands aside
 // whenever a cross-capable flow is live, the behavior before mid-span
 // mailbox delivery). Two regimes: "night" is the fine-step day-night
 // scenario with per-tick Poisson polls, where every agent lives in one DC
@@ -530,8 +531,9 @@ func BenchmarkWindowStretch(b *testing.B) {
 		var barriers, stretched, ops uint64
 		for i := 0; i < b.N; i++ {
 			res, err := scenarios.RunDayNight(scenarios.DayNightConfig{
-				Seed: 7, Hours: 6, NoThinning: true,
-				Engine: dispatch.NewSharded(shards), NoStretch: noStretch,
+				Seed: 7, Hours: 6,
+				Engine:    dispatch.NewSharded(shards),
+				LoopFlags: core.LoopFlags{NoThinning: true, NoStretch: noStretch},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -552,9 +554,8 @@ func BenchmarkWindowStretch(b *testing.B) {
 			cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
 				Step: 0.01, Seed: 7, Scale: 1,
 				StartHour: 13, EndHour: 14,
-				Engine:         dispatch.NewSharded(shards),
-				NoStretch:      noStretch,
-				NoCrossStretch: noCross,
+				Engine:    dispatch.NewSharded(shards),
+				LoopFlags: core.LoopFlags{NoStretch: noStretch, NoCrossStretch: noCross},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -584,24 +585,20 @@ func BenchmarkWindowStretch(b *testing.B) {
 
 // BenchmarkDayNightClients runs the day-night client scenario — the
 // validation platform under a 24 h business-day curve with a 5% night
-// floor at the default 10 ms step — in the two loop configurations the
-// event-calendar PR contrasts: the full loop (indexed calendar + thinned
-// arrivals) against the PR 2 loop (scan-based jump sizing, per-tick
-// Poisson draws). The positive night floor vetoes every jump in the PR 2
-// loop, so it ticks through all 8.64M steps; thinning turns the night
-// into sampled arrival gaps the calendar loop jumps across. Results are
+// floor at the default 10 ms step — on the production loop with thinned
+// arrivals against the reference loop with per-tick Poisson draws, which
+// ticks through all 8.64M steps; thinning turns the night into sampled
+// arrival gaps the production loop jumps across. Results are
 // distribution-identical (TestThinnedArrivalEquivalence); the wall-clock
 // ratio is the headline (>=3x).
 func BenchmarkDayNightClients(b *testing.B) {
-	run := func(b *testing.B, noCal, noThin bool) {
+	run := func(b *testing.B, flags core.LoopFlags) {
 		b.Helper()
 		b.ReportAllocs()
 		var res *scenarios.DayNightResult
 		for i := 0; i < b.N; i++ {
 			var err error
-			res, err = scenarios.RunDayNight(scenarios.DayNightConfig{
-				Seed: 7, NoCalendar: noCal, NoThinning: noThin,
-			})
+			res, err = scenarios.RunDayNight(scenarios.DayNightConfig{Seed: 7, LoopFlags: flags})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -610,15 +607,17 @@ func BenchmarkDayNightClients(b *testing.B) {
 		b.ReportMetric(float64(res.Jumps), "jumps")
 		b.ReportMetric(float64(res.SkippedTicks), "skipped-ticks")
 	}
-	b.Run("calendar-thinned", func(b *testing.B) { run(b, false, false) })
-	b.Run("pr2-loop", func(b *testing.B) { run(b, true, true) })
+	b.Run("thinned", func(b *testing.B) { run(b, core.LoopFlags{}) })
+	b.Run("reference-unthinned", func(b *testing.B) {
+		run(b, core.LoopFlags{NoFastForward: true, NoThinning: true})
+	})
 }
 
 // BenchmarkFluidDayNight is the fluid tier's headline: the 24 h day-night
 // scenario at 10 million peak users, carried entirely by the analytic
 // aggregation (RunDayNightFluid — zero discrete client launches), against
-// the 60-user discrete reference the calendar-thinned loop runs
-// (BenchmarkDayNightClients/calendar-thinned, repeated here as the
+// the 60-user discrete reference the thinned production loop runs
+// (BenchmarkDayNightClients/thinned, repeated here as the
 // "discrete-60" leg so both legs land in one table row pair). The
 // acceptance envelope is wall-clock: fluid-10M must finish within 2x the
 // discrete 60-user run despite simulating five orders of magnitude more

@@ -98,7 +98,8 @@ type (
 	ExperimentRun = experiment.Run
 	// ExperimentResult is the uniform harvest of one experiment run.
 	ExperimentResult = experiment.Result
-	// LoopFlags carries the time-loop A/B switches.
+	// LoopFlags are the A/B switches (core.LoopFlags); SimConfig embeds
+	// the same struct.
 	LoopFlags = experiment.LoopFlags
 	// Sweep expands a parameter grid into concurrent independent runs.
 	Sweep = experiment.Sweep

@@ -6,28 +6,48 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/queueing"
 )
 
+// hzQueue is the method set FCFS and PS share that hzAgent drives.
+type hzQueue interface {
+	Enqueue(*queueing.Task)
+	Step(dt float64, done queueing.DoneFunc)
+	Idle() bool
+	Horizon() float64
+	CanBulk(span float64) bool
+	BulkStep(n int, dt float64)
+	SetNotify(func())
+	Rate() float64
+}
+
 // hzAgent is a horizon-aware, bulk-capable queue agent — the minimal
 // hardware-like agent for core-layer tests. It reports exact horizons so
-// the bulk-dense loop can step it lazily, and counts Step invocations and
+// the production loop can step it lazily, and counts Step invocations and
 // total ticks advanced so tests can assert both that laziness engaged and
 // that no tick was lost.
 type hzAgent struct {
 	AgentBase
-	q       *queueing.FCFS
+	q       hzQueue
 	steps   int   // Step invocations (per-tick work)
 	stepped int64 // total ticks advanced, bulk or not
 }
 
 func newHzAgent(s *Simulation, name string, rate float64) *hzAgent {
-	a := &hzAgent{q: queueing.NewFCFS(1, rate)}
+	return newHzAgentOn(s, name, queueing.NewFCFS(1, rate))
+}
+
+func newHzAgentOn(s *Simulation, name string, q hzQueue) *hzAgent {
+	a := &hzAgent{q: q}
 	a.q.SetNotify(a.MarkDirty)
 	a.InitAgent(s.NextAgentID(), name)
 	s.AddAgent(a)
 	return a
 }
+
+// refFlags selects the reference loop when ref is set.
+func refFlags(ref bool) LoopFlags { return LoopFlags{NoFastForward: ref} }
 
 func (a *hzAgent) Enqueue(t *queueing.Task) {
 	a.Sync()
@@ -61,10 +81,10 @@ func (a *hzAgent) Horizon() float64 { return a.q.Horizon() }
 // it. A busy neighbor keeps the loop iterating every tick, so the armed
 // agent is skipped by the involved-only sweep the whole way; the due-pop
 // at its event tick must still step and drain it at exactly the instant
-// the lock-step loop would.
+// the reference loop does.
 func TestBulkDrainReachesArmedCompletion(t *testing.T) {
-	run := func(noBulk bool) (*Simulation, *hzAgent, *hzAgent) {
-		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, NoBulkDense: noBulk})
+	run := func(ref bool) (*Simulation, *hzAgent, *hzAgent) {
+		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, LoopFlags: refFlags(ref)})
 		slow := newHzAgent(s, "slow", 100) // demand 100 => 1 s = 100 ticks
 		fast := newHzAgent(s, "fast", 100)
 		armed := false
@@ -105,16 +125,16 @@ func TestBulkDrainReachesArmedCompletion(t *testing.T) {
 		}
 	}
 	// Both loops advanced the armed agent through the same ticks, but the
-	// bulk-dense loop must have done so lazily: a handful of Step calls
+	// production loop must have done so lazily: a handful of Step calls
 	// (the event tick plus catch-up remainders) instead of one per tick.
 	if bulkSlow.stepped != plainSlow.stepped {
 		t.Errorf("ticks advanced diverged: bulk %d vs plain %d", bulkSlow.stepped, plainSlow.stepped)
 	}
 	if plainSlow.steps < 90 {
-		t.Errorf("lock-step loop stepped the armed agent %d times, want ~100 (every tick)", plainSlow.steps)
+		t.Errorf("reference loop stepped the armed agent %d times, want ~100 (every tick)", plainSlow.steps)
 	}
 	if bulkSlow.steps > 10 {
-		t.Errorf("bulk-dense loop stepped the armed agent %d times, want <= 10 (lazy catch-up)", bulkSlow.steps)
+		t.Errorf("production loop stepped the armed agent %d times, want <= 10 (lazy catch-up)", bulkSlow.steps)
 	}
 }
 
@@ -123,8 +143,8 @@ func TestBulkDrainReachesArmedCompletion(t *testing.T) {
 // armed event tick and a single step onto it — the completion must still
 // be found and drained on time.
 func TestBulkQuietArmedCompletion(t *testing.T) {
-	run := func(noBulk bool) *Simulation {
-		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, NoBulkDense: noBulk})
+	run := func(ref bool) *Simulation {
+		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, LoopFlags: refFlags(ref)})
 		slow := newHzAgent(s, "slow", 100)
 		s.AddSource(&timedSource{at: 0, launch: func(sim *Simulation) {
 			sim.StartOp(singleStageOp("ARMED", "NA", slow, 500)) // 5 s
@@ -140,12 +160,7 @@ func TestBulkQuietArmedCompletion(t *testing.T) {
 	if bs.T[0] != ps.T[0] || bs.V[0] != ps.V[0] {
 		t.Fatalf("completion diverged: (%v, %v) vs (%v, %v)", bs.T[0], bs.V[0], ps.T[0], ps.V[0])
 	}
-	bj, bskip := bulk.FastForwardStats()
-	pj, pskip := plain.FastForwardStats()
-	if bj != pj || bskip != pskip {
-		t.Errorf("jump stats diverged: %d/%d vs %d/%d (jump sizing must be unchanged)", bj, bskip, pj, pskip)
-	}
-	if bskip < 900 {
+	if _, bskip := bulk.FastForwardStats(); bskip < 900 {
 		t.Errorf("skipped only %d ticks; the quiet schedule holds ~9.5 s", bskip)
 	}
 }
@@ -154,10 +169,10 @@ func TestBulkQuietArmedCompletion(t *testing.T) {
 // work arriving on a lazily-stepped agent must land on state that has been
 // replayed to the present tick, so in-progress service keeps its exact
 // completion instant and the new work queues behind it identically to the
-// lock-step loop.
+// reference loop.
 func TestBulkLazyEnqueueSyncsFirst(t *testing.T) {
-	run := func(noBulk bool) *Simulation {
-		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, NoBulkDense: noBulk})
+	run := func(ref bool) *Simulation {
+		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, LoopFlags: refFlags(ref)})
 		ag := newHzAgent(s, "srv", 100)
 		fast := newHzAgent(s, "fast", 100)
 		// Long service armed at t=0; a second task lands mid-service at
@@ -263,73 +278,71 @@ func TestDormantSourceNotReconsulted(t *testing.T) {
 // TestCalendarInvalidationProperty drives a random interleaving of every
 // operation that can move an agent's next event — enqueues, ticks (due
 // pops and completions), jumps, bare MarkDirty/MarkActive — and after each
-// operation folds the dirty set and checks the full calendar invariant:
-// the heap is a valid min-heap with a consistent position index, every
-// active agent has exactly one entry whose key equals the agent's freshly
-// recomputed due tick (based at the tick its state has advanced through),
-// and no inactive agent lingers.
+// operation folds the dirty set and checks the full calendar invariant on
+// the root window (checkWindow).
 func TestCalendarInvalidationProperty(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42} {
+	for _, seed := range calendarPropertySeeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			calendarProperty(t, seed, 10000, false)
+			calendarProperty(t, seed, 10000)
 		})
 	}
-	// The lock-step calendar loop upholds the same invariant with keys
-	// based at the clock (every active agent is swept every iteration).
-	t.Run("seed-7-lockstep", func(t *testing.T) { calendarProperty(t, 7, 10000, true) })
 }
 
-func calendarProperty(t *testing.T, seed uint64, nops int, noBulk bool) {
+// calendarPropertySeeds also seed FuzzLoopMatchesReference's corpus.
+var calendarPropertySeeds = []uint64{1, 7, 42}
+
+// checkWindow folds a window's pending invalidations, as the loop would
+// before reading the calendar head, and checks the calendar invariant over
+// the agents the window owns: the heap is a valid min-heap with a
+// consistent position index, every active agent has exactly one entry whose
+// key equals the agent's freshly recomputed due tick (based at the tick its
+// state has advanced through), and no inactive agent lingers.
+func checkWindow(w *window, agents []*hzAgent) error {
+	w.rekey()
+	s := w.s
+	for i, e := range w.cal.entries {
+		if w.cal.pos[e.id] != int32(i) {
+			return fmt.Errorf("pos[%d] = %d, entry at %d", e.id, w.cal.pos[e.id], i)
+		}
+		if parent := (i - 1) / 2; i > 0 && w.cal.less(i, parent) {
+			return fmt.Errorf("heap violated at %d (key %d) under parent %d (key %d)",
+				i, e.key, parent, w.cal.entries[parent].key)
+		}
+	}
+	active := 0
+	for _, a := range agents {
+		b := a.Base()
+		if !b.active {
+			if w.cal.contains(b.id) {
+				return fmt.Errorf("inactive agent %d still in calendar", b.id)
+			}
+			continue
+		}
+		active++
+		if !w.cal.contains(b.id) {
+			return fmt.Errorf("active agent %d missing from calendar", b.id)
+		}
+		base := s.agentTick[b.id]
+		want := s.agentKey(a.Horizon(), base)
+		if got := w.cal.entries[w.cal.pos[b.id]].key; got != want {
+			return fmt.Errorf("agent %d key %d, want %d (horizon %v based at tick %d)",
+				b.id, got, want, a.Horizon(), base)
+		}
+	}
+	if w.cal.len() != active {
+		return fmt.Errorf("%d calendar entries for %d active agents", w.cal.len(), active)
+	}
+	return nil
+}
+
+func calendarProperty(t *testing.T, seed uint64, nops int) {
 	t.Helper()
-	s := NewSimulation(Config{Step: 0.01, Seed: seed, CollectEvery: 1 << 30, NoBulkDense: noBulk})
+	s := NewSimulation(Config{Step: 0.01, Seed: seed, CollectEvery: 1 << 30})
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
 	agents := make([]*hzAgent, 8)
 	for i := range agents {
 		agents[i] = newHzAgent(s, fmt.Sprintf("prop-%d", i), 100*float64(i+1))
 	}
-
-	verify := func(op string) {
-		s.rekeyDirty() // fold pending invalidations, as the loop would before reading the head
-		now := s.clock.Now()
-		for i, e := range s.cal.entries {
-			if s.cal.pos[e.id] != int32(i) {
-				t.Fatalf("after %s: pos[%d] = %d, entry at %d", op, e.id, s.cal.pos[e.id], i)
-			}
-			if i > 0 {
-				if parent := (i - 1) / 2; s.cal.less(i, parent) {
-					t.Fatalf("after %s: heap violated at %d (key %d) under parent %d (key %d)",
-						op, i, e.key, parent, s.cal.entries[parent].key)
-				}
-			}
-		}
-		active := 0
-		for _, a := range agents {
-			b := a.Base()
-			if !b.active {
-				if s.cal.contains(b.id) {
-					t.Fatalf("after %s: inactive agent %d still in calendar", op, b.id)
-				}
-				continue
-			}
-			active++
-			if !s.cal.contains(b.id) {
-				t.Fatalf("after %s: active agent %d missing from calendar", op, b.id)
-			}
-			base := now
-			if s.bulkDense {
-				base = s.agentTick[b.id]
-			}
-			want := s.agentKey(a.Horizon(), base)
-			if got := s.cal.entries[s.cal.pos[b.id]].key; got != want {
-				t.Fatalf("after %s: agent %d key %d, want %d (horizon %v based at tick %d)",
-					op, b.id, got, want, a.Horizon(), base)
-			}
-		}
-		if s.cal.len() != active {
-			t.Fatalf("after %s: %d calendar entries for %d active agents", op, s.cal.len(), active)
-		}
-	}
-
 	for i := 0; i < nops; i++ {
 		a := agents[rng.IntN(len(agents))]
 		var op string
@@ -351,18 +364,129 @@ func calendarProperty(t *testing.T, seed uint64, nops int, noBulk bool) {
 			a.MarkActive()
 			op = "markactive"
 		}
-		verify(op)
+		if err := checkWindow(&s.root, agents); err != nil {
+			t.Fatalf("after %s: %v", op, err)
+		}
 	}
 }
 
-// TestBulkDirectTickMatchesLockStep runs the same random traffic under
-// direct Tick calls — where every landing is a full-sync — and under the
-// jumping run loop, in bulk and lock-step modes, asserting identical
+// laneTraffic is a lane-confined source driving random Local single-stage
+// operations onto its own data center's agents from its own RNG stream. On
+// every poll it first checks the calendar invariant on whichever window
+// owns its flows right then — the root in a barriered window, its shard's
+// lane mid-span — so the lane windows answer to the same property as the
+// root. Polls run on lane goroutines, so failures are collected, not
+// raised.
+type laneTraffic struct {
+	dc      string
+	agents  []*hzAgent // the DC's agents
+	all     []*hzAgent // every agent: what the root window owns
+	rng     *rand.Rand
+	next    float64
+	inLane  int
+	failure error
+}
+
+func (lt *laneTraffic) Poll(s *Simulation, now float64) {
+	if now < lt.next {
+		return
+	}
+	w, owned := s.flowWindow(&Flow{op: OpRun{DC: lt.dc}}), lt.all
+	if w != &s.root {
+		lt.inLane++
+		owned = lt.agents
+	}
+	if err := checkWindow(w, owned); err != nil && lt.failure == nil {
+		lt.failure = fmt.Errorf("%s at %v s (lane=%v): %w", lt.dc, now, w != &s.root, err)
+	}
+	for n := lt.rng.IntN(3); n > 0; n-- {
+		a := lt.agents[lt.rng.IntN(len(lt.agents))]
+		op := singleStageOp("L-"+lt.dc, lt.dc, a, (0.2+8*lt.rng.Float64())*a.q.Rate()*s.clock.Step())
+		op.Local = true
+		s.StartOp(op)
+	}
+	lt.next = now + float64(1+lt.rng.IntN(12))*s.clock.Step()
+}
+
+func (lt *laneTraffic) NextPoll(float64) float64 { return lt.next }
+
+// TestCalendarPropertyOnLaneWindow runs the calendar invariant on lane
+// windows mid-span: two data centers on two shards, each driven by a
+// lane-confined source, so nearly every window runs inside a stretched
+// span on the shared phase methods. The same platform on the reference loop
+// must produce identical responses.
+func TestCalendarPropertyOnLaneWindow(t *testing.T) {
+	run := func(cfg Config) (*Simulation, []*laneTraffic) {
+		cfg.Step, cfg.Seed, cfg.CollectEvery = 0.01, 7, 250
+		s := NewSimulation(cfg)
+		var all []*hzAgent
+		var srcs []*laneTraffic
+		for d, dc := range []string{"A", "B"} {
+			lt := &laneTraffic{dc: dc, rng: rand.New(rand.NewPCG(7, uint64(d)))}
+			for i := 0; i < 4; i++ {
+				lt.agents = append(lt.agents, newHzAgent(s, fmt.Sprintf("%s-%d", dc, i), 100*float64(i+1)))
+			}
+			all = append(all, lt.agents...)
+			srcs = append(srcs, lt)
+		}
+		s.SetShardAssignment([]int32{0, 0, 0, 0, 1, 1, 1, 1})
+		s.SetDCShards(map[string]int{"A": 0, "B": 1})
+		for _, lt := range srcs {
+			lt.all = all
+			s.AddLaneSource(lt, lt.dc)
+		}
+		s.RunFor(30)
+		s.Shutdown()
+		return s, srcs
+	}
+	got, srcs := run(Config{Engine: &spanTestRunner{n: 2}})
+	ref, _ := run(Config{LoopFlags: refFlags(true)})
+	for _, lt := range srcs {
+		if lt.failure != nil {
+			t.Error(lt.failure)
+		}
+		if lt.inLane < 100 {
+			t.Errorf("%s: only %d polls ran on a lane window; the property was barely exercised mid-span", lt.dc, lt.inLane)
+		}
+	}
+	if got.Stats().WindowsStretched == 0 {
+		t.Fatal("no window ran inside a stretched span")
+	}
+	if g, r := got.CompletedOps(), ref.CompletedOps(); g != r || g == 0 {
+		t.Errorf("completed ops: %d under spans, %d on the reference loop", g, r)
+	}
+	for _, dc := range []string{"A", "B"} {
+		sameSeriesBits(t, "L-"+dc, ref.Responses.Series("L-"+dc, dc), got.Responses.Series("L-"+dc, dc))
+	}
+}
+
+// sameSeriesBits asserts two series hold bit-identical samples.
+func sameSeriesBits(t *testing.T, name string, ref, got *metrics.Series) {
+	t.Helper()
+	if ref == nil || got == nil {
+		if ref != got {
+			t.Fatalf("%s: series present on one side only (%v vs %v)", name, ref != nil, got != nil)
+		}
+		return
+	}
+	if ref.Len() != got.Len() {
+		t.Fatalf("%s: %d vs %d samples", name, ref.Len(), got.Len())
+	}
+	for i := range ref.V {
+		if ref.T[i] != got.T[i] || ref.V[i] != got.V[i] {
+			t.Fatalf("%s: sample %d diverged: (%v, %v) vs (%v, %v)", name, i, ref.T[i], ref.V[i], got.T[i], got.V[i])
+		}
+	}
+}
+
+// TestDirectTickMatchesReference runs the same random traffic under direct
+// Tick calls — where every landing is a full-sync — and under the jumping
+// run loop, on the production and the reference loop, asserting identical
 // responses. It complements the scenario-level equivalence suite with a
 // core-only harness that is cheap enough for -short.
-func TestBulkDirectTickMatchesLockStep(t *testing.T) {
-	run := func(noBulk bool, direct bool) *Simulation {
-		s := NewSimulation(Config{Step: 0.01, Seed: 9, CollectEvery: 50, NoBulkDense: noBulk})
+func TestDirectTickMatchesReference(t *testing.T) {
+	run := func(ref bool, direct bool) *Simulation {
+		s := NewSimulation(Config{Step: 0.01, Seed: 9, CollectEvery: 50, LoopFlags: refFlags(ref)})
 		ag := newHzAgent(s, "srv", 200)
 		dl := NewDelayLine(s, "think")
 		count := 0
@@ -393,22 +517,13 @@ func TestBulkDirectTickMatchesLockStep(t *testing.T) {
 	ref := run(true, false)
 	for _, tc := range []struct {
 		name   string
-		noBulk bool
+		ref    bool
 		direct bool
-	}{{"bulk-run", false, false}, {"bulk-direct-tick", false, true}, {"lockstep-direct-tick", true, true}} {
-		got := run(tc.noBulk, tc.direct)
+	}{{"production-run", false, false}, {"production-direct-tick", false, true}, {"reference-direct-tick", true, true}} {
+		got := run(tc.ref, tc.direct)
 		if ref.CompletedOps() != got.CompletedOps() {
 			t.Errorf("%s: completed ops %d vs %d", tc.name, ref.CompletedOps(), got.CompletedOps())
 		}
-		rs, gs := ref.Responses.Series("MIX", "NA"), got.Responses.Series("MIX", "NA")
-		if rs.Len() != gs.Len() {
-			t.Fatalf("%s: %d vs %d completions", tc.name, rs.Len(), gs.Len())
-		}
-		for i := range rs.V {
-			if rs.T[i] != gs.T[i] || rs.V[i] != gs.V[i] {
-				t.Fatalf("%s: completion %d diverged: (%v, %v) vs (%v, %v)",
-					tc.name, i, rs.T[i], rs.V[i], gs.T[i], gs.V[i])
-			}
-		}
+		sameSeriesBits(t, tc.name, ref.Responses.Series("MIX", "NA"), got.Responses.Series("MIX", "NA"))
 	}
 }

@@ -118,12 +118,12 @@ func (v *vetoAgent) Idle() bool                      { return true }
 
 // TestCalendarSkipsNotDuePolls checks the poll scheduler: a source with a
 // 50 ms schedule under a 10 ms step must be polled on roughly every fifth
-// tick by the calendar loop, while the scan loop polls it every tick. A
-// pinned default-horizon agent pins the clock to single steps, so the
-// difference comes from poll scheduling alone, not from jumps.
+// tick by the production loop, while the reference loop polls it every
+// tick. A pinned default-horizon agent pins the clock to single steps, so
+// the difference comes from poll scheduling alone, not from jumps.
 func TestCalendarSkipsNotDuePolls(t *testing.T) {
-	run := func(noCal bool) int {
-		s := NewSimulation(Config{Step: 0.01, Seed: 1, NoCalendar: noCal})
+	run := func(ref bool) int {
+		s := NewSimulation(Config{Step: 0.01, Seed: 1, LoopFlags: refFlags(ref)})
 		v := &vetoAgent{}
 		v.InitAgent(s.NextAgentID(), "veto")
 		s.AddAgent(v)
@@ -136,13 +136,13 @@ func TestCalendarSkipsNotDuePolls(t *testing.T) {
 		}
 		return src.polls
 	}
-	scan := run(true)
+	ref := run(true)
 	cal := run(false)
-	if scan != 1000 {
-		t.Errorf("scan loop polled %d times, want 1000", scan)
+	if ref != 1000 {
+		t.Errorf("reference loop polled %d times, want 1000", ref)
 	}
 	if cal < 198 || cal > 202 {
-		t.Errorf("calendar loop polled %d times, want ~200 (every 5th tick)", cal)
+		t.Errorf("production loop polled %d times, want ~200 (every 5th tick)", cal)
 	}
 }
 
@@ -207,12 +207,18 @@ func (o *orderAgent) Drain(fn func(*queueing.Task)) {
 	})
 }
 
-// TestActivationOrderIndependence pins the sort-skip bookkeeping: agents
-// activated in descending ID order must still drain in ascending ID order,
-// and ticks with an unchanged active set (which skip the sort and the
-// sweep re-slice) must keep that order.
+// TestActivationOrderIndependence pins the drain-order contract on both
+// loops: agents activated in descending ID order must still drain in
+// ascending ID order, and a following tick with nothing left to do must
+// drain nothing.
 func TestActivationOrderIndependence(t *testing.T) {
-	s := NewSimulation(Config{Step: 0.01, Seed: 1})
+	for _, ref := range []bool{false, true} {
+		activationOrder(t, ref)
+	}
+}
+
+func activationOrder(t *testing.T, ref bool) {
+	s := NewSimulation(Config{Step: 0.01, Seed: 1, LoopFlags: refFlags(ref)})
 	var order []AgentID
 	agents := make([]*orderAgent, 4)
 	for i := range agents {
@@ -235,8 +241,6 @@ func TestActivationOrderIndependence(t *testing.T) {
 			t.Fatalf("drain order not ascending: %v", order)
 		}
 	}
-	// A second tick with the unchanged (now empty) active set must not
-	// disturb anything — the sort/re-slice skip path.
 	order = order[:0]
 	s.Tick()
 	if len(order) != 0 {

@@ -21,7 +21,7 @@
 // clock across provably quiet stretches: every agent and source reports an
 // event horizon (Agent.Horizon, Source.NextPoll) and the loop jumps to
 // just before the earliest one, bit-identical to ticking through (see
-// DESIGN.md, "Event-horizon time loop").
+// DESIGN.md, "The time loop").
 package core
 
 import (
@@ -66,10 +66,9 @@ type Agent interface {
 	// ticks strictly before the earliest horizon, so undershooting is
 	// always safe while overshooting would skip an event. AgentBase
 	// supplies a conservative 0 ("I may act next tick") for agents that do
-	// not override it. It is called from sequential phases and, under the
-	// bulk-dense loop, from inside the parallel sweep (advanceAgent sizes
-	// bulk chunks with it), so like Step it must only touch the agent's
-	// own state.
+	// not override it. It is called from sequential phases and from inside
+	// the parallel sweep (advanceAgent sizes bulk chunks with it), so like
+	// Step it must only touch the agent's own state.
 	Horizon() float64
 }
 
@@ -173,7 +172,7 @@ func (b *AgentBase) Pin() {
 	b.MarkActive()
 	if b.sim != nil && !b.inPinned {
 		b.inPinned = true
-		b.sim.pinnedIDs = append(b.sim.pinnedIDs, b.id)
+		b.sim.root.pinned = append(b.sim.root.pinned, b.id)
 	}
 }
 
@@ -188,14 +187,14 @@ func (b *AgentBase) Pinned() bool { return b.pinned }
 // generators) keep the default and thereby veto jumps while active.
 func (b *AgentBase) Horizon() float64 { return 0 }
 
-// Sync catches the agent up to the current simulation tick. Under the
-// bulk-dense loop an active agent may be stepped lazily — advanced in bulk
-// only when it next matters — so any operation that mutates or reads
+// Sync catches the agent up to the current simulation tick. The production
+// loop steps an active agent lazily — advanced in bulk only when it next
+// matters — so any operation that mutates or reads
 // tick-dependent agent state from a sequential phase (an Enqueue, a local
 // clock read) must first replay the ticks the involved-only sweeps skipped.
 // Hardware agents call it at the top of Enqueue, and the flow router calls
 // it before handing a stage to its queue; it is an O(1) no-op when the
-// agent is current, inactive, unregistered, or the bulk-dense loop is off.
+// agent is current, inactive or unregistered, and on the reference loop.
 func (b *AgentBase) Sync() {
 	if b.sim != nil {
 		b.sim.syncAgent(b.id)

@@ -442,6 +442,30 @@ func TestRunUntilIdleTimesOut(t *testing.T) {
 	if err := s.RunUntilIdle(0.5); err == nil {
 		t.Error("RunUntilIdle should time out on a stuck flow")
 	}
+	if err := s.RunUntilIdle(0); err == nil {
+		t.Error("RunUntilIdle with no budget left should still report the stuck flow")
+	}
+
+	// An idle simulation is idle whatever the budget: one that rounds to
+	// zero ticks must not be reported as a timeout ("0 flows still active
+	// after 0 simulated seconds"), on either loop.
+	for _, ref := range []bool{false, true} {
+		idle := NewSimulation(Config{Step: 0.01, Seed: 1, LoopFlags: refFlags(ref)})
+		newTestQueueAgent(idle, "idle", 1, 1)
+		for _, budget := range []float64{0, -1} {
+			if err := idle.RunUntilIdle(budget); err != nil {
+				t.Errorf("reference=%v: idle simulation, budget %v: %v", ref, budget, err)
+			}
+		}
+		if now := idle.Clock().Now(); now != 0 {
+			t.Errorf("reference=%v: a zero budget advanced the clock to tick %d", ref, now)
+		}
+		// A positive budget still takes one step — a tick on the reference
+		// loop, a window on the production loop — before reporting idle.
+		if err := idle.RunUntilIdle(1); err != nil || idle.Clock().Now() == 0 {
+			t.Errorf("reference=%v: idle simulation, budget 1 s: err %v at tick %d, want nil after one step", ref, err, idle.Clock().Now())
+		}
+	}
 }
 
 func TestStartOpValidation(t *testing.T) {
@@ -529,7 +553,7 @@ func (ts *timedSource) NextPoll(now float64) float64 {
 // inspection. The completion instants land mid-stretch, so both the
 // source-poll and the agent-horizon jump bounds are exercised.
 func fastForwardFixture(noFF bool) *Simulation {
-	s := NewSimulation(Config{Step: 0.01, CollectEvery: 500, Seed: 3, NoFastForward: noFF})
+	s := NewSimulation(Config{Step: 0.01, CollectEvery: 500, Seed: 3, LoopFlags: refFlags(noFF)})
 	s.Collector.Register(metrics.Probe{Key: "flows", Sample: func(float64) float64 {
 		return float64(s.ActiveFlows())
 	}})

@@ -115,9 +115,10 @@ type Flow struct {
 
 // token is one in-flight message of a flow traversing its stages. The
 // embedded task is reused across stages to avoid per-stage allocation, and
-// finished tokens return to a simulation-owned free list — message launch
-// is the hottest allocation site of busy hours. Tokens are only created
-// and retired in sequential phases, so the pool needs no locking.
+// finished tokens return to the free list of their flow's window — message
+// launch is the hottest allocation site of busy hours. A window's tokens
+// are only created and retired on its own goroutine, so the pool needs no
+// locking.
 //
 // The trailing fields exist for cross-capable (Flow.global) tokens under
 // the sharded runtime: global marks the token registered in
@@ -143,40 +144,30 @@ type token struct {
 	parked    simtime.Tick
 }
 
-// newToken pops a pooled token or allocates a fresh one.
-func (s *Simulation) newToken() *token {
-	if n := len(s.tokenPool); n > 0 {
-		tok := s.tokenPool[n-1]
-		s.tokenPool[n-1] = nil
-		s.tokenPool = s.tokenPool[:n-1]
-		return tok
-	}
-	return &token{}
-}
-
-// freeToken resets a finished token and returns it to the pool. The caller
-// guarantees no queue holds the embedded task anymore — a token only
-// finishes when its final stage's completion has been drained.
-func (s *Simulation) freeToken(tok *token) {
-	*tok = token{}
-	s.tokenPool = append(s.tokenPool, tok)
-}
-
-// flowLane resolves the lane executing flows of the given data center
-// during a stretched span, or nil outside spans. Every flow routed through
-// here inside a span is Local (cross-capable flows branch on Flow.global
-// before resolving a lane — a global flow's DC names where its client
-// sits, not where its work runs), so the DC names both the lane that
-// launched the flow and the only lane that can ever touch it.
-func (s *Simulation) flowLane(dc string) *laneState {
+// flowWindow resolves the window a flow's bookkeeping lives on: the root in
+// sequential phases, and inside a stretched span the lane of the flow's
+// data center. Only shard-confined flows may reach a control point —
+// launch, step expansion, message or flow completion — between barriers:
+// lanes poll only confined sources, and the span scheduler ends every span
+// strictly before any cross-capable chain can complete (a global flow's
+// DC names where its client sits, not where its work runs, and its control
+// points are not lane-safe: route caching, load balancing, RNG draws, the
+// OnComplete callback). The panic keeps both guarantees honest. For a
+// confined flow the DC names the lane that launched it and the only lane
+// that can ever touch it.
+func (s *Simulation) flowWindow(f *Flow) *window {
 	if s.sh == nil || !s.sh.inSpan {
-		return nil
+		return &s.root
 	}
-	w, ok := s.sh.dcLane[dc]
+	if f.global {
+		panic(fmt.Sprintf("core: cross-capable flow %q (Local=%v, OnComplete=%v) at a control point inside a stretched span — launched from a lane, or chain-completion bound violated",
+			f.op.Name, f.op.Local, f.op.OnComplete != nil))
+	}
+	w, ok := s.sh.dcLane[f.op.DC]
 	if !ok {
-		panic(fmt.Sprintf("core: flow for unmapped data center %q inside a stretched span", dc))
+		panic(fmt.Sprintf("core: flow for unmapped data center %q inside a stretched span", f.op.DC))
 	}
-	return &s.sh.lanes[w]
+	return &s.sh.lanes[w].window
 }
 
 // startOp validates and launches an operation instance. It is called by
@@ -186,33 +177,15 @@ func (s *Simulation) startOp(op OpRun) *Flow {
 	if op.NumSteps <= 0 || op.Expand == nil {
 		panic(fmt.Sprintf("core: operation %q needs NumSteps > 0 and an Expand function", op.Name))
 	}
-	if ln := s.flowLane(op.DC); ln != nil {
-		// Lane path: only shard-confined flows may launch between barriers.
-		// The span scheduler guarantees none of these fire by construction
-		// (spans form only when no cross-DC work is possible); the panics
-		// keep the invariant honest against future launchers.
-		if !op.Local || op.OnComplete != nil {
-			panic(fmt.Sprintf("core: operation %q is not shard-confined (Local=%v, OnComplete=%v) inside a stretched span",
-				op.Name, op.Local, op.OnComplete != nil))
-		}
-		if op.Gauge == 0 && op.GaugeKey != "" {
-			panic(fmt.Sprintf("core: operation %q launches with an un-interned gauge key %q inside a stretched span",
-				op.Name, op.GaugeKey))
-		}
-		ln.nextFlowID++
-		f := &Flow{id: ln.nextFlowID, op: op, step: -1, start: s.clock.SecondsAt(ln.tick)}
-		ln.flowDelta++
-		s.AddGaugeBy(op.Gauge, 1)
-		s.advanceFlow(f)
-		return f
-	}
 	if op.Gauge == 0 && op.GaugeKey != "" {
-		op.Gauge = s.GaugeHandle(op.GaugeKey)
+		op.Gauge = s.GaugeHandle(op.GaugeKey) // panics on a first interning inside a span
 	}
-	s.nextFlowID++
-	f := &Flow{id: s.nextFlowID, op: op, step: -1, start: s.clock.NowSeconds()}
-	f.global = !op.Local || op.OnComplete != nil
-	s.activeFlows++
+	f := &Flow{op: op, step: -1, global: !op.Local || op.OnComplete != nil}
+	w := s.flowWindow(f)
+	w.nextFlowID++
+	f.id = w.nextFlowID
+	f.start = s.clock.SecondsAt(w.tick)
+	w.flows++
 	if f.global {
 		s.crossFlows++
 	}
@@ -228,18 +201,9 @@ func (s *Simulation) startOp(op OpRun) *Flow {
 //
 // Step expansion is not lane-safe (route caching, load-balancer state, RNG
 // draws), so a cross-capable flow only ever advances in sequential phases
-// — the span scheduler guarantees it by ending every span strictly before
-// any such flow's chain-completion bound, and the panic keeps the
-// guarantee honest.
+// (flowWindow enforces it).
 func (s *Simulation) advanceFlow(f *Flow) {
-	var ln *laneState
-	if f.global {
-		if s.sh != nil && s.sh.inSpan {
-			panic(fmt.Sprintf("core: cross-capable flow %d advanced inside a stretched span — chain-completion bound violated", f.id))
-		}
-	} else {
-		ln = s.flowLane(f.op.DC)
-	}
+	w := s.flowWindow(f)
 	for {
 		f.step++
 		if f.step >= f.op.NumSteps {
@@ -252,16 +216,7 @@ func (s *Simulation) advanceFlow(f *Flow) {
 		}
 		f.outstanding = len(plans)
 		for _, plan := range plans {
-			var tok *token
-			if ln != nil {
-				tok = ln.newToken()
-				ln.nextTaskID++
-				tok.task.ID = ln.nextTaskID
-			} else {
-				tok = s.newToken()
-				s.nextTaskID++
-				tok.task.ID = s.nextTaskID
-			}
+			tok := w.newToken()
 			tok.flow = f
 			tok.stages = plan.Stages
 			tok.task.Payload = tok
@@ -311,30 +266,22 @@ func (s *Simulation) startStage(tok *token) {
 					}
 				}
 			}
-			// Under the bulk-dense loop the target may be lazily stepped;
-			// replay its deficit before the enqueue mutates its queues, so
-			// the new work lands on state identical to the lock-step
-			// loop's. Hardware agents also self-sync in Enqueue; routing
-			// through here covers custom agents too.
+			// The target may be lazily stepped; replay its deficit before
+			// the enqueue mutates its queues, so the new work lands on
+			// state identical to the reference loop's. Hardware agents
+			// also self-sync in Enqueue; routing through here covers
+			// custom agents too.
 			s.syncAgent(st.Queue.ID())
 			st.Queue.Enqueue(&tok.task)
-			// Join the active set so the engine sweeps this agent next
-			// tick; hardware agents also self-activate in Enqueue, but
+			// Join the active set so the agent is stepped from the next
+			// tick on; hardware agents also self-activate in Enqueue, but
 			// routing through here covers custom agents too.
 			st.Queue.Base().MarkActive()
 			if tok.global {
 				// Maintain the span scheduler's view: where the token
 				// lives and when it entered the stage.
-				if sh := s.sh; sh != nil {
-					tok.home = sh.shard(st.Queue.ID())
-					if sh.inSpan {
-						tok.stageTick = sh.lanes[tok.home].tick
-					} else {
-						tok.stageTick = s.clock.Now()
-					}
-				} else {
-					tok.stageTick = s.clock.Now()
-				}
+				tok.home = s.sh.shard(st.Queue.ID())
+				tok.stageTick = s.windowOf(st.Queue.ID()).tick
 			}
 			return
 		}
@@ -363,28 +310,20 @@ func (s *Simulation) onTaskDone(t *queueing.Task) {
 
 // tokenDone accounts a finished message within its flow and recycles the
 // token. A cross-capable token's chain end is a sequential-phase event by
-// construction (the span scheduler ends spans before any chain-completion
-// bound); it also unregisters from the span scheduler's token registry.
+// construction (flowWindow enforces it); it also unregisters from the span
+// scheduler's token registry.
 func (s *Simulation) tokenDone(tok *token) {
 	f := tok.flow
+	w := s.flowWindow(f)
 	if tok.global {
-		if s.sh != nil && s.sh.inSpan {
-			panic(fmt.Sprintf("core: cross-capable message of flow %d completed inside a stretched span — chain-completion bound violated", f.id))
-		}
-		if s.sh != nil {
-			last := len(s.crossToks) - 1
-			i := int(tok.reg)
-			s.crossToks[i] = s.crossToks[last]
-			s.crossToks[i].reg = int32(i)
-			s.crossToks[last] = nil
-			s.crossToks = s.crossToks[:last]
-		}
-		s.freeToken(tok)
-	} else if ln := s.flowLane(f.op.DC); ln != nil {
-		ln.freeToken(tok)
-	} else {
-		s.freeToken(tok)
+		last := len(s.crossToks) - 1
+		i := int(tok.reg)
+		s.crossToks[i] = s.crossToks[last]
+		s.crossToks[i].reg = int32(i)
+		s.crossToks[last] = nil
+		s.crossToks = s.crossToks[:last]
 	}
+	w.freeToken(tok)
 	f.outstanding--
 	if f.outstanding < 0 {
 		panic(fmt.Sprintf("core: flow %d over-completed", f.id))
@@ -394,44 +333,27 @@ func (s *Simulation) tokenDone(tok *token) {
 	}
 }
 
-// completeFlow records the response time and runs completion callbacks.
-// Inside a stretched span the completion books onto the lane (its own
-// response buffer, its own counters, the lane's local tick for the
-// completion instant); the counters merge into the simulation at the span
-// exit barrier. A flow may start on one path and complete on the other —
-// the delta accounting composes either way.
+// completeFlow records the response time and runs completion callbacks on
+// the flow's window. Inside a stretched span that is the lane — its own
+// response buffer and counters, its local tick for the completion instant
+// — merged into the root at the span exit barrier. A flow may start on one
+// window and complete on another; the counters are deltas, so they compose.
+// Cross-capable flows always complete on the root: their last message's
+// tokenDone is a sequential-phase event by construction, and the OnComplete
+// callback must see the global simulation, not a lane.
 func (s *Simulation) completeFlow(f *Flow) {
-	if !f.global {
-		if ln := s.flowLane(f.op.DC); ln != nil {
-			now := s.clock.SecondsAt(ln.tick)
-			dur := now - f.start
-			ln.flowDelta--
-			s.AddGaugeBy(f.op.Gauge, -1)
-			if !f.op.Silent {
-				ln.resp.Record(f.op.Name, f.op.DC, now, dur)
-			}
-			ln.completed++
-			if f.op.Retire != nil {
-				f.op.Retire()
-			}
-			return
-		}
-	}
-	// Cross-capable flows complete here unconditionally: their last
-	// message's tokenDone is a sequential-phase event by construction, and
-	// the OnComplete callback (when present) must see the global
-	// simulation, not a lane.
-	now := s.clock.NowSeconds()
+	w := s.flowWindow(f)
+	now := s.clock.SecondsAt(w.tick)
 	dur := now - f.start
-	s.activeFlows--
+	w.flows--
 	if f.global {
 		s.crossFlows--
 	}
 	s.AddGaugeBy(f.op.Gauge, -1)
 	if !f.op.Silent {
-		s.Responses.Record(f.op.Name, f.op.DC, now, dur)
+		w.resp.Record(f.op.Name, f.op.DC, now, dur)
 	}
-	s.completedOps++
+	w.completed++
 	if f.op.Retire != nil {
 		f.op.Retire()
 	}

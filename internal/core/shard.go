@@ -14,12 +14,12 @@ import (
 // ShardRunner is the engine capability that unlocks the sharded PDES
 // runtime: an engine that owns a fixed set of shard-pinned workers and can
 // run one function on every shard concurrently. When the configured engine
-// implements it (dispatch.Sharded does) and the bulk-dense loop is on, the
+// implements it (dispatch.Sharded does) and the production loop is on, the
 // simulation partitions its agents across the shards and executes the
 // parallel phases of each window — involved-agent advancement, mailbox
 // application, horizon precomputation — shard-locally, with all flow
 // routing, RNG draws and metric writes staying in the sequential residue
-// between barriers. Config.NoShards turns the runtime off for A/B
+// between barriers. LoopFlags.NoShards turns the runtime off for A/B
 // comparison while keeping the same engine.
 type ShardRunner interface {
 	Engine
@@ -96,26 +96,10 @@ type shardInbox struct {
 	_    [64]byte
 }
 
-// shardBuf collects the activation/invalidation side effects a shard's
-// worker produces while applying its mailbox, so the global active, dirty
-// and drain sets are only touched by the deterministic sequential merge.
-// mailApplied/mailMinSlack accumulate the shard's mailbox-safety audit
-// (entries applied; minimum due-minus-horizon slack in ticks). The
-// trailing pad keeps adjacent shards' buffers off one cache line.
-type shardBuf struct {
-	activated    []AgentID
-	dirty        []AgentID
-	drain        []AgentID
-	liveDelta    int
-	mailApplied  uint64
-	mailMinSlack simtime.Tick
-	_            [64]byte
-}
-
 // shardState is the sharded-runtime extension of a Simulation: the shard
 // map, per-shard mailboxes and scratch, and the per-shard RNG seeds. It
-// exists only when the configured engine is a ShardRunner, the bulk-dense
-// loop is enabled and Config.NoShards is off.
+// exists only when the configured engine is a ShardRunner and neither
+// LoopFlags.NoFastForward nor LoopFlags.NoShards is set.
 type shardState struct {
 	runner ShardRunner
 	n      int
@@ -133,20 +117,20 @@ type shardState struct {
 	shardOf []int32
 
 	// deferring routes flow-router enqueues into the mailboxes (drain
-	// phase only); applying routes activate/invalidate into the per-shard
-	// buffers (mailbox application only); inSpan routes the activation,
-	// invalidation, sync and flow hooks onto the shard lanes (stretched
-	// spans only). The three phases are mutually exclusive.
+	// phase only); applying and inSpan hand each agent's loop state to its
+	// shard's lane window (Simulation.windowOf) — while the mailboxes apply
+	// shard-parallel, and inside a stretched span, where the flow hooks
+	// resolve lanes too. The three phases are mutually exclusive.
 	deferring bool
 	applying  bool
 	inSpan    bool
 
-	// stretch enables Chandy-Misra window stretching (Config.NoStretch
+	// stretch enables Chandy-Misra window stretching (LoopFlags.NoStretch
 	// off): between global barriers each shard may run many consecutive
 	// calendar windows on its own lane, bounded by the next collector
 	// boundary, the run end and the earliest global-source due tick.
 	stretch bool
-	// noCross restores the PR 8 binary guard (Config.NoCrossStretch):
+	// noCross restores the PR 8 binary guard (LoopFlags.NoCrossStretch):
 	// spans form only while no cross-capable flow is in flight. By default
 	// spans instead bound themselves by the per-token chain-completion
 	// guard plus the WAN lookahead and survive live cross-DC cascades.
@@ -168,8 +152,8 @@ type shardState struct {
 	// SetDCShards from the topology partition; spans never form while it
 	// is empty.
 	dcLane map[string]int
-	// lanes is the per-shard span execution state; shardWindows counts the
-	// lane windows each shard ran inside spans; committed[w] is the tick
+	// lanes holds each shard's window and span state; shardWindows counts
+	// the lane windows each shard ran inside spans; committed[w] is the tick
 	// shard w's agents are known to be advanced through at the last global
 	// synchronization — the safe horizon the mailbox audit checks against.
 	lanes        []laneState
@@ -182,7 +166,6 @@ type shardState struct {
 	// applyEntry, but on different schedules: mail applies at the same tick
 	// it was posted, inbox entries whole ticks later with a latency replay.
 	inbox []shardInbox
-	bufs  []shardBuf
 	inv   [][]Agent   // involved-sweep partition scratch
 	pre   [][]AgentID // horizon-precompute partition scratch
 
@@ -200,17 +183,23 @@ func newShardState(s *Simulation, runner ShardRunner, seed uint64) *shardState {
 		runner:       runner,
 		n:            n,
 		seeds:        make([]uint64, n),
+		lanes:        make([]laneState, n),
 		shardWindows: make([]uint64, n),
 		committed:    make([]simtime.Tick, n),
 		mail:         make([][]mailEntry, n),
 		inbox:        make([]shardInbox, n),
-		bufs:         make([]shardBuf, n),
 		inv:          make([][]Agent, n),
 		pre:          make([][]AgentID, n),
 	}
-	for w := 0; w < n; w++ {
+	for w := range st.lanes {
 		st.seeds[w] = DeriveSeed(seed, uint64(w))
-		st.bufs[w].mailMinSlack = neverTick
+		ln := &st.lanes[w]
+		ln.w = int32(w)
+		ln.mailMinSlack = neverTick
+		// Lane task/flow IDs start in a per-shard band so they never
+		// collide with the root's counters.
+		ln.window = window{s: s, srcMin: neverTick, resp: metrics.NewResponses(),
+			nextFlowID: uint64(w+1) << 48, nextTaskID: uint64(w+1) << 48}
 	}
 	st.sweepFn = func(w int) {
 		for _, a := range st.inv[w] {
@@ -219,10 +208,8 @@ func newShardState(s *Simulation, runner ShardRunner, seed uint64) *shardState {
 	}
 	st.applyFn = func(w int) {
 		box := st.mail[w]
-		now := s.clock.Now()
-		b := &st.bufs[w]
 		for i := range box {
-			st.applyEntry(s, &box[i], now, b)
+			st.applyEntry(s, &box[i])
 			box[i] = mailEntry{}
 		}
 		st.mail[w] = box[:0]
@@ -282,16 +269,19 @@ func (st *shardState) post(s *Simulation, q QueueAgent, t *queueing.Task) {
 // protocol: a replayed entry applied at or past its due tick would mean
 // the receiver may already have advanced through state the message should
 // have influenced.
-func (st *shardState) applyEntry(s *Simulation, e *mailEntry, applyTick simtime.Tick, b *shardBuf) {
+func (st *shardState) applyEntry(s *Simulation, e *mailEntry) {
+	id := e.q.ID()
+	ln := &st.lanes[st.shard(id)]
+	applyTick := s.windowOf(id).tick
 	if applyTick > e.post && applyTick >= e.due {
 		panic(fmt.Sprintf("core: mailbox entry posted at tick %d, due at %d, applied at %d — past its due instant",
 			e.post, e.due, applyTick))
 	}
-	if slack := e.due - applyTick; slack < b.mailMinSlack {
-		b.mailMinSlack = slack
+	if slack := e.due - applyTick; slack < ln.mailMinSlack {
+		ln.mailMinSlack = slack
 	}
-	b.mailApplied++
-	s.syncAgent(e.q.ID())
+	ln.mailApplied++
+	s.syncAgent(id)
 	replay := applyTick > e.post
 	if replay {
 		sf, ok := e.q.(interface{ FreeSlot() bool })
@@ -307,7 +297,7 @@ func (st *shardState) applyEntry(s *Simulation, e *mailEntry, applyTick simtime.
 	if tok, ok := e.t.Payload.(*token); ok {
 		tok.parked = 0
 		tok.stageTick = applyTick
-		tok.home = st.shard(e.q.ID())
+		tok.home = ln.w
 	}
 }
 
@@ -355,16 +345,14 @@ func (st *shardState) postInbox(s *Simulation, q QueueAgent, tok *token) {
 // tick — posts are due beyond their span's end, and these points are the
 // first sequential instants after it — which the applyEntry audit checks.
 func (st *shardState) flushInbox(s *Simulation) {
-	now := s.clock.Now()
 	for w := range st.inbox {
 		ib := &st.inbox[w]
 		if len(ib.pend) == 0 {
 			continue
 		}
 		slices.SortFunc(ib.pend, cmpMail)
-		b := &st.bufs[w]
 		for i := range ib.pend {
-			st.applyEntry(s, &ib.pend[i], now, b)
+			st.applyEntry(s, &ib.pend[i])
 			ib.pend[i] = mailEntry{}
 		}
 		ib.pend = ib.pend[:0]
@@ -380,7 +368,7 @@ func (st *shardState) sweepInvolved(s *Simulation) {
 	for w := range st.inv {
 		st.inv[w] = st.inv[w][:0]
 	}
-	for _, a := range s.invAgents {
+	for _, a := range s.sweep {
 		w := st.shard(a.ID())
 		st.inv[w] = append(st.inv[w], a)
 	}
@@ -389,23 +377,22 @@ func (st *shardState) sweepInvolved(s *Simulation) {
 
 // applyMail drains every shard's mailbox concurrently — sync the target,
 // enqueue, mark active, exactly the inline sequence the flow router
-// deferred — then merges the buffered side effects into the global sets
-// in ascending shard order. Within a shard, entries apply in mailbox
-// (global drain) order; across shards the entries touch disjoint agents,
-// so the merge order is observationally irrelevant and fixed anyway to
-// keep runs reproducible under inspection.
+// deferred. While it runs, each shard's lane window stands in for the root
+// (Simulation.windowOf), so the activations, invalidations and drain-set
+// entries the workers produce buffer per shard; the sequential merge then
+// folds them into the root in ascending shard order. Within a shard,
+// entries apply in mailbox (global drain) order; across shards the entries
+// touch disjoint agents, so the merge order is observationally irrelevant
+// and fixed anyway to keep runs reproducible under inspection.
 func (st *shardState) applyMail(s *Simulation) {
 	// The drain just ran at the current tick, so every shard's agents are
 	// committed through it — the safe horizon the apply-phase audit checks
 	// mailbox due stamps against.
 	now := s.clock.Now()
-	for w := range st.committed {
-		if now > st.committed[w] {
-			st.committed[w] = now
-		}
-	}
 	total := 0
 	for w := range st.mail {
+		st.committed[w] = max(st.committed[w], now)
+		st.lanes[w].tick = now
 		total += len(st.mail[w])
 	}
 	if total == 0 {
@@ -414,65 +401,24 @@ func (st *shardState) applyMail(s *Simulation) {
 	st.applying = true
 	st.runner.RunShards(st.applyFn)
 	st.applying = false
-	for w := range st.bufs {
-		b := &st.bufs[w]
-		s.liveActive += b.liveDelta
-		b.liveDelta = 0
-		for _, id := range b.activated {
-			if n := len(s.active); n > 0 && id < s.active[n-1] {
-				s.activeSorted = false
-			}
-			s.active = append(s.active, id)
-			s.sweepStale = true
-		}
-		b.activated = b.activated[:0]
-		s.dirty = append(s.dirty, b.dirty...)
-		b.dirty = b.dirty[:0]
-		s.drainPend = append(s.drainPend, b.drain...)
-		b.drain = b.drain[:0]
-	}
-}
-
-// activateLocal is the applying-phase form of Simulation.activate: the
-// same bookkeeping, buffered into the owning shard instead of written to
-// the global sets. agentTick and the AgentBase flags are per-agent state
-// owned by exactly one shard, so the direct writes are race-free.
-func (st *shardState) activateLocal(s *Simulation, id AgentID) {
-	b := &st.bufs[st.shard(id)]
-	b.liveDelta++
-	s.agentTick[id] = s.clock.Now()
-	ab := s.agents[id].Base()
-	if ab.listed {
-		return // tombstone revived in place, same as the global path
-	}
-	ab.listed = true
-	b.activated = append(b.activated, id)
-}
-
-// invalidateLocal is the applying-phase form of Simulation.invalidate.
-func (st *shardState) invalidateLocal(s *Simulation, id AgentID) {
-	b := &st.bufs[st.shard(id)]
-	b.dirty = append(b.dirty, id)
-	s.hMemoTick[id] = hMemoUnset
-	if ab := s.agents[id].Base(); !ab.pendDrain {
-		ab.pendDrain = true
-		b.drain = append(b.drain, id)
+	for w := range st.lanes {
+		s.root.absorbSets(&st.lanes[w].window)
 	}
 }
 
 // precomputeHorizons warms the horizon memo for the dirty set
 // shard-locally, so the sequential rekey that follows reads memoized
 // values instead of paying every Horizon call on one core. Skipping an
-// agent is always safe — rekeyDirty recomputes on a memo miss — so the
+// agent is always safe — rekey recomputes on a memo miss — so the
 // filter mirrors rekey's own active check without having to be exact.
 func (st *shardState) precomputeHorizons(s *Simulation) {
-	if len(s.dirty) < st.n {
+	if len(s.root.dirty) < st.n {
 		return
 	}
 	for w := range st.pre {
 		st.pre[w] = st.pre[w][:0]
 	}
-	for _, id := range s.dirty {
+	for _, id := range s.root.dirty {
 		if !s.agents[id].Base().active {
 			continue
 		}
@@ -482,82 +428,39 @@ func (st *shardState) precomputeHorizons(s *Simulation) {
 	st.runner.RunShards(st.preFn)
 }
 
-// laneState is one shard's private slice of the simulation during a
-// stretched span: its own clock position, event calendar, active/pinned
-// sets, drain sets, source schedule view, flow bookkeeping and response
-// buffer. A span partitions the corresponding global structures into the
-// lanes at the entry barrier, lets every lane run the standard bulk-dense
-// window loop privately — same jump sizing, same phase order, same
-// per-agent arithmetic, so results are bit-identical — and merges the
-// lanes back in ascending shard order at the exit barrier. Everything a
-// lane touches between barriers is owned by exactly one shard: its agents
-// (per the shard assignment), its DC's flows (Local cascades only), its
-// DC-confined sources, gauges interned per DC, and per-agent memo slots.
-// The trailing pad keeps adjacent lanes off one cache line.
+// laneState is one shard's lane: its window — the shard's private slice of
+// the loop state during a stretched span — plus what only lanes need. A
+// span deals the root window's calendar, active, pinned and drain sets and
+// the lane-confined sources out to the lanes at the entry barrier, lets
+// every lane run the window loop privately, and merges the lanes back in
+// ascending shard order at the exit barrier. Everything a lane touches
+// between barriers is owned by exactly one shard: its agents (per the
+// shard assignment), its DC's flows (Local cascades only), its DC-confined
+// sources, gauges interned per DC, and per-agent memo slots. The trailing
+// pad keeps adjacent lanes off one cache line.
 type laneState struct {
+	window
+
 	w       int32        // the lane's own shard index
-	tick    simtime.Tick // the lane's local clock
 	spanEnd simtime.Tick // the span's exit barrier tick
 	limit   simtime.Tick // the run-level limit (full-sync detection)
-
-	cal        calendar
-	active     []AgentID
-	pinned     []AgentID
-	dirty      []AgentID
-	drainPend  []AgentID
-	drainSpare []AgentID
-	invIDs     []AgentID
-
-	// srcIdx indexes the lane's confined sources in s.sources/s.srcDue;
-	// srcMin caches their minimum due tick, mirroring Simulation.srcMin.
-	srcIdx []int
-	srcMin simtime.Tick
+	windows uint64       // lane windows run in the current span
 
 	// inboxBatch holds the shard's pending inbox entries snapshotted at
 	// span entry (already in sequential drain order); the lane applies
 	// them first thing in its first window, at the span-entry tick —
 	// always strictly before any entry's due tick, since every entry was
-	// posted in an earlier span with due beyond that span's end. drainSrc
-	// is the agent currently draining (the sequential-order key of any
-	// cross-shard post its completions trigger) and postSeq the lane's
-	// monotonic post counter.
+	// posted in an earlier span with due beyond that span's end. postSeq
+	// is the lane's monotonic post counter.
 	inboxBatch []mailEntry
-	drainSrc   AgentID
 	postSeq    uint64
 
-	// Per-span deltas merged into the global counters at the exit barrier.
-	liveDelta int
-	flowDelta int
-	completed uint64
-	jumps     uint64
-	skipped   uint64
-	windows   uint64
-
-	// Lane-local flow machinery: response buffer, token pool and ID
-	// counters, so in-span launches never touch the shared ones.
-	resp       *metrics.Responses
-	tokenPool  []*token
-	nextFlowID uint64
-	nextTaskID uint64
+	// mailApplied/mailMinSlack accumulate the shard's mailbox-safety audit
+	// (entries applied; minimum due-minus-apply slack in ticks).
+	mailApplied  uint64
+	mailMinSlack simtime.Tick
 
 	_ [64]byte
-}
-
-// newToken / freeToken are the lane-local forms of the Simulation token
-// pool (flow.go): spans recycle message tokens per lane.
-func (ln *laneState) newToken() *token {
-	if n := len(ln.tokenPool); n > 0 {
-		tok := ln.tokenPool[n-1]
-		ln.tokenPool[n-1] = nil
-		ln.tokenPool = ln.tokenPool[:n-1]
-		return tok
-	}
-	return &token{}
-}
-
-func (ln *laneState) freeToken(tok *token) {
-	*tok = token{}
-	ln.tokenPool = append(ln.tokenPool, tok)
 }
 
 // trySpan decides whether the next window can instead run as a stretched
@@ -577,7 +480,7 @@ func (ln *laneState) freeToken(tok *token) {
 //     stays within the installed WAN lookahead, so every mid-span post is
 //     due beyond the span's end (see shardState.lookTicks).
 //
-// Under Config.NoCrossStretch the last two bounds collapse back to the
+// Under LoopFlags.NoCrossStretch the last two bounds collapse back to the
 // binary guard: no span while any cross-capable flow is in flight.
 //
 // The span bound S is the earliest of: the run limit, the next collector
@@ -720,87 +623,57 @@ func (s *Simulation) tokenGuard(tok *token) (lb simtime.Tick, mayCross bool) {
 	return anchor + 1 + s.clock.WholeTicksBefore(rem-ffGuard), mayCross
 }
 
-// runSpan executes one stretched span [T, S): partition the global loop
-// state into per-shard lanes, run every lane's window loop concurrently up
+// runSpan executes one stretched span [T, S): deal the root window's state
+// out to the per-shard lanes, run every lane's window loop concurrently up
 // to S, and merge the lanes back — the only global barrier the covered
 // windows pay. The global clock is parked at T while lanes run (each lane
 // carries its own tick) and commits to S at the exit barrier.
 func (s *Simulation) runSpan(S, limit simtime.Tick) {
-	sh := s.sh
-	T := s.clock.Now()
+	sh, root := s.sh, &s.root
+	T := root.tick
 
-	// Settle global state sequentially before partitioning: fold pending
-	// invalidations into the calendar, drop active-set tombstones and
+	// Settle the root sequentially before partitioning: fold pending
+	// invalidations into the calendar, drop active-list tombstones and
 	// restore ascending order (lane active lists inherit sortedness).
-	s.rekeyDirty()
-	s.compactActive()
+	root.rekey()
+	root.compact()
 
 	// Partition. Lane calendars index the full agent population (cheap:
 	// the pos slices persist across spans); entries, active IDs, drain
-	// membership and pinned agents deal out by shard ownership.
-	if sh.lanes == nil {
-		sh.lanes = make([]laneState, sh.n)
-		for w := range sh.lanes {
-			ln := &sh.lanes[w]
-			ln.w = int32(w)
-			ln.resp = metrics.NewResponses()
-			// Lane task/flow IDs live in a per-shard band so they never
-			// collide with the sequential counters; IDs are bookkeeping
-			// only (queueing is arrival-ordered), so the band choice is
-			// behaviorally inert.
-			ln.nextFlowID = uint64(w+1) << 48
-			ln.nextTaskID = uint64(w+1) << 48
-		}
-	}
+	// membership, pinned agents and confined sources deal out by ownership.
 	for w := range sh.lanes {
 		ln := &sh.lanes[w]
-		ln.tick = T
-		ln.spanEnd = S
-		ln.limit = limit
+		ln.tick, ln.spanEnd, ln.limit, ln.windows = T, S, limit, 0
 		ln.cal.grow(len(s.agents))
-		ln.active = ln.active[:0]
 		ln.pinned = ln.pinned[:0]
 		ln.srcIdx = ln.srcIdx[:0]
-		ln.liveDelta = 0
-		ln.flowDelta = 0
-		ln.completed = 0
-		ln.jumps = 0
-		ln.skipped = 0
-		ln.windows = 0
 	}
-	for _, id := range s.active {
-		ln := &sh.lanes[sh.shard(id)]
+	lane := func(id AgentID) *laneState { return &sh.lanes[sh.shard(id)] }
+	for _, id := range root.active {
+		ln := lane(id)
 		ln.active = append(ln.active, id)
 	}
-	s.active = s.active[:0]
-	for _, e := range s.cal.entries {
-		sh.lanes[sh.shard(e.id)].cal.set(e.id, e.key)
+	root.active = root.active[:0]
+	for _, e := range root.cal.entries {
+		lane(e.id).cal.set(e.id, e.key)
 	}
-	s.cal.clear()
-	for _, id := range s.drainPend {
-		sh.lanes[sh.shard(id)].drainPend = append(sh.lanes[sh.shard(id)].drainPend, id)
+	root.cal.clear()
+	for _, id := range root.drainPend {
+		ln := lane(id)
+		ln.drainPend = append(ln.drainPend, id)
 	}
-	s.drainPend = s.drainPend[:0]
-	for _, id := range s.pinnedIDs {
-		sh.lanes[sh.shard(id)].pinned = append(sh.lanes[sh.shard(id)].pinned, id)
+	root.drainPend = root.drainPend[:0]
+	for _, id := range root.pinned {
+		ln := lane(id)
+		ln.pinned = append(ln.pinned, id)
 	}
 	for i, dc := range s.srcDC {
-		if dc == "" {
-			continue
-		}
-		if w, ok := sh.dcLane[dc]; ok {
+		if w, ok := sh.dcLane[dc]; ok && dc != "" {
 			sh.lanes[w].srcIdx = append(sh.lanes[w].srcIdx, i)
 		}
 	}
 	for w := range sh.lanes {
-		ln := &sh.lanes[w]
-		min := neverTick
-		for _, i := range ln.srcIdx {
-			if s.srcDue[i] < min {
-				min = s.srcDue[i]
-			}
-		}
-		ln.srcMin = min
+		sh.lanes[w].srcMin = sh.lanes[w].minDue()
 	}
 
 	// Hand each shard's pending inbox entries to its lane, sorted into
@@ -819,8 +692,8 @@ func (s *Simulation) runSpan(S, limit simtime.Tick) {
 		ln.inboxBatch, ib.pend = ib.pend, ln.inboxBatch[:0]
 	}
 
-	// Run the lanes. Each executes the standard window loop privately up
-	// to S; RunShards is the span's only barrier.
+	// Run the lanes. Each executes the window loop privately up to S;
+	// RunShards is the span's only barrier.
 	sh.inSpan = true
 	sh.runner.RunShards(sh.spanFn)
 	sh.inSpan = false
@@ -829,36 +702,23 @@ func (s *Simulation) runSpan(S, limit simtime.Tick) {
 	// order-free anyway: lanes touch disjoint agents, flows and series.
 	for w := range sh.lanes {
 		ln := &sh.lanes[w]
-		s.liveActive += ln.liveDelta
-		s.active = append(s.active, ln.active...)
+		root.absorbSets(&ln.window)
 		for _, e := range ln.cal.entries {
-			s.cal.set(e.id, e.key)
+			root.cal.set(e.id, e.key)
 		}
 		ln.cal.clear()
-		s.drainPend = append(s.drainPend, ln.drainPend...)
-		ln.drainPend = ln.drainPend[:0]
-		s.activeFlows += ln.flowDelta
-		s.completedOps += ln.completed
-		s.jumps += ln.jumps
-		s.skipped += ln.skipped
+		root.flows += ln.flows
+		root.completed += ln.completed
+		root.jumps += ln.jumps
+		root.skipped += ln.skipped
+		ln.flows, ln.completed, ln.jumps, ln.skipped = 0, 0, 0, 0
+		ln.resp.MergeInto(root.resp)
 		s.stretched += ln.windows
 		sh.shardWindows[w] += ln.windows
-		ln.resp.MergeInto(s.Responses)
-		if S > sh.committed[w] {
-			sh.committed[w] = S
-		}
+		sh.committed[w] = max(sh.committed[w], S)
 	}
-	s.activeSorted = false
-	s.sweepStale = true
-	min := neverTick
-	for _, due := range s.srcDue {
-		if due < min {
-			min = due
-		}
-	}
-	s.srcMin = min
-
-	s.clock.AdvanceBy(S - T)
+	root.srcMin = root.minDue()
+	root.tick = s.clock.AdvanceBy(S - T)
 	s.barriers++
 	if S%s.collectEvery == 0 || S == limit {
 		// The snapshot (and, at the limit, whatever runs after the loop)
@@ -874,14 +734,15 @@ func (s *Simulation) runSpan(S, limit simtime.Tick) {
 	}
 }
 
-// laneWindow runs one bulk-dense window on a single lane — a faithful
-// per-shard transcription of Simulation.tickBulk, with the lane's tick,
-// calendar, sets and counters standing in for the global ones. Keeping the
-// phase order and the arithmetic identical is what makes a stretched span
-// bit-identical to the barriered windows it replaces: a lane window's
-// operations are the global window's operations restricted to one shard's
-// agents, and operations on different shards' agents commute (disjoint
-// per-agent state, per-DC round-robin/RNG/gauges, disjoint response keys).
+// laneWindow drives one window of the production loop on a shard lane: the
+// phases Simulation.runWindow runs on the root, restricted to one shard's
+// agents. A stretched span is bit-identical to the barriered windows it
+// replaces because the lane windows' operations are the global windows'
+// operations restricted to one shard, and operations on different shards'
+// agents commute (disjoint per-agent state, per-DC round-robin/RNG/gauges,
+// disjoint response keys). What the lane driver adds to the shared phases:
+// the entry batch, and advancing the involved agents inline — each lane
+// has its own landing, so there is no engine round-trip.
 func (s *Simulation) laneWindow(ln *laneState) {
 	// Entry batch: cross-shard deliveries snapshotted at span entry apply
 	// before anything else in the lane's first window, so they precede
@@ -889,181 +750,26 @@ func (s *Simulation) laneWindow(ln *laneState) {
 	// the sequential loop produced, where these tasks arrived whole ticks
 	// ago. (Loaded only at span entry, so the batch is non-empty at most
 	// in the first window.)
-	if len(ln.inboxBatch) > 0 {
-		sh := s.sh
-		b := &sh.bufs[ln.w]
-		for i := range ln.inboxBatch {
-			sh.applyEntry(s, &ln.inboxBatch[i], ln.tick, b)
-			ln.inboxBatch[i] = mailEntry{}
-		}
-		ln.inboxBatch = ln.inboxBatch[:0]
+	for i := range ln.inboxBatch {
+		s.sh.applyEntry(s, &ln.inboxBatch[i])
+		ln.inboxBatch[i] = mailEntry{}
 	}
+	ln.inboxBatch = ln.inboxBatch[:0]
 
-	nowSec := s.clock.SecondsAt(ln.tick)
-
-	// Phase 0: the lane's confined sources inject work.
-	if ln.srcMin <= ln.tick {
-		for _, i := range ln.srcIdx {
-			if s.srcDue[i] <= ln.tick {
-				s.sources[i].Poll(s, nowSec)
-				s.srcDue[i] = s.srcDueTick(s.sources[i].NextPoll(nowSec), ln.tick)
-			}
-		}
-		min := neverTick
-		for _, i := range ln.srcIdx {
-			if s.srcDue[i] < min {
-				min = s.srcDue[i]
-			}
-		}
-		ln.srcMin = min
-	}
-
-	s.laneRekey(ln)
-
-	// Jump sizing — quietTicksCal against the lane's calendar and source
-	// schedule, additionally capped at the span end.
-	jump := simtime.Tick(1)
-	if s.fastForward && ln.spanEnd > ln.tick+1 {
-		max := ln.spanEnd - ln.tick
-		if b := s.collectEvery - ln.tick%s.collectEvery; b < max {
-			max = b
-		}
-		if max > 1 {
-			if ln.srcMin != neverTick {
-				if k := ln.srcMin - ln.tick; k < max {
-					max = k
-				}
-			}
-			if h := ln.cal.minKey(); h != neverTick {
-				if k := h - 1 - ln.tick; k < max {
-					max = k
-				}
-			}
-		}
-		if max > 1 {
-			jump = max
-		}
-	}
-	landing := ln.tick + jump
-
-	// The involved set: due calendar entries plus the lane's pinned
-	// agents; laneRekey just ran, so the dirty flag is the dedup gate.
-	ln.invIDs = ln.invIDs[:0]
-	for ln.cal.len() > 0 && ln.cal.minKey() <= landing {
-		id := ln.cal.popMin()
-		b := s.agents[id].Base()
-		b.dirty = true
-		ln.dirty = append(ln.dirty, id)
-		if !b.pendDrain {
-			b.pendDrain = true
-			ln.drainPend = append(ln.drainPend, id)
-		}
-		ln.invIDs = append(ln.invIDs, id)
-	}
-	for _, id := range ln.pinned {
-		b := s.agents[id].Base()
-		if !b.dirty {
-			b.dirty = true
-			ln.dirty = append(ln.dirty, id)
-			ln.invIDs = append(ln.invIDs, id)
-		}
-		if !b.pendDrain {
-			b.pendDrain = true
-			ln.drainPend = append(ln.drainPend, id)
-		}
-	}
-
-	fullSync := landing%s.collectEvery == 0 || landing == ln.limit
-	if fullSync {
-		s.laneCompact(ln)
-		ln.invIDs = append(ln.invIDs[:0], ln.active...)
-	} else if len(ln.invIDs) > 1 {
-		slices.Sort(ln.invIDs)
-	}
-
-	// Phase 1: advance the involved agents through the window, inline —
-	// the per-agent arithmetic of advanceInvolved without the global
-	// advanceTo rendezvous (each lane has its own landing).
-	for _, id := range ln.invIDs {
-		if n := landing - s.agentTick[id]; n > 0 {
-			base := s.agentTick[id]
-			s.agentTick[id] = landing
-			s.advanceAgent(s.agents[id], base, n)
-		}
-	}
-	if jump > 1 {
-		ln.jumps++
-		ln.skipped += uint64(jump - 1)
+	ln.pollDue()
+	ln.rekey()
+	landing := ln.tick + ln.jump(ln.spanEnd)
+	ln.popInvolved(landing, ln.limit)
+	for _, id := range ln.inv {
+		s.advanceAgentTo(s.agents[id], landing)
 	}
 	ln.tick = landing
-
-	// Phase 3: calendar-driven drain in ascending agent-ID order. Lane
-	// flows' enqueues stay inside the lane; a cross-capable token whose
-	// next stage lives on another shard posts to that shard's inbox, with
-	// the draining agent's ID recorded as the sequential-order key.
-	pend := ln.drainPend
-	ln.drainPend = ln.drainSpare[:0]
-	if len(pend) > 1 {
-		slices.Sort(pend)
-	}
-	for _, id := range pend {
-		ln.drainSrc = id
-		s.agents[id].Base().pendDrain = false
-		s.agents[id].Drain(s.drainFn)
-	}
-	ln.drainSpare = pend[:0]
-
-	// Deactivation: involved agents that went idle tombstone in place.
-	for _, id := range ln.invIDs {
-		a := s.agents[id]
-		b := a.Base()
-		if b.active && !b.pinned && a.Idle() {
-			b.active = false
-			ln.liveDelta--
-			ln.cal.remove(id)
-		}
-	}
-
-	s.laneRekey(ln)
+	// A cross-capable token whose next stage lives on another shard posts
+	// to that shard's inbox from inside the drain, keyed by drainSrc.
+	ln.drain()
+	ln.retireIdle()
+	ln.rekey()
 	ln.windows++
-}
-
-// laneRekey is rekeyDirty restricted to a lane: recompute the calendar
-// entry of every agent the lane invalidated, keyed at the agent's own
-// stepped-through tick.
-func (s *Simulation) laneRekey(ln *laneState) {
-	if len(ln.dirty) == 0 {
-		return
-	}
-	for _, id := range ln.dirty {
-		a := s.agents[id]
-		b := a.Base()
-		b.dirty = false
-		if !b.active {
-			ln.cal.remove(id)
-			continue
-		}
-		base := s.agentTick[id]
-		ln.cal.set(id, s.agentKey(s.agentHorizon(a, base), base))
-	}
-	ln.dirty = ln.dirty[:0]
-}
-
-// laneCompact is compactActive restricted to a lane: drop tombstones and
-// restore ascending ID order before a full-sync window serves the whole
-// lane-active set.
-func (s *Simulation) laneCompact(ln *laneState) {
-	kept := ln.active[:0]
-	for _, id := range ln.active {
-		b := s.agents[id].Base()
-		if b.active {
-			kept = append(kept, id)
-		} else {
-			b.listed = false
-		}
-	}
-	ln.active = kept
-	slices.Sort(ln.active)
 }
 
 // SetDCShards installs the data-center-to-shard routing table (normally
@@ -1139,7 +845,7 @@ func (s *Simulation) SetShardLookahead(sec []float64) {
 }
 
 // Sharded reports the shard count when the sharded runtime is engaged
-// (ShardRunner engine, bulk-dense loop on, Config.NoShards off).
+// (ShardRunner engine, neither NoFastForward nor NoShards set).
 func (s *Simulation) Sharded() (int, bool) {
 	if s.sh == nil {
 		return 0, false

@@ -1,0 +1,276 @@
+package core
+
+import (
+	"slices"
+
+	"repro/internal/metrics"
+	"repro/internal/simtime"
+)
+
+// window is the loop state of one production time loop and the phases that
+// run on it. The Simulation embeds one as its root window — the global loop
+// — and the sharded runtime holds one per shard lane. A lane's window owns
+// its shard's slice of the same state while a stretched span runs (and
+// buffers its shard's activations while a mailbox applies); everything it
+// gathers merges back into the root at the barrier. Each phase is written
+// once, here; Simulation.runWindow and Simulation.laneWindow are the two
+// drivers and keep only what differs between the global loop and a lane.
+//
+// For the root the counters (live, flows, completed, jumps, skipped) are
+// running totals; for a lane they are deltas since the last merge.
+type window struct {
+	s    *Simulation
+	tick simtime.Tick // the tick this window's agents are scheduled from
+
+	// cal is the pending-event set: one entry per active agent, keyed by
+	// the first tick at which it may act. dirty queues the agents whose key
+	// is stale (AgentBase.dirty gates membership). active lists the agents
+	// with in-flight work or a pin — possibly with tombstones, dropped by
+	// compact — and pinned those that join every window's involved set.
+	cal    calendar
+	active []AgentID
+	pinned []AgentID
+	dirty  []AgentID
+
+	// drainPend is the drain set: agents popped due or enqueued on since
+	// the last drain (AgentBase.pendDrain gates membership); drainSpare
+	// recycles the previous drain's backing array. drainSrc is the agent
+	// being drained — the sequential-order key of a cross-shard post. inv
+	// is the current window's involved set.
+	drainPend  []AgentID
+	drainSpare []AgentID
+	drainSrc   AgentID
+	inv        []AgentID
+
+	// srcIdx indexes the sources this window polls in Simulation.sources:
+	// all of them for the root, the lane-confined ones of its data centers
+	// for a lane. srcMin caches their earliest due tick.
+	srcIdx []int
+	srcMin simtime.Tick
+
+	live      int    // active agents, tombstones excluded
+	flows     int    // in-flight operations
+	completed uint64 // finished operations
+	jumps     uint64 // fast-forward jumps taken
+	skipped   uint64 // whole ticks those jumps skipped
+
+	// Flow machinery: the response sink, the free list of finished message
+	// tokens and the ID counters. Lanes carry their own so in-span launches
+	// never touch shared state; lane IDs live in a per-shard band (IDs are
+	// bookkeeping only — queueing is arrival-ordered).
+	resp       *metrics.Responses
+	tokenPool  []*token
+	nextFlowID uint64
+	nextTaskID uint64
+}
+
+// pollDue polls the window's due sources and refreshes their schedules. A
+// source is due when the window's tick has reached its cached due tick; by
+// the NextPoll contract every earlier poll is a no-op, so skipping it is
+// exact. Parked sources (+Inf schedules) are re-consulted only through
+// RearmSource, so a window with nothing due costs one comparison however
+// many sources sleep.
+func (w *window) pollDue() {
+	if w.srcMin > w.tick {
+		return
+	}
+	s := w.s
+	nowSec := s.clock.SecondsAt(w.tick)
+	for _, i := range w.srcIdx { // sources added by a poll are first polled next tick
+		if s.srcDue[i] <= w.tick {
+			s.sources[i].Poll(s, nowSec)
+			s.srcDue[i] = s.srcDueTick(s.sources[i].NextPoll(nowSec), w.tick)
+		}
+	}
+	w.srcMin = w.minDue()
+}
+
+// minDue returns the earliest due tick among the window's sources.
+func (w *window) minDue() simtime.Tick {
+	min := neverTick
+	for _, i := range w.srcIdx {
+		if due := w.s.srcDue[i]; due < min {
+			min = due
+		}
+	}
+	return min
+}
+
+// rekey recomputes the calendar entry of every agent whose horizon was
+// invalidated — enqueued on, drained into, past its event tick, or
+// deactivated — and clears the dirty set: only these agents pay a Horizon
+// call per window. A horizon is relative to the tick the agent's state has
+// been stepped through, so the key is based at agentTick; for agents
+// invalidated through the usual hooks that is the window's tick (enqueues
+// sync first, popped-due agents were advanced to the landing), and a bare
+// MarkDirty on a lazily-stepped agent re-bases correctly too.
+func (w *window) rekey() {
+	s := w.s
+	for _, id := range w.dirty {
+		a := s.agents[id]
+		b := a.Base()
+		b.dirty = false
+		if !b.active {
+			w.cal.remove(id)
+			continue
+		}
+		base := s.agentTick[id]
+		w.cal.set(id, s.agentKey(s.agentHorizon(a, base), base))
+	}
+	w.dirty = w.dirty[:0]
+}
+
+// jump sizes the window: how many whole ticks it may cover, in
+// [1, bound-tick]. The landing falls strictly before the earliest agent
+// event — that tick is single-stepped by a later window — at or before the
+// earliest due poll, which polls normally when the window lands on it, and
+// never beyond the next collector boundary, so snapshots sample busy
+// accumulators at exactly the ticks the reference loop does.
+func (w *window) jump(bound simtime.Tick) simtime.Tick {
+	max := bound - w.tick
+	if b := nextCollectBoundary(w.tick, w.s.collectEvery) - w.tick; b < max {
+		max = b
+	}
+	if w.srcMin != neverTick && w.srcMin-w.tick < max {
+		max = w.srcMin - w.tick
+	}
+	if h := w.cal.minKey(); h != neverTick && h-1-w.tick < max {
+		max = h - 1 - w.tick
+	}
+	if max <= 1 {
+		return 1
+	}
+	w.jumps++
+	w.skipped += uint64(max - 1)
+	return max
+}
+
+// popInvolved collects into inv, in ascending ID order, the agents the
+// window must advance to its landing tick: those whose calendar entry is
+// due by then (by jump construction, exactly at the landing) plus every
+// pinned agent. Popping marks them dirty — their horizon changes as they
+// act — and into the drain set; rekey just ran, so the dirty flag doubles
+// as the dedup gate. Synchronization points gather every active agent
+// instead: a collector boundary needs exact busy accumulators behind every
+// probe, and a landing on the run limit hands callers a fully-advanced
+// simulation.
+func (w *window) popInvolved(landing, limit simtime.Tick) {
+	s := w.s
+	w.inv = w.inv[:0]
+	for w.cal.minKey() <= landing {
+		id := w.cal.popMin()
+		b := s.agents[id].Base()
+		b.dirty = true
+		w.dirty = append(w.dirty, id)
+		w.inv = append(w.inv, id)
+		w.markDrain(b)
+	}
+	for _, id := range w.pinned {
+		b := s.agents[id].Base()
+		if !b.dirty {
+			b.dirty = true
+			w.dirty = append(w.dirty, id)
+			w.inv = append(w.inv, id)
+		}
+		w.markDrain(b)
+	}
+	if landing%s.collectEvery == 0 || landing == limit {
+		w.compact()
+		w.inv = append(w.inv[:0], w.active...)
+	} else {
+		slices.Sort(w.inv)
+	}
+}
+
+// markDrain adds an agent to the drain set once.
+func (w *window) markDrain(b *AgentBase) {
+	if !b.pendDrain {
+		b.pendDrain = true
+		w.drainPend = append(w.drainPend, b.id)
+	}
+}
+
+// compact drops the tombstones deactivation leaves in the active list and
+// restores ascending ID order.
+func (w *window) compact() {
+	kept := w.active[:0]
+	for _, id := range w.active {
+		if b := w.s.agents[id].Base(); b.active {
+			kept = append(kept, id)
+		} else {
+			b.listed = false
+		}
+	}
+	w.active = kept
+	slices.Sort(w.active)
+}
+
+// drain hands the completions of the drain set to the flow router in
+// ascending agent-ID order — the order the reference loop drains in,
+// restricted to the only agents that can hold completions or fresh work.
+// Invalidations fired meanwhile (downstream enqueues) accumulate for the
+// next window's drain.
+func (w *window) drain() {
+	s := w.s
+	pend := w.drainPend
+	w.drainPend = w.drainSpare[:0]
+	slices.Sort(pend)
+	for _, id := range pend {
+		w.drainSrc = id
+		a := s.agents[id]
+		a.Base().pendDrain = false
+		a.Drain(s.drainFn)
+	}
+	w.drainSpare = pend[:0]
+}
+
+// retireIdle deactivates the involved agents that went idle. Only they can
+// have: a lazy agent still holds the work that parked its calendar entry.
+// The active-list entry stays behind as a tombstone until compact.
+func (w *window) retireIdle() {
+	for _, id := range w.inv {
+		a := w.s.agents[id]
+		if b := a.Base(); b.active && !b.pinned && a.Idle() {
+			b.active = false
+			w.live--
+			w.cal.remove(id)
+		}
+	}
+}
+
+// absorbSets moves the activations, invalidations and drain-set entries a
+// lane gathered into w. Lanes touch disjoint agents, so the order lanes are
+// absorbed in is not observable; callers keep it ascending anyway.
+func (w *window) absorbSets(ln *window) {
+	w.live += ln.live
+	ln.live = 0
+	w.active = append(w.active, ln.active...)
+	ln.active = ln.active[:0]
+	w.dirty = append(w.dirty, ln.dirty...)
+	ln.dirty = ln.dirty[:0]
+	w.drainPend = append(w.drainPend, ln.drainPend...)
+	ln.drainPend = ln.drainPend[:0]
+}
+
+// newToken pops a pooled message token or allocates a fresh one.
+func (w *window) newToken() *token {
+	var tok *token
+	if n := len(w.tokenPool); n > 0 {
+		tok = w.tokenPool[n-1]
+		w.tokenPool[n-1] = nil
+		w.tokenPool = w.tokenPool[:n-1]
+	} else {
+		tok = &token{}
+	}
+	w.nextTaskID++
+	tok.task.ID = w.nextTaskID
+	return tok
+}
+
+// freeToken resets a finished token and returns it to the pool. The caller
+// guarantees no queue holds the embedded task anymore — a token only
+// finishes when its final stage's completion has been drained.
+func (w *window) freeToken(tok *token) {
+	*tok = token{}
+	w.tokenPool = append(w.tokenPool, tok)
+}

@@ -10,14 +10,15 @@ import (
 // Sharded is the conservative-PDES engine: a fixed pool of shard-pinned
 // workers that the simulation drives through core.ShardRunner. Each worker
 // owns one shard for the engine's lifetime, so every parallel phase of a
-// bulk-dense window — involved-agent advancement, mailbox application,
-// horizon precomputation — executes a shard's agents on the same
+// window — involved-agent advancement, mailbox application, horizon
+// precomputation, a stretched span's lane — executes a shard's agents on
+// the same
 // goroutine, keeping their queue state cache-warm and race-free without
 // per-agent locking. Between phases the simulation runs sequentially; the
 // RunShards barrier is the synchronization point of the PDES recipe.
 //
-// The engine also serves the plain Engine interface (lock-step loops,
-// Config.NoShards A/B runs) by chunking Sweep calls across the workers in
+// The engine also serves the plain Engine interface (the reference loop,
+// LoopFlags.NoShards A/B runs) by chunking Sweep calls across the workers in
 // contiguous ascending-ID blocks — deterministic because sweep callbacks
 // only touch per-agent state.
 type Sharded struct {

@@ -61,41 +61,10 @@ type Experiment struct {
 	setup     []func(*Run) error
 }
 
-// LoopFlags carries the time-loop A/B switches through to core.Config; all
-// zero (the default) selects the fastest loop. See core.Config for the
-// exact semantics — only NoThinning changes results (it restores the
-// bit-identity guarantee for thinned client workloads).
-type LoopFlags struct {
-	NoFastForward bool
-	NoCalendar    bool
-	NoBulkDense   bool
-	NoThinning    bool
-	// NoShards keeps a sharded engine's workers but disables the sharded
-	// runtime (partition, mailboxes, shard-local window phases) — the A/B
-	// switch isolating what sharding itself buys.
-	NoShards bool
-	// NoStretch keeps the sharded runtime but disables Chandy-Misra window
-	// stretching, restoring the barrier-per-window loop — the A/B switch
-	// isolating what spending the WAN lookahead buys (compare
-	// Result.Stats.Barriers / WindowsStretched).
-	NoStretch bool
-	// NoCrossStretch keeps window stretching for shard-local traffic but
-	// refuses to form spans while any cross-capable flow is live (the PR 8
-	// behavior). The A/B switch isolating what mid-span mailbox delivery
-	// buys on cross-DC-heavy phases (compare Result.Stats.MailboxApplied
-	// and WindowsStretched on BenchmarkWindowStretch's peak rows).
-	NoCrossStretch bool
-	// NoFaults skips fault-controller attachment entirely, turning any
-	// chaos scenario back into its healthy baseline — bit-identical to a
-	// run that never declared faults.
-	NoFaults bool
-	// NoFluid ignores every workload's Fluid configuration, restoring the
-	// all-discrete path. Like NoFaults it works by structural elision — no
-	// flow wrapper, no crossover controller, no analytic probes — so a
-	// NoFluid run is bit-identical to one that never configured the fluid
-	// tier.
-	NoFluid bool
-}
+// LoopFlags are the A/B switches (core.LoopFlags, the one declaration);
+// all zero selects the production configuration. The experiment layer
+// hands them to core.Config whole and itself consults NoFaults and NoFluid.
+type LoopFlags = core.LoopFlags
 
 // Workload declares one application workload at one data center, driven by
 // an open Poisson arrival process (workload.AppWorkload). Curves are given
@@ -487,18 +456,11 @@ func (e *Experiment) Compile() (*Run, error) {
 		eng = e.engine()
 	}
 	sim := core.NewSimulation(core.Config{
-		Step:           e.step,
-		CollectEvery:   int(math.Round(e.collectSeconds / e.step)),
-		Seed:           e.seed,
-		Engine:         eng,
-		NoFastForward:  e.flags.NoFastForward,
-		NoCalendar:     e.flags.NoCalendar,
-		NoBulkDense:    e.flags.NoBulkDense,
-		NoThinning:     e.flags.NoThinning,
-		NoShards:       e.flags.NoShards,
-		NoStretch:      e.flags.NoStretch,
-		NoCrossStretch: e.flags.NoCrossStretch,
-		NoFaults:       e.flags.NoFaults,
+		Step:         e.step,
+		CollectEvery: int(math.Round(e.collectSeconds / e.step)),
+		Seed:         e.seed,
+		Engine:       eng,
+		LoopFlags:    e.flags,
 	})
 	inf, err := topology.Build(sim, *e.infra)
 	if err != nil {

@@ -82,7 +82,7 @@ func TestAttachElidesNoOps(t *testing.T) {
 }
 
 func TestAttachRespectsNoFaults(t *testing.T) {
-	tg := buildTarget(t, core.Config{Seed: 1, NoFaults: true})
+	tg := buildTarget(t, core.Config{Seed: 1, LoopFlags: core.LoopFlags{NoFaults: true}})
 	ctrl, err := Attach(tg, []Injection{
 		{Name: "x", Fault: &WAN{From: "NA", To: "EU", Mag: 1}, At: 5, Duration: 10},
 	})

@@ -168,7 +168,10 @@ func TestRequiredServers(t *testing.T) {
 }
 
 func TestErlangCSaturatedTyped(t *testing.T) {
-	for _, tc := range []struct{ c int; a float64 }{{1, 1}, {2, 2}, {4, 7.5}} {
+	for _, tc := range []struct {
+		c int
+		a float64
+	}{{1, 1}, {2, 2}, {4, 7.5}} {
 		_, err := ErlangC(tc.c, tc.a)
 		if !errors.Is(err, ErrSaturated) {
 			t.Errorf("ErlangC(%d,%v) = %v, want ErrSaturated", tc.c, tc.a, err)

@@ -34,31 +34,14 @@ type CaseConfig struct {
 	DisableClients    bool
 	DisableBackground bool
 	// Fluid engages the analytic client-aggregation tier on every client
-	// workload when Fluid.Above > 0 (see experiment.WithFluid). NoFluid
-	// below structurally disables it — bit-identical to never setting it.
+	// workload when Fluid.Above > 0 (see experiment.WithFluid).
+	// LoopFlags.NoFluid structurally disables it — bit-identical to never
+	// setting it.
 	Fluid experiment.Fluid
-	// NoFastForward forces the plain tick-by-tick loop; NoCalendar keeps
-	// fast-forward but restores the scan-based jump sizing; NoBulkDense
-	// keeps the calendar but restores lock-step sweeps and drains. Results
-	// are bit-identical in all four loop modes. NoThinning forces per-tick
-	// Poisson draws in the client workloads — the flag that restores
-	// bit-identity for client scenarios (thinning preserves the arrival
-	// law, not the RNG draw sequence).
-	// NoShards keeps a sharded Engine's workers but disables the sharded
-	// runtime — the A/B baseline BenchmarkShardScaling measures against.
-	// NoStretch keeps the sharded runtime but pins a global barrier on
-	// every window — the A/B baseline for Chandy-Misra window stretching.
-	// NoCrossStretch keeps stretching but blocks spans while cross-DC
-	// traffic is live (the pre-mailbox behavior) — the A/B baseline for
-	// mid-span mailbox delivery.
-	NoFastForward  bool
-	NoCalendar     bool
-	NoBulkDense    bool
-	NoThinning     bool
-	NoShards       bool
-	NoStretch      bool
-	NoCrossStretch bool
-	NoFluid        bool
+	// LoopFlags are the A/B switches (see core.LoopFlags). NoThinning is
+	// the one that restores bit-identity across loops for client scenarios:
+	// thinning preserves the arrival law, not the RNG draw sequence.
+	core.LoopFlags
 }
 
 // defaults fills the scenario-specific zero values. The shared defaults
@@ -75,20 +58,6 @@ func (c *CaseConfig) defaults() error {
 		c.Scale = 1
 	}
 	return nil
-}
-
-// loopFlags folds the A/B switches into the experiment form.
-func (c *CaseConfig) loopFlags() experiment.LoopFlags {
-	return experiment.LoopFlags{
-		NoFastForward:  c.NoFastForward,
-		NoCalendar:     c.NoCalendar,
-		NoBulkDense:    c.NoBulkDense,
-		NoThinning:     c.NoThinning,
-		NoShards:       c.NoShards,
-		NoStretch:      c.NoStretch,
-		NoCrossStretch: c.NoCrossStretch,
-		NoFluid:        c.NoFluid,
-	}
 }
 
 // scaleCores scales a core count, keeping at least one core.
@@ -159,7 +128,7 @@ func buildCaseStudy(name string, cfg CaseConfig, traits map[string]dcTraits,
 		experiment.WithSeed(cfg.Seed),
 		experiment.WithEngineInstance(cfg.Engine),
 		experiment.WithWindow(cfg.StartHour, cfg.EndHour),
-		experiment.WithLoopFlags(cfg.loopFlags()),
+		experiment.WithLoopFlags(cfg.LoopFlags),
 		experiment.WithAccessMatrix(apm),
 	}
 

@@ -83,7 +83,7 @@ func chaosExperiment(extra ...experiment.Option) (*experiment.Experiment, error)
 // next transition time, so fast-forward jumps may land on a fault tick but
 // never cross it. The run must actually fast-forward (jumps > 0), apply
 // both transitions at exactly their scheduled times, and reproduce the
-// plain tick-by-tick loop bit for bit.
+// reference tick loop bit for bit.
 func TestChaosFastForwardHitsFaultTicks(t *testing.T) {
 	// Default loop: thinned arrivals leave quiet stretches, so the run
 	// genuinely fast-forwards — and the fault must still land exactly.
@@ -112,10 +112,10 @@ func TestChaosFastForwardHitsFaultTicks(t *testing.T) {
 		t.Error("no diverted traffic observed on the backup link")
 	}
 
-	// Bit-identity of the optimized loop against the plain tick-by-tick
-	// loop, with thinning disabled on both sides: thinned arrivals are
-	// distribution-identical across loop modes, not bit-identical, and
-	// this comparison pins bits.
+	// Bit-identity of the production loop against the reference loop, with
+	// thinning disabled on both sides: thinned arrivals are
+	// distribution-identical across loops, not bit-identical, and this
+	// comparison pins bits.
 	digest := func(flags experiment.LoopFlags) string {
 		e, err := chaosExperiment(experiment.WithLoopFlags(flags))
 		if err != nil {
@@ -131,11 +131,9 @@ func TestChaosFastForwardHitsFaultTicks(t *testing.T) {
 		return res.Digest()
 	}
 	opt := digest(experiment.LoopFlags{NoThinning: true})
-	plain := digest(experiment.LoopFlags{
-		NoFastForward: true, NoCalendar: true, NoBulkDense: true, NoThinning: true,
-	})
-	if opt != plain {
-		t.Errorf("chaos run diverged between optimized and tick-by-tick loops:\n%s\n%s", opt, plain)
+	ref := digest(experiment.LoopFlags{NoFastForward: true, NoThinning: true})
+	if opt != ref {
+		t.Errorf("chaos run diverged between the production and reference loops:\n%s\n%s", opt, ref)
 	}
 }
 

@@ -11,10 +11,13 @@ import (
 	"repro/internal/metrics"
 )
 
-// ffEngines is the engine matrix the fast-forward equivalence runs under:
-// the sequential reference and both parallel engines. Fast-forward replays
-// agent steps inside Engine.Sweep, so the jump path must be exercised
-// through every engine, not just the sequential one.
+// ffEngines is the engine matrix the loop equivalence runs under: the
+// sequential engine, both Chapter 4 parallel engines and the sharded PDES
+// engine. The production loop replays agent steps inside Engine.Sweep — or,
+// sharded, on the shard workers and lanes — so it must be exercised through
+// every engine, not just the sequential one. The reference side always runs
+// the same engine: under NoFastForward a sharded engine serves plain
+// sweeps.
 func ffEngines() []struct {
 	name string
 	mk   func() core.Engine
@@ -26,6 +29,7 @@ func ffEngines() []struct {
 		{"sequential", func() core.Engine { return &core.SequentialEngine{} }},
 		{"scatter-gather-4", func() core.Engine { return dispatch.NewScatterGather(4) }},
 		{"h-dispatch-4x64", func() core.Engine { return dispatch.NewHDispatch(4, 64) }},
+		{"sharded-4", func() core.Engine { return dispatch.NewSharded(4) }},
 	}
 }
 
@@ -63,25 +67,27 @@ func sameCollector(t *testing.T, ref, got *metrics.Collector) {
 	}
 }
 
-// TestFastForwardEquivalenceOnValidation proves the event-horizon loop is a
+// reference selects the reference loop when ref is set.
+func reference(ref bool) core.LoopFlags { return core.LoopFlags{NoFastForward: ref} }
+
+// TestFastForwardEquivalenceOnValidation proves the production loop is a
 // pure performance change on the Chapter 5 validation scenario: completed
 // operations, every response record and every collector series must be
-// bit-identical across the plain tick-by-tick loop, the scan-based
-// fast-forward loop (NoCalendar) and the calendar-indexed loop, under all
-// three engines. The scenario mixes dense activity (overlapping series)
-// with quiet stretches (between launches and the post-launch drain), so
-// the jump, the veto and the poll-skipping paths are all exercised.
+// bit-identical to the reference tick loop, under every engine. The
+// scenario mixes dense activity (overlapping series) with quiet stretches
+// (between launches and the post-launch drain), so the jump, the veto, the
+// poll-skipping and the lazy-stepping paths are all exercised.
 func TestFastForwardEquivalenceOnValidation(t *testing.T) {
 	launchFor, runFor := 120.0, 150.0
 	if testing.Short() {
 		launchFor, runFor = 45, 75
 	}
-	run := func(eng core.Engine, noFF, noCal bool) *ValidationResult {
+	run := func(eng core.Engine, ref bool) *ValidationResult {
 		res, err := RunValidation(ValidationConfig{
 			Experiment: 1, Seed: 42, Engine: eng,
 			LaunchFor: launchFor, RunFor: runFor,
 			SteadyStart: 30, SteadyEnd: launchFor,
-			NoFastForward: noFF, NoCalendar: noCal,
+			LoopFlags: reference(ref),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -90,20 +96,14 @@ func TestFastForwardEquivalenceOnValidation(t *testing.T) {
 	}
 	for _, tc := range ffEngines() {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := run(tc.mk(), true, false)
-			for _, leg := range []struct {
-				name  string
-				noCal bool
-			}{{"calendar", false}, {"scan", true}} {
-				got := run(tc.mk(), false, leg.noCal)
-				if ref.CompletedOps != got.CompletedOps {
-					t.Errorf("%s: completed ops: %d vs %d", leg.name, ref.CompletedOps, got.CompletedOps)
-				}
-				sameResponses(t, ref.Responses, got.Responses)
-				sameSeries(t, "clients", ref.Clients, got.Clients)
-				for tier, s := range ref.CPU {
-					sameSeries(t, "cpu:"+tier, s, got.CPU[tier])
-				}
+			ref, got := run(tc.mk(), true), run(tc.mk(), false)
+			if ref.CompletedOps != got.CompletedOps {
+				t.Errorf("completed ops: %d vs %d", ref.CompletedOps, got.CompletedOps)
+			}
+			sameResponses(t, ref.Responses, got.Responses)
+			sameSeries(t, "clients", ref.Clients, got.Clients)
+			for tier, s := range ref.CPU {
+				sameSeries(t, "cpu:"+tier, s, got.CPU[tier])
 			}
 		})
 	}
@@ -116,16 +116,18 @@ func TestFastForwardEquivalenceOnValidation(t *testing.T) {
 // degenerate into the plain loop) and still reproduce every output bit for
 // bit, including the daemons' own volume and duration series.
 // TestNoThinningBitIdentityWithClients proves that with thinning disabled
-// the calendar loop stays bit-identical to the plain loop even with open
-// Poisson client workloads attached: a night-floor hour of the Chapter 6
-// consolidation, where every AppWorkload is due each tick (positive curve
-// vetoes jumps) while the daemons' no-op polls are skipped wholesale.
+// the production loop stays bit-identical to the reference loop even with
+// open Poisson client workloads attached: a night-floor hour of the
+// Chapter 6 consolidation, where every AppWorkload is due each tick
+// (positive curve vetoes jumps) while the daemons' no-op polls are skipped
+// wholesale.
 func TestNoThinningBitIdentityWithClients(t *testing.T) {
 	run := func(eng core.Engine, noFF bool) *CaseStudy {
 		cs, err := NewConsolidation(CaseConfig{
 			Step: 0.01, Seed: 11, Scale: 0.1,
 			StartHour: 3, EndHour: 4,
-			Engine: eng, NoFastForward: noFF, NoThinning: true,
+			Engine:    eng,
+			LoopFlags: core.LoopFlags{NoFastForward: noFF, NoThinning: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -147,49 +149,28 @@ func TestNoThinningBitIdentityWithClients(t *testing.T) {
 	}
 }
 
-// TestBulkDenseEquivalence proves the bulk-dense loop — involved-only
-// sweeps with agent-local catch-up and the calendar-driven drain — is a
-// pure performance change: the validation scenario, a dense business-hour
+// TestBulkDenseEquivalence proves lazy stepping — involved-only sweeps
+// with agent-local catch-up and the calendar-driven drain — is a pure
+// performance change where it does the most: a dense business-hour
 // consolidation slice with interactive clients, and the day-night client
-// scenario must all produce bit-identical completed-operation counts,
-// response records and collector series against Config.NoBulkDense, under
-// the sequential reference and both parallel engines. Thinning stays on:
-// it is orthogonal to sweep scheduling, so the RNG draw sequences already
-// agree.
+// scenario, must produce bit-identical completed-operation counts,
+// response records and collector series against the reference loop, under
+// every engine. Thinning is off on both sides: the reference loop polls
+// every tick, and thinned arrivals are distribution-identical across poll
+// schedules, not bit-identical.
 func TestBulkDenseEquivalence(t *testing.T) {
 	for _, tc := range ffEngines() {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Run("validation", func(t *testing.T) {
-				run := func(noBulk bool) *ValidationResult {
-					res, err := RunValidation(ValidationConfig{
-						Experiment: 1, Seed: 42, Engine: tc.mk(),
-						LaunchFor: 45, RunFor: 75, SteadyStart: 30, SteadyEnd: 45,
-						NoBulkDense: noBulk,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				ref, got := run(true), run(false)
-				if ref.CompletedOps != got.CompletedOps {
-					t.Errorf("completed ops: %d vs %d", ref.CompletedOps, got.CompletedOps)
-				}
-				sameResponses(t, ref.Responses, got.Responses)
-				sameSeries(t, "clients", ref.Clients, got.Clients)
-				for tier, s := range ref.CPU {
-					sameSeries(t, "cpu:"+tier, s, got.CPU[tier])
-				}
-			})
 			t.Run("consolidation-dense", func(t *testing.T) {
 				if testing.Short() && tc.name != "sequential" {
 					t.Skip("dense consolidation engine matrix skipped in -short")
 				}
-				run := func(noBulk bool) *CaseStudy {
+				run := func(ref bool) *CaseStudy {
 					cs, err := NewConsolidation(CaseConfig{
 						Step: 0.01, Seed: 7, Scale: 0.25,
 						StartHour: 13, EndHour: 14, // the global peak: the dense regime
-						Engine: tc.mk(), NoBulkDense: noBulk,
+						Engine:    tc.mk(),
+						LoopFlags: core.LoopFlags{NoFastForward: ref, NoThinning: true},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -202,11 +183,6 @@ func TestBulkDenseEquivalence(t *testing.T) {
 				if r, g := ref.Sim.CompletedOps(), got.Sim.CompletedOps(); r != g {
 					t.Errorf("completed ops: %d vs %d", r, g)
 				}
-				rj, rs := ref.Sim.FastForwardStats()
-				gj, gs := got.Sim.FastForwardStats()
-				if rj != gj || rs != gs {
-					t.Errorf("jump stats diverged: %d/%d vs %d/%d (jump sizing must be unchanged)", rj, rs, gj, gs)
-				}
 				sameResponses(t, ref.Sim.Responses, got.Sim.Responses)
 				sameCollector(t, ref.Sim.Collector, got.Sim.Collector)
 			})
@@ -216,11 +192,12 @@ func TestBulkDenseEquivalence(t *testing.T) {
 				}
 				hours := 24.0
 				if testing.Short() {
-					hours = 6
+					hours = 6 // night floor plus the ramp into the business window
 				}
-				run := func(noBulk bool) *DayNightResult {
+				run := func(ref bool) *DayNightResult {
 					res, err := RunDayNight(DayNightConfig{
-						Seed: 42, Hours: hours, NoBulkDense: noBulk, Engine: tc.mk(),
+						Seed: 42, Hours: hours, Engine: tc.mk(),
+						LoopFlags: core.LoopFlags{NoFastForward: ref, NoThinning: true},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -231,10 +208,6 @@ func TestBulkDenseEquivalence(t *testing.T) {
 				if ref.CompletedOps != got.CompletedOps {
 					t.Errorf("completed ops: %d vs %d", ref.CompletedOps, got.CompletedOps)
 				}
-				if ref.Jumps != got.Jumps || ref.SkippedTicks != got.SkippedTicks {
-					t.Errorf("jump stats diverge: %d/%d vs %d/%d",
-						ref.Jumps, ref.SkippedTicks, got.Jumps, got.SkippedTicks)
-				}
 				sameResponses(t, ref.Responses, got.Responses)
 				sameCollector(t, ref.Sim.Collector, got.Sim.Collector)
 			})
@@ -242,52 +215,23 @@ func TestBulkDenseEquivalence(t *testing.T) {
 	}
 }
 
-// TestDayNightLoopEquivalence pins the two guarantees of the day-night
-// scenario. With thinning on, the calendar loop and the scan loop consume
-// the identical RNG sequence, so their outputs must be bit-identical —
-// and both must jump heavily across the night floor, the regime the
-// thinned sampler unlocks. With thinning off, the calendar loop must be
-// bit-identical to the plain loop (per-tick draws, no jumps to take).
+// TestDayNightLoopEquivalence pins that, with thinning on, the production
+// loop jumps heavily across the night floor — the regime the thinned
+// sampler unlocks. The other guarantee of the scenario, bit-identity to the
+// reference loop with thinning off, is TestBulkDenseEquivalence's day-night
+// leg (every engine, sequential included).
 func TestDayNightLoopEquivalence(t *testing.T) {
 	hours := 24.0
 	if testing.Short() {
 		hours = 6 // night floor plus the ramp into the business window
 	}
-	run := func(noFF, noCal, noThin bool) *DayNightResult {
-		res, err := RunDayNight(DayNightConfig{
-			Seed: 42, Hours: hours,
-			NoFastForward: noFF, NoCalendar: noCal, NoThinning: noThin,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := RunDayNight(DayNightConfig{Seed: 42, Hours: hours})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Run("thinned-calendar-vs-scan", func(t *testing.T) {
-		cal := run(false, false, false)
-		scan := run(false, true, false)
-		if cal.SkippedTicks < 100000 {
-			t.Errorf("calendar run skipped only %d ticks; the night floor should fast-forward", cal.SkippedTicks)
-		}
-		if cal.CompletedOps != scan.CompletedOps {
-			t.Errorf("completed ops: %d vs %d", cal.CompletedOps, scan.CompletedOps)
-		}
-		if cal.Jumps != scan.Jumps || cal.SkippedTicks != scan.SkippedTicks {
-			t.Errorf("jump stats diverge: %d/%d vs %d/%d",
-				cal.Jumps, cal.SkippedTicks, scan.Jumps, scan.SkippedTicks)
-		}
-		sameResponses(t, cal.Responses, scan.Responses)
-		sameCollector(t, cal.Sim.Collector, scan.Sim.Collector)
-	})
-	t.Run("unthinned-calendar-vs-plain", func(t *testing.T) {
-		plain := run(true, false, true)
-		cal := run(false, false, true)
-		if plain.CompletedOps != cal.CompletedOps {
-			t.Errorf("completed ops: %d vs %d", plain.CompletedOps, cal.CompletedOps)
-		}
-		sameResponses(t, plain.Responses, cal.Responses)
-		sameCollector(t, plain.Sim.Collector, cal.Sim.Collector)
-	})
+	if res.SkippedTicks < 100000 {
+		t.Errorf("thinned run skipped only %d ticks; the night floor should fast-forward", res.SkippedTicks)
+	}
 }
 
 // TestThinnedArrivalEquivalence is the statistical half of the acceptance
@@ -302,7 +246,7 @@ func TestThinnedArrivalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tick, err := RunDayNight(DayNightConfig{Seed: 42, NoThinning: true})
+	tick, err := RunDayNight(DayNightConfig{Seed: 42, LoopFlags: core.LoopFlags{NoThinning: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +295,7 @@ func TestFastForwardEquivalenceOnConsolidation(t *testing.T) {
 			Step: 0.05, Seed: 7, Scale: 0.25,
 			StartHour: 2, EndHour: endHour,
 			DisableClients: true, Engine: eng,
-			NoFastForward: noFF,
+			LoopFlags: core.LoopFlags{NoFastForward: noFF},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -159,9 +159,9 @@ func diffTraces(ref, got goldenTrace) []string {
 }
 
 // TestGoldenValidation pins the Chapter 5 validation scenario: a shortened
-// experiment-1 run under the default (calendar + bulk-dense) loop and the
-// sequential engine. The equivalence suites prove every loop mode and
-// engine reproduces these exact numbers.
+// experiment-1 run on the production loop and the sequential engine. The
+// equivalence suites prove the reference loop and every engine reproduce
+// these exact numbers.
 func TestGoldenValidation(t *testing.T) {
 	res, err := RunValidation(ValidationConfig{
 		Experiment: 1, Seed: 42,
@@ -189,8 +189,8 @@ func TestGoldenConsolidation(t *testing.T) {
 }
 
 // TestGoldenDayNight pins the day-night client scenario across the night
-// floor and the morning ramp — the regime where thinning, the calendar
-// and the bulk-dense loop all engage.
+// floor and the morning ramp — the regime where thinning, long jumps and
+// lazy stepping all engage.
 func TestGoldenDayNight(t *testing.T) {
 	res, err := RunDayNight(DayNightConfig{Seed: 42, Hours: 6})
 	if err != nil {

@@ -17,7 +17,7 @@ var shardCounts = []int{1, 2, 4, 8}
 
 // TestShardedEquivalenceValidation pins the sharded engine's determinism
 // contract on the validation scenario: every shard count must reproduce
-// the sequential calendar loop's digest — run statistics (including jump
+// the sequential production loop's digest — run statistics (including jump
 // counts), every response sample and every collector sample, bit for bit.
 func TestShardedEquivalenceValidation(t *testing.T) {
 	if testing.Short() {
@@ -38,7 +38,7 @@ func TestShardedEquivalenceValidation(t *testing.T) {
 		res, err := RunValidation(ValidationConfig{
 			Experiment: 1, Seed: 42, Engine: dispatch.NewSharded(4),
 			LaunchFor: 120, RunFor: 150, SteadyStart: 30, SteadyEnd: 120,
-			NoShards: true,
+			LoopFlags: core.LoopFlags{NoShards: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -53,7 +53,7 @@ func TestShardedEquivalenceValidation(t *testing.T) {
 		res, err := RunValidation(ValidationConfig{
 			Experiment: 1, Seed: 42, Engine: dispatch.NewSharded(4),
 			LaunchFor: 120, RunFor: 150, SteadyStart: 30, SteadyEnd: 120,
-			NoStretch: true,
+			LoopFlags: core.LoopFlags{NoStretch: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestShardedEquivalenceConsolidation(t *testing.T) {
 		t.Helper()
 		cs, err := NewConsolidation(CaseConfig{
 			Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 3, EndHour: 4, Engine: eng,
-			NoStretch: noStretch,
+			LoopFlags: core.LoopFlags{NoStretch: noStretch},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestShardedEquivalenceDayNight(t *testing.T) {
 	}
 	run := func(eng core.Engine, noStretch bool) string {
 		t.Helper()
-		res, err := RunDayNight(DayNightConfig{Seed: 42, Hours: 6, Engine: eng, NoStretch: noStretch})
+		res, err := RunDayNight(DayNightConfig{Seed: 42, Hours: 6, Engine: eng, LoopFlags: core.LoopFlags{NoStretch: noStretch}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,9 @@ func TestStretchBarrierDrop(t *testing.T) {
 	run := func(noStretch bool) *DayNightResult {
 		t.Helper()
 		res, err := RunDayNight(DayNightConfig{
-			Seed: 42, Hours: 1, NoThinning: true,
-			Engine: dispatch.NewSharded(1), NoStretch: noStretch,
+			Seed: 42, Hours: 1,
+			Engine:    dispatch.NewSharded(1),
+			LoopFlags: core.LoopFlags{NoThinning: true, NoStretch: noStretch},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +52,7 @@ func TestStretchBarrierDrop(t *testing.T) {
 	}
 
 	// Stretching must not change a single bit of what the run computed.
-	seq, err := RunDayNight(DayNightConfig{Seed: 42, Hours: 1, NoThinning: true})
+	seq, err := RunDayNight(DayNightConfig{Seed: 42, Hours: 1, LoopFlags: core.LoopFlags{NoThinning: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,8 @@ func TestMailboxDueTimeSafety(t *testing.T) {
 		t.Helper()
 		cs, err := NewConsolidation(CaseConfig{
 			Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 3, EndHour: 4,
-			Engine: eng, NoCrossStretch: noCross,
+			Engine:    eng,
+			LoopFlags: core.LoopFlags{NoCrossStretch: noCross},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +144,8 @@ func TestMailboxAuditContract(t *testing.T) {
 		t.Helper()
 		cs, err := NewConsolidation(CaseConfig{
 			Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 3, EndHour: 4,
-			Engine: eng, NoShards: noShards, NoStretch: noStretch,
+			Engine:    eng,
+			LoopFlags: core.LoopFlags{NoShards: noShards, NoStretch: noStretch},
 		})
 		if err != nil {
 			t.Fatal(err)
