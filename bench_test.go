@@ -16,9 +16,12 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/dispatch"
+	"repro/internal/experiment"
+	"repro/internal/hardware"
 	"repro/internal/queueing"
 	"repro/internal/refdata"
 	"repro/internal/scenarios"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -453,19 +456,22 @@ func BenchmarkDenseBulk(b *testing.B) {
 	b.Run("reference", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkShardScaling measures the sharded PDES engine on the dense
-// peak-hour scenario — the same global business hour BenchmarkDenseBulk
-// uses, where ~50 agents stay hot and every window carries cross-DC
-// cascade traffic. The noshards case runs the 4-shard engine with the
-// sharded runtime disabled (LoopFlags.NoShards), isolating what the shard
-// partition, mailboxes and shard-local phases buy over the identical
-// worker pool; sequential is the single-core reference. Results are
-// bit-identical across all rows (TestShardedEquivalence*); compare the
-// ns/op ratios (the trajectory is bench/history.json's peak_hour_sharded
-// rows). Scaling requires real cores: with GOMAXPROCS=1 the barrier
-// overhead is all cost and no win.
+// BenchmarkShardScaling measures the sharded PDES engine against the
+// sequential one on the two platforms ROADMAP direction 1's decision rule
+// names. "peak" is the dense consolidation business hour — the platform
+// bench/'s peak_hour_sharded times — where ~50 agents stay hot, every
+// window carries cross-DC cascade traffic and no span clears the grain
+// gate, so everything runs inline; the noshards case runs the 4-shard
+// engine with the sharded runtime disabled (LoopFlags.NoShards).
+// "local-heavy-8dc" is the purpose-built case the rule asks for: eight
+// self-mastering data centers in a WAN ring, 95% of every DC's operations
+// confined to it, the rest one 120 ms hop away (the lookahead any span
+// under live cross traffic gets). Results are bit-identical across the rows
+// of a platform (TestShardedEquivalence*,
+// TestLocalHeavyShardedMatchesSequential); compare the ns/op ratios.
+// Scaling requires real cores: with GOMAXPROCS=1 a fork is all cost.
 func BenchmarkShardScaling(b *testing.B) {
-	run := func(b *testing.B, mk func() core.Engine, noShards bool) {
+	peak := func(b *testing.B, mk func() core.Engine, noShards bool) {
 		b.Helper()
 		b.ReportAllocs()
 		var ops uint64
@@ -497,38 +503,143 @@ func BenchmarkShardScaling(b *testing.B) {
 		b.ReportMetric(float64(ops), "ops")
 		b.ReportMetric(float64(active), "active-agents")
 	}
-	b.Run("sequential", func(b *testing.B) { run(b, nil, false) })
-	b.Run("noshards", func(b *testing.B) {
-		run(b, func() core.Engine { return dispatch.NewSharded(4) }, true)
-	})
+	sharded := func(n int) func() core.Engine {
+		return func() core.Engine { return dispatch.NewSharded(n) }
+	}
+	b.Run("peak/sequential", func(b *testing.B) { peak(b, nil, false) })
+	b.Run("peak/noshards", func(b *testing.B) { peak(b, sharded(4), true) })
 	for _, n := range []int{1, 2, 4, 8} {
-		n := n
-		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {
-			run(b, func() core.Engine { return dispatch.NewSharded(n) }, false)
+		b.Run(fmt.Sprintf("peak/shards-%d", n), func(b *testing.B) { peak(b, sharded(n), false) })
+	}
+
+	localHeavy := func(b *testing.B, mk func() core.Engine) {
+		b.Helper()
+		b.ReportAllocs()
+		var st core.RunStats
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			run, err := localHeavy8DC(mk, 120).Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			run.Sim.RunFor(60) // untimed warm-up
+			b.StartTimer()
+			run.Sim.RunFor(60)
+			b.StopTimer()
+			st = run.Sim.Stats()
+			run.Sim.Shutdown()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(st.CompletedOps), "ops")
+		b.ReportMetric(float64(st.ActiveAgents), "active-agents")
+		b.ReportMetric(float64(st.WindowsStretched), "windows-stretched")
+		b.ReportMetric(float64(st.WindowsInline), "windows-inline")
+	}
+	b.Run("local-heavy-8dc/sequential", func(b *testing.B) { localHeavy(b, nil) })
+	b.Run("local-heavy-8dc/sharded-2", func(b *testing.B) { localHeavy(b, sharded(2)) })
+	b.Run("local-heavy-8dc/sharded-4", func(b *testing.B) { localHeavy(b, sharded(4)) })
+}
+
+// localHeavy8DC assembles BenchmarkShardScaling's coarse-grain platform:
+// eight data centers in a WAN ring (120 ms hops), each with its own app and
+// db tiers and 256 client slots, each running PDM for 3 000 users over the
+// given simulated seconds. 95% of a DC's operations stay on files it
+// masters — a lane-confined workload — and 5% go to the next DC around the
+// ring, a global workload whose round trips are the only cross-shard
+// traffic.
+func localHeavy8DC(mk func() core.Engine, seconds float64) *experiment.Experiment {
+	const dcs, users, opsPerUserHour, localShare = 8, 3000, 40, 0.95
+	srv := func(cores int) topology.ServerSpec {
+		return topology.ServerSpec{
+			CPU:   hardware.CPUSpec{Sockets: 1, Cores: cores, GHz: apps.ServerGHz},
+			MemGB: 64, NICGbps: 10,
+			RAID: &hardware.RAIDSpec{
+				Disks: 8, Disk: hardware.DiskSpec{CtrlGbps: 4, MBps: 150, HitRate: 0.1},
+				CtrlGbps: 8, HitRate: 0.05,
+			},
+		}
+	}
+	local := hardware.LinkSpec{Gbps: 10, LatencyMS: 0.45}
+	name := func(d int) string { return fmt.Sprintf("DC%d", d%dcs) }
+	spec := topology.InfraSpec{Clients: map[string]topology.ClientSpec{}}
+	opts := []experiment.Option{experiment.WithSeed(7), experiment.WithStep(0.01), experiment.WithDuration(seconds)}
+	if mk != nil {
+		opts = append(opts, experiment.WithEngine(mk))
+	}
+	pdm, err := experiment.OpsByName("PDM", "")
+	if err != nil {
+		panic(err)
+	}
+	for d := 0; d < dcs; d++ {
+		dc, next := name(d), name(d+1)
+		spec.DCs = append(spec.DCs, topology.DCSpec{
+			Name: dc, SwitchGbps: 40,
+			ClientLink: hardware.LinkSpec{Gbps: 10, LatencyMS: 0.5},
+			Tiers: []topology.TierSpec{
+				{Name: "app", Servers: 4, Server: srv(16), LocalLink: local},
+				{Name: "db", Servers: 4, Server: srv(16), LocalLink: local},
+			},
 		})
+		spec.Clients[dc] = topology.ClientSpec{Slots: 256, NICGbps: 1, GHz: 2.5, DiskMBs: 120}
+		spec.WAN = append(spec.WAN, topology.WANSpec{From: dc, To: next,
+			Link: hardware.LinkSpec{Gbps: 1, LatencyMS: 120}})
+		for stream, w := range []struct {
+			owner string
+			share float64
+		}{{dc, localShare}, {next, 1 - localShare}} {
+			opts = append(opts, experiment.WithWorkload(experiment.Workload{
+				App: "PDM", DC: dc, Stream: uint64(stream + 1),
+				Users:          workload.BusinessDay(users*w.share, 0, 24, users*w.share),
+				OpsPerUserHour: opsPerUserHour,
+				OpsFn:          pdm, OpsKey: "PDM",
+				APM: workload.AccessMatrix{dc: {w.owner: 1}},
+			}))
+		}
+	}
+	e, err := experiment.New("local-heavy-8dc", append(opts, experiment.WithInfra(spec))...)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// TestLocalHeavyShardedMatchesSequential pins the bit-identity
+// BenchmarkShardScaling's local-heavy rows rest on, on a short run.
+func TestLocalHeavyShardedMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("local-heavy equivalence skipped in -short")
+	}
+	run := func(mk func() core.Engine) (string, core.RunStats) {
+		res, err := localHeavy8DC(mk, 20).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Digest(), res.Stats
+	}
+	seq, _ := run(nil)
+	got, st := run(func() core.Engine { return dispatch.NewSharded(4) })
+	if got != seq {
+		t.Errorf("sharded-4 digest diverged from sequential:\n%s\n%s", seq, got)
+	}
+	if st.WindowsInline+st.WindowsStretched == 0 {
+		t.Errorf("the sharded runtime left no trace on the local-heavy platform: %+v", st)
 	}
 }
 
-// BenchmarkWindowStretch measures what spending the WAN lookahead buys:
-// the same run with Chandy-Misra window stretching on (default), off
-// (LoopFlags.NoStretch — the per-window global barrier of the sharded PR),
-// and cross-blocked (LoopFlags.NoCrossStretch — stretching that stands aside
-// whenever a cross-capable flow is live, the behavior before mid-span
-// mailbox delivery). Two regimes: "night" is the fine-step day-night
-// scenario with per-tick Poisson polls, where every agent lives in one DC
-// and spans run straight to the next collector boundary — barriers
-// collapse by orders of magnitude; "peak" is the dense consolidation
-// business hour, where cross-DC cascades keep global tokens permanently in
-// flight and spans can only form inside the per-shard WAN lookahead
-// through the shard inboxes. Results are bit-identical across all rows
-// (TestStretchBarrierDrop, TestMailboxDueTimeSafety, the NoStretch
-// equivalence legs); compare ns/op, barriers and windows-stretched between
-// the paired rows.
+// BenchmarkWindowStretch measures what the span scheduler costs in wall
+// clock where it cannot pay: the fine-step day-night scenario with per-tick
+// Poisson polls, a platform so quiet that no span clears the grain gate, so
+// with stretching on (default) every one of its 2.16M windows asks trySpan
+// and is refused, and with it off (LoopFlags.NoStretch) none asks. The rows
+// must sit within noise of each other. Results are bit-identical across
+// them (TestShardedEquivalenceDayNight); the barrier, inline and
+// stretched-window counters of a run are bench/'s core.barriers and
+// core.windows_stretched, and `gdisim -v`.
 func BenchmarkWindowStretch(b *testing.B) {
 	night := func(b *testing.B, shards int, noStretch bool) {
 		b.Helper()
 		b.ReportAllocs()
-		var barriers, stretched, ops uint64
+		var ops uint64
 		for i := 0; i < b.N; i++ {
 			res, err := scenarios.RunDayNight(scenarios.DayNightConfig{
 				Seed: 7, Hours: 6,
@@ -538,48 +649,13 @@ func BenchmarkWindowStretch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			st := res.Result.Stats
-			barriers, stretched, ops = st.Barriers, st.WindowsStretched, st.CompletedOps
+			ops = res.Result.Stats.CompletedOps
 		}
-		b.ReportMetric(float64(barriers), "barriers")
-		b.ReportMetric(float64(stretched), "windows-stretched")
 		b.ReportMetric(float64(ops), "ops")
 	}
-	peak := func(b *testing.B, shards int, noStretch, noCross bool) {
-		b.Helper()
-		b.ReportAllocs()
-		var barriers, stretched, mailed uint64
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
-				Step: 0.01, Seed: 7, Scale: 1,
-				StartHour: 13, EndHour: 14,
-				Engine:    dispatch.NewSharded(shards),
-				LoopFlags: core.LoopFlags{NoStretch: noStretch, NoCrossStretch: noCross},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cs.Sim.RunFor(90) // untimed warm-up: build peak-hour concurrency
-			b.StartTimer()
-			cs.Sim.RunFor(30)
-			b.StopTimer()
-			st := cs.Sim.Stats()
-			barriers, stretched, mailed = st.Barriers, st.WindowsStretched, st.MailboxApplied
-			cs.Sim.Shutdown()
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(barriers), "barriers")
-		b.ReportMetric(float64(stretched), "windows-stretched")
-		b.ReportMetric(float64(mailed), "mailbox-applied")
-	}
-	for _, n := range []int{1, 4, 8} {
-		n := n
+	for _, n := range []int{1, 4} {
 		b.Run(fmt.Sprintf("night/shards-%d/stretch", n), func(b *testing.B) { night(b, n, false) })
 		b.Run(fmt.Sprintf("night/shards-%d/nostretch", n), func(b *testing.B) { night(b, n, true) })
-		b.Run(fmt.Sprintf("peak/shards-%d/stretch", n), func(b *testing.B) { peak(b, n, false, false) })
-		b.Run(fmt.Sprintf("peak/shards-%d/nocross", n), func(b *testing.B) { peak(b, n, false, true) })
-		b.Run(fmt.Sprintf("peak/shards-%d/nostretch", n), func(b *testing.B) { peak(b, n, true, false) })
 	}
 }
 

@@ -20,10 +20,13 @@
 //	-shards N|auto   run on the sharded PDES engine (equivalent to
 //	                 engine: "sharded:N" in a document; applies to -doc,
 //	                 -sweep and -scenario; results are bit-identical to
-//	                 the sequential engine). "auto" picks
+//	                 the sequential engine, and never slower than it by
+//	                 more than a few percent: the engine forks only when a
+//	                 stretched span carries enough work). "auto" picks
 //	                 min(GOMAXPROCS, DC count)
-//	-v               print extra run statistics: global barriers, stretched
-//	                 windows and per-shard stretch counters
+//	-v               print extra run statistics: inline and stretched
+//	                 windows, global barriers, why spans were refused, and
+//	                 per-shard stretch counters
 //	-cpuprofile f    write a CPU profile of the run to f
 //	-memprofile f    write an end-of-run heap profile to f
 //
@@ -70,8 +73,8 @@ func main() {
 	scale := flag.Float64("scale", 0.5, "platform scale for speedup measurement")
 	agentSet := flag.Int("agentset", 0, "H-Dispatch agent-set size (0 = 64, the thesis' best)")
 	short := flag.Bool("short", false, "smoke run: tiny H-Dispatch speedup measurement")
-	shards := flag.String("shards", "", `run on the sharded PDES engine: a shard count, or "auto" for min(GOMAXPROCS, DCs) (empty = document/default engine)`)
-	verbose := flag.Bool("v", false, "print extra run statistics: global barriers, stretched windows, per-shard stretch counters")
+	shards := flag.String("shards", "", `run on the sharded PDES engine: a shard count, or "auto" for min(GOMAXPROCS, DCs) (empty = document/default engine); never slower than the sequential engine by more than a few percent; forks only when a stretched span carries enough work`)
+	verbose := flag.Bool("v", false, "print extra run statistics: inline and stretched windows, global barriers, span refusals, per-shard stretch counters")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
@@ -163,7 +166,7 @@ func runDocument(path string, shards, csvOut string, verbose bool) {
 	fmt.Printf("  agents %d, fast-forward jumps %d (%d ticks skipped)\n",
 		res.Stats.Agents, res.Stats.Jumps, res.Stats.SkippedTicks)
 	if verbose {
-		printStretchStats(res.Stats)
+		printStretchStats(res.Sim)
 	}
 	if res.Faults != nil {
 		fmt.Print(res.Faults)
@@ -351,7 +354,7 @@ func smoke(name, shards string, verbose bool) {
 		fmt.Printf("validation experiment 2: app CPU steady mean %.1f%% (physical %.1f%%)\n",
 			res.SteadyMean["app"], refdata.Table52Physical[1]["app"].Mean)
 		if verbose {
-			printStretchStats(res.Result.Stats)
+			printStretchStats(res.Sim)
 		}
 	case "consolidation":
 		cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
@@ -364,7 +367,7 @@ func smoke(name, shards string, verbose bool) {
 		pct, hr := cs.PeakCPUPct("NA", "app")
 		fmt.Printf("consolidation peak window: Tapp DNA %.1f%% at %.1fh GMT (paper ~73%%)\n", pct, hr)
 		if verbose {
-			printStretchStats(cs.Result.Stats)
+			printStretchStats(cs.Sim)
 		}
 	case "multimaster":
 		cs, err := scenarios.NewMultiMaster(scenarios.CaseConfig{
@@ -377,20 +380,28 @@ func smoke(name, shards string, verbose bool) {
 		pct, hr := cs.PeakCPUPct("NA", "app")
 		fmt.Printf("multimaster peak window: Tapp DNA %.1f%% at %.1fh GMT (paper ~78%%)\n", pct, hr)
 		if verbose {
-			printStretchStats(cs.Result.Stats)
+			printStretchStats(cs.Sim)
 		}
 	default:
 		log.Fatalf("unknown scenario %q", name)
 	}
 }
 
-// printStretchStats reports the sharded runtime's synchronization shape:
-// how many global barriers the run paid and how many windows ran inside
-// stretched spans instead, per shard when the partition engaged, plus the
-// cross-shard mailbox audit (hand-offs applied and the tightest slack
-// against a delivery's WAN-delayed due instant).
-func printStretchStats(st core.RunStats) {
-	fmt.Printf("  global barriers %d, windows stretched %d\n", st.Barriers, st.WindowsStretched)
+// printStretchStats reports the sharded runtime's synchronization shape —
+// why -shards N did or did not fork: how many windows ran inline on the
+// root goroutine, how many global barriers the run paid and how many
+// windows ran inside stretched spans instead (per shard when the partition
+// engaged), why the span scheduler refused the spans that did not form,
+// plus the cross-shard mailbox audit (hand-offs applied and the tightest
+// slack against a delivery's WAN-delayed due instant).
+func printStretchStats(sim *core.Simulation) {
+	st := sim.Stats()
+	fmt.Printf("  windows inline %d, global barriers %d, windows stretched %d\n",
+		st.WindowsInline, st.Barriers, st.WindowsStretched)
+	if src, tok, grain, backoff := sim.SpanRefusals(); src+tok+grain+backoff > 0 {
+		fmt.Printf("  spans refused: global source due %d, cross token bound %d, below grain %d, backing off %d\n",
+			src, tok, grain, backoff)
+	}
 	if len(st.ShardStretch) > 0 {
 		fmt.Printf("  per-shard stretched windows: %v\n", st.ShardStretch)
 	}

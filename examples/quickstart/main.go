@@ -17,11 +17,14 @@ func main() {
 	// choice for a one-DC platform like this, which has nothing to
 	// partition. Global topologies can run on the sharded PDES engine
 	// instead (`engine: "sharded:N"` in a scenario document, or
-	// `gdisim -shards N`): agents are partitioned per data center and each
-	// window's heavy phases run shard-parallel, with results bit-identical
-	// to this loop. Sharding pays when hours are dense (many agents busy
-	// every window), N does not exceed the DC count, and real cores back
-	// the shards; see the "Sharded PDES engine" section of DESIGN.md.
+	// `gdisim -shards N`): agents are partitioned per data center and the
+	// stretches between synchronization points that carry enough work run
+	// shard-parallel — everything else runs inline, so it is never slower
+	// than this loop by more than a few percent — with results
+	// bit-identical to it. Sharding pays when hours are dense (thousands
+	// of agent advances between synchronization points), N does not exceed
+	// the DC count, and real cores back the shards; see "Grain gate" under
+	// "Sharded PDES engine" in DESIGN.md.
 	sim := gdisim.NewSimulation(gdisim.SimConfig{Step: 0.01, Seed: 1})
 	defer sim.Shutdown()
 

@@ -80,6 +80,7 @@ func TestSpanBoundaryExactSnapshot(t *testing.T) {
 		newTestQueueAgent(s, "cpu-a", 2, 1e9)
 		newTestQueueAgent(s, "cpu-b", 2, 1e9)
 		if sharded {
+			s.sh.grain = 0 // two idle agents: only a forced gate stretches them
 			s.SetDCShards(map[string]int{"A": 0})
 			// A parked lane source: spans need a lane-confined source no
 			// more than the real scenarios do, but registering one proves

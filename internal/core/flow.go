@@ -244,27 +244,14 @@ func (s *Simulation) startStage(tok *token) {
 		if st.Queue != nil {
 			tok.task.Demand = st.Demand
 			tok.task.Delay = st.Delay
-			if sh := s.sh; sh != nil {
-				// Sharded drain phase: post the hand-off to the target
-				// shard's mailbox instead of enqueueing inline; the
-				// barrier at the end of the drain applies every mailbox
-				// shard-parallel with the exact sync/enqueue/activate
-				// sequence below.
-				if sh.deferring {
-					sh.post(s, st.Queue, &tok.task)
-					return
-				}
-				// Cross-capable token advancing mid-span: a hand-off to
-				// another shard's agent parks in that shard's inbox, due
-				// after the span ends (the WAN latency is the lookahead
-				// that makes the due tick safe); a same-shard hand-off
-				// proceeds inline on this lane.
-				if sh.inSpan && tok.global {
-					if sh.shard(st.Queue.ID()) != tok.home {
-						sh.postInbox(s, st.Queue, tok)
-						return
-					}
-				}
+			// Cross-capable token advancing mid-span: a hand-off to another
+			// shard's agent parks in that shard's inbox, due after the span
+			// ends (the WAN latency is the lookahead that makes the due
+			// tick safe); a same-shard hand-off proceeds inline on this
+			// lane.
+			if sh := s.sh; sh != nil && sh.inSpan && tok.global && sh.shard(st.Queue.ID()) != tok.home {
+				sh.postInbox(s, st.Queue, tok)
+				return
 			}
 			// The target may be lazily stepped; replay its deficit before
 			// the enqueue mutates its queues, so the new work lands on

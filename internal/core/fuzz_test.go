@@ -106,10 +106,19 @@ func (fs *fuzzSource) NextPoll(float64) float64 { return fs.next }
 // cascades, a random collector period — and runs it for a few thousand
 // ticks on the production or the reference loop.
 func fuzzRun(data []byte, ref bool) *Simulation {
+	return fuzzPlatform(data, Config{LoopFlags: refFlags(ref)}, nil)
+}
+
+// fuzzPlatform is fuzzRun on any engine and flags; prep, when non-nil, sees
+// the fresh simulation before anything registers (the gate tests install
+// shard routing and the grain override there).
+func fuzzPlatform(data []byte, cfg Config, prep func(*Simulation)) *Simulation {
 	in := newFuzzIn(data)
-	s := NewSimulation(Config{
-		Step: 0.01, Seed: 1, CollectEvery: 1 + in.intn(300), LoopFlags: refFlags(ref),
-	})
+	cfg.Step, cfg.Seed, cfg.CollectEvery = 0.01, 1, 1+in.intn(300)
+	s := NewSimulation(cfg)
+	if prep != nil {
+		prep(s)
+	}
 	s.Collector.Register(metrics.Probe{Key: "flows", Sample: func(float64) float64 {
 		return float64(s.ActiveFlows())
 	}})
@@ -183,22 +192,29 @@ func FuzzLoopMatchesReference(f *testing.F) {
 		f.Add(binary.LittleEndian.AppendUint64(nil, seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ref, got := fuzzRun(data, true), fuzzRun(data, false)
-		if r, g := ref.CompletedOps(), got.CompletedOps(); r != g {
-			t.Errorf("completed ops: reference %d, production %d", r, g)
-		}
-		if r, g := ref.ActiveFlows(), got.ActiveFlows(); r != g {
-			t.Errorf("flows in flight at the end: reference %d, production %d", r, g)
-		}
-		rk, gk := ref.Responses.Keys(), got.Responses.Keys()
-		if len(rk) != len(gk) {
-			t.Fatalf("response keys: reference %v, production %v", rk, gk)
-		}
-		for _, k := range rk {
-			sameSeriesBits(t, "responses "+k.Op, ref.Responses.Series(k.Op, k.DC), got.Responses.Series(k.Op, k.DC))
-		}
-		for _, k := range ref.Collector.Keys() {
-			sameSeriesBits(t, "collector "+k, ref.Collector.Series(k), got.Collector.Series(k))
-		}
+		sameRun(t, fuzzRun(data, true), fuzzRun(data, false))
 	})
+}
+
+// sameRun asserts two simulations computed the same thing bit for bit:
+// completed operations, flows still in flight, every response population,
+// every collector series.
+func sameRun(t *testing.T, ref, got *Simulation) {
+	t.Helper()
+	if r, g := ref.CompletedOps(), got.CompletedOps(); r != g {
+		t.Errorf("completed ops: reference %d, got %d", r, g)
+	}
+	if r, g := ref.ActiveFlows(), got.ActiveFlows(); r != g {
+		t.Errorf("flows in flight at the end: reference %d, got %d", r, g)
+	}
+	rk, gk := ref.Responses.Keys(), got.Responses.Keys()
+	if len(rk) != len(gk) {
+		t.Fatalf("response keys: reference %v, got %v", rk, gk)
+	}
+	for _, k := range rk {
+		sameSeriesBits(t, "responses "+k.Op, ref.Responses.Series(k.Op, k.DC), got.Responses.Series(k.Op, k.DC))
+	}
+	for _, k := range ref.Collector.Keys() {
+		sameSeriesBits(t, "collector "+k, ref.Collector.Series(k), got.Collector.Series(k))
+	}
 }

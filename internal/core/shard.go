@@ -15,11 +15,12 @@ import (
 // runtime: an engine that owns a fixed set of shard-pinned workers and can
 // run one function on every shard concurrently. When the configured engine
 // implements it (dispatch.Sharded does) and the production loop is on, the
-// simulation partitions its agents across the shards and executes the
-// parallel phases of each window — involved-agent advancement, mailbox
-// application, horizon precomputation — shard-locally, with all flow
-// routing, RNG draws and metric writes staying in the sequential residue
-// between barriers. LoopFlags.NoShards turns the runtime off for A/B
+// simulation partitions its agents across the shards and, wherever the
+// conservative protocol allows it and the stretch carries enough work to
+// pay for the hand-off (shardGrain), lets every shard run consecutive
+// windows on its own lane between two barriers — a stretched span. Every
+// other window runs whole on the calling goroutine, on the sequential
+// engine's path. LoopFlags.NoShards turns the runtime off for A/B
 // comparison while keeping the same engine.
 type ShardRunner interface {
 	Engine
@@ -31,15 +32,13 @@ type ShardRunner interface {
 	RunShards(fn func(shard int))
 }
 
-// mailEntry is one deferred cross-phase enqueue: a task handed to a queue
-// agent either during the sequential drain (buffered into the owning
-// shard's mailbox, applied at the end-of-drain barrier) or mid-span from a
-// shard lane (posted into the target shard's inbox, applied at the next
-// application point — span entry, collector-boundary span exit, or the
-// next barrier window). due is the earliest tick at which the task can
-// have an observable effect on the receiver: the posting tick plus the
-// whole ticks covered by the task's fixed delay (for WAN-link hops, the
-// link latency — the lookahead of the conservative protocol). post is the
+// mailEntry is one deferred cross-shard enqueue: a task handed mid-span
+// from a shard lane to a queue agent another shard owns, posted into the
+// target shard's inbox and applied at the next application point — span
+// entry, collector-boundary span exit, or the next root window. due is the
+// earliest tick at which the task can have an observable effect on the
+// receiver: the posting tick plus the whole ticks covered by the target
+// link's latency — the lookahead of the conservative protocol. post is the
 // tick the enqueue happened at in sequential terms; lat snapshots the
 // target link's latency then, so a late application can reconstruct the
 // latency countdown bit-exactly (queueing.ReplayLatency). src and seq
@@ -96,13 +95,35 @@ type shardInbox struct {
 	_    [64]byte
 }
 
+// shardGrain is the grain gate of the sharded runtime: the work, in agent
+// advances, a span must carry before it is handed to the shard workers,
+// counted as an upper bound — the ticks it covers times the live agents.
+// Below the grain the root goroutine runs the window inline on the
+// sequential engine's path — no barrier, no mailbox — so a sharded run is
+// never slower than a sequential one by more than the gate's few
+// comparisons. A single window never forks at all: measured against the
+// inline path it lost at every population (DESIGN.md, "Grain gate", which
+// also records the measurement behind the value). The decision reads only
+// integers the loop already holds, never a clock, which keeps
+// RunStats.Barriers, WindowsInline, WindowsStretched and MailboxApplied
+// exactly reproducible per seed.
+const shardGrain = 8192
+
+// spanBackoffMax caps, in windows, how long the span scheduler stays away
+// after consecutive token walks that found no span.
+const spanBackoffMax = 32
+
 // shardState is the sharded-runtime extension of a Simulation: the shard
-// map, per-shard mailboxes and scratch, and the per-shard RNG seeds. It
+// map, per-shard lanes and inboxes, and the per-shard RNG seeds. It
 // exists only when the configured engine is a ShardRunner and neither
 // LoopFlags.NoFastForward nor LoopFlags.NoShards is set.
 type shardState struct {
 	runner ShardRunner
 	n      int
+	// grain is shardGrain; the package's tests override it — here, or
+	// through the engine they hand in — to force every admissible span onto
+	// the workers (0) or every window inline (math.MaxInt).
+	grain int
 	// seeds[w] = DeriveSeed(Config.Seed, w): an independent stream root
 	// per shard, for shard-resident stochastic components. The stock
 	// cascade machinery draws all randomness in the sequential residue
@@ -116,14 +137,10 @@ type shardState struct {
 	// default and topology.PartitionByDC a locality optimization.
 	shardOf []int32
 
-	// deferring routes flow-router enqueues into the mailboxes (drain
-	// phase only); applying and inSpan hand each agent's loop state to its
-	// shard's lane window (Simulation.windowOf) — while the mailboxes apply
-	// shard-parallel, and inside a stretched span, where the flow hooks
-	// resolve lanes too. The three phases are mutually exclusive.
-	deferring bool
-	applying  bool
-	inSpan    bool
+	// inSpan hands each agent's loop state to its shard's lane window
+	// (Simulation.windowOf) while a stretched span runs; the flow hooks
+	// resolve lanes then too.
+	inSpan bool
 
 	// stretch enables Chandy-Misra window stretching (LoopFlags.NoStretch
 	// off): between global barriers each shard may run many consecutive
@@ -145,36 +162,37 @@ type shardState struct {
 	// or some shard's inbound latency rounds to zero ticks): spans then
 	// refuse to form while any token may still cross shards — the
 	// conservative PR 8 behavior. neverTick means unbounded (no shard has
-	// a finite bound, so no cross-shard edge exists at all).
-	lookTicks simtime.Tick
+	// a finite bound, so no cross-shard edge exists at all). globMin belongs
+	// to glob, below.
+	lookTicks, globMin simtime.Tick
 	// dcLane maps each data-center name to its owning shard — the routing
 	// table lane-confined flows and sources resolve through. Installed by
 	// SetDCShards from the topology partition; spans never form while it
 	// is empty.
 	dcLane map[string]int
+	// glob lists the global sources — not lane-confined, or confined to an
+	// unmapped data center; nil means rebuild (a source or the routing table
+	// was added). globMin caches their earliest due tick the way
+	// window.srcMin caches the root's, and globDirty marks it out of date (a
+	// root poll or a re-arm moved a due tick), so the span scheduler reads
+	// one integer per window instead of walking every source.
+	glob      []int
+	globDirty bool
+	// spanSkip counts the windows the span scheduler still sits out after a
+	// token walk found no span; spanBackoff is the last such interval,
+	// roughly doubled by the next refusal and reset by a span.
+	spanSkip, spanBackoff int
 	// lanes holds each shard's window and span state; shardWindows counts
-	// the lane windows each shard ran inside spans; committed[w] is the tick
-	// shard w's agents are known to be advanced through at the last global
-	// synchronization — the safe horizon the mailbox audit checks against.
+	// the lane windows each shard ran inside spans.
 	lanes        []laneState
 	shardWindows []uint64
-	committed    []simtime.Tick
 
-	mail [][]mailEntry
-	// inbox[w] receives mid-span cross-shard posts bound for shard w; mail
-	// (above) receives the sequential drain's deferred enqueues. Both feed
-	// applyEntry, but on different schedules: mail applies at the same tick
-	// it was posted, inbox entries whole ticks later with a latency replay.
+	// inbox[w] receives mid-span cross-shard posts bound for shard w.
 	inbox []shardInbox
-	inv   [][]Agent   // involved-sweep partition scratch
-	pre   [][]AgentID // horizon-precompute partition scratch
 
-	// Per-phase worker functions, bound once so the RunShards calls a
-	// window (or span) makes allocate no closures.
-	sweepFn func(int)
-	applyFn func(int)
-	preFn   func(int)
-	spanFn  func(int)
+	// spanFn is the lane worker, bound once so a span's RunShards call
+	// allocates no closure.
+	spanFn func(int)
 }
 
 func newShardState(s *Simulation, runner ShardRunner, seed uint64) *shardState {
@@ -182,14 +200,17 @@ func newShardState(s *Simulation, runner ShardRunner, seed uint64) *shardState {
 	st := &shardState{
 		runner:       runner,
 		n:            n,
+		grain:        shardGrain,
+		globDirty:    true,
 		seeds:        make([]uint64, n),
 		lanes:        make([]laneState, n),
 		shardWindows: make([]uint64, n),
-		committed:    make([]simtime.Tick, n),
-		mail:         make([][]mailEntry, n),
 		inbox:        make([]shardInbox, n),
-		inv:          make([][]Agent, n),
-		pre:          make([][]AgentID, n),
+	}
+	// An engine built by this package's tests may carry its own grain
+	// (export_test.go); no type outside the package can have the method.
+	if g, ok := runner.(interface{ forcedGrain() int }); ok {
+		st.grain = g.forcedGrain()
 	}
 	for w := range st.lanes {
 		st.seeds[w] = DeriveSeed(seed, uint64(w))
@@ -200,24 +221,6 @@ func newShardState(s *Simulation, runner ShardRunner, seed uint64) *shardState {
 		// collide with the root's counters.
 		ln.window = window{s: s, srcMin: neverTick, resp: metrics.NewResponses(),
 			nextFlowID: uint64(w+1) << 48, nextTaskID: uint64(w+1) << 48}
-	}
-	st.sweepFn = func(w int) {
-		for _, a := range st.inv[w] {
-			s.advanceFn(a)
-		}
-	}
-	st.applyFn = func(w int) {
-		box := st.mail[w]
-		for i := range box {
-			st.applyEntry(s, &box[i])
-			box[i] = mailEntry{}
-		}
-		st.mail[w] = box[:0]
-	}
-	st.preFn = func(w int) {
-		for _, id := range st.pre[w] {
-			s.agentHorizon(s.agents[id], s.agentTick[id])
-		}
 	}
 	st.spanFn = func(w int) {
 		ln := &st.lanes[w]
@@ -236,33 +239,16 @@ func (st *shardState) shard(id AgentID) int32 {
 	return int32(int(id) % st.n)
 }
 
-// post buffers a drain-phase enqueue into the target agent's shard
-// mailbox. The sequential drain is the only writer, so entries land in
-// global drain order — each mailbox preserves the relative order of
-// enqueues onto any one queue, which is the arrival-order contract FCFS,
-// PS and delay-line queues key their determinism on. The due stamp is the
-// posting tick plus the task's fixed delay in whole ticks: for a WAN-link
-// hop that delay is the link latency, so a cross-shard message carries the
-// WAN lookahead as its safety margin over the receiver's horizon.
-func (st *shardState) post(s *Simulation, q QueueAgent, t *queueing.Task) {
-	w := st.shard(q.ID())
-	now := s.clock.Now()
-	due := now
-	if t.Delay > 0 {
-		due += s.clock.TicksIn(t.Delay)
-	}
-	st.mail[w] = append(st.mail[w], mailEntry{q: q, t: t, due: due, post: now})
-}
-
 // applyEntry commits one deferred enqueue onto its target agent with the
 // exact sync/enqueue/activate sequence the flow router would have run
-// inline. Barrier-mail entries apply at their posting tick and reduce to
-// that inline sequence verbatim. Inbox entries apply whole ticks after
-// their post: the target is a latencied transit link whose task spends
-// those ticks in its latency phase — consuming no bandwidth, holding only
-// one of k connection slots — so the only state the late enqueue must
-// reconstruct is the latency countdown, which ReplayLatency rebuilds
-// bit-exactly from the snapshotted latency and the elapsed whole ticks.
+// inline. An entry posted on its span's last tick and flushed at the exit
+// applies at its posting tick and reduces to that inline sequence
+// verbatim. The others apply whole ticks after their post: the target is a
+// latencied transit link whose task spends those ticks in its latency
+// phase — consuming no bandwidth, holding only one of k connection slots —
+// so the only state the late enqueue must reconstruct is the latency
+// countdown, which ReplayLatency rebuilds bit-exactly from the snapshotted
+// latency and the elapsed whole ticks.
 // That reconstruction is only exact if the task would have held a slot
 // from its posting instant, so a contended link is a loud protocol
 // failure, never a silent divergence. The audit pins the conservative
@@ -337,7 +323,7 @@ func (st *shardState) postInbox(s *Simulation, q QueueAgent, tok *token) {
 
 // flushInbox applies every pending cross-shard inbox entry sequentially at
 // the current tick, in sequential drain order. It runs at the application
-// points outside lanes: the start of a barrier window (before the sources
+// points outside lanes: the start of a root window (before the sources
 // poll, so fault callbacks and probes read queues with all in-flight
 // cross-shard work delivered) and a span exit that lands on a collector
 // boundary or the run limit (before the snapshot, for the same reason).
@@ -357,75 +343,6 @@ func (st *shardState) flushInbox(s *Simulation) {
 		}
 		ib.pend = ib.pend[:0]
 	}
-}
-
-// sweepInvolved advances the window's involved agents shard-locally:
-// each worker replays exactly its own agents, in ascending ID order
-// within the shard (the involved set arrives sorted). Per-agent
-// arithmetic is identical to the engine-sweep path, so the result is
-// bit-identical to any other execution order.
-func (st *shardState) sweepInvolved(s *Simulation) {
-	for w := range st.inv {
-		st.inv[w] = st.inv[w][:0]
-	}
-	for _, a := range s.sweep {
-		w := st.shard(a.ID())
-		st.inv[w] = append(st.inv[w], a)
-	}
-	st.runner.RunShards(st.sweepFn)
-}
-
-// applyMail drains every shard's mailbox concurrently — sync the target,
-// enqueue, mark active, exactly the inline sequence the flow router
-// deferred. While it runs, each shard's lane window stands in for the root
-// (Simulation.windowOf), so the activations, invalidations and drain-set
-// entries the workers produce buffer per shard; the sequential merge then
-// folds them into the root in ascending shard order. Within a shard,
-// entries apply in mailbox (global drain) order; across shards the entries
-// touch disjoint agents, so the merge order is observationally irrelevant
-// and fixed anyway to keep runs reproducible under inspection.
-func (st *shardState) applyMail(s *Simulation) {
-	// The drain just ran at the current tick, so every shard's agents are
-	// committed through it — the safe horizon the apply-phase audit checks
-	// mailbox due stamps against.
-	now := s.clock.Now()
-	total := 0
-	for w := range st.mail {
-		st.committed[w] = max(st.committed[w], now)
-		st.lanes[w].tick = now
-		total += len(st.mail[w])
-	}
-	if total == 0 {
-		return
-	}
-	st.applying = true
-	st.runner.RunShards(st.applyFn)
-	st.applying = false
-	for w := range st.lanes {
-		s.root.absorbSets(&st.lanes[w].window)
-	}
-}
-
-// precomputeHorizons warms the horizon memo for the dirty set
-// shard-locally, so the sequential rekey that follows reads memoized
-// values instead of paying every Horizon call on one core. Skipping an
-// agent is always safe — rekey recomputes on a memo miss — so the
-// filter mirrors rekey's own active check without having to be exact.
-func (st *shardState) precomputeHorizons(s *Simulation) {
-	if len(s.root.dirty) < st.n {
-		return
-	}
-	for w := range st.pre {
-		st.pre[w] = st.pre[w][:0]
-	}
-	for _, id := range s.root.dirty {
-		if !s.agents[id].Base().active {
-			continue
-		}
-		w := st.shard(id)
-		st.pre[w] = append(st.pre[w], id)
-	}
-	st.runner.RunShards(st.preFn)
 }
 
 // laneState is one shard's lane: its window — the shard's private slice of
@@ -465,7 +382,7 @@ type laneState struct {
 
 // trySpan decides whether the next window can instead run as a stretched
 // span and, if so, executes it. The preconditions are exactly the cases
-// where per-lane execution is provably equivalent to the barriered loop:
+// where per-lane execution is provably equivalent to the root loop:
 //
 //   - a DC-to-shard routing table is installed (SetDCShards) — without it
 //     nothing can be lane-confined;
@@ -485,56 +402,84 @@ type laneState struct {
 //
 // The span bound S is the earliest of: the run limit, the next collector
 // boundary, the earliest global-source due tick, and the cross-token
-// bounds. Spans must cover at least two ticks to beat the classic window;
-// otherwise the caller falls back to the barriered path.
+// bounds. A span must cover at least two ticks to beat the classic window
+// and clear the grain gate (shardState.pays) on ticks x live agents;
+// otherwise the caller runs the window itself. The O(1) bounds come first,
+// so the walk over the live cross tokens only happens for a span that would
+// pay without them, and a walk that still refuses keeps the scheduler away
+// for a growing number of windows — a refused trySpan costs a few
+// comparisons.
 func (s *Simulation) trySpan(limit simtime.Tick) bool {
 	sh := s.sh
 	if len(sh.dcLane) == 0 || s.rebind {
 		return false
 	}
-	if sh.noCross && s.crossFlows != 0 {
+	if sh.spanSkip > 0 { // backing off after a token walk that found no span
+		sh.spanSkip--
+		s.refused.backoff++
 		return false
 	}
-	now := s.clock.Now()
-	S := limit
-	if b := nextCollectBoundary(now, s.collectEvery); b < S {
-		S = b
+	if sh.noCross && s.crossFlows != 0 {
+		s.refused.token++
+		return false
 	}
-	for i, dc := range s.srcDC {
-		if dc != "" {
-			if _, ok := sh.dcLane[dc]; ok {
-				continue // lane-confined: polled inside its lane
-			}
-		}
-		if s.srcDue[i] < S {
-			S = s.srcDue[i]
-		}
+	if sh.globDirty {
+		sh.refreshGlobal(s)
+	}
+	now, live := s.clock.Now(), s.root.live
+	S := min(limit, nextCollectBoundary(now, s.collectEvery))
+	if sh.globMin <= now+1 && sh.globMin < S {
+		s.refused.source++
+		return false
+	}
+	S = min(S, sh.globMin)
+	if S <= now+1 || !sh.pays(int(S-now)*live) {
+		s.refused.grain++
+		return false
 	}
 	if len(s.crossToks) > 0 {
 		anyCross := false
 		for _, tok := range s.crossToks {
 			lb, mayCross := s.tokenGuard(tok)
-			if lb-1 < S {
-				S = lb - 1
-			}
+			S = min(S, lb-1)
 			anyCross = anyCross || mayCross
 		}
-		if anyCross {
-			switch {
-			case sh.lookTicks == 0:
-				return false // lookahead not installed: PR 8 conservative blocking
-			case sh.lookTicks < neverTick:
-				if c := now + sh.lookTicks; c < S {
-					S = c
-				}
+		if anyCross && sh.lookTicks < neverTick {
+			// Zero means the lookahead is not installed: no span while a
+			// token may cross (the conservative PR 8 blocking).
+			S = min(S, now+sh.lookTicks)
+		}
+		if S <= now+1 || !sh.pays(int(S-now)*live) {
+			sh.spanBackoff = min(2*sh.spanBackoff+1, spanBackoffMax)
+			sh.spanSkip = sh.spanBackoff
+			s.refused.token++
+			return false
+		}
+	}
+	sh.spanBackoff = 0
+	s.runSpan(S, limit)
+	return true
+}
+
+// pays is the grain gate (see shardGrain): whether a span carrying that
+// many agent advances is worth handing to the shard workers.
+func (st *shardState) pays(work int) bool { return work >= st.grain }
+
+// refreshGlobal recomputes the cached earliest global-source due tick,
+// rebuilding the global-source list first when it was invalidated.
+func (st *shardState) refreshGlobal(s *Simulation) {
+	if st.glob == nil {
+		st.glob = make([]int, 0, len(s.srcDC))
+		for i, dc := range s.srcDC {
+			if _, ok := st.dcLane[dc]; !ok || dc == "" {
+				st.glob = append(st.glob, i)
 			}
 		}
 	}
-	if S <= now+1 {
-		return false
+	st.globMin, st.globDirty = neverTick, false
+	for _, i := range st.glob {
+		st.globMin = min(st.globMin, s.srcDue[i])
 	}
-	s.runSpan(S, limit)
-	return true
 }
 
 // tokenGuard derives, for one live cross-capable message token, a
@@ -715,7 +660,6 @@ func (s *Simulation) runSpan(S, limit simtime.Tick) {
 		ln.resp.MergeInto(root.resp)
 		s.stretched += ln.windows
 		sh.shardWindows[w] += ln.windows
-		sh.committed[w] = max(sh.committed[w], S)
 	}
 	root.srcMin = root.minDue()
 	root.tick = s.clock.AdvanceBy(S - T)
@@ -725,7 +669,7 @@ func (s *Simulation) runSpan(S, limit simtime.Tick) {
 		// reads queue counters, so in-flight cross-shard deliveries must
 		// be in their queues first. Off-boundary span exits skip the
 		// flush: pending entries carry into the next span's entry batch
-		// or the next barrier window's flush, still ahead of their due
+		// or the next root window's flush, still ahead of their due
 		// ticks.
 		sh.flushInbox(s)
 		if S%s.collectEvery == 0 {
@@ -736,7 +680,7 @@ func (s *Simulation) runSpan(S, limit simtime.Tick) {
 
 // laneWindow drives one window of the production loop on a shard lane: the
 // phases Simulation.runWindow runs on the root, restricted to one shard's
-// agents. A stretched span is bit-identical to the barriered windows it
+// agents. A stretched span is bit-identical to the root windows it
 // replaces because the lane windows' operations are the global windows'
 // operations restricted to one shard, and operations on different shards'
 // agents commute (disjoint per-agent state, per-DC round-robin/RNG/gauges,
@@ -775,7 +719,7 @@ func (s *Simulation) laneWindow(ln *laneState) {
 // SetDCShards installs the data-center-to-shard routing table (normally
 // topology.ShardPlan.DCShard) that lets the stretched-span scheduler
 // resolve lane-confined flows and sources to their owning shard. Without
-// it spans never form and the loop barriers every window. It is a no-op
+// it spans never form and every window runs on the root. It is a no-op
 // when the sharded runtime is not engaged.
 //
 // Every lane-confined source (AddLaneSource) must name a data center in
@@ -805,6 +749,7 @@ func (s *Simulation) SetDCShards(m map[string]int) {
 		}
 	}
 	s.sh.dcLane = t
+	s.sh.glob, s.sh.globDirty = nil, true
 }
 
 // dcNames renders the partitioned data-center names for error messages.

@@ -77,15 +77,14 @@ type LoopFlags struct {
 	NoThinning bool
 	// NoShards disables the sharded PDES runtime even when Engine is a
 	// ShardRunner: the engine's workers still serve plain Sweep calls, but
-	// the simulation skips the shard partition, the drain-phase mailboxes
-	// and the shard lanes.
+	// the simulation skips the shard partition and the shard lanes.
 	NoShards bool
 	// NoStretch disables Chandy-Misra window stretching in the sharded
-	// runtime: agents are still partitioned onto shards and drain enqueues
-	// still go through the mailboxes, but every window ends in a global
-	// barrier instead of letting each shard run consecutive windows on its
-	// lane up to its safe bound (compare RunStats.Barriers and
-	// RunStats.WindowsStretched). No effect unless the runtime is active.
+	// runtime: agents are still partitioned onto shards, but every window
+	// runs on the root goroutine instead of letting each shard run
+	// consecutive windows on its lane up to its safe bound (compare
+	// RunStats.WindowsInline and WindowsStretched). No effect unless the
+	// runtime is active.
 	NoStretch bool
 	// NoCrossStretch keeps window stretching for shard-confined traffic but
 	// restores the pre-lookahead guard for cross-shard traffic: spans only
@@ -164,10 +163,14 @@ type Simulation struct {
 	crossToks  []*token
 
 	// barriers counts global synchronization points of the sharded loop
-	// (one per barriered window, one per stretched span); stretched counts
-	// the lane windows executed inside spans.
+	// (one per stretched span); stretched counts the lane windows executed
+	// inside spans; inline the windows that ran whole on the root goroutine;
+	// refused the windows on which the span scheduler declined to stretch, by
+	// reason (SpanRefusals).
 	barriers  uint64
 	stretched uint64
+	inline    uint64
+	refused   struct{ source, token, grain, backoff uint64 }
 
 	// sh is the sharded-runtime state, non-nil only when the engine is a
 	// ShardRunner and neither NoFastForward nor NoShards is set.
@@ -283,11 +286,10 @@ func (s *Simulation) AddAgent(a Agent) {
 }
 
 // windowOf resolves the window that owns an agent's loop state right now:
-// the root in sequential phases, the owning shard's lane while lanes run —
-// inside a stretched span, and while a mailbox applies, when each shard's
-// worker buffers its side effects on its lane for the merge that follows.
+// the root in sequential phases, the owning shard's lane inside a stretched
+// span.
 func (s *Simulation) windowOf(id AgentID) *window {
-	if sh := s.sh; sh != nil && (sh.inSpan || sh.applying) {
+	if sh := s.sh; sh != nil && sh.inSpan {
 		return &sh.lanes[sh.shard(id)].window
 	}
 	return &s.root
@@ -371,6 +373,9 @@ func (s *Simulation) AddSource(src Source) SourceHandle {
 	if due < s.root.srcMin {
 		s.root.srcMin = due
 	}
+	if s.sh != nil {
+		s.sh.glob, s.sh.globDirty = nil, true // global until AddLaneSource says otherwise
+	}
 	return SourceHandle(len(s.sources))
 }
 
@@ -419,6 +424,9 @@ func (s *Simulation) RearmSource(h SourceHandle) {
 	s.srcDue[i] = due
 	if due < s.root.srcMin {
 		s.root.srcMin = due
+	}
+	if s.sh != nil {
+		s.sh.globDirty = true
 	}
 }
 
@@ -577,8 +585,8 @@ func (s *Simulation) tick() {
 //   - Skipped polls are no-ops by the Source.NextPoll contract.
 //
 // What the root driver adds to the shared phases is everything global:
-// the span scheduler and barrier accounting of the sharded runtime, the
-// engine sweep, mailbox deferral around the drain, and the snapshot.
+// the span scheduler of the sharded runtime, the engine sweep and the
+// snapshot.
 func (s *Simulation) runWindow(limit simtime.Tick) {
 	w, sh := &s.root, s.sh
 	if sh != nil {
@@ -589,12 +597,14 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 		if sh.stretch && s.trySpan(limit) {
 			return
 		}
-		s.barriers++
 		// Entries a lane posted mid-span and no later span consumed apply
 		// now, before the sources poll: fault callbacks and probes sample
 		// queue counters, so the in-flight cross-shard work must be in its
 		// queues by the time anything sequential reads them.
 		sh.flushInbox(s)
+		// A due source is about to move its due tick.
+		sh.globDirty = sh.globDirty || w.srcMin <= w.tick
+		s.inline++
 	}
 	w.pollDue()
 	if s.rebind {
@@ -606,43 +616,27 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 	w.popInvolved(landing, limit)
 
 	// Parallel phase: advance the involved agents through the window. Under
-	// the sharded runtime each shard's worker advances its own agents;
-	// otherwise the engine sweeps the sorted involved set.
-	if len(w.inv) > 0 {
+	// the sharded runtime a window that is not part of a span runs right
+	// here — a lone window never carries the work a barrier costs (see
+	// shardGrain), and which goroutine advances an agent never shows in a
+	// result; otherwise the engine sweeps the sorted involved set.
+	if sh != nil {
+		for _, id := range w.inv {
+			s.advanceAgentTo(s.agents[id], landing)
+		}
+	} else if len(w.inv) > 0 {
 		s.advanceTo = landing
 		s.sweep = s.sweep[:0]
 		for _, id := range w.inv {
 			s.sweep = append(s.sweep, s.agents[id])
 		}
-		if sh != nil {
-			sh.sweepInvolved(s)
-		} else {
-			s.engine.Sweep(s.sweep, s.advanceFn)
-		}
+		s.engine.Sweep(s.sweep, s.advanceFn)
 	}
 	w.tick = s.clock.AdvanceBy(landing - w.tick)
 
-	// Under the sharded runtime the drain defers its enqueues: flow
-	// routing, RNG draws and response accounting run sequentially as
-	// always, but each task hand-off is posted to the target shard's
-	// mailbox, and the mailboxes apply shard-parallel at the end-of-drain
-	// barrier. Deferral is exact because nothing in the drain residue reads
-	// a target queue's state: completions only exist on popped-due agents,
-	// route picking is round-robin, and retireIdle runs after the apply.
-	if sh != nil {
-		sh.deferring = true
-	}
 	w.drain()
-	if sh != nil {
-		sh.deferring = false
-		sh.applyMail(s)
-	}
 	w.retireIdle()
-	// Rekey everything invalidated since the jump was sized; the sharded
-	// runtime pre-warms the horizon memo shard-locally first.
-	if sh != nil {
-		sh.precomputeHorizons(s)
-	}
+	// Rekey everything invalidated since the jump was sized.
 	w.rekey()
 	if w.tick%s.collectEvery == 0 {
 		s.Collector.Snapshot(s.clock.NowSeconds())
@@ -819,21 +813,33 @@ type RunStats struct {
 	Jumps        uint64 `json:"jumps"`
 	SkippedTicks uint64 `json:"skipped_ticks"`
 	// Barriers counts global synchronization points of the sharded run
-	// loop: one per classic window, one per stretched span. Zero for
-	// non-sharded runs. WindowsStretched counts the shard-local windows
-	// executed inside stretched spans — the windows that did NOT pay a
-	// barrier; ShardStretch breaks them down per shard. The stretch ratio
-	// (WindowsStretched+Barriers)/Barriers is the windows-per-barrier win
-	// of spending the WAN lookahead.
+	// loop: one per stretched span. Zero for non-sharded runs. WindowsInline
+	// counts the windows that ran whole on the root goroutine — no span was
+	// admissible, or it carried too little work to fork (the grain gate).
+	// WindowsStretched counts the shard-local windows executed inside
+	// stretched spans; ShardStretch breaks them down per shard. The stretch
+	// ratio WindowsStretched/Barriers is the windows-per-barrier win of
+	// spending the WAN lookahead.
 	Barriers         uint64   `json:"barriers,omitempty"`
+	WindowsInline    uint64   `json:"windows_inline,omitempty"`
 	WindowsStretched uint64   `json:"windows_stretched,omitempty"`
 	ShardStretch     []uint64 `json:"shard_stretch,omitempty"`
 	// MailboxApplied / MailboxMinSlack mirror MailboxAudit: cross-shard
-	// hand-offs applied through the shard mailboxes, and the minimum slack
+	// hand-offs applied through the shard inboxes, and the minimum slack
 	// (due tick minus apply tick) observed across them. MailboxMinSlack is
 	// meaningful only when MailboxApplied > 0.
 	MailboxApplied  uint64 `json:"mailbox_applied,omitempty"`
 	MailboxMinSlack int64  `json:"mailbox_min_slack,omitempty"`
+}
+
+// SpanRefusals reports on how many windows the span scheduler declined to
+// stretch, by reason: a global source due within two ticks; a cross-capable
+// token's completion bound, the WAN lookahead or LoopFlags.NoCrossStretch;
+// a span too short or too light to clear the grain gate; and the windows it
+// sat out backing off after a token-bound refusal. It is diagnostic output
+// for `gdisim -v`, all zero when the sharded runtime is off.
+func (s *Simulation) SpanRefusals() (sourceDue, tokenBound, belowGrain, backoff uint64) {
+	return s.refused.source, s.refused.token, s.refused.grain, s.refused.backoff
 }
 
 // Stats snapshots the simulation's run counters.
@@ -850,6 +856,7 @@ func (s *Simulation) Stats() RunStats {
 		Barriers:     s.barriers,
 	}
 	if s.sh != nil {
+		st.WindowsInline = s.inline
 		st.WindowsStretched = s.stretched
 		if s.stretched > 0 {
 			st.ShardStretch = slices.Clone(s.sh.shardWindows)
@@ -863,12 +870,11 @@ func (s *Simulation) Stats() RunStats {
 }
 
 // MailboxAudit reports the cross-shard delivery telemetry of the sharded
-// runtime: how many hand-offs were applied through the shard mailboxes —
-// barrier-drain deferrals and mid-span cross-shard posts alike — and the
-// minimum slack (due tick minus the tick the entry was applied at, in
-// ticks) observed across all of them. A negative minimum would mean a
-// message was applied after its WAN-delayed due instant — past the point
-// where its absence could have changed the receiver's state — the
+// runtime: how many mid-span cross-shard hand-offs were applied through the
+// shard inboxes, and the minimum slack (due tick minus the tick the entry
+// was applied at, in ticks) observed across all of them. A negative minimum
+// would mean a message was applied after its WAN-delayed due instant — past
+// the point where its absence could have changed the receiver's state — the
 // conservative-synchronization violation the property tests pin.
 //
 // The contract is exactly two shapes: (0, 0, false) when the sharded

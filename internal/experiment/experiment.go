@@ -462,9 +462,16 @@ func (e *Experiment) Compile() (*Run, error) {
 		Engine:       eng,
 		LoopFlags:    e.flags,
 	})
+	// Every way out but success — an error below, or a panic unwinding
+	// through here — releases the engine's workers.
+	compiled := false
+	defer func() {
+		if !compiled {
+			sim.Shutdown()
+		}
+	}()
 	inf, err := topology.Build(sim, *e.infra)
 	if err != nil {
-		sim.Shutdown()
 		return nil, fmt.Errorf("experiment %s: %w", e.name, err)
 	}
 	inf.RegisterProbes(sim.Collector)
@@ -475,7 +482,6 @@ func (e *Experiment) Compile() (*Run, error) {
 	if n, ok := sim.Sharded(); ok {
 		plan, err := inf.PartitionByDC(n)
 		if err != nil {
-			sim.Shutdown()
 			return nil, fmt.Errorf("experiment %s: %w", e.name, err)
 		}
 		sim.SetShardAssignment(plan.Assign)
@@ -499,11 +505,9 @@ func (e *Experiment) Compile() (*Run, error) {
 		Idx:        map[string]*background.IndexDaemon{},
 	}
 	if err := e.attachWorkloads(r); err != nil {
-		sim.Shutdown()
 		return nil, fmt.Errorf("experiment %s: %w", e.name, err)
 	}
 	if err := e.attachDaemons(r); err != nil {
-		sim.Shutdown()
 		return nil, fmt.Errorf("experiment %s: %w", e.name, err)
 	}
 	// Faults attach after the daemons so failover injections can validate
@@ -511,7 +515,6 @@ func (e *Experiment) Compile() (*Run, error) {
 	// scenario probes may read the controller through the Run.
 	ctrl, err := faults.Attach(faults.Target{Sim: sim, Infra: inf, Sync: r.Sync}, e.faults)
 	if err != nil {
-		sim.Shutdown()
 		return nil, fmt.Errorf("experiment %s: %w", e.name, err)
 	}
 	r.Faults = ctrl
@@ -522,10 +525,10 @@ func (e *Experiment) Compile() (*Run, error) {
 	}
 	for _, fn := range e.setup {
 		if err := fn(r); err != nil {
-			sim.Shutdown()
 			return nil, fmt.Errorf("experiment %s: setup: %w", e.name, err)
 		}
 	}
+	compiled = true
 	return r, nil
 }
 
@@ -710,19 +713,15 @@ func (r *Run) Execute() (*Result, error) {
 }
 
 // Run compiles and executes the experiment, then releases engine
-// resources. The returned Result retains the (shut down) simulation for
-// metric inspection.
+// resources — also when the run panics. The returned Result retains the
+// (shut down) simulation for metric inspection.
 func (e *Experiment) Run() (*Result, error) {
 	r, err := e.Compile()
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.Execute()
-	if err != nil {
-		return nil, err
-	}
-	r.Sim.Shutdown()
-	return res, nil
+	defer r.Sim.Shutdown()
+	return r.Execute()
 }
 
 // Result is the uniform harvest of one experiment run: run statistics,

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/faults"
 	"repro/internal/topology"
 )
@@ -116,6 +118,29 @@ type PointResult struct {
 	Values []PointValue
 	Res    *Result
 	Err    error
+}
+
+// PointError is the error of a grid point whose assembly or run panicked —
+// in the base factory, an axis mutator, Compile or Execute. The sweep
+// recovers it so one bad point cannot take the campaign (and the process)
+// down: the other points finish, and the panic is reported like any other
+// point failure, reachable with errors.As through the error Sweep.Run joins.
+type PointError struct {
+	Index  int
+	Seed   uint64
+	Values []PointValue // the coordinates applied before the panic
+	Panic  any          // the recovered value
+	Stack  []byte       // the panicking goroutine's stack (a shard worker's, when one failed)
+}
+
+func (e *PointError) Error() string {
+	return fmt.Sprintf("panic: %v (seed %d, %d axis values applied)", e.Panic, e.Seed, len(e.Values))
+}
+
+// Unwrap exposes a panic value that is itself an error.
+func (e *PointError) Unwrap() error {
+	err, _ := e.Panic.(error)
+	return err
 }
 
 // SweepResult aggregates a sweep run.
@@ -237,9 +262,19 @@ func (s *Sweep) Run(workers int) (*SweepResult, error) {
 // runPoint assembles, seeds, mutates and runs one grid point. Each slot of
 // the result slice is written exactly once, by whichever worker drew the
 // index — determinism comes from the per-point derivation, not from
-// scheduling.
-func (s *Sweep) runPoint(idx int) PointResult {
-	pr := PointResult{Index: idx}
+// scheduling. A panic anywhere in the point becomes its PointError.
+func (s *Sweep) runPoint(idx int) (pr PointResult) {
+	pr.Index = idx
+	defer func() {
+		// Experiment.Run has released the point's engine on its way out.
+		if p := recover(); p != nil {
+			stack := debug.Stack()
+			if sp, ok := p.(*dispatch.ShardPanic); ok {
+				stack = sp.Stack // where the shard failed; ours only shows the barrier
+			}
+			pr.Err = &PointError{Index: idx, Seed: pr.Seed, Values: pr.Values, Panic: p, Stack: stack}
+		}
+	}()
 	e, err := s.base()
 	if err != nil {
 		pr.Err = fmt.Errorf("base experiment: %w", err)

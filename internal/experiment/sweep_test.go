@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -270,6 +272,66 @@ func TestSweepSizeAndOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("point order %v, want %v", got, want)
+		}
+	}
+}
+
+// TestSweepPointPanicIsContained: a panic in one grid point — in its axis
+// mutator, or later inside the run itself — must not take the campaign down.
+// The point reports a typed *PointError (reachable with errors.As through
+// the joined error), and the other three points finish with exactly the
+// digests of a sweep in which nothing panicked, at any worker count.
+func TestSweepPointPanicIsContained(t *testing.T) {
+	const bad = 2
+	sweep := func(boom func(*Experiment)) *Sweep {
+		var variants []Variant
+		for i := 0; i < 4; i++ {
+			variants = append(variants, Variant{Label: fmt.Sprintf("v%d", i), Apply: func(e *Experiment) error {
+				if i == bad && boom != nil {
+					boom(e)
+				}
+				return nil
+			}})
+		}
+		return NewSweep("panic", testSweepBase()).VaryFunc("variant", variants...)
+	}
+	clean, err := sweep(nil).Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, boom := range map[string]func(*Experiment){
+		"mutator": func(*Experiment) { panic("bad point") },
+		"execute": func(e *Experiment) {
+			e.setup = append(e.setup, func(r *Run) error {
+				r.Sim.AddSource(core.SourceFunc(func(*core.Simulation, float64) { panic("bad point") }))
+				return nil
+			})
+		},
+	} {
+		for _, workers := range []int{1, 2} {
+			res, err := sweep(boom).Run(workers)
+			var pe *PointError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s, workers=%d: error %v, want a *PointError in the joined error", name, workers, err)
+			}
+			if pe.Index != bad || pe.Seed != clean.Points[bad].Seed || pe.Panic != "bad point" || len(pe.Stack) == 0 {
+				t.Errorf("%s, workers=%d: PointError %+v, want index %d, seed %d, the panic value and a stack",
+					name, workers, pe, bad, clean.Points[bad].Seed)
+			}
+			for i, p := range res.Points {
+				if i == bad {
+					if p.Res != nil || p.Err != error(pe) {
+						t.Errorf("%s, workers=%d: the panicked point carries Res=%v Err=%v", name, workers, p.Res, p.Err)
+					}
+					continue
+				}
+				if p.Err != nil {
+					t.Fatalf("%s, workers=%d: healthy point %d failed: %v", name, workers, i, p.Err)
+				}
+				if got, want := p.Res.Digest(), clean.Points[i].Res.Digest(); got != want {
+					t.Errorf("%s, workers=%d: point %d digest moved next to a panicking point:\n%s\n%s", name, workers, i, want, got)
+				}
+			}
 		}
 	}
 }

@@ -238,7 +238,7 @@ func TestFluidNoFluidBitIdentity(t *testing.T) {
 	})
 	t.Run("chaos", func(t *testing.T) {
 		run := func(extra ...experiment.Option) string {
-			e, err := chaosExperiment(extra...)
+			e, err := ChaosExperiment(extra...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +302,7 @@ func TestFluidChaosFallback(t *testing.T) {
 	fluidOpt := experiment.WithFluid("PDM", "EU", experiment.Fluid{Above: 0.0005})
 	run := func(extra ...experiment.Option) *experiment.Result {
 		t.Helper()
-		e, err := chaosExperiment(append([]experiment.Option{fluidOpt}, extra...)...)
+		e, err := ChaosExperiment(append([]experiment.Option{fluidOpt}, extra...)...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 )
 
 // shardCounts is the equivalence matrix of the sharded engine. Counts
@@ -66,8 +67,12 @@ func TestShardedEquivalenceValidation(t *testing.T) {
 
 // TestShardedEquivalenceConsolidation covers the seven-DC consolidation
 // platform — the scenario where the per-DC partition genuinely spreads
-// agents across shards and cross-DC cascades cross shard boundaries
-// through the drain mailboxes.
+// agents across shards and cross-DC cascades cross shard boundaries. At
+// night (03-04 GMT, a tenth of the users) no span clears the grain gate and
+// every window runs inline; the peak-hour leg is the one scenario-level
+// check of the gate's production setting on the platform the benchmark
+// times. What the lanes do on this platform once the gate opens is pinned
+// by internal/core's scenario_test.go.
 func TestShardedEquivalenceConsolidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded equivalence matrix skipped in -short")
@@ -95,6 +100,30 @@ func TestShardedEquivalenceConsolidation(t *testing.T) {
 	t.Run("sharded-4-nostretch", func(t *testing.T) {
 		if got := run(dispatch.NewSharded(4), true); got != ref {
 			t.Errorf("NoStretch digest diverged from sequential loop:\n%s\n%s", ref, got)
+		}
+	})
+	t.Run("peak-hour-sharded-2", func(t *testing.T) {
+		peak := func(eng core.Engine) (string, core.RunStats) {
+			cs, err := NewConsolidation(CaseConfig{Step: 0.01, Seed: 7, Scale: 1, StartHour: 13, EndHour: 14, Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 150 simulated seconds, not the hour: harvest by hand.
+			cs.Sim.RunFor(150)
+			cs.Sim.Shutdown()
+			res := &experiment.Result{Stats: cs.Sim.Stats(), Responses: cs.Sim.Responses, Series: map[string]*metrics.Series{}}
+			for _, k := range cs.Sim.Collector.Keys() {
+				res.Series[k] = cs.Sim.Collector.Series(k)
+			}
+			return res.Digest(), res.Stats
+		}
+		seq, _ := peak(nil)
+		got, st := peak(dispatch.NewSharded(2))
+		if got != seq {
+			t.Errorf("peak-hour digest diverged from sequential loop:\n%s\n%s", seq, got)
+		}
+		if st.WindowsInline == 0 {
+			t.Errorf("no window ran inline at the peak hour (barriers %d): the default gate is not engaged", st.Barriers)
 		}
 	})
 }
@@ -143,7 +172,7 @@ func TestShardedEquivalenceChaos(t *testing.T) {
 	}
 	run := func(extra ...experiment.Option) string {
 		t.Helper()
-		e, err := chaosExperiment(extra...)
+		e, err := ChaosExperiment(extra...)
 		if err != nil {
 			t.Fatal(err)
 		}
