@@ -337,23 +337,71 @@ func TestSANCacheHitSkipsLoopAndDisks(t *testing.T) {
 }
 
 func TestStorageSpecValidation(t *testing.T) {
-	s := core.NewSimulation(core.Config{})
-	func() {
+	sim := core.NewSimulation(core.Config{})
+	nan := math.NaN()
+	disk := DiskSpec{CtrlGbps: 4, MBps: 100, HitRate: 0.1}
+	raid := RAIDSpec{Disks: 4, Disk: disk, CtrlGbps: 4, HitRate: 0.05}
+	san := SANSpec{Disks: 4, Disk: disk, FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: 0.05}
+	if err := raid.validate(); err != nil {
+		t.Fatalf("valid RAIDSpec rejected: %v", err)
+	}
+	if err := san.validate(); err != nil {
+		t.Fatalf("valid SANSpec rejected: %v", err)
+	}
+	// rejected asserts that validate refuses the spec and the constructor
+	// panics on it.
+	rejected := func(name string, spec interface{ validate() error }, build func()) {
+		t.Helper()
+		if spec.validate() == nil {
+			t.Errorf("%s: %+v accepted", name, spec)
+		}
 		defer func() {
 			if recover() == nil {
-				t.Error("invalid RAIDSpec did not panic")
+				t.Errorf("%s: constructor did not panic on %+v", name, spec)
 			}
 		}()
-		NewRAID(s, "bad", RAIDSpec{Disks: 0})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("invalid SANSpec did not panic")
-			}
-		}()
-		NewSAN(s, "bad", SANSpec{Disks: 1})
-	}()
+		build()
+	}
+	// Each row breaks one field of a valid spec. The lane layout is derived
+	// from Disk.HitRate, so a NaN there must never reach newDiskArray.
+	for name, breakIt := range map[string]func(*DiskSpec){
+		"zero drive rate":        func(d *DiskSpec) { d.MBps = 0 },
+		"NaN drive rate":         func(d *DiskSpec) { d.MBps = nan },
+		"NaN disk cache rate":    func(d *DiskSpec) { d.CtrlGbps = nan },
+		"negative disk hit rate": func(d *DiskSpec) { d.HitRate = -0.1 },
+		"disk hit rate above 1":  func(d *DiskSpec) { d.HitRate = 2 },
+		"NaN disk hit rate":      func(d *DiskSpec) { d.HitRate = nan },
+	} {
+		r, s := raid, san
+		breakIt(&r.Disk)
+		breakIt(&s.Disk)
+		rejected("RAID, "+name, r, func() { NewRAID(sim, "bad", r) })
+		rejected("SAN, "+name, s, func() { NewSAN(sim, "bad", s) })
+	}
+	for name, breakIt := range map[string]func(*RAIDSpec){
+		"no disks":               func(r *RAIDSpec) { r.Disks = 0 },
+		"zero controller rate":   func(r *RAIDSpec) { r.CtrlGbps = 0 },
+		"NaN controller rate":    func(r *RAIDSpec) { r.CtrlGbps = nan },
+		"array hit rate above 1": func(r *RAIDSpec) { r.HitRate = 1.5 },
+		"NaN array hit rate":     func(r *RAIDSpec) { r.HitRate = nan },
+	} {
+		r := raid
+		breakIt(&r)
+		rejected("RAID, "+name, r, func() { NewRAID(sim, "bad", r) })
+	}
+	for name, breakIt := range map[string]func(*SANSpec){
+		"no disks":               func(s *SANSpec) { s.Disks = 0 },
+		"NaN FC switch rate":     func(s *SANSpec) { s.FCSwitchGbps = nan },
+		"zero controller rate":   func(s *SANSpec) { s.CtrlGbps = 0 },
+		"NaN controller rate":    func(s *SANSpec) { s.CtrlGbps = nan },
+		"NaN FC loop rate":       func(s *SANSpec) { s.FCALGbps = nan },
+		"array hit rate above 1": func(s *SANSpec) { s.HitRate = 1.5 },
+		"NaN array hit rate":     func(s *SANSpec) { s.HitRate = nan },
+	} {
+		s := san
+		breakIt(&s)
+		rejected("SAN, "+name, s, func() { NewSAN(sim, "bad", s) })
+	}
 }
 
 // Property: for any mix of request sizes, a RAID with no caches conserves
@@ -383,6 +431,36 @@ func TestRAIDWorkConservation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// harnessSANs builds the two SAN shapes the benchmark harness runs, one per
+// lane layout: the 20-disk validation SAN, whose certain disk-cache outcome
+// (hit rate 0) makes its drives one lane of weight 20, and the 24-disk
+// case-study SAN, whose 0.1 disk hit rate needs a lane per drive. Each holds
+// two overlapping requests.
+func harnessSANs(t *testing.T, s *core.Simulation) []*SAN {
+	t.Helper()
+	sans := []*SAN{
+		NewSAN(s, "san-validation", SANSpec{
+			Disks: 20, Disk: DiskSpec{CtrlGbps: 4, MBps: 150, HitRate: 0},
+			FCSwitchGbps: 8, CtrlGbps: 8, FCALGbps: 8, HitRate: 0,
+		}),
+		NewSAN(s, "san-casestudy", SANSpec{
+			Disks: 24, Disk: DiskSpec{CtrlGbps: 4, MBps: 150, HitRate: 0.1},
+			FCSwitchGbps: 16, CtrlGbps: 16, FCALGbps: 16, HitRate: 0.05,
+		}),
+	}
+	for i, lanes := range []int{1, 24} {
+		if got := len(sans[i].array.lanes); got != lanes {
+			t.Fatalf("%s: %d drive lanes, want %d", sans[i].Name(), got, lanes)
+		}
+		if h := sans[i].Horizon(); !math.IsInf(h, 1) {
+			t.Errorf("%s idle horizon = %v, want +Inf", sans[i].Name(), h)
+		}
+		sans[i].Enqueue(&queueing.Task{ID: 10, Demand: 960e6})
+		sans[i].Enqueue(&queueing.Task{ID: 11, Demand: 360e6})
+	}
+	return sans
 }
 
 // TestAgentHorizons checks each hardware agent's event horizon: +Inf when
@@ -418,11 +496,37 @@ func TestAgentHorizons(t *testing.T) {
 	if want := 64e6 / (8e9 / 8); h != want {
 		t.Errorf("raid horizon = %v, want %v (dacc service time)", h, want)
 	}
+	// Both lane layouts, over the whole life of two overlapping requests:
+	// the horizon opens at the first request's FC-switch service time, and
+	// from there to drain no tick completes a request the horizon placed
+	// beyond it — an overshoot is an event a fast-forward jump would skip.
+	for _, san := range harnessSANs(t, s) {
+		if h, want := san.Horizon(), 960e6/(san.Spec().FCSwitchGbps*1e9/8); h != want {
+			t.Errorf("%s horizon = %v, want %v (FC switch service time)", san.Name(), h, want)
+		}
+		const dt = 0.005
+		for tick := 0; !san.Idle(); tick++ {
+			h := san.Horizon()
+			if math.IsInf(h, 1) || h < 0 {
+				t.Fatalf("%s tick %d: busy horizon = %v, want finite", san.Name(), tick, h)
+			}
+			san.Step(dt)
+			san.Drain(func(task *queueing.Task) {
+				if h > dt+1e-9 {
+					t.Errorf("%s tick %d: request %d completed inside a %v s horizon", san.Name(), tick, task.ID, h)
+				}
+			})
+			if tick > 10000 {
+				t.Fatalf("%s never drained", san.Name())
+			}
+		}
+	}
 }
 
 // TestStepNMatchesStep drives every bulk-stepping hardware agent through a
 // jump-sized window and asserts the final state equals per-tick stepping:
-// the replay contract behind fast-forward.
+// the replay contract behind fast-forward. The SANs cover both drive-lane
+// layouts of the disk array (see harnessSANs).
 func TestStepNMatchesStep(t *testing.T) {
 	build := func() (*core.Simulation, []core.Agent) {
 		s := core.NewSimulation(core.Config{Seed: 11})
@@ -436,30 +540,42 @@ func TestStepNMatchesStep(t *testing.T) {
 		cpu.Enqueue(&queueing.Task{ID: 2, Demand: 7e9})
 		link.Enqueue(&queueing.Task{ID: 3, Demand: 80e6})
 		san.Enqueue(&queueing.Task{ID: 4, Demand: 96e6})
-		return s, []core.Agent{cpu, link, san}
+		agents := []core.Agent{cpu, link, san}
+		for _, san := range harnessSANs(t, s) {
+			agents = append(agents, san)
+		}
+		return s, agents
 	}
-	const dt, n = 0.01, 700
-	_, bulk := build()
-	_, plain := build()
-	for i, a := range bulk {
-		ref := plain[i]
-		for tick := 0; tick < 3*n; tick += n {
-			a.(core.BulkStepper).StepN(n, dt)
-			for j := 0; j < n; j++ {
-				ref.Step(dt)
+	// A jump-sized window, where storage requests finish inside the window
+	// and StepN falls back to per-tick stepping, and a short one that the
+	// storage agents mostly take in bulk.
+	const dt = 0.01
+	for _, n := range []int{700, 3} {
+		_, bulk := build()
+		_, plain := build()
+		for i, a := range bulk {
+			ref := plain[i]
+			for tick := 0; tick < 2100; tick += n {
+				a.(core.BulkStepper).StepN(n, dt)
+				for j := 0; j < n; j++ {
+					ref.Step(dt)
+				}
+				var ad, rd int
+				a.Drain(func(*queueing.Task) { ad++ })
+				ref.Drain(func(*queueing.Task) { rd++ })
+				if ad != rd {
+					t.Fatalf("%s, %d-tick windows: completions after window differ: %d vs %d", a.Name(), n, ad, rd)
+				}
+				if ah, rh := a.Horizon(), ref.Horizon(); ah != rh {
+					t.Fatalf("%s, %d-tick windows: horizon after window %v vs %v", a.Name(), n, ah, rh)
+				}
 			}
-			var ad, rd int
-			a.Drain(func(*queueing.Task) { ad++ })
-			ref.Drain(func(*queueing.Task) { rd++ })
-			if ad != rd {
-				t.Fatalf("%s: completions after window differ: %d vs %d", a.Name(), ad, rd)
+			if ab, rb := takeBusy(a), takeBusy(ref); ab != rb {
+				t.Errorf("%s, %d-tick windows: busy accumulators differ: %v vs %v", a.Name(), n, ab, rb)
 			}
-		}
-		if ab, rb := takeBusy(a), takeBusy(ref); ab != rb {
-			t.Errorf("%s: busy accumulators differ: %v vs %v", a.Name(), ab, rb)
-		}
-		if a.Idle() != ref.Idle() {
-			t.Errorf("%s: idle %v vs %v", a.Name(), a.Idle(), ref.Idle())
+			if a.Idle() != ref.Idle() {
+				t.Errorf("%s, %d-tick windows: idle %v vs %v", a.Name(), n, a.Idle(), ref.Idle())
+			}
 		}
 	}
 }

@@ -24,25 +24,28 @@ func request(a core.QueueAgent, t *queueing.Task, demand, dt float64) {
 // cache-hit path alike.
 func TestStorageRequestSteadyStateAllocs(t *testing.T) {
 	disk := DiskSpec{CtrlGbps: 4, MBps: 100, HitRate: 0.5}
-	check := func(name string, hit float64, a core.QueueAgent) {
+	check := func(name string, hit float64, a core.QueueAgent, array *diskArray) {
 		task := &queueing.Task{ID: 1}
 		one := func() { request(a, task, 1<<20, 0.01) }
 		one() // warm-up
 		if n := testing.AllocsPerRun(50, one); n != 0 {
 			t.Errorf("%s request at array hit rate %v: %v allocs, want 0", name, hit, n)
 		}
+		checkIdleBalance(t, array, 0)
 	}
 	for _, hit := range []float64{0, 1} {
 		s := core.NewSimulation(core.Config{Seed: 1})
-		check("RAID", hit, NewRAID(s, "raid", RAIDSpec{Disks: 8, Disk: disk, CtrlGbps: 4, HitRate: hit}))
-		check("SAN", hit, NewSAN(s, "san", SANSpec{Disks: 20, Disk: disk,
-			FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: hit}))
+		r := NewRAID(s, "raid", RAIDSpec{Disks: 8, Disk: disk, CtrlGbps: 4, HitRate: hit})
+		check("RAID", hit, r, r.array)
+		san := NewSAN(s, "san", SANSpec{Disks: 20, Disk: disk,
+			FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: hit})
+		check("SAN", hit, san, san.array)
 	}
 }
 
 // checkFreeLists asserts the free-list invariant: a slab on a list is
 // quiescent (no stripe pending, no parent) and is there once.
-func checkFreeLists(t *testing.T, a *diskArray) {
+func checkFreeLists(t testing.TB, a *diskArray) {
 	t.Helper()
 	seen := map[*forkSlab]bool{}
 	for _, fj := range a.forkFree {
@@ -115,6 +118,7 @@ func runOverlapping(t *testing.T, diskHit float64, fresh bool) []string {
 		}
 	}
 	if !fresh {
+		checkIdleBalance(t, r.array, r.inflight)
 		if len(r.array.forkFree) == 0 && diskHit < 1 {
 			t.Error("no fork slab ever returned to the free list")
 		}

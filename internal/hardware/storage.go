@@ -17,12 +17,19 @@ type DiskSpec struct {
 	HitRate  float64 // cache hit rate at the disk controller
 }
 
+// validate states what a usable spec is as one conjunction and rejects
+// everything else, so a NaN rate or hit rate — for which every comparison is
+// false — is invalid. RAIDSpec and SANSpec do the same.
 func (s DiskSpec) validate() error {
-	if s.CtrlGbps <= 0 || s.MBps <= 0 || s.HitRate < 0 || s.HitRate > 1 {
+	if !(s.CtrlGbps > 0 && s.MBps > 0 && s.HitRate >= 0 && s.HitRate <= 1) {
 		return fmt.Errorf("hardware: invalid DiskSpec %+v", s)
 	}
 	return nil
 }
+
+// certain reports whether the disk-cache outcome needs no draw: every stripe
+// misses (hit rate 0) or every stripe hits (hit rate 1).
+func (s DiskSpec) certain() bool { return s.HitRate == 0 || s.HitRate == 1 }
 
 // Component tags separating the RNG streams of the storage agents; each
 // agent derives its seeds from (simulation seed, agent ID, tag) through
@@ -41,21 +48,6 @@ func subSeed(sim *core.Simulation, id core.AgentID, tag uint64) uint64 {
 	return core.DeriveSeed(sim.Seed(), uint64(id)<<8|tag)
 }
 
-// diskUnit is the Qdcc -> Qhdd pipeline of one disk (Figs. 3-7, 3-8).
-type diskUnit struct {
-	dcc *queueing.FCFS
-	hdd *queueing.FCFS
-}
-
-func newDiskUnit(s DiskSpec) *diskUnit {
-	return &diskUnit{
-		dcc: queueing.NewFCFS(1, s.CtrlGbps*1e9/8),
-		hdd: queueing.NewFCFS(1, s.MBps*1e6),
-	}
-}
-
-func (d *diskUnit) idle() bool { return d.dcc.Idle() && d.hdd.Idle() }
-
 // extSlab tracks an external storage request through the array's ingress
 // pipeline: the internal task that queues at the controller stages plus the
 // caller's task and its original byte demand (stage queues consume
@@ -66,49 +58,71 @@ type extSlab struct {
 	demand float64
 }
 
-// stripeSlab carries one stripe's task and its tracking record contiguously,
-// so the task's payload points back into the same forkSlab.
-type stripeSlab struct {
-	task   queueing.Task
-	fj     *forkSlab
-	stripe float64 // stripe byte demand
-	disk   int     // owning disk index
-}
-
-// forkSlab is the whole state of one forked request: the join header and one
-// stripe per disk of the owning array.
+// forkSlab is the whole state of one forked request: the join header, the
+// one task that stands for its n equal stripes at the controller caches, and
+// one drive task per lane of the owning array. Every task's payload points
+// back at the slab.
 type forkSlab struct {
 	parent  *queueing.Task
-	pending int
-	stripes []stripeSlab
+	pending int             // disks whose stripe has not joined yet
+	stripe  float64         // stripe byte demand
+	ctrl    queueing.Task   // the stripe at the controller caches
+	stripes []queueing.Task // the stripe at each lane's drive
 }
 
 // diskArray implements the shared mechanics of RAID and SAN: an n-way
-// fork-join of disk pipelines plus the cache-hit routing around them.
+// fork-join of Qdcc -> Qhdd disk pipelines (Figs. 3-7, 3-8) plus the
+// cache-hit routing around them, stepped in lockstep wherever the n
+// pipelines are provably in the same state (DESIGN.md "Lockstep disk
+// lanes").
+//
+// The n controller caches are one queue, dcc: they are fed only by fork,
+// which hands each the same stripe at the same instant, and they serve at
+// one rate that is never derated, so they hold bit-identical state forever.
+// The drives are lanes. A stripe leaving its controller cache hits the disk
+// cache or goes to the drive on a draw from the array's own RNG; when that
+// outcome is certain (DiskSpec.HitRate 0 or 1) the draw can change nothing
+// and is skipped, all n drives see the same arrivals, and one lane of weight
+// n stands for them. Otherwise there are n lanes of weight 1. The layout is
+// fixed by the spec at construction.
 //
 // Request state is recycled through two free lists owned by the array (and
 // so by one agent): every slab on forkFree has pending == 0, i.e. each of
 // its stripes has left every disk queue, and every slab on extFree has left
 // the last controller stage. Only the owning agent's Enqueue and Step touch
-// them, which the engines never run concurrently for one agent, so lanes
-// need no locking. The lists grow to the peak number of requests in flight.
+// them, which the engines never run concurrently for one agent, so shard
+// lanes need no locking. The lists grow to the peak number of requests in
+// flight; forkMade and extMade count the slabs ever allocated, so a test can
+// tell a balanced free list from a leaking one.
 type diskArray struct {
-	disks    []*diskUnit
+	dcc      *queueing.FCFS   // the n controller caches, in lockstep
+	lanes    []*queueing.FCFS // drive queues, each standing for weight disks
+	weight   int
+	disks    int
+	ctrlDone []*forkSlab // this tick's controller completions, in order
 	diskSpec DiskSpec
 	rng      *rand.Rand
 	buffer   func(*queueing.Task) // parent-agent completion buffer
 	forkFree []*forkSlab
 	extFree  []*extSlab
+	forkMade int
+	extMade  int
 }
 
 func newDiskArray(n int, spec DiskSpec, seed uint64, buffer func(*queueing.Task)) *diskArray {
 	a := &diskArray{
+		dcc:      queueing.NewFCFS(1, spec.CtrlGbps*1e9/8),
+		weight:   1,
+		disks:    n,
 		diskSpec: spec,
 		rng:      rand.New(rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2))),
 		buffer:   buffer,
 	}
-	for i := 0; i < n; i++ {
-		a.disks = append(a.disks, newDiskUnit(spec))
+	if spec.certain() {
+		a.weight = n
+	}
+	for i := 0; i < n/a.weight; i++ {
+		a.lanes = append(a.lanes, queueing.NewFCFS(1, spec.MBps*1e6))
 	}
 	return a
 }
@@ -122,6 +136,7 @@ func (a *diskArray) admit(t *queueing.Task) *extSlab {
 		a.extFree = a.extFree[:n-1]
 	} else {
 		e = new(extSlab)
+		a.extMade++
 	}
 	e.parent, e.demand = t, t.Demand
 	e.task = queueing.Task{ID: t.ID, Demand: t.Demand, Payload: e}
@@ -135,7 +150,8 @@ func (a *diskArray) release(e *extSlab) {
 	a.extFree = append(a.extFree, e)
 }
 
-// fork splits the external request across all disks with striped demand and
+// fork splits the external request across all disks with striped demand —
+// one task at the lockstep controller caches stands for the n stripes — and
 // recycles its ingress slab.
 func (a *diskArray) fork(e *extSlab) {
 	var fj *forkSlab
@@ -143,54 +159,69 @@ func (a *diskArray) fork(e *extSlab) {
 		fj = a.forkFree[n-1]
 		a.forkFree = a.forkFree[:n-1]
 	} else {
-		fj = &forkSlab{stripes: make([]stripeSlab, len(a.disks))}
+		fj = &forkSlab{stripes: make([]queueing.Task, len(a.lanes))}
+		a.forkMade++
 	}
-	fj.parent, fj.pending = e.parent, len(a.disks)
-	stripe := e.demand / float64(len(a.disks))
-	for i, d := range a.disks {
-		s := &fj.stripes[i]
-		s.fj, s.stripe, s.disk = fj, stripe, i
-		s.task = queueing.Task{ID: e.parent.ID, Demand: stripe, Payload: s}
-		d.dcc.Enqueue(&s.task)
-	}
+	fj.parent, fj.pending = e.parent, a.disks
+	fj.stripe = e.demand / float64(a.disks)
+	fj.ctrl = queueing.Task{ID: e.parent.ID, Demand: fj.stripe, Payload: fj}
+	a.dcc.Enqueue(&fj.ctrl)
 	a.release(e)
 }
 
-// step advances every disk pipeline, routing stripes from controller cache
-// to drive (or past it on a disk-cache hit) and joining completions.
-// Idle queues are skipped: their Step is a strict no-op (nothing to fill,
-// nothing in service, no busy time accrues), and with one pipeline per
-// spindle the empty calls dominate a busy array's per-tick cost — a
-// request in flight usually occupies one or two of the 2n queues.
+// step advances every disk pipeline one tick. The controller caches step
+// once, collecting the tick's completions; then the lanes are walked in disk
+// order, each replaying those completions — draw, then join or enqueue the
+// lane's stripe at its drive — before its drive steps. That is the event,
+// RNG-draw and join order of stepping disk 0's controller cache and drive,
+// then disk 1's, and so on: pipelines do not interact except through the
+// draw sequence and the join counts, and both see the same order. Idle
+// queues are skipped: their Step is a strict no-op (nothing to fill,
+// nothing in service, no busy time accrues).
 func (a *diskArray) step(dt float64) {
-	for _, d := range a.disks {
-		if !d.dcc.Idle() {
-			d.dcc.Step(dt, a.onDiskCtrlDone)
+	if !a.dcc.Idle() {
+		a.dcc.Step(dt, a.onDiskCtrlDone)
+	}
+	for i, hdd := range a.lanes {
+		for _, fj := range a.ctrlDone {
+			if a.hit() {
+				a.join(fj)
+				continue
+			}
+			s := &fj.stripes[i]
+			*s = queueing.Task{ID: fj.ctrl.ID, Demand: fj.stripe, Payload: fj}
+			hdd.Enqueue(s)
 		}
-		if !d.hdd.Idle() {
-			d.hdd.Step(dt, a.onDriveDone)
+		if !hdd.Idle() {
+			hdd.Step(dt, a.onDriveDone)
 		}
 	}
+	clear(a.ctrlDone)
+	a.ctrlDone = a.ctrlDone[:0]
 }
 
 func (a *diskArray) onDiskCtrlDone(t *queueing.Task) {
-	s := t.Payload.(*stripeSlab)
-	if a.rng.Float64() < a.diskSpec.HitRate {
-		a.join(s.fj)
-		return
+	a.ctrlDone = append(a.ctrlDone, t.Payload.(*forkSlab))
+}
+
+// hit decides whether a stripe leaving its controller cache is served from
+// the disk cache. A certain outcome takes no draw: the RNG is private to the
+// array and feeds nothing else, so its position is unobservable.
+func (a *diskArray) hit() bool {
+	if a.diskSpec.certain() {
+		return a.diskSpec.HitRate == 1
 	}
-	t.Demand = s.stripe
-	a.disks[s.disk].hdd.Enqueue(t)
+	return a.rng.Float64() < a.diskSpec.HitRate
 }
 
 func (a *diskArray) onDriveDone(t *queueing.Task) {
-	a.join(t.Payload.(*stripeSlab).fj)
+	a.join(t.Payload.(*forkSlab))
 }
 
-// join accounts one finished stripe; the last one completes the parent and
-// returns the slab to the free list.
+// join accounts the finished stripes of one lane; the last one completes the
+// parent and returns the slab to the free list.
 func (a *diskArray) join(fj *forkSlab) {
-	fj.pending--
+	fj.pending -= a.weight
 	if fj.pending == 0 {
 		a.buffer(fj.parent)
 		fj.parent = nil
@@ -198,36 +229,24 @@ func (a *diskArray) join(fj *forkSlab) {
 	}
 }
 
-func (a *diskArray) idle() bool {
-	for _, d := range a.disks {
-		if !d.idle() {
-			return false
-		}
-	}
-	return true
-}
-
 // canBulk reports whether no disk pipeline produces an event within span.
 // Idle queues trivially cannot (CanBulk on an empty queue is vacuously
-// true), so only occupied pipelines pay the scan.
+// true), so only occupied ones pay the scan.
 func (a *diskArray) canBulk(span float64) bool {
-	for _, d := range a.disks {
-		if !d.dcc.Idle() && !d.dcc.CanBulk(span) {
-			return false
-		}
-		if !d.hdd.Idle() && !d.hdd.CanBulk(span) {
+	for _, hdd := range a.lanes {
+		if !hdd.Idle() && !hdd.CanBulk(span) {
 			return false
 		}
 	}
-	return true
+	return a.dcc.Idle() || a.dcc.CanBulk(span)
 }
 
 // bulkStep advances every disk pipeline through n quiet ticks in bulk.
 // BulkStep on an idle queue returns immediately, so no elision is needed.
 func (a *diskArray) bulkStep(n int, dt float64) {
-	for _, d := range a.disks {
-		d.dcc.BulkStep(n, dt)
-		d.hdd.BulkStep(n, dt)
+	a.dcc.BulkStep(n, dt)
+	for _, hdd := range a.lanes {
+		hdd.BulkStep(n, dt)
 	}
 }
 
@@ -238,14 +257,12 @@ func (a *diskArray) bulkStep(n int, dt float64) {
 // report +Inf and are skipped without the call.
 func (a *diskArray) horizon() float64 {
 	h := math.Inf(1)
-	for _, d := range a.disks {
-		if !d.dcc.Idle() {
-			if q := d.dcc.Horizon(); q < h {
-				h = q
-			}
-		}
-		if !d.hdd.Idle() {
-			if q := d.hdd.Horizon(); q < h {
+	if !a.dcc.Idle() {
+		h = a.dcc.Horizon()
+	}
+	for _, hdd := range a.lanes {
+		if !hdd.Idle() {
+			if q := hdd.Horizon(); q < h {
 				h = q
 			}
 		}
@@ -255,22 +272,28 @@ func (a *diskArray) horizon() float64 {
 
 // derate scales every drive's service rate to factor times the spec rate
 // (degraded-mode operation while a failed disk rebuilds). Controller caches
-// keep full speed — electronics survive a spindle failure. Absolute, not
-// cumulative; factor 1 restores the spec rate.
+// keep full speed — electronics survive a spindle failure — which is what
+// keeps them in lockstep. Absolute, not cumulative; factor 1 restores the
+// spec rate.
 func (a *diskArray) derate(factor float64) {
 	rate := a.diskSpec.MBps * 1e6 * factor
-	for _, d := range a.disks {
-		d.hdd.SetRate(rate)
+	for _, hdd := range a.lanes {
+		hdd.SetRate(rate)
 	}
 }
 
 // takeDriveBusy returns drive busy seconds summed over disks and drains the
-// controller-cache accumulators.
+// controller-cache accumulator. A lane's value is added once per disk it
+// stands for, in disk order: the float addition chain of summing n separate
+// drives.
 func (a *diskArray) takeDriveBusy() float64 {
+	a.dcc.TakeBusy()
 	b := 0.0
-	for _, d := range a.disks {
-		b += d.hdd.TakeBusy()
-		d.dcc.TakeBusy()
+	for _, hdd := range a.lanes {
+		v := hdd.TakeBusy()
+		for i := 0; i < a.weight; i++ {
+			b += v
+		}
 	}
 	return b
 }
@@ -285,7 +308,7 @@ type RAIDSpec struct {
 }
 
 func (s RAIDSpec) validate() error {
-	if s.Disks <= 0 || s.CtrlGbps <= 0 || s.HitRate < 0 || s.HitRate > 1 {
+	if !(s.Disks > 0 && s.CtrlGbps > 0 && s.HitRate >= 0 && s.HitRate <= 1) {
 		return fmt.Errorf("hardware: invalid RAIDSpec %+v", s)
 	}
 	return s.Disk.validate()
@@ -315,8 +338,8 @@ func NewRAID(sim *core.Simulation, name string, spec RAIDSpec) *RAID {
 		rng:  rand.New(rand.NewPCG(subSeed(sim, id, tagRAID), subSeed(sim, id, tagRAID+1))),
 	}
 	// The controller cache is the array's ingress: external enqueues (and
-	// only those — the fork-join feeds the per-disk queues internally,
-	// inside the parallel Step phase) forward the invalidation.
+	// only those — the fork-join feeds the disk queues internally, inside
+	// the parallel Step phase) forward the invalidation.
 	r.dacc.SetNotify(r.MarkDirty)
 	r.array = newDiskArray(spec.Disks, spec.Disk, subSeed(sim, id, tagRAIDArray), r.complete)
 	r.InitAgent(id, name)
@@ -343,9 +366,9 @@ func (r *RAID) complete(t *queueing.Task) {
 }
 
 // Step advances the controller cache, then the disk pipelines. Idle arrays
-// return immediately: with a disk pipeline per spindle the per-tick cost of
-// an idle RAID would otherwise dominate large sweeps. An idle controller
-// cache is likewise skipped while stripes drain through the disks.
+// return immediately — most arrays of a large platform are idle on most
+// ticks — and an idle controller cache is likewise skipped while stripes
+// drain through the disks.
 func (r *RAID) Step(dt float64) {
 	if r.inflight == 0 {
 		return
@@ -437,8 +460,8 @@ type SANSpec struct {
 }
 
 func (s SANSpec) validate() error {
-	if s.Disks <= 0 || s.FCSwitchGbps <= 0 || s.CtrlGbps <= 0 || s.FCALGbps <= 0 ||
-		s.HitRate < 0 || s.HitRate > 1 {
+	if !(s.Disks > 0 && s.FCSwitchGbps > 0 && s.CtrlGbps > 0 && s.FCALGbps > 0 &&
+		s.HitRate >= 0 && s.HitRate <= 1) {
 		return fmt.Errorf("hardware: invalid SANSpec %+v", s)
 	}
 	return s.Disk.validate()

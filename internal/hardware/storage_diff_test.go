@@ -1,0 +1,234 @@
+package hardware
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/queueing"
+)
+
+// storeAgent is what the differential driver needs of RAID, SAN and their
+// per-disk oracle.
+type storeAgent interface {
+	core.QueueAgent
+	core.BulkStepper
+	TakeBusy() float64
+	Derate(factor float64)
+}
+
+// storeCase names one array under differential test and the tick at which
+// its drives are derated (restored derateTicks later).
+type storeCase struct {
+	san               bool
+	disks             int
+	diskHit, arrayHit float64
+	seed              uint64
+	derateAt          int
+}
+
+func (c storeCase) String() string {
+	kind := "RAID"
+	if c.san {
+		kind = "SAN"
+	}
+	return fmt.Sprintf("%s disks=%d diskHit=%v arrayHit=%v seed=%d derateAt=%d",
+		kind, c.disks, c.diskHit, c.arrayHit, c.seed, c.derateAt)
+}
+
+// build returns the production agent with its disk array, and the oracle
+// agent, each first on its own simulation of the same seed so both derive
+// the same RNG streams.
+func (c storeCase) build() (storeAgent, *diskArray, storeAgent) {
+	disk := DiskSpec{CtrlGbps: 4, MBps: 100, HitRate: c.diskHit}
+	prod, ref := core.NewSimulation(core.Config{Seed: c.seed}), core.NewSimulation(core.Config{Seed: c.seed})
+	if c.san {
+		spec := SANSpec{Disks: c.disks, Disk: disk, FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: c.arrayHit}
+		s := NewSAN(prod, "store", spec)
+		return s, s.array, newOracleSAN(ref, "store", spec)
+	}
+	spec := RAIDSpec{Disks: c.disks, Disk: disk, CtrlGbps: 4, HitRate: c.arrayHit}
+	r := NewRAID(prod, "store", spec)
+	return r, r.array, newOracleRAID(ref, "store", spec)
+}
+
+// arrival is one request of a schedule: gap ticks after the previous one.
+type arrival struct {
+	gap    int
+	demand float64
+}
+
+const (
+	diffDT      = 0.005
+	derateTicks = 120 // degraded-mode duration
+	busyPeriod  = 50  // ticks per collector period
+)
+
+// checkIdleBalance is the idle-balance audit: once the owning agent has no
+// request in flight, every queue of the array is empty, every slab the array
+// ever allocated is back on its free list, quiescent and there once, and the
+// per-tick completion buffer pins nothing.
+func checkIdleBalance(t testing.TB, a *diskArray, inflight int) {
+	t.Helper()
+	if inflight != 0 {
+		return
+	}
+	if !a.dcc.Idle() {
+		t.Fatal("idle array with work at the controller caches")
+	}
+	for i, hdd := range a.lanes {
+		if !hdd.Idle() {
+			t.Fatalf("idle array with work on drive lane %d", i)
+		}
+	}
+	checkFreeLists(t, a)
+	if len(a.forkFree) != a.forkMade || len(a.extFree) != a.extMade {
+		t.Fatalf("idle array holds %d of %d fork slabs and %d of %d ingress slabs on its free lists",
+			len(a.forkFree), a.forkMade, len(a.extFree), a.extMade)
+	}
+	for _, fj := range a.ctrlDone[:cap(a.ctrlDone)] {
+		if fj != nil {
+			t.Fatal("controller completion buffer still holds a slab between ticks")
+		}
+	}
+}
+
+// diffStores drives the lane array and the per-disk oracle through one
+// schedule with identical calls — overlapping arrivals, Step interleaved with
+// StepN windows, a derate and its restore — and compares, with no tolerance,
+// the drained completion order, Horizon bits and Idle after every call and
+// TakeBusy bits once per collector period.
+func diffStores(t testing.TB, c storeCase, sched []arrival) {
+	t.Helper()
+	got, array, want := c.build()
+	gotTasks, wantTasks := make([]queueing.Task, len(sched)), make([]queueing.Task, len(sched))
+	inflight, next, due := 0, 0, 0
+	if len(sched) > 0 {
+		due = sched[0].gap
+	}
+	var gotDone, wantDone []uint64
+	derate := []struct {
+		at int
+		to float64
+	}{{c.derateAt, 0.4}, {c.derateAt + derateTicks, 1}}
+	for tick := 0; next < len(sched) || !want.Idle(); {
+		for ; next < len(sched) && due <= tick; next++ {
+			gotTasks[next] = queueing.Task{ID: uint64(next + 1), Demand: sched[next].demand}
+			wantTasks[next] = gotTasks[next]
+			got.Enqueue(&gotTasks[next])
+			want.Enqueue(&wantTasks[next])
+			inflight++
+			if next+1 < len(sched) {
+				due += sched[next+1].gap
+			}
+		}
+		// StepN windows stride over ticks, so the derate and its restore
+		// take effect at the first call boundary at or after their tick.
+		if len(derate) > 0 && tick >= derate[0].at {
+			got.Derate(derate[0].to)
+			want.Derate(derate[0].to)
+			derate = derate[1:]
+		}
+		// Every fifth call is a StepN window of 2 to 9 ticks, bulk or
+		// per-tick fallback as the array's state decides.
+		n := 1
+		if tick%5 == 3 {
+			n = 2 + tick%8
+			got.StepN(n, diffDT)
+			want.StepN(n, diffDT)
+		} else {
+			got.Step(diffDT)
+			want.Step(diffDT)
+		}
+		period := tick / busyPeriod
+		tick += n
+
+		gotDone, wantDone = gotDone[:0], wantDone[:0]
+		got.Drain(func(task *queueing.Task) { gotDone = append(gotDone, task.ID) })
+		want.Drain(func(task *queueing.Task) { wantDone = append(wantDone, task.ID) })
+		if !slices.Equal(gotDone, wantDone) {
+			t.Fatalf("%v: tick %d drained %v, per-disk oracle %v", c, tick, gotDone, wantDone)
+		}
+		inflight -= len(gotDone)
+		if g, w := got.Horizon(), want.Horizon(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%v: tick %d horizon %v, per-disk oracle %v", c, tick, g, w)
+		}
+		if got.Idle() != want.Idle() {
+			t.Fatalf("%v: tick %d idle %v, per-disk oracle %v", c, tick, got.Idle(), want.Idle())
+		}
+		if tick/busyPeriod != period {
+			diffBusy(t, c, tick, got, want)
+		}
+		checkIdleBalance(t, array, inflight)
+		if tick > 1e6 {
+			t.Fatalf("%v: never drained", c)
+		}
+	}
+	diffBusy(t, c, -1, got, want)
+	if inflight != 0 || !got.Idle() {
+		t.Fatalf("%v: drained with %d requests unaccounted for", c, inflight)
+	}
+	checkIdleBalance(t, array, 0)
+}
+
+func diffBusy(t testing.TB, c storeCase, tick int, got, want storeAgent) {
+	t.Helper()
+	if g, w := got.TakeBusy(), want.TakeBusy(); math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("%v: tick %d drive busy %v (%#x), per-disk oracle %v (%#x)",
+			c, tick, g, math.Float64bits(g), w, math.Float64bits(w))
+	}
+}
+
+// The lockstep-lane disk array is the per-disk fork-join, bit for bit: both
+// lane layouts (one lane of weight n at disk hit rate 0 and 1, n lanes
+// otherwise), with and without array-cache hits, on sizes from one disk to
+// the case study's 24.
+func TestDiskArrayMatchesPerDiskOracle(t *testing.T) {
+	// Sixty overlapping requests, a few ticks apart, from a zero-byte one
+	// to 48 MB (24 ms to ~0.5 s of drive time per stripe).
+	sizes := []float64{0, 4096, 300e3, 1 << 20, 7.5e6, 48e6, 1}
+	var sched []arrival
+	for i := 0; i < 60; i++ {
+		sched = append(sched, arrival{gap: i * 7 % 4, demand: sizes[i*5%len(sizes)] * float64(1+i%3)})
+	}
+	for _, san := range []bool{false, true} {
+		for _, disks := range []int{1, 2, 4, 20, 24} {
+			for _, diskHit := range []float64{0, 0.1, 0.5, 1} {
+				for _, arrayHit := range []float64{0, 0.05} {
+					c := storeCase{san: san, disks: disks, diskHit: diskHit, arrayHit: arrayHit,
+						seed: uint64(disks), derateAt: 80}
+					t.Run(c.String(), func(t *testing.T) { diffStores(t, c, sched) })
+				}
+			}
+		}
+	}
+}
+
+// FuzzDiskArrayMatchesPerDisk explores what the table above does not: any
+// disk count up to 32, hit rates on a 1/255 grid (0 and 255 are the certain
+// outcomes, so both lane layouts are reachable), any seed, any derate tick,
+// and a request schedule read from bytes — two per request, gap then size.
+func FuzzDiskArrayMatchesPerDisk(f *testing.F) {
+	f.Add(true, uint8(20), uint8(0), uint8(0), uint64(7), uint16(30), []byte{0, 9, 1, 200, 0, 0, 2, 64, 1, 255})
+	f.Add(true, uint8(24), uint8(26), uint8(13), uint64(1), uint16(5), []byte{0, 40, 0, 41, 0, 0, 3, 250, 0, 7, 1, 90})
+	f.Add(false, uint8(4), uint8(255), uint8(0), uint64(3), uint16(0), []byte{0, 100, 0, 100, 0, 100})
+	f.Add(false, uint8(1), uint8(128), uint8(255), uint64(9), uint16(900), []byte{2, 1, 0, 2})
+	f.Add(false, uint8(7), uint8(1), uint8(128), uint64(11), uint16(12), []byte{0, 255, 0, 254, 1, 253, 0, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, san bool, disks, diskHit, arrayHit uint8, seed uint64, derateAt uint16, raw []byte) {
+		if len(raw) > 128 {
+			raw = raw[:128]
+		}
+		var sched []arrival
+		for i := 0; i+1 < len(raw); i += 2 {
+			size := float64(raw[i+1])
+			sched = append(sched, arrival{gap: int(raw[i] % 8), demand: size * size * 750}) // 0 to ~49 MB
+		}
+		diffStores(t, storeCase{
+			san: san, disks: 1 + int(disks%32),
+			diskHit: float64(diskHit) / 255, arrayHit: float64(arrayHit) / 255,
+			seed: seed, derateAt: int(derateAt),
+		}, sched)
+	})
+}
