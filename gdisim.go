@@ -232,6 +232,10 @@ type (
 	// Gauge is an interned handle to a named simulation gauge (see
 	// Simulation.GaugeHandle); hot paths use it to skip map lookups.
 	Gauge = core.Gauge
+	// OpError is the fatal error of a run the platform could not carry:
+	// the operation, its client's data center and the simulated second,
+	// around the cause (match the cause with errors.As — see NoRouteError).
+	OpError = core.OpError
 )
 
 // NewSimulation builds a simulation; zero-value config selects a 10 ms
@@ -272,6 +276,10 @@ type (
 	Cost = topology.Cost
 	// Endpoint is a resolved message endpoint.
 	Endpoint = topology.Endpoint
+	// NoRouteError reports two data centers no chain of live WAN links
+	// connects — what Experiment.Run returns (inside an OpError) when a
+	// fault partitions a client from the data it works on.
+	NoRouteError = topology.NoRouteError
 )
 
 // Hardware component specifications (§3.4.2).

@@ -131,7 +131,8 @@ func (d *IndexDaemon) launch(s *core.Simulation, now float64) {
 		hop{idx, daemon, topology.Cost{CPUCycles: 5e7, NetBytes: 50e3}},
 	)
 	if err != nil {
-		panic(err)
+		s.Fail(&core.OpError{Op: "INDEXBUILD", DC: d.Master, At: now, Err: err})
+		return
 	}
 
 	d.running = true

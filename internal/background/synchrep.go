@@ -103,7 +103,8 @@ func (d *SyncDaemon) launch(s *core.Simulation, t0, t1 float64) {
 			hop{masterFS, daemon, topology.Cost{CPUCycles: 5e7, NetBytes: 20e3}},
 		)
 		if err != nil {
-			panic(err)
+			d.fail(s, err)
+			return
 		}
 		pulls = append(pulls, plan)
 	}
@@ -127,14 +128,19 @@ func (d *SyncDaemon) launch(s *core.Simulation, t0, t1 float64) {
 			hop{dstFS, daemon, topology.Cost{CPUCycles: 5e7, NetBytes: 20e3}},
 		)
 		if err != nil {
-			panic(err)
+			d.fail(s, err)
+			return
 		}
 		pushes = append(pushes, plan)
 	}
 
 	// Metadata step: the daemon queries the database for the modified-file
 	// lists through the application tier (Fig. 6-8).
-	meta := d.metadataPlan(master, daemon)
+	meta, err := d.metadataPlan(master, daemon)
+	if err != nil {
+		d.fail(s, err)
+		return
+	}
 
 	steps := [][]core.MessagePlan{{meta}}
 	if len(pulls) > 0 {
@@ -156,19 +162,21 @@ func (d *SyncDaemon) launch(s *core.Simulation, t0, t1 float64) {
 	})
 }
 
-func (d *SyncDaemon) metadataPlan(master *topology.DataCenter, daemon topology.Endpoint) core.MessagePlan {
+// fail makes a cycle that cannot be routed — a data center it must reach is
+// cut off — the simulation's fatal error instead of a panic.
+func (d *SyncDaemon) fail(s *core.Simulation, err error) {
+	s.Fail(&core.OpError{Op: "SYNCHREP", DC: d.Master, At: s.Clock().NowSeconds(), Err: err})
+}
+
+func (d *SyncDaemon) metadataPlan(master *topology.DataCenter, daemon topology.Endpoint) (core.MessagePlan, error) {
 	app := topology.ServerEndpoint(master.Tier("app").Pick())
 	db := topology.ServerEndpoint(master.Tier("db").Pick())
-	plan, err := concatHops(d.Inf,
+	return concatHops(d.Inf,
 		hop{daemon, app, topology.Cost{CPUCycles: 2.5e8, NetBytes: 50e3}},
 		hop{app, db, topology.Cost{CPUCycles: 1.25e9, NetBytes: 100e3, DiskBytes: 20 * mb}},
 		hop{db, app, topology.Cost{CPUCycles: 2.5e8, NetBytes: 500e3}},
 		hop{app, daemon, topology.Cost{CPUCycles: 5e7, NetBytes: 100e3}},
 	)
-	if err != nil {
-		panic(err)
-	}
-	return plan
 }
 
 func (d *SyncDaemon) seriesFor(m map[string]*metrics.Series, dc string) *metrics.Series {

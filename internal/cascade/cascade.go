@@ -91,10 +91,8 @@ func (op Op) Validate() error {
 			return fmt.Errorf("cascade: operation %s step %d is empty", op.Name, i)
 		}
 		for _, m := range step {
-			for _, e := range []End{m.From, m.To} {
-				switch e.Role {
-				case Client, App, DB, FS, Idx, Daemon:
-				default:
+			for _, e := range [2]End{m.From, m.To} {
+				if _, ok := endCode(e); !ok {
 					return fmt.Errorf("cascade: operation %s uses unknown role %q", op.Name, e.Role)
 				}
 			}
@@ -182,7 +180,8 @@ func (op Op) RoundTrips() int {
 // Binding resolves cascade roles to concrete holons for one operation
 // instance. Server choices are memoized per (role, site) so that all
 // messages of one operation hit the same server — session affinity — while
-// distinct operations spread across the tier via the balancer.
+// distinct operations spread across the tier via the balancer. Local, Master
+// and Slot are fixed once an operation has been instantiated on the binding.
 type Binding struct {
 	Inf    *topology.Infrastructure
 	Local  *topology.DataCenter
@@ -191,7 +190,12 @@ type Binding struct {
 	// Balance picks a server from a tier; nil selects round-robin.
 	Balance func(*topology.Tier) *topology.Server
 
-	servers map[End]*topology.Server
+	// servers is the session-affinity table, indexed by affinitySlot and
+	// filled lazily in the order endpoints are first resolved.
+	servers [affinitySlots]*topology.Server
+	// owner is the Scratch a recycled binding returns to when its one
+	// operation retires; nil for caller-owned bindings (NewBinding).
+	owner *Scratch
 }
 
 // NewBinding builds a binding for a client at local, manipulating a file
@@ -204,78 +208,185 @@ func NewBinding(inf *topology.Infrastructure, local, master *topology.DataCenter
 	return b
 }
 
-// site returns the data center for a site selector.
-func (b *Binding) site(s Site) *topology.DataCenter {
-	if s == SiteMaster {
-		return b.Master
+// Resolve maps an endpoint reference to a concrete topology endpoint. It is
+// the one-endpoint form of what a compiled operation does per message: the
+// static half (endCode, siteTier) followed by the run-time half (endpoint).
+func (b *Binding) Resolve(e End) (topology.Endpoint, error) {
+	code, ok := endCode(e)
+	if !ok {
+		return topology.Endpoint{}, fmt.Errorf("cascade: unknown role %q", e.Role)
 	}
-	return b.Local
+	var tiers siteTiers
+	switch {
+	case code == endClient && b.Slot == nil:
+		return topology.Endpoint{}, b.noClients()
+	case code >= endServer:
+		slot := code - endServer
+		if tiers[slot] = siteTier(slot, b.Local, b.Master); tiers[slot] == nil {
+			return topology.Endpoint{}, noTier(slot, b.Master)
+		}
+	}
+	return b.endpoint(code, &tiers), nil
 }
 
-// Resolve maps an endpoint reference to a concrete topology endpoint.
-func (b *Binding) Resolve(e End) (topology.Endpoint, error) {
-	dc := b.site(e.Site)
-	switch e.Role {
-	case Client:
-		if b.Slot == nil {
-			return topology.Endpoint{}, fmt.Errorf("cascade: DC %s has no client population", b.Local.Name)
-		}
-		return topology.ClientEndpoint(b.Slot), nil
-	case Daemon:
-		return topology.DaemonEndpoint(dc), nil
-	default:
-		// Tiers missing at the chosen site fall back to the master — in
-		// Chapter 6 slave DCs host only file servers, so app/db/idx
-		// messages route to the MDC regardless of the site selector.
-		if !dc.HasTier(e.Role.tierName()) {
-			dc = b.Master
-		}
-		tier := dc.Tier(e.Role.tierName())
-		if b.servers == nil {
-			b.servers = make(map[End]*topology.Server)
-		}
-		key := End{Role: e.Role, Site: e.Site}
-		srv := b.servers[key]
-		if srv == nil {
-			if b.Balance != nil {
-				srv = b.Balance(tier)
-			} else {
-				srv = tier.Pick()
-			}
-			b.servers[key] = srv
-		}
-		return topology.ServerEndpoint(srv), nil
+func (b *Binding) noClients() error {
+	return fmt.Errorf("cascade: DC %s has no client population", b.Local.Name)
+}
+
+// endpoint is the run-time half of endpoint resolution — what the thesis
+// decides per operation instance (§3.5.2): the client slot the binding drew,
+// and for a server tier the instance serving this operation, picked by the
+// balancer the first time the (role, site) pair is resolved and reused after.
+func (b *Binding) endpoint(code uint8, tiers *siteTiers) topology.Endpoint {
+	switch code {
+	case endClient:
+		return topology.ClientEndpoint(b.Slot)
+	case endDaemonLocal:
+		return topology.DaemonEndpoint(b.Local)
+	case endDaemonMaster:
+		return topology.DaemonEndpoint(b.Master)
 	}
+	slot := code - endServer
+	srv := b.servers[slot]
+	if srv == nil {
+		if b.Balance != nil {
+			srv = b.Balance(tiers[slot])
+		} else {
+			srv = tiers[slot].Pick()
+		}
+		b.servers[slot] = srv
+	}
+	return topology.ServerEndpoint(srv)
+}
+
+// appendMsg appends the hardware stages of one compiled message: both ends
+// resolved from-then-to — the order server picks, and therefore round-robin
+// cursors, advance in — then the route between them.
+func (b *Binding) appendMsg(dst []core.Stage, m uint8, tiers *siteTiers, cost R) ([]core.Stage, error) {
+	from := b.endpoint(m>>4, tiers)
+	to := b.endpoint(m&15, tiers)
+	return b.Inf.AppendHop(dst, from, to, cost)
 }
 
 // Instantiate turns an operation definition plus a binding into a runnable
 // core.OpRun. Expansion happens step by step at run time. The returned
 // OpRun owns one stage buffer and one plan slice that every step's
 // expansion reuses (see core.OpRun.Expand for the lifetime rule), so it
-// drives a single flow.
+// drives a single flow. The operation is compiled on every call; launchers
+// instantiate through a Scratch, which compiles once.
 func Instantiate(op Op, b *Binding) (core.OpRun, error) {
 	return instantiate(op, b, nil)
 }
 
-// Scratch is a launcher's free list of expansion state: operations
-// instantiated through it hand their stage buffer and plan slice back when
-// their flow finishes (core.OpRun.Retire), and the launcher's next
-// operation expands into them. One launcher owns one Scratch; all its
-// operations must start at one data center, which confines the list to that
-// data center's lane (or the sequential phase) under the sharded runtime,
-// so it needs no locking. It grows to the launcher's peak number of
+// Scratch is a launcher's expansion state: what it has compiled — each
+// operation it launched, and the tiers of each (local, master) pair it bound
+// — and the free lists of what its finished operations hand back (their
+// stage buffer and plan slice, and their binding when Scratch.NewBinding
+// made it) for the launcher's next operation to expand into. One launcher
+// owns one Scratch; all its operations must start at one data center.
+//
+// Lane safety rule: a table that is filled lazily is either filled only in
+// sequential phases or confined to one data center. Scratch is the second
+// kind — its operations start at one data center, so under the sharded
+// runtime only that data center's lane (or the sequential phase) ever
+// launches or retires them, and neither the compiled tables nor the free
+// lists need locking. The WAN route table (topology.Infrastructure) is the
+// first kind: only cross-DC expansions reach it, and those never run inside
+// a stretched span. The free lists grow to the launcher's peak number of
 // operations in flight.
-type Scratch struct{ free []*expander }
+type Scratch struct {
+	free     []*expander
+	bindings []*Binding
+	programs map[opKey]*program
+	sites    []siteEntry
+}
 
-// Instantiate is the package-level Instantiate drawing on the free list.
+// opKey identifies an Op by its step table: an Op is immutable in shape
+// once launched (its costs are re-read on every expansion).
+type opKey struct {
+	steps *[]Msg
+	n     int
+}
+
+type siteEntry struct {
+	local, master *topology.DataCenter
+	tiers         *siteTiers
+}
+
+// program returns the launcher's compiled form of op, compiling it on first
+// launch; without a launcher (nil sc) it compiles afresh.
+func (sc *Scratch) program(op Op) (*program, error) {
+	if sc == nil || len(op.Steps) == 0 {
+		return compile(op) // an Op without steps fails validation in there
+	}
+	key := opKey{steps: &op.Steps[0], n: len(op.Steps)}
+	if p := sc.programs[key]; p != nil {
+		return p, nil
+	}
+	p, err := compile(op)
+	if err != nil {
+		return nil, err
+	}
+	if sc.programs == nil {
+		sc.programs = make(map[opKey]*program)
+	}
+	sc.programs[key] = p
+	return p, nil
+}
+
+// tiers returns the launcher's tier table for a pair of sites, resolving it
+// on first use. A launcher binds few pairs — one local site, at most every
+// data center as master — so the list is scanned.
+func (sc *Scratch) tiers(local, master *topology.DataCenter) *siteTiers {
+	if sc == nil {
+		return resolveTiers(local, master)
+	}
+	for i := range sc.sites {
+		if e := &sc.sites[i]; e.local == local && e.master == master {
+			return e.tiers
+		}
+	}
+	t := resolveTiers(local, master)
+	sc.sites = append(sc.sites, siteEntry{local: local, master: master, tiers: t})
+	return t
+}
+
+// NewBinding is the package-level NewBinding drawing on the free list. The
+// binding serves exactly one operation — the next one instantiated on it
+// through this Scratch — and returns to the list when that operation's flow
+// finishes; the caller must not keep it.
+func (sc *Scratch) NewBinding(inf *topology.Infrastructure, local, master *topology.DataCenter) *Binding {
+	n := len(sc.bindings)
+	if n == 0 {
+		b := NewBinding(inf, local, master)
+		b.owner = sc
+		return b
+	}
+	b := sc.bindings[n-1]
+	sc.bindings = sc.bindings[:n-1]
+	b.Inf, b.Local, b.Master, b.owner = inf, local, master, sc
+	if local.Clients != nil {
+		b.Slot = local.Clients.Next()
+	}
+	return b
+}
+
+// Instantiate is the package-level Instantiate drawing on the compiled
+// tables and the free lists.
 func (sc *Scratch) Instantiate(op Op, b *Binding) (core.OpRun, error) {
 	return instantiate(op, b, sc)
 }
 
 // instantiate builds the OpRun around a recycled expander of sc, or around a
-// fresh one that retires to sc; a nil sc means no recycling.
+// fresh one that retires to sc; a nil sc means nothing compiled is kept and
+// nothing is recycled.
 func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
-	if err := op.Validate(); err != nil {
+	p, err := sc.program(op)
+	if err != nil {
+		return core.OpRun{}, err
+	}
+	tiers := sc.tiers(b.Local, b.Master)
+	if err := p.bindable(b, tiers); err != nil {
 		return core.OpRun{}, err
 	}
 	var x *expander
@@ -285,12 +396,15 @@ func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 		sc.free = sc.free[:n-1]
 	} else {
 		x = new(expander)
-		x.expandFn = x.expand
+		x.expandFn, x.errFn = x.expand, x.takeErr
 		if sc != nil {
 			x.retireFn = func() { sc.retire(x) }
+		} else {
+			x.stages = make([]core.Stage, 0, p.oneShotStages(b))
+			x.plans = make([]core.MessagePlan, 0, p.width)
 		}
 	}
-	x.steps, x.binding = op.Steps, b
+	x.prog, x.tiers, x.steps, x.binding = p, tiers, op.Steps, b
 	return core.OpRun{
 		Name: op.Name,
 		DC:   b.Local.Name,
@@ -301,52 +415,79 @@ func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 		Local:    b.Local == b.Master,
 		NumSteps: len(op.Steps),
 		Expand:   x.expandFn,
+		Err:      x.errFn,
 		Retire:   x.retireFn,
 	}, nil
 }
 
 // retire takes back a finished operation's expansion state, dropping every
-// pointer into the platform and the binding.
+// pointer into the platform and the binding, and the binding itself when it
+// came from NewBinding.
 func (sc *Scratch) retire(x *expander) {
-	clear(x.stages)
-	clear(x.plans)
-	x.stages, x.plans = x.stages[:0], x.plans[:0]
-	x.steps, x.binding = nil, nil
+	if b := x.binding; b.owner == sc {
+		*b = Binding{}
+		sc.bindings = append(sc.bindings, b)
+	}
+	// Whole capacity: steps overwrite each other in place, so an earlier,
+	// wider step's tail may still be there.
+	clear(x.stages[:cap(x.stages)])
+	clear(x.plans[:cap(x.plans)])
+	*x = expander{
+		stages: x.stages[:0], plans: x.plans[:0],
+		expandFn: x.expandFn, errFn: x.errFn, retireFn: x.retireFn,
+	}
 	sc.free = append(sc.free, x)
 }
 
 // expander is the per-operation-instance expansion state: the flow's steps
 // are strictly sequential, so one stage buffer and one plan slice serve
-// them all. The two funcs are bound once, so a recycled expander costs its
-// next operation no closure.
+// them all. The funcs are bound once, so a recycled expander costs its next
+// operation no closure.
 type expander struct {
-	steps    [][]Msg
-	binding  *Binding
+	prog    *program
+	tiers   *siteTiers
+	steps   [][]Msg // the Op's step table: step widths and cost arrays
+	binding *Binding
+	// next and off are the cursor into prog.msgs: step next starts at message
+	// off. The flow expands steps in order, so the cursor is always right;
+	// any other step is located by a scan.
+	next, off int
+
 	stages   []core.Stage
 	plans    []core.MessagePlan
+	err      error // why the last expand returned nothing
 	expandFn func(int) []core.MessagePlan
+	errFn    func() error
 	retireFn func()
 }
 
+// takeErr is the OpRun.Err hook.
+func (x *expander) takeErr() error { return x.err }
+
+// expand runs one step of the compiled program: per message, endpoint
+// patching and a copy of the route's fabric. The previous step's plans are
+// dead, so their storage is overwritten in place (it only ever points into
+// the platform, which outlives the operation; retire clears it). A message
+// that cannot be routed abandons the step: expand returns nothing and the
+// error waits in takeErr.
 func (x *expander) expand(step int) []core.MessagePlan {
-	// The previous step's plans are dead; drop their queue and occupancy
-	// pointers before the storage is reused.
-	clear(x.stages)
-	clear(x.plans)
+	if step != x.next {
+		x.off = 0
+		for _, msgs := range x.steps[:step] {
+			x.off += len(msgs)
+		}
+	}
+	msgs := x.steps[step]
+	codes := x.prog.msgs[x.off : x.off+len(msgs)]
+	x.next, x.off = step+1, x.off+len(msgs)
+
 	stages, plans := x.stages[:0], x.plans[:0]
-	for _, m := range x.steps[step] {
-		from, err := x.binding.Resolve(m.From)
-		if err != nil {
-			panic(err)
-		}
-		to, err := x.binding.Resolve(m.To)
-		if err != nil {
-			panic(err)
-		}
+	for i, m := range codes {
 		start := len(stages)
-		stages, err = x.binding.Inf.AppendHop(stages, from, to, m.Cost)
-		if err != nil {
-			panic(err)
+		var err error
+		if stages, err = x.binding.appendMsg(stages, m, x.tiers, msgs[i].Cost); err != nil {
+			x.err = err
+			return nil
 		}
 		plans = append(plans, core.MessagePlan{Stages: stages[start:]})
 	}

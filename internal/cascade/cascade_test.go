@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -421,5 +422,171 @@ func TestScratchRetiresCleanAndReuses(t *testing.T) {
 	}
 	if plans := again.Expand(0); len(plans) != 1 || len(plans[0].Stages) == 0 {
 		t.Fatalf("recycled expander expanded step 0 into %v", plans)
+	}
+}
+
+// A launcher compiles an operation once and each pair of sites once; what it
+// recycles through Scratch.NewBinding comes back blank: no server picks, no
+// balancer, no sites.
+func TestScratchCompilesOnceAndRecyclesBindings(t *testing.T) {
+	_, inf := testInfra(t)
+	na, aus := inf.DC("NA"), inf.DC("AUS")
+	var sc Scratch
+	op := loginOp()
+	launch := func(local, master *topology.DataCenter) *Binding {
+		t.Helper()
+		b := sc.NewBinding(inf, local, master)
+		b.Balance = (*topology.Tier).PickLeastLoaded
+		run, err := sc.Instantiate(op, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < run.NumSteps; s++ {
+			if len(run.Expand(s)) == 0 {
+				t.Fatalf("step %d expanded to nothing: %v", s, run.Err())
+			}
+		}
+		run.Retire()
+		return b
+	}
+	first := launch(aus, na)
+	if first.Local != nil || first.Balance != nil || first.servers != [affinitySlots]*topology.Server{} {
+		t.Fatalf("retired binding still bound: %+v", first)
+	}
+	if second := launch(na, na); second != first {
+		t.Error("second launch did not reuse the retired binding")
+	}
+	launch(aus, na)
+	if len(sc.programs) != 1 || len(sc.sites) != 2 {
+		t.Errorf("%d programs and %d site tables after three launches of one operation over two site pairs, want 1 and 2",
+			len(sc.programs), len(sc.sites))
+	}
+
+	// A caller-owned binding serves a whole series: it is never recycled.
+	own := NewBinding(inf, na, na)
+	run, err := sc.Instantiate(op, own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Expand(0)
+	run.Retire()
+	if own.Local != na || own.servers == [affinitySlots]*topology.Server{} || len(sc.bindings) != 1 {
+		t.Error("a caller-owned binding was reset or taken onto the free list")
+	}
+}
+
+// Expand locates a step through a cursor that assumes the flow's order;
+// any other order must land on the same messages.
+func TestExpandOutOfOrderMatchesInOrder(t *testing.T) {
+	_, inf := testInfra(t)
+	na := inf.DC("NA")
+	op := fanOp()
+	agents := func(run core.OpRun, step int) (ids []core.AgentID) {
+		for _, p := range run.Expand(step) {
+			for _, st := range p.Stages {
+				ids = append(ids, st.Queue.ID())
+			}
+		}
+		return ids
+	}
+	inOrder, err := Instantiate(op, NewBinding(inf, na, na))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]core.AgentID
+	for s := 0; s < inOrder.NumSteps; s++ {
+		want = append(want, agents(inOrder, s))
+	}
+	// Same binding state (fresh platform), steps visited backwards and twice.
+	_, inf2 := testInfra(t)
+	na2 := inf2.DC("NA")
+	shuffled, err := Instantiate(op, NewBinding(inf2, na2, na2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agents(shuffled, 0) // make the same server picks first
+	for _, s := range []int{op.lastStep(), 0, op.lastStep(), 1 % len(op.Steps)} {
+		got := agents(shuffled, s)
+		if len(got) != len(want[s]) {
+			t.Fatalf("step %d out of order: %d stages, in order %d", s, len(got), len(want[s]))
+		}
+		for i := range got {
+			if got[i] != want[s][i] {
+				t.Fatalf("step %d out of order: stage %d on agent %d, in order %d", s, i, got[i], want[s][i])
+			}
+		}
+	}
+}
+
+func (op Op) lastStep() int { return len(op.Steps) - 1 }
+
+// What cannot be bound is an error from Instantiate, not a panic at the
+// first expansion: a client role without a client population, a server role
+// no site hosts.
+func TestInstantiateRejectsUnbindableOperations(t *testing.T) {
+	_, inf := testInfra(t)
+	na, aus := inf.DC("NA"), inf.DC("AUS")
+	idx := Seq("REINDEX", Msg{From: End{Role: App, Site: SiteMaster}, To: End{Role: Idx, Site: SiteMaster},
+		Cost: R{CPUCycles: 1e8, NetBytes: 1e4}})
+	if _, err := Instantiate(idx, NewBinding(inf, aus, na)); err == nil {
+		t.Error("instantiated an operation on a tier no site hosts")
+	}
+	if _, err := NewBinding(inf, aus, na).Resolve(End{Role: Idx}); err == nil {
+		t.Error("resolved an endpoint on a tier no site hosts")
+	}
+	noClients := NewBinding(inf, na, na)
+	noClients.Slot = nil
+	if _, err := Instantiate(loginOp(), noClients); err == nil {
+		t.Error("instantiated a client operation on a binding without a client slot")
+	}
+	if _, err := noClients.Resolve(End{Role: Client}); err == nil {
+		t.Error("resolved a client endpoint without a client slot")
+	}
+	// An operation that names no client needs none.
+	if _, err := Instantiate(Seq("SYNC", Msg{From: End{Role: Daemon, Site: SiteMaster}, To: End{Role: FS},
+		Cost: R{CPUCycles: 1e8, NetBytes: 1e4}}), noClients); err != nil {
+		t.Errorf("daemon operation on a binding without a client slot: %v", err)
+	}
+}
+
+// A step that cannot be routed expands to nothing and leaves its reason in
+// OpRun.Err; driven by a simulation, that ends the run with a typed error
+// instead of a panic.
+func TestUnroutableStepFailsTheSimulation(t *testing.T) {
+	sim, inf := testInfra(t)
+	na, aus := inf.DC("NA"), inf.DC("AUS")
+	var sc Scratch
+	run, err := sc.Instantiate(loginOp(), sc.NewBinding(inf, aus, na))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf.IsolateDC("AUS")
+	var noRoute *topology.NoRouteError
+	if plans := run.Expand(0); len(plans) != 0 || !errors.As(run.Err(), &noRoute) {
+		t.Fatalf("expansion across a partition: %d plans, error %v", len(plans), run.Err())
+	}
+	sim.AddSource(core.SourceFunc(func(s *core.Simulation, now float64) {
+		if now == 0 {
+			r, err := sc.Instantiate(loginOp(), sc.NewBinding(inf, aus, na))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.StartOp(r)
+		}
+	}))
+	err = sim.RunUntilIdle(10)
+	var opErr *core.OpError
+	if !errors.As(err, &opErr) || !errors.As(err, &noRoute) {
+		t.Fatalf("RunUntilIdle = %v, want an *OpError around a *NoRouteError", err)
+	}
+	if opErr.Op != "LOGIN" || opErr.DC != "AUS" || opErr.At != 0 {
+		t.Errorf("OpError %+v, want LOGIN from AUS at t=0", opErr)
+	}
+	if sim.Err() != err || sim.Clock().Now() > 1 {
+		t.Errorf("simulation error %v at tick %d, want the run stopped at the first window", sim.Err(), sim.Clock().Now())
+	}
+	sim.RunFor(5)
+	if sim.Clock().Now() > 1 {
+		t.Error("a failed simulation kept advancing")
 	}
 }

@@ -14,23 +14,21 @@ import (
 // with caches enabled the estimate consumes hit-decision randomness like a
 // real expansion would.
 func Estimate(op Op, b *Binding, step float64) (float64, error) {
-	if err := op.Validate(); err != nil {
+	p, err := compile(op)
+	if err != nil {
+		return 0, err
+	}
+	tiers := resolveTiers(b.Local, b.Master)
+	if err := p.bindable(b, tiers); err != nil {
 		return 0, err
 	}
 	total := 0.0
+	codes := p.msgs
 	var plan core.MessagePlan // one stage buffer serves every message
 	for _, msgs := range op.Steps {
 		slowest := 0.0
-		for _, m := range msgs {
-			from, err := b.Resolve(m.From)
-			if err != nil {
-				return 0, err
-			}
-			to, err := b.Resolve(m.To)
-			if err != nil {
-				return 0, err
-			}
-			plan.Stages, err = b.Inf.AppendHop(plan.Stages[:0], from, to, m.Cost)
+		for i, m := range msgs {
+			plan.Stages, err = b.appendMsg(plan.Stages[:0], codes[i], tiers, m.Cost)
 			if err != nil {
 				return 0, err
 			}
@@ -38,6 +36,7 @@ func Estimate(op Op, b *Binding, step float64) (float64, error) {
 				slowest = d
 			}
 		}
+		codes = codes[len(msgs):]
 		total += slowest
 	}
 	return total, nil

@@ -215,9 +215,18 @@ func (b *AgentBase) Drain(fn func(*queueing.Task)) {
 	b.done = b.done[:0]
 }
 
-// Engine parallelizes the per-tick sweep over the active agents.
-// Implementations: SequentialEngine (here), ScatterGather and HDispatch
+// Engine parallelizes the sweep over the active agents. Implementations:
+// SequentialEngine (here), ScatterGather, HDispatch and Sharded
 // (internal/dispatch).
+//
+// Which loop calls Sweep: the reference loop (LoopFlags.NoFastForward) calls
+// it once per tick, whatever the engine. The production window loop calls it
+// once per non-empty window only for the Chapter-4 engines (ScatterGather,
+// HDispatch, or any decorator around an engine); when the engine is a
+// *SequentialEngine the loop advances the window's involved agents itself —
+// the same plain loop, without the interface call, the closure and the
+// []Agent materialization — and under the sharded runtime windows run inline
+// on the root or on shard lanes (ShardRunner.RunShards), never through Sweep.
 type Engine interface {
 	// Bind hands the engine the full agent population so it can size
 	// per-agent resources (ports, partitions). Called once before the first
@@ -232,7 +241,9 @@ type Engine interface {
 }
 
 // SequentialEngine applies the sweep on the calling goroutine. It is the
-// reference implementation that the parallel engines must match exactly.
+// reference implementation that the parallel engines must match exactly, and
+// the production default: the window loop recognizes it and runs its loop
+// inline (see Engine), so its Sweep is reached from the reference tick only.
 type SequentialEngine struct{}
 
 // Bind is a no-op: the sequential engine needs no per-agent resources.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -630,5 +631,101 @@ func TestDirectTickNeverJumps(t *testing.T) {
 	}
 	if s.Clock().Now() != 1000 {
 		t.Errorf("clock at %d, want 1000", s.Clock().Now())
+	}
+}
+
+// An Expand that returns nothing is an empty step unless OpRun.Err says
+// otherwise; then the flow is abandoned where it stands, the simulation
+// records the first such error wrapped in an *OpError, finishes the window
+// and stops.
+func TestExpandErrorStopsTheRun(t *testing.T) {
+	s := NewSimulation(Config{Step: 0.01, Seed: 1})
+	cpu := newTestQueueAgent(s, "cpu", 1, 100)
+	cause := errors.New("no way through")
+	failing := singleStageOp("DOOMED", "EU", cpu, 10)
+	failing.NumSteps = 3
+	inner := failing.Expand
+	var failedStep int
+	failing.Expand = func(step int) []MessagePlan {
+		if step == 1 {
+			failedStep = step
+			return nil
+		}
+		return inner(step)
+	}
+	failing.Err = func() error {
+		if failedStep == 1 {
+			return cause
+		}
+		return nil
+	}
+	completed := false
+	failing.OnComplete = func(now, dur float64) { completed = true }
+	emptyStep := singleStageOp("SPARSE", "EU", cpu, 10)
+	emptyStep.NumSteps = 2
+	emptyStep.Expand = func(step int) []MessagePlan {
+		if step == 0 {
+			return nil // empty, and Err stays nil: skipped
+		}
+		return inner(step)
+	}
+	emptyStep.Err = func() error { return nil }
+	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
+		if now == 0 {
+			sim.StartOp(emptyStep)
+			sim.StartOp(failing)
+		}
+	}))
+	err := s.RunUntilIdle(5)
+	var opErr *OpError
+	if !errors.As(err, &opErr) || !errors.Is(err, cause) {
+		t.Fatalf("RunUntilIdle = %v, want an *OpError around the cause", err)
+	}
+	if opErr.Op != "DOOMED" || opErr.DC != "EU" || opErr.At <= 0 {
+		t.Errorf("OpError %+v, want DOOMED from EU at its second step's instant", opErr)
+	}
+	if completed {
+		t.Error("the abandoned flow completed")
+	}
+	s.Fail(errors.New("later"))
+	if s.Err() != err {
+		t.Error("a later failure replaced the first")
+	}
+	stopped := s.Clock().Now()
+	s.RunFor(1)
+	if s.Clock().Now() != stopped {
+		t.Error("a failed simulation kept advancing")
+	}
+}
+
+// Finished flows go back to their window: a chain of operations, each
+// started by its predecessor's completion, runs on one Flow.
+func TestFlowsAreRecycled(t *testing.T) {
+	s := NewSimulation(Config{Step: 0.01, Seed: 1})
+	cpu := newTestQueueAgent(s, "cpu", 1, 100)
+	left := 50
+	var chain OpRun
+	chain = singleStageOp("LINK", "NA", cpu, 1)
+	chain.OnComplete = func(now, dur float64) {
+		if left--; left > 0 {
+			s.StartOp(chain)
+		}
+	}
+	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
+		if now == 0 {
+			sim.StartOp(chain)
+		}
+	}))
+	if err := s.RunUntilIdle(10); err != nil {
+		t.Fatal(err)
+	}
+	if s.CompletedOps() != 50 {
+		t.Fatalf("%d operations completed, want 50", s.CompletedOps())
+	}
+	if n := len(s.root.flowPool); n != 1 {
+		t.Errorf("%d flows on the free list after a chain of 50, want the one they shared", n)
+	}
+	if f := s.root.flowPool[0]; f.op.Expand != nil || f.op.OnComplete != nil || f.outstanding != 0 {
+		t.Errorf("pooled flow retains its operation: %+v", f)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/queueing"
@@ -37,16 +36,15 @@ func (d *DelayLine) Enqueue(t *queueing.Task) {
 	d.Sync()
 	d.MarkDirty()
 	d.seq++
-	heap.Push(&d.heap, delayEntry{expiry: d.now + t.Delay, seq: d.seq, task: t})
+	d.heap.push(delayEntry{expiry: d.now + t.Delay, seq: d.seq, task: t})
 }
 
 // Step advances local time and buffers expired tasks in expiry order (ties
 // broken by admission order for determinism).
 func (d *DelayLine) Step(dt float64) {
 	d.now += dt
-	for d.heap.Len() > 0 && d.heap[0].expiry <= d.now+1e-12 {
-		e := heap.Pop(&d.heap).(delayEntry)
-		d.BufferDone(e.task)
+	for len(d.heap) > 0 && d.heap[0].expiry <= d.now+1e-12 {
+		d.BufferDone(d.heap.pop().task)
 	}
 }
 
@@ -55,7 +53,7 @@ func (d *DelayLine) Step(dt float64) {
 // large addition would shift them by ulps — but when no expiry can fall in
 // the window the per-tick heap inspection is elided.
 func (d *DelayLine) StepN(n int, dt float64) {
-	if d.heap.Len() == 0 || d.heap[0].expiry-d.now > float64(n)*dt+1e-7 {
+	if len(d.heap) == 0 || d.heap[0].expiry-d.now > float64(n)*dt+1e-7 {
 		now := d.now
 		for i := 0; i < n; i++ {
 			now += dt
@@ -69,13 +67,13 @@ func (d *DelayLine) StepN(n int, dt float64) {
 }
 
 // Idle reports whether no tasks are waiting.
-func (d *DelayLine) Idle() bool { return d.heap.Len() == 0 }
+func (d *DelayLine) Idle() bool { return len(d.heap) == 0 }
 
 // Horizon returns the time until the earliest held task expires, measured
 // against the line's local clock — which is exactly the simulated time the
 // line will accumulate across a fast-forward replay — or +Inf when empty.
 func (d *DelayLine) Horizon() float64 {
-	if d.heap.Len() == 0 {
+	if len(d.heap) == 0 {
 		return math.Inf(1)
 	}
 	return d.heap[0].expiry - d.now
@@ -87,21 +85,52 @@ type delayEntry struct {
 	task   *queueing.Task
 }
 
+// delayHeap is a binary min-heap on (expiry, seq) — a strict total order, so
+// the pop sequence does not depend on the heap's internal layout. It is
+// written out rather than built on container/heap, whose any-typed Push and
+// Pop box one entry per call: the delay line sits on every operation's path.
 type delayHeap []delayEntry
 
-func (h delayHeap) Len() int { return len(h) }
-func (h delayHeap) Less(i, j int) bool {
+func (h delayHeap) less(i, j int) bool {
 	if h[i].expiry != h[j].expiry {
 		return h[i].expiry < h[j].expiry
 	}
 	return h[i].seq < h[j].seq
 }
-func (h delayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *delayHeap) Push(x any)   { *h = append(*h, x.(delayEntry)) }
-func (h *delayHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *delayHeap) push(e delayEntry) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *delayHeap) pop() delayEntry {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = delayEntry{}
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		min := i
+		if l := 2*i + 1; l < n && s.less(l, min) {
+			min = l
+		}
+		if r := 2*i + 2; r < n && s.less(r, min) {
+			min = r
+		}
+		if min == i {
+			return top
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
 }

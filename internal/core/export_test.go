@@ -20,3 +20,7 @@ func (f ForcedGrain) forcedGrain() int { return f.Grain }
 func DenseRing(eng ShardRunner, grain, dcs, per int, seconds float64) *Simulation {
 	return denseRing(Config{Engine: ForcedGrain{eng, grain}}, dcs, per, nil, seconds, nil)
 }
+
+// InSpan reports whether the caller runs inside a stretched span — on a
+// shard lane, between barriers.
+func (s *Simulation) InSpan() bool { return s.sh != nil && s.sh.inSpan }

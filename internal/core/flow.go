@@ -76,6 +76,12 @@ type OpRun struct {
 	// stage storage behind it from one call to the next. That makes one
 	// OpRun value drive one flow — start each flow from its own OpRun.
 	Expand func(step int) []MessagePlan
+	// Err, when non-nil, is consulted after an Expand that returned no
+	// plans: a non-nil error means the step could not be expanded (a
+	// message with no surviving route) rather than being empty. The flow is
+	// abandoned in place and the error becomes the simulation's fatal error
+	// (Simulation.Fail), wrapped in an *OpError.
+	Err func() error
 	// OnComplete, when non-nil, runs in the sequential phase after the
 	// operation finishes. now and dur are simulated seconds.
 	OnComplete func(now, dur float64)
@@ -159,20 +165,29 @@ func (s *Simulation) flowWindow(f *Flow) *window {
 	if s.sh == nil || !s.sh.inSpan {
 		return &s.root
 	}
-	if f.global {
+	return s.spanWindow(&f.op, f.global)
+}
+
+// spanWindow is flowWindow's in-span arm, written against the operation so
+// startOp can resolve the window before it draws the Flow from that window's
+// free list.
+func (s *Simulation) spanWindow(op *OpRun, global bool) *window {
+	if global {
 		panic(fmt.Sprintf("core: cross-capable flow %q (Local=%v, OnComplete=%v) at a control point inside a stretched span — launched from a lane, or chain-completion bound violated",
-			f.op.Name, f.op.Local, f.op.OnComplete != nil))
+			op.Name, op.Local, op.OnComplete != nil))
 	}
-	w, ok := s.sh.dcLane[f.op.DC]
+	w, ok := s.sh.dcLane[op.DC]
 	if !ok {
-		panic(fmt.Sprintf("core: flow for unmapped data center %q inside a stretched span", f.op.DC))
+		panic(fmt.Sprintf("core: flow for unmapped data center %q inside a stretched span", op.DC))
 	}
 	return &s.sh.lanes[w].window
 }
 
 // startOp validates and launches an operation instance. It is called by
 // Simulation.StartOp in the sequential phase, or — for Local operations —
-// from a shard lane inside a stretched span.
+// from a shard lane inside a stretched span. The Flow comes from the
+// window's free list and returns to it when the operation completes, so the
+// pointer it hands back is only good while the operation is in flight.
 func (s *Simulation) startOp(op OpRun) *Flow {
 	if op.NumSteps <= 0 || op.Expand == nil {
 		panic(fmt.Sprintf("core: operation %q needs NumSteps > 0 and an Expand function", op.Name))
@@ -180,8 +195,13 @@ func (s *Simulation) startOp(op OpRun) *Flow {
 	if op.Gauge == 0 && op.GaugeKey != "" {
 		op.Gauge = s.GaugeHandle(op.GaugeKey) // panics on a first interning inside a span
 	}
-	f := &Flow{op: op, step: -1, global: !op.Local || op.OnComplete != nil}
-	w := s.flowWindow(f)
+	global := !op.Local || op.OnComplete != nil
+	w := &s.root
+	if s.sh != nil && s.sh.inSpan {
+		w = s.spanWindow(&op, global)
+	}
+	f := w.newFlow()
+	f.op, f.step, f.global = op, -1, global
 	w.nextFlowID++
 	f.id = w.nextFlowID
 	f.start = s.clock.SecondsAt(w.tick)
@@ -212,6 +232,12 @@ func (s *Simulation) advanceFlow(f *Flow) {
 		}
 		plans := f.op.Expand(f.step)
 		if len(plans) == 0 {
+			if f.op.Err != nil {
+				if err := f.op.Err(); err != nil {
+					s.Fail(&OpError{Op: f.op.Name, DC: f.op.DC, At: s.clock.SecondsAt(w.tick), Err: err})
+					return
+				}
+			}
 			continue
 		}
 		f.outstanding = len(plans)
@@ -249,26 +275,30 @@ func (s *Simulation) startStage(tok *token) {
 			// ends (the WAN latency is the lookahead that makes the due
 			// tick safe); a same-shard hand-off proceeds inline on this
 			// lane.
-			if sh := s.sh; sh != nil && sh.inSpan && tok.global && sh.shard(st.Queue.ID()) != tok.home {
+			id := st.Queue.ID()
+			if sh := s.sh; sh != nil && sh.inSpan && tok.global && sh.shard(id) != tok.home {
 				sh.postInbox(s, st.Queue, tok)
 				return
 			}
 			// The target may be lazily stepped; replay its deficit before
 			// the enqueue mutates its queues, so the new work lands on
 			// state identical to the reference loop's. Hardware agents
-			// also self-sync in Enqueue; routing through here covers
-			// custom agents too.
-			s.syncAgent(st.Queue.ID())
+			// self-sync in Enqueue and then find nothing left to replay;
+			// routing through here covers custom agents too.
+			s.syncAgent(id)
 			st.Queue.Enqueue(&tok.task)
 			// Join the active set so the agent is stepped from the next
-			// tick on; hardware agents also self-activate in Enqueue, but
-			// routing through here covers custom agents too.
-			st.Queue.Base().MarkActive()
+			// tick on. Hardware agents self-activate in Enqueue through
+			// their queues' notify hooks, which leaves two flag reads here;
+			// custom agents get the call.
+			if b := s.bases[id]; !b.active || !b.dirty {
+				b.MarkActive()
+			}
 			if tok.global {
 				// Maintain the span scheduler's view: where the token
 				// lives and when it entered the stage.
-				tok.home = s.sh.shard(st.Queue.ID())
-				tok.stageTick = s.windowOf(st.Queue.ID()).tick
+				tok.home = s.sh.shard(id)
+				tok.stageTick = s.windowOf(id).tick
 			}
 			return
 		}
@@ -341,10 +371,15 @@ func (s *Simulation) completeFlow(f *Flow) {
 		w.resp.Record(f.op.Name, f.op.DC, now, dur)
 	}
 	w.completed++
-	if f.op.Retire != nil {
-		f.op.Retire()
+	// The flow is dead from here on — nothing references it once its last
+	// token has been recycled — so it goes back to the window before the
+	// callbacks run: an OnComplete that chains the next operation reuses it.
+	retire, onComplete := f.op.Retire, f.op.OnComplete
+	w.freeFlow(f)
+	if retire != nil {
+		retire()
 	}
-	if f.op.OnComplete != nil {
-		f.op.OnComplete(now, dur)
+	if onComplete != nil {
+		onComplete(now, dur)
 	}
 }

@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/experiment"
+	"repro/internal/hardware"
 	"repro/internal/scenarios"
+	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // The sharded runtime on real platforms. The thesis scenarios are too small
@@ -209,4 +213,127 @@ func TestChaosStretchBarriers(t *testing.T) {
 	if off.Stats.WindowsStretched != 0 {
 		t.Errorf("NoStretch run stretched %d windows, want 0", off.Stats.WindowsStretched)
 	}
+}
+
+// spanProbe wraps a lane-confined client workload and counts the operations
+// it launches from inside stretched spans: the workload keeps its
+// "<prefix>:active" gauge, which a launch raises and nothing lowers during a
+// poll. Each probe belongs to one data center, so only that lane writes it.
+type spanProbe struct {
+	*workload.AppWorkload
+	active core.Gauge
+	inSpan int
+}
+
+func (p *spanProbe) Poll(s *core.Simulation, now float64) {
+	before := s.GaugeValueBy(p.active)
+	p.AppWorkload.Poll(s, now)
+	if s.InSpan() {
+		p.inSpan += int(s.GaugeValueBy(p.active) - before)
+	}
+}
+
+// TestShardedLaneLaunchesInsideSpans pins the lane-safety rule of the
+// lazily filled launch tables (cascade.Scratch: "filled only in sequential
+// phases, or confined to one data center") where it can break: three data
+// centers, each launching its own lane-confined operations from inside
+// stretched spans — first launches compile programs and tier tables there,
+// every launch recycles bindings, expanders and flows on its lane — while
+// 5% of the traffic crosses to the next data center, so cross-DC steps
+// expand, and fill the shared WAN route table, in the sequential phases in
+// between. Run under the race detector (CI's sharded-equivalence selection
+// matches the name) it catches a table shared across lanes; the digest
+// catches one that changes a draw.
+func TestShardedLaneLaunchesInsideSpans(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lane-launch leg skipped in -short")
+	}
+	const dcs = 3
+	name := func(d int) string { return fmt.Sprintf("DC%d", d%dcs) }
+	srv := topology.ServerSpec{
+		CPU: hardware.CPUSpec{Sockets: 1, Cores: 8, GHz: apps.ServerGHz}, MemGB: 32, CacheHitRate: 0.2, NICGbps: 10,
+		RAID: &hardware.RAIDSpec{Disks: 4, Disk: hardware.DiskSpec{CtrlGbps: 4, MBps: 150, HitRate: 0.1}, CtrlGbps: 8, HitRate: 0.05},
+	}
+	local := hardware.LinkSpec{Gbps: 10, LatencyMS: 0.45}
+	run := func(mk func() core.Engine) (string, []int, core.RunStats) {
+		t.Helper()
+		spec := topology.InfraSpec{Clients: map[string]topology.ClientSpec{}}
+		opts := []experiment.Option{experiment.WithSeed(5), experiment.WithStep(0.01), experiment.WithDuration(60)}
+		if mk != nil {
+			opts = append(opts, experiment.WithEngine(mk))
+		}
+		pdm, err := experiment.OpsByName("PDM", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < dcs; d++ {
+			dc, next := name(d), name(d+1)
+			spec.DCs = append(spec.DCs, topology.DCSpec{
+				Name: dc, SwitchGbps: 40, ClientLink: hardware.LinkSpec{Gbps: 10, LatencyMS: 0.5},
+				Tiers: []topology.TierSpec{
+					{Name: "app", Servers: 3, Server: srv, LocalLink: local},
+					{Name: "db", Servers: 2, Server: srv, LocalLink: local},
+				},
+			})
+			spec.Clients[dc] = topology.ClientSpec{Slots: 32, NICGbps: 1, GHz: 2.5, DiskMBs: 120}
+			spec.WAN = append(spec.WAN, topology.WANSpec{From: dc, To: next, Link: hardware.LinkSpec{Gbps: 1, LatencyMS: 120}})
+			// The cross-DC share: a global source, expanded between spans.
+			opts = append(opts, experiment.WithWorkload(experiment.Workload{
+				App: "PDM", DC: dc, Stream: 2,
+				Users: workload.BusinessDay(30, 0, 24, 30), OpsPerUserHour: 40,
+				OpsFn: pdm, OpsKey: "PDM", APM: workload.AccessMatrix{dc: {next: 1}},
+			}))
+		}
+		probes := make([]*spanProbe, dcs)
+		opts = append(opts, experiment.WithInfra(spec), experiment.WithSetup(func(r *experiment.Run) error {
+			for d := range probes {
+				dc := name(d)
+				w := &workload.AppWorkload{
+					App: "PDM-local", DC: dc, Stream: 1,
+					Users: workload.BusinessDay(600, 0, 24, 600), OpsPerUserHour: 40,
+					Ops: apps.PDMOps(), APM: workload.AccessMatrix{dc: {dc: 1}},
+					Inf: r.Inf, GaugePrefix: "local:" + dc,
+				}
+				if !w.LaneSafe() {
+					return fmt.Errorf("workload at %s is not lane-safe", dc)
+				}
+				w.InitSource(r.Sim)
+				probes[d] = &spanProbe{AppWorkload: w, active: r.Sim.GaugeHandle("local:" + dc + ":active")}
+				r.Sim.AddLaneSource(probes[d], dc)
+			}
+			return nil
+		}))
+		e, err := experiment.New("lane-launches", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inSpan := make([]int, dcs)
+		for d, p := range probes {
+			inSpan[d] = p.inSpan
+		}
+		return res.Digest(), inSpan, res.Stats
+	}
+	seq, seqInSpan, _ := run(nil)
+	got, inSpan, st := run(func() core.Engine { return forkAll(dcs) })
+	if got != seq {
+		t.Errorf("digest diverged from the sequential loop:\n%s\n%s", seq, got)
+	}
+	for d := range inSpan {
+		if seqInSpan[d] != 0 {
+			t.Errorf("sequential run reported %d in-span launches at %s", seqInSpan[d], name(d))
+		}
+		if inSpan[d] == 0 {
+			t.Errorf("no operation launched from inside a span at %s; the lane-safety rule was not exercised", name(d))
+		}
+	}
+	if st.WindowsStretched == 0 || st.MailboxApplied == 0 {
+		t.Errorf("%d windows stretched, %d cross-shard deliveries: want lanes running under live cross-DC traffic",
+			st.WindowsStretched, st.MailboxApplied)
+	}
+	t.Logf("in-span launches per DC %v of %d completed operations; %d windows stretched behind %d barriers",
+		inSpan, st.CompletedOps, st.WindowsStretched, st.Barriers)
 }

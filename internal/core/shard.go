@@ -705,7 +705,7 @@ func (s *Simulation) laneWindow(ln *laneState) {
 	landing := ln.tick + ln.jump(ln.spanEnd)
 	ln.popInvolved(landing, ln.limit)
 	for _, id := range ln.inv {
-		s.advanceAgentTo(s.agents[id], landing)
+		s.advanceAgentTo(id, landing)
 	}
 	ln.tick = landing
 	// A cross-capable token whose next stage lives on another shard posts

@@ -114,6 +114,19 @@ type Simulation struct {
 	agents  []Agent
 	sources []Source
 
+	// bases is the dense agent table: bases[id] is the AgentBase of agents[id],
+	// resolved once at registration so the loop's set-membership tests
+	// (active, dirty, pendDrain, pinned) index a slice instead of paying an
+	// interface call per test. inlineSweep is set when the engine is the
+	// SequentialEngine: runWindow then advances the involved set itself and
+	// Engine.Sweep is left to the reference tick and the Chapter-4 engines.
+	bases       []*AgentBase
+	inlineSweep bool
+
+	// err is the first fatal error a control point reported (Fail); the run
+	// loops stop at the next window boundary once it is set.
+	err error
+
 	// root is the global loop's window: the active, pinned, dirty and drain
 	// sets, the event calendar, the flow counters and the token pool. Its
 	// tick mirrors the clock. The reference loop uses only its active list
@@ -216,8 +229,9 @@ func NewSimulation(cfg Config) *Simulation {
 		thinning:     !cfg.NoThinning,
 		noFaults:     cfg.NoFaults,
 	}
+	_, s.inlineSweep = eng.(*SequentialEngine)
 	s.root = window{s: s, srcMin: neverTick, resp: s.Responses}
-	s.advanceFn = func(a Agent) { s.advanceAgentTo(a, s.advanceTo) }
+	s.advanceFn = func(a Agent) { s.advanceAgentTo(a.ID(), s.advanceTo) }
 	s.drainFn = s.onTaskDone
 	// The sharded runtime's barriers are window boundaries; the reference
 	// loop runs any engine — including a ShardRunner — through plain Sweep
@@ -268,12 +282,13 @@ func (s *Simulation) AddAgent(a Agent) {
 	if got, want := a.ID(), AgentID(len(s.agents)); got != want {
 		panic(fmt.Sprintf("core: agent %q registered with ID %d, want %d", a.Name(), got, want))
 	}
+	b := a.Base()
 	s.agents = append(s.agents, a)
+	s.bases = append(s.bases, b)
 	s.root.cal.grow(len(s.agents))
 	s.agentTick = append(s.agentTick, 0)
 	s.hMemoTick = append(s.hMemoTick, hMemoUnset)
 	s.hMemo = append(s.hMemo, 0)
-	b := a.Base()
 	b.sim = s
 	if b.pinned || !a.Idle() {
 		b.MarkActive() // pinned (or pre-loaded) before registration
@@ -305,7 +320,7 @@ func (s *Simulation) activate(id AgentID) {
 	w := s.windowOf(id)
 	w.live++
 	s.agentTick[id] = w.tick
-	if b := s.agents[id].Base(); !b.listed {
+	if b := s.bases[id]; !b.listed {
 		b.listed = true
 		w.active = append(w.active, id)
 	}
@@ -321,7 +336,7 @@ func (s *Simulation) invalidate(id AgentID) {
 	w := s.windowOf(id)
 	w.dirty = append(w.dirty, id)
 	s.hMemoTick[id] = hMemoUnset
-	w.markDrain(s.agents[id].Base())
+	w.markDrain(s.bases[id])
 }
 
 // hMemoUnset marks a horizon memo entry invalid. Basis ticks are clock
@@ -335,12 +350,11 @@ const hMemoUnset = simtime.Tick(-1)
 // direct call would produce. Callers in parallel phases are safe as long
 // as each agent is read by its owning worker only — the memo slots are
 // per-agent.
-func (s *Simulation) agentHorizon(a Agent, basis simtime.Tick) float64 {
-	id := a.ID()
+func (s *Simulation) agentHorizon(id AgentID, basis simtime.Tick) float64 {
 	if s.hMemoTick[id] == basis {
 		return s.hMemo[id]
 	}
-	h := a.Horizon()
+	h := s.agents[id].Horizon()
 	s.hMemo[id] = h
 	s.hMemoTick[id] = basis
 	return h
@@ -615,14 +629,16 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 	landing := w.tick + w.jump(limit)
 	w.popInvolved(landing, limit)
 
-	// Parallel phase: advance the involved agents through the window. Under
-	// the sharded runtime a window that is not part of a span runs right
-	// here — a lone window never carries the work a barrier costs (see
-	// shardGrain), and which goroutine advances an agent never shows in a
-	// result; otherwise the engine sweeps the sorted involved set.
-	if sh != nil {
+	// Parallel phase: advance the involved agents through the window. On
+	// the sequential engine, and under the sharded runtime for a window that
+	// is not part of a span, that happens right here — the plain loop is
+	// what SequentialEngine.Sweep would run, and a lone window never carries
+	// the work a barrier costs (see shardGrain); which goroutine advances an
+	// agent never shows in a result. Only the Chapter-4 engines (and any
+	// decorator around one) are handed the sorted involved set.
+	if sh != nil || s.inlineSweep {
 		for _, id := range w.inv {
-			s.advanceAgentTo(s.agents[id], landing)
+			s.advanceAgentTo(id, landing)
 		}
 	} else if len(w.inv) > 0 {
 		s.advanceTo = landing
@@ -652,17 +668,20 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 // re-bases agentTick). The reference loop steps every active agent every
 // tick and keeps no agentTick, so it has nothing to catch up.
 func (s *Simulation) syncAgent(id AgentID) {
-	if !s.fastForward {
-		return
+	// The common case — no sharded runtime, agent already current — exits
+	// here, inlined into the caller: the hook sits on every enqueue, twice
+	// for hardware agents (the flow router's call, then the agent's own,
+	// which finds nothing left).
+	if s.sh != nil || s.root.tick > s.agentTick[id] {
+		s.catchUp(id)
 	}
-	// The common already-current case exits here, before any dynamic
-	// dispatch — the hook sits on every enqueue.
-	now := s.windowOf(id).tick
-	if now <= s.agentTick[id] {
-		return
-	}
-	if a := s.agents[id]; a.Base().active {
-		s.advanceAgentTo(a, now)
+}
+
+// catchUp is syncAgent out of line: resolve the agent's window and replay
+// its deficit, if it is active and has one.
+func (s *Simulation) catchUp(id AgentID) {
+	if now := s.windowOf(id).tick; now > s.agentTick[id] && s.fastForward && s.bases[id].active {
+		s.advanceAgentTo(id, now)
 	}
 }
 
@@ -670,11 +689,10 @@ func (s *Simulation) syncAgent(id AgentID) {
 // tick. It runs inside the parallel sweep as well as from sequential
 // catch-ups: agentTick writes are per-agent, so it is safe under parallel
 // engines as long as each agent is advanced by one worker.
-func (s *Simulation) advanceAgentTo(a Agent, to simtime.Tick) {
-	id := a.ID()
+func (s *Simulation) advanceAgentTo(id AgentID, to simtime.Tick) {
 	if base := s.agentTick[id]; to > base {
 		s.agentTick[id] = to
-		s.advanceAgent(a, base, to-base)
+		s.advanceAgent(id, base, to-base)
 	}
 }
 
@@ -690,7 +708,8 @@ func (s *Simulation) advanceAgentTo(a Agent, to simtime.Tick) {
 // BulkStepper capability replay tick by tick. It runs inside the parallel
 // sweep as well as from sequential catch-ups; it only touches the agent's
 // own state (including its memo slots).
-func (s *Simulation) advanceAgent(a Agent, base, n simtime.Tick) {
+func (s *Simulation) advanceAgent(id AgentID, base, n simtime.Tick) {
+	a := s.agents[id]
 	step := s.clock.Step()
 	if n == 1 {
 		a.Step(step)
@@ -709,7 +728,7 @@ func (s *Simulation) advanceAgent(a Agent, base, n simtime.Tick) {
 			continue
 		}
 		k := n
-		if h := s.agentHorizon(a, base); !math.IsInf(h, 1) {
+		if h := s.agentHorizon(id, base); !math.IsInf(h, 1) {
 			if k = s.clock.WholeTicksBefore(h - ffGuard); k > n {
 				k = n
 			}
@@ -901,24 +920,65 @@ func (s *Simulation) MailboxAudit() (applied uint64, minSlack simtime.Tick, ok b
 	return applied, minSlack, true
 }
 
-// RunFor advances the simulation by d simulated seconds.
+// OpError is the fatal error of an operation that could not continue: the
+// operation's name, the client's data center and the simulated second at
+// which its step failed to expand, around the cause.
+type OpError struct {
+	Op, DC string
+	At     float64
+	Err    error
+}
+
+func (e *OpError) Error() string {
+	return fmt.Sprintf("core: operation %q from %s at t=%.2fs: %v", e.Op, e.DC, e.At, e.Err)
+}
+
+func (e *OpError) Unwrap() error { return e.Err }
+
+// Fail records a fatal error: a condition the simulated platform cannot
+// recover from (a cascade step with no surviving route). The first error
+// wins. The window in progress completes normally; RunFor and RunUntilIdle
+// stop at its boundary, and a failed simulation does not advance again. It
+// must be called from a sequential phase — the control points that can fail
+// (cross-DC step expansion) only run there.
+func (s *Simulation) Fail(err error) {
+	if s.sh != nil && s.sh.inSpan {
+		// Unreachable by construction, like RearmSource: only cross-capable
+		// flows can fail to expand, and their control points never run
+		// inside a span.
+		panic(fmt.Sprintf("core: Fail inside a stretched span: %v", err))
+	}
+	if s.err == nil {
+		s.err = err
+	}
+}
+
+// Err returns the simulation's fatal error, nil while it is healthy.
+func (s *Simulation) Err() error { return s.err }
+
+// RunFor advances the simulation by d simulated seconds, or until a fatal
+// error (Err) stops it.
 func (s *Simulation) RunFor(d float64) {
 	end := s.clock.Now() + s.clock.TicksIn(d)
-	for s.clock.Now() < end {
+	for s.clock.Now() < end && s.err == nil {
 		s.step(end)
 	}
 }
 
 // RunUntilIdle runs until no flows remain in flight and all agents are
 // idle, or maxSeconds of simulated time elapse. It returns an error on
-// timeout so stuck cascades surface in tests instead of hanging.
+// timeout so stuck cascades surface in tests instead of hanging, and the
+// fatal error (Err) when one stopped the run.
 func (s *Simulation) RunUntilIdle(maxSeconds float64) error {
 	deadline := s.clock.Now() + s.clock.TicksIn(maxSeconds)
-	for s.clock.Now() < deadline {
+	for s.clock.Now() < deadline && s.err == nil {
 		s.step(deadline)
 		if s.idle() {
 			return nil
 		}
+	}
+	if s.err != nil {
+		return s.err
 	}
 	// A budget that rounds to zero ticks leaves the loop without testing.
 	if s.idle() {
@@ -936,7 +996,7 @@ func (s *Simulation) idle() bool {
 		return false
 	}
 	for _, id := range s.root.active {
-		if a := s.agents[id]; a.Base().active && !a.Idle() {
+		if s.bases[id].active && !s.agents[id].Idle() {
 			return false
 		}
 	}

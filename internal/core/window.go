@@ -54,12 +54,14 @@ type window struct {
 	jumps     uint64 // fast-forward jumps taken
 	skipped   uint64 // whole ticks those jumps skipped
 
-	// Flow machinery: the response sink, the free list of finished message
-	// tokens and the ID counters. Lanes carry their own so in-span launches
-	// never touch shared state; lane IDs live in a per-shard band (IDs are
-	// bookkeeping only — queueing is arrival-ordered).
+	// Flow machinery: the response sink, the free lists of finished message
+	// tokens and finished flows, and the ID counters. Lanes carry their own
+	// so in-span launches never touch shared state; lane IDs live in a
+	// per-shard band (IDs are bookkeeping only — queueing is
+	// arrival-ordered).
 	resp       *metrics.Responses
 	tokenPool  []*token
+	flowPool   []*Flow
 	nextFlowID uint64
 	nextTaskID uint64
 }
@@ -107,15 +109,14 @@ func (w *window) minDue() simtime.Tick {
 func (w *window) rekey() {
 	s := w.s
 	for _, id := range w.dirty {
-		a := s.agents[id]
-		b := a.Base()
+		b := s.bases[id]
 		b.dirty = false
 		if !b.active {
 			w.cal.remove(id)
 			continue
 		}
 		base := s.agentTick[id]
-		w.cal.set(id, s.agentKey(s.agentHorizon(a, base), base))
+		w.cal.set(id, s.agentKey(s.agentHorizon(id, base), base))
 	}
 	w.dirty = w.dirty[:0]
 }
@@ -159,14 +160,14 @@ func (w *window) popInvolved(landing, limit simtime.Tick) {
 	w.inv = w.inv[:0]
 	for w.cal.minKey() <= landing {
 		id := w.cal.popMin()
-		b := s.agents[id].Base()
+		b := s.bases[id]
 		b.dirty = true
 		w.dirty = append(w.dirty, id)
 		w.inv = append(w.inv, id)
 		w.markDrain(b)
 	}
 	for _, id := range w.pinned {
-		b := s.agents[id].Base()
+		b := s.bases[id]
 		if !b.dirty {
 			b.dirty = true
 			w.dirty = append(w.dirty, id)
@@ -195,7 +196,7 @@ func (w *window) markDrain(b *AgentBase) {
 func (w *window) compact() {
 	kept := w.active[:0]
 	for _, id := range w.active {
-		if b := w.s.agents[id].Base(); b.active {
+		if b := w.s.bases[id]; b.active {
 			kept = append(kept, id)
 		} else {
 			b.listed = false
@@ -217,9 +218,8 @@ func (w *window) drain() {
 	slices.Sort(pend)
 	for _, id := range pend {
 		w.drainSrc = id
-		a := s.agents[id]
-		a.Base().pendDrain = false
-		a.Drain(s.drainFn)
+		s.bases[id].pendDrain = false
+		s.agents[id].Drain(s.drainFn)
 	}
 	w.drainSpare = pend[:0]
 }
@@ -229,8 +229,7 @@ func (w *window) drain() {
 // The active-list entry stays behind as a tombstone until compact.
 func (w *window) retireIdle() {
 	for _, id := range w.inv {
-		a := w.s.agents[id]
-		if b := a.Base(); b.active && !b.pinned && a.Idle() {
+		if b := w.s.bases[id]; b.active && !b.pinned && w.s.agents[id].Idle() {
 			b.active = false
 			w.live--
 			w.cal.remove(id)
@@ -273,4 +272,22 @@ func (w *window) newToken() *token {
 func (w *window) freeToken(tok *token) {
 	*tok = token{}
 	w.tokenPool = append(w.tokenPool, tok)
+}
+
+// newFlow pops a pooled flow or allocates a fresh one.
+func (w *window) newFlow() *Flow {
+	if n := len(w.flowPool); n > 0 {
+		f := w.flowPool[n-1]
+		w.flowPool[n-1] = nil
+		w.flowPool = w.flowPool[:n-1]
+		return f
+	}
+	return &Flow{}
+}
+
+// freeFlow resets a finished flow — dropping its operation's closures — and
+// returns it to the pool. The caller guarantees its last token is gone.
+func (w *window) freeFlow(f *Flow) {
+	*f = Flow{}
+	w.flowPool = append(w.flowPool, f)
 }

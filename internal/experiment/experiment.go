@@ -702,13 +702,20 @@ func (e *Experiment) indexCyclesPerByte(growth background.GrowthModel, master st
 // Result. It may be called once per Run; the simulation is left running
 // (not shut down), so callers owning longer lifecycles can keep driving or
 // inspecting it — Experiment.Run is the one-shot convenience that also
-// releases engine resources.
+// releases engine resources. A run the platform could not carry — an
+// operation whose next step has no surviving route (*topology.NoRouteError)
+// — stops at the window it failed in and returns that error, wrapped in a
+// *core.OpError naming the operation, the client's data center and the
+// simulated second.
 func (r *Run) Execute() (*Result, error) {
 	if r.executed {
 		return nil, fmt.Errorf("experiment %s: Execute called twice", r.Experiment.name)
 	}
 	r.executed = true
 	r.Sim.RunFor(r.Experiment.DurationSeconds())
+	if err := r.Sim.Err(); err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", r.Experiment.name, err)
+	}
 	return harvest(r), nil
 }
 

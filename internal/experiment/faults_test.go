@@ -1,12 +1,16 @@
 package experiment
 
 import (
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/faults"
+	"repro/internal/topology"
 )
 
 // brownout declares a DC brownout injection over the single-DC test
@@ -225,5 +229,71 @@ func TestSweepFaultAxisValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), c.path) {
 			t.Errorf("%s: error does not name the axis: %v", c.name, err)
 		}
+	}
+}
+
+// chaosDocument loads examples/chaos.json — the document `gdisim -doc` and
+// the harness campaign run — with its fault schedule replaced.
+func chaosDocument(t *testing.T, fs ...config.FaultSpec) *Experiment {
+	t.Helper()
+	doc, err := config.Load(filepath.Join("..", "..", "examples", "chaos.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.Faults = fs
+	e, err := FromDocument(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// A data-center blackout that cuts the clients off from the master is a
+// valid document and a run the platform cannot carry: the first cross-DC
+// step expanded during the blackout has no route. That must come back from
+// Run as a typed error naming the operation, the client site and the
+// simulated second — it used to panic inside the cascade expander.
+func TestDCBlackoutReturnsNoRouteError(t *testing.T) {
+	e := chaosDocument(t, config.FaultSpec{
+		Name: "eu-dark", Kind: "dc", DC: "EU", At: 100, Duration: 100, Magnitude: 1,
+	})
+	res, err := e.Run()
+	if err == nil {
+		t.Fatalf("blackout run completed with %d operations; want a no-route error", res.Stats.CompletedOps)
+	}
+	var noRoute *topology.NoRouteError
+	if !errors.As(err, &noRoute) {
+		t.Fatalf("Run error %v (%T) does not wrap a *topology.NoRouteError", err, err)
+	}
+	if got := [2]string{noRoute.From, noRoute.To}; got != [2]string{"EU", "NA"} && got != [2]string{"NA", "EU"} {
+		t.Errorf("no route %s -> %s, want between EU and NA", noRoute.From, noRoute.To)
+	}
+	var op *core.OpError
+	if !errors.As(err, &op) {
+		t.Fatalf("Run error %v does not wrap a *core.OpError", err)
+	}
+	if op.Op == "" || op.DC != "EU" || op.At < 100 || op.At > 200 {
+		t.Errorf("OpError %+v: want an operation from EU inside the blackout [100, 200]", op)
+	}
+	if !strings.Contains(err.Error(), e.Name()) {
+		t.Errorf("error %q does not name the experiment", err)
+	}
+}
+
+// A WAN failure with a surviving backup route is not fatal: traffic detours
+// (EU - AS1 - NA) and the run completes, as the harness campaign relies on.
+func TestWANFaultWithBackupRouteCompletes(t *testing.T) {
+	e := chaosDocument(t, config.FaultSpec{
+		Name: "atlantic", Kind: "wan", From: "NA", To: "EU", At: 100, Duration: 100, Magnitude: 1,
+	})
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.CompletedOps == 0 || res.Sim.Err() != nil {
+		t.Fatalf("completed %d operations, simulation error %v", res.Stats.CompletedOps, res.Sim.Err())
+	}
+	if res.Faults == nil || res.Run.Inf.BackupArrivals() == 0 {
+		t.Fatal("the failure diverted nothing onto the backup links")
 	}
 }

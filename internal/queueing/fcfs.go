@@ -157,24 +157,20 @@ func (q *FCFS) CanBulk(span float64) bool {
 // It must only be called when CanBulk(n*dt) holds: with no completion in
 // the window, each tick's arithmetic reduces to one constant subtraction
 // per in-service task and one constant busy addition, and those per-
-// accumulator operation sequences are replayed exactly — only the per-tick
-// call overhead (refill, completion scans) is elided.
+// accumulator operation sequences are replayed exactly, four accumulators
+// abreast (chains) — only the per-tick call overhead (refill, completion
+// scans) is elided.
 func (q *FCFS) BulkStep(n int, dt float64) {
 	if len(q.inService) == 0 {
 		return
 	}
-	busyInc := dt * float64(len(q.inService))
-	for i := 0; i < n; i++ {
-		q.busy += busyInc
-	}
+	c := chains{n: n}
+	c.add(&q.busy, -(dt * float64(len(q.inService))))
 	work := dt * q.rate
 	for _, t := range q.inService {
-		d := t.Demand
-		for i := 0; i < n; i++ {
-			d -= work
-		}
-		t.Demand = d
+		c.add(&t.Demand, work)
 	}
+	c.flush()
 }
 
 // Step advances the queue by dt seconds. Completions within the step are

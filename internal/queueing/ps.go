@@ -209,21 +209,20 @@ func (q *PS) BulkStep(n int, dt float64) {
 		share = q.rate / float64(transferring)
 	}
 	consumed := dt * share
+	c := chains{n: n}
 	for _, t := range q.inService {
 		if t.Delay > eps {
-			d := t.Delay
-			for i := 0; i < n; i++ {
-				d -= dt
-			}
-			t.Delay = d
+			c.add(&t.Delay, dt)
 		} else {
-			d := t.Demand
-			for i := 0; i < n; i++ {
-				d -= consumed
-			}
-			t.Demand = d
+			c.add(&t.Demand, consumed)
 		}
 	}
+	if transferring == 1 {
+		// One addend per tick: the work total is a chain like the others.
+		c.add(&q.work, -consumed)
+		transferring = 0
+	}
+	c.flush()
 	for i := n * transferring; i > 0; i-- {
 		q.work += consumed
 	}

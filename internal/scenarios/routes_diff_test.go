@@ -1,0 +1,383 @@
+package scenarios
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/cascade"
+	"repro/internal/core"
+	"repro/internal/hardware"
+	"repro/internal/topology"
+)
+
+// routeSide is one of the two identically built platforms a differential
+// run keeps: the production path expands on one, the oracle on the other,
+// and everything observable must stay equal between them.
+type routeSide struct {
+	inf    *topology.Infrastructure
+	router *oracleRouter               // oracle side only
+	sc     map[string]*cascade.Scratch // production side only, per local DC
+	mems   map[core.Occupancy]string   // server memory -> server name
+}
+
+func newRouteSide(t testing.TB, spec topology.InfraSpec, seed uint64) *routeSide {
+	t.Helper()
+	sim := core.NewSimulation(core.Config{Step: 0.01, Seed: seed})
+	inf, err := topology.Build(sim, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &routeSide{inf: inf, router: newOracleRouter(inf),
+		sc: map[string]*cascade.Scratch{}, mems: map[core.Occupancy]string{}}
+	for _, name := range inf.DCNames() {
+		s.sc[name] = &cascade.Scratch{}
+		for _, tier := range inf.DC(name).Tiers {
+			for _, srv := range tier.Servers {
+				s.mems[srv.Mem] = srv.Name
+			}
+		}
+	}
+	return s
+}
+
+// mutate applies one WAN mutation to both platforms and tells the oracle's
+// router what the old mutations told the route cache.
+func mutate(prod, orc *routeSide, fn func(*topology.Infrastructure)) {
+	fn(prod.inf)
+	fn(orc.inf)
+	orc.router.rerouted()
+}
+
+// bindable reports whether the old path could run op for the pair without
+// panicking: every server role is hosted at its site or at the master, and a
+// client role has a population to draw from.
+func bindable(op cascade.Op, local, master *topology.DataCenter) bool {
+	for _, step := range op.Steps {
+		for _, m := range step {
+			for _, e := range []cascade.End{m.From, m.To} {
+				switch e.Role {
+				case cascade.Client:
+					if local.Clients == nil {
+						return false
+					}
+				case cascade.Daemon:
+				default:
+					dc := local
+					if e.Site == cascade.SiteMaster {
+						dc = master
+					}
+					if !dc.HasTier(string(e.Role)) && !master.HasTier(string(e.Role)) {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
+// diffOp launches op for (local, master) on both sides — through the
+// launcher's Scratch on the production side, so compiled programs, tier
+// tables and the route table persist from case to case — and compares every
+// step stage by stage. It returns the production side's expansion error, if
+// the step could not be routed.
+func diffOp(t testing.TB, label string, prod, orc *routeSide, op cascade.Op, local, master string,
+	balance func(*topology.Tier) *topology.Server) error {
+	t.Helper()
+	sc := prod.sc[local]
+	pb := sc.NewBinding(prod.inf, prod.inf.DC(local), prod.inf.DC(master))
+	ob := newOracleBinding(orc.router, orc.inf.DC(local), orc.inf.DC(master))
+	pb.Balance, ob.Balance = balance, balance
+	run, err := sc.Instantiate(op, pb)
+	if !bindable(op, ob.Local, ob.Master) {
+		if err == nil {
+			t.Fatalf("%s: instantiated an operation the platform cannot bind", label)
+		}
+		return nil
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	defer run.Retire()
+	for step, msgs := range op.Steps {
+		plans := run.Expand(step)
+		want, oerr := ob.expandStep(msgs)
+		if oerr != nil {
+			perr := run.Err()
+			if len(plans) != 0 || perr == nil || perr.Error() != oerr.Error() {
+				t.Fatalf("%s step %d: oracle failed with %q, production returned %d plans and error %v",
+					label, step, oerr, len(plans), perr)
+			}
+			return perr
+		}
+		if err := run.Err(); err != nil {
+			t.Fatalf("%s step %d: production failed with %v, oracle expanded", label, step, err)
+		}
+		if len(plans) != len(want) {
+			t.Fatalf("%s step %d: %d plans, oracle %d", label, step, len(plans), len(want))
+		}
+		for i := range want {
+			diffStages(t, fmt.Sprintf("%s step %d msg %d", label, step, i), prod, orc, plans[i].Stages, want[i])
+		}
+	}
+	return nil
+}
+
+func diffStages(t testing.TB, label string, prod, orc *routeSide, got, want []core.Stage) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d stages, oracle %d", label, len(got), len(want))
+	}
+	for k := range want {
+		g, w := got[k], want[k]
+		switch {
+		case g.Queue.ID() != w.Queue.ID() || g.Queue.Name() != w.Queue.Name():
+			t.Fatalf("%s stage %d: agent %d %s, oracle %d %s", label, k, g.Queue.ID(), g.Queue.Name(), w.Queue.ID(), w.Queue.Name())
+		case math.Float64bits(g.Demand) != math.Float64bits(w.Demand) || math.Float64bits(g.Delay) != math.Float64bits(w.Delay):
+			t.Fatalf("%s stage %d: demand %v delay %v, oracle %v %v", label, k, g.Demand, g.Delay, w.Demand, w.Delay)
+		case (g.Hold == nil) != (w.Hold == nil) || (g.Hold != nil && prod.mems[g.Hold] != orc.mems[w.Hold]):
+			t.Fatalf("%s stage %d: holds %q, oracle %q", label, k, prod.mems[g.Hold], orc.mems[w.Hold])
+		case math.Float64bits(g.HoldAmount) != math.Float64bits(w.HoldAmount) || g.Acquire != w.Acquire || g.Release != w.Release:
+			t.Fatalf("%s stage %d: hold %v acquire %v release %v, oracle %v %v %v", label, k,
+				g.HoldAmount, g.Acquire, g.Release, w.HoldAmount, w.Acquire, w.Release)
+		}
+	}
+}
+
+// diffSideEffects compares what expansion leaves behind: every tier's
+// round-robin cursor, every client pool's slot cursor and every server
+// memory's RNG position. The cursors and streams are private, so each is
+// read by drawing from it — on both sides alike, which keeps them in step.
+func diffSideEffects(t testing.TB, label string, prod, orc *routeSide) {
+	t.Helper()
+	for _, name := range prod.inf.DCNames() {
+		pdc, odc := prod.inf.DC(name), orc.inf.DC(name)
+		if pdc.Clients != nil {
+			if p, o := pdc.Clients.Next().Index, odc.Clients.Next().Index; p != o {
+				t.Fatalf("%s: client-slot cursor of %s at %d, oracle %d", label, name, p, o)
+			}
+		}
+		for tname, ptier := range pdc.Tiers {
+			otier := odc.Tier(tname)
+			if p, o := ptier.Pick().Name, otier.Pick().Name; p != o {
+				t.Fatalf("%s: round-robin cursor of %s/%s at %s, oracle %s", label, name, tname, p, o)
+			}
+			for i, psrv := range ptier.Servers {
+				for k := 0; k < 16; k++ {
+					if psrv.Mem.Hit() != otier.Servers[i].Mem.Hit() {
+						t.Fatalf("%s: memory RNG of %s diverged (draw %d)", label, psrv.Name, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// routeState is one state of the WAN graph a differential run visits, in
+// order; each entry mutates the graph the previous one left.
+type routeState struct {
+	name string
+	fn   func(*topology.Infrastructure)
+}
+
+func routeStates(failA, failB, isolate string) []routeState {
+	return []routeState{
+		{"healthy", func(*topology.Infrastructure) {}},
+		{"failed", func(inf *topology.Infrastructure) { inf.FailWAN(failA, failB) }},
+		{"restored", func(inf *topology.Infrastructure) { inf.RestoreWAN(failA, failB) }},
+		{"isolated", func(inf *topology.Infrastructure) { inf.IsolateDC(isolate) }},
+		{"rejoined", func(inf *topology.Infrastructure) { inf.RejoinDC(isolate) }},
+	}
+}
+
+var diffBalancers = []struct {
+	name string
+	fn   func(*topology.Tier) *topology.Server
+}{
+	{"round-robin", nil},
+	{"least-loaded", (*topology.Tier).PickLeastLoaded},
+	{"last-server", func(t *topology.Tier) *topology.Server { return t.Servers[len(t.Servers)-1] }},
+}
+
+// appCatalogue is every operation of the three applications plus one the
+// catalogue has no reason to contain: messages whose two ends are the same
+// role at different sites. Where the local site lacks the tier both ends
+// fall back to one tier of the master, and which end gets which server then
+// depends on the from-then-to resolution order.
+func appCatalogue() []cascade.Op {
+	ops := apps.CADOps(apps.VISFileMB * 4)
+	ops = append(ops, apps.VISOps()...)
+	ops = append(ops, apps.PDMOps()...)
+	end := func(r cascade.Role, s cascade.Site) cascade.End { return cascade.End{Role: r, Site: s} }
+	cost := cascade.R{CPUCycles: 1e8, NetBytes: 1e5, MemBytes: 1e6, DiskBytes: 1e6}
+	return append(ops, cascade.Seq("SITE-ORDER",
+		cascade.Msg{From: end(cascade.App, cascade.SiteLocal), To: end(cascade.App, cascade.SiteMaster), Cost: cost},
+		cascade.Msg{From: end(cascade.DB, cascade.SiteMaster), To: end(cascade.DB, cascade.SiteLocal), Cost: cost},
+		cascade.Msg{From: end(cascade.FS, cascade.SiteLocal), To: end(cascade.FS, cascade.SiteMaster), Cost: cost},
+	))
+}
+
+// TestCompiledRoutesMatchOracle runs every operation of the application
+// catalogue for every (local, master) pair of the consolidated, multi-master
+// and chaos platforms through the compiled expansion path and through the
+// map-walking path it replaced, across a WAN failure, its repair, a
+// data-center blackout and its end — the transitions that invalidate
+// compiled routes — and requires identical stages, identical errors and
+// identical side effects, with no tolerance.
+func TestCompiledRoutesMatchOracle(t *testing.T) {
+	cfg := CaseConfig{Scale: 0.05}
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	consolidated, err := caseInfraSpec(cfg, consolidatedTraits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := caseInfraSpec(cfg, multiMasterTraits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	platforms := []struct {
+		name                  string
+		spec                  topology.InfraSpec
+		failA, failB, isolate string
+	}{
+		{"consolidated", consolidated, "NA", "AS1", "EU"},
+		{"multimaster", multi, "NA", "AS1", "AS1"},
+		{"chaos", chaosPlatform(), "NA", "EU", "NA"},
+	}
+	ops := appCatalogue()
+	for _, p := range platforms {
+		t.Run(p.name, func(t *testing.T) {
+			prod, orc := newRouteSide(t, p.spec, 11), newRouteSide(t, p.spec, 11)
+			cases, unroutable := 0, 0
+			for _, st := range routeStates(p.failA, p.failB, p.isolate) {
+				mutate(prod, orc, st.fn)
+				for i, op := range ops {
+					for _, local := range prod.inf.DCNames() {
+						for _, master := range prod.inf.DCNames() {
+							bal := diffBalancers[(i+cases)%len(diffBalancers)]
+							label := fmt.Sprintf("%s %s %s->%s %s", st.name, op.Name, local, master, bal.name)
+							if diffOp(t, label, prod, orc, op, local, master, bal.fn) != nil {
+								unroutable++
+							}
+							cases++
+						}
+					}
+				}
+				diffSideEffects(t, st.name, prod, orc)
+			}
+			if unroutable == 0 {
+				t.Error("no case hit a partition: the isolated state is not exercising NoRouteError")
+			}
+			t.Logf("%d cases, %d stopped at a partition on both sides", cases, unroutable)
+		})
+	}
+}
+
+// fuzzPlatform is a three-site platform with every routing feature in a
+// small build: NA hosts all four tiers, EU only file servers (so app, db and
+// idx fall back to the master), AS1 file and application servers; a primary
+// chain EU - NA - AS1 closed by an EU - AS1 backup; clients at NA and EU;
+// caches that draw.
+func fuzzPlatform() topology.InfraSpec {
+	srv := topology.ServerSpec{
+		CPU: hardware.CPUSpec{Sockets: 1, Cores: 4, GHz: 2.5}, MemGB: 16, CacheHitRate: 0.3, NICGbps: 10,
+		RAID: &hardware.RAIDSpec{Disks: 2, Disk: hardware.DiskSpec{CtrlGbps: 4, MBps: 150, HitRate: 0.1}, CtrlGbps: 4, HitRate: 0.05},
+	}
+	local := hardware.LinkSpec{Gbps: 10, LatencyMS: 0.45}
+	tier := func(name string, n int) topology.TierSpec {
+		return topology.TierSpec{Name: name, Servers: n, Server: srv, LocalLink: local}
+	}
+	dc := func(name string, tiers ...topology.TierSpec) topology.DCSpec {
+		return topology.DCSpec{Name: name, SwitchGbps: 20,
+			ClientLink: hardware.LinkSpec{Gbps: 10, LatencyMS: 0.5}, Tiers: tiers}
+	}
+	wan := hardware.LinkSpec{Gbps: 0.155, LatencyMS: 40}
+	clients := topology.ClientSpec{Slots: 5, NICGbps: 1, GHz: 2.5, DiskMBs: 120}
+	return topology.InfraSpec{
+		DCs: []topology.DCSpec{
+			dc("NA", tier("app", 3), tier("db", 2), tier("fs", 2), tier("idx", 1)),
+			dc("EU", tier("fs", 3)),
+			dc("AS1", tier("fs", 1), tier("app", 2)),
+		},
+		WAN: []topology.WANSpec{
+			{From: "NA", To: "EU", Link: wan},
+			{From: "NA", To: "AS1", Link: wan},
+			{From: "EU", To: "AS1", Link: wan, Backup: true},
+		},
+		Clients: map[string]topology.ClientSpec{"NA": clients, "EU": clients},
+	}
+}
+
+// fuzzOp builds an operation from two words: shape gives the step count and
+// each step's width, pattern walks the (role, site) pairs, and the rng fills
+// cost arrays in which every component is zero a quarter of the time.
+func fuzzOp(shape, pattern uint64, rng *rand.Rand) cascade.Op {
+	roles := []cascade.Role{cascade.Client, cascade.App, cascade.DB, cascade.FS, cascade.Idx, cascade.Daemon}
+	end := func() cascade.End {
+		e := cascade.End{Role: roles[pattern%6], Site: cascade.Site(pattern / 6 % 2)}
+		pattern = pattern/12 | pattern<<60 // rotate: long operations keep varying
+		return e
+	}
+	amount := func(scale float64) float64 {
+		if rng.IntN(4) == 0 {
+			return 0
+		}
+		return scale * (0.5 + rng.Float64())
+	}
+	op := cascade.Op{Name: "FUZZ"}
+	for steps := 1 + shape%4; steps > 0; steps-- {
+		shape /= 4
+		var step []cascade.Msg
+		for width := 1 + shape%3; width > 0; width-- {
+			step = append(step, cascade.Msg{From: end(), To: end(), Cost: cascade.R{
+				CPUCycles: amount(1e8), NetBytes: amount(1e5), MemBytes: amount(1e7), DiskBytes: amount(1e6),
+			}})
+		}
+		shape /= 3
+		op.Steps = append(op.Steps, step)
+	}
+	return op
+}
+
+// FuzzCompiledRoutesMatchOracle is the differential test over generated
+// operations: op shape, role/site pattern, data-center pair, which WAN
+// mutations precede each launch, and the seed of the platform and the costs.
+// The operation is launched three times on one pair of platforms, so compiled
+// state is reused across the mutations in between.
+func FuzzCompiledRoutesMatchOracle(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint8(0), uint8(0), uint64(1))
+	f.Add(uint64(0x1b), uint64(0x0123456789abcdef), uint8(1), uint8(0x15), uint64(2))
+	f.Add(uint64(0xffff), uint64(0xfedcba9876543210), uint8(5), uint8(0x2a), uint64(3))
+	f.Add(uint64(0x2d7), uint64(0x5a5a5a5a5a5a5a5a), uint8(7), uint8(0xff), uint64(4))
+	f.Add(uint64(0x93), uint64(0x1111111111111111), uint8(3), uint8(0x3c), uint64(5))
+	f.Add(uint64(0x6e), uint64(0x0f1e2d3c4b5a6978), uint8(8), uint8(0x81), uint64(6))
+	spec := fuzzPlatform()
+	f.Fuzz(func(t *testing.T, shape, pattern uint64, pair, faults uint8, seed uint64) {
+		prod, orc := newRouteSide(t, spec, seed), newRouteSide(t, spec, seed)
+		rng := rand.New(rand.NewPCG(seed, shape))
+		op := fuzzOp(shape, pattern, rng)
+		dcs := prod.inf.DCNames()
+		local, master := dcs[int(pair)%len(dcs)], dcs[int(pair)/len(dcs)%len(dcs)]
+		mutations := []func(*topology.Infrastructure){
+			func(inf *topology.Infrastructure) { inf.FailWAN("NA", "EU") },
+			func(inf *topology.Infrastructure) { inf.IsolateDC("AS1") },
+			func(inf *topology.Infrastructure) { inf.RestoreWAN("NA", "EU") },
+			func(inf *topology.Infrastructure) { inf.RejoinDC("AS1") },
+		}
+		for round := 0; round < 3; round++ {
+			for i, fn := range mutations {
+				if faults>>((round*4+i)%8)&1 != 0 {
+					mutate(prod, orc, fn)
+				}
+			}
+			bal := diffBalancers[(int(faults)+round)%len(diffBalancers)]
+			diffOp(t, fmt.Sprintf("round %d %s->%s %s", round, local, master, bal.name), prod, orc, op, local, master, bal.fn)
+			diffSideEffects(t, fmt.Sprintf("round %d", round), prod, orc)
+		}
+	})
+}

@@ -71,6 +71,10 @@ type DataCenter struct {
 	// Daemon is the delay line hosting background daemon processes (the R
 	// and I processes of §6.4.3) — lightweight, uncontended.
 	Daemon *core.DelayLine
+
+	// index is the data center's position in Infrastructure.dcs — the dense
+	// key of the route table.
+	index int
 }
 
 // Tier returns the named tier, panicking on unknown names: a cascade that
@@ -94,11 +98,16 @@ type Infrastructure struct {
 	sim     *core.Simulation
 	DCs     map[string]*DataCenter
 	dcOrder []string
+	dcs     []*DataCenter // dcOrder resolved; DataCenter.index is the position
 	links   map[wanKey]*hardware.Link
 	backups map[wanKey]*hardware.Link
 
+	// routes is the compiled route table, one entry per ordered DC pair at
+	// [from.index*len(dcs)+to.index], each valid for the routeVersion it was
+	// built at (see route). rerouted bumps the version; entries rebuild on
+	// their next use.
 	routeVersion int
-	routeCache   map[wanKey][]string
+	routes       []route
 }
 
 // Build materializes the infrastructure specification into agents
@@ -108,11 +117,10 @@ func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 		return nil, err
 	}
 	inf := &Infrastructure{
-		sim:        sim,
-		DCs:        make(map[string]*DataCenter),
-		links:      make(map[wanKey]*hardware.Link),
-		backups:    make(map[wanKey]*hardware.Link),
-		routeCache: make(map[wanKey][]string),
+		sim:     sim,
+		DCs:     make(map[string]*DataCenter),
+		links:   make(map[wanKey]*hardware.Link),
+		backups: make(map[wanKey]*hardware.Link),
 	}
 	for _, dcSpec := range spec.DCs {
 		dc := buildDC(sim, dcSpec)
@@ -120,6 +128,12 @@ func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 		inf.dcOrder = append(inf.dcOrder, dcSpec.Name)
 	}
 	sort.Strings(inf.dcOrder)
+	for i, name := range inf.dcOrder {
+		dc := inf.DCs[name]
+		dc.index = i
+		inf.dcs = append(inf.dcs, dc)
+	}
+	inf.routes = make([]route, len(inf.dcs)*len(inf.dcs))
 	for _, w := range spec.WAN {
 		fwd := hardware.NewLink(sim, fmt.Sprintf("wan:%s->%s", w.From, w.To), w.Link)
 		rev := hardware.NewLink(sim, fmt.Sprintf("wan:%s->%s", w.To, w.From), w.Link)
@@ -221,8 +235,7 @@ func (inf *Infrastructure) FailWAN(a, b string) {
 			l.Fail()
 		}
 	}
-	inf.routeVersion++
-	inf.routeCache = make(map[wanKey][]string)
+	inf.rerouted()
 }
 
 // RestoreWAN restores both directions of a WAN connection.
@@ -232,6 +245,5 @@ func (inf *Infrastructure) RestoreWAN(a, b string) {
 			l.Restore()
 		}
 	}
-	inf.routeVersion++
-	inf.routeCache = make(map[wanKey][]string)
+	inf.rerouted()
 }

@@ -62,21 +62,19 @@ func (t *Tier) ReserveCPU(frac float64) {
 // IsolateDC fails every WAN link — primary and backup, both directions —
 // touching the named DC: a full data-center blackout as seen from the rest
 // of the platform. Local traffic inside the DC (clients on its own tiers)
-// continues; only inter-DC routes through or into the DC vanish. Cached
-// routes are invalidated so subsequent expansions reroute or fail with
-// "no route".
+// continues; only inter-DC routes through or into the DC vanish. Compiled
+// routes are invalidated so subsequent expansions reroute or fail with a
+// *NoRouteError.
 func (inf *Infrastructure) IsolateDC(name string) {
 	inf.eachDCLink(name, func(l *hardware.Link) { l.Fail() })
-	inf.routeVersion++
-	inf.routeCache = make(map[wanKey][]string)
+	inf.rerouted()
 }
 
 // RejoinDC restores every WAN link touching the named DC and invalidates
 // cached routes, undoing IsolateDC.
 func (inf *Infrastructure) RejoinDC(name string) {
 	inf.eachDCLink(name, func(l *hardware.Link) { l.Restore() })
-	inf.routeVersion++
-	inf.routeCache = make(map[wanKey][]string)
+	inf.rerouted()
 }
 
 // eachDCLink applies fn to every directed WAN link (primary and backup)

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -173,5 +174,71 @@ func TestBackupArrivalsCountsOnlyBackups(t *testing.T) {
 	}
 	if got := inf.BackupArrivals(); got == 0 {
 		t.Error("diverted traffic not counted in BackupArrivals")
+	}
+}
+
+// The compiled route table answers from the WAN graph as of the last
+// mutation: every FailWAN/RestoreWAN/IsolateDC/RejoinDC invalidates it, a
+// partition is a typed *NoRouteError from Path and from AppendHop alike, and
+// same-DC messages never consult it.
+func TestRouteTableFollowsWANMutations(t *testing.T) {
+	sim := core.NewSimulation(core.Config{Step: 0.001, Seed: 5})
+	defer sim.Shutdown()
+	inf, err := Build(sim, backupSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	na, eu := inf.DC("NA"), inf.DC("EU")
+	from := ServerEndpoint(na.Tier("app").Servers[0])
+	to := ServerEndpoint(eu.Tier("fs").Servers[0])
+	cost := Cost{CPUCycles: 1e6, NetBytes: 1e4}
+	wanOf := func() *hardware.Link {
+		t.Helper()
+		stages, err := inf.AppendHop(nil, from, to, cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stages {
+			if l, ok := st.Queue.(*hardware.Link); ok && (l == inf.WANLink("NA", "EU") || l == inf.BackupLink("NA", "EU")) {
+				return l
+			}
+		}
+		t.Fatal("cross-DC hop crossed no WAN link")
+		return nil
+	}
+	if wanOf() != inf.WANLink("NA", "EU") {
+		t.Error("healthy platform routed over the backup")
+	}
+	inf.FailWAN("NA", "EU")
+	if wanOf() != inf.BackupLink("NA", "EU") {
+		t.Error("route compiled before FailWAN survived it")
+	}
+	inf.RestoreWAN("NA", "EU")
+	if wanOf() != inf.WANLink("NA", "EU") {
+		t.Error("route compiled during the failure survived RestoreWAN")
+	}
+
+	inf.IsolateDC("EU")
+	var noRoute *NoRouteError
+	buf := make([]core.Stage, 1, 16)
+	if got, err := inf.AppendHop(buf, from, to, cost); !errors.As(err, &noRoute) || len(got) != 1 {
+		t.Errorf("AppendHop across a partition: %d stages, error %v; want dst unextended and a *NoRouteError", len(got), err)
+	} else if noRoute.From != "NA" || noRoute.To != "EU" {
+		t.Errorf("no route %s -> %s, want NA -> EU", noRoute.From, noRoute.To)
+	}
+	if _, err := inf.Path("EU", "NA"); !errors.As(err, &noRoute) {
+		t.Errorf("Path across a partition: %v, want a *NoRouteError", err)
+	}
+	if _, err := inf.Path("NA", "nowhere"); !errors.As(err, &noRoute) {
+		t.Errorf("Path to an unknown DC: %v, want a *NoRouteError", err)
+	}
+	// Inside the isolated DC nothing changed: the local switch, no table.
+	local := ServerEndpoint(eu.Tier("fs").Servers[0])
+	if _, err := inf.AppendHop(nil, ClientEndpoint(eu.Clients.Slots[0]), local, cost); err != nil {
+		t.Errorf("same-DC hop inside an isolated DC: %v", err)
+	}
+	inf.RejoinDC("EU")
+	if wanOf() != inf.WANLink("NA", "EU") {
+		t.Error("rejoined DC not routed over the primary")
 	}
 }

@@ -81,30 +81,84 @@ func (e Endpoint) Server() *Server { return e.server }
 // lightweight schedulers (§6.4.3) hosted without hardware contention.
 const daemonGHz = 2.0
 
-// Path returns the DC-name sequence from one data center to another,
-// including both endpoints. Routing prefers paths made entirely of live
-// primary links, even longer ones; backup links (L_EU->AFR, L_EU->AS1 in
-// Fig. 6-4) are only considered when no primary route survives — which is
-// why they sit at 0% utilization in Tables 6.1 and 7.3.
-func (inf *Infrastructure) Path(from, to string) ([]string, error) {
-	key := wanKey{from, to}
-	if p, ok := inf.routeCache[key]; ok {
-		return p, nil
+// NoRouteError reports that no chain of live WAN links — primary or backup
+// — connects two data centers: the platform is partitioned between them (or
+// one of the names is no data center of this infrastructure).
+type NoRouteError struct{ From, To string }
+
+func (e *NoRouteError) Error() string {
+	return fmt.Sprintf("topology: no route %s -> %s", e.From, e.To)
+}
+
+// route is one compiled entry of the route table: the DC-name path of an
+// ordered data-center pair and its network fabric ready to copy into a
+// message's stages — source switch, then (WAN link, switch) per hop — or the
+// error when the pair is partitioned. Which links a route crosses is decided
+// when it is built, as of that routeVersion; FailWAN, RestoreWAN, IsolateDC
+// and RejoinDC are the only operations that change the answer, and each
+// bumps the version.
+type route struct {
+	version int // routeVersion+1 this entry was built at; 0 = never built
+	path    []string
+	fabric  []core.QueueAgent
+	err     error
+}
+
+// rerouted invalidates every compiled route: the WAN graph changed.
+func (inf *Infrastructure) rerouted() { inf.routeVersion++ }
+
+// route returns the compiled route between two data centers of this
+// infrastructure, rebuilding it when the WAN graph changed since it was
+// built. Routing prefers paths made entirely of live primary links, even
+// longer ones; backup links (L_EU->AFR, L_EU->AS1 in Fig. 6-4) are only
+// considered when no primary route survives — which is why they sit at 0%
+// utilization in Tables 6.1 and 7.3.
+//
+// The table is shared by every data center and filled lazily, so like the
+// WAN mutations it must only be reached from sequential phases. That holds
+// by construction: AppendHop consults it for cross-DC messages only — the
+// same-DC fabric is the local switch, no table — and cross-DC messages
+// belong to cross-capable flows, whose step expansion never runs inside a
+// stretched span (core.flowWindow panics otherwise).
+func (inf *Infrastructure) route(from, to *DataCenter) *route {
+	r := &inf.routes[from.index*len(inf.dcs)+to.index]
+	if r.version == inf.routeVersion+1 {
+		return r
 	}
+	*r = route{version: inf.routeVersion + 1}
 	if from == to {
-		p := []string{from}
-		inf.routeCache[key] = p
-		return p, nil
+		r.path = []string{from.Name}
+		r.fabric = []core.QueueAgent{from.Switch}
+		return r
 	}
-	path := inf.bfs(from, to, false)
+	path := inf.bfs(from.Name, to.Name, false)
 	if path == nil {
-		path = inf.bfs(from, to, true)
+		path = inf.bfs(from.Name, to.Name, true)
 	}
 	if path == nil {
-		return nil, fmt.Errorf("topology: no route %s -> %s", from, to)
+		r.err = &NoRouteError{From: from.Name, To: to.Name}
+		return r
 	}
-	inf.routeCache[key] = path
-	return path, nil
+	r.path = path
+	r.fabric = append(make([]core.QueueAgent, 0, 2*len(path)-1), from.Switch)
+	for i := 1; i < len(path); i++ {
+		r.fabric = append(r.fabric, inf.usableLink(path[i-1], path[i]), inf.DCs[path[i]].Switch)
+	}
+	return r
+}
+
+// Path returns the DC-name sequence from one data center to another,
+// including both endpoints, as of the current state of the WAN links (see
+// route for the preference order). The slice belongs to the route table:
+// callers must not modify it. A partitioned or unknown pair yields a
+// *NoRouteError.
+func (inf *Infrastructure) Path(from, to string) ([]string, error) {
+	f, t := inf.DCs[from], inf.DCs[to]
+	if f == nil || t == nil {
+		return nil, &NoRouteError{From: from, To: to}
+	}
+	r := inf.route(f, t)
+	return r.path, r.err
 }
 
 // bfs searches shortest hop count over live primary links, optionally also
@@ -166,13 +220,10 @@ func (inf *Infrastructure) backupAlive(from, to string) *hardware.Link {
 // usableLink returns the live directed link between adjacent DCs: the
 // primary if alive, else the backup if alive, else nil.
 func (inf *Infrastructure) usableLink(from, to string) *hardware.Link {
-	if l := inf.links[wanKey{from, to}]; l != nil && !l.Failed() {
+	if l := inf.primaryLink(from, to); l != nil {
 		return l
 	}
-	if l := inf.backups[wanKey{from, to}]; l != nil && !l.Failed() {
-		return l
-	}
-	return nil
+	return inf.backupAlive(from, to)
 }
 
 // ExpandHop expands one cascade message between two holons into a message
@@ -188,12 +239,9 @@ func (inf *Infrastructure) ExpandHop(from, to Endpoint, cost Cost) (core.Message
 	return core.MessagePlan{Stages: stages}, nil
 }
 
-// appendStage appends a queued stage unless its demand is zero.
-func appendStage(dst []core.Stage, q core.QueueAgent, demand float64) []core.Stage {
-	if demand > 0 {
-		dst = append(dst, core.Stage{Queue: q, Demand: demand})
-	}
-	return dst
+// netStage is a network stage: bytes through a NIC, link or switch.
+func netStage(q core.QueueAgent, bytes float64) core.Stage {
+	return core.Stage{Queue: q, Demand: bytes}
 }
 
 // AppendHop expands one cascade message between two holons into the chain
@@ -201,52 +249,50 @@ func appendStage(dst []core.Stage, q core.QueueAgent, demand float64) []core.Sta
 // decomposition of Eqs. 3.2-3.5: origin NIC, network path (local links,
 // switches, WAN links), destination NIC, then destination processing
 // (memory occupancy, CPU cycles and storage access with cache-hit bypass).
-// It allocates only when dst lacks capacity. On error dst is returned
-// unextended.
+// The network path is a copy out of the compiled route table (route), or
+// just the local switch inside one data center — the bulk of intra-platform
+// traffic. It allocates only when dst lacks capacity. On error (a
+// *NoRouteError) dst is returned unextended.
 func (inf *Infrastructure) AppendHop(dst []core.Stage, from, to Endpoint, cost Cost) ([]core.Stage, error) {
 	stages := dst
-	net := cost.NetBytes
-
-	// Origin side: NIC then egress to the DC switch.
-	switch from.kind {
-	case epClient:
-		stages = appendStage(stages, from.client.NIC, net)
-		stages = appendStage(stages, from.dc.ClientLink, net)
-	case epServer:
-		stages = appendStage(stages, from.server.NIC, net)
-		stages = appendStage(stages, from.server.Link, net)
-	case epDaemon:
-		// Daemons attach directly to the DC switch fabric.
-	}
-
-	// Network fabric: switches and WAN links along the DC path. The
-	// same-DC case — the bulk of intra-platform traffic — touches only the
-	// local switch, without a route lookup.
-	switch {
-	case net <= 0:
-	case from.dc == to.dc:
-		stages = appendStage(stages, from.dc.Switch, net)
-	default:
-		path, err := inf.Path(from.dc.Name, to.dc.Name)
-		if err != nil {
-			return dst, err
-		}
-		stages = appendStage(stages, inf.DCs[path[0]].Switch, net)
-		for i := 1; i < len(path); i++ {
-			l := inf.usableLink(path[i-1], path[i])
-			if l == nil {
-				return dst, fmt.Errorf("topology: link %s->%s vanished", path[i-1], path[i])
+	if net := cost.NetBytes; net > 0 {
+		var fabric []core.QueueAgent
+		if from.dc != to.dc {
+			r := inf.route(from.dc, to.dc)
+			if r.err != nil {
+				return dst, r.err
 			}
-			stages = appendStage(stages, l, net)
-			stages = appendStage(stages, inf.DCs[path[i]].Switch, net)
+			fabric = r.fabric
+		}
+
+		// Origin side: NIC then egress to the DC switch. Daemons attach
+		// directly to the switch fabric.
+		switch from.kind {
+		case epClient:
+			stages = append(stages, netStage(from.client.NIC, net), netStage(from.dc.ClientLink, net))
+		case epServer:
+			stages = append(stages, netStage(from.server.NIC, net), netStage(from.server.Link, net))
+		}
+
+		if fabric == nil {
+			stages = append(stages, netStage(from.dc.Switch, net))
+		}
+		for _, q := range fabric {
+			stages = append(stages, netStage(q, net))
+		}
+
+		// Destination side: ingress link, then NIC.
+		switch to.kind {
+		case epClient:
+			stages = append(stages, netStage(to.dc.ClientLink, net), netStage(to.client.NIC, net))
+		case epServer:
+			stages = append(stages, netStage(to.server.Link, net), netStage(to.server.NIC, net))
 		}
 	}
 
-	// Destination side: ingress, NIC, then processing.
+	// Destination processing.
 	switch to.kind {
 	case epClient:
-		stages = appendStage(stages, to.dc.ClientLink, net)
-		stages = appendStage(stages, to.client.NIC, net)
 		pool := to.client.Pool
 		if d := pool.LocalDelay(cost.CPUCycles, cost.DiskBytes); d > 0 {
 			stages = append(stages, core.Stage{Queue: pool.Local, Delay: d})
@@ -259,8 +305,6 @@ func (inf *Infrastructure) AppendHop(dst []core.Stage, from, to Endpoint, cost C
 			})
 		}
 	case epServer:
-		stages = appendStage(stages, to.server.Link, net)
-		stages = appendStage(stages, to.server.NIC, net)
 		stages = appendServerProcessing(stages, to.server, cost)
 	}
 	return stages, nil

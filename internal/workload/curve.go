@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+
+	"repro/internal/topology"
 )
 
 // Curve is a 24-hour concurrent-user curve indexed by hour of day (GMT).
@@ -186,6 +188,44 @@ func (m AccessMatrix) Owner(clientDC string, rng *rand.Rand) string {
 		}
 	}
 	return last
+}
+
+// owner is one entry of an AccessMatrix row prepared for repeated draws:
+// the owner's name, its probability and — where the name is a data center
+// of the infrastructure — the data center itself.
+type owner struct {
+	name string
+	p    float64
+	dc   *topology.DataCenter
+}
+
+// owners prepares the row of clientDC in stableKeys order, nil when the
+// matrix has none. A launcher builds its own row once; drawOwner is then
+// Owner without the per-call sort — same iteration order, same float
+// accumulation, same single RNG draw.
+func (m AccessMatrix) owners(clientDC string, inf *topology.Infrastructure) []owner {
+	row, ok := m[clientDC]
+	if !ok {
+		return nil
+	}
+	out := make([]owner, 0, len(row))
+	for _, name := range stableKeys(row) {
+		out = append(out, owner{name: name, p: row[name], dc: inf.DCs[name]})
+	}
+	return out
+}
+
+// drawOwner samples a non-empty prepared row.
+func drawOwner(row []owner, rng *rand.Rand) *owner {
+	u := rng.Float64()
+	acc := 0.0
+	for i := range row {
+		acc += row[i].p
+		if u < acc {
+			return &row[i]
+		}
+	}
+	return &row[len(row)-1]
 }
 
 func stableKeys(m map[string]float64) []string {

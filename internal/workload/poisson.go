@@ -64,6 +64,8 @@ type AppWorkload struct {
 
 	cum      []float64
 	names    []string // "<App> <op name>" per operation of the mix
+	local    *topology.DataCenter
+	owners   []owner // the APM row of DC, in Owner's draw order
 	scratch  cascade.Scratch
 	rng      *rand.Rand
 	active   core.Gauge // interned "<prefix>:active"
@@ -116,6 +118,8 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 	for i := range w.cum {
 		w.cum[i] /= total
 	}
+	w.local = w.Inf.DC(w.DC)
+	w.owners = w.APM.owners(w.DC, w.Inf)
 	// Derive an independent deterministic stream from the simulation seed
 	// and this workload's identity, so multiple workloads stay decoupled
 	// and adding or removing one never perturbs another's draws.
@@ -287,9 +291,14 @@ func (w *AppWorkload) NextPoll(now float64) float64 {
 
 func (w *AppWorkload) launch(s *core.Simulation) {
 	i := w.pickOp()
-	local := w.Inf.DC(w.DC)
-	master := w.Inf.DC(w.APM.Owner(w.DC, w.rng))
-	b := cascade.NewBinding(w.Inf, local, master)
+	if len(w.owners) == 0 {
+		panic(fmt.Sprintf("workload: APM has no row for %s", w.DC))
+	}
+	o := drawOwner(w.owners, w.rng)
+	if o.dc == nil {
+		w.Inf.DC(o.name) // panics: the owner names no data center
+	}
+	b := w.scratch.NewBinding(w.Inf, w.local, o.dc)
 	run, err := w.scratch.Instantiate(w.Ops[i], b)
 	if err != nil {
 		panic(err)

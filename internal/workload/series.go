@@ -80,28 +80,43 @@ func (l *SeriesLauncher) NextPoll(now float64) float64 {
 }
 
 func (l *SeriesLauncher) launch(s *core.Simulation) {
-	b := l.NewBinding()
+	r := &seriesRun{l: l, s: s, b: l.NewBinding()}
+	r.done = r.opDone
 	s.AddGaugeBy(l.gauge, 1)
-	l.startOp(s, b, 0)
+	r.start()
 }
 
-// startOp chains the series' operations: completion of op i starts op i+1.
-func (l *SeriesLauncher) startOp(s *core.Simulation, b *cascade.Binding, i int) {
-	run, err := l.scratch.Instantiate(l.Series.Ops[i], b)
+// seriesRun is one series in flight: its binding and the operation it is
+// on. done is bound once, so chaining the operations allocates nothing per
+// operation.
+type seriesRun struct {
+	l    *SeriesLauncher
+	s    *core.Simulation
+	b    *cascade.Binding
+	i    int
+	done func(now, dur float64)
+}
+
+// start launches operation i of the series.
+func (r *seriesRun) start() {
+	run, err := r.l.scratch.Instantiate(r.l.Series.Ops[r.i], r.b)
 	if err != nil {
-		panic(fmt.Sprintf("workload: series %s op %d: %v", l.Series.Name, i, err))
+		panic(fmt.Sprintf("workload: series %s op %d: %v", r.l.Series.Name, r.i, err))
 	}
-	run.OnComplete = func(now, dur float64) {
-		if i+1 < len(l.Series.Ops) {
-			l.startOp(s, b, i+1)
-			return
-		}
-		s.AddGaugeBy(l.gauge, -1)
-		if l.OnSeriesDone != nil {
-			l.OnSeriesDone(now)
-		}
+	run.OnComplete = r.done
+	r.s.StartOp(run)
+}
+
+// opDone chains the series' operations: completion of op i starts op i+1.
+func (r *seriesRun) opDone(now, dur float64) {
+	if r.i++; r.i < len(r.l.Series.Ops) {
+		r.start()
+		return
 	}
-	s.StartOp(run)
+	r.s.AddGaugeBy(r.l.gauge, -1)
+	if r.l.OnSeriesDone != nil {
+		r.l.OnSeriesDone(now)
+	}
 }
 
 var _ core.Source = (*SeriesLauncher)(nil)

@@ -503,3 +503,31 @@ func TestSeriesLauncherNextPoll(t *testing.T) {
 		t.Errorf("NextPoll after Until = %v, want +Inf", got)
 	}
 }
+
+// The owner row a launcher prepares once draws exactly what
+// AccessMatrix.Owner draws: same owner for the same RNG state, one draw
+// each, including the row's rounding tail (a draw past the accumulated sum
+// falls to the last owner).
+func TestPreparedOwnerRowMatchesOwner(t *testing.T) {
+	_, inf := miniInfra(t, 1)
+	apm := AccessMatrix{"NA": {"NA": 0.3, "EU": 0.1, "AS1": 0.35, "AFR": 0.25 - 1e-7}}
+	if err := apm.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	row := apm.owners("NA", inf)
+	if len(row) != 4 || row[3].dc != inf.DC("NA") || row[0].dc != nil {
+		t.Fatalf("prepared row %+v: want four owners in name order, NA resolved, the rest unknown", row)
+	}
+	a, b := rand.New(rand.NewPCG(9, 9)), rand.New(rand.NewPCG(9, 9))
+	for i := 0; i < 20000; i++ {
+		if want, got := apm.Owner("NA", a), drawOwner(row, b).name; got != want {
+			t.Fatalf("draw %d: prepared row gave %s, Owner %s", i, got, want)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Error("the two draw sequences consumed different amounts of randomness")
+	}
+	if apm.owners("EU", inf) != nil {
+		t.Error("a missing row prepared to something")
+	}
+}
