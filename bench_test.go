@@ -26,9 +26,11 @@ import (
 )
 
 // speedupBench runs the Chapter 4 scaling workload (a slice of the
-// consolidated platform) under one engine configuration. The time/op of
-// each sub-benchmark is the "Simulation time" column of Tables 4.1/4.2;
-// the speedup column is the ratio between the 1-thread and N-thread rows.
+// consolidated platform) under one engine configuration, on the reference
+// loop — the per-tick sweep the engines parallelize; the production loop
+// never calls them. The time/op of each sub-benchmark is the "Simulation
+// time" column of Tables 4.1/4.2; the speedup column is the ratio between
+// the 1-thread and N-thread rows.
 func speedupBench(b *testing.B, mkEngine func(threads int) core.Engine, threads int) {
 	b.Helper()
 	b.ReportAllocs()
@@ -36,6 +38,7 @@ func speedupBench(b *testing.B, mkEngine func(threads int) core.Engine, threads 
 		cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
 			Step: 0.01, Seed: 7, Engine: mkEngine(threads),
 			StartHour: 13, EndHour: 14, Scale: 0.25,
+			LoopFlags: core.LoopFlags{NoFastForward: true},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -456,98 +459,13 @@ func BenchmarkDenseBulk(b *testing.B) {
 	b.Run("reference", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkShardScaling measures the sharded PDES engine against the
-// sequential one on the two platforms ROADMAP direction 1's decision rule
-// names. "peak" is the dense consolidation business hour — the platform
-// bench/'s peak_hour_sharded times — where ~50 agents stay hot, every
-// window carries cross-DC cascade traffic and no span clears the grain
-// gate, so everything runs inline; the noshards case runs the 4-shard
-// engine with the sharded runtime disabled (LoopFlags.NoShards).
-// "local-heavy-8dc" is the purpose-built case the rule asks for: eight
-// self-mastering data centers in a WAN ring, 95% of every DC's operations
-// confined to it, the rest one 120 ms hop away (the lookahead any span
-// under live cross traffic gets). Results are bit-identical across the rows
-// of a platform (TestShardedEquivalence*,
-// TestLocalHeavyShardedMatchesSequential); compare the ns/op ratios.
-// Scaling requires real cores: with GOMAXPROCS=1 a fork is all cost.
-func BenchmarkShardScaling(b *testing.B) {
-	peak := func(b *testing.B, mk func() core.Engine, noShards bool) {
-		b.Helper()
-		b.ReportAllocs()
-		var ops uint64
-		var active int
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			var eng core.Engine
-			if mk != nil {
-				eng = mk() // Shutdown ends a sharded engine's workers: one per run
-			}
-			cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
-				Step: 0.01, Seed: 7, Scale: 1,
-				StartHour: 13, EndHour: 14,
-				Engine:    eng,
-				LoopFlags: core.LoopFlags{NoShards: noShards},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cs.Sim.RunFor(90) // untimed warm-up: build peak-hour concurrency
-			b.StartTimer()
-			cs.Sim.RunFor(30)
-			b.StopTimer()
-			ops = cs.Sim.CompletedOps()
-			active = cs.Sim.ActiveAgents()
-			cs.Sim.Shutdown()
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(ops), "ops")
-		b.ReportMetric(float64(active), "active-agents")
-	}
-	sharded := func(n int) func() core.Engine {
-		return func() core.Engine { return dispatch.NewSharded(n) }
-	}
-	b.Run("peak/sequential", func(b *testing.B) { peak(b, nil, false) })
-	b.Run("peak/noshards", func(b *testing.B) { peak(b, sharded(4), true) })
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("peak/shards-%d", n), func(b *testing.B) { peak(b, sharded(n), false) })
-	}
-
-	localHeavy := func(b *testing.B, mk func() core.Engine) {
-		b.Helper()
-		b.ReportAllocs()
-		var st core.RunStats
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			run, err := localHeavy8DC(mk, 120).Compile()
-			if err != nil {
-				b.Fatal(err)
-			}
-			run.Sim.RunFor(60) // untimed warm-up
-			b.StartTimer()
-			run.Sim.RunFor(60)
-			b.StopTimer()
-			st = run.Sim.Stats()
-			run.Sim.Shutdown()
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(st.CompletedOps), "ops")
-		b.ReportMetric(float64(st.ActiveAgents), "active-agents")
-		b.ReportMetric(float64(st.WindowsStretched), "windows-stretched")
-		b.ReportMetric(float64(st.WindowsInline), "windows-inline")
-	}
-	b.Run("local-heavy-8dc/sequential", func(b *testing.B) { localHeavy(b, nil) })
-	b.Run("local-heavy-8dc/sharded-2", func(b *testing.B) { localHeavy(b, sharded(2)) })
-	b.Run("local-heavy-8dc/sharded-4", func(b *testing.B) { localHeavy(b, sharded(4)) })
-}
-
-// localHeavy8DC assembles BenchmarkShardScaling's coarse-grain platform:
-// eight data centers in a WAN ring (120 ms hops), each with its own app and
-// db tiers and 256 client slots, each running PDM for 3 000 users over the
-// given simulated seconds. 95% of a DC's operations stay on files it
-// masters — a lane-confined workload — and 5% go to the next DC around the
-// ring, a global workload whose round trips are the only cross-shard
-// traffic.
-func localHeavy8DC(mk func() core.Engine, seconds float64) *experiment.Experiment {
+// localHeavy8DC assembles a coarse-grain platform: eight data centers in a
+// WAN ring (120 ms hops), each with its own app and db tiers and 256 client
+// slots, each running PDM for 3 000 users over the given simulated seconds.
+// 95% of a DC's operations stay on files it masters and 5% go to the next
+// DC around the ring, whose round trips are the only cross-DC traffic.
+// extra options apply last.
+func localHeavy8DC(mk func() core.Engine, seconds float64, extra ...experiment.Option) *experiment.Experiment {
 	const dcs, users, opsPerUserHour, localShare = 8, 3000, 40, 0.95
 	srv := func(cores int) topology.ServerSpec {
 		return topology.ServerSpec{
@@ -596,66 +514,41 @@ func localHeavy8DC(mk func() core.Engine, seconds float64) *experiment.Experimen
 			}))
 		}
 	}
-	e, err := experiment.New("local-heavy-8dc", append(opts, experiment.WithInfra(spec))...)
+	e, err := experiment.New("local-heavy-8dc", append(append(opts, experiment.WithInfra(spec)), extra...)...)
 	if err != nil {
 		panic(err)
 	}
 	return e
 }
 
-// TestLocalHeavyShardedMatchesSequential pins the bit-identity
-// BenchmarkShardScaling's local-heavy rows rest on, on a short run.
+// TestLocalHeavyShardedMatchesSequential pins, on a short run of the
+// local-heavy platform, that a 4-worker dispatch.Sharded engine changes no
+// bit — on the production loop, which never calls it, and on the reference
+// loop, which sweeps through it every tick (thinning off on both sides) —
+// and leaves the deprecated span counters at 0.
 func TestLocalHeavyShardedMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("local-heavy equivalence skipped in -short")
 	}
-	run := func(mk func() core.Engine) (string, core.RunStats) {
-		res, err := localHeavy8DC(mk, 20).Run()
+	run := func(mk func() core.Engine, flags core.LoopFlags) (string, core.RunStats) {
+		res, err := localHeavy8DC(mk, 20, experiment.WithLoopFlags(flags)).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Digest(), res.Stats
 	}
-	seq, _ := run(nil)
-	got, st := run(func() core.Engine { return dispatch.NewSharded(4) })
+	sharded := func() core.Engine { return dispatch.NewSharded(4) }
+	seq, _ := run(nil, core.LoopFlags{})
+	got, st := run(sharded, core.LoopFlags{})
 	if got != seq {
 		t.Errorf("sharded-4 digest diverged from sequential:\n%s\n%s", seq, got)
 	}
-	if st.WindowsInline+st.WindowsStretched == 0 {
-		t.Errorf("the sharded runtime left no trace on the local-heavy platform: %+v", st)
+	if st.Barriers != 0 || st.WindowsStretched != 0 || st.MailboxApplied != 0 {
+		t.Errorf("deprecated span counters nonzero: %+v", st)
 	}
-}
-
-// BenchmarkWindowStretch measures what the span scheduler costs in wall
-// clock where it cannot pay: the fine-step day-night scenario with per-tick
-// Poisson polls, a platform so quiet that no span clears the grain gate, so
-// with stretching on (default) every one of its 2.16M windows asks trySpan
-// and is refused, and with it off (LoopFlags.NoStretch) none asks. The rows
-// must sit within noise of each other. Results are bit-identical across
-// them (TestShardedEquivalenceDayNight); the barrier, inline and
-// stretched-window counters of a run are bench/'s core.barriers and
-// core.windows_stretched, and `gdisim -v`.
-func BenchmarkWindowStretch(b *testing.B) {
-	night := func(b *testing.B, shards int, noStretch bool) {
-		b.Helper()
-		b.ReportAllocs()
-		var ops uint64
-		for i := 0; i < b.N; i++ {
-			res, err := scenarios.RunDayNight(scenarios.DayNightConfig{
-				Seed: 7, Hours: 6,
-				Engine:    dispatch.NewSharded(shards),
-				LoopFlags: core.LoopFlags{NoThinning: true, NoStretch: noStretch},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ops = res.Result.Stats.CompletedOps
-		}
-		b.ReportMetric(float64(ops), "ops")
-	}
-	for _, n := range []int{1, 4} {
-		b.Run(fmt.Sprintf("night/shards-%d/stretch", n), func(b *testing.B) { night(b, n, false) })
-		b.Run(fmt.Sprintf("night/shards-%d/nostretch", n), func(b *testing.B) { night(b, n, true) })
+	seqNT, _ := run(nil, core.LoopFlags{NoThinning: true})
+	if ref, _ := run(sharded, core.LoopFlags{NoFastForward: true, NoThinning: true}); ref != seqNT {
+		t.Errorf("sharded-4 reference-loop digest diverged from sequential:\n%s\n%s", seqNT, ref)
 	}
 }
 
@@ -793,12 +686,13 @@ func (a *busyAgent) Step(dt float64) {
 }
 func (a *busyAgent) Idle() bool { return true }
 
-// denseSweep measures engine scaling with thesis-comparable per-agent work.
-// Compare ns/op across thread counts: Table 4.1's Scatter-Gather stays far
-// from linear while Table 4.2's H-Dispatch approaches it.
+// denseSweep measures engine scaling with thesis-comparable per-agent work,
+// on the reference loop (the one that sweeps through the engine). Compare
+// ns/op across thread counts: Table 4.1's Scatter-Gather stays far from
+// linear while Table 4.2's H-Dispatch approaches it.
 func denseSweep(b *testing.B, eng core.Engine) {
 	b.Helper()
-	sim := core.NewSimulation(core.Config{Step: 0.01, Seed: 1, Engine: eng})
+	sim := core.NewSimulation(core.Config{Step: 0.01, Seed: 1, Engine: eng, LoopFlags: core.LoopFlags{NoFastForward: true}})
 	defer sim.Shutdown()
 	for i := 0; i < 2048; i++ {
 		a := &busyAgent{state: 0x9e3779b97f4a7c15, spins: 3000}

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	consolidate [-scale 0.25] [-start 0] [-end 24] [-threads N]
+//	consolidate [-scale 0.25] [-start 0] [-end 24]
 //
 // The default quarter-scale full-day run takes a few minutes; pass
 // -scale 1 for the full-size platform.
@@ -19,7 +19,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/dispatch"
 	"repro/internal/metrics"
 	"repro/internal/refdata"
 	"repro/internal/scenarios"
@@ -31,7 +30,6 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "population/capacity scale factor")
 	start := flag.Int("start", 0, "first simulated GMT hour")
 	end := flag.Int("end", 24, "last simulated GMT hour (exclusive)")
-	threads := flag.Int("threads", 8, "H-Dispatch worker threads (0 = sequential engine)")
 	seed := flag.Uint64("seed", 7, "simulation seed")
 	short := flag.Bool("short", false, "smoke run: one peak hour at reduced scale")
 	flag.Parse()
@@ -41,9 +39,6 @@ func main() {
 	}
 	cfg := scenarios.CaseConfig{
 		Seed: *seed, Scale: *scale, StartHour: *start, EndHour: *end,
-	}
-	if *threads > 0 {
-		cfg.Engine = dispatch.NewHDispatch(*threads, 0)
 	}
 	cs, err := scenarios.NewConsolidation(cfg)
 	if err != nil {

@@ -17,18 +17,13 @@
 //
 // The cross-cutting flags compose with the run modes above:
 //
-//	-shards N|auto   run on the sharded PDES engine (equivalent to
-//	                 engine: "sharded:N" in a document; applies to -doc,
-//	                 -sweep and -scenario; results are bit-identical to
-//	                 the sequential engine, and never slower than it by
-//	                 more than a few percent: the engine forks only when a
-//	                 stretched span carries enough work). "auto" picks
-//	                 min(GOMAXPROCS, DC count)
-//	-v               print extra run statistics: inline and stretched
-//	                 windows, global barriers, why spans were refused, and
-//	                 per-shard stretch counters
+//	-v               print the fast-forward statistics of a -scenario run
+//	                 (jumps and skipped ticks; -doc always prints them)
 //	-cpuprofile f    write a CPU profile of the run to f
 //	-memprofile f    write an end-of-run heap profile to f
+//
+// A run steps its agents on one goroutine; -workers is how a sweep uses
+// more cores, one simulation per point.
 //
 // For the full per-chapter reports use cmd/validate, cmd/consolidate and
 // cmd/multimaster.
@@ -46,7 +41,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/refdata"
@@ -73,8 +67,7 @@ func main() {
 	scale := flag.Float64("scale", 0.5, "platform scale for speedup measurement")
 	agentSet := flag.Int("agentset", 0, "H-Dispatch agent-set size (0 = 64, the thesis' best)")
 	short := flag.Bool("short", false, "smoke run: tiny H-Dispatch speedup measurement")
-	shards := flag.String("shards", "", `run on the sharded PDES engine: a shard count, or "auto" for min(GOMAXPROCS, DCs) (empty = document/default engine); never slower than the sequential engine by more than a few percent; forks only when a stretched span carries enough work`)
-	verbose := flag.Bool("v", false, "print extra run statistics: inline and stretched windows, global barriers, span refusals, per-shard stretch counters")
+	verbose := flag.Bool("v", false, "print the fast-forward statistics of a -scenario run: jumps and skipped ticks")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
@@ -84,11 +77,6 @@ func main() {
 	}
 	if *short {
 		*minutes, *scale = 0.05, 0.1
-	}
-	if *shards != "" && *shards != "auto" {
-		if n, err := strconv.Atoi(*shards); err != nil || n < 1 {
-			log.Fatalf(`-shards %q: want a positive shard count or "auto"`, *shards)
-		}
 	}
 
 	// Profiles bracket the selected run mode. Error paths exit through
@@ -105,9 +93,9 @@ func main() {
 
 	switch {
 	case *doc != "" && len(axes) > 0:
-		runSweep(*doc, axes, *shards, *workers, *csvOut)
+		runSweep(*doc, axes, *workers, *csvOut)
 	case *doc != "":
-		runDocument(*doc, *shards, *csvOut, *verbose)
+		runDocument(*doc, *csvOut)
 	case len(axes) > 0:
 		log.Fatal("-sweep requires -doc (the document is the sweep's base experiment)")
 	case *table == "4.1":
@@ -115,7 +103,7 @@ func main() {
 	case *table == "4.2":
 		speedupTable(scenarios.HDispatch, refdata.Table42HDispatch, *minutes, *scale, *agentSet)
 	case *scenario != "":
-		smoke(*scenario, *shards, *verbose)
+		smoke(*scenario, *verbose)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -141,19 +129,8 @@ func main() {
 
 // runDocument compiles and runs one scenario document, printing the
 // uniform result summary and optionally exporting every series as CSV.
-// A non-empty shards overrides the document's engine with "sharded:N" (or
-// "sharded:auto") before compilation, so the document validation — shard
-// count versus DC population included — applies to the override exactly
-// as it would to the written field.
-func runDocument(path string, shards, csvOut string, verbose bool) {
-	d, err := config.Load(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if shards != "" {
-		d.Engine = "sharded:" + shards
-	}
-	e, err := experiment.FromDocument(d)
+func runDocument(path, csvOut string) {
+	e, err := experiment.LoadDocument(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -165,9 +142,6 @@ func runDocument(path string, shards, csvOut string, verbose bool) {
 		res.Name, res.Stats.CompletedOps, res.Stats.Seconds)
 	fmt.Printf("  agents %d, fast-forward jumps %d (%d ticks skipped)\n",
 		res.Stats.Agents, res.Stats.Jumps, res.Stats.SkippedTicks)
-	if verbose {
-		printStretchStats(res.Sim)
-	}
 	if res.Faults != nil {
 		fmt.Print(res.Faults)
 	}
@@ -202,16 +176,13 @@ func runDocument(path string, shards, csvOut string, verbose bool) {
 
 // runSweep expands the -sweep axes over the document experiment and runs
 // the grid on the worker pool.
-func runSweep(path string, axes sweepAxes, shards string, workers int, csvOut string) {
+func runSweep(path string, axes sweepAxes, workers int, csvOut string) {
 	// Parse the document once: the base factory runs per grid point (and
 	// per validation probe), and re-reading the file each time would let a
 	// mid-run edit silently change later points' scenario.
 	d, err := config.Load(path)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if shards != "" {
-		d.Engine = "sharded:" + shards
 	}
 	base := func() (*experiment.Experiment, error) {
 		return experiment.FromDocument(d)
@@ -323,42 +294,20 @@ func speedupTable(mech scenarios.Mechanism, ref []refdata.SpeedupRow, minutes, s
 	}
 }
 
-func smoke(name, shards string, verbose bool) {
-	// The smoke paths accept any positive shard count: the core runtime
-	// tolerates shards beyond the DC population (they stay empty), and the
-	// single-DC validation platform with -shards 4 is itself a useful
-	// smoke of that tolerance. Strict validation lives on the document
-	// path, where the scenario's DC list is declarative. "auto" resolves
-	// against the scenario's own DC population: 1 for validation, the
-	// consolidated platform's count for the case studies.
-	var eng core.Engine
-	if shards != "" {
-		n := 0
-		if shards == "auto" {
-			dcs := 1
-			if name != "validation" {
-				dcs = len(refdata.ConsolidatedDCs)
-			}
-			n = experiment.AutoShards(dcs)
-		} else {
-			n, _ = strconv.Atoi(shards)
-		}
-		eng = dispatch.NewSharded(n)
-	}
+func smoke(name string, verbose bool) {
+	var sim *core.Simulation
 	switch name {
 	case "validation":
-		res, err := scenarios.RunValidation(scenarios.ValidationConfig{Experiment: 1, Seed: 42, Engine: eng})
+		res, err := scenarios.RunValidation(scenarios.ValidationConfig{Experiment: 1, Seed: 42})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("validation experiment 2: app CPU steady mean %.1f%% (physical %.1f%%)\n",
 			res.SteadyMean["app"], refdata.Table52Physical[1]["app"].Mean)
-		if verbose {
-			printStretchStats(res.Sim)
-		}
+		sim = res.Sim
 	case "consolidation":
 		cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
-			Scale: 0.25, StartHour: 12, EndHour: 16, Seed: 7, Engine: eng,
+			Scale: 0.25, StartHour: 12, EndHour: 16, Seed: 7,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -366,12 +315,10 @@ func smoke(name, shards string, verbose bool) {
 		cs.Run()
 		pct, hr := cs.PeakCPUPct("NA", "app")
 		fmt.Printf("consolidation peak window: Tapp DNA %.1f%% at %.1fh GMT (paper ~73%%)\n", pct, hr)
-		if verbose {
-			printStretchStats(cs.Sim)
-		}
+		sim = cs.Sim
 	case "multimaster":
 		cs, err := scenarios.NewMultiMaster(scenarios.CaseConfig{
-			Scale: 0.25, StartHour: 12, EndHour: 16, Seed: 7, Engine: eng,
+			Scale: 0.25, StartHour: 12, EndHour: 16, Seed: 7,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -379,33 +326,12 @@ func smoke(name, shards string, verbose bool) {
 		cs.Run()
 		pct, hr := cs.PeakCPUPct("NA", "app")
 		fmt.Printf("multimaster peak window: Tapp DNA %.1f%% at %.1fh GMT (paper ~78%%)\n", pct, hr)
-		if verbose {
-			printStretchStats(cs.Sim)
-		}
+		sim = cs.Sim
 	default:
 		log.Fatalf("unknown scenario %q", name)
 	}
-}
-
-// printStretchStats reports the sharded runtime's synchronization shape —
-// why -shards N did or did not fork: how many windows ran inline on the
-// root goroutine, how many global barriers the run paid and how many
-// windows ran inside stretched spans instead (per shard when the partition
-// engaged), why the span scheduler refused the spans that did not form,
-// plus the cross-shard mailbox audit (hand-offs applied and the tightest
-// slack against a delivery's WAN-delayed due instant).
-func printStretchStats(sim *core.Simulation) {
-	st := sim.Stats()
-	fmt.Printf("  windows inline %d, global barriers %d, windows stretched %d\n",
-		st.WindowsInline, st.Barriers, st.WindowsStretched)
-	if src, tok, grain, backoff := sim.SpanRefusals(); src+tok+grain+backoff > 0 {
-		fmt.Printf("  spans refused: global source due %d, cross token bound %d, below grain %d, backing off %d\n",
-			src, tok, grain, backoff)
-	}
-	if len(st.ShardStretch) > 0 {
-		fmt.Printf("  per-shard stretched windows: %v\n", st.ShardStretch)
-	}
-	if st.MailboxApplied > 0 {
-		fmt.Printf("  mailbox deliveries %d, min slack %d ticks\n", st.MailboxApplied, st.MailboxMinSlack)
+	if verbose {
+		st := sim.Stats()
+		fmt.Printf("  fast-forward jumps %d (%d ticks skipped)\n", st.Jumps, st.SkippedTicks)
 	}
 }

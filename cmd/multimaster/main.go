@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	multimaster [-scale 0.25] [-start 0] [-end 24] [-threads N]
+//	multimaster [-scale 0.25] [-start 0] [-end 24]
 package main
 
 import (
@@ -15,7 +15,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/dispatch"
 	"repro/internal/metrics"
 	"repro/internal/refdata"
 	"repro/internal/scenarios"
@@ -27,7 +26,6 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "population/capacity scale factor")
 	start := flag.Int("start", 0, "first simulated GMT hour")
 	end := flag.Int("end", 24, "last simulated GMT hour (exclusive)")
-	threads := flag.Int("threads", 8, "H-Dispatch worker threads (0 = sequential engine)")
 	seed := flag.Uint64("seed", 7, "simulation seed")
 	short := flag.Bool("short", false, "smoke run: one peak hour at reduced scale")
 	flag.Parse()
@@ -39,9 +37,6 @@ func main() {
 
 	cfg := scenarios.CaseConfig{
 		Seed: *seed, Scale: *scale, StartHour: *start, EndHour: *end,
-	}
-	if *threads > 0 {
-		cfg.Engine = dispatch.NewHDispatch(*threads, 0)
 	}
 	cs, err := scenarios.NewMultiMaster(cfg)
 	if err != nil {

@@ -13,18 +13,11 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	// The default engine runs the time loop on one goroutine — the right
-	// choice for a one-DC platform like this, which has nothing to
-	// partition. Global topologies can run on the sharded PDES engine
-	// instead (`engine: "sharded:N"` in a scenario document, or
-	// `gdisim -shards N`): agents are partitioned per data center and the
-	// stretches between synchronization points that carry enough work run
-	// shard-parallel — everything else runs inline, so it is never slower
-	// than this loop by more than a few percent — with results
-	// bit-identical to it. Sharding pays when hours are dense (thousands
-	// of agent advances between synchronization points), N does not exceed
-	// the DC count, and real cores back the shards; see "Grain gate" under
-	// "Sharded PDES engine" in DESIGN.md.
+	// The time loop runs on one goroutine: a window steps only the handful
+	// of agents that can act in it, far too little work to pay for a fork.
+	// Extra cores pay across campaign points instead — a sweep runs its
+	// points as independent simulations on a worker pool (`gdisim -doc f
+	// -sweep ... -workers N`, Sweep.Run(n); see examples/whatif).
 	sim := gdisim.NewSimulation(gdisim.SimConfig{Step: 0.01, Seed: 1})
 	defer sim.Shutdown()
 

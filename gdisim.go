@@ -214,8 +214,9 @@ type (
 	Simulation = core.Simulation
 	// SimConfig parameterizes a Simulation (step size, seed, engine).
 	SimConfig = core.Config
-	// Engine parallelizes the per-tick sweep over the active agents —
-	// those with in-flight work; idle agents are not stepped (see
+	// Engine parallelizes the reference loop's per-tick sweep over the
+	// active agents (LoopFlags.NoFastForward) — the Chapter 4 experiments;
+	// the production loop steps agents itself and never calls it (see
 	// DESIGN.md, "Active-set sweep scheduling").
 	Engine = core.Engine
 	// SequentialEngine is the deterministic single-threaded reference.

@@ -90,13 +90,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicAPIEngines swaps in both parallel engines through the facade.
+// TestPublicAPIEngines swaps in both parallel engines through the facade,
+// on the reference loop that sweeps through them.
 func TestPublicAPIEngines(t *testing.T) {
 	for _, mk := range []func() Engine{
 		func() Engine { return NewScatterGather(4) },
 		func() Engine { return NewHDispatch(4, 0) },
 	} {
-		sim := NewSimulation(SimConfig{Step: 0.01, Seed: 5, Engine: mk()})
+		sim := NewSimulation(SimConfig{Step: 0.01, Seed: 5, Engine: mk(), LoopFlags: LoopFlags{NoFastForward: true}})
 		inf, err := Build(sim, facadeSpec())
 		if err != nil {
 			t.Fatal(err)

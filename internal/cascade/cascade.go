@@ -283,17 +283,8 @@ func Instantiate(op Op, b *Binding) (core.OpRun, error) {
 // — and the free lists of what its finished operations hand back (their
 // stage buffer and plan slice, and their binding when Scratch.NewBinding
 // made it) for the launcher's next operation to expand into. One launcher
-// owns one Scratch; all its operations must start at one data center.
-//
-// Lane safety rule: a table that is filled lazily is either filled only in
-// sequential phases or confined to one data center. Scratch is the second
-// kind — its operations start at one data center, so under the sharded
-// runtime only that data center's lane (or the sequential phase) ever
-// launches or retires them, and neither the compiled tables nor the free
-// lists need locking. The WAN route table (topology.Infrastructure) is the
-// first kind: only cross-DC expansions reach it, and those never run inside
-// a stretched span. The free lists grow to the launcher's peak number of
-// operations in flight.
+// owns one Scratch; all its operations must start at one data center. The
+// free lists grow to the launcher's peak number of operations in flight.
 type Scratch struct {
 	free     []*expander
 	bindings []*Binding
@@ -406,13 +397,8 @@ func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 	}
 	x.prog, x.tiers, x.steps, x.binding = p, tiers, op.Steps, b
 	return core.OpRun{
-		Name: op.Name,
-		DC:   b.Local.Name,
-		// A binding whose master is the local site resolves every endpoint
-		// inside one data center (missing-tier fallback also lands on the
-		// master, i.e. the same DC), so the whole cascade is shard-confined
-		// and eligible for stretched-span execution.
-		Local:    b.Local == b.Master,
+		Name:     op.Name,
+		DC:       b.Local.Name,
 		NumSteps: len(op.Steps),
 		Expand:   x.expandFn,
 		Err:      x.errFn,

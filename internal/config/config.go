@@ -27,8 +27,8 @@ type Document struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Step is the time-loop granularity in seconds (0 selects the default).
 	Step float64 `json:"step,omitempty"`
-	// Engine selects the sweep parallelization: "" or "sequential",
-	// "scattergather:<threads>", or "hdispatch:<threads>[:<setSize>]".
+	// Engine is "" or "sequential"; experiment.FromDocument rejects every
+	// other selector with experiment.ErrEngineRemoved.
 	Engine string `json:"engine,omitempty"`
 	// Window bounds the simulated span; nil selects the full day [0, 24).
 	Window *WindowSpec `json:"window,omitempty"`

@@ -82,17 +82,6 @@ func (c *calendar) remove(id AgentID) {
 	}
 }
 
-// clear drops every entry while keeping the position index allocated —
-// the span partition primitive: the global calendar is dealt into per-lane
-// calendars at span entry and rebuilt from them at the exit barrier, so
-// emptying must not thrash the pos slice.
-func (c *calendar) clear() {
-	for _, e := range c.entries {
-		c.pos[e.id] = -1
-	}
-	c.entries = c.entries[:0]
-}
-
 // popMin removes and returns the head agent; callers must check len first.
 func (c *calendar) popMin() AgentID {
 	id := c.entries[0].id

@@ -7,9 +7,10 @@
 //     pin) advances its queues by one step. Idle agents are skipped: an
 //     agent joins the active set when work is enqueued on it and leaves it
 //     when a post-drain scan finds it idle, so the sweep cost scales with
-//     utilization rather than topology size. The phase is parallelized by
-//     a pluggable Engine (sequential here; Scatter-Gather and H-Dispatch
-//     live in internal/dispatch).
+//     utilization rather than topology size. On the reference loop the
+//     phase runs through a pluggable Engine (sequential here; the Chapter-4
+//     Scatter-Gather and H-Dispatch engines live in internal/dispatch); the
+//     production loop steps agents itself on the calling goroutine.
 //  2. Measurement collection — every collect-interval, probes snapshot
 //     integrated busy time into time series.
 //  3. Agent interaction — tasks that completed during the step advance
@@ -36,10 +37,10 @@ import (
 type AgentID int32
 
 // Agent is a hardware component of the infrastructure — the lowest-level
-// holon member (CPU, NIC, switch, link, RAID, SAN, delay line). Agents are
-// stepped in parallel by the engine; they must only touch their own state
-// during Step and buffer completed tasks until Drain, which the simulation
-// calls sequentially.
+// holon member (CPU, NIC, switch, link, RAID, SAN, delay line). Engines may
+// step agents in parallel; they must only touch their own state during
+// Step and buffer completed tasks until Drain, which the simulation calls
+// sequentially.
 //
 // The simulation only sweeps *active* agents: an agent joins the active set
 // when work is enqueued on it (MarkActive) and leaves it when a post-drain
@@ -66,8 +67,8 @@ type Agent interface {
 	// ticks strictly before the earliest horizon, so undershooting is
 	// always safe while overshooting would skip an event. AgentBase
 	// supplies a conservative 0 ("I may act next tick") for agents that do
-	// not override it. It is called from sequential phases and from inside
-	// the parallel sweep (advanceAgent sizes bulk chunks with it), so like
+	// not override it. Only the production loop calls it — to key the
+	// event calendar and to size bulk chunks in advanceAgent — and like
 	// Step it must only touch the agent's own state.
 	Horizon() float64
 }
@@ -215,18 +216,15 @@ func (b *AgentBase) Drain(fn func(*queueing.Task)) {
 	b.done = b.done[:0]
 }
 
-// Engine parallelizes the sweep over the active agents. Implementations:
-// SequentialEngine (here), ScatterGather, HDispatch and Sharded
-// (internal/dispatch).
+// Engine parallelizes the reference loop's per-tick sweep over the active
+// agents — the phase Chapter 4 of the thesis parallelizes, where every tick
+// steps every active agent. Implementations: SequentialEngine (here),
+// ScatterGather, HDispatch and Sharded (internal/dispatch).
 //
-// Which loop calls Sweep: the reference loop (LoopFlags.NoFastForward) calls
-// it once per tick, whatever the engine. The production window loop calls it
-// once per non-empty window only for the Chapter-4 engines (ScatterGather,
-// HDispatch, or any decorator around an engine); when the engine is a
-// *SequentialEngine the loop advances the window's involved agents itself —
-// the same plain loop, without the interface call, the closure and the
-// []Agent materialization — and under the sharded runtime windows run inline
-// on the root or on shard lanes (ShardRunner.RunShards), never through Sweep.
+// Only the reference loop (LoopFlags.NoFastForward) calls Bind and Sweep,
+// once per tick. The production window loop steps the few agents a window
+// involves itself and calls nothing on the engine but Shutdown, so which
+// engine a production run carries never shows in its results or its cost.
 type Engine interface {
 	// Bind hands the engine the full agent population so it can size
 	// per-agent resources (ports, partitions). Called once before the first
@@ -240,10 +238,19 @@ type Engine interface {
 	Shutdown()
 }
 
+// ShardRunner is the capability of an engine that owns a fixed set of
+// shard-pinned workers (dispatch.Sharded). Nothing in the simulator calls
+// it; it exists only because the benchmark harness (bench/) compiles
+// against it.
+type ShardRunner interface {
+	Engine
+	ShardCount() int
+	RunShards(fn func(shard int))
+}
+
 // SequentialEngine applies the sweep on the calling goroutine. It is the
-// reference implementation that the parallel engines must match exactly, and
-// the production default: the window loop recognizes it and runs its loop
-// inline (see Engine), so its Sweep is reached from the reference tick only.
+// reference implementation that the parallel engines must match exactly,
+// and the default engine.
 type SequentialEngine struct{}
 
 // Bind is a no-op: the sequential engine needs no per-agent resources.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -179,7 +180,7 @@ func TestStageOccupancyCallsRunInOrder(t *testing.T) {
 }
 
 // Retire runs exactly once, when the flow has finished and before
-// OnComplete; on its own it does not make the flow cross-capable.
+// OnComplete.
 func TestRetireRunsOnceBeforeOnComplete(t *testing.T) {
 	s := NewSimulation(Config{Step: 0.01, Seed: 1})
 	cpu := newTestQueueAgent(s, "cpu", 1, 100)
@@ -189,14 +190,11 @@ func TestRetireRunsOnceBeforeOnComplete(t *testing.T) {
 	op.Retire = func() { events = append(events, "retire") }
 	op.OnComplete = func(now, dur float64) { events = append(events, "complete") }
 	local := singleStageOp("LOCAL", "NA", cpu, 10)
-	local.Local = true
 	local.Retire = func() { events = append(events, "local-retire") }
 	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
 		if now == 0 {
 			sim.StartOp(op)
-			if f := sim.startOp(local); f.global {
-				t.Error("a Retire hook made a Local flow cross-capable")
-			}
+			sim.StartOp(local)
 		}
 	}))
 	if err := s.RunUntilIdle(5); err != nil {
@@ -728,4 +726,52 @@ func TestFlowsAreRecycled(t *testing.T) {
 	if f := s.root.flowPool[0]; f.op.Expand != nil || f.op.OnComplete != nil || f.outstanding != 0 {
 		t.Errorf("pooled flow retains its operation: %+v", f)
 	}
+}
+
+// countingEngine is the sequential engine counting the calls it receives.
+type countingEngine struct {
+	SequentialEngine
+	binds, sweeps, shutdowns int
+}
+
+func (e *countingEngine) Bind([]Agent) { e.binds++ }
+func (e *countingEngine) Sweep(active []Agent, fn func(Agent)) {
+	e.sweeps++
+	e.SequentialEngine.Sweep(active, fn)
+}
+func (e *countingEngine) Shutdown() { e.shutdowns++ }
+
+// TestProductionLoopNeverCallsEngine pins the engine contract: Bind and
+// Sweep belong to the reference tick, the per-tick sweep the Chapter-4
+// engines parallelize, and the production window loop steps its agents
+// itself — RunFor and RunUntilIdle on it call nothing on the engine but
+// the one Shutdown. Both loops compute the same thing either way.
+func TestProductionLoopNeverCallsEngine(t *testing.T) {
+	data := binary.LittleEndian.AppendUint64(nil, calendarPropertySeeds[0])
+	run := func(ref bool) (*Simulation, *countingEngine) {
+		eng := &countingEngine{}
+		s := fuzzPlatform(data, Config{Engine: eng, LoopFlags: refFlags(ref)}) // RunFor
+		if err := s.RunUntilIdle(600); err != nil {
+			t.Fatal(err)
+		}
+		s.Shutdown()
+		return s, eng
+	}
+	got, prod := run(false)
+	ref, tick := run(true)
+	if prod.binds != 0 || prod.sweeps != 0 {
+		t.Errorf("production loop called Bind %d and Sweep %d times, want 0", prod.binds, prod.sweeps)
+	}
+	if tick.binds == 0 || tick.sweeps == 0 {
+		t.Errorf("reference loop called Bind %d and Sweep %d times, want both > 0", tick.binds, tick.sweeps)
+	}
+	for name, e := range map[string]*countingEngine{"production": prod, "reference": tick} {
+		if e.shutdowns != 1 {
+			t.Errorf("%s loop: Shutdown called %d times, want 1", name, e.shutdowns)
+		}
+	}
+	if got.CompletedOps() == 0 {
+		t.Fatal("the platform completed nothing; the contract was not exercised")
+	}
+	sameRun(t, ref, got)
 }

@@ -106,19 +106,20 @@ func (fs *fuzzSource) NextPoll(float64) float64 { return fs.next }
 // cascades, a random collector period — and runs it for a few thousand
 // ticks on the production or the reference loop.
 func fuzzRun(data []byte, ref bool) *Simulation {
-	return fuzzPlatform(data, Config{LoopFlags: refFlags(ref)}, nil)
+	return fuzzPlatform(data, Config{LoopFlags: refFlags(ref)})
 }
 
-// fuzzPlatform is fuzzRun on any engine and flags; prep, when non-nil, sees
-// the fresh simulation before anything registers (the gate tests install
-// shard routing and the grain override there).
-func fuzzPlatform(data []byte, cfg Config, prep func(*Simulation)) *Simulation {
+// fuzzPlatform is fuzzRun on any engine and flags.
+func fuzzPlatform(data []byte, cfg Config) *Simulation {
+	return fuzzPlatformRun(data, cfg, (*Simulation).RunFor)
+}
+
+// fuzzPlatformRun is fuzzPlatform with the run handed to drive, along with
+// the simulated seconds the bytes chose.
+func fuzzPlatformRun(data []byte, cfg Config, drive func(*Simulation, float64)) *Simulation {
 	in := newFuzzIn(data)
 	cfg.Step, cfg.Seed, cfg.CollectEvery = 0.01, 1, 1+in.intn(300)
 	s := NewSimulation(cfg)
-	if prep != nil {
-		prep(s)
-	}
 	s.Collector.Register(metrics.Probe{Key: "flows", Sample: func(float64) float64 {
 		return float64(s.ActiveFlows())
 	}})
@@ -177,7 +178,7 @@ func fuzzPlatform(data []byte, cfg Config, prep func(*Simulation)) *Simulation {
 		}
 		fs.handle = s.AddSource(fs)
 	}
-	s.RunFor(20 + float64(in.intn(40)))
+	drive(s, 20+float64(in.intn(40)))
 	return s
 }
 

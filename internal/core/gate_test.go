@@ -5,81 +5,137 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"repro/internal/queueing"
 )
 
-// The three settings of the grain gate the tests drive: every admissible
-// span forked (the span scheduler before the gate), the production constant,
-// and nothing ever forked.
+// The engine-matrix tests of the core. Their names and subtest matrices
+// date from the sharded span runtime, whose grain gate, shard lanes and
+// stretch switches they varied; that runtime is gone, and the same matrices
+// now vary what remains of it:
+//
+//   - sharded-N is a chunkRunner of N workers;
+//   - the fork setting is the runner's grain: always-parallel forks every
+//     sweep, default forks sweeps of at least N agents (dispatch.Sharded's
+//     rule), always-inline forks none;
+//   - the loop leg is how the platform runs: default (or stretched) is the
+//     production loop in one RunFor call, nostretch the reference loop —
+//     the one that sweeps through the engine, every tick — and nocross the
+//     production loop in short RunFor slices, so no window may cross a
+//     call's end.
 var gateSettings = []struct {
 	name  string
-	grain int
+	grain func(workers int) int
 }{
-	{"always-parallel", 0},
-	{"default", shardGrain},
-	{"always-inline", math.MaxInt},
+	{"always-parallel", func(int) int { return 0 }},
+	{"default", func(n int) int { return n }},
+	{"always-inline", func(int) int { return math.MaxInt }},
 }
 
-// countingRunner is spanTestRunner counting its barriers.
-type countingRunner struct {
-	spanTestRunner
-	calls int
+// loopLeg is one way of running a platform: the loop, and how its RunFor
+// is issued.
+type loopLeg struct {
+	name  string
+	ref   bool
+	drive func(*Simulation, float64)
 }
 
-func (e *countingRunner) RunShards(fn func(shard int)) {
-	e.calls++
-	e.spanTestRunner.RunShards(fn)
+var loopLegs = []loopLeg{
+	{"default", false, (*Simulation).RunFor},
+	{"nostretch", true, (*Simulation).RunFor},
+	{"nocross", false, runSliced},
 }
 
-// TestGateCannotChangeResult is the gate's safety net: shard ownership only
-// ever decides which goroutine runs an agent's arithmetic, so no setting of
-// the gate, at any shard count, under any stretch flag, may move a bit
-// against the reference loop. It runs on generated platforms — the fuzz
-// corpus' (global cascades hopping between shards, spans in the gaps between
-// them) and the lane platform's (lane-confined traffic, nearly every window
-// inside a span).
-func TestGateCannotChangeResult(t *testing.T) {
-	flagSets := []struct {
-		name  string
-		flags LoopFlags
-	}{
-		{"default", LoopFlags{}},
-		{"nostretch", LoopFlags{NoStretch: true}},
-		{"nocross", LoopFlags{NoCrossStretch: true}},
+// runSliced is RunFor(seconds) issued as consecutive RunFor calls of 37
+// ticks, the last one shorter: the agents the production loop left lazy
+// must be caught up exactly where each call ends.
+func runSliced(s *Simulation, seconds float64) {
+	end := s.clock.Now() + s.clock.TicksIn(seconds)
+	for s.clock.Now() < end && s.err == nil {
+		s.RunFor(float64(min(37, end-s.clock.Now())) * s.clock.Step())
 	}
+}
+
+// chunkRunner is countingEngine sweeping in parallel — dispatch.Sharded's
+// chunked Sweep, in package so core tests need not import dispatch (which
+// imports core): a sweep of at least grain agents is split into n
+// contiguous blocks, one goroutine each; a smaller one runs on the caller.
+type chunkRunner struct {
+	countingEngine
+	n, grain, forks int
+}
+
+func (e *chunkRunner) Sweep(active []Agent, fn func(Agent)) {
+	if len(active) < e.grain {
+		e.countingEngine.Sweep(active, fn)
+		return
+	}
+	e.sweeps++
+	e.forks++
+	var wg sync.WaitGroup
+	for w := 0; w < e.n; w++ {
+		wg.Add(1)
+		go func(block []Agent) {
+			defer wg.Done()
+			for _, a := range block {
+				fn(a)
+			}
+		}(active[w*len(active)/e.n : (w+1)*len(active)/e.n])
+	}
+	wg.Wait()
+}
+
+// checkEngineUse pins what a run may ask of its runner: nothing on the
+// production loop, a sweep every tick on the reference loop, forked exactly
+// as the grain says.
+func checkEngineUse(t *testing.T, e *chunkRunner, ref bool) {
+	t.Helper()
+	switch {
+	case !ref && (e.binds != 0 || e.sweeps != 0):
+		t.Errorf("production loop called Bind %d and Sweep %d times, want 0", e.binds, e.sweeps)
+	case ref && e.sweeps == 0:
+		t.Error("reference loop never swept through the engine")
+	case e.grain == 0 && e.forks != e.sweeps:
+		t.Errorf("%d of %d sweeps forked at grain 0, want all", e.forks, e.sweeps)
+	case e.grain == math.MaxInt && e.forks != 0:
+		t.Errorf("%d sweeps forked at an infinite grain, want none", e.forks)
+	}
+}
+
+// TestGateCannotChangeResult is the engine determinism contract on
+// generated platforms — the fuzz corpus' and the lane platform's: no worker
+// count, fork setting or loop leg may move a bit against the sequential
+// reference loop.
+func TestGateCannotChangeResult(t *testing.T) {
 	type platform struct {
 		name string
-		run  func(cfg Config, prep func(*Simulation)) *Simulation
+		run  func(cfg Config, drive func(*Simulation, float64)) *Simulation
 	}
-	platforms := []platform{{"lanes", func(cfg Config, prep func(*Simulation)) *Simulation {
-		s, _ := lanePlatform(cfg, prep)
+	platforms := []platform{{"lanes", func(cfg Config, drive func(*Simulation, float64)) *Simulation {
+		s, _ := lanePlatform(cfg, drive)
 		return s
 	}}}
 	for _, seed := range calendarPropertySeeds {
 		data := binary.LittleEndian.AppendUint64(nil, seed)
-		platforms = append(platforms, platform{fmt.Sprintf("fuzz-%d", seed), func(cfg Config, prep func(*Simulation)) *Simulation {
-			return fuzzPlatform(data, cfg, func(s *Simulation) {
-				if prep != nil {
-					s.SetDCShards(map[string]int{"NA": 0})
-					prep(s)
-				}
-			})
+		platforms = append(platforms, platform{fmt.Sprintf("fuzz-%d", seed), func(cfg Config, drive func(*Simulation, float64)) *Simulation {
+			return fuzzPlatformRun(data, cfg, drive)
 		}})
 	}
 	for _, p := range platforms {
-		ref := p.run(Config{LoopFlags: refFlags(true)}, nil)
+		ref := p.run(Config{LoopFlags: refFlags(true)}, (*Simulation).RunFor)
 		if ref.CompletedOps() == 0 {
 			t.Fatalf("%s: the reference run completed nothing", p.name)
 		}
 		for _, n := range []int{1, 2, 4, 8} {
-			for _, fs := range flagSets {
+			for _, leg := range loopLegs {
 				for _, g := range gateSettings {
-					t.Run(fmt.Sprintf("%s/sharded-%d/%s/%s", p.name, n, fs.name, g.name), func(t *testing.T) {
-						got := p.run(Config{Engine: &spanTestRunner{n: n}, LoopFlags: fs.flags},
-							func(s *Simulation) { s.sh.grain = g.grain })
+					t.Run(fmt.Sprintf("%s/sharded-%d/%s/%s", p.name, n, leg.name, g.name), func(t *testing.T) {
+						eng := &chunkRunner{n: n, grain: g.grain(n)}
+						got := p.run(Config{Engine: eng, LoopFlags: refFlags(leg.ref)}, leg.drive)
 						sameRun(t, ref, got)
+						checkEngineUse(t, eng, leg.ref)
 					})
 				}
 			}
@@ -87,73 +143,85 @@ func TestGateCannotChangeResult(t *testing.T) {
 	}
 }
 
-// TestGateInlineKeepsAuditContract: when the gate runs every window inline
-// nothing is ever posted, so MailboxAudit must report its "off" shape —
-// (0, 0, false), never a zero-sample minimum — no barrier is paid, and the
-// engine's workers are never called.
+// TestGateInlineKeepsAuditContract pins the run counters the benchmark
+// harness still reads from the removed span runtime — Barriers,
+// WindowsStretched, MailboxApplied — at their documented constant 0 on both
+// loops under every fork setting, and the runner's calls to what each loop
+// may ask, down to the one Shutdown.
 func TestGateInlineKeepsAuditContract(t *testing.T) {
-	eng := &countingRunner{spanTestRunner: spanTestRunner{n: 2}}
-	s, _ := lanePlatform(Config{Engine: eng}, func(s *Simulation) { s.sh.grain = math.MaxInt })
-	if applied, minSlack, ok := s.MailboxAudit(); applied != 0 || minSlack != 0 || ok {
-		t.Errorf("MailboxAudit = (%d, %d, %v) with every window inline, want (0, 0, false)", applied, minSlack, ok)
-	}
-	st := s.Stats()
-	if st.Barriers != 0 || st.WindowsStretched != 0 || st.MailboxApplied != 0 || eng.calls != 0 {
-		t.Errorf("always-inline run paid %d barriers, stretched %d windows, applied %d mailbox entries, made %d RunShards calls; want none",
-			st.Barriers, st.WindowsStretched, st.MailboxApplied, eng.calls)
-	}
-	if _, _, belowGrain, _ := s.SpanRefusals(); st.WindowsInline == 0 || belowGrain == 0 {
-		t.Errorf("WindowsInline = %d, spans refused below the grain = %d: the inline path left no trace", st.WindowsInline, belowGrain)
+	for _, ref := range []bool{false, true} {
+		for _, g := range gateSettings {
+			eng := &chunkRunner{n: 2, grain: g.grain(2)}
+			s, _ := lanePlatform(Config{Engine: eng, LoopFlags: refFlags(ref)}, (*Simulation).RunFor)
+			if st := s.Stats(); st.Barriers != 0 || st.WindowsStretched != 0 || st.MailboxApplied != 0 {
+				t.Errorf("reference=%v, %s: %d barriers, %d stretched windows, %d mailbox entries; want none",
+					ref, g.name, st.Barriers, st.WindowsStretched, st.MailboxApplied)
+			}
+			checkEngineUse(t, eng, ref)
+			if eng.shutdowns != 1 {
+				t.Errorf("reference=%v, %s: Shutdown called %d times, want 1", ref, g.name, eng.shutdowns)
+			}
+		}
 	}
 }
 
-// TestGateCountersReproducible: the gate reads integers, never a clock, so
-// two runs of one seed must agree on every loop-shape counter exactly. The
-// platform sits astride the production grain: spans fork, the boundary
-// windows between them run inline.
+// TestGateCountersReproducible: the window loop reads integers, never a
+// clock, so two runs of one seed must agree on every run counter exactly —
+// jumps and skipped ticks included — whatever engine each carries. The
+// dense ring has an event every tick; the lane platform jumps between
+// polls.
 func TestGateCountersReproducible(t *testing.T) {
-	run := func() *Simulation {
-		return denseRing(Config{Engine: &spanTestRunner{n: 2}}, 2, 200, rand.New(rand.NewPCG(3, 4)), 4, nil)
+	dense := func(eng Engine) RunStats {
+		return denseRing(Config{Engine: eng}, 2, 200, rand.New(rand.NewPCG(3, 4)), 4).Stats()
 	}
-	a, b := run(), run()
-	as, bs := a.Stats(), b.Stats()
-	if as.Barriers != bs.Barriers || as.WindowsInline != bs.WindowsInline ||
-		as.WindowsStretched != bs.WindowsStretched || as.MailboxApplied != bs.MailboxApplied || a.refused != b.refused {
-		t.Errorf("loop counters differ between two runs of one seed:\n%+v %+v\n%+v %+v", as, a.refused, bs, b.refused)
+	lanes := func(eng Engine) RunStats {
+		s, _ := lanePlatform(Config{Engine: eng}, (*Simulation).RunFor)
+		return s.Stats()
 	}
-	if as.Barriers == 0 || as.WindowsInline == 0 {
-		t.Errorf("barriers %d, inline windows %d — the default gate never forked, or never stood aside", as.Barriers, as.WindowsInline)
+	for name, run := range map[string]func(Engine) RunStats{"dense": dense, "lanes": lanes} {
+		a, b := run(&chunkRunner{n: 2, grain: 2}), run(nil)
+		if a != b {
+			t.Errorf("%s: run counters differ between two runs of one seed:\n%+v\n%+v", name, a, b)
+		}
+		if a.CompletedOps == 0 {
+			t.Errorf("%s: no operation completed", name)
+		}
+	}
+	if st := lanes(nil); st.Jumps == 0 || st.SkippedTicks == 0 {
+		t.Errorf("lane platform took %d jumps over %d ticks; the jump counters were not exercised", st.Jumps, st.SkippedTicks)
 	}
 }
 
-// TestGateDensePlatformStillForks keeps the gate honest in the other
-// direction: a dense platform — ~600 busy agents on two shards — must clear
-// the production grain and pay its spans' barriers on the engine's workers,
-// and still reproduce the reference loop. A gate that never forks would pass
-// every other test.
+// TestGateDensePlatformStillForks keeps the parallel sweep honest in the
+// other direction: on a dense platform — ~800 busy agents over two data
+// centers — the reference loop must fork its sweeps onto the runner's
+// workers at the default grain and still reproduce the sequential reference,
+// as must the production loop, which never asks. A runner that never forks
+// would pass every other test.
 func TestGateDensePlatformStillForks(t *testing.T) {
 	rng := func() *rand.Rand { return rand.New(rand.NewPCG(1, 2)) }
-	ref := denseRing(Config{LoopFlags: refFlags(true)}, 2, 400, rng(), 2, nil)
+	ref := denseRing(Config{LoopFlags: refFlags(true)}, 2, 400, rng(), 2)
 	if ref.CompletedOps() == 0 {
 		t.Fatal("the reference run completed nothing")
 	}
-	eng := &countingRunner{spanTestRunner: spanTestRunner{n: 2}}
-	got := denseRing(Config{Engine: eng}, 2, 400, rng(), 2, nil)
-	st := got.Stats()
+	eng := &chunkRunner{n: 2, grain: 2}
+	got := denseRing(Config{Engine: eng, LoopFlags: refFlags(true)}, 2, 400, rng(), 2)
 	if got.ActiveAgents() < 512 {
 		t.Fatalf("only %d agents busy, want >= 512", got.ActiveAgents())
 	}
-	if st.Barriers == 0 || st.WindowsStretched == 0 || eng.calls == 0 {
-		t.Errorf("%d barriers, %d stretched windows, %d RunShards calls on a dense platform — the default gate never forked",
-			st.Barriers, st.WindowsStretched, eng.calls)
+	if eng.forks == 0 {
+		t.Errorf("%d sweeps on a dense platform, none forked", eng.sweeps)
 	}
 	sameRun(t, ref, got)
+	prod := &chunkRunner{n: 2, grain: 2}
+	sameRun(t, ref, denseRing(Config{Engine: prod}, 2, 400, rng(), 2))
+	checkEngineUse(t, prod, false)
 }
 
-// denseSource keeps one Local operation per agent of its data center in
-// flight: a long chain of stages walking the DC's agents ring-wise, each
-// stage about a tick of service (exactly 0.9 ticks without an rng, so every
-// agent has an event every tick), relaunched from the lane when one retires.
+// denseSource keeps one operation per agent of its data center in flight:
+// a long chain of stages walking the DC's agents ring-wise, each stage
+// 0.3–2.3 ticks of service drawn from the source's own stream, relaunched
+// when one retires.
 type denseSource struct {
 	dc       string
 	agents   []*hzAgent
@@ -169,15 +237,11 @@ func (d *denseSource) Poll(s *Simulation, now float64) {
 		stages := make([]Stage, denseHops)
 		for h := range stages {
 			a := d.agents[(d.launched+h)%len(d.agents)]
-			ticks := 0.9
-			if d.rng != nil {
-				ticks = 0.3 + 2*d.rng.Float64()
-			}
-			stages[h] = Stage{Queue: a, Demand: ticks * a.q.Rate() * s.clock.Step()}
+			stages[h] = Stage{Queue: a, Demand: (0.3 + 2*d.rng.Float64()) * a.q.Rate() * s.clock.Step()}
 		}
 		d.launched++
 		plans := []MessagePlan{{Stages: stages}}
-		s.StartOp(OpRun{Name: "ring", DC: d.dc, NumSteps: 1, Local: true,
+		s.StartOp(OpRun{Name: "ring", DC: d.dc, NumSteps: 1,
 			Expand: func(int) []MessagePlan { return plans },
 			Retire: func() { d.inflight-- }})
 	}
@@ -185,72 +249,33 @@ func (d *denseSource) Poll(s *Simulation, now float64) {
 
 func (d *denseSource) NextPoll(now float64) float64 { return now }
 
-// denseRing builds dcs data centers of per agents each, DC d on shard d
-// modulo the engine's shard count, every agent kept busy by its DC's
-// denseSource (seeded from rng, or lock-stepped when rng is nil), and runs
-// it for the given simulated seconds. prep, when non-nil, sees the fresh
-// simulation first.
-func denseRing(cfg Config, dcs, per int, rng *rand.Rand, seconds float64, prep func(*Simulation)) *Simulation {
+// denseRing builds dcs data centers of per agents each, every agent kept
+// busy by its DC's denseSource (seeded from rng), and runs it for the given
+// simulated seconds.
+func denseRing(cfg Config, dcs, per int, rng *rand.Rand, seconds float64) *Simulation {
 	cfg.Step, cfg.Seed, cfg.CollectEvery = 0.01, 1, 100
 	s := NewSimulation(cfg)
-	if prep != nil {
-		prep(s)
-	}
-	n, sharded := s.Sharded()
-	assign, lanes := []int32(nil), map[string]int{}
 	srcs := make([]*denseSource, dcs)
 	for d := range srcs {
-		src := &denseSource{dc: fmt.Sprintf("DC%d", d)}
-		if rng != nil {
-			src.rng = rand.New(rand.NewPCG(rng.Uint64(), uint64(d)))
-		}
+		src := &denseSource{dc: fmt.Sprintf("DC%d", d), rng: rand.New(rand.NewPCG(rng.Uint64(), uint64(d)))}
 		for i := 0; i < per; i++ {
 			src.agents = append(src.agents, newHzAgent(s, fmt.Sprintf("%s-%d", src.dc, i), 100))
-			if sharded {
-				assign = append(assign, int32(d%n))
-			}
-		}
-		if sharded {
-			lanes[src.dc] = d % n
 		}
 		srcs[d] = src
 	}
-	s.SetShardAssignment(assign)
-	s.SetDCShards(lanes)
 	for _, src := range srcs {
-		s.AddLaneSource(src, src.dc)
+		s.AddSource(src)
 	}
 	s.RunFor(seconds)
 	s.Shutdown()
 	return s
 }
 
-// wanAgent is a latencied processor-sharing transit link — what a
-// cross-shard hand-off needs its target to be (see postInbox): it exposes
-// the latency the lookahead rests on and whether a connection slot is free.
-type wanAgent struct{ hzAgent }
-
-func newWanAgent(s *Simulation, name string, rate, latency float64) *wanAgent {
-	a := &wanAgent{}
-	a.q = queueing.NewPS(rate, 64, latency)
-	a.q.SetNotify(a.MarkDirty)
-	a.InitAgent(s.NextAgentID(), name)
-	s.AddAgent(a)
-	return a
-}
-
-func (a *wanAgent) ps() *queueing.PS { return a.q.(*queueing.PS) }
-func (a *wanAgent) Rate() float64    { return a.q.Rate() }
-func (a *wanAgent) Latency() float64 { return a.ps().Latency() }
-func (a *wanAgent) FreeSlot() bool {
-	return a.ps().Waiting()+a.ps().InService() < a.ps().MaxConnections()
-}
-
-// wanTraffic is a global source launching cross-DC round trips: serve at the
-// near DC, cross the WAN, serve at the far DC, cross back, finish at home.
+// wanTraffic launches cross-DC round trips: serve at the near DC, cross
+// the WAN, serve at the far DC, cross back, finish at home.
 type wanTraffic struct {
 	near, far []*hzAgent
-	out, back *wanAgent
+	out, back *hzAgent
 	rng       *rand.Rand
 	next      float64
 }
@@ -260,33 +285,27 @@ func (wt *wanTraffic) Poll(s *Simulation, now float64) {
 		return
 	}
 	dt := s.clock.Step()
-	cpu := func(dc []*hzAgent) Stage {
-		a := dc[wt.rng.IntN(len(dc))]
-		return Stage{Queue: a, Demand: (0.5 + 4*wt.rng.Float64()) * a.q.Rate() * dt}
+	stage := func(a *hzAgent, lo, span float64) Stage {
+		return Stage{Queue: a, Demand: (lo + span*wt.rng.Float64()) * a.q.Rate() * dt}
 	}
-	wire := func(l *wanAgent) Stage { return Stage{Queue: l, Demand: (0.2 + 3*wt.rng.Float64()) * l.Rate() * dt} }
-	plans := []MessagePlan{{Stages: []Stage{cpu(wt.near), wire(wt.out), cpu(wt.far), wire(wt.back), cpu(wt.near)}}}
+	cpu := func(dc []*hzAgent) Stage { return stage(dc[wt.rng.IntN(len(dc))], 0.5, 4) }
+	plans := []MessagePlan{{Stages: []Stage{cpu(wt.near), stage(wt.out, 0.2, 3), cpu(wt.far), stage(wt.back, 0.2, 3), cpu(wt.near)}}}
 	s.StartOp(OpRun{Name: "X", DC: "A", NumSteps: 1, Expand: func(int) []MessagePlan { return plans }})
 	wt.next = now + float64(15+wt.rng.IntN(50))*dt
 }
 
 func (wt *wanTraffic) NextPoll(float64) float64 { return wt.next }
 
-// TestShardMidSpanDeliveryUnderForcedGate is the lookahead-safety property
-// on a platform small enough that only a forced gate shards it: two data
-// centers on two shards joined by 50 ms WAN links, lane-confined traffic in
-// each plus a global source of cross-DC round trips. With the lookahead
-// installed, spans form under live cross traffic and the WAN hops are
-// posted mid-span into the far shard's inbox, applied ticks later with a
-// replayed latency countdown (applyEntry panics on a late one): the audit
-// must take its "on" shape — applied > 0, slack never negative, mirrored in
-// RunStats. Under NoCrossStretch spans form only in the gaps between cross
-// flows and under NoStretch not at all, so nothing is ever posted and the
-// audit keeps its "off" shape. Every leg must reproduce the reference loop
-// bit for bit. (The same property on real topology and hardware agents:
-// TestMailboxDueTimeSafety in scenario_test.go.)
+// TestShardMidSpanDeliveryUnderForcedGate is the WAN-latency property on a
+// platform small enough to read: two data centers of three agents joined by
+// 50 ms latencied processor-sharing links, per-DC random traffic in each
+// plus a source of cross-DC round trips. Every hop across a link must finish
+// its latency countdown on the reference loop's tick — with the production
+// loop run in one call (stretched) or in slices (nocross), and with the
+// reference loop sweeping through a runner that forks every tick
+// (nostretch).
 func TestShardMidSpanDeliveryUnderForcedGate(t *testing.T) {
-	run := func(cfg Config) *Simulation {
+	run := func(cfg Config, drive func(*Simulation, float64)) *Simulation {
 		cfg.Step, cfg.Seed, cfg.CollectEvery = 0.01, 5, 200
 		s := NewSimulation(cfg)
 		var dcs [2][]*hzAgent
@@ -299,55 +318,29 @@ func TestShardMidSpanDeliveryUnderForcedGate(t *testing.T) {
 			dcs[d], local = lt.agents, append(local, lt)
 		}
 		wt := &wanTraffic{near: dcs[0], far: dcs[1], rng: rand.New(rand.NewPCG(5, 9)),
-			out: newWanAgent(s, "A>B", 1e4, 0.05), back: newWanAgent(s, "B>A", 1e4, 0.05)}
-		if s.sh != nil {
-			s.sh.grain = 0
-			// Each link lives with the DC it enters, like a real partition.
-			s.SetShardAssignment([]int32{0, 0, 0, 1, 1, 1, 1, 0})
-			s.SetDCShards(map[string]int{"A": 0, "B": 1})
-			s.SetShardLookahead([]float64{0.05, 0.05})
-		}
+			out:  newHzAgentOn(s, "A>B", queueing.NewPS(1e4, 64, 0.05)),
+			back: newHzAgentOn(s, "B>A", queueing.NewPS(1e4, 64, 0.05))}
 		for _, lt := range local {
-			s.AddLaneSource(lt, lt.dc)
+			s.AddSource(lt)
 		}
 		s.AddSource(wt)
-		s.RunFor(40)
+		drive(s, 40)
 		s.Shutdown()
 		return s
 	}
-	ref := run(Config{LoopFlags: refFlags(true)})
-	if ref.CompletedOps() == 0 {
-		t.Fatal("the reference run completed nothing")
+	ref := run(Config{LoopFlags: refFlags(true)}, (*Simulation).RunFor)
+	if ref.Responses.Series("X", "A").Len() == 0 {
+		t.Fatal("no cross-DC round trip completed on the reference loop")
 	}
-	for _, tc := range []struct {
-		name  string
-		flags LoopFlags
-	}{{"stretched", LoopFlags{}}, {"nostretch", LoopFlags{NoStretch: true}}, {"nocross", LoopFlags{NoCrossStretch: true}}} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := run(Config{Engine: &spanTestRunner{n: 2}, LoopFlags: tc.flags})
-			sameRun(t, ref, got)
-			applied, minSlack, ok := got.MailboxAudit()
-			st := got.Stats()
-			if st.MailboxApplied != applied || st.MailboxMinSlack != int64(minSlack) {
-				t.Errorf("RunStats mailbox mirror (%d, %d) diverged from MailboxAudit (%d, %d)",
-					st.MailboxApplied, st.MailboxMinSlack, applied, minSlack)
-			}
-			posted := got.sh.lanes[0].postSeq + got.sh.lanes[1].postSeq
-			if applied != posted {
-				t.Errorf("%d inbox entries posted, %d applied", posted, applied)
-			}
-			switch {
-			case tc.flags.NoStretch && (st.WindowsStretched != 0 || st.Barriers != 0 || ok):
-				t.Errorf("NoStretch run stretched %d windows behind %d barriers, audit ok=%v; want none", st.WindowsStretched, st.Barriers, ok)
-			case tc.flags.NoCrossStretch && (st.WindowsStretched == 0 || ok):
-				t.Errorf("NoCrossStretch run stretched %d windows (want > 0, in the gaps), audit ok=%v (want off: nothing may be posted)", st.WindowsStretched, ok)
-			case tc.flags == LoopFlags{} && (st.WindowsStretched == 0 || !ok || applied == 0 || minSlack < 0):
-				t.Errorf("stretched %d windows, MailboxAudit = (%d, %d, %v); want mid-span deliveries with non-negative slack",
-					st.WindowsStretched, applied, minSlack, ok)
-			}
-			if !ok && (applied != 0 || minSlack != 0) {
-				t.Errorf("off shape = (%d, %d, false), want (0, 0, false)", applied, minSlack)
-			}
+	for _, leg := range []loopLeg{
+		{"stretched", false, (*Simulation).RunFor},
+		{"nostretch", true, (*Simulation).RunFor},
+		{"nocross", false, runSliced},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			eng := &chunkRunner{n: 2}
+			sameRun(t, ref, run(Config{Engine: eng, LoopFlags: refFlags(leg.ref)}, leg.drive))
+			checkEngineUse(t, eng, leg.ref)
 		})
 	}
 }

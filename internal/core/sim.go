@@ -48,7 +48,8 @@ type Config struct {
 	CollectEvery int
 	// Seed feeds the simulation's deterministic RNG streams.
 	Seed uint64
-	// Engine parallelizes agent sweeps; nil selects SequentialEngine.
+	// Engine parallelizes the reference loop's agent sweeps; nil selects
+	// SequentialEngine. The production loop does not sweep through it.
 	Engine Engine
 	// LoopFlags are the A/B switches; the zero value selects the production
 	// configuration.
@@ -65,8 +66,8 @@ type LoopFlags struct {
 	// NoFastForward selects the reference loop: the plain §4.3 tick loop —
 	// every source polled, every active agent stepped and drained, every
 	// tick — in place of the window loop. It is the oracle the
-	// equivalence tests compare the production loop against. It also turns
-	// the sharded runtime off, which is built on windows.
+	// equivalence tests compare the production loop against, and the only
+	// loop that sweeps through the configured Engine.
 	NoFastForward bool
 	// NoThinning disables exponential-gap arrival thinning in sources that
 	// support it (workload.AppWorkload), forcing per-tick Poisson draws.
@@ -75,23 +76,6 @@ type LoopFlags struct {
 	// draws (same arrival law), not bit-identical; NoThinning restores the
 	// bit-identity guarantee for client workloads.
 	NoThinning bool
-	// NoShards disables the sharded PDES runtime even when Engine is a
-	// ShardRunner: the engine's workers still serve plain Sweep calls, but
-	// the simulation skips the shard partition and the shard lanes.
-	NoShards bool
-	// NoStretch disables Chandy-Misra window stretching in the sharded
-	// runtime: agents are still partitioned onto shards, but every window
-	// runs on the root goroutine instead of letting each shard run
-	// consecutive windows on its lane up to its safe bound (compare
-	// RunStats.WindowsInline and WindowsStretched). No effect unless the
-	// runtime is active.
-	NoStretch bool
-	// NoCrossStretch keeps window stretching for shard-confined traffic but
-	// restores the pre-lookahead guard for cross-shard traffic: spans only
-	// form while no cross-shard flow is in flight, instead of bounding the
-	// span by the WAN lookahead and each live cross token's conservative
-	// completion bound. No effect unless stretching is active.
-	NoCrossStretch bool
 	// NoFaults disables fault injection: layers that would schedule a fault
 	// controller (experiment compile) consult FaultsEnabled and skip it, so
 	// the run carries no controller source, no fault probes and no fault
@@ -106,7 +90,8 @@ type LoopFlags struct {
 
 // Simulation owns the discrete time loop and everything attached to it:
 // agents, sources, collector, response tracker and RNG. It is not safe for
-// concurrent use; the engine parallelism is internal to the sweep phase.
+// concurrent use; an engine's parallelism is internal to the reference
+// loop's sweep phase.
 type Simulation struct {
 	clock   *simtime.Clock
 	engine  Engine
@@ -117,20 +102,16 @@ type Simulation struct {
 	// bases is the dense agent table: bases[id] is the AgentBase of agents[id],
 	// resolved once at registration so the loop's set-membership tests
 	// (active, dirty, pendDrain, pinned) index a slice instead of paying an
-	// interface call per test. inlineSweep is set when the engine is the
-	// SequentialEngine: runWindow then advances the involved set itself and
-	// Engine.Sweep is left to the reference tick and the Chapter-4 engines.
-	bases       []*AgentBase
-	inlineSweep bool
+	// interface call per test.
+	bases []*AgentBase
 
 	// err is the first fatal error a control point reported (Fail); the run
 	// loops stop at the next window boundary once it is set.
 	err error
 
-	// root is the global loop's window: the active, pinned, dirty and drain
-	// sets, the event calendar, the flow counters and the token pool. Its
-	// tick mirrors the clock. The reference loop uses only its active list
-	// and counters.
+	// root is the loop state: the active, pinned, dirty and drain sets, the
+	// event calendar, the flow counters and the token pool. Its tick mirrors
+	// the clock. The reference loop uses only its active list and counters.
 	root window
 
 	Collector *metrics.Collector
@@ -147,47 +128,16 @@ type Simulation struct {
 	// agentTick records, per agent, the tick its state has been stepped
 	// through — meaningful only while the agent is active; lazily-stepped
 	// agents trail the clock and are caught up by syncAgent. sweep is the
-	// materialized agent list handed to the engine; advanceTo the landing
-	// tick advanceFn steps them to. advanceFn and drainFn are bound once so
-	// no window allocates a closure.
+	// agent list the reference tick hands the engine. drainFn is bound once
+	// so no window allocates a closure.
 	agentTick []simtime.Tick
 	sweep     []Agent
-	advanceTo simtime.Tick
-	advanceFn func(Agent)
 	drainFn   func(*queueing.Task)
 
 	// srcDue caches each source's due tick (first tick whose Poll may have
 	// an observable effect). Sources reporting +Inf are parked until
-	// RearmSource re-consults them. srcDC names, per source, the data center
-	// a lane-confined source (AddLaneSource) injects into — "" for global
-	// sources, whose due ticks bound every stretched span.
+	// RearmSource re-consults them.
 	srcDue []simtime.Tick
-	srcDC  []string
-
-	// crossFlows counts the in-flight flows that are not shard-confined:
-	// non-Local cascades (cross-DC hops) and flows carrying an OnComplete
-	// callback (sequential-phase control transfers, e.g. daemon re-arms).
-	// Under LoopFlags.NoCrossStretch the span scheduler only forms spans
-	// while this is zero; by default it instead walks crossToks — the live
-	// message tokens of those flows, registered at creation and swap-removed
-	// at tokenDone through token.reg — and bounds each span by every token's
-	// conservative chain-completion bound plus the WAN lookahead (trySpan).
-	crossFlows int
-	crossToks  []*token
-
-	// barriers counts global synchronization points of the sharded loop
-	// (one per stretched span); stretched counts the lane windows executed
-	// inside spans; inline the windows that ran whole on the root goroutine;
-	// refused the windows on which the span scheduler declined to stretch, by
-	// reason (SpanRefusals).
-	barriers  uint64
-	stretched uint64
-	inline    uint64
-	refused   struct{ source, token, grain, backoff uint64 }
-
-	// sh is the sharded-runtime state, non-nil only when the engine is a
-	// ShardRunner and neither NoFastForward nor NoShards is set.
-	sh *shardState
 
 	// hMemo/hMemoTick memoize each agent's last computed Horizon together
 	// with the basis tick (the tick the agent's state was stepped through
@@ -229,18 +179,8 @@ func NewSimulation(cfg Config) *Simulation {
 		thinning:     !cfg.NoThinning,
 		noFaults:     cfg.NoFaults,
 	}
-	_, s.inlineSweep = eng.(*SequentialEngine)
 	s.root = window{s: s, srcMin: neverTick, resp: s.Responses}
-	s.advanceFn = func(a Agent) { s.advanceAgentTo(a.ID(), s.advanceTo) }
 	s.drainFn = s.onTaskDone
-	// The sharded runtime's barriers are window boundaries; the reference
-	// loop runs any engine — including a ShardRunner — through plain Sweep
-	// calls.
-	if sr, ok := eng.(ShardRunner); ok && s.fastForward && !cfg.NoShards {
-		s.sh = newShardState(s, sr, cfg.Seed)
-		s.sh.stretch = !cfg.NoStretch
-		s.sh.noCross = cfg.NoCrossStretch
-	}
 	return s
 }
 
@@ -276,9 +216,6 @@ func (s *Simulation) NextAgentID() AgentID { return AgentID(len(s.agents)) }
 // AddAgent registers an agent. The agent must have been initialized with
 // the ID returned by the immediately preceding NextAgentID call.
 func (s *Simulation) AddAgent(a Agent) {
-	if s.sh != nil && s.sh.inSpan {
-		panic(fmt.Sprintf("core: agent %q registered inside a stretched span", a.Name()))
-	}
 	if got, want := a.ID(), AgentID(len(s.agents)); got != want {
 		panic(fmt.Sprintf("core: agent %q registered with ID %d, want %d", a.Name(), got, want))
 	}
@@ -300,24 +237,13 @@ func (s *Simulation) AddAgent(a Agent) {
 	s.rebind = true
 }
 
-// windowOf resolves the window that owns an agent's loop state right now:
-// the root in sequential phases, the owning shard's lane inside a stretched
-// span.
-func (s *Simulation) windowOf(id AgentID) *window {
-	if sh := s.sh; sh != nil && sh.inSpan {
-		return &sh.lanes[sh.shard(id)].window
-	}
-	return &s.root
-}
-
-// activate records an agent ID in its window's active list. Callers go
-// through AgentBase.MarkActive, which guarantees duplicate-free O(1)
-// insertion. An agent activates "current": its state has trivially been
-// stepped through the window's tick, so lazy catch-up starts from here; a
-// tombstoned entry (deactivated but not yet compacted away) is revived in
-// place.
+// activate records an agent ID in the active list. Callers go through
+// AgentBase.MarkActive, which guarantees duplicate-free O(1) insertion. An
+// agent activates "current": its state has trivially been stepped through
+// the window's tick, so lazy catch-up starts from here; a tombstoned entry
+// (deactivated but not yet compacted away) is revived in place.
 func (s *Simulation) activate(id AgentID) {
-	w := s.windowOf(id)
+	w := &s.root
 	w.live++
 	s.agentTick[id] = w.tick
 	if b := s.bases[id]; !b.listed {
@@ -333,10 +259,9 @@ func (s *Simulation) invalidate(id AgentID) {
 	if !s.fastForward {
 		return
 	}
-	w := s.windowOf(id)
-	w.dirty = append(w.dirty, id)
+	s.root.dirty = append(s.root.dirty, id)
 	s.hMemoTick[id] = hMemoUnset
-	w.markDrain(s.bases[id])
+	s.root.markDrain(s.bases[id])
 }
 
 // hMemoUnset marks a horizon memo entry invalid. Basis ticks are clock
@@ -347,9 +272,7 @@ const hMemoUnset = simtime.Tick(-1)
 // tick (the tick its state has been stepped through), memoizing the
 // computation. Between invalidations an agent's state is a pure function
 // of its basis, so a basis match returns the bitwise-identical value the
-// direct call would produce. Callers in parallel phases are safe as long
-// as each agent is read by its owning worker only — the memo slots are
-// per-agent.
+// direct call would produce.
 func (s *Simulation) agentHorizon(id AgentID, basis simtime.Tick) float64 {
 	if s.hMemoTick[id] == basis {
 		return s.hMemo[id]
@@ -376,44 +299,13 @@ type SourceHandle int
 // that goes dormant and is re-armed by a completion callback must notify
 // the simulation from that callback.
 func (s *Simulation) AddSource(src Source) SourceHandle {
-	if s.sh != nil && s.sh.inSpan {
-		panic("core: source registered inside a stretched span")
-	}
-	s.root.srcIdx = append(s.root.srcIdx, len(s.sources))
 	s.sources = append(s.sources, src)
 	due := s.clock.Now()
 	s.srcDue = append(s.srcDue, due)
-	s.srcDC = append(s.srcDC, "")
 	if due < s.root.srcMin {
 		s.root.srcMin = due
 	}
-	if s.sh != nil {
-		s.sh.glob, s.sh.globDirty = nil, true // global until AddLaneSource says otherwise
-	}
 	return SourceHandle(len(s.sources))
-}
-
-// AddLaneSource registers a work source that is confined to one data
-// center: everything it launches is a Local (shard-confined) cascade on
-// dc's agents, it draws randomness only from its own streams, and it never
-// touches cross-DC state. That declaration lets the stretched-span
-// scheduler poll the source from dc's shard lane between barriers instead
-// of treating its due ticks as span bounds. A source registered this way
-// must be fully initialized — its first in-lane Poll cannot intern gauges
-// or otherwise mutate shared simulation state.
-func (s *Simulation) AddLaneSource(src Source, dc string) SourceHandle {
-	if dc == "" {
-		panic("core: lane-confined source registered with an empty data-center name")
-	}
-	if s.sh != nil && len(s.sh.dcLane) > 0 {
-		if _, ok := s.sh.dcLane[dc]; !ok {
-			panic(fmt.Sprintf("core: lane-confined source bound to data center %q, which the shard plan does not partition (have %s)",
-				dc, dcNames(s.sh.dcLane)))
-		}
-	}
-	h := s.AddSource(src)
-	s.srcDC[h-1] = dc
-	return h
 }
 
 // RearmSource re-consults a parked source's NextPoll schedule. Completion
@@ -426,21 +318,11 @@ func (s *Simulation) RearmSource(h SourceHandle) {
 	if h <= 0 || int(h) > len(s.sources) || !s.fastForward {
 		return
 	}
-	if s.sh != nil && s.sh.inSpan {
-		// Unreachable by construction: re-arms come from OnComplete
-		// callbacks, OnComplete-bearing flows are cross-capable, and the
-		// span scheduler ends every span strictly before any cross-capable
-		// chain can complete (trySpan's tokenGuard bound).
-		panic("core: RearmSource inside a stretched span")
-	}
 	i := int(h) - 1
 	due := s.srcDueTick(s.sources[i].NextPoll(s.clock.NowSeconds()), s.clock.Now())
 	s.srcDue[i] = due
 	if due < s.root.srcMin {
 		s.root.srcMin = due
-	}
-	if s.sh != nil {
-		s.sh.globDirty = true
 	}
 }
 
@@ -468,9 +350,6 @@ func (s *Simulation) GaugeHandle(key string) Gauge {
 	}
 	if g, ok := s.gaugeIdx[key]; ok {
 		return g
-	}
-	if s.sh != nil && s.sh.inSpan {
-		panic(fmt.Sprintf("core: gauge %q interned inside a stretched span", key))
 	}
 	s.gaugeVals = append(s.gaugeVals, 0)
 	g := Gauge(len(s.gaugeVals)) // 1-based so the zero Gauge means "none"
@@ -529,6 +408,8 @@ func (s *Simulation) step(limit simtime.Tick) {
 // ones that went idle, snapshot at collector boundaries. It keeps no
 // calendar, skips nothing and steps nothing lazily, which is what makes it
 // the oracle the equivalence tests digest-compare the window loop against.
+// It is the only caller of Engine.Bind and Engine.Sweep: the per-tick sweep
+// over every active agent is the phase the Chapter-4 engines parallelize.
 func (s *Simulation) tick() {
 	w := &s.root
 	now := s.clock.NowSeconds()
@@ -598,55 +479,18 @@ func (s *Simulation) tick() {
 //     completions, and skipping their Drain is exact.
 //   - Skipped polls are no-ops by the Source.NextPoll contract.
 //
-// What the root driver adds to the shared phases is everything global:
-// the span scheduler of the sharded runtime, the engine sweep and the
-// snapshot.
+// The involved agents are advanced right here, on the calling goroutine: a
+// window involves a handful of agents (about seven on the consolidation
+// peak hour), far below what a fork or a barrier costs, so the production
+// loop never sweeps through the engine.
 func (s *Simulation) runWindow(limit simtime.Tick) {
-	w, sh := &s.root, s.sh
-	if sh != nil {
-		// Spend the lookahead first: when no cross-shard flow can complete
-		// and no global source is due before the next synchronization
-		// point, the shards run a stretched span — many consecutive windows
-		// each, meeting only at the exit barrier — instead of this window.
-		if sh.stretch && s.trySpan(limit) {
-			return
-		}
-		// Entries a lane posted mid-span and no later span consumed apply
-		// now, before the sources poll: fault callbacks and probes sample
-		// queue counters, so the in-flight cross-shard work must be in its
-		// queues by the time anything sequential reads them.
-		sh.flushInbox(s)
-		// A due source is about to move its due tick.
-		sh.globDirty = sh.globDirty || w.srcMin <= w.tick
-		s.inline++
-	}
+	w := &s.root
 	w.pollDue()
-	if s.rebind {
-		s.engine.Bind(s.agents)
-		s.rebind = false
-	}
 	w.rekey()
 	landing := w.tick + w.jump(limit)
 	w.popInvolved(landing, limit)
-
-	// Parallel phase: advance the involved agents through the window. On
-	// the sequential engine, and under the sharded runtime for a window that
-	// is not part of a span, that happens right here — the plain loop is
-	// what SequentialEngine.Sweep would run, and a lone window never carries
-	// the work a barrier costs (see shardGrain); which goroutine advances an
-	// agent never shows in a result. Only the Chapter-4 engines (and any
-	// decorator around one) are handed the sorted involved set.
-	if sh != nil || s.inlineSweep {
-		for _, id := range w.inv {
-			s.advanceAgentTo(id, landing)
-		}
-	} else if len(w.inv) > 0 {
-		s.advanceTo = landing
-		s.sweep = s.sweep[:0]
-		for _, id := range w.inv {
-			s.sweep = append(s.sweep, s.agents[id])
-		}
-		s.engine.Sweep(s.sweep, s.advanceFn)
+	for _, id := range w.inv {
+		s.advanceAgentTo(id, landing)
 	}
 	w.tick = s.clock.AdvanceBy(landing - w.tick)
 
@@ -668,27 +512,25 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 // re-bases agentTick). The reference loop steps every active agent every
 // tick and keeps no agentTick, so it has nothing to catch up.
 func (s *Simulation) syncAgent(id AgentID) {
-	// The common case — no sharded runtime, agent already current — exits
-	// here, inlined into the caller: the hook sits on every enqueue, twice
-	// for hardware agents (the flow router's call, then the agent's own,
-	// which finds nothing left).
-	if s.sh != nil || s.root.tick > s.agentTick[id] {
+	// The common case — agent already current — exits here, inlined into
+	// the caller: the hook sits on every enqueue, twice for hardware agents
+	// (the flow router's call, then the agent's own, which finds nothing
+	// left).
+	if s.root.tick > s.agentTick[id] {
 		s.catchUp(id)
 	}
 }
 
-// catchUp is syncAgent out of line: resolve the agent's window and replay
-// its deficit, if it is active and has one.
+// catchUp is syncAgent out of line: replay the agent's deficit if it is
+// active on the production loop.
 func (s *Simulation) catchUp(id AgentID) {
-	if now := s.windowOf(id).tick; now > s.agentTick[id] && s.fastForward && s.bases[id].active {
-		s.advanceAgentTo(id, now)
+	if s.fastForward && s.bases[id].active {
+		s.advanceAgentTo(id, s.root.tick)
 	}
 }
 
 // advanceAgentTo steps one agent through any lazy deficit up to the given
-// tick. It runs inside the parallel sweep as well as from sequential
-// catch-ups: agentTick writes are per-agent, so it is safe under parallel
-// engines as long as each agent is advanced by one worker.
+// tick, from the window's advance phase or from a sequential catch-up.
 func (s *Simulation) advanceAgentTo(id AgentID, to simtime.Tick) {
 	if base := s.agentTick[id]; to > base {
 		s.agentTick[id] = to
@@ -705,8 +547,7 @@ func (s *Simulation) advanceAgentTo(id AgentID, to simtime.Tick) {
 // which is the dominant case in event-dense stretches. The horizon reads
 // go through the memo keyed at base, so the first chunk of a window
 // reuses the value the preceding rekey computed. Agents without the
-// BulkStepper capability replay tick by tick. It runs inside the parallel
-// sweep as well as from sequential catch-ups; it only touches the agent's
+// BulkStepper capability replay tick by tick. It only touches the agent's
 // own state (including its memo slots).
 func (s *Simulation) advanceAgent(id AgentID, base, n simtime.Tick) {
 	a := s.agents[id]
@@ -795,11 +636,10 @@ func (s *Simulation) agentKey(h float64, now simtime.Tick) simtime.Tick {
 }
 
 // nextCollectBoundary returns the first collector-snapshot tick strictly
-// after now: a window or span standing exactly on a boundary has already
+// after now: a window standing exactly on a boundary has already
 // snapshotted it, so the next synchronization point is one full period
-// ahead, never the current tick. The jump sizer (window.jump) and the span
-// scheduler (trySpan) must share this arithmetic — a drifted bound would
-// let a span swallow a snapshot tick or truncate a jump a boundary early.
+// ahead, never the current tick — otherwise a jump would swallow a snapshot
+// tick or stop a boundary early.
 func nextCollectBoundary(now, every simtime.Tick) simtime.Tick {
 	return now + (every - now%every)
 }
@@ -831,39 +671,20 @@ type RunStats struct {
 	// how many jumps the loop took and how many whole ticks they skipped.
 	Jumps        uint64 `json:"jumps"`
 	SkippedTicks uint64 `json:"skipped_ticks"`
-	// Barriers counts global synchronization points of the sharded run
-	// loop: one per stretched span. Zero for non-sharded runs. WindowsInline
-	// counts the windows that ran whole on the root goroutine — no span was
-	// admissible, or it carried too little work to fork (the grain gate).
-	// WindowsStretched counts the shard-local windows executed inside
-	// stretched spans; ShardStretch breaks them down per shard. The stretch
-	// ratio WindowsStretched/Barriers is the windows-per-barrier win of
-	// spending the WAN lookahead.
-	Barriers         uint64   `json:"barriers,omitempty"`
-	WindowsInline    uint64   `json:"windows_inline,omitempty"`
-	WindowsStretched uint64   `json:"windows_stretched,omitempty"`
-	ShardStretch     []uint64 `json:"shard_stretch,omitempty"`
-	// MailboxApplied / MailboxMinSlack mirror MailboxAudit: cross-shard
-	// hand-offs applied through the shard inboxes, and the minimum slack
-	// (due tick minus apply tick) observed across them. MailboxMinSlack is
-	// meaningful only when MailboxApplied > 0.
-	MailboxApplied  uint64 `json:"mailbox_applied,omitempty"`
-	MailboxMinSlack int64  `json:"mailbox_min_slack,omitempty"`
-}
-
-// SpanRefusals reports on how many windows the span scheduler declined to
-// stretch, by reason: a global source due within two ticks; a cross-capable
-// token's completion bound, the WAN lookahead or LoopFlags.NoCrossStretch;
-// a span too short or too light to clear the grain gate; and the windows it
-// sat out backing off after a token-bound refusal. It is diagnostic output
-// for `gdisim -v`, all zero when the sharded runtime is off.
-func (s *Simulation) SpanRefusals() (sourceDue, tokenBound, belowGrain, backoff uint64) {
-	return s.refused.source, s.refused.token, s.refused.grain, s.refused.backoff
+	// Deprecated: always 0. Barriers, WindowsStretched and MailboxApplied
+	// counted the synchronization points of the sharded span runtime, which
+	// was removed; they are kept only because the benchmark harness reads
+	// them.
+	Barriers uint64 `json:"barriers,omitempty"`
+	// Deprecated: always 0 (see Barriers).
+	WindowsStretched uint64 `json:"windows_stretched,omitempty"`
+	// Deprecated: always 0 (see Barriers).
+	MailboxApplied uint64 `json:"mailbox_applied,omitempty"`
 }
 
 // Stats snapshots the simulation's run counters.
 func (s *Simulation) Stats() RunStats {
-	st := RunStats{
+	return RunStats{
 		Seconds:      s.clock.NowSeconds(),
 		Ticks:        int64(s.clock.Now()),
 		CompletedOps: s.root.completed,
@@ -872,52 +693,7 @@ func (s *Simulation) Stats() RunStats {
 		Agents:       len(s.agents),
 		Jumps:        s.root.jumps,
 		SkippedTicks: s.root.skipped,
-		Barriers:     s.barriers,
 	}
-	if s.sh != nil {
-		st.WindowsInline = s.inline
-		st.WindowsStretched = s.stretched
-		if s.stretched > 0 {
-			st.ShardStretch = slices.Clone(s.sh.shardWindows)
-		}
-		if applied, minSlack, ok := s.MailboxAudit(); ok {
-			st.MailboxApplied = applied
-			st.MailboxMinSlack = int64(minSlack)
-		}
-	}
-	return st
-}
-
-// MailboxAudit reports the cross-shard delivery telemetry of the sharded
-// runtime: how many mid-span cross-shard hand-offs were applied through the
-// shard inboxes, and the minimum slack (due tick minus the tick the entry
-// was applied at, in ticks) observed across all of them. A negative minimum
-// would mean a message was applied after its WAN-delayed due instant — past
-// the point where its absence could have changed the receiver's state — the
-// conservative-synchronization violation the property tests pin.
-//
-// The contract is exactly two shapes: (0, 0, false) when the sharded
-// runtime is off or no message was ever applied, and
-// (applied, minSlack, true) otherwise. The minimum folds only shards that
-// applied at least one message — a shard that received no traffic has no
-// slack sample and must not drag the minimum to its zero-initialized
-// counter; TestMailboxAuditContract pins both shapes.
-func (s *Simulation) MailboxAudit() (applied uint64, minSlack simtime.Tick, ok bool) {
-	if s.sh == nil {
-		return 0, 0, false
-	}
-	minSlack = neverTick
-	for i := range s.sh.lanes {
-		ln := &s.sh.lanes[i]
-		applied += ln.mailApplied
-		if ln.mailApplied > 0 && ln.mailMinSlack < minSlack {
-			minSlack = ln.mailMinSlack
-		}
-	}
-	if applied == 0 {
-		return 0, 0, false
-	}
-	return applied, minSlack, true
 }
 
 // OpError is the fatal error of an operation that could not continue: the
@@ -942,12 +718,6 @@ func (e *OpError) Unwrap() error { return e.Err }
 // must be called from a sequential phase — the control points that can fail
 // (cross-DC step expansion) only run there.
 func (s *Simulation) Fail(err error) {
-	if s.sh != nil && s.sh.inSpan {
-		// Unreachable by construction, like RearmSource: only cross-capable
-		// flows can fail to expand, and their control points never run
-		// inside a span.
-		panic(fmt.Sprintf("core: Fail inside a stretched span: %v", err))
-	}
 	if s.err == nil {
 		s.err = err
 	}
@@ -1002,6 +772,10 @@ func (s *Simulation) idle() bool {
 	}
 	return true
 }
+
+// AgentCount reports the registered agent population, sizing external
+// per-agent tables.
+func (s *Simulation) AgentCount() int { return len(s.agents) }
 
 // Shutdown releases engine resources. The simulation must not tick after.
 func (s *Simulation) Shutdown() { s.engine.Shutdown() }

@@ -7,17 +7,10 @@ import (
 	"repro/internal/simtime"
 )
 
-// window is the loop state of one production time loop and the phases that
-// run on it. The Simulation embeds one as its root window — the global loop
-// — and the sharded runtime holds one per shard lane. A lane's window owns
-// its shard's slice of the same state while a stretched span runs (and
-// buffers its shard's activations while a mailbox applies); everything it
-// gathers merges back into the root at the barrier. Each phase is written
-// once, here; Simulation.runWindow and Simulation.laneWindow are the two
-// drivers and keep only what differs between the global loop and a lane.
-//
-// For the root the counters (live, flows, completed, jumps, skipped) are
-// running totals; for a lane they are deltas since the last merge.
+// window is the loop state of the production time loop and the phases that
+// run on it; the Simulation holds one as its root, and Simulation.runWindow
+// drives the phases in order. The counters (live, flows, completed, jumps,
+// skipped) are running totals.
 type window struct {
 	s    *Simulation
 	tick simtime.Tick // the tick this window's agents are scheduled from
@@ -34,18 +27,13 @@ type window struct {
 
 	// drainPend is the drain set: agents popped due or enqueued on since
 	// the last drain (AgentBase.pendDrain gates membership); drainSpare
-	// recycles the previous drain's backing array. drainSrc is the agent
-	// being drained — the sequential-order key of a cross-shard post. inv
-	// is the current window's involved set.
+	// recycles the previous drain's backing array. inv is the current
+	// window's involved set.
 	drainPend  []AgentID
 	drainSpare []AgentID
-	drainSrc   AgentID
 	inv        []AgentID
 
-	// srcIdx indexes the sources this window polls in Simulation.sources:
-	// all of them for the root, the lane-confined ones of its data centers
-	// for a lane. srcMin caches their earliest due tick.
-	srcIdx []int
+	// srcMin caches the earliest due tick of the simulation's sources.
 	srcMin simtime.Tick
 
 	live      int    // active agents, tombstones excluded
@@ -55,10 +43,8 @@ type window struct {
 	skipped   uint64 // whole ticks those jumps skipped
 
 	// Flow machinery: the response sink, the free lists of finished message
-	// tokens and finished flows, and the ID counters. Lanes carry their own
-	// so in-span launches never touch shared state; lane IDs live in a
-	// per-shard band (IDs are bookkeeping only — queueing is
-	// arrival-ordered).
+	// tokens and finished flows, and the ID counters (bookkeeping only —
+	// queueing is arrival-ordered).
 	resp       *metrics.Responses
 	tokenPool  []*token
 	flowPool   []*Flow
@@ -66,10 +52,10 @@ type window struct {
 	nextTaskID uint64
 }
 
-// pollDue polls the window's due sources and refreshes their schedules. A
-// source is due when the window's tick has reached its cached due tick; by
-// the NextPoll contract every earlier poll is a no-op, so skipping it is
-// exact. Parked sources (+Inf schedules) are re-consulted only through
+// pollDue polls the due sources and refreshes their schedules. A source is
+// due when the window's tick has reached its cached due tick; by the
+// NextPoll contract every earlier poll is a no-op, so skipping it is exact.
+// Parked sources (+Inf schedules) are re-consulted only through
 // RearmSource, so a window with nothing due costs one comparison however
 // many sources sleep.
 func (w *window) pollDue() {
@@ -78,24 +64,16 @@ func (w *window) pollDue() {
 	}
 	s := w.s
 	nowSec := s.clock.SecondsAt(w.tick)
-	for _, i := range w.srcIdx { // sources added by a poll are first polled next tick
+	for i, src := range s.sources { // sources added by a poll are first polled next tick
 		if s.srcDue[i] <= w.tick {
-			s.sources[i].Poll(s, nowSec)
-			s.srcDue[i] = s.srcDueTick(s.sources[i].NextPoll(nowSec), w.tick)
+			src.Poll(s, nowSec)
+			s.srcDue[i] = s.srcDueTick(src.NextPoll(nowSec), w.tick)
 		}
 	}
-	w.srcMin = w.minDue()
-}
-
-// minDue returns the earliest due tick among the window's sources.
-func (w *window) minDue() simtime.Tick {
-	min := neverTick
-	for _, i := range w.srcIdx {
-		if due := w.s.srcDue[i]; due < min {
-			min = due
-		}
+	w.srcMin = neverTick
+	for _, due := range s.srcDue {
+		w.srcMin = min(w.srcMin, due)
 	}
-	return min
 }
 
 // rekey recomputes the calendar entry of every agent whose horizon was
@@ -217,7 +195,6 @@ func (w *window) drain() {
 	w.drainPend = w.drainSpare[:0]
 	slices.Sort(pend)
 	for _, id := range pend {
-		w.drainSrc = id
 		s.bases[id].pendDrain = false
 		s.agents[id].Drain(s.drainFn)
 	}
@@ -235,20 +212,6 @@ func (w *window) retireIdle() {
 			w.cal.remove(id)
 		}
 	}
-}
-
-// absorbSets moves the activations, invalidations and drain-set entries a
-// lane gathered into w. Lanes touch disjoint agents, so the order lanes are
-// absorbed in is not observable; callers keep it ascending anyway.
-func (w *window) absorbSets(ln *window) {
-	w.live += ln.live
-	ln.live = 0
-	w.active = append(w.active, ln.active...)
-	ln.active = ln.active[:0]
-	w.dirty = append(w.dirty, ln.dirty...)
-	ln.dirty = ln.dirty[:0]
-	w.drainPend = append(w.drainPend, ln.drainPend...)
-	ln.drainPend = ln.drainPend[:0]
 }
 
 // newToken pops a pooled message token or allocates a fresh one.

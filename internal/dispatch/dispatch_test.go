@@ -8,6 +8,10 @@ import (
 	"repro/internal/queueing"
 )
 
+// onReference selects the reference loop, the only loop that sweeps through
+// an engine: the simulations here exist to exercise the engines.
+var onReference = core.LoopFlags{NoFastForward: true}
+
 // fakeAgent is a minimal queue-bearing agent for engine tests.
 type fakeAgent struct {
 	core.AgentBase
@@ -53,7 +57,7 @@ func TestEnginesSweepAllActiveAgents(t *testing.T) {
 	for name, eng := range engines {
 		t.Run(name, func(t *testing.T) {
 			defer eng.Shutdown()
-			s := core.NewSimulation(core.Config{Step: 0.01, Seed: 1, Engine: eng})
+			s := core.NewSimulation(core.Config{Step: 0.01, Seed: 1, Engine: eng, LoopFlags: onReference})
 			agents := make([]*fakeAgent, 100)
 			for i := range agents {
 				agents[i] = newFakeAgent(s, "a")
@@ -106,7 +110,7 @@ func TestMidRunAddAgentSweptSameTick(t *testing.T) {
 	}
 	for name, mk := range engines {
 		t.Run(name, func(t *testing.T) {
-			s := core.NewSimulation(core.Config{Step: 0.01, Seed: 1, Engine: mk()})
+			s := core.NewSimulation(core.Config{Step: 0.01, Seed: 1, Engine: mk(), LoopFlags: onReference})
 			defer s.Shutdown()
 			newSinkAgent(s, "seed")
 			var late *sinkAgent
@@ -137,7 +141,7 @@ func TestEnginesSkipIdleAgents(t *testing.T) {
 	}
 	for name, mk := range engines {
 		t.Run(name, func(t *testing.T) {
-			s := core.NewSimulation(core.Config{Step: 0.01, Seed: 1, Engine: mk()})
+			s := core.NewSimulation(core.Config{Step: 0.01, Seed: 1, Engine: mk(), LoopFlags: onReference})
 			defer s.Shutdown()
 			busy := newSinkAgent(s, "busy")
 			idle := newSinkAgent(s, "idle")
@@ -190,7 +194,7 @@ func TestScatterGatherEmptySweep(t *testing.T) {
 // driven by the given engine and returns a results fingerprint.
 func runWorkload(t *testing.T, eng core.Engine) (uint64, []float64) {
 	t.Helper()
-	s := core.NewSimulation(core.Config{Step: 0.01, Seed: 77, Engine: eng})
+	s := core.NewSimulation(core.Config{Step: 0.01, Seed: 77, Engine: eng, LoopFlags: onReference})
 	defer s.Shutdown()
 	const nAgents = 150
 	agents := make([]*fakeAgent, nAgents)

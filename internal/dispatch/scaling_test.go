@@ -41,10 +41,10 @@ func (a *busyAgent) Step(dt float64) {
 }
 func (a *busyAgent) Idle() bool { return true }
 
-// denseSweepSeconds measures the wall time of ticks over a population of
-// busy agents under the given engine.
+// denseSweepSeconds measures the wall time of reference-loop ticks over a
+// population of busy agents under the given engine.
 func denseSweepSeconds(b testing.TB, eng core.Engine, agents, spins, ticks int) float64 {
-	sim := core.NewSimulation(core.Config{Step: 0.01, Seed: 1, Engine: eng})
+	sim := core.NewSimulation(core.Config{Step: 0.01, Seed: 1, Engine: eng, LoopFlags: onReference})
 	defer sim.Shutdown()
 	for i := 0; i < agents; i++ {
 		newBusyAgent(sim, spins)

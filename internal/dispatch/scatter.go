@@ -12,6 +12,12 @@
 //     threads pulls Agent Sets (default 64 agents) from a global queue
 //     until it drains, amortizing coordination overhead and reusing local
 //     state. Table 4.2 shows the resulting multicore speedup.
+//
+// Both parallelize the sweep of the reference loop (core's
+// LoopFlags.NoFastForward), where every tick steps every active agent — the
+// loop Chapter 4 measured. The production window loop steps a handful of
+// agents per window itself and never calls an engine. Sharded is a third
+// Engine kept only for the benchmark harness (bench/).
 package dispatch
 
 import (

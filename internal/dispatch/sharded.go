@@ -9,20 +9,14 @@ import (
 	"repro/internal/core"
 )
 
-// Sharded is the conservative-PDES engine: a fixed pool of shard-pinned
-// workers that the simulation drives through core.ShardRunner. Each worker
-// owns one shard for the engine's lifetime, so every stretched span the
-// simulation forks executes a shard's lane — its agents, flows and sources
-// — on the same goroutine, keeping their queue state cache-warm and
-// race-free without per-agent locking. Between spans the simulation runs
-// sequentially; the RunShards barrier is the synchronization point of the
-// PDES recipe. Whether a span is worth a barrier is the simulation's
-// decision (core's grain gate): RunShards forks whatever it is handed.
-//
-// The engine also serves the plain Engine interface (the reference loop,
-// LoopFlags.NoShards A/B runs) by chunking Sweep calls across the workers in
-// contiguous ascending-ID blocks — deterministic because sweep callbacks
-// only touch per-agent state.
+// Sharded is a fixed pool of shard-pinned workers behind core.ShardRunner:
+// RunShards runs one function on every shard and waits for all of them. It
+// was the engine of the sharded span runtime, which was removed after it
+// failed to pay on any platform; it is kept because the benchmark harness
+// (bench/) times it, and it remains a valid Engine for the reference loop,
+// where Sweep chunks the active agents across the workers in contiguous
+// ascending-ID blocks — deterministic because sweep callbacks only touch
+// per-agent state.
 type Sharded struct {
 	shards int
 	jobs   []chan func(int)
@@ -54,9 +48,7 @@ func (p *ShardPanic) Unwrap() error {
 }
 
 // NewSharded creates the engine with one pinned worker per shard. A single
-// shard degenerates to inline execution on the calling goroutine — the
-// full sharded runtime (mailboxes, barriers) with zero dispatch overhead,
-// which is the sharded:1 leg of the equivalence suite.
+// shard degenerates to inline execution on the calling goroutine.
 func NewSharded(shards int) *Sharded {
 	if shards < 1 {
 		panic(fmt.Sprintf("dispatch: sharded engine needs >= 1 shard, got %d", shards))
@@ -97,9 +89,8 @@ func (e *Sharded) run(i int, fn func(int)) {
 func (e *Sharded) ShardCount() int { return e.shards }
 
 // RunShards runs fn(shard) once per shard concurrently and waits for all
-// of them — the barrier of the conservative synchronization protocol. If fn
-// panicked on any shard, RunShards panics after the barrier with the first
-// such panic, as a *ShardPanic.
+// of them. If fn panicked on any shard, RunShards panics after the barrier
+// with the first such panic, as a *ShardPanic.
 func (e *Sharded) RunShards(fn func(shard int)) {
 	e.mustBeOpen()
 	if e.shards == 1 {
@@ -122,15 +113,13 @@ func (e *Sharded) mustBeOpen() {
 	}
 }
 
-// Bind is a no-op: shard ownership lives in the simulation's assignment
-// map, not in per-agent engine state.
+// Bind is a no-op: the engine keeps no per-agent state.
 func (e *Sharded) Bind(agents []core.Agent) {}
 
 // Sweep applies fn to the active agents by splitting them into one
 // contiguous block per shard. Blocks preserve ascending-ID order and fn
 // only touches per-agent state, so results are independent of the
-// interleaving. A sweep of fewer agents than shards — the common one-agent
-// window of the reference loop and of NoShards A/B runs — runs on the caller
+// interleaving. A sweep of fewer agents than shards runs on the caller
 // rather than pay a barrier that leaves workers empty-handed.
 func (e *Sharded) Sweep(active []core.Agent, fn func(core.Agent)) {
 	n := len(active)

@@ -16,10 +16,10 @@ import (
 // pin across worker counts, and the cheapest way to compare a document-
 // compiled experiment against its Go-built equivalent.
 //
-// Loop-shape counters (Jumps, SkippedTicks, Barriers, WindowsStretched,
-// MailboxApplied, MailboxMinSlack) are deliberately excluded: they describe
-// how the time loop partitioned the run — which legitimately differs across
-// the A/B loop flags and with window stretching on or off — not what the
+// Loop-shape counters (Jumps, SkippedTicks and the deprecated, always-zero
+// Barriers, WindowsStretched, MailboxApplied) are deliberately excluded:
+// they describe how the time loop partitioned the run — which legitimately
+// differs between the production and the reference loop — not what the
 // simulation computed. Every simulated quantity (completions, ticks,
 // seconds, all samples) is hashed.
 func (res *Result) Digest() string {

@@ -1,21 +1,24 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/background"
 	"repro/internal/cascade"
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/faults"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
+
+// ErrEngineRemoved is the error FromDocument wraps when a document selects
+// an engine other than "" or "sequential". The selectors it used to accept
+// ("sharded:<n>", "sharded:auto", "scattergather:<n>", "hdispatch:<n>[:<set>]")
+// never changed a result, and a run's time loop no longer sweeps through an
+// engine, so they could only have been silently ignored.
+var ErrEngineRemoved = errors.New("engine selectors other than \"sequential\" were removed")
 
 // FromDocument compiles a JSON scenario document into an experiment — the
 // one-surface guarantee of the experiment API: a document and a Go-built
@@ -32,27 +35,9 @@ func FromDocument(d *config.Document) (*Experiment, error) {
 	if d.Step > 0 {
 		opts = append(opts, WithStep(d.Step))
 	}
-	if d.Engine != "" {
-		engine := d.Engine
-		// "sharded:auto" resolves against the document's own topology:
-		// min(GOMAXPROCS, DC count) — as many workers as the machine offers,
-		// never more than the per-DC partition can fill.
-		if engine == "sharded:auto" {
-			engine = fmt.Sprintf("sharded:%d", AutoShards(len(d.Infrastructure.DCs)))
-		}
-		mk, err := ParseEngine(engine)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: document %s: %w", d.Name, err)
-		}
-		// Shard counts above the DC count would leave shards empty — the
-		// per-DC partition has nothing to put on them — so the declarative
-		// surface rejects the request instead of silently wasting workers
-		// (engine "sharded:auto" picks a valid count automatically).
-		if n := ShardedCount(engine); n > len(d.Infrastructure.DCs) {
-			return nil, fmt.Errorf("experiment: document %s: engine %q wants %d shards but the topology has %d data centers (use \"sharded:auto\" to pick min(GOMAXPROCS, DCs))",
-				d.Name, d.Engine, n, len(d.Infrastructure.DCs))
-		}
-		opts = append(opts, WithEngine(mk))
+	if d.Engine != "" && d.Engine != "sequential" {
+		return nil, fmt.Errorf("experiment: document %s: engine %q: %w; results never depended on it, "+
+			"and more cores go to sweep points run in parallel (gdisim -workers, Sweep.Run(n))", d.Name, d.Engine, ErrEngineRemoved)
 	}
 	switch w := d.Window; {
 	case w == nil:
@@ -176,84 +161,4 @@ func OpsByName(name, dc string) (func(*topology.Infrastructure, float64) ([]casc
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown operation set %q (have CAD, VIS, PDM)", name)
-}
-
-// ParseEngine parses an engine selector string: "" or "sequential" for the
-// reference engine, "scattergather:<threads>" for classic Scatter-Gather,
-// "hdispatch:<threads>" or "hdispatch:<threads>:<setSize>" for H-Dispatch,
-// "sharded:<shards>" for the conservative-PDES sharded engine.
-// The returned factory builds a fresh engine per call, as sweeps require.
-func ParseEngine(s string) (func() core.Engine, error) {
-	kind, rest, _ := strings.Cut(s, ":")
-	switch kind {
-	case "sharded":
-		if rest == "auto" {
-			// Without a topology in hand, "auto" can only see the machine;
-			// surfaces that know the DC count (FromDocument, the gdisim CLI)
-			// resolve min(GOMAXPROCS, DCs) before getting here.
-			n := runtime.GOMAXPROCS(0)
-			return func() core.Engine { return dispatch.NewSharded(n) }, nil
-		}
-		shards, err := strconv.Atoi(rest)
-		if err != nil || shards < 1 {
-			return nil, fmt.Errorf("engine %q: want sharded:<shards> or sharded:auto", s)
-		}
-		return func() core.Engine { return dispatch.NewSharded(shards) }, nil
-	case "", "sequential":
-		if rest != "" {
-			return nil, fmt.Errorf("engine %q: sequential takes no parameters", s)
-		}
-		return nil, nil
-	case "scattergather", "scatter-gather":
-		threads, err := strconv.Atoi(rest)
-		if err != nil || threads < 1 {
-			return nil, fmt.Errorf("engine %q: want scattergather:<threads>", s)
-		}
-		return func() core.Engine { return dispatch.NewScatterGather(threads) }, nil
-	case "hdispatch", "h-dispatch":
-		tPart, setPart, hasSet := strings.Cut(rest, ":")
-		threads, err := strconv.Atoi(tPart)
-		if err != nil || threads < 1 {
-			return nil, fmt.Errorf("engine %q: want hdispatch:<threads>[:<setSize>]", s)
-		}
-		setSize := 0
-		if hasSet {
-			if setSize, err = strconv.Atoi(setPart); err != nil || setSize < 1 {
-				return nil, fmt.Errorf("engine %q: want hdispatch:<threads>[:<setSize>]", s)
-			}
-		}
-		return func() core.Engine { return dispatch.NewHDispatch(threads, setSize) }, nil
-	}
-	return nil, fmt.Errorf("unknown engine %q (have sequential, scattergather:<n>, hdispatch:<n>[:<set>], sharded:<n>, sharded:auto)", s)
-}
-
-// AutoShards resolves the "sharded:auto" shard count against a topology:
-// min(GOMAXPROCS, DC count), floored at 1 — as many shard workers as the
-// machine can run concurrently, never more than the per-DC partition can
-// populate.
-func AutoShards(dcs int) int {
-	n := runtime.GOMAXPROCS(0)
-	if dcs < n {
-		n = dcs
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// ShardedCount returns the shard count of a "sharded:<n>" engine selector,
-// and 0 for every other (or malformed) selector — the hook declarative
-// surfaces use to validate shard counts against the topology before
-// compiling.
-func ShardedCount(s string) int {
-	kind, rest, _ := strings.Cut(s, ":")
-	if kind != "sharded" {
-		return 0
-	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n < 1 {
-		return 0
-	}
-	return n
 }

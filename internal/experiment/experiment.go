@@ -6,6 +6,12 @@
 // results (Compile: build simulation → build topology → attach workloads
 // and daemons → register probes → run → harvest a uniform Result).
 //
+// The engine an experiment carries (WithEngine, the document's "engine")
+// only parallelizes the reference loop's sweep (LoopFlags.NoFastForward);
+// the production loop runs on the calling goroutine whatever it is. The
+// way to put more cores on a what-if question is Sweep.Run(n): points are
+// independent simulations on a worker pool.
+//
 // The package exists so scenario code stops hand-wiring simulations: the
 // thesis scenarios (internal/scenarios), the JSON document loader
 // (internal/config) and the CLI all assemble the same Experiment type, and
@@ -193,7 +199,7 @@ func WithSeed(seed uint64) Option {
 // WithEngine sets an engine factory. The factory runs once per Compile, so
 // every sweep point gets its own engine (worker pools must not be shared
 // between concurrently running simulations). nil selects the sequential
-// engine.
+// engine. Engines sweep the reference loop only (see the package doc).
 func WithEngine(mk func() core.Engine) Option {
 	return func(e *Experiment) error { e.engine = mk; return nil }
 }
@@ -475,27 +481,6 @@ func (e *Experiment) Compile() (*Run, error) {
 		return nil, fmt.Errorf("experiment %s: %w", e.name, err)
 	}
 	inf.RegisterProbes(sim.Collector)
-	// With the sharded runtime engaged, install the per-datacenter
-	// partition over the freshly built topology; agents registered later
-	// (sources are not agents, so in practice none) fall back to the
-	// modulo default, which is equally correct.
-	if n, ok := sim.Sharded(); ok {
-		plan, err := inf.PartitionByDC(n)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", e.name, err)
-		}
-		sim.SetShardAssignment(plan.Assign)
-		// The DC-to-shard routing table is what lets the run loop stretch
-		// windows: lane-confined flows and sources resolve their owning
-		// shard through it (core.SetDCShards documents the contract).
-		sim.SetDCShards(plan.DCShard)
-		// The per-shard inbound lookahead turns cross-capable traffic from
-		// a span blocker into a span bound: spans may run lookTicks past
-		// now even while WAN transfers are in flight, with cross-shard
-		// arrivals carried by due-stamped mailboxes (core.SetShardLookahead
-		// documents the safety argument).
-		sim.SetShardLookahead(plan.LookaheadSec)
-	}
 
 	r := &Run{
 		Experiment: e,
@@ -581,23 +566,14 @@ func (e *Experiment) attachWorkloads(r *Run) error {
 			ThinBelow:      w.ThinBelow,
 			Stream:         w.Stream,
 		}
-		// Workloads whose access matrix confines them to their own data
-		// center register lane-confined (eagerly initialized — no RNG
-		// draws, so bit-identical to lazy init): the stretched-span
-		// scheduler may then poll them inside their DC's shard lane
-		// instead of barriering at each of their due ticks. Everything
-		// else — cross-DC matrices in particular — stays a global source.
-		// Fluid-configured workloads register through the fluid tier
-		// instead, which wraps the same source in the precomputed mode
-		// schedule; under NoFluid the wrapper is structurally elided, so
-		// the run is bit-identical to one that never configured fluid.
+		// Fluid-configured workloads register through the fluid tier,
+		// which wraps the same source in the precomputed mode schedule;
+		// under NoFluid the wrapper is structurally elided, so the run is
+		// bit-identical to one that never configured fluid.
 		if w.Fluid.Above > 0 && !e.flags.NoFluid {
 			if err := e.attachFluid(r, w, src, ops); err != nil {
 				return err
 			}
-		} else if src.LaneSafe() {
-			src.InitSource(r.Sim)
-			r.Sim.AddLaneSource(src, src.DC)
 		} else {
 			r.Sim.AddSource(src)
 		}

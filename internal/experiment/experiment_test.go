@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/cascade"
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -337,17 +339,44 @@ func TestDocumentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDocumentRejectsShardSurplus pins the declarative-surface guard: a
-// document asking for more shards than its topology has data centers is a
-// configuration error, caught before compilation (the core runtime would
-// tolerate the empty shards, but a user writing sharded:8 over one DC is
-// asking for parallelism the partition cannot provide).
-func TestDocumentRejectsShardSurplus(t *testing.T) {
-	doc := &config.Document{
-		Name:           "shard-surplus",
-		Seed:           23,
-		Step:           0.01,
-		Engine:         "sharded:2",
+// TestDocumentRejectsRemovedEngines pins the engine field of a document:
+// the selectors that used to pick a parallel engine fail compilation with a
+// typed error naming the selector and the way to use more cores, instead of
+// being silently ignored, while "" and "sequential" still run.
+func TestDocumentRejectsRemovedEngines(t *testing.T) {
+	for _, sel := range []string{"sharded:1", "sharded:4", "sharded:auto", "scattergather:4", "hdispatch:2", "hdispatch:2:64"} {
+		_, err := FromDocument(engineDoc(sel))
+		if !errors.Is(err, ErrEngineRemoved) {
+			t.Errorf("engine %q: FromDocument error %v, want ErrEngineRemoved", sel, err)
+			continue
+		}
+		for _, want := range []string{sel, "never depended", "-workers", "Sweep.Run"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("engine %q: error %q does not mention %q", sel, err, want)
+			}
+		}
+	}
+	var digests []string
+	for _, sel := range []string{"", "sequential"} {
+		e, err := FromDocument(engineDoc(sel))
+		if err != nil {
+			t.Fatalf("engine %q rejected: %v", sel, err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatalf("engine %q: %v", sel, err)
+		}
+		digests = append(digests, res.Digest())
+	}
+	if digests[0] != digests[1] {
+		t.Errorf(`engine "" and "sequential" produced different results`)
+	}
+}
+
+// engineDoc is a one-minute, one-DC PDM document selecting the given engine.
+func engineDoc(engine string) *config.Document {
+	return &config.Document{
+		Name: "engines", Seed: 23, Step: 0.01, Engine: engine,
 		Window:         &config.WindowSpec{RunSeconds: 60},
 		Infrastructure: testSpec(), // one DC
 		Workloads: []config.WorkloadSpec{{
@@ -356,61 +385,100 @@ func TestDocumentRejectsShardSurplus(t *testing.T) {
 			OpsPerUserHour: 30,
 		}},
 	}
-	if _, err := FromDocument(doc); err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("FromDocument accepted 2 shards over 1 DC (err=%v)", err)
+}
+
+// TestDocumentRejectsShardSurplus: a document asking for more shards than
+// its topology has data centers used to fail a shard-count check; with the
+// sharded engine gone from documents it fails like every other shard
+// count — sharded:1 over one DC included, which used to run — with
+// ErrEngineRemoved, and the same document without the selector runs.
+func TestDocumentRejectsShardSurplus(t *testing.T) {
+	for _, sel := range []string{"sharded:2", "sharded:1"} {
+		if _, err := FromDocument(engineDoc(sel)); !errors.Is(err, ErrEngineRemoved) || !strings.Contains(err.Error(), sel) {
+			t.Errorf("engine %q over one DC: FromDocument error %v, want ErrEngineRemoved naming the selector", sel, err)
+		}
 	}
-	doc.Engine = "sharded:1"
-	e, err := FromDocument(doc)
+	e, err := FromDocument(engineDoc(""))
 	if err != nil {
-		t.Fatalf("sharded:1 over 1 DC rejected: %v", err)
+		t.Fatal(err)
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestParseEngine pins the engine-selector grammar.
+// tagEngine is a sequential engine with an identity, so two instances
+// never compare equal.
+type tagEngine struct {
+	core.SequentialEngine
+	id int
+}
+
+// TestParseEngine pins the engine-selector grammar of a document: exactly
+// "" and "sequential" compile; every other selector — the old parallel
+// forms and malformed ones alike — fails with ErrEngineRemoved. An
+// experiment's engine factory runs once per compile, so two compiles never
+// share an engine.
 func TestParseEngine(t *testing.T) {
-	for _, ok := range []string{"", "sequential", "scattergather:4", "scatter-gather:2", "hdispatch:2", "hdispatch:2:64", "h-dispatch:8", "sharded:1", "sharded:8"} {
-		if _, err := ParseEngine(ok); err != nil {
-			t.Errorf("ParseEngine(%q): %v", ok, err)
+	for _, ok := range []string{"", "sequential"} {
+		if _, err := FromDocument(engineDoc(ok)); err != nil {
+			t.Errorf("engine %q: %v", ok, err)
 		}
 	}
-	for _, bad := range []string{"warp", "scattergather", "scattergather:0", "hdispatch:x", "hdispatch:2:0", "sequential:3", "sharded", "sharded:0", "sharded:x"} {
-		if _, err := ParseEngine(bad); err == nil {
-			t.Errorf("ParseEngine(%q) accepted", bad)
+	for _, bad := range []string{"scattergather:4", "scatter-gather:2", "hdispatch:2", "hdispatch:2:64", "h-dispatch:8",
+		"sharded:1", "sharded:8", "warp", "scattergather", "scattergather:0", "hdispatch:x", "hdispatch:2:0",
+		"sequential:3", "Sequential", "sharded", "sharded:0", "sharded:x"} {
+		if _, err := FromDocument(engineDoc(bad)); !errors.Is(err, ErrEngineRemoved) {
+			t.Errorf("engine %q: FromDocument error %v, want ErrEngineRemoved", bad, err)
 		}
 	}
-	mk, err := ParseEngine("scattergather:2")
+	made := 0
+	e, err := New("factory", WithInfra(testSpec()), WithDuration(1), WithEngine(func() core.Engine {
+		made++
+		return &tagEngine{id: made}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, e2 := mk(), mk()
-	if e1 == e2 {
-		t.Error("engine factory returned a shared instance")
+	r1, err := e.Compile()
+	if err != nil {
+		t.Fatal(err)
 	}
-	e1.Shutdown()
-	e2.Shutdown()
+	r2, err := e.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r1.Sim.Shutdown()
+	defer r2.Sim.Shutdown()
+	if made != 2 {
+		t.Errorf("engine factory ran %d times for two compiles, want 2", made)
+	}
 }
 
-// TestShardedCount pins the selector probe the document validator uses to
-// compare shard counts against the DC population.
+// TestShardedCount: the document validator no longer probes a selector's
+// shard count against the DC population. config validation accepts every
+// selector, whatever its count, and compilation rejects them all alike with
+// ErrEngineRemoved, while "" and "sequential" pass both.
 func TestShardedCount(t *testing.T) {
-	cases := map[string]int{
-		"sharded:4":        4,
-		"sharded:1":        1,
-		"sharded:0":        0,
-		"sharded:x":        0,
-		"sharded":          0,
-		"":                 0,
-		"sequential":       0,
-		"scattergather:4":  0,
-		"hdispatch:2:64":   0,
-		"sharded:4:extras": 0,
+	cases := map[string]bool{ // selector -> rejected
+		"sharded:4":        true,
+		"sharded:1":        true,
+		"sharded:0":        true,
+		"sharded:x":        true,
+		"sharded":          true,
+		"sharded:4:extras": true,
+		"scattergather:4":  true,
+		"hdispatch:2:64":   true,
+		"":                 false,
+		"sequential":       false,
 	}
-	for sel, want := range cases {
-		if got := ShardedCount(sel); got != want {
-			t.Errorf("ShardedCount(%q) = %d, want %d", sel, got, want)
+	for sel, rejected := range cases {
+		d := engineDoc(sel)
+		if err := d.Validate(); err != nil {
+			t.Errorf("engine %q: validation failed: %v", sel, err)
+		}
+		if _, err := FromDocument(d); errors.Is(err, ErrEngineRemoved) != rejected || !rejected && err != nil {
+			t.Errorf("engine %q: FromDocument error %v, want rejected = %v", sel, err, rejected)
 		}
 	}
 }

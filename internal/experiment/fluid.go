@@ -97,9 +97,7 @@ func dominantOwner(apm workload.AccessMatrix, dc string) (string, error) {
 
 // attachFluid wires one fluid-configured workload: derives the station,
 // precomputes the segment schedule, registers the crossover controller
-// (global — reservations must apply at barriers) ahead of the flow wrapper
-// (lane-confined when the inner workload is), and installs the analytic
-// series probes.
+// ahead of the flow wrapper, and installs the analytic series probes.
 func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload, ops []cascade.Op) error {
 	apm := w.APM
 	if apm == nil {
@@ -126,21 +124,15 @@ func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload,
 	// Controller first: at a shared boundary tick it must release or apply
 	// reservations before the flow's first discrete poll of the segment.
 	r.Sim.AddSource(&fluid.Controller{Segments: segs, Tiers: tiers})
-	flow := &fluid.Flow{Inner: src, Segments: segs}
-	if src.LaneSafe() {
-		flow.InitSource(r.Sim)
-		r.Sim.AddLaneSource(flow, src.DC)
-	} else {
-		r.Sim.AddSource(flow)
-	}
+	r.Sim.AddSource(&fluid.Flow{Inner: src, Segments: segs})
 	e.registerFluidProbes(r, w, segs)
 	return nil
 }
 
 // registerFluidProbes installs the analytic result series. Every sample is
 // a pure lookup into the precomputed segments at the snapshot instant, so
-// the series — and therefore the digest — are identical across engines and
-// shard counts by construction.
+// the series — and therefore the digest — are identical across engines by
+// construction.
 func (e *Experiment) registerFluidProbes(r *Run, w *Workload, segs []fluid.Segment) {
 	prefix := "fluid:" + w.App + ":" + w.DC
 	sim := r.Sim

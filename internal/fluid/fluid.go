@@ -10,9 +10,9 @@
 // inputs — the population curve, the thinning-style threshold, the
 // saturation guard and the declared fault windows — so every crossover
 // instant is a precomputed calendar event: the clock fast-forwards across
-// fluid stretches exactly as it does across quiet hours, the sharded
-// engine barriers on crossovers exactly as it does on fault transitions,
-// and the whole schedule is bit-reproducible at any shard count. Whenever
+// fluid stretches exactly as it does across quiet hours and lands on
+// crossovers exactly as it does on fault transitions, and the whole
+// schedule is bit-reproducible. Whenever
 // the guard or a fault window forbids the analytic model, the workload
 // falls back to the discrete Lewis-Shedler sampler for that segment, so
 // tail behavior under stress stays honest. See DESIGN.md, "Fluid workload

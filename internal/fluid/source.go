@@ -12,23 +12,15 @@ import (
 // inside fluid segments it emits nothing (the analytic series carry the
 // traffic) and parks its due time at the segment end, so the clock
 // fast-forwards straight across; inside discrete segments it delegates to
-// the wrapped workload. It preserves the inner workload's lane-safety —
-// mode lookups touch only the precomputed segments and a monotonic cursor,
-// no RNG and no gauge interning, so a lane may poll it inside stretched
-// spans exactly like the plain workload.
+// the wrapped workload. Mode lookups touch only the precomputed segments
+// and a monotonic cursor — no RNG — so a run that never goes fluid draws
+// exactly what the plain workload draws.
 type Flow struct {
 	Inner    *workload.AppWorkload
 	Segments []Segment
 
 	idx int
 }
-
-// InitSource eagerly initializes the wrapped workload — required before
-// core.AddLaneSource, same contract as AppWorkload.InitSource.
-func (f *Flow) InitSource(s *core.Simulation) { f.Inner.InitSource(s) }
-
-// LaneSafe reports whether the wrapped workload is confined to its own DC.
-func (f *Flow) LaneSafe() bool { return f.Inner.LaneSafe() }
 
 // advance moves the segment cursor up to the segment containing now. When
 // the walk crosses a fluid segment, any thinned arrival the inner workload
@@ -61,8 +53,8 @@ func (f *Flow) Poll(s *core.Simulation, now float64) {
 }
 
 // NextPoll reports the crossover instant while fluid (making the crossover
-// a calendar event the fast-forward and span machinery schedule around)
-// and the inner schedule bounded by the segment end while discrete.
+// a calendar event the fast-forward loop lands on) and the inner schedule
+// bounded by the segment end while discrete.
 func (f *Flow) NextPoll(now float64) float64 {
 	f.advance(now)
 	seg := &f.Segments[f.idx]
@@ -74,13 +66,11 @@ func (f *Flow) NextPoll(now float64) float64 {
 
 var _ core.Source = (*Flow)(nil)
 
-// Controller is the global source that applies and releases the fluid
-// tier's capacity reservations at segment boundaries. Being a global
-// source, its due times bound fast-forward jumps and stretched spans, so
-// every reservation change — a service-rate change on shared CPU agents,
-// including rate *increases*, which must never happen mid-span — executes
-// in a sequential phase at an exact barrier tick, the same discipline the
-// fault controller follows.
+// Controller is the source that applies and releases the fluid tier's
+// capacity reservations at segment boundaries. Its due times bound
+// fast-forward jumps, so every reservation change — a service-rate change
+// on shared CPU agents — executes in a sequential phase at its exact tick,
+// the same discipline the fault controller follows.
 type Controller struct {
 	Segments []Segment
 	// Tiers are the reservation targets, parallel to the station's Tiers

@@ -79,9 +79,8 @@ func NewCPU(sim *core.Simulation, name string, spec CPUSpec) *CPU {
 func (c *CPU) Spec() CPUSpec { return c.spec }
 
 // Rate returns the current per-core service rate in cycles/second
-// (reflecting any Derate). It is the capability the span scheduler's
-// chain-completion guard keys on: a task's service on any core takes at
-// least Demand/Rate seconds.
+// (reflecting any Derate): a task's service on any core takes at least
+// Demand/Rate seconds.
 func (c *CPU) Rate() float64 { return c.sockets[0].Rate() }
 
 // Derate scales every core's service rate to factor times the healthy rate

@@ -167,18 +167,6 @@ func (l *Link) Rate() float64 { return l.rate }
 // Latency returns the link latency in seconds.
 func (l *Link) Latency() float64 { return l.q.Latency() }
 
-// FreeSlot reports whether an arriving transfer would be promoted straight
-// into a connection slot at the next service event — no task waiting out
-// the connection limit ahead of it. The sharded runtime's replayed
-// cross-shard deliveries require it: a latency countdown can only be
-// reconstructed for a task that held its slot from the posting instant, so
-// a contended link at application time is a loud protocol failure. With
-// the default limit of 4096 slots against dozens of concurrent WAN
-// transfers, contention is structurally absent.
-func (l *Link) FreeSlot() bool {
-	return l.q.Waiting()+l.q.InService() < l.q.MaxConnections()
-}
-
 // Enqueue adds a transfer (Demand in bytes), after catching up any ticks
 // the bulk-dense loop deferred; the queue's notify hook forwards the
 // activation/invalidation to the agent. A failed link still accepts

@@ -36,28 +36,6 @@ func (r *Responses) Record(op, dc string, completed, dur float64) {
 	s.Add(completed, dur)
 }
 
-// MergeInto appends every sample of r onto dst and empties r. It bypasses
-// the Add ordering check: the caller guarantees that, per key, r's samples
-// all postdate dst's (the stretched-span contract — each lane records a
-// disjoint key set over a time range strictly after the merged history).
-// Series capacity in r is retained for reuse.
-func (r *Responses) MergeInto(dst *Responses) {
-	for k, s := range r.byKey {
-		if len(s.T) == 0 {
-			continue
-		}
-		d := dst.byKey[k]
-		if d == nil {
-			d = &Series{Name: s.Name}
-			dst.byKey[k] = d
-		}
-		d.T = append(d.T, s.T...)
-		d.V = append(d.V, s.V...)
-		s.T = s.T[:0]
-		s.V = s.V[:0]
-	}
-}
-
 // Series returns the response-time series for an operation at a data
 // center, or nil when none was recorded.
 func (r *Responses) Series(op, dc string) *Series {

@@ -235,9 +235,7 @@ func (q *PS) BulkStep(n int, dt float64) {
 // dt — the same per-tick arithmetic BulkStep replays in bulk — so a
 // countdown's float trajectory depends only on the whole ticks elapsed
 // since its enqueue, never on how other tasks' completions sub-split a
-// step. That invariant is what lets the sharded runtime enqueue a
-// cross-shard transfer whole ticks after its posting instant and
-// reconstruct the countdown bit-exactly (ReplayLatency). The pre-decrement
+// step. The pre-decrement
 // delay doubles as each task's expiry offset inside this step: a task
 // starts transferring once the resolved sub-steps cover its offset. A task
 // promoted out of the waiting line mid-step (a slot freed under
@@ -325,25 +323,4 @@ func (q *PS) Step(dt float64, done DoneFunc) {
 		remaining -= sub
 	}
 	q.offs = offs
-}
-
-// ReplayLatency reconstructs the latency countdown of a task that was
-// enqueued n whole steps of dt seconds ago: the once-per-Step
-// decrement-and-clamp arithmetic Step applies to an in-service task (and
-// BulkStep replays per tick — the clamp cannot fire inside a bulk window,
-// so the two histories agree), evaluated n times from the latency lat the
-// task snapshotted at its original enqueue instant. A deferred enqueue can
-// therefore be applied whole ticks late and land bit-identically on the
-// state the inline enqueue would have reached, provided the task would
-// have held a connection slot throughout — the caller checks the slot was
-// free and the countdown has not expired (n strictly inside the latency).
-func ReplayLatency(lat float64, n int, dt float64) float64 {
-	d := lat
-	for ; n > 0; n-- {
-		d -= dt
-		if d < eps {
-			d = 0
-		}
-	}
-	return d
 }

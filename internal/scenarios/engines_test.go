@@ -10,13 +10,15 @@ import (
 )
 
 // runValidationWith runs a shortened validation experiment under one
-// engine. Short enough for a table of engines, long enough that hundreds
-// of flows overlap and exercise the active-set machinery.
+// engine on the reference loop, the only loop that sweeps through it. Short
+// enough for a table of engines, long enough that hundreds of flows overlap
+// and exercise the active-set machinery.
 func runValidationWith(t *testing.T, eng core.Engine) *ValidationResult {
 	t.Helper()
 	res, err := RunValidation(ValidationConfig{
 		Experiment: 1, Seed: 42, Engine: eng,
 		LaunchFor: 120, RunFor: 150, SteadyStart: 30, SteadyEnd: 120,
+		LoopFlags: reference(true),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,12 +46,13 @@ func sameSeries(t *testing.T, label string, ref, got *metrics.Series) {
 	}
 }
 
-// TestEngineEquivalenceOnValidation is the safety net for the active-set
-// refactor: the full validation scenario must produce identical completed
-// operation counts, response-time records and collector series under the
-// sequential reference engine and both parallel engines at several thread
-// counts. Sweep parallelism and active-set scheduling are performance
-// concerns only — any divergence here is a determinism bug.
+// TestEngineEquivalenceOnValidation is the engine determinism contract on
+// the loop the engines serve — the reference per-tick sweep of Chapter 4:
+// the validation scenario must produce identical completed operation
+// counts, response-time records and collector series under the sequential
+// engine and every parallel one — both Chapter-4 engines at several thread
+// counts, and dispatch.Sharded's chunked Sweep. Sweep parallelism is a
+// performance concern only — any divergence here is a determinism bug.
 func TestEngineEquivalenceOnValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engine equivalence matrix skipped in -short")
@@ -65,6 +68,7 @@ func TestEngineEquivalenceOnValidation(t *testing.T) {
 		{"h-dispatch-1x16", func() core.Engine { return dispatch.NewHDispatch(1, 16) }},
 		{"h-dispatch-4x64", func() core.Engine { return dispatch.NewHDispatch(4, 64) }},
 		{"h-dispatch-8x64", func() core.Engine { return dispatch.NewHDispatch(8, 64) }},
+		{"sharded-2", func() core.Engine { return dispatch.NewSharded(2) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,12 +12,11 @@ import (
 )
 
 // ffEngines is the engine matrix the loop equivalence runs under: the
-// sequential engine, both Chapter 4 parallel engines and the sharded PDES
-// engine. The production loop replays agent steps inside Engine.Sweep — or,
-// sharded, on the shard workers and lanes — so it must be exercised through
-// every engine, not just the sequential one. The reference side always runs
-// the same engine: under NoFastForward a sharded engine serves plain
-// sweeps.
+// sequential engine, both Chapter 4 parallel engines and dispatch.Sharded.
+// Each test runs both loops under the same engine: the production loop never
+// sweeps through it (core's TestProductionLoopNeverCallsEngine), the
+// reference loop sweeps every tick through it, so each non-sequential leg
+// is also that engine's determinism check on the reference loop.
 func ffEngines() []struct {
 	name string
 	mk   func() core.Engine

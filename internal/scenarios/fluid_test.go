@@ -69,7 +69,7 @@ func TestFluidDayNightCrossover(t *testing.T) {
 		t.Errorf("crossovers after the ramp = %v, want 1", got)
 	}
 	// The first nonzero crossover sample must land exactly on the segment
-	// boundary — a jump or stretched span crossing it would smear the series.
+	// boundary — a jump crossing it would smear the series.
 	for i, v := range cross.V {
 		if v != 0 {
 			if cross.T[i] != 28800 {
@@ -295,9 +295,9 @@ func TestFluidConsolidationActive(t *testing.T) {
 // TestFluidChaosFallback pins the fault-window fallback: with the Atlantic
 // partition effective over [120, 240), the fluid tier runs the stable
 // phases analytically and falls back to discrete sampling for exactly the
-// fault window — crossovers at t=120 and t=240, the same barrier ticks the
-// fault controller hits — and the whole hybrid run is bit-stable across
-// shard counts.
+// fault window — crossovers at t=120 and t=240, the same ticks the fault
+// controller hits — and the whole hybrid run is bit-stable with
+// dispatch.Sharded attached at every worker count.
 func TestFluidChaosFallback(t *testing.T) {
 	fluidOpt := experiment.WithFluid("PDM", "EU", experiment.Fluid{Above: 0.0005})
 	run := func(extra ...experiment.Option) *experiment.Result {

@@ -30,7 +30,9 @@ const (
 // indexing in the background) under the chosen mechanism with each thread
 // count, and reports wall-clock times and speedups relative to the first
 // entry. agentSet applies to H-Dispatch only (the thesis' best value is
-// 64; pass 0 for that default).
+// 64; pass 0 for that default). The slice runs on the reference loop: its
+// per-tick sweep over every active agent is the phase the engines
+// parallelize, and the production loop never calls them.
 func MeasureEngineSpeedup(mech Mechanism, threads []int, simMinutes, scale float64,
 	agentSet int) ([]SpeedupRow, error) {
 
@@ -55,6 +57,7 @@ func MeasureEngineSpeedup(mech Mechanism, threads []int, simMinutes, scale float
 			StartHour: 13, // run inside the global peak
 			EndHour:   14,
 			Scale:     scale,
+			LoopFlags: core.LoopFlags{NoFastForward: true},
 		})
 		if err != nil {
 			return nil, err

@@ -1,87 +1,97 @@
 package scenarios
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/experiment"
 )
 
-// TestMailboxAuditContract pins the "off" shape of Simulation.MailboxAudit
-// across the engine matrix: exactly (0, 0, false), mirrored as zeros in
-// RunStats, whenever nothing was delivered through a shard inbox — the
-// sharded runtime off (sequential engine, NoShards), stretching off
-// (NoStretch: every window runs on the root, hand-offs enqueue inline), and
-// the production grain gate on a platform this small, where every span is
-// refused and the whole run goes inline without a barrier. The "on" shape
-// (applied > 0, minSlack >= 0, true) on this same platform needs the gate
-// forced open and is pinned, with the stretch and chaos guarantees, by
-// internal/core's scenario_test.go (TestMailboxDueTimeSafety,
-// TestStretchBarrierDrop, TestChaosStretchBarriers).
+// TestMailboxAuditContract pins the run counters the benchmark harness
+// still reads from the removed span runtime — Barriers, WindowsStretched,
+// MailboxApplied, documented as always 0 — across the engine matrix on the
+// consolidation night hour: the sequential engine, a sharded engine whose
+// workers were stopped before the run (noshards) or sit idle
+// (default-gate) on the production loop, and one swept every tick on the
+// reference loop (nostretch). Every leg must also reproduce the sequential
+// production loop's digest (with thinning off on both sides for the
+// reference loop).
 func TestMailboxAuditContract(t *testing.T) {
 	if testing.Short() {
-		t.Skip("mailbox audit contract skipped in -short")
+		t.Skip("run-counter contract skipped in -short")
 	}
+	run := func(eng core.Engine, flags core.LoopFlags) *CaseStudy {
+		t.Helper()
+		cs, err := NewConsolidation(CaseConfig{
+			Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 3, EndHour: 4,
+			Engine: eng, LoopFlags: flags,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.Run()
+		return cs
+	}
+	ref := run(nil, core.LoopFlags{}).Result.Digest()
+	refNT := run(nil, core.LoopFlags{NoThinning: true}).Result.Digest()
 	for _, tc := range []struct {
-		name    string
-		eng     core.Engine
-		flags   core.LoopFlags
-		sharded bool
+		name  string
+		eng   core.Engine
+		flags core.LoopFlags
+		want  string
 	}{
-		{"sequential", &core.SequentialEngine{}, core.LoopFlags{}, false},
-		{"noshards", dispatch.NewSharded(4), core.LoopFlags{NoShards: true}, false},
-		{"default-gate", dispatch.NewSharded(4), core.LoopFlags{}, true},
-		{"nostretch", dispatch.NewSharded(4), core.LoopFlags{NoStretch: true}, true},
+		{"sequential", &core.SequentialEngine{}, core.LoopFlags{}, ref},
+		{"noshards", stopped(4), core.LoopFlags{}, ref},
+		{"default-gate", sharded(4), core.LoopFlags{}, ref},
+		{"nostretch", sharded(4), core.LoopFlags{NoFastForward: true, NoThinning: true}, refNT},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cs, err := NewConsolidation(CaseConfig{
-				Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 3, EndHour: 4,
-				Engine: tc.eng, LoopFlags: tc.flags,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs.Run()
-			if applied, minSlack, ok := cs.Sim.MailboxAudit(); applied != 0 || minSlack != 0 || ok {
-				t.Errorf("MailboxAudit = (%d, %d, %v), want the off shape (0, 0, false)", applied, minSlack, ok)
-			}
+			cs := run(tc.eng, tc.flags)
 			st := cs.Result.Stats
-			if st.MailboxApplied != 0 || st.MailboxMinSlack != 0 {
-				t.Errorf("RunStats mailbox fields (%d, %d) nonzero with the audit off", st.MailboxApplied, st.MailboxMinSlack)
+			if st.Barriers != 0 || st.WindowsStretched != 0 || st.MailboxApplied != 0 {
+				t.Errorf("%d barriers, %d stretched windows, %d mailbox entries; want none",
+					st.Barriers, st.WindowsStretched, st.MailboxApplied)
 			}
-			if st.Barriers != 0 || st.WindowsStretched != 0 {
-				t.Errorf("%d barriers, %d stretched windows; want none on a platform below the grain", st.Barriers, st.WindowsStretched)
+			if w, ok := tc.eng.(*watched); ok {
+				checkUse(t, w, tc.flags.NoFastForward)
 			}
-			if (st.WindowsInline > 0) != tc.sharded {
-				t.Errorf("WindowsInline = %d with the sharded runtime on = %v", st.WindowsInline, tc.sharded)
+			if got := cs.Result.Digest(); got != tc.want {
+				t.Errorf("digest diverged from the sequential loop:\n%s\n%s", tc.want, got)
 			}
 		})
 	}
 }
 
-// TestAutoShards pins the "sharded:auto" resolution rule on both surfaces:
-// the helper itself and a compiled document.
+// TestAutoShards pins what became of "sharded:auto" on both surfaces of a
+// shipped scenario document — the decoded Document and its JSON: the
+// selector resolves to nothing and fails compilation with
+// ErrEngineRemoved naming it, as does a malformed shard count, while the
+// document as shipped compiles.
 func TestAutoShards(t *testing.T) {
-	if n := experiment.AutoShards(1); n != 1 {
-		t.Errorf("AutoShards(1) = %d, want 1", n)
+	doc, err := config.Load("../../examples/chaos.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := experiment.AutoShards(0); n < 1 {
-		t.Errorf("AutoShards(0) = %d, want >= 1", n)
+	if _, err := experiment.FromDocument(doc); err != nil {
+		t.Fatalf("shipped document rejected: %v", err)
 	}
-	for _, dcs := range []int{1, 2, 7, 64} {
-		n := experiment.AutoShards(dcs)
-		if n < 1 || n > dcs && dcs >= 1 {
-			t.Errorf("AutoShards(%d) = %d out of [1, %d]", dcs, n, dcs)
+	for _, sel := range []string{"sharded:auto", "sharded:nope"} {
+		doc.Engine = sel
+		var buf strings.Builder
+		if err := doc.Encode(&buf); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := experiment.ParseEngine("sharded:auto"); err != nil {
-		t.Errorf("ParseEngine(sharded:auto): %v", err)
-	}
-	if _, err := experiment.ParseEngine("sharded:nope"); err == nil {
-		t.Error("ParseEngine(sharded:nope) accepted a malformed count")
-	} else if want := "sharded:auto"; !strings.Contains(err.Error(), want) {
-		t.Errorf("shard-count error %q does not mention %q", err, want)
+		back, err := config.Decode(strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for surface, d := range map[string]*config.Document{"document": doc, "json": back} {
+			if _, err := experiment.FromDocument(d); !errors.Is(err, experiment.ErrEngineRemoved) || !strings.Contains(err.Error(), sel) {
+				t.Errorf("%s surface, engine %q: FromDocument error %v, want ErrEngineRemoved naming the selector", surface, sel, err)
+			}
+		}
 	}
 }

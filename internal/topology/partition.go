@@ -8,19 +8,13 @@ import (
 	"repro/internal/hardware"
 )
 
-// ShardPlan is the per-datacenter partition of the infrastructure for the
-// sharded PDES engine: every agent of a data center — switch, client
-// link, daemon line, tier hardware, SAN, clients — lands on its DC's
-// shard, and each directed WAN link lands on the shard of its destination
-// DC (the link delivers work into that shard, so applying its mailbox
-// entries shard-locally keeps the hand-off on one worker).
-//
-// The partition is a locality optimization, never a correctness knob: the
-// simulation's barriers are window boundaries, so any assignment yields
-// bit-identical results (core.SetShardAssignment documents the fallback).
-// Grouping a DC's agents on one worker is what makes the assignment worth
-// configuring — a cascade hop almost always targets the same DC it
-// completed in, so mailbox application stays cache-local.
+// ShardPlan is a per-datacenter partition of the infrastructure: every
+// agent of a data center — switch, client link, daemon line, tier
+// hardware, SAN, clients — lands on its DC's shard, and each directed WAN
+// link lands on the shard of its destination DC. It was the input of the
+// sharded span runtime, which was removed; the simulation no longer reads
+// it, and it is kept only because the benchmark harness (bench/) times
+// PartitionByDC.
 type ShardPlan struct {
 	// Shards is the shard count the plan was built for.
 	Shards int
@@ -31,31 +25,15 @@ type ShardPlan struct {
 	DCShard map[string]int
 	// LookaheadSec[w] is the conservative lookahead bound of shard w: the
 	// minimum latency, in seconds, over all WAN links (primary and
-	// backup) entering the shard from another shard. No event generated
-	// on a remote shard can affect shard w sooner than this bound after
-	// crossing the WAN — the classic distance-based PDES window. +Inf
-	// when nothing enters the shard. The runtime spends this slack two
-	// ways. Structurally: shard-local cascades never cross shards at all,
-	// so spans among lane-confined work are bounded only by global-source
-	// due times and collector boundaries. Numerically: the compile step
-	// hands this slice to core.SetShardLookahead, and while cross-capable
-	// message chains are in flight the span scheduler stretches windows
-	// up to min over finite entries of TicksIn(LookaheadSec[w]) past the
-	// current tick — any mid-span cross-shard hand-off rides a transit
-	// link whose latency covers at least that many ticks, so the posted
-	// message is provably due beyond the span's end and parks in the
-	// target shard's inbox until the next application point. Every
-	// cross-shard mailbox message carries its WAN-delayed due time,
-	// audited at application (see DESIGN.md, "Lookahead and window
-	// stretching").
+	// backup) entering the shard from another shard — the classic
+	// distance-based PDES window. +Inf when nothing enters the shard.
 	LookaheadSec []float64
 }
 
 // PartitionByDC builds the per-datacenter shard plan: data centers in
 // sorted name order are dealt round-robin onto the shards, so DC i lands
 // on shard i mod n. Shard counts above the DC count leave the surplus
-// shards empty — correct but wasteful, which is why the declarative
-// surfaces (documents, the CLI) reject them before getting here.
+// shards empty.
 func (inf *Infrastructure) PartitionByDC(shards int) (*ShardPlan, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("topology: shard count %d < 1", shards)
@@ -70,8 +48,7 @@ func (inf *Infrastructure) PartitionByDC(shards int) (*ShardPlan, error) {
 		p.LookaheadSec[w] = math.Inf(1)
 	}
 	// Agents not reached by the structural walk below (none today; custom
-	// agents registered outside Build would be) default to ID modulo n,
-	// matching the core fallback.
+	// agents registered outside Build would be) default to ID modulo n.
 	for id := range p.Assign {
 		p.Assign[id] = int32(id % shards)
 	}

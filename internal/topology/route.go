@@ -115,11 +115,9 @@ func (inf *Infrastructure) rerouted() { inf.routeVersion++ }
 // utilization in Tables 6.1 and 7.3.
 //
 // The table is shared by every data center and filled lazily, so like the
-// WAN mutations it must only be reached from sequential phases. That holds
-// by construction: AppendHop consults it for cross-DC messages only — the
-// same-DC fabric is the local switch, no table — and cross-DC messages
-// belong to cross-capable flows, whose step expansion never runs inside a
-// stretched span (core.flowWindow panics otherwise).
+// WAN mutations it must only be reached from sequential phases — where
+// step expansion runs. AppendHop consults it for cross-DC messages only;
+// the same-DC fabric is the local switch, no table.
 func (inf *Infrastructure) route(from, to *DataCenter) *route {
 	r := &inf.routes[from.index*len(inf.dcs)+to.index]
 	if r.version == inf.routeVersion+1 {

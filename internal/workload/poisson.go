@@ -142,39 +142,6 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 	}
 }
 
-// InitSource eagerly runs the lazy first-poll initialization: mix
-// distribution, RNG stream, gauge interning, cached step. It makes no RNG
-// draws, so eager and lazy initialization are bit-identical. Callers that
-// register the workload as a lane-confined source (core.AddLaneSource)
-// must call it first — an in-lane first poll would otherwise intern gauges
-// mid-span, and an uninitialized NextPoll pessimistically reports "now",
-// which would veto every span.
-func (w *AppWorkload) InitSource(s *core.Simulation) {
-	if w.rng == nil {
-		w.initialize(s)
-	}
-}
-
-// LaneSafe reports whether the workload is confined to its own data
-// center: its access-matrix row exists and places every bit of ownership
-// mass on w.DC, so each launch binds local == master, producing only Local
-// (shard-confined) cascades, and the owner draw never needs another DC.
-// Lane-safe workloads may be registered with core.AddLaneSource and polled
-// inside stretched spans.
-func (w *AppWorkload) LaneSafe() bool {
-	row, ok := w.APM[w.DC]
-	if !ok {
-		return false
-	}
-	for owner, p := range row {
-		if owner != w.DC && p > 0 {
-			return false
-		}
-	}
-	_, self := row[w.DC]
-	return self
-}
-
 // Poll launches the tick's arrivals. In the dense regime (expected
 // arrivals per tick at or above the thinning threshold) it draws a Poisson
 // count per tick; in the sparse regime it launches the committed thinned
@@ -262,8 +229,7 @@ func (w *AppWorkload) sampleNext(from float64) {
 // sampling from the poll instant when the rate is sparse). The fluid tier
 // calls it when a workload re-crosses from analytic back to discrete
 // sampling: a pending instant committed before the fluid window would
-// otherwise replay a stale arrival. No RNG draws are made, so the call is
-// span-safe.
+// otherwise replay a stale arrival. No RNG draws are made.
 func (w *AppWorkload) ResetPending() {
 	if w.rng != nil {
 		w.pending = math.NaN()
