@@ -17,8 +17,9 @@
 //
 // The cross-cutting flags compose with the run modes above:
 //
-//	-v               print the fast-forward statistics of a -scenario run
-//	                 (jumps and skipped ticks; -doc always prints them)
+//	-v               print the loop statistics of a -scenario run: jumps,
+//	                 skipped ticks and windows (ticks - skipped); -doc
+//	                 always prints them
 //	-cpuprofile f    write a CPU profile of the run to f
 //	-memprofile f    write an end-of-run heap profile to f
 //
@@ -67,7 +68,7 @@ func main() {
 	scale := flag.Float64("scale", 0.5, "platform scale for speedup measurement")
 	agentSet := flag.Int("agentset", 0, "H-Dispatch agent-set size (0 = 64, the thesis' best)")
 	short := flag.Bool("short", false, "smoke run: tiny H-Dispatch speedup measurement")
-	verbose := flag.Bool("v", false, "print the fast-forward statistics of a -scenario run: jumps and skipped ticks")
+	verbose := flag.Bool("v", false, "print the loop statistics of a -scenario run: fast-forward jumps, skipped ticks and windows (ticks - skipped)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
@@ -140,8 +141,7 @@ func runDocument(path, csvOut string) {
 	}
 	fmt.Printf("experiment %s: %d operations completed over %.0f simulated seconds\n",
 		res.Name, res.Stats.CompletedOps, res.Stats.Seconds)
-	fmt.Printf("  agents %d, fast-forward jumps %d (%d ticks skipped)\n",
-		res.Stats.Agents, res.Stats.Jumps, res.Stats.SkippedTicks)
+	fmt.Printf("  agents %d, %s\n", res.Stats.Agents, loopLine(res.Stats))
 	if res.Faults != nil {
 		fmt.Print(res.Faults)
 	}
@@ -331,7 +331,14 @@ func smoke(name string, verbose bool) {
 		log.Fatalf("unknown scenario %q", name)
 	}
 	if verbose {
-		st := sim.Stats()
-		fmt.Printf("  fast-forward jumps %d (%d ticks skipped)\n", st.Jumps, st.SkippedTicks)
+		fmt.Printf("  %s\n", loopLine(sim.Stats()))
 	}
+}
+
+// loopLine reports how the window loop covered a run: its fast-forward
+// jumps, the ticks they skipped, and the windows it ran — every tick not
+// skipped is one window's landing.
+func loopLine(st core.RunStats) string {
+	return fmt.Sprintf("fast-forward jumps %d (%d ticks skipped), %d windows",
+		st.Jumps, st.SkippedTicks, uint64(st.Ticks)-st.SkippedTicks)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/queueing"
+	"repro/internal/simtime"
 )
 
 // hzQueue is the method set FCFS and PS share that hzAgent drives.
@@ -139,9 +140,8 @@ func TestBulkDrainReachesArmedCompletion(t *testing.T) {
 }
 
 // TestBulkQuietArmedCompletion is the jump variant of the drain-set case:
-// nothing else happens, so the loop takes one long jump to just before the
-// armed event tick and a single step onto it — the completion must still
-// be found and drained on time.
+// nothing else happens, so the loop takes one long jump onto the armed
+// event tick — the completion must still be found and drained on time.
 func TestBulkQuietArmedCompletion(t *testing.T) {
 	run := func(ref bool) *Simulation {
 		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, LoopFlags: refFlags(ref)})
@@ -293,21 +293,18 @@ var calendarPropertySeeds = []uint64{1, 7, 42}
 
 // checkWindow folds a window's pending invalidations, as the loop would
 // before reading the calendar head, and checks the calendar invariant over
-// the agents the window owns: the heap is a valid min-heap with a
-// consistent position index, every active agent has exactly one entry whose
-// key equals the agent's freshly recomputed due tick (based at the tick its
+// the agents the window owns: the calendar's structure holds (calendar.check:
+// bucket lists, occupancy bits and summary word agree, the cached minimum is
+// the true one, every wheel key lies in [cursor, cursor+wheelSpan), the heap
+// tier is a valid heap), every active agent has exactly one entry whose key
+// equals the agent's freshly recomputed due tick (based at the tick its
 // state has advanced through), and no inactive agent lingers.
 func checkWindow(w *window, agents []*hzAgent) error {
 	w.rekey()
 	s := w.s
-	for i, e := range w.cal.entries {
-		if w.cal.pos[e.id] != int32(i) {
-			return fmt.Errorf("pos[%d] = %d, entry at %d", e.id, w.cal.pos[e.id], i)
-		}
-		if parent := (i - 1) / 2; i > 0 && w.cal.less(i, parent) {
-			return fmt.Errorf("heap violated at %d (key %d) under parent %d (key %d)",
-				i, e.key, parent, w.cal.entries[parent].key)
-		}
+	due := func(id AgentID) simtime.Tick { return s.agentKey(s.agents[id].Horizon(), s.agentTick[id]) }
+	if err := w.cal.check(due); err != nil {
+		return err
 	}
 	active := 0
 	for _, a := range agents {
@@ -322,11 +319,9 @@ func checkWindow(w *window, agents []*hzAgent) error {
 		if !w.cal.contains(b.id) {
 			return fmt.Errorf("active agent %d missing from calendar", b.id)
 		}
-		base := s.agentTick[b.id]
-		want := s.agentKey(a.Horizon(), base)
-		if got := w.cal.entries[w.cal.pos[b.id]].key; got != want {
+		if got, want := w.cal.keyOf(b.id), due(b.id); got != want {
 			return fmt.Errorf("agent %d key %d, want %d (horizon %v based at tick %d)",
-				b.id, got, want, a.Horizon(), base)
+				b.id, got, want, a.Horizon(), s.agentTick[b.id])
 		}
 	}
 	if w.cal.len() != active {

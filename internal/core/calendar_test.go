@@ -3,15 +3,19 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/queueing"
 	"repro/internal/simtime"
 )
 
-// TestCalendarHeapOrdering drives the indexed heap through inserts,
-// decrease/increase rekeys and removals, checking the head always reports
-// the minimum with ties broken by AgentID.
+// TestCalendarHeapOrdering drives the calendar through inserts into both
+// tiers (keys in [0, 1000) against a wheel of wheelSpan ticks from tick 0),
+// decrease/increase rekeys across and within them, and removals, checking
+// the head always reports the minimum. Ties pop in no particular order —
+// the loop sorts what it pops by AgentID — so the pops of each key must be
+// exactly the agents set to it, in any order.
 func TestCalendarHeapOrdering(t *testing.T) {
 	var c calendar
 	c.grow(64)
@@ -33,22 +37,36 @@ func TestCalendarHeapOrdering(t *testing.T) {
 		delete(keys, id)
 	}
 	if c.len() != len(keys) {
-		t.Fatalf("heap size %d, want %d", c.len(), len(keys))
+		t.Fatalf("calendar size %d, want %d", c.len(), len(keys))
 	}
-	prevKey, prevID := simtime.Tick(-1), AgentID(-1)
+	if err := c.check(func(id AgentID) simtime.Tick { return keys[id] }); err != nil {
+		t.Fatal(err)
+	}
+	want, got := make(map[simtime.Tick][]AgentID), make(map[simtime.Tick][]AgentID)
+	for id, k := range keys {
+		want[k] = append(want[k], id)
+	}
+	prevKey := simtime.Tick(-1)
 	for c.len() > 0 {
 		k := c.minKey()
 		id := c.popMin()
-		if want, ok := keys[id]; !ok || want != k {
-			t.Fatalf("popped (%d, %d), want key %d", id, k, keys[id])
+		if keys[id] != k {
+			t.Fatalf("popped agent %d at %d, want key %d", id, k, keys[id])
 		}
-		if k < prevKey || (k == prevKey && id < prevID) {
-			t.Fatalf("pop order violated: (%d, %d) after (%d, %d)", k, id, prevKey, prevID)
+		if k < prevKey {
+			t.Fatalf("pop order violated: key %d after %d", k, prevKey)
 		}
-		prevKey, prevID = k, id
-		delete(keys, id)
+		prevKey = k
+		got[k] = append(got[k], id)
 		if c.contains(id) {
 			t.Fatalf("agent %d still present after pop", id)
+		}
+	}
+	for k, ids := range want {
+		slices.Sort(ids)
+		slices.Sort(got[k])
+		if !slices.Equal(ids, got[k]) {
+			t.Errorf("key %d popped %v, want %v", k, got[k], ids)
 		}
 	}
 	// Removing an absent entry is a no-op.

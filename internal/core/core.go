@@ -20,9 +20,9 @@
 //
 // On top of the per-tick phases, RunFor and RunUntilIdle fast-forward the
 // clock across provably quiet stretches: every agent and source reports an
-// event horizon (Agent.Horizon, Source.NextPoll) and the loop jumps to
-// just before the earliest one, bit-identical to ticking through (see
-// DESIGN.md, "The time loop").
+// event horizon (Agent.Horizon, Source.NextPoll) and the loop jumps onto
+// the earliest one, bit-identical to ticking through (see DESIGN.md, "The
+// time loop").
 package core
 
 import (

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -93,6 +94,66 @@ func TestStretchBarrierDrop(t *testing.T) {
 		t.Errorf("digest diverged from the sequential loop:\n%s\n%s", b, a)
 	}
 	t.Logf("%d loop iterations for %d ticks, %d operations completed", iterations, st.Ticks, st.CompletedOps)
+}
+
+// onceSource launches one operation at its first poll and parks.
+type onceSource struct {
+	op       core.OpRun
+	launched bool
+}
+
+func (o *onceSource) Poll(s *core.Simulation, now float64) {
+	if !o.launched {
+		o.launched = true
+		s.StartOp(o.op)
+	}
+}
+
+func (o *onceSource) NextPoll(float64) float64 { return math.Inf(1) }
+
+// TestWindowLandsOnCalendarHead pins where a window lands when only the
+// calendar bounds it: on the calendar head itself, not one tick before. A
+// delay line holding one operation, a parked source and no collector
+// boundary within the run leave exactly two windows — one landing on the
+// completion tick, one on the run end — whatever the delay, with the
+// line's key on the calendar's wheel or, past 2.56 s, in its heap tier, and
+// the completion lands where the reference loop records it. The second leg
+// pins the window count (ticks − skipped) of a one-hour day-night run, so a
+// change to where windows land shows up as a number.
+func TestWindowLandsOnCalendarHead(t *testing.T) {
+	for _, delay := range []float64{0.02, 0.5, 2.55, 2.57, 7.301} {
+		run := func(ref bool) *core.Simulation {
+			s := core.NewSimulation(core.Config{Step: 0.01, CollectEvery: 1 << 30, Seed: 1,
+				LoopFlags: core.LoopFlags{NoFastForward: ref}})
+			line := core.NewDelayLine(s, "line")
+			s.AddSource(&onceSource{op: core.OpRun{Name: "D", DC: "NA", NumSteps: 1,
+				Expand: func(int) []core.MessagePlan {
+					return []core.MessagePlan{{Stages: []core.Stage{{Queue: line, Delay: delay}}}}
+				}}})
+			s.RunFor(10)
+			return s
+		}
+		got, ref := run(false), run(true)
+		st := got.Stats()
+		if windows := uint64(st.Ticks) - st.SkippedTicks; windows != 2 || st.Jumps != 2 {
+			t.Errorf("delay %v s: %d windows in %d jumps over %d ticks, want 2 in 2: one on the completion, one on the run end",
+				delay, windows, st.Jumps, st.Ticks)
+		}
+		g, r := got.Responses.Series("D", "NA"), ref.Responses.Series("D", "NA")
+		if g.Len() != 1 || r.Len() != 1 || g.T[0] != r.T[0] || g.V[0] != r.V[0] {
+			t.Errorf("delay %v s: completion %v/%v on the production loop, %v/%v on the reference loop", delay, g.T, g.V, r.T, r.V)
+		}
+	}
+
+	res, err := scenarios.RunDayNight(scenarios.DayNightConfig{Seed: 7, Hours: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 1326
+	st := res.Result.Stats
+	if windows := uint64(st.Ticks) - st.SkippedTicks; windows != want {
+		t.Errorf("one-hour day-night run: %d windows over %d ticks (%d jumps), want %d", windows, st.Ticks, st.Jumps, want)
+	}
 }
 
 // TestMailboxDueTimeSafety is the WAN due-time property on the consolidation

@@ -179,7 +179,7 @@ func NewSimulation(cfg Config) *Simulation {
 		thinning:     !cfg.NoThinning,
 		noFaults:     cfg.NoFaults,
 	}
-	s.root = window{s: s, srcMin: neverTick, resp: s.Responses}
+	s.root = window{s: s, srcMin: neverTick, nextSnap: nextCollectBoundary(0, s.collectEvery), resp: s.Responses}
 	s.drainFn = s.onTaskDone
 	return s
 }
@@ -222,7 +222,6 @@ func (s *Simulation) AddAgent(a Agent) {
 	b := a.Base()
 	s.agents = append(s.agents, a)
 	s.bases = append(s.bases, b)
-	s.root.cal.grow(len(s.agents))
 	s.agentTick = append(s.agentTick, 0)
 	s.hMemoTick = append(s.hMemoTick, hMemoUnset)
 	s.hMemo = append(s.hMemo, 0)
@@ -453,12 +452,13 @@ func (s *Simulation) tick() {
 
 // runWindow drives one window of the production loop on the root window.
 // Instead of stepping and draining every active agent every tick, a window
-// covers as many ticks as provably hold no event (window.jump) and steps
-// only the agents that can act at its landing tick — the calendar entries
-// due by then plus the pinned set. Every other active agent is left
-// untouched and caught up in one horizon-bounded bulk replay when it next
-// matters: it is enqueued on, pops due, or a collector boundary or the run
-// end lands. The drain walks the popped-due set plus the agents whose
+// skips every tick that provably holds no event, lands on the first one that
+// may (window.jump: the calendar head, a due poll, a collector boundary or
+// the limit), and steps only the agents that can act there — the calendar
+// entries due at the landing plus the pinned set. Every other active agent
+// is left untouched and caught up in one horizon-bounded bulk replay when it
+// next matters: it is enqueued on, pops due, or a collector boundary or the
+// run end lands. The drain walks the popped-due set plus the agents whose
 // queues were enqueued on since the last drain.
 //
 // The invariants that make laziness exact:
@@ -498,7 +498,8 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 	w.retireIdle()
 	// Rekey everything invalidated since the jump was sized.
 	w.rekey()
-	if w.tick%s.collectEvery == 0 {
+	if w.tick == w.nextSnap {
+		w.nextSnap += s.collectEvery
 		s.Collector.Snapshot(s.clock.NowSeconds())
 	}
 }
@@ -626,8 +627,9 @@ func (s *Simulation) srcDueTick(p float64, now simtime.Tick) simtime.Tick {
 }
 
 // agentKey converts an agent horizon, observed at tick now, into the
-// calendar key: the first tick at which the agent may act. Jumps land
-// strictly before it (WholeTicksBefore of the guarded horizon).
+// calendar key: the first tick at which the agent may act, one past the
+// whole ticks strictly before the guarded horizon. Jumps land on it at the
+// latest.
 func (s *Simulation) agentKey(h float64, now simtime.Tick) simtime.Tick {
 	if math.IsInf(h, 1) {
 		return neverTick
@@ -639,7 +641,8 @@ func (s *Simulation) agentKey(h float64, now simtime.Tick) simtime.Tick {
 // after now: a window standing exactly on a boundary has already
 // snapshotted it, so the next synchronization point is one full period
 // ahead, never the current tick — otherwise a jump would swallow a snapshot
-// tick or stop a boundary early.
+// tick or stop a boundary early. The window loop caches it (window.nextSnap)
+// and steps it by one period per snapshot.
 func nextCollectBoundary(now, every simtime.Tick) simtime.Tick {
 	return now + (every - now%every)
 }

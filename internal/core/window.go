@@ -33,8 +33,11 @@ type window struct {
 	drainSpare []AgentID
 	inv        []AgentID
 
-	// srcMin caches the earliest due tick of the simulation's sources.
-	srcMin simtime.Tick
+	// srcMin caches the earliest due tick of the simulation's sources, and
+	// nextSnap the next collector-snapshot tick: the first multiple of
+	// collectEvery after tick.
+	srcMin   simtime.Tick
+	nextSnap simtime.Tick
 
 	live      int    // active agents, tombstones excluded
 	flows     int    // in-flight operations
@@ -83,9 +86,13 @@ func (w *window) pollDue() {
 // been stepped through, so the key is based at agentTick; for agents
 // invalidated through the usual hooks that is the window's tick (enqueues
 // sync first, popped-due agents were advanced to the landing), and a bare
-// MarkDirty on a lazily-stepped agent re-bases correctly too.
+// MarkDirty on a lazily-stepped agent re-bases correctly too. The calendar's
+// cursor moves up to the window's tick first: every entry due by then has
+// been popped, so every key left lies beyond it.
 func (w *window) rekey() {
 	s := w.s
+	w.cal.cursor = w.tick
+	w.cal.grow(len(s.agents))
 	for _, id := range w.dirty {
 		b := s.bases[id]
 		b.dirty = false
@@ -100,39 +107,30 @@ func (w *window) rekey() {
 }
 
 // jump sizes the window: how many whole ticks it may cover, in
-// [1, bound-tick]. The landing falls strictly before the earliest agent
-// event — that tick is single-stepped by a later window — at or before the
-// earliest due poll, which polls normally when the window lands on it, and
-// never beyond the next collector boundary, so snapshots sample busy
-// accumulators at exactly the ticks the reference loop does.
+// [1, bound-tick]. The landing is the earliest of the calendar head — the
+// earliest agent event, stepped on the landing tick itself — the earliest
+// due poll, which polls normally when the window lands on it, the next
+// collector boundary, so snapshots sample busy accumulators at exactly the
+// ticks the reference loop does, and the bound.
 func (w *window) jump(bound simtime.Tick) simtime.Tick {
-	max := bound - w.tick
-	if b := nextCollectBoundary(w.tick, w.s.collectEvery) - w.tick; b < max {
-		max = b
-	}
-	if w.srcMin != neverTick && w.srcMin-w.tick < max {
-		max = w.srcMin - w.tick
-	}
-	if h := w.cal.minKey(); h != neverTick && h-1-w.tick < max {
-		max = h - 1 - w.tick
-	}
-	if max <= 1 {
+	n := min(bound, w.nextSnap, w.srcMin, w.cal.minKey()) - w.tick
+	if n <= 1 {
 		return 1
 	}
 	w.jumps++
-	w.skipped += uint64(max - 1)
-	return max
+	w.skipped += uint64(n - 1)
+	return n
 }
 
 // popInvolved collects into inv, in ascending ID order, the agents the
 // window must advance to its landing tick: those whose calendar entry is
-// due by then (by jump construction, exactly at the landing) plus every
-// pinned agent. Popping marks them dirty — their horizon changes as they
-// act — and into the drain set; rekey just ran, so the dirty flag doubles
-// as the dedup gate. Synchronization points gather every active agent
-// instead: a collector boundary needs exact busy accumulators behind every
-// probe, and a landing on the run limit hands callers a fully-advanced
-// simulation.
+// due by then (by jump construction, exactly at the landing, which is the
+// calendar head when nothing else bounded the window) plus every pinned
+// agent. Popping marks them dirty — their horizon changes as they act — and
+// into the drain set; rekey just ran, so the dirty flag doubles as the
+// dedup gate. Synchronization points gather every active agent instead: a
+// collector boundary needs exact busy accumulators behind every probe, and
+// a landing on the run limit hands callers a fully-advanced simulation.
 func (w *window) popInvolved(landing, limit simtime.Tick) {
 	s := w.s
 	w.inv = w.inv[:0]
@@ -153,7 +151,7 @@ func (w *window) popInvolved(landing, limit simtime.Tick) {
 		}
 		w.markDrain(b)
 	}
-	if landing%s.collectEvery == 0 || landing == limit {
+	if landing == w.nextSnap || landing == limit {
 		w.compact()
 		w.inv = append(w.inv[:0], w.active...)
 	} else {
