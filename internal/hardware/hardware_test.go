@@ -2,6 +2,7 @@ package hardware
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -157,6 +158,20 @@ func TestMemoryHitRateStatistical(t *testing.T) {
 	rate := float64(hits) / n
 	if math.Abs(rate-0.3) > 0.02 {
 		t.Errorf("empirical hit rate %v, want ~0.3", rate)
+	}
+}
+
+// drawHit is rand.Rand.Float64() < p on the same source, draw for draw, from
+// the certain outcomes to the probabilities one ulp inside them.
+func TestDrawHitMatchesRandFloat64(t *testing.T) {
+	for _, p := range []float64{0, 1e-9, 0.05, 0.1, 0.5, math.Nextafter(1, 0), 1} {
+		got := rand.NewPCG(7, uint64(p*1e6))
+		want := rand.New(rand.NewPCG(7, uint64(p*1e6)))
+		for i := 0; i < 5000; i++ {
+			if g, w := drawHit(got, p), want.Float64() < p; g != w {
+				t.Fatalf("p=%v draw %d: drawHit %v, rand.Float64() < p %v", p, i, g, w)
+			}
+		}
 	}
 }
 

@@ -17,8 +17,15 @@ type Memory struct {
 	capacity float64 // bytes
 	used     float64 // bytes currently held
 	hitRate  float64 // probability a storage access hits the cache
-	rng      *rand.Rand
+	rng      *rand.PCG
 	peak     float64
+}
+
+// drawHit decides a cache hit of probability p on one draw from src. It is
+// rand.New(src).Float64() < p — the same draw, Float64's own definition —
+// without the interface call per draw.
+func drawHit(src *rand.PCG, p float64) bool {
+	return float64(src.Uint64()<<11>>11)/(1<<53) < p
 }
 
 // NewMemory creates a memory component with capacity in bytes and a cache
@@ -32,7 +39,7 @@ func NewMemory(capacity, hitRate float64, seed uint64) *Memory {
 	return &Memory{
 		capacity: capacity,
 		hitRate:  hitRate,
-		rng:      rand.New(rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2))),
+		rng:      rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2)),
 	}
 }
 
@@ -90,5 +97,5 @@ func (m *Memory) Hit() bool {
 	if m.hitRate >= 1 {
 		return true
 	}
-	return m.rng.Float64() < m.hitRate
+	return drawHit(m.rng, m.hitRate)
 }

@@ -99,9 +99,11 @@ type diskArray struct {
 	lanes    []*queueing.FCFS // drive queues, each standing for weight disks
 	weight   int
 	disks    int
-	ctrlDone []*forkSlab // this tick's controller completions, in order
+	ctrlDone []*forkSlab      // this tick's controller completions, in order
+	misses   []*queueing.Task // one lane's stripes missing the disk cache this tick
+	served   int              // stripes step served in closed form (read by tests)
 	diskSpec DiskSpec
-	rng      *rand.Rand
+	rng      *rand.PCG
 	buffer   func(*queueing.Task) // parent-agent completion buffer
 	forkFree []*forkSlab
 	extFree  []*extSlab
@@ -114,8 +116,9 @@ func newDiskArray(n int, spec DiskSpec, seed uint64, buffer func(*queueing.Task)
 		dcc:      queueing.NewFCFS(1, spec.CtrlGbps*1e9/8),
 		weight:   1,
 		disks:    n,
+		misses:   make([]*queueing.Task, 0, 8),
 		diskSpec: spec,
-		rng:      rand.New(rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2))),
+		rng:      rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2)),
 		buffer:   buffer,
 	}
 	if spec.certain() {
@@ -171,18 +174,23 @@ func (a *diskArray) fork(e *extSlab) {
 
 // step advances every disk pipeline one tick. The controller caches step
 // once, collecting the tick's completions; then the lanes are walked in disk
-// order, each replaying those completions — draw, then join or enqueue the
-// lane's stripe at its drive — before its drive steps. That is the event,
-// RNG-draw and join order of stepping disk 0's controller cache and drive,
-// then disk 1's, and so on: pipelines do not interact except through the
-// draw sequence and the join counts, and both see the same order. Idle
-// queues are skipped: their Step is a strict no-op (nothing to fill,
-// nothing in service, no busy time accrues).
+// order, each replaying those completions — draw, then join a hit or collect
+// the lane's stripe as a miss — before its drive takes the misses and steps.
+// That is the event, RNG-draw and join order of stepping disk 0's controller
+// cache and drive, then disk 1's, and so on: pipelines do not interact
+// except through the draw sequence and the join counts, and both see the
+// same order. A drive that is idle and finishes every miss inside the tick
+// serves them in closed form (FCFS.ServeAll) and the lane joins them in
+// order, which is the order its Step would have called back in; otherwise
+// the misses are enqueued and the drive steps. Idle drives with no misses
+// are skipped: their Step is a strict no-op (nothing to fill, nothing in
+// service, no busy time accrues).
 func (a *diskArray) step(dt float64) {
 	if !a.dcc.Idle() {
 		a.dcc.Step(dt, a.onDiskCtrlDone)
 	}
 	for i, hdd := range a.lanes {
+		misses := a.misses[:0]
 		for _, fj := range a.ctrlDone {
 			if a.hit() {
 				a.join(fj)
@@ -190,6 +198,17 @@ func (a *diskArray) step(dt float64) {
 			}
 			s := &fj.stripes[i]
 			*s = queueing.Task{ID: fj.ctrl.ID, Demand: fj.stripe, Payload: fj}
+			misses = append(misses, s)
+		}
+		a.misses = misses
+		if len(misses) > 0 && hdd.ServeAll(misses, dt) {
+			a.served += len(misses)
+			for _, s := range misses {
+				a.join(s.Payload.(*forkSlab))
+			}
+			continue
+		}
+		for _, s := range misses {
 			hdd.Enqueue(s)
 		}
 		if !hdd.Idle() {
@@ -211,7 +230,7 @@ func (a *diskArray) hit() bool {
 	if a.diskSpec.certain() {
 		return a.diskSpec.HitRate == 1
 	}
-	return a.rng.Float64() < a.diskSpec.HitRate
+	return drawHit(a.rng, a.diskSpec.HitRate)
 }
 
 func (a *diskArray) onDriveDone(t *queueing.Task) {
@@ -322,7 +341,7 @@ type RAID struct {
 	spec     RAIDSpec
 	dacc     *queueing.FCFS
 	array    *diskArray
-	rng      *rand.Rand
+	rng      *rand.PCG
 	inflight int // external requests admitted and not yet completed
 }
 
@@ -335,7 +354,7 @@ func NewRAID(sim *core.Simulation, name string, spec RAIDSpec) *RAID {
 	r := &RAID{
 		spec: spec,
 		dacc: queueing.NewFCFS(1, spec.CtrlGbps*1e9/8),
-		rng:  rand.New(rand.NewPCG(subSeed(sim, id, tagRAID), subSeed(sim, id, tagRAID+1))),
+		rng:  rand.NewPCG(subSeed(sim, id, tagRAID), subSeed(sim, id, tagRAID+1)),
 	}
 	// The controller cache is the array's ingress: external enqueues (and
 	// only those — the fork-join feeds the disk queues internally, inside
@@ -400,7 +419,7 @@ func (r *RAID) StepN(n int, dt float64) {
 
 func (r *RAID) onCtrlDone(t *queueing.Task) {
 	e := t.Payload.(*extSlab)
-	if r.rng.Float64() < r.spec.HitRate {
+	if drawHit(r.rng, r.spec.HitRate) {
 		r.complete(e.parent) // array-cache hit bypasses the fork-join
 		r.array.release(e)
 		return
@@ -478,7 +497,7 @@ type SAN struct {
 	dacc     *queueing.FCFS
 	fcal     *queueing.FCFS
 	array    *diskArray
-	rng      *rand.Rand
+	rng      *rand.PCG
 	inflight int // external requests admitted and not yet completed
 }
 
@@ -493,7 +512,7 @@ func NewSAN(sim *core.Simulation, name string, spec SANSpec) *SAN {
 		fcsw: queueing.NewFCFS(1, spec.FCSwitchGbps*1e9/8),
 		dacc: queueing.NewFCFS(1, spec.CtrlGbps*1e9/8),
 		fcal: queueing.NewFCFS(1, spec.FCALGbps*1e9/8),
-		rng:  rand.New(rand.NewPCG(subSeed(sim, id, tagSAN), subSeed(sim, id, tagSAN+1))),
+		rng:  rand.NewPCG(subSeed(sim, id, tagSAN), subSeed(sim, id, tagSAN+1)),
 	}
 	// The FC switch is the SAN's ingress; the downstream queues (dacc,
 	// fcal, disks) are fed by internal handoffs inside the parallel Step
@@ -569,7 +588,7 @@ func (s *SAN) onFCSwitchDone(t *queueing.Task) {
 
 func (s *SAN) onCtrlDone(t *queueing.Task) {
 	e := t.Payload.(*extSlab)
-	if s.rng.Float64() < s.spec.HitRate {
+	if drawHit(s.rng, s.spec.HitRate) {
 		s.complete(e.parent) // cache hit bypasses loop and disks
 		s.array.release(e)
 		return

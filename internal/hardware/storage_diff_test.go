@@ -99,8 +99,9 @@ func checkIdleBalance(t testing.TB, a *diskArray, inflight int) {
 // schedule with identical calls — overlapping arrivals, Step interleaved with
 // StepN windows, a derate and its restore — and compares, with no tolerance,
 // the drained completion order, Horizon bits and Idle after every call and
-// TakeBusy bits once per collector period.
-func diffStores(t testing.TB, c storeCase, sched []arrival) {
+// TakeBusy bits once per collector period. It returns the array for the
+// caller to read which drive paths the schedule took.
+func diffStores(t testing.TB, c storeCase, sched []arrival) *diskArray {
 	t.Helper()
 	got, array, want := c.build()
 	gotTasks, wantTasks := make([]queueing.Task, len(sched)), make([]queueing.Task, len(sched))
@@ -171,6 +172,16 @@ func diffStores(t testing.TB, c storeCase, sched []arrival) {
 		t.Fatalf("%v: drained with %d requests unaccounted for", c, inflight)
 	}
 	checkIdleBalance(t, array, 0)
+	return array
+}
+
+// drivePaths splits the stripes an array's drive lanes received into those
+// served in closed form and those enqueued and stepped.
+func drivePaths(a *diskArray) (closed, stepped int) {
+	for _, hdd := range a.lanes {
+		stepped += int(hdd.Arrivals())
+	}
+	return a.served, stepped - a.served
 }
 
 func diffBusy(t testing.TB, c storeCase, tick int, got, want storeAgent) {
@@ -184,25 +195,72 @@ func diffBusy(t testing.TB, c storeCase, tick int, got, want storeAgent) {
 // The lockstep-lane disk array is the per-disk fork-join, bit for bit: both
 // lane layouts (one lane of weight n at disk hit rate 0 and 1, n lanes
 // otherwise), with and without array-cache hits, on sizes from one disk to
-// the case study's 24.
+// the case study's 24. Two schedules: overlapping requests, which keep the
+// drives busy so stripes queue and step, and bursts of same-tick requests
+// with the drives idle in between, which hand an idle drive several stripes
+// in one tick — served in closed form when they all finish inside it. Both
+// drive paths must be taken on both layouts.
 func TestDiskArrayMatchesPerDiskOracle(t *testing.T) {
 	// Sixty overlapping requests, a few ticks apart, from a zero-byte one
 	// to 48 MB (24 ms to ~0.5 s of drive time per stripe).
 	sizes := []float64{0, 4096, 300e3, 1 << 20, 7.5e6, 48e6, 1}
-	var sched []arrival
+	var overlapping []arrival
 	for i := 0; i < 60; i++ {
-		sched = append(sched, arrival{gap: i * 7 % 4, demand: sizes[i*5%len(sizes)] * float64(1+i%3)})
+		overlapping = append(overlapping, arrival{gap: i * 7 % 4, demand: sizes[i*5%len(sizes)] * float64(1+i%3)})
 	}
-	for _, san := range []bool{false, true} {
-		for _, disks := range []int{1, 2, 4, 20, 24} {
-			for _, diskHit := range []float64{0, 0.1, 0.5, 1} {
-				for _, arrayHit := range []float64{0, 0.05} {
-					c := storeCase{san: san, disks: disks, diskHit: diskHit, arrayHit: arrayHit,
-						seed: uint64(disks), derateAt: 80}
-					t.Run(c.String(), func(t *testing.T) { diffStores(t, c, sched) })
+	// Sixteen bursts of one to four same-tick requests, 40 ticks apart.
+	// Stripes range from zero bytes to far past one tick of drive time; on
+	// two disks the 1 MB request's stripe ends exactly at the tick's end.
+	burstSizes := []float64{96e3, 0, 1e6, 6e6, 20e6, 24e3}
+	var bursts []arrival
+	for g := 0; g < 16; g++ {
+		for k := 0; k <= g%4; k++ {
+			gap := 0
+			if k == 0 && g > 0 {
+				gap = 40
+			}
+			bursts = append(bursts, arrival{gap: gap, demand: burstSizes[(g*3+k)%len(burstSizes)]})
+		}
+	}
+	schedules := []struct {
+		prefix string
+		sched  []arrival
+	}{{"", overlapping}, {"idle bursts ", bursts}}
+	type layout struct{ closed, stepped int }
+	var single, multi layout // weight-n single lane; lane per drive
+	for _, s := range schedules {
+		for _, san := range []bool{false, true} {
+			for _, disks := range []int{1, 2, 4, 20, 24} {
+				for _, diskHit := range []float64{0, 0.1, 0.5, 1} {
+					for _, arrayHit := range []float64{0, 0.05} {
+						c := storeCase{san: san, disks: disks, diskHit: diskHit, arrayHit: arrayHit,
+							seed: uint64(disks), derateAt: 80}
+						t.Run(s.prefix+c.String(), func(t *testing.T) {
+							a := diffStores(t, c, s.sched)
+							closed, stepped := drivePaths(a)
+							l := &multi
+							if a.weight > 1 {
+								l = &single
+							} else if len(a.lanes) == 1 {
+								return
+							}
+							l.closed += closed
+							l.stepped += stepped
+						})
+					}
 				}
 			}
 		}
+	}
+	for _, l := range []struct {
+		name string
+		layout
+	}{{"single weight-n lane", single}, {"lane per drive", multi}} {
+		if l.closed == 0 || l.stepped == 0 {
+			t.Errorf("%s arrays: %d stripes served in closed form, %d stepped; the table must take both paths",
+				l.name, l.closed, l.stepped)
+		}
+		t.Logf("%s arrays: %d stripes served in closed form, %d stepped", l.name, l.closed, l.stepped)
 	}
 }
 

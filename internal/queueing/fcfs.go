@@ -19,7 +19,9 @@ const bulkGuard = 1e-7
 // FCFS is a first-come-first-served queue with c identical servers, each
 // consuming Demand units at rate units/second. It models the CPU core group
 // (M/M/q per socket, Fig. 3-4), NICs and switches (M/M/1, Fig. 3-6), and the
-// per-disk queues inside RAID and SAN fork-join structures (Figs. 3-7, 3-8).
+// stages of the RAID and SAN models (Figs. 3-7, 3-8): the array controller
+// cache, fibre-channel switch and loop, the lockstep disk controller caches
+// and each drive lane.
 type FCFS struct {
 	rate    float64
 	servers int
@@ -175,8 +177,105 @@ func (q *FCFS) BulkStep(n int, dt float64) {
 
 // Step advances the queue by dt seconds. Completions within the step are
 // resolved exactly: the step is subdivided at each completion instant so a
-// freed server immediately picks up the next waiting task.
+// freed server immediately picks up the next waiting task. A single-server
+// queue — every NIC, switch, storage stage and drive — takes stepOne, the
+// same arithmetic without the multi-server scans.
 func (q *FCFS) Step(dt float64, done DoneFunc) {
+	if q.servers == 1 {
+		q.stepOne(dt, done)
+		return
+	}
+	q.stepServers(dt, done)
+}
+
+// stepOne is Step on a single server. Per sub-step it performs the
+// operations of stepServers in the same order and with the same expression
+// shapes — busy += sub is stepServers' sub*1 exactly — and calls done while
+// the task still occupies the server, so a done that enqueues into or
+// inspects this queue sees what it would there.
+func (q *FCFS) stepOne(dt float64, done DoneFunc) {
+	var t *Task
+	if len(q.inService) > 0 {
+		t = q.inService[0]
+	} else if t = q.waiting.pop(); t != nil {
+		q.inService = append(q.inService, t)
+	} else {
+		return
+	}
+	for remaining := dt; remaining > eps; {
+		sub := remaining
+		if ttc := t.Demand / q.rate; ttc < sub {
+			sub = ttc
+		}
+		if sub < 0 {
+			sub = 0
+		}
+		work := sub * q.rate
+		q.busy += sub
+		t.Demand -= work
+		remaining -= sub
+		if !(t.Demand <= eps*q.rate) {
+			continue
+		}
+		t.Demand = 0
+		q.departs++
+		done(t)
+		q.inService[0] = nil
+		q.inService = q.inService[:0]
+		if t = q.waiting.pop(); t == nil {
+			return
+		}
+		q.inService = append(q.inService, t)
+	}
+}
+
+// ServeAll serves ts, in order, within one step of dt seconds on an idle
+// single-server queue, leaving the state that enqueuing each task and then
+// calling Step(dt) would leave, and reports whether it did. It takes, task
+// by task, exactly the branches Step would take, and
+// accepts only if each task starts with more than eps of the step left and
+// finishes strictly inside it; then it adds each task's service time to the
+// busy time in order, counts the arrivals and departures and zeroes the
+// demands. Otherwise it returns false having changed nothing, and the
+// caller enqueues and steps as usual. Completion is the caller's to handle,
+// in task order. A queue with a notify hook is refused: Enqueue would fire
+// it.
+func (q *FCFS) ServeAll(ts []*Task, dt float64) bool {
+	if q.servers != 1 || q.notify != nil || len(q.inService) > 0 || q.waiting.len() > 0 {
+		return false
+	}
+	busy, remaining := q.busy, dt
+	for _, t := range ts {
+		if !(remaining > eps) {
+			return false
+		}
+		ttc := t.Demand / q.rate
+		if !(ttc < remaining) {
+			return false
+		}
+		sub := ttc
+		if sub < 0 {
+			sub = 0
+		}
+		work := sub * q.rate
+		if !(t.Demand-work <= eps*q.rate) {
+			return false
+		}
+		busy += sub
+		remaining -= sub
+	}
+	q.busy = busy
+	q.arrivals += uint64(len(ts))
+	q.departs += uint64(len(ts))
+	for _, t := range ts {
+		t.Demand = 0
+	}
+	return true
+}
+
+// stepServers is Step on c servers. On one server it is also the reference
+// the tests hold stepOne and ServeAll to.
+func (q *FCFS) stepServers(dt float64, done DoneFunc) {
 	q.fill()
 	remaining := dt
 	for remaining > eps && len(q.inService) > 0 {
