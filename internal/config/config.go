@@ -6,6 +6,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -259,13 +260,22 @@ func (d *Document) Validate() error {
 	return nil
 }
 
-// Decode reads and validates a document from JSON.
+// Decode reads and validates a document from JSON. The input must hold
+// exactly one document: anything but whitespace after it is an error.
 func Decode(r io.Reader) (*Document, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var d Document
 	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		var syntax *json.SyntaxError
+		if err != nil && !errors.As(err, &syntax) {
+			return nil, fmt.Errorf("config: %w", err)
+		}
+		return nil, fmt.Errorf("config: trailing data after the document, which ends at byte offset %d", end)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -2,7 +2,10 @@ package config
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,6 +81,30 @@ func TestRoundTrip(t *testing.T) {
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := Decode(strings.NewReader(`{"name":"x","bogus":1}`)); err == nil {
 		t.Error("unknown field accepted")
+	}
+}
+
+// A file holds one document: whatever follows it, even a second document, is
+// an error naming where the first one ended — not silently dropped. Trailing
+// whitespace is fine.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "examples", "chaos.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := bytes.TrimRight(raw, " \t\r\n")
+	if _, err := Decode(bytes.NewReader(append(slices.Clip(doc), " \n\t\n"...))); err != nil {
+		t.Fatalf("document with trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{`{"name": 3} garbage`, "\n" + string(doc), " garbage", "]"} {
+		_, err := Decode(bytes.NewReader(append(slices.Clip(doc), tail...)))
+		if err == nil {
+			t.Errorf("trailing %q accepted", tail)
+			continue
+		}
+		if want := fmt.Sprintf("offset %d", len(doc)); !strings.Contains(err.Error(), want) {
+			t.Errorf("trailing %q: error %q does not name %s", tail, err, want)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ type hzQueue interface {
 	Step(dt float64, done queueing.DoneFunc)
 	Idle() bool
 	Horizon() float64
-	CanBulk(span float64) bool
 	BulkStep(n int, dt float64)
 	SetNotify(func())
 	Rate() float64
@@ -27,7 +26,8 @@ type hzQueue interface {
 // hardware-like agent for core-layer tests. It reports exact horizons so
 // the production loop can step it lazily, and counts Step invocations and
 // total ticks advanced so tests can assert both that laziness engaged and
-// that no tick was lost.
+// that no tick was lost. Its StepN panics on a chunk that breaks
+// BulkStepper's precondition, which the production loop must never hand it.
 type hzAgent struct {
 	AgentBase
 	q       hzQueue
@@ -61,15 +61,17 @@ func (a *hzAgent) Step(dt float64) {
 	a.q.Step(dt, a.BufferDone)
 }
 
+// stepNMargin is the room a bulk chunk must leave before the agent's next
+// event: a tenth of ffGuard, far above Step's eps-early completions and the
+// drift of a long subtraction chain, and below what advanceAgent leaves.
+const stepNMargin = 1e-7
+
 func (a *hzAgent) StepN(n int, dt float64) {
-	if a.q.CanBulk(float64(n) * dt) {
-		a.stepped += int64(n)
-		a.q.BulkStep(n, dt)
-		return
+	if h := a.q.Horizon(); !(h > float64(n)*dt+stepNMargin) {
+		panic(fmt.Sprintf("hzAgent %s: StepN(%d, %v) spans its next event, %v s away", a.Name(), n, dt, h))
 	}
-	for i := 0; i < n; i++ {
-		a.Step(dt)
-	}
+	a.stepped += int64(n)
+	a.q.BulkStep(n, dt)
 }
 
 func (a *hzAgent) Idle() bool       { return a.q.Idle() }

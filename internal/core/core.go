@@ -75,13 +75,15 @@ type Agent interface {
 
 // BulkStepper is an optional agent capability: advancing through n
 // consecutive quiet ticks of dt seconds more cheaply than n Step calls,
-// with bit-identical resulting state. The fast-forward loop only invokes it
-// inside a jump, whose event horizon guarantees no observable event within
-// the window; implementations re-verify that guarantee cheaply (it costs
-// one scan) and fall back to per-tick stepping when it does not hold, so a
-// StepN call is always safe. Agents without the capability are stepped
-// tick by tick through the jump.
+// with bit-identical resulting state. Agents without the capability are
+// stepped tick by tick.
 type BulkStepper interface {
+	// StepN advances the agent through n ticks of dt seconds. Precondition:
+	// no event falls within n·dt — the agent's Horizon exceeds it by a
+	// margin. StepN does not check it: the production loop's advanceAgent
+	// sizes every chunk from the agent's horizon less ffGuard, the guarded
+	// conversion that keys the calendar, and steps event ticks singly. A
+	// chunk spanning an event would replay it as if nothing happened.
 	StepN(n int, dt float64)
 }
 

@@ -48,22 +48,16 @@ func (d *DelayLine) Step(dt float64) {
 	}
 }
 
-// StepN advances local time through n quiet ticks. The local clock must
-// still accumulate tick by tick — expiries compare against it, so a single
-// large addition would shift them by ulps — but when no expiry can fall in
-// the window the per-tick heap inspection is elided.
+// StepN advances local time through n ticks in which no held task expires
+// (BulkStepper), so the per-tick heap inspection is elided. The local clock
+// must still accumulate tick by tick: expiries compare against it, so a
+// single large addition would shift them by ulps.
 func (d *DelayLine) StepN(n int, dt float64) {
-	if len(d.heap) == 0 || d.heap[0].expiry-d.now > float64(n)*dt+1e-7 {
-		now := d.now
-		for i := 0; i < n; i++ {
-			now += dt
-		}
-		d.now = now
-		return
-	}
+	now := d.now
 	for i := 0; i < n; i++ {
-		d.Step(dt)
+		now += dt
 	}
+	d.now = now
 }
 
 // Idle reports whether no tasks are waiting.

@@ -557,13 +557,13 @@ func (s *Simulation) advanceAgent(id AgentID, base, n simtime.Tick) {
 		a.Step(step)
 		return
 	}
-	bs, canBulk := a.(BulkStepper)
+	bs, bulk := a.(BulkStepper)
 	for n > 0 {
 		if n == 1 {
 			a.Step(step)
 			return
 		}
-		if !canBulk {
+		if !bulk {
 			a.Step(step)
 			n--
 			base++

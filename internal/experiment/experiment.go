@@ -22,9 +22,9 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -158,11 +158,8 @@ func New(name string, opts ...Option) (*Experiment, error) {
 // grid points.
 func WithInfra(spec topology.InfraSpec) Option {
 	return func(e *Experiment) error {
-		cp, err := cloneSpec(spec)
-		if err != nil {
-			return err
-		}
-		e.infra = cp
+		cp := spec.Clone()
+		e.infra = &cp
 		return nil
 	}
 }
@@ -416,19 +413,21 @@ func (e *Experiment) duration0() error {
 	return nil
 }
 
-// cloneSpec deep-copies an infrastructure spec through its JSON form — the
-// spec is fully JSON-serializable (config.Document embeds it), and the
-// round trip severs every shared slice, map and pointer.
-func cloneSpec(spec topology.InfraSpec) (*topology.InfraSpec, error) {
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		return nil, fmt.Errorf("cloning infrastructure spec: %w", err)
+// clone returns a copy of e that shares nothing applyPath writes: the
+// infrastructure spec is deep-copied, the workloads copied and each fault
+// injection's fault cloned. Everything else is shared, read-only.
+func (e *Experiment) clone() *Experiment {
+	c := *e
+	infra := e.infra.Clone()
+	c.infra = &infra
+	c.workloads = slices.Clone(e.workloads)
+	c.faults = slices.Clone(e.faults)
+	for i := range c.faults {
+		if f := c.faults[i].Fault; f != nil {
+			c.faults[i].Fault = f.Clone()
+		}
 	}
-	var cp topology.InfraSpec
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		return nil, fmt.Errorf("cloning infrastructure spec: %w", err)
-	}
-	return &cp, nil
+	return &c
 }
 
 // Run is a compiled experiment: the built simulation and topology with

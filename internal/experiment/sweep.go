@@ -62,7 +62,7 @@ type Variant struct {
 }
 
 // NewSweep creates a sweep over experiments assembled by base. The factory
-// runs once per grid point (plus once for validation), so everything it
+// runs once per grid point, plus once for validation, so everything it
 // builds is per-point private; expensive shared inputs should be built
 // outside and captured read-only.
 func NewSweep(name string, base func() (*Experiment, error)) *Sweep {
@@ -167,7 +167,8 @@ func (s *Sweep) Validate() error {
 	if len(s.axes) == 0 {
 		return fmt.Errorf("sweep %s: needs at least one axis (Vary or VaryFunc)", s.name)
 	}
-	if _, err := s.base(); err != nil {
+	base, err := s.base()
+	if err != nil {
 		return fmt.Errorf("sweep %s: base experiment: %w", s.name, err)
 	}
 	for _, ax := range s.axes {
@@ -183,19 +184,15 @@ func (s *Sweep) Validate() error {
 			}
 			continue
 		}
-		// Dry-apply every value against a fresh probe experiment so unknown
-		// paths and out-of-range values fail before any simulation is built
-		// — a bad late value must not surface only after the valid points
-		// have already burned their simulation time. Each value gets its own
-		// probe because real points also apply at most one value per axis to
-		// a fresh experiment; relative paths ("peak" rescales the current
+		// Dry-apply every value against a clone of the base so unknown paths
+		// and out-of-range values fail before any simulation is built — a bad
+		// late value must not surface only after the valid points have
+		// already burned their simulation time. Each value gets its own clone
+		// because real points also apply at most one value per axis to a
+		// fresh experiment; relative paths ("peak" rescales the current
 		// curve) would compound if dry-applied cumulatively.
 		for _, v := range ax.values {
-			probe, err := s.base()
-			if err != nil {
-				return fmt.Errorf("sweep %s: base experiment: %w", s.name, err)
-			}
-			if err := applyPath(probe, ax.path, v); err != nil {
+			if err := applyPath(base.clone(), ax.path, v); err != nil {
 				return fmt.Errorf("sweep %s: %w", s.name, err)
 			}
 		}

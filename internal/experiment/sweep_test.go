@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -147,6 +148,30 @@ func TestSweepRelativePeakAxis(t *testing.T) {
 	}
 	if res.Points[1].Res.Stats.CompletedOps == 0 {
 		t.Error("rescaled point completed nothing")
+	}
+}
+
+// TestSweepCallsFactoryOncePerPoint pins the factory contract of NewSweep:
+// one call per grid point plus one for validation, which dry-applies every
+// axis value to a clone of that one base instead of building a probe each.
+func TestSweepCallsFactoryOncePerPoint(t *testing.T) {
+	var calls atomic.Int64
+	s := NewSweep("counted", func() (*Experiment, error) {
+		calls.Add(1)
+		return testSweepBase()()
+	}).Vary("dcs.NA.app.cores", 2, 4, 8).Vary("workloads.PDM.NA.peak", 0, 40)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("Validate called the factory %d times, want 1", n)
+	}
+	calls.Store(0)
+	if _, err := s.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := calls.Load(), int64(1+s.Size()); n != want {
+		t.Fatalf("Run called the factory %d times for %d points, want %d", n, s.Size(), want)
 	}
 }
 

@@ -33,11 +33,24 @@ type CPUSpec struct {
 	HTFactor float64 // hyper-threading speedup factor (>= 1, default 1)
 }
 
-func (s CPUSpec) validate() error {
-	if s.Sockets <= 0 || s.Cores <= 0 || s.GHz <= 0 {
+// Validate states what a usable spec is as one conjunction, so NaN and ±Inf
+// — for which a negated range check would pass — are rejected. A
+// non-positive HTFactor selects the default.
+func (s CPUSpec) Validate() error {
+	if !(s.Sockets > 0 && s.Cores > 0 && s.GHz > 0 && finite(s.GHz, s.HTFactor)) {
 		return fmt.Errorf("hardware: invalid CPUSpec %+v", s)
 	}
 	return nil
+}
+
+// finite reports whether no x is NaN or ±Inf.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // TotalCores returns p*q.
@@ -57,7 +70,7 @@ type CPU struct {
 
 // NewCPU creates and registers a CPU agent.
 func NewCPU(sim *core.Simulation, name string, spec CPUSpec) *CPU {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
 	if spec.HTFactor <= 0 {
@@ -146,20 +159,9 @@ func (c *CPU) Step(dt float64) {
 	}
 }
 
-// StepN advances every socket through n quiet ticks in bulk. The fallback
-// is whole-agent: if any socket might complete work in the window, all
-// sockets replay tick by tick so completions buffer in the same
-// tick-major order the plain loop produces.
+// StepN advances every socket through n quiet ticks in bulk; no socket may
+// complete work in them (core.BulkStepper).
 func (c *CPU) StepN(n int, dt float64) {
-	span := float64(n) * dt
-	for _, s := range c.sockets {
-		if !s.CanBulk(span) {
-			for i := 0; i < n; i++ {
-				c.Step(dt)
-			}
-			return
-		}
-	}
 	for _, s := range c.sockets {
 		s.BulkStep(n, dt)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/queueing"
+	"repro/internal/simtime"
 )
 
 func drainAll(t *testing.T, a core.Agent, dt float64, maxSteps int) []*queueing.Task {
@@ -538,10 +539,109 @@ func TestAgentHorizons(t *testing.T) {
 	}
 }
 
-// TestStepNMatchesStep drives every bulk-stepping hardware agent through a
-// jump-sized window and asserts the final state equals per-tick stepping:
-// the replay contract behind fast-forward. The SANs cover both drive-lane
-// layouts of the disk array (see harnessSANs).
+// ffGuard is core's: advanceAgent sizes every StepN chunk from the agent's
+// horizon less this margin.
+const ffGuard = 1e-6
+
+// bulkAgent is an agent the chunk driver can replay.
+type bulkAgent interface {
+	core.Agent
+	core.BulkStepper
+}
+
+// advance replays n ticks of dt on the agents as core's advanceAgent replays
+// a lazy agent: a chunk of WholeTicksBefore(Horizon() - ffGuard) ticks,
+// capped at what is left, goes to StepN once requireQuiet has checked it,
+// and a tick holding an event, or a last lone tick, to Step. Every agent
+// takes the same calls, sized from the first, whose horizon the others must
+// match bit for bit. It returns the number of StepN chunks.
+func advance(t testing.TB, n int, dt float64, agents ...bulkAgent) (chunks int) {
+	t.Helper()
+	clock := simtime.NewClock(dt)
+	for n > 0 {
+		k := 0
+		if n > 1 {
+			h := agents[0].Horizon()
+			for _, a := range agents[1:] {
+				if g := a.Horizon(); math.Float64bits(g) != math.Float64bits(h) {
+					t.Fatalf("%s horizon %v, %s %v", agents[0].Name(), h, a.Name(), g)
+				}
+			}
+			k = n
+			if !math.IsInf(h, 1) {
+				k = min(int(clock.WholeTicksBefore(h-ffGuard)), n)
+			}
+		}
+		if k < 1 {
+			for _, a := range agents {
+				a.Step(dt)
+			}
+			n--
+			continue
+		}
+		for _, a := range agents {
+			requireQuiet(t, a, k, dt)
+			a.StepN(k, dt)
+		}
+		chunks++
+		n -= k
+	}
+	return chunks
+}
+
+// requireQuiet fails the test when a StepN chunk of n ticks would break the
+// precondition StepN no longer checks: a queue of the agent has an event
+// within the chunk, or within the 1e-7 s beyond it that Step's eps-early
+// completions and the drift of a long subtraction chain need. It asks every
+// queue rather than the agent's Horizon, so an agent horizon that misses a
+// queue shows here instead of as a silently wrong replay.
+func requireQuiet(t testing.TB, a core.Agent, n int, dt float64) {
+	t.Helper()
+	var qs []interface{ Horizon() float64 }
+	switch v := a.(type) {
+	case *CPU:
+		for _, s := range v.sockets {
+			qs = append(qs, s)
+		}
+	case *NIC:
+		qs = append(qs, v.q)
+	case *Switch:
+		qs = append(qs, v.q)
+	case *Link:
+		qs = append(qs, v.q)
+	case *RAID:
+		qs = append(qs, v.dacc, v.array.dcc)
+		for _, hdd := range v.array.lanes {
+			qs = append(qs, hdd)
+		}
+	case *SAN:
+		qs = append(qs, v.fcsw, v.dacc, v.fcal, v.array.dcc)
+		for _, hdd := range v.array.lanes {
+			qs = append(qs, hdd)
+		}
+	case *oracleStore:
+		for _, q := range v.stages {
+			qs = append(qs, q)
+		}
+		for _, d := range v.array.disks {
+			qs = append(qs, d.dcc, d.hdd)
+		}
+	default:
+		t.Fatalf("requireQuiet: no queues known for %T", a)
+	}
+	span := float64(n) * dt
+	for _, q := range qs {
+		if h := q.Horizon(); !(h > span+1e-7) {
+			t.Fatalf("%s: a %d-tick StepN chunk (%v s) spans a queue event %v s away", a.Name(), n, span, h)
+		}
+	}
+}
+
+// TestStepNMatchesStep replays every bulk-stepping hardware agent through
+// windows the way the production loop replays a lazy agent (advance) and
+// asserts the state after each window equals per-tick stepping: the replay
+// contract behind fast-forward. The SANs cover both drive-lane layouts of
+// the disk array (see harnessSANs).
 func TestStepNMatchesStep(t *testing.T) {
 	build := func() (*core.Simulation, []core.Agent) {
 		s := core.NewSimulation(core.Config{Seed: 11})
@@ -561,17 +661,17 @@ func TestStepNMatchesStep(t *testing.T) {
 		}
 		return s, agents
 	}
-	// A jump-sized window, where storage requests finish inside the window
-	// and StepN falls back to per-tick stepping, and a short one that the
-	// storage agents mostly take in bulk.
+	// A jump-sized window, which completions inside it split into several
+	// chunks, and a short one that the agents mostly take in one.
 	const dt = 0.01
 	for _, n := range []int{700, 3} {
 		_, bulk := build()
 		_, plain := build()
 		for i, a := range bulk {
 			ref := plain[i]
+			chunks := 0
 			for tick := 0; tick < 2100; tick += n {
-				a.(core.BulkStepper).StepN(n, dt)
+				chunks += advance(t, n, dt, a.(bulkAgent))
 				for j := 0; j < n; j++ {
 					ref.Step(dt)
 				}
@@ -590,6 +690,9 @@ func TestStepNMatchesStep(t *testing.T) {
 			}
 			if a.Idle() != ref.Idle() {
 				t.Errorf("%s, %d-tick windows: idle %v vs %v", a.Name(), n, a.Idle(), ref.Idle())
+			}
+			if chunks == 0 {
+				t.Errorf("%s, %d-tick windows: no StepN chunk", a.Name(), n)
 			}
 		}
 	}

@@ -13,7 +13,6 @@ type NIC struct {
 	core.AgentBase
 	q    *queueing.FCFS
 	rate float64
-	done queueing.DoneFunc // BufferDone, bound once (see stepBulk)
 }
 
 // NewNIC creates and registers a NIC with speed in Gbps.
@@ -24,7 +23,6 @@ func NewNIC(sim *core.Simulation, name string, gbps float64) *NIC {
 	rate := gbps * 1e9 / 8 // bytes per second
 	n := &NIC{q: queueing.NewFCFS(1, rate), rate: rate}
 	n.q.SetNotify(n.MarkDirty)
-	n.done = n.BufferDone
 	n.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(n)
 	return n
@@ -45,7 +43,7 @@ func (n *NIC) Enqueue(t *queueing.Task) {
 func (n *NIC) Step(dt float64) { n.q.Step(dt, n.BufferDone) }
 
 // StepN advances the queue through nticks quiet ticks in bulk.
-func (n *NIC) StepN(nticks int, dt float64) { stepBulk(n.q, nticks, dt, n.done) }
+func (n *NIC) StepN(nticks int, dt float64) { n.q.BulkStep(nticks, dt) }
 
 // Idle reports whether the NIC has no work.
 func (n *NIC) Idle() bool { return n.q.Idle() }
@@ -62,7 +60,6 @@ type Switch struct {
 	core.AgentBase
 	q    *queueing.FCFS
 	rate float64
-	done queueing.DoneFunc // BufferDone, bound once (see stepBulk)
 }
 
 // NewSwitch creates and registers a switch with speed in Gbps.
@@ -73,7 +70,6 @@ func NewSwitch(sim *core.Simulation, name string, gbps float64) *Switch {
 	rate := gbps * 1e9 / 8
 	s := &Switch{q: queueing.NewFCFS(1, rate), rate: rate}
 	s.q.SetNotify(s.MarkDirty)
-	s.done = s.BufferDone
 	s.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(s)
 	return s
@@ -94,7 +90,7 @@ func (s *Switch) Enqueue(t *queueing.Task) {
 func (s *Switch) Step(dt float64) { s.q.Step(dt, s.BufferDone) }
 
 // StepN advances the queue through n quiet ticks in bulk.
-func (s *Switch) StepN(n int, dt float64) { stepBulk(s.q, n, dt, s.done) }
+func (s *Switch) StepN(n int, dt float64) { s.q.BulkStep(n, dt) }
 
 // Idle reports whether the switch has no work.
 func (s *Switch) Idle() bool { return s.q.Idle() }
@@ -114,7 +110,6 @@ type Link struct {
 	rate     float64
 	capShare float64 // fraction of raw bandwidth allocated to this platform
 	failed   bool
-	done     queueing.DoneFunc // BufferDone, bound once (see stepBulk)
 
 	// Healthy-state parameters, restored by Repair after a Degrade.
 	baseRate    float64
@@ -131,10 +126,19 @@ type LinkSpec struct {
 	Allocated float64 // fraction (0,1]; 0 selects 1.0
 }
 
+// Validate states what a usable spec is as one conjunction, so NaN and ±Inf
+// are rejected. A non-positive MaxConn or Allocated selects the default.
+func (s LinkSpec) Validate() error {
+	if !(s.Gbps > 0 && s.LatencyMS >= 0 && s.Allocated <= 1 && finite(s.Gbps, s.LatencyMS, s.Allocated)) {
+		return fmt.Errorf("hardware: invalid LinkSpec %+v", s)
+	}
+	return nil
+}
+
 // NewLink creates and registers a link.
 func NewLink(sim *core.Simulation, name string, spec LinkSpec) *Link {
-	if spec.Gbps <= 0 || spec.LatencyMS < 0 {
-		panic(fmt.Sprintf("hardware: invalid LinkSpec %+v", spec))
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
 	if spec.MaxConn <= 0 {
 		spec.MaxConn = 4096
@@ -142,9 +146,6 @@ func NewLink(sim *core.Simulation, name string, spec LinkSpec) *Link {
 	share := spec.Allocated
 	if share <= 0 {
 		share = 1
-	}
-	if share > 1 {
-		panic(fmt.Sprintf("hardware: link allocation %v > 1", share))
 	}
 	rate := spec.Gbps * 1e9 / 8 * share // usable bytes/second
 	l := &Link{
@@ -155,7 +156,6 @@ func NewLink(sim *core.Simulation, name string, spec LinkSpec) *Link {
 		baseLatency: spec.LatencyMS / 1000,
 	}
 	l.q.SetNotify(l.MarkDirty)
-	l.done = l.BufferDone
 	l.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(l)
 	return l
@@ -182,31 +182,9 @@ func (l *Link) Enqueue(t *queueing.Task) {
 // Step advances the queue.
 func (l *Link) Step(dt float64) { l.q.Step(dt, l.BufferDone) }
 
-// StepN advances the queue through n quiet ticks in bulk, falling back to
-// per-tick stepping when a completion or latency expiry might fall inside
-// the window.
-func (l *Link) StepN(n int, dt float64) { stepBulk(l.q, n, dt, l.done) }
-
-// bulkQueue is the method set FCFS and PS share for bulk-stepped replays.
-type bulkQueue interface {
-	CanBulk(span float64) bool
-	BulkStep(n int, dt float64)
-	Step(dt float64, done queueing.DoneFunc)
-}
-
-// stepBulk advances a queue through n quiet ticks in bulk, replaying tick
-// by tick when the no-event guarantee does not hold. done crosses an
-// interface call and so escapes: callers pass a func bound at construction,
-// not a fresh method value, or every call would allocate one.
-func stepBulk(q bulkQueue, n int, dt float64, done queueing.DoneFunc) {
-	if q.CanBulk(float64(n) * dt) {
-		q.BulkStep(n, dt)
-		return
-	}
-	for i := 0; i < n; i++ {
-		q.Step(dt, done)
-	}
-}
+// StepN advances the queue through n quiet ticks in bulk: no transfer
+// completes and no latency expires in them (core.BulkStepper).
+func (l *Link) StepN(n int, dt float64) { l.q.BulkStep(n, dt) }
 
 // Idle reports whether the link carries no traffic.
 func (l *Link) Idle() bool { return l.q.Idle() }

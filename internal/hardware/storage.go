@@ -19,9 +19,10 @@ type DiskSpec struct {
 
 // validate states what a usable spec is as one conjunction and rejects
 // everything else, so a NaN rate or hit rate — for which every comparison is
-// false — is invalid. RAIDSpec and SANSpec do the same.
+// false — is invalid, and so is an infinite rate. RAIDSpec and SANSpec do the
+// same.
 func (s DiskSpec) validate() error {
-	if !(s.CtrlGbps > 0 && s.MBps > 0 && s.HitRate >= 0 && s.HitRate <= 1) {
+	if !(s.CtrlGbps > 0 && s.MBps > 0 && s.HitRate >= 0 && s.HitRate <= 1 && finite(s.CtrlGbps, s.MBps)) {
 		return fmt.Errorf("hardware: invalid DiskSpec %+v", s)
 	}
 	return nil
@@ -248,18 +249,6 @@ func (a *diskArray) join(fj *forkSlab) {
 	}
 }
 
-// canBulk reports whether no disk pipeline produces an event within span.
-// Idle queues trivially cannot (CanBulk on an empty queue is vacuously
-// true), so only occupied ones pay the scan.
-func (a *diskArray) canBulk(span float64) bool {
-	for _, hdd := range a.lanes {
-		if !hdd.Idle() && !hdd.CanBulk(span) {
-			return false
-		}
-	}
-	return a.dcc.Idle() || a.dcc.CanBulk(span)
-}
-
 // bulkStep advances every disk pipeline through n quiet ticks in bulk.
 // BulkStep on an idle queue returns immediately, so no elision is needed.
 func (a *diskArray) bulkStep(n int, dt float64) {
@@ -327,7 +316,7 @@ type RAIDSpec struct {
 }
 
 func (s RAIDSpec) validate() error {
-	if !(s.Disks > 0 && s.CtrlGbps > 0 && s.HitRate >= 0 && s.HitRate <= 1) {
+	if !(s.Disks > 0 && s.CtrlGbps > 0 && s.HitRate >= 0 && s.HitRate <= 1 && finite(s.CtrlGbps)) {
 		return fmt.Errorf("hardware: invalid RAIDSpec %+v", s)
 	}
 	return s.Disk.validate()
@@ -398,23 +387,15 @@ func (r *RAID) Step(dt float64) {
 	r.array.step(dt)
 }
 
-// StepN advances the whole array through n quiet ticks in bulk. The
-// fallback is whole-agent per-tick stepping: an internal handoff re-routes
-// work between queues mid-window, which only the tick-major order of Step
-// resolves correctly.
+// StepN advances the whole array through n quiet ticks in bulk. Internal
+// handoffs count as events (see Horizon), so none falls in the ticks
+// (core.BulkStepper) and every queue replays its own accumulators.
 func (r *RAID) StepN(n int, dt float64) {
 	if r.inflight == 0 {
 		return
 	}
-	span := float64(n) * dt
-	if r.dacc.CanBulk(span) && r.array.canBulk(span) {
-		r.dacc.BulkStep(n, dt)
-		r.array.bulkStep(n, dt)
-		return
-	}
-	for i := 0; i < n; i++ {
-		r.Step(dt)
-	}
+	r.dacc.BulkStep(n, dt)
+	r.array.bulkStep(n, dt)
 }
 
 func (r *RAID) onCtrlDone(t *queueing.Task) {
@@ -480,7 +461,7 @@ type SANSpec struct {
 
 func (s SANSpec) validate() error {
 	if !(s.Disks > 0 && s.FCSwitchGbps > 0 && s.CtrlGbps > 0 && s.FCALGbps > 0 &&
-		s.HitRate >= 0 && s.HitRate <= 1) {
+		s.HitRate >= 0 && s.HitRate <= 1 && finite(s.FCSwitchGbps, s.CtrlGbps, s.FCALGbps)) {
 		return fmt.Errorf("hardware: invalid SANSpec %+v", s)
 	}
 	return s.Disk.validate()
@@ -562,23 +543,16 @@ func (s *SAN) Step(dt float64) {
 	s.array.step(dt)
 }
 
-// StepN advances the whole SAN through n quiet ticks in bulk, with the
-// same whole-agent fallback rationale as RAID.StepN.
+// StepN advances the whole SAN through n quiet ticks in bulk, on the same
+// precondition as RAID.StepN.
 func (s *SAN) StepN(n int, dt float64) {
 	if s.inflight == 0 {
 		return
 	}
-	span := float64(n) * dt
-	if s.fcsw.CanBulk(span) && s.dacc.CanBulk(span) && s.fcal.CanBulk(span) && s.array.canBulk(span) {
-		s.fcsw.BulkStep(n, dt)
-		s.dacc.BulkStep(n, dt)
-		s.fcal.BulkStep(n, dt)
-		s.array.bulkStep(n, dt)
-		return
-	}
-	for i := 0; i < n; i++ {
-		s.Step(dt)
-	}
+	s.fcsw.BulkStep(n, dt)
+	s.dacc.BulkStep(n, dt)
+	s.fcal.BulkStep(n, dt)
+	s.array.bulkStep(n, dt)
 }
 
 func (s *SAN) onFCSwitchDone(t *queueing.Task) {

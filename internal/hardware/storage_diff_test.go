@@ -97,10 +97,10 @@ func checkIdleBalance(t testing.TB, a *diskArray, inflight int) {
 
 // diffStores drives the lane array and the per-disk oracle through one
 // schedule with identical calls — overlapping arrivals, Step interleaved with
-// StepN windows, a derate and its restore — and compares, with no tolerance,
-// the drained completion order, Horizon bits and Idle after every call and
-// TakeBusy bits once per collector period. It returns the array for the
-// caller to read which drive paths the schedule took.
+// windows replayed in StepN chunks, a derate and its restore — and compares,
+// with no tolerance, the drained completion order, Horizon bits and Idle
+// after every call and TakeBusy bits once per collector period. It returns
+// the array for the caller to read which drive paths the schedule took.
 func diffStores(t testing.TB, c storeCase, sched []arrival) *diskArray {
 	t.Helper()
 	got, array, want := c.build()
@@ -125,20 +125,19 @@ func diffStores(t testing.TB, c storeCase, sched []arrival) *diskArray {
 				due += sched[next+1].gap
 			}
 		}
-		// StepN windows stride over ticks, so the derate and its restore
-		// take effect at the first call boundary at or after their tick.
+		// Windows stride over ticks, so the derate and its restore take
+		// effect at the first call boundary at or after their tick.
 		if len(derate) > 0 && tick >= derate[0].at {
 			got.Derate(derate[0].to)
 			want.Derate(derate[0].to)
 			derate = derate[1:]
 		}
-		// Every fifth call is a StepN window of 2 to 9 ticks, bulk or
-		// per-tick fallback as the array's state decides.
+		// Every fifth call is a window of 2 to 9 ticks, replayed as the
+		// production loop replays a lazy agent (advance).
 		n := 1
 		if tick%5 == 3 {
 			n = 2 + tick%8
-			got.StepN(n, diffDT)
-			want.StepN(n, diffDT)
+			advance(t, n, diffDT, got, want)
 		} else {
 			got.Step(diffDT)
 			want.Step(diffDT)

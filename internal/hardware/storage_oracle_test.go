@@ -10,7 +10,8 @@ import (
 
 // The per-disk fork-join this package shipped until the lockstep lanes
 // replaced it, kept verbatim (types renamed, the uncalled idle methods
-// dropped, nothing else) as the oracle of TestDiskArrayMatchesPerDiskOracle
+// dropped, and StepN, like production's, trusting its caller instead of
+// re-checking every queue) as the oracle of TestDiskArrayMatchesPerDiskOracle
 // and FuzzDiskArrayMatchesPerDisk: one Qdcc -> Qhdd pipeline per spindle, n
 // stripe tasks per request, one RNG draw per stripe whatever the hit rate.
 // It shares the spec types, the ingress slab and the seed derivation with
@@ -162,21 +163,6 @@ func (a *oracleArray) join(fj *oracleForkSlab) {
 	}
 }
 
-// canBulk reports whether no disk pipeline produces an event within span.
-// Idle queues trivially cannot (CanBulk on an empty queue is vacuously
-// true), so only occupied pipelines pay the scan.
-func (a *oracleArray) canBulk(span float64) bool {
-	for _, d := range a.disks {
-		if !d.dcc.Idle() && !d.dcc.CanBulk(span) {
-			return false
-		}
-		if !d.hdd.Idle() && !d.hdd.CanBulk(span) {
-			return false
-		}
-	}
-	return true
-}
-
 // bulkStep advances every disk pipeline through n quiet ticks in bulk.
 // BulkStep on an idle queue returns immediately, so no elision is needed.
 func (a *oracleArray) bulkStep(n int, dt float64) {
@@ -317,17 +303,6 @@ func (o *oracleStore) Step(dt float64) {
 
 func (o *oracleStore) StepN(n int, dt float64) {
 	if o.inflight == 0 {
-		return
-	}
-	span := float64(n) * dt
-	bulk := o.array.canBulk(span)
-	for _, q := range o.stages {
-		bulk = bulk && q.CanBulk(span)
-	}
-	if !bulk {
-		for i := 0; i < n; i++ {
-			o.Step(dt)
-		}
 		return
 	}
 	for _, q := range o.stages {

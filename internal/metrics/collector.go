@@ -20,6 +20,7 @@ type Probe struct {
 // (busy-time integration), and the snapshot is registered permanently.
 type Collector struct {
 	probes []Probe
+	out    []*Series // out[i] records probes[i], resolved once at Register
 	series map[string]*Series
 	last   float64
 }
@@ -38,8 +39,10 @@ func (c *Collector) Register(p Probe) {
 	if _, dup := c.series[p.Key]; dup {
 		panic(fmt.Sprintf("metrics: duplicate probe key %q", p.Key))
 	}
+	s := &Series{Name: p.Key}
 	c.probes = append(c.probes, p)
-	c.series[p.Key] = &Series{Name: p.Key}
+	c.out = append(c.out, s)
+	c.series[p.Key] = s
 }
 
 // Snapshot polls every probe at simulated time now, closing the measurement
@@ -49,8 +52,8 @@ func (c *Collector) Snapshot(now float64) {
 	if window <= 0 {
 		window = 1e-9
 	}
-	for _, p := range c.probes {
-		c.series[p.Key].Add(now, p.Sample(window))
+	for i, p := range c.probes {
+		c.out[i].Add(now, p.Sample(window))
 	}
 	c.last = now
 }

@@ -8,14 +8,6 @@ import (
 // eps guards float comparisons when resolving sub-step completions.
 const eps = 1e-12
 
-// bulkGuard is the safety margin, in seconds, a queue keeps between a
-// bulk-stepped window and its earliest possible internal event. Step
-// resolves completions up to an eps early, and a long per-tick subtraction
-// chain drifts by ulps from the exact product; both are orders of magnitude
-// below this margin, so an event can never fire inside a window CanBulk
-// approved.
-const bulkGuard = 1e-7
-
 // FCFS is a first-come-first-served queue with c identical servers, each
 // consuming Demand units at rate units/second. It models the CPU core group
 // (M/M/q per socket, Fig. 3-4), NICs and switches (M/M/1, Fig. 3-6), and the
@@ -140,28 +132,17 @@ func (q *FCFS) Horizon() float64 {
 	return h
 }
 
-// CanBulk reports whether the queue is guaranteed to complete nothing
-// within the next span seconds, so that BulkStep may replace per-tick
-// stepping. The margin over the exact threshold absorbs the eps-early
-// completion in Step and the float drift of a long subtraction chain.
-func (q *FCFS) CanBulk(span float64) bool {
-	q.fill()
-	for _, t := range q.inService {
-		if t.Demand/q.rate <= span+bulkGuard {
-			return false
-		}
-	}
-	return true
-}
-
 // BulkStep advances the queue through n consecutive ticks of dt seconds in
 // one call, producing state bit-identical to n sequential Step(dt) calls.
-// It must only be called when CanBulk(n*dt) holds: with no completion in
-// the window, each tick's arithmetic reduces to one constant subtraction
-// per in-service task and one constant busy addition, and those per-
-// accumulator operation sequences are replayed exactly, four accumulators
-// abreast (chains) — only the per-tick call overhead (refill, completion
-// scans) is elided.
+// It must only be called when nothing completes in the window: Horizon(),
+// which also promotes waiting tasks as Step would, exceeds n*dt by a margin
+// that absorbs Step's eps-early completions and the float drift of a long
+// subtraction chain (the production loop leaves 1e-6 s). Then each tick's
+// arithmetic reduces to one constant subtraction per in-service task and
+// one constant busy addition, and those per-accumulator operation sequences
+// are replayed exactly, four accumulators abreast (chains) — only the
+// per-tick call overhead (refill, completion scans) is elided. BulkStep
+// does not check the precondition.
 func (q *FCFS) BulkStep(n int, dt float64) {
 	if len(q.inService) == 0 {
 		return

@@ -20,7 +20,7 @@ const (
 	opStep                      // Step(x)
 	opRate                      // SetRate(x)
 	opHorizon                   // Horizon, compared
-	opBulk                      // CanBulk(n*bulkDT), compared, then BulkStep if both agree it may
+	opBulk                      // quiet(n, bulkDT), compared, then BulkStep if both agree it may
 	opTakeBusy                  // TakeBusy, compared
 	numOneOps
 )
@@ -94,7 +94,7 @@ func (s *oneSide) apply(o oneOp) (out float64, ok bool) {
 		return s.q.Horizon(), true
 	case opBulk:
 		n := int(o.x)
-		if ok = s.q.CanBulk(float64(n) * bulkDT); ok {
+		if ok = quiet(s.q, n, bulkDT); ok {
 			s.q.BulkStep(n, bulkDT)
 		}
 	case opTakeBusy:
@@ -204,8 +204,8 @@ func decodeOneOps(raw []byte) []oneOp {
 
 // FuzzFCFSOneServerMatchesGeneral explores call sequences the table does not:
 // random enqueues (zero demands included), steps of varying dt, rate changes
-// between steps, and interleaved Horizon, CanBulk/BulkStep and TakeBusy calls,
-// all on a one-server queue whose done re-enqueues into it.
+// between steps, and interleaved Horizon, horizon-bounded BulkStep and
+// TakeBusy calls, all on a one-server queue whose done re-enqueues into it.
 func FuzzFCFSOneServerMatchesGeneral(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 0, 33, 1, 3, 0x81, 20, 0, 63, 1, 100})
 	f.Add([]byte{0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 1, 40, 2, 1, 1, 40, 0x81, 255, 1, 200})

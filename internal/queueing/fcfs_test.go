@@ -245,7 +245,7 @@ func TestFCFSHorizon(t *testing.T) {
 }
 
 // TestFCFSBulkStepBitIdentical drives one queue with per-tick Steps and a
-// clone with CanBulk/BulkStep windows, asserting bit-identical demands and
+// clone with horizon-bounded BulkStep windows, asserting bit-identical demands and
 // busy accumulation — the contract the fast-forward replay relies on.
 func TestFCFSBulkStepBitIdentical(t *testing.T) {
 	mk := func() *FCFS {
@@ -263,7 +263,7 @@ func TestFCFSBulkStepBitIdentical(t *testing.T) {
 	for !bulk.Idle() && steps < 10000 {
 		n := 1
 		for w := 2; w <= 64; w *= 2 {
-			if bulk.CanBulk(float64(w) * dt) {
+			if quiet(bulk, w, dt) {
 				n = w
 			}
 		}

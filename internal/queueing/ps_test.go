@@ -184,7 +184,7 @@ func TestPSBulkStepBitIdentical(t *testing.T) {
 	for !bulk.Idle() && steps < 10000 {
 		n := 1
 		for w := 2; w <= 64; w *= 2 {
-			if bulk.CanBulk(float64(w) * dt) {
+			if quiet(bulk, w, dt) {
 				n = w
 			}
 		}

@@ -10,6 +10,7 @@ package topology
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/hardware"
@@ -26,17 +27,28 @@ type ServerSpec struct {
 	RAID *hardware.RAIDSpec
 }
 
+// The spec checks state what is usable as one conjunction and reject
+// everything else, so NaN — for which every comparison is false — and ±Inf
+// are invalid wherever a number is.
+
 func (s ServerSpec) validate() error {
-	if s.MemGB <= 0 || s.NICGbps <= 0 {
+	if !(s.MemGB > 0 && s.NICGbps > 0 && finite(s.MemGB, s.NICGbps)) {
 		return fmt.Errorf("topology: invalid ServerSpec mem=%v nic=%v", s.MemGB, s.NICGbps)
 	}
-	if s.CacheHitRate < 0 || s.CacheHitRate > 1 {
+	if !(s.CacheHitRate >= 0 && s.CacheHitRate <= 1) {
 		return fmt.Errorf("topology: invalid cache hit rate %v", s.CacheHitRate)
 	}
-	if s.CPU.Sockets <= 0 || s.CPU.Cores <= 0 || s.CPU.GHz <= 0 {
-		return fmt.Errorf("topology: invalid CPU spec %+v", s.CPU)
+	return s.CPU.Validate()
+}
+
+// finite reports whether no x is NaN or ±Inf.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
 	}
-	return nil
+	return true
 }
 
 // TierSpec describes a tier holon: an array of identical servers
@@ -56,17 +68,22 @@ type TierSpec struct {
 }
 
 func (t TierSpec) validate() error {
-	if t.Name == "" || t.Servers <= 0 {
+	if !(t.Name != "" && t.Servers > 0) {
 		return fmt.Errorf("topology: invalid TierSpec name=%q servers=%d", t.Name, t.Servers)
 	}
 	if err := t.Server.validate(); err != nil {
 		return fmt.Errorf("tier %s: %w", t.Name, err)
 	}
-	if t.LocalLink.Gbps <= 0 {
-		return fmt.Errorf("topology: tier %s needs a local link", t.Name)
+	if err := t.LocalLink.Validate(); err != nil {
+		return fmt.Errorf("topology: tier %s local link: %w", t.Name, err)
 	}
 	if t.SAN != nil && t.SANLink == nil {
 		return fmt.Errorf("topology: tier %s has a SAN but no SAN link", t.Name)
+	}
+	if t.SANLink != nil {
+		if err := t.SANLink.Validate(); err != nil {
+			return fmt.Errorf("topology: tier %s SAN link: %w", t.Name, err)
+		}
 	}
 	if t.SAN == nil && t.Server.RAID == nil {
 		return fmt.Errorf("topology: tier %s has neither RAID nor SAN storage", t.Name)
@@ -84,11 +101,11 @@ type DCSpec struct {
 }
 
 func (d DCSpec) validate() error {
-	if d.Name == "" || d.SwitchGbps <= 0 {
+	if !(d.Name != "" && d.SwitchGbps > 0 && finite(d.SwitchGbps)) {
 		return fmt.Errorf("topology: invalid DCSpec name=%q switch=%v", d.Name, d.SwitchGbps)
 	}
-	if d.ClientLink.Gbps <= 0 {
-		return fmt.Errorf("topology: DC %s needs a client link", d.Name)
+	if err := d.ClientLink.Validate(); err != nil {
+		return fmt.Errorf("topology: DC %s client link: %w", d.Name, err)
 	}
 	seen := map[string]bool{}
 	for _, t := range d.Tiers {
@@ -125,7 +142,7 @@ type ClientSpec struct {
 }
 
 func (c ClientSpec) validate() error {
-	if c.Slots <= 0 || c.NICGbps <= 0 || c.GHz <= 0 || c.DiskMBs <= 0 {
+	if !(c.Slots > 0 && c.NICGbps > 0 && c.GHz > 0 && c.DiskMBs > 0 && finite(c.NICGbps, c.GHz, c.DiskMBs)) {
 		return fmt.Errorf("topology: invalid ClientSpec %+v", c)
 	}
 	return nil
@@ -136,6 +153,32 @@ type InfraSpec struct {
 	DCs     []DCSpec
 	WAN     []WANSpec
 	Clients map[string]ClientSpec // per data center name
+}
+
+// Clone returns a deep copy of the spec: the copy shares no slice, map or
+// pointee with s, so either can be edited without the other seeing it. Nil
+// and empty slices and maps stay nil and empty.
+func (s InfraSpec) Clone() InfraSpec {
+	c := InfraSpec{DCs: slices.Clone(s.DCs), WAN: slices.Clone(s.WAN), Clients: maps.Clone(s.Clients)}
+	for i := range c.DCs {
+		tiers := slices.Clone(c.DCs[i].Tiers)
+		for j := range tiers {
+			t := &tiers[j]
+			t.Server.RAID = clonePtr(t.Server.RAID)
+			t.SAN = clonePtr(t.SAN)
+			t.SANLink = clonePtr(t.SANLink)
+		}
+		c.DCs[i].Tiers = tiers
+	}
+	return c
+}
+
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	return &c
 }
 
 func (s InfraSpec) validate() error {
@@ -159,8 +202,8 @@ func (s InfraSpec) validate() error {
 		if w.From == w.To {
 			return fmt.Errorf("topology: WAN self-loop at %s", w.From)
 		}
-		if w.Link.Gbps <= 0 {
-			return fmt.Errorf("topology: WAN %s->%s needs bandwidth", w.From, w.To)
+		if err := w.Link.Validate(); err != nil {
+			return fmt.Errorf("topology: WAN %s->%s: %w", w.From, w.To, err)
 		}
 	}
 	// Sorted, so a spec with several bad entries always reports the same one.
