@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/queueing"
-	"repro/internal/simtime"
 )
 
 // hzQueue is the method set FCFS and PS share that hzAgent drives.
@@ -18,21 +17,23 @@ type hzQueue interface {
 	Idle() bool
 	Horizon() float64
 	BulkStep(n int, dt float64)
-	SetNotify(func())
+	SetNotify(func(float64))
 	Rate() float64
 }
 
 // hzAgent is a horizon-aware, bulk-capable queue agent — the minimal
 // hardware-like agent for core-layer tests. It reports exact horizons so
-// the production loop can step it lazily, and counts Step invocations and
-// total ticks advanced so tests can assert both that laziness engaged and
-// that no tick was lost. Its StepN panics on a chunk that breaks
-// BulkStepper's precondition, which the production loop must never hand it.
+// the production loop can step it lazily, keys its arrivals through Arrive
+// as hardware agents do, and counts Step invocations and total ticks
+// advanced so tests can assert both that laziness engaged and that no tick
+// was lost. Its StepN panics on a chunk that breaks BulkStepper's
+// precondition, which the production loop must never hand it.
 type hzAgent struct {
 	AgentBase
 	q       hzQueue
 	steps   int   // Step invocations (per-tick work)
 	stepped int64 // total ticks advanced, bulk or not
+	arrived int   // enqueues since the loop last read Horizon: their Arrive may have keyed it early
 }
 
 func newHzAgent(s *Simulation, name string, rate float64) *hzAgent {
@@ -41,7 +42,7 @@ func newHzAgent(s *Simulation, name string, rate float64) *hzAgent {
 
 func newHzAgentOn(s *Simulation, name string, q hzQueue) *hzAgent {
 	a := &hzAgent{q: q}
-	a.q.SetNotify(a.MarkDirty)
+	a.q.SetNotify(a.Arrive)
 	a.InitAgent(s.NextAgentID(), name)
 	s.AddAgent(a)
 	return a
@@ -52,6 +53,7 @@ func refFlags(ref bool) LoopFlags { return LoopFlags{NoFastForward: ref} }
 
 func (a *hzAgent) Enqueue(t *queueing.Task) {
 	a.Sync()
+	a.arrived++
 	a.q.Enqueue(t)
 }
 
@@ -74,8 +76,15 @@ func (a *hzAgent) StepN(n int, dt float64) {
 	a.q.BulkStep(n, dt)
 }
 
-func (a *hzAgent) Idle() bool       { return a.q.Idle() }
-func (a *hzAgent) Horizon() float64 { return a.q.Horizon() }
+func (a *hzAgent) Idle() bool { return a.q.Idle() }
+
+// Horizon reports the queue's horizon. The loop reads it only to key the
+// agent (or, for a dirty agent, ahead of a rekey), so a key is exact until
+// the next arrival.
+func (a *hzAgent) Horizon() float64 {
+	a.arrived = 0
+	return a.q.Horizon()
+}
 
 // TestBulkDrainReachesArmedCompletion is the drain-set correctness case:
 // a completion armed at t=0 that fires only after a long stretch, on an
@@ -278,10 +287,13 @@ func TestDormantSourceNotReconsulted(t *testing.T) {
 }
 
 // TestCalendarInvalidationProperty drives a random interleaving of every
-// operation that can move an agent's next event — enqueues, ticks (due
-// pops and completions), jumps, bare MarkDirty/MarkActive — and after each
-// operation folds the dirty set and checks the full calendar invariant on
-// the root window (checkWindow).
+// operation that can move an agent's next event — enqueues onto idle and
+// busy FCFS queues of one to three servers and PS queues with and without
+// latency, ticks (due pops and completions), jumps, bare
+// MarkDirty/MarkActive — and after each operation folds the dirty set and
+// checks the full calendar invariant on the root window (checkWindow). The
+// zero-latency PS queues take concurrent transfers, whose arrivals key
+// their agents strictly early; each seed must see that happen.
 func TestCalendarInvalidationProperty(t *testing.T) {
 	for _, seed := range calendarPropertySeeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
@@ -298,48 +310,71 @@ var calendarPropertySeeds = []uint64{1, 7, 42}
 // the agents the window owns: the calendar's structure holds (calendar.check:
 // bucket lists, occupancy bits and summary word agree, the cached minimum is
 // the true one, every wheel key lies in [cursor, cursor+wheelSpan), the heap
-// tier is a valid heap), every active agent has exactly one entry whose key
-// equals the agent's freshly recomputed due tick (based at the tick its
-// state has advanced through), and no inactive agent lingers.
-func checkWindow(w *window, agents []*hzAgent) error {
+// tier is a valid heap), every active agent has exactly one entry, and no
+// inactive agent lingers. The key is never later than the agent's freshly
+// recomputed due tick (based at the tick its state has advanced through),
+// and equals it unless an arrival since the loop last keyed the agent from
+// its horizon may have lowered it to a bound — the agents the fold rekeyed
+// and those that acted in the last window with nothing enqueued since are
+// exact. It returns how many keys lay strictly before their due tick.
+func checkWindow(w *window, agents []*hzAgent) (early int, err error) {
 	w.rekey()
 	s := w.s
-	due := func(id AgentID) simtime.Tick { return s.agentKey(s.agents[id].Horizon(), s.agentTick[id]) }
-	if err := w.cal.check(due); err != nil {
-		return err
+	if err := w.cal.check(w.cal.key); err != nil {
+		return 0, err
 	}
 	active := 0
 	for _, a := range agents {
 		b := a.Base()
 		if !b.active {
 			if w.cal.contains(b.id) {
-				return fmt.Errorf("inactive agent %d still in calendar", b.id)
+				return 0, fmt.Errorf("inactive agent %d still in calendar", b.id)
 			}
 			continue
 		}
 		active++
 		if !w.cal.contains(b.id) {
-			return fmt.Errorf("active agent %d missing from calendar", b.id)
+			return 0, fmt.Errorf("active agent %d missing from calendar", b.id)
 		}
-		if got, want := w.cal.keyOf(b.id), due(b.id); got != want {
-			return fmt.Errorf("agent %d key %d, want %d (horizon %v based at tick %d)",
-				b.id, got, want, a.Horizon(), s.agentTick[b.id])
+		h := a.q.Horizon() // not a.Horizon: the check must not mark the key exact
+		got, want := w.cal.key(b.id), s.agentKey(h, s.agentTick[b.id])
+		if got > want || got < want && a.arrived == 0 {
+			return 0, fmt.Errorf("agent %d key %d, due at %d (horizon %v based at tick %d, %d arrivals since it was keyed)",
+				b.id, got, want, h, s.agentTick[b.id], a.arrived)
+		}
+		if got < want {
+			early++
 		}
 	}
 	if w.cal.len() != active {
-		return fmt.Errorf("%d calendar entries for %d active agents", w.cal.len(), active)
+		return 0, fmt.Errorf("%d calendar entries for %d active agents", w.cal.len(), active)
 	}
-	return nil
+	return early, nil
+}
+
+// propertyQueues are calendarProperty's agents: FCFS queues of one to three
+// servers and PS links with and without latency; the zero-latency links
+// take concurrent transfers.
+var propertyQueues = []func() hzQueue{
+	func() hzQueue { return queueing.NewFCFS(1, 100) },
+	func() hzQueue { return queueing.NewFCFS(2, 200) },
+	func() hzQueue { return queueing.NewFCFS(3, 300) },
+	func() hzQueue { return queueing.NewFCFS(1, 400) },
+	func() hzQueue { return queueing.NewPS(500, 4, 0) },
+	func() hzQueue { return queueing.NewPS(600, 2, 0) },
+	func() hzQueue { return queueing.NewPS(700, 4, 0.03) },
+	func() hzQueue { return queueing.NewPS(800, 3, 0.004) },
 }
 
 func calendarProperty(t *testing.T, seed uint64, nops int) {
 	t.Helper()
 	s := NewSimulation(Config{Step: 0.01, Seed: seed, CollectEvery: 1 << 30})
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
-	agents := make([]*hzAgent, 8)
-	for i := range agents {
-		agents[i] = newHzAgent(s, fmt.Sprintf("prop-%d", i), 100*float64(i+1))
+	agents := make([]*hzAgent, len(propertyQueues))
+	for i, q := range propertyQueues {
+		agents[i] = newHzAgentOn(s, fmt.Sprintf("prop-%d", i), q())
 	}
+	early := 0
 	for i := 0; i < nops; i++ {
 		a := agents[rng.IntN(len(agents))]
 		var op string
@@ -361,9 +396,14 @@ func calendarProperty(t *testing.T, seed uint64, nops int) {
 			a.MarkActive()
 			op = "markactive"
 		}
-		if err := checkWindow(&s.root, agents); err != nil {
+		n, err := checkWindow(&s.root, agents)
+		if err != nil {
 			t.Fatalf("after %s: %v", op, err)
 		}
+		early += n
+	}
+	if early == 0 {
+		t.Errorf("no key was ever strictly early: the concurrent zero-latency transfers never lowered one to a bound")
 	}
 }
 
@@ -388,7 +428,7 @@ func (lt *laneTraffic) Poll(s *Simulation, now float64) {
 		return
 	}
 	if lt.all != nil && lt.failure == nil && s.fastForward {
-		if err := checkWindow(&s.root, lt.all); err != nil {
+		if _, err := checkWindow(&s.root, lt.all); err != nil {
 			lt.failure = fmt.Errorf("%s at %v s: %w", lt.dc, now, err)
 		}
 		lt.checked++

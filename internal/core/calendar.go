@@ -41,9 +41,9 @@ type calEntry struct {
 type calSlot struct{ next, prev, at int32 }
 
 // calendar is the pending-event set of the simulation: one entry per active
-// agent, keyed by the absolute tick at which it may next act, so the time
-// loop can rekey exactly the agents whose state changed (the dirty set) and
-// read the earliest event cheaply. It has two tiers:
+// agent, keyed by an absolute tick no later than the one at which it may
+// next act, so the time loop can rekey exactly the agents whose state
+// changed and read the earliest event cheaply. It has two tiers:
 //
 //   - a timing wheel of per-tick buckets covering [cursor, cursor+wheelSpan),
 //     holding the near keys — nearly all of them, since a key is a few to a
@@ -58,8 +58,8 @@ type calSlot struct{ next, prev, at int32 }
 //     both heads.
 //
 // The cursor is the window's tick. It may only advance to a tick no later
-// than the earliest wheel key, which the time loop guarantees: it sets the
-// cursor before each rekey, after popping every entry due by the landing.
+// than the earliest wheel key, which the time loop guarantees: it moves the
+// cursor to the landing once popDue has taken every entry due by it.
 // Ties pop in no particular order; callers sort what they pop.
 type calendar struct {
 	cursor  simtime.Tick
@@ -73,8 +73,9 @@ type calendar struct {
 }
 
 // grow extends the slot table to cover n agents. The time loop calls it
-// before each rekey, so the table is sized once to the population the loop
-// first sees and grows with the agent table after that.
+// before each rekey and before keying an agent an arrival activates, so the
+// table is sized once to the population the loop first sees and grows with
+// the agent table after that.
 func (c *calendar) grow(n int) {
 	if n > len(c.slot) {
 		c.slot = append(c.slot, make([]calSlot, n-len(c.slot))...)
@@ -157,18 +158,62 @@ func (c *calendar) remove(id AgentID) {
 	}
 }
 
-// popMin removes and returns an agent with the earliest key; callers must
-// check len first.
-func (c *calendar) popMin() AgentID {
-	k := c.minKey()
-	if c.wlen > 0 && c.wmin == k {
-		id := AgentID(c.head[k&wheelMask] - 1)
-		c.unlink(id)
-		return id
+// key returns the agent's due tick, or neverTick when it has no entry. A
+// wheel entry's key is the one tick of [cursor, cursor+wheelSpan) that maps
+// to its bucket.
+func (c *calendar) key(id AgentID) simtime.Tick {
+	if int(id) >= len(c.slot) {
+		return neverTick
 	}
-	id := c.entries[0].id
-	c.remove(id)
-	return id
+	switch at := c.slot[id].at; {
+	case at > 0:
+		return c.entries[at-1].key
+	case at < 0:
+		b := simtime.Tick(-at - 1)
+		return c.cursor + (b-c.cursor)&wheelMask
+	}
+	return neverTick
+}
+
+// popDue removes every entry due by at and appends its agent to dst, in no
+// particular order. Each due wheel bucket — on the window loop, exactly one:
+// the landing's — is unlinked as one list, its occupancy bit cleared once;
+// then the heap tier's due entries are popped.
+func (c *calendar) popDue(at simtime.Tick, dst []AgentID) []AgentID {
+	for c.wlen > 0 {
+		if c.wmin == wheelStale {
+			c.wmin = c.wheelMin()
+		}
+		if c.wmin > at {
+			break
+		}
+		dst = c.popBucket(c.wmin, dst)
+	}
+	for len(c.entries) > 0 && c.entries[0].key <= at {
+		id := c.entries[0].id
+		c.remove(id)
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// popBucket empties the wheel bucket of key, appending its agents to dst.
+func (c *calendar) popBucket(key simtime.Tick, dst []AgentID) []AgentID {
+	b := int32(key & wheelMask)
+	for at := c.head[b]; at != 0; {
+		id := at - 1
+		at = c.slot[id].next
+		c.slot[id] = calSlot{}
+		dst = append(dst, AgentID(id))
+		c.wlen--
+	}
+	c.head[b] = 0
+	w := b >> 6
+	if c.occ[w] &^= 1 << (b & 63); c.occ[w] == 0 {
+		c.summary &^= 1 << w
+	}
+	c.wmin = wheelStale
+	return dst
 }
 
 // link pushes the agent onto the front of the bucket of key, which must lie

@@ -122,14 +122,19 @@ func (c *heapCalendar) down(i int) {
 	}
 }
 
-// keyOf returns the due tick of an agent with an entry. A wheel entry's key
-// is the one tick of [cursor, cursor+wheelSpan) that maps to its bucket.
-func (c *calendar) keyOf(id AgentID) simtime.Tick {
-	if at := c.slot[id].at; at > 0 {
-		return c.entries[at-1].key
+// popMin removes and returns an agent with the earliest key; callers must
+// check len first. The window loop pops a landing's due entries with popDue;
+// the tests pop one at a time to compare orders with the oracle.
+func (c *calendar) popMin() AgentID {
+	k := c.minKey()
+	if c.wlen > 0 && c.wmin == k {
+		id := AgentID(c.head[k&wheelMask] - 1)
+		c.unlink(id)
+		return id
 	}
-	b := simtime.Tick(-c.slot[id].at - 1)
-	return c.cursor + (b-c.cursor)&wheelMask
+	id := c.entries[0].id
+	c.remove(id)
+	return id
 }
 
 // check verifies the calendar's structure against want, every entry's true
@@ -210,14 +215,16 @@ var calendarFuzzSeeds = []uint64{1, 2, 3, 7, 42, 255, 1024, 65537}
 
 // FuzzCalendarMatchesHeap is the differential fuzzer of the two-tier
 // calendar against the heap used alone (heapCalendar). The bytes drive
-// random grow, set, remove and popMin calls and landings — pop everything
-// due by a tick no later than the head, then advance the cursor to it, as
-// the window loop does — over keys near the cursor, at cursor+wheelSpan-1
-// and cursor+wheelSpan, beyond the span, below the cursor, neverTick and
-// re-sets to the current key, with cursors wrapping the wheel and steps
-// longer than the span. After every operation both must agree on minKey,
-// len, membership and every agent's key, the two-tier calendar must pass
-// its structural check, and each landing must pop the same set of agents.
+// random grow, set, remove, popMin and key calls and landings — pop
+// everything due by a tick no later than the head, by popMin calls or one
+// popDue, then advance the cursor to it, as the window loop does; or popDue
+// a tick past the head, several buckets and heap entries at once — over
+// keys near the cursor, at cursor+wheelSpan-1 and cursor+wheelSpan, beyond
+// the span, below the cursor, neverTick and re-sets to the current key,
+// with cursors wrapping the wheel and steps longer than the span. After
+// every operation both must agree on minKey, len, membership and every
+// agent's key, the two-tier calendar must pass its structural check, and
+// each landing must pop the same set of agents.
 // As a plain test it runs the seed corpus; `go test -fuzz
 // FuzzCalendarMatchesHeap ./internal/core` explores.
 func FuzzCalendarMatchesHeap(f *testing.F) {
@@ -245,7 +252,7 @@ func calendarDiff(data []byte, nops int) error {
 	for i := 0; i < nops; i++ {
 		var op string
 		cur := c.cursor
-		switch in.intn(12) {
+		switch in.intn(13) {
 		case 0, 1, 2, 3, 4:
 			id := AgentID(in.intn(n))
 			var key simtime.Tick
@@ -297,34 +304,57 @@ func calendarDiff(data []byte, nops int) error {
 		case 8, 9, 10:
 			head := o.minKey()
 			var landing simtime.Tick
-			switch in.intn(4) {
+			pastHead := false
+			switch in.intn(5) {
 			case 0:
 				landing = head
 			case 1:
 				landing = cur + simtime.Tick(in.intn(16))
 			case 2:
 				landing = cur + wheelSpan + simtime.Tick(in.intn(4*wheelSpan))
+			case 3:
+				pastHead = true
 			default:
 				landing = cur
 			}
-			if head == neverTick && landing == neverTick {
-				landing = cur + simtime.Tick(in.intn(5*wheelSpan))
+			if pastHead {
+				// popDue past the head: several buckets and heap entries at once.
+				landing = max(cur, min(head, cur+5*wheelSpan)) + simtime.Tick(in.intn(3*wheelSpan))
+			} else {
+				if head == neverTick && landing == neverTick {
+					landing = cur + simtime.Tick(in.intn(5*wheelSpan))
+				}
+				landing = max(cur, min(landing, head))
 			}
-			landing = max(cur, min(landing, head))
+			byPopDue := pastHead || in.intn(2) == 0
 			var got, want []AgentID
-			for c.minKey() <= landing {
-				got = append(got, c.popMin())
+			if byPopDue {
+				got = c.popDue(landing, nil)
+			} else {
+				for c.minKey() <= landing {
+					got = append(got, c.popMin())
+				}
 			}
 			for o.minKey() <= landing {
 				want = append(want, o.popMin())
 			}
 			slices.Sort(got)
 			slices.Sort(want)
-			op = fmt.Sprintf("land on %d from %d (head %d)", landing, cur, head)
+			op = fmt.Sprintf("land on %d from %d (head %d, popDue %v)", landing, cur, head, byPopDue)
 			if !slices.Equal(got, want) {
 				return fmt.Errorf("op %d: %s popped %v, the heap %v", i, op, got, want)
 			}
 			c.cursor = landing
+		case 11:
+			id := AgentID(in.intn(n + 4)) // past the slot table too
+			want := neverTick
+			if int(id) < n && o.contains(id) {
+				want = oracleKey(id)
+			}
+			op = fmt.Sprintf("key(%d)", id)
+			if got := c.key(id); got != want {
+				return fmt.Errorf("op %d: %s = %d, the heap's %d", i, op, got, want)
+			}
 		default:
 			n += 1 + in.intn(8)
 			c.grow(n)
@@ -341,8 +371,8 @@ func calendarDiff(data []byte, nops int) error {
 			if g, w := c.contains(id), o.contains(id); g != w {
 				return fmt.Errorf("op %d: after %s: contains(%d) %v, the heap's %v", i, op, id, g, w)
 			}
-			if c.contains(id) && c.keyOf(id) != oracleKey(id) {
-				return fmt.Errorf("op %d: after %s: agent %d keyed %d, in the heap %d", i, op, id, c.keyOf(id), oracleKey(id))
+			if c.contains(id) && c.key(id) != oracleKey(id) {
+				return fmt.Errorf("op %d: after %s: agent %d keyed %d, in the heap %d", i, op, id, c.key(id), oracleKey(id))
 			}
 		}
 		if err := c.check(oracleKey); err != nil {

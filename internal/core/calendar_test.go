@@ -73,6 +73,78 @@ func TestCalendarHeapOrdering(t *testing.T) {
 	c.remove(3)
 }
 
+// TestCalendarPopDue pins popDue on the layouts a landing meets: one bucket
+// holding several agents, a heap-tier entry that came due beside a due
+// bucket (set beyond the wheel's span, then caught up by the cursor), several
+// buckets due at once, and nothing due. Each row pops the agents keyed at or
+// before at and leaves the rest, with the structure intact.
+func TestCalendarPopDue(t *testing.T) {
+	type entry struct {
+		id  AgentID
+		key simtime.Tick
+	}
+	cases := []struct {
+		name    string
+		cursor  simtime.Tick
+		early   []entry      // set with the cursor at 0
+		entries []entry      // set with the cursor at cursor
+		at      simtime.Tick // popDue's argument
+		want    []AgentID
+	}{
+		{name: "one bucket holding several agents", cursor: 3,
+			entries: []entry{{0, 10}, {1, 10}, {2, 11}, {3, 10}, {4, 10}, {5, 400}}, at: 10, want: []AgentID{0, 1, 3, 4}},
+		{name: "due heap entry beside a due bucket", cursor: 100,
+			early: []entry{{0, 300}, {6, 301}}, entries: []entry{{1, 300}, {2, 300}, {3, 302}}, at: 300, want: []AgentID{0, 1, 2}},
+		{name: "several buckets due", cursor: 250,
+			entries: []entry{{0, 251}, {1, 260}, {2, 300}, {3, 506}, {4, 507}, {5, neverTick}}, at: 506, want: []AgentID{0, 1, 2, 3}},
+		{name: "nothing due", cursor: 7, entries: []entry{{0, 9}, {1, 12}}, at: 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var c calendar
+			c.grow(8)
+			keys := map[AgentID]simtime.Tick{}
+			for _, e := range tc.early {
+				c.set(e.id, e.key)
+				keys[e.id] = e.key
+			}
+			if got := c.popDue(tc.cursor, nil); len(got) != 0 {
+				t.Fatalf("popDue(%d) before the cursor moved popped %v", tc.cursor, got)
+			}
+			c.cursor = tc.cursor
+			for _, e := range tc.entries {
+				c.set(e.id, e.key)
+				keys[e.id] = e.key
+			}
+			got := c.popDue(tc.at, nil)
+			slices.Sort(got)
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("popDue(%d) = %v, want %v", tc.at, got, tc.want)
+			}
+			for _, id := range got {
+				delete(keys, id)
+			}
+			c.cursor = tc.at
+			if err := c.check(func(id AgentID) simtime.Tick { return keys[id] }); err != nil {
+				t.Fatal(err)
+			}
+			if c.len() != len(keys) {
+				t.Fatalf("%d entries left, want %d", c.len(), len(keys))
+			}
+			head := neverTick
+			for id, k := range keys {
+				head = min(head, k)
+				if got := c.key(id); got != k {
+					t.Errorf("agent %d keyed %d after the pop, want %d", id, got, k)
+				}
+			}
+			if got := c.minKey(); got != head {
+				t.Errorf("minKey %d after the pop, want %d", got, head)
+			}
+		})
+	}
+}
+
 // TestSrcDueTickBoundaries pins the poll-schedule conversion: the due tick
 // is the first tick landing at or after the NextPoll instant in the exact
 // tick-time arithmetic, instants at or before now mean per-tick polling,

@@ -67,9 +67,12 @@ type Agent interface {
 	// ticks strictly before the earliest horizon, so undershooting is
 	// always safe while overshooting would skip an event. AgentBase
 	// supplies a conservative 0 ("I may act next tick") for agents that do
-	// not override it. Only the production loop calls it — to key the
-	// event calendar and to size bulk chunks in advanceAgent — and like
-	// Step it must only touch the agent's own state.
+	// not override it. Only the production loop calls it, and only where
+	// nothing cheaper knows the answer: to key an agent that has just acted
+	// or was marked dirty, and to size the bulk chunks of a dirty agent. An
+	// arrival keys itself (AgentBase.Arrive), so the calendar key is the only
+	// horizon the loop otherwise consults. Like Step it must only touch the
+	// agent's own state.
 	Horizon() float64
 }
 
@@ -81,13 +84,25 @@ type BulkStepper interface {
 	// StepN advances the agent through n ticks of dt seconds. Precondition:
 	// no event falls within n·dt — the agent's Horizon exceeds it by a
 	// margin. StepN does not check it: the production loop's advanceAgent
-	// sizes every chunk from the agent's horizon less ffGuard, the guarded
-	// conversion that keys the calendar, and steps event ticks singly. A
-	// chunk spanning an event would replay it as if nothing happened.
+	// sizes every chunk to end before the agent's calendar key — the
+	// guarded whole-tick conversion of a horizon, never later than its next
+	// event — or, for a dirty agent, from its horizon less ffGuard, and
+	// steps event ticks singly. A chunk spanning an event would replay it as
+	// if nothing happened. Work still waiting for a free server when StepN
+	// starts must be promoted first, as the first Step would.
 	StepN(n int, dt float64)
 }
 
 // QueueAgent is an agent that accepts work: a flow stage can target it.
+//
+// Enqueue owns its agent's calendar entry: after Sync, it must either report
+// the arrival's first event through AgentBase.Arrive — the hardware agents'
+// queue hooks do, with the bound FCFS/PS.SetNotify document — or call
+// MarkDirty, which rekeys the agent from its horizon before the next jump.
+// The flow router only activates an agent that is still inactive after
+// Enqueue; it does not invalidate an active one. DelayLine keeps MarkDirty:
+// its horizon is the expiry less its local clock, (now+Delay)−now, which can
+// round below Delay, so reporting Delay would key it a tick late.
 type QueueAgent interface {
 	Agent
 	Enqueue(*queueing.Task)
@@ -137,9 +152,8 @@ func (b *AgentBase) Base() *AgentBase { return b }
 // every activation is also an invalidation: new work may move the agent's
 // next event earlier. It is O(1), idempotent, and must only be called from
 // sequential phases (Enqueue during source polls or interaction callbacks).
-// Hardware queues forward it through their Notify hooks; flow routing calls
-// it as well, so custom agents driven through Stage.Queue need no explicit
-// call.
+// Flow routing calls it for an agent Enqueue left inactive; hardware queues
+// report their arrivals through Arrive instead.
 func (b *AgentBase) MarkActive() {
 	if b.sim == nil {
 		return
@@ -154,6 +168,22 @@ func (b *AgentBase) MarkActive() {
 	}
 }
 
+// Arrive is the arrival hook of the event calendar, cheaper than MarkDirty:
+// work was just enqueued on the agent (after Sync) and h bounds the arriving
+// task's first event from below, in seconds, +Inf when it waits behind busy
+// servers. Hardware agents install it as their ingress queues' notify hook.
+// An inactive agent activates keyed from h — it was idle, so h is its whole
+// horizon; an active one lowers its key to h's when that is earlier, with no
+// Horizon call and no drain-set entry (an enqueue buffers no completion).
+// It is exact only if the arrival moves no other event of the agent
+// earlier; state changes that can must use MarkDirty. Like MarkActive it
+// must only be called from sequential phases.
+func (b *AgentBase) Arrive(h float64) {
+	if b.sim != nil {
+		b.sim.arrive(b, h)
+	}
+}
+
 // MarkDirty is the invalidation hook of the event calendar: it records that
 // the agent's state changed in a way that may move its next observable
 // event, so the simulation recomputes its horizon before the next jump
@@ -163,8 +193,8 @@ func (b *AgentBase) MarkActive() {
 // transitions (dirty), sources and routers hand over work (active). Like
 // MarkActive it must only be called from sequential phases; state changes
 // inside the parallel Step phase need no hook, because they can only occur
-// at an agent's scheduled event tick, where the calendar rekeys the agent
-// anyway.
+// at an agent's scheduled event tick, where the loop rekeys the agent right
+// after it acts.
 func (b *AgentBase) MarkDirty() { b.MarkActive() }
 
 // Pin keeps the agent in the active set permanently: it is swept every tick

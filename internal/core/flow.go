@@ -190,10 +190,13 @@ func (s *Simulation) startStage(tok *token) {
 			s.syncAgent(id)
 			st.Queue.Enqueue(&tok.task)
 			// Join the active set so the agent is stepped from the next
-			// tick on. Hardware agents self-activate in Enqueue through
-			// their queues' notify hooks, which leaves two flag reads here;
-			// custom agents get the call.
-			if b := s.bases[id]; !b.active || !b.dirty {
+			// tick on. Enqueue owns the agent's calendar entry (see
+			// QueueAgent): hardware agents have already keyed the arrival
+			// through Arrive, so an active agent is left alone —
+			// re-invalidating it would pay the Horizon call Arrive saved.
+			// Only a custom agent that never activates itself gets the
+			// call.
+			if b := s.bases[id]; !b.active {
 				b.MarkActive()
 			}
 			return

@@ -192,9 +192,29 @@ func FuzzLoopMatchesReference(f *testing.F) {
 	for _, seed := range calendarPropertySeeds {
 		f.Add(binary.LittleEndian.AppendUint64(nil, seed))
 	}
+	for _, platform := range loweredKeyPlatforms {
+		f.Add(platform)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameRun(t, fuzzRun(data, true), fuzzRun(data, false))
 	})
+}
+
+// loweredKeyPlatforms seed FuzzLoopMatchesReference with platforms built
+// for the paths where an arrival lowers a busy agent's calendar key instead
+// of rekeying it: six three-server FCFS queues, whose arrivals find a server
+// free, and six four-slot zero-latency PS links, whose concurrent transfers
+// key their agents strictly early. The bytes follow fuzzPlatformRun's draw
+// order: collector period, agent count, then per agent its rate, kind and
+// kind parameters; no pinned agent; one source launching every 30 ms, 40
+// times, a four-way fork of single-stage messages: a long then a short one
+// on agent 0 and again on agent 1, so each short arrival finishes first and
+// must lower its agent's key. The rest comes from the hash-seeded stream.
+var loweredKeyPlatforms = [][]byte{
+	{50, 4, 3, 0, 2, 5, 0, 2, 7, 0, 2, 3, 0, 2, 5, 0, 2, 7, 0, 2,
+		1, 0, 2, 1, 0, 39, 0, 3, 0, 0, 120, 0, 0, 4, 0, 1, 120, 0, 1, 4},
+	{50, 4, 3, 1, 3, 0, 5, 1, 3, 0, 7, 1, 3, 0, 3, 1, 3, 0, 5, 1, 3, 0, 7, 1, 3, 0,
+		1, 0, 2, 1, 0, 39, 0, 3, 0, 0, 120, 0, 0, 4, 0, 1, 120, 0, 1, 4},
 }
 
 // sameRun asserts two simulations computed the same thing bit for bit:

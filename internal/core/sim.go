@@ -139,16 +139,6 @@ type Simulation struct {
 	// RearmSource re-consults them.
 	srcDue []simtime.Tick
 
-	// hMemo/hMemoTick memoize each agent's last computed Horizon together
-	// with the basis tick (the tick the agent's state was stepped through
-	// when the horizon was read). A horizon is a pure function of agent
-	// state, which only changes when the agent steps (the basis advances)
-	// or work arrives (invalidate resets the entry), so a basis-matched
-	// memo read is bitwise-exact — rekey and the bulk chunk sizing share
-	// one computation instead of re-reading the queue.
-	hMemo     []float64
-	hMemoTick []simtime.Tick
-
 	gaugeIdx  map[string]Gauge
 	gaugeVals []float64
 }
@@ -223,8 +213,6 @@ func (s *Simulation) AddAgent(a Agent) {
 	s.agents = append(s.agents, a)
 	s.bases = append(s.bases, b)
 	s.agentTick = append(s.agentTick, 0)
-	s.hMemoTick = append(s.hMemoTick, hMemoUnset)
-	s.hMemo = append(s.hMemo, 0)
 	b.sim = s
 	if b.pinned || !a.Idle() {
 		b.MarkActive() // pinned (or pre-loaded) before registration
@@ -259,27 +247,33 @@ func (s *Simulation) invalidate(id AgentID) {
 		return
 	}
 	s.root.dirty = append(s.root.dirty, id)
-	s.hMemoTick[id] = hMemoUnset
 	s.root.markDrain(s.bases[id])
 }
 
-// hMemoUnset marks a horizon memo entry invalid. Basis ticks are clock
-// ticks and therefore never negative.
-const hMemoUnset = simtime.Tick(-1)
-
-// agentHorizon returns the agent's horizon as observed at the given basis
-// tick (the tick its state has been stepped through), memoizing the
-// computation. Between invalidations an agent's state is a pure function
-// of its basis, so a basis match returns the bitwise-identical value the
-// direct call would produce.
-func (s *Simulation) agentHorizon(id AgentID, basis simtime.Tick) float64 {
-	if s.hMemoTick[id] == basis {
-		return s.hMemo[id]
+// arrive is AgentBase.Arrive: work whose first event lies at least h
+// seconds ahead was just enqueued on the agent, whose state the enqueue synced to the
+// window's tick. An inactive agent was idle, so h is its whole horizon: it
+// activates keyed from h. An active agent's key drops to h's when that is
+// earlier — by the notify-hook contract the arrival moves no other event
+// earlier — and a dirty agent is left to its pending rekey. The reference
+// loop keeps no calendar and only activates.
+func (s *Simulation) arrive(b *AgentBase, h float64) {
+	w := &s.root
+	if !b.active {
+		b.active = true
+		s.activate(b.id)
+		if s.fastForward {
+			w.cal.grow(len(s.agents))
+			w.cal.set(b.id, s.agentKey(h, w.tick))
+		}
+		return
 	}
-	h := s.agents[id].Horizon()
-	s.hMemo[id] = h
-	s.hMemoTick[id] = basis
-	return h
+	if b.dirty || !s.fastForward {
+		return
+	}
+	if k := s.agentKey(h, s.agentTick[b.id]); k < w.cal.key(b.id) {
+		w.cal.set(b.id, k)
+	}
 }
 
 // ActiveAgents reports the current size of the active set.
@@ -455,28 +449,31 @@ func (s *Simulation) tick() {
 // skips every tick that provably holds no event, lands on the first one that
 // may (window.jump: the calendar head, a due poll, a collector boundary or
 // the limit), and steps only the agents that can act there — the calendar
-// entries due at the landing plus the pinned set. Every other active agent
-// is left untouched and caught up in one horizon-bounded bulk replay when it
-// next matters: it is enqueued on, pops due, or a collector boundary or the
-// run end lands. The drain walks the popped-due set plus the agents whose
-// queues were enqueued on since the last drain.
+// entries due at the landing plus the pinned set. Each of them is rekeyed
+// from its horizon, or retired, as soon as it reaches the landing
+// (window.settle). Every other active agent is left untouched and caught up
+// in one key-bounded bulk replay when it next matters: it is enqueued on,
+// pops due, or a collector boundary or the run end lands. The drain walks
+// the popped-due set plus the agents invalidated since the last drain.
 //
 // The invariants that make laziness exact:
 //
-//   - An active agent's calendar key is the first tick it may act,
-//     computed relative to agentTick (the tick its state has advanced
-//     through). While its key lies beyond the clock it has no event in the
-//     trailing ticks, so a bulk replay of the deficit is bit-identical to
-//     having stepped it every tick — the same per-accumulator operation
-//     sequence, merely batched.
+//   - An active agent's calendar key is never later than the first tick it
+//     may act, computed relative to agentTick (the tick its state has
+//     advanced through). While its key lies beyond the clock it has no
+//     event in the trailing ticks, so a bulk replay of the deficit is
+//     bit-identical to having stepped it every tick — the same
+//     per-accumulator operation sequence, merely batched. Arrivals keep it
+//     so by lowering the key to the arriving task's first event
+//     (AgentBase.Arrive); everything else that may move an event earlier
+//     marks the agent dirty for a full rekey.
 //   - Mutating or reading an agent's tick-dependent state from a
 //     sequential phase is always preceded by a catch-up (AgentBase.Sync in
 //     hardware Enqueues, syncAgent in the flow router), so enqueues land
 //     on state identical to the reference loop's.
 //   - Only agents at their event tick can buffer completions, and those
-//     are exactly the popped-due set; enqueued-on agents are in the drain
-//     set via their invalidation. Lazy agents therefore never hold
-//     completions, and skipping their Drain is exact.
+//     are exactly the popped-due set (an enqueue buffers none). Lazy agents
+//     therefore never hold completions, and skipping their Drain is exact.
 //   - Skipped polls are no-ops by the Source.NextPoll contract.
 //
 // The involved agents are advanced right here, on the calling goroutine: a
@@ -491,11 +488,11 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 	w.popInvolved(landing, limit)
 	for _, id := range w.inv {
 		s.advanceAgentTo(id, landing)
+		w.settle(id, landing)
 	}
 	w.tick = s.clock.AdvanceBy(landing - w.tick)
 
 	w.drain()
-	w.retireIdle()
 	// Rekey everything invalidated since the jump was sized.
 	w.rekey()
 	if w.tick == w.nextSnap {
@@ -540,51 +537,51 @@ func (s *Simulation) advanceAgentTo(id AgentID, to simtime.Tick) {
 }
 
 // advanceAgent replays n ticks on one agent starting from the base tick
-// (the tick its state is currently stepped through), bulk-collapsing
-// quiet stretches: each chunk is bounded by the agent's own horizon (the
-// same guarded whole-tick conversion the calendar keys use, so the chunk
-// can never swallow an event), with single steps resolving the event
-// ticks in between — a final single tick skips the horizon scan entirely,
-// which is the dominant case in event-dense stretches. The horizon reads
-// go through the memo keyed at base, so the first chunk of a window
-// reuses the value the preceding rekey computed. Agents without the
-// BulkStepper capability replay tick by tick. It only touches the agent's
-// own state (including its memo slots).
+// (the tick its state is currently stepped through), bulk-collapsing the
+// quiet stretch in front of its next possible event into one chunk
+// (quietTicks) and resolving event ticks with single steps. Landings never
+// pass the calendar head, so a chunk is followed by at most one single
+// step, and only a dirty agent — whose key is stale — reads its horizon
+// here. Agents without the BulkStepper capability replay tick by tick. It
+// only touches the agent's own state.
 func (s *Simulation) advanceAgent(id AgentID, base, n simtime.Tick) {
 	a := s.agents[id]
 	step := s.clock.Step()
-	if n == 1 {
-		a.Step(step)
-		return
-	}
 	bs, bulk := a.(BulkStepper)
 	for n > 0 {
-		if n == 1 {
-			a.Step(step)
-			return
-		}
-		if !bulk {
-			a.Step(step)
-			n--
-			base++
-			continue
-		}
-		k := n
-		if h := s.agentHorizon(id, base); !math.IsInf(h, 1) {
-			if k = s.clock.WholeTicksBefore(h - ffGuard); k > n {
-				k = n
-			}
+		var k simtime.Tick
+		if bulk && n > 1 {
+			k = s.quietTicks(id, base, n)
 		}
 		if k < 1 {
 			a.Step(step)
-			n--
-			base++
-			continue
+			k = 1
+		} else {
+			bs.StepN(int(k), step)
 		}
-		bs.StepN(int(k), step)
 		n -= k
 		base += k
 	}
+}
+
+// quietTicks returns how many of the n ticks after base the agent can
+// replay in one bulk chunk: every tick before its calendar key. An agent
+// without an entry was popped due (or is pinned) at the landing base+n, so
+// all but that tick are quiet. A dirty agent's key may be stale, so its
+// chunk is sized from its horizon by the guarded whole-tick conversion the
+// keys use, which can never swallow an event.
+func (s *Simulation) quietTicks(id AgentID, base, n simtime.Tick) simtime.Tick {
+	c := &s.root.cal
+	if !s.bases[id].dirty {
+		if !c.contains(id) {
+			return n - 1
+		}
+		return min(n, c.key(id)-base-1)
+	}
+	if h := s.agents[id].Horizon(); !math.IsInf(h, 1) {
+		return min(n, s.clock.WholeTicksBefore(h-ffGuard))
+	}
+	return n
 }
 
 // ffGuard is the safety margin, in seconds, subtracted from agent horizons

@@ -79,16 +79,17 @@ func (w *window) pollDue() {
 	}
 }
 
-// rekey recomputes the calendar entry of every agent whose horizon was
-// invalidated — enqueued on, drained into, past its event tick, or
-// deactivated — and clears the dirty set: only these agents pay a Horizon
-// call per window. A horizon is relative to the tick the agent's state has
-// been stepped through, so the key is based at agentTick; for agents
-// invalidated through the usual hooks that is the window's tick (enqueues
-// sync first, popped-due agents were advanced to the landing), and a bare
-// MarkDirty on a lazily-stepped agent re-bases correctly too. The calendar's
-// cursor moves up to the window's tick first: every entry due by then has
-// been popped, so every key left lies beyond it.
+// rekey recomputes the calendar entry of every agent marked dirty —
+// MarkDirty/MarkActive: delay-line enqueues, custom agents, the Sync/MarkDirty
+// brackets of rate changes, registrations — and clears the dirty set. The
+// hardware arrivals (Arrive) and the agents that acted (settle) key
+// themselves, so only these agents pay a Horizon call here. A horizon is
+// relative to the tick the agent's state has been stepped through, so the
+// key is based at agentTick; for agents invalidated through the usual hooks
+// that is the window's tick (enqueues sync first), and a bare MarkDirty on a
+// lazily-stepped agent re-bases correctly too. The calendar's cursor moves
+// up to the window's tick first: every entry due by then has been popped,
+// so every key left lies beyond it.
 func (w *window) rekey() {
 	s := w.s
 	w.cal.cursor = w.tick
@@ -101,7 +102,7 @@ func (w *window) rekey() {
 			continue
 		}
 		base := s.agentTick[id]
-		w.cal.set(id, s.agentKey(s.agentHorizon(id, base), base))
+		w.cal.set(id, s.agentKey(s.agents[id].Horizon(), base))
 	}
 	w.dirty = w.dirty[:0]
 }
@@ -126,30 +127,26 @@ func (w *window) jump(bound simtime.Tick) simtime.Tick {
 // window must advance to its landing tick: those whose calendar entry is
 // due by then (by jump construction, exactly at the landing, which is the
 // calendar head when nothing else bounded the window) plus every pinned
-// agent. Popping marks them dirty — their horizon changes as they act — and
-// into the drain set; rekey just ran, so the dirty flag doubles as the
-// dedup gate. Synchronization points gather every active agent instead: a
-// collector boundary needs exact busy accumulators behind every probe, and
-// a landing on the run limit hands callers a fully-advanced simulation.
+// agent. Both leave the calendar — settle rekeys them once they have acted
+// — and join the drain set; a pinned agent already popped has no entry
+// left, which dedups it. With every entry due by the landing gone, the
+// calendar's cursor moves up to it. Synchronization points gather every
+// active agent instead: a collector boundary needs exact busy accumulators
+// behind every probe, and a landing on the run limit hands callers a
+// fully-advanced simulation; their lazy agents keep their entries.
 func (w *window) popInvolved(landing, limit simtime.Tick) {
 	s := w.s
-	w.inv = w.inv[:0]
-	for w.cal.minKey() <= landing {
-		id := w.cal.popMin()
-		b := s.bases[id]
-		b.dirty = true
-		w.dirty = append(w.dirty, id)
-		w.inv = append(w.inv, id)
-		w.markDrain(b)
+	w.inv = w.cal.popDue(landing, w.inv[:0])
+	w.cal.cursor = landing
+	for _, id := range w.inv {
+		w.markDrain(s.bases[id])
 	}
 	for _, id := range w.pinned {
-		b := s.bases[id]
-		if !b.dirty {
-			b.dirty = true
-			w.dirty = append(w.dirty, id)
+		if w.cal.contains(id) {
+			w.cal.remove(id)
 			w.inv = append(w.inv, id)
 		}
-		w.markDrain(b)
+		w.markDrain(s.bases[id])
 	}
 	if landing == w.nextSnap || landing == limit {
 		w.compact()
@@ -199,16 +196,22 @@ func (w *window) drain() {
 	w.drainSpare = pend[:0]
 }
 
-// retireIdle deactivates the involved agents that went idle. Only they can
-// have: a lazy agent still holds the work that parked its calendar entry.
-// The active-list entry stays behind as a tombstone until compact.
-func (w *window) retireIdle() {
-	for _, id := range w.inv {
-		if b := w.s.bases[id]; b.active && !b.pinned && w.s.agents[id].Idle() {
-			b.active = false
-			w.live--
-			w.cal.remove(id)
-		}
+// settle files an involved agent that has just reached the landing. An
+// idle, unpinned one retires — only involved agents can have gone idle: a
+// lazy agent still holds the work that parked its calendar entry — leaving
+// its active-list entry behind as a tombstone until compact. One without an
+// entry (popped due, or pinned) is keyed from its horizon at the landing;
+// a lazy agent caught up at a synchronization point keeps its entry. Work
+// the drain then hands an agent settled here lowers or sets its key through
+// Arrive, or marks it dirty.
+func (w *window) settle(id AgentID, landing simtime.Tick) {
+	s := w.s
+	if b := s.bases[id]; !b.pinned && s.agents[id].Idle() {
+		b.active = false
+		w.live--
+		w.cal.remove(id)
+	} else if !w.cal.contains(id) {
+		w.cal.set(id, s.agentKey(s.agents[id].Horizon(), landing))
 	}
 }
 

@@ -164,11 +164,15 @@ func WithInfra(spec topology.InfraSpec) Option {
 	}
 }
 
+// positiveFinite reports whether x is a usable duration: greater than zero
+// and finite. NaN fails the comparison, so it is rejected too.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // WithStep sets the time-loop granularity in seconds (default 10 ms).
 func WithStep(step float64) Option {
 	return func(e *Experiment) error {
-		if step <= 0 {
-			return fmt.Errorf("step must be positive, got %v", step)
+		if !positiveFinite(step) {
+			return fmt.Errorf("step must be positive and finite, got %v", step)
 		}
 		e.step = step
 		return nil
@@ -179,8 +183,8 @@ func WithStep(step float64) Option {
 // seconds (default 60).
 func WithCollectEvery(seconds float64) Option {
 	return func(e *Experiment) error {
-		if seconds <= 0 {
-			return fmt.Errorf("collect interval must be positive, got %v", seconds)
+		if !positiveFinite(seconds) {
+			return fmt.Errorf("collect interval must be positive and finite, got %v", seconds)
 		}
 		e.collectSeconds = seconds
 		return nil
@@ -230,8 +234,8 @@ func WithWindow(startHour, endHour int) Option {
 // scenario's fixed-length runs). Mutually exclusive with WithWindow.
 func WithDuration(seconds float64) Option {
 	return func(e *Experiment) error {
-		if seconds <= 0 {
-			return fmt.Errorf("duration must be positive, got %v", seconds)
+		if !positiveFinite(seconds) {
+			return fmt.Errorf("duration must be positive and finite, got %v", seconds)
 		}
 		e.duration = seconds
 		return nil

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -139,6 +140,12 @@ func TestExperimentRejectsBadAssembly(t *testing.T) {
 		{"window conflict", []Option{WithInfra(testSpec()), WithDuration(10), WithWindow(0, 24)}, "mutually exclusive"},
 		{"bad window", []Option{WithInfra(testSpec()), WithWindow(9, 9)}, "bad hour window"},
 		{"bad step", []Option{WithStep(0)}, "step must be positive"},
+		{"NaN step", []Option{WithStep(math.NaN())}, "step must be positive and finite"},
+		{"infinite step", []Option{WithStep(math.Inf(1))}, "step must be positive and finite"},
+		{"NaN collect interval", []Option{WithCollectEvery(math.NaN())}, "collect interval must be positive and finite"},
+		{"infinite collect interval", []Option{WithCollectEvery(math.Inf(1))}, "collect interval must be positive and finite"},
+		{"NaN duration", []Option{WithDuration(math.NaN())}, "duration must be positive and finite"},
+		{"infinite duration", []Option{WithDuration(math.Inf(1))}, "duration must be positive and finite"},
 		{"workload unknown DC", []Option{
 			WithInfra(testSpec()), WithDuration(10),
 			WithWorkload(Workload{App: "PDM", DC: "MARS", OpsPerUserHour: 1, OpsFn: mustOps("PDM", "NA")}),

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -338,6 +339,9 @@ const pathGrammar = "seed | step | dcs.<dc>.<tier>.cores|servers | dcs.<dc>.clie
 // path and what was expected, so a mistyped axis fails with an actionable
 // message instead of a silently unchanged grid.
 func applyPath(e *Experiment, path string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return pathErr(path, fmt.Sprintf("value %v is not finite", v))
+	}
 	parts := strings.Split(path, ".")
 	switch parts[0] {
 	case "seed":

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -109,6 +110,18 @@ func TestSweepRejectsInvalidGrids(t *testing.T) {
 		{"nil variant", func() *Sweep {
 			return NewSweep("s", testSweepBase()).VaryFunc("mut", Variant{Label: "x"})
 		}, "no Apply function"},
+		{"NaN step", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("step", 0.01, math.NaN())
+		}, "value NaN is not finite"},
+		{"infinite step", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("step", math.Inf(1))
+		}, "value +Inf is not finite"},
+		{"infinite cores", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("dcs.NA.app.cores", math.Inf(1))
+		}, "value +Inf is not finite"},
+		{"negative infinite seed", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("seed", math.Inf(-1))
+		}, "value -Inf is not finite"},
 		{"bad base", func() *Sweep {
 			return NewSweep("s", func() (*Experiment, error) { return New("broken") }).Vary("step", 0.01)
 		}, "base experiment"},

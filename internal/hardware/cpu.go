@@ -80,7 +80,7 @@ func NewCPU(sim *core.Simulation, name string, spec CPUSpec) *CPU {
 	rate := spec.GHz * 1e9 * spec.HTFactor // cycles per second per core
 	for i := 0; i < spec.Sockets; i++ {
 		q := queueing.NewFCFS(spec.Cores, rate)
-		q.SetNotify(c.MarkDirty) // sockets only receive external enqueues
+		q.SetNotify(c.Arrive) // sockets only receive external enqueues
 		c.sockets = append(c.sockets, q)
 	}
 	c.InitAgent(sim.NextAgentID(), name)
@@ -145,7 +145,7 @@ func (c *CPU) applyRate() {
 
 // Enqueue assigns the task to the next socket round-robin, after catching
 // up any ticks the bulk-dense loop deferred. The socket's notify hook
-// forwards the activation/invalidation to the agent.
+// reports the arrival to the agent's calendar entry (Arrive).
 func (c *CPU) Enqueue(t *queueing.Task) {
 	c.Sync()
 	c.sockets[c.rr].Enqueue(t)

@@ -22,7 +22,7 @@ func NewNIC(sim *core.Simulation, name string, gbps float64) *NIC {
 	}
 	rate := gbps * 1e9 / 8 // bytes per second
 	n := &NIC{q: queueing.NewFCFS(1, rate), rate: rate}
-	n.q.SetNotify(n.MarkDirty)
+	n.q.SetNotify(n.Arrive)
 	n.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(n)
 	return n
@@ -32,8 +32,8 @@ func NewNIC(sim *core.Simulation, name string, gbps float64) *NIC {
 func (n *NIC) Rate() float64 { return n.rate }
 
 // Enqueue adds a transfer task (Demand in bytes), after catching up any
-// ticks the bulk-dense loop deferred. The queue's notify hook forwards the
-// activation/invalidation to the agent.
+// ticks the bulk-dense loop deferred. The queue's notify hook reports the
+// arrival to the agent's calendar entry (Arrive).
 func (n *NIC) Enqueue(t *queueing.Task) {
 	n.Sync()
 	n.q.Enqueue(t)
@@ -69,7 +69,7 @@ func NewSwitch(sim *core.Simulation, name string, gbps float64) *Switch {
 	}
 	rate := gbps * 1e9 / 8
 	s := &Switch{q: queueing.NewFCFS(1, rate), rate: rate}
-	s.q.SetNotify(s.MarkDirty)
+	s.q.SetNotify(s.Arrive)
 	s.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(s)
 	return s
@@ -79,8 +79,8 @@ func NewSwitch(sim *core.Simulation, name string, gbps float64) *Switch {
 func (s *Switch) Rate() float64 { return s.rate }
 
 // Enqueue adds a forwarding task (Demand in bytes), after catching up any
-// ticks the bulk-dense loop deferred. The queue's notify hook forwards the
-// activation/invalidation to the agent.
+// ticks the bulk-dense loop deferred. The queue's notify hook reports the
+// arrival to the agent's calendar entry (Arrive).
 func (s *Switch) Enqueue(t *queueing.Task) {
 	s.Sync()
 	s.q.Enqueue(t)
@@ -155,7 +155,7 @@ func NewLink(sim *core.Simulation, name string, spec LinkSpec) *Link {
 		baseRate:    rate,
 		baseLatency: spec.LatencyMS / 1000,
 	}
-	l.q.SetNotify(l.MarkDirty)
+	l.q.SetNotify(l.Arrive)
 	l.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(l)
 	return l
@@ -168,8 +168,8 @@ func (l *Link) Rate() float64 { return l.rate }
 func (l *Link) Latency() float64 { return l.q.Latency() }
 
 // Enqueue adds a transfer (Demand in bytes), after catching up any ticks
-// the bulk-dense loop deferred; the queue's notify hook forwards the
-// activation/invalidation to the agent. A failed link still accepts
+// the bulk-dense loop deferred; the queue's notify hook reports the
+// arrival to the agent's calendar entry (Arrive). A failed link still accepts
 // transfers: failure is a routing-plane event (see Fail), and a message
 // whose route was pinned before the failure may reach the link stages
 // later — those committed transfers drain normally rather than crashing

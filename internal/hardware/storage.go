@@ -347,8 +347,8 @@ func NewRAID(sim *core.Simulation, name string, spec RAIDSpec) *RAID {
 	}
 	// The controller cache is the array's ingress: external enqueues (and
 	// only those — the fork-join feeds the disk queues internally, inside
-	// the parallel Step phase) forward the invalidation.
-	r.dacc.SetNotify(r.MarkDirty)
+	// the parallel Step phase) report the arrival to the calendar.
+	r.dacc.SetNotify(r.Arrive)
 	r.array = newDiskArray(spec.Disks, spec.Disk, subSeed(sim, id, tagRAIDArray), r.complete)
 	r.InitAgent(id, name)
 	sim.AddAgent(r)
@@ -359,7 +359,7 @@ func NewRAID(sim *core.Simulation, name string, spec RAIDSpec) *RAID {
 func (r *RAID) Spec() RAIDSpec { return r.spec }
 
 // Enqueue admits a storage request (Demand in bytes) at the array
-// controller cache, whose notify hook forwards the invalidation; any ticks
+// controller cache, whose notify hook reports the arrival (Arrive); any ticks
 // the bulk-dense loop deferred are replayed first.
 func (r *RAID) Enqueue(t *queueing.Task) {
 	r.Sync()
@@ -498,7 +498,7 @@ func NewSAN(sim *core.Simulation, name string, spec SANSpec) *SAN {
 	// The FC switch is the SAN's ingress; the downstream queues (dacc,
 	// fcal, disks) are fed by internal handoffs inside the parallel Step
 	// phase and must not carry the hook.
-	s.fcsw.SetNotify(s.MarkDirty)
+	s.fcsw.SetNotify(s.Arrive)
 	s.array = newDiskArray(spec.Disks, spec.Disk, subSeed(sim, id, tagSANArray), s.complete)
 	s.InitAgent(id, name)
 	sim.AddAgent(s)
@@ -509,7 +509,7 @@ func NewSAN(sim *core.Simulation, name string, spec SANSpec) *SAN {
 func (s *SAN) Spec() SANSpec { return s.spec }
 
 // Enqueue admits a storage request (Demand in bytes) at the FC switch,
-// whose notify hook forwards the invalidation; any ticks the bulk-dense
+// whose notify hook reports the arrival (Arrive); any ticks the bulk-dense
 // loop deferred are replayed first.
 func (s *SAN) Enqueue(t *queueing.Task) {
 	s.Sync()

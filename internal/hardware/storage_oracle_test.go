@@ -252,7 +252,7 @@ func newOracleStore(sim *core.Simulation, name string, disks int, disk DiskSpec,
 		o.stages = append(o.stages, queueing.NewFCFS(1, g*1e9/8))
 		o.done = append(o.done, o.leave(i))
 	}
-	o.stages[0].SetNotify(o.MarkDirty)
+	o.stages[0].SetNotify(o.Arrive)
 	o.array = newOracleArray(disks, disk, subSeed(sim, id, arrayTag), o.complete)
 	o.InitAgent(id, name)
 	sim.AddAgent(o)

@@ -25,19 +25,23 @@ type FCFS struct {
 	arrivals uint64
 	departs  uint64
 
-	notify func() // arrival-transition hook (see SetNotify)
+	notify func(h float64) // arrival hook (see SetNotify)
 }
 
 // SetNotify installs a hook invoked on every Enqueue — the transition that
-// can move the queue's next event earlier. Owning agents forward it to
-// their event-calendar invalidation (core.AgentBase.MarkDirty), so work
-// handed to the queue invalidates the agent's cached horizon without the
-// agent wrapping every enqueue path. The hook runs synchronously inside
-// Enqueue: it must only be set on queues that receive work from sequential
-// simulation phases (ingress queues), never on queues fed by internal
-// handoffs inside the parallel Step phase — those transitions occur only at
-// scheduled event ticks, where the calendar rekeys the agent anyway.
-func (q *FCFS) SetNotify(fn func()) { q.notify = fn }
+// can move the queue's next event earlier — with the arriving task's own
+// first event: h is its service time, Demand/rate, when the task will hold a
+// server at the next fill, and +Inf when it has to wait behind busy servers.
+// An arrival changes no other task's completion, so the queue's next event
+// after the enqueue is exactly min(Horizon() before, h). Owning agents
+// forward the hook to their event calendar (core.AgentBase.Arrive), which
+// lowers the agent's key to h without a Horizon call. The hook runs
+// synchronously inside Enqueue: it must only be set on queues that receive
+// work from sequential simulation phases (ingress queues), never on queues
+// fed by internal handoffs inside the parallel Step phase — those
+// transitions occur only at scheduled event ticks, where the loop rekeys
+// the agent right after it acts.
+func (q *FCFS) SetNotify(fn func(h float64)) { q.notify = fn }
 
 // NewFCFS returns an FCFS queue with the given number of servers and
 // per-server service rate (units per second). It panics on non-positive
@@ -74,7 +78,11 @@ func (q *FCFS) Enqueue(t *Task) {
 	q.arrivals++
 	q.waiting.push(t)
 	if q.notify != nil {
-		q.notify()
+		h := math.Inf(1)
+		if len(q.inService)+q.waiting.len() <= q.servers {
+			h = t.Demand / q.rate
+		}
+		q.notify(h)
 	}
 }
 
@@ -134,16 +142,19 @@ func (q *FCFS) Horizon() float64 {
 
 // BulkStep advances the queue through n consecutive ticks of dt seconds in
 // one call, producing state bit-identical to n sequential Step(dt) calls.
-// It must only be called when nothing completes in the window: Horizon(),
-// which also promotes waiting tasks as Step would, exceeds n*dt by a margin
-// that absorbs Step's eps-early completions and the float drift of a long
-// subtraction chain (the production loop leaves 1e-6 s). Then each tick's
-// arithmetic reduces to one constant subtraction per in-service task and
-// one constant busy addition, and those per-accumulator operation sequences
-// are replayed exactly, four accumulators abreast (chains) — only the
-// per-tick call overhead (refill, completion scans) is elided. BulkStep
+// It must only be called when nothing completes in the window: the queue's
+// next event lies beyond n*dt by a margin that absorbs Step's eps-early
+// completions and the float drift of a long subtraction chain (the
+// production loop leaves 1e-6 s). It first promotes waiting tasks onto free
+// servers, as the window's first Step would — a task enqueued since the
+// last Step or Horizon call still waits even with a server free. Then each
+// tick's arithmetic reduces to one constant subtraction per in-service task
+// and one constant busy addition, and those per-accumulator operation
+// sequences are replayed exactly, four accumulators abreast (chains) — only
+// the per-tick call overhead (refill, completion scans) is elided. BulkStep
 // does not check the precondition.
 func (q *FCFS) BulkStep(n int, dt float64) {
+	q.fill()
 	if len(q.inService) == 0 {
 		return
 	}

@@ -53,18 +53,23 @@ type doneEvent struct {
 	idle               bool
 }
 
-// oneSide is one queue of the pair with the step under test.
+// oneSide is one queue of the pair with the step under test. Its notify
+// hook records every arrival's h, and each enqueue op holds it to the
+// arrival contract (checkArrival).
 type oneSide struct {
+	tb       testing.TB
 	q        *FCFS
 	step     func(q *FCFS, dt float64, done DoneFunc)
 	tasks    []*Task
 	log      []doneEvent
 	requeued map[uint64]bool
 	done     DoneFunc
+	arrivals arrivalHook
 }
 
-func newOneSide(rate float64, step func(q *FCFS, dt float64, done DoneFunc)) *oneSide {
-	s := &oneSide{q: NewFCFS(1, rate), step: step, requeued: map[uint64]bool{}}
+func newOneSide(tb testing.TB, rate float64, step func(q *FCFS, dt float64, done DoneFunc)) *oneSide {
+	s := &oneSide{tb: tb, q: NewFCFS(1, rate), step: step, requeued: map[uint64]bool{}}
+	s.q.SetNotify(s.arrivals.notify)
 	// The callback records what it sees and, once per task whose ID is a
 	// multiple of three, puts the task back into the same queue with a new
 	// demand (zero for every fifth ID) — a done that enqueues into the queue
@@ -85,7 +90,7 @@ func (s *oneSide) apply(o oneOp) (out float64, ok bool) {
 	case opEnqueue:
 		t := &Task{ID: uint64(len(s.tasks) + 1), Demand: o.x}
 		s.tasks = append(s.tasks, t)
-		s.q.Enqueue(t)
+		checkArrival(s.tb, s.q, &s.arrivals, t)
 	case opStep:
 		s.step(s.q, o.x, s.done)
 	case opRate:
@@ -112,8 +117,8 @@ func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // wait and serve, the call's own result, and Horizon where the op asks.
 func diffOneServer(t testing.TB, rate float64, ops []oneOp) {
 	t.Helper()
-	got := newOneSide(rate, (*FCFS).Step)
-	want := newOneSide(rate, (*FCFS).stepServers)
+	got := newOneSide(t, rate, (*FCFS).Step)
+	want := newOneSide(t, rate, (*FCFS).stepServers)
 	for i, o := range ops {
 		gv, gok := got.apply(o)
 		wv, wok := want.apply(o)
@@ -206,6 +211,8 @@ func decodeOneOps(raw []byte) []oneOp {
 // random enqueues (zero demands included), steps of varying dt, rate changes
 // between steps, and interleaved Horizon, horizon-bounded BulkStep and
 // TakeBusy calls, all on a one-server queue whose done re-enqueues into it.
+// Every enqueue also checks the h its notify hook reports against the
+// horizon before and after (checkArrival).
 func FuzzFCFSOneServerMatchesGeneral(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 0, 33, 1, 3, 0x81, 20, 0, 63, 1, 100})
 	f.Add([]byte{0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 1, 40, 2, 1, 1, 40, 0x81, 255, 1, 200})

@@ -55,13 +55,17 @@ type psQueue interface {
 	Idle() bool
 }
 
-// psSide is one queue of the pair.
+// psSide is one queue of the pair. On the PS side, arrivals records every
+// arrival's h and each enqueue op holds it to the arrival contract
+// (checkArrival); the reference has no hook.
 type psSide struct {
 	q        psQueue
 	tasks    []*Task
 	log      []doneEvent
 	requeued map[uint64]bool
 	done     DoneFunc
+	tb       testing.TB
+	arrivals *arrivalHook
 }
 
 func newPSSide(q psQueue) *psSide {
@@ -85,7 +89,11 @@ func (s *psSide) apply(o psOp) (out float64, ok bool) {
 	case psEnqueue:
 		t := &Task{ID: uint64(len(s.tasks) + 1), Demand: o.x}
 		s.tasks = append(s.tasks, t)
-		s.q.Enqueue(t)
+		if s.arrivals != nil {
+			checkArrival(s.tb, s.q.(*PS), s.arrivals, t)
+		} else {
+			s.q.Enqueue(t)
+		}
 	case psStep:
 		s.q.Step(o.x, s.done)
 	case psRate:
@@ -114,6 +122,8 @@ func diffPS(t testing.TB, rate float64, k int, ops []psOp) {
 	t.Helper()
 	gq, wq := NewPS(rate, k, 0), newRefPS(rate, k, 0)
 	got, want := newPSSide(gq), newPSSide(wq)
+	got.tb, got.arrivals = t, &arrivalHook{}
+	gq.SetNotify(got.arrivals.notify)
 	for i, o := range ops {
 		gv, gok := got.apply(o)
 		wv, wok := want.apply(o)
@@ -213,7 +223,9 @@ func decodePSOps(raw []byte) []psOp {
 // FuzzPSMatchesReference explores call sequences the table does not: random
 // enqueues, steps of varying dt, rate and latency changes between steps, and
 // interleaved Horizon, horizon-bounded BulkStep and TakeBusy calls, on a
-// queue of one to four connections whose done re-enqueues into it.
+// queue of one to four connections whose done re-enqueues into it. Every
+// enqueue on the PS side also checks the h its notify hook reports against
+// the horizon before and after (checkArrival).
 func FuzzPSMatchesReference(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 16, 3, 48, 0, 63, 0x81, 63, 1, 63})
 	f.Add(uint8(0), []byte{0, 10, 0, 0, 0, 33, 1, 3, 0x81, 20, 0, 63, 1, 100, 1, 63})

@@ -9,6 +9,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -26,11 +27,11 @@ type Clock struct {
 }
 
 // NewClock returns a clock with the given step size in seconds.
-// Step sizes must be positive; NewClock panics otherwise because a
-// non-positive step renders every conversion meaningless.
+// Step sizes must be positive and finite; NewClock panics otherwise because
+// a non-positive, NaN or infinite step renders every conversion meaningless.
 func NewClock(step Seconds) *Clock {
-	if step <= 0 {
-		panic(fmt.Sprintf("simtime: non-positive step %v", step))
+	if !(step > 0) || math.IsInf(step, 1) {
+		panic(fmt.Sprintf("simtime: step %v is not positive and finite", step))
 	}
 	return &Clock{step: step}
 }

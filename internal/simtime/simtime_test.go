@@ -7,7 +7,7 @@ import (
 )
 
 func TestNewClockPanicsOnNonPositiveStep(t *testing.T) {
-	for _, step := range []Seconds{0, -0.1} {
+	for _, step := range []Seconds{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
