@@ -425,8 +425,8 @@ func BenchmarkIdlePlatform(b *testing.B) {
 // agents whose event fires that tick (each lazy agent catches up in one
 // horizon-bounded bulk replay) and drains only the popped-due + notified
 // set. BenchmarkIdlePlatform is the same A/B on the sparse regime. Results
-// are bit-identical unthinned (TestBulkDenseEquivalence); the production
-// leg's trajectory is bench/history.json's peak_hour rows.
+// are bit-identical (TestBulkDenseEquivalence); the production leg's
+// trajectory is bench/history.json's peak_hour rows.
 func BenchmarkDenseBulk(b *testing.B) {
 	run := func(b *testing.B, ref bool) {
 		b.Helper()
@@ -524,8 +524,8 @@ func localHeavy8DC(mk func() core.Engine, seconds float64, extra ...experiment.O
 // TestLocalHeavyShardedMatchesSequential pins, on a short run of the
 // local-heavy platform, that a 4-worker dispatch.Sharded engine changes no
 // bit — on the production loop, which never calls it, and on the reference
-// loop, which sweeps through it every tick (thinning off on both sides) —
-// and leaves the deprecated span counters at 0.
+// loop, which sweeps through it every tick — and leaves the deprecated span
+// counters at 0.
 func TestLocalHeavyShardedMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("local-heavy equivalence skipped in -short")
@@ -546,20 +546,18 @@ func TestLocalHeavyShardedMatchesSequential(t *testing.T) {
 	if st.Barriers != 0 || st.WindowsStretched != 0 || st.MailboxApplied != 0 {
 		t.Errorf("deprecated span counters nonzero: %+v", st)
 	}
-	seqNT, _ := run(nil, core.LoopFlags{NoThinning: true})
-	if ref, _ := run(sharded, core.LoopFlags{NoFastForward: true, NoThinning: true}); ref != seqNT {
-		t.Errorf("sharded-4 reference-loop digest diverged from sequential:\n%s\n%s", seqNT, ref)
+	if ref, _ := run(sharded, core.LoopFlags{NoFastForward: true}); ref != seq {
+		t.Errorf("sharded-4 reference-loop digest diverged from sequential:\n%s\n%s", seq, ref)
 	}
 }
 
 // BenchmarkDayNightClients runs the day-night client scenario — the
 // validation platform under a 24 h business-day curve with a 5% night
-// floor at the default 10 ms step — on the production loop with thinned
-// arrivals against the reference loop with per-tick Poisson draws, which
-// ticks through all 8.64M steps; thinning turns the night into sampled
-// arrival gaps the production loop jumps across. Results are
-// distribution-identical (TestThinnedArrivalEquivalence); the wall-clock
-// ratio is the headline (>=3x).
+// floor at the default 10 ms step, thinned arrivals on both legs — on the
+// production loop against the reference loop, which ticks through all
+// 8.64M steps; thinning turns the night into sampled arrival gaps the
+// production loop jumps across. Results are bit-identical, so the
+// wall-clock ratio is the cost of the loop alone.
 func BenchmarkDayNightClients(b *testing.B) {
 	run := func(b *testing.B, flags core.LoopFlags) {
 		b.Helper()
@@ -577,9 +575,7 @@ func BenchmarkDayNightClients(b *testing.B) {
 		b.ReportMetric(float64(res.SkippedTicks), "skipped-ticks")
 	}
 	b.Run("thinned", func(b *testing.B) { run(b, core.LoopFlags{}) })
-	b.Run("reference-unthinned", func(b *testing.B) {
-		run(b, core.LoopFlags{NoFastForward: true, NoThinning: true})
-	})
+	b.Run("reference", func(b *testing.B) { run(b, core.LoopFlags{NoFastForward: true}) })
 }
 
 // BenchmarkFluidDayNight is the fluid tier's headline: the 24 h day-night

@@ -16,8 +16,9 @@
 // the plain tick-by-tick loop — parallelized with either the classic
 // Scatter-Gather mechanism or the H-Dispatch pull model of Chapter 4.
 // Sparse client workloads sample thinned inter-arrival gaps instead of
-// per-tick Poisson draws, so low-traffic hours fast-forward too
-// (distribution-identical; SimConfig.NoThinning restores bit-identity).
+// per-tick Poisson draws, so low-traffic hours fast-forward too — also
+// bit-identical across the two loops, and distribution-identical to
+// per-tick draws (a workload's negative ThinBelow selects those).
 //
 // # Quick start
 //
@@ -98,7 +99,7 @@ type (
 	ExperimentRun = experiment.Run
 	// ExperimentResult is the uniform harvest of one experiment run.
 	ExperimentResult = experiment.Result
-	// LoopFlags are the A/B switches (core.LoopFlags); SimConfig embeds
+	// LoopFlags selects the time loop (core.LoopFlags); SimConfig embeds
 	// the same struct.
 	LoopFlags = experiment.LoopFlags
 	// Sweep expands a parameter grid into concurrent independent runs.

@@ -163,8 +163,7 @@ func TestWindowLandsOnCalendarHead(t *testing.T) {
 // main leg proves the property was exercised — WAN links carried traffic —
 // and the subtests vary the worker count (digest-sharded-N), the production
 // loop in RunFor slices (sharded-4-nocross) and the reference loop sweeping
-// through the sharded engine (sharded-4-nostretch, thinning off on both
-// sides: thinned arrivals are not bit-identical across poll schedules).
+// through the sharded engine (sharded-4-nostretch).
 func TestMailboxDueTimeSafety(t *testing.T) {
 	if testing.Short() {
 		t.Skip("WAN due-time property skipped in -short")
@@ -234,10 +233,9 @@ func TestMailboxDueTimeSafety(t *testing.T) {
 		checkIdle(t, eng)
 	})
 	t.Run("sharded-4-nostretch", func(t *testing.T) {
-		want := run(nil, core.LoopFlags{NoThinning: true}).Result.Digest()
 		eng := sharded(4)
-		if got := run(eng, core.LoopFlags{NoFastForward: true, NoThinning: true}).Result.Digest(); got != want {
-			t.Errorf("reference loop under the sharded engine diverged from the production loop:\n%s\n%s", want, got)
+		if got := run(eng, core.LoopFlags{NoFastForward: true}).Result.Digest(); got != ref {
+			t.Errorf("reference loop under the sharded engine diverged from the production loop:\n%s\n%s", ref, got)
 		}
 		if eng.sweeps == 0 {
 			t.Error("the reference loop never swept through the engine")
@@ -278,16 +276,13 @@ func TestChaosStretchBarriers(t *testing.T) {
 	withEngine := func(i int) experiment.Option {
 		return experiment.WithEngine(func() core.Engine { return engines[i] })
 	}
-	noThinning := experiment.LoopFlags{NoThinning: true}
 	seq, on := run(), run(withEngine(0))
 	checkIdle(t, engines[0])
 	if a, b := on.Digest(), seq.Digest(); a != b {
 		t.Errorf("faulted run under the sharded engine diverged from the sequential loop:\n%s\n%s", b, a)
 	}
-	seqNT := run(experiment.WithLoopFlags(noThinning))
-	noThinning.NoFastForward = true
-	ref := run(withEngine(1), experiment.WithLoopFlags(noThinning))
-	if a, b := ref.Digest(), seqNT.Digest(); a != b {
+	ref := run(withEngine(1), experiment.WithLoopFlags(experiment.LoopFlags{NoFastForward: true}))
+	if a, b := ref.Digest(), seq.Digest(); a != b {
 		t.Errorf("faulted reference loop under the sharded engine diverged from the production loop:\n%s\n%s", b, a)
 	}
 	if engines[1].sweeps == 0 {
@@ -404,10 +399,9 @@ func TestShardedLaneLaunchesInsideSpans(t *testing.T) {
 				name(d), launched[d], seqLaunched[d])
 		}
 	}
-	want, _ := run(nil, core.LoopFlags{NoThinning: true})
 	ref := sharded(dcs)
-	if got, _ := run(ref, core.LoopFlags{NoFastForward: true, NoThinning: true}); got != want {
-		t.Errorf("reference loop under the sharded engine diverged from the production loop:\n%s\n%s", want, got)
+	if got, _ := run(ref, core.LoopFlags{NoFastForward: true}); got != seq {
+		t.Errorf("reference loop under the sharded engine diverged from the production loop:\n%s\n%s", seq, got)
 	}
 	if ref.sweeps == 0 {
 		t.Error("the reference loop never swept through the engine")

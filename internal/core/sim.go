@@ -51,41 +51,25 @@ type Config struct {
 	// Engine parallelizes the reference loop's agent sweeps; nil selects
 	// SequentialEngine. The production loop does not sweep through it.
 	Engine Engine
-	// LoopFlags are the A/B switches; the zero value selects the production
-	// configuration.
+	// LoopFlags selects the time loop; the zero value selects the
+	// production loop.
 	LoopFlags
 }
 
-// LoopFlags are the simulator's A/B switches, declared here once and
-// embedded by every layer's configuration (Config, experiment.LoopFlags,
-// the scenario configs). All zero selects the production configuration. A
-// set flag removes one mechanism; except for NoThinning, results are
-// bit-identical either way — the equivalence tests enforce it — so the
-// flags are benchmarking and bisection aids, not safety valves.
+// LoopFlags selects the time loop, declared here once and embedded by
+// every layer's configuration (Config, experiment.LoopFlags, the scenario
+// configs). The zero value selects the production loop. Every other
+// mechanism is switched by its own input — thinning by
+// workload.AppWorkload.ThinBelow, faults by their injections, the fluid
+// tier by Fluid.Above — never by a loop flag.
 type LoopFlags struct {
 	// NoFastForward selects the reference loop: the plain §4.3 tick loop —
 	// every source polled, every active agent stepped and drained, every
-	// tick — in place of the window loop. It is the oracle the
-	// equivalence tests compare the production loop against, and the only
-	// loop that sweeps through the configured Engine.
+	// tick — in place of the window loop. Results are bit-identical either
+	// way; it is the oracle the equivalence tests compare the production
+	// loop against, and the only loop that sweeps through the configured
+	// Engine.
 	NoFastForward bool
-	// NoThinning disables exponential-gap arrival thinning in sources that
-	// support it (workload.AppWorkload), forcing per-tick Poisson draws.
-	// Unlike the other flags this one changes the RNG draw sequence: with
-	// thinning on, results are distribution-identical to the per-tick
-	// draws (same arrival law), not bit-identical; NoThinning restores the
-	// bit-identity guarantee for client workloads.
-	NoThinning bool
-	// NoFaults disables fault injection: layers that would schedule a fault
-	// controller (experiment compile) consult FaultsEnabled and skip it, so
-	// the run carries no controller source, no fault probes and no fault
-	// transitions — bit-identical to one that never declared faults.
-	NoFaults bool
-	// NoFluid makes the experiment layer ignore every workload's Fluid
-	// configuration — no flow wrapper, no crossover controller, no analytic
-	// probes — so the run is bit-identical to one that never configured the
-	// fluid tier. The core itself does not read it.
-	NoFluid bool
 }
 
 // Simulation owns the discrete time loop and everything attached to it:
@@ -122,8 +106,6 @@ type Simulation struct {
 	rng          *rand.Rand
 
 	fastForward bool // production window loop (LoopFlags.NoFastForward off)
-	thinning    bool // sources may thin arrivals (LoopFlags.NoThinning off)
-	noFaults    bool // fault injection disabled (LoopFlags.NoFaults on)
 
 	// agentTick records, per agent, the tick its state has been stepped
 	// through — meaningful only while the agent is active; lazily-stepped
@@ -166,8 +148,6 @@ func NewSimulation(cfg Config) *Simulation {
 		rng:          rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
 		gaugeIdx:     make(map[string]Gauge),
 		fastForward:  !cfg.NoFastForward,
-		thinning:     !cfg.NoThinning,
-		noFaults:     cfg.NoFaults,
 	}
 	s.root = window{s: s, srcMin: neverTick, nextSnap: nextCollectBoundary(0, s.collectEvery), resp: s.Responses}
 	s.drainFn = s.onTaskDone
@@ -187,18 +167,6 @@ func (s *Simulation) RNG() *rand.Rand { return s.rng }
 // Seed returns the seed the simulation was configured with — the base that
 // sub-RNG creation sites pass to DeriveSeed.
 func (s *Simulation) Seed() uint64 { return s.seed }
-
-// Thinning reports whether arrival thinning is enabled (LoopFlags.NoThinning
-// off). Sources that can trade per-tick draws for sampled inter-arrival
-// gaps (workload.AppWorkload) consult it so one simulation-level flag
-// restores the bit-identity guarantee.
-func (s *Simulation) Thinning() bool { return s.thinning }
-
-// FaultsEnabled reports whether fault injection may attach
-// (LoopFlags.NoFaults off). Layers that schedule fault controllers consult
-// it before adding any source or probe, so a NoFaults run is structurally —
-// and therefore bit — identical to a fault-free one.
-func (s *Simulation) FaultsEnabled() bool { return !s.noFaults }
 
 // NextAgentID reserves the next agent identifier.
 func (s *Simulation) NextAgentID() AgentID { return AgentID(len(s.agents)) }

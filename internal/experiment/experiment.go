@@ -67,9 +67,9 @@ type Experiment struct {
 	setup     []func(*Run) error
 }
 
-// LoopFlags are the A/B switches (core.LoopFlags, the one declaration);
-// all zero selects the production configuration. The experiment layer
-// hands them to core.Config whole and itself consults NoFaults and NoFluid.
+// LoopFlags selects the time loop (core.LoopFlags, the one declaration);
+// the zero value selects the production loop. The experiment layer hands it
+// to core.Config whole.
 type LoopFlags = core.LoopFlags
 
 // Workload declares one application workload at one data center, driven by
@@ -242,7 +242,7 @@ func WithDuration(seconds float64) Option {
 	}
 }
 
-// WithLoopFlags sets the time-loop A/B switches.
+// WithLoopFlags selects the time loop.
 func WithLoopFlags(f LoopFlags) Option {
 	return func(e *Experiment) error { e.flags = f; return nil }
 }
@@ -449,7 +449,7 @@ type Run struct {
 	// Growth is the window-shifted growth model driving the daemons.
 	Growth background.GrowthModel
 	// Faults is the attached fault controller; nil when the scenario has
-	// no effective injections (or LoopFlags.NoFaults is set).
+	// no effective injections.
 	Faults *faults.Controller
 
 	executed bool
@@ -570,10 +570,10 @@ func (e *Experiment) attachWorkloads(r *Run) error {
 			Stream:         w.Stream,
 		}
 		// Fluid-configured workloads register through the fluid tier,
-		// which wraps the same source in the precomputed mode schedule;
-		// under NoFluid the wrapper is structurally elided, so the run is
+		// which wraps the same source in the precomputed mode schedule; at
+		// Fluid.Above = 0 the wrapper is structurally elided, so the run is
 		// bit-identical to one that never configured fluid.
-		if w.Fluid.Above > 0 && !e.flags.NoFluid {
+		if w.Fluid.Above > 0 {
 			if err := e.attachFluid(r, w, src, ops); err != nil {
 				return err
 			}

@@ -29,8 +29,8 @@ type Injection = faults.Injection
 
 // TestNoOpFaultsAreBitIdentical is the bit-identity guarantee of the fault
 // suite: an experiment whose fault schedule cannot observe anything — zero
-// magnitude, zero duration, or faults disabled wholesale via
-// LoopFlags.NoFaults — produces exactly the digest of an experiment that
+// magnitude, zero duration, or a fault whose faults.<name>.magnitude axis
+// is swept to zero — produces exactly the digest of an experiment that
 // never declared faults, under every engine. The elision happens at attach
 // time (no controller, no probes, no source), so the runs are structurally
 // identical, not merely numerically close.
@@ -50,9 +50,11 @@ func TestNoOpFaultsAreBitIdentical(t *testing.T) {
 		{"fault-free", nil},
 		{"zero magnitude", []Option{WithFault(brownout(0, 100))}},
 		{"zero duration", []Option{WithFault(brownout(0.5, 0))}},
-		{"NoFaults flag", []Option{
+		// The sweep axis is how a chaos scenario yields its healthy
+		// reference: one point on an otherwise untouched experiment.
+		{"magnitude swept to zero", []Option{
 			WithFault(brownout(0.5, 100)),
-			WithLoopFlags(LoopFlags{NoFaults: true}),
+			func(e *Experiment) error { return applyPath(e, "faults.na.magnitude", 0) },
 		}},
 	}
 	var baseline string

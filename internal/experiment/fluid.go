@@ -53,16 +53,11 @@ func WithFluid(app, dc string, f Fluid) Option {
 
 // fluidWindows collects the effective fault windows — the intervals the
 // fluid tier must simulate discretely so tail behavior under stress stays
-// honest. The effectiveness predicate matches the fault controller's
-// compile-time elision exactly: no-op injections and NoFaults runs force
-// no fallback, keeping such runs bit-identical to their fault-free twins.
+// honest. No-op injections (faults.Injection.NoOp) force no fallback.
 func (e *Experiment) fluidWindows() []fluid.Window {
-	if e.flags.NoFaults {
-		return nil
-	}
 	var wins []fluid.Window
 	for _, inj := range e.faults {
-		if inj.Duration <= 0 || inj.Fault == nil || inj.Fault.NoOp() {
+		if inj.NoOp() {
 			continue
 		}
 		wins = append(wins, fluid.Window{Start: inj.At, End: inj.At + inj.Duration})

@@ -348,6 +348,11 @@ func applyPath(e *Experiment, path string, v float64) error {
 		if len(parts) != 1 {
 			return pathErr(path, "seed takes no sub-path")
 		}
+		// uint64 conversion truncates fractions and is implementation-defined
+		// outside [0, 2^64).
+		if v < 0 || v >= 1<<64 || v != math.Trunc(v) {
+			return pathErr(path, fmt.Sprintf("seed must be a whole number in [0, 2^64), got %v", v))
+		}
 		e.seed = uint64(v)
 		return nil
 	case "step":
@@ -376,6 +381,11 @@ func applyDCPath(e *Experiment, path string, parts []string, v float64) error {
 		return pathErr(path, "want dcs.<dc>.<tier>.cores|servers or dcs.<dc>.clients.slots")
 	}
 	dcName, tierName, field := parts[1], parts[2], parts[3]
+	// Every dcs.* path is a count, and int(v) truncates: 2.5 cores would
+	// run 2 while the CSV reports 2.5.
+	if v != math.Trunc(v) || v > math.MaxInt32 {
+		return pathErr(path, fmt.Sprintf("%s must be a whole number below 2^31, got %v", field, v))
+	}
 	var dc *topology.DCSpec
 	for i := range e.infra.DCs {
 		if e.infra.DCs[i].Name == dcName {

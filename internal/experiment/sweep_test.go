@@ -122,6 +122,27 @@ func TestSweepRejectsInvalidGrids(t *testing.T) {
 		{"negative infinite seed", func() *Sweep {
 			return NewSweep("s", testSweepBase()).Vary("seed", math.Inf(-1))
 		}, "value -Inf is not finite"},
+		{"fractional cores", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("dcs.NA.app.cores", 2.5)
+		}, "cores must be a whole number below 2^31, got 2.5"},
+		{"fractional servers", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("dcs.NA.app.servers", 2, 3.25)
+		}, "servers must be a whole number below 2^31, got 3.25"},
+		{"fractional slots", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("dcs.NA.clients.slots", 1.5)
+		}, "slots must be a whole number below 2^31, got 1.5"},
+		{"huge cores", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("dcs.NA.app.cores", 1e30)
+		}, "cores must be a whole number below 2^31"},
+		{"fractional seed", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("seed", 1, 7.5)
+		}, "seed must be a whole number in [0, 2^64), got 7.5"},
+		{"negative seed", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("seed", -1)
+		}, "seed must be a whole number in [0, 2^64), got -1"},
+		{"seed past uint64", func() *Sweep {
+			return NewSweep("s", testSweepBase()).Vary("seed", 1<<64)
+		}, "seed must be a whole number in [0, 2^64)"},
 		{"bad base", func() *Sweep {
 			return NewSweep("s", func() (*Experiment, error) { return New("broken") }).Vary("step", 0.01)
 		}, "base experiment"},

@@ -59,12 +59,12 @@ type Controller struct {
 	rebuilds []rebuildState
 }
 
-// Attach validates the injections against the built target, elides no-ops,
-// and — when any effective injection remains and the simulation allows
-// faults — registers the controller source and its probes. It returns nil
-// when nothing attaches: a fault-free scenario stays structurally
-// identical to one that never mentioned faults, which is the bit-identity
-// guarantee behind Config.NoFaults and zero-magnitude sweep points.
+// Attach validates the injections against the built target, elides no-ops
+// (Injection.NoOp), and — when any effective injection remains — registers
+// the controller source and its probes. It returns nil when nothing
+// attaches: a fault-free scenario stays structurally identical to one that
+// never mentioned faults, which is the bit-identity guarantee behind
+// zero-magnitude and zero-duration sweep points.
 func Attach(tg Target, injections []Injection) (*Controller, error) {
 	seen := make(map[string]bool, len(injections))
 	effective := make([]Injection, 0, len(injections))
@@ -79,12 +79,12 @@ func Attach(tg Target, injections []Injection) (*Controller, error) {
 		if err := inj.Fault.Validate(tg); err != nil {
 			return nil, fmt.Errorf("faults: injection %q: %w", inj.Name, err)
 		}
-		if inj.noOp() {
+		if inj.NoOp() {
 			continue
 		}
 		effective = append(effective, inj)
 	}
-	if len(effective) == 0 || !tg.Sim.FaultsEnabled() {
+	if len(effective) == 0 {
 		return nil, nil
 	}
 	c := &Controller{tg: tg, inj: effective}

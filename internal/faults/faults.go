@@ -111,8 +111,10 @@ func (inj Injection) validate() error {
 	return nil
 }
 
-// noOp reports whether the injection can be elided: a schedule that opens
-// no window, or a fault whose magnitude changes nothing.
-func (inj Injection) noOp() bool {
-	return inj.Duration <= 0 || inj.Fault.NoOp()
+// NoOp reports whether the injection can be elided: a schedule that opens
+// no window, a missing fault, or a fault whose magnitude changes nothing.
+// It is the one effectiveness predicate: Attach elides exactly these
+// injections, and the fluid tier opens no fallback window for them.
+func (inj Injection) NoOp() bool {
+	return inj.Duration <= 0 || inj.Fault == nil || inj.Fault.NoOp()
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -81,16 +82,69 @@ func TestAttachElidesNoOps(t *testing.T) {
 	}
 }
 
-func TestAttachRespectsNoFaults(t *testing.T) {
-	tg := buildTarget(t, core.Config{Seed: 1, LoopFlags: core.LoopFlags{NoFaults: true}})
-	ctrl, err := Attach(tg, []Injection{
-		{Name: "x", Fault: &WAN{From: "NA", To: "EU", Mag: 1}, At: 5, Duration: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestInjectionNoOp pins the one effectiveness predicate Attach and the
+// fluid tier's fallback windows share: an injection is a no-op when its
+// window is empty, its fault is missing, or its fault changes nothing.
+func TestInjectionNoOp(t *testing.T) {
+	cases := []struct {
+		name string
+		inj  Injection
+		want bool
+	}{
+		{"nil fault", Injection{Name: "x", At: 5, Duration: 10}, true},
+		{"zero duration", Injection{Name: "x", Fault: &WAN{From: "NA", To: "EU", Mag: 1}, At: 5}, true},
+		{"negative duration", Injection{Name: "x", Fault: &DC{DC: "EU", Mag: 1}, At: 5, Duration: -1}, true},
+		{"zero-magnitude WAN", Injection{Name: "x", Fault: &WAN{From: "NA", To: "EU"}, At: 5, Duration: 10}, true},
+		{"zero-magnitude DC", Injection{Name: "x", Fault: &DC{DC: "EU"}, At: 5, Duration: 10}, true},
+		{"storage without derate or rebuild", Injection{Name: "x", Fault: &Storage{DC: "NA", Tier: "app"}, At: 5, Duration: 10}, true},
+		{"failover to itself", Injection{Name: "x", Fault: &Failover{From: "NA", To: "NA"}, At: 5, Duration: 10}, true},
+		{"WAN outage", Injection{Name: "x", Fault: &WAN{From: "NA", To: "EU", Mag: 1}, At: 5, Duration: 10}, false},
+		{"DC brownout", Injection{Name: "x", Fault: &DC{DC: "EU", Mag: 0.5}, At: 0, Duration: 1e-3}, false},
+		{"storage rebuild only", Injection{Name: "x", Fault: &Storage{DC: "NA", Tier: "app", RebuildMBps: 50}, At: 5, Duration: 10}, false},
+		{"failover", Injection{Name: "x", Fault: &Failover{From: "NA", To: "EU"}, At: 5, Duration: 10}, false},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.inj.NoOp(); got != c.want {
+				t.Errorf("NoOp() = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestAttachRespectsNoFaults pins elision end to end: a schedule of no-op
+// injections — zero magnitude, zero duration — leaves the simulation as if
+// faults were never declared: no controller, the same run counters (no
+// transition landings) and the same collector series (no fault probes).
+// The effective leg proves the series comparison sees an attached
+// controller.
+func TestAttachRespectsNoFaults(t *testing.T) {
+	run := func(injections ...Injection) (*Controller, core.RunStats, []string) {
+		tg := buildTarget(t, core.Config{Seed: 1})
+		ctrl, err := Attach(tg, injections)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg.Sim.RunFor(30)
+		return ctrl, tg.Sim.Stats(), tg.Sim.Collector.Keys()
+	}
+	_, wantStats, wantKeys := run()
+	ctrl, gotStats, gotKeys := run(
+		Injection{Name: "dim", Fault: &WAN{From: "NA", To: "EU", Mag: 0}, At: 5, Duration: 10},
+		Injection{Name: "blink", Fault: &DC{DC: "EU", Mag: 1}, At: 5, Duration: 0},
+	)
 	if ctrl != nil {
-		t.Error("NoFaults simulation attached a controller")
+		t.Error("no-op schedule attached a controller")
+	}
+	if gotStats != wantStats {
+		t.Errorf("no-op schedule changed the run counters: %+v vs %+v", gotStats, wantStats)
+	}
+	if !slices.Equal(gotKeys, wantKeys) {
+		t.Errorf("no-op schedule changed the collector series: %v vs %v", gotKeys, wantKeys)
+	}
+	ctrl, _, effKeys := run(Injection{Name: "dark", Fault: &WAN{From: "NA", To: "EU", Mag: 1}, At: 5, Duration: 10})
+	if ctrl == nil || slices.Equal(effKeys, wantKeys) {
+		t.Errorf("effective injection left no trace (controller %v, series %v)", ctrl != nil, effKeys)
 	}
 }
 

@@ -34,13 +34,11 @@ type CaseConfig struct {
 	DisableClients    bool
 	DisableBackground bool
 	// Fluid engages the analytic client-aggregation tier on every client
-	// workload when Fluid.Above > 0 (see experiment.WithFluid).
-	// LoopFlags.NoFluid structurally disables it — bit-identical to never
-	// setting it.
+	// workload when Fluid.Above > 0 (see experiment.WithFluid); the zero
+	// value leaves the tier out entirely.
 	Fluid experiment.Fluid
-	// LoopFlags are the A/B switches (see core.LoopFlags). NoThinning is
-	// the one that restores bit-identity across loops for client scenarios:
-	// thinning preserves the arrival law, not the RNG draw sequence.
+	// LoopFlags selects the time loop (see core.LoopFlags); results are
+	// bit-identical on either loop.
 	core.LoopFlags
 }
 

@@ -41,9 +41,7 @@ func TestChaosFastForwardHitsFaultTicks(t *testing.T) {
 	}
 
 	// Bit-identity of the production loop against the reference loop, with
-	// thinning disabled on both sides: thinned arrivals are
-	// distribution-identical across loops, not bit-identical, and this
-	// comparison pins bits.
+	// the thinned arrivals of the production configuration on both sides.
 	digest := func(flags experiment.LoopFlags) string {
 		e, err := ChaosExperiment(experiment.WithLoopFlags(flags))
 		if err != nil {
@@ -58,8 +56,8 @@ func TestChaosFastForwardHitsFaultTicks(t *testing.T) {
 		}
 		return res.Digest()
 	}
-	opt := digest(experiment.LoopFlags{NoThinning: true})
-	ref := digest(experiment.LoopFlags{NoFastForward: true, NoThinning: true})
+	opt := digest(experiment.LoopFlags{})
+	ref := digest(experiment.LoopFlags{NoFastForward: true})
 	if opt != ref {
 		t.Errorf("chaos run diverged between the production and reference loops:\n%s\n%s", opt, ref)
 	}

@@ -40,9 +40,8 @@ type DayNightConfig struct {
 	// segments whose expected arrivals per tick reach the threshold are
 	// carried as a deterministic M/M/c flow instead of discrete sampling.
 	Fluid experiment.Fluid
-	// LoopFlags are the A/B switches (see core.LoopFlags). NoFluid
-	// structurally disables a configured fluid tier — the run is
-	// bit-identical to one that never set Fluid.
+	// LoopFlags selects the time loop (see core.LoopFlags); results are
+	// bit-identical on either loop.
 	core.LoopFlags
 }
 
@@ -89,7 +88,7 @@ type DayNightResult struct {
 // declarative workload on the validation infrastructure, run for the
 // configured span.
 func RunDayNight(cfg DayNightConfig) (*DayNightResult, error) {
-	return runDayNight(cfg, 1)
+	return runDayNight(cfg, 1, 0)
 }
 
 // RunDayNightFluid is the web-scale variant: the day-night scenario at a
@@ -110,15 +109,39 @@ func RunDayNightFluid(cfg DayNightConfig) (*DayNightResult, error) {
 	if cfg.Fluid.Above <= 0 {
 		cfg.Fluid.Above = 1
 	}
-	return runDayNight(cfg, cfg.PeakUsers/60)
+	return runDayNight(cfg, cfg.PeakUsers/60, 0)
 }
 
-// runDayNight is the shared body: assemble the experiment on the validation
-// infrastructure — server clocks scaled by ghzScale — and harvest the
-// uniform result.
-func runDayNight(cfg DayNightConfig, ghzScale float64) (*DayNightResult, error) {
-	if err := cfg.defaults(); err != nil {
+// runDayNight is the shared body: assemble the experiment (see
+// dayNightExperiment), run it and harvest the uniform result.
+func runDayNight(cfg DayNightConfig, ghzScale, thinBelow float64) (*DayNightResult, error) {
+	e, users, err := dayNightExperiment(&cfg, ghzScale, thinBelow)
+	if err != nil {
 		return nil, err
+	}
+	run, err := e.Run()
+	if err != nil {
+		return nil, err
+	}
+	return &DayNightResult{
+		Config:       cfg,
+		Sim:          run.Sim,
+		Result:       run,
+		Users:        users,
+		CompletedOps: run.Stats.CompletedOps,
+		Responses:    run.Responses,
+		Jumps:        run.Stats.Jumps,
+		SkippedTicks: run.Stats.SkippedTicks,
+	}, nil
+}
+
+// dayNightExperiment fills cfg's defaults and assembles the day-night
+// experiment on the validation infrastructure — server clocks scaled by
+// ghzScale, the CAD workload's thinning threshold set to thinBelow (0 the
+// default, negative per-tick draws). It also returns the population curve.
+func dayNightExperiment(cfg *DayNightConfig, ghzScale, thinBelow float64) (*experiment.Experiment, workload.Curve, error) {
+	if err := cfg.defaults(); err != nil {
+		return nil, workload.Curve{}, err
 	}
 	spec := ValidationInfraSpec()
 	if ghzScale != 1 {
@@ -145,7 +168,8 @@ func runDayNight(cfg DayNightConfig, ghzScale float64) (*DayNightResult, error) 
 				na := inf.DC("NA")
 				return apps.CalibratedCADOps(inf, na, na, step)
 			},
-			Gauges: true,
+			Gauges:    true,
+			ThinBelow: thinBelow,
 		}),
 	}
 	if cfg.Step > 0 {
@@ -155,22 +179,5 @@ func runDayNight(cfg DayNightConfig, ghzScale float64) (*DayNightResult, error) 
 		opts = append(opts, experiment.WithFluid("CAD", "NA", cfg.Fluid))
 	}
 	e, err := experiment.New("daynight", opts...)
-	if err != nil {
-		return nil, err
-	}
-	run, err := e.Run()
-	if err != nil {
-		return nil, err
-	}
-	res := &DayNightResult{
-		Config:       cfg,
-		Sim:          run.Sim,
-		Result:       run,
-		Users:        users,
-		CompletedOps: run.Stats.CompletedOps,
-		Responses:    run.Responses,
-		Jumps:        run.Stats.Jumps,
-		SkippedTicks: run.Stats.SkippedTicks,
-	}
-	return res, nil
+	return e, users, err
 }

@@ -16,7 +16,8 @@ import (
 // Each test runs both loops under the same engine: the production loop never
 // sweeps through it (core's TestProductionLoopNeverCallsEngine), the
 // reference loop sweeps every tick through it, so each non-sequential leg
-// is also that engine's determinism check on the reference loop.
+// is also that engine's determinism check on the reference loop, thinned
+// client arrivals included.
 func ffEngines() []struct {
 	name string
 	mk   func() core.Engine
@@ -108,25 +109,19 @@ func TestFastForwardEquivalenceOnValidation(t *testing.T) {
 	}
 }
 
-// TestFastForwardEquivalenceOnConsolidation proves equivalence on the
-// Chapter 6 case study in the regime fast-forward targets: a daemon-only
-// overnight window where the platform sits idle between SYNCHREP/INDEXBUILD
-// cycles. The fast-forward run must take real jumps (not trivially
-// degenerate into the plain loop) and still reproduce every output bit for
-// bit, including the daemons' own volume and duration series.
-// TestNoThinningBitIdentityWithClients proves that with thinning disabled
-// the production loop stays bit-identical to the reference loop even with
-// open Poisson client workloads attached: a night-floor hour of the
-// Chapter 6 consolidation, where every AppWorkload is due each tick
-// (positive curve vetoes jumps) while the daemons' no-op polls are skipped
-// wholesale.
+// TestNoThinningBitIdentityWithClients proves the production loop stays
+// bit-identical to the reference loop with open Poisson client workloads
+// attached, thinned on both sides: a night-floor hour of the Chapter 6
+// consolidation, where sparse workloads are due only at their committed
+// arrival instants while the daemons' no-op polls are skipped wholesale.
+// (The name predates thinning on the reference loop.)
 func TestNoThinningBitIdentityWithClients(t *testing.T) {
 	run := func(eng core.Engine, noFF bool) *CaseStudy {
 		cs, err := NewConsolidation(CaseConfig{
 			Step: 0.01, Seed: 11, Scale: 0.1,
 			StartHour: 3, EndHour: 4,
 			Engine:    eng,
-			LoopFlags: core.LoopFlags{NoFastForward: noFF, NoThinning: true},
+			LoopFlags: reference(noFF),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -153,10 +148,11 @@ func TestNoThinningBitIdentityWithClients(t *testing.T) {
 // performance change where it does the most: a dense business-hour
 // consolidation slice with interactive clients, and the day-night client
 // scenario, must produce bit-identical completed-operation counts,
-// response records and collector series against the reference loop, under
-// every engine. Thinning is off on both sides: the reference loop polls
-// every tick, and thinned arrivals are distribution-identical across poll
-// schedules, not bit-identical.
+// response records and collector series against the reference loop, with
+// the thinned arrivals of the production configuration on both sides,
+// under every engine. The sequential leg runs the whole day; the other
+// engines run its first six hours (night floor plus the ramp into the
+// business window), enough to check each one against the production loop.
 func TestBulkDenseEquivalence(t *testing.T) {
 	for _, tc := range ffEngines() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,7 +165,7 @@ func TestBulkDenseEquivalence(t *testing.T) {
 						Step: 0.01, Seed: 7, Scale: 0.25,
 						StartHour: 13, EndHour: 14, // the global peak: the dense regime
 						Engine:    tc.mk(),
-						LoopFlags: core.LoopFlags{NoFastForward: ref, NoThinning: true},
+						LoopFlags: reference(ref),
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -190,13 +186,13 @@ func TestBulkDenseEquivalence(t *testing.T) {
 					t.Skip("day-night engine matrix skipped in -short")
 				}
 				hours := 24.0
-				if testing.Short() {
+				if testing.Short() || tc.name != "sequential" {
 					hours = 6 // night floor plus the ramp into the business window
 				}
 				run := func(ref bool) *DayNightResult {
 					res, err := RunDayNight(DayNightConfig{
 						Seed: 42, Hours: hours, Engine: tc.mk(),
-						LoopFlags: core.LoopFlags{NoFastForward: ref, NoThinning: true},
+						LoopFlags: reference(ref),
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -217,8 +213,7 @@ func TestBulkDenseEquivalence(t *testing.T) {
 // TestDayNightLoopEquivalence pins that, with thinning on, the production
 // loop jumps heavily across the night floor — the regime the thinned
 // sampler unlocks. The other guarantee of the scenario, bit-identity to the
-// reference loop with thinning off, is TestBulkDenseEquivalence's day-night
-// leg (every engine, sequential included).
+// reference loop, is TestBulkDenseEquivalence's day-night leg.
 func TestDayNightLoopEquivalence(t *testing.T) {
 	hours := 24.0
 	if testing.Short() {
@@ -236,19 +231,26 @@ func TestDayNightLoopEquivalence(t *testing.T) {
 // TestThinnedArrivalEquivalence is the statistical half of the acceptance
 // contract: thinning changes the RNG draw sequence but not the arrival
 // law, so completed-operation counts and response-time distributions on
-// the day-night scenario must agree with the per-tick loop within
-// sampling tolerance. Counts are compared at five sigma of their summed
-// Poisson variance; response distributions through their pooled mean and
-// 90th percentile.
+// the day-night scenario must agree with per-tick draws (the workload's
+// ThinBelow -1) within sampling tolerance. Counts are compared at five
+// sigma of their summed Poisson variance; response distributions through
+// their pooled mean and 90th percentile. The per-tick run must skip far
+// fewer ticks than the thinned one, or the comparison would be thinned
+// against thinned.
 func TestThinnedArrivalEquivalence(t *testing.T) {
 	thin, err := RunDayNight(DayNightConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tick, err := RunDayNight(DayNightConfig{Seed: 42, LoopFlags: core.LoopFlags{NoThinning: true}})
+	tick, err := runDayNight(DayNightConfig{Seed: 42}, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tick.SkippedTicks >= thin.SkippedTicks/10 {
+		t.Fatalf("per-tick run skipped %d ticks against the thinned run's %d; want far fewer",
+			tick.SkippedTicks, thin.SkippedTicks)
+	}
+	t.Logf("skipped ticks: thinned %d, per-tick %d", thin.SkippedTicks, tick.SkippedTicks)
 	a, b := float64(thin.CompletedOps), float64(tick.CompletedOps)
 	if diff, tol := math.Abs(a-b), 5*math.Sqrt(a+b); diff > tol {
 		t.Errorf("completed ops %v vs %v differ by %v > 5-sigma tolerance %v", a, b, diff, tol)
@@ -284,6 +286,12 @@ func pooledDurations(r *metrics.Responses) (n int, mean, p90 float64) {
 	return len(all), sum / float64(len(all)), all[len(all)*9/10]
 }
 
+// TestFastForwardEquivalenceOnConsolidation proves equivalence on the
+// Chapter 6 case study in the regime fast-forward targets: a daemon-only
+// overnight window where the platform sits idle between SYNCHREP/INDEXBUILD
+// cycles. The fast-forward run must take real jumps (not trivially
+// degenerate into the plain loop) and still reproduce every output bit for
+// bit, including the daemons' own volume and duration series.
 func TestFastForwardEquivalenceOnConsolidation(t *testing.T) {
 	endHour := 4
 	if testing.Short() {

@@ -174,86 +174,55 @@ func TestFluidDayNightEquivalence(t *testing.T) {
 	}
 }
 
-// TestFluidNoFluidBitIdentity pins the structural-elision contract on all
-// four equivalence scenarios: a run with the fluid tier configured but
-// NoFluid set is bit-identical to one that never configured the tier — no
-// wrapper, no controller, no probes, no compile-time derivation draws.
+// TestFluidNoFluidBitIdentity pins the structural-elision contract: a
+// fluid-configured experiment whose workloads.<app>.<dc>.fluid axis is
+// swept to 0 (Fluid.Above = 0) is bit-identical to one that never
+// configured the tier — no wrapper, no controller, no probes, no
+// compile-time derivation draws — on the day-night and chaos scenarios.
+// The seed axis replays the unconfigured run's seed on the sweep point.
 func TestFluidNoFluidBitIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four scenario pairs skipped in -short")
+		t.Skip("scenario pairs skipped in -short")
+	}
+	zeroed := func(base func() (*experiment.Experiment, error), axis string, seed uint64) string {
+		t.Helper()
+		res, err := experiment.NewSweep("zero-fluid", base).Vary(axis, 0).Vary("seed", float64(seed)).Run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Points[0].Res.Digest()
 	}
 	t.Run("daynight", func(t *testing.T) {
 		cfg := fluidDayNightConfig()
 		cfg.Hours = 2 // the night regime is enough to pin elision
-		cfg.NoFluid = true
-		with, err := RunDayNight(cfg)
+		with := zeroed(func() (*experiment.Experiment, error) {
+			cfg := cfg
+			e, _, err := dayNightExperiment(&cfg, 1, 0)
+			return e, err
+		}, "workloads.CAD.NA.fluid", cfg.Seed)
+		cfg.Fluid = experiment.Fluid{}
+		without, err := RunDayNight(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plainCfg := cfg
-		plainCfg.Fluid = experiment.Fluid{}
-		plainCfg.NoFluid = false
-		without, err := RunDayNight(plainCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := with.Result.Digest(), without.Result.Digest(); a != b {
-			t.Errorf("NoFluid run diverged from unconfigured run:\n%s\n%s", a, b)
-		}
-	})
-	t.Run("consolidation", func(t *testing.T) {
-		run := func(fl experiment.Fluid, noFluid bool) string {
-			cs, err := NewConsolidation(CaseConfig{
-				Step: 0.01, Seed: 11, Scale: 0.25, StartHour: 12, EndHour: 13,
-				Fluid:     fl,
-				LoopFlags: core.LoopFlags{NoFluid: noFluid},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs.Run()
-			return cs.Result.Digest()
-		}
-		with := run(experiment.Fluid{Above: 1e-4}, true)
-		without := run(experiment.Fluid{}, false)
-		if with != without {
-			t.Errorf("NoFluid consolidation diverged from unconfigured run:\n%s\n%s", with, without)
-		}
-	})
-	t.Run("validation", func(t *testing.T) {
-		run := func(noFluid bool) string {
-			res, err := RunValidation(ValidationConfig{
-				Seed: 5, LaunchFor: 120, RunFor: 180, SteadyStart: 30, SteadyEnd: 120,
-				LoopFlags: core.LoopFlags{NoFluid: noFluid},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer res.Sim.Shutdown()
-			return res.Result.Digest()
-		}
-		if with, without := run(true), run(false); with != without {
-			t.Errorf("NoFluid validation diverged from default run:\n%s\n%s", with, without)
+		if b := without.Result.Digest(); with != b {
+			t.Errorf("zero-threshold run diverged from unconfigured run:\n%s\n%s", with, b)
 		}
 	})
 	t.Run("chaos", func(t *testing.T) {
-		run := func(extra ...experiment.Option) string {
-			e, err := ChaosExperiment(extra...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Digest()
+		with := zeroed(func() (*experiment.Experiment, error) {
+			return ChaosExperiment(experiment.WithFluid("PDM", "EU", experiment.Fluid{Above: 0.0005}))
+		}, "workloads.PDM.EU.fluid", 42)
+		e, err := ChaosExperiment()
+		if err != nil {
+			t.Fatal(err)
 		}
-		with := run(
-			experiment.WithFluid("PDM", "EU", experiment.Fluid{Above: 0.0005}),
-			experiment.WithLoopFlags(experiment.LoopFlags{NoFluid: true}),
-		)
-		if without := run(); with != without {
-			t.Errorf("NoFluid chaos diverged from unconfigured run:\n%s\n%s", with, without)
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if without := res.Digest(); with != without {
+			t.Errorf("zero-threshold chaos diverged from unconfigured run:\n%s\n%s", with, without)
 		}
 	})
 }

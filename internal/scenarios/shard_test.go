@@ -139,12 +139,9 @@ func TestShardedEquivalenceConsolidation(t *testing.T) {
 		})
 	}
 	t.Run("sharded-4-nostretch", func(t *testing.T) {
-		// Thinned arrivals are not bit-identical across poll schedules, so
-		// both loops run with thinning off.
-		want := run(&core.SequentialEngine{}, core.LoopFlags{NoThinning: true})
 		eng := sharded(4)
-		if got := run(eng, core.LoopFlags{NoFastForward: true, NoThinning: true}); got != want {
-			t.Errorf("reference-loop digest diverged from sequential loop:\n%s\n%s", want, got)
+		if got := run(eng, reference(true)); got != ref {
+			t.Errorf("reference-loop digest diverged from sequential loop:\n%s\n%s", ref, got)
 		}
 		checkUse(t, eng, true)
 	})
@@ -172,10 +169,8 @@ func TestShardedEquivalenceConsolidation(t *testing.T) {
 }
 
 // TestShardedEquivalenceDayNight covers the thinned day-night client
-// workload: thinning changes the RNG draw sequence relative to per-tick
-// polling but is engine-independent, so digests under every worker count
-// must match the sequential run under identical flags. The reference-loop
-// legs run with thinning off on both sides, and over the first two hours —
+// workload: digests under every worker count must match the sequential
+// production loop. The reference-loop legs run over the first two hours —
 // night floor and the start of the ramp — since the reference loop steps
 // every one of the run's ticks.
 func TestShardedEquivalenceDayNight(t *testing.T) {
@@ -191,7 +186,7 @@ func TestShardedEquivalenceDayNight(t *testing.T) {
 		return res.Result.Digest()
 	}
 	ref := run(&core.SequentialEngine{}, 6, core.LoopFlags{})
-	refNT := run(&core.SequentialEngine{}, 2, core.LoopFlags{NoThinning: true})
+	ref2h := run(&core.SequentialEngine{}, 2, core.LoopFlags{})
 	for _, n := range shardCounts {
 		t.Run(fmt.Sprintf("sharded-%d", n), func(t *testing.T) {
 			eng := sharded(n)
@@ -202,8 +197,8 @@ func TestShardedEquivalenceDayNight(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("sharded-%d-nostretch", n), func(t *testing.T) {
 			eng := sharded(n)
-			if got := run(eng, 2, core.LoopFlags{NoFastForward: true, NoThinning: true}); got != refNT {
-				t.Errorf("reference-loop digest diverged from sequential loop:\n%s\n%s", refNT, got)
+			if got := run(eng, 2, reference(true)); got != ref2h {
+				t.Errorf("reference-loop digest diverged from sequential loop:\n%s\n%s", ref2h, got)
 			}
 			checkUse(t, eng, true)
 		})
@@ -250,11 +245,10 @@ func TestShardedEquivalenceChaos(t *testing.T) {
 		})
 	}
 	t.Run("sharded-4-nostretch", func(t *testing.T) {
-		want := run(experiment.WithLoopFlags(experiment.LoopFlags{NoThinning: true}))
 		eng := sharded(4)
-		got := run(withEngine(eng), experiment.WithLoopFlags(experiment.LoopFlags{NoFastForward: true, NoThinning: true}))
-		if got != want {
-			t.Errorf("reference-loop digest diverged from sequential loop:\n%s\n%s", want, got)
+		got := run(withEngine(eng), experiment.WithLoopFlags(reference(true)))
+		if got != ref {
+			t.Errorf("reference-loop digest diverged from sequential loop:\n%s\n%s", ref, got)
 		}
 		checkUse(t, eng, true)
 	})

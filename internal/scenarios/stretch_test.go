@@ -17,8 +17,7 @@ import (
 // workers were stopped before the run (noshards) or sit idle
 // (default-gate) on the production loop, and one swept every tick on the
 // reference loop (nostretch). Every leg must also reproduce the sequential
-// production loop's digest (with thinning off on both sides for the
-// reference loop).
+// production loop's digest.
 func TestMailboxAuditContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("run-counter contract skipped in -short")
@@ -36,17 +35,15 @@ func TestMailboxAuditContract(t *testing.T) {
 		return cs
 	}
 	ref := run(nil, core.LoopFlags{}).Result.Digest()
-	refNT := run(nil, core.LoopFlags{NoThinning: true}).Result.Digest()
 	for _, tc := range []struct {
 		name  string
 		eng   core.Engine
 		flags core.LoopFlags
-		want  string
 	}{
-		{"sequential", &core.SequentialEngine{}, core.LoopFlags{}, ref},
-		{"noshards", stopped(4), core.LoopFlags{}, ref},
-		{"default-gate", sharded(4), core.LoopFlags{}, ref},
-		{"nostretch", sharded(4), core.LoopFlags{NoFastForward: true, NoThinning: true}, refNT},
+		{"sequential", &core.SequentialEngine{}, core.LoopFlags{}},
+		{"noshards", stopped(4), core.LoopFlags{}},
+		{"default-gate", sharded(4), core.LoopFlags{}},
+		{"nostretch", sharded(4), reference(true)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cs := run(tc.eng, tc.flags)
@@ -58,8 +55,8 @@ func TestMailboxAuditContract(t *testing.T) {
 			if w, ok := tc.eng.(*watched); ok {
 				checkUse(t, w, tc.flags.NoFastForward)
 			}
-			if got := cs.Result.Digest(); got != tc.want {
-				t.Errorf("digest diverged from the sequential loop:\n%s\n%s", tc.want, got)
+			if got := cs.Result.Digest(); got != ref {
+				t.Errorf("digest diverged from the sequential loop:\n%s\n%s", ref, got)
 			}
 		})
 	}

@@ -74,9 +74,8 @@ type ValidationConfig struct {
 	RunFor    float64
 	// Steady-state window for Table 5.2 statistics; defaults [5, 34] min.
 	SteadyStart, SteadyEnd float64
-	// LoopFlags are the A/B switches (see core.LoopFlags). The validation
-	// scenario launches series, not declarative workloads, so NoThinning
-	// and NoFluid are no-ops here.
+	// LoopFlags selects the time loop (see core.LoopFlags); results are
+	// bit-identical on either loop.
 	core.LoopFlags
 }
 

@@ -46,11 +46,11 @@ type AppWorkload struct {
 	// ThinBelow overrides the per-tick expected-arrival threshold below
 	// which arrivals are sampled by exponential-gap thinning instead of
 	// per-tick Poisson draws. 0 selects DefaultThinBelow; a negative value
-	// disables thinning for this workload regardless of the simulation
-	// flag. Thinning preserves the arrival law (same nonhomogeneous
-	// Poisson process) but changes the RNG draw sequence, so results are
-	// distribution-identical, not bit-identical; core.Config.NoThinning
-	// restores bit-identity globally.
+	// disables thinning for this workload. Thinning preserves the arrival
+	// law (same nonhomogeneous Poisson process) but draws the RNG in a
+	// different order than per-tick draws, so the two modes are
+	// distribution-identical, not bit-identical. Either mode is
+	// bit-identical across the production and reference loops.
 	ThinBelow float64
 	// Stream identifies this workload's RNG stream. The workload's arrival
 	// randomness is seeded with core.DeriveSeed(simulation seed, Stream), so
@@ -134,7 +134,7 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 	}
 	w.step = s.Clock().Step()
 	w.pending = math.NaN()
-	if s.Thinning() && w.ThinBelow >= 0 {
+	if w.ThinBelow >= 0 {
 		w.thinBelow = w.ThinBelow
 		if w.thinBelow == 0 {
 			w.thinBelow = DefaultThinBelow
