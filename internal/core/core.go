@@ -190,11 +190,14 @@ func (b *AgentBase) Arrive(h float64) {
 // instead of trusting the cached calendar entry. Activation implies
 // invalidation, so MarkDirty and MarkActive are the same operation — the
 // two names exist because call sites mean different things: queues notify
-// transitions (dirty), sources and routers hand over work (active). Like
-// MarkActive it must only be called from sequential phases; state changes
-// inside the parallel Step phase need no hook, because they can only occur
-// at an agent's scheduled event tick, where the loop rekeys the agent right
-// after it acts.
+// transitions (dirty), sources and routers hand over work (active). A state
+// change that may move an event sits between Sync and MarkDirty on its agent;
+// the hardware rate methods (CPU.Derate and Reserve, RAID/SAN.Derate,
+// Link.Degrade and Repair) place both calls themselves, so their callers need
+// neither. Like MarkActive it must only be called from sequential phases;
+// state changes inside the parallel Step phase need no hook, because they can
+// only occur at an agent's scheduled event tick, where the loop rekeys the
+// agent right after it acts.
 func (b *AgentBase) MarkDirty() { b.MarkActive() }
 
 // Pin keeps the agent in the active set permanently: it is swept every tick

@@ -214,7 +214,7 @@ func TestGaugeTracksConcurrentOps(t *testing.T) {
 		if n < 3 {
 			n++
 			op := singleStageOp("G", "NA", cpu, 100) // 1s each
-			op.GaugeKey = "clients"
+			op.Gauge = sim.GaugeHandle("clients")
 			sim.StartOp(op)
 		}
 	}))

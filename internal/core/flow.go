@@ -57,13 +57,9 @@ type OpRun struct {
 	Name string
 	// DC is the client's data center, used for response-time attribution.
 	DC string
-	// GaugeKey, when non-empty, increments the named simulation gauge for
-	// the lifetime of the operation (concurrent-client accounting).
-	// Launchers on the hot path should pre-intern the key and set Gauge
-	// instead; GaugeKey is interned on every StartOp.
-	GaugeKey string
-	// Gauge is the interned form of GaugeKey (see Simulation.GaugeHandle);
-	// zero means none. When both are set, Gauge wins.
+	// Gauge, when non-zero, increments the simulation gauge it interns (see
+	// Simulation.GaugeHandle) for the lifetime of the operation
+	// (concurrent-client accounting).
 	Gauge Gauge
 	// NumSteps is the number of sequential steps in the cascade.
 	NumSteps int
@@ -119,9 +115,6 @@ type token struct {
 func (s *Simulation) startOp(op OpRun) *Flow {
 	if op.NumSteps <= 0 || op.Expand == nil {
 		panic(fmt.Sprintf("core: operation %q needs NumSteps > 0 and an Expand function", op.Name))
-	}
-	if op.Gauge == 0 && op.GaugeKey != "" {
-		op.Gauge = s.GaugeHandle(op.GaugeKey)
 	}
 	w := &s.root
 	f := w.newFlow()

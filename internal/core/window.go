@@ -80,8 +80,9 @@ func (w *window) pollDue() {
 }
 
 // rekey recomputes the calendar entry of every agent marked dirty —
-// MarkDirty/MarkActive: delay-line enqueues, custom agents, the Sync/MarkDirty
-// brackets of rate changes, registrations — and clears the dirty set. The
+// MarkDirty/MarkActive: delay-line enqueues, custom agents, the hardware rate
+// changes (which Sync before and MarkDirty after themselves), registrations —
+// and clears the dirty set. The
 // hardware arrivals (Arrive) and the agents that acted (settle) key
 // themselves, so only these agents pay a Horizon call here. A horizon is
 // relative to the tick the agent's state has been stepped through, so the

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/faults"
 	"repro/internal/topology"
 )
@@ -131,7 +130,7 @@ type PointError struct {
 	Seed   uint64
 	Values []PointValue // the coordinates applied before the panic
 	Panic  any          // the recovered value
-	Stack  []byte       // the panicking goroutine's stack (a shard worker's, when one failed)
+	Stack  []byte       // the recovering goroutine's stack; a *dispatch.ShardPanic carries its worker's
 }
 
 func (e *PointError) Error() string {
@@ -266,11 +265,7 @@ func (s *Sweep) runPoint(idx int) (pr PointResult) {
 	defer func() {
 		// Experiment.Run has released the point's engine on its way out.
 		if p := recover(); p != nil {
-			stack := debug.Stack()
-			if sp, ok := p.(*dispatch.ShardPanic); ok {
-				stack = sp.Stack // where the shard failed; ours only shows the barrier
-			}
-			pr.Err = &PointError{Index: idx, Seed: pr.Seed, Values: pr.Values, Panic: p, Stack: stack}
+			pr.Err = &PointError{Index: idx, Seed: pr.Seed, Values: pr.Values, Panic: p, Stack: debug.Stack()}
 		}
 	}()
 	e, err := s.base()

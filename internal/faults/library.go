@@ -127,9 +127,7 @@ func (f *DC) derate(tg Target, factor float64) {
 	dc := tg.Infra.DC(f.DC)
 	for _, tier := range dc.Tiers {
 		for _, srv := range tier.Servers {
-			srv.CPU.Sync()
 			srv.CPU.Derate(factor)
-			srv.CPU.MarkDirty()
 		}
 	}
 }
@@ -214,15 +212,11 @@ func (f *Storage) derate(tg Target, factor float64) {
 	tier := tg.Infra.DC(f.DC).Tier(f.Tier)
 	for _, srv := range tier.Servers {
 		if srv.RAID != nil {
-			srv.RAID.Sync()
 			srv.RAID.Derate(factor)
-			srv.RAID.MarkDirty()
 		}
 	}
 	if tier.SAN != nil {
-		tier.SAN.Sync()
 		tier.SAN.Derate(factor)
-		tier.SAN.MarkDirty()
 	}
 }
 
@@ -256,17 +250,8 @@ func (f *Storage) RebuildInterval() float64 {
 func (f *Storage) RebuildStep(tg Target, seq int) {
 	tier := tg.Infra.DC(f.DC).Tier(f.Tier)
 	srv := tier.Servers[seq%len(tier.Servers)]
-	bytes := f.RebuildMBps * 1e6 * rebuildInterval
-	var stages []core.Stage
-	switch {
-	case srv.RAID != nil:
-		stages = []core.Stage{{Queue: srv.RAID, Demand: bytes}}
-	case tier.SAN != nil:
-		stages = []core.Stage{
-			{Queue: tier.SANLink, Demand: bytes},
-			{Queue: tier.SAN, Demand: bytes},
-		}
-	default:
+	stages := srv.AppendStorage(nil, f.RebuildMBps*1e6*rebuildInterval)
+	if len(stages) == 0 {
 		return // validated topologies always have one of the two
 	}
 	plan := core.MessagePlan{Stages: stages}

@@ -100,16 +100,15 @@ func (c *CPU) Rate() float64 { return c.sockets[0].Rate() }
 // (a browned-out data center running on reduced power). The factor is
 // absolute against the spec rate, not cumulative; factor 1 restores full
 // speed. In-service tasks finish their remaining cycles at the new rate.
-// Callers must invoke it from a sequential phase and bracket it with
-// Sync/MarkDirty on this agent, which the topology-layer helpers do.
-// Panics on factor outside (0, 1] — a fully dead DC is modeled by
-// isolating it, not by a zero rate.
+// It must run in a sequential phase; it replays the ticks the loop deferred
+// (Sync) before the change and rekeys the agent's calendar entry
+// (MarkDirty) after it. Panics on factor outside (0, 1] — a fully dead DC
+// is modeled by isolating it, not by a zero rate.
 func (c *CPU) Derate(factor float64) {
 	if factor <= 0 || factor > 1 {
 		panic(fmt.Sprintf("hardware: CPU derate factor %v outside (0, 1]", factor))
 	}
-	c.derate = factor
-	c.applyRate()
+	c.setFactors(factor, c.reserve)
 }
 
 // Reserve withholds a fraction of every core's capacity for analytically
@@ -117,30 +116,31 @@ func (c *CPU) Derate(factor float64) {
 // a tier shared between a fluid flow and discrete cascades reports honest
 // queueing for the latter. The fraction is absolute — successive calls
 // replace, not compound — and composes multiplicatively with any fault
-// Derate in effect. Like Derate, callers must invoke it from a sequential
-// phase and bracket it with Sync/MarkDirty on this agent (the
-// topology.Tier.ReserveCPU helper does). Panics outside [0, 1): a flow
+// Derate in effect. Like Derate it must run in a sequential phase and
+// brackets itself with Sync/MarkDirty. Panics outside [0, 1): a flow
 // claiming the whole tier must be rejected by the fluid saturation guard
 // upstream, not silently zero the rate.
 func (c *CPU) Reserve(frac float64) {
 	if frac < 0 || frac >= 1 {
 		panic(fmt.Sprintf("hardware: CPU reserve fraction %v outside [0, 1)", frac))
 	}
-	c.reserve = frac
-	c.applyRate()
+	c.setFactors(c.derate, frac)
 }
 
 // Reserved returns the capacity fraction currently withheld by Reserve.
 func (c *CPU) Reserved() float64 { return c.reserve }
 
-// applyRate recomputes the per-core service rate from the spec and the two
-// absolute factors. In-service tasks finish their remaining cycles at the
-// new rate.
-func (c *CPU) applyRate() {
+// setFactors sets the two absolute factors and recomputes the per-core
+// service rate from them and the spec, between Sync and MarkDirty.
+// In-service tasks finish their remaining cycles at the new rate.
+func (c *CPU) setFactors(derate, reserve float64) {
+	c.Sync()
+	c.derate, c.reserve = derate, reserve
 	rate := c.spec.GHz * 1e9 * c.spec.HTFactor * c.derate * (1 - c.reserve)
 	for _, s := range c.sockets {
 		s.SetRate(rate)
 	}
+	c.MarkDirty()
 }
 
 // Enqueue assigns the task to the next socket round-robin, after catching
@@ -206,6 +206,12 @@ func (c *CPU) QueueDepth() int {
 		n += s.Waiting() + s.InService()
 	}
 	return n
+}
+
+// IsolatedCost returns the contention-free service time of demand cycles on
+// one core at the spec rate.
+func (c *CPU) IsolatedCost(demand, _ float64) float64 {
+	return demand / (c.spec.GHz * 1e9 * c.spec.HTFactor)
 }
 
 var _ core.QueueAgent = (*CPU)(nil)

@@ -1,6 +1,7 @@
 package hardware
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -30,6 +31,9 @@ func TestCPUSpecValidation(t *testing.T) {
 		{Sockets: 0, Cores: 4, GHz: 2},
 		{Sockets: 1, Cores: 0, GHz: 2},
 		{Sockets: 1, Cores: 4, GHz: 0},
+		{Sockets: 1, Cores: 4, GHz: math.NaN()},
+		{Sockets: 1, Cores: 4, GHz: math.Inf(1)},
+		{Sockets: 1, Cores: 4, GHz: 2, HTFactor: math.NaN()},
 	}
 	for _, spec := range bad {
 		func() {
@@ -40,6 +44,32 @@ func TestCPUSpecValidation(t *testing.T) {
 			}()
 			NewCPU(s, "cpu", spec)
 		}()
+	}
+}
+
+// NewNIC, NewSwitch and NewMemory reject a speed, capacity or hit rate that
+// is not a finite number in range — NaN, for which every comparison is
+// false, and ±Inf included.
+func TestNetAndMemoryConstructorValidation(t *testing.T) {
+	s := core.NewSimulation(core.Config{})
+	panics := func(name string, build func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		build()
+	}
+	for _, gbps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		panics(fmt.Sprintf("NewNIC(%v)", gbps), func() { NewNIC(s, "nic", gbps) })
+		panics(fmt.Sprintf("NewSwitch(%v)", gbps), func() { NewSwitch(s, "sw", gbps) })
+	}
+	for _, c := range []struct{ capacity, hitRate float64 }{
+		{0, 0.5}, {-1, 0.5}, {math.NaN(), 0.5}, {math.Inf(1), 0.5}, {math.Inf(-1), 0.5},
+		{1e9, -0.1}, {1e9, 1.1}, {1e9, math.NaN()}, {1e9, math.Inf(1)}, {1e9, math.Inf(-1)},
+	} {
+		panics(fmt.Sprintf("NewMemory(%v, %v)", c.capacity, c.hitRate), func() { NewMemory(c.capacity, c.hitRate, 1) })
 	}
 }
 
@@ -383,6 +413,7 @@ func TestStorageSpecValidation(t *testing.T) {
 	for name, breakIt := range map[string]func(*DiskSpec){
 		"zero drive rate":        func(d *DiskSpec) { d.MBps = 0 },
 		"NaN drive rate":         func(d *DiskSpec) { d.MBps = nan },
+		"infinite drive rate":    func(d *DiskSpec) { d.MBps = math.Inf(1) },
 		"NaN disk cache rate":    func(d *DiskSpec) { d.CtrlGbps = nan },
 		"negative disk hit rate": func(d *DiskSpec) { d.HitRate = -0.1 },
 		"disk hit rate above 1":  func(d *DiskSpec) { d.HitRate = 2 },
@@ -610,15 +641,9 @@ func requireQuiet(t testing.TB, a core.Agent, n int, dt float64) {
 	case *Link:
 		qs = append(qs, v.q)
 	case *RAID:
-		qs = append(qs, v.dacc, v.array.dcc)
-		for _, hdd := range v.array.lanes {
-			qs = append(qs, hdd)
-		}
+		qs = storeQueues(&v.store)
 	case *SAN:
-		qs = append(qs, v.fcsw, v.dacc, v.fcal, v.array.dcc)
-		for _, hdd := range v.array.lanes {
-			qs = append(qs, hdd)
-		}
+		qs = storeQueues(&v.store)
 	case *oracleStore:
 		for _, q := range v.stages {
 			qs = append(qs, q)
@@ -635,6 +660,20 @@ func requireQuiet(t testing.TB, a core.Agent, n int, dt float64) {
 			t.Fatalf("%s: a %d-tick StepN chunk (%v s) spans a queue event %v s away", a.Name(), n, span, h)
 		}
 	}
+}
+
+// storeQueues lists every queue of a RAID or SAN: its stages, the lockstep
+// controller caches and the drive lanes.
+func storeQueues(s *store) []interface{ Horizon() float64 } {
+	var qs []interface{ Horizon() float64 }
+	for _, q := range s.stages {
+		qs = append(qs, q)
+	}
+	qs = append(qs, s.array.dcc)
+	for _, hdd := range s.array.lanes {
+		qs = append(qs, hdd)
+	}
+	return qs
 }
 
 // TestStepNMatchesStep replays every bulk-stepping hardware agent through

@@ -29,11 +29,12 @@ func drawHit(src *rand.PCG, p float64) bool {
 }
 
 // NewMemory creates a memory component with capacity in bytes and a cache
-// hit rate in [0,1]. The rng stream keeps hit decisions deterministic:
+// hit rate in [0,1], checked as one conjunction so NaN and ±Inf are
+// rejected. The rng stream keeps hit decisions deterministic:
 // its state is derived from the caller's seed through core.DeriveSeed, so
 // each memory's draws depend only on its own identity.
 func NewMemory(capacity, hitRate float64, seed uint64) *Memory {
-	if capacity <= 0 || hitRate < 0 || hitRate > 1 {
+	if !(capacity > 0 && hitRate >= 0 && hitRate <= 1 && finite(capacity)) {
 		panic(fmt.Sprintf("hardware: invalid Memory capacity=%v hitRate=%v", capacity, hitRate))
 	}
 	return &Memory{

@@ -7,99 +7,79 @@ import (
 	"repro/internal/queueing"
 )
 
-// NIC models a network interface card as an M/M/1 FCFS queue (Fig. 3-6
-// left). Demands are bytes; the rate derives from the card speed.
-type NIC struct {
+// fcfsPort is the body NIC and Switch share: one single-server FCFS queue
+// whose demands are bytes, served at the card or switch speed.
+type fcfsPort struct {
 	core.AgentBase
 	q    *queueing.FCFS
 	rate float64
 }
 
-// NewNIC creates and registers a NIC with speed in Gbps.
-func NewNIC(sim *core.Simulation, name string, gbps float64) *NIC {
-	if gbps <= 0 {
-		panic(fmt.Sprintf("hardware: invalid NIC speed %v Gbps", gbps))
+// init builds the queue at gbps and names the agent; the caller registers
+// the agent that embeds the port. kind names the device in the panic on a
+// speed that is not a positive finite number.
+func (p *fcfsPort) init(sim *core.Simulation, name, kind string, gbps float64) {
+	if !(gbps > 0 && finite(gbps)) {
+		panic(fmt.Sprintf("hardware: invalid %s speed %v Gbps", kind, gbps))
 	}
-	rate := gbps * 1e9 / 8 // bytes per second
-	n := &NIC{q: queueing.NewFCFS(1, rate), rate: rate}
-	n.q.SetNotify(n.Arrive)
-	n.InitAgent(sim.NextAgentID(), name)
-	sim.AddAgent(n)
-	return n
+	p.rate = gbps * 1e9 / 8 // bytes per second
+	p.q = queueing.NewFCFS(1, p.rate)
+	p.q.SetNotify(p.Arrive)
+	p.InitAgent(sim.NextAgentID(), name)
 }
 
 // Rate returns the service rate in bytes/second.
-func (n *NIC) Rate() float64 { return n.rate }
+func (p *fcfsPort) Rate() float64 { return p.rate }
 
 // Enqueue adds a transfer task (Demand in bytes), after catching up any
 // ticks the bulk-dense loop deferred. The queue's notify hook reports the
 // arrival to the agent's calendar entry (Arrive).
-func (n *NIC) Enqueue(t *queueing.Task) {
-	n.Sync()
-	n.q.Enqueue(t)
+func (p *fcfsPort) Enqueue(t *queueing.Task) {
+	p.Sync()
+	p.q.Enqueue(t)
 }
 
 // Step advances the queue.
-func (n *NIC) Step(dt float64) { n.q.Step(dt, n.BufferDone) }
+func (p *fcfsPort) Step(dt float64) { p.q.Step(dt, p.BufferDone) }
 
-// StepN advances the queue through nticks quiet ticks in bulk.
-func (n *NIC) StepN(nticks int, dt float64) { n.q.BulkStep(nticks, dt) }
+// StepN advances the queue through n quiet ticks in bulk.
+func (p *fcfsPort) StepN(n int, dt float64) { p.q.BulkStep(n, dt) }
 
-// Idle reports whether the NIC has no work.
-func (n *NIC) Idle() bool { return n.q.Idle() }
+// Idle reports whether the queue has no work.
+func (p *fcfsPort) Idle() bool { return p.q.Idle() }
 
-// Horizon returns the time until the NIC's next completion.
-func (n *NIC) Horizon() float64 { return n.q.Horizon() }
+// Horizon returns the time until the next completion.
+func (p *fcfsPort) Horizon() float64 { return p.q.Horizon() }
 
 // TakeBusy returns busy seconds since the last call.
-func (n *NIC) TakeBusy() float64 { return n.q.TakeBusy() }
+func (p *fcfsPort) TakeBusy() float64 { return p.q.TakeBusy() }
+
+// IsolatedCost returns the contention-free service time of demand bytes.
+func (p *fcfsPort) IsolatedCost(demand, _ float64) float64 { return demand / p.Rate() }
+
+// NIC models a network interface card as an M/M/1 FCFS queue (Fig. 3-6
+// left). Demands are bytes; the rate derives from the card speed.
+type NIC struct{ fcfsPort }
+
+// NewNIC creates and registers a NIC with speed in Gbps.
+func NewNIC(sim *core.Simulation, name string, gbps float64) *NIC {
+	n := new(NIC)
+	n.init(sim, name, "NIC", gbps)
+	sim.AddAgent(n)
+	return n
+}
 
 // Switch models a network switch as an M/M/1 FCFS queue (Fig. 3-6 center),
 // typically an order of magnitude faster than the NICs it serves.
-type Switch struct {
-	core.AgentBase
-	q    *queueing.FCFS
-	rate float64
-}
+type Switch struct{ fcfsPort }
 
 // NewSwitch creates and registers a switch with speed in Gbps.
 func NewSwitch(sim *core.Simulation, name string, gbps float64) *Switch {
-	if gbps <= 0 {
-		panic(fmt.Sprintf("hardware: invalid switch speed %v Gbps", gbps))
-	}
-	rate := gbps * 1e9 / 8
-	s := &Switch{q: queueing.NewFCFS(1, rate), rate: rate}
-	s.q.SetNotify(s.Arrive)
-	s.InitAgent(sim.NextAgentID(), name)
+	s := new(Switch)
+	s.init(sim, name, "switch", gbps)
 	sim.AddAgent(s)
 	return s
 }
-
-// Rate returns the service rate in bytes/second.
-func (s *Switch) Rate() float64 { return s.rate }
-
-// Enqueue adds a forwarding task (Demand in bytes), after catching up any
-// ticks the bulk-dense loop deferred. The queue's notify hook reports the
-// arrival to the agent's calendar entry (Arrive).
-func (s *Switch) Enqueue(t *queueing.Task) {
-	s.Sync()
-	s.q.Enqueue(t)
-}
-
-// Step advances the queue.
-func (s *Switch) Step(dt float64) { s.q.Step(dt, s.BufferDone) }
-
-// StepN advances the queue through n quiet ticks in bulk.
-func (s *Switch) StepN(n int, dt float64) { s.q.BulkStep(n, dt) }
-
-// Idle reports whether the switch has no work.
-func (s *Switch) Idle() bool { return s.q.Idle() }
-
-// Horizon returns the time until the switch's next completion.
-func (s *Switch) Horizon() float64 { return s.q.Horizon() }
-
-// TakeBusy returns busy seconds since the last call.
-func (s *Switch) TakeBusy() float64 { return s.q.TakeBusy() }
 
 // Link models a network link as an M/M/1/k processor-sharing queue with a
 // constant latency (Fig. 3-6 right). Bandwidth is divided uniformly among
@@ -197,6 +177,10 @@ func (l *Link) Horizon() float64 { return l.q.Horizon() }
 // the allocated capacity over a window is bytes / (Rate() x window).
 func (l *Link) TakeBusy() float64 { return l.q.TakeBusy() }
 
+// IsolatedCost returns the contention-free time of a demand-byte transfer:
+// the latency plus the demand at the current rate.
+func (l *Link) IsolatedCost(demand, _ float64) float64 { return l.Latency() + demand/l.Rate() }
+
 // Fail marks the link down; Restore brings it back. The semantics are
 // complete-then-divert, with commitment at route-pinning (plan expansion)
 // time: every message expanded before the failure keeps its route and
@@ -224,24 +208,28 @@ func (l *Link) Failed() bool { return l.failed }
 // compound; factor 1 restores the healthy parameters. In-flight transfers
 // finish their remaining demand at the new share, while only transfers
 // enqueued after the change observe the new latency (the latency is
-// snapshotted into each task at Enqueue). Callers must invoke it from a
-// sequential phase and bracket it with Sync/MarkDirty on this agent, which
-// the topology-layer helpers do. Panics on factor outside (0, 1].
+// snapshotted into each task at Enqueue). It must run in a sequential
+// phase; it replays the ticks the loop deferred (Sync) before the change
+// and rekeys the agent's calendar entry (MarkDirty) after it. Panics on
+// factor outside (0, 1].
 func (l *Link) Degrade(factor float64) {
 	if factor <= 0 || factor > 1 {
 		panic(fmt.Sprintf("hardware: link degrade factor %v outside (0, 1]", factor))
 	}
-	l.rate = l.baseRate * factor
-	l.q.SetRate(l.rate)
-	l.q.SetLatency(l.baseLatency / factor)
+	l.setRate(l.baseRate*factor, l.baseLatency/factor)
 }
 
-// Repair restores the healthy rate and latency after a Degrade. Like
-// Degrade it needs a sequential phase and Sync/MarkDirty bracketing.
-func (l *Link) Repair() {
-	l.rate = l.baseRate
-	l.q.SetRate(l.baseRate)
-	l.q.SetLatency(l.baseLatency)
+// Repair restores the healthy rate and latency after a Degrade, with the
+// same Sync/MarkDirty contract.
+func (l *Link) Repair() { l.setRate(l.baseRate, l.baseLatency) }
+
+// setRate applies a rate and latency between Sync and MarkDirty.
+func (l *Link) setRate(rate, latency float64) {
+	l.Sync()
+	l.rate = rate
+	l.q.SetRate(rate)
+	l.q.SetLatency(latency)
+	l.MarkDirty()
 }
 
 // Degraded reports whether the link currently runs below its healthy rate.

@@ -306,6 +306,166 @@ func (a *diskArray) takeDriveBusy() float64 {
 	return b
 }
 
+// store is the body RAID and SAN share (Figs. 3-7, 3-8): a pipeline of
+// single-server FCFS stages ahead of the disk array. A request enters at
+// stage 0 and leaves each stage for the next with its byte demand restored;
+// leaving the array controller cache (the stage at index cache) it completes
+// on an array-cache hit, drawn from the store's own RNG, and after the last
+// stage it forks across the disks. A RAID is the one-stage pipeline (dacc); a SAN wraps
+// dacc in its fibre-channel switch and arbitrated loop (fcsw, dacc, fcal).
+type store struct {
+	core.AgentBase
+	stages   []*queueing.FCFS    // RAID: dacc. SAN: fcsw, dacc, fcal
+	done     []queueing.DoneFunc // what leaving each stage does, bound once
+	cache    int                 // index of dacc, where the array-cache hit is drawn
+	hitRate  float64             // array-cache hit rate
+	array    *diskArray
+	rng      *rand.PCG
+	inflight int // external requests admitted and not yet completed
+}
+
+// init builds the stages at the given speeds (Gbps) and the disk array and
+// names the agent; the caller registers the agent that embeds the store.
+// Only stage 0, the ingress, reports arrivals to the calendar (Arrive): the
+// later stages and the disk queues are fed by internal handoffs inside the
+// parallel Step phase and must not carry the hook.
+func (s *store) init(sim *core.Simulation, name string, disks int, disk DiskSpec, hitRate float64,
+	tag, arrayTag uint64, cache int, gbps ...float64) {
+	id := sim.NextAgentID()
+	s.cache, s.hitRate = cache, hitRate
+	s.rng = rand.NewPCG(subSeed(sim, id, tag), subSeed(sim, id, tag+1))
+	s.stages, s.done = make([]*queueing.FCFS, len(gbps)), make([]queueing.DoneFunc, len(gbps))
+	for i, g := range gbps {
+		s.stages[i] = queueing.NewFCFS(1, g*1e9/8)
+		s.done[i] = func(t *queueing.Task) { s.leave(i, t) }
+	}
+	s.stages[0].SetNotify(s.Arrive)
+	s.array = newDiskArray(disks, disk, subSeed(sim, id, arrayTag), s.complete)
+	s.InitAgent(id, name)
+}
+
+// leave routes a request out of stage i: completed on an array-cache hit,
+// which bypasses the rest of the pipeline and the disks; forked after the
+// last stage; otherwise on to the next stage with its demand restored.
+func (s *store) leave(i int, t *queueing.Task) {
+	e := t.Payload.(*extSlab)
+	switch {
+	case i == s.cache && drawHit(s.rng, s.hitRate):
+		s.complete(e.parent)
+		s.array.release(e)
+	case i == len(s.stages)-1:
+		s.array.fork(e)
+	default:
+		t.Demand = e.demand
+		s.stages[i+1].Enqueue(t)
+	}
+}
+
+// Enqueue admits a storage request (Demand in bytes) at stage 0, whose
+// notify hook reports the arrival (Arrive); any ticks the bulk-dense loop
+// deferred are replayed first.
+func (s *store) Enqueue(t *queueing.Task) {
+	s.Sync()
+	s.inflight++
+	s.stages[0].Enqueue(&s.array.admit(t).task)
+}
+
+// complete buffers a finished external request.
+func (s *store) complete(t *queueing.Task) {
+	s.inflight--
+	s.BufferDone(t)
+}
+
+// Step advances the stages in pipeline order, then the disk pipelines. Idle
+// stores return immediately — most arrays of a large platform are idle on
+// most ticks — and idle stages are skipped: a request in flight occupies
+// one stage at a time, so most of the pipeline is a strict no-op each tick.
+func (s *store) Step(dt float64) {
+	if s.inflight == 0 {
+		return
+	}
+	for i, q := range s.stages {
+		if !q.Idle() {
+			q.Step(dt, s.done[i])
+		}
+	}
+	s.array.step(dt)
+}
+
+// StepN advances the whole store through n quiet ticks in bulk. Internal
+// handoffs count as events (see Horizon), so none falls in the ticks
+// (core.BulkStepper) and every queue replays its own accumulators.
+func (s *store) StepN(n int, dt float64) {
+	if s.inflight == 0 {
+		return
+	}
+	for _, q := range s.stages {
+		q.BulkStep(n, dt)
+	}
+	s.array.bulkStep(n, dt)
+}
+
+// Idle reports whether the whole store is empty.
+func (s *store) Idle() bool { return s.inflight == 0 }
+
+// Horizon returns the time until the next event anywhere in the store: a
+// stage or any disk pipeline.
+func (s *store) Horizon() float64 {
+	if s.inflight == 0 {
+		return math.Inf(1)
+	}
+	h := s.array.horizon()
+	for _, q := range s.stages {
+		if !q.Idle() {
+			h = math.Min(q.Horizon(), h)
+		}
+	}
+	return h
+}
+
+// TakeBusy returns drive busy seconds summed across disks since the last
+// call (the mechanical bottleneck of the array) and drains the stages'.
+func (s *store) TakeBusy() float64 {
+	for _, q := range s.stages {
+		q.TakeBusy()
+	}
+	return s.array.takeDriveBusy()
+}
+
+// Disks returns the number of disks in the array.
+func (s *store) Disks() int { return s.array.disks }
+
+// Derate scales every drive's service rate to factor times the spec rate,
+// modeling degraded-mode operation during a rebuild. Absolute against the
+// spec, not cumulative; factor 1 restores full speed. In-service stripes
+// finish their remaining bytes at the new rate. It must run in a sequential
+// phase; it replays the ticks the loop deferred (Sync) before the change and
+// rekeys the agent's calendar entry (MarkDirty) after it. Panics on factor
+// outside (0, 1].
+func (s *store) Derate(factor float64) {
+	if factor <= 0 || factor > 1 {
+		panic(fmt.Sprintf("hardware: %s derate factor %v outside (0, 1]", s.Name(), factor))
+	}
+	s.Sync()
+	s.array.derate(factor)
+	s.MarkDirty()
+}
+
+// IsolatedCost returns the contention-free time one request of demand bytes
+// spends in the store when every cache misses: its demand through each stage,
+// a stripe through a disk controller cache and a drive, all at spec rates
+// (stages are never derated), plus one forwarding step between each pair of
+// queues it passes.
+func (s *store) IsolatedCost(demand, step float64) float64 {
+	total := 0.0
+	for _, q := range s.stages {
+		total += demand / q.Rate()
+	}
+	d := s.array.diskSpec
+	stripe := demand / float64(s.array.disks)
+	return total + stripe/(d.CtrlGbps*1e9/8) + stripe/(d.MBps*1e6) + float64(len(s.stages)+1)*step
+}
+
 // RAIDSpec describes a redundant array of identical disks behind a disk
 // array controller cache (Fig. 3-7).
 type RAIDSpec struct {
@@ -326,12 +486,8 @@ func (s RAIDSpec) validate() error {
 // cache Qdacc; a cache hit completes immediately, a miss forks across all n
 // disks (striped demand) and joins when the slowest stripe finishes.
 type RAID struct {
-	core.AgentBase
-	spec     RAIDSpec
-	dacc     *queueing.FCFS
-	array    *diskArray
-	rng      *rand.PCG
-	inflight int // external requests admitted and not yet completed
+	store
+	spec RAIDSpec
 }
 
 // NewRAID creates and registers a RAID agent.
@@ -339,113 +495,14 @@ func NewRAID(sim *core.Simulation, name string, spec RAIDSpec) *RAID {
 	if err := spec.validate(); err != nil {
 		panic(err)
 	}
-	id := sim.NextAgentID()
-	r := &RAID{
-		spec: spec,
-		dacc: queueing.NewFCFS(1, spec.CtrlGbps*1e9/8),
-		rng:  rand.NewPCG(subSeed(sim, id, tagRAID), subSeed(sim, id, tagRAID+1)),
-	}
-	// The controller cache is the array's ingress: external enqueues (and
-	// only those — the fork-join feeds the disk queues internally, inside
-	// the parallel Step phase) report the arrival to the calendar.
-	r.dacc.SetNotify(r.Arrive)
-	r.array = newDiskArray(spec.Disks, spec.Disk, subSeed(sim, id, tagRAIDArray), r.complete)
-	r.InitAgent(id, name)
+	r := &RAID{spec: spec}
+	r.init(sim, name, spec.Disks, spec.Disk, spec.HitRate, tagRAID, tagRAIDArray, 0, spec.CtrlGbps)
 	sim.AddAgent(r)
 	return r
 }
 
 // Spec returns the array specification.
 func (r *RAID) Spec() RAIDSpec { return r.spec }
-
-// Enqueue admits a storage request (Demand in bytes) at the array
-// controller cache, whose notify hook reports the arrival (Arrive); any ticks
-// the bulk-dense loop deferred are replayed first.
-func (r *RAID) Enqueue(t *queueing.Task) {
-	r.Sync()
-	r.inflight++
-	r.dacc.Enqueue(&r.array.admit(t).task)
-}
-
-// complete buffers a finished external request.
-func (r *RAID) complete(t *queueing.Task) {
-	r.inflight--
-	r.BufferDone(t)
-}
-
-// Step advances the controller cache, then the disk pipelines. Idle arrays
-// return immediately — most arrays of a large platform are idle on most
-// ticks — and an idle controller cache is likewise skipped while stripes
-// drain through the disks.
-func (r *RAID) Step(dt float64) {
-	if r.inflight == 0 {
-		return
-	}
-	if !r.dacc.Idle() {
-		r.dacc.Step(dt, r.onCtrlDone)
-	}
-	r.array.step(dt)
-}
-
-// StepN advances the whole array through n quiet ticks in bulk. Internal
-// handoffs count as events (see Horizon), so none falls in the ticks
-// (core.BulkStepper) and every queue replays its own accumulators.
-func (r *RAID) StepN(n int, dt float64) {
-	if r.inflight == 0 {
-		return
-	}
-	r.dacc.BulkStep(n, dt)
-	r.array.bulkStep(n, dt)
-}
-
-func (r *RAID) onCtrlDone(t *queueing.Task) {
-	e := t.Payload.(*extSlab)
-	if drawHit(r.rng, r.spec.HitRate) {
-		r.complete(e.parent) // array-cache hit bypasses the fork-join
-		r.array.release(e)
-		return
-	}
-	r.array.fork(e)
-}
-
-// Idle reports whether the whole array is empty.
-func (r *RAID) Idle() bool { return r.inflight == 0 }
-
-// Horizon returns the time until the next event anywhere in the array:
-// the controller cache or any disk pipeline.
-func (r *RAID) Horizon() float64 {
-	if r.inflight == 0 {
-		return math.Inf(1)
-	}
-	h := r.array.horizon()
-	if !r.dacc.Idle() {
-		h = math.Min(r.dacc.Horizon(), h)
-	}
-	return h
-}
-
-// TakeBusy returns drive busy seconds summed across disks since the last
-// call (the mechanical bottleneck of the array).
-func (r *RAID) TakeBusy() float64 {
-	r.dacc.TakeBusy()
-	return r.array.takeDriveBusy()
-}
-
-// Disks returns the number of disks in the array.
-func (r *RAID) Disks() int { return r.spec.Disks }
-
-// Derate scales every drive's service rate to factor times the spec rate,
-// modeling degraded-mode operation during a rebuild. Absolute against the
-// spec, not cumulative; factor 1 restores full speed. In-service stripes
-// finish their remaining bytes at the new rate. Callers must invoke it
-// from a sequential phase and bracket it with Sync/MarkDirty on this
-// agent, which the fault library does. Panics on factor outside (0, 1].
-func (r *RAID) Derate(factor float64) {
-	if factor <= 0 || factor > 1 {
-		panic(fmt.Sprintf("hardware: RAID derate factor %v outside (0, 1]", factor))
-	}
-	r.array.derate(factor)
-}
 
 // SANSpec describes a storage area network (Fig. 3-8): a fibre-channel
 // switch, an array controller cache and a fibre-channel arbitrated loop
@@ -472,14 +529,8 @@ func (s SANSpec) validate() error {
 // the arbitrated loop and the disks, a miss continues through the loop and
 // forks across the disks.
 type SAN struct {
-	core.AgentBase
-	spec     SANSpec
-	fcsw     *queueing.FCFS
-	dacc     *queueing.FCFS
-	fcal     *queueing.FCFS
-	array    *diskArray
-	rng      *rand.PCG
-	inflight int // external requests admitted and not yet completed
+	store
+	spec SANSpec
 }
 
 // NewSAN creates and registers a SAN agent.
@@ -487,135 +538,15 @@ func NewSAN(sim *core.Simulation, name string, spec SANSpec) *SAN {
 	if err := spec.validate(); err != nil {
 		panic(err)
 	}
-	id := sim.NextAgentID()
-	s := &SAN{
-		spec: spec,
-		fcsw: queueing.NewFCFS(1, spec.FCSwitchGbps*1e9/8),
-		dacc: queueing.NewFCFS(1, spec.CtrlGbps*1e9/8),
-		fcal: queueing.NewFCFS(1, spec.FCALGbps*1e9/8),
-		rng:  rand.NewPCG(subSeed(sim, id, tagSAN), subSeed(sim, id, tagSAN+1)),
-	}
-	// The FC switch is the SAN's ingress; the downstream queues (dacc,
-	// fcal, disks) are fed by internal handoffs inside the parallel Step
-	// phase and must not carry the hook.
-	s.fcsw.SetNotify(s.Arrive)
-	s.array = newDiskArray(spec.Disks, spec.Disk, subSeed(sim, id, tagSANArray), s.complete)
-	s.InitAgent(id, name)
+	s := &SAN{spec: spec}
+	s.init(sim, name, spec.Disks, spec.Disk, spec.HitRate, tagSAN, tagSANArray, 1,
+		spec.FCSwitchGbps, spec.CtrlGbps, spec.FCALGbps)
 	sim.AddAgent(s)
 	return s
 }
 
 // Spec returns the SAN specification.
 func (s *SAN) Spec() SANSpec { return s.spec }
-
-// Enqueue admits a storage request (Demand in bytes) at the FC switch,
-// whose notify hook reports the arrival (Arrive); any ticks the bulk-dense
-// loop deferred are replayed first.
-func (s *SAN) Enqueue(t *queueing.Task) {
-	s.Sync()
-	s.inflight++
-	s.fcsw.Enqueue(&s.array.admit(t).task)
-}
-
-// complete buffers a finished external request.
-func (s *SAN) complete(t *queueing.Task) {
-	s.inflight--
-	s.BufferDone(t)
-}
-
-// Step advances the FC switch, controller cache, arbitrated loop and the
-// disk pipelines in pipeline order. Idle SANs return immediately, and
-// idle stage queues are skipped — a request in flight occupies one stage
-// at a time, so most of the pipeline is a strict no-op each tick.
-func (s *SAN) Step(dt float64) {
-	if s.inflight == 0 {
-		return
-	}
-	if !s.fcsw.Idle() {
-		s.fcsw.Step(dt, s.onFCSwitchDone)
-	}
-	if !s.dacc.Idle() {
-		s.dacc.Step(dt, s.onCtrlDone)
-	}
-	if !s.fcal.Idle() {
-		s.fcal.Step(dt, s.onLoopDone)
-	}
-	s.array.step(dt)
-}
-
-// StepN advances the whole SAN through n quiet ticks in bulk, on the same
-// precondition as RAID.StepN.
-func (s *SAN) StepN(n int, dt float64) {
-	if s.inflight == 0 {
-		return
-	}
-	s.fcsw.BulkStep(n, dt)
-	s.dacc.BulkStep(n, dt)
-	s.fcal.BulkStep(n, dt)
-	s.array.bulkStep(n, dt)
-}
-
-func (s *SAN) onFCSwitchDone(t *queueing.Task) {
-	t.Demand = t.Payload.(*extSlab).demand
-	s.dacc.Enqueue(t)
-}
-
-func (s *SAN) onCtrlDone(t *queueing.Task) {
-	e := t.Payload.(*extSlab)
-	if drawHit(s.rng, s.spec.HitRate) {
-		s.complete(e.parent) // cache hit bypasses loop and disks
-		s.array.release(e)
-		return
-	}
-	t.Demand = e.demand
-	s.fcal.Enqueue(t)
-}
-
-func (s *SAN) onLoopDone(t *queueing.Task) {
-	s.array.fork(t.Payload.(*extSlab))
-}
-
-// Idle reports whether the whole SAN is empty.
-func (s *SAN) Idle() bool { return s.inflight == 0 }
-
-// Horizon returns the time until the next event anywhere in the SAN
-// pipeline: FC switch, controller cache, arbitrated loop or disks.
-func (s *SAN) Horizon() float64 {
-	if s.inflight == 0 {
-		return math.Inf(1)
-	}
-	h := s.array.horizon()
-	if !s.fcsw.Idle() {
-		h = math.Min(s.fcsw.Horizon(), h)
-	}
-	if !s.dacc.Idle() {
-		h = math.Min(s.dacc.Horizon(), h)
-	}
-	if !s.fcal.Idle() {
-		h = math.Min(s.fcal.Horizon(), h)
-	}
-	return h
-}
-
-// TakeBusy returns drive busy seconds summed across disks since last call.
-func (s *SAN) TakeBusy() float64 {
-	s.fcsw.TakeBusy()
-	s.dacc.TakeBusy()
-	s.fcal.TakeBusy()
-	return s.array.takeDriveBusy()
-}
-
-// Disks returns the number of disks in the SAN.
-func (s *SAN) Disks() int { return s.spec.Disks }
-
-// Derate scales every drive's service rate to factor times the spec rate,
-// with the same contract as RAID.Derate.
-func (s *SAN) Derate(factor float64) {
-	if factor <= 0 || factor > 1 {
-		panic(fmt.Sprintf("hardware: SAN derate factor %v outside (0, 1]", factor))
-	}
-	s.array.derate(factor)
-}
 
 var (
 	_ core.QueueAgent = (*RAID)(nil)

@@ -5,10 +5,10 @@ import "repro/internal/hardware"
 // This file holds the fault-injection surface of the topology layer: the
 // WAN/DC-level mutations the internal/faults library drives. All of them
 // must be called from a sequential simulation phase (the fault controller
-// is a core.Source, so its polls qualify); mutations that change queue
-// service parameters bracket the agent with Sync/MarkDirty so the
-// bulk-dense loop replays deferred ticks first and the event calendar
-// drops the now-stale horizon.
+// is a core.Source, so its polls qualify). Mutations that change queue
+// service parameters go through the hardware rate methods (Link.Degrade,
+// Link.Repair, CPU.Reserve), which replay the agent's deferred ticks first
+// and drop its now-stale calendar key after.
 //
 // Failure semantics are complete-then-divert (see hardware.Link.Fail):
 // transfers already routed onto a failed link finish as if healthy, while
@@ -26,9 +26,7 @@ import "repro/internal/hardware"
 func (inf *Infrastructure) DegradeWAN(a, b string, factor float64) {
 	for _, k := range []wanKey{{a, b}, {b, a}} {
 		if l := inf.links[k]; l != nil {
-			l.Sync()
 			l.Degrade(factor)
-			l.MarkDirty()
 		}
 	}
 }
@@ -38,24 +36,20 @@ func (inf *Infrastructure) DegradeWAN(a, b string, factor float64) {
 func (inf *Infrastructure) RepairWAN(a, b string) {
 	for _, k := range []wanKey{{a, b}, {b, a}} {
 		if l := inf.links[k]; l != nil {
-			l.Sync()
 			l.Repair()
-			l.MarkDirty()
 		}
 	}
 }
 
 // ReserveCPU withholds the given capacity fraction on every server CPU of
-// the tier for analytically aggregated (fluid) traffic, bracketing each
-// mutation with Sync/MarkDirty like the fault helpers above. The fraction
-// is absolute (successive calls replace); zero releases the reservation.
+// the tier for analytically aggregated (fluid) traffic (CPU.Reserve). The
+// fraction is absolute (successive calls replace); zero releases the
+// reservation.
 // Must be called from a sequential phase — the fluid crossover controller
 // is a global core.Source, so its polls qualify.
 func (t *Tier) ReserveCPU(frac float64) {
 	for _, s := range t.Servers {
-		s.CPU.Sync()
 		s.CPU.Reserve(frac)
-		s.CPU.MarkDirty()
 	}
 }
 

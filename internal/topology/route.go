@@ -317,19 +317,25 @@ func appendServerProcessing(stages []core.Stage, srv *Server, cost Cost) []core.
 		stages = append(stages, core.Stage{Queue: srv.CPU, Demand: cost.CPUCycles})
 	}
 	if cost.DiskBytes > 0 && !srv.Mem.Hit() {
-		if srv.RAID != nil {
-			stages = append(stages, core.Stage{Queue: srv.RAID, Demand: cost.DiskBytes})
-		} else if tier := srv.Tier; tier.SAN != nil {
-			stages = append(stages,
-				core.Stage{Queue: tier.SANLink, Demand: cost.DiskBytes},
-				core.Stage{Queue: tier.SAN, Demand: cost.DiskBytes},
-			)
-		}
+		stages = srv.AppendStorage(stages, cost.DiskBytes)
 	}
 	if len(stages) > start && cost.MemBytes > 0 {
 		first, last := &stages[start], &stages[len(stages)-1]
 		first.Hold, first.HoldAmount, first.Acquire = srv.Mem, cost.MemBytes, true
 		last.Hold, last.HoldAmount, last.Release = srv.Mem, cost.MemBytes, true
+	}
+	return stages
+}
+
+// AppendStorage appends the stages that carry n bytes to the server's
+// storage: its RAID, or else its tier's SAN link and then the SAN. A server
+// with neither appends nothing.
+func (s *Server) AppendStorage(stages []core.Stage, n float64) []core.Stage {
+	if s.RAID != nil {
+		return append(stages, core.Stage{Queue: s.RAID, Demand: n})
+	}
+	if t := s.Tier; t.SAN != nil {
+		return append(stages, core.Stage{Queue: t.SANLink, Demand: n}, core.Stage{Queue: t.SAN, Demand: n})
 	}
 	return stages
 }
