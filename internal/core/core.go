@@ -97,8 +97,10 @@ type BulkStepper interface {
 //
 // Enqueue owns its agent's calendar entry: after Sync, it must either report
 // the arrival's first event through AgentBase.Arrive — the hardware agents'
-// queue hooks do, with the bound FCFS/PS.SetNotify document — or call
-// MarkDirty, which rekeys the agent from its horizon before the next jump.
+// queue hooks do, with the bound FCFS/PS.SetNotify document, and stay silent
+// for a task that waits behind work the active agent already holds, which
+// moves no event — or call MarkDirty, which rekeys the agent from its
+// horizon before the next jump.
 // The flow router only activates an agent that is still inactive after
 // Enqueue; it does not invalidate an active one. DelayLine keeps MarkDirty:
 // its horizon is the expiry less its local clock, (now+Delay)−now, which can
@@ -170,8 +172,10 @@ func (b *AgentBase) MarkActive() {
 
 // Arrive is the arrival hook of the event calendar, cheaper than MarkDirty:
 // work was just enqueued on the agent (after Sync) and h bounds the arriving
-// task's first event from below, in seconds, +Inf when it waits behind busy
-// servers. Hardware agents install it as their ingress queues' notify hook.
+// task's first event from below, in seconds. Hardware agents install it as
+// their ingress queues' notify hook, which fires only for a task that can
+// start at the next fill: one that waits behind busy servers lands on a
+// queue that already holds work, so the agent is active and its key stands.
 // An inactive agent activates keyed from h — it was idle, so h is its whole
 // horizon; an active one lowers its key to h's when that is earlier, with no
 // Horizon call and no drain-set entry (an enqueue buffers no completion).

@@ -488,7 +488,10 @@ func (s *Simulation) syncAgent(id AgentID) {
 }
 
 // catchUp is syncAgent out of line: replay the agent's deficit if it is
-// active on the production loop.
+// active on the production loop. It is kept out of line on purpose: inlined,
+// it would push syncAgent past the inlining budget.
+//
+//go:noinline
 func (s *Simulation) catchUp(id AgentID) {
 	if s.fastForward && s.bases[id].active {
 		s.advanceAgentTo(id, s.root.tick)

@@ -124,17 +124,19 @@ func (w *window) jump(bound simtime.Tick) simtime.Tick {
 	return n
 }
 
-// popInvolved collects into inv, in ascending ID order, the agents the
-// window must advance to its landing tick: those whose calendar entry is
-// due by then (by jump construction, exactly at the landing, which is the
-// calendar head when nothing else bounded the window) plus every pinned
-// agent. Both leave the calendar — settle rekeys them once they have acted
-// — and join the drain set; a pinned agent already popped has no entry
-// left, which dedups it. With every entry due by the landing gone, the
-// calendar's cursor moves up to it. Synchronization points gather every
-// active agent instead: a collector boundary needs exact busy accumulators
-// behind every probe, and a landing on the run limit hands callers a
-// fully-advanced simulation; their lazy agents keep their entries.
+// popInvolved collects into inv the agents the window must advance to its
+// landing tick: those whose calendar entry is due by then (by jump
+// construction, exactly at the landing, which is the calendar head when
+// nothing else bounded the window) plus every pinned agent. Both leave the
+// calendar — settle rekeys them once they have acted — and join the drain
+// set; a pinned agent already popped has no entry left, which dedups it.
+// With every entry due by the landing gone, the calendar's cursor moves up
+// to it. inv stays in calendar pop order: Step is agent-local, so the order
+// agents advance in reaches no result — only the drain order does, and
+// drain sorts. Synchronization points gather every active agent instead: a
+// collector boundary needs exact busy accumulators behind every probe, and
+// a landing on the run limit hands callers a fully-advanced simulation;
+// their lazy agents keep their entries.
 func (w *window) popInvolved(landing, limit simtime.Tick) {
 	s := w.s
 	w.inv = w.cal.popDue(landing, w.inv[:0])
@@ -152,8 +154,6 @@ func (w *window) popInvolved(landing, limit simtime.Tick) {
 	if landing == w.nextSnap || landing == limit {
 		w.compact()
 		w.inv = append(w.inv[:0], w.active...)
-	} else {
-		slices.Sort(w.inv)
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
+	"hash"
 	"math"
+
+	"repro/internal/metrics"
 )
 
 // Digest reduces the result to a hex-encoded SHA-256 over every number the
@@ -23,41 +25,64 @@ import (
 // simulation computed. Every simulated quantity (completions, ticks,
 // seconds, all samples) is hashed.
 func (res *Result) Digest() string {
-	h := sha256.New()
-	writeU64(h, res.Seed)
-	writeU64(h, res.Stats.CompletedOps)
-	writeU64(h, uint64(res.Stats.Ticks))
-	writeF64(h, res.Stats.Seconds)
+	d := digester{h: sha256.New(), buf: make([]byte, 0, 2*digestChunk)}
+	d.u64(res.Seed)
+	d.u64(res.Stats.CompletedOps)
+	d.u64(uint64(res.Stats.Ticks))
+	d.f64(res.Stats.Seconds)
 
 	for _, k := range res.Responses.Keys() {
-		io.WriteString(h, k.Op)
-		io.WriteString(h, "@")
-		io.WriteString(h, k.DC)
-		s := res.Responses.Series(k.Op, k.DC)
-		writeU64(h, uint64(s.Len()))
-		for i := range s.V {
-			writeF64(h, s.T[i])
-			writeF64(h, s.V[i])
-		}
+		d.str(k.Op)
+		d.str("@")
+		d.str(k.DC)
+		d.series(res.Responses.Series(k.Op, k.DC))
 	}
 	for _, k := range res.SeriesKeys() {
-		io.WriteString(h, k)
-		s := res.Series[k]
-		writeU64(h, uint64(s.Len()))
-		for i := range s.V {
-			writeF64(h, s.T[i])
-			writeF64(h, s.V[i])
-		}
+		d.str(k)
+		d.series(res.Series[k])
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	d.flush()
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
-func writeU64(w io.Writer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.Write(buf[:])
+// digestChunk is how many encoded bytes a digester gathers before it hands
+// them to the hash.
+const digestChunk = 4096
+
+// digester encodes the hashed values into one reusable buffer and writes it
+// to the hash in chunks, so hashing a number allocates nothing. SHA-256
+// consumes a stream, so the chunking does not change the digest.
+type digester struct {
+	h   hash.Hash
+	buf []byte
 }
 
-func writeF64(w io.Writer, v float64) {
-	writeU64(w, math.Float64bits(v))
+func (d *digester) u64(v uint64) {
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, v)
+	if len(d.buf) >= digestChunk {
+		d.flush()
+	}
+}
+
+func (d *digester) f64(v float64) { d.u64(math.Float64bits(v)) }
+
+func (d *digester) str(s string) {
+	d.buf = append(d.buf, s...)
+	if len(d.buf) >= digestChunk {
+		d.flush()
+	}
+}
+
+// series hashes a series' length, then its (time, value) pairs in order.
+func (d *digester) series(s *metrics.Series) {
+	d.u64(uint64(s.Len()))
+	for i := range s.V {
+		d.f64(s.T[i])
+		d.f64(s.V[i])
+	}
+}
+
+func (d *digester) flush() {
+	d.h.Write(d.buf)
+	d.buf = d.buf[:0]
 }

@@ -192,14 +192,28 @@ func TestMemoryHitRateStatistical(t *testing.T) {
 	}
 }
 
-// drawHit is rand.Rand.Float64() < p on the same source, draw for draw, from
-// the certain outcomes to the probabilities one ulp inside them.
+// drawHit with the threshold hitThreshold(p) is rand.Rand.Float64() < p on
+// the same source, draw for draw, from the certain outcomes to the
+// probabilities one ulp inside them and one ulp either side of 0.1. At the
+// threshold's edge words, m = thr-1 and m = thr, the integer comparison
+// agrees with Float64's m/2^53 < p: thr is the first word that misses.
 func TestDrawHitMatchesRandFloat64(t *testing.T) {
-	for _, p := range []float64{0, 1e-9, 0.05, 0.1, 0.5, math.Nextafter(1, 0), 1} {
+	ps := []float64{0, 1e-9, 0.05, 0.1, math.Nextafter(0.1, 0), math.Nextafter(0.1, 1), 0.5,
+		math.Nextafter(1, 0), 1}
+	for _, p := range ps {
+		thr := hitThreshold(p)
+		for _, m := range []uint64{thr - 1, thr} {
+			if m >= 1<<53 { // thr-1 when p is 0, thr when p is 1: not a 53-bit word
+				continue
+			}
+			if g, w := m < thr, float64(m)/(1<<53) < p; g != w {
+				t.Fatalf("p=%v word %d (threshold %d): hit %v, m/2^53 < p %v", p, m, thr, g, w)
+			}
+		}
 		got := rand.NewPCG(7, uint64(p*1e6))
 		want := rand.New(rand.NewPCG(7, uint64(p*1e6)))
 		for i := 0; i < 5000; i++ {
-			if g, w := drawHit(got, p), want.Float64() < p; g != w {
+			if g, w := drawHit(got, thr), want.Float64() < p; g != w {
 				t.Fatalf("p=%v draw %d: drawHit %v, rand.Float64() < p %v", p, i, g, w)
 			}
 		}

@@ -2,6 +2,7 @@ package hardware
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"repro/internal/core"
@@ -17,15 +18,24 @@ type Memory struct {
 	capacity float64 // bytes
 	used     float64 // bytes currently held
 	hitRate  float64 // probability a storage access hits the cache
+	hitThr   uint64  // hitThreshold(hitRate)
 	rng      *rand.PCG
 	peak     float64
 }
 
-// drawHit decides a cache hit of probability p on one draw from src. It is
-// rand.New(src).Float64() < p — the same draw, Float64's own definition —
-// without the interface call per draw.
-func drawHit(src *rand.PCG, p float64) bool {
-	return float64(src.Uint64()<<11>>11)/(1<<53) < p
+// hitThreshold returns the integer form of a hit probability p in [0, 1]
+// that drawHit compares against: ceil(p·2^53).
+func hitThreshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+// drawHit decides a cache hit on one draw from src, given the hit
+// probability's threshold thr = hitThreshold(p). It is
+// rand.New(src).Float64() < p — the same draw, Float64's own definition
+// m/2^53 for the 53-bit word m — without the interface call or the float
+// conversion per draw. The comparison is exact: p·2^53 scales by a power of
+// two, and an integer m lies below a real x iff it lies below ceil(x), so
+// m/2^53 < p ⇔ m < ceil(p·2^53).
+func drawHit(src *rand.PCG, thr uint64) bool {
+	return src.Uint64()<<11>>11 < thr
 }
 
 // NewMemory creates a memory component with capacity in bytes and a cache
@@ -40,6 +50,7 @@ func NewMemory(capacity, hitRate float64, seed uint64) *Memory {
 	return &Memory{
 		capacity: capacity,
 		hitRate:  hitRate,
+		hitThr:   hitThreshold(hitRate),
 		rng:      rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2)),
 	}
 }
@@ -98,5 +109,5 @@ func (m *Memory) Hit() bool {
 	if m.hitRate >= 1 {
 		return true
 	}
-	return drawHit(m.rng, m.hitRate)
+	return drawHit(m.rng, m.hitThr)
 }

@@ -60,14 +60,16 @@ type extSlab struct {
 }
 
 // forkSlab is the whole state of one forked request: the join header, the
-// one task that stands for its n equal stripes at the controller caches, and
-// one drive task per lane of the owning array. Every task's payload points
-// back at the slab.
+// one task that stands for its n equal stripes at the controller caches, the
+// stripe's solo service on an idle drive, and one drive task per lane of the
+// owning array, filled in only when that lane enqueues the stripe. Every
+// task's payload points back at the slab.
 type forkSlab struct {
 	parent  *queueing.Task
 	pending int             // disks whose stripe has not joined yet
 	stripe  float64         // stripe byte demand
 	ctrl    queueing.Task   // the stripe at the controller caches
+	solo    queueing.Solo   // the stripe alone on a drive, set as it leaves ctrl
 	stripes []queueing.Task // the stripe at each lane's drive
 }
 
@@ -100,10 +102,12 @@ type diskArray struct {
 	lanes    []*queueing.FCFS // drive queues, each standing for weight disks
 	weight   int
 	disks    int
-	ctrlDone []*forkSlab      // this tick's controller completions, in order
-	misses   []*queueing.Task // one lane's stripes missing the disk cache this tick
-	served   int              // stripes step served in closed form (read by tests)
+	ctrlDone []*forkSlab     // this tick's controller completions, in order
+	misses   []*forkSlab     // one lane's stripes missing the disk cache this tick
+	solos    []queueing.Solo // their solo services, in the same order
+	served   int             // stripes step served in closed form (read by tests)
 	diskSpec DiskSpec
+	hitThr   uint64 // hitThreshold(diskSpec.HitRate)
 	rng      *rand.PCG
 	buffer   func(*queueing.Task) // parent-agent completion buffer
 	forkFree []*forkSlab
@@ -117,8 +121,9 @@ func newDiskArray(n int, spec DiskSpec, seed uint64, buffer func(*queueing.Task)
 		dcc:      queueing.NewFCFS(1, spec.CtrlGbps*1e9/8),
 		weight:   1,
 		disks:    n,
-		misses:   make([]*queueing.Task, 0, 8),
+		misses:   make([]*forkSlab, 0, 8),
 		diskSpec: spec,
+		hitThr:   hitThreshold(spec.HitRate),
 		rng:      rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2)),
 		buffer:   buffer,
 	}
@@ -174,42 +179,46 @@ func (a *diskArray) fork(e *extSlab) {
 }
 
 // step advances every disk pipeline one tick. The controller caches step
-// once, collecting the tick's completions; then the lanes are walked in disk
-// order, each replaying those completions — draw, then join a hit or collect
-// the lane's stripe as a miss — before its drive takes the misses and steps.
-// That is the event, RNG-draw and join order of stepping disk 0's controller
-// cache and drive, then disk 1's, and so on: pipelines do not interact
-// except through the draw sequence and the join counts, and both see the
-// same order. A drive that is idle and finishes every miss inside the tick
-// serves them in closed form (FCFS.ServeAll) and the lane joins them in
-// order, which is the order its Step would have called back in; otherwise
-// the misses are enqueued and the drive steps. Idle drives with no misses
-// are skipped: their Step is a strict no-op (nothing to fill, nothing in
-// service, no busy time accrues).
+// once, collecting the tick's completions and each stripe's solo service on
+// an idle drive — one division and one acceptance test per request, shared
+// by every lane, since the lanes are derated together and so share one
+// rate. Then the lanes are walked in disk order, each replaying those
+// completions — draw, then join a hit or collect the lane's stripe as a
+// miss — before its drive takes the misses and steps. That is the event,
+// RNG-draw and join order of stepping disk 0's controller cache and drive,
+// then disk 1's, and so on: pipelines do not interact except through the
+// draw sequence and the join counts, and both see the same order. A drive
+// that is idle and finishes every miss inside the tick serves them in
+// closed form (FCFS.ServeSolos) and the lane joins them in order, which is
+// the order its Step would have called back in; otherwise the lane's stripe
+// tasks are filled in and enqueued and the drive steps. Idle drives with no
+// misses are skipped: their Step is a strict no-op (nothing to fill,
+// nothing in service, no busy time accrues).
 func (a *diskArray) step(dt float64) {
 	if !a.dcc.Idle() {
 		a.dcc.Step(dt, a.onDiskCtrlDone)
 	}
 	for i, hdd := range a.lanes {
-		misses := a.misses[:0]
+		misses, solos := a.misses[:0], a.solos[:0]
 		for _, fj := range a.ctrlDone {
 			if a.hit() {
 				a.join(fj)
 				continue
 			}
-			s := &fj.stripes[i]
-			*s = queueing.Task{ID: fj.ctrl.ID, Demand: fj.stripe, Payload: fj}
-			misses = append(misses, s)
+			misses = append(misses, fj)
+			solos = append(solos, fj.solo)
 		}
-		a.misses = misses
-		if len(misses) > 0 && hdd.ServeAll(misses, dt) {
+		a.misses, a.solos = misses, solos
+		if len(misses) > 0 && hdd.ServeSolos(solos, dt) {
 			a.served += len(misses)
-			for _, s := range misses {
-				a.join(s.Payload.(*forkSlab))
+			for _, fj := range misses {
+				a.join(fj)
 			}
 			continue
 		}
-		for _, s := range misses {
+		for _, fj := range misses {
+			s := &fj.stripes[i]
+			*s = queueing.Task{ID: fj.ctrl.ID, Demand: fj.stripe, Payload: fj}
 			hdd.Enqueue(s)
 		}
 		if !hdd.Idle() {
@@ -221,7 +230,9 @@ func (a *diskArray) step(dt float64) {
 }
 
 func (a *diskArray) onDiskCtrlDone(t *queueing.Task) {
-	a.ctrlDone = append(a.ctrlDone, t.Payload.(*forkSlab))
+	fj := t.Payload.(*forkSlab)
+	fj.solo = a.lanes[0].Solo(fj.stripe)
+	a.ctrlDone = append(a.ctrlDone, fj)
 }
 
 // hit decides whether a stripe leaving its controller cache is served from
@@ -231,7 +242,7 @@ func (a *diskArray) hit() bool {
 	if a.diskSpec.certain() {
 		return a.diskSpec.HitRate == 1
 	}
-	return drawHit(a.rng, a.diskSpec.HitRate)
+	return drawHit(a.rng, a.hitThr)
 }
 
 func (a *diskArray) onDriveDone(t *queueing.Task) {
@@ -318,7 +329,7 @@ type store struct {
 	stages   []*queueing.FCFS    // RAID: dacc. SAN: fcsw, dacc, fcal
 	done     []queueing.DoneFunc // what leaving each stage does, bound once
 	cache    int                 // index of dacc, where the array-cache hit is drawn
-	hitRate  float64             // array-cache hit rate
+	hitThr   uint64              // hitThreshold of the array-cache hit rate
 	array    *diskArray
 	rng      *rand.PCG
 	inflight int // external requests admitted and not yet completed
@@ -332,7 +343,7 @@ type store struct {
 func (s *store) init(sim *core.Simulation, name string, disks int, disk DiskSpec, hitRate float64,
 	tag, arrayTag uint64, cache int, gbps ...float64) {
 	id := sim.NextAgentID()
-	s.cache, s.hitRate = cache, hitRate
+	s.cache, s.hitThr = cache, hitThreshold(hitRate)
 	s.rng = rand.NewPCG(subSeed(sim, id, tag), subSeed(sim, id, tag+1))
 	s.stages, s.done = make([]*queueing.FCFS, len(gbps)), make([]queueing.DoneFunc, len(gbps))
 	for i, g := range gbps {
@@ -350,7 +361,7 @@ func (s *store) init(sim *core.Simulation, name string, disks int, disk DiskSpec
 func (s *store) leave(i int, t *queueing.Task) {
 	e := t.Payload.(*extSlab)
 	switch {
-	case i == s.cache && drawHit(s.rng, s.hitRate):
+	case i == s.cache && drawHit(s.rng, s.hitThr):
 		s.complete(e.parent)
 		s.array.release(e)
 	case i == len(s.stages)-1:

@@ -225,8 +225,43 @@ func TestDiskArrayMatchesPerDiskOracle(t *testing.T) {
 		prefix string
 		sched  []arrival
 	}{{"", overlapping}, {"idle bursts ", bursts}}
+	// Convoys of two to six equal small same-tick requests every six
+	// ticks, which reach the controller caches several to a tick, so one
+	// tick's stripes share one solo service per request across the lanes;
+	// on four disks the 480 kB and 1.2 MB convoys' stripes stop fitting a
+	// tick partway. Every fourth convoy trails a 24 MB request that keeps
+	// the drives busy. The derate falls among the convoys.
+	convoySizes := []float64{240e3, 480e3, 96e3, 480e3, 48e3, 1.2e6}
+	var convoys []arrival
+	for g := 0; g < 16; g++ {
+		for k := 0; k < 2+g%5; k++ {
+			gap := 0
+			if k == 0 && g > 0 {
+				gap = 6
+			}
+			convoys = append(convoys, arrival{gap: gap, demand: convoySizes[g%len(convoySizes)]})
+		}
+		if g%4 == 1 {
+			convoys = append(convoys, arrival{gap: 0, demand: 24e6})
+		}
+	}
 	type layout struct{ closed, stepped int }
 	var single, multi layout // weight-n single lane; lane per drive
+	for _, san := range []bool{false, true} {
+		for _, disks := range []int{4, 24} {
+			for _, diskHit := range []float64{0.05, 0.1} {
+				for _, arrayHit := range []float64{0, 0.05} {
+					c := storeCase{san: san, disks: disks, diskHit: diskHit, arrayHit: arrayHit,
+						seed: uint64(disks) + 100, derateAt: 40}
+					t.Run("convoys "+c.String(), func(t *testing.T) {
+						closed, stepped := drivePaths(diffStores(t, c, convoys))
+						multi.closed += closed
+						multi.stepped += stepped
+					})
+				}
+			}
+		}
+	}
 	for _, s := range schedules {
 		for _, san := range []bool{false, true} {
 			for _, disks := range []int{1, 2, 4, 20, 24} {
@@ -273,6 +308,11 @@ func FuzzDiskArrayMatchesPerDisk(f *testing.F) {
 	f.Add(false, uint8(4), uint8(255), uint8(0), uint64(3), uint16(0), []byte{0, 100, 0, 100, 0, 100})
 	f.Add(false, uint8(1), uint8(128), uint8(255), uint64(9), uint16(900), []byte{2, 1, 0, 2})
 	f.Add(false, uint8(7), uint8(1), uint8(128), uint64(11), uint16(12), []byte{0, 255, 0, 254, 1, 253, 0, 0, 0, 3})
+	// Several controller completions a tick at disk hit rates ~0.1 and
+	// ~0.05, derated early; then small stripes behind a busy drive.
+	f.Add(false, uint8(3), uint8(26), uint8(0), uint64(5), uint16(3), []byte{0, 18, 0, 18, 0, 18, 0, 18, 0, 18, 0, 18, 0, 25, 0, 18})
+	f.Add(true, uint8(23), uint8(13), uint8(13), uint64(8), uint16(2), []byte{0, 18, 0, 18, 0, 36, 0, 18, 0, 56, 0, 18, 0, 18, 0, 18})
+	f.Add(false, uint8(7), uint8(26), uint8(0), uint64(4), uint16(0), []byte{0, 180, 1, 18, 0, 18, 0, 18, 0, 18, 0, 18, 0, 18})
 	f.Fuzz(func(t *testing.T, san bool, disks, diskHit, arrayHit uint8, seed uint64, derateAt uint16, raw []byte) {
 		if len(raw) > 128 {
 			raw = raw[:128]

@@ -13,7 +13,21 @@ type arrivalQueue interface {
 	Enqueue(*Task)
 	Horizon() float64
 	Idle() bool
+	InService() int
+	Waiting() int
 	SetNotify(func(h float64))
+}
+
+// slots returns how many tasks q serves at once: its servers, or its
+// connection limit.
+func slots(q arrivalQueue) int {
+	switch q := q.(type) {
+	case *FCFS:
+		return q.servers
+	case *PS:
+		return q.k
+	}
+	panic(fmt.Sprintf("slots: unexpected queue %T", q))
 }
 
 // peekHorizon returns q's Horizon without promoting anything on q itself:
@@ -36,23 +50,38 @@ func peekHorizon(q arrivalQueue) float64 {
 	panic(fmt.Sprintf("peekHorizon: unexpected queue %T", q))
 }
 
-// arrivalHook records the h every Enqueue of a queue reports.
+// arrivalHook records the h every firing Enqueue of a queue reports.
 type arrivalHook struct{ hs []float64 }
 
 func (a *arrivalHook) notify(h float64) { a.hs = append(a.hs, h) }
 
-// checkArrival enqueues t on q, whose notify hook is a, and holds the h the
-// hook reported to the arrival contract of SetNotify: the queue's horizon
-// after the enqueue is at least min(its horizon before, h), and exactly h,
-// bit for bit, when the queue was idle. It returns h and the horizon after.
-func checkArrival(t testing.TB, q arrivalQueue, a *arrivalHook, task *Task) (h, after float64) {
+// checkArrival enqueues t on q, whose notify hook is a, and holds the
+// enqueue to the arrival contract of SetNotify. A task that will hold a
+// server or slot at the next fill fires the hook exactly once, and the
+// queue's horizon after the enqueue is at least min(its horizon before, h),
+// and exactly h, bit for bit, when the queue was idle. A task that has to
+// wait fires nothing, and the horizon after is the horizon before, bit for
+// bit. It returns whether the hook fired, the h it reported (+Inf when
+// silent) and the horizon after.
+func checkArrival(t testing.TB, q arrivalQueue, a *arrivalHook, task *Task) (fired bool, h, after float64) {
 	t.Helper()
 	idle, before, n := q.Idle(), peekHorizon(q), len(a.hs)
+	starts := q.InService()+q.Waiting() < slots(q)
 	q.Enqueue(task)
+	after = peekHorizon(q)
+	if !starts {
+		if len(a.hs) != n {
+			t.Fatalf("task %d (demand %v) waits, but Enqueue fired the hook %d times", task.ID, task.Demand, len(a.hs)-n)
+		}
+		if math.Float64bits(after) != math.Float64bits(before) {
+			t.Fatalf("task %d (demand %v) waits, but the horizon moved from %v to %v", task.ID, task.Demand, before, after)
+		}
+		return false, math.Inf(1), after
+	}
 	if len(a.hs) != n+1 {
 		t.Fatalf("Enqueue fired the hook %d times, want once", len(a.hs)-n)
 	}
-	h, after = a.hs[n], peekHorizon(q)
+	h = a.hs[n]
 	if after < min(before, h) {
 		t.Fatalf("task %d (demand %v): horizon %v after the enqueue, below min(%v before, hook %v)",
 			task.ID, task.Demand, after, before, h)
@@ -60,15 +89,15 @@ func checkArrival(t testing.TB, q arrivalQueue, a *arrivalHook, task *Task) (h, 
 	if idle && math.Float64bits(after) != math.Float64bits(h) {
 		t.Fatalf("task %d (demand %v) on an idle queue: hook %v, horizon after %v", task.ID, task.Demand, h, after)
 	}
-	return h, after
+	return true, h, after
 }
 
 // TestArrivalHorizonBound pins the h each queue's hook reports and its
 // relation to the horizon after the enqueue, one row per case the bound
 // distinguishes: exact where the task's first event is the queue's next
-// (idle queues, FCFS with a free server, PS in its latency phase), +Inf
-// where it waits, and strictly early on a busy zero-latency PS, whose new
-// transfer lowers the share.
+// (idle queues, FCFS with a free server, PS in its latency phase), silent
+// where it waits — no firing, the horizon unchanged — and strictly early on
+// a busy zero-latency PS, whose new transfer lowers the share.
 func TestArrivalHorizonBound(t *testing.T) {
 	inf := math.Inf(1)
 	cases := []struct {
@@ -76,8 +105,8 @@ func TestArrivalHorizonBound(t *testing.T) {
 		queue  func() arrivalQueue
 		loaded []float64 // demands enqueued (and promoted) before the checked arrival
 		demand float64
-		wantH  float64
-		early  bool // the horizon after lies strictly above min(before, h)
+		wantH  float64 // +Inf: the task waits and the hook stays silent
+		early  bool    // the horizon after lies strictly above min(before, h)
 	}{
 		{name: "idle FCFS", queue: func() arrivalQueue { return NewFCFS(1, 4) }, demand: 3, wantH: 0.75},
 		{name: "busy single server", queue: func() arrivalQueue { return NewFCFS(1, 4) }, loaded: []float64{8}, demand: 1, wantH: inf},
@@ -100,7 +129,10 @@ func TestArrivalHorizonBound(t *testing.T) {
 			}
 			q.Horizon() // promote the loaded tasks, as a Step would
 			before := q.Horizon()
-			h, after := checkArrival(t, q, &a, &Task{ID: 1, Demand: c.demand})
+			fired, h, after := checkArrival(t, q, &a, &Task{ID: 1, Demand: c.demand})
+			if silent := math.IsInf(c.wantH, 1); fired == silent {
+				t.Fatalf("hook fired %v, want %v", fired, !silent)
+			}
 			if math.Float64bits(h) != math.Float64bits(c.wantH) {
 				t.Fatalf("hook reported %v, want %v", h, c.wantH)
 			}

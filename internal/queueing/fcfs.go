@@ -28,26 +28,30 @@ type FCFS struct {
 	notify func(h float64) // arrival hook (see SetNotify)
 }
 
-// SetNotify installs a hook invoked on every Enqueue — the transition that
-// can move the queue's next event earlier — with the arriving task's own
-// first event: h is its service time, Demand/rate, when the task will hold a
-// server at the next fill, and +Inf when it has to wait behind busy servers.
-// An arrival changes no other task's completion, so the queue's next event
-// after the enqueue is exactly min(Horizon() before, h). Owning agents
-// forward the hook to their event calendar (core.AgentBase.Arrive), which
-// lowers the agent's key to h without a Horizon call. The hook runs
-// synchronously inside Enqueue: it must only be set on queues that receive
-// work from sequential simulation phases (ingress queues), never on queues
-// fed by internal handoffs inside the parallel Step phase — those
-// transitions occur only at scheduled event ticks, where the loop rekeys
-// the agent right after it acts.
+// SetNotify installs a hook invoked on every Enqueue whose task will hold a
+// server at the next fill — the only arrivals that can move the queue's next
+// event earlier — with the arriving task's own first event, its service
+// time Demand/rate. An arrival changes no other task's completion, so the
+// queue's next event after the enqueue is exactly min(Horizon() before, h).
+// A task that has to wait behind busy servers fires nothing: its first event
+// lies beyond the queue's horizon, and a queue that already holds work
+// belongs to an agent that is active and keyed. Owning agents forward the
+// hook to their event calendar (core.AgentBase.Arrive), which lowers the
+// agent's key to h without a Horizon call. The hook runs synchronously
+// inside Enqueue: it must only be set on queues that receive work from
+// sequential simulation phases (ingress queues), never on queues fed by
+// internal handoffs inside the parallel Step phase — those transitions occur
+// only at scheduled event ticks, where the loop rekeys the agent right after
+// it acts.
 func (q *FCFS) SetNotify(fn func(h float64)) { q.notify = fn }
 
 // NewFCFS returns an FCFS queue with the given number of servers and
-// per-server service rate (units per second). It panics on non-positive
-// arguments: a queue that can never serve work is a configuration error.
+// per-server service rate (units per second). It panics unless servers is
+// positive and rate positive and finite — a NaN rate would leave every task
+// in service forever — since a queue that can never serve work is a
+// configuration error.
 func NewFCFS(servers int, rate float64) *FCFS {
-	if servers <= 0 || rate <= 0 {
+	if !(servers > 0 && rate > 0 && !math.IsInf(rate, 1)) {
 		panic(fmt.Sprintf("queueing: invalid FCFS servers=%d rate=%v", servers, rate))
 	}
 	return &FCFS{rate: rate, servers: servers, inService: make([]*Task, 0, servers)}
@@ -61,9 +65,9 @@ func (q *FCFS) Rate() float64 { return q.rate }
 // in-service tasks finish their remaining demand at the new rate. Callers
 // must invoke it from a sequential simulation phase and invalidate the
 // owning agent's cached horizon (Sync before, MarkDirty after), exactly
-// like an Enqueue. Panics on a non-positive rate.
+// like an Enqueue. Panics unless the rate is positive and finite.
 func (q *FCFS) SetRate(rate float64) {
-	if rate <= 0 {
+	if !(rate > 0 && !math.IsInf(rate, 1)) {
 		panic(fmt.Sprintf("queueing: invalid FCFS rate %v", rate))
 	}
 	q.rate = rate
@@ -72,17 +76,14 @@ func (q *FCFS) SetRate(rate float64) {
 // Servers returns the number of servers.
 func (q *FCFS) Servers() int { return q.servers }
 
-// Enqueue adds a task at the tail, firing the notify hook. Zero-demand
-// tasks are legal and complete on the next Step.
+// Enqueue adds a task at the tail, firing the notify hook when the task will
+// hold a server at the next fill. Zero-demand tasks are legal and complete on
+// the next Step.
 func (q *FCFS) Enqueue(t *Task) {
 	q.arrivals++
 	q.waiting.push(t)
-	if q.notify != nil {
-		h := math.Inf(1)
-		if len(q.inService)+q.waiting.len() <= q.servers {
-			h = t.Demand / q.rate
-		}
-		q.notify(h)
+	if q.notify != nil && len(q.inService)+q.waiting.len() <= q.servers {
+		q.notify(t.Demand / q.rate)
 	}
 }
 
@@ -221,52 +222,62 @@ func (q *FCFS) stepOne(dt float64, done DoneFunc) {
 	}
 }
 
-// ServeAll serves ts, in order, within one step of dt seconds on an idle
-// single-server queue, leaving the state that enqueuing each task and then
-// calling Step(dt) would leave, and reports whether it did. It takes, task
-// by task, exactly the branches Step would take, and
-// accepts only if each task starts with more than eps of the step left and
-// finishes strictly inside it; then it adds each task's service time to the
-// busy time in order, counts the arrivals and departures and zeroes the
-// demands. Otherwise it returns false having changed nothing, and the
-// caller enqueues and steps as usual. Completion is the caller's to handle,
-// in task order. A queue with a notify hook is refused: Enqueue would fire
-// it.
-func (q *FCFS) ServeAll(ts []*Task, dt float64) bool {
+// Solo is what serving one task alone on an idle single-server queue costs
+// that depends only on the task's demand and the rate: the sub-step Step
+// would take for it, if Step would complete the task at its end. It is the
+// per-task half of ServeSolos, computed once (FCFS.Solo) for every queue of
+// that rate that receives the same demand — the drive lanes of a disk array
+// all receive each request's stripe.
+type Solo struct {
+	rate float64 // the rate it was computed at
+	sub  float64 // Demand/rate, clamped at 0; +Inf if Step would not complete the task there
+}
+
+// Solo returns the solo service of a task of the given demand at q's rate,
+// with the expressions stepOne evaluates for it.
+func (q *FCFS) Solo(demand float64) Solo {
+	sub := demand / q.rate
+	if sub < 0 {
+		sub = 0
+	}
+	if work := sub * q.rate; !(demand-work <= eps*q.rate) {
+		sub = math.Inf(1)
+	}
+	return Solo{rate: q.rate, sub: sub}
+}
+
+// ServeSolos serves, in order, the tasks whose solo services are ss within
+// one step of dt seconds on an idle single-server queue, leaving the state
+// that enqueuing each task and then calling Step(dt) would leave, and
+// reports whether it did. It takes, task by task, exactly the branches Step
+// would take, and accepts only if each solo was computed at the queue's
+// rate and each task starts with more than eps of the step left and
+// finishes strictly inside it; then it adds each sub-step to the busy time
+// in order and counts the arrivals and departures. Otherwise it returns
+// false having changed nothing, and the caller enqueues and steps as usual.
+// The tasks themselves are the caller's: their completion, in order, and
+// the demands Step would zero. A queue with a notify hook is refused:
+// Enqueue would fire it.
+func (q *FCFS) ServeSolos(ss []Solo, dt float64) bool {
 	if q.servers != 1 || q.notify != nil || len(q.inService) > 0 || q.waiting.len() > 0 {
 		return false
 	}
 	busy, remaining := q.busy, dt
-	for _, t := range ts {
-		if !(remaining > eps) {
+	for _, s := range ss {
+		if !(remaining > eps && s.rate == q.rate && s.sub < remaining) {
 			return false
 		}
-		ttc := t.Demand / q.rate
-		if !(ttc < remaining) {
-			return false
-		}
-		sub := ttc
-		if sub < 0 {
-			sub = 0
-		}
-		work := sub * q.rate
-		if !(t.Demand-work <= eps*q.rate) {
-			return false
-		}
-		busy += sub
-		remaining -= sub
+		busy += s.sub
+		remaining -= s.sub
 	}
 	q.busy = busy
-	q.arrivals += uint64(len(ts))
-	q.departs += uint64(len(ts))
-	for _, t := range ts {
-		t.Demand = 0
-	}
+	q.arrivals += uint64(len(ss))
+	q.departs += uint64(len(ss))
 	return true
 }
 
 // stepServers is Step on c servers. On one server it is also the reference
-// the tests hold stepOne and ServeAll to.
+// the tests hold stepOne and ServeSolos to.
 func (q *FCFS) stepServers(dt float64, done DoneFunc) {
 	q.fill()
 	remaining := dt

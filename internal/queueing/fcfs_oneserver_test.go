@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// The single-server step (stepOne) and the closed form (ServeAll) answer to
-// the c-server loop, stepServers, called on a one-server queue: same
-// completion order, same demands, same busy accumulator, bit for bit.
+// The single-server step (stepOne) and the closed form (Solo, ServeSolos)
+// answer to the c-server loop, stepServers, called on a one-server queue:
+// same completion order, same demands, same busy accumulator, bit for bit.
 
 // oneOpKind names one call of the differential driver.
 type oneOpKind uint8
@@ -54,8 +54,8 @@ type doneEvent struct {
 }
 
 // oneSide is one queue of the pair with the step under test. Its notify
-// hook records every arrival's h, and each enqueue op holds it to the
-// arrival contract (checkArrival).
+// hook records the h of every arrival that fires it, and each enqueue op
+// holds the enqueue to the arrival contract (checkArrival).
 type oneSide struct {
 	tb       testing.TB
 	q        *FCFS
@@ -211,8 +211,9 @@ func decodeOneOps(raw []byte) []oneOp {
 // random enqueues (zero demands included), steps of varying dt, rate changes
 // between steps, and interleaved Horizon, horizon-bounded BulkStep and
 // TakeBusy calls, all on a one-server queue whose done re-enqueues into it.
-// Every enqueue also checks the h its notify hook reports against the
-// horizon before and after (checkArrival).
+// Every enqueue also checks its notify hook — the h it reports, or its
+// silence for a task that waits — against the horizon before and after
+// (checkArrival).
 func FuzzFCFSOneServerMatchesGeneral(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 0, 33, 1, 3, 0x81, 20, 0, 63, 1, 100})
 	f.Add([]byte{0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 1, 40, 2, 1, 1, 40, 0x81, 255, 1, 200})
@@ -227,14 +228,15 @@ func FuzzFCFSOneServerMatchesGeneral(f *testing.F) {
 	})
 }
 
-// serveCase is one ServeAll call: the queue it meets and the batch.
+// serveCase is one ServeSolos call: the queue it meets and the batch.
 type serveCase struct {
-	servers int
-	rate    float64
-	busy    float64   // busy seconds already accumulated: the sum order shows
-	queued  float64   // demand already queued (the queue is not idle) if > 0
-	demands []float64 // the batch
-	dt      float64
+	servers  int
+	rate     float64
+	busy     float64   // busy seconds already accumulated: the sum order shows
+	queued   float64   // demand already queued (the queue is not idle) if > 0
+	demands  []float64 // the batch
+	dt       float64
+	soloRate float64 // the rate the solos are computed at, if not rate
 }
 
 func (c serveCase) queue() (*FCFS, []*Task) {
@@ -250,13 +252,15 @@ func (c serveCase) queue() (*FCFS, []*Task) {
 	return q, ts
 }
 
-// checkServeAll calls ServeAll on c's queue and holds the result to Enqueue
-// of each task then the c-server step on an identical queue when it
-// accepts — every task completes, in order, and busy time, counters and
-// demands match bit for bit — and to an untouched queue when it refuses.
-func checkServeAll(t *testing.T, c serveCase) bool {
+// checkServeSolos computes the batch's solos — once, on a queue of the solo
+// rate, as a disk array does for all its lanes — and calls ServeSolos with
+// them on c's queue. It holds the result to Enqueue of each task then the
+// c-server step on an identical queue when it accepts — every task
+// completes, in order, and busy time and counters match bit for bit — and
+// to an untouched queue when it refuses.
+func checkServeSolos(t *testing.T, c serveCase) bool {
 	t.Helper()
-	same := func(what string, a, b *FCFS, at, bt []*Task) {
+	same := func(what string, a, b *FCFS) {
 		t.Helper()
 		if !bitsEqual(a.busy, b.busy) || a.Arrivals() != b.Arrivals() || a.Departures() != b.Departures() ||
 			a.InService() != b.InService() || a.Waiting() != b.Waiting() {
@@ -264,16 +268,19 @@ func checkServeAll(t *testing.T, c serveCase) bool {
 				a.busy, a.Arrivals(), a.Departures(), a.InService(), a.Waiting(),
 				b.busy, b.Arrivals(), b.Departures(), b.InService(), b.Waiting())
 		}
-		for i := range at {
-			if !bitsEqual(at[i].Demand, bt[i].Demand) {
-				t.Fatalf("%+v %s: task %d demand %v, want %v", c, what, i+1, at[i].Demand, bt[i].Demand)
-			}
-		}
 	}
 	q, ts := c.queue()
-	if !q.ServeAll(ts, c.dt) {
-		fresh, fts := c.queue()
-		same("refused", q, fresh, ts, fts)
+	at := q
+	if c.soloRate != 0 {
+		at = NewFCFS(1, c.soloRate)
+	}
+	solos := make([]Solo, len(ts))
+	for i, task := range ts {
+		solos[i] = at.Solo(task.Demand)
+	}
+	if !q.ServeSolos(solos, c.dt) {
+		fresh, _ := c.queue()
+		same("refused", q, fresh)
 		return false
 	}
 	ref, rts := c.queue()
@@ -290,13 +297,14 @@ func checkServeAll(t *testing.T, c serveCase) bool {
 			t.Fatalf("%+v: Enqueue+Step completion %d is task %d", c, i, done[i].ID)
 		}
 	}
-	same("accepted", q, ref, ts, rts)
+	same("accepted", q, ref)
 	return true
 }
 
-// ServeAll is Enqueue of each task then Step when it accepts, and leaves the
-// queue untouched when it refuses: one row per refusal edge, the accepted
-// shapes around them, then random batches on lanes with a busy history.
+// Solo then ServeSolos is Enqueue of each task then Step when it accepts,
+// and leaves the queue untouched when it refuses: one row per refusal edge,
+// the accepted shapes around them, then random batches on lanes with a busy
+// history.
 func TestServeAllMatchesEnqueueStep(t *testing.T) {
 	const dt, rate = 0.005, 100e6 // a 100 MB/s drive lane, one 5 ms tick
 	const busy = 0.0123456789     // an earlier tick's service
@@ -305,24 +313,26 @@ func TestServeAllMatchesEnqueueStep(t *testing.T) {
 		serveCase
 		accept bool
 	}{
-		{"three stripes inside the tick", serveCase{1, rate, busy, 0, []float64{1e5, 1.3e5, 4096}, dt}, true},
-		{"one stripe", serveCase{1, rate, 0, 0, []float64{312500}, dt}, true},
-		{"zero-byte stripes", serveCase{1, rate, busy, 0, []float64{0, 0, 0}, dt}, true},
-		{"zero-byte after a stripe", serveCase{1, rate, busy, 0, []float64{2e5, 0}, dt}, true},
-		{"non-idle queue", serveCase{1, rate, busy, 1e5, []float64{1e5}, dt}, false},
-		{"two servers", serveCase{2, rate, 0, 0, []float64{1e5}, dt}, false},
-		{"stripe ending exactly at dt", serveCase{1, rate, busy, 0, []float64{5e5}, dt}, false},
-		{"second stripe spills past the tick", serveCase{1, rate, busy, 0, []float64{3e5, 3e5}, dt}, false},
-		{"remaining at most eps", serveCase{1, rate, busy, 0, []float64{5e5 - 1e-6, 0}, dt}, false},
-		{"derated lane, fits", serveCase{1, 0.4 * rate, busy, 0, []float64{1e5, 9e4}, dt}, true},
-		{"derated lane, spills", serveCase{1, 0.4 * rate, busy, 0, []float64{3e5}, dt}, false},
-		{"tick below eps", serveCase{1, rate, busy, 0, []float64{0}, 1e-13}, false},
-		{"no stripes", serveCase{1, rate, busy, 0, nil, dt}, true},
+		{"three stripes inside the tick", serveCase{1, rate, busy, 0, []float64{1e5, 1.3e5, 4096}, dt, 0}, true},
+		{"one stripe", serveCase{1, rate, 0, 0, []float64{312500}, dt, 0}, true},
+		{"zero-byte stripes", serveCase{1, rate, busy, 0, []float64{0, 0, 0}, dt, 0}, true},
+		{"zero-byte after a stripe", serveCase{1, rate, busy, 0, []float64{2e5, 0}, dt, 0}, true},
+		{"non-idle queue", serveCase{1, rate, busy, 1e5, []float64{1e5}, dt, 0}, false},
+		{"two servers", serveCase{2, rate, 0, 0, []float64{1e5}, dt, 0}, false},
+		{"stripe ending exactly at dt", serveCase{1, rate, busy, 0, []float64{5e5}, dt, 0}, false},
+		{"second stripe spills past the tick", serveCase{1, rate, busy, 0, []float64{3e5, 3e5}, dt, 0}, false},
+		{"remaining at most eps", serveCase{1, rate, busy, 0, []float64{5e5 - 1e-6, 0}, dt, 0}, false},
+		{"derated lane, fits", serveCase{1, 0.4 * rate, busy, 0, []float64{1e5, 9e4}, dt, 0}, true},
+		{"derated lane, spills", serveCase{1, 0.4 * rate, busy, 0, []float64{3e5}, dt, 0}, false},
+		{"solos from a derated lane", serveCase{1, rate, busy, 0, []float64{1e5, 9e4}, dt, 0.4 * rate}, false},
+		{"solos from a full-speed lane", serveCase{1, 0.4 * rate, busy, 0, []float64{1e5}, dt, rate}, false},
+		{"tick below eps", serveCase{1, rate, busy, 0, []float64{0}, 1e-13, 0}, false},
+		{"no stripes", serveCase{1, rate, busy, 0, nil, dt, 0}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := checkServeAll(t, c.serveCase); got != c.accept {
-				t.Fatalf("ServeAll = %v, want %v", got, c.accept)
+			if got := checkServeSolos(t, c.serveCase); got != c.accept {
+				t.Fatalf("ServeSolos = %v, want %v", got, c.accept)
 			}
 		})
 	}
@@ -339,12 +349,12 @@ func TestServeAllMatchesEnqueueStep(t *testing.T) {
 				}
 				c.demands = append(c.demands, d)
 			}
-			if checkServeAll(t, c) {
+			if checkServeSolos(t, c) {
 				accepted++
 			}
 		}
 		if accepted < n/10 || accepted > n-n/10 {
-			t.Fatalf("ServeAll accepted %d of %d batches: both outcomes should be common", accepted, n)
+			t.Fatalf("ServeSolos accepted %d of %d batches: both outcomes should be common", accepted, n)
 		}
 	})
 }

@@ -15,7 +15,7 @@ func TestNewFCFSPanics(t *testing.T) {
 	cases := []struct {
 		servers int
 		rate    float64
-	}{{0, 1}, {-1, 1}, {1, 0}, {1, -2}}
+	}{{0, 1}, {-1, 1}, {1, 0}, {1, -2}, {1, math.NaN()}, {1, math.Inf(1)}, {1, math.Inf(-1)}}
 	for _, c := range cases {
 		func() {
 			defer func() {
@@ -25,6 +25,34 @@ func TestNewFCFSPanics(t *testing.T) {
 			}()
 			NewFCFS(c.servers, c.rate)
 		}()
+	}
+}
+
+// The rate and latency setters reject what the constructors reject: a rate
+// must be positive and finite, a latency non-negative and finite. NaN fails
+// every comparison, so each check is one conjunction that NaN cannot pass.
+func TestQueueSettersPanic(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	setters := []struct {
+		name string
+		set  func(float64)
+		bad  []float64
+	}{
+		{"FCFS.SetRate", NewFCFS(1, 1).SetRate, []float64{0, -2, nan, inf, -inf}},
+		{"PS.SetRate", NewPS(1, 1, 0).SetRate, []float64{0, -2, nan, inf, -inf}},
+		{"PS.SetLatency", NewPS(1, 1, 0).SetLatency, []float64{-1, nan, inf, -inf}},
+	}
+	for _, c := range setters {
+		for _, x := range c.bad {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%v) did not panic", c.name, x)
+					}
+				}()
+				c.set(x)
+			}()
+		}
 	}
 }
 

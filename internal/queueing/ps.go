@@ -28,24 +28,26 @@ type PS struct {
 	notify func(h float64) // arrival hook (see SetNotify)
 }
 
-// SetNotify installs a hook invoked on every Enqueue with a lower bound h on
-// the arriving task's first event, under the contract of FCFS.SetNotify:
-// sequential-phase ingress queues only; the owning agent forwards it to its
-// event calendar. When the task will hold a connection slot at the next
-// fill, h is its latency (the expiry that changes the share) if that exceeds
-// eps, and otherwise Demand/rate — its transfer alone at the full rate, a
-// lower bound because the share is at most the rate. A task left waiting for
-// a slot reports +Inf. An arrival can only lower the share, which moves
-// every other completion later, so the queue's next event after the enqueue
-// is never earlier than min(Horizon() before, h); with latency, or on an
-// idle queue, h is the expression Horizon evaluates and the bound is exact.
+// SetNotify installs a hook invoked on every Enqueue whose task will hold a
+// connection slot at the next fill, with a lower bound h on the arriving
+// task's first event, under the contract of FCFS.SetNotify: sequential-phase
+// ingress queues only; the owning agent forwards it to its event calendar.
+// h is the task's latency (the expiry that changes the share) if that
+// exceeds eps, and otherwise Demand/rate — its transfer alone at the full
+// rate, a lower bound because the share is at most the rate. A task left
+// waiting for a slot fires nothing: it changes no share until it is
+// promoted, and the queue's agent is already active. An arrival can only
+// lower the share, which moves every other completion later, so the queue's
+// next event after the enqueue is never earlier than min(Horizon() before,
+// h); with latency, or on an idle queue, h is the expression Horizon
+// evaluates and the bound is exact.
 func (q *PS) SetNotify(fn func(h float64)) { q.notify = fn }
 
 // NewPS returns a processor-sharing queue with aggregate rate (units/second),
-// connection limit k and constant latency in seconds. Panics on non-positive
-// rate or k, or negative latency.
+// connection limit k and constant latency in seconds. Panics unless rate is
+// positive and finite, k positive and latency non-negative and finite.
 func NewPS(rate float64, k int, latency float64) *PS {
-	if rate <= 0 || k <= 0 || latency < 0 {
+	if !(rate > 0 && !math.IsInf(rate, 1) && k > 0 && latency >= 0 && !math.IsInf(latency, 1)) {
 		panic(fmt.Sprintf("queueing: invalid PS rate=%v k=%d latency=%v", rate, k, latency))
 	}
 	return &PS{rate: rate, k: k, latency: latency}
@@ -59,10 +61,10 @@ func (q *PS) Rate() float64 { return q.rate }
 // finish their remaining demand at the new share. Callers must invoke it
 // from a sequential simulation phase and invalidate the owning agent's
 // cached horizon (Sync before, MarkDirty after), exactly like an Enqueue.
-// Panics on a non-positive rate — degradation never reaches zero; a dead
-// link is modeled by failing it.
+// Panics unless the rate is positive and finite — degradation never reaches
+// zero; a dead link is modeled by failing it.
 func (q *PS) SetRate(rate float64) {
-	if rate <= 0 {
+	if !(rate > 0 && !math.IsInf(rate, 1)) {
 		panic(fmt.Sprintf("queueing: invalid PS rate %v", rate))
 	}
 	q.rate = rate
@@ -71,9 +73,10 @@ func (q *PS) SetRate(rate float64) {
 // SetLatency changes the constant per-task delay. Only tasks enqueued after
 // the change observe it: Enqueue snapshots the latency into the task's
 // delay countdown, so transfers already in their latency phase keep the
-// delay they started with. Panics on a negative latency.
+// delay they started with. Panics unless the latency is non-negative and
+// finite.
 func (q *PS) SetLatency(latency float64) {
-	if latency < 0 {
+	if !(latency >= 0 && !math.IsInf(latency, 1)) {
 		panic(fmt.Sprintf("queueing: invalid PS latency %v", latency))
 	}
 	q.latency = latency
@@ -85,18 +88,17 @@ func (q *PS) Latency() float64 { return q.latency }
 // MaxConnections returns the connection limit k.
 func (q *PS) MaxConnections() int { return q.k }
 
-// Enqueue adds a task, firing the notify hook. Its Delay field is
-// initialized to the link latency.
+// Enqueue adds a task, firing the notify hook when the task will hold a
+// connection slot at the next fill. Its Delay field is initialized to the
+// link latency.
 func (q *PS) Enqueue(t *Task) {
 	q.arrivals++
 	t.Delay = q.latency
 	q.waiting.push(t)
-	if q.notify != nil {
-		h := math.Inf(1)
-		if len(q.inService)+q.waiting.len() <= q.k {
-			if h = t.Delay; !(h > eps) {
-				h = t.Demand / q.rate
-			}
+	if q.notify != nil && len(q.inService)+q.waiting.len() <= q.k {
+		h := t.Delay
+		if !(h > eps) {
+			h = t.Demand / q.rate
 		}
 		q.notify(h)
 	}
@@ -227,11 +229,11 @@ func (q *PS) BulkStep(n int, dt float64) {
 // dt — the same per-tick arithmetic BulkStep replays in bulk — so a
 // countdown's float trajectory depends only on the whole ticks elapsed
 // since its enqueue, never on how other tasks' completions sub-split a
-// step. The pre-decrement
-// delay doubles as each task's expiry offset inside this step: a task
-// starts transferring once the resolved sub-steps cover its offset. A task
-// promoted out of the waiting line mid-step (a slot freed under
-// contention) starts its countdown at the next step.
+// step. The pre-decrement delay doubles as each task's expiry offset inside
+// this step: a task starts transferring once the resolved sub-steps cover
+// its offset, and a sub-step in which no task transfers only advances the
+// step's clock. A task promoted out of the waiting line mid-step (a slot
+// freed under contention) starts its countdown at the next step.
 func (q *PS) Step(dt float64, done DoneFunc) {
 	q.fill()
 	if len(q.inService) == 0 {
@@ -282,6 +284,15 @@ func (q *PS) Step(dt float64, done DoneFunc) {
 		}
 		if sub < 0 {
 			sub = 0
+		}
+		if transferring == 0 {
+			// Every task is still in its latency phase: no demand changes,
+			// nothing completes and no slot frees, so the compaction pass
+			// and the refill would leave everything as it is — the last
+			// fill left the slots full or the waiting line empty.
+			elapsed += sub
+			remaining -= sub
+			continue
 		}
 		kept := q.inService[:0]
 		keptOffs := offs[:0]

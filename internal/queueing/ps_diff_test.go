@@ -55,9 +55,9 @@ type psQueue interface {
 	Idle() bool
 }
 
-// psSide is one queue of the pair. On the PS side, arrivals records every
-// arrival's h and each enqueue op holds it to the arrival contract
-// (checkArrival); the reference has no hook.
+// psSide is one queue of the pair. On the PS side, arrivals records the h of
+// every arrival that fires the hook and each enqueue op holds the enqueue to
+// the arrival contract (checkArrival); the reference has no hook.
 type psSide struct {
 	q        psQueue
 	tasks    []*Task
@@ -185,6 +185,18 @@ func TestPSMatchesReference(t *testing.T) {
 		{"rate and latency changes in flight", 1, 4, []psOp{lat(0.05), enq(0.4), enq(0.2), step(0.03), {kind: psRate, x: 0.4}, lat(0), enq(0.1), peek(step(0.1)), {kind: psRate, x: 2}, step(0.5)}},
 		{"step below eps", 1, 4, []psOp{lat(0.01), enq(0.5), step(1e-13), peek(step(1e-13)), step(0.25), {kind: psTakeBusy}, step(1)}},
 		{"zero-demand transfers", 1, 4, []psOp{enq(0), enq(0), lat(0.2), enq(0), enq(0.3), peek(step(0.25)), step(0.5)}},
+		// Local links: a convoy of equal transfers whose latency ends inside
+		// the first step, so its first sub-step only counts down.
+		{"eight identical transfers, latency below dt", 1, 8, []psOp{lat(0.0625), enq(0.25), enq(0.25), enq(0.25), enq(0.25),
+			enq(0.25), enq(0.25), enq(0.25), enq(0.25), peek(step(0.125)), step(0.5), peek(step(0.5)), step(1), step(1)}},
+		// Steps whose sub-steps alternate between latency only and transfer:
+		// a lone countdown, then a transfer joined by two later expiries.
+		{"mixed latency and transfer sub-steps", 1, 4, []psOp{lat(0.25), enq(0.5), step(0.125), lat(0.0625), enq(0.25),
+			enq(0.125), peek(step(0.5)), lat(0.1875), enq(0.375), step(0.25), peek(step(1)), step(1)}},
+		// Both slots free at once mid-step; the promoted tasks start their
+		// countdown next step, so the rest of this one transfers nothing.
+		{"k-limited, waiting promoted mid-step", 1, 2, []psOp{lat(0.0625), enq(0.125), enq(0.125), enq(0.5), enq(0.5),
+			enq(0.25), peek(step(0.5)), step(0.5), peek(step(1)), step(1), step(1)}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { diffPS(t, c.rate, c.k, c.ops) })
@@ -224,14 +236,18 @@ func decodePSOps(raw []byte) []psOp {
 // enqueues, steps of varying dt, rate and latency changes between steps, and
 // interleaved Horizon, horizon-bounded BulkStep and TakeBusy calls, on a
 // queue of one to four connections whose done re-enqueues into it. Every
-// enqueue on the PS side also checks the h its notify hook reports against
-// the horizon before and after (checkArrival).
+// enqueue on the PS side also checks its notify hook — the h it reports, or
+// its silence for a task that waits — against the horizon before and after
+// (checkArrival).
 func FuzzPSMatchesReference(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 16, 3, 48, 0, 63, 0x81, 63, 1, 63})
 	f.Add(uint8(0), []byte{0, 10, 0, 0, 0, 33, 1, 3, 0x81, 20, 0, 63, 1, 100, 1, 63})
 	f.Add(uint8(1), []byte{3, 9, 0, 40, 0, 41, 0x85, 10, 1, 1, 5, 29, 4, 0, 2, 5, 1, 63, 6, 0, 1, 63})
 	f.Add(uint8(2), []byte{0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 1, 40, 2, 1, 1, 40, 0x81, 255, 1, 63})
 	f.Add(uint8(3), []byte{3, 3, 0, 63, 0, 1, 3, 0, 0, 12, 0x81, 2, 2, 6, 0x85, 3, 1, 63, 1, 63})
+	f.Add(uint8(3), []byte{3, 1, 0, 8, 0, 8, 0, 8, 0, 8, 0, 8, 0, 8, 0, 8, 0, 8, 0x81, 7, 1, 63, 1, 63, 1, 63})
+	f.Add(uint8(3), []byte{3, 8, 0, 16, 1, 7, 3, 2, 0, 8, 0, 4, 0x81, 31, 3, 6, 0, 12, 1, 15, 1, 63, 1, 63})
+	f.Add(uint8(1), []byte{3, 2, 0, 4, 0, 4, 0, 16, 0, 16, 0, 8, 0x81, 31, 1, 31, 0x81, 63, 1, 63})
 	f.Fuzz(func(t *testing.T, k uint8, raw []byte) {
 		if len(raw) > 256 {
 			raw = raw[:256]

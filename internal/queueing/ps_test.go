@@ -12,7 +12,8 @@ func TestNewPSPanics(t *testing.T) {
 		rate    float64
 		k       int
 		latency float64
-	}{{0, 1, 0}, {1, 0, 0}, {1, 1, -1}}
+	}{{0, 1, 0}, {1, 0, 0}, {1, 1, -1}, {math.NaN(), 1, 0}, {math.Inf(1), 1, 0}, {math.Inf(-1), 1, 0},
+		{1, 1, math.NaN()}, {1, 1, math.Inf(1)}, {1, 1, math.Inf(-1)}}
 	for _, c := range cases {
 		func() {
 			defer func() {
