@@ -422,7 +422,8 @@ type (
 	WorkloadSpec = config.WorkloadSpec
 )
 
-// LoadScenario reads and validates a scenario document from a JSON file.
+// LoadScenario reads a scenario document from a JSON file, checking its
+// JSON shape only; ExperimentFromDocument checks the values.
 func LoadScenario(path string) (*ScenarioDocument, error) { return config.Load(path) }
 
 // ExportSeriesCSV writes series as long-format CSV for external plotting.

@@ -22,7 +22,7 @@ func CalibratedCADSeries(inf *topology.Infrastructure, local, master *topology.D
 	for _, st := range refdata.SeriesTypes {
 		ops := CADOpsBySeries(st)
 		series := workload.Series{Name: string(st)}
-		for i, op := range ops {
+		for _, op := range ops {
 			target, ok := refdata.Table51Durations[st][op.Name]
 			if !ok {
 				return nil, fmt.Errorf("apps: no Table 5.1 target for %s", op.Name)
@@ -34,7 +34,6 @@ func CalibratedCADSeries(inf *topology.Infrastructure, local, master *topology.D
 			}
 			calibrated.Name = op.Name + " [" + string(st) + "]"
 			series.Ops = append(series.Ops, calibrated)
-			_ = i
 		}
 		out[st] = series
 	}

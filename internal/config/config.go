@@ -1,7 +1,10 @@
 // Package config loads and saves simulator inputs as JSON documents —
 // the input-parameter files of §3.2.1 (data center specifications,
 // topology, workloads) — and exports result series for external plotting
-// (the visualization direction of §9.3.2).
+// (the visualization direction of §9.3.2). It decodes and encodes only:
+// Decode and Load reject malformed JSON, unknown fields and trailing data,
+// and every check on the values is made once, by the experiment gate that
+// experiment.FromDocument runs.
 package config
 
 import (
@@ -136,132 +139,9 @@ type FaultSpec struct {
 	RebuildMBps float64 `json:"rebuildMBps,omitempty"`
 }
 
-// validateFault checks one fault spec against the document's DC names.
-// Magnitude-range and topology-level checks (does the WAN link exist, is
-// the failover master a daemon) happen at compile time against the built
-// target; here we catch the structural mistakes a document can express.
-func (d *Document) validateFault(f FaultSpec, names map[string]bool, seen map[string]bool) error {
-	if f.Name == "" {
-		return fmt.Errorf("config: document %s: fault without a name", d.Name)
-	}
-	if seen[f.Name] {
-		return fmt.Errorf("config: document %s: duplicate fault name %q", d.Name, f.Name)
-	}
-	seen[f.Name] = true
-	if f.At < 0 || f.Duration < 0 {
-		return fmt.Errorf("config: document %s: fault %s has a negative schedule", d.Name, f.Name)
-	}
-	switch f.Kind {
-	case "wan":
-		if !names[f.From] || !names[f.To] {
-			return fmt.Errorf("config: document %s: fault %s: wan endpoints %q-%q must name data centers",
-				d.Name, f.Name, f.From, f.To)
-		}
-	case "dc":
-		if !names[f.DC] {
-			return fmt.Errorf("config: document %s: fault %s: unknown DC %q", d.Name, f.Name, f.DC)
-		}
-	case "storage":
-		if !names[f.DC] {
-			return fmt.Errorf("config: document %s: fault %s: unknown DC %q", d.Name, f.Name, f.DC)
-		}
-		if f.Tier == "" {
-			return fmt.Errorf("config: document %s: fault %s: storage fault needs a tier", d.Name, f.Name)
-		}
-	case "failover":
-		if !names[f.From] || !names[f.To] {
-			return fmt.Errorf("config: document %s: fault %s: failover %q -> %q must name data centers",
-				d.Name, f.Name, f.From, f.To)
-		}
-	default:
-		return fmt.Errorf("config: document %s: fault %s: unknown kind %q (have wan, dc, storage, failover)",
-			d.Name, f.Name, f.Kind)
-	}
-	return nil
-}
-
-// Validate checks the document beyond JSON well-formedness.
-func (d *Document) Validate() error {
-	if d.Name == "" {
-		return fmt.Errorf("config: document needs a name")
-	}
-	if len(d.Infrastructure.DCs) == 0 {
-		return fmt.Errorf("config: document %s has no data centers", d.Name)
-	}
-	names := map[string]bool{}
-	for _, dc := range d.Infrastructure.DCs {
-		names[dc.Name] = true
-	}
-	for _, w := range d.Workloads {
-		if w.App == "" {
-			return fmt.Errorf("config: workload without app name")
-		}
-		if !names[w.DC] {
-			return fmt.Errorf("config: workload %s references unknown DC %q", w.App, w.DC)
-		}
-		if w.OpsPerUserHour <= 0 {
-			return fmt.Errorf("config: workload %s/%s needs a positive rate", w.App, w.DC)
-		}
-		if f := w.Fluid; f != nil {
-			if f.Above <= 0 {
-				return fmt.Errorf("config: workload %s/%s: fluid threshold above must be positive", w.App, w.DC)
-			}
-			if f.RhoMax < 0 || f.RhoMax >= 1 {
-				return fmt.Errorf("config: workload %s/%s: fluid guard rhoMax %v outside [0, 1)", w.App, w.DC, f.RhoMax)
-			}
-		}
-	}
-	if d.Step < 0 {
-		return fmt.Errorf("config: document %s has a negative step", d.Name)
-	}
-	if w := d.Window; w != nil {
-		switch {
-		case w.RunSeconds < 0:
-			return fmt.Errorf("config: document %s has a negative run length", d.Name)
-		case w.RunSeconds > 0 && (w.StartHour != 0 || w.EndHour != 0):
-			return fmt.Errorf("config: document %s sets both runSeconds and an hour window", d.Name)
-		case w.RunSeconds == 0 && (w.StartHour < 0 || w.EndHour <= w.StartHour || w.EndHour > 24):
-			return fmt.Errorf("config: document %s has a bad hour window [%d, %d)",
-				d.Name, w.StartHour, w.EndHour)
-		}
-	}
-	if dm := d.Daemons; dm != nil {
-		if len(dm.Masters) == 0 {
-			return fmt.Errorf("config: document %s declares daemons without masters", d.Name)
-		}
-		for _, m := range dm.Masters {
-			if !names[m] {
-				return fmt.Errorf("config: document %s: daemon master %q is not a data center", d.Name, m)
-			}
-		}
-		for dc := range dm.GrowthMBh {
-			if !names[dc] {
-				return fmt.Errorf("config: document %s: growth curve for unknown DC %q", d.Name, dc)
-			}
-		}
-		if dm.SyncIntervalMin < 0 || dm.IndexGapMin < 0 || dm.IndexHeadroom < 0 {
-			return fmt.Errorf("config: document %s has negative daemon parameters", d.Name)
-		}
-		if d.AccessMatrix == nil {
-			return fmt.Errorf("config: document %s declares daemons without an access matrix", d.Name)
-		}
-	}
-	if d.AccessMatrix != nil {
-		if err := d.AccessMatrix.Validate(); err != nil {
-			return fmt.Errorf("config: document %s: %w", d.Name, err)
-		}
-	}
-	seenFaults := map[string]bool{}
-	for _, f := range d.Faults {
-		if err := d.validateFault(f, names, seenFaults); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Decode reads and validates a document from JSON. The input must hold
-// exactly one document: anything but whitespace after it is an error.
+// Decode reads a document from JSON. It checks the JSON shape only — no
+// unknown fields, exactly one document with nothing but whitespace after
+// it; whether the values are usable is for experiment.FromDocument's gate.
 func Decode(r io.Reader) (*Document, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -277,17 +157,11 @@ func Decode(r io.Reader) (*Document, error) {
 		}
 		return nil, fmt.Errorf("config: trailing data after the document, which ends at byte offset %d", end)
 	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
 	return &d, nil
 }
 
 // Encode writes the document as indented JSON.
 func (d *Document) Encode(w io.Writer) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(d)

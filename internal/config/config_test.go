@@ -108,27 +108,6 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsBadDocuments(t *testing.T) {
-	cases := []func(*Document){
-		func(d *Document) { d.Name = "" },
-		func(d *Document) { d.Infrastructure.DCs = nil },
-		func(d *Document) { d.Workloads[0].DC = "MARS" },
-		func(d *Document) { d.Workloads[0].App = "" },
-		func(d *Document) { d.Workloads[0].OpsPerUserHour = 0 },
-		func(d *Document) { d.AccessMatrix = workload.AccessMatrix{"NA": {"NA": 0.5}} },
-		func(d *Document) { d.Workloads[0].Fluid = &FluidSpec{Above: 0} },
-		func(d *Document) { d.Workloads[0].Fluid = &FluidSpec{Above: 0.01, RhoMax: 1} },
-		func(d *Document) { d.Workloads[0].Fluid = &FluidSpec{Above: 0.01, RhoMax: -0.5} },
-	}
-	for i, mutate := range cases {
-		doc := sampleDoc()
-		mutate(doc)
-		if err := doc.Validate(); err == nil {
-			t.Errorf("case %d: invalid document accepted", i)
-		}
-	}
-}
-
 func TestSaveAndLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scenario.json")
 	doc := sampleDoc()

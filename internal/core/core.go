@@ -216,9 +216,6 @@ func (b *AgentBase) Pin() {
 	}
 }
 
-// Pinned reports whether the agent opted out of deactivation.
-func (b *AgentBase) Pinned() bool { return b.pinned }
-
 // Horizon returns 0 — the conservative default that keeps an agent stepped
 // every tick while it is active. Agents whose next event is knowable
 // (hardware queues, delay lines) shadow this with an exact horizon so the

@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"repro/internal/apps"
 	"repro/internal/background"
@@ -23,29 +24,31 @@ var ErrEngineRemoved = errors.New("engine selectors other than \"sequential\" we
 // FromDocument compiles a JSON scenario document into an experiment — the
 // one-surface guarantee of the experiment API: a document and a Go-built
 // experiment with the same content produce the same Result, because both
-// reduce to the same Experiment value before anything is simulated.
+// reduce to the same Experiment value before anything is simulated. Each
+// field maps onto its option unchanged (zero leaves the option's default),
+// and New's gate decides whether the values are usable, exactly as for a
+// Go-built experiment.
 func FromDocument(d *config.Document) (*Experiment, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
 	opts := []Option{
 		WithInfra(d.Infrastructure),
 		WithSeed(d.Seed),
 	}
-	if d.Step > 0 {
+	if d.Step != 0 {
 		opts = append(opts, WithStep(d.Step))
 	}
 	if d.Engine != "" && d.Engine != "sequential" {
 		return nil, fmt.Errorf("experiment: document %s: engine %q: %w; results never depended on it, "+
 			"and more cores go to sweep points run in parallel (gdisim -workers, Sweep.Run(n))", d.Name, d.Engine, ErrEngineRemoved)
 	}
-	switch w := d.Window; {
-	case w == nil:
+	if w := d.Window; w == nil {
 		opts = append(opts, WithWindow(0, 24))
-	case w.RunSeconds > 0:
-		opts = append(opts, WithDuration(w.RunSeconds))
-	default:
-		opts = append(opts, WithWindow(w.StartHour, w.EndHour))
+	} else {
+		if w.RunSeconds != 0 {
+			opts = append(opts, WithDuration(w.RunSeconds))
+		}
+		if w.RunSeconds == 0 || w.StartHour != 0 || w.EndHour != 0 {
+			opts = append(opts, WithWindow(w.StartHour, w.EndHour))
+		}
 	}
 	if d.AccessMatrix != nil {
 		opts = append(opts, WithAccessMatrix(d.AccessMatrix))
@@ -67,6 +70,9 @@ func FromDocument(d *config.Document) (*Experiment, error) {
 		}
 		if w.Fluid != nil {
 			ew.Fluid = Fluid{Above: w.Fluid.Above, RhoMax: w.Fluid.RhoMax}
+			if err := ew.Fluid.engages(w.App, w.DC); err != nil {
+				return nil, fmt.Errorf("experiment: document %s: %w", d.Name, err)
+			}
 		}
 		name := w.Ops
 		if name == "" {
@@ -86,13 +92,9 @@ func FromDocument(d *config.Document) (*Experiment, error) {
 		opts = append(opts, WithWorkload(ew))
 	}
 	if dm := d.Daemons; dm != nil {
-		growth := background.GrowthModel{}
-		for dc, c := range dm.GrowthMBh {
-			growth[dc] = c
-		}
 		opts = append(opts, WithDaemons(Daemons{
 			Masters:         dm.Masters,
-			Growth:          growth,
+			Growth:          background.GrowthModel(maps.Clone(dm.GrowthMBh)),
 			SyncIntervalSec: dm.SyncIntervalMin * 60,
 			IndexGapSec:     dm.IndexGapMin * 60,
 			IndexHeadroom:   dm.IndexHeadroom,

@@ -1,0 +1,183 @@
+package experiment
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/workload"
+)
+
+// gateDoc is a one-DC document exercising every field family the gate
+// checks — window, step, workload with a fluid block, access matrix,
+// daemons with growth and a fault — that compiles cleanly, so each bad
+// row below fails for its own mutation.
+func gateDoc() *config.Document {
+	d := engineDoc("")
+	d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.8, RhoMax: 0.85}
+	d.AccessMatrix = workload.SingleMaster([]string{"NA"}, "NA")
+	d.Daemons = &config.DaemonsSpec{
+		Masters:   []string{"NA"},
+		GrowthMBh: map[string]workload.Curve{"NA": workload.BusinessDay(100, 13, 22, 5)},
+	}
+	d.Faults = []config.FaultSpec{{Name: "slow-app", Kind: "storage", DC: "NA", Tier: "app", At: 10, Duration: 10, Magnitude: 0.5}}
+	return d
+}
+
+// badDocuments holds one mutation per check the document surface makes:
+// the gate's (through FromDocument) and the fault checks that need the
+// built target (through Compile).
+var badDocuments = []struct {
+	name   string
+	mutate func(*config.Document)
+}{
+	{"no name", func(d *config.Document) { d.Name = "" }},
+	{"no data centers", func(d *config.Document) { d.Infrastructure.DCs = nil }},
+	{"workload unknown DC", func(d *config.Document) { d.Workloads[0].DC = "MARS" }},
+	{"workload without app", func(d *config.Document) { d.Workloads[0].App = "" }},
+	{"zero rate", func(d *config.Document) { d.Workloads[0].OpsPerUserHour = 0 }},
+	{"access matrix row not a distribution", func(d *config.Document) { d.AccessMatrix = workload.AccessMatrix{"NA": {"NA": 0.5}} }},
+	{"fluid threshold 0", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0} }},
+	{"fluid guard 1", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.01, RhoMax: 1} }},
+	{"negative fluid guard", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.01, RhoMax: -0.5} }},
+	{"negative fluid threshold", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: -1} }},
+	{"negative step", func(d *config.Document) { d.Step = -0.01 }},
+	{"negative run length", func(d *config.Document) { d.Window = &config.WindowSpec{RunSeconds: -60} }},
+	{"run length and hour window", func(d *config.Document) { d.Window = &config.WindowSpec{StartHour: 1, EndHour: 2, RunSeconds: 60} }},
+	{"inverted hour window", func(d *config.Document) { d.Window = &config.WindowSpec{StartHour: 5, EndHour: 3} }},
+	{"empty window", func(d *config.Document) { d.Window = &config.WindowSpec{} }},
+	{"daemons without masters", func(d *config.Document) { d.Daemons.Masters = nil }},
+	{"daemon master unknown", func(d *config.Document) { d.Daemons.Masters = []string{"MARS"} }},
+	{"growth for unknown DC", func(d *config.Document) { d.Daemons.GrowthMBh["MARS"] = workload.BusinessDay(10, 0, 24, 10) }},
+	{"negative growth", func(d *config.Document) { d.Daemons.GrowthMBh["NA"] = workload.BusinessDay(-10, 0, 24, -10) }},
+	{"negative sync interval", func(d *config.Document) { d.Daemons.SyncIntervalMin = -1 }},
+	{"negative index gap", func(d *config.Document) { d.Daemons.IndexGapMin = -1 }},
+	{"negative index headroom", func(d *config.Document) { d.Daemons.IndexHeadroom = -1 }},
+	{"daemons without access matrix", func(d *config.Document) { d.AccessMatrix = nil }},
+	{"fault without name", func(d *config.Document) { d.Faults[0].Name = "" }},
+	{"duplicate fault name", func(d *config.Document) { d.Faults = append(d.Faults, d.Faults[0]) }},
+	{"negative fault at", func(d *config.Document) { d.Faults[0].At = -1 }},
+	{"negative fault duration", func(d *config.Document) { d.Faults[0].Duration = -1 }},
+	{"unknown fault kind", func(d *config.Document) { d.Faults[0].Kind = "meteor" }},
+	{"wan fault endpoints", func(d *config.Document) {
+		d.Faults[0] = config.FaultSpec{Name: "cut", Kind: "wan", From: "NA", To: "MARS", At: 10, Duration: 10, Magnitude: 1}
+	}},
+	{"dc fault unknown DC", func(d *config.Document) {
+		d.Faults[0] = config.FaultSpec{Name: "dark", Kind: "dc", DC: "MARS", At: 10, Duration: 10, Magnitude: 1}
+	}},
+	{"storage fault unknown DC", func(d *config.Document) { d.Faults[0].DC = "MARS" }},
+	{"storage fault without tier", func(d *config.Document) { d.Faults[0].Tier = "" }},
+	{"failover endpoints", func(d *config.Document) {
+		d.Faults[0] = config.FaultSpec{Name: "move", Kind: "failover", From: "MARS", To: "NA", At: 10, Duration: 10}
+	}},
+}
+
+// TestValidateRejectsBadDocuments pins one row per document check: every
+// bad document ends in an error — from FromDocument's gate, or from Compile
+// where the check needs the built target — and never in a panic.
+func TestValidateRejectsBadDocuments(t *testing.T) {
+	e, err := FromDocument(gateDoc())
+	if err != nil {
+		t.Fatalf("base document rejected: %v", err)
+	}
+	r, err := e.Compile()
+	if err != nil {
+		t.Fatalf("base document does not compile: %v", err)
+	}
+	r.Sim.Shutdown()
+	for _, c := range badDocuments {
+		t.Run(c.name, func(t *testing.T) {
+			d := gateDoc()
+			c.mutate(d)
+			e, err := FromDocument(d)
+			if err != nil {
+				return
+			}
+			r, err := e.Compile()
+			if err == nil {
+				r.Sim.Shutdown()
+				t.Error("invalid document accepted by FromDocument and Compile")
+			}
+		})
+	}
+}
+
+// TestOneGateAcrossSurfaces: a Go option, a document field and a sweep
+// axis that set the same value fail with the same rule, because all three
+// only set fields and the one gate decides.
+func TestOneGateAcrossSurfaces(t *testing.T) {
+	noServers := testSpec()
+	noServers.DCs[0].Tiers[0].Servers = 0
+	cases := []struct {
+		name  string
+		opt   Option
+		doc   func(*config.Document)
+		axis  string
+		value float64
+		want  string
+	}{
+		{"negative step", WithStep(-0.5), func(d *config.Document) { d.Step = -0.5 }, "step", -0.5,
+			"step must be positive and finite, got -0.5"},
+		{"negative rate", WithWorkload(Workload{App: "VIS", DC: "NA", OpsPerUserHour: -3, OpsFn: mustOps("VIS", "NA")}), func(d *config.Document) { d.Workloads[0].OpsPerUserHour = -3 }, "workloads.PDM.NA.ops", -3,
+			"operation rate must be positive and finite, got -3"},
+		{"negative fluid threshold", WithFluid("PDM", "NA", Fluid{Above: -1}), func(d *config.Document) { d.Workloads[0].Fluid.Above = -1 }, "workloads.PDM.NA.fluid", -1,
+			"fluid threshold Above must be finite and non-negative, got -1"},
+		{"zero servers", WithInfra(noServers), func(d *config.Document) { d.Infrastructure.DCs[0].Tiers[0].Servers = 0 }, "dcs.NA.app.servers", 0,
+			`invalid TierSpec name="app" servers=0`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, optErr := New("option", testOptions(c.opt)...)
+			d := gateDoc()
+			c.doc(d)
+			_, docErr := FromDocument(d)
+			errs := []error{optErr, docErr, NewSweep("axis", func() (*Experiment, error) { return FromDocument(gateDoc()) }).
+				Vary(c.axis, c.value).Validate()}
+			for _, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("error %v does not mention %q", err, c.want)
+				}
+			}
+		})
+	}
+}
+
+// FuzzDocumentNeverPanics feeds arbitrary bytes through the document
+// surface: config.Decode, then FromDocument. Every input must end in an
+// experiment or an error, never a panic. It stops before Compile, so a
+// fuzzed server or slot count cannot make it allocate without bound.
+func FuzzDocumentNeverPanics(f *testing.F) {
+	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.json"))
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("no example documents: %v", err)
+	}
+	for _, path := range examples {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, c := range badDocuments {
+		d := gateDoc()
+		c.mutate(d)
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		d, err := config.Decode(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		e, err := FromDocument(d)
+		if (e == nil) == (err == nil) {
+			t.Fatalf("FromDocument returned experiment %v and error %v; want exactly one", e != nil, err)
+		}
+	})
+}

@@ -127,10 +127,12 @@ type Daemons struct {
 }
 
 // Option mutates an experiment under assembly. Options are applied in
-// order; an option error aborts New.
+// order and only set fields; an option error (an assembly-order mistake,
+// such as configuring an undeclared workload) aborts New. Whether the
+// values are usable is decided once, by the gate New runs afterwards.
 type Option func(*Experiment) error
 
-// New assembles an experiment from options and validates it.
+// New assembles an experiment from options and runs the gate on it.
 func New(name string, opts ...Option) (*Experiment, error) {
 	if name == "" {
 		return nil, fmt.Errorf("experiment: needs a non-empty name")
@@ -164,31 +166,15 @@ func WithInfra(spec topology.InfraSpec) Option {
 	}
 }
 
-// positiveFinite reports whether x is a usable duration: greater than zero
-// and finite. NaN fails the comparison, so it is rejected too.
-func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
-
 // WithStep sets the time-loop granularity in seconds (default 10 ms).
 func WithStep(step float64) Option {
-	return func(e *Experiment) error {
-		if !positiveFinite(step) {
-			return fmt.Errorf("step must be positive and finite, got %v", step)
-		}
-		e.step = step
-		return nil
-	}
+	return func(e *Experiment) error { e.step = step; return nil }
 }
 
 // WithCollectEvery sets the collector snapshot interval in simulated
 // seconds (default 60).
 func WithCollectEvery(seconds float64) Option {
-	return func(e *Experiment) error {
-		if !positiveFinite(seconds) {
-			return fmt.Errorf("collect interval must be positive and finite, got %v", seconds)
-		}
-		e.collectSeconds = seconds
-		return nil
-	}
+	return func(e *Experiment) error { e.collectSeconds = seconds; return nil }
 }
 
 // WithSeed sets the base seed. Every derived stream (workload arrivals,
@@ -220,26 +206,14 @@ func WithEngineInstance(eng core.Engine) Option {
 // covers [startHour, endHour) and every workload and growth curve is
 // shifted so the simulation clock starts at startHour.
 func WithWindow(startHour, endHour int) Option {
-	return func(e *Experiment) error {
-		if startHour < 0 || endHour <= startHour || endHour > 24 {
-			return fmt.Errorf("bad hour window [%d, %d)", startHour, endHour)
-		}
-		e.startHour, e.endHour = startHour, endHour
-		return nil
-	}
+	return func(e *Experiment) error { e.startHour, e.endHour = startHour, endHour; return nil }
 }
 
 // WithDuration sets the run length in simulated seconds directly, for
 // experiments that are not tied to a window of the day (the validation
 // scenario's fixed-length runs). Mutually exclusive with WithWindow.
 func WithDuration(seconds float64) Option {
-	return func(e *Experiment) error {
-		if !positiveFinite(seconds) {
-			return fmt.Errorf("duration must be positive and finite, got %v", seconds)
-		}
-		e.duration = seconds
-		return nil
-	}
+	return func(e *Experiment) error { e.duration = seconds; return nil }
 }
 
 // WithLoopFlags selects the time loop.
@@ -250,13 +224,7 @@ func WithLoopFlags(f LoopFlags) Option {
 // WithAccessMatrix sets the experiment-level Access Pattern Matrix used by
 // workloads that do not carry their own.
 func WithAccessMatrix(apm workload.AccessMatrix) Option {
-	return func(e *Experiment) error {
-		if err := apm.Validate(); err != nil {
-			return err
-		}
-		e.apm = apm
-		return nil
-	}
+	return func(e *Experiment) error { e.apm = apm; return nil }
 }
 
 // WithWorkload appends one application workload. Declaration order is
@@ -333,17 +301,70 @@ func (e *Experiment) DurationSeconds() float64 {
 // StartHour returns the GMT hour the simulation clock starts at.
 func (e *Experiment) StartHour() int { return e.startHour }
 
+// validate is the one input gate. Options, document fields and sweep axes
+// only set fields; New, Sweep.Validate (on every dry-applied value) and
+// every sweep point run this, so the same value fails with the same rule
+// whichever surface set it. Every check states what is usable, so NaN — for
+// which every comparison is false — fails wherever a number is checked.
+// Checks that need the built target (weights against the resolved mix,
+// each fault against the topology) run at Compile.
 func (e *Experiment) validate() error {
+	if !positiveFinite(e.step) {
+		return fmt.Errorf("step must be positive and finite, got %v", e.step)
+	}
+	if !positiveFinite(e.collectSeconds) {
+		return fmt.Errorf("collect interval must be positive and finite, got %v", e.collectSeconds)
+	}
+	if err := e.validateWindow(); err != nil {
+		return err
+	}
 	if e.infra == nil {
 		return fmt.Errorf("needs an infrastructure (WithInfra)")
 	}
-	if err := e.duration0(); err != nil {
+	if err := e.infra.Validate(); err != nil {
+		return err
+	}
+	if err := e.apm.Validate(); err != nil {
 		return err
 	}
 	dcs := map[string]bool{}
 	for _, dc := range e.infra.DCs {
 		dcs[dc.Name] = true
 	}
+	if err := e.validateWorkloads(dcs); err != nil {
+		return err
+	}
+	if err := e.validateDaemons(dcs); err != nil {
+		return err
+	}
+	return faults.ValidateSchedule(e.faults)
+}
+
+// positiveFinite reports whether x is greater than zero and finite.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// nonNegativeFinite reports whether x is zero or positive and finite.
+func nonNegativeFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// validateWindow checks the run window: exactly one of a positive finite
+// duration and an hour window [startHour, endHour) within the day. Zero
+// leaves either unset.
+func (e *Experiment) validateWindow() error {
+	hours := e.startHour != 0 || e.endHour != 0
+	switch {
+	case e.duration != 0 && !positiveFinite(e.duration):
+		return fmt.Errorf("duration must be positive and finite, got %v", e.duration)
+	case hours && (e.startHour < 0 || e.endHour <= e.startHour || e.endHour > 24):
+		return fmt.Errorf("bad hour window [%d, %d)", e.startHour, e.endHour)
+	case e.duration != 0 && hours:
+		return fmt.Errorf("WithDuration and WithWindow are mutually exclusive")
+	case e.duration == 0 && !hours:
+		return fmt.Errorf("needs a run window (WithWindow or WithDuration)")
+	}
+	return nil
+}
+
+func (e *Experiment) validateWorkloads(dcs map[string]bool) error {
 	type wlIdentity struct {
 		app, dc string
 		stream  uint64
@@ -365,8 +386,11 @@ func (e *Experiment) validate() error {
 		if !dcs[w.DC] {
 			return fmt.Errorf("workload %s references unknown DC %q", w.App, w.DC)
 		}
-		if w.OpsPerUserHour <= 0 {
-			return fmt.Errorf("workload %s@%s needs a positive operation rate", w.App, w.DC)
+		if !positiveFinite(w.OpsPerUserHour) {
+			return fmt.Errorf("workload %s@%s: operation rate must be positive and finite, got %v", w.App, w.DC, w.OpsPerUserHour)
+		}
+		if err := validateCurve(w.Users); err != nil {
+			return fmt.Errorf("workload %s@%s: users %w", w.App, w.DC, err)
 		}
 		if w.Ops == nil && w.OpsFn == nil {
 			return fmt.Errorf("workload %s@%s needs an operation mix (Ops or OpsFn)", w.App, w.DC)
@@ -374,10 +398,13 @@ func (e *Experiment) validate() error {
 		if w.APM == nil && e.apm == nil {
 			return fmt.Errorf("workload %s@%s needs an access matrix (WithAccessMatrix or Workload.APM)", w.App, w.DC)
 		}
-		if w.Fluid.Above < 0 {
-			return fmt.Errorf("workload %s@%s: fluid threshold Above must not be negative", w.App, w.DC)
+		if math.IsNaN(w.ThinBelow) {
+			return fmt.Errorf("workload %s@%s: thinning threshold ThinBelow is NaN", w.App, w.DC)
 		}
-		if w.Fluid.RhoMax < 0 || w.Fluid.RhoMax >= 1 {
+		if !nonNegativeFinite(w.Fluid.Above) {
+			return fmt.Errorf("workload %s@%s: fluid threshold Above must be finite and non-negative, got %v", w.App, w.DC, w.Fluid.Above)
+		}
+		if !(w.Fluid.RhoMax >= 0 && w.Fluid.RhoMax < 1) {
 			return fmt.Errorf("workload %s@%s: fluid guard RhoMax %v outside [0, 1)", w.App, w.DC, w.Fluid.RhoMax)
 		}
 		if w.Fluid.Above > 0 {
@@ -391,28 +418,47 @@ func (e *Experiment) validate() error {
 			fluidSeen[fid] = true
 		}
 	}
-	if e.daemons != nil {
-		if len(e.daemons.Masters) == 0 {
-			return fmt.Errorf("daemons need at least one master")
+	return nil
+}
+
+func (e *Experiment) validateDaemons(dcs map[string]bool) error {
+	d := e.daemons
+	if d == nil {
+		return nil
+	}
+	if len(d.Masters) == 0 {
+		return fmt.Errorf("daemons need at least one master")
+	}
+	for _, m := range d.Masters {
+		if !dcs[m] {
+			return fmt.Errorf("daemon master %q is not a data center of the spec", m)
 		}
-		for _, m := range e.daemons.Masters {
-			if !dcs[m] {
-				return fmt.Errorf("daemon master %q is not a data center of the spec", m)
-			}
+	}
+	for _, dc := range d.Growth.DCs() {
+		if !dcs[dc] {
+			return fmt.Errorf("daemon growth curve for unknown DC %q", dc)
 		}
-		if e.apm == nil {
-			return fmt.Errorf("daemons need an access matrix (WithAccessMatrix)")
+		if err := validateCurve(d.Growth[dc]); err != nil {
+			return fmt.Errorf("daemon growth curve for %s: %w", dc, err)
 		}
+	}
+	if !(nonNegativeFinite(d.SyncIntervalSec) && nonNegativeFinite(d.IndexGapSec) &&
+		nonNegativeFinite(d.IndexCyclesPerByte) && nonNegativeFinite(d.IndexHeadroom)) {
+		return fmt.Errorf("daemon interval %v s, gap %v s, cycles per byte %v and headroom %v must be finite and non-negative (0 selects the default)",
+			d.SyncIntervalSec, d.IndexGapSec, d.IndexCyclesPerByte, d.IndexHeadroom)
+	}
+	if e.apm == nil {
+		return fmt.Errorf("daemons need an access matrix (WithAccessMatrix)")
 	}
 	return nil
 }
 
-func (e *Experiment) duration0() error {
-	if e.duration > 0 && e.endHour > e.startHour {
-		return fmt.Errorf("WithDuration and WithWindow are mutually exclusive")
-	}
-	if e.duration <= 0 && e.endHour <= e.startHour {
-		return fmt.Errorf("needs a run window (WithWindow or WithDuration)")
+// validateCurve rejects a curve with a negative or non-finite hour value.
+func validateCurve(c workload.Curve) error {
+	for h, v := range c {
+		if !nonNegativeFinite(v) {
+			return fmt.Errorf("hour %d value %v must be finite and non-negative", h, v)
+		}
 	}
 	return nil
 }

@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/background"
 	"repro/internal/cascade"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -219,6 +221,71 @@ func TestExperimentRejectsBadAssembly(t *testing.T) {
 	}))...)
 	if err != nil {
 		t.Errorf("distinct streams rejected: %v", err)
+	}
+}
+
+// TestExperimentRejectsNonFiniteInputs pins the gate on numeric workload
+// and daemon fields a Go caller sets directly: NaN fails every check, a
+// rate must be positive and finite, curves finite and non-negative, and a
+// daemon parameter finite and non-negative (0 still selects the default).
+// A NaN rate that passed New would hang Run drawing Poisson(NaN) arrivals.
+func TestExperimentRejectsNonFiniteInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	withWorkload := func(edit func(*Workload)) []Option {
+		w := Workload{
+			App: "VIS", DC: "NA", OpsPerUserHour: 5,
+			Users: workload.BusinessDay(10, 0, 24, 10),
+			OpsFn: mustOps("VIS", "NA"),
+		}
+		edit(&w)
+		return testOptions(WithWorkload(w))
+	}
+	withDaemons := func(edit func(*Daemons)) []Option {
+		d := Daemons{Masters: []string{"NA"}, Growth: background.GrowthModel{"NA": workload.BusinessDay(100, 13, 22, 5)}}
+		edit(&d)
+		return testOptions(WithDaemons(d))
+	}
+	cases := []struct {
+		name string
+		opts []Option
+		want string
+	}{
+		{"NaN rate", withWorkload(func(w *Workload) { w.OpsPerUserHour = nan }), "operation rate must be positive and finite"},
+		{"infinite rate", withWorkload(func(w *Workload) { w.OpsPerUserHour = inf }), "operation rate must be positive and finite"},
+		{"negative infinite rate", withWorkload(func(w *Workload) { w.OpsPerUserHour = -inf }), "operation rate must be positive and finite"},
+		{"zero rate", withWorkload(func(w *Workload) { w.OpsPerUserHour = 0 }), "operation rate must be positive and finite"},
+		{"negative rate", withWorkload(func(w *Workload) { w.OpsPerUserHour = -1 }), "operation rate must be positive and finite"},
+		{"NaN users", withWorkload(func(w *Workload) { w.Users[7] = nan }), "users hour 7"},
+		{"negative users", withWorkload(func(w *Workload) { w.Users[3] = -1 }), "users hour 3"},
+		{"infinite users", withWorkload(func(w *Workload) { w.Users[0] = inf }), "users hour 0"},
+		{"NaN ThinBelow", withWorkload(func(w *Workload) { w.ThinBelow = nan }), "ThinBelow"},
+		{"NaN fluid threshold", withWorkload(func(w *Workload) { w.Fluid.Above = nan }), "fluid threshold Above"},
+		{"NaN fluid guard", withWorkload(func(w *Workload) { w.Fluid = Fluid{Above: 0.01, RhoMax: nan} }), "RhoMax"},
+		{"NaN growth", withDaemons(func(d *Daemons) { c := d.Growth["NA"]; c[5] = nan; d.Growth["NA"] = c }), "growth curve for NA: hour 5"},
+		{"negative growth", withDaemons(func(d *Daemons) { d.Growth["NA"] = workload.BusinessDay(-5, 0, 24, -5) }), "growth curve for NA"},
+		{"NaN sync interval", withDaemons(func(d *Daemons) { d.SyncIntervalSec = nan }), "daemon interval"},
+		{"negative sync interval", withDaemons(func(d *Daemons) { d.SyncIntervalSec = -1 }), "daemon interval"},
+		{"NaN index gap", withDaemons(func(d *Daemons) { d.IndexGapSec = nan }), "gap NaN"},
+		{"negative index gap", withDaemons(func(d *Daemons) { d.IndexGapSec = -60 }), "gap -60"},
+		{"NaN headroom", withDaemons(func(d *Daemons) { d.IndexHeadroom = nan }), "headroom NaN"},
+		{"negative headroom", withDaemons(func(d *Daemons) { d.IndexHeadroom = -2 }), "headroom -2"},
+		{"NaN cycles per byte", withDaemons(func(d *Daemons) { d.IndexCyclesPerByte = nan }), "cycles per byte NaN"},
+		{"negative cycles per byte", withDaemons(func(d *Daemons) { d.IndexCyclesPerByte = -3 }), "cycles per byte -3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New("non-finite", tc.opts...)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+	// Zero daemon parameters select the defaults and pass.
+	if _, err := New("defaults", withDaemons(func(*Daemons) {})...); err != nil {
+		t.Errorf("default daemon parameters rejected: %v", err)
 	}
 }
 
@@ -462,8 +529,8 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-// TestShardedCount: the document validator no longer probes a selector's
-// shard count against the DC population. config validation accepts every
+// TestShardedCount: the document decoder no longer probes a selector's
+// shard count against the DC population. config decoding accepts every
 // selector, whatever its count, and compilation rejects them all alike with
 // ErrEngineRemoved, while "" and "sequential" pass both.
 func TestShardedCount(t *testing.T) {
@@ -481,8 +548,12 @@ func TestShardedCount(t *testing.T) {
 	}
 	for sel, rejected := range cases {
 		d := engineDoc(sel)
-		if err := d.Validate(); err != nil {
-			t.Errorf("engine %q: validation failed: %v", sel, err)
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := config.Decode(&buf); err != nil {
+			t.Errorf("engine %q: decoding failed: %v", sel, err)
 		}
 		if _, err := FromDocument(d); errors.Is(err, ErrEngineRemoved) != rejected || !rejected && err != nil {
 			t.Errorf("engine %q: FromDocument error %v, want rejected = %v", sel, err, rejected)

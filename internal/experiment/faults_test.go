@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -220,6 +221,8 @@ func TestSweepFaultAxisValidation(t *testing.T) {
 		{"unknown field", "faults.na.severity", []float64{0.5}},
 		{"magnitude above 1", "faults.na.magnitude", []float64{0.5, 1.5}},
 		{"negative duration", "faults.na.duration", []float64{-10}},
+		{"NaN magnitude", "faults.na.magnitude", []float64{math.NaN()}},
+		{"infinite duration", "faults.na.duration", []float64{math.Inf(1)}},
 		{"missing field", "faults.na", []float64{1}},
 	}
 	for _, c := range cases {

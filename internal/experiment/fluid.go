@@ -28,14 +28,11 @@ type Fluid struct {
 
 // WithFluid engages the fluid tier on every already-declared workload
 // matching app@dc. Declare the workload first; configuring an undeclared
-// workload is an assembly error.
+// workload, or engaging with a zero threshold, is an assembly error.
 func WithFluid(app, dc string, f Fluid) Option {
 	return func(e *Experiment) error {
-		if f.Above <= 0 {
-			return fmt.Errorf("fluid %s@%s: threshold Above must be positive, got %v", app, dc, f.Above)
-		}
-		if f.RhoMax < 0 || f.RhoMax >= 1 {
-			return fmt.Errorf("fluid %s@%s: saturation guard RhoMax %v outside [0, 1)", app, dc, f.RhoMax)
+		if err := f.engages(app, dc); err != nil {
+			return err
 		}
 		found := false
 		for i := range e.workloads {
@@ -49,6 +46,16 @@ func WithFluid(app, dc string, f Fluid) Option {
 		}
 		return nil
 	}
+}
+
+// engages rejects an explicit request for the fluid tier — WithFluid or a
+// document "fluid" block — that would engage nothing: Above 0 disables the
+// tier. The range of a set threshold is the gate's to check.
+func (f Fluid) engages(app, dc string) error {
+	if f.Above == 0 {
+		return fmt.Errorf("fluid %s@%s: needs a positive threshold Above (0 disables the tier)", app, dc)
+	}
+	return nil
 }
 
 // fluidWindows collects the effective fault windows — the intervals the

@@ -158,8 +158,9 @@ type SweepResult struct {
 
 // Validate checks the grid without running anything: the base factory must
 // produce a valid experiment, every axis needs at least one value, and
-// every value-axis path must resolve against the base experiment. It is
-// run by Run; exposed for callers wanting early errors (CLI flag parsing).
+// every value-axis path must resolve against the base experiment and pass
+// the experiment gate once applied. It is run by Run; exposed for callers
+// wanting early errors (CLI flag parsing).
 func (s *Sweep) Validate() error {
 	if s.base == nil {
 		return fmt.Errorf("sweep %s: needs a base experiment factory", s.name)
@@ -184,16 +185,21 @@ func (s *Sweep) Validate() error {
 			}
 			continue
 		}
-		// Dry-apply every value against a clone of the base so unknown paths
-		// and out-of-range values fail before any simulation is built — a bad
-		// late value must not surface only after the valid points have
-		// already burned their simulation time. Each value gets its own clone
-		// because real points also apply at most one value per axis to a
-		// fresh experiment; relative paths ("peak" rescales the current
-		// curve) would compound if dry-applied cumulatively.
+		// Dry-apply every value against a clone of the base and run the gate
+		// on it, so unknown paths and unusable values fail before any
+		// simulation is built — a bad late value must not surface only after
+		// the valid points have already burned their simulation time. Each
+		// value gets its own clone because real points also apply at most
+		// one value per axis to a fresh experiment; relative paths ("peak"
+		// rescales the current curve) would compound if dry-applied
+		// cumulatively.
 		for _, v := range ax.values {
-			if err := applyPath(base.clone(), ax.path, v); err != nil {
+			c := base.clone()
+			if err := applyPath(c, ax.path, v); err != nil {
 				return fmt.Errorf("sweep %s: %w", s.name, err)
+			}
+			if err := c.validate(); err != nil {
+				return fmt.Errorf("sweep %s: sweep axis %q: %w", s.name, ax.path, err)
 			}
 		}
 	}
@@ -311,6 +317,14 @@ func (s *Sweep) runPoint(idx int) (pr PointResult) {
 		})
 	}
 	pr.Seed = e.seed // a "seed" axis may have overridden the derivation
+	if err := e.validate(); err != nil {
+		labels := make([]string, len(pr.Values))
+		for i, pv := range pr.Values {
+			labels[i] = pv.Axis + "=" + pv.Label
+		}
+		pr.Err = fmt.Errorf("sweep axes %s: %w", strings.Join(labels, ", "), err)
+		return pr
+	}
 	res, err := e.Run()
 	if err != nil {
 		pr.Err = err
@@ -330,13 +344,14 @@ func (s *Sweep) runPoint(idx int) (pr PointResult) {
 // pathGrammar documents the supported value-axis paths in errors.
 const pathGrammar = "seed | step | dcs.<dc>.<tier>.cores|servers | dcs.<dc>.clients.slots | wan.<a>-<b>.mbps | workloads.<app>.<dc>.ops|peak|fluid | faults.<name>.magnitude|duration"
 
-// applyPath sets one settable parameter of the experiment. Errors name the
-// path and what was expected, so a mistyped axis fails with an actionable
-// message instead of a silently unchanged grid.
+// applyPath sets one settable parameter of the experiment. It only parses
+// the path and writes the value: whether the value is usable is the gate's
+// decision (Experiment.validate), which Sweep.Validate and every point run
+// after applying. The checks left here are the path's own — a name that
+// resolves, a value that converts to the field's integer type. Errors name
+// the path and what was expected, so a mistyped axis fails with an
+// actionable message instead of a silently unchanged grid.
 func applyPath(e *Experiment, path string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return pathErr(path, fmt.Sprintf("value %v is not finite", v))
-	}
 	parts := strings.Split(path, ".")
 	switch parts[0] {
 	case "seed":
@@ -353,9 +368,6 @@ func applyPath(e *Experiment, path string, v float64) error {
 	case "step":
 		if len(parts) != 1 {
 			return pathErr(path, "step takes no sub-path")
-		}
-		if v <= 0 {
-			return pathErr(path, "step must be positive")
 		}
 		e.step = v
 		return nil
@@ -377,8 +389,9 @@ func applyDCPath(e *Experiment, path string, parts []string, v float64) error {
 	}
 	dcName, tierName, field := parts[1], parts[2], parts[3]
 	// Every dcs.* path is a count, and int(v) truncates: 2.5 cores would
-	// run 2 while the CSV reports 2.5.
-	if v != math.Trunc(v) || v > math.MaxInt32 {
+	// run 2 while the CSV reports 2.5. Outside ±2^31 a count would not fit
+	// a 32-bit int, and ±Inf has no integer conversion at all.
+	if v != math.Trunc(v) || math.Abs(v) > math.MaxInt32 {
 		return pathErr(path, fmt.Sprintf("%s must be a whole number below 2^31, got %v", field, v))
 	}
 	var dc *topology.DCSpec
@@ -395,9 +408,6 @@ func applyDCPath(e *Experiment, path string, parts []string, v float64) error {
 		c, ok := e.infra.Clients[dcName]
 		if !ok {
 			return pathErr(path, fmt.Sprintf("DC %q has no client population", dcName))
-		}
-		if v < 1 {
-			return pathErr(path, "slots must be at least 1")
 		}
 		c.Slots = int(v)
 		e.infra.Clients[dcName] = c
@@ -420,14 +430,8 @@ func applyDCPath(e *Experiment, path string, parts []string, v float64) error {
 	}
 	switch field {
 	case "cores":
-		if v < 1 {
-			return pathErr(path, "cores must be at least 1")
-		}
 		tier.Server.CPU.Cores = int(v)
 	case "servers":
-		if v < 1 {
-			return pathErr(path, "servers must be at least 1")
-		}
 		tier.Servers = int(v)
 	default:
 		return pathErr(path, fmt.Sprintf("unknown tier field %q (want cores or servers)", field))
@@ -442,9 +446,6 @@ func applyWANPath(e *Experiment, path string, parts []string, v float64) error {
 	a, b, ok := strings.Cut(parts[1], "-")
 	if !ok {
 		return pathErr(path, "want wan.<a>-<b>.mbps")
-	}
-	if v <= 0 {
-		return pathErr(path, "bandwidth must be positive")
 	}
 	found := false
 	for i := range e.infra.WAN {
@@ -477,14 +478,8 @@ func applyWorkloadPath(e *Experiment, path string, parts []string, v float64) er
 	}
 	switch field {
 	case "ops":
-		if v <= 0 {
-			return pathErr(path, "operation rate must be positive")
-		}
 		w.OpsPerUserHour = v
 	case "peak":
-		if v < 0 {
-			return pathErr(path, "peak must be non-negative")
-		}
 		peak := w.Users.Peak()
 		if peak <= 0 {
 			return pathErr(path, "workload curve has no positive peak to rescale")
@@ -494,9 +489,6 @@ func applyWorkloadPath(e *Experiment, path string, parts []string, v float64) er
 		// Sweep axis over the fluid-tier engagement threshold (expected
 		// arrivals per tick); 0 disables the tier for the point, making
 		// "fluid vs discrete" a one-axis A/B sweep.
-		if v < 0 {
-			return pathErr(path, "fluid threshold must be non-negative")
-		}
 		w.Fluid.Above = v
 	default:
 		return pathErr(path, fmt.Sprintf("unknown workload field %q (want ops, peak or fluid)", field))
@@ -534,9 +526,6 @@ func applyFaultPath(e *Experiment, path string, parts []string, v float64) error
 			return pathErr(path, err.Error())
 		}
 	case "duration":
-		if v < 0 {
-			return pathErr(path, "duration must be non-negative (0 elides the injection)")
-		}
 		inj.Duration = v
 	default:
 		return pathErr(path, fmt.Sprintf("unknown fault field %q (want magnitude or duration)", field))

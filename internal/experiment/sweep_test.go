@@ -88,7 +88,7 @@ func TestSweepRejectsInvalidGrids(t *testing.T) {
 			// Every value is dry-applied: an out-of-range value after valid
 			// ones must fail validation, not burn the grid first.
 			return NewSweep("s", testSweepBase()).Vary("dcs.NA.app.cores", 8, 16, 0)
-		}, "cores must be at least 1"},
+		}, "invalid CPUSpec {Sockets:1 Cores:0 "},
 		{"unknown root", func() *Sweep {
 			return NewSweep("s", testSweepBase()).Vary("warp.factor", 9)
 		}, `unknown root "warp"`},
@@ -112,16 +112,16 @@ func TestSweepRejectsInvalidGrids(t *testing.T) {
 		}, "no Apply function"},
 		{"NaN step", func() *Sweep {
 			return NewSweep("s", testSweepBase()).Vary("step", 0.01, math.NaN())
-		}, "value NaN is not finite"},
+		}, "step must be positive and finite, got NaN"},
 		{"infinite step", func() *Sweep {
 			return NewSweep("s", testSweepBase()).Vary("step", math.Inf(1))
-		}, "value +Inf is not finite"},
+		}, "step must be positive and finite, got +Inf"},
 		{"infinite cores", func() *Sweep {
 			return NewSweep("s", testSweepBase()).Vary("dcs.NA.app.cores", math.Inf(1))
-		}, "value +Inf is not finite"},
+		}, "cores must be a whole number below 2^31, got +Inf"},
 		{"negative infinite seed", func() *Sweep {
 			return NewSweep("s", testSweepBase()).Vary("seed", math.Inf(-1))
-		}, "value -Inf is not finite"},
+		}, "seed must be a whole number in [0, 2^64), got -Inf"},
 		{"fractional cores", func() *Sweep {
 			return NewSweep("s", testSweepBase()).Vary("dcs.NA.app.cores", 2.5)
 		}, "cores must be a whole number below 2^31, got 2.5"},

@@ -59,23 +59,19 @@ type Controller struct {
 	rebuilds []rebuildState
 }
 
-// Attach validates the injections against the built target, elides no-ops
-// (Injection.NoOp), and — when any effective injection remains — registers
-// the controller source and its probes. It returns nil when nothing
-// attaches: a fault-free scenario stays structurally identical to one that
-// never mentioned faults, which is the bit-identity guarantee behind
-// zero-magnitude and zero-duration sweep points.
+// Attach validates the schedule (ValidateSchedule) and each fault against
+// the built target, elides no-ops (Injection.NoOp), and — when any
+// effective injection remains — registers the controller source and its
+// probes. It returns nil when nothing attaches: a fault-free scenario stays
+// structurally identical to one that never mentioned faults, which is the
+// bit-identity guarantee behind zero-magnitude and zero-duration sweep
+// points.
 func Attach(tg Target, injections []Injection) (*Controller, error) {
-	seen := make(map[string]bool, len(injections))
+	if err := ValidateSchedule(injections); err != nil {
+		return nil, err
+	}
 	effective := make([]Injection, 0, len(injections))
 	for _, inj := range injections {
-		if err := inj.validate(); err != nil {
-			return nil, err
-		}
-		if seen[inj.Name] {
-			return nil, fmt.Errorf("faults: duplicate injection name %q", inj.Name)
-		}
-		seen[inj.Name] = true
 		if err := inj.Fault.Validate(tg); err != nil {
 			return nil, fmt.Errorf("faults: injection %q: %w", inj.Name, err)
 		}

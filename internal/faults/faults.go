@@ -25,6 +25,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/background"
 	"repro/internal/core"
@@ -83,9 +84,9 @@ type rebuilder interface {
 // Injection schedules one fault within a scenario: inject at At seconds of
 // simulated time, recover Duration seconds later. The window [0, At) is
 // the stabilize phase, [At, At+Duration) the inject phase and everything
-// after the last recovery the recover phase. A Duration of zero (or less)
-// means inject and recover coincide — nothing observable can happen, so
-// the injection is elided entirely.
+// after the last recovery the recover phase. A Duration of zero means
+// inject and recover coincide — nothing observable can happen, so the
+// injection is elided entirely.
 type Injection struct {
 	// Name identifies the injection in reports and sweep axes
 	// (faults.<name>.magnitude / faults.<name>.duration). Required, unique
@@ -96,17 +97,30 @@ type Injection struct {
 	Duration float64
 }
 
-// validate checks the schedule fields; the fault's own parameters are
-// checked by Fault.Validate at attach time.
-func (inj Injection) validate() error {
-	if inj.Name == "" {
-		return fmt.Errorf("faults: injection needs a name (sweep axes and reports key on it)")
-	}
-	if inj.Fault == nil {
-		return fmt.Errorf("faults: injection %q has no fault", inj.Name)
-	}
-	if inj.At < 0 {
-		return fmt.Errorf("faults: injection %q at %v before simulation start", inj.Name, inj.At)
+// ValidateSchedule checks the schedule fields of every injection: a name,
+// unique across the schedule, a fault, and a finite, non-negative At and
+// Duration. It needs no built target, so the experiment gate runs it at
+// assembly and Attach runs it again before Fault.Validate checks each
+// fault's own parameters against the target.
+func ValidateSchedule(injections []Injection) error {
+	seen := make(map[string]bool, len(injections))
+	for _, inj := range injections {
+		if inj.Name == "" {
+			return fmt.Errorf("faults: injection needs a name (sweep axes and reports key on it)")
+		}
+		if seen[inj.Name] {
+			return fmt.Errorf("faults: duplicate injection name %q", inj.Name)
+		}
+		seen[inj.Name] = true
+		if inj.Fault == nil {
+			return fmt.Errorf("faults: injection %q has no fault", inj.Name)
+		}
+		if !(inj.At >= 0 && inj.At < math.Inf(1)) {
+			return fmt.Errorf("faults: injection %q at %v: must be finite and not before simulation start", inj.Name, inj.At)
+		}
+		if !(inj.Duration >= 0 && inj.Duration < math.Inf(1)) {
+			return fmt.Errorf("faults: injection %q duration %v: must be finite and non-negative (0 elides the injection)", inj.Name, inj.Duration)
+		}
 	}
 	return nil
 }

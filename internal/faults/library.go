@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -175,11 +176,11 @@ func (f *Storage) Describe() string {
 
 // Validate implements Fault.
 func (f *Storage) Validate(tg Target) error {
-	if f.Mag < 0 || f.Mag >= 1 {
-		return fmt.Errorf("faults: storage magnitude %v outside [0, 1) — model a dead array as a DC fault", f.Mag)
+	if err := checkStorageMagnitude(f.Mag); err != nil {
+		return fmt.Errorf("faults: %w — model a dead array as a DC fault", err)
 	}
-	if f.RebuildMBps < 0 {
-		return fmt.Errorf("faults: negative rebuild bandwidth %v", f.RebuildMBps)
+	if !(f.RebuildMBps >= 0 && !math.IsInf(f.RebuildMBps, 1)) {
+		return fmt.Errorf("faults: rebuild bandwidth %v must be finite and non-negative", f.RebuildMBps)
 	}
 	dc := tg.Infra.DCs[f.DC]
 	if dc == nil {
@@ -228,8 +229,8 @@ func (f *Storage) Magnitude() float64 { return f.Mag }
 
 // SetMagnitude implements MagnitudeFault.
 func (f *Storage) SetMagnitude(m float64) error {
-	if m < 0 || m >= 1 {
-		return fmt.Errorf("storage magnitude %v outside [0, 1)", m)
+	if err := checkStorageMagnitude(m); err != nil {
+		return err
 	}
 	f.Mag = m
 	return nil
@@ -303,10 +304,20 @@ func (f *Failover) Recover(tg Target) { tg.Sync[f.From].Master = f.From }
 // Clone implements Fault.
 func (f *Failover) Clone() Fault { c := *f; return &c }
 
-// checkMagnitude validates a severity in [0, 1].
+// checkMagnitude validates a severity in [0, 1]. The checks state what is
+// usable, so NaN fails them.
 func checkMagnitude(m float64) error {
-	if m < 0 || m > 1 {
+	if !(m >= 0 && m <= 1) {
 		return fmt.Errorf("magnitude %v outside [0, 1]", m)
+	}
+	return nil
+}
+
+// checkStorageMagnitude validates a storage severity in [0, 1): a dead
+// array is not a zero-rate queue.
+func checkStorageMagnitude(m float64) error {
+	if !(m >= 0 && m < 1) {
+		return fmt.Errorf("storage magnitude %v outside [0, 1)", m)
 	}
 	return nil
 }

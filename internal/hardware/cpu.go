@@ -127,9 +127,6 @@ func (c *CPU) Reserve(frac float64) {
 	c.setFactors(c.derate, frac)
 }
 
-// Reserved returns the capacity fraction currently withheld by Reserve.
-func (c *CPU) Reserved() float64 { return c.reserve }
-
 // setFactors sets the two absolute factors and recomputes the per-core
 // service rate from them and the spec, between Sync and MarkDirty.
 // In-service tasks finish their remaining cycles at the new rate.

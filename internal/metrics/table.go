@@ -66,15 +66,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// FprintSeries writes a series as two aligned columns (time in hours,
-// value), the textual stand-in for the thesis' figures.
-func FprintSeries(w io.Writer, title string, s *Series, valueFmt string) {
-	fmt.Fprintln(w, title)
-	for i := range s.T {
-		fmt.Fprintf(w, "  %8.3fh  "+valueFmt+"\n", s.T[i]/3600, s.V[i])
-	}
-}
-
 // Sparkline renders values as a compact unicode sparkline, handy for
 // eyeballing diurnal curves in terminal output.
 func Sparkline(vs []float64) string {

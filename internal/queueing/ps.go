@@ -85,9 +85,6 @@ func (q *PS) SetLatency(latency float64) {
 // Latency returns the constant per-task delay in seconds.
 func (q *PS) Latency() float64 { return q.latency }
 
-// MaxConnections returns the connection limit k.
-func (q *PS) MaxConnections() int { return q.k }
-
 // Enqueue adds a task, firing the notify hook when the task will hold a
 // connection slot at the next fill. Its Delay field is initialized to the
 // link latency.

@@ -113,7 +113,7 @@ type Infrastructure struct {
 // Build materializes the infrastructure specification into agents
 // registered with the simulation.
 func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	inf := &Infrastructure{
@@ -147,18 +147,14 @@ func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 	}
 	// Sorted data-center order, not the map's: client-pool agent IDs decide
 	// the drain order of same-tick completions, so they must not vary from
-	// build to build. (validate has rejected keys that name no DC.)
+	// build to build. (Validate has rejected keys that name no DC.)
 	for _, dcName := range inf.dcOrder {
 		cs, ok := spec.Clients[dcName]
 		if !ok {
 			continue
 		}
 		dc := inf.DCs[dcName]
-		pool, err := newClientPool(sim, dc, cs)
-		if err != nil {
-			return nil, err
-		}
-		dc.Clients = pool
+		dc.Clients = newClientPool(sim, dc, cs)
 	}
 	return inf, nil
 }

@@ -31,10 +31,7 @@ type ClientPool struct {
 	rr    int
 }
 
-func newClientPool(sim *core.Simulation, dc *DataCenter, spec ClientSpec) (*ClientPool, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
+func newClientPool(sim *core.Simulation, dc *DataCenter, spec ClientSpec) *ClientPool {
 	p := &ClientPool{
 		DC:    dc,
 		Spec:  spec,
@@ -47,7 +44,7 @@ func newClientPool(sim *core.Simulation, dc *DataCenter, spec ClientSpec) (*Clie
 			Pool:  p,
 		})
 	}
-	return p, nil
+	return p
 }
 
 // Next hands out the next client slot round-robin.

@@ -181,7 +181,12 @@ func clonePtr[T any](p *T) *T {
 	return &c
 }
 
-func (s InfraSpec) validate() error {
+// Validate checks the whole specification without building anything: every
+// data center, tier, server, link and client population is usable, names
+// are unique, and WAN ends and client keys name data centers of the spec.
+// Build runs it, and so does the experiment gate, so a bad spec fails
+// before a simulation exists.
+func (s InfraSpec) Validate() error {
 	if len(s.DCs) == 0 {
 		return fmt.Errorf("topology: infrastructure needs at least one DC")
 	}

@@ -16,7 +16,7 @@ import (
 // each row, not panic and not build.
 func TestSpecValidationRejectsNaNAndInf(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	if err := twoDCSpec().validate(); err != nil {
+	if err := twoDCSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	server := func(s *InfraSpec) *ServerSpec { return &s.DCs[0].Tiers[0].Server }

@@ -142,17 +142,18 @@ func BusinessDay(peak float64, startGMT, endGMT int, nightFloor float64) Curve {
 // each data center. Rows must sum to 1.
 type AccessMatrix map[string]map[string]float64
 
-// Validate checks that every row is a probability distribution.
+// Validate checks that every row is a probability distribution. The checks
+// state what is usable, so a NaN entry fails them.
 func (m AccessMatrix) Validate() error {
 	for from, row := range m {
 		sum := 0.0
 		for _, p := range row {
-			if p < 0 {
-				return fmt.Errorf("workload: APM row %s has negative entry", from)
+			if !(p >= 0) {
+				return fmt.Errorf("workload: APM row %s has a negative or NaN entry", from)
 			}
 			sum += p
 		}
-		if math.Abs(sum-1) > 1e-6 {
+		if !(math.Abs(sum-1) <= 1e-6) {
 			return fmt.Errorf("workload: APM row %s sums to %v, want 1", from, sum)
 		}
 	}
