@@ -670,7 +670,6 @@ type busyAgent struct {
 	spins int
 }
 
-func (a *busyAgent) Enqueue(*queueing.Task) {}
 func (a *busyAgent) Step(dt float64) {
 	x := a.state
 	for i := 0; i < a.spins; i++ {

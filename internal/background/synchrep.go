@@ -90,7 +90,8 @@ func (d *SyncDaemon) launch(s *core.Simulation, t0, t1 float64) {
 	for _, src := range d.Inf.DCNames() {
 		vol, err := PullVolumeMB(d.Growth, d.APM, d.Master, src, t0, t1)
 		if err != nil {
-			panic(err)
+			d.fail(s, err)
+			return
 		}
 		if vol <= 0 {
 			continue
@@ -115,7 +116,8 @@ func (d *SyncDaemon) launch(s *core.Simulation, t0, t1 float64) {
 	for _, dst := range d.Inf.DCNames() {
 		vol, err := PushVolumeMB(d.Growth, d.APM, d.Master, dst, t0, t1)
 		if err != nil {
-			panic(err)
+			d.fail(s, err)
+			return
 		}
 		if dst == d.Master || vol <= 0 {
 			continue
@@ -162,8 +164,9 @@ func (d *SyncDaemon) launch(s *core.Simulation, t0, t1 float64) {
 	})
 }
 
-// fail makes a cycle that cannot be routed — a data center it must reach is
-// cut off — the simulation's fatal error instead of a panic.
+// fail makes a cycle that cannot be built — a data center it must reach is
+// cut off, or a volume has no access-matrix row to split by — the
+// simulation's fatal error instead of a panic.
 func (d *SyncDaemon) fail(s *core.Simulation, err error) {
 	s.Fail(&core.OpError{Op: "SYNCHREP", DC: d.Master, At: s.Clock().NowSeconds(), Err: err})
 }
@@ -232,13 +235,12 @@ type hop struct {
 
 // concatHops chains sequential messages into a single message plan: the
 // stage list of hop k+1 follows hop k, which is exactly the semantics of a
-// fixed request/transfer/ack sub-sequence inside a parallel branch.
+// fixed request/transfer/ack sub-sequence inside a parallel branch, and the
+// plan holds one memory span per hop processed at a server.
 func concatHops(inf *topology.Infrastructure, hops ...hop) (core.MessagePlan, error) {
 	var plan core.MessagePlan
 	for _, h := range hops {
-		var err error
-		plan.Stages, err = inf.AppendHop(plan.Stages, h.from, h.to, h.cost)
-		if err != nil {
+		if err := inf.AppendHop(&plan, h.from, h.to, h.cost); err != nil {
 			return core.MessagePlan{}, fmt.Errorf("background: %w", err)
 		}
 	}

@@ -259,19 +259,20 @@ func (b *Binding) endpoint(code uint8, tiers *siteTiers) topology.Endpoint {
 	return topology.ServerEndpoint(srv)
 }
 
-// appendMsg appends the hardware stages of one compiled message: both ends
-// resolved from-then-to — the order server picks, and therefore round-robin
-// cursors, advance in — then the route between them.
-func (b *Binding) appendMsg(dst []core.Stage, m uint8, tiers *siteTiers, cost R) ([]core.Stage, error) {
+// appendMsg appends the hardware stages and hold span of one compiled
+// message to plan: both ends resolved from-then-to — the order server picks,
+// and therefore round-robin cursors, advance in — then the route between
+// them.
+func (b *Binding) appendMsg(plan *core.MessagePlan, m uint8, tiers *siteTiers, cost R) error {
 	from := b.endpoint(m>>4, tiers)
 	to := b.endpoint(m&15, tiers)
-	return b.Inf.AppendHop(dst, from, to, cost)
+	return b.Inf.AppendHop(plan, from, to, cost)
 }
 
 // Instantiate turns an operation definition plus a binding into a runnable
 // core.OpRun. Expansion happens step by step at run time. The returned
-// OpRun owns one stage buffer and one plan slice that every step's
-// expansion reuses (see core.OpRun.Expand for the lifetime rule), so it
+// OpRun owns one stage buffer, one hold buffer and one plan slice that every
+// step's expansion reuses (see core.OpRun.Expand for the lifetime rule), so it
 // drives a single flow. The operation is compiled on every call; launchers
 // instantiate through a Scratch, which compiles once.
 func Instantiate(op Op, b *Binding) (core.OpRun, error) {
@@ -281,7 +282,7 @@ func Instantiate(op Op, b *Binding) (core.OpRun, error) {
 // Scratch is a launcher's expansion state: what it has compiled — each
 // operation it launched, and the tiers of each (local, master) pair it bound
 // — and the free lists of what its finished operations hand back (their
-// stage buffer and plan slice, and their binding when Scratch.NewBinding
+// stage, hold and plan buffers, and their binding when Scratch.NewBinding
 // made it) for the launcher's next operation to expand into. One launcher
 // owns one Scratch; all its operations must start at one data center. The
 // free lists grow to the launcher's peak number of operations in flight.
@@ -388,12 +389,16 @@ func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 	} else {
 		x = new(expander)
 		x.expandFn, x.errFn = x.expand, x.takeErr
+		x.holds = x.holdBuf[:0]
 		if sc != nil {
 			x.retireFn = func() { sc.retire(x) }
 		} else {
 			x.stages = make([]core.Stage, 0, p.oneShotStages(b))
 			x.plans = make([]core.MessagePlan, 0, p.width)
 		}
+	}
+	if cap(x.holds) < p.width {
+		x.holds = make([]core.Hold, 0, p.width)
 	}
 	x.prog, x.tiers, x.steps, x.binding = p, tiers, op.Steps, b
 	return core.OpRun{
@@ -417,18 +422,23 @@ func (sc *Scratch) retire(x *expander) {
 	// Whole capacity: steps overwrite each other in place, so an earlier,
 	// wider step's tail may still be there.
 	clear(x.stages[:cap(x.stages)])
+	clear(x.holds[:cap(x.holds)])
 	clear(x.plans[:cap(x.plans)])
 	*x = expander{
-		stages: x.stages[:0], plans: x.plans[:0],
+		stages: x.stages[:0], holds: x.holds[:0], plans: x.plans[:0],
 		expandFn: x.expandFn, errFn: x.errFn, retireFn: x.retireFn,
 	}
 	sc.free = append(sc.free, x)
 }
 
 // expander is the per-operation-instance expansion state: the flow's steps
-// are strictly sequential, so one stage buffer and one plan slice serve
-// them all. The funcs are bound once, so a recycled expander costs its next
-// operation no closure.
+// are strictly sequential, so one stage buffer, one hold buffer and one plan
+// slice serve them all. A message holds at most one span, so instantiate
+// sizes the hold buffer to the program's width and expand never grows it;
+// holdBuf backs it for steps of up to eight messages — the widest step of
+// the built-in operations, the CAD fan-outs (apps.FanOut) — so an expander
+// costs no hold allocation of its own. The funcs are bound once, so a
+// recycled expander costs its next operation no closure.
 type expander struct {
 	prog    *program
 	tiers   *siteTiers
@@ -440,11 +450,13 @@ type expander struct {
 	next, off int
 
 	stages   []core.Stage
+	holds    []core.Hold
 	plans    []core.MessagePlan
 	err      error // why the last expand returned nothing
 	expandFn func(int) []core.MessagePlan
 	errFn    func() error
 	retireFn func()
+	holdBuf  [8]core.Hold
 }
 
 // takeErr is the OpRun.Err hook.
@@ -467,24 +479,30 @@ func (x *expander) expand(step int) []core.MessagePlan {
 	codes := x.prog.msgs[x.off : x.off+len(msgs)]
 	x.next, x.off = step+1, x.off+len(msgs)
 
-	stages, plans := x.stages[:0], x.plans[:0]
+	// Every message appends into one plan spanning the step; its hold spans
+	// are then re-based onto its own stages.
+	all, plans := core.MessagePlan{Stages: x.stages[:0], Holds: x.holds[:0]}, x.plans[:0]
 	for i, m := range codes {
-		start := len(stages)
-		var err error
-		if stages, err = x.binding.appendMsg(stages, m, x.tiers, msgs[i].Cost); err != nil {
+		start, held := len(all.Stages), len(all.Holds)
+		if err := x.binding.appendMsg(&all, m, x.tiers, msgs[i].Cost); err != nil {
 			x.err = err
 			return nil
 		}
-		plans = append(plans, core.MessagePlan{Stages: stages[start:]})
+		for j := held; j < len(all.Holds); j++ {
+			all.Holds[j].From -= int32(start)
+			all.Holds[j].To -= int32(start)
+		}
+		plans = append(plans, core.MessagePlan{Stages: all.Stages[start:], Holds: all.Holds[held:]})
 	}
-	// A grown buffer moved the earlier messages' stages: re-slice every plan
-	// out of the final one, capped so no plan can append into its neighbour.
-	off := 0
+	// A grown buffer moved the earlier messages' stages or spans: re-slice
+	// every plan out of the final ones, capped so no plan can append into
+	// its neighbour.
+	off, hoff := 0, 0
 	for i := range plans {
-		end := off + len(plans[i].Stages)
-		plans[i].Stages = stages[off:end:end]
-		off = end
+		end, hend := off+len(plans[i].Stages), hoff+len(plans[i].Holds)
+		plans[i].Stages, plans[i].Holds = all.Stages[off:end:end], all.Holds[hoff:hend:hend]
+		off, hoff = end, hend
 	}
-	x.stages, x.plans = stages, plans
+	x.stages, x.holds, x.plans = all.Stages, all.Holds, plans
 	return plans
 }

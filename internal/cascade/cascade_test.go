@@ -341,9 +341,9 @@ func fanOp() Op {
 	return Op{Name: "FAN", Steps: [][]Msg{{req}, {toFS, req, toFS}, {resp}}}
 }
 
-// The plans of one step are cut out of one buffer: each must hold exactly
-// the stages ExpandHop gives for its message, and none may be able to append
-// into its neighbour.
+// The plans of one step are cut out of one stage buffer and one hold buffer:
+// each must hold exactly the stages and hold spans ExpandHop gives for its
+// message, and none may be able to append into its neighbour.
 func TestExpandPlansShareOneBufferWithoutAliasing(t *testing.T) {
 	_, inf := testInfra(t)
 	na, aus := inf.DC("NA"), inf.DC("AUS")
@@ -374,6 +374,15 @@ func TestExpandPlansShareOneBufferWithoutAliasing(t *testing.T) {
 					t.Fatalf("step %d plan %d stage %d = %+v, want %+v", s, i, k, got[k], want.Stages[k])
 				}
 			}
+			holds := plans[i].Holds
+			if len(holds) != len(want.Holds) || cap(holds) != len(holds) {
+				t.Fatalf("step %d plan %d: %d holds cap %d, want len = cap = %d", s, i, len(holds), cap(holds), len(want.Holds))
+			}
+			for k := range holds {
+				if holds[k] != want.Holds[k] {
+					t.Fatalf("step %d plan %d hold %d = %+v, want %+v", s, i, k, holds[k], want.Holds[k])
+				}
+			}
 		}
 	}
 }
@@ -397,7 +406,7 @@ func TestScratchRetiresCleanAndReuses(t *testing.T) {
 		t.Fatalf("%d expanders on the free list after one retirement", len(sc.free))
 	}
 	x := sc.free[0]
-	if x.binding != nil || x.steps != nil || len(x.stages) != 0 || len(x.plans) != 0 {
+	if x.binding != nil || x.steps != nil || len(x.stages) != 0 || len(x.holds) != 0 || len(x.plans) != 0 {
 		t.Fatalf("retired expander still bound: %+v", x)
 	}
 	for _, st := range x.stages[:cap(x.stages)] {
@@ -405,9 +414,14 @@ func TestScratchRetiresCleanAndReuses(t *testing.T) {
 			t.Fatalf("retired stage buffer retains %+v", st)
 		}
 	}
+	for _, h := range x.holds[:cap(x.holds)] {
+		if h != (core.Hold{}) {
+			t.Fatalf("retired hold buffer retains %+v", h)
+		}
+	}
 	for _, p := range x.plans[:cap(x.plans)] {
-		if p.Stages != nil {
-			t.Fatal("retired plan slice retains a stage slice")
+		if p.Stages != nil || p.Holds != nil {
+			t.Fatal("retired plan slice retains a stage or hold slice")
 		}
 	}
 	if cap(x.stages) == 0 {

@@ -24,12 +24,12 @@ func Estimate(op Op, b *Binding, step float64) (float64, error) {
 	}
 	total := 0.0
 	codes := p.msgs
-	var plan core.MessagePlan // one stage buffer serves every message
+	var plan core.MessagePlan // one plan's buffers serve every message
 	for _, msgs := range op.Steps {
 		slowest := 0.0
 		for i, m := range msgs {
-			plan.Stages, err = b.appendMsg(plan.Stages[:0], codes[i], tiers, m.Cost)
-			if err != nil {
+			plan.Stages, plan.Holds = plan.Stages[:0], plan.Holds[:0]
+			if err := b.appendMsg(&plan, codes[i], tiers, m.Cost); err != nil {
 				return 0, err
 			}
 			if d := topology.PlanDuration(plan, step); d > slowest {

@@ -535,7 +535,7 @@ func TestDirectTickMatchesReference(t *testing.T) {
 						if step == 0 {
 							return []MessagePlan{{Stages: []Stage{{Queue: ag, Demand: d}}}}
 						}
-						return []MessagePlan{{Stages: []Stage{{Queue: dl, Delay: 0.13}}}}
+						return []MessagePlan{{Stages: []Stage{{Queue: dl, Demand: 0.13}}}}
 					},
 				})
 			}

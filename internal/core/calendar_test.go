@@ -198,13 +198,11 @@ func (cs *countingSource) Poll(s *Simulation, now float64) {
 func (cs *countingSource) NextPoll(now float64) float64 { return cs.next }
 
 // vetoAgent is a pinned agent with the conservative default horizon (0):
-// while registered it vetoes every fast-forward jump.
+// while registered it vetoes every fast-forward jump. It accepts no work.
 type vetoAgent struct{ AgentBase }
 
-func (v *vetoAgent) Step(dt float64)                 {}
-func (v *vetoAgent) Enqueue(t *queueing.Task)        {}
-func (v *vetoAgent) Drain(fn func(t *queueing.Task)) {}
-func (v *vetoAgent) Idle() bool                      { return true }
+func (v *vetoAgent) Step(dt float64) {}
+func (v *vetoAgent) Idle() bool      { return true }
 
 // TestCalendarSkipsNotDuePolls checks the poll scheduler: a source with a
 // 50 ms schedule under a 10 ms step must be polled on roughly every fifth
@@ -246,7 +244,7 @@ func TestCalendarRekeysOnEnqueue(t *testing.T) {
 		s.StartOp(OpRun{
 			Name: "D", DC: "NA", NumSteps: 1,
 			Expand: func(int) []MessagePlan {
-				return []MessagePlan{{Stages: []Stage{{Queue: dl, Delay: delay}}}}
+				return []MessagePlan{{Stages: []Stage{{Queue: dl, Demand: delay}}}}
 			},
 		})
 	}
@@ -270,14 +268,14 @@ func TestCalendarRekeysOnEnqueue(t *testing.T) {
 	}
 }
 
-// orderAgent records the drain order of completions across agents.
+// orderAgent completes everything enqueued on it at its next step.
 type orderAgent struct {
 	AgentBase
-	order *[]AgentID
 	queue []*queueing.Task
 }
 
 func (o *orderAgent) Enqueue(t *queueing.Task) {
+	o.Sync()
 	o.MarkDirty()
 	o.queue = append(o.queue, t)
 }
@@ -289,18 +287,11 @@ func (o *orderAgent) Step(dt float64) {
 }
 func (o *orderAgent) Idle() bool { return len(o.queue) == 0 }
 
-// Drain records the agent's position in the sequential drain phase; the
-// buffered tasks are not flow tokens, so the flow callback is bypassed.
-func (o *orderAgent) Drain(fn func(*queueing.Task)) {
-	o.AgentBase.Drain(func(*queueing.Task) {
-		*o.order = append(*o.order, o.ID())
-	})
-}
-
 // TestActivationOrderIndependence pins the drain-order contract on both
 // loops: agents activated in descending ID order must still drain in
 // ascending ID order, and a following tick with nothing left to do must
-// drain nothing.
+// drain nothing. Each agent serves one single-stage operation, so the order
+// the operations complete in is the order their agents drain in.
 func TestActivationOrderIndependence(t *testing.T) {
 	for _, ref := range []bool{false, true} {
 		activationOrder(t, ref)
@@ -312,15 +303,19 @@ func activationOrder(t *testing.T, ref bool) {
 	var order []AgentID
 	agents := make([]*orderAgent, 4)
 	for i := range agents {
-		a := &orderAgent{order: &order}
+		a := &orderAgent{}
 		a.InitAgent(s.NextAgentID(), "oa")
 		s.AddAgent(a)
 		agents[i] = a
 	}
 	// Activate in descending ID order within one sequential phase.
 	for i := len(agents) - 1; i >= 0; i-- {
-		tk := &queueing.Task{ID: uint64(i)}
-		agents[i].Enqueue(tk)
+		a := agents[i]
+		s.StartOp(OpRun{
+			Name: "O", DC: "NA", NumSteps: 1,
+			Expand:     func(int) []MessagePlan { return []MessagePlan{{Stages: []Stage{{Queue: a, Demand: 1}}}} },
+			OnComplete: func(float64, float64) { order = append(order, a.ID()) },
+		})
 	}
 	s.Tick()
 	if len(order) != 4 {

@@ -39,8 +39,8 @@ type AgentID int32
 // Agent is a hardware component of the infrastructure — the lowest-level
 // holon member (CPU, NIC, switch, link, RAID, SAN, delay line). Engines may
 // step agents in parallel; they must only touch their own state during
-// Step and buffer completed tasks until Drain, which the simulation calls
-// sequentially.
+// Step and buffer completed tasks in their AgentBase (BufferDone), whose
+// buffer the simulation walks sequentially after the step.
 //
 // The simulation only sweeps *active* agents: an agent joins the active set
 // when work is enqueued on it (MarkActive) and leaves it when a post-drain
@@ -56,7 +56,10 @@ type Agent interface {
 	// Step advances the agent's internal queues by dt simulated seconds.
 	Step(dt float64)
 	// Drain invokes fn for every task completed since the previous Drain,
-	// in completion order, and clears the buffer.
+	// in completion order, and clears the buffer. AgentBase supplies it for
+	// callers that step an agent outside a simulation's loops (unit tests,
+	// probes); neither loop calls it — both walk the completion buffer
+	// straight into the flow router.
 	Drain(fn func(*queueing.Task))
 	// Idle reports whether the agent holds no in-flight work.
 	Idle() bool
@@ -95,16 +98,17 @@ type BulkStepper interface {
 
 // QueueAgent is an agent that accepts work: a flow stage can target it.
 //
-// Enqueue owns its agent's calendar entry: after Sync, it must either report
-// the arrival's first event through AgentBase.Arrive — the hardware agents'
-// queue hooks do, with the bound FCFS/PS.SetNotify document, and stay silent
-// for a task that waits behind work the active agent already holds, which
-// moves no event — or call MarkDirty, which rekeys the agent from its
-// horizon before the next jump.
-// The flow router only activates an agent that is still inactive after
-// Enqueue; it does not invalidate an active one. DelayLine keeps MarkDirty:
-// its horizon is the expiry less its local clock, (now+Delay)−now, which can
-// round below Delay, so reporting Delay would key it a tick late.
+// Enqueue owns its agent's place in the loop: it must first Sync, so the
+// work lands on state caught up to the current tick, and must leave the
+// agent active and keyed. Either it reports the arrival's first event
+// through AgentBase.Arrive — the hardware agents' queue hooks do, with the
+// bound FCFS/PS.SetNotify document, and stay silent for a task that waits
+// behind work the active agent already holds, which moves no event — or it
+// calls MarkDirty, which activates the agent and rekeys it from its horizon
+// before the next jump. The flow router does neither: it hands the stage
+// over and trusts the contract. DelayLine keeps MarkDirty: its horizon is
+// the expiry less its local clock, (now+delay)−now, which can round below
+// the delay, so reporting the delay would key it a tick late.
 type QueueAgent interface {
 	Agent
 	Enqueue(*queueing.Task)
@@ -154,8 +158,8 @@ func (b *AgentBase) Base() *AgentBase { return b }
 // every activation is also an invalidation: new work may move the agent's
 // next event earlier. It is O(1), idempotent, and must only be called from
 // sequential phases (Enqueue during source polls or interaction callbacks).
-// Flow routing calls it for an agent Enqueue left inactive; hardware queues
-// report their arrivals through Arrive instead.
+// Custom agents call it (as MarkDirty) from Enqueue; hardware queues report
+// their arrivals through Arrive instead.
 func (b *AgentBase) MarkActive() {
 	if b.sim == nil {
 		return
@@ -229,8 +233,7 @@ func (b *AgentBase) Horizon() float64 { return 0 }
 // matters — so any operation that mutates or reads
 // tick-dependent agent state from a sequential phase (an Enqueue, a local
 // clock read) must first replay the ticks the involved-only sweeps skipped.
-// Hardware agents call it at the top of Enqueue, and the flow router calls
-// it before handing a stage to its queue; it is an O(1) no-op when the
+// Every Enqueue calls it first (QueueAgent); it is an O(1) no-op when the
 // agent is current, inactive or unregistered, and on the reference loop.
 func (b *AgentBase) Sync() {
 	if b.sim != nil {
@@ -238,8 +241,9 @@ func (b *AgentBase) Sync() {
 	}
 }
 
-// BufferDone records a completed task for the next Drain. Hardware agents
-// pass this method as the DoneFunc of their internal queues.
+// BufferDone records a completed task for the simulation's next drain of
+// the agent. Hardware agents pass this method as the DoneFunc of their
+// internal queues.
 func (b *AgentBase) BufferDone(t *queueing.Task) { b.done = append(b.done, t) }
 
 // Drain hands buffered completions to fn in completion order and resets the

@@ -7,12 +7,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/queueing"
 )
 
 // testQueueAgent wraps an FCFS queue, standing in for a hardware component.
+// Its Enqueue keeps the QueueAgent contract the plain way: Sync first, then
+// MarkDirty, which activates it and rekeys it from its horizon.
 type testQueueAgent struct {
 	AgentBase
 	q *queueing.FCFS
@@ -25,9 +28,13 @@ func newTestQueueAgent(s *Simulation, name string, servers int, rate float64) *t
 	return a
 }
 
-func (a *testQueueAgent) Enqueue(t *queueing.Task) { a.q.Enqueue(t) }
-func (a *testQueueAgent) Step(dt float64)          { a.q.Step(dt, a.BufferDone) }
-func (a *testQueueAgent) Idle() bool               { return a.q.Idle() }
+func (a *testQueueAgent) Enqueue(t *queueing.Task) {
+	a.Sync()
+	a.MarkDirty()
+	a.q.Enqueue(t)
+}
+func (a *testQueueAgent) Step(dt float64) { a.q.Step(dt, a.BufferDone) }
+func (a *testQueueAgent) Idle() bool      { return a.q.Idle() }
 
 func singleStageOp(name, dc string, agent QueueAgent, demand float64) OpRun {
 	return OpRun{
@@ -142,6 +149,15 @@ type recordingHold struct{ events []string }
 func (h *recordingHold) Acquire(b float64) { h.events = append(h.events, fmt.Sprintf("acquire %g", b)) }
 func (h *recordingHold) Release(b float64) { h.events = append(h.events, fmt.Sprintf("release %g", b)) }
 
+// TestStageIs24Bytes pins the compact hop: a stage is its queue and its
+// demand and nothing else, so a message's per-hop read stays 24 bytes.
+// State that would grow it (occupancy, latency) belongs to the plan.
+func TestStageIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Stage{}); n != 24 {
+		t.Errorf("core.Stage is %d bytes, want 24", n)
+	}
+}
+
 func TestStageOccupancyCallsRunInOrder(t *testing.T) {
 	s := NewSimulation(Config{Step: 0.01, Seed: 1})
 	cpu := newTestQueueAgent(s, "cpu", 1, 100)
@@ -149,14 +165,14 @@ func TestStageOccupancyCallsRunInOrder(t *testing.T) {
 	op := OpRun{
 		Name: "HOLD", DC: "NA", NumSteps: 1,
 		Expand: func(int) []MessagePlan {
-			return []MessagePlan{{Stages: []Stage{
-				// An instantaneous stage acquires and falls through; the
-				// queued stage opens and closes its own occupancy around
-				// the service; a trailing instantaneous stage releases.
-				{Hold: hold, HoldAmount: 1, Acquire: true},
-				{Queue: cpu, Demand: 10, Hold: hold, HoldAmount: 2, Acquire: true, Release: true},
-				{Hold: hold, HoldAmount: 1, Release: true},
-			}}}
+			// An instantaneous stage opens the outer span and falls
+			// through; the queued stage opens and closes its own span
+			// around the service; a trailing instantaneous stage closes
+			// the outer one.
+			return []MessagePlan{{
+				Stages: []Stage{{}, {Queue: cpu, Demand: 10}, {}},
+				Holds:  []Hold{{Occ: hold, Amount: 1, From: 0, To: 2}, {Occ: hold, Amount: 2, From: 1, To: 1}},
+			}}
 		},
 	}
 	started := false
@@ -236,7 +252,7 @@ func TestDelayLineHoldsExactDelay(t *testing.T) {
 	op := OpRun{
 		Name: "THINK", DC: "NA", NumSteps: 1,
 		Expand: func(int) []MessagePlan {
-			return []MessagePlan{{Stages: []Stage{{Queue: dl, Delay: 1.5}}}}
+			return []MessagePlan{{Stages: []Stage{{Queue: dl, Demand: 1.5}}}}
 		},
 	}
 	started := false
@@ -263,7 +279,7 @@ func TestDelayLineOrdering(t *testing.T) {
 		return OpRun{
 			Name: name, DC: "NA", NumSteps: 1,
 			Expand: func(int) []MessagePlan {
-				return []MessagePlan{{Stages: []Stage{{Queue: dl, Delay: d}}}}
+				return []MessagePlan{{Stages: []Stage{{Queue: dl, Demand: d}}}}
 			},
 			OnComplete: func(now, dur float64) { order = append(order, name) },
 		}
@@ -562,7 +578,7 @@ func fastForwardFixture(noFF bool) *Simulation {
 			s.StartOp(OpRun{
 				Name: "THINK", DC: "NA", NumSteps: 1,
 				Expand: func(int) []MessagePlan {
-					return []MessagePlan{{Stages: []Stage{{Queue: dl, Delay: 7.301}}}}
+					return []MessagePlan{{Stages: []Stage{{Queue: dl, Demand: 7.301}}}}
 				},
 			})
 		}})

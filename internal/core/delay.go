@@ -9,7 +9,7 @@ import (
 // DelayLine is a pseudo-agent that holds tasks for a fixed delay without
 // contention. It models client-side time (think time, local rendering) and
 // any stage where elapsed time matters but no shared resource is consumed.
-// The delay is carried in Task.Delay, in seconds.
+// The delay is carried in Task.Demand, in seconds: a delay stage's Demand.
 type DelayLine struct {
 	AgentBase
 	now  float64
@@ -25,7 +25,7 @@ func NewDelayLine(sim *Simulation, name string) *DelayLine {
 	return d
 }
 
-// Enqueue admits a task; it will complete after task.Delay seconds. The
+// Enqueue admits a task; it will complete after task.Demand seconds. The
 // line's local clock only advances while it is active, which is safe: the
 // expiry of every held task is relative to that same local clock. Sync
 // first replays any ticks the bulk-dense loop deferred, so the local clock
@@ -36,7 +36,7 @@ func (d *DelayLine) Enqueue(t *queueing.Task) {
 	d.Sync()
 	d.MarkDirty()
 	d.seq++
-	d.heap.push(delayEntry{expiry: d.now + t.Delay, seq: d.seq, task: t})
+	d.heap.push(delayEntry{expiry: d.now + t.Demand, seq: d.seq, task: t})
 }
 
 // Step advances local time and buffers expired tasks in expiry order (ties

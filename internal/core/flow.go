@@ -8,7 +8,7 @@ import (
 
 // Occupancy is a resource a message holds across a run of consecutive
 // stages — a server's memory during processing (Fig. 3-5). The flow
-// machinery calls it in the sequential phase with the amount the stage
+// machinery calls it in the sequential phase with the amount its hold span
 // carries.
 type Occupancy interface {
 	Acquire(amount float64)
@@ -19,32 +19,39 @@ type Occupancy interface {
 // performed by a single hardware agent (NIC transmit, link transit, CPU
 // service, storage access) or a pure delay (client-side think/render time).
 // Stages are produced by the topology router when it expands a cascade
-// message into the agents along the route (§3.3.2).
+// message into the agents along the route (§3.3.2). A stage is 24 bytes —
+// the message's whole per-hop state — and memory occupancy lives beside the
+// stages, in MessagePlan.Holds.
 type Stage struct {
 	// Queue is the agent that serves this stage. A nil Queue makes the
-	// stage instantaneous: its occupancy calls run and the token advances
-	// within the same interaction phase.
+	// stage instantaneous: its hold spans open and close and the token
+	// advances within the same interaction phase.
 	Queue QueueAgent
 	// Demand is the work amount in the target agent's units (cycles for
-	// CPUs, bits for network elements, bytes for storage).
+	// CPUs, bits for network elements, bytes for storage), or the fixed
+	// latency in seconds when Queue is a DelayLine.
 	Demand float64
-	// Delay is a fixed latency in seconds, used by delay-line stages.
-	Delay float64
-	// Hold, when non-nil, is the occupancy this stage opens and/or closes:
-	// HoldAmount is acquired when the stage starts if Acquire is set, and
-	// released when it completes if Release is set. The router marks
-	// Acquire on the first and Release on the last processing stage at a
-	// server; a lone processing stage carries both.
-	Hold       Occupancy
-	HoldAmount float64
-	Acquire    bool
-	Release    bool
+}
+
+// Hold is an occupancy a message holds across a run of its stages: Amount
+// is acquired from Occ when stage From starts and released when stage To
+// completes. From and To index the plan's Stages, From <= To; the router
+// opens a span on the first and closes it on the last processing stage at a
+// server, and a lone processing stage is a span of one. Spans opening (or
+// closing) at the same stage do so in plan order.
+type Hold struct {
+	Occ      Occupancy
+	Amount   float64
+	From, To int32
 }
 
 // MessagePlan is a fully-expanded message of a cascade: the ordered stages
-// it traverses from origin to destination holon.
+// it traverses from origin to destination holon, and the occupancy spans it
+// holds along the way — one per server a hop is processed at, so a plan
+// that chains several hops holds several.
 type MessagePlan struct {
 	Stages []Stage
+	Holds  []Hold
 }
 
 // OpRun describes one operation instance to execute: a cascade of NumSteps
@@ -104,6 +111,7 @@ type Flow struct {
 type token struct {
 	flow   *Flow
 	stages []Stage
+	holds  []Hold
 	idx    int
 	task   queueing.Task
 }
@@ -154,7 +162,7 @@ func (s *Simulation) advanceFlow(f *Flow) {
 		for _, plan := range plans {
 			tok := w.newToken()
 			tok.flow = f
-			tok.stages = plan.Stages
+			tok.stages, tok.holds = plan.Stages, plan.Holds
 			tok.task.Payload = tok
 			s.startStage(tok)
 		}
@@ -162,45 +170,38 @@ func (s *Simulation) advanceFlow(f *Flow) {
 	}
 }
 
-// startStage begins the token's current stage, skipping instantaneous
-// stages in place. When the token runs out of stages the parent flow's
-// outstanding count drops and, at zero, the flow advances.
+// startStage begins the token's current stage — opening the hold spans that
+// start there — and hands it to its queue, whose Enqueue syncs and keys the
+// agent itself (QueueAgent). Instantaneous stages are finished in place.
+// When the token runs out of stages the parent flow's outstanding count
+// drops and, at zero, the flow advances.
 func (s *Simulation) startStage(tok *token) {
 	for tok.idx < len(tok.stages) {
-		st := &tok.stages[tok.idx]
-		if st.Acquire {
-			st.Hold.Acquire(st.HoldAmount)
+		for i := range tok.holds {
+			if h := &tok.holds[i]; int(h.From) == tok.idx {
+				h.Occ.Acquire(h.Amount)
+			}
 		}
+		st := &tok.stages[tok.idx]
 		if st.Queue != nil {
 			tok.task.Demand = st.Demand
-			tok.task.Delay = st.Delay
-			id := st.Queue.ID()
-			// The target may be lazily stepped; replay its deficit before
-			// the enqueue mutates its queues, so the new work lands on
-			// state identical to the reference loop's. Hardware agents
-			// self-sync in Enqueue and then find nothing left to replay;
-			// routing through here covers custom agents too.
-			s.syncAgent(id)
 			st.Queue.Enqueue(&tok.task)
-			// Join the active set so the agent is stepped from the next
-			// tick on. Enqueue owns the agent's calendar entry (see
-			// QueueAgent): hardware agents have already keyed the arrival
-			// through Arrive, so an active agent is left alone —
-			// re-invalidating it would pay the Horizon call Arrive saved.
-			// Only a custom agent that never activates itself gets the
-			// call.
-			if b := s.bases[id]; !b.active {
-				b.MarkActive()
-			}
 			return
 		}
-		// Instantaneous stage: release and fall through to the next.
-		if st.Release {
-			st.Hold.Release(st.HoldAmount)
-		}
-		tok.idx++
+		tok.finishStage()
 	}
 	s.tokenDone(tok)
+}
+
+// finishStage closes the hold spans that end at the token's current stage
+// and moves the token to its next stage.
+func (tok *token) finishStage() {
+	for i := range tok.holds {
+		if h := &tok.holds[i]; int(h.To) == tok.idx {
+			h.Occ.Release(h.Amount)
+		}
+	}
+	tok.idx++
 }
 
 // onTaskDone resumes a token whose queued stage completed.
@@ -209,12 +210,20 @@ func (s *Simulation) onTaskDone(t *queueing.Task) {
 	if !ok {
 		panic("core: completed task without token payload")
 	}
-	st := &tok.stages[tok.idx]
-	if st.Release {
-		st.Hold.Release(st.HoldAmount)
-	}
-	tok.idx++
+	tok.finishStage()
 	s.startStage(tok)
+}
+
+// drainDone hands an agent's buffered completions to the flow router in
+// completion order and resets the buffer, retaining its capacity. Both loops
+// drain through it, agent by agent in ascending ID order; a completion's
+// downstream enqueues buffer none, so the walk never sees the buffer grow.
+func (s *Simulation) drainDone(b *AgentBase) {
+	for _, t := range b.done {
+		s.onTaskDone(t)
+	}
+	clear(b.done)
+	b.done = b.done[:0]
 }
 
 // tokenDone accounts a finished message within its flow and recycles the

@@ -80,7 +80,6 @@ func (fs *fuzzSource) Poll(s *Simulation, now float64) {
 					plans[m].Stages = append(plans[m].Stages, Stage{
 						Queue:  fs.agents[st.agent],
 						Demand: st.ticks * dt * fs.rates[st.agent],
-						Delay:  st.ticks * dt,
 					})
 				}
 			}

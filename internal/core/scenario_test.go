@@ -128,7 +128,7 @@ func TestWindowLandsOnCalendarHead(t *testing.T) {
 			line := core.NewDelayLine(s, "line")
 			s.AddSource(&onceSource{op: core.OpRun{Name: "D", DC: "NA", NumSteps: 1,
 				Expand: func(int) []core.MessagePlan {
-					return []core.MessagePlan{{Stages: []core.Stage{{Queue: line, Delay: delay}}}}
+					return []core.MessagePlan{{Stages: []core.Stage{{Queue: line, Demand: delay}}}}
 				}}})
 			s.RunFor(10)
 			return s

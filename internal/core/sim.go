@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/metrics"
-	"repro/internal/queueing"
 	"repro/internal/simtime"
 )
 
@@ -110,11 +109,9 @@ type Simulation struct {
 	// agentTick records, per agent, the tick its state has been stepped
 	// through — meaningful only while the agent is active; lazily-stepped
 	// agents trail the clock and are caught up by syncAgent. sweep is the
-	// agent list the reference tick hands the engine. drainFn is bound once
-	// so no window allocates a closure.
+	// agent list the reference tick hands the engine.
 	agentTick []simtime.Tick
 	sweep     []Agent
-	drainFn   func(*queueing.Task)
 
 	// srcDue caches each source's due tick (first tick whose Poll may have
 	// an observable effect). Sources reporting +Inf are parked until
@@ -150,7 +147,6 @@ func NewSimulation(cfg Config) *Simulation {
 		fastForward:  !cfg.NoFastForward,
 	}
 	s.root = window{s: s, srcMin: neverTick, nextSnap: nextCollectBoundary(0, s.collectEvery), resp: s.Responses}
-	s.drainFn = s.onTaskDone
 	return s
 }
 
@@ -395,7 +391,7 @@ func (s *Simulation) tick() {
 	// Agents activated by the drain join the active list beyond this tick's
 	// sweep and are first served next tick (§4.3.3 timestamp rule).
 	for _, a := range s.sweep {
-		a.Drain(s.drainFn)
+		s.drainDone(a.Base())
 	}
 	kept := w.active[:0]
 	for i, a := range s.sweep {
@@ -436,12 +432,12 @@ func (s *Simulation) tick() {
 //     (AgentBase.Arrive); everything else that may move an event earlier
 //     marks the agent dirty for a full rekey.
 //   - Mutating or reading an agent's tick-dependent state from a
-//     sequential phase is always preceded by a catch-up (AgentBase.Sync in
-//     hardware Enqueues, syncAgent in the flow router), so enqueues land
-//     on state identical to the reference loop's.
+//     sequential phase is always preceded by a catch-up (AgentBase.Sync,
+//     which every Enqueue calls first), so enqueues land on state identical
+//     to the reference loop's.
 //   - Only agents at their event tick can buffer completions, and those
 //     are exactly the popped-due set (an enqueue buffers none). Lazy agents
-//     therefore never hold completions, and skipping their Drain is exact.
+//     therefore never hold completions, and skipping their drain is exact.
 //   - Skipped polls are no-ops by the Source.NextPoll contract.
 //
 // The involved agents are advanced right here, on the calling goroutine: a
@@ -471,7 +467,7 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 
 // syncAgent catches a lazily-stepped active agent up to its window's tick.
 // It is the sequential-phase entry point of lazy stepping (reached through
-// AgentBase.Sync and the flow router): any enqueue or tick-dependent read
+// AgentBase.Sync): any enqueue or tick-dependent read
 // must first replay the ticks the involved-only sweeps skipped, on state
 // that — by the calendar invariant — holds no event in them. Inactive
 // agents have no queue state evolving, so they are left alone (activation
@@ -479,9 +475,7 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 // tick and keeps no agentTick, so it has nothing to catch up.
 func (s *Simulation) syncAgent(id AgentID) {
 	// The common case — agent already current — exits here, inlined into
-	// the caller: the hook sits on every enqueue, twice for hardware agents
-	// (the flow router's call, then the agent's own, which finds nothing
-	// left).
+	// the caller: the hook sits on every enqueue.
 	if s.root.tick > s.agentTick[id] {
 		s.catchUp(id)
 	}

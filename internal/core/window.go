@@ -191,8 +191,9 @@ func (w *window) drain() {
 	w.drainPend = w.drainSpare[:0]
 	slices.Sort(pend)
 	for _, id := range pend {
-		s.bases[id].pendDrain = false
-		s.agents[id].Drain(s.drainFn)
+		b := s.bases[id]
+		b.pendDrain = false
+		s.drainDone(b)
 	}
 	w.drainSpare = pend[:0]
 }

@@ -12,7 +12,8 @@ import (
 // an engine: the simulations here exist to exercise the engines.
 var onReference = core.LoopFlags{NoFastForward: true}
 
-// fakeAgent is a minimal queue-bearing agent for engine tests.
+// fakeAgent is a minimal queue-bearing agent for engine tests. Its Enqueue
+// keeps the core.QueueAgent contract: Sync, then MarkDirty.
 type fakeAgent struct {
 	core.AgentBase
 	q     *queueing.FCFS
@@ -26,7 +27,11 @@ func newFakeAgent(s *core.Simulation, name string) *fakeAgent {
 	return a
 }
 
-func (a *fakeAgent) Enqueue(t *queueing.Task) { a.q.Enqueue(t) }
+func (a *fakeAgent) Enqueue(t *queueing.Task) {
+	a.Sync()
+	a.MarkDirty()
+	a.q.Enqueue(t)
+}
 func (a *fakeAgent) Step(dt float64) {
 	a.steps.Add(1)
 	a.q.Step(dt, a.BufferDone)
@@ -89,7 +94,8 @@ func newSinkAgent(s *core.Simulation, name string) *sinkAgent {
 }
 
 func (a *sinkAgent) Enqueue(t *queueing.Task) {
-	a.MarkActive()
+	a.Sync()
+	a.MarkDirty()
 	a.q.Enqueue(t)
 }
 func (a *sinkAgent) Step(dt float64) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/queueing"
 )
 
 // busyAgent performs a fixed amount of CPU-bound work per step, emulating
@@ -29,7 +28,6 @@ func newBusyAgent(s *core.Simulation, spins int) *busyAgent {
 	return a
 }
 
-func (a *busyAgent) Enqueue(*queueing.Task) {}
 func (a *busyAgent) Step(dt float64) {
 	x := a.state
 	for i := 0; i < a.spins; i++ {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/hardware"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -17,6 +20,7 @@ import (
 // row below fails for its own mutation.
 func gateDoc() *config.Document {
 	d := engineDoc("")
+	d.Infrastructure = daemonSpec()
 	d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.8, RhoMax: 0.85}
 	d.AccessMatrix = workload.SingleMaster([]string{"NA"}, "NA")
 	d.Daemons = &config.DaemonsSpec{
@@ -57,6 +61,8 @@ var badDocuments = []struct {
 	{"negative index gap", func(d *config.Document) { d.Daemons.IndexGapMin = -1 }},
 	{"negative index headroom", func(d *config.Document) { d.Daemons.IndexHeadroom = -1 }},
 	{"daemons without access matrix", func(d *config.Document) { d.AccessMatrix = nil }},
+	{"daemon master without fs tier", masterWithoutFS},
+	{"growth DC without access matrix row", growthWithoutAPMRow},
 	{"fault without name", func(d *config.Document) { d.Faults[0].Name = "" }},
 	{"duplicate fault name", func(d *config.Document) { d.Faults = append(d.Faults, d.Faults[0]) }},
 	{"negative fault at", func(d *config.Document) { d.Faults[0].At = -1 }},
@@ -73,6 +79,43 @@ var badDocuments = []struct {
 	{"failover endpoints", func(d *config.Document) {
 		d.Faults[0] = config.FaultSpec{Name: "move", Kind: "failover", From: "MARS", To: "NA", At: 10, Duration: 10}
 	}},
+}
+
+// masterWithoutFS drops the file tier of the daemons' master, which every
+// SYNCHREP cycle reads and writes.
+func masterWithoutFS(d *config.Document) {
+	tiers := d.Infrastructure.DCs[0].Tiers
+	d.Infrastructure.DCs[0].Tiers = slices.DeleteFunc(tiers, func(t topology.TierSpec) bool { return t.Name == "fs" })
+}
+
+// growthWithoutAPMRow adds a second data center, EU, that generates data
+// but has no access-matrix row to split it by owner.
+func growthWithoutAPMRow(d *config.Document) {
+	eu := d.Infrastructure.DCs[0]
+	eu.Name = "EU"
+	d.Infrastructure.DCs = append(d.Infrastructure.DCs, eu)
+	wan := hardware.LinkSpec{Gbps: 1, LatencyMS: 40}
+	d.Infrastructure.WAN = []topology.WANSpec{{From: "NA", To: "EU", Link: wan}, {From: "EU", To: "NA", Link: wan}}
+	d.Daemons.GrowthMBh["EU"] = workload.BusinessDay(50, 8, 17, 5)
+}
+
+// TestDaemonGateNamesTheGap: a daemon setup whose launch would dereference
+// a missing tier or access-matrix row fails in the gate, and the error names
+// the data center and what it lacks.
+func TestDaemonGateNamesTheGap(t *testing.T) {
+	for _, c := range []struct {
+		mutate func(*config.Document)
+		want   string
+	}{
+		{masterWithoutFS, `daemon master NA has no "fs" tier`},
+		{growthWithoutAPMRow, "the access matrix has no row for EU"},
+	} {
+		d := gateDoc()
+		c.mutate(d)
+		if _, err := FromDocument(d); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("error %v does not mention %q", err, c.want)
+		}
+	}
 }
 
 // TestValidateRejectsBadDocuments pins one row per document check: every

@@ -450,6 +450,63 @@ func (e *Experiment) validateDaemons(dcs map[string]bool) error {
 	if e.apm == nil {
 		return fmt.Errorf("daemons need an access matrix (WithAccessMatrix)")
 	}
+	return e.validateDaemonReach()
+}
+
+// validateDaemonReach checks what the daemons' launches dereference: an
+// access-matrix row for every data center that generates data (the
+// SYNCHREP volumes read it), the app, db, fs and idx tiers at every master,
+// and an fs tier wherever SYNCHREP pulls from or pushes to — every other
+// generating site whose files a master owns, and every site but a file's
+// creator and its master.
+func (e *Experiment) validateDaemonReach() error {
+	d := e.daemons
+	tiers := map[string]map[string]bool{}
+	for _, dc := range e.infra.DCs {
+		tiers[dc.Name] = map[string]bool{}
+		for _, t := range dc.Tiers {
+			tiers[dc.Name][t.Name] = true
+		}
+	}
+	needFS := func(dc, why string) error {
+		if !tiers[dc]["fs"] {
+			return fmt.Errorf("daemon SYNCHREP %s DC %s, which has no \"fs\" tier", why, dc)
+		}
+		return nil
+	}
+	var growing []string
+	for _, dc := range d.Growth.DCs() {
+		if c := d.Growth[dc]; slices.ContainsFunc(c[:], func(v float64) bool { return v > 0 }) {
+			if e.apm[dc] == nil {
+				return fmt.Errorf("daemon growth curve for %s: the access matrix has no row for %s", dc, dc)
+			}
+			growing = append(growing, dc)
+		}
+	}
+	for _, m := range d.Masters {
+		for _, tier := range []string{"app", "db", "fs", "idx"} {
+			if !tiers[m][tier] {
+				return fmt.Errorf("daemon master %s has no %q tier", m, tier)
+			}
+		}
+		for _, src := range growing {
+			if !(e.apm[src][m] > 0) {
+				continue
+			}
+			if src != m {
+				if err := needFS(src, "pulls from"); err != nil {
+					return err
+				}
+			}
+			for _, dst := range e.infra.DCs {
+				if dst.Name != m && dst.Name != src {
+					if err := needFS(dst.Name, "pushes to"); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
 	return nil
 }
 

@@ -46,6 +46,17 @@ func testSpec() topology.InfraSpec {
 	}
 }
 
+// daemonSpec is testSpec with the file and index tiers the daemons reach
+// at their master.
+func daemonSpec() topology.InfraSpec {
+	s := testSpec()
+	app := s.DCs[0].Tiers[0]
+	fs, idx := app, app
+	fs.Name, idx.Name = "fs", "idx"
+	s.DCs[0].Tiers = append(s.DCs[0].Tiers, fs, idx)
+	return s
+}
+
 // testOptions assembles a small PDM experiment running a few simulated
 // minutes — the shared fixture of the experiment and sweep tests.
 func testOptions(extra ...Option) []Option {
@@ -243,7 +254,7 @@ func TestExperimentRejectsNonFiniteInputs(t *testing.T) {
 	withDaemons := func(edit func(*Daemons)) []Option {
 		d := Daemons{Masters: []string{"NA"}, Growth: background.GrowthModel{"NA": workload.BusinessDay(100, 13, 22, 5)}}
 		edit(&d)
-		return testOptions(WithDaemons(d))
+		return testOptions(WithInfra(daemonSpec()), WithDaemons(d))
 	}
 	cases := []struct {
 		name string

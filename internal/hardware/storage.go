@@ -107,6 +107,8 @@ type diskArray struct {
 	solos    []queueing.Solo // their solo services, in the same order
 	served   int             // stripes step served in closed form (read by tests)
 	diskSpec DiskSpec
+	draw     bool   // the disk-cache outcome is uncertain: each stripe draws
+	hitAll   bool   // when it is certain, whether every stripe hits
 	hitThr   uint64 // hitThreshold(diskSpec.HitRate)
 	rng      *rand.PCG
 	buffer   func(*queueing.Task) // parent-agent completion buffer
@@ -123,6 +125,8 @@ func newDiskArray(n int, spec DiskSpec, seed uint64, buffer func(*queueing.Task)
 		disks:    n,
 		misses:   make([]*forkSlab, 0, 8),
 		diskSpec: spec,
+		draw:     !spec.certain(),
+		hitAll:   spec.HitRate == 1,
 		hitThr:   hitThreshold(spec.HitRate),
 		rng:      rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2)),
 		buffer:   buffer,
@@ -193,10 +197,20 @@ func (a *diskArray) fork(e *extSlab) {
 // the order its Step would have called back in; otherwise the lane's stripe
 // tasks are filled in and enqueued and the drive steps. Idle drives with no
 // misses are skipped: their Step is a strict no-op (nothing to fill,
-// nothing in service, no busy time accrues).
+// nothing in service, no busy time accrues). A tick on which no stripe left
+// the controller caches hands the lanes nothing, so only the busy drives
+// step.
 func (a *diskArray) step(dt float64) {
 	if !a.dcc.Idle() {
 		a.dcc.Step(dt, a.onDiskCtrlDone)
+	}
+	if len(a.ctrlDone) == 0 {
+		for _, hdd := range a.lanes {
+			if !hdd.Idle() {
+				hdd.Step(dt, a.onDriveDone)
+			}
+		}
+		return
 	}
 	for i, hdd := range a.lanes {
 		misses, solos := a.misses[:0], a.solos[:0]
@@ -239,10 +253,10 @@ func (a *diskArray) onDiskCtrlDone(t *queueing.Task) {
 // the disk cache. A certain outcome takes no draw: the RNG is private to the
 // array and feeds nothing else, so its position is unobservable.
 func (a *diskArray) hit() bool {
-	if a.diskSpec.certain() {
-		return a.diskSpec.HitRate == 1
+	if a.draw {
+		return drawHit(a.rng, a.hitThr)
 	}
-	return drawHit(a.rng, a.hitThr)
+	return a.hitAll
 }
 
 func (a *diskArray) onDriveDone(t *queueing.Task) {

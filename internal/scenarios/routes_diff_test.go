@@ -120,29 +120,40 @@ func diffOp(t testing.TB, label string, prod, orc *routeSide, op cascade.Op, loc
 			t.Fatalf("%s step %d: %d plans, oracle %d", label, step, len(plans), len(want))
 		}
 		for i := range want {
-			diffStages(t, fmt.Sprintf("%s step %d msg %d", label, step, i), prod, orc, plans[i].Stages, want[i])
+			diffPlans(t, fmt.Sprintf("%s step %d msg %d", label, step, i), prod, orc, plans[i], want[i])
 		}
 	}
 	return nil
 }
 
-func diffStages(t testing.TB, label string, prod, orc *routeSide, got, want []core.Stage) {
+// diffPlans compares one message: stage by stage (agent, demand bits), then
+// hold span by hold span (the server whose memory it holds, amount bits,
+// first and last stage).
+func diffPlans(t testing.TB, label string, prod, orc *routeSide, got, want core.MessagePlan) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d stages, oracle %d", label, len(got), len(want))
+	if len(got.Stages) != len(want.Stages) {
+		t.Fatalf("%s: %d stages, oracle %d", label, len(got.Stages), len(want.Stages))
 	}
-	for k := range want {
-		g, w := got[k], want[k]
+	for k := range want.Stages {
+		g, w := got.Stages[k], want.Stages[k]
 		switch {
 		case g.Queue.ID() != w.Queue.ID() || g.Queue.Name() != w.Queue.Name():
 			t.Fatalf("%s stage %d: agent %d %s, oracle %d %s", label, k, g.Queue.ID(), g.Queue.Name(), w.Queue.ID(), w.Queue.Name())
-		case math.Float64bits(g.Demand) != math.Float64bits(w.Demand) || math.Float64bits(g.Delay) != math.Float64bits(w.Delay):
-			t.Fatalf("%s stage %d: demand %v delay %v, oracle %v %v", label, k, g.Demand, g.Delay, w.Demand, w.Delay)
-		case (g.Hold == nil) != (w.Hold == nil) || (g.Hold != nil && prod.mems[g.Hold] != orc.mems[w.Hold]):
-			t.Fatalf("%s stage %d: holds %q, oracle %q", label, k, prod.mems[g.Hold], orc.mems[w.Hold])
-		case math.Float64bits(g.HoldAmount) != math.Float64bits(w.HoldAmount) || g.Acquire != w.Acquire || g.Release != w.Release:
-			t.Fatalf("%s stage %d: hold %v acquire %v release %v, oracle %v %v %v", label, k,
-				g.HoldAmount, g.Acquire, g.Release, w.HoldAmount, w.Acquire, w.Release)
+		case math.Float64bits(g.Demand) != math.Float64bits(w.Demand):
+			t.Fatalf("%s stage %d: demand %v, oracle %v", label, k, g.Demand, w.Demand)
+		}
+	}
+	if len(got.Holds) != len(want.Holds) {
+		t.Fatalf("%s: %d hold spans, oracle %d", label, len(got.Holds), len(want.Holds))
+	}
+	for k := range want.Holds {
+		g, w := got.Holds[k], want.Holds[k]
+		switch {
+		case prod.mems[g.Occ] == "" || prod.mems[g.Occ] != orc.mems[w.Occ]:
+			t.Fatalf("%s hold %d: holds %q, oracle %q", label, k, prod.mems[g.Occ], orc.mems[w.Occ])
+		case math.Float64bits(g.Amount) != math.Float64bits(w.Amount) || g.From != w.From || g.To != w.To:
+			t.Fatalf("%s hold %d: %v over stages %d..%d, oracle %v over %d..%d", label, k,
+				g.Amount, g.From, g.To, w.Amount, w.From, w.To)
 		}
 	}
 }

@@ -18,7 +18,9 @@ import (
 // the old code moved here, changed only where it reached unexported state:
 // endpoints are the oracle's own struct, the WAN graph is read through
 // WANLink/BackupLink, and a tier missing even at the master is an error
-// instead of a panic, so generated operations can name any role.
+// instead of a panic, so generated operations can name any role. Memory
+// occupancy is recorded the way plans carry it now, as one hold span per
+// server hop (core.Hold) instead of flags on the first and last stage.
 
 type oracleEndKind uint8
 
@@ -200,7 +202,8 @@ func oracleAppendStage(dst []core.Stage, q core.QueueAgent, demand float64) []co
 
 const oracleDaemonGHz = 2.0
 
-func (r *oracleRouter) AppendHop(dst []core.Stage, from, to oracleEndpoint, cost topology.Cost) ([]core.Stage, error) {
+func (r *oracleRouter) AppendHop(plan *core.MessagePlan, from, to oracleEndpoint, cost topology.Cost) error {
+	dst := plan.Stages
 	stages := dst
 	net := cost.NetBytes
 
@@ -221,13 +224,13 @@ func (r *oracleRouter) AppendHop(dst []core.Stage, from, to oracleEndpoint, cost
 	default:
 		path, err := r.Path(from.dc.Name, to.dc.Name)
 		if err != nil {
-			return dst, err
+			return err
 		}
 		stages = oracleAppendStage(stages, r.inf.DCs[path[0]].Switch, net)
 		for i := 1; i < len(path); i++ {
 			l := r.usableLink(path[i-1], path[i])
 			if l == nil {
-				return dst, fmt.Errorf("topology: link %s->%s vanished", path[i-1], path[i])
+				return fmt.Errorf("topology: link %s->%s vanished", path[i-1], path[i])
 			}
 			stages = oracleAppendStage(stages, l, net)
 			stages = oracleAppendStage(stages, r.inf.DCs[path[i]].Switch, net)
@@ -240,24 +243,25 @@ func (r *oracleRouter) AppendHop(dst []core.Stage, from, to oracleEndpoint, cost
 		stages = oracleAppendStage(stages, to.client.NIC, net)
 		pool := to.client.Pool
 		if d := pool.LocalDelay(cost.CPUCycles, cost.DiskBytes); d > 0 {
-			stages = append(stages, core.Stage{Queue: pool.Local, Delay: d})
+			stages = append(stages, core.Stage{Queue: pool.Local, Demand: d})
 		}
 	case oracleDaemon:
 		if cost.CPUCycles > 0 {
 			stages = append(stages, core.Stage{
-				Queue: to.dc.Daemon,
-				Delay: cost.CPUCycles / (oracleDaemonGHz * 1e9),
+				Queue:  to.dc.Daemon,
+				Demand: cost.CPUCycles / (oracleDaemonGHz * 1e9),
 			})
 		}
 	case oracleServer:
 		stages = oracleAppendStage(stages, to.server.Link, net)
 		stages = oracleAppendStage(stages, to.server.NIC, net)
-		stages = oracleServerProcessing(stages, to.server, cost)
+		stages, plan.Holds = oracleServerProcessing(stages, plan.Holds, to.server, cost)
 	}
-	return stages, nil
+	plan.Stages = stages
+	return nil
 }
 
-func oracleServerProcessing(stages []core.Stage, srv *topology.Server, cost topology.Cost) []core.Stage {
+func oracleServerProcessing(stages []core.Stage, holds []core.Hold, srv *topology.Server, cost topology.Cost) ([]core.Stage, []core.Hold) {
 	start := len(stages)
 	if cost.CPUCycles > 0 {
 		stages = append(stages, core.Stage{Queue: srv.CPU, Demand: cost.CPUCycles})
@@ -273,17 +277,15 @@ func oracleServerProcessing(stages []core.Stage, srv *topology.Server, cost topo
 		}
 	}
 	if len(stages) > start && cost.MemBytes > 0 {
-		first, last := &stages[start], &stages[len(stages)-1]
-		first.Hold, first.HoldAmount, first.Acquire = srv.Mem, cost.MemBytes, true
-		last.Hold, last.HoldAmount, last.Release = srv.Mem, cost.MemBytes, true
+		holds = append(holds, core.Hold{Occ: srv.Mem, Amount: cost.MemBytes, From: int32(start), To: int32(len(stages) - 1)})
 	}
-	return stages
+	return stages, holds
 }
 
 // expandStep is the old expander.expand for one step: per message, resolve
 // from then to, then append the hop.
-func (b *oracleBinding) expandStep(msgs []cascade.Msg) ([][]core.Stage, error) {
-	var out [][]core.Stage
+func (b *oracleBinding) expandStep(msgs []cascade.Msg) ([]core.MessagePlan, error) {
+	var out []core.MessagePlan
 	for _, m := range msgs {
 		from, err := b.Resolve(m.From)
 		if err != nil {
@@ -293,11 +295,11 @@ func (b *oracleBinding) expandStep(msgs []cascade.Msg) ([][]core.Stage, error) {
 		if err != nil {
 			return nil, err
 		}
-		stages, err := b.Inf.AppendHop(nil, from, to, m.Cost)
-		if err != nil {
+		var plan core.MessagePlan
+		if err := b.Inf.AppendHop(&plan, from, to, m.Cost); err != nil {
 			return nil, err
 		}
-		out = append(out, stages)
+		out = append(out, plan)
 	}
 	return out, nil
 }

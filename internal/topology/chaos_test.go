@@ -194,11 +194,11 @@ func TestRouteTableFollowsWANMutations(t *testing.T) {
 	cost := Cost{CPUCycles: 1e6, NetBytes: 1e4}
 	wanOf := func() *hardware.Link {
 		t.Helper()
-		stages, err := inf.AppendHop(nil, from, to, cost)
-		if err != nil {
+		var plan core.MessagePlan
+		if err := inf.AppendHop(&plan, from, to, cost); err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range stages {
+		for _, st := range plan.Stages {
 			if l, ok := st.Queue.(*hardware.Link); ok && (l == inf.WANLink("NA", "EU") || l == inf.BackupLink("NA", "EU")) {
 				return l
 			}
@@ -220,9 +220,10 @@ func TestRouteTableFollowsWANMutations(t *testing.T) {
 
 	inf.IsolateDC("EU")
 	var noRoute *NoRouteError
-	buf := make([]core.Stage, 1, 16)
-	if got, err := inf.AppendHop(buf, from, to, cost); !errors.As(err, &noRoute) || len(got) != 1 {
-		t.Errorf("AppendHop across a partition: %d stages, error %v; want dst unextended and a *NoRouteError", len(got), err)
+	plan := core.MessagePlan{Stages: make([]core.Stage, 1, 16), Holds: make([]core.Hold, 1, 4)}
+	if err := inf.AppendHop(&plan, from, to, cost); !errors.As(err, &noRoute) || len(plan.Stages) != 1 || len(plan.Holds) != 1 {
+		t.Errorf("AppendHop across a partition: %d stages, %d holds, error %v; want the plan unextended and a *NoRouteError",
+			len(plan.Stages), len(plan.Holds), err)
 	} else if noRoute.From != "NA" || noRoute.To != "EU" {
 		t.Errorf("no route %s -> %s, want NA -> EU", noRoute.From, noRoute.To)
 	}
@@ -234,7 +235,7 @@ func TestRouteTableFollowsWANMutations(t *testing.T) {
 	}
 	// Inside the isolated DC nothing changed: the local switch, no table.
 	local := ServerEndpoint(eu.Tier("fs").Servers[0])
-	if _, err := inf.AppendHop(nil, ClientEndpoint(eu.Clients.Slots[0]), local, cost); err != nil {
+	if err := inf.AppendHop(&core.MessagePlan{}, ClientEndpoint(eu.Clients.Slots[0]), local, cost); err != nil {
 		t.Errorf("same-DC hop inside an isolated DC: %v", err)
 	}
 	inf.RejoinDC("EU")

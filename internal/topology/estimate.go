@@ -16,14 +16,15 @@ type isolatedCoster interface {
 // canonical operation costs against the durations the thesis reports
 // (Table 5.1) — the inverse of the paper's profiling step, which measured
 // canonical costs from observed isolated durations. A delay line costs the
-// stage's Delay; any other stage agent must be an isolatedCoster.
+// stage's Demand, its latency; any other stage agent must be an
+// isolatedCoster.
 func PlanDuration(plan core.MessagePlan, step float64) float64 {
 	total := 0.0
 	for _, st := range plan.Stages {
 		switch q := st.Queue.(type) {
 		case nil:
 		case *core.DelayLine:
-			total += st.Delay
+			total += st.Demand
 		default:
 			total += q.(isolatedCoster).IsolatedCost(st.Demand, step)
 		}

@@ -225,16 +225,22 @@ func (inf *Infrastructure) usableLink(from, to string) *hardware.Link {
 }
 
 // ExpandHop expands one cascade message between two holons into a message
-// plan that owns its stage slice. Callers expanding many messages should
-// reuse one buffer through AppendHop instead.
+// plan that owns its storage. Callers expanding many messages should reuse
+// one plan through AppendHop instead.
 func (inf *Infrastructure) ExpandHop(from, to Endpoint, cost Cost) (core.MessagePlan, error) {
 	// Origin NIC+link, the same-DC switch, destination link+NIC and the
-	// processing stages fit in 12, with room for a short WAN path.
-	stages, err := inf.AppendHop(make([]core.Stage, 0, 12), from, to, cost)
-	if err != nil {
+	// processing stages fit in 12, with room for a short WAN path; a hop
+	// holds at most its destination server's memory. One allocation backs
+	// both.
+	buf := new(struct {
+		stages [12]core.Stage
+		holds  [1]core.Hold
+	})
+	plan := core.MessagePlan{Stages: buf.stages[:0], Holds: buf.holds[:0]}
+	if err := inf.AppendHop(&plan, from, to, cost); err != nil {
 		return core.MessagePlan{}, err
 	}
-	return core.MessagePlan{Stages: stages}, nil
+	return plan, nil
 }
 
 // netStage is a network stage: bytes through a NIC, link or switch.
@@ -243,22 +249,24 @@ func netStage(q core.QueueAgent, bytes float64) core.Stage {
 }
 
 // AppendHop expands one cascade message between two holons into the chain
-// of hardware stages it traverses and appends them to dst, implementing the
+// of hardware stages it traverses and appends them to plan, implementing the
 // decomposition of Eqs. 3.2-3.5: origin NIC, network path (local links,
-// switches, WAN links), destination NIC, then destination processing
-// (memory occupancy, CPU cycles and storage access with cache-hit bypass).
-// The network path is a copy out of the compiled route table (route), or
-// just the local switch inside one data center — the bulk of intra-platform
-// traffic. It allocates only when dst lacks capacity. On error (a
-// *NoRouteError) dst is returned unextended.
-func (inf *Infrastructure) AppendHop(dst []core.Stage, from, to Endpoint, cost Cost) ([]core.Stage, error) {
-	stages := dst
+// switches, WAN links), destination NIC, then destination processing (CPU
+// cycles and storage access with cache-hit bypass, under a memory hold span
+// appended to plan.Holds). Span indices are positions in plan.Stages, so
+// successive calls chain hops into one message. The network path is a copy
+// out of the compiled route table (route), or just the local switch inside
+// one data center — the bulk of intra-platform traffic. It allocates only
+// when the plan lacks capacity. On error (a *NoRouteError) the plan is left
+// unextended.
+func (inf *Infrastructure) AppendHop(plan *core.MessagePlan, from, to Endpoint, cost Cost) error {
+	stages := plan.Stages
 	if net := cost.NetBytes; net > 0 {
 		var fabric []core.QueueAgent
 		if from.dc != to.dc {
 			r := inf.route(from.dc, to.dc)
 			if r.err != nil {
-				return dst, r.err
+				return r.err
 			}
 			fabric = r.fabric
 		}
@@ -288,43 +296,42 @@ func (inf *Infrastructure) AppendHop(dst []core.Stage, from, to Endpoint, cost C
 		}
 	}
 
-	// Destination processing.
+	plan.Stages = stages
+
+	// Destination processing. A delay line's stage demand is its latency.
 	switch to.kind {
 	case epClient:
 		pool := to.client.Pool
 		if d := pool.LocalDelay(cost.CPUCycles, cost.DiskBytes); d > 0 {
-			stages = append(stages, core.Stage{Queue: pool.Local, Delay: d})
+			plan.Stages = append(plan.Stages, core.Stage{Queue: pool.Local, Demand: d})
 		}
 	case epDaemon:
 		if cost.CPUCycles > 0 {
-			stages = append(stages, core.Stage{
-				Queue: to.dc.Daemon,
-				Delay: cost.CPUCycles / (daemonGHz * 1e9),
+			plan.Stages = append(plan.Stages, core.Stage{
+				Queue:  to.dc.Daemon,
+				Demand: cost.CPUCycles / (daemonGHz * 1e9),
 			})
 		}
 	case epServer:
-		stages = appendServerProcessing(stages, to.server, cost)
+		appendServerProcessing(plan, to.server, cost)
 	}
-	return stages, nil
+	return nil
 }
 
-// appendServerProcessing appends the destination-holon stages at a server:
-// memory occupancy held across CPU service and the storage access, with the
-// storage stage bypassed on a memory cache hit (Fig. 3-5).
-func appendServerProcessing(stages []core.Stage, srv *Server, cost Cost) []core.Stage {
-	start := len(stages)
+// appendServerProcessing appends the destination-holon stages at a server —
+// CPU service and the storage access, with the storage stage bypassed on a
+// memory cache hit — and the memory hold span across them (Fig. 3-5).
+func appendServerProcessing(plan *core.MessagePlan, srv *Server, cost Cost) {
+	start := len(plan.Stages)
 	if cost.CPUCycles > 0 {
-		stages = append(stages, core.Stage{Queue: srv.CPU, Demand: cost.CPUCycles})
+		plan.Stages = append(plan.Stages, core.Stage{Queue: srv.CPU, Demand: cost.CPUCycles})
 	}
 	if cost.DiskBytes > 0 && !srv.Mem.Hit() {
-		stages = srv.AppendStorage(stages, cost.DiskBytes)
+		plan.Stages = srv.AppendStorage(plan.Stages, cost.DiskBytes)
 	}
-	if len(stages) > start && cost.MemBytes > 0 {
-		first, last := &stages[start], &stages[len(stages)-1]
-		first.Hold, first.HoldAmount, first.Acquire = srv.Mem, cost.MemBytes, true
-		last.Hold, last.HoldAmount, last.Release = srv.Mem, cost.MemBytes, true
+	if end := len(plan.Stages); end > start && cost.MemBytes > 0 {
+		plan.Holds = append(plan.Holds, core.Hold{Occ: srv.Mem, Amount: cost.MemBytes, From: int32(start), To: int32(end - 1)})
 	}
-	return stages
 }
 
 // AppendStorage appends the stages that carry n bytes to the server's

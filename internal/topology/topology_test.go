@@ -248,11 +248,11 @@ func TestAppendHopPresizedAllocatesNothing(t *testing.T) {
 	na := inf.DC("NA")
 	from, to := ClientEndpoint(na.Clients.Next()), ServerEndpoint(na.Tier("app").Servers[0])
 	cost := Cost{CPUCycles: 1e8, NetBytes: 1e5, MemBytes: 1e9, DiskBytes: 1e6}
-	buf := make([]core.Stage, 0, 16)
+	plan := core.MessagePlan{Stages: make([]core.Stage, 0, 16), Holds: make([]core.Hold, 0, 1)}
 	n := testing.AllocsPerRun(100, func() {
-		out, err := inf.AppendHop(buf, from, to, cost)
-		if err != nil || len(out) != 7 {
-			t.Fatalf("AppendHop = %d stages, %v; want 7", len(out), err)
+		plan.Stages, plan.Holds = plan.Stages[:0], plan.Holds[:0]
+		if err := inf.AppendHop(&plan, from, to, cost); err != nil || len(plan.Stages) != 7 || len(plan.Holds) != 1 {
+			t.Fatalf("AppendHop = %d stages, %d holds, %v; want 7 and 1", len(plan.Stages), len(plan.Holds), err)
 		}
 	})
 	if n != 0 {
