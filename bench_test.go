@@ -406,7 +406,8 @@ func BenchmarkIdlePlatform(b *testing.B) {
 			b.StartTimer()
 			cs.Run()
 			b.StopTimer()
-			jumps, skipped = cs.Sim.FastForwardStats()
+			st := cs.Sim.Stats()
+			jumps, skipped = st.Jumps, st.SkippedTicks
 			cs.Sim.Shutdown()
 			b.StartTimer()
 		}

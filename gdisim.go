@@ -13,8 +13,10 @@
 // and fast-forwards the clock across provably quiet stretches, with jump
 // sizing and poll scheduling read off an indexed event calendar in
 // O(changed agents) per iteration (see DESIGN.md) — all bit-identical to
-// the plain tick-by-tick loop — parallelized with either the classic
-// Scatter-Gather mechanism or the H-Dispatch pull model of Chapter 4.
+// the plain tick-by-tick loop. That plain loop is the one Chapter 4
+// parallelizes: its per-tick sweep can run on one worker pool at the grain
+// of the classic Scatter-Gather mechanism (one work item per agent) or of
+// the H-Dispatch pull model (agent sets).
 // Sparse client workloads sample thinned inter-arrival gaps instead of
 // per-tick Poisson draws, so low-traffic hours fast-forward too — also
 // bit-identical across the two loops, and distribution-identical to
@@ -245,7 +247,7 @@ type (
 func NewSimulation(cfg SimConfig) *Simulation { return core.NewSimulation(cfg) }
 
 // NewScatterGather returns the classic Scatter-Gather engine of §4.3.4
-// with the given dispatcher thread count.
+// with the given worker count: H-Dispatch at one agent per work item.
 func NewScatterGather(threads int) Engine { return dispatch.NewScatterGather(threads) }
 
 // NewHDispatch returns the H-Dispatch engine of §4.3.5; setSize <= 0

@@ -604,3 +604,38 @@ func TestUnroutableStepFailsTheSimulation(t *testing.T) {
 		t.Error("a failed simulation kept advancing")
 	}
 }
+
+// TestTierForMatchesResolve: the static tier resolver lands every server
+// end on the data center Resolve serves it from, returns nil for client,
+// daemon and unhosted ends, and picks no server doing so.
+func TestTierForMatchesResolve(t *testing.T) {
+	_, inf := testInfra(t)
+	na, aus := inf.DC("NA"), inf.DC("AUS")
+	for _, role := range []Role{Client, Daemon, App, DB, FS, Idx} {
+		for _, site := range []Site{SiteLocal, SiteMaster} {
+			e := End{Role: role, Site: site}
+			tier := TierFor(e, aus, na)
+			ep, err := NewBinding(inf, aus, na).Resolve(e)
+			switch {
+			case role == Client || role == Daemon || role == Idx:
+				if tier != nil {
+					t.Errorf("%v: TierFor = %s/%s, want nil", e, tier.DC.Name, tier.Name)
+				}
+			case err != nil:
+				t.Fatalf("%v: %v", e, err)
+			case tier == nil || tier.DC != ep.DC() || tier.Name != string(role):
+				t.Errorf("%v: TierFor = %v, Resolve serves it from %s", e, tier, ep.DC().Name)
+			}
+		}
+	}
+	// Between two bindings' picks on NA's two-server app tier, TierFor
+	// leaves the round-robin alone: the second binding gets the other server.
+	app := End{Role: App, Site: SiteMaster}
+	first, _ := NewBinding(inf, aus, na).Resolve(app)
+	for i := 0; i < 3; i++ {
+		TierFor(app, aus, na)
+	}
+	if second, _ := NewBinding(inf, aus, na).Resolve(app); second.Server() == first.Server() {
+		t.Error("TierFor advanced the app tier's balancer")
+	}
+}

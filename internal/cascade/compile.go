@@ -145,6 +145,18 @@ func siteTier(slot uint8, local, master *topology.DataCenter) *topology.Tier {
 	return master.Tiers[name]
 }
 
+// TierFor is the static half of resolving a server end: the tier behind e
+// for a client at local working on a file owned by master, the missing-tier
+// fallback applied. It picks no server and draws no randomness. Nil when e
+// is not a server end or neither site hosts its role.
+func TierFor(e End, local, master *topology.DataCenter) *topology.Tier {
+	code, ok := endCode(e)
+	if !ok || code < endServer {
+		return nil
+	}
+	return siteTier(code-endServer, local, master)
+}
+
 func resolveTiers(local, master *topology.DataCenter) *siteTiers {
 	var t siteTiers
 	for slot := range t {

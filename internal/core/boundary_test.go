@@ -61,7 +61,7 @@ func TestSpanBoundaryExactSnapshot(t *testing.T) {
 			return float64(snaps)
 		}})
 		s.RunFor(seconds)
-		_, skipped = s.FastForwardStats()
+		skipped = s.Stats().SkippedTicks
 		return s.Collector.MustSeries("beat").T, skipped
 	}
 

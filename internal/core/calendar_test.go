@@ -219,7 +219,7 @@ func TestCalendarSkipsNotDuePolls(t *testing.T) {
 		src := &countingSource{interval: 0.05}
 		s.AddSource(src)
 		s.RunFor(10) // 1000 ticks
-		if j, _ := s.FastForwardStats(); j != 0 {
+		if j := s.Stats().Jumps; j != 0 {
 			t.Fatalf("pinned run took %d jumps", j)
 		}
 		return src.polls
@@ -263,7 +263,7 @@ func TestCalendarRekeysOnEnqueue(t *testing.T) {
 	if math.Abs(ts[1]-50.01) > 0.02 {
 		t.Errorf("long delay completed at %v, want ~50.01", ts[1])
 	}
-	if _, skipped := s.FastForwardStats(); skipped < 4000 {
+	if skipped := s.Stats().SkippedTicks; skipped < 4000 {
 		t.Errorf("skipped only %d ticks; the schedule holds ~48 s of quiet", skipped)
 	}
 }

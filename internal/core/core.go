@@ -258,8 +258,9 @@ func (b *AgentBase) Drain(fn func(*queueing.Task)) {
 
 // Engine parallelizes the reference loop's per-tick sweep over the active
 // agents — the phase Chapter 4 of the thesis parallelizes, where every tick
-// steps every active agent. Implementations: SequentialEngine (here),
-// ScatterGather, HDispatch and Sharded (internal/dispatch).
+// steps every active agent. Implementations: SequentialEngine (here); in
+// internal/dispatch, H-Dispatch — Scatter-Gather is H-Dispatch at one agent
+// per work item — and Sharded, which share one worker pool.
 //
 // Only the reference loop (LoopFlags.NoFastForward) calls Bind and Sweep,
 // once per tick. The production window loop steps the few agents a window
@@ -267,8 +268,8 @@ func (b *AgentBase) Drain(fn func(*queueing.Task)) {
 // engine a production run carries never shows in its results or its cost.
 type Engine interface {
 	// Bind hands the engine the full agent population so it can size
-	// per-agent resources (ports, partitions). Called once before the first
-	// sweep and again whenever the population changes.
+	// per-agent resources; the engines here keep none. Called once before
+	// the first sweep and again whenever the population changes.
 	Bind(agents []Agent)
 	// Sweep applies fn to every agent in active — the simulation's current
 	// active set, always a subset of the bound population in ascending
@@ -278,10 +279,10 @@ type Engine interface {
 	Shutdown()
 }
 
-// ShardRunner is the capability of an engine that owns a fixed set of
-// shard-pinned workers (dispatch.Sharded). Nothing in the simulator calls
-// it; it exists only because the benchmark harness (bench/) compiles
-// against it.
+// ShardRunner is the capability of an engine that runs one function per
+// shard as a fork-join over a fixed worker pool (dispatch.Sharded); which
+// worker runs a shard is not fixed. Nothing in the simulator calls it; it
+// exists only because the benchmark harness (bench/) compiles against it.
 type ShardRunner interface {
 	Engine
 	ShardCount() int

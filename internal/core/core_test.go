@@ -594,10 +594,11 @@ func TestFastForwardDelayLine(t *testing.T) {
 	ff := fastForwardFixture(false)
 	plain := fastForwardFixture(true)
 
-	if j, skipped := plain.FastForwardStats(); j != 0 || skipped != 0 {
-		t.Fatalf("plain loop jumped: %d jumps, %d ticks", j, skipped)
+	if st := plain.Stats(); st.Jumps != 0 || st.SkippedTicks != 0 {
+		t.Fatalf("plain loop jumped: %d jumps, %d ticks", st.Jumps, st.SkippedTicks)
 	}
-	jumps, skipped := ff.FastForwardStats()
+	st := ff.Stats()
+	jumps, skipped := st.Jumps, st.SkippedTicks
 	if jumps == 0 || skipped < 3000 {
 		t.Errorf("fast-forward skipped %d ticks in %d jumps; the 60 s schedule holds ~45 s of quiet", skipped, jumps)
 	}
@@ -640,8 +641,8 @@ func TestDirectTickNeverJumps(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.Tick()
 	}
-	if j, skipped := s.FastForwardStats(); j != 0 || skipped != 0 {
-		t.Errorf("direct Tick jumped: %d jumps, %d ticks", j, skipped)
+	if st := s.Stats(); st.Jumps != 0 || st.SkippedTicks != 0 {
+		t.Errorf("direct Tick jumped: %d jumps, %d ticks", st.Jumps, st.SkippedTicks)
 	}
 	if s.Clock().Now() != 1000 {
 		t.Errorf("clock at %d, want 1000", s.Clock().Now())

@@ -374,8 +374,8 @@ func (s *Simulation) tick() {
 		src.Poll(s, now)
 	}
 	// Rebind after the polls: sources may register agents that are
-	// activated into this very tick's sweep, and engines size per-agent
-	// resources (ScatterGather's port table) from the bound population.
+	// activated into this very tick's sweep, and an engine may size
+	// per-agent resources from the bound population.
 	if s.rebind {
 		s.engine.Bind(s.agents)
 		s.rebind = false
@@ -607,13 +607,6 @@ func (s *Simulation) agentKey(h float64, now simtime.Tick) simtime.Tick {
 // and steps it by one period per snapshot.
 func nextCollectBoundary(now, every simtime.Tick) simtime.Tick {
 	return now + (every - now%every)
-}
-
-// FastForwardStats reports how many event-horizon jumps the loop has taken
-// and how many whole ticks those jumps skipped (beyond the one tick each
-// loop iteration always advances).
-func (s *Simulation) FastForwardStats() (jumps, skippedTicks uint64) {
-	return s.root.jumps, s.root.skipped
 }
 
 // RunStats is a point-in-time snapshot of a simulation's run counters — the

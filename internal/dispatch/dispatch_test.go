@@ -106,8 +106,8 @@ func (a *sinkAgent) Idle() bool { return a.q.Idle() }
 
 // TestMidRunAddAgentSweptSameTick guards the rebind ordering: an agent
 // registered by a source and activated in the same tick must be swept that
-// tick — engines size per-agent resources (ScatterGather's port table)
-// from the bound population, so binding must happen after the polls.
+// tick — an engine may size per-agent resources from the bound
+// population, so binding must happen after the polls.
 func TestMidRunAddAgentSweptSameTick(t *testing.T) {
 	engines := map[string]func() core.Engine{
 		"sequential":     func() core.Engine { return &core.SequentialEngine{} },
@@ -254,4 +254,51 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sweepPanicReachesCaller sweeps eight agents through e, the sixth of which
+// panics, and checks the failure contract the pool gives every engine: the
+// caller recovers a *ShardPanic wrapping the agent's value, raised only
+// after every other agent was stepped, and the engine stays usable.
+func sweepPanicReachesCaller(t *testing.T, e core.Engine) {
+	t.Helper()
+	defer e.Shutdown()
+	agents := make([]*fakeAgent, 8)
+	active := make([]core.Agent, len(agents))
+	for i := range agents {
+		agents[i] = &fakeAgent{}
+		active[i] = agents[i]
+	}
+	var finished atomic.Int64
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Sweep(active, func(a core.Agent) {
+			if a == active[5] {
+				panic("boom")
+			}
+			finished.Add(1)
+		})
+	}()
+	sp, ok := got.(*ShardPanic)
+	if !ok || sp.Value != "boom" {
+		t.Fatalf("Sweep panicked with %#v, want a *ShardPanic wrapping the agent's value", got)
+	}
+	if n := finished.Load(); n != 7 {
+		t.Errorf("%d healthy agents stepped before the re-panic, want 7", n)
+	}
+	e.Sweep(active, func(a core.Agent) { a.(*fakeAgent).steps.Add(1) })
+	for i, a := range agents {
+		if a.steps.Load() != 1 {
+			t.Fatalf("sweep after a recovered panic stepped agent %d %d times, want 1", i, a.steps.Load())
+		}
+	}
+}
+
+func TestScatterGatherWorkerPanicReachesCaller(t *testing.T) {
+	sweepPanicReachesCaller(t, NewScatterGather(4))
+}
+
+func TestHDispatchWorkerPanicReachesCaller(t *testing.T) {
+	sweepPanicReachesCaller(t, NewHDispatch(2, 3))
 }

@@ -2,10 +2,9 @@ package dispatch
 
 import (
 	"fmt"
-	"sync"
-)
 
-import "repro/internal/core"
+	"repro/internal/core"
+)
 
 // DefaultAgentSet is the agent-set size that delivered the best results in
 // the thesis (Table 4.2: "An Agent Set of size 64 delivered the best
@@ -13,94 +12,49 @@ import "repro/internal/core"
 const DefaultAgentSet = 64
 
 // HDispatch is the pull-based engine of Holmes et al. adapted to GDISim
-// (§4.3.5): worker goroutines equal in number to the configured thread
-// count stay alive for the engine's lifetime and pull agent sets from a
-// global queue until it is empty, then signal completion. Agent sets are
-// re-partitioned from the active slice on every sweep (reusing the backing
-// array), so only agents with in-flight work are ever dispatched.
+// (§4.3.5): a pool of worker goroutines equal in number to the configured
+// thread count stays alive for the engine's lifetime, and each sweep cuts
+// the active slice into agent sets that the workers pull until none is
+// left. Only agents with in-flight work are ever dispatched.
 type HDispatch struct {
-	threads int
+	pool    *pool
 	setSize int
-
-	sets [][]core.Agent // per-sweep partition of the active slice
-
-	mu   sync.Mutex // serializes Sweep callers (the time loop is single-threaded)
-	fn   func(core.Agent)
-	jobs chan int
-	wg   sync.WaitGroup
-	quit chan struct{}
-	once sync.Once
 }
 
 // NewHDispatch creates the engine with the given worker count and agent-set
 // size; setSize <= 0 selects DefaultAgentSet. Panics on non-positive threads.
 func NewHDispatch(threads, setSize int) *HDispatch {
 	if threads <= 0 {
-		panic(fmt.Sprintf("dispatch: HDispatch needs threads > 0, got %d", threads))
+		panic(fmt.Sprintf("dispatch: engine needs threads > 0, got %d", threads))
 	}
 	if setSize <= 0 {
 		setSize = DefaultAgentSet
 	}
-	e := &HDispatch{
-		threads: threads,
-		setSize: setSize,
-		jobs:    make(chan int, 1024),
-		quit:    make(chan struct{}),
-	}
-	for i := 0; i < threads; i++ {
-		go e.worker()
-	}
-	return e
+	return &HDispatch{pool: newPool(threads), setSize: setSize}
 }
 
-func (e *HDispatch) worker() {
-	for {
-		select {
-		case <-e.quit:
-			return
-		case idx := <-e.jobs:
-			// Process the whole agent set sequentially on this worker,
-			// reusing its stack — the core of the H-Dispatch design.
-			fn := e.fn
-			for _, a := range e.sets[idx] {
-				fn(a)
-			}
-			e.wg.Done()
-		}
-	}
-}
+// NewScatterGather creates the classic Scatter-Gather engine of §4.3.4 with
+// the given thread count: one work item per active agent per sweep, which
+// is H-Dispatch at an agent-set size of 1. Panics on non-positive threads.
+func NewScatterGather(threads int) *HDispatch { return NewHDispatch(threads, 1) }
 
 // Bind is a no-op: agent sets are cut from the active slice per sweep, so
 // the engine holds no per-population state.
 func (e *HDispatch) Bind(agents []core.Agent) {}
 
-// Sweep partitions the active slice into agent sets, pushes them into the
-// global H-Dispatch queue and blocks until the workers have drained it.
+// Sweep cuts the active slice into agent sets and blocks until the workers
+// have stepped every set, each set in order on one worker.
 func (e *HDispatch) Sweep(active []core.Agent, fn func(core.Agent)) {
-	if len(active) == 0 {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sets = e.sets[:0]
-	for start := 0; start < len(active); start += e.setSize {
-		end := start + e.setSize
-		if end > len(active) {
-			end = len(active)
+	n, k := len(active), e.setSize
+	e.pool.run((n+k-1)/k, func(s int) {
+		for _, a := range active[s*k : min(s*k+k, n)] {
+			fn(a)
 		}
-		e.sets = append(e.sets, active[start:end])
-	}
-	e.fn = fn
-	e.wg.Add(len(e.sets))
-	for i := range e.sets {
-		e.jobs <- i
-	}
-	e.wg.Wait()
+	})
 }
 
-// Shutdown terminates the worker pool. Idempotent.
-func (e *HDispatch) Shutdown() {
-	e.once.Do(func() { close(e.quit) })
-}
+// Shutdown stops the workers. Idempotent; the engine must not be used
+// afterwards — Sweep then panics.
+func (e *HDispatch) Shutdown() { e.pool.shutdown() }
 
 var _ core.Engine = (*HDispatch)(nil)

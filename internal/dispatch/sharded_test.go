@@ -3,9 +3,11 @@ package dispatch
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -173,5 +175,39 @@ func TestShardedUseAfterShutdown(t *testing.T) {
 				t.Errorf("shards=%d: %s after Shutdown panicked with %q, want a dispatch: message", shards, name, msg)
 			}
 		}
+	}
+}
+
+// TestEnginesUseAfterShutdown: the Chapter-4 engines report a sweep on a
+// stopped pool the same way.
+func TestEnginesUseAfterShutdown(t *testing.T) {
+	for name, e := range map[string]core.Engine{
+		"scatter-gather": NewScatterGather(2),
+		"h-dispatch":     NewHDispatch(2, 4),
+	} {
+		e.Shutdown()
+		sweep := func() { e.Sweep([]core.Agent{&fakeAgent{}}, func(core.Agent) {}) }
+		if msg := panicMessage(sweep); !strings.HasPrefix(msg, "dispatch: ") {
+			t.Errorf("%s: Sweep after Shutdown panicked with %q, want a dispatch: message", name, msg)
+		}
+	}
+}
+
+// TestShutdownStopsWorkers: every engine's workers exit on Shutdown, so an
+// engine dropped after Shutdown leaves no goroutine behind.
+func TestShutdownStopsWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	engines := []core.Engine{NewScatterGather(3), NewHDispatch(3, 0), NewSharded(3)}
+	if got := runtime.NumGoroutine(); got < before+9 {
+		t.Fatalf("%d goroutines with three 3-worker engines, %d before", got, before)
+	}
+	for _, e := range engines {
+		e.Shutdown()
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, %d before the engines", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

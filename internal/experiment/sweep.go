@@ -121,16 +121,20 @@ type PointResult struct {
 }
 
 // PointError is the error of a grid point whose assembly or run panicked —
-// in the base factory, an axis mutator, Compile or Execute. The sweep
-// recovers it so one bad point cannot take the campaign (and the process)
-// down: the other points finish, and the panic is reported like any other
-// point failure, reachable with errors.As through the error Sweep.Run joins.
+// in the base factory, an axis mutator, Compile or Execute, or in an agent
+// an engine stepped on one of its workers (that panic reaches the point as
+// a *dispatch.ShardPanic). The sweep recovers it so one bad point cannot
+// take the campaign (and the process) down: the other points finish, and
+// the panic is reported like any other point failure, reachable with
+// errors.As through the error Sweep.Run joins.
 type PointError struct {
 	Index  int
 	Seed   uint64
 	Values []PointValue // the coordinates applied before the panic
 	Panic  any          // the recovered value
-	Stack  []byte       // the recovering goroutine's stack; a *dispatch.ShardPanic carries its worker's
+	// Stack is the recovering goroutine's stack. When Panic is a
+	// *dispatch.ShardPanic, the stack where the agent failed is its Stack.
+	Stack []byte
 }
 
 func (e *PointError) Error() string {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dispatch"
 )
 
 // testSweepBase is the 8-point grid base shared by the determinism tests:
@@ -391,6 +392,56 @@ func TestSweepPointPanicIsContained(t *testing.T) {
 					t.Errorf("%s, workers=%d: point %d digest moved next to a panicking point:\n%s\n%s", name, workers, i, want, got)
 				}
 			}
+		}
+	}
+}
+
+// panicAgent is a pinned agent whose every step panics.
+type panicAgent struct{ core.AgentBase }
+
+func (a *panicAgent) Step(float64) { panic("agent boom") }
+func (a *panicAgent) Idle() bool   { return true }
+
+// TestSweepEnginePanicIsContained: a panic on an engine's worker — an agent
+// that H-Dispatch steps on the reference loop — reaches the point's recover
+// like any other point panic. The point ends in a *PointError that wraps
+// the engine's *dispatch.ShardPanic, and the other points finish.
+func TestSweepEnginePanicIsContained(t *testing.T) {
+	const bad = 1
+	variants := make([]Variant, 3)
+	for i := range variants {
+		variants[i] = Variant{Label: fmt.Sprintf("v%d", i), Apply: func(e *Experiment) error {
+			if i != bad {
+				return nil
+			}
+			return WithSetup(func(r *Run) error {
+				a := &panicAgent{}
+				a.InitAgent(r.Sim.NextAgentID(), "boom")
+				r.Sim.AddAgent(a)
+				a.Pin()
+				return nil
+			})(e)
+		}}
+	}
+	base := func() (*Experiment, error) {
+		return New("engine-panic", testOptions(
+			WithDuration(30),
+			WithLoopFlags(LoopFlags{NoFastForward: true}),
+			WithEngine(func() core.Engine { return dispatch.NewHDispatch(2, 0) }),
+		)...)
+	}
+	res, err := NewSweep("engine-panic", base).VaryFunc("variant", variants...).Run(2)
+	var pe *PointError
+	if !errors.As(err, &pe) || pe.Index != bad {
+		t.Fatalf("error %v, want a *PointError for point %d", err, bad)
+	}
+	var sp *dispatch.ShardPanic
+	if !errors.As(pe, &sp) || sp.Value != "agent boom" {
+		t.Errorf("PointError panic %#v, want a *dispatch.ShardPanic wrapping the agent's value", pe.Panic)
+	}
+	for i, p := range res.Points {
+		if i != bad && (p.Err != nil || p.Res == nil || p.Res.Stats.Seconds < 30) {
+			t.Errorf("healthy point %d did not run its 30 s: Res=%v Err=%v", i, p.Res, p.Err)
 		}
 	}
 }

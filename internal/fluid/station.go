@@ -92,21 +92,13 @@ func DeriveStation(inf *topology.Infrastructure, local, master *topology.DataCen
 					// capacity to reserve.
 					continue
 				}
-				name := string(role)
-				dc := local
-				if m.To.Site == cascade.SiteMaster {
-					dc = master
-				}
-				if !dc.HasTier(name) {
-					dc = master
-				}
-				if !dc.HasTier(name) {
+				tier := cascade.TierFor(m.To, local, master)
+				if tier == nil {
 					return Station{}, fmt.Errorf("fluid: operation %s needs tier %q at %s or %s",
-						op.Name, name, local.Name, master.Name)
+						op.Name, role, local.Name, master.Name)
 				}
-				tier := dc.Tier(name)
 				rate := tier.Servers[0].CPU.Rate()
-				demand[key{dc.Name, name}] += wts[i] * m.Cost.CPUCycles / rate
+				demand[key{tier.DC.Name, tier.Name}] += wts[i] * m.Cost.CPUCycles / rate
 			}
 		}
 	}

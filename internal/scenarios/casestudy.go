@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/background"
-	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/hardware"
@@ -188,10 +187,7 @@ func buildCaseStudy(name string, cfg CaseConfig, traits map[string]dcTraits,
 // infrastructure (shared across DCs through the "CAD" ops key), VIS and
 // PDM are static.
 func caseWorkloads(cfg CaseConfig, spec topology.InfraSpec, traits map[string]dcTraits) []experiment.Option {
-	cadFn := func(inf *topology.Infrastructure, step float64) ([]cascade.Op, error) {
-		na := inf.DC("NA")
-		return apps.CalibratedCADOps(inf, na, na, step)
-	}
+	cadFn, _ := experiment.OpsByName("CAD", "NA") // a known set cannot fail
 	visOps := apps.VISOps()
 	pdmOps := apps.PDMOps()
 

@@ -3,12 +3,9 @@ package scenarios
 import (
 	"fmt"
 
-	"repro/internal/apps"
-	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -153,6 +150,10 @@ func dayNightExperiment(cfg *DayNightConfig, ghzScale, thinBelow float64) (*expe
 	}
 	users := workload.BusinessDay(cfg.PeakUsers, cfg.BizStart, cfg.BizEnd,
 		cfg.PeakUsers*cfg.NightFloorFrac)
+	cadFn, err := experiment.OpsByName("CAD", "NA")
+	if err != nil {
+		return nil, workload.Curve{}, err
+	}
 	opts := []experiment.Option{
 		experiment.WithInfra(spec),
 		experiment.WithSeed(cfg.Seed),
@@ -164,12 +165,9 @@ func dayNightExperiment(cfg *DayNightConfig, ghzScale, thinBelow float64) (*expe
 			App: "CAD", DC: "NA",
 			Users:          users,
 			OpsPerUserHour: cfg.OpsPerUserHour,
-			OpsFn: func(inf *topology.Infrastructure, step float64) ([]cascade.Op, error) {
-				na := inf.DC("NA")
-				return apps.CalibratedCADOps(inf, na, na, step)
-			},
-			Gauges:    true,
-			ThinBelow: thinBelow,
+			OpsFn:          cadFn,
+			Gauges:         true,
+			ThinBelow:      thinBelow,
 		}),
 	}
 	if cfg.Step > 0 {

@@ -96,3 +96,26 @@ func TestEngineEquivalenceOnValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestMeasureEngineSpeedupShort drives the Table 4.1 / 4.2 measurement
+// (gdisim -table) at smoke size: one row per thread count, each timed, and
+// speedups relative to the first row.
+func TestMeasureEngineSpeedupShort(t *testing.T) {
+	for _, mech := range []Mechanism{ScatterGather, HDispatch} {
+		rows, err := MeasureEngineSpeedup(mech, []int{1, 2}, 0.05, 0.1, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", mech, err)
+		}
+		if len(rows) != 2 || rows[0].Threads != 1 || rows[1].Threads != 2 {
+			t.Fatalf("%s: rows %+v, want one per thread count 1, 2", mech, rows)
+		}
+		if rows[0].Speedup != 1 {
+			t.Errorf("%s: first row speedup %v, want exactly 1", mech, rows[0].Speedup)
+		}
+		for _, r := range rows {
+			if !(r.Seconds > 0) {
+				t.Errorf("%s: %d threads timed at %v s", mech, r.Threads, r.Seconds)
+			}
+		}
+	}
+}

@@ -315,10 +315,11 @@ func TestFastForwardEquivalenceOnConsolidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := run(tc.mk(), true)
 			got := run(tc.mk(), false)
-			if j, skipped := ref.Sim.FastForwardStats(); j != 0 || skipped != 0 {
-				t.Fatalf("plain loop took %d jumps (%d ticks)", j, skipped)
+			if st := ref.Sim.Stats(); st.Jumps != 0 || st.SkippedTicks != 0 {
+				t.Fatalf("plain loop took %d jumps (%d ticks)", st.Jumps, st.SkippedTicks)
 			}
-			jumps, skipped := got.Sim.FastForwardStats()
+			st := got.Sim.Stats()
+			jumps, skipped := st.Jumps, st.SkippedTicks
 			if skipped < 1000 {
 				t.Errorf("fast-forward run skipped only %d ticks in %d jumps; the overnight window should jump heavily", skipped, jumps)
 			}

@@ -60,6 +60,7 @@ func MeasureEngineSpeedup(mech Mechanism, threads []int, simMinutes, scale float
 			LoopFlags: core.LoopFlags{NoFastForward: true},
 		})
 		if err != nil {
+			eng.Shutdown()
 			return nil, err
 		}
 		start := time.Now()
