@@ -87,6 +87,60 @@ func TestSpanBoundaryExactSnapshot(t *testing.T) {
 	}
 }
 
+// TestRunForReservesAmortised: RunFor reserves collector room for its own
+// span, and a caller making many one-period calls must still pay amortised
+// growth — O(log n) reallocations of each series, not one per call — and
+// record exactly what one RunFor over the whole span records.
+func TestRunForReservesAmortised(t *testing.T) {
+	const calls = 10000
+	run := func(chunked bool) (*Simulation, []int) {
+		t.Helper()
+		s := NewSimulation(Config{Seed: 1})
+		snaps := 0
+		for _, key := range []string{"count", "window"} {
+			s.Collector.Register(metrics.Probe{Key: key, Sample: func(window float64) float64 {
+				snaps++
+				return window + float64(snaps)
+			}})
+		}
+		period := float64(s.collectEvery) * s.clock.Step()
+		if !chunked {
+			s.RunFor(calls * period)
+			return s, nil
+		}
+		reallocs := make([]int, len(s.Collector.Keys()))
+		last := make([]*float64, len(reallocs))
+		for range calls {
+			s.RunFor(period)
+			for i, k := range s.Collector.Keys() {
+				if v := &s.Collector.MustSeries(k).V[0]; v != last[i] {
+					last[i] = v
+					reallocs[i]++
+				}
+			}
+		}
+		return s, reallocs
+	}
+	one, _ := run(false)
+	many, reallocs := run(true)
+	defer one.Shutdown()
+	defer many.Shutdown()
+
+	// append's growth factor falls from 2 to about 1.25 past 256 elements,
+	// so amortised growth to 10 000 takes about 20 reallocations.
+	bound := 2 * int(math.Ceil(math.Log2(calls)))
+	for i, k := range many.Collector.Keys() {
+		if reallocs[i] > bound {
+			t.Errorf("%s: V reallocated %d times over %d RunFor calls, want at most %d", k, reallocs[i], calls, bound)
+		}
+		got, ref := many.Collector.MustSeries(k), one.Collector.MustSeries(k)
+		if ref.Len() != calls {
+			t.Fatalf("%s: one RunFor over %d periods took %d snapshots", k, calls, ref.Len())
+		}
+		sameSeriesBits(t, k, ref, got)
+	}
+}
+
 // parkedSource never launches work: NextPoll parks it immediately.
 type parkedSource struct{}
 

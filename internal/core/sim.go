@@ -685,9 +685,16 @@ func (s *Simulation) Fail(err error) {
 func (s *Simulation) Err() error { return s.err }
 
 // RunFor advances the simulation by d simulated seconds, or until a fatal
-// error (Err) stops it.
+// error (Err) stops it. Knowing its end, it first reserves room in the
+// collector for every snapshot boundary in (now, end], so the run's
+// snapshots grow no series; Collector.Reserve keeps that amortised across
+// many short calls.
 func (s *Simulation) RunFor(d float64) {
-	end := s.clock.Now() + s.clock.TicksIn(d)
+	now := s.clock.Now()
+	end := now + s.clock.TicksIn(d)
+	if end > now {
+		s.Collector.Reserve(int(end/s.collectEvery - now/s.collectEvery))
+	}
 	for s.clock.Now() < end && s.err == nil {
 		s.step(end)
 	}

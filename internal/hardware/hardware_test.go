@@ -396,6 +396,40 @@ func TestSANCacheHitSkipsLoopAndDisks(t *testing.T) {
 	}
 }
 
+// TestStoreCertainHitRateTakesNoDraw: an array-cache hit rate of 0 or 1
+// decides every request without touching the store's RNG, which feeds
+// nothing else; an uncertain rate draws once per request at the cache stage.
+func TestStoreCertainHitRateTakesNoDraw(t *testing.T) {
+	sim := core.NewSimulation(core.Config{Seed: 11})
+	disk := DiskSpec{CtrlGbps: 4, MBps: 100, HitRate: 0}
+	san := NewSAN(sim, "san", SANSpec{Disks: 20, Disk: disk, FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: 0})
+	raid := NewRAID(sim, "raid", RAIDSpec{Disks: 4, Disk: disk, CtrlGbps: 4, HitRate: 1})
+	half := NewRAID(sim, "half", RAIDSpec{Disks: 4, Disk: disk, CtrlGbps: 4, HitRate: 0.5})
+	cases := []struct {
+		s     *store
+		a     core.Agent
+		tag   uint64
+		draws bool
+	}{
+		{&san.store, san, tagSAN, false},
+		{&raid.store, raid, tagRAID, false},
+		{&half.store, half, tagRAID, true},
+	}
+	for _, c := range cases {
+		for i := 0; i < 5; i++ {
+			c.s.Enqueue(&queueing.Task{ID: uint64(i), Demand: 4e6})
+		}
+		if done := drainAll(t, c.a, 0.01, 10000); len(done) != 5 {
+			t.Fatalf("%s: %d of 5 requests completed", c.a.Name(), len(done))
+		}
+		id := c.a.ID()
+		fresh := rand.NewPCG(subSeed(sim, id, c.tag), subSeed(sim, id, c.tag+1))
+		if moved := *c.s.rng != *fresh; moved != c.draws {
+			t.Errorf("%s: RNG moved = %v, want %v", c.a.Name(), moved, c.draws)
+		}
+	}
+}
+
 func TestStorageSpecValidation(t *testing.T) {
 	sim := core.NewSimulation(core.Config{})
 	nan := math.NaN()

@@ -28,10 +28,6 @@ func (s DiskSpec) validate() error {
 	return nil
 }
 
-// certain reports whether the disk-cache outcome needs no draw: every stripe
-// misses (hit rate 0) or every stripe hits (hit rate 1).
-func (s DiskSpec) certain() bool { return s.HitRate == 0 || s.HitRate == 1 }
-
 // Component tags separating the RNG streams of the storage agents; each
 // agent derives its seeds from (simulation seed, agent ID, tag) through
 // core.DeriveSeed, so cache-hit decisions depend only on the simulation
@@ -107,10 +103,9 @@ type diskArray struct {
 	solos    []queueing.Solo // their solo services, in the same order
 	served   int             // stripes step served in closed form (read by tests)
 	diskSpec DiskSpec
-	draw     bool   // the disk-cache outcome is uncertain: each stripe draws
-	hitAll   bool   // when it is certain, whether every stripe hits
-	hitThr   uint64 // hitThreshold(diskSpec.HitRate)
-	rng      *rand.PCG
+
+	cacheHits // the disk caches' hits, at diskSpec.HitRate
+
 	buffer   func(*queueing.Task) // parent-agent completion buffer
 	forkFree []*forkSlab
 	extFree  []*extSlab
@@ -120,18 +115,15 @@ type diskArray struct {
 
 func newDiskArray(n int, spec DiskSpec, seed uint64, buffer func(*queueing.Task)) *diskArray {
 	a := &diskArray{
-		dcc:      queueing.NewFCFS(1, spec.CtrlGbps*1e9/8),
-		weight:   1,
-		disks:    n,
-		misses:   make([]*forkSlab, 0, 8),
-		diskSpec: spec,
-		draw:     !spec.certain(),
-		hitAll:   spec.HitRate == 1,
-		hitThr:   hitThreshold(spec.HitRate),
-		rng:      rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2)),
-		buffer:   buffer,
+		dcc:       queueing.NewFCFS(1, spec.CtrlGbps*1e9/8),
+		weight:    1,
+		disks:     n,
+		misses:    make([]*forkSlab, 0, 8),
+		diskSpec:  spec,
+		cacheHits: newCacheHits(spec.HitRate, rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2))),
+		buffer:    buffer,
 	}
-	if spec.certain() {
+	if !a.draw { // every drive sees the same stripes
 		a.weight = n
 	}
 	for i := 0; i < n/a.weight; i++ {
@@ -249,14 +241,26 @@ func (a *diskArray) onDiskCtrlDone(t *queueing.Task) {
 	a.ctrlDone = append(a.ctrlDone, fj)
 }
 
-// hit decides whether a stripe leaving its controller cache is served from
-// the disk cache. A certain outcome takes no draw: the RNG is private to the
-// array and feeds nothing else, so its position is unobservable.
-func (a *diskArray) hit() bool {
-	if a.draw {
-		return drawHit(a.rng, a.hitThr)
+// cacheHits decides whether an access hits a cache of hit rate p, on a draw
+// from the cache's own RNG. A certain outcome (p 0 or 1) is decided once, at
+// construction, and takes no draw: the RNG feeds nothing else, so its
+// position is unobservable.
+type cacheHits struct {
+	rng    *rand.PCG
+	hitThr uint64 // hitThreshold(p)
+	draw   bool   // the outcome is uncertain: each access draws
+	hitAll bool   // when it is certain, whether every access hits
+}
+
+func newCacheHits(p float64, rng *rand.PCG) cacheHits {
+	return cacheHits{rng: rng, hitThr: hitThreshold(p), draw: p != 0 && p != 1, hitAll: p == 1}
+}
+
+func (c *cacheHits) hit() bool {
+	if c.draw {
+		return drawHit(c.rng, c.hitThr)
 	}
-	return a.hitAll
+	return c.hitAll
 }
 
 func (a *diskArray) onDriveDone(t *queueing.Task) {
@@ -335,18 +339,18 @@ func (a *diskArray) takeDriveBusy() float64 {
 // single-server FCFS stages ahead of the disk array. A request enters at
 // stage 0 and leaves each stage for the next with its byte demand restored;
 // leaving the array controller cache (the stage at index cache) it completes
-// on an array-cache hit, drawn from the store's own RNG, and after the last
-// stage it forks across the disks. A RAID is the one-stage pipeline (dacc); a SAN wraps
-// dacc in its fibre-channel switch and arbitrated loop (fcsw, dacc, fcal).
+// on an array-cache hit, drawn from the store's own RNG unless the hit rate
+// makes it certain, and after the last stage it forks across the disks. A
+// RAID is the one-stage pipeline (dacc); a SAN wraps dacc in its
+// fibre-channel switch and arbitrated loop (fcsw, dacc, fcal).
 type store struct {
 	core.AgentBase
-	stages   []*queueing.FCFS    // RAID: dacc. SAN: fcsw, dacc, fcal
-	done     []queueing.DoneFunc // what leaving each stage does, bound once
-	cache    int                 // index of dacc, where the array-cache hit is drawn
-	hitThr   uint64              // hitThreshold of the array-cache hit rate
-	array    *diskArray
-	rng      *rand.PCG
-	inflight int // external requests admitted and not yet completed
+	stages    []*queueing.FCFS    // RAID: dacc. SAN: fcsw, dacc, fcal
+	done      []queueing.DoneFunc // what leaving each stage does, bound once
+	cache     int                 // index of dacc, where the array-cache hit is decided
+	cacheHits                     // the array cache's hits
+	array     *diskArray
+	inflight  int // external requests admitted and not yet completed
 }
 
 // init builds the stages at the given speeds (Gbps) and the disk array and
@@ -357,8 +361,8 @@ type store struct {
 func (s *store) init(sim *core.Simulation, name string, disks int, disk DiskSpec, hitRate float64,
 	tag, arrayTag uint64, cache int, gbps ...float64) {
 	id := sim.NextAgentID()
-	s.cache, s.hitThr = cache, hitThreshold(hitRate)
-	s.rng = rand.NewPCG(subSeed(sim, id, tag), subSeed(sim, id, tag+1))
+	s.cache = cache
+	s.cacheHits = newCacheHits(hitRate, rand.NewPCG(subSeed(sim, id, tag), subSeed(sim, id, tag+1)))
 	s.stages, s.done = make([]*queueing.FCFS, len(gbps)), make([]queueing.DoneFunc, len(gbps))
 	for i, g := range gbps {
 		s.stages[i] = queueing.NewFCFS(1, g*1e9/8)
@@ -375,7 +379,7 @@ func (s *store) init(sim *core.Simulation, name string, disks int, disk DiskSpec
 func (s *store) leave(i int, t *queueing.Task) {
 	e := t.Payload.(*extSlab)
 	switch {
-	case i == s.cache && drawHit(s.rng, s.hitThr):
+	case i == s.cache && s.hit():
 		s.complete(e.parent)
 		s.array.release(e)
 	case i == len(s.stages)-1:

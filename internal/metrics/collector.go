@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -18,11 +19,19 @@ type Probe struct {
 // probe key. It mirrors the Collector Component of §4.3.1: intermediate
 // samples inside a snapshot window are aggregated by the probes themselves
 // (busy-time integration), and the snapshot is registered permanently.
+//
+// Every probe is sampled at the same instants, so the collector stores them
+// once, as one time axis. A collector series' T is a read-only view of that
+// axis, from the first snapshot after its probe was registered, with its
+// capacity capped at its length: do not Add to a collector series or write
+// into its T. Only its V is its own. Reserve sizes the axis and every V
+// ahead of a run of known length.
 type Collector struct {
 	probes []Probe
 	out    []*Series // out[i] records probes[i], resolved once at Register
+	start  []int     // out[i].T is t[start[i]:]
 	series map[string]*Series
-	last   float64
+	t      []float64 // the snapshot instants, shared by every series' T
 }
 
 // NewCollector returns an empty collector.
@@ -30,8 +39,9 @@ func NewCollector() *Collector {
 	return &Collector{series: make(map[string]*Series)}
 }
 
-// Register adds a probe. Registering two probes with the same key panics:
-// their samples would interleave into one series and corrupt it.
+// Register adds a probe; its series starts at the next snapshot.
+// Registering two probes with the same key panics: their samples would
+// interleave into one series and corrupt it.
 func (c *Collector) Register(p Probe) {
 	if p.Sample == nil {
 		panic("metrics: probe without Sample function")
@@ -42,20 +52,52 @@ func (c *Collector) Register(p Probe) {
 	s := &Series{Name: p.Key}
 	c.probes = append(c.probes, p)
 	c.out = append(c.out, s)
+	c.start = append(c.start, len(c.t))
 	c.series[p.Key] = s
 }
 
+// Reserve makes room for n more snapshots in the time axis and in every
+// registered series, so that many snapshots allocate nothing. It grows as
+// append does, so a caller reserving a few snapshots at a time still pays
+// only amortised growth.
+func (c *Collector) Reserve(n int) {
+	c.t = slices.Grow(c.t, n)
+	for i, s := range c.out {
+		s.V = slices.Grow(s.V, n)
+		if len(s.T) > 0 {
+			s.T = c.view(i)
+		}
+	}
+}
+
+// view returns series i's window onto the time axis, capped so that an
+// append to it reallocates instead of writing into the axis.
+func (c *Collector) view(i int) []float64 {
+	n := len(c.t)
+	return c.t[c.start[i]:n:n]
+}
+
 // Snapshot polls every probe at simulated time now, closing the measurement
-// window that started at the previous snapshot.
+// window that started at the previous snapshot. A time before the previous
+// snapshot panics: it indicates a clock bug.
 func (c *Collector) Snapshot(now float64) {
-	window := now - c.last
+	last := 0.0
+	if n := len(c.t); n > 0 {
+		last = c.t[n-1]
+		if now < last {
+			panic(fmt.Sprintf("metrics: out-of-order snapshot %v after %v", now, last))
+		}
+	}
+	window := now - last
 	if window <= 0 {
 		window = 1e-9
 	}
+	c.t = append(c.t, now)
 	for i, p := range c.probes {
-		c.out[i].Add(now, p.Sample(window))
+		s := c.out[i]
+		s.V = append(s.V, p.Sample(window))
+		s.T = c.view(i)
 	}
-	c.last = now
 }
 
 // Series returns the series recorded under key, or nil if unknown.

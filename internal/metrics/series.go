@@ -3,6 +3,11 @@
 // tracking per operation and data center, and the statistics the thesis
 // reports — steady-state mean and standard deviation (Eqs. 5.1-5.4) and the
 // root-mean-square error between two series (Eq. 5.5).
+//
+// A Collector samples every probe at the same instants and stores them once:
+// its series share one time axis, each T a read-only view of it, and a run
+// of known length reserves the axis and every series up front
+// (Collector.Reserve), so its snapshots allocate nothing.
 package metrics
 
 import (
@@ -12,7 +17,9 @@ import (
 )
 
 // Series is a time series of (simulated-seconds, value) samples in
-// non-decreasing time order.
+// non-decreasing time order. A series a Collector records is not the
+// caller's to extend: its T is a read-only view of the collector's shared
+// time axis, so do not Add to it or write into T.
 type Series struct {
 	Name string
 	T    []float64

@@ -1,9 +1,11 @@
 package scenarios
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 )
 
 // TestChaosFastForwardHitsFaultTicks is the jump-sizing guarantee for
@@ -79,4 +81,32 @@ func TestGoldenChaos(t *testing.T) {
 	}
 	defer res.Sim.Shutdown()
 	checkGolden(t, "golden_chaos", snapshotTrace(res.Sim))
+	requireOneAxis(t, res.Sim.Collector, "fault:")
+}
+
+// requireOneAxis checks every series of a finished run's collector: as many
+// values as time stamps, and — since every probe, the fault and fluid ones
+// included, registers at compile time — one shared time axis from the first
+// snapshot. prefix names a probe family the run must have registered.
+func requireOneAxis(t *testing.T, col *metrics.Collector, prefix string) {
+	t.Helper()
+	var axis *float64
+	seen := false
+	for _, k := range col.Keys() {
+		s := col.MustSeries(k)
+		seen = seen || strings.HasPrefix(k, prefix)
+		switch {
+		case len(s.T) != len(s.V):
+			t.Errorf("%s: %d time stamps, %d values", k, len(s.T), len(s.V))
+		case len(s.T) == 0:
+			t.Errorf("%s: no samples", k)
+		case axis == nil:
+			axis = &s.T[0]
+		case &s.T[0] != axis:
+			t.Errorf("%s does not view the collector's one time axis", k)
+		}
+	}
+	if !seen {
+		t.Errorf("no %q series registered", prefix)
+	}
 }

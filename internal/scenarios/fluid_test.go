@@ -51,6 +51,7 @@ func TestFluidDayNightCrossover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Sim.Shutdown()
+	requireOneAxis(t, res.Sim.Collector, "fluid:")
 
 	mode := res.Sim.Collector.MustSeries("fluid:CAD:NA:mode")
 	for _, tc := range []struct {
