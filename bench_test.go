@@ -60,8 +60,7 @@ func BenchmarkTable41_ScatterGather(b *testing.B) {
 }
 
 // BenchmarkTable42_HDispatch: the H-Dispatch mechanism with Agent Set=64
-// (§4.3.5). Table 4.2 reports speedups of 1.71/3.20/5.17/8.06 at
-// 2/4/8/16 threads.
+// (§4.3.5); Table 4.2's speedups are refdata.Table42HDispatch.
 func BenchmarkTable42_HDispatch(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("threads-%d", n), func(b *testing.B) {
@@ -72,7 +71,7 @@ func BenchmarkTable42_HDispatch(b *testing.B) {
 
 // BenchmarkTable51_CanonicalOps runs one isolated Average series through
 // the validation infrastructure and reports the series duration — the
-// TOTAL row of Table 5.1 (published: 177.58 s).
+// TOTAL row of Table 5.1.
 func BenchmarkTable51_CanonicalOps(b *testing.B) {
 	var measured float64
 	for i := 0; i < b.N; i++ {
@@ -108,42 +107,60 @@ func buildValidationInfra(sim *core.Simulation) (*Infrastructure, error) {
 	return Build(sim, scenarios.ValidationInfraSpec())
 }
 
+// fidelityRow returns the evaluated fidelity row with the given ID.
+func fidelityRow(b *testing.B, rows []scenarios.FidelityRow, id string) scenarios.FidelityRow {
+	b.Helper()
+	for _, r := range rows {
+		if r.ID == id {
+			return r
+		}
+	}
+	b.Fatalf("no fidelity row %q", id)
+	return scenarios.FidelityRow{}
+}
+
+// reportRow reports a fidelity row's measured value under unit and its
+// thesis value under paper-unit.
+func reportRow(b *testing.B, rows []scenarios.FidelityRow, id, unit string) {
+	b.Helper()
+	r := fidelityRow(b, rows, id)
+	b.ReportMetric(r.Measured, unit)
+	b.ReportMetric(r.Thesis, "paper-"+unit)
+}
+
+// shortValidation runs validation experiment 2 over its first ten minutes
+// of launches.
+func shortValidation(b *testing.B) []scenarios.FidelityRow {
+	b.Helper()
+	res, err := scenarios.RunValidation(scenarios.ValidationConfig{
+		Experiment: 1, Seed: 42,
+		LaunchFor: 600, RunFor: 700, SteadyStart: 300, SteadyEnd: 600,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Fidelity()
+}
+
 // BenchmarkFig56_ConcurrentClients runs a shortened validation experiment
 // 2 and reports the steady concurrent-client level of Fig. 5-6.
 func BenchmarkFig56_ConcurrentClients(b *testing.B) {
-	var clients float64
+	var rows []scenarios.FidelityRow
 	for i := 0; i < b.N; i++ {
-		res, err := scenarios.RunValidation(scenarios.ValidationConfig{
-			Experiment: 1, Seed: 42,
-			LaunchFor: 600, RunFor: 700, SteadyStart: 300, SteadyEnd: 600,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clients = res.Clients.Mean(300, 600)
+		rows = shortValidation(b)
 	}
-	b.ReportMetric(clients, "clients")
-	b.ReportMetric(refdata.SteadyStateClients[1], "paper-clients")
+	reportRow(b, rows, "Fig. 5-6 exp 2 steady clients", "clients")
 }
 
 // BenchmarkFig57to510_CPUValidation runs a shortened validation experiment
 // and reports the Tapp steady utilization of Fig. 5-7 / Table 5.2.
 func BenchmarkFig57to510_CPUValidation(b *testing.B) {
-	var util, rmse float64
+	var rows []scenarios.FidelityRow
 	for i := 0; i < b.N; i++ {
-		res, err := scenarios.RunValidation(scenarios.ValidationConfig{
-			Experiment: 1, Seed: 42,
-			LaunchFor: 600, RunFor: 700, SteadyStart: 300, SteadyEnd: 600,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		util = res.SteadyMean["app"]
-		rmse = res.RMSECPU["app"]
+		rows = shortValidation(b)
 	}
-	b.ReportMetric(util, "app-util-%")
-	b.ReportMetric(refdata.Table52Physical[1]["app"].Mean, "paper-%")
-	b.ReportMetric(rmse, "rmse-%")
+	reportRow(b, rows, "Table 5.2 exp 2 app mean %", "app-util-%")
+	reportRow(b, rows, "Table 5.3 exp 2 RMSE app %", "rmse-%")
 }
 
 // BenchmarkTable53_RMSE runs the full experiment 2 validation and reports
@@ -152,16 +169,15 @@ func BenchmarkTable53_RMSE(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full validation in benchmarks skipped in -short")
 	}
-	var rmse float64
+	var rows []scenarios.FidelityRow
 	for i := 0; i < b.N; i++ {
 		res, err := scenarios.RunValidation(scenarios.ValidationConfig{Experiment: 1, Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rmse = res.RMSECPU["app"]
+		rows = res.Fidelity()
 	}
-	b.ReportMetric(rmse, "rmse-%")
-	b.ReportMetric(refdata.Table53RMSE[1]["cpu:app"], "paper-rmse-%")
+	reportRow(b, rows, "Table 5.3 exp 2 RMSE app %", "rmse-%")
 }
 
 // backgroundDay runs a case study without interactive clients over a full
@@ -186,77 +202,68 @@ func backgroundDay(b *testing.B, multi bool) *scenarios.CaseStudy {
 }
 
 // BenchmarkFig611_SyncVolume reports the peak hourly push volume from DNA
-// on the consolidated platform (Fig. 6-11; quarter scale).
+// on the consolidated platform (Fig. 6-11; quarter scale, reported at full
+// scale).
 func BenchmarkFig611_SyncVolume(b *testing.B) {
-	var peak float64
+	var rows []scenarios.FidelityRow
 	for i := 0; i < b.N; i++ {
-		cs := backgroundDay(b, false)
-		for _, dc := range cs.Inf.DCNames() {
-			for _, v := range cs.Sync["NA"].HourlyPushMB(dc, 24) {
-				if v > peak {
-					peak = v
-				}
-			}
-		}
+		rows = backgroundDay(b, false).Fidelity()
 	}
-	b.ReportMetric(peak/0.25, "peak-push-MB-per-h-fullscale")
+	reportRow(b, rows, "Fig. 6-11 NA peak push MB/h full-scale", "peak-push-MB-per-h-fullscale")
 }
 
 // BenchmarkFig614_Background reports R^max_SR and R^max_IB of the
-// consolidated platform's daemons (Fig. 6-14: ~31 and ~63 minutes).
+// consolidated platform's daemons (Fig. 6-14).
 func BenchmarkFig614_Background(b *testing.B) {
-	var stale, unsearch float64
+	var rows []scenarios.FidelityRow
 	for i := 0; i < b.N; i++ {
-		cs := backgroundDay(b, false)
-		stale = cs.Sync["NA"].MaxStalenessMin()
-		unsearch = cs.Idx["NA"].MaxUnsearchableMin()
+		rows = backgroundDay(b, false).Fidelity()
 	}
-	b.ReportMetric(stale, "R_SR-min")
-	b.ReportMetric(unsearch, "R_IB-min")
-	b.ReportMetric(refdata.ConsolidatedMaxStaleMin, "paper-R_SR-min")
-	b.ReportMetric(refdata.ConsolidatedMaxUnsearchMin, "paper-R_IB-min")
+	reportRow(b, rows, "Fig. 6-14 NA R^max_SR min", "R_SR-min")
+	reportRow(b, rows, "Fig. 6-14 NA R^max_IB min", "R_IB-min")
 }
 
-// BenchmarkFig612_Consolidation runs the client workload over one peak
-// hour and reports the Tapp utilization of Fig. 6-12 (paper: 73%).
-func BenchmarkFig612_Consolidation(b *testing.B) {
-	var pct float64
-	for i := 0; i < b.N; i++ {
-		cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
-			Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 13, EndHour: 15,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs.Run()
-		pct, _ = cs.PeakCPUPct("NA", "app")
+// peakHours runs a case study with clients over the given GMT hours at a
+// tenth of full scale.
+func peakHours(b *testing.B, multi bool, start, end int) []scenarios.FidelityRow {
+	b.Helper()
+	cfg := scenarios.CaseConfig{Step: 0.01, Seed: 7, Scale: 0.1, StartHour: start, EndHour: end}
+	newCase := scenarios.NewConsolidation
+	if multi {
+		newCase = scenarios.NewMultiMaster
 	}
-	b.ReportMetric(pct, "app-peak-%")
-	b.ReportMetric(refdata.ConsolidatedAppPeak*100, "paper-%")
+	cs, err := newCase(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs.Run()
+	return cs.Fidelity()
+}
+
+// BenchmarkFig612_Consolidation runs the client workload over two peak
+// hours and reports the Tapp utilization of Fig. 6-12.
+func BenchmarkFig612_Consolidation(b *testing.B) {
+	var rows []scenarios.FidelityRow
+	for i := 0; i < b.N; i++ {
+		rows = peakHours(b, false, 13, 15)
+	}
+	reportRow(b, rows, "Fig. 6-12 NA app peak %", "app-peak-%")
 }
 
 // BenchmarkTable61_LinkUtil reports the busiest-link utilization of
-// Table 6.1 over the measured interval (paper: NA->AS1 at 59%).
+// Table 6.1 over the measured interval.
 func BenchmarkTable61_LinkUtil(b *testing.B) {
-	var util float64
+	var rows []scenarios.FidelityRow
 	for i := 0; i < b.N; i++ {
-		cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
-			Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 12, EndHour: 15,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs.Run()
-		util = cs.LinkUtilPct("NA", "AS1", 12, 15)
+		rows = peakHours(b, false, 12, 15)
 	}
-	b.ReportMetric(util, "NA-AS1-%")
-	b.ReportMetric(refdata.Table61LinkUtil["NA->AS1"], "paper-%")
+	reportRow(b, rows, "Table 6.1 NA->AS1 util %", "NA-AS1-%")
 }
 
 // BenchmarkTable62_Latency measures the isolated EXPLORE operation from
 // DNA and DAUS and reports the latency penalty of Table 6.2.
 func BenchmarkTable62_Latency(b *testing.B) {
-	var deltaPct float64
+	var rows []scenarios.FidelityRow
 	for i := 0; i < b.N; i++ {
 		cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
 			Step: 0.01, Seed: 7, Scale: 0.25,
@@ -272,7 +279,8 @@ func BenchmarkTable62_Latency(b *testing.B) {
 			b.Fatal(err)
 		}
 		explore := ops[3]
-		run := func(local *DataCenter) float64 {
+		explore.Name = "CAD EXPLORE" // the name the fidelity row reads
+		run := func(local *DataCenter) {
 			bnd := cascade.NewBinding(cs.Inf, local, na)
 			op, err := cascade.Instantiate(explore, bnd)
 			if err != nil {
@@ -288,64 +296,49 @@ func BenchmarkTable62_Latency(b *testing.B) {
 			if err := cs.Sim.RunUntilIdle(300); err != nil {
 				b.Fatal(err)
 			}
-			d, _ := cs.Sim.Responses.MeanAll("EXPLORE", local.Name)
-			return d
 		}
-		dNA := run(na)
-		dAUS := run(aus)
-		deltaPct = (dAUS - dNA) / dNA * 100
+		run(na)
+		run(aus)
+		rows = cs.Fidelity()
 	}
-	b.ReportMetric(deltaPct, "EXPLORE-delta-%")
-	b.ReportMetric(141.52, "paper-delta-%")
+	reportRow(b, rows, "Table 6.2 EXPLORE delta %", "EXPLORE-delta-%")
 }
 
-// BenchmarkFig74_MultiMasterVolume reports DNA's total pushed volume on
-// the multiple-master platform versus the consolidated one (Figs. 7-4 vs
-// 6-11: the thesis reports a ~43% reduction at the peak).
+// BenchmarkFig74_MultiMasterVolume reports DNA's peak hourly push volume
+// on the multiple-master platform and its reduction from the consolidated
+// one (Figs. 7-4 vs 6-11).
 func BenchmarkFig74_MultiMasterVolume(b *testing.B) {
-	var multiNA, consNA float64
+	var cons, multi []scenarios.FidelityRow
 	for i := 0; i < b.N; i++ {
-		cons := backgroundDay(b, false)
-		multi := backgroundDay(b, true)
-		consNA = cons.Sync["NA"].DailyPushMB()
-		multiNA = multi.Sync["NA"].DailyPushMB()
+		cons = backgroundDay(b, false).Fidelity()
+		multi = backgroundDay(b, true).Fidelity()
 	}
-	b.ReportMetric(multiNA/0.25, "multi-push-MB-fullscale")
-	b.ReportMetric(consNA/0.25, "consolidated-push-MB-fullscale")
-	b.ReportMetric((1-multiNA/consNA)*100, "reduction-%")
+	reportRow(b, multi, "Fig. 7-4 NA peak push MB/h full-scale", "multi-push-MB-per-h-fullscale")
+	c := fidelityRow(b, cons, "Fig. 6-11 NA peak push MB/h full-scale")
+	m := fidelityRow(b, multi, "Fig. 7-4 NA peak push MB/h full-scale")
+	b.ReportMetric((1-m.Measured/c.Measured)*100, "reduction-%")
+	b.ReportMetric((1-m.Thesis/c.Thesis)*100, "paper-reduction-%")
 }
 
 // BenchmarkTable73_LinkUtil reports the multi-master NA->AS1 utilization
-// (Table 7.3; paper: 76%, up from Table 6.1's 59%).
+// of Table 7.3.
 func BenchmarkTable73_LinkUtil(b *testing.B) {
-	var util float64
+	var rows []scenarios.FidelityRow
 	for i := 0; i < b.N; i++ {
-		cs, err := scenarios.NewMultiMaster(scenarios.CaseConfig{
-			Step: 0.01, Seed: 7, Scale: 0.1, StartHour: 12, EndHour: 15,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs.Run()
-		util = cs.LinkUtilPct("NA", "AS1", 12, 15)
+		rows = peakHours(b, true, 12, 15)
 	}
-	b.ReportMetric(util, "NA-AS1-%")
-	b.ReportMetric(refdata.Table73LinkUtil["NA->AS1"], "paper-%")
+	reportRow(b, rows, "Table 7.3 NA->AS1 util %", "NA-AS1-%")
 }
 
 // BenchmarkFig76_Background reports the multi-master background
-// effectiveness at DNA (Fig. 7-6: ~19 and ~37 minutes).
+// effectiveness at DNA (Fig. 7-6).
 func BenchmarkFig76_Background(b *testing.B) {
-	var stale, unsearch float64
+	var rows []scenarios.FidelityRow
 	for i := 0; i < b.N; i++ {
-		cs := backgroundDay(b, true)
-		stale = cs.Sync["NA"].MaxStalenessMin()
-		unsearch = cs.Idx["NA"].MaxUnsearchableMin()
+		rows = backgroundDay(b, true).Fidelity()
 	}
-	b.ReportMetric(stale, "R_SR-min")
-	b.ReportMetric(unsearch, "R_IB-min")
-	b.ReportMetric(refdata.MultiMasterMaxStaleMin, "paper-R_SR-min")
-	b.ReportMetric(refdata.MultiMasterMaxUnsearchMin, "paper-R_IB-min")
+	reportRow(b, rows, "Fig. 7-6 NA R^max_SR min", "R_SR-min")
+	reportRow(b, rows, "Fig. 7-6 NA R^max_IB min", "R_IB-min")
 }
 
 // activeSetBench runs the consolidation scenario over a 30-second slice of
@@ -712,8 +705,8 @@ func BenchmarkFig44_ScatterGatherDense(b *testing.B) {
 	}
 }
 
-// BenchmarkFig46_HDispatchDense: Fig. 4-6 — H-Dispatch vs linear
-// (thesis: 1.71/3.20/5.17/8.06x at 2/4/8/16 threads, Agent Set=64).
+// BenchmarkFig46_HDispatchDense: Fig. 4-6 — H-Dispatch vs linear (thesis
+// speedups in refdata.Table42HDispatch, Agent Set=64).
 func BenchmarkFig46_HDispatchDense(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("threads-%d", n), func(b *testing.B) {

@@ -2,8 +2,10 @@
 // consolidated Data Serving Platform: workload curves (Figs. 6-5..6-7),
 // data growth and sync volumes (Figs. 6-10/6-11), CPU utilizations
 // (Figs. 6-12/6-13), background-process response times (Fig. 6-14),
-// operation response times by location (Figs. 6-15..6-20), WAN link
-// utilization (Table 6.1) and the latency impact table (Table 6.2).
+// operation response times by location (Figs. 6-15..6-20), and the
+// fidelity table's consolidation rows: the thesis' peaks, background
+// effectiveness, WAN link utilization (Table 6.1) and latency impact
+// (Table 6.2) beside the measured values.
 //
 // Usage:
 //
@@ -54,8 +56,7 @@ func main() {
 	printCPUFigs(cs)
 	printBackground(cs)
 	printResponseFigs(cs)
-	printTable61(cs)
-	printTable62(cs)
+	scenarios.FidelityReport("\nFidelity: consolidated platform against the thesis (bands: the scenario test's run)", cs.Fidelity()).Fprint(os.Stdout)
 }
 
 func printWorkloadFigs(cs *scenarios.CaseStudy, hours int) {
@@ -109,7 +110,7 @@ func printGrowthAndVolumes(cs *scenarios.CaseStudy, hours int) {
 }
 
 func printCPUFigs(cs *scenarios.CaseStudy) {
-	fmt.Printf("\nFig. 6-12: CPU utilization in DNA (paper peaks: app 73%%, db 32%%, idx 30%%, fs 31%%)\n")
+	fmt.Printf("\nFig. 6-12: CPU utilization in DNA\n")
 	for _, tier := range []string{"app", "db", "idx", "fs"} {
 		pct, hr := cs.PeakCPUPct("NA", tier)
 		s := cs.CPUSeries("NA", tier)
@@ -117,7 +118,7 @@ func printCPUFigs(cs *scenarios.CaseStudy) {
 			tier, metrics.Sparkline(s.V), pct, hr)
 	}
 	pct, hr := cs.PeakCPUPct("AUS", "fs")
-	fmt.Printf("\nFig. 6-13: CPU utilization (Tfs) in DAUS: peak %.1f%% at %.1fh GMT (paper ~3.5%%)\n", pct, hr)
+	fmt.Printf("\nFig. 6-13: CPU utilization (Tfs) in DAUS: peak %.1f%% at %.1fh GMT\n", pct, hr)
 }
 
 func printBackground(cs *scenarios.CaseStudy) {
@@ -125,11 +126,11 @@ func printBackground(cs *scenarios.CaseStudy) {
 	ib := cs.Idx["NA"]
 	fmt.Printf("\nFig. 6-14: background process response times\n")
 	if d.Durations.Len() > 0 {
-		fmt.Printf("  SYNCHREP   cycles %3d  durations %s  R^max_SR %.1f min (paper ~31)\n",
+		fmt.Printf("  SYNCHREP   cycles %3d  durations %s  R^max_SR %.1f min\n",
 			d.Durations.Len(), metrics.Sparkline(d.Durations.V), d.MaxStalenessMin())
 	}
 	if ib.Durations.Len() > 0 {
-		fmt.Printf("  INDEXBUILD builds %3d  durations %s  R^max_IB %.1f min (paper ~63)\n",
+		fmt.Printf("  INDEXBUILD builds %3d  durations %s  R^max_IB %.1f min\n",
 			ib.Durations.Len(), metrics.Sparkline(ib.Durations.V), ib.MaxUnsearchableMin())
 	}
 }
@@ -152,47 +153,6 @@ func printResponseFigs(cs *scenarios.CaseStudy) {
 			}
 		}
 	}
-}
-
-func printTable61(cs *scenarios.CaseStudy) {
-	t := &metrics.Table{
-		Title:   "\nTable 6.1: average utilization of allocated capacity 12:00-16:00 GMT (% | paper)",
-		Headers: []string{"Link", "measured", "paper"},
-	}
-	for _, row := range []struct {
-		from, to string
-		key      string
-	}{
-		{"NA", "SA", "NA->SA"}, {"NA", "EU", "NA->EU"}, {"NA", "AS1", "NA->AS1"},
-		{"EU", "AFR", "EU->AFR"}, {"EU", "AS1", "EU->AS1"},
-		{"AS1", "AFR", "AS1->AFR"}, {"AS1", "AS2", "AS1->AS2"}, {"AS1", "AUS", "AS1->AUS"},
-	} {
-		t.AddRow("L"+row.key,
-			fmt.Sprintf("%.0f", cs.LinkUtilPct(row.from, row.to, 12, 16)),
-			fmt.Sprintf("%.0f", refdata.Table61LinkUtil[row.key]))
-	}
-	t.Fprint(os.Stdout)
-}
-
-func printTable62(cs *scenarios.CaseStudy) {
-	t := &metrics.Table{
-		Title:   "\nTable 6.2: response time variation for CAD operations caused by latency in DAUS",
-		Headers: []string{"Operation", "R_NA (s)", "R_AUS (s)", "delta %", "paper delta %"},
-	}
-	for _, row := range refdata.Table62Latency {
-		na, ok1 := cs.Sim.Responses.MeanAll("CAD "+row.Op, "NA")
-		aus, ok2 := cs.Sim.Responses.MeanAll("CAD "+row.Op, "AUS")
-		if !ok1 || !ok2 {
-			t.AddRow(row.Op, "-", "-", "-", fmt.Sprintf("%.1f", row.DeltaPct))
-			continue
-		}
-		t.AddRow(row.Op,
-			fmt.Sprintf("%.2f", na),
-			fmt.Sprintf("%.2f", aus),
-			fmt.Sprintf("%.1f", (aus-na)/na*100),
-			fmt.Sprintf("%.1f", row.DeltaPct))
-	}
-	t.Fprint(os.Stdout)
 }
 
 func maxOf(vs []float64) float64 {

@@ -314,7 +314,8 @@ func smoke(name string, verbose bool) {
 		}
 		cs.Run()
 		pct, hr := cs.PeakCPUPct("NA", "app")
-		fmt.Printf("consolidation peak window: Tapp DNA %.1f%% at %.1fh GMT (paper ~73%%)\n", pct, hr)
+		fmt.Printf("consolidation peak window: Tapp DNA %.1f%% at %.1fh GMT (paper ~%.0f%%)\n",
+			pct, hr, refdata.ConsolidatedAppPeak*100)
 		sim = cs.Sim
 	case "multimaster":
 		cs, err := scenarios.NewMultiMaster(scenarios.CaseConfig{
@@ -325,7 +326,8 @@ func smoke(name string, verbose bool) {
 		}
 		cs.Run()
 		pct, hr := cs.PeakCPUPct("NA", "app")
-		fmt.Printf("multimaster peak window: Tapp DNA %.1f%% at %.1fh GMT (paper ~78%%)\n", pct, hr)
+		fmt.Printf("multimaster peak window: Tapp DNA %.1f%% at %.1fh GMT (paper ~%.0f%%)\n",
+			pct, hr, refdata.MultiMasterAppPeakNA*100)
 		sim = cs.Sim
 	default:
 		log.Fatalf("unknown scenario %q", name)

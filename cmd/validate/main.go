@@ -1,7 +1,8 @@
 // Command validate regenerates the Chapter 5 validation outputs: the
 // canonical operation durations (Table 5.1), the concurrent-client and CPU
-// utilization figures (Figs. 5-6..5-10), the steady-state statistics
-// (Table 5.2) and the RMSE accuracy assessment (Table 5.3).
+// utilization figures (Figs. 5-6..5-10), and the steady-state statistics
+// (Table 5.2) and RMSE accuracy assessment (Table 5.3) as rows of the
+// fidelity table, beside the thesis values.
 //
 // Usage:
 //
@@ -43,7 +44,7 @@ func main() {
 		indices = []int{n - 1}
 	}
 
-	results := make([]*scenarios.ValidationResult, 0, len(indices))
+	var rows []scenarios.FidelityRow
 	for _, idx := range indices {
 		fmt.Printf("\nRunning %s ...\n", refdata.ValidationExperiments[idx].Name)
 		cfg := scenarios.ValidationConfig{
@@ -58,12 +59,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		results = append(results, res)
+		rows = append(rows, res.Fidelity()...)
 		printFig56(res)
 		printFigsCPU(res)
 	}
-	printTable52(results)
-	printTable53(results)
+	scenarios.FidelityReport("\nFidelity: validation against the thesis (bands: the scenario test's run)", rows).Fprint(os.Stdout)
+	fmt.Println("\nNote: the RMSE resp rows compare loaded responses against the canonical")
+	fmt.Println("Table 5.1 durations, not loaded-vs-loaded as the thesis does (see DESIGN.md,")
+	fmt.Println("\"Response RMSE against Table 5.1\").")
 }
 
 // printTable51 reports Table 5.1 as encoded (the calibration targets).
@@ -90,9 +93,6 @@ func printFig56(res *scenarios.ValidationResult) {
 		res.Experiment+1)
 	fmt.Printf("  simulated: %s\n", metrics.Sparkline(res.Clients.V))
 	fmt.Printf("  physical:  %s\n", metrics.Sparkline(res.ReferenceClients.V))
-	fmt.Printf("  steady-state mean: simulated %.1f, reference %.0f\n",
-		res.Clients.Mean(res.Config.SteadyStart, res.Config.SteadyEnd),
-		refdata.SteadyStateClients[res.Experiment])
 }
 
 func printFigsCPU(res *scenarios.ValidationResult) {
@@ -103,44 +103,4 @@ func printFigsCPU(res *scenarios.ValidationResult) {
 		fmt.Printf("  simulated: %s\n", metrics.Sparkline(res.CPU[tier].V))
 		fmt.Printf("  physical:  %s\n", metrics.Sparkline(res.ReferenceCPU[tier].V))
 	}
-}
-
-func printTable52(results []*scenarios.ValidationResult) {
-	t := &metrics.Table{
-		Title:   "\nTable 5.2: steady-state CPU utilization mean/std by experiment (% | physical reference in parentheses)",
-		Headers: []string{"Experiment", "Tier", "mean sim", "mean phys", "std sim", "std phys"},
-	}
-	for _, res := range results {
-		for _, tier := range refdata.ValidationTiers {
-			ref := refdata.Table52Physical[res.Experiment][tier]
-			t.AddRow(
-				fmt.Sprintf("%d", res.Experiment+1), tier,
-				fmt.Sprintf("%.2f", res.SteadyMean[tier]),
-				fmt.Sprintf("%.2f", ref.Mean),
-				fmt.Sprintf("%.2f", res.SteadyStd[tier]),
-				fmt.Sprintf("%.2f", ref.Std))
-		}
-	}
-	t.Fprint(os.Stdout)
-}
-
-func printTable53(results []*scenarios.ValidationResult) {
-	t := &metrics.Table{
-		Title:   "\nTable 5.3: RMSE by experiment and measurement (% | thesis value in parentheses)",
-		Headers: []string{"Experiment", "cpu app", "cpu db", "cpu fs", "cpu idx", "#C", "R (vs canonical)"},
-	}
-	for _, res := range results {
-		ref := refdata.Table53RMSE[res.Experiment]
-		t.AddRow(fmt.Sprintf("%d", res.Experiment+1),
-			fmt.Sprintf("%.1f (%.1f)", res.RMSECPU["app"], ref["cpu:app"]),
-			fmt.Sprintf("%.1f (%.1f)", res.RMSECPU["db"], ref["cpu:db"]),
-			fmt.Sprintf("%.1f (%.1f)", res.RMSECPU["fs"], ref["cpu:fs"]),
-			fmt.Sprintf("%.1f (%.1f)", res.RMSECPU["idx"], ref["cpu:idx"]),
-			fmt.Sprintf("%.1f (%.1f)", res.RMSEClients, ref["clients"]),
-			fmt.Sprintf("%.1f (%.1f)", res.RespRMSEPct, ref["resp"]))
-	}
-	t.Fprint(os.Stdout)
-	fmt.Println("\nNote: the thesis' R column compares loaded-vs-loaded response times;")
-	fmt.Println("this reproduction compares loaded responses against the canonical Table 5.1")
-	fmt.Println("durations, so queueing inflation is included (see EXPERIMENTS.md).")
 }

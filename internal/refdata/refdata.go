@@ -106,11 +106,13 @@ var Table52Simulated = [3]map[string]UtilStat{
 }
 
 // Table53RMSE: root-mean-square error (percent) between the physical and
-// simulated infrastructures reported by the thesis, by experiment.
+// simulated infrastructures reported by the thesis, by experiment: CPU
+// utilization keyed by tier (as ValidationTiers), then the concurrent
+// clients and the response times.
 var Table53RMSE = [3]map[string]float64{
-	{"cpu:app": 9.07, "cpu:db": 11.41, "cpu:fs": 7.51, "cpu:idx": 6.12, "clients": 5.98, "resp": 5.01},
-	{"cpu:app": 9.94, "cpu:db": 12.56, "cpu:fs": 7.05, "cpu:idx": 5.40, "clients": 5.12, "resp": 6.92},
-	{"cpu:app": 10.11, "cpu:db": 11.29, "cpu:fs": 7.42, "cpu:idx": 5.83, "clients": 6.52, "resp": 6.62},
+	{"app": 9.07, "db": 11.41, "fs": 7.51, "idx": 6.12, "clients": 5.98, "resp": 5.01},
+	{"app": 9.94, "db": 12.56, "fs": 7.05, "idx": 5.40, "clients": 5.12, "resp": 6.92},
+	{"app": 10.11, "db": 11.29, "fs": 7.42, "idx": 5.83, "clients": 6.52, "resp": 6.62},
 }
 
 // SteadyStateClients: approximate steady-state concurrent client counts

@@ -1,13 +1,19 @@
 package scenarios
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/refdata"
+)
 
 // TestBackgroundProcessDays runs both platforms' daemons over a full
 // simulated day without interactive clients and checks the Chapter 6 vs 7
 // comparisons: the multiple-master design shortens staleness and index lag
-// at DNA (Fig. 7-6 vs Fig. 6-14) and cuts DNA's transfer volume by roughly
-// the 43% the thesis reports, with DNA > DEU > others in owned volume
-// (Figs. 7-4/7-5). About a minute of wall time.
+// at DNA (Fig. 7-6 vs Fig. 6-14) and cuts DNA's transfer volume by about
+// the share the thesis reports, with DNA > DEU > others in owned volume
+// (Figs. 7-4/7-5). Its bands are for these full-day runs and the
+// reduction compares two runs, so they stay here rather than in the
+// fidelity table.
 func TestBackgroundProcessDays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-day background runs skipped in -short")
@@ -30,12 +36,12 @@ func TestBackgroundProcessDays(t *testing.T) {
 	cons := run(false)
 	multi := run(true)
 
-	// Fig. 6-14: consolidated R^max_SR ~31 min, R^max_IB approaching ~63.
+	// Fig. 6-14: consolidated R^max_SR and R^max_IB near the thesis values.
 	if st := cons.Sync["NA"].MaxStalenessMin(); st < 20 || st > 40 {
-		t.Errorf("consolidated R_SR = %.1f min, paper ~31", st)
+		t.Errorf("consolidated R_SR = %.1f min, paper %.0f", st, refdata.ConsolidatedMaxStaleMin)
 	}
 	if ib := cons.Idx["NA"].MaxUnsearchableMin(); ib < 30 || ib > 75 {
-		t.Errorf("consolidated R_IB = %.1f min, paper ~63", ib)
+		t.Errorf("consolidated R_IB = %.1f min, paper %.0f", ib, refdata.ConsolidatedMaxUnsearchMin)
 	}
 
 	// Fig. 7-6: both improve under multiple masters.
@@ -46,10 +52,12 @@ func TestBackgroundProcessDays(t *testing.T) {
 		t.Error("multi-master index lag did not improve")
 	}
 
-	// Figs. 7-4/7-5: DNA's sync volume drops by roughly 43%, DEU second.
+	// Figs. 7-4/7-5: DNA's sync volume drops by about the thesis' share,
+	// DEU second.
 	reduction := 1 - multi.Sync["NA"].DailyPushMB()/cons.Sync["NA"].DailyPushMB()
 	if reduction < 0.30 || reduction > 0.60 {
-		t.Errorf("NA volume reduction = %.0f%%, paper ~43%%", reduction*100)
+		t.Errorf("NA volume reduction = %.0f%%, paper %.0f%%", reduction*100,
+			(1-refdata.MultiMasterPeakPushNAMB/refdata.ConsolidatedPeakPushMB)*100)
 	}
 	if !(multi.Sync["NA"].DailyPushMB() > multi.Sync["EU"].DailyPushMB()) {
 		t.Error("DNA should push the largest owned volume")

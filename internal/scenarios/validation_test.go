@@ -1,7 +1,6 @@
 package scenarios
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/refdata"
@@ -14,8 +13,9 @@ func TestValidationConfigRejectsBadExperiment(t *testing.T) {
 }
 
 // TestValidationExperiment2 runs the middle experiment (the calibration
-// anchor) end to end and compares against Tables 5.2 / 5.3 and Fig. 5-6.
-// The full 38 simulated minutes at a 5 ms step run in a few seconds.
+// anchor) end to end and holds it to the fidelity table's experiment-2
+// rows: Table 5.2 steady means, Table 5.3 RMSE and Fig. 5-6 clients. The
+// full 38 simulated minutes at a 5 ms step run in a few seconds.
 func TestValidationExperiment2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full validation run skipped in -short")
@@ -24,39 +24,7 @@ func TestValidationExperiment2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Table 5.2, experiment 2: steady-state means within 8 points of the
-	// published physical measurements.
-	for _, tier := range refdata.ValidationTiers {
-		want := refdata.Table52Physical[1][tier].Mean
-		got := res.SteadyMean[tier]
-		if math.Abs(got-want) > 8 {
-			t.Errorf("steady CPU %s = %.1f%%, physical %.1f%%", tier, got, want)
-		}
-	}
-
-	// Fig. 5-6: steady concurrent clients near the published ~28.
-	clients := res.Clients.Mean(res.Config.SteadyStart, res.Config.SteadyEnd)
-	if math.Abs(clients-refdata.SteadyStateClients[1]) > 8 {
-		t.Errorf("steady clients = %.1f, want ~%.0f", clients, refdata.SteadyStateClients[1])
-	}
-
-	// Table 5.3: RMSE versus the physical reference in the same band the
-	// thesis reports (5-13%); allow up to 16% here.
-	for tier, rmse := range res.RMSECPU {
-		if rmse > 16 {
-			t.Errorf("RMSE cpu:%s = %.1f%%, thesis band is 5-13%%", tier, rmse)
-		}
-	}
-	if res.RMSEClients > 25 {
-		t.Errorf("RMSE clients = %.1f%%", res.RMSEClients)
-	}
-
-	// Response times: relative RMSE versus Table 5.1 under load stays
-	// moderate (the thesis reports 5-7%).
-	if res.RespRMSEPct > 28 {
-		t.Errorf("response RMSE = %.1f%% vs Table 5.1", res.RespRMSEPct)
-	}
+	requireFidelity(t, "Fidelity: validation experiment 2, seed 42", res.Fidelity())
 }
 
 // TestValidationPressureOrdering runs shortened versions of experiments 1
