@@ -390,11 +390,10 @@ func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 		x = new(expander)
 		x.expandFn, x.errFn = x.expand, x.takeErr
 		x.holds = x.holdBuf[:0]
+		x.stages = make([]core.Stage, 0, p.oneShotStages(b))
+		x.plans = make([]core.MessagePlan, 0, p.width)
 		if sc != nil {
 			x.retireFn = func() { sc.retire(x) }
-		} else {
-			x.stages = make([]core.Stage, 0, p.oneShotStages(b))
-			x.plans = make([]core.MessagePlan, 0, p.width)
 		}
 	}
 	if cap(x.holds) < p.width {
@@ -437,8 +436,11 @@ func (sc *Scratch) retire(x *expander) {
 // sizes the hold buffer to the program's width and expand never grows it;
 // holdBuf backs it for steps of up to eight messages — the widest step of
 // the built-in operations, the CAD fan-outs (apps.FanOut) — so an expander
-// costs no hold allocation of its own. The funcs are bound once, so a
-// recycled expander costs its next operation no closure.
+// costs no hold allocation of its own. The stage buffer and plan slice are
+// sized for the first operation when the expander is created
+// (oneShotStages, width), whether it serves one operation or a launcher.
+// The funcs are bound once, so a recycled expander costs its next operation
+// no closure.
 type expander struct {
 	prog    *program
 	tiers   *siteTiers

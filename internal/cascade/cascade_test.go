@@ -3,6 +3,7 @@ package cascade
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -298,6 +299,41 @@ func TestCalibrateClientWorkHitsTarget(t *testing.T) {
 	got, _ := sim.Responses.MeanAll("LOGIN", "NA")
 	if math.Abs(got-target)/target > 0.05 {
 		t.Errorf("simulated = %v, want %v within 5%%", got, target)
+	}
+}
+
+// Calibration copies the step table and the one step it changes; every
+// other step shares its messages with the input, which stays as it was, and
+// the calibrated cost is the deep copy's: the input's plus the gap's cycles.
+func TestCalibrateSharesUntouchedSteps(t *testing.T) {
+	sim, inf := testInfra(t)
+	na := inf.DC("NA")
+	step, target := sim.Clock().Step(), 2.2
+	op := loginOp()
+	base, err := Estimate(op, NewBinding(inf, na, na), step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := CalibrateClientWork(op, NewBinding(inf, na, na), step, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(op, loginOp()) {
+		t.Fatal("calibration changed its input")
+	}
+	if &out.Steps[0] == &op.Steps[0] {
+		t.Error("calibrated op shares its step table with the input")
+	}
+	last := op.lastStep() // LOGIN's one client-bound message closes it
+	for i := range op.Steps {
+		if shared := &out.Steps[i][0] == &op.Steps[i][0]; shared != (i != last) {
+			t.Errorf("step %d shares its messages with the input: %v, want %v", i, shared, i != last)
+		}
+	}
+	want := op.Scale(op.Name, 1)
+	want.Steps[last][0].Cost.CPUCycles += (target - base) * na.Clients.Spec.GHz * 1e9
+	if !reflect.DeepEqual(out, want) {
+		t.Errorf("calibrated op %+v, want the deep copy's %+v", out, want)
 	}
 }
 

@@ -113,13 +113,13 @@ func (p *program) bindable(b *Binding, tiers *siteTiers) error {
 	return nil
 }
 
-// oneShotStages sizes the stage buffer of an expander that serves a single
-// operation (Instantiate without a Scratch; its plan slice gets width): the
-// widest step at eight stages per message — NIC, link, switch, link, NIC and
-// up to three processing stages — plus a WAN hop (link, far switch) each way
-// of slack when the sites differ. An underestimate costs a buffer growth,
-// nothing else. A launcher's recycled expanders are not presized: they grow
-// to the launcher's widest operation during warm-up and stay there.
+// oneShotStages sizes the stage buffer of a new expander (its plan slice
+// gets width): the widest step at eight stages per message — NIC, link,
+// switch, link, NIC and up to three processing stages — plus a WAN hop
+// (link, far switch) each way of slack when the sites differ. An
+// underestimate costs a buffer growth, nothing else. A launcher's recycled
+// expander keeps the buffers it was created or grown with, so its
+// operations rarely grow them.
 func (p *program) oneShotStages(b *Binding) int {
 	if b.Local == b.Master {
 		return 8 * p.width

@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -82,13 +83,18 @@ func CalibrateClientWork(op Op, b *Binding, step, target float64) (Op, error) {
 	if gap < 0 {
 		gap = 0
 	}
+	// Only the outer step table and the calibrated step are copied; every
+	// other step shares its messages with op, as ChunkHeavySteps shares its
+	// unsplit steps. Nothing mutates an Op's steps once it is built.
 	ghz := b.Local.Clients.Spec.GHz
-	out := op.Scale(op.Name, 1) // deep copy
-	for j := range out.Steps[last] {
-		if out.Steps[last][j].To.Role == Client {
-			out.Steps[last][j].Cost.CPUCycles += gap * ghz * 1e9
+	out := Op{Name: op.Name, Steps: slices.Clone(op.Steps)}
+	msgs := slices.Clone(op.Steps[last])
+	for j := range msgs {
+		if msgs[j].To.Role == Client {
+			msgs[j].Cost.CPUCycles += gap * ghz * 1e9
 			break
 		}
 	}
+	out.Steps[last] = msgs
 	return out, nil
 }

@@ -120,7 +120,7 @@ type QueueAgent interface {
 type AgentBase struct {
 	id   AgentID
 	name string
-	done []*queueing.Task
+	done queueing.TaskList
 
 	sim       *Simulation // set by AddAgent; nil until registered
 	active    bool        // currently a member of the simulation's active set
@@ -243,17 +243,17 @@ func (b *AgentBase) Sync() {
 
 // BufferDone records a completed task for the simulation's next drain of
 // the agent. Hardware agents pass this method as the DoneFunc of their
-// internal queues.
-func (b *AgentBase) BufferDone(t *queueing.Task) { b.done = append(b.done, t) }
+// internal queues. The buffer links the tasks themselves (queueing.TaskList),
+// so buffering allocates nothing.
+func (b *AgentBase) BufferDone(t *queueing.Task) { b.done.Push(t) }
 
-// Drain hands buffered completions to fn in completion order and resets the
-// buffer, retaining capacity.
+// Drain hands buffered completions to fn in completion order, emptying the
+// buffer. Each task leaves the buffer before fn sees it, so fn may enqueue
+// it anywhere.
 func (b *AgentBase) Drain(fn func(*queueing.Task)) {
-	for i, t := range b.done {
-		b.done[i] = nil
+	for t := b.done.Pop(); t != nil; t = b.done.Pop() {
 		fn(t)
 	}
-	b.done = b.done[:0]
 }
 
 // Engine parallelizes the reference loop's per-tick sweep over the active

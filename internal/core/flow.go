@@ -215,15 +215,15 @@ func (s *Simulation) onTaskDone(t *queueing.Task) {
 }
 
 // drainDone hands an agent's buffered completions to the flow router in
-// completion order and resets the buffer, retaining its capacity. Both loops
-// drain through it, agent by agent in ascending ID order; a completion's
-// downstream enqueues buffer none, so the walk never sees the buffer grow.
+// completion order, emptying the buffer. Both loops drain through it, agent
+// by agent in ascending ID order. Each task leaves the buffer before
+// onTaskDone sees it, so startStage may enqueue the token's own task on the
+// next stage's queue at once; a completion's downstream enqueues buffer
+// none, so the walk ends with the completions it started with.
 func (s *Simulation) drainDone(b *AgentBase) {
-	for _, t := range b.done {
+	for t := b.done.Pop(); t != nil; t = b.done.Pop() {
 		s.onTaskDone(t)
 	}
-	clear(b.done)
-	b.done = b.done[:0]
 }
 
 // tokenDone accounts a finished message within its flow and recycles the

@@ -33,21 +33,36 @@ func slots(q arrivalQueue) int {
 // peekHorizon returns q's Horizon without promoting anything on q itself:
 // Horizon promotes waiting tasks, which would leave the next Step nothing
 // to promote, so it reads a copy with its own task lists. Horizon reads
-// tasks and never writes them, so the copy may share them.
+// tasks and never writes them, so the copy's in-service slice may share
+// them; its waiting list holds copies of the waiting tasks, because a
+// TaskList links the tasks themselves and the copy's fill would unlink the
+// original's.
 func peekHorizon(q arrivalQueue) float64 {
 	switch q := q.(type) {
 	case *FCFS:
 		c := *q
 		c.inService = slices.Clone(q.inService)
-		c.waiting = fifo{items: slices.Clone(q.waiting.items[q.waiting.head:])}
+		c.waiting = copyList(&q.waiting)
 		return c.Horizon()
 	case *PS:
 		c := *q
 		c.inService = slices.Clone(q.inService)
-		c.waiting = fifo{items: slices.Clone(q.waiting.items[q.waiting.head:])}
+		c.waiting = copyList(&q.waiting)
 		return c.Horizon()
 	}
 	panic(fmt.Sprintf("peekHorizon: unexpected queue %T", q))
+}
+
+// copyList returns a list of copies of l's tasks, in l's order, leaving l
+// and its tasks as they are.
+func copyList(l *TaskList) TaskList {
+	var c TaskList
+	for t := l.head; t != nil; t = t.next {
+		tc := *t
+		tc.next = nil
+		c.Push(&tc)
+	}
+	return c
 }
 
 // arrivalHook records the h every firing Enqueue of a queue reports.

@@ -18,7 +18,7 @@ type FCFS struct {
 	rate    float64
 	servers int
 
-	waiting   fifo
+	waiting   TaskList
 	inService []*Task
 
 	busy     float64 // accumulated server-seconds of busy time
@@ -81,20 +81,20 @@ func (q *FCFS) Servers() int { return q.servers }
 // the next Step.
 func (q *FCFS) Enqueue(t *Task) {
 	q.arrivals++
-	q.waiting.push(t)
-	if q.notify != nil && len(q.inService)+q.waiting.len() <= q.servers {
+	q.waiting.Push(t)
+	if q.notify != nil && len(q.inService)+q.waiting.Len() <= q.servers {
 		q.notify(t.Demand / q.rate)
 	}
 }
 
 // Waiting reports the number of queued (not in service) tasks.
-func (q *FCFS) Waiting() int { return q.waiting.len() }
+func (q *FCFS) Waiting() int { return q.waiting.Len() }
 
 // InService reports the number of tasks in service.
 func (q *FCFS) InService() int { return len(q.inService) }
 
 // Idle reports whether the queue holds no work.
-func (q *FCFS) Idle() bool { return len(q.inService) == 0 && q.waiting.len() == 0 }
+func (q *FCFS) Idle() bool { return len(q.inService) == 0 && q.waiting.Len() == 0 }
 
 // Arrivals returns the total number of tasks ever enqueued.
 func (q *FCFS) Arrivals() uint64 { return q.arrivals }
@@ -112,7 +112,7 @@ func (q *FCFS) TakeBusy() float64 {
 // fill moves waiting tasks onto idle servers.
 func (q *FCFS) fill() {
 	for len(q.inService) < q.servers {
-		t := q.waiting.pop()
+		t := q.waiting.Pop()
 		if t == nil {
 			return
 		}
@@ -190,7 +190,7 @@ func (q *FCFS) stepOne(dt float64, done DoneFunc) {
 	var t *Task
 	if len(q.inService) > 0 {
 		t = q.inService[0]
-	} else if t = q.waiting.pop(); t != nil {
+	} else if t = q.waiting.Pop(); t != nil {
 		q.inService = append(q.inService, t)
 	} else {
 		return
@@ -215,7 +215,7 @@ func (q *FCFS) stepOne(dt float64, done DoneFunc) {
 		done(t)
 		q.inService[0] = nil
 		q.inService = q.inService[:0]
-		if t = q.waiting.pop(); t == nil {
+		if t = q.waiting.Pop(); t == nil {
 			return
 		}
 		q.inService = append(q.inService, t)
@@ -259,7 +259,7 @@ func (q *FCFS) Solo(demand float64) Solo {
 // the demands Step would zero. A queue with a notify hook is refused:
 // Enqueue would fire it.
 func (q *FCFS) ServeSolos(ss []Solo, dt float64) bool {
-	if q.servers != 1 || q.notify != nil || len(q.inService) > 0 || q.waiting.len() > 0 {
+	if q.servers != 1 || q.notify != nil || len(q.inService) > 0 || q.waiting.Len() > 0 {
 		return false
 	}
 	busy, remaining := q.busy, dt

@@ -17,7 +17,7 @@ type PS struct {
 	k       int     // max simultaneous connections
 	latency float64 // seconds added ahead of each task's transfer
 
-	waiting   fifo
+	waiting   TaskList
 	inService []*Task
 	offs      []float64 // Step scratch: per-slot expiry offsets
 
@@ -91,8 +91,8 @@ func (q *PS) Latency() float64 { return q.latency }
 func (q *PS) Enqueue(t *Task) {
 	q.arrivals++
 	t.Delay = q.latency
-	q.waiting.push(t)
-	if q.notify != nil && len(q.inService)+q.waiting.len() <= q.k {
+	q.waiting.Push(t)
+	if q.notify != nil && len(q.inService)+q.waiting.Len() <= q.k {
 		h := t.Delay
 		if !(h > eps) {
 			h = t.Demand / q.rate
@@ -102,13 +102,13 @@ func (q *PS) Enqueue(t *Task) {
 }
 
 // Waiting reports tasks awaiting a connection slot.
-func (q *PS) Waiting() int { return q.waiting.len() }
+func (q *PS) Waiting() int { return q.waiting.Len() }
 
 // InService reports tasks holding a connection slot.
 func (q *PS) InService() int { return len(q.inService) }
 
 // Idle reports whether the queue holds no work.
-func (q *PS) Idle() bool { return len(q.inService) == 0 && q.waiting.len() == 0 }
+func (q *PS) Idle() bool { return len(q.inService) == 0 && q.waiting.Len() == 0 }
 
 // Arrivals returns the total number of tasks ever enqueued.
 func (q *PS) Arrivals() uint64 { return q.arrivals }
@@ -126,7 +126,7 @@ func (q *PS) TakeBusy() float64 {
 
 func (q *PS) fill() {
 	for len(q.inService) < q.k {
-		t := q.waiting.pop()
+		t := q.waiting.Pop()
 		if t == nil {
 			return
 		}

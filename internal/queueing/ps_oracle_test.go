@@ -9,7 +9,7 @@ import (
 // their next event in one pass, kept verbatim (type renamed; CanBulk, which
 // production no longer has, and the accessors nothing calls dropped) as the
 // oracle of TestPSMatchesReference and FuzzPSMatchesReference. It shares
-// Task, the fifo, eps and the bulk chains with production.
+// Task, the task list, eps and the bulk chains with production.
 
 // refPS is a processor-sharing queue with a connection limit k and a constant
 // per-task latency, modeling network links (M/M/1/k-PS, Fig. 3-6 right).
@@ -23,7 +23,7 @@ type refPS struct {
 	k       int     // max simultaneous connections
 	latency float64 // seconds added ahead of each task's transfer
 
-	waiting   fifo
+	waiting   TaskList
 	inService []*Task
 	offs      []float64 // Step scratch: per-slot expiry offsets
 
@@ -74,20 +74,20 @@ func (q *refPS) SetLatency(latency float64) {
 func (q *refPS) Enqueue(t *Task) {
 	q.arrivals++
 	t.Delay = q.latency
-	q.waiting.push(t)
+	q.waiting.Push(t)
 	if q.notify != nil {
 		q.notify()
 	}
 }
 
 // Waiting reports tasks awaiting a connection slot.
-func (q *refPS) Waiting() int { return q.waiting.len() }
+func (q *refPS) Waiting() int { return q.waiting.Len() }
 
 // InService reports tasks holding a connection slot.
 func (q *refPS) InService() int { return len(q.inService) }
 
 // Idle reports whether the queue holds no work.
-func (q *refPS) Idle() bool { return len(q.inService) == 0 && q.waiting.len() == 0 }
+func (q *refPS) Idle() bool { return len(q.inService) == 0 && q.waiting.Len() == 0 }
 
 // Arrivals returns the total number of tasks ever enqueued.
 func (q *refPS) Arrivals() uint64 { return q.arrivals }
@@ -105,7 +105,7 @@ func (q *refPS) TakeBusy() float64 {
 
 func (q *refPS) fill() {
 	for len(q.inService) < q.k {
-		t := q.waiting.pop()
+		t := q.waiting.Pop()
 		if t == nil {
 			return
 		}

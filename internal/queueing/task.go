@@ -9,6 +9,10 @@
 // by the step size. Demands are deterministic values carried by messages;
 // stochastic behaviour enters the simulator through arrivals and cache hits,
 // exactly as in the paper where messages convey fixed profiled R arrays.
+//
+// A queue's waiting line is a TaskList, which links the tasks themselves,
+// so a queue allocates nothing after construction however deep its line
+// gets; the agents that own the queues buffer their completions in one too.
 package queueing
 
 // Task is a unit of work flowing through a queue. Demand is expressed in the
@@ -20,6 +24,7 @@ type Task struct {
 	Demand  float64 // remaining demand in queue units
 	Delay   float64 // remaining fixed delay in seconds (link latency)
 	Payload any
+	next    *Task // the task behind this one in its TaskList
 }
 
 // DoneFunc is invoked by a queue when a task finishes service.
@@ -51,32 +56,43 @@ type Queue interface {
 	TakeBusy() float64
 }
 
-// fifo is a simple slice-backed FIFO with amortized O(1) operations.
-type fifo struct {
-	items []*Task
-	head  int
+// TaskList is an intrusive FIFO of tasks: each task carries the link to
+// the one behind it, so pushing and popping allocate nothing, whatever the
+// list's depth. A task sits in at most one list at a time — a queue's
+// waiting line or an agent's completion buffer — and Pop clears the link
+// before it hands the task back, so the caller may push the task onto
+// another list (or this one) at once. Pushing a task that is still in a
+// list corrupts both. A queue copied by value shares its list, and with it
+// the links of the tasks in it. The zero value is an empty list.
+type TaskList struct {
+	head, tail *Task
+	n          int
 }
 
-func (f *fifo) push(t *Task) { f.items = append(f.items, t) }
+// Push appends t at the tail.
+func (l *TaskList) Push(t *Task) {
+	if l.tail == nil {
+		l.head = t
+	} else {
+		l.tail.next = t
+	}
+	l.tail = t
+	l.n++
+}
 
-func (f *fifo) pop() *Task {
-	if f.head >= len(f.items) {
+// Pop removes and returns the head, or nil when the list is empty.
+func (l *TaskList) Pop() *Task {
+	t := l.head
+	if t == nil {
 		return nil
 	}
-	t := f.items[f.head]
-	f.items[f.head] = nil
-	f.head++
-	// An emptied queue rewinds in place, so a lightly loaded queue never
-	// grows; otherwise reclaim space once the consumed prefix dominates.
-	if f.head == len(f.items) {
-		f.items = f.items[:0]
-		f.head = 0
-	} else if f.head > 64 && f.head*2 >= len(f.items) {
-		n := copy(f.items, f.items[f.head:])
-		f.items = f.items[:n]
-		f.head = 0
+	l.head, t.next = t.next, nil
+	if l.head == nil {
+		l.tail = nil
 	}
+	l.n--
 	return t
 }
 
-func (f *fifo) len() int { return len(f.items) - f.head }
+// Len reports the number of tasks in the list.
+func (l *TaskList) Len() int { return l.n }
