@@ -17,7 +17,7 @@ type hzQueue interface {
 	Idle() bool
 	Horizon() float64
 	BulkStep(n int, dt float64)
-	SetNotify(func(float64))
+	SetNotify(queueing.Notifier)
 	Rate() float64
 }
 
@@ -42,7 +42,7 @@ func newHzAgent(s *Simulation, name string, rate float64) *hzAgent {
 
 func newHzAgentOn(s *Simulation, name string, q hzQueue) *hzAgent {
 	a := &hzAgent{q: q}
-	a.q.SetNotify(a.Arrive)
+	a.q.SetNotify(&a.AgentBase)
 	a.InitAgent(s.NextAgentID(), name)
 	s.AddAgent(a)
 	return a

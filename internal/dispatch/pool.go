@@ -45,13 +45,17 @@ type pool struct {
 func newPool(workers int) *pool {
 	p := &pool{queue: make(chan int, 1024)}
 	for range workers {
-		go func() {
-			for i := range p.queue {
-				p.item(i)
-			}
-		}()
+		go p.work()
 	}
 	return p
+}
+
+// work is one worker: it runs the items it pulls from the queue until
+// shutdown closes it.
+func (p *pool) work() {
+	for i := range p.queue {
+		p.item(i)
+	}
 }
 
 // item runs one work item. A panic must not die on a worker goroutine,

@@ -1,9 +1,12 @@
 package dispatch
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -193,21 +196,67 @@ func TestEnginesUseAfterShutdown(t *testing.T) {
 	}
 }
 
-// TestShutdownStopsWorkers: every engine's workers exit on Shutdown, so an
-// engine dropped after Shutdown leaves no goroutine behind.
+// TestShutdownStopsWorkers: every engine's workers start, and exit on
+// Shutdown, so an engine dropped after Shutdown leaves no goroutine behind.
+// It counts only the workers it started — goroutines in the pool's worker
+// function that carry this test's profiler label, which they inherit from
+// the goroutine that made the engines — so workers of other tests' engines
+// that are still winding down, and any other goroutine of the process,
+// cannot move the count.
 func TestShutdownStopsWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
-	engines := []core.Engine{NewScatterGather(3), NewHDispatch(3, 0), NewSharded(3)}
-	if got := runtime.NumGoroutine(); got < before+9 {
-		t.Fatalf("%d goroutines with three 3-worker engines, %d before", got, before)
-	}
+	const label = "TestShutdownStopsWorkers"
+	var engines []core.Engine
+	pprof.Do(context.Background(), pprof.Labels("test", label), func(context.Context) {
+		engines = []core.Engine{NewScatterGather(3), NewHDispatch(3, 0), NewSharded(3)}
+	})
+	awaitWorkers(t, label, 9, "with three 3-worker engines")
 	for _, e := range engines {
 		e.Shutdown()
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Shutdown, %d before the engines", runtime.NumGoroutine(), before)
+	awaitWorkers(t, label, 0, "after Shutdown")
+}
+
+// awaitWorkers waits up to 5 s for exactly want labelled workers to be in
+// the pool's worker function. A goroutine that has not run yet shows no
+// frame in the profile, so the count of a fresh pool rises to its size.
+func awaitWorkers(t *testing.T, label string, want int, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		got := poolWorkers(t, label)
+		if got == want {
+			return
 		}
-		time.Sleep(time.Millisecond)
+		if got > want && want > 0 || time.Now().After(deadline) {
+			t.Fatalf("%d workers running %s, want %d", got, when, want)
+		}
 	}
+}
+
+// poolWorkers returns how many goroutines carrying the profiler label
+// test=label are in the pool's worker function, read from the goroutine
+// profile: one record per distinct stack and label set, each opening with
+// its goroutine count.
+func poolWorkers(t *testing.T, label string) int {
+	t.Helper()
+	var b bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, rec := range strings.Split(b.String(), "\n\n") {
+		if !strings.Contains(rec, `"test":"`+label+`"`) || !strings.Contains(rec, "dispatch.(*pool).work") {
+			continue
+		}
+		for _, line := range strings.Split(rec, "\n") {
+			if count, _, ok := strings.Cut(line, " @ "); ok {
+				c, err := strconv.Atoi(count)
+				if err != nil {
+					t.Fatalf("goroutine profile record %q: %v", line, err)
+				}
+				n += c
+				break
+			}
+		}
+	}
+	return n
 }

@@ -15,6 +15,15 @@
 //
 // Demand units: CPU demands are cycles; network demands are bytes (rates
 // derived from Gbps/Mbps specs divided by 8); storage demands are bytes.
+//
+// Each component is one allocation: its queues (queueing.FCFS and PS, set
+// up in place by Init) and its RNG state (a rand.PCG value) live inside the
+// agent, and its arrival hook is the agent's own core.AgentBase. What a
+// component repeats — a CPU's sockets, a store's stages, a disk array's
+// drive lanes — is a slab made once at exact length, never appended to and
+// walked by index: a queue that has been set up must not be copied. A NIC
+// can also be set up and registered in place (NIC.Init), so a client pool
+// keeps its NICs in one slab of its own.
 package hardware
 
 import (
@@ -61,7 +70,7 @@ func (s CPUSpec) TotalCores() int { return s.Sockets * s.Cores }
 type CPU struct {
 	core.AgentBase
 	spec    CPUSpec
-	sockets []*queueing.FCFS
+	sockets []queueing.FCFS // made once at p; walked by index
 	rr      int
 
 	derate  float64 // fault brown-out factor in (0, 1]; 1 = healthy
@@ -76,12 +85,12 @@ func NewCPU(sim *core.Simulation, name string, spec CPUSpec) *CPU {
 	if spec.HTFactor <= 0 {
 		spec.HTFactor = 1
 	}
-	c := &CPU{spec: spec, derate: 1}
+	c := &CPU{spec: spec, sockets: make([]queueing.FCFS, spec.Sockets), derate: 1}
 	rate := spec.GHz * 1e9 * spec.HTFactor // cycles per second per core
-	for i := 0; i < spec.Sockets; i++ {
-		q := queueing.NewFCFS(spec.Cores, rate)
-		q.SetNotify(c.Arrive) // sockets only receive external enqueues
-		c.sockets = append(c.sockets, q)
+	for i := range c.sockets {
+		q := &c.sockets[i]
+		q.Init(spec.Cores, rate)
+		q.SetNotify(&c.AgentBase) // sockets only receive external enqueues
 	}
 	c.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(c)
@@ -134,8 +143,8 @@ func (c *CPU) setFactors(derate, reserve float64) {
 	c.Sync()
 	c.derate, c.reserve = derate, reserve
 	rate := c.spec.GHz * 1e9 * c.spec.HTFactor * c.derate * (1 - c.reserve)
-	for _, s := range c.sockets {
-		s.SetRate(rate)
+	for i := range c.sockets {
+		c.sockets[i].SetRate(rate)
 	}
 	c.MarkDirty()
 }
@@ -151,23 +160,23 @@ func (c *CPU) Enqueue(t *queueing.Task) {
 
 // Step advances every socket queue.
 func (c *CPU) Step(dt float64) {
-	for _, s := range c.sockets {
-		s.Step(dt, c.BufferDone)
+	for i := range c.sockets {
+		c.sockets[i].Step(dt, c.BufferDone)
 	}
 }
 
 // StepN advances every socket through n quiet ticks in bulk; no socket may
 // complete work in them (core.BulkStepper).
 func (c *CPU) StepN(n int, dt float64) {
-	for _, s := range c.sockets {
-		s.BulkStep(n, dt)
+	for i := range c.sockets {
+		c.sockets[i].BulkStep(n, dt)
 	}
 }
 
 // Idle reports whether all sockets are empty.
 func (c *CPU) Idle() bool {
-	for _, s := range c.sockets {
-		if !s.Idle() {
+	for i := range c.sockets {
+		if !c.sockets[i].Idle() {
 			return false
 		}
 	}
@@ -177,8 +186,8 @@ func (c *CPU) Idle() bool {
 // Horizon returns the time until the earliest completion on any socket.
 func (c *CPU) Horizon() float64 {
 	h := math.Inf(1)
-	for _, s := range c.sockets {
-		if sh := s.Horizon(); sh < h {
+	for i := range c.sockets {
+		if sh := c.sockets[i].Horizon(); sh < h {
 			h = sh
 		}
 	}
@@ -189,8 +198,8 @@ func (c *CPU) Horizon() float64 {
 // the last call. Dividing by TotalCores x window yields CPU utilization.
 func (c *CPU) TakeBusy() float64 {
 	b := 0.0
-	for _, s := range c.sockets {
-		b += s.TakeBusy()
+	for i := range c.sockets {
+		b += c.sockets[i].TakeBusy()
 	}
 	return b
 }
@@ -199,7 +208,8 @@ func (c *CPU) TakeBusy() float64 {
 // used by least-loaded balancing.
 func (c *CPU) QueueDepth() int {
 	n := 0
-	for _, s := range c.sockets {
+	for i := range c.sockets {
+		s := &c.sockets[i]
 		n += s.Waiting() + s.InService()
 	}
 	return n

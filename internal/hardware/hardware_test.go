@@ -424,7 +424,7 @@ func TestStoreCertainHitRateTakesNoDraw(t *testing.T) {
 		}
 		id := c.a.ID()
 		fresh := rand.NewPCG(subSeed(sim, id, c.tag), subSeed(sim, id, c.tag+1))
-		if moved := *c.s.rng != *fresh; moved != c.draws {
+		if moved := c.s.rng != *fresh; moved != c.draws {
 			t.Errorf("%s: RNG moved = %v, want %v", c.a.Name(), moved, c.draws)
 		}
 	}
@@ -457,7 +457,7 @@ func TestStorageSpecValidation(t *testing.T) {
 		build()
 	}
 	// Each row breaks one field of a valid spec. The lane layout is derived
-	// from Disk.HitRate, so a NaN there must never reach newDiskArray.
+	// from Disk.HitRate, so a NaN there must never reach diskArray.init.
 	for name, breakIt := range map[string]func(*DiskSpec){
 		"zero drive rate":        func(d *DiskSpec) { d.MBps = 0 },
 		"NaN drive rate":         func(d *DiskSpec) { d.MBps = nan },
@@ -679,15 +679,15 @@ func requireQuiet(t testing.TB, a core.Agent, n int, dt float64) {
 	var qs []interface{ Horizon() float64 }
 	switch v := a.(type) {
 	case *CPU:
-		for _, s := range v.sockets {
-			qs = append(qs, s)
+		for i := range v.sockets {
+			qs = append(qs, &v.sockets[i])
 		}
 	case *NIC:
-		qs = append(qs, v.q)
+		qs = append(qs, &v.q)
 	case *Switch:
-		qs = append(qs, v.q)
+		qs = append(qs, &v.q)
 	case *Link:
-		qs = append(qs, v.q)
+		qs = append(qs, &v.q)
 	case *RAID:
 		qs = storeQueues(&v.store)
 	case *SAN:
@@ -714,12 +714,12 @@ func requireQuiet(t testing.TB, a core.Agent, n int, dt float64) {
 // controller caches and the drive lanes.
 func storeQueues(s *store) []interface{ Horizon() float64 } {
 	var qs []interface{ Horizon() float64 }
-	for _, q := range s.stages {
-		qs = append(qs, q)
+	for i := range s.stages {
+		qs = append(qs, &s.stages[i])
 	}
-	qs = append(qs, s.array.dcc)
-	for _, hdd := range s.array.lanes {
-		qs = append(qs, hdd)
+	qs = append(qs, &s.array.dcc)
+	for i := range s.array.lanes {
+		qs = append(qs, &s.array.lanes[i])
 	}
 	return qs
 }

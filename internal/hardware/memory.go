@@ -19,7 +19,7 @@ type Memory struct {
 	used     float64 // bytes currently held
 	hitRate  float64 // probability a storage access hits the cache
 	hitThr   uint64  // hitThreshold(hitRate)
-	rng      *rand.PCG
+	rng      rand.PCG
 	peak     float64
 }
 
@@ -47,12 +47,9 @@ func NewMemory(capacity, hitRate float64, seed uint64) *Memory {
 	if !(capacity > 0 && hitRate >= 0 && hitRate <= 1 && finite(capacity)) {
 		panic(fmt.Sprintf("hardware: invalid Memory capacity=%v hitRate=%v", capacity, hitRate))
 	}
-	return &Memory{
-		capacity: capacity,
-		hitRate:  hitRate,
-		hitThr:   hitThreshold(hitRate),
-		rng:      rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2)),
-	}
+	m := &Memory{capacity: capacity, hitRate: hitRate, hitThr: hitThreshold(hitRate)}
+	m.rng.Seed(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2))
+	return m
 }
 
 // Capacity returns the memory size in bytes.
@@ -109,5 +106,5 @@ func (m *Memory) Hit() bool {
 	if m.hitRate >= 1 {
 		return true
 	}
-	return drawHit(m.rng, m.hitThr)
+	return drawHit(&m.rng, m.hitThr)
 }

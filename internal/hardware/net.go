@@ -11,20 +11,20 @@ import (
 // whose demands are bytes, served at the card or switch speed.
 type fcfsPort struct {
 	core.AgentBase
-	q    *queueing.FCFS
+	q    queueing.FCFS
 	rate float64
 }
 
-// init builds the queue at gbps and names the agent; the caller registers
-// the agent that embeds the port. kind names the device in the panic on a
-// speed that is not a positive finite number.
+// init sets the queue up in place at gbps and names the agent; the caller
+// registers the agent that embeds the port. kind names the device in the
+// panic on a speed that is not a positive finite number.
 func (p *fcfsPort) init(sim *core.Simulation, name, kind string, gbps float64) {
 	if !(gbps > 0 && finite(gbps)) {
 		panic(fmt.Sprintf("hardware: invalid %s speed %v Gbps", kind, gbps))
 	}
 	p.rate = gbps * 1e9 / 8 // bytes per second
-	p.q = queueing.NewFCFS(1, p.rate)
-	p.q.SetNotify(p.Arrive)
+	p.q.Init(1, p.rate)
+	p.q.SetNotify(&p.AgentBase)
 	p.InitAgent(sim.NextAgentID(), name)
 }
 
@@ -64,9 +64,17 @@ type NIC struct{ fcfsPort }
 // NewNIC creates and registers a NIC with speed in Gbps.
 func NewNIC(sim *core.Simulation, name string, gbps float64) *NIC {
 	n := new(NIC)
+	n.Init(sim, name, gbps)
+	return n
+}
+
+// Init sets up the zero NIC n in place, with speed in Gbps, and registers
+// it: what NewNIC does, for a NIC that lives in a slab of NICs made once
+// (the client slots of a data center) rather than in an allocation of its
+// own. n must not move or be copied afterwards.
+func (n *NIC) Init(sim *core.Simulation, name string, gbps float64) {
 	n.init(sim, name, "NIC", gbps)
 	sim.AddAgent(n)
-	return n
 }
 
 // Switch models a network switch as an M/M/1 FCFS queue (Fig. 3-6 center),
@@ -86,7 +94,7 @@ func NewSwitch(sim *core.Simulation, name string, gbps float64) *Switch {
 // the tasks being served; k bounds the simultaneous connections.
 type Link struct {
 	core.AgentBase
-	q        *queueing.PS
+	q        queueing.PS
 	rate     float64
 	capShare float64 // fraction of raw bandwidth allocated to this platform
 	failed   bool
@@ -129,13 +137,13 @@ func NewLink(sim *core.Simulation, name string, spec LinkSpec) *Link {
 	}
 	rate := spec.Gbps * 1e9 / 8 * share // usable bytes/second
 	l := &Link{
-		q:           queueing.NewPS(rate, spec.MaxConn, spec.LatencyMS/1000),
 		rate:        rate,
 		capShare:    share,
 		baseRate:    rate,
 		baseLatency: spec.LatencyMS / 1000,
 	}
-	l.q.SetNotify(l.Arrive)
+	l.q.Init(rate, spec.MaxConn, spec.LatencyMS/1000)
+	l.q.SetNotify(&l.AgentBase)
 	l.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(l)
 	return l

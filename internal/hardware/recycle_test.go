@@ -36,10 +36,10 @@ func TestStorageRequestSteadyStateAllocs(t *testing.T) {
 	for _, hit := range []float64{0, 1} {
 		s := core.NewSimulation(core.Config{Seed: 1})
 		r := NewRAID(s, "raid", RAIDSpec{Disks: 8, Disk: disk, CtrlGbps: 4, HitRate: hit})
-		check("RAID", hit, r, r.array)
+		check("RAID", hit, r, &r.array)
 		san := NewSAN(s, "san", SANSpec{Disks: 20, Disk: disk,
 			FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: hit})
-		check("SAN", hit, san, san.array)
+		check("SAN", hit, san, &san.array)
 	}
 }
 
@@ -81,7 +81,7 @@ func runOverlapping(t *testing.T, diskHit float64, fresh bool) []string {
 		Disk: DiskSpec{CtrlGbps: 4, MBps: 100, HitRate: diskHit},
 	})
 	forget := func() {
-		checkFreeLists(t, r.array)
+		checkFreeLists(t, &r.array)
 		if fresh {
 			r.array.forkFree, r.array.extFree = nil, nil
 		}
@@ -118,7 +118,7 @@ func runOverlapping(t *testing.T, diskHit float64, fresh bool) []string {
 		}
 	}
 	if !fresh {
-		checkIdleBalance(t, r.array, r.inflight)
+		checkIdleBalance(t, &r.array, r.inflight)
 		if len(r.array.forkFree) == 0 && diskHit < 1 {
 			t.Error("no fork slab ever returned to the free list")
 		}

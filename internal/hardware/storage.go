@@ -85,6 +85,10 @@ type forkSlab struct {
 // n stands for them. Otherwise there are n lanes of weight 1. The layout is
 // fixed by the spec at construction.
 //
+// The array lives inside its store, and holds its queues by value: dcc
+// itself, and the lanes as one slab made at construction at exact length,
+// walked by index.
+//
 // Request state is recycled through two free lists owned by the array (and
 // so by one agent): every slab on forkFree has pending == 0, i.e. each of
 // its stripes has left every disk queue, and every slab on extFree has left
@@ -94,8 +98,8 @@ type forkSlab struct {
 // flight; forkMade and extMade count the slabs ever allocated, so a test can
 // tell a balanced free list from a leaking one.
 type diskArray struct {
-	dcc      *queueing.FCFS   // the n controller caches, in lockstep
-	lanes    []*queueing.FCFS // drive queues, each standing for weight disks
+	dcc      queueing.FCFS   // the n controller caches, in lockstep
+	lanes    []queueing.FCFS // drive queues, each standing for weight disks
 	weight   int
 	disks    int
 	ctrlDone []*forkSlab     // this tick's controller completions, in order
@@ -106,30 +110,27 @@ type diskArray struct {
 
 	cacheHits // the disk caches' hits, at diskSpec.HitRate
 
-	buffer   func(*queueing.Task) // parent-agent completion buffer
+	owner    *store // completes each request whose stripes have all joined
 	forkFree []*forkSlab
 	extFree  []*extSlab
 	forkMade int
 	extMade  int
 }
 
-func newDiskArray(n int, spec DiskSpec, seed uint64, buffer func(*queueing.Task)) *diskArray {
-	a := &diskArray{
-		dcc:       queueing.NewFCFS(1, spec.CtrlGbps*1e9/8),
-		weight:    1,
-		disks:     n,
-		misses:    make([]*forkSlab, 0, 8),
-		diskSpec:  spec,
-		cacheHits: newCacheHits(spec.HitRate, rand.NewPCG(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2))),
-		buffer:    buffer,
-	}
+// init sets the zero array a up in place for n disks of the given spec,
+// drawing its disk-cache hits from seed, on behalf of owner.
+func (a *diskArray) init(n int, spec DiskSpec, seed uint64, owner *store) {
+	a.weight, a.disks, a.diskSpec, a.owner = 1, n, spec, owner
+	a.misses = make([]*forkSlab, 0, 8)
+	a.cacheHits.init(spec.HitRate, core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2))
+	a.dcc.Init(1, spec.CtrlGbps*1e9/8)
 	if !a.draw { // every drive sees the same stripes
 		a.weight = n
 	}
-	for i := 0; i < n/a.weight; i++ {
-		a.lanes = append(a.lanes, queueing.NewFCFS(1, spec.MBps*1e6))
+	a.lanes = make([]queueing.FCFS, n/a.weight)
+	for i := range a.lanes {
+		a.lanes[i].Init(1, spec.MBps*1e6)
 	}
-	return a
 }
 
 // admit wraps an external request into an ingress slab whose task the
@@ -197,14 +198,15 @@ func (a *diskArray) step(dt float64) {
 		a.dcc.Step(dt, a.onDiskCtrlDone)
 	}
 	if len(a.ctrlDone) == 0 {
-		for _, hdd := range a.lanes {
-			if !hdd.Idle() {
+		for i := range a.lanes {
+			if hdd := &a.lanes[i]; !hdd.Idle() {
 				hdd.Step(dt, a.onDriveDone)
 			}
 		}
 		return
 	}
-	for i, hdd := range a.lanes {
+	for i := range a.lanes {
+		hdd := &a.lanes[i]
 		misses, solos := a.misses[:0], a.solos[:0]
 		for _, fj := range a.ctrlDone {
 			if a.hit() {
@@ -246,19 +248,21 @@ func (a *diskArray) onDiskCtrlDone(t *queueing.Task) {
 // construction, and takes no draw: the RNG feeds nothing else, so its
 // position is unobservable.
 type cacheHits struct {
-	rng    *rand.PCG
+	rng    rand.PCG
 	hitThr uint64 // hitThreshold(p)
 	draw   bool   // the outcome is uncertain: each access draws
 	hitAll bool   // when it is certain, whether every access hits
 }
 
-func newCacheHits(p float64, rng *rand.PCG) cacheHits {
-	return cacheHits{rng: rng, hitThr: hitThreshold(p), draw: p != 0 && p != 1, hitAll: p == 1}
+// init sets c up in place for hit rate p, its RNG seeded with (seed1, seed2).
+func (c *cacheHits) init(p float64, seed1, seed2 uint64) {
+	*c = cacheHits{hitThr: hitThreshold(p), draw: p != 0 && p != 1, hitAll: p == 1}
+	c.rng.Seed(seed1, seed2)
 }
 
 func (c *cacheHits) hit() bool {
 	if c.draw {
-		return drawHit(c.rng, c.hitThr)
+		return drawHit(&c.rng, c.hitThr)
 	}
 	return c.hitAll
 }
@@ -272,7 +276,7 @@ func (a *diskArray) onDriveDone(t *queueing.Task) {
 func (a *diskArray) join(fj *forkSlab) {
 	fj.pending -= a.weight
 	if fj.pending == 0 {
-		a.buffer(fj.parent)
+		a.owner.complete(fj.parent)
 		fj.parent = nil
 		a.forkFree = append(a.forkFree, fj)
 	}
@@ -282,8 +286,8 @@ func (a *diskArray) join(fj *forkSlab) {
 // BulkStep on an idle queue returns immediately, so no elision is needed.
 func (a *diskArray) bulkStep(n int, dt float64) {
 	a.dcc.BulkStep(n, dt)
-	for _, hdd := range a.lanes {
-		hdd.BulkStep(n, dt)
+	for i := range a.lanes {
+		a.lanes[i].BulkStep(n, dt)
 	}
 }
 
@@ -297,8 +301,8 @@ func (a *diskArray) horizon() float64 {
 	if !a.dcc.Idle() {
 		h = a.dcc.Horizon()
 	}
-	for _, hdd := range a.lanes {
-		if !hdd.Idle() {
+	for i := range a.lanes {
+		if hdd := &a.lanes[i]; !hdd.Idle() {
 			if q := hdd.Horizon(); q < h {
 				h = q
 			}
@@ -314,8 +318,8 @@ func (a *diskArray) horizon() float64 {
 // spec rate.
 func (a *diskArray) derate(factor float64) {
 	rate := a.diskSpec.MBps * 1e6 * factor
-	for _, hdd := range a.lanes {
-		hdd.SetRate(rate)
+	for i := range a.lanes {
+		a.lanes[i].SetRate(rate)
 	}
 }
 
@@ -326,9 +330,9 @@ func (a *diskArray) derate(factor float64) {
 func (a *diskArray) takeDriveBusy() float64 {
 	a.dcc.TakeBusy()
 	b := 0.0
-	for _, hdd := range a.lanes {
-		v := hdd.TakeBusy()
-		for i := 0; i < a.weight; i++ {
+	for i := range a.lanes {
+		v := a.lanes[i].TakeBusy()
+		for range a.weight {
 			b += v
 		}
 	}
@@ -342,19 +346,21 @@ func (a *diskArray) takeDriveBusy() float64 {
 // on an array-cache hit, drawn from the store's own RNG unless the hit rate
 // makes it certain, and after the last stage it forks across the disks. A
 // RAID is the one-stage pipeline (dacc); a SAN wraps dacc in its
-// fibre-channel switch and arbitrated loop (fcsw, dacc, fcal).
+// fibre-channel switch and arbitrated loop (fcsw, dacc, fcal). The stages
+// are one slab made at exact length and walked by index, and the disk array
+// lives inside the store.
 type store struct {
 	core.AgentBase
-	stages    []*queueing.FCFS    // RAID: dacc. SAN: fcsw, dacc, fcal
-	done      []queueing.DoneFunc // what leaving each stage does, bound once
-	cache     int                 // index of dacc, where the array-cache hit is decided
-	cacheHits                     // the array cache's hits
-	array     *diskArray
+	stages    []queueing.FCFS // RAID: dacc. SAN: fcsw, dacc, fcal
+	cache     int             // index of dacc, where the array-cache hit is decided
+	cacheHits                 // the array cache's hits
+	array     diskArray
 	inflight  int // external requests admitted and not yet completed
 }
 
-// init builds the stages at the given speeds (Gbps) and the disk array and
-// names the agent; the caller registers the agent that embeds the store.
+// init sets up the stages at the given speeds (Gbps) and the disk array in
+// place and names the agent; the caller registers the agent that embeds the
+// store.
 // Only stage 0, the ingress, reports arrivals to the calendar (Arrive): the
 // later stages and the disk queues are fed by internal handoffs inside the
 // parallel Step phase and must not carry the hook.
@@ -362,14 +368,13 @@ func (s *store) init(sim *core.Simulation, name string, disks int, disk DiskSpec
 	tag, arrayTag uint64, cache int, gbps ...float64) {
 	id := sim.NextAgentID()
 	s.cache = cache
-	s.cacheHits = newCacheHits(hitRate, rand.NewPCG(subSeed(sim, id, tag), subSeed(sim, id, tag+1)))
-	s.stages, s.done = make([]*queueing.FCFS, len(gbps)), make([]queueing.DoneFunc, len(gbps))
+	s.cacheHits.init(hitRate, subSeed(sim, id, tag), subSeed(sim, id, tag+1))
+	s.stages = make([]queueing.FCFS, len(gbps))
 	for i, g := range gbps {
-		s.stages[i] = queueing.NewFCFS(1, g*1e9/8)
-		s.done[i] = func(t *queueing.Task) { s.leave(i, t) }
+		s.stages[i].Init(1, g*1e9/8)
 	}
-	s.stages[0].SetNotify(s.Arrive)
-	s.array = newDiskArray(disks, disk, subSeed(sim, id, arrayTag), s.complete)
+	s.stages[0].SetNotify(&s.AgentBase)
+	s.array.init(disks, disk, subSeed(sim, id, arrayTag), s)
 	s.InitAgent(id, name)
 }
 
@@ -413,9 +418,9 @@ func (s *store) Step(dt float64) {
 	if s.inflight == 0 {
 		return
 	}
-	for i, q := range s.stages {
-		if !q.Idle() {
-			q.Step(dt, s.done[i])
+	for i := range s.stages {
+		if q := &s.stages[i]; !q.Idle() {
+			q.Step(dt, func(t *queueing.Task) { s.leave(i, t) })
 		}
 	}
 	s.array.step(dt)
@@ -428,8 +433,8 @@ func (s *store) StepN(n int, dt float64) {
 	if s.inflight == 0 {
 		return
 	}
-	for _, q := range s.stages {
-		q.BulkStep(n, dt)
+	for i := range s.stages {
+		s.stages[i].BulkStep(n, dt)
 	}
 	s.array.bulkStep(n, dt)
 }
@@ -444,8 +449,8 @@ func (s *store) Horizon() float64 {
 		return math.Inf(1)
 	}
 	h := s.array.horizon()
-	for _, q := range s.stages {
-		if !q.Idle() {
+	for i := range s.stages {
+		if q := &s.stages[i]; !q.Idle() {
 			h = math.Min(q.Horizon(), h)
 		}
 	}
@@ -455,8 +460,8 @@ func (s *store) Horizon() float64 {
 // TakeBusy returns drive busy seconds summed across disks since the last
 // call (the mechanical bottleneck of the array) and drains the stages'.
 func (s *store) TakeBusy() float64 {
-	for _, q := range s.stages {
-		q.TakeBusy()
+	for i := range s.stages {
+		s.stages[i].TakeBusy()
 	}
 	return s.array.takeDriveBusy()
 }
@@ -487,8 +492,8 @@ func (s *store) Derate(factor float64) {
 // queues it passes.
 func (s *store) IsolatedCost(demand, step float64) float64 {
 	total := 0.0
-	for _, q := range s.stages {
-		total += demand / q.Rate()
+	for i := range s.stages {
+		total += demand / s.stages[i].Rate()
 	}
 	d := s.array.diskSpec
 	stripe := demand / float64(s.array.disks)

@@ -47,11 +47,11 @@ func (c storeCase) build() (storeAgent, *diskArray, storeAgent) {
 	if c.san {
 		spec := SANSpec{Disks: c.disks, Disk: disk, FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: c.arrayHit}
 		s := NewSAN(prod, "store", spec)
-		return s, s.array, newOracleSAN(ref, "store", spec)
+		return s, &s.array, newOracleSAN(ref, "store", spec)
 	}
 	spec := RAIDSpec{Disks: c.disks, Disk: disk, CtrlGbps: 4, HitRate: c.arrayHit}
 	r := NewRAID(prod, "store", spec)
-	return r, r.array, newOracleRAID(ref, "store", spec)
+	return r, &r.array, newOracleRAID(ref, "store", spec)
 }
 
 // arrival is one request of a schedule: gap ticks after the previous one.

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -57,17 +56,66 @@ func (c *Collector) Register(p Probe) {
 }
 
 // Reserve makes room for n more snapshots in the time axis and in every
-// registered series, so that many snapshots allocate nothing. It grows as
-// append does, so a caller reserving a few snapshots at a time still pays
-// only amortised growth.
+// registered series, so that many snapshots allocate nothing. A slice short
+// of room moves to the capacity append would give it, so a caller reserving
+// a few snapshots at a time still pays only amortised growth. The series
+// that move in one call move into one block, each V capped at its own
+// capacity there, so an append to a V from outside reallocates instead of
+// running into the next series: a call costs the axis and that block, two
+// allocations however many probes are registered. The axis stays a block of
+// its own, so a series that did not move pins no copy of it.
 func (c *Collector) Reserve(n int) {
-	c.t = slices.Grow(c.t, n)
+	short := func(s []float64) bool { return cap(s)-len(s) < n }
+	if short(c.t) {
+		t := make([]float64, grownCap(len(c.t)+n, cap(c.t)))
+		c.t = carve(&t, c.t, n)
+	}
+	total := 0
+	for _, s := range c.out {
+		if short(s.V) {
+			total += grownCap(len(s.V)+n, cap(s.V))
+		}
+	}
+	var block []float64
+	if total > 0 {
+		block = make([]float64, total)
+	}
 	for i, s := range c.out {
-		s.V = slices.Grow(s.V, n)
+		if short(s.V) {
+			s.V = carve(&block, s.V, n)
+		}
 		if len(s.T) > 0 {
 			s.T = c.view(i)
 		}
 	}
+}
+
+// carve copies s to the front of *block, at the capacity grownCap gives it
+// for n more elements and capped there, and cuts that much off the block.
+func carve(block *[]float64, s []float64, n int) []float64 {
+	m := grownCap(len(s)+n, cap(s))
+	v := (*block)[:len(s):m]
+	copy(v, s)
+	*block = (*block)[m:]
+	return v
+}
+
+// grownCap returns the capacity append grows a slice of capacity old to when
+// it must hold need elements: need itself beyond twice old, otherwise twice
+// old while old is small and about 1.25 times it past 256 elements.
+func grownCap(need, old int) int {
+	const threshold = 256
+	if need > 2*old {
+		return need
+	}
+	if old < threshold {
+		return 2 * old
+	}
+	c := old
+	for c < need {
+		c += (c + 3*threshold) >> 2
+	}
+	return c
 }
 
 // view returns series i's window onto the time axis, capped so that an

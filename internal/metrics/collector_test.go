@@ -129,3 +129,45 @@ func BenchmarkCollectorSnapshot(b *testing.B) {
 		c.Snapshot(float64(i%day+1) * 60)
 	}
 }
+
+// TestReserveOneBlock: one Reserve that has to move the time axis and every
+// series allocates the axis and one block for all the series, however many
+// probes there are; each series keeps its samples and gets room for the
+// snapshots asked for, capped at its own capacity, so an append to one V
+// from outside reallocates it instead of writing into the next series.
+func TestReserveOneBlock(t *testing.T) {
+	for _, k := range []int{1, 16, 256} {
+		c := NewCollector()
+		for i := range k {
+			c.Register(constProbe(fmt.Sprint("p", i), float64(i)))
+		}
+		c.Snapshot(1)
+		n := 1
+		// Each run asks for twice the room of the last, so every call moves
+		// every series.
+		if got := testing.AllocsPerRun(8, func() {
+			n *= 2
+			c.Reserve(n)
+		}); got != 2 {
+			t.Errorf("Reserve over %d probes: %v allocs, want 2", k, got)
+		}
+		for i := range k {
+			s := c.MustSeries(fmt.Sprint("p", i))
+			if len(s.V) != 1 || s.V[0] != float64(i) || cap(s.V)-len(s.V) < n {
+				t.Fatalf("%d probes: series %d holds %v with room for %d, want [%d] with room for %d",
+					k, i, s.V, cap(s.V)-len(s.V), i, n)
+			}
+		}
+		if k == 1 {
+			continue
+		}
+		// Filling one series' whole capacity leaves the next one's samples.
+		first, second := c.MustSeries("p0"), c.MustSeries("p1")
+		for i, all := 0, first.V[:cap(first.V)]; i < len(all); i++ {
+			all[i] = -1
+		}
+		if second.V[0] != 1 {
+			t.Fatalf("%d probes: one series' capacity runs into the next", k)
+		}
+	}
+}

@@ -15,7 +15,7 @@ type arrivalQueue interface {
 	Idle() bool
 	InService() int
 	Waiting() int
-	SetNotify(func(h float64))
+	SetNotify(Notifier)
 }
 
 // slots returns how many tasks q serves at once: its servers, or its
@@ -138,7 +138,7 @@ func TestArrivalHorizonBound(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			q := c.queue()
 			var a arrivalHook
-			q.SetNotify(a.notify)
+			q.SetNotify(NotifyFunc(a.notify))
 			for i, d := range c.loaded {
 				q.Enqueue(&Task{ID: uint64(100 + i), Demand: d})
 			}

@@ -20,41 +20,62 @@ type FCFS struct {
 
 	waiting   TaskList
 	inService []*Task
+	solo      [1]*Task // inService's backing array on a single server
 
 	busy     float64 // accumulated server-seconds of busy time
 	arrivals uint64
 	departs  uint64
 
-	notify func(h float64) // arrival hook (see SetNotify)
+	notify Notifier // arrival hook (see SetNotify)
 }
 
-// SetNotify installs a hook invoked on every Enqueue whose task will hold a
-// server at the next fill — the only arrivals that can move the queue's next
-// event earlier — with the arriving task's own first event, its service
-// time Demand/rate. An arrival changes no other task's completion, so the
-// queue's next event after the enqueue is exactly min(Horizon() before, h).
-// A task that has to wait behind busy servers fires nothing: its first event
-// lies beyond the queue's horizon, and a queue that already holds work
-// belongs to an agent that is active and keyed. Owning agents forward the
-// hook to their event calendar (core.AgentBase.Arrive), which lowers the
-// agent's key to h without a Horizon call. The hook runs synchronously
-// inside Enqueue: it must only be set on queues that receive work from
-// sequential simulation phases (ingress queues), never on queues fed by
-// internal handoffs inside the parallel Step phase — those transitions occur
-// only at scheduled event ticks, where the loop rekeys the agent right after
-// it acts.
-func (q *FCFS) SetNotify(fn func(h float64)) { q.notify = fn }
+// SetNotify installs the arrival hook: n.Arrive is invoked on every Enqueue
+// whose task will hold a server at the next fill — the only arrivals that
+// can move the queue's next event earlier — with the arriving task's own
+// first event, its service time Demand/rate. An arrival changes no other
+// task's completion, so the queue's next event after the enqueue is exactly
+// min(Horizon() before, h). A task that has to wait behind busy servers
+// fires nothing: its first event lies beyond the queue's horizon, and a
+// queue that already holds work belongs to an agent that is active and
+// keyed. Owning agents forward the hook to their event calendar — the
+// agent's *core.AgentBase is the Notifier, and its Arrive lowers the agent's
+// key to h without a Horizon call. The hook runs synchronously inside
+// Enqueue: it must only be set on queues that receive work from sequential
+// simulation phases (ingress queues), never on queues fed by internal
+// handoffs inside the parallel Step phase — those transitions occur only at
+// scheduled event ticks, where the loop rekeys the agent right after it
+// acts.
+func (q *FCFS) SetNotify(n Notifier) { q.notify = n }
 
 // NewFCFS returns an FCFS queue with the given number of servers and
-// per-server service rate (units per second). It panics unless servers is
-// positive and rate positive and finite — a NaN rate would leave every task
-// in service forever — since a queue that can never serve work is a
-// configuration error.
+// per-server service rate (units per second); see Init.
 func NewFCFS(servers int, rate float64) *FCFS {
+	q := new(FCFS)
+	q.Init(servers, rate)
+	return q
+}
+
+// Init sets q up in place as an empty queue with the given number of
+// servers and per-server service rate (units per second), so a queue can
+// live inside the agent that owns it, or in a slab of queues, rather than
+// behind a pointer of its own. A single-server queue keeps its one
+// in-service task inside itself and allocates nothing; c servers take one
+// slice of c. It panics unless servers is positive and rate positive and
+// finite — a NaN rate would leave every task in service forever — since a
+// queue that can never serve work is a configuration error. After Init the
+// queue must stay where it is: a copy shares its in-service array and the
+// links of its tasks, so code holding queues by value takes their address
+// (range by index) instead of copying them.
+func (q *FCFS) Init(servers int, rate float64) {
 	if !(servers > 0 && rate > 0 && !math.IsInf(rate, 1)) {
 		panic(fmt.Sprintf("queueing: invalid FCFS servers=%d rate=%v", servers, rate))
 	}
-	return &FCFS{rate: rate, servers: servers, inService: make([]*Task, 0, servers)}
+	*q = FCFS{rate: rate, servers: servers}
+	if servers == 1 {
+		q.inService = q.solo[:0]
+	} else {
+		q.inService = make([]*Task, 0, servers)
+	}
 }
 
 // Rate returns the per-server service rate.
@@ -83,7 +104,7 @@ func (q *FCFS) Enqueue(t *Task) {
 	q.arrivals++
 	q.waiting.Push(t)
 	if q.notify != nil && len(q.inService)+q.waiting.Len() <= q.servers {
-		q.notify(t.Demand / q.rate)
+		q.notify.Arrive(t.Demand / q.rate)
 	}
 }
 

@@ -69,7 +69,7 @@ type oneSide struct {
 
 func newOneSide(tb testing.TB, rate float64, step func(q *FCFS, dt float64, done DoneFunc)) *oneSide {
 	s := &oneSide{tb: tb, q: NewFCFS(1, rate), step: step, requeued: map[uint64]bool{}}
-	s.q.SetNotify(s.arrivals.notify)
+	s.q.SetNotify(NotifyFunc(s.arrivals.notify))
 	// The callback records what it sees and, once per task whose ID is a
 	// multiple of three, puts the task back into the same queue with a new
 	// demand (zero for every fifth ID) — a done that enqueues into the queue

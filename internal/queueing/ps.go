@@ -25,32 +25,44 @@ type PS struct {
 	arrivals uint64
 	departs  uint64
 
-	notify func(h float64) // arrival hook (see SetNotify)
+	notify Notifier // arrival hook (see SetNotify)
 }
 
-// SetNotify installs a hook invoked on every Enqueue whose task will hold a
-// connection slot at the next fill, with a lower bound h on the arriving
-// task's first event, under the contract of FCFS.SetNotify: sequential-phase
-// ingress queues only; the owning agent forwards it to its event calendar.
-// h is the task's latency (the expiry that changes the share) if that
-// exceeds eps, and otherwise Demand/rate — its transfer alone at the full
-// rate, a lower bound because the share is at most the rate. A task left
-// waiting for a slot fires nothing: it changes no share until it is
-// promoted, and the queue's agent is already active. An arrival can only
-// lower the share, which moves every other completion later, so the queue's
-// next event after the enqueue is never earlier than min(Horizon() before,
-// h); with latency, or on an idle queue, h is the expression Horizon
-// evaluates and the bound is exact.
-func (q *PS) SetNotify(fn func(h float64)) { q.notify = fn }
+// SetNotify installs the arrival hook: n.Arrive is invoked on every Enqueue
+// whose task will hold a connection slot at the next fill, with a lower
+// bound h on the arriving task's first event, under the contract of
+// FCFS.SetNotify: sequential-phase ingress queues only; the owning agent
+// forwards it to its event calendar. h is the task's latency (the expiry
+// that changes the share) if that exceeds eps, and otherwise Demand/rate —
+// its transfer alone at the full rate, a lower bound because the share is at
+// most the rate. A task left waiting for a slot fires nothing: it changes no
+// share until it is promoted, and the queue's agent is already active. An
+// arrival can only lower the share, which moves every other completion
+// later, so the queue's next event after the enqueue is never earlier than
+// min(Horizon() before, h); with latency, or on an idle queue, h is the
+// expression Horizon evaluates and the bound is exact.
+func (q *PS) SetNotify(n Notifier) { q.notify = n }
 
 // NewPS returns a processor-sharing queue with aggregate rate (units/second),
-// connection limit k and constant latency in seconds. Panics unless rate is
-// positive and finite, k positive and latency non-negative and finite.
+// connection limit k and constant latency in seconds; see Init.
 func NewPS(rate float64, k int, latency float64) *PS {
+	q := new(PS)
+	q.Init(rate, k, latency)
+	return q
+}
+
+// Init sets q up in place as an empty processor-sharing queue with aggregate
+// rate (units/second), connection limit k and constant latency in seconds,
+// so the queue can live inside the agent that owns it. It allocates
+// nothing; the in-service slice grows with the connections actually held.
+// Panics unless rate is positive and finite, k positive and latency
+// non-negative and finite. Like an FCFS, the queue must not be copied once
+// it holds work.
+func (q *PS) Init(rate float64, k int, latency float64) {
 	if !(rate > 0 && !math.IsInf(rate, 1) && k > 0 && latency >= 0 && !math.IsInf(latency, 1)) {
 		panic(fmt.Sprintf("queueing: invalid PS rate=%v k=%d latency=%v", rate, k, latency))
 	}
-	return &PS{rate: rate, k: k, latency: latency}
+	*q = PS{rate: rate, k: k, latency: latency}
 }
 
 // Rate returns the aggregate service rate.
@@ -97,7 +109,7 @@ func (q *PS) Enqueue(t *Task) {
 		if !(h > eps) {
 			h = t.Demand / q.rate
 		}
-		q.notify(h)
+		q.notify.Arrive(h)
 	}
 }
 

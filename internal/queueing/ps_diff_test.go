@@ -123,7 +123,7 @@ func diffPS(t testing.TB, rate float64, k int, ops []psOp) {
 	gq, wq := NewPS(rate, k, 0), newRefPS(rate, k, 0)
 	got, want := newPSSide(gq), newPSSide(wq)
 	got.tb, got.arrivals = t, &arrivalHook{}
-	gq.SetNotify(got.arrivals.notify)
+	gq.SetNotify(NotifyFunc(got.arrivals.notify))
 	for i, o := range ops {
 		gv, gok := got.apply(o)
 		wv, wok := want.apply(o)

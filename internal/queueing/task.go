@@ -13,7 +13,29 @@
 // A queue's waiting line is a TaskList, which links the tasks themselves,
 // so a queue allocates nothing after construction however deep its line
 // gets; the agents that own the queues buffer their completions in one too.
+//
+// A queue is a value, set up in place by Init (NewFCFS and NewPS wrap it for
+// a queue of its own), so the hardware agents hold their queues inside
+// themselves and a component costs one allocation rather than one per
+// queue. Its arrival hook is a Notifier — the owning agent's
+// *core.AgentBase, through Arrive — not a closure bound per queue. A queue
+// that has been set up must not be copied: the copy would share its
+// in-service array and the links of its waiting tasks, so slabs of queues
+// are walked by index, never ranged by value.
 package queueing
+
+// Notifier receives a queue's arrival notifications (FCFS.SetNotify,
+// PS.SetNotify): Arrive(h) reports that the queue's next event may now lie
+// as early as h seconds ahead. *core.AgentBase implements it.
+type Notifier interface {
+	Arrive(h float64)
+}
+
+// NotifyFunc adapts a plain function to a Notifier.
+type NotifyFunc func(h float64)
+
+// Arrive calls f(h).
+func (f NotifyFunc) Arrive(h float64) { f(h) }
 
 // Task is a unit of work flowing through a queue. Demand is expressed in the
 // unit the queue serves (CPU cycles, bits, bytes). Payload carries an opaque

@@ -79,3 +79,34 @@ func TestQueueBurstAllocatesNothing(t *testing.T) {
 		})
 	}
 }
+
+// Init sets a queue up where it lies: a single-server FCFS queue and a PS
+// queue allocate nothing for it, and c servers take one in-service array.
+// The hook is the Notifier itself, so installing it allocates nothing
+// either.
+func TestInitInPlaceAllocates(t *testing.T) {
+	var f FCFS
+	var p PS
+	var n arrivalHook
+	hook := NotifyFunc(n.notify)
+	for _, c := range []struct {
+		name string
+		want float64
+		init func()
+	}{
+		{"FCFS/1", 0, func() { f.Init(1, 1e5); f.SetNotify(hook) }},
+		{"FCFS/8", 1, func() { f.Init(8, 1e5); f.SetNotify(hook) }},
+		{"PS", 0, func() { p.Init(4e5, 4, 0.02); p.SetNotify(hook) }},
+	} {
+		if got := testing.AllocsPerRun(20, c.init); got != c.want {
+			t.Errorf("%s: Init allocates %v, want %v", c.name, got, c.want)
+		}
+	}
+	// A re-initialised queue starts empty and serves on its own array.
+	f.Init(1, 1e3)
+	f.Enqueue(&Task{ID: 1, Demand: 1e3})
+	f.Init(1, 1e3)
+	if !f.Idle() || f.Arrivals() != 0 || cap(f.inService) != 1 || &f.inService[:1][0] != &f.solo[0] {
+		t.Fatal("Init left state behind or serves outside the queue")
+	}
+}

@@ -235,7 +235,7 @@ func TestRouteTableFollowsWANMutations(t *testing.T) {
 	}
 	// Inside the isolated DC nothing changed: the local switch, no table.
 	local := ServerEndpoint(eu.Tier("fs").Servers[0])
-	if err := inf.AppendHop(&core.MessagePlan{}, ClientEndpoint(eu.Clients.Slots[0]), local, cost); err != nil {
+	if err := inf.AppendHop(&core.MessagePlan{}, ClientEndpoint(&eu.Clients.Slots[0]), local, cost); err != nil {
 		t.Errorf("same-DC hop inside an isolated DC: %v", err)
 	}
 	inf.RejoinDC("EU")

@@ -75,8 +75,8 @@ func (inf *Infrastructure) PartitionByDC(shards int) (*ShardPlan, error) {
 		}
 		if dc.Clients != nil {
 			assign(w, dc.Clients.Local.ID())
-			for _, slot := range dc.Clients.Slots {
-				assign(w, slot.NIC.ID())
+			for i := range dc.Clients.Slots {
+				assign(w, dc.Clients.Slots[i].NIC.ID())
 			}
 		}
 	}

@@ -52,8 +52,8 @@ func TestPartitionByDCKeepsDCsWhole(t *testing.T) {
 		}
 		if dc.Clients != nil {
 			check(dc.Clients.Local.ID(), "client local queue")
-			for _, slot := range dc.Clients.Slots {
-				check(slot.NIC.ID(), "client nic")
+			for i := range dc.Clients.Slots {
+				check(dc.Clients.Slots[i].NIC.ID(), "client nic")
 			}
 		}
 	}
