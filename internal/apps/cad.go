@@ -72,33 +72,23 @@ func msg(from, to cascade.End, c cascade.R) cascade.Msg {
 	return cascade.Msg{From: from, To: to, Cost: c}
 }
 
-// fan builds a parallel batch of FanOut identical messages.
-func fan(from, to cascade.End, c cascade.R) []cascade.Msg {
-	batch := make([]cascade.Msg, FanOut)
-	for i := range batch {
-		batch[i] = msg(from, to, c)
-	}
-	return batch
-}
+// fan adds a parallel batch of FanOut identical messages.
+func fan(b *cascade.Builder, from, to cascade.End, c cascade.R) { b.Fan(FanOut, msg(from, to, c)) }
 
-// fanChunks splits a heavy fan-out exchange into n sequential fan-out
-// steps, dividing the whole cost array evenly. Total demand and wall time
-// are unchanged; individual task sizes shrink, which keeps head-of-line
+// fanChunks adds a heavy fan-out exchange as n sequential fan-out steps,
+// dividing the whole cost array evenly. Total demand and wall time are
+// unchanged; individual task sizes shrink, which keeps head-of-line
 // blocking in the FCFS core queues small below saturation — large transfers
 // and long computations are chunked in real middleware for the same reason.
-func fanChunks(from, to cascade.End, c cascade.R, n int) [][]cascade.Msg {
+func fanChunks(b *cascade.Builder, from, to cascade.End, c cascade.R, n int) {
 	chunk := c.Scale(1 / float64(n))
-	steps := make([][]cascade.Msg, n)
-	for i := range steps {
-		steps[i] = fan(from, to, chunk)
+	for range n {
+		fan(b, from, to, chunk)
 	}
-	return steps
 }
 
-// single wraps one message as a step.
-func single(from, to cascade.End, c cascade.R) []cascade.Msg {
-	return []cascade.Msg{msg(from, to, c)}
-}
+// single adds one message as a step.
+func single(b *cascade.Builder, from, to cascade.End, c cascade.R) { b.Step(msg(from, to, c)) }
 
 // CADOps returns the eight CAD operations (§5.2.2) for a given payload
 // size, in the canonical order of refdata.CADOperations. Per-operation
@@ -114,115 +104,89 @@ func single(from, to cascade.End, c cascade.R) []cascade.Msg {
 //	SELECT          6.00  10.20   -     -
 //	OPEN           18.40  12.20 12.80   -
 //	SAVE           15.44  14.40 16.00  2.00
+//
+// Each operation is laid out in one builder's scratch and packed as its
+// heavy steps are chunked, so it costs two allocations.
 func CADOps(fileMB float64) []cascade.Op {
 	fileBytes := fileMB * mb
 	stripe := fileBytes / FanOut
+	var b cascade.Builder
+	ops := make([]cascade.Op, 0, 8)
+	done := func(name string) { ops = append(ops, ChunkHeavySteps(b.Draft(name), maxTaskSec)) }
 
-	login := cascade.Op{Name: "LOGIN", Steps: [][]cascade.Msg{
-		fan(eC, eApp, cascade.R{CPUCycles: cyc(1.2), NetBytes: 8e3, MemBytes: 5 * mb}),
-		fan(eApp, eDB, cascade.R{CPUCycles: cyc(0.5), NetBytes: 10e3}),
-		single(eDB, eApp, cascade.R{NetBytes: 50e3}),
-		single(eApp, eC, cascade.R{NetBytes: 100e3}),
-	}}
+	fan(&b, eC, eApp, cascade.R{CPUCycles: cyc(1.2), NetBytes: 8e3, MemBytes: 5 * mb})
+	fan(&b, eApp, eDB, cascade.R{CPUCycles: cyc(0.5), NetBytes: 10e3})
+	single(&b, eDB, eApp, cascade.R{NetBytes: 50e3})
+	single(&b, eApp, eC, cascade.R{NetBytes: 100e3})
+	done("LOGIN")
 
-	textSearch := cascade.Op{Name: "TEXT-SEARCH"}
 	// Query against the text index previously created by Tidx and hosted
 	// by Tapp (§5.2.2), hence the app-side disk reads.
-	textSearch.Steps = append(textSearch.Steps,
-		fanChunks(eC, eApp, cascade.R{CPUCycles: cyc(1.9), NetBytes: 5e3, MemBytes: 50 * mb, DiskBytes: 8 * mb}, 2)...)
-	textSearch.Steps = append(textSearch.Steps,
-		fan(eApp, eDB, cascade.R{CPUCycles: cyc(0.8), NetBytes: 10e3}))
-	textSearch.Steps = append(textSearch.Steps,
-		fanChunks(eDB, eApp, cascade.R{CPUCycles: cyc(1.9), NetBytes: 100e3}, 2)...)
-	textSearch.Steps = append(textSearch.Steps,
-		single(eApp, eC, cascade.R{NetBytes: 150e3}))
+	fanChunks(&b, eC, eApp, cascade.R{CPUCycles: cyc(1.9), NetBytes: 5e3, MemBytes: 50 * mb, DiskBytes: 8 * mb}, 2)
+	fan(&b, eApp, eDB, cascade.R{CPUCycles: cyc(0.8), NetBytes: 10e3})
+	fanChunks(&b, eDB, eApp, cascade.R{CPUCycles: cyc(1.9), NetBytes: 100e3}, 2)
+	single(&b, eApp, eC, cascade.R{NetBytes: 150e3})
+	done("TEXT-SEARCH")
 
-	filter := cascade.Op{Name: "FILTER", Steps: [][]cascade.Msg{
-		fan(eC, eApp, cascade.R{CPUCycles: cyc(0.8), NetBytes: 5e3, MemBytes: 25 * mb}),
-		fan(eApp, eDB, cascade.R{CPUCycles: cyc(0.4), NetBytes: 10e3}),
-		fan(eDB, eApp, cascade.R{CPUCycles: cyc(0.8), NetBytes: 80e3}),
-		single(eApp, eC, cascade.R{NetBytes: 80e3}),
-	}}
+	fan(&b, eC, eApp, cascade.R{CPUCycles: cyc(0.8), NetBytes: 5e3, MemBytes: 25 * mb})
+	fan(&b, eApp, eDB, cascade.R{CPUCycles: cyc(0.4), NetBytes: 10e3})
+	fan(&b, eDB, eApp, cascade.R{CPUCycles: cyc(0.8), NetBytes: 80e3})
+	single(&b, eApp, eC, cascade.R{NetBytes: 80e3})
+	done("FILTER")
 
-	explore := cascade.Op{Name: "EXPLORE"}
 	for i := 0; i < 5; i++ { // five round trips navigating the tree (Fig. 5-3, x12)
-		explore.Steps = append(explore.Steps,
-			fan(eC, eApp, cascade.R{CPUCycles: cyc(0.4), NetBytes: 4e3}),
-			fan(eApp, eDB, cascade.R{CPUCycles: cyc(0.5), NetBytes: 20e3, DiskBytes: 2 * mb}),
-			single(eApp, eC, cascade.R{NetBytes: 60e3}),
-		)
+		fan(&b, eC, eApp, cascade.R{CPUCycles: cyc(0.4), NetBytes: 4e3})
+		fan(&b, eApp, eDB, cascade.R{CPUCycles: cyc(0.5), NetBytes: 20e3, DiskBytes: 2 * mb})
+		single(&b, eApp, eC, cascade.R{NetBytes: 60e3})
 	}
+	done("EXPLORE")
 
-	spatial := cascade.Op{Name: "SPATIAL-SEARCH", Steps: [][]cascade.Msg{
-		fan(eC, eApp, cascade.R{CPUCycles: cyc(0.5), NetBytes: 5e3}),
-		fan(eApp, eDB, cascade.R{CPUCycles: cyc(0.8), NetBytes: 20e3}),
-		fan(eDB, eApp, cascade.R{CPUCycles: cyc(0.4), NetBytes: 100e3}),
-		fan(eC, eApp, cascade.R{CPUCycles: cyc(1.2), NetBytes: 10e3, MemBytes: 125 * mb}),
-		single(eApp, eC, cascade.R{NetBytes: 200e3}),
-	}}
+	fan(&b, eC, eApp, cascade.R{CPUCycles: cyc(0.5), NetBytes: 5e3})
+	fan(&b, eApp, eDB, cascade.R{CPUCycles: cyc(0.8), NetBytes: 20e3})
+	fan(&b, eDB, eApp, cascade.R{CPUCycles: cyc(0.4), NetBytes: 100e3})
+	fan(&b, eC, eApp, cascade.R{CPUCycles: cyc(1.2), NetBytes: 10e3, MemBytes: 125 * mb})
+	single(&b, eApp, eC, cascade.R{NetBytes: 200e3})
 	for i := 0; i < 5; i++ { // navigating the 3D snapshot served by Tidx (Fig. 5-4, x10)
-		spatial.Steps = append(spatial.Steps,
-			fan(eC, eIdx, cascade.R{CPUCycles: cyc(0.742), NetBytes: 20e3, MemBytes: 125 * mb, DiskBytes: 5 * mb}),
-			single(eIdx, eC, cascade.R{NetBytes: 250e3}),
-		)
+		fan(&b, eC, eIdx, cascade.R{CPUCycles: cyc(0.742), NetBytes: 20e3, MemBytes: 125 * mb, DiskBytes: 5 * mb})
+		single(&b, eIdx, eC, cascade.R{NetBytes: 250e3})
 	}
+	done("SPATIAL-SEARCH")
 
-	sel := cascade.Op{Name: "SELECT"}
 	for i := 0; i < 3; i++ { // three spatial-area queries (Fig. 5-4, x4)
-		sel.Steps = append(sel.Steps,
-			fan(eC, eApp, cascade.R{CPUCycles: cyc(0.25), NetBytes: 5e3}),
-			fan(eApp, eDB, cascade.R{CPUCycles: cyc(0.85), NetBytes: 30e3, DiskBytes: 5 * mb}),
-			fan(eDB, eApp, cascade.R{CPUCycles: cyc(0.25), NetBytes: 200e3}),
-			single(eApp, eC, cascade.R{NetBytes: 80e3}),
-		)
+		fan(&b, eC, eApp, cascade.R{CPUCycles: cyc(0.25), NetBytes: 5e3})
+		fan(&b, eApp, eDB, cascade.R{CPUCycles: cyc(0.85), NetBytes: 30e3, DiskBytes: 5 * mb})
+		fan(&b, eDB, eApp, cascade.R{CPUCycles: cyc(0.25), NetBytes: 200e3})
+		single(&b, eApp, eC, cascade.R{NetBytes: 80e3})
 	}
+	done("SELECT")
 
-	open := cascade.Op{Name: "OPEN"}
 	// Token segment (Fig. 3-12, segment 1): version check at the master,
 	// then the download token returns to the client.
-	open.Steps = append(open.Steps,
-		fan(eC, eApp, cascade.R{CPUCycles: cyc(1.15), NetBytes: 6e3, MemBytes: 75 * mb}))
-	open.Steps = append(open.Steps,
-		fanChunks(eApp, eDB, cascade.R{CPUCycles: cyc(3.05), NetBytes: 20e3, DiskBytes: 8 * mb}, 3)...)
-	open.Steps = append(open.Steps,
-		fanChunks(eDB, eApp, cascade.R{CPUCycles: cyc(3.45), NetBytes: 60e3}, 3)...)
-	open.Steps = append(open.Steps,
-		single(eApp, eC, cascade.R{NetBytes: 60e3}))
+	fan(&b, eC, eApp, cascade.R{CPUCycles: cyc(1.15), NetBytes: 6e3, MemBytes: 75 * mb})
+	fanChunks(&b, eApp, eDB, cascade.R{CPUCycles: cyc(3.05), NetBytes: 20e3, DiskBytes: 8 * mb}, 3)
+	fanChunks(&b, eDB, eApp, cascade.R{CPUCycles: cyc(3.45), NetBytes: 60e3}, 3)
+	single(&b, eApp, eC, cascade.R{NetBytes: 60e3})
 	// Download segment (segment 2): the local file servers read the
 	// striped payload from storage, then stream it to the client.
-	open.Steps = append(open.Steps,
-		fanChunks(eC, eFS, cascade.R{CPUCycles: cyc(3.2), NetBytes: 30e3, MemBytes: 250 * mb, DiskBytes: stripe}, 3)...)
-	open.Steps = append(open.Steps,
-		single(eFS, eC, cascade.R{NetBytes: fileBytes, DiskBytes: fileBytes}))
+	fanChunks(&b, eC, eFS, cascade.R{CPUCycles: cyc(3.2), NetBytes: 30e3, MemBytes: 250 * mb, DiskBytes: stripe}, 3)
+	single(&b, eFS, eC, cascade.R{NetBytes: fileBytes, DiskBytes: fileBytes})
+	done("OPEN")
 
-	save := cascade.Op{Name: "SAVE"}
 	// Write grant: version registration at the master database.
-	save.Steps = append(save.Steps,
-		fan(eC, eApp, cascade.R{CPUCycles: cyc(1.0), NetBytes: 8e3, MemBytes: 75 * mb}))
-	save.Steps = append(save.Steps,
-		fanChunks(eApp, eDB, cascade.R{CPUCycles: cyc(3.6), NetBytes: 30e3, DiskBytes: 10 * mb}, 3)...)
-	save.Steps = append(save.Steps,
-		fanChunks(eDB, eApp, cascade.R{CPUCycles: cyc(2.86), NetBytes: 60e3}, 3)...)
-	save.Steps = append(save.Steps,
-		single(eApp, eC, cascade.R{NetBytes: 100e3}))
+	fan(&b, eC, eApp, cascade.R{CPUCycles: cyc(1.0), NetBytes: 8e3, MemBytes: 75 * mb})
+	fanChunks(&b, eApp, eDB, cascade.R{CPUCycles: cyc(3.6), NetBytes: 30e3, DiskBytes: 10 * mb}, 3)
+	fanChunks(&b, eDB, eApp, cascade.R{CPUCycles: cyc(2.86), NetBytes: 60e3}, 3)
+	single(&b, eApp, eC, cascade.R{NetBytes: 100e3})
 	// Upload: the client streams the payload to its local file server,
 	// which writes the stripes through to storage.
-	save.Steps = append(save.Steps,
-		single(eC, eFS, cascade.R{NetBytes: fileBytes, MemBytes: 375 * mb}))
-	save.Steps = append(save.Steps,
-		fanChunks(eC, eFS, cascade.R{CPUCycles: cyc(4.0), NetBytes: 20e3, DiskBytes: stripe}, 4)...)
-	save.Steps = append(save.Steps,
-		single(eFS, eC, cascade.R{NetBytes: 50e3}))
+	single(&b, eC, eFS, cascade.R{NetBytes: fileBytes, MemBytes: 375 * mb})
+	fanChunks(&b, eC, eFS, cascade.R{CPUCycles: cyc(4.0), NetBytes: 20e3, DiskBytes: stripe}, 4)
+	single(&b, eFS, eC, cascade.R{NetBytes: 50e3})
 	// Flag the new version for the index-build process (§6.3.2).
-	save.Steps = append(save.Steps,
-		fan(eC, eIdx, cascade.R{CPUCycles: cyc(0.5), NetBytes: 30e3}))
-	save.Steps = append(save.Steps,
-		single(eIdx, eC, cascade.R{NetBytes: 10e3}))
+	fan(&b, eC, eIdx, cascade.R{CPUCycles: cyc(0.5), NetBytes: 30e3})
+	single(&b, eIdx, eC, cascade.R{NetBytes: 10e3})
+	done("SAVE")
 
-	ops := []cascade.Op{login, textSearch, filter, explore, spatial, sel, open, save}
-	for i := range ops {
-		ops[i] = ChunkHeavySteps(ops[i], maxTaskSec)
-	}
 	return ops
 }
 
@@ -233,34 +197,45 @@ const maxTaskSec = 0.65
 
 // ChunkHeavySteps splits every step whose largest CPU demand exceeds
 // maxSec seconds (at ServerGHz) into equal sequential copies with the cost
-// divided evenly. Total demand and isolated wall time are preserved.
+// divided evenly. Total demand and isolated wall time are preserved. The
+// result is packed, and the copies of a split step share its messages.
 func ChunkHeavySteps(op cascade.Op, maxSec float64) cascade.Op {
-	out := cascade.Op{Name: op.Name}
+	steps, msgs := 0, 0
 	for _, step := range op.Steps {
-		maxCPU := 0.0
-		for _, m := range step {
-			if s := m.Cost.CPUCycles / (ServerGHz * 1e9); s > maxCPU {
-				maxCPU = s
-			}
-		}
-		n := 1
-		if maxCPU > maxSec {
-			n = int(maxCPU/maxSec) + 1
-		}
-		if n == 1 {
-			out.Steps = append(out.Steps, step)
-			continue
-		}
-		chunk := make([]cascade.Msg, len(step))
+		steps += chunks(step, maxSec)
+		msgs += len(step)
+	}
+	p := cascade.Pack(op.Name, steps, msgs)
+	for _, step := range op.Steps {
+		n := chunks(step, maxSec)
+		out := p.Step(len(step))
 		for i, m := range step {
-			m.Cost = m.Cost.Scale(1 / float64(n))
-			chunk[i] = m
+			if n > 1 {
+				m.Cost = m.Cost.Scale(1 / float64(n))
+			}
+			out[i] = m
 		}
-		for i := 0; i < n; i++ {
-			out.Steps = append(out.Steps, chunk)
+		for range n - 1 {
+			p.Repeat()
 		}
 	}
-	return out
+	return p.Op()
+}
+
+// chunks returns the number of copies ChunkHeavySteps splits step into:
+// int(d/maxSec)+1 when its largest CPU demand d, in seconds at ServerGHz,
+// exceeds maxSec, and 1 otherwise.
+func chunks(step []cascade.Msg, maxSec float64) int {
+	maxCPU := 0.0
+	for _, m := range step {
+		if s := m.Cost.CPUCycles / (ServerGHz * 1e9); s > maxCPU {
+			maxCPU = s
+		}
+	}
+	if maxCPU > maxSec {
+		return int(maxCPU/maxSec) + 1
+	}
+	return 1
 }
 
 // CADOpsBySeries returns the CAD operation set for a series type, using

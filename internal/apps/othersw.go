@@ -9,41 +9,40 @@ const VISFileMB = 250
 
 // VISOps returns the Visualization application: the same eight operations
 // as CAD (§6.3.2) with lighter payloads and lighter server work —
-// visualization serves derived, pre-tessellated models.
+// visualization serves derived, pre-tessellated models. The CAD operations
+// are built for it alone, so their costs are halved where they lie: once
+// per stored message, skipping the copies of a split step, which share the
+// messages of the step before them.
 func VISOps() []cascade.Op {
 	ops := CADOps(VISFileMB)
-	out := make([]cascade.Op, len(ops))
-	for i, op := range ops {
-		scaled := op.Scale(op.Name, 1) // deep copy
-		for si := range scaled.Steps {
-			for mi := range scaled.Steps[si] {
-				c := &scaled.Steps[si][mi].Cost
+	for _, op := range ops {
+		for si, step := range op.Steps {
+			if si > 0 && &step[0] == &op.Steps[si-1][0] {
+				continue
+			}
+			for mi := range step {
+				c := &step[mi].Cost
 				c.CPUCycles *= 0.5
 				c.MemBytes *= 0.5
 				c.NetBytes *= 0.5
 			}
 		}
-		out[i] = scaled
 	}
-	return out
+	return ops
 }
 
-// pdmMsg builds the repeated app<->db transaction block of PDM operations.
+// pdmRoundTrips builds the repeated app<->db transaction block of PDM
+// operations, packed.
 func pdmRoundTrips(name string, trips int, dbSec, appSec float64, rowBytes float64, diskMB float64) cascade.Op {
-	op := cascade.Op{Name: name}
-	op.Steps = append(op.Steps,
-		[]cascade.Msg{msg(eC, eApp, cascade.R{CPUCycles: cyc(appSec), NetBytes: 20e3, MemBytes: 50 * mb})},
-	)
+	n := 2*trips + 2
+	p := cascade.Pack(name, n, n)
+	p.Step(1)[0] = msg(eC, eApp, cascade.R{CPUCycles: cyc(appSec), NetBytes: 20e3, MemBytes: 50 * mb})
 	for i := 0; i < trips; i++ {
-		op.Steps = append(op.Steps,
-			[]cascade.Msg{msg(eApp, eDB, cascade.R{CPUCycles: cyc(dbSec), NetBytes: 15e3, DiskBytes: diskMB * mb})},
-			[]cascade.Msg{msg(eDB, eApp, cascade.R{CPUCycles: cyc(appSec / 2), NetBytes: rowBytes})},
-		)
+		p.Step(1)[0] = msg(eApp, eDB, cascade.R{CPUCycles: cyc(dbSec), NetBytes: 15e3, DiskBytes: diskMB * mb})
+		p.Step(1)[0] = msg(eDB, eApp, cascade.R{CPUCycles: cyc(appSec / 2), NetBytes: rowBytes})
 	}
-	op.Steps = append(op.Steps,
-		[]cascade.Msg{msg(eApp, eC, cascade.R{NetBytes: 120e3, CPUCycles: cyc(0.4)})},
-	)
-	return op
+	p.Step(1)[0] = msg(eApp, eC, cascade.R{NetBytes: 120e3, CPUCycles: cyc(0.4)})
+	return p.Op()
 }
 
 // PDMOps returns the Product Data Management application (§6.3.2):

@@ -63,18 +63,96 @@ type Msg struct {
 // set of messages issued in parallel (fork) that must all complete (join)
 // before the next step starts. A plain request/response cascade is a
 // sequence of single-message steps.
+//
+// The constructors here and in package apps build an operation packed: its
+// Steps header and one []Msg that backs every step, two allocations in
+// all, with each step capped at its own length so that an append to one
+// never runs into the next. Equal sequential copies of one step may share
+// its messages (Packer.Repeat). Nothing mutates an Op's steps once it is
+// built and handed out.
 type Op struct {
 	Name  string
 	Steps [][]Msg
 }
 
+// Packer lays one operation out packed, in a Steps header and a message
+// array both sized up front: the caller knows the step and message counts
+// and fills each step Step hands out.
+type Packer struct {
+	op   Op
+	msgs []Msg // the part of the message array not handed out yet
+}
+
+// Pack starts a packed operation with room for steps steps holding msgs
+// messages in all.
+func Pack(name string, steps, msgs int) Packer {
+	return Packer{op: Op{Name: name, Steps: make([][]Msg, 0, steps)}, msgs: make([]Msg, msgs)}
+}
+
+// Step appends a step of n messages, carved from the message array, and
+// returns it to be filled.
+func (p *Packer) Step(n int) []Msg {
+	step := p.msgs[:n:n]
+	p.msgs = p.msgs[n:]
+	p.op.Steps = append(p.op.Steps, step)
+	return step
+}
+
+// Repeat appends the last step again, sharing its messages: a step split
+// into equal sequential copies stores its messages once.
+func (p *Packer) Repeat() {
+	p.op.Steps = append(p.op.Steps, p.op.Steps[len(p.op.Steps)-1])
+}
+
+// Op returns the operation laid out.
+func (p *Packer) Op() Op { return p.op }
+
+// Builder lays operations out step by step in scratch space it keeps and
+// reuses, for catalogs whose step counts are easiest to state as code: a
+// catalog costs the scratch once, and each operation the two allocations of
+// whatever packs its Draft.
+type Builder struct {
+	msgs  []Msg
+	ends  []int   // ends[i] is the end of step i in msgs
+	steps [][]Msg // Draft's header
+}
+
+// Step adds a step of the given messages, issued in parallel.
+func (b *Builder) Step(msgs ...Msg) {
+	b.msgs = append(b.msgs, msgs...)
+	b.ends = append(b.ends, len(b.msgs))
+}
+
+// Fan adds a step of n copies of m.
+func (b *Builder) Fan(n int, m Msg) {
+	for range n {
+		b.msgs = append(b.msgs, m)
+	}
+	b.ends = append(b.ends, len(b.msgs))
+}
+
+// Draft returns the operation added since the last Draft, under name, and
+// empties the builder. Its steps live in the builder's scratch: they are
+// valid until the builder is next used, so the caller packs them at once
+// (Op.Scale, or apps.ChunkHeavySteps).
+func (b *Builder) Draft(name string) Op {
+	b.steps = b.steps[:0]
+	start := 0
+	for _, end := range b.ends {
+		b.steps = append(b.steps, b.msgs[start:end:end])
+		start = end
+	}
+	b.msgs, b.ends = b.msgs[:0], b.ends[:0]
+	return Op{Name: name, Steps: b.steps}
+}
+
 // Seq builds an operation whose messages execute strictly in sequence.
 func Seq(name string, msgs ...Msg) Op {
-	op := Op{Name: name}
+	p := Pack(name, len(msgs), len(msgs))
 	for _, m := range msgs {
-		op.Steps = append(op.Steps, []Msg{m})
+		p.Step(1)[0] = m
 	}
-	return op
+	return p.Op()
 }
 
 // Validate checks structural sanity: non-empty steps, client/daemon
@@ -133,31 +211,36 @@ func (op Op) CostToTier() map[Role]R {
 // CAD (§6.3.2: "the volume of the data manipulated ... is considerably
 // smaller").
 func (op Op) Scale(name string, f float64) Op {
-	scaled := Op{Name: name, Steps: make([][]Msg, len(op.Steps))}
-	for i, step := range op.Steps {
-		scaled.Steps[i] = make([]Msg, len(step))
-		for j, m := range step {
-			m.Cost = m.Cost.Scale(f)
-			scaled.Steps[i][j] = m
-		}
-	}
-	return scaled
+	return op.remap(name, func(c R) R { return c.Scale(f) })
 }
 
 // ScaleIO returns a copy with only the network and disk costs scaled —
 // metadata operations are size-independent while OPEN/SAVE move the file
 // payload (Table 5.1's analysis).
 func (op Op) ScaleIO(name string, f float64) Op {
-	scaled := Op{Name: name, Steps: make([][]Msg, len(op.Steps))}
-	for i, step := range op.Steps {
-		scaled.Steps[i] = make([]Msg, len(step))
+	return op.remap(name, func(c R) R {
+		c.NetBytes *= f
+		c.DiskBytes *= f
+		return c
+	})
+}
+
+// remap returns a packed copy of the operation under name, every cost
+// passed through cost.
+func (op Op) remap(name string, cost func(R) R) Op {
+	n := 0
+	for _, step := range op.Steps {
+		n += len(step)
+	}
+	p := Pack(name, len(op.Steps), n)
+	for _, step := range op.Steps {
+		out := p.Step(len(step))
 		for j, m := range step {
-			m.Cost.NetBytes *= f
-			m.Cost.DiskBytes *= f
-			scaled.Steps[i][j] = m
+			m.Cost = cost(m.Cost)
+			out[j] = m
 		}
 	}
-	return scaled
+	return p.Op()
 }
 
 // RoundTrips counts the sequential steps that cross between sites

@@ -84,8 +84,8 @@ func CalibrateClientWork(op Op, b *Binding, step, target float64) (Op, error) {
 		gap = 0
 	}
 	// Only the outer step table and the calibrated step are copied; every
-	// other step shares its messages with op, as ChunkHeavySteps shares its
-	// unsplit steps. Nothing mutates an Op's steps once it is built.
+	// other step shares its messages with op. Nothing mutates an Op's steps
+	// once it is built.
 	ghz := b.Local.Clients.Spec.GHz
 	out := Op{Name: op.Name, Steps: slices.Clone(op.Steps)}
 	msgs := slices.Clone(op.Steps[last])

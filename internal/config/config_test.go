@@ -152,7 +152,7 @@ func TestExportSeriesCSV(t *testing.T) {
 
 func TestCollectorSeries(t *testing.T) {
 	col := metrics.NewCollector()
-	col.Register(metrics.Probe{Key: "x", Sample: func(float64) float64 { return 1 }})
+	col.Register(metrics.Probe{Key: "x", Sample: metrics.SampleFunc(func(float64) float64 { return 1 })})
 	col.Snapshot(10)
 	m := CollectorSeries(col)
 	if m["x"] == nil || m["x"].Len() != 1 {

@@ -56,10 +56,10 @@ func TestSpanBoundaryExactSnapshot(t *testing.T) {
 		newTestQueueAgent(s, "cpu-b", 2, 1e9)
 		s.AddSource(parkedSource{})
 		snaps := 0
-		s.Collector.Register(metrics.Probe{Key: "beat", Sample: func(window float64) float64 {
+		s.Collector.Register(metrics.Probe{Key: "beat", Sample: metrics.SampleFunc(func(window float64) float64 {
 			snaps++
 			return float64(snaps)
-		}})
+		})})
 		s.RunFor(seconds)
 		skipped = s.Stats().SkippedTicks
 		return s.Collector.MustSeries("beat").T, skipped
@@ -98,10 +98,10 @@ func TestRunForReservesAmortised(t *testing.T) {
 		s := NewSimulation(Config{Seed: 1})
 		snaps := 0
 		for _, key := range []string{"count", "window"} {
-			s.Collector.Register(metrics.Probe{Key: key, Sample: func(window float64) float64 {
+			s.Collector.Register(metrics.Probe{Key: key, Sample: metrics.SampleFunc(func(window float64) float64 {
 				snaps++
 				return window + float64(snaps)
-			}})
+			})})
 		}
 		period := float64(s.collectEvery) * s.clock.Step()
 		if !chunked {

@@ -569,9 +569,9 @@ func (ts *timedSource) NextPoll(now float64) float64 {
 // source-poll and the agent-horizon jump bounds are exercised.
 func fastForwardFixture(noFF bool) *Simulation {
 	s := NewSimulation(Config{Step: 0.01, CollectEvery: 500, Seed: 3, LoopFlags: refFlags(noFF)})
-	s.Collector.Register(metrics.Probe{Key: "flows", Sample: func(float64) float64 {
+	s.Collector.Register(metrics.Probe{Key: "flows", Sample: metrics.SampleFunc(func(float64) float64 {
 		return float64(s.ActiveFlows())
-	}})
+	})})
 	dl := NewDelayLine(s, "think")
 	for _, at := range []float64{0.5, 31.07} {
 		s.AddSource(&timedSource{at: at, launch: func(s *Simulation) {

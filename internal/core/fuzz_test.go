@@ -119,9 +119,9 @@ func fuzzPlatformRun(data []byte, cfg Config, drive func(*Simulation, float64)) 
 	in := newFuzzIn(data)
 	cfg.Step, cfg.Seed, cfg.CollectEvery = 0.01, 1, 1+in.intn(300)
 	s := NewSimulation(cfg)
-	s.Collector.Register(metrics.Probe{Key: "flows", Sample: func(float64) float64 {
+	s.Collector.Register(metrics.Probe{Key: "flows", Sample: metrics.SampleFunc(func(float64) float64 {
 		return float64(s.ActiveFlows())
-	}})
+	})})
 	var agents []QueueAgent
 	var rates []float64
 	for i, n := 0, 2+in.intn(11); i < n; i++ {
@@ -145,9 +145,9 @@ func fuzzPlatformRun(data []byte, cfg Config, drive func(*Simulation, float64)) 
 		rates = append(rates, rate)
 		// Busy accumulators are what collector boundaries must sample at
 		// exactly the reference loop's ticks.
-		s.Collector.Register(metrics.Probe{Key: "busy:" + name, Sample: func(float64) float64 {
+		s.Collector.Register(metrics.Probe{Key: "busy:" + name, Sample: metrics.SampleFunc(func(float64) float64 {
 			return q.TakeBusy()
-		}})
+		})})
 	}
 	if in.intn(4) == 0 {
 		v := &vetoAgent{}

@@ -341,7 +341,7 @@ func (s *Simulation) GaugeValue(key string) float64 { return s.GaugeValueBy(s.Ga
 // concurrent-client series (Fig. 5-6). The handle is resolved once.
 func (s *Simulation) GaugeProbe(key string) metrics.Probe {
 	g := s.GaugeHandle(key)
-	return metrics.Probe{Key: key, Sample: func(float64) float64 { return s.GaugeValueBy(g) }}
+	return metrics.Probe{Key: key, Sample: metrics.SampleFunc(func(float64) float64 { return s.GaugeValueBy(g) })}
 }
 
 // Tick advances the simulation by exactly one step. Direct callers always

@@ -692,7 +692,7 @@ func (e *Experiment) attachWorkloads(r *Run) error {
 			users, sim := src.Users, r.Sim
 			r.Sim.Collector.Register(metrics.Probe{
 				Key:    prefix + ":loggedin",
-				Sample: func(float64) float64 { return users.At(sim.Clock().NowSeconds()) },
+				Sample: metrics.SampleFunc(func(float64) float64 { return users.At(sim.Clock().NowSeconds()) }),
 			})
 		}
 	}

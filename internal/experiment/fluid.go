@@ -141,18 +141,18 @@ func (e *Experiment) registerFluidProbes(r *Run, w *Workload, segs []fluid.Segme
 	now := func() float64 { return sim.Clock().NowSeconds() }
 	seg := func() *fluid.Segment { return fluid.At(segs, now()) }
 	for _, p := range []metrics.Probe{
-		{Key: prefix + ":mode", Sample: func(float64) float64 {
+		{Key: prefix + ":mode", Sample: metrics.SampleFunc(func(float64) float64 {
 			if seg().Fluid {
 				return 1
 			}
 			return 0
-		}},
-		{Key: prefix + ":occupancy", Sample: func(float64) float64 { return seg().Occupancy }},
-		{Key: prefix + ":resp_mean", Sample: func(float64) float64 { return seg().RespMean }},
-		{Key: prefix + ":resp_p90", Sample: func(float64) float64 { return seg().RespP90 }},
-		{Key: prefix + ":throughput", Sample: func(float64) float64 { return seg().Lambda }},
-		{Key: prefix + ":ops", Sample: func(float64) float64 { return fluid.OpsAt(segs, now()) }},
-		{Key: prefix + ":crossovers", Sample: func(float64) float64 { return float64(seg().CrossBefore) }},
+		})},
+		{Key: prefix + ":occupancy", Sample: metrics.SampleFunc(func(float64) float64 { return seg().Occupancy })},
+		{Key: prefix + ":resp_mean", Sample: metrics.SampleFunc(func(float64) float64 { return seg().RespMean })},
+		{Key: prefix + ":resp_p90", Sample: metrics.SampleFunc(func(float64) float64 { return seg().RespP90 })},
+		{Key: prefix + ":throughput", Sample: metrics.SampleFunc(func(float64) float64 { return seg().Lambda })},
+		{Key: prefix + ":ops", Sample: metrics.SampleFunc(func(float64) float64 { return fluid.OpsAt(segs, now()) })},
+		{Key: prefix + ":crossovers", Sample: metrics.SampleFunc(func(float64) float64 { return float64(seg().CrossBefore) })},
 	} {
 		sim.Collector.Register(p)
 	}

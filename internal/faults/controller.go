@@ -106,15 +106,15 @@ func (c *Controller) registerProbes() {
 	col := c.tg.Sim.Collector
 	col.Register(metrics.Probe{
 		Key:    KeyPhase,
-		Sample: func(float64) float64 { return float64(c.phase) },
+		Sample: metrics.SampleFunc(func(float64) float64 { return float64(c.phase) }),
 	})
 	col.Register(metrics.Probe{
 		Key:    KeyBacklog,
-		Sample: func(float64) float64 { return float64(c.tg.Sim.ActiveFlows()) },
+		Sample: metrics.SampleFunc(func(float64) float64 { return float64(c.tg.Sim.ActiveFlows()) }),
 	})
 	col.Register(metrics.Probe{
 		Key:    KeyBackupArrivals,
-		Sample: func(float64) float64 { return float64(c.tg.Infra.BackupArrivals()) },
+		Sample: metrics.SampleFunc(func(float64) float64 { return float64(c.tg.Infra.BackupArrivals()) }),
 	})
 }
 

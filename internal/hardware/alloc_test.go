@@ -32,7 +32,7 @@ func TestConstructorAllocs(t *testing.T) {
 		{"SAN", 4, func(s *core.Simulation) {
 			NewSAN(s, "san", SANSpec{Disks: 20, Disk: disk, FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: 0.2})
 		}},
-		{"Memory", 1, func(*core.Simulation) { NewMemory(64e9, 0.3, 7) }},
+		{"Memory", 1, func(*core.Simulation) { memSink = NewMemory(64e9, 0.3, 7) }},
 	}
 	for _, c := range cases {
 		sim := core.NewSimulation(core.Config{Seed: 1})
@@ -40,6 +40,90 @@ func TestConstructorAllocs(t *testing.T) {
 			t.Errorf("New%s: %v allocs, want %v", c.name, got, c.want)
 		}
 		sim.Shutdown()
+	}
+}
+
+// memSink keeps a memory the test builds on the heap, as a caller keeping
+// it would: an inlined NewMemory whose result is dropped allocates nothing.
+var memSink *Memory
+
+// TestInitAllocs pins what setting a component up in place allocates: Init
+// is New without the agent's own allocation, so a component that repeats
+// no part (NIC, link, memory) costs nothing, and a CPU or RAID costs only
+// the part slabs TestConstructorAllocs names. A tier keeps its servers'
+// components in slabs of this kind.
+func TestInitAllocs(t *testing.T) {
+	disk := DiskSpec{CtrlGbps: 4, MBps: 100, HitRate: 0.1}
+	const runs = 200
+	cases := []struct {
+		name string
+		want float64
+		init func(*core.Simulation, int)
+	}{
+		{"NIC", 0, func(s *core.Simulation, i int) { nicSlab[i].Init(s, "nic", 10) }},
+		{"Link", 0, func(s *core.Simulation, i int) { linkSlab[i].Init(s, "link", LinkSpec{Gbps: 1, LatencyMS: 20}) }},
+		{"Memory", 0, func(_ *core.Simulation, i int) { memSlab[i].Init(64e9, 0.3, 7) }},
+		// The socket slab and one in-service array per socket.
+		{"CPU", 3, func(s *core.Simulation, i int) { cpuSlab[i].Init(s, "cpu", CPUSpec{Sockets: 2, Cores: 4, GHz: 2.5}) }},
+		// The stage slab, the lane slab and the miss buffer.
+		{"RAID", 3, func(s *core.Simulation, i int) {
+			raidSlab[i].Init(s, "raid", RAIDSpec{Disks: 8, Disk: disk, CtrlGbps: 4, HitRate: 0.2})
+		}},
+	}
+	nicSlab, linkSlab, memSlab = make([]NIC, runs+1), make([]Link, runs+1), make([]Memory, runs+1)
+	cpuSlab, raidSlab = make([]CPU, runs+1), make([]RAID, runs+1)
+	for _, c := range cases {
+		sim := core.NewSimulation(core.Config{Seed: 1})
+		i := 0
+		if got := testing.AllocsPerRun(runs, func() { c.init(sim, i); i++ }); got != c.want {
+			t.Errorf("%s.Init: %v allocs, want %v", c.name, got, c.want)
+		}
+		sim.Shutdown()
+	}
+}
+
+var (
+	nicSlab  []NIC
+	linkSlab []Link
+	memSlab  []Memory
+	cpuSlab  []CPU
+	raidSlab []RAID
+)
+
+// TestInitMatchesNew: a component set up in place registers under the ID
+// and name its constructor would give it and starts in the same state.
+func TestInitMatchesNew(t *testing.T) {
+	fresh, slab := core.NewSimulation(core.Config{Seed: 3}), core.NewSimulation(core.Config{Seed: 3})
+	defer fresh.Shutdown()
+	defer slab.Shutdown()
+	cpuSpec := CPUSpec{Sockets: 2, Cores: 4, GHz: 2.5}
+	raidSpec := RAIDSpec{Disks: 8, Disk: DiskSpec{CtrlGbps: 4, MBps: 100, HitRate: 0.1}, CtrlGbps: 4, HitRate: 0.2}
+	linkSpec := LinkSpec{Gbps: 1, LatencyMS: 20}
+	var cpus [2]CPU
+	var links [2]Link
+	var raids [2]RAID
+	var mems [2]Memory
+	for i := range 2 {
+		wc, wl, wr := NewCPU(fresh, "cpu", cpuSpec), NewLink(fresh, "link", linkSpec), NewRAID(fresh, "raid", raidSpec)
+		cpus[i].Init(slab, "cpu", cpuSpec)
+		links[i].Init(slab, "link", linkSpec)
+		raids[i].Init(slab, "raid", raidSpec)
+		for _, p := range []struct{ got, want core.Agent }{{&cpus[i], wc}, {&links[i], wl}, {&raids[i], wr}} {
+			if p.got.ID() != p.want.ID() || p.got.Name() != p.want.Name() {
+				t.Fatalf("in place (%d, %q), constructed (%d, %q)", p.got.ID(), p.got.Name(), p.want.ID(), p.want.Name())
+			}
+		}
+		if cpus[i].Rate() != wc.Rate() || links[i].Rate() != wl.Rate() || links[i].Latency() != wl.Latency() ||
+			raids[i].Disks() != wr.Disks() || raids[i].Spec() != wr.Spec() {
+			t.Fatalf("component %d set up in place differs from its constructed twin", i)
+		}
+		want := NewMemory(64e9, 0.3, uint64(i))
+		mems[i].Init(64e9, 0.3, uint64(i))
+		for range 100 {
+			if mems[i].Hit() != want.Hit() {
+				t.Fatalf("memory %d set up in place draws other hits", i)
+			}
+		}
 	}
 }
 

@@ -21,9 +21,11 @@
 // agent, and its arrival hook is the agent's own core.AgentBase. What a
 // component repeats — a CPU's sockets, a store's stages, a disk array's
 // drive lanes — is a slab made once at exact length, never appended to and
-// walked by index: a queue that has been set up must not be copied. A NIC
-// can also be set up and registered in place (NIC.Init), so a client pool
-// keeps its NICs in one slab of its own.
+// walked by index: a queue that has been set up must not be copied. A
+// component can also be set up and registered in place by its Init (CPU,
+// Memory, NIC, Link, RAID; each New… wraps it), so a client pool keeps its
+// NICs in one slab of its own and a tier its servers' components in one
+// slab per kind.
 package hardware
 
 import (
@@ -79,13 +81,23 @@ type CPU struct {
 
 // NewCPU creates and registers a CPU agent.
 func NewCPU(sim *core.Simulation, name string, spec CPUSpec) *CPU {
+	c := new(CPU)
+	c.Init(sim, name, spec)
+	return c
+}
+
+// Init sets up the zero CPU c in place and registers it: what NewCPU does,
+// for a CPU that lives in a slab of CPUs made once (the servers of a tier).
+// It allocates only the socket slab and the sockets' in-service arrays. c
+// must not move or be copied afterwards.
+func (c *CPU) Init(sim *core.Simulation, name string, spec CPUSpec) {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
 	if spec.HTFactor <= 0 {
 		spec.HTFactor = 1
 	}
-	c := &CPU{spec: spec, sockets: make([]queueing.FCFS, spec.Sockets), derate: 1}
+	c.spec, c.sockets, c.derate = spec, make([]queueing.FCFS, spec.Sockets), 1
 	rate := spec.GHz * 1e9 * spec.HTFactor // cycles per second per core
 	for i := range c.sockets {
 		q := &c.sockets[i]
@@ -94,7 +106,6 @@ func NewCPU(sim *core.Simulation, name string, spec CPUSpec) *CPU {
 	}
 	c.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(c)
-	return c
 }
 
 // Spec returns the processor specification.

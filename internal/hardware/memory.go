@@ -44,12 +44,19 @@ func drawHit(src *rand.PCG, thr uint64) bool {
 // its state is derived from the caller's seed through core.DeriveSeed, so
 // each memory's draws depend only on its own identity.
 func NewMemory(capacity, hitRate float64, seed uint64) *Memory {
+	m := new(Memory)
+	m.Init(capacity, hitRate, seed)
+	return m
+}
+
+// Init sets up m in place, as NewMemory would, for a memory that lives in a
+// slab of memories made once (the servers of a tier). It allocates nothing.
+func (m *Memory) Init(capacity, hitRate float64, seed uint64) {
 	if !(capacity > 0 && hitRate >= 0 && hitRate <= 1 && finite(capacity)) {
 		panic(fmt.Sprintf("hardware: invalid Memory capacity=%v hitRate=%v", capacity, hitRate))
 	}
-	m := &Memory{capacity: capacity, hitRate: hitRate, hitThr: hitThreshold(hitRate)}
+	*m = Memory{capacity: capacity, hitRate: hitRate, hitThr: hitThreshold(hitRate)}
 	m.rng.Seed(core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2))
-	return m
 }
 
 // Capacity returns the memory size in bytes.

@@ -125,6 +125,16 @@ func (s LinkSpec) Validate() error {
 
 // NewLink creates and registers a link.
 func NewLink(sim *core.Simulation, name string, spec LinkSpec) *Link {
+	l := new(Link)
+	l.Init(sim, name, spec)
+	return l
+}
+
+// Init sets up the zero link l in place and registers it: what NewLink
+// does, for a link that lives in a slab of links made once (the servers'
+// local links of a tier). It allocates nothing. l must not move or be
+// copied afterwards.
+func (l *Link) Init(sim *core.Simulation, name string, spec LinkSpec) {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
@@ -136,17 +146,11 @@ func NewLink(sim *core.Simulation, name string, spec LinkSpec) *Link {
 		share = 1
 	}
 	rate := spec.Gbps * 1e9 / 8 * share // usable bytes/second
-	l := &Link{
-		rate:        rate,
-		capShare:    share,
-		baseRate:    rate,
-		baseLatency: spec.LatencyMS / 1000,
-	}
+	l.rate, l.capShare, l.baseRate, l.baseLatency = rate, share, rate, spec.LatencyMS/1000
 	l.q.Init(rate, spec.MaxConn, spec.LatencyMS/1000)
 	l.q.SetNotify(&l.AgentBase)
 	l.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(l)
-	return l
 }
 
 // Rate returns the usable (allocated) bandwidth in bytes/second.

@@ -526,13 +526,23 @@ type RAID struct {
 
 // NewRAID creates and registers a RAID agent.
 func NewRAID(sim *core.Simulation, name string, spec RAIDSpec) *RAID {
+	r := new(RAID)
+	r.Init(sim, name, spec)
+	return r
+}
+
+// Init sets up the zero RAID r in place and registers it: what NewRAID
+// does, for a RAID that lives in a slab of RAIDs made once (the servers of
+// a tier). It allocates only the store's stage slab, lane slab and miss
+// buffer. r must not move or be copied afterwards: its disk array completes
+// through a pointer to it.
+func (r *RAID) Init(sim *core.Simulation, name string, spec RAIDSpec) {
 	if err := spec.validate(); err != nil {
 		panic(err)
 	}
-	r := &RAID{spec: spec}
+	r.spec = spec
 	r.init(sim, name, spec.Disks, spec.Disk, spec.HitRate, tagRAID, tagRAIDArray, 0, spec.CtrlGbps)
 	sim.AddAgent(r)
-	return r
 }
 
 // Spec returns the array specification.

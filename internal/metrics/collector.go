@@ -2,17 +2,32 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
-// Probe produces one sample per measurement window. window is the length of
-// the elapsed window in simulated seconds; implementations typically divide
-// accumulated busy time by the window to report utilization, matching the
-// paper's averaged snapshots rather than point samples.
+// Probe produces one sample per measurement window under its key.
 type Probe struct {
 	Key    string
-	Sample func(window float64) float64
+	Sample Sampler
 }
+
+// Sampler produces a probe's sample. window is the length of the elapsed
+// window in simulated seconds; implementations typically divide accumulated
+// busy time by the window to report utilization, matching the paper's
+// averaged snapshots rather than point samples. A component can sample
+// itself through a pointer, which costs no allocation; SampleFunc adapts a
+// function.
+type Sampler interface {
+	Sample(window float64) float64
+}
+
+// SampleFunc adapts a function to a Sampler.
+type SampleFunc func(window float64) float64
+
+// Sample calls f.
+func (f SampleFunc) Sample(window float64) float64 { return f(window) }
 
 // Collector periodically polls registered probes, building one Series per
 // probe key. It mirrors the Collector Component of §4.3.1: intermediate
@@ -30,29 +45,50 @@ type Collector struct {
 	out    []*Series // out[i] records probes[i], resolved once at Register
 	start  []int     // out[i].T is t[start[i]:]
 	series map[string]*Series
+	room   int       // the entries series was made to hold
 	t      []float64 // the snapshot instants, shared by every series' T
 }
 
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{series: make(map[string]*Series)}
-}
+// minRoom is the fewest series a collector's key map is made for.
+const minRoom = 16
 
-// Register adds a probe; its series starts at the next snapshot.
-// Registering two probes with the same key panics: their samples would
-// interleave into one series and corrupt it.
-func (c *Collector) Register(p Probe) {
-	if p.Sample == nil {
-		panic("metrics: probe without Sample function")
+// NewCollector returns an empty collector.
+func NewCollector() *Collector { return &Collector{} }
+
+// Register adds a batch of probes; their series start at the next snapshot.
+// The batch's series are made in one slab, and the collector's tables grow
+// once for the whole batch, so a batch costs a fixed number of allocations
+// however many probes it holds. Registering two probes with the same key
+// panics: their samples would interleave into one series and corrupt it.
+func (c *Collector) Register(ps ...Probe) {
+	for _, p := range ps {
+		if f, isFunc := p.Sample.(SampleFunc); p.Sample == nil || isFunc && f == nil {
+			panic("metrics: probe without Sample function")
+		}
 	}
-	if _, dup := c.series[p.Key]; dup {
-		panic(fmt.Sprintf("metrics: duplicate probe key %q", p.Key))
+	if need := len(c.series) + len(ps); need > c.room {
+		// At least minRoom, so that the first batch does not cost less
+		// when it fits a map's smallest layout.
+		c.room = max(2*c.room, need, minRoom)
+		m := make(map[string]*Series, c.room)
+		maps.Copy(m, c.series)
+		c.series = m
 	}
-	s := &Series{Name: p.Key}
-	c.probes = append(c.probes, p)
-	c.out = append(c.out, s)
-	c.start = append(c.start, len(c.t))
-	c.series[p.Key] = s
+	c.probes = slices.Grow(c.probes, len(ps))
+	c.out = slices.Grow(c.out, len(ps))
+	c.start = slices.Grow(c.start, len(ps))
+	slab := make([]Series, len(ps))
+	for i, p := range ps {
+		if _, dup := c.series[p.Key]; dup {
+			panic(fmt.Sprintf("metrics: duplicate probe key %q", p.Key))
+		}
+		s := &slab[i]
+		s.Name = p.Key
+		c.probes = append(c.probes, p)
+		c.out = append(c.out, s)
+		c.start = append(c.start, len(c.t))
+		c.series[p.Key] = s
+	}
 }
 
 // Reserve makes room for n more snapshots in the time axis and in every
@@ -143,7 +179,7 @@ func (c *Collector) Snapshot(now float64) {
 	c.t = append(c.t, now)
 	for i, p := range c.probes {
 		s := c.out[i]
-		s.V = append(s.V, p.Sample(window))
+		s.V = append(s.V, p.Sample.Sample(window))
 		s.T = c.view(i)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // constProbe samples v in every window.
 func constProbe(key string, v float64) Probe {
-	return Probe{Key: key, Sample: func(float64) float64 { return v }}
+	return Probe{Key: key, Sample: SampleFunc(func(float64) float64 { return v })}
 }
 
 // TestCollectorSharesOneTimeAxis pins the collector's storage: every series'

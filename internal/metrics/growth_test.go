@@ -1,0 +1,55 @@
+package metrics
+
+import (
+	"math"
+	"testing"
+)
+
+// TestResponseSeriesAllocs: a response series grows its time stamps and
+// values in one block that doubles, so n samples cost the series itself and
+// one allocation per doubling — at most ⌈log₂ n⌉+2. The name and the map
+// entry are shared by all series of a tracker and amortise to nothing per
+// series.
+func TestResponseSeriesAllocs(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8, 9, 100, 257, 1000, 4096, 10000} {
+		r := NewResponses()
+		r.Record("warm", "NA", 0, 1)
+		key := 0
+		keys := make([]string, 200)
+		for i := range keys {
+			keys[i] = "op" + string(rune('A'+i%26)) + string(rune('a'+i/26))
+		}
+		got := testing.AllocsPerRun(100, func() {
+			op := keys[key]
+			key++
+			for i := range n {
+				r.Record(op, "NA", float64(i), 1)
+			}
+		})
+		if bound := math.Ceil(math.Log2(float64(n))) + 2; got > bound {
+			t.Errorf("a response series of %d samples costs %v allocations, want at most %v", n, got, bound)
+		}
+	}
+}
+
+// TestSeriesBlockHalvesAreCapped: T and V share one block, each capped at
+// its half, so an append to T from outside never writes into V.
+func TestSeriesBlockHalvesAreCapped(t *testing.T) {
+	var s Series
+	for i := range 5 {
+		s.Add(float64(i), float64(10+i))
+	}
+	for len(s.T) < cap(s.T) {
+		s.Add(float64(len(s.T)), float64(10+len(s.T)))
+	}
+	v := append([]float64(nil), s.V...)
+	_ = append(s.T, -1) // reallocates: T's capacity ends at V
+	for i := range v {
+		if s.V[i] != v[i] {
+			t.Fatalf("an append to T wrote into V: V[%d] = %v, want %v", i, s.V[i], v[i])
+		}
+	}
+	if &s.T[:cap(s.T)][cap(s.T)-1] == &s.V[0] {
+		t.Fatal("T's capacity runs into V")
+	}
+}

@@ -150,11 +150,11 @@ func TestRMSEProperties(t *testing.T) {
 func TestCollector(t *testing.T) {
 	c := NewCollector()
 	busy := 0.0
-	c.Register(Probe{Key: "cpu", Sample: func(window float64) float64 {
+	c.Register(Probe{Key: "cpu", Sample: SampleFunc(func(window float64) float64 {
 		u := busy / window
 		busy = 0
 		return u
-	}})
+	})})
 	busy = 5
 	c.Snapshot(10)
 	busy = 2
@@ -170,13 +170,13 @@ func TestCollector(t *testing.T) {
 
 func TestCollectorDuplicateKeyPanics(t *testing.T) {
 	c := NewCollector()
-	c.Register(Probe{Key: "x", Sample: func(float64) float64 { return 0 }})
+	c.Register(Probe{Key: "x", Sample: SampleFunc(func(float64) float64 { return 0 })})
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate key did not panic")
 		}
 	}()
-	c.Register(Probe{Key: "x", Sample: func(float64) float64 { return 0 }})
+	c.Register(Probe{Key: "x", Sample: SampleFunc(func(float64) float64 { return 0 })})
 }
 
 func TestCollectorUnknownSeriesPanics(t *testing.T) {

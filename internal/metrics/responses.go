@@ -3,6 +3,8 @@ package metrics
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/names"
 )
 
 // ResponseKey identifies a response-time population: one operation type
@@ -17,6 +19,7 @@ type ResponseKey struct {
 // operation type and software application at each location".
 type Responses struct {
 	byKey map[ResponseKey]*Series
+	names names.Slab // the series names, "<op>@<dc>", cut as they appear
 }
 
 // NewResponses returns an empty response tracker.
@@ -30,7 +33,7 @@ func (r *Responses) Record(op, dc string, completed, dur float64) {
 	k := ResponseKey{Op: op, DC: dc}
 	s := r.byKey[k]
 	if s == nil {
-		s = &Series{Name: op + "@" + dc}
+		s = &Series{Name: r.names.Str(op).Str("@").Str(dc).Cut()}
 		r.byKey[k] = s
 	}
 	s.Add(completed, dur)

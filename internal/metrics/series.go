@@ -28,13 +28,31 @@ type Series struct {
 
 // Add appends a sample. Samples must arrive in non-decreasing time order;
 // out-of-order samples panic because they indicate a collector bug.
+//
+// A series that Add fills grows T and V together, in one block that
+// doubles: T is its first half and V its second, each capped at its half,
+// so an append to either from outside reallocates instead of writing into
+// the other. A series of n samples so costs at most ⌈log₂ n⌉+1
+// allocations, where two slices appended apart cost twice that or more. The
+// first block holds minSamples samples.
 func (s *Series) Add(t, v float64) {
-	if n := len(s.T); n > 0 && t < s.T[n-1] {
+	n := len(s.T)
+	if n > 0 && t < s.T[n-1] {
 		panic(fmt.Sprintf("metrics: out-of-order sample %v after %v on %q", t, s.T[n-1], s.Name))
+	}
+	if len(s.V) == n && (n == cap(s.T) || n == cap(s.V)) {
+		c := max(2*n, minSamples)
+		block := make([]float64, 2*c)
+		s.T = block[:copy(block, s.T):c]
+		s.V = block[c : c+copy(block[c:], s.V) : 2*c]
 	}
 	s.T = append(s.T, t)
 	s.V = append(s.V, v)
 }
+
+// minSamples is the capacity of a series' first block, 128 bytes: the
+// samples a short run's response series mostly stay within.
+const minSamples = 8
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.T) }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hardware"
+	"repro/internal/names"
 )
 
 // Server is a server holon: NIC, CPU, memory and optional RAID, plus the
@@ -68,6 +69,9 @@ type DataCenter struct {
 	ClientLink *hardware.Link
 	Tiers      map[string]*Tier
 	Clients    *ClientPool // nil when no clients are attached
+	// tiers holds the Tiers in declaration order, the order their probes
+	// register in.
+	tiers []*Tier
 	// Daemon is the delay line hosting background daemon processes (the R
 	// and I processes of §6.4.3) — lightweight, uncontended.
 	Daemon *core.DelayLine
@@ -122,21 +126,23 @@ func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 		links:   make(map[wanKey]*hardware.Link),
 		backups: make(map[wanKey]*hardware.Link),
 	}
+	inf.dcOrder = make([]string, 0, len(spec.DCs))
 	for _, dcSpec := range spec.DCs {
 		dc := buildDC(sim, dcSpec)
 		inf.DCs[dcSpec.Name] = dc
 		inf.dcOrder = append(inf.dcOrder, dcSpec.Name)
 	}
 	sort.Strings(inf.dcOrder)
+	inf.dcs = make([]*DataCenter, len(inf.dcOrder))
 	for i, name := range inf.dcOrder {
 		dc := inf.DCs[name]
 		dc.index = i
-		inf.dcs = append(inf.dcs, dc)
+		inf.dcs[i] = dc
 	}
 	inf.routes = make([]route, len(inf.dcs)*len(inf.dcs))
 	for _, w := range spec.WAN {
-		fwd := hardware.NewLink(sim, fmt.Sprintf("wan:%s->%s", w.From, w.To), w.Link)
-		rev := hardware.NewLink(sim, fmt.Sprintf("wan:%s->%s", w.To, w.From), w.Link)
+		fwd := hardware.NewLink(sim, "wan:"+w.From+"->"+w.To, w.Link)
+		rev := hardware.NewLink(sim, "wan:"+w.To+"->"+w.From, w.Link)
 		if w.Backup {
 			inf.backups[wanKey{w.From, w.To}] = fwd
 			inf.backups[wanKey{w.To, w.From}] = rev
@@ -163,36 +169,81 @@ func buildDC(sim *core.Simulation, spec DCSpec) *DataCenter {
 	dc := &DataCenter{
 		Name:   spec.Name,
 		Switch: hardware.NewSwitch(sim, "sw:"+spec.Name, spec.SwitchGbps),
-		Tiers:  make(map[string]*Tier),
+		Tiers:  make(map[string]*Tier, len(spec.Tiers)),
+		tiers:  make([]*Tier, len(spec.Tiers)),
 		Daemon: core.NewDelayLine(sim, "daemon:"+spec.Name),
 	}
-	dc.ClientLink = hardware.NewLink(sim, fmt.Sprintf("clink:%s", spec.Name), spec.ClientLink)
-	for _, ts := range spec.Tiers {
-		tier := &Tier{Name: ts.Name, DC: dc}
-		for i := 0; i < ts.Servers; i++ {
-			name := fmt.Sprintf("%s:%s:%d", spec.Name, ts.Name, i)
-			srv := &Server{
-				Name: name,
-				CPU:  hardware.NewCPU(sim, "cpu:"+name, ts.Server.CPU),
-				Mem: hardware.NewMemory(ts.Server.MemGB*1e9, ts.Server.CacheHitRate,
-					core.DeriveSeed(sim.Seed(), uint64(sim.NextAgentID())*2654435761+uint64(i))),
-				NIC:  hardware.NewNIC(sim, "nic:"+name, ts.Server.NICGbps),
-				Link: hardware.NewLink(sim, "llink:"+name, ts.LocalLink),
-				Tier: tier,
-			}
-			if ts.Server.RAID != nil {
-				srv.RAID = hardware.NewRAID(sim, "raid:"+name, *ts.Server.RAID)
-			}
-			tier.Servers = append(tier.Servers, srv)
-		}
+	dc.ClientLink = hardware.NewLink(sim, "clink:"+spec.Name, spec.ClientLink)
+	tiers := make([]Tier, len(spec.Tiers))
+	for i, ts := range spec.Tiers {
+		tier := &tiers[i]
+		tier.Name, tier.DC = ts.Name, dc
+		buildServers(sim, tier, ts)
 		if ts.SAN != nil {
 			tname := spec.Name + ":" + ts.Name
 			tier.SAN = hardware.NewSAN(sim, "san:"+tname, *ts.SAN)
 			tier.SANLink = hardware.NewLink(sim, "slink:"+tname, *ts.SANLink)
 		}
 		dc.Tiers[ts.Name] = tier
+		dc.tiers[i] = tier
 	}
 	return dc
+}
+
+// buildServers sets up the tier's servers in place. The servers are one
+// slab, and their CPUs, memories, NICs, local links and RAIDs one slab each,
+// all made once at the tier's size; the names are cut from one string. So a
+// tier costs a fixed number of allocations plus what each CPU and RAID
+// allocates for its own parts (socket and stage queues), not a server
+// holon, its components and five names apiece. Server i is set up as one
+// by one construction did it, under the same IDs and names: its CPU
+// registers as "cpu:<dc>:<tier>:<i>", its memory's seed reads the next
+// agent ID after that, and then its NIC ("nic:…"), local link ("llink:…")
+// and RAID ("raid:…") register in that order.
+func buildServers(sim *core.Simulation, tier *Tier, ts TierSpec) {
+	n := ts.Servers
+	srvs := make([]Server, n)
+	cpus := make([]hardware.CPU, n)
+	mems := make([]hardware.Memory, n)
+	nics := make([]hardware.NIC, n)
+	links := make([]hardware.Link, n)
+	var raids []hardware.RAID
+	// Each component's name is its prefix plus "<dc>:<tier>:<i>".
+	prefixes := len("cpu:") + len("nic:") + len("llink:")
+	parts := 3
+	if ts.Server.RAID != nil {
+		raids = make([]hardware.RAID, n)
+		prefixes += len("raid:")
+		parts++
+	}
+	stem := len(tier.DC.Name) + len(ts.Name) + 2
+	var nb names.Slab
+	nb.Grow(n*prefixes + parts*(n*stem+decimalLen(n)))
+	tier.Servers = make([]*Server, n)
+	for i := range srvs {
+		cpu := nb.Str("cpu:").Str(tier.DC.Name).Str(":").Str(ts.Name).Str(":").Int(i).Cut()
+		s := &srvs[i]
+		*s = Server{Name: cpu[len("cpu:"):], CPU: &cpus[i], Mem: &mems[i], NIC: &nics[i], Link: &links[i], Tier: tier}
+		s.CPU.Init(sim, cpu, ts.Server.CPU)
+		s.Mem.Init(ts.Server.MemGB*1e9, ts.Server.CacheHitRate,
+			core.DeriveSeed(sim.Seed(), uint64(sim.NextAgentID())*2654435761+uint64(i)))
+		s.NIC.Init(sim, nb.Str("nic:").Str(s.Name).Cut(), ts.Server.NICGbps)
+		s.Link.Init(sim, nb.Str("llink:").Str(s.Name).Cut(), ts.LocalLink)
+		if raids != nil {
+			s.RAID = &raids[i]
+			s.RAID.Init(sim, nb.Str("raid:").Str(s.Name).Cut(), *ts.Server.RAID)
+		}
+		tier.Servers[i] = s
+	}
+}
+
+// decimalLen returns the total length of the decimal forms of 0 … n-1.
+func decimalLen(n int) int {
+	total := 0
+	for i := range n {
+		total += names.IntLen(i)
+	}
+	return total
 }
 
 // DC returns the named data center, panicking on unknown names.

@@ -1,10 +1,9 @@
 package topology
 
 import (
-	"strconv"
-
 	"repro/internal/core"
 	"repro/internal/hardware"
+	"repro/internal/names"
 )
 
 // ClientSlot is one client holon: its own NIC (clients do not contend with
@@ -44,17 +43,10 @@ func newClientPool(sim *core.Simulation, dc *DataCenter, spec ClientSpec) *Clien
 		Local: core.NewDelayLine(sim, "clocal:"+dc.Name),
 	}
 	nics := make([]hardware.NIC, spec.Slots)
-	prefix := "cnic:" + dc.Name + ":"
-	var buf []byte
+	var nb names.Slab
+	nb.Grow(spec.Slots*(len("cnic::")+len(dc.Name)) + decimalLen(spec.Slots))
 	for i := range p.Slots {
-		buf = strconv.AppendInt(append(buf, prefix...), int64(i), 10)
-	}
-	names := string(buf)
-	var digits [20]byte
-	for i := range p.Slots {
-		n := len(prefix) + len(strconv.AppendInt(digits[:0], int64(i), 10))
-		nics[i].Init(sim, names[:n], spec.NICGbps)
-		names = names[n:]
+		nics[i].Init(sim, nb.Str("cnic:").Str(dc.Name).Str(":").Int(i).Cut(), spec.NICGbps)
 		p.Slots[i] = ClientSlot{Index: i, NIC: &nics[i], Pool: p}
 	}
 	return p

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/core"
+	"repro/internal/names"
 	"repro/internal/topology"
 )
 
@@ -105,9 +106,15 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 	}
 	w.cum = make([]float64, len(w.Ops))
 	w.names = make([]string, len(w.Ops))
+	size := 0
+	for i := range w.Ops {
+		size += len(w.App) + len(" ") + len(w.Ops[i].Name)
+	}
+	var nb names.Slab // the names are cut from one string
+	nb.Grow(size)
 	total := 0.0
 	for i := range w.Ops {
-		w.names[i] = w.App + " " + w.Ops[i].Name
+		w.names[i] = nb.Str(w.App).Str(" ").Str(w.Ops[i].Name).Cut()
 		wgt := 1.0
 		if w.Weights != nil {
 			wgt = w.Weights[i]
