@@ -251,7 +251,7 @@ func TestCADExpandAllocationBudget(t *testing.T) {
 					t.Fatalf("%s step %d: wrong number of plans", op.Name, s)
 				}
 			}
-			run.Retire()
+			run.Expander.Retire()
 		}
 		instance() // warm the scratch
 		if n := testing.AllocsPerRun(20, instance); n > float64(len(op.Steps)) {
@@ -265,6 +265,6 @@ func TestCADExpandAllocationBudget(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { run.Expand(1) }); n != 0 {
 			t.Errorf("%s: expanding a step into recycled storage: %v allocs, want 0", op.Name, n)
 		}
-		run.Retire()
+		run.Expander.Retire()
 	}
 }

@@ -295,3 +295,22 @@ func TestIndexDaemonNeverOverlaps(t *testing.T) {
 		t.Logf("durations: %v (non-increasing is acceptable at steady state)", d.Durations.V)
 	}
 }
+
+// An index build is one step of one message whose plan the operation
+// stores: expanding it hands that plan back and allocates nothing.
+func TestIndexBuildExpandAllocatesNothing(t *testing.T) {
+	sim, inf := syncInfra(t)
+	d := &IndexDaemon{Inf: inf, Master: "NA"}
+	srv := topology.ServerEndpoint(inf.DC("NA").Tier("app").Pick())
+	plan, err := inf.ExpandHop(topology.DaemonEndpoint(inf.DC("NA")), srv, topology.Cost{CPUCycles: 1e6, NetBytes: 1e3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := d.op(sim, plan)
+	if plans := op.Expand(0); len(plans) != 1 || len(plans[0].Stages) != len(plan.Stages) {
+		t.Fatalf("index build expanded into %v, want its one plan", plans)
+	}
+	if n := testing.AllocsPerRun(100, func() { op.Expand(0) }); n != 0 {
+		t.Errorf("an index-build expand costs %v allocations, want 0", n)
+	}
+}

@@ -136,18 +136,24 @@ func (d *IndexDaemon) launch(s *core.Simulation, now float64) {
 	}
 
 	d.running = true
-	s.StartOp(core.OpRun{
+	s.StartOp(d.op(s, plan))
+}
+
+// op wraps one build's message plan into its operation: one step of one
+// message, stored in a core.OnePlan, so expanding it allocates nothing.
+func (d *IndexDaemon) op(s *core.Simulation, plan core.MessagePlan) core.OpRun {
+	return core.OpRun{
 		Name:     "INDEXBUILD",
 		DC:       d.Master,
 		NumSteps: 1,
-		Expand:   func(int) []core.MessagePlan { return []core.MessagePlan{plan} },
+		Expander: &core.OnePlan{plan},
 		OnComplete: func(done, dur float64) {
 			d.running = false
 			d.nextLaunch = done + d.Gap
 			d.Durations.Add(done, dur)
 			s.RearmSource(d.Handle) // wake the parked poll schedule
 		},
-	})
+	}
 }
 
 var _ core.Source = (*IndexDaemon)(nil)

@@ -156,7 +156,7 @@ func (d *SyncDaemon) launch(s *core.Simulation, t0, t1 float64) {
 		Name:     "SYNCHREP",
 		DC:       d.Master,
 		NumSteps: len(steps),
-		Expand:   func(step int) []core.MessagePlan { return steps[step] },
+		Expander: core.ExpandFunc(func(step int) []core.MessagePlan { return steps[step] }),
 		OnComplete: func(now, dur float64) {
 			d.activeCount--
 			d.Durations.Add(now, dur)

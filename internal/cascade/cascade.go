@@ -278,7 +278,9 @@ type Binding struct {
 	servers [affinitySlots]*topology.Server
 	// owner is the Scratch a recycled binding returns to when its one
 	// operation retires; nil for caller-owned bindings (NewBinding).
-	owner *Scratch
+	// nextFree links it into the owner's free list while retired.
+	owner    *Scratch
+	nextFree *Binding
 }
 
 // NewBinding builds a binding for a client at local, manipulating a file
@@ -355,7 +357,7 @@ func (b *Binding) appendMsg(plan *core.MessagePlan, m uint8, tiers *siteTiers, c
 // Instantiate turns an operation definition plus a binding into a runnable
 // core.OpRun. Expansion happens step by step at run time. The returned
 // OpRun owns one stage buffer, one hold buffer and one plan slice that every
-// step's expansion reuses (see core.OpRun.Expand for the lifetime rule), so it
+// step's expansion reuses (see core.Expander for the lifetime rule), so it
 // drives a single flow. The operation is compiled on every call; launchers
 // instantiate through a Scratch, which compiles once.
 func Instantiate(op Op, b *Binding) (core.OpRun, error) {
@@ -368,10 +370,12 @@ func Instantiate(op Op, b *Binding) (core.OpRun, error) {
 // stage, hold and plan buffers, and their binding when Scratch.NewBinding
 // made it) for the launcher's next operation to expand into. One launcher
 // owns one Scratch; all its operations must start at one data center. The
-// free lists grow to the launcher's peak number of operations in flight.
+// free lists link their entries through the entries themselves, last retired
+// first, so they hold the launcher's peak number of operations in flight
+// without a table of their own to grow.
 type Scratch struct {
-	free     []*expander
-	bindings []*Binding
+	free     *expander
+	bindings *Binding
 	programs map[opKey]*program
 	sites    []siteEntry
 }
@@ -431,14 +435,13 @@ func (sc *Scratch) tiers(local, master *topology.DataCenter) *siteTiers {
 // through this Scratch — and returns to the list when that operation's flow
 // finishes; the caller must not keep it.
 func (sc *Scratch) NewBinding(inf *topology.Infrastructure, local, master *topology.DataCenter) *Binding {
-	n := len(sc.bindings)
-	if n == 0 {
-		b := NewBinding(inf, local, master)
+	b := sc.bindings
+	if b == nil {
+		b = NewBinding(inf, local, master)
 		b.owner = sc
 		return b
 	}
-	b := sc.bindings[n-1]
-	sc.bindings = sc.bindings[:n-1]
+	sc.bindings, b.nextFree = b.nextFree, nil
 	b.Inf, b.Local, b.Master, b.owner = inf, local, master, sc
 	if local.Clients != nil {
 		b.Slot = local.Clients.Next()
@@ -465,19 +468,14 @@ func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 		return core.OpRun{}, err
 	}
 	var x *expander
-	if sc != nil && len(sc.free) > 0 {
-		n := len(sc.free)
-		x = sc.free[n-1]
-		sc.free = sc.free[:n-1]
+	if sc != nil && sc.free != nil {
+		x = sc.free
+		sc.free, x.nextFree = x.nextFree, nil
 	} else {
-		x = new(expander)
-		x.expandFn, x.errFn = x.expand, x.takeErr
+		x = &expander{sc: sc}
 		x.holds = x.holdBuf[:0]
 		x.stages = make([]core.Stage, 0, p.oneShotStages(b))
 		x.plans = make([]core.MessagePlan, 0, p.width)
-		if sc != nil {
-			x.retireFn = func() { sc.retire(x) }
-		}
 	}
 	if cap(x.holds) < p.width {
 		x.holds = make([]core.Hold, 0, p.width)
@@ -487,9 +485,7 @@ func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 		Name:     op.Name,
 		DC:       b.Local.Name,
 		NumSteps: len(op.Steps),
-		Expand:   x.expandFn,
-		Err:      x.errFn,
-		Retire:   x.retireFn,
+		Expander: x,
 	}, nil
 }
 
@@ -498,19 +494,16 @@ func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 // came from NewBinding.
 func (sc *Scratch) retire(x *expander) {
 	if b := x.binding; b.owner == sc {
-		*b = Binding{}
-		sc.bindings = append(sc.bindings, b)
+		*b = Binding{nextFree: sc.bindings}
+		sc.bindings = b
 	}
 	// Whole capacity: steps overwrite each other in place, so an earlier,
 	// wider step's tail may still be there.
 	clear(x.stages[:cap(x.stages)])
 	clear(x.holds[:cap(x.holds)])
 	clear(x.plans[:cap(x.plans)])
-	*x = expander{
-		stages: x.stages[:0], holds: x.holds[:0], plans: x.plans[:0],
-		expandFn: x.expandFn, errFn: x.errFn, retireFn: x.retireFn,
-	}
-	sc.free = append(sc.free, x)
+	*x = expander{stages: x.stages[:0], holds: x.holds[:0], plans: x.plans[:0], sc: sc, nextFree: sc.free}
+	sc.free = x
 }
 
 // expander is the per-operation-instance expansion state: the flow's steps
@@ -522,8 +515,9 @@ func (sc *Scratch) retire(x *expander) {
 // costs no hold allocation of its own. The stage buffer and plan slice are
 // sized for the first operation when the expander is created
 // (oneShotStages, width), whether it serves one operation or a launcher.
-// The funcs are bound once, so a recycled expander costs its next operation
-// no closure.
+// The expander is the OpRun's core.Expander itself, so an operation costs
+// no closure, and a new expander three allocations: itself, its stage
+// buffer and its plan slice.
 type expander struct {
 	prog    *program
 	tiers   *siteTiers
@@ -534,26 +528,36 @@ type expander struct {
 	// any other step is located by a scan.
 	next, off int
 
-	stages   []core.Stage
-	holds    []core.Hold
-	plans    []core.MessagePlan
-	err      error // why the last expand returned nothing
-	expandFn func(int) []core.MessagePlan
-	errFn    func() error
-	retireFn func()
-	holdBuf  [8]core.Hold
+	stages  []core.Stage
+	holds   []core.Hold
+	plans   []core.MessagePlan
+	err     error // why the last expand returned nothing
+	holdBuf [8]core.Hold
+
+	// sc is the launcher the expander retires to (nil: none), and nextFree
+	// links it into sc's free list while retired.
+	sc       *Scratch
+	nextFree *expander
 }
 
-// takeErr is the OpRun.Err hook.
-func (x *expander) takeErr() error { return x.err }
+// Err implements core.Expander: why the last Expand returned nothing.
+func (x *expander) Err() error { return x.err }
+
+// Retire implements core.Expander: a launcher's expander goes back to its
+// free list; one instantiated without a launcher is left to the collector.
+func (x *expander) Retire() {
+	if x.sc != nil {
+		x.sc.retire(x)
+	}
+}
 
 // expand runs one step of the compiled program: per message, endpoint
 // patching and a copy of the route's fabric. The previous step's plans are
 // dead, so their storage is overwritten in place (it only ever points into
 // the platform, which outlives the operation; retire clears it). A message
 // that cannot be routed abandons the step: expand returns nothing and the
-// error waits in takeErr.
-func (x *expander) expand(step int) []core.MessagePlan {
+// error waits in Err. Expand implements core.Expander.
+func (x *expander) Expand(step int) []core.MessagePlan {
 	if step != x.next {
 		x.off = 0
 		for _, msgs := range x.steps[:step] {

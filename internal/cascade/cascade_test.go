@@ -437,11 +437,11 @@ func TestScratchRetiresCleanAndReuses(t *testing.T) {
 	for s := 0; s < run.NumSteps; s++ {
 		run.Expand(s)
 	}
-	run.Retire()
-	if len(sc.free) != 1 {
-		t.Fatalf("%d expanders on the free list after one retirement", len(sc.free))
+	run.Expander.Retire()
+	if n, _ := freeCount(&sc); n != 1 {
+		t.Fatalf("%d expanders on the free list after one retirement", n)
 	}
-	x := sc.free[0]
+	x := sc.free
 	if x.binding != nil || x.steps != nil || len(x.stages) != 0 || len(x.holds) != 0 || len(x.plans) != 0 {
 		t.Fatalf("retired expander still bound: %+v", x)
 	}
@@ -467,12 +467,24 @@ func TestScratchRetiresCleanAndReuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sc.free) != 0 {
+	if n, _ := freeCount(&sc); n != 0 || again.Expander != x {
 		t.Fatal("second operation did not take the retired expander")
 	}
 	if plans := again.Expand(0); len(plans) != 1 || len(plans[0].Stages) == 0 {
 		t.Fatalf("recycled expander expanded step 0 into %v", plans)
 	}
+}
+
+// freeCount counts the expanders and the bindings on a launcher's free
+// lists.
+func freeCount(sc *Scratch) (expanders, bindings int) {
+	for x := sc.free; x != nil; x = x.nextFree {
+		expanders++
+	}
+	for b := sc.bindings; b != nil; b = b.nextFree {
+		bindings++
+	}
+	return expanders, bindings
 }
 
 // A launcher compiles an operation once and each pair of sites once; what it
@@ -493,10 +505,10 @@ func TestScratchCompilesOnceAndRecyclesBindings(t *testing.T) {
 		}
 		for s := 0; s < run.NumSteps; s++ {
 			if len(run.Expand(s)) == 0 {
-				t.Fatalf("step %d expanded to nothing: %v", s, run.Err())
+				t.Fatalf("step %d expanded to nothing: %v", s, run.Expander.Err())
 			}
 		}
-		run.Retire()
+		run.Expander.Retire()
 		return b
 	}
 	first := launch(aus, na)
@@ -519,8 +531,8 @@ func TestScratchCompilesOnceAndRecyclesBindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	run.Expand(0)
-	run.Retire()
-	if own.Local != na || own.servers == [affinitySlots]*topology.Server{} || len(sc.bindings) != 1 {
+	run.Expander.Retire()
+	if _, n := freeCount(&sc); own.Local != na || own.servers == [affinitySlots]*topology.Server{} || n != 1 {
 		t.Error("a caller-owned binding was reset or taken onto the free list")
 	}
 }
@@ -612,8 +624,8 @@ func TestUnroutableStepFailsTheSimulation(t *testing.T) {
 	}
 	inf.IsolateDC("AUS")
 	var noRoute *topology.NoRouteError
-	if plans := run.Expand(0); len(plans) != 0 || !errors.As(run.Err(), &noRoute) {
-		t.Fatalf("expansion across a partition: %d plans, error %v", len(plans), run.Err())
+	if plans := run.Expand(0); len(plans) != 0 || !errors.As(run.Expander.Err(), &noRoute) {
+		t.Fatalf("expansion across a partition: %d plans, error %v", len(plans), run.Expander.Err())
 	}
 	sim.AddSource(core.SourceFunc(func(s *core.Simulation, now float64) {
 		if now == 0 {
@@ -673,5 +685,30 @@ func TestTierForMatchesResolve(t *testing.T) {
 	}
 	if second, _ := NewBinding(inf, aus, na).Resolve(app); second.Server() == first.Server() {
 		t.Error("TierFor advanced the app tier's balancer")
+	}
+}
+
+// A launcher's new expander — one per operation beyond those in flight —
+// is the OpRun's core.Expander itself: three allocations (the expander,
+// its stage buffer and its plan slice), no method values or retire
+// closure; a recycled one costs none.
+func TestExpanderAllocs(t *testing.T) {
+	_, inf := testInfra(t)
+	na := inf.DC("NA")
+	var sc Scratch
+	b := NewBinding(inf, na, na)
+	op := fanOp()
+	if _, err := sc.Instantiate(op, b); err != nil { // compiles the program
+		t.Fatal(err)
+	}
+	var run core.OpRun
+	if n := testing.AllocsPerRun(50, func() { run, _ = sc.Instantiate(op, b) }); n > 3 {
+		t.Errorf("a new expander costs %v allocations, want at most 3", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		run.Expander.Retire()
+		run, _ = sc.Instantiate(op, b)
+	}); n != 0 {
+		t.Errorf("a recycled expander costs %v allocations, want 0", n)
 	}
 }

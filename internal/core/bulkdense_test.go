@@ -531,12 +531,12 @@ func TestDirectTickMatchesReference(t *testing.T) {
 				d := 1 + sim.RNG().Float64()*20
 				sim.StartOp(OpRun{
 					Name: "MIX", DC: "NA", NumSteps: 2,
-					Expand: func(step int) []MessagePlan {
+					Expander: ExpandFunc(func(step int) []MessagePlan {
 						if step == 0 {
 							return []MessagePlan{{Stages: []Stage{{Queue: ag, Demand: d}}}}
 						}
 						return []MessagePlan{{Stages: []Stage{{Queue: dl, Demand: 0.13}}}}
-					},
+					}),
 				})
 			}
 		}))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/simtime"
 )
@@ -80,6 +81,12 @@ func (c *calendar) grow(n int) {
 	if n > len(c.slot) {
 		c.slot = append(c.slot, make([]calSlot, n-len(c.slot))...)
 	}
+}
+
+// reserve makes room in the slot table for n agents, so grow covers them
+// without moving it.
+func (c *calendar) reserve(n int) {
+	c.slot = slices.Grow(c.slot, max(n-len(c.slot), 0))
 }
 
 // len reports the number of scheduled entries.

@@ -243,9 +243,9 @@ func TestCalendarRekeysOnEnqueue(t *testing.T) {
 	enq := func(delay float64) {
 		s.StartOp(OpRun{
 			Name: "D", DC: "NA", NumSteps: 1,
-			Expand: func(int) []MessagePlan {
+			Expander: ExpandFunc(func(int) []MessagePlan {
 				return []MessagePlan{{Stages: []Stage{{Queue: dl, Demand: delay}}}}
-			},
+			}),
 		})
 	}
 	// A long delay parks the line's calendar entry far in the future...
@@ -313,7 +313,7 @@ func activationOrder(t *testing.T, ref bool) {
 		a := agents[i]
 		s.StartOp(OpRun{
 			Name: "O", DC: "NA", NumSteps: 1,
-			Expand:     func(int) []MessagePlan { return []MessagePlan{{Stages: []Stage{{Queue: a, Demand: 1}}}} },
+			Expander:   ExpandFunc(func(int) []MessagePlan { return []MessagePlan{{Stages: []Stage{{Queue: a, Demand: 1}}}} }),
 			OnComplete: func(float64, float64) { order = append(order, a.ID()) },
 		})
 	}

@@ -41,9 +41,32 @@ func singleStageOp(name, dc string, agent QueueAgent, demand float64) OpRun {
 		Name:     name,
 		DC:       dc,
 		NumSteps: 1,
-		Expand: func(int) []MessagePlan {
+		Expander: ExpandFunc(func(int) []MessagePlan {
 			return []MessagePlan{{Stages: []Stage{{Queue: agent, Demand: demand}}}}
-		},
+		}),
+	}
+}
+
+// testExpander is an Expander assembled from functions, for the tests that
+// need a step error or a retire hook; nil err and retire do nothing.
+type testExpander struct {
+	expand func(step int) []MessagePlan
+	err    func() error
+	retire func()
+}
+
+func (x *testExpander) Expand(step int) []MessagePlan { return x.expand(step) }
+
+func (x *testExpander) Err() error {
+	if x.err == nil {
+		return nil
+	}
+	return x.err()
+}
+
+func (x *testExpander) Retire() {
+	if x.retire != nil {
+		x.retire()
 	}
 }
 
@@ -117,7 +140,7 @@ func TestForkJoinStepWaitsForAllMessages(t *testing.T) {
 	var secondStepStarted float64 = -1
 	op := OpRun{
 		Name: "FJ", DC: "NA", NumSteps: 2,
-		Expand: func(step int) []MessagePlan {
+		Expander: ExpandFunc(func(step int) []MessagePlan {
 			if step == 0 {
 				return []MessagePlan{
 					{Stages: []Stage{{Queue: fast, Demand: 10}}},  // 0.1s
@@ -126,7 +149,7 @@ func TestForkJoinStepWaitsForAllMessages(t *testing.T) {
 			}
 			secondStepStarted = s.Clock().NowSeconds()
 			return []MessagePlan{{Stages: []Stage{{Queue: fast, Demand: 1}}}}
-		},
+		}),
 	}
 	started := false
 	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
@@ -164,7 +187,7 @@ func TestStageOccupancyCallsRunInOrder(t *testing.T) {
 	hold := &recordingHold{}
 	op := OpRun{
 		Name: "HOLD", DC: "NA", NumSteps: 1,
-		Expand: func(int) []MessagePlan {
+		Expander: ExpandFunc(func(int) []MessagePlan {
 			// An instantaneous stage opens the outer span and falls
 			// through; the queued stage opens and closes its own span
 			// around the service; a trailing instantaneous stage closes
@@ -173,7 +196,7 @@ func TestStageOccupancyCallsRunInOrder(t *testing.T) {
 				Stages: []Stage{{}, {Queue: cpu, Demand: 10}, {}},
 				Holds:  []Hold{{Occ: hold, Amount: 1, From: 0, To: 2}, {Occ: hold, Amount: 2, From: 1, To: 1}},
 			}}
-		},
+		}),
 	}
 	started := false
 	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
@@ -203,10 +226,10 @@ func TestRetireRunsOnceBeforeOnComplete(t *testing.T) {
 	var events []string
 	op := singleStageOp("RETIRE", "NA", cpu, 10)
 	op.NumSteps = 2 // the same single stage twice: Retire must wait for both
-	op.Retire = func() { events = append(events, "retire") }
+	op.Expander = &testExpander{expand: op.Expander.Expand, retire: func() { events = append(events, "retire") }}
 	op.OnComplete = func(now, dur float64) { events = append(events, "complete") }
 	local := singleStageOp("LOCAL", "NA", cpu, 10)
-	local.Retire = func() { events = append(events, "local-retire") }
+	local.Expander = &testExpander{expand: local.Expander.Expand, retire: func() { events = append(events, "local-retire") }}
 	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
 		if now == 0 {
 			sim.StartOp(op)
@@ -251,9 +274,9 @@ func TestDelayLineHoldsExactDelay(t *testing.T) {
 	dl := NewDelayLine(s, "think")
 	op := OpRun{
 		Name: "THINK", DC: "NA", NumSteps: 1,
-		Expand: func(int) []MessagePlan {
+		Expander: ExpandFunc(func(int) []MessagePlan {
 			return []MessagePlan{{Stages: []Stage{{Queue: dl, Demand: 1.5}}}}
-		},
+		}),
 	}
 	started := false
 	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
@@ -278,9 +301,9 @@ func TestDelayLineOrdering(t *testing.T) {
 	mk := func(name string, d float64) OpRun {
 		return OpRun{
 			Name: name, DC: "NA", NumSteps: 1,
-			Expand: func(int) []MessagePlan {
+			Expander: ExpandFunc(func(int) []MessagePlan {
 				return []MessagePlan{{Stages: []Stage{{Queue: dl, Demand: d}}}}
-			},
+			}),
 			OnComplete: func(now, dur float64) { order = append(order, name) },
 		}
 	}
@@ -308,12 +331,12 @@ func TestTimestampConsistencyAcrossStages(t *testing.T) {
 	b := newTestQueueAgent(s, "b", 1, 1e9)
 	op := OpRun{
 		Name: "2STAGE", DC: "NA", NumSteps: 1,
-		Expand: func(int) []MessagePlan {
+		Expander: ExpandFunc(func(int) []MessagePlan {
 			return []MessagePlan{{Stages: []Stage{
 				{Queue: a, Demand: 1},
 				{Queue: b, Demand: 1},
 			}}}
-		},
+		}),
 	}
 	started := false
 	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
@@ -577,9 +600,9 @@ func fastForwardFixture(noFF bool) *Simulation {
 		s.AddSource(&timedSource{at: at, launch: func(s *Simulation) {
 			s.StartOp(OpRun{
 				Name: "THINK", DC: "NA", NumSteps: 1,
-				Expand: func(int) []MessagePlan {
+				Expander: ExpandFunc(func(int) []MessagePlan {
 					return []MessagePlan{{Stages: []Stage{{Queue: dl, Demand: 7.301}}}}
-				},
+				}),
 			})
 		}})
 	}
@@ -649,7 +672,7 @@ func TestDirectTickNeverJumps(t *testing.T) {
 	}
 }
 
-// An Expand that returns nothing is an empty step unless OpRun.Err says
+// An Expand that returns nothing is an empty step unless Expander.Err says
 // otherwise; then the flow is abandoned where it stands, the simulation
 // records the first such error wrapped in an *OpError, finishes the window
 // and stops.
@@ -659,32 +682,33 @@ func TestExpandErrorStopsTheRun(t *testing.T) {
 	cause := errors.New("no way through")
 	failing := singleStageOp("DOOMED", "EU", cpu, 10)
 	failing.NumSteps = 3
-	inner := failing.Expand
+	inner := failing.Expander.Expand
 	var failedStep int
-	failing.Expand = func(step int) []MessagePlan {
-		if step == 1 {
-			failedStep = step
+	failing.Expander = &testExpander{
+		expand: func(step int) []MessagePlan {
+			if step == 1 {
+				failedStep = step
+				return nil
+			}
+			return inner(step)
+		},
+		err: func() error {
+			if failedStep == 1 {
+				return cause
+			}
 			return nil
-		}
-		return inner(step)
-	}
-	failing.Err = func() error {
-		if failedStep == 1 {
-			return cause
-		}
-		return nil
+		},
 	}
 	completed := false
 	failing.OnComplete = func(now, dur float64) { completed = true }
 	emptyStep := singleStageOp("SPARSE", "EU", cpu, 10)
 	emptyStep.NumSteps = 2
-	emptyStep.Expand = func(step int) []MessagePlan {
+	emptyStep.Expander = ExpandFunc(func(step int) []MessagePlan {
 		if step == 0 {
 			return nil // empty, and Err stays nil: skipped
 		}
 		return inner(step)
-	}
-	emptyStep.Err = func() error { return nil }
+	})
 	s.AddSource(SourceFunc(func(sim *Simulation, now float64) {
 		if now == 0 {
 			sim.StartOp(emptyStep)
@@ -737,10 +761,14 @@ func TestFlowsAreRecycled(t *testing.T) {
 	if s.CompletedOps() != 50 {
 		t.Fatalf("%d operations completed, want 50", s.CompletedOps())
 	}
-	if n := len(s.root.flowPool); n != 1 {
+	n := 0
+	for f := s.root.flowFree; f != nil; f = f.nextFree {
+		n++
+	}
+	if n != 1 {
 		t.Errorf("%d flows on the free list after a chain of 50, want the one they shared", n)
 	}
-	if f := s.root.flowPool[0]; f.op.Expand != nil || f.op.OnComplete != nil || f.outstanding != 0 {
+	if f := s.root.flowFree; f.op.Expander != nil || f.op.OnComplete != nil || f.outstanding != 0 {
 		t.Errorf("pooled flow retains its operation: %+v", f)
 	}
 }
@@ -791,4 +819,30 @@ func TestProductionLoopNeverCallsEngine(t *testing.T) {
 		t.Fatal("the platform completed nothing; the contract was not exercised")
 	}
 	sameRun(t, ref, got)
+}
+
+// TestReserveAgentsGrowsTablesOnce: after ReserveAgents(n), registering n
+// agents and sizing the calendar to them allocates nothing; the agent past
+// the reservation still registers, under the next ID.
+func TestReserveAgentsGrowsTablesOnce(t *testing.T) {
+	const n = 100
+	s := NewSimulation(Config{Seed: 1})
+	lines := make([]DelayLine, n+1)
+	for i := range lines {
+		lines[i].InitAgent(AgentID(i), "line")
+	}
+	s.ReserveAgents(n)
+	registered := 0
+	if allocs := testing.AllocsPerRun(n-1, func() {
+		s.AddAgent(&lines[registered])
+		registered++
+		s.root.cal.grow(len(s.agents))
+	}); allocs != 0 {
+		t.Errorf("registering %d reserved agents: %v allocations each, want 0", n, allocs)
+	}
+	s.AddAgent(&lines[n])
+	if s.AgentCount() != n+1 || lines[n].ID() != n {
+		t.Errorf("%d agents after one past the reservation, the last with ID %d; want %d and %d",
+			s.AgentCount(), lines[n].ID(), n+1, n)
+	}
 }

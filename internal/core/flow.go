@@ -54,6 +54,53 @@ type MessagePlan struct {
 	Holds  []Hold
 }
 
+// Expander expands the steps of one operation instance. The flow calls
+// Expand with strictly increasing steps, and step k+1 only after every
+// message of step k has finished, so the plans of step k are dead once step
+// k+1 is expanded: an implementation may reuse the returned slice and the
+// stage storage behind it from one call to the next. That makes one
+// Expander drive one flow — start each flow from its own.
+type Expander interface {
+	// Expand returns the parallel messages of the given step (0-based). An
+	// empty result completes the step immediately.
+	Expand(step int) []MessagePlan
+	// Err is consulted after an Expand that returned no plans: a non-nil
+	// error means the step could not be expanded (a message with no
+	// surviving route) rather than being empty. The flow is abandoned in
+	// place and the error becomes the simulation's fatal error
+	// (Simulation.Fail), wrapped in an *OpError.
+	Err() error
+	// Retire runs once when the flow has finished, before OnComplete: the
+	// point where Expand's storage may go back to its launcher.
+	Retire()
+}
+
+// ExpandFunc adapts a function to an Expander whose steps never fail and
+// which has nothing to retire.
+type ExpandFunc func(step int) []MessagePlan
+
+// Expand calls f.
+func (f ExpandFunc) Expand(step int) []MessagePlan { return f(step) }
+
+// Err implements Expander: a function's empty step is an empty step.
+func (ExpandFunc) Err() error { return nil }
+
+// Retire implements Expander: a function keeps no storage to hand back.
+func (ExpandFunc) Retire() {}
+
+// OnePlan is an Expander of one single-message step: the plan is stored, so
+// an expansion returns a view of it and allocates nothing.
+type OnePlan [1]MessagePlan
+
+// Expand implements Expander.
+func (p *OnePlan) Expand(int) []MessagePlan { return p[:] }
+
+// Err implements Expander.
+func (*OnePlan) Err() error { return nil }
+
+// Retire implements Expander.
+func (*OnePlan) Retire() {}
+
 // OpRun describes one operation instance to execute: a cascade of NumSteps
 // sequential steps, each expanding into one or more messages that run in
 // parallel (fork-join across messages of a step). Expansion is lazy — the
@@ -70,30 +117,18 @@ type OpRun struct {
 	Gauge Gauge
 	// NumSteps is the number of sequential steps in the cascade.
 	NumSteps int
-	// Expand returns the parallel messages of the given step (0-based).
-	// An empty result completes the step immediately. The flow calls it
-	// with strictly increasing steps, and step k+1 only after every message
-	// of step k has finished, so the plans of step k are dead once step k+1
-	// is expanded: an implementation may reuse the returned slice and the
-	// stage storage behind it from one call to the next. That makes one
-	// OpRun value drive one flow — start each flow from its own OpRun.
-	Expand func(step int) []MessagePlan
-	// Err, when non-nil, is consulted after an Expand that returned no
-	// plans: a non-nil error means the step could not be expanded (a
-	// message with no surviving route) rather than being empty. The flow is
-	// abandoned in place and the error becomes the simulation's fatal error
-	// (Simulation.Fail), wrapped in an *OpError.
-	Err func() error
+	// Expander expands the steps one by one as the flow reaches them; one
+	// OpRun value drives one flow.
+	Expander Expander
 	// OnComplete, when non-nil, runs in the sequential phase after the
 	// operation finishes. now and dur are simulated seconds.
 	OnComplete func(now, dur float64)
-	// Retire, when non-nil, runs once when the flow has finished, before
-	// OnComplete: the point where Expand's storage may go back to its
-	// launcher.
-	Retire func()
 	// Silent suppresses response-time recording (used by warm-up traffic).
 	Silent bool
 }
+
+// Expand expands one step through the run's Expander, as the flow does.
+func (op *OpRun) Expand(step int) []MessagePlan { return op.Expander.Expand(step) }
 
 // Flow is an in-flight operation instance.
 type Flow struct {
@@ -102,6 +137,7 @@ type Flow struct {
 	step        int
 	outstanding int
 	start       float64
+	nextFree    *Flow // the window's free list, while finished
 }
 
 // token is one in-flight message of a flow traversing its stages. The
@@ -109,11 +145,12 @@ type Flow struct {
 // finished tokens return to the window's free list — message launch is the
 // hottest allocation site of busy hours.
 type token struct {
-	flow   *Flow
-	stages []Stage
-	holds  []Hold
-	idx    int
-	task   queueing.Task
+	flow     *Flow
+	stages   []Stage
+	holds    []Hold
+	idx      int
+	task     queueing.Task
+	nextFree *token // the window's free list, while finished
 }
 
 // startOp validates and launches an operation instance in a sequential
@@ -121,8 +158,8 @@ type token struct {
 // and returns to it when the operation completes, so the pointer it hands
 // back is only good while the operation is in flight.
 func (s *Simulation) startOp(op OpRun) *Flow {
-	if op.NumSteps <= 0 || op.Expand == nil {
-		panic(fmt.Sprintf("core: operation %q needs NumSteps > 0 and an Expand function", op.Name))
+	if op.NumSteps <= 0 || op.Expander == nil {
+		panic(fmt.Sprintf("core: operation %q needs NumSteps > 0 and an Expander", op.Name))
 	}
 	w := &s.root
 	f := w.newFlow()
@@ -148,13 +185,11 @@ func (s *Simulation) advanceFlow(f *Flow) {
 			s.completeFlow(f)
 			return
 		}
-		plans := f.op.Expand(f.step)
+		plans := f.op.Expander.Expand(f.step)
 		if len(plans) == 0 {
-			if f.op.Err != nil {
-				if err := f.op.Err(); err != nil {
-					s.Fail(&OpError{Op: f.op.Name, DC: f.op.DC, At: s.clock.SecondsAt(w.tick), Err: err})
-					return
-				}
+			if err := f.op.Expander.Err(); err != nil {
+				s.Fail(&OpError{Op: f.op.Name, DC: f.op.DC, At: s.clock.SecondsAt(w.tick), Err: err})
+				return
 			}
 			continue
 		}
@@ -254,11 +289,9 @@ func (s *Simulation) completeFlow(f *Flow) {
 	// The flow is dead from here on — nothing references it once its last
 	// token has been recycled — so it goes back to the window before the
 	// callbacks run: an OnComplete that chains the next operation reuses it.
-	retire, onComplete := f.op.Retire, f.op.OnComplete
+	x, onComplete := f.op.Expander, f.op.OnComplete
 	w.freeFlow(f)
-	if retire != nil {
-		retire()
-	}
+	x.Retire()
 	if onComplete != nil {
 		onComplete(now, dur)
 	}

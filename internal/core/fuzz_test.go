@@ -73,7 +73,7 @@ func (fs *fuzzSource) Poll(s *Simulation, now float64) {
 	dt := s.Clock().Step()
 	op := OpRun{
 		Name: fs.name, DC: "NA", NumSteps: len(fs.steps),
-		Expand: func(step int) []MessagePlan {
+		Expander: ExpandFunc(func(step int) []MessagePlan {
 			plans := make([]MessagePlan, len(fs.steps[step]))
 			for m, stages := range fs.steps[step] {
 				for _, st := range stages {
@@ -84,7 +84,7 @@ func (fs *fuzzSource) Poll(s *Simulation, now float64) {
 				}
 			}
 			return plans
-		},
+		}),
 	}
 	if fs.parking {
 		op.OnComplete = func(now, _ float64) {

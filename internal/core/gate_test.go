@@ -242,8 +242,10 @@ func (d *denseSource) Poll(s *Simulation, now float64) {
 		d.launched++
 		plans := []MessagePlan{{Stages: stages}}
 		s.StartOp(OpRun{Name: "ring", DC: d.dc, NumSteps: 1,
-			Expand: func(int) []MessagePlan { return plans },
-			Retire: func() { d.inflight-- }})
+			Expander: &testExpander{
+				expand: func(int) []MessagePlan { return plans },
+				retire: func() { d.inflight-- },
+			}})
 	}
 }
 
@@ -290,7 +292,7 @@ func (wt *wanTraffic) Poll(s *Simulation, now float64) {
 	}
 	cpu := func(dc []*hzAgent) Stage { return stage(dc[wt.rng.IntN(len(dc))], 0.5, 4) }
 	plans := []MessagePlan{{Stages: []Stage{cpu(wt.near), stage(wt.out, 0.2, 3), cpu(wt.far), stage(wt.back, 0.2, 3), cpu(wt.near)}}}
-	s.StartOp(OpRun{Name: "X", DC: "A", NumSteps: 1, Expand: func(int) []MessagePlan { return plans }})
+	s.StartOp(OpRun{Name: "X", DC: "A", NumSteps: 1, Expander: ExpandFunc(func(int) []MessagePlan { return plans })})
 	wt.next = now + float64(15+wt.rng.IntN(50))*dt
 }
 

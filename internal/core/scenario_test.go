@@ -127,9 +127,9 @@ func TestWindowLandsOnCalendarHead(t *testing.T) {
 				LoopFlags: core.LoopFlags{NoFastForward: ref}})
 			line := core.NewDelayLine(s, "line")
 			s.AddSource(&onceSource{op: core.OpRun{Name: "D", DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan {
+				Expander: core.ExpandFunc(func(int) []core.MessagePlan {
 					return []core.MessagePlan{{Stages: []core.Stage{{Queue: line, Demand: delay}}}}
-				}}})
+				})}})
 			s.RunFor(10)
 			return s
 		}

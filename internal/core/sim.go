@@ -167,6 +167,20 @@ func (s *Simulation) Seed() uint64 { return s.seed }
 // NextAgentID reserves the next agent identifier.
 func (s *Simulation) NextAgentID() AgentID { return AgentID(len(s.agents)) }
 
+// ReserveAgents makes room for n more agents in the agent tables and the
+// event calendar's slot table, so that registering them — and the loop
+// later sizing its calendar to them — grows nothing. A caller that knows
+// its agent count up front (topology.Build counts its spec) reserves it
+// once instead of paying every doubling; registering past the reservation
+// still works, at append's usual cost. What follows the load — the active
+// list, the calendar's heap tier — still grows to the run's peak.
+func (s *Simulation) ReserveAgents(n int) {
+	s.agents = slices.Grow(s.agents, n)
+	s.bases = slices.Grow(s.bases, n)
+	s.agentTick = slices.Grow(s.agentTick, n)
+	s.root.cal.reserve(len(s.agents) + n)
+}
+
 // AddAgent registers an agent. The agent must have been initialized with
 // the ID returned by the immediately preceding NextAgentID call.
 func (s *Simulation) AddAgent(a Agent) {

@@ -46,11 +46,13 @@ type window struct {
 	skipped   uint64 // whole ticks those jumps skipped
 
 	// Flow machinery: the response sink, the free lists of finished message
-	// tokens and finished flows, and the ID counters (bookkeeping only —
-	// queueing is arrival-ordered).
+	// tokens and finished flows — linked through the entries themselves,
+	// last freed first, so they hold the peak in flight with no table to
+	// grow — and the ID counters (bookkeeping only — queueing is
+	// arrival-ordered).
 	resp       *metrics.Responses
-	tokenPool  []*token
-	flowPool   []*Flow
+	tokenFree  *token
+	flowFree   *Flow
 	nextFlowID uint64
 	nextTaskID uint64
 }
@@ -219,11 +221,9 @@ func (w *window) settle(id AgentID, landing simtime.Tick) {
 
 // newToken pops a pooled message token or allocates a fresh one.
 func (w *window) newToken() *token {
-	var tok *token
-	if n := len(w.tokenPool); n > 0 {
-		tok = w.tokenPool[n-1]
-		w.tokenPool[n-1] = nil
-		w.tokenPool = w.tokenPool[:n-1]
+	tok := w.tokenFree
+	if tok != nil {
+		w.tokenFree, tok.nextFree = tok.nextFree, nil
 	} else {
 		tok = &token{}
 	}
@@ -236,24 +236,23 @@ func (w *window) newToken() *token {
 // guarantees no queue holds the embedded task anymore — a token only
 // finishes when its final stage's completion has been drained.
 func (w *window) freeToken(tok *token) {
-	*tok = token{}
-	w.tokenPool = append(w.tokenPool, tok)
+	*tok = token{nextFree: w.tokenFree}
+	w.tokenFree = tok
 }
 
 // newFlow pops a pooled flow or allocates a fresh one.
 func (w *window) newFlow() *Flow {
-	if n := len(w.flowPool); n > 0 {
-		f := w.flowPool[n-1]
-		w.flowPool[n-1] = nil
-		w.flowPool = w.flowPool[:n-1]
-		return f
+	f := w.flowFree
+	if f == nil {
+		return &Flow{}
 	}
-	return &Flow{}
+	w.flowFree, f.nextFree = f.nextFree, nil
+	return f
 }
 
 // freeFlow resets a finished flow — dropping its operation's closures — and
 // returns it to the pool. The caller guarantees its last token is gone.
 func (w *window) freeFlow(f *Flow) {
-	*f = Flow{}
-	w.flowPool = append(w.flowPool, f)
+	*f = Flow{nextFree: w.flowFree}
+	w.flowFree = f
 }

@@ -216,12 +216,12 @@ func runWorkload(t *testing.T, eng core.Engine) (uint64, []float64) {
 			demand := 5 + sim.RNG().Float64()*50
 			sim.StartOp(core.OpRun{
 				Name: "W", DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan {
+				Expander: core.ExpandFunc(func(int) []core.MessagePlan {
 					return []core.MessagePlan{{Stages: []core.Stage{
 						{Queue: first, Demand: demand},
 						{Queue: second, Demand: demand / 2},
 					}}}
-				},
+				}),
 			})
 			break
 		}

@@ -555,6 +555,9 @@ type Run struct {
 	// no effective injections.
 	Faults *faults.Controller
 
+	// probes gathers every probe Compile's phases declare, registered as one
+	// batch at its end.
+	probes   []metrics.Probe
 	executed bool
 }
 
@@ -562,6 +565,9 @@ type Run struct {
 // infrastructure probes, workloads (in declaration order), daemons, extra
 // probes, setup hooks. The phases run in that fixed order — it is part of
 // the determinism contract, since source registration order is poll order.
+// The probes of every phase register as one batch, in that order, before
+// the setup hooks: nothing samples them before the run, and one batch
+// grows the collector's tables once.
 func (e *Experiment) Compile() (*Run, error) {
 	var eng core.Engine
 	if e.engine != nil {
@@ -586,7 +592,6 @@ func (e *Experiment) Compile() (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", e.name, err)
 	}
-	inf.RegisterProbes(sim.Collector)
 
 	r := &Run{
 		Experiment: e,
@@ -594,26 +599,35 @@ func (e *Experiment) Compile() (*Run, error) {
 		Inf:        inf,
 		Sync:       map[string]*background.SyncDaemon{},
 		Idx:        map[string]*background.IndexDaemon{},
+		probes:     inf.AppendProbes(nil),
 	}
-	if err := e.attachWorkloads(r); err != nil {
+	series, err := e.attachWorkloads(r)
+	if err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", e.name, err)
 	}
 	if err := e.attachDaemons(r); err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", e.name, err)
 	}
+	if e.daemons != nil {
+		series += 2 * len(e.daemons.Masters) // SYNCHREP and INDEXBUILD at each master
+	}
+	sim.Responses.Reserve(series)
 	// Faults attach after the daemons so failover injections can validate
 	// against the populated Sync map, and before the extra probes so
 	// scenario probes may read the controller through the Run.
-	ctrl, err := faults.Attach(faults.Target{Sim: sim, Infra: inf, Sync: r.Sync}, e.faults)
+	ctrl, err := faults.AttachSource(faults.Target{Sim: sim, Infra: inf, Sync: r.Sync}, e.faults)
 	if err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", e.name, err)
 	}
 	r.Faults = ctrl
-	for _, mk := range e.probes {
-		for _, p := range mk(r) {
-			sim.Collector.Register(p)
-		}
+	if ctrl != nil {
+		r.probes = append(r.probes, ctrl.Probes()...)
 	}
+	for _, mk := range e.probes {
+		r.probes = append(r.probes, mk(r)...)
+	}
+	sim.Collector.Register(r.probes...)
+	r.probes = nil
 	for _, fn := range e.setup {
 		if err := fn(r); err != nil {
 			return nil, fmt.Errorf("experiment %s: setup: %w", e.name, err)
@@ -624,8 +638,10 @@ func (e *Experiment) Compile() (*Run, error) {
 }
 
 // attachWorkloads wires the declared workloads as AppWorkload sources, in
-// declaration order, shifting population curves into the run window.
-func (e *Experiment) attachWorkloads(r *Run) error {
+// declaration order, shifting population curves into the run window. It
+// returns how many response series they can record: one per operation of
+// each workload's catalog.
+func (e *Experiment) attachWorkloads(r *Run) (series int, err error) {
 	opsMemo := map[string][]cascade.Op{}
 	for i := range e.workloads {
 		w := &e.workloads[i]
@@ -639,7 +655,7 @@ func (e *Experiment) attachWorkloads(r *Run) error {
 			if ops, ok = opsMemo[key]; !ok {
 				built, err := w.OpsFn(r.Inf, e.step)
 				if err != nil {
-					return fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
+					return 0, fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
 				}
 				opsMemo[key] = built
 				ops = built
@@ -649,8 +665,9 @@ func (e *Experiment) attachWorkloads(r *Run) error {
 		// check lives here rather than in validate(): a mismatch must be an
 		// error, not the runtime panic AppWorkload reserves for wiring bugs.
 		if w.Weights != nil && len(w.Weights) != len(ops) {
-			return fmt.Errorf("workload %s@%s: %d weights for %d operations", w.App, w.DC, len(w.Weights), len(ops))
+			return 0, fmt.Errorf("workload %s@%s: %d weights for %d operations", w.App, w.DC, len(w.Weights), len(ops))
 		}
+		series += len(ops)
 		apm := w.APM
 		if apm == nil {
 			apm = e.apm
@@ -678,25 +695,24 @@ func (e *Experiment) attachWorkloads(r *Run) error {
 		// bit-identical to one that never configured fluid.
 		if w.Fluid.Above > 0 {
 			if err := e.attachFluid(r, w, src, ops); err != nil {
-				return err
+				return 0, err
 			}
 		} else {
 			r.Sim.AddSource(src)
 		}
 		if w.Gauges {
-			r.Sim.Collector.Register(r.Sim.GaugeProbe(prefix + ":active"))
 			// The loggedin series samples the population curve directly at
 			// each snapshot instant: under thinning the workload is only
 			// polled at arrival instants, so its loggedin gauge goes stale
 			// between arrivals, while the curve is exact in every mode.
 			users, sim := src.Users, r.Sim
-			r.Sim.Collector.Register(metrics.Probe{
+			r.probes = append(r.probes, r.Sim.GaugeProbe(prefix+":active"), metrics.Probe{
 				Key:    prefix + ":loggedin",
 				Sample: metrics.SampleFunc(func(float64) float64 { return users.At(sim.Clock().NowSeconds()) }),
 			})
 		}
 	}
-	return nil
+	return series, nil
 }
 
 // attachDaemons wires one SYNCHREP and one INDEXBUILD daemon per master, in

@@ -131,16 +131,16 @@ func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload,
 	return nil
 }
 
-// registerFluidProbes installs the analytic result series. Every sample is
-// a pure lookup into the precomputed segments at the snapshot instant, so
-// the series — and therefore the digest — are identical across engines by
-// construction.
+// registerFluidProbes adds the analytic result series to Compile's probe
+// batch. Every sample is a pure lookup into the precomputed segments at the
+// snapshot instant, so the series — and therefore the digest — are
+// identical across engines by construction.
 func (e *Experiment) registerFluidProbes(r *Run, w *Workload, segs []fluid.Segment) {
 	prefix := "fluid:" + w.App + ":" + w.DC
 	sim := r.Sim
 	now := func() float64 { return sim.Clock().NowSeconds() }
 	seg := func() *fluid.Segment { return fluid.At(segs, now()) }
-	for _, p := range []metrics.Probe{
+	r.probes = append(r.probes, []metrics.Probe{
 		{Key: prefix + ":mode", Sample: metrics.SampleFunc(func(float64) float64 {
 			if seg().Fluid {
 				return 1
@@ -153,7 +153,5 @@ func (e *Experiment) registerFluidProbes(r *Run, w *Workload, segs []fluid.Segme
 		{Key: prefix + ":throughput", Sample: metrics.SampleFunc(func(float64) float64 { return seg().Lambda })},
 		{Key: prefix + ":ops", Sample: metrics.SampleFunc(func(float64) float64 { return fluid.OpsAt(segs, now()) })},
 		{Key: prefix + ":crossovers", Sample: metrics.SampleFunc(func(float64) float64 { return float64(seg().CrossBefore) })},
-	} {
-		sim.Collector.Register(p)
-	}
+	}...)
 }

@@ -67,6 +67,17 @@ type Controller struct {
 // bit-identity guarantee behind zero-magnitude and zero-duration sweep
 // points.
 func Attach(tg Target, injections []Injection) (*Controller, error) {
+	c, err := AttachSource(tg, injections)
+	if c != nil {
+		tg.Sim.Collector.Register(c.Probes()...)
+	}
+	return c, err
+}
+
+// AttachSource is Attach without the probes: it registers the controller
+// source and leaves the controller's Probes to the caller, which registers
+// them in one batch with its own.
+func AttachSource(tg Target, injections []Injection) (*Controller, error) {
 	if err := ValidateSchedule(injections); err != nil {
 		return nil, err
 	}
@@ -95,28 +106,37 @@ func Attach(tg Target, injections []Injection) (*Controller, error) {
 		})
 	}
 	sort.SliceStable(c.trans, func(a, b int) bool { return c.trans[a].at < c.trans[b].at })
-	c.registerProbes()
 	tg.Sim.AddSource(c)
 	return c, nil
 }
 
-// registerProbes adds the scenario-phase and recovery-signal series. All
-// three are passive reads — registering them perturbs no simulation state.
-func (c *Controller) registerProbes() {
-	col := c.tg.Sim.Collector
-	col.Register(metrics.Probe{
-		Key:    KeyPhase,
-		Sample: metrics.SampleFunc(func(float64) float64 { return float64(c.phase) }),
-	})
-	col.Register(metrics.Probe{
-		Key:    KeyBacklog,
-		Sample: metrics.SampleFunc(func(float64) float64 { return float64(c.tg.Sim.ActiveFlows()) }),
-	})
-	col.Register(metrics.Probe{
-		Key:    KeyBackupArrivals,
-		Sample: metrics.SampleFunc(func(float64) float64 { return float64(c.tg.Infra.BackupArrivals()) }),
-	})
+// Probes returns the scenario-phase and recovery-signal probes, in
+// registration order. All three are passive reads — registering them
+// perturbs no simulation state.
+// They sample the controller through pointer views, so they cost no
+// closure.
+func (c *Controller) Probes() []metrics.Probe {
+	return []metrics.Probe{
+		{Key: KeyPhase, Sample: (*phaseSampler)(c)},
+		{Key: KeyBacklog, Sample: (*backlogSampler)(c)},
+		{Key: KeyBackupArrivals, Sample: (*backupSampler)(c)},
+	}
 }
+
+// phaseSampler reads the scenario phase.
+type phaseSampler Controller
+
+func (c *phaseSampler) Sample(float64) float64 { return float64(c.phase) }
+
+// backlogSampler reads the operations in flight.
+type backlogSampler Controller
+
+func (c *backlogSampler) Sample(float64) float64 { return float64(c.tg.Sim.ActiveFlows()) }
+
+// backupSampler reads the arrivals on backup links so far.
+type backupSampler Controller
+
+func (c *backupSampler) Sample(float64) float64 { return float64(c.tg.Infra.BackupArrivals()) }
 
 // Poll applies every transition and rebuild burst due at or before now.
 // Implements core.Source; it runs in the sequential source-poll phase, so

@@ -330,3 +330,20 @@ func TestCloneIsolatesFaultState(t *testing.T) {
 		t.Errorf("clone mutation leaked into the original: %v", orig.Mag)
 	}
 }
+
+// A rebuild burst is one step of one message whose plan the operation
+// stores: expanding it hands that plan back and allocates nothing.
+func TestRebuildExpandAllocatesNothing(t *testing.T) {
+	tg := buildTarget(t, core.Config{Seed: 1})
+	f := &Storage{DC: "NA", Tier: "app", Mag: 0.3, RebuildMBps: 50}
+	op, ok := f.rebuildOp(tg, 0)
+	if !ok {
+		t.Fatal("no rebuild operation for a server with storage")
+	}
+	if plans := op.Expand(0); len(plans) != 1 || len(plans[0].Stages) == 0 {
+		t.Fatalf("rebuild expanded into %v, want one message with stages", plans)
+	}
+	if n := testing.AllocsPerRun(100, func() { op.Expand(0) }); n != 0 {
+		t.Errorf("a rebuild expand costs %v allocations, want 0", n)
+	}
+}

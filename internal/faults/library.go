@@ -249,20 +249,28 @@ func (f *Storage) RebuildInterval() float64 {
 // burst targets the drive arrays directly (rebuild reads never hit the
 // server memory cache), so it draws no randomness.
 func (f *Storage) RebuildStep(tg Target, seq int) {
+	if op, ok := f.rebuildOp(tg, seq); ok {
+		tg.Sim.StartOp(op)
+	}
+}
+
+// rebuildOp builds burst seq's operation: one step of one message, stored
+// in a core.OnePlan, so expanding it allocates nothing. ok is false when the
+// server has no storage, which validated topologies rule out.
+func (f *Storage) rebuildOp(tg Target, seq int) (op core.OpRun, ok bool) {
 	tier := tg.Infra.DC(f.DC).Tier(f.Tier)
 	srv := tier.Servers[seq%len(tier.Servers)]
 	stages := srv.AppendStorage(nil, f.RebuildMBps*1e6*rebuildInterval)
 	if len(stages) == 0 {
-		return // validated topologies always have one of the two
+		return core.OpRun{}, false
 	}
-	plan := core.MessagePlan{Stages: stages}
-	tg.Sim.StartOp(core.OpRun{
+	return core.OpRun{
 		Name:     "REBUILD",
 		DC:       f.DC,
 		NumSteps: 1,
-		Expand:   func(int) []core.MessagePlan { return []core.MessagePlan{plan} },
+		Expander: &core.OnePlan{{Stages: stages}},
 		Silent:   true,
-	})
+	}, true
 }
 
 // Failover repoints the SYNCHREP replication daemon of master From at

@@ -8,8 +8,8 @@ import (
 
 // TestConstructorAllocs pins what building each component allocates: the
 // agent itself, with its queues and RNG state inside it, plus one slab per
-// repeated part — a CPU's sockets and each of their in-service arrays, a
-// store's stages, drive lanes and miss buffer. A queue behind a pointer of
+// kind of repeated part (Parts) — a CPU's socket queues and their in-service
+// arrays, a store's stage and drive-lane queues and its miss buffer. A queue behind a pointer of
 // its own, an arrival hook bound as a closure or an RNG allocated apart
 // shows here as a higher count. Registering many agents on one simulation
 // amortises the growth of its agent tables to nothing per agent.
@@ -23,13 +23,13 @@ func TestConstructorAllocs(t *testing.T) {
 		{"NIC", 1, func(s *core.Simulation) { NewNIC(s, "nic", 10) }},
 		{"Switch", 1, func(s *core.Simulation) { NewSwitch(s, "sw", 40) }},
 		{"Link", 1, func(s *core.Simulation) { NewLink(s, "link", LinkSpec{Gbps: 1, LatencyMS: 20}) }},
-		// The agent, the socket slab and one in-service array per socket.
-		{"CPU", 4, func(s *core.Simulation) { NewCPU(s, "cpu", CPUSpec{Sockets: 2, Cores: 4, GHz: 2.5}) }},
-		// The agent, the stage slab, the lane slab and the miss buffer.
-		{"RAID", 4, func(s *core.Simulation) {
+		// The agent, the socket queues and the sockets' in-service arrays.
+		{"CPU", 3, func(s *core.Simulation) { NewCPU(s, "cpu", CPUSpec{Sockets: 2, Cores: 4, GHz: 2.5}) }},
+		// The agent, the stage and lane queues and the miss buffer.
+		{"RAID", 3, func(s *core.Simulation) {
 			NewRAID(s, "raid", RAIDSpec{Disks: 8, Disk: disk, CtrlGbps: 4, HitRate: 0.2})
 		}},
-		{"SAN", 4, func(s *core.Simulation) {
+		{"SAN", 3, func(s *core.Simulation) {
 			NewSAN(s, "san", SANSpec{Disks: 20, Disk: disk, FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: 0.2})
 		}},
 		{"Memory", 1, func(*core.Simulation) { memSink = NewMemory(64e9, 0.3, 7) }},
@@ -51,7 +51,9 @@ var memSink *Memory
 // is New without the agent's own allocation, so a component that repeats
 // no part (NIC, link, memory) costs nothing, and a CPU or RAID costs only
 // the part slabs TestConstructorAllocs names. A tier keeps its servers'
-// components in slabs of this kind.
+// components in slabs of this kind, and their parts in one Parts: its
+// Reserve makes the three part slabs for the whole batch, and every CPU and
+// RAID set up from it by InitFrom then costs nothing.
 func TestInitAllocs(t *testing.T) {
 	disk := DiskSpec{CtrlGbps: 4, MBps: 100, HitRate: 0.1}
 	const runs = 200
@@ -63,10 +65,10 @@ func TestInitAllocs(t *testing.T) {
 		{"NIC", 0, func(s *core.Simulation, i int) { nicSlab[i].Init(s, "nic", 10) }},
 		{"Link", 0, func(s *core.Simulation, i int) { linkSlab[i].Init(s, "link", LinkSpec{Gbps: 1, LatencyMS: 20}) }},
 		{"Memory", 0, func(_ *core.Simulation, i int) { memSlab[i].Init(64e9, 0.3, 7) }},
-		// The socket slab and one in-service array per socket.
-		{"CPU", 3, func(s *core.Simulation, i int) { cpuSlab[i].Init(s, "cpu", CPUSpec{Sockets: 2, Cores: 4, GHz: 2.5}) }},
-		// The stage slab, the lane slab and the miss buffer.
-		{"RAID", 3, func(s *core.Simulation, i int) {
+		// The socket queues and the sockets' in-service arrays.
+		{"CPU", 2, func(s *core.Simulation, i int) { cpuSlab[i].Init(s, "cpu", CPUSpec{Sockets: 2, Cores: 4, GHz: 2.5}) }},
+		// The stage and lane queues and the miss buffer.
+		{"RAID", 2, func(s *core.Simulation, i int) {
 			raidSlab[i].Init(s, "raid", RAIDSpec{Disks: 8, Disk: disk, CtrlGbps: 4, HitRate: 0.2})
 		}},
 	}
@@ -79,6 +81,26 @@ func TestInitAllocs(t *testing.T) {
 			t.Errorf("%s.Init: %v allocs, want %v", c.name, got, c.want)
 		}
 		sim.Shutdown()
+	}
+
+	// The batch: one Parts for runs+1 servers' CPUs and RAIDs is three
+	// allocations, and carving a server's CPU and RAID from it none.
+	cpu, raid := CPUSpec{Sockets: 2, Cores: 4, GHz: 2.5}, RAIDSpec{Disks: 8, Disk: disk, CtrlGbps: 4, HitRate: 0.2}
+	var parts Parts
+	if got := testing.AllocsPerRun(1, func() { parts.Reserve(runs+1, &cpu, &raid) }); got != 3 {
+		t.Errorf("Parts.Reserve: %v allocs, want 3", got)
+	}
+	cpuSlab, raidSlab = make([]CPU, runs+1), make([]RAID, runs+1)
+	sim := core.NewSimulation(core.Config{Seed: 1})
+	defer sim.Shutdown()
+	sim.ReserveAgents(2 * (runs + 1))
+	i := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		cpuSlab[i].InitFrom(sim, "cpu", cpu, &parts)
+		raidSlab[i].InitFrom(sim, "raid", raid, &parts)
+		i++
+	}); got != 0 {
+		t.Errorf("CPU.InitFrom + RAID.InitFrom from reserved parts: %v allocs, want 0", got)
 	}
 }
 

@@ -20,12 +20,13 @@
 // up in place by Init) and its RNG state (a rand.PCG value) live inside the
 // agent, and its arrival hook is the agent's own core.AgentBase. What a
 // component repeats — a CPU's sockets, a store's stages, a disk array's
-// drive lanes — is a slab made once at exact length, never appended to and
-// walked by index: a queue that has been set up must not be copied. A
-// component can also be set up and registered in place by its Init (CPU,
-// Memory, NIC, Link, RAID; each New… wraps it), so a client pool keeps its
-// NICs in one slab of its own and a tier its servers' components in one
-// slab per kind.
+// drive lanes — is a piece of exact length, never appended to and walked by
+// index: a queue that has been set up must not be copied. A component can
+// also be set up and registered in place by its Init (CPU, Memory, NIC,
+// Link, RAID; each New… wraps it), so a client pool keeps its NICs in one
+// slab of its own and a tier its servers' components in one slab per kind;
+// a tier's CPUs and RAIDs carve their repeated parts from one Parts
+// (InitFrom).
 package hardware
 
 import (
@@ -87,21 +88,34 @@ func NewCPU(sim *core.Simulation, name string, spec CPUSpec) *CPU {
 }
 
 // Init sets up the zero CPU c in place and registers it: what NewCPU does,
-// for a CPU that lives in a slab of CPUs made once (the servers of a tier).
-// It allocates only the socket slab and the sockets' in-service arrays. c
-// must not move or be copied afterwards.
+// for a CPU that lives in a slab of CPUs made once. It is InitFrom with
+// parts reserved for this one CPU: its sockets and, for multi-core sockets,
+// their in-service arrays, two allocations. c must not move or be copied
+// afterwards.
 func (c *CPU) Init(sim *core.Simulation, name string, spec CPUSpec) {
+	var p Parts
+	p.Reserve(1, &spec, nil)
+	c.InitFrom(sim, name, spec, &p)
+}
+
+// InitFrom is Init with the sockets and their in-service arrays carved from
+// parts, which a tier reserves for all its servers at once.
+func (c *CPU) InitFrom(sim *core.Simulation, name string, spec CPUSpec, parts *Parts) {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
 	if spec.HTFactor <= 0 {
 		spec.HTFactor = 1
 	}
-	c.spec, c.sockets, c.derate = spec, make([]queueing.FCFS, spec.Sockets), 1
+	c.spec, c.sockets, c.derate = spec, parts.queues.take(spec.Sockets), 1
 	rate := spec.GHz * 1e9 * spec.HTFactor // cycles per second per core
 	for i := range c.sockets {
 		q := &c.sockets[i]
-		q.Init(spec.Cores, rate)
+		var slots []*queueing.Task
+		if spec.Cores > 1 {
+			slots = parts.slots.take(spec.Cores)[:0]
+		}
+		q.InitIn(spec.Cores, rate, slots)
 		q.SetNotify(&c.AgentBase) // sockets only receive external enqueues
 	}
 	c.InitAgent(sim.NextAgentID(), name)

@@ -119,15 +119,15 @@ type diskArray struct {
 
 // init sets the zero array a up in place for n disks of the given spec,
 // drawing its disk-cache hits from seed, on behalf of owner.
-func (a *diskArray) init(n int, spec DiskSpec, seed uint64, owner *store) {
+func (a *diskArray) init(n int, spec DiskSpec, seed uint64, owner *store, parts *Parts) {
 	a.weight, a.disks, a.diskSpec, a.owner = 1, n, spec, owner
-	a.misses = make([]*forkSlab, 0, 8)
+	a.misses = parts.misses.take(missRoom)[:0]
 	a.cacheHits.init(spec.HitRate, core.DeriveSeed(seed, 1), core.DeriveSeed(seed, 2))
 	a.dcc.Init(1, spec.CtrlGbps*1e9/8)
 	if !a.draw { // every drive sees the same stripes
 		a.weight = n
 	}
-	a.lanes = make([]queueing.FCFS, n/a.weight)
+	a.lanes = parts.queues.take(n / a.weight)
 	for i := range a.lanes {
 		a.lanes[i].Init(1, spec.MBps*1e6)
 	}
@@ -365,16 +365,16 @@ type store struct {
 // later stages and the disk queues are fed by internal handoffs inside the
 // parallel Step phase and must not carry the hook.
 func (s *store) init(sim *core.Simulation, name string, disks int, disk DiskSpec, hitRate float64,
-	tag, arrayTag uint64, cache int, gbps ...float64) {
+	tag, arrayTag uint64, cache int, parts *Parts, gbps ...float64) {
 	id := sim.NextAgentID()
 	s.cache = cache
 	s.cacheHits.init(hitRate, subSeed(sim, id, tag), subSeed(sim, id, tag+1))
-	s.stages = make([]queueing.FCFS, len(gbps))
+	s.stages = parts.queues.take(len(gbps))
 	for i, g := range gbps {
 		s.stages[i].Init(1, g*1e9/8)
 	}
 	s.stages[0].SetNotify(&s.AgentBase)
-	s.array.init(disks, disk, subSeed(sim, id, arrayTag), s)
+	s.array.init(disks, disk, subSeed(sim, id, arrayTag), s, parts)
 	s.InitAgent(id, name)
 }
 
@@ -533,15 +533,24 @@ func NewRAID(sim *core.Simulation, name string, spec RAIDSpec) *RAID {
 
 // Init sets up the zero RAID r in place and registers it: what NewRAID
 // does, for a RAID that lives in a slab of RAIDs made once (the servers of
-// a tier). It allocates only the store's stage slab, lane slab and miss
-// buffer. r must not move or be copied afterwards: its disk array completes
-// through a pointer to it.
+// a tier). It is InitFrom with parts reserved for this one RAID: its stage
+// and drive-lane queues and its miss buffer, two allocations. r must not
+// move or be copied afterwards: its disk array completes through a pointer
+// to it.
 func (r *RAID) Init(sim *core.Simulation, name string, spec RAIDSpec) {
+	var p Parts
+	p.Reserve(1, nil, &spec)
+	r.InitFrom(sim, name, spec, &p)
+}
+
+// InitFrom is Init with the queues and the miss buffer carved from parts,
+// which a tier reserves for all its servers at once.
+func (r *RAID) InitFrom(sim *core.Simulation, name string, spec RAIDSpec, parts *Parts) {
 	if err := spec.validate(); err != nil {
 		panic(err)
 	}
 	r.spec = spec
-	r.init(sim, name, spec.Disks, spec.Disk, spec.HitRate, tagRAID, tagRAIDArray, 0, spec.CtrlGbps)
+	r.init(sim, name, spec.Disks, spec.Disk, spec.HitRate, tagRAID, tagRAIDArray, 0, parts, spec.CtrlGbps)
 	sim.AddAgent(r)
 }
 
@@ -583,7 +592,9 @@ func NewSAN(sim *core.Simulation, name string, spec SANSpec) *SAN {
 		panic(err)
 	}
 	s := &SAN{spec: spec}
-	s.init(sim, name, spec.Disks, spec.Disk, spec.HitRate, tagSAN, tagSANArray, 1,
+	var p Parts
+	p.reserveStore(3, spec.Disks, spec.Disk)
+	s.init(sim, name, spec.Disks, spec.Disk, spec.HitRate, tagSAN, tagSANArray, 1, &p,
 		spec.FCSwitchGbps, spec.CtrlGbps, spec.FCALGbps)
 	sim.AddAgent(s)
 	return s

@@ -53,3 +53,39 @@ func TestSeriesBlockHalvesAreCapped(t *testing.T) {
 		t.Fatal("T's capacity runs into V")
 	}
 }
+
+// TestResponsesReserveHeaders: after Reserve(n) the first n series take
+// their headers from one slab, in the order their first samples arrive; no
+// series exists before its first sample, and one past the reservation
+// still records, under a header of its own.
+func TestResponsesReserveHeaders(t *testing.T) {
+	r := NewResponses()
+	r.Reserve(3)
+	if r.Series("A", "NA") != nil {
+		t.Fatal("a reserved series exists before its first sample")
+	}
+	for i, op := range []string{"B", "A", "C"} {
+		r.Record(op, "NA", float64(i), 1)
+		if s := r.Series(op, "NA"); s != &r.headers[i] || s.Name != op+"@NA" {
+			t.Fatalf("series %s is not header %d of the reserved slab", op, i)
+		}
+	}
+	r.Record("D", "NA", 3, 2)
+	if s := r.Series("D", "NA"); s == nil || s.Len() != 1 || len(r.headers) != 3 {
+		t.Fatal("a series past the reservation did not record on a header of its own")
+	}
+	// Eight first samples with and without the reservation: the slab
+	// replaces eight headers.
+	first := func(reserve int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			r := NewResponses()
+			r.Reserve(reserve)
+			for _, op := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
+				r.Record(op, "EU", 0, 1)
+			}
+		})
+	}
+	if apart, slab := first(0), first(8); apart-slab != 7 {
+		t.Errorf("first samples of 8 series: %v allocations with their headers reserved, %v without; want 7 fewer", slab, apart)
+	}
+}

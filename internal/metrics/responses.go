@@ -20,6 +20,9 @@ type ResponseKey struct {
 type Responses struct {
 	byKey map[ResponseKey]*Series
 	names names.Slab // the series names, "<op>@<dc>", cut as they appear
+	// headers is the slab Reserve made, which the series headers are taken
+	// from as their first samples arrive.
+	headers []Series
 }
 
 // NewResponses returns an empty response tracker.
@@ -33,10 +36,28 @@ func (r *Responses) Record(op, dc string, completed, dur float64) {
 	k := ResponseKey{Op: op, DC: dc}
 	s := r.byKey[k]
 	if s == nil {
-		s = &Series{Name: r.names.Str(op).Str("@").Str(dc).Cut()}
+		name := r.names.Str(op).Str("@").Str(dc).Cut()
+		if len(r.headers) < cap(r.headers) {
+			r.headers = append(r.headers, Series{Name: name})
+			s = &r.headers[len(r.headers)-1]
+		} else {
+			s = &Series{Name: name}
+		}
 		r.byKey[k] = s
 	}
 	s.Add(completed, dur)
+}
+
+// Reserve makes room for n more series in one slab of headers, so the
+// first samples of up to n populations allocate no header of their own; a
+// caller that knows which operations it launches where (experiment.Compile
+// counts its workloads' catalogs) reserves them once. A series still stays
+// absent until its first sample, and one past the reservation gets a
+// header of its own.
+func (r *Responses) Reserve(n int) {
+	if n > cap(r.headers)-len(r.headers) {
+		r.headers = make([]Series, 0, n)
+	}
 }
 
 // Series returns the response-time series for an operation at a data

@@ -67,15 +67,30 @@ func NewFCFS(servers int, rate float64) *FCFS {
 // links of its tasks, so code holding queues by value takes their address
 // (range by index) instead of copying them.
 func (q *FCFS) Init(servers int, rate float64) {
+	var slots []*Task
+	if servers > 1 {
+		slots = make([]*Task, 0, servers)
+	}
+	q.InitIn(servers, rate, slots)
+}
+
+// InitIn is Init for a queue whose in-service array the caller carved, so a
+// batch of multi-server queues can cut theirs from one slab: slots must be
+// empty with room for servers tasks, and the queue keeps it capped there.
+// A single-server queue ignores slots and allocates nothing, as under Init.
+func (q *FCFS) InitIn(servers int, rate float64, slots []*Task) {
 	if !(servers > 0 && rate > 0 && !math.IsInf(rate, 1)) {
 		panic(fmt.Sprintf("queueing: invalid FCFS servers=%d rate=%v", servers, rate))
 	}
 	*q = FCFS{rate: rate, servers: servers}
 	if servers == 1 {
 		q.inService = q.solo[:0]
-	} else {
-		q.inService = make([]*Task, 0, servers)
+		return
 	}
+	if len(slots) != 0 || cap(slots) < servers {
+		panic(fmt.Sprintf("queueing: FCFS of %d servers given in-service slots of length %d, capacity %d", servers, len(slots), cap(slots)))
+	}
+	q.inService = slots[:0:servers]
 }
 
 // Rate returns the per-server service rate.

@@ -12,12 +12,14 @@ import (
 // WAN) on a fresh simulation per iteration: what an experiment compiles
 // once per run and a campaign once per point. Run it with -benchmem;
 // allocs/op counts the heap objects a platform costs. A tier's servers and
-// their components are slabs and a client pool's slots and NICs are too,
-// so what remains is a fixed count per tier, per pool and per data center,
-// plus the part slabs of each CPU (sockets, in-service arrays) and each
-// RAID or SAN (stages, lanes, miss buffer): 429 allocs/op on a 2-core Xeon,
-// where a server holon allocated on its own and named with Sprintf cost
-// 835 (DESIGN.md "Platform layout").
+// their components are slabs, their CPUs' and RAIDs' parts (queues,
+// in-service arrays, miss buffers) are carved from three slabs per tier,
+// a client pool's slots and NICs are slabs too, and the agent tables are
+// reserved once from the spec's census, so what remains is a fixed count
+// per tier, per pool and per data center: 314 allocs/op on a 2-core Xeon,
+// against 429 with parts slabbed per component and agent tables grown by
+// append, and 835 where a server holon was allocated on its own and named
+// with Sprintf (DESIGN.md "Platform layout").
 func BenchmarkBuildPlatform(b *testing.B) {
 	cfg := CaseConfig{Scale: 1}
 	if err := cfg.defaults(); err != nil {

@@ -1,13 +1,16 @@
 package scenarios
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/cascade"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/topology"
@@ -101,19 +104,19 @@ func diffOp(t testing.TB, label string, prod, orc *routeSide, op cascade.Op, loc
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	defer run.Retire()
+	defer run.Expander.Retire()
 	for step, msgs := range op.Steps {
 		plans := run.Expand(step)
 		want, oerr := ob.expandStep(msgs)
 		if oerr != nil {
-			perr := run.Err()
+			perr := run.Expander.Err()
 			if len(plans) != 0 || perr == nil || perr.Error() != oerr.Error() {
 				t.Fatalf("%s step %d: oracle failed with %q, production returned %d plans and error %v",
 					label, step, oerr, len(plans), perr)
 			}
 			return perr
 		}
-		if err := run.Err(); err != nil {
+		if err := run.Expander.Err(); err != nil {
 			t.Fatalf("%s step %d: production failed with %v, oracle expanded", label, step, err)
 		}
 		if len(plans) != len(want) {
@@ -391,4 +394,151 @@ func FuzzCompiledRoutesMatchOracle(f *testing.F) {
 			diffSideEffects(t, fmt.Sprintf("round %d", round), prod, orc)
 		}
 	})
+}
+
+// backupMeshPlatform is a five-site platform whose routing leans on backup
+// links declared against name order: its data centers and its backups are
+// listed from the last name to the first, and ties between equal-length
+// paths are common, so a search that broke ties by declaration order, not
+// by name, would pick other paths.
+func backupMeshPlatform() topology.InfraSpec {
+	srv := topology.ServerSpec{CPU: hardware.CPUSpec{Sockets: 1, Cores: 2, GHz: 2.5}, MemGB: 8, NICGbps: 10,
+		RAID: &hardware.RAIDSpec{Disks: 1, Disk: hardware.DiskSpec{CtrlGbps: 4, MBps: 150}, CtrlGbps: 4}}
+	local := hardware.LinkSpec{Gbps: 10, LatencyMS: 0.45}
+	wan := hardware.LinkSpec{Gbps: 0.155, LatencyMS: 40}
+	spec := topology.InfraSpec{}
+	for _, name := range []string{"ZA", "SA", "NA", "EU", "AS"} {
+		spec.DCs = append(spec.DCs, topology.DCSpec{Name: name, SwitchGbps: 20,
+			ClientLink: hardware.LinkSpec{Gbps: 10, LatencyMS: 0.5},
+			Tiers:      []topology.TierSpec{{Name: "app", Servers: 1, Server: srv, LocalLink: local}}})
+	}
+	for _, w := range [][2]string{{"NA", "EU"}, {"NA", "SA"}, {"EU", "AS"}} {
+		spec.WAN = append(spec.WAN, topology.WANSpec{From: w[0], To: w[1], Link: wan})
+	}
+	for _, w := range [][2]string{{"ZA", "SA"}, {"ZA", "EU"}, {"SA", "AS"}, {"NA", "AS"}, {"EU", "SA"}} {
+		spec.WAN = append(spec.WAN, topology.WANSpec{From: w[0], To: w[1], Link: wan, Backup: true})
+	}
+	return spec
+}
+
+// chaosDocumentPlatform reads the infrastructure of examples/chaos.json.
+func chaosDocumentPlatform(t testing.TB) topology.InfraSpec {
+	t.Helper()
+	d, err := config.Load("../../examples/chaos.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Infrastructure
+}
+
+// TestRouteRebuildMatchesOracle walks the WAN graphs of examples/chaos.json
+// and of a backup-heavy mesh through fail/restore cycles of every
+// connection, of every pair of connections together, and isolate/rejoin
+// cycles of every data center, and requires Path for every ordered pair of
+// data centers to equal the string-keyed search the index walk replaced
+// (oracleRouter) after each change — the same path, or an error on both
+// sides. A path handed out before a rebuild must not change under it. Last,
+// a reroute followed by a rebuild of every cross-site route allocates
+// nothing: the search runs on the infrastructure's scratch and each route
+// refills its own fabric.
+func TestRouteRebuildMatchesOracle(t *testing.T) {
+	for _, p := range []struct {
+		name string
+		spec topology.InfraSpec
+	}{{"chaos.json", chaosDocumentPlatform(t)}, {"backup-mesh", backupMeshPlatform()}} {
+		t.Run(p.name, func(t *testing.T) {
+			sim := core.NewSimulation(core.Config{Seed: 1})
+			defer sim.Shutdown()
+			inf, err := topology.Build(sim, p.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orc := newOracleRouter(inf)
+			names := inf.DCNames()
+			type held struct{ got, copy []string }
+			var handedOut []held
+			checks, partitioned := 0, 0
+			check := func(state string) {
+				t.Helper()
+				for _, from := range names {
+					for _, to := range names {
+						got, gerr := inf.Path(from, to)
+						want, werr := orc.Path(from, to)
+						switch {
+						case (gerr != nil) != (werr != nil):
+							t.Fatalf("%s: %s -> %s: error %v, oracle error %v", state, from, to, gerr, werr)
+						case gerr != nil:
+							var noRoute *topology.NoRouteError
+							if !errors.As(gerr, &noRoute) {
+								t.Fatalf("%s: %s -> %s: error %v, want a *NoRouteError", state, from, to, gerr)
+							}
+							partitioned++
+						case !slices.Equal(got, want):
+							t.Fatalf("%s: %s -> %s: path %v, oracle %v", state, from, to, got, want)
+						default:
+							handedOut = append(handedOut, held{got, slices.Clone(got)})
+						}
+						checks++
+					}
+				}
+				for _, h := range handedOut {
+					if !slices.Equal(h.got, h.copy) {
+						t.Fatalf("%s: a path handed out earlier changed from %v to %v", state, h.copy, h.got)
+					}
+				}
+			}
+			change := func(state string, fn func()) {
+				t.Helper()
+				fn()
+				orc.rerouted()
+				check(state)
+			}
+			check("healthy")
+			for i, a := range p.spec.WAN {
+				change("fail "+a.From+"-"+a.To, func() { inf.FailWAN(a.From, a.To) })
+				for _, b := range p.spec.WAN[i+1:] {
+					change("also fail "+b.From+"-"+b.To, func() { inf.FailWAN(b.From, b.To) })
+					change("restore "+b.From+"-"+b.To, func() { inf.RestoreWAN(b.From, b.To) })
+				}
+				change("restore "+a.From+"-"+a.To, func() { inf.RestoreWAN(a.From, a.To) })
+			}
+			for _, dc := range names {
+				change("isolate "+dc, func() { inf.IsolateDC(dc) })
+				change("rejoin "+dc, func() { inf.RejoinDC(dc) })
+			}
+			if partitioned == 0 {
+				t.Error("no state partitioned the platform: the error path went unchecked")
+			}
+			t.Logf("%d pairs compared, %d of them partitioned on both sides", checks, partitioned)
+
+			// Failing the first connection leaves both platforms routable
+			// through their backups, so no rebuild ends in an error (whose
+			// value would be the one allocation a rebuild may make).
+			first := p.spec.WAN[0]
+			failed := false
+			plan := core.MessagePlan{Stages: make([]core.Stage, 0, 4*len(names))}
+			allocs := testing.AllocsPerRun(20, func() {
+				if failed = !failed; failed {
+					inf.FailWAN(first.From, first.To)
+				} else {
+					inf.RestoreWAN(first.From, first.To)
+				}
+				for _, from := range names {
+					for _, to := range names {
+						if from == to {
+							continue
+						}
+						plan.Stages = plan.Stages[:0]
+						if err := inf.AppendHop(&plan, topology.DaemonEndpoint(inf.DC(from)),
+							topology.DaemonEndpoint(inf.DC(to)), topology.Cost{NetBytes: 1}); err != nil {
+							t.Fatalf("%s -> %s: %v", from, to, err)
+						}
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("a reroute and a rebuild of every route: %v allocations, want 0", allocs)
+			}
+		})
+	}
 }

@@ -94,17 +94,12 @@ func (d *DataCenter) Tier(name string) *Tier {
 // HasTier reports whether the data center hosts the named tier.
 func (d *DataCenter) HasTier(name string) bool { return d.Tiers[name] != nil }
 
-// wanKey is a directed DC pair.
-type wanKey struct{ from, to string }
-
 // Infrastructure is the root holon: all data centers plus the WAN graph.
 type Infrastructure struct {
 	sim     *core.Simulation
 	DCs     map[string]*DataCenter
 	dcOrder []string
 	dcs     []*DataCenter // dcOrder resolved; DataCenter.index is the position
-	links   map[wanKey]*hardware.Link
-	backups map[wanKey]*hardware.Link
 
 	// routes is the compiled route table, one entry per ordered DC pair at
 	// [from.index*len(dcs)+to.index], each valid for the routeVersion it was
@@ -112,19 +107,29 @@ type Infrastructure struct {
 	// their next use.
 	routeVersion int
 	routes       []route
+	// wan is the WAN graph: the directed primary and backup link of each
+	// ordered DC pair, under the same dense index as routes. prev and queue
+	// are the route search's scratch (search), sized once here.
+	wan         []wanPair
+	prev, queue []int
 }
 
+// wanPair is the directed primary and backup WAN link of one DC pair; either
+// may be nil.
+type wanPair struct{ primary, backup *hardware.Link }
+
 // Build materializes the infrastructure specification into agents
-// registered with the simulation.
+// registered with the simulation. It counts them from the spec first
+// (agentCensus) and reserves the simulation's agent tables once for all of
+// them.
 func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	sim.ReserveAgents(agentCensus(spec))
 	inf := &Infrastructure{
-		sim:     sim,
-		DCs:     make(map[string]*DataCenter),
-		links:   make(map[wanKey]*hardware.Link),
-		backups: make(map[wanKey]*hardware.Link),
+		sim: sim,
+		DCs: make(map[string]*DataCenter),
 	}
 	inf.dcOrder = make([]string, 0, len(spec.DCs))
 	for _, dcSpec := range spec.DCs {
@@ -139,16 +144,19 @@ func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 		dc.index = i
 		inf.dcs[i] = dc
 	}
-	inf.routes = make([]route, len(inf.dcs)*len(inf.dcs))
+	n := len(inf.dcs)
+	inf.routes = make([]route, n*n)
+	inf.wan = make([]wanPair, n*n)
+	scratch := make([]int, 2*n)
+	inf.prev, inf.queue = scratch[:n:n], scratch[n:n]
 	for _, w := range spec.WAN {
 		fwd := hardware.NewLink(sim, "wan:"+w.From+"->"+w.To, w.Link)
 		rev := hardware.NewLink(sim, "wan:"+w.To+"->"+w.From, w.Link)
+		there, back := inf.pair(w.From, w.To), inf.pair(w.To, w.From)
 		if w.Backup {
-			inf.backups[wanKey{w.From, w.To}] = fwd
-			inf.backups[wanKey{w.To, w.From}] = rev
+			there.backup, back.backup = fwd, rev
 		} else {
-			inf.links[wanKey{w.From, w.To}] = fwd
-			inf.links[wanKey{w.To, w.From}] = rev
+			there.primary, back.primary = fwd, rev
 		}
 	}
 	// Sorted data-center order, not the map's: client-pool agent IDs decide
@@ -163,6 +171,32 @@ func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 		dc.Clients = newClientPool(sim, dc, cs)
 	}
 	return inf, nil
+}
+
+// agentCensus counts the agents Build registers for spec: per data center
+// its switch, daemon line and client link; per server its CPU, NIC, local
+// link and RAID when it has one (its memory is no agent); per SAN tier the
+// SAN and its link; two per WAN connection; and per client pool its local
+// line and one NIC per slot.
+func agentCensus(spec InfraSpec) int {
+	n := 2 * len(spec.WAN)
+	for _, dc := range spec.DCs {
+		n += 3
+		for _, ts := range dc.Tiers {
+			perServer := 3
+			if ts.Server.RAID != nil {
+				perServer++
+			}
+			n += ts.Servers * perServer
+			if ts.SAN != nil {
+				n += 2
+			}
+		}
+	}
+	for _, cs := range spec.Clients {
+		n += 1 + cs.Slots
+	}
+	return n
 }
 
 func buildDC(sim *core.Simulation, spec DCSpec) *DataCenter {
@@ -192,11 +226,12 @@ func buildDC(sim *core.Simulation, spec DCSpec) *DataCenter {
 
 // buildServers sets up the tier's servers in place. The servers are one
 // slab, and their CPUs, memories, NICs, local links and RAIDs one slab each,
-// all made once at the tier's size; the names are cut from one string. So a
-// tier costs a fixed number of allocations plus what each CPU and RAID
-// allocates for its own parts (socket and stage queues), not a server
-// holon, its components and five names apiece. Server i is set up as one
-// by one construction did it, under the same IDs and names: its CPU
+// all made once at the tier's size; the names are cut from one string, and
+// what the CPUs and RAIDs repeat (socket, stage and lane queues, in-service
+// arrays, miss buffers) is carved from one hardware.Parts reserved for the
+// whole tier. So a tier costs a fixed number of allocations, not a server
+// holon, its components, their parts and five names apiece. Server i is set
+// up as one by one construction did it, under the same IDs and names: its CPU
 // registers as "cpu:<dc>:<tier>:<i>", its memory's seed reads the next
 // agent ID after that, and then its NIC ("nic:…"), local link ("llink:…")
 // and RAID ("raid:…") register in that order.
@@ -208,6 +243,8 @@ func buildServers(sim *core.Simulation, tier *Tier, ts TierSpec) {
 	nics := make([]hardware.NIC, n)
 	links := make([]hardware.Link, n)
 	var raids []hardware.RAID
+	var hw hardware.Parts
+	hw.Reserve(n, &ts.Server.CPU, ts.Server.RAID)
 	// Each component's name is its prefix plus "<dc>:<tier>:<i>".
 	prefixes := len("cpu:") + len("nic:") + len("llink:")
 	parts := 3
@@ -224,14 +261,14 @@ func buildServers(sim *core.Simulation, tier *Tier, ts TierSpec) {
 		cpu := nb.Str("cpu:").Str(tier.DC.Name).Str(":").Str(ts.Name).Str(":").Int(i).Cut()
 		s := &srvs[i]
 		*s = Server{Name: cpu[len("cpu:"):], CPU: &cpus[i], Mem: &mems[i], NIC: &nics[i], Link: &links[i], Tier: tier}
-		s.CPU.Init(sim, cpu, ts.Server.CPU)
+		s.CPU.InitFrom(sim, cpu, ts.Server.CPU, &hw)
 		s.Mem.Init(ts.Server.MemGB*1e9, ts.Server.CacheHitRate,
 			core.DeriveSeed(sim.Seed(), uint64(sim.NextAgentID())*2654435761+uint64(i)))
 		s.NIC.Init(sim, nb.Str("nic:").Str(s.Name).Cut(), ts.Server.NICGbps)
 		s.Link.Init(sim, nb.Str("llink:").Str(s.Name).Cut(), ts.LocalLink)
 		if raids != nil {
 			s.RAID = &raids[i]
-			s.RAID.Init(sim, nb.Str("raid:").Str(s.Name).Cut(), *ts.Server.RAID)
+			s.RAID.InitFrom(sim, nb.Str("raid:").Str(s.Name).Cut(), *ts.Server.RAID, &hw)
 		}
 		tier.Servers[i] = s
 	}
@@ -258,15 +295,54 @@ func (inf *Infrastructure) DC(name string) *DataCenter {
 // DCNames returns the data center names in sorted order.
 func (inf *Infrastructure) DCNames() []string { return inf.dcOrder }
 
+// pair returns the link pair of the ordered DC pair (a, b), or nil when
+// either names no data center.
+func (inf *Infrastructure) pair(a, b string) *wanPair {
+	from, to := inf.DCs[a], inf.DCs[b]
+	if from == nil || to == nil {
+		return nil
+	}
+	return &inf.wan[from.index*len(inf.dcs)+to.index]
+}
+
 // WANLink returns the directed primary WAN link between two adjacent DCs,
 // or nil when none exists.
 func (inf *Infrastructure) WANLink(from, to string) *hardware.Link {
-	return inf.links[wanKey{from, to}]
+	if p := inf.pair(from, to); p != nil {
+		return p.primary
+	}
+	return nil
 }
 
 // BackupLink returns the directed backup link between two DCs, or nil.
 func (inf *Infrastructure) BackupLink(from, to string) *hardware.Link {
-	return inf.backups[wanKey{from, to}]
+	if p := inf.pair(from, to); p != nil {
+		return p.backup
+	}
+	return nil
+}
+
+// eachWAN calls fn for every directed WAN link — per ordered DC pair in
+// name order, its primary, then its backup — with its two ends.
+func (inf *Infrastructure) eachWAN(fn func(from, to *DataCenter, l *hardware.Link)) {
+	n := len(inf.dcs)
+	for i, p := range inf.wan {
+		for _, l := range [2]*hardware.Link{p.primary, p.backup} {
+			if l != nil {
+				fn(inf.dcs[i/n], inf.dcs[i%n], l)
+			}
+		}
+	}
+}
+
+// bothWays applies fn to each direction of the primary a-b connection that
+// exists.
+func (inf *Infrastructure) bothWays(a, b string, fn func(*hardware.Link)) {
+	for _, l := range [2]*hardware.Link{inf.WANLink(a, b), inf.WANLink(b, a)} {
+		if l != nil {
+			fn(l)
+		}
+	}
 }
 
 // FailWAN marks both directions of a WAN connection failed and invalidates
@@ -277,20 +353,12 @@ func (inf *Infrastructure) BackupLink(from, to string) *hardware.Link {
 // drains egress buffers; see hardware.Link.Fail), while every message
 // expanded after this call routes around the failure.
 func (inf *Infrastructure) FailWAN(a, b string) {
-	for _, k := range []wanKey{{a, b}, {b, a}} {
-		if l := inf.links[k]; l != nil {
-			l.Fail()
-		}
-	}
+	inf.bothWays(a, b, (*hardware.Link).Fail)
 	inf.rerouted()
 }
 
 // RestoreWAN restores both directions of a WAN connection.
 func (inf *Infrastructure) RestoreWAN(a, b string) {
-	for _, k := range []wanKey{{a, b}, {b, a}} {
-		if l := inf.links[k]; l != nil {
-			l.Restore()
-		}
-	}
+	inf.bothWays(a, b, (*hardware.Link).Restore)
 	inf.rerouted()
 }

@@ -24,21 +24,13 @@ import "repro/internal/hardware"
 // factor outside (0, 1]; unknown connections are a no-op, matching
 // FailWAN.
 func (inf *Infrastructure) DegradeWAN(a, b string, factor float64) {
-	for _, k := range []wanKey{{a, b}, {b, a}} {
-		if l := inf.links[k]; l != nil {
-			l.Degrade(factor)
-		}
-	}
+	inf.bothWays(a, b, func(l *hardware.Link) { l.Degrade(factor) })
 }
 
 // RepairWAN restores the healthy rate and latency of both directions of a
 // degraded WAN connection.
 func (inf *Infrastructure) RepairWAN(a, b string) {
-	for _, k := range []wanKey{{a, b}, {b, a}} {
-		if l := inf.links[k]; l != nil {
-			l.Repair()
-		}
-	}
+	inf.bothWays(a, b, (*hardware.Link).Repair)
 }
 
 // ReserveCPU withholds the given capacity fraction on every server CPU of
@@ -74,16 +66,11 @@ func (inf *Infrastructure) RejoinDC(name string) {
 // eachDCLink applies fn to every directed WAN link (primary and backup)
 // with the named DC as an endpoint.
 func (inf *Infrastructure) eachDCLink(name string, fn func(*hardware.Link)) {
-	for k, l := range inf.links {
-		if k.from == name || k.to == name {
+	inf.eachWAN(func(from, to *DataCenter, l *hardware.Link) {
+		if from.Name == name || to.Name == name {
 			fn(l)
 		}
-	}
-	for k, l := range inf.backups {
-		if k.from == name || k.to == name {
-			fn(l)
-		}
-	}
+	})
 }
 
 // BackupArrivals returns the cumulative number of transfers ever enqueued
@@ -93,8 +80,10 @@ func (inf *Infrastructure) eachDCLink(name string, fn func(*hardware.Link)) {
 // this as its time-to-reroute signal.
 func (inf *Infrastructure) BackupArrivals() uint64 {
 	var n uint64
-	for _, l := range inf.backups {
-		n += l.Arrivals()
+	for _, p := range inf.wan {
+		if p.backup != nil {
+			n += p.backup.Arrivals()
+		}
 	}
 	return n
 }

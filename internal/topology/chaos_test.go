@@ -44,7 +44,7 @@ func TestFailWANInFlight(t *testing.T) {
 			launched = true
 			s.StartOp(core.OpRun{
 				Name: "INFLIGHT", DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan { return []core.MessagePlan{plan} },
+				Expander: core.ExpandFunc(func(int) []core.MessagePlan { return []core.MessagePlan{plan} }),
 			})
 		}
 	}))
@@ -83,7 +83,7 @@ func TestFailWANInFlight(t *testing.T) {
 			launched2 = true
 			s.StartOp(core.OpRun{
 				Name: "DIVERTED", DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan { return []core.MessagePlan{plan2} },
+				Expander: core.ExpandFunc(func(int) []core.MessagePlan { return []core.MessagePlan{plan2} }),
 			})
 		}
 	}))
@@ -165,7 +165,7 @@ func TestBackupArrivalsCountsOnlyBackups(t *testing.T) {
 			launched = true
 			s.StartOp(core.OpRun{
 				Name: "BK", DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan { return []core.MessagePlan{plan} },
+				Expander: core.ExpandFunc(func(int) []core.MessagePlan { return []core.MessagePlan{plan} }),
 			})
 		}
 	}))

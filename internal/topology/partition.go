@@ -80,16 +80,14 @@ func (inf *Infrastructure) PartitionByDC(shards int) (*ShardPlan, error) {
 			}
 		}
 	}
-	for _, set := range []map[wanKey]*hardware.Link{inf.links, inf.backups} {
-		for k, l := range set {
-			wd := p.DCShard[k.to]
-			assign(wd, l.ID())
-			if ws := p.DCShard[k.from]; ws != wd {
-				if lat := l.Latency(); lat < p.LookaheadSec[wd] {
-					p.LookaheadSec[wd] = lat
-				}
+	inf.eachWAN(func(from, to *DataCenter, l *hardware.Link) {
+		wd := p.DCShard[to.Name]
+		assign(wd, l.ID())
+		if ws := p.DCShard[from.Name]; ws != wd {
+			if lat := l.Latency(); lat < p.LookaheadSec[wd] {
+				p.LookaheadSec[wd] = lat
 			}
 		}
-	}
+	})
 	return p, nil
 }

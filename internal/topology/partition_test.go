@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hardware"
 )
 
 // TestPartitionByDCKeepsDCsWhole checks the partition rule on the
@@ -57,12 +58,12 @@ func TestPartitionByDCKeepsDCsWhole(t *testing.T) {
 			}
 		}
 	}
-	for k, l := range inf.links {
-		if want := int32(p.DCShard[k.to]); p.Assign[l.ID()] != want {
+	inf.eachWAN(func(from, to *DataCenter, l *hardware.Link) {
+		if want := int32(p.DCShard[to.Name]); p.Assign[l.ID()] != want {
 			t.Errorf("WAN %s->%s on shard %d, want destination shard %d",
-				k.from, k.to, p.Assign[l.ID()], want)
+				from.Name, to.Name, p.Assign[l.ID()], want)
 		}
-	}
+	})
 }
 
 // TestPartitionLookahead checks the conservative bound: with the two DCs

@@ -1,8 +1,6 @@
 package topology
 
 import (
-	"cmp"
-	"maps"
 	"slices"
 
 	"repro/internal/hardware"
@@ -25,50 +23,52 @@ import (
 // sample their series alike: data centers in sorted order, each with its
 // tiers in declaration order (cpu, mem and disk per tier), then its switch
 // and client link; then every WAN link, primary or backup, in sorted
-// (from, to) order. Each data center is one batch, and the WAN links
-// another: its keys are cut from one string, and a probe samples its
-// component through a pointer, so a batch costs a fixed number of
-// allocations whatever its number of tiers or links.
-func (inf *Infrastructure) RegisterProbes(col *metrics.Collector) { inf.registerProbes(col) }
-
-// registrar is what registerProbes needs of a collector.
-type registrar interface{ Register(ps ...metrics.Probe) }
-
-func (inf *Infrastructure) registerProbes(col registrar) {
-	for _, dc := range inf.dcs {
-		col.Register(dc.probes()...)
-	}
-	keys := slices.AppendSeq(slices.Collect(maps.Keys(inf.links)), maps.Keys(inf.backups))
-	slices.SortFunc(keys, func(a, b wanKey) int {
-		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
-	})
-	size := 0
-	for _, k := range keys {
-		size += len("link:->") + len(k.from) + len(k.to)
-	}
-	var nb names.Slab
-	nb.Grow(size)
-	ps := make([]metrics.Probe, len(keys))
-	for i, k := range keys {
-		l := inf.links[k]
-		if l == nil {
-			l = inf.backups[k]
-		}
-		ps[i] = metrics.Probe{Key: nb.Str("link:").Str(k.from).Str("->").Str(k.to).Cut(), Sample: (*linkUtil)(l)}
-	}
-	col.Register(ps...)
+// (from, to) order. They register as one batch (AppendProbes), their keys
+// cut from one string, and a probe samples its component through a
+// pointer, so registering them costs a fixed number of allocations
+// whatever the numbers of data centers, tiers or links.
+func (inf *Infrastructure) RegisterProbes(col *metrics.Collector) {
+	col.Register(inf.AppendProbes(nil)...)
 }
 
-// probes returns the data center's probes in registration order.
-func (d *DataCenter) probes() []metrics.Probe {
-	size := len("switch:") + len("clink:") + 2*len(d.Name)
+// AppendProbes appends the probes RegisterProbes registers, in its order,
+// to ps and returns the extended slice, so a caller can register them in
+// one batch with probes of its own. A ps short of room grows once.
+func (inf *Infrastructure) AppendProbes(ps []metrics.Probe) []metrics.Probe {
+	count, size := 0, 0
+	inf.eachWAN(func(from, to *DataCenter, _ *hardware.Link) {
+		count, size = count+1, size+len("link:->")+len(from.Name)+len(to.Name)
+	})
+	for _, dc := range inf.dcs {
+		n, sz := dc.probeSize()
+		count, size = count+n, size+sz
+	}
+	ps = slices.Grow(ps, count)
+	var nb names.Slab
+	nb.Grow(size)
+	for _, dc := range inf.dcs {
+		ps = dc.appendProbes(ps, &nb)
+	}
+	inf.eachWAN(func(from, to *DataCenter, l *hardware.Link) {
+		ps = append(ps, metrics.Probe{Key: nb.Str("link:").Str(from.Name).Str("->").Str(to.Name).Cut(), Sample: (*linkUtil)(l)})
+	})
+	return ps
+}
+
+// probeSize returns how many probes the data center registers and the
+// total length of their keys.
+func (d *DataCenter) probeSize() (count, size int) {
+	size = len("switch:") + len("clink:") + 2*len(d.Name)
 	for _, t := range d.tiers {
 		size += len("cpu::") + len("mem::") + len("disk::") + 3*(len(d.Name)+len(t.Name))
 	}
-	var nb names.Slab
-	nb.Grow(size)
+	return 3*len(d.tiers) + 2, size
+}
+
+// appendProbes appends the data center's probes in registration order,
+// their keys cut from nb.
+func (d *DataCenter) appendProbes(ps []metrics.Probe, nb *names.Slab) []metrics.Probe {
 	key := func(kind, tier string) string { return nb.Str(kind).Str(d.Name).Str(":").Str(tier).Cut() }
-	ps := make([]metrics.Probe, 0, 3*len(d.tiers)+2)
 	for _, t := range d.tiers {
 		ps = append(ps,
 			metrics.Probe{Key: key("cpu:", t.Name), Sample: (*tierCPU)(t)},

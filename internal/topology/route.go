@@ -90,17 +90,20 @@ func (e *NoRouteError) Error() string {
 	return fmt.Sprintf("topology: no route %s -> %s", e.From, e.To)
 }
 
-// route is one compiled entry of the route table: the DC-name path of an
-// ordered data-center pair and its network fabric ready to copy into a
-// message's stages — source switch, then (WAN link, switch) per hop — or the
-// error when the pair is partitioned. Which links a route crosses is decided
-// when it is built, as of that routeVersion; FailWAN, RestoreWAN, IsolateDC
-// and RejoinDC are the only operations that change the answer, and each
-// bumps the version.
+// route is one compiled entry of the route table: the network fabric of an
+// ordered data-center pair ready to copy into a message's stages — source
+// switch, then (WAN link, switch) per hop — or the error when the pair is
+// partitioned. Which links a route crosses is decided when it is built, as
+// of that routeVersion; FailWAN, RestoreWAN, IsolateDC and RejoinDC are the
+// only operations that change the answer, and each bumps the version. A
+// rebuild refills the fabric in place — messages copy it, nobody keeps it —
+// so an entry allocates it once; the DC-name path is only read off it when
+// Path asks, and a rebuild drops it rather than overwriting a slice a
+// caller may hold.
 type route struct {
 	version int // routeVersion+1 this entry was built at; 0 = never built
-	path    []string
 	fabric  []core.QueueAgent
+	path    []string // Path's answer, built on its first call since the rebuild
 	err     error
 }
 
@@ -123,24 +126,27 @@ func (inf *Infrastructure) route(from, to *DataCenter) *route {
 	if r.version == inf.routeVersion+1 {
 		return r
 	}
+	fabric := r.fabric[:0]
+	if fabric == nil {
+		fabric = make([]core.QueueAgent, 0, 2*len(inf.dcs)-1) // the longest path
+	}
 	*r = route{version: inf.routeVersion + 1}
-	if from == to {
-		r.path = []string{from.Name}
-		r.fabric = []core.QueueAgent{from.Switch}
-		return r
-	}
-	path := inf.bfs(from.Name, to.Name, false)
-	if path == nil {
-		path = inf.bfs(from.Name, to.Name, true)
-	}
-	if path == nil {
+	f, t := from.index, to.index
+	if f != t && !inf.search(f, t, false) && !inf.search(f, t, true) {
 		r.err = &NoRouteError{From: from.Name, To: to.Name}
 		return r
 	}
-	r.path = path
-	r.fabric = append(make([]core.QueueAgent, 0, 2*len(path)-1), from.Switch)
-	for i := 1; i < len(path); i++ {
-		r.fabric = append(r.fabric, inf.usableLink(path[i-1], path[i]), inf.DCs[path[i]].Switch)
+	// The search left the path in prev, from t back to f: lay the fabric
+	// out back to front.
+	hops := 0
+	for c := t; c != f; c = inf.prev[c] {
+		hops++
+	}
+	r.fabric = fabric[:2*hops+1]
+	r.fabric[0] = from.Switch
+	for c, i := t, 2*hops; c != f; c, i = inf.prev[c], i-2 {
+		r.fabric[i] = inf.dcs[c].Switch
+		r.fabric[i-1] = inf.usableLink(inf.prev[c], c)
 	}
 	return r
 }
@@ -156,72 +162,75 @@ func (inf *Infrastructure) Path(from, to string) ([]string, error) {
 		return nil, &NoRouteError{From: from, To: to}
 	}
 	r := inf.route(f, t)
-	return r.path, r.err
-}
-
-// bfs searches shortest hop count over live primary links, optionally also
-// crossing live backup links. Deterministic tie-break by DC name order.
-func (inf *Infrastructure) bfs(from, to string, useBackups bool) []string {
-	prev := map[string]string{from: from}
-	frontier := []string{from}
-	for len(frontier) > 0 && prev[to] == "" {
-		var next []string
-		for _, cur := range frontier {
-			for _, nb := range inf.dcOrder {
-				if _, seen := prev[nb]; seen {
-					continue
-				}
-				l := inf.primaryLink(cur, nb)
-				if l == nil && useBackups {
-					l = inf.backupAlive(cur, nb)
-				}
-				if l == nil {
-					continue
-				}
-				prev[nb] = cur
-				next = append(next, nb)
-			}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.path == nil {
+		r.path = make([]string, 0, len(r.fabric)/2+1)
+		for i := 0; i < len(r.fabric); i += 2 {
+			r.path = append(r.path, inf.switchDC(r.fabric[i]).Name)
 		}
-		frontier = next
 	}
-	if prev[to] == "" {
-		return nil
-	}
-	var rev []string
-	for cur := to; cur != from; cur = prev[cur] {
-		rev = append(rev, cur)
-	}
-	path := make([]string, 0, len(rev)+1)
-	path = append(path, from)
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = append(path, rev[i])
-	}
-	return path
+	return r.path, nil
 }
 
-// primaryLink returns the live primary directed link, or nil.
-func (inf *Infrastructure) primaryLink(from, to string) *hardware.Link {
-	if l := inf.links[wanKey{from, to}]; l != nil && !l.Failed() {
-		return l
+// switchDC returns the data center whose switch q is.
+func (inf *Infrastructure) switchDC(q core.QueueAgent) *DataCenter {
+	for _, dc := range inf.dcs {
+		if core.QueueAgent(dc.Switch) == q {
+			return dc
+		}
+	}
+	panic("topology: route fabric holds a switch of no data center")
+}
+
+// search runs a breadth-first search from DC index from to DC index to
+// over live primary links, optionally also crossing live backup links, and
+// reports whether it reached to; prev then holds each reached DC's parent.
+// Neighbours are tried in ascending index, which is name order (dcs is
+// sorted), so among shortest paths the tie-break is by name. It walks the
+// dense link table with the scratch Build sized, so it allocates nothing.
+func (inf *Infrastructure) search(from, to int, useBackups bool) bool {
+	n, prev := len(inf.dcs), inf.prev
+	for i := range prev {
+		prev[i] = -1
+	}
+	prev[from] = from
+	queue := append(inf.queue[:0], from)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		for nb := range n {
+			if prev[nb] >= 0 {
+				continue
+			}
+			w := inf.wan[cur*n+nb]
+			if !live(w.primary) && !(useBackups && live(w.backup)) {
+				continue
+			}
+			prev[nb] = cur
+			if nb == to {
+				return true
+			}
+			queue = append(queue, nb)
+		}
+	}
+	return false
+}
+
+// live reports whether l is a link that has not failed.
+func live(l *hardware.Link) bool { return l != nil && !l.Failed() }
+
+// usableLink returns the live directed link between adjacent DCs, by index:
+// the primary if alive, else the backup if alive, else nil.
+func (inf *Infrastructure) usableLink(from, to int) *hardware.Link {
+	w := inf.wan[from*len(inf.dcs)+to]
+	if live(w.primary) {
+		return w.primary
+	}
+	if live(w.backup) {
+		return w.backup
 	}
 	return nil
-}
-
-// backupAlive returns the live backup directed link, or nil.
-func (inf *Infrastructure) backupAlive(from, to string) *hardware.Link {
-	if l := inf.backups[wanKey{from, to}]; l != nil && !l.Failed() {
-		return l
-	}
-	return nil
-}
-
-// usableLink returns the live directed link between adjacent DCs: the
-// primary if alive, else the backup if alive, else nil.
-func (inf *Infrastructure) usableLink(from, to string) *hardware.Link {
-	if l := inf.primaryLink(from, to); l != nil {
-		return l
-	}
-	return inf.backupAlive(from, to)
 }
 
 // ExpandHop expands one cascade message between two holons into a message

@@ -150,46 +150,72 @@ func buildAllocs(spec InfraSpec) float64 {
 	})
 }
 
-// TestTierSlabs: a tier's servers and their components are slabs, so each
-// added server costs only what its CPU and RAID allocate for their own
-// parts — here six: a CPU's socket slab and two in-service arrays, a RAID's
-// stage slab, lane slab and miss buffer — not a server holon, six
-// components and five names apiece (about twenty). The simulation's agent
-// tables grow by doubling, which adds a few allocations in all.
+// TestTierSlabs: a tier's servers and their components are slabs, what
+// their CPUs and RAIDs repeat is carved from one hardware.Parts per tier,
+// and Build reserves the simulation's agent tables for its census up
+// front, so an added server costs no allocation of its own — not a server
+// holon, six components, their parts and five names apiece (about twenty),
+// nor the parts alone (six) or the doubling of the agent tables. The bound
+// allows one per server.
 func TestTierSlabs(t *testing.T) {
 	const n = 32
 	small, large := buildAllocs(wideSpec(n)), buildAllocs(wideSpec(2*n))
 	perServer := (large - small) / n
 	t.Logf("%d servers: %v allocs; %d servers: %v; %.2f per added server", n, small, 2*n, large, perServer)
-	if large-small > 6*n+4 {
-		t.Errorf("%d more servers cost %v more allocations (%.2f each), want at most 6 each plus 4",
+	if large-small > n {
+		t.Errorf("%d more servers cost %v more allocations (%.2f each), want at most 1 each",
 			n, large-small, perServer)
 	}
 }
 
-// probeKeys records the keys a build registers, in registration order.
-type probeKeys []string
-
-func (k *probeKeys) Register(ps ...metrics.Probe) {
-	for _, p := range ps {
-		*k = append(*k, p.Key)
+// TestAgentCensusMatchesBuild: the agent count Build reserves, counted from
+// the spec, is the number of agents it registers, on the two-DC test spec,
+// the chaos document's platform and a 37-server tier. An agent registered
+// past the reservation still gets the next ID, and one registered under any
+// other ID is still refused.
+func TestAgentCensusMatchesBuild(t *testing.T) {
+	for name, spec := range map[string]InfraSpec{"twoDC": twoDCSpec(), "chaos": chaosSpec(t), "wide": wideSpec(37)} {
+		sim := core.NewSimulation(core.Config{Seed: 9})
+		if _, err := Build(sim, spec); err != nil {
+			t.Fatal(err)
+		}
+		if census := agentCensus(spec); census != sim.AgentCount() {
+			t.Errorf("%s: census %d, but Build registered %d agents", name, census, sim.AgentCount())
+		}
+		next := sim.NextAgentID()
+		if l := hardware.NewLink(sim, "extra", hardware.LinkSpec{Gbps: 1}); l.ID() != next {
+			t.Errorf("%s: the agent past the reservation got ID %d, want %d", name, l.ID(), next)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: an agent registered under a stale ID was accepted", name)
+				}
+			}()
+			stale := new(core.DelayLine)
+			stale.InitAgent(next, "stale")
+			sim.AddAgent(stale)
+		}()
+		sim.Shutdown()
 	}
 }
 
 // TestProbeOrderIsDeterministic: two builds of the chaos document register
 // their probes in one order — data centers sorted, each with its tiers in
-// declaration order, then the WAN links sorted — though tiers and links
-// are kept in maps.
+// declaration order, then the WAN links sorted — though tiers are kept in
+// a map.
 func TestProbeOrderIsDeterministic(t *testing.T) {
 	spec := chaosSpec(t)
-	var runs [2]probeKeys
+	var runs [2][]string
 	for i := range runs {
 		sim := core.NewSimulation(core.Config{Seed: 1})
 		inf, err := Build(sim, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inf.registerProbes(&runs[i])
+		for _, p := range inf.AppendProbes(nil) {
+			runs[i] = append(runs[i], p.Key)
+		}
 		sim.Shutdown()
 	}
 	if !reflect.DeepEqual(runs[0], runs[1]) {
@@ -205,7 +231,7 @@ func TestProbeOrderIsDeterministic(t *testing.T) {
 	for _, l := range []string{"AS1->EU", "AS1->NA", "EU->AS1", "EU->NA", "NA->AS1", "NA->EU"} {
 		want = append(want, "link:"+l)
 	}
-	if !reflect.DeepEqual([]string(runs[0]), want) {
+	if !reflect.DeepEqual(runs[0], want) {
 		t.Errorf("registration order\n%v\nwant\n%v", runs[0], want)
 	}
 }

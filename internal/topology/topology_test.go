@@ -201,7 +201,7 @@ func runOp(t *testing.T, sim *core.Simulation, name string, plan core.MessagePla
 			launched = true
 			s.StartOp(core.OpRun{
 				Name: name, DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan { return []core.MessagePlan{plan} },
+				Expander: core.ExpandFunc(func(int) []core.MessagePlan { return []core.MessagePlan{plan} }),
 			})
 		}
 	}))
@@ -373,12 +373,12 @@ func TestExpandHopDaemonEndpoints(t *testing.T) {
 			launched = true
 			s.StartOp(core.OpRun{
 				Name: "PULL", DC: "NA", NumSteps: 2,
-				Expand: func(step int) []core.MessagePlan {
+				Expander: core.ExpandFunc(func(step int) []core.MessagePlan {
 					if step == 0 {
 						return []core.MessagePlan{req}
 					}
 					return []core.MessagePlan{resp}
-				},
+				}),
 			})
 		}
 	}))
@@ -457,7 +457,7 @@ func TestProbeMeasuresCPUUtilization(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.StartOp(core.OpRun{Name: "BUSY", DC: "NA", NumSteps: 1,
-				Expand: func(int) []core.MessagePlan { return []core.MessagePlan{plan} }})
+				Expander: core.ExpandFunc(func(int) []core.MessagePlan { return []core.MessagePlan{plan} })})
 		}
 	}))
 	sim.RunFor(2.0)
