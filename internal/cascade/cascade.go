@@ -365,20 +365,28 @@ func Instantiate(op Op, b *Binding) (core.OpRun, error) {
 }
 
 // Scratch is a launcher's expansion state: what it has compiled — each
-// operation it launched, and the tiers of each (local, master) pair it bound
-// — and the free lists of what its finished operations hand back (their
-// stage, hold and plan buffers, and their binding when Scratch.NewBinding
-// made it) for the launcher's next operation to expand into. One launcher
-// owns one Scratch; all its operations must start at one data center. The
-// free lists link their entries through the entries themselves, last retired
-// first, so they hold the launcher's peak number of operations in flight
-// without a table of their own to grow.
+// operation it launched, unless its catalog's shared Programs holds it, and
+// the tiers of each (local, master) pair it bound — and the free lists of
+// what its finished operations hand back (their stage, hold and plan
+// buffers, and their binding when Scratch.NewBinding made it) for the
+// launcher's next operation to expand into. One launcher owns one Scratch;
+// all its operations must start at one data center. The free lists link
+// their entries through the entries themselves, last retired first, so they
+// hold the launcher's peak number of operations in flight without a table
+// of their own to grow.
 type Scratch struct {
 	free     *expander
 	bindings *Binding
+	shared   *Programs
 	programs map[opKey]*program
 	sites    []siteEntry
 }
+
+// Share makes the launcher read its operations' programs from p, the
+// table of the catalog it launches from, which other launchers of the run
+// may share; an operation outside p's catalog compiles into the launcher's
+// own table.
+func (sc *Scratch) Share(p *Programs) { sc.shared = p }
 
 // opKey identifies an Op by its step table: an Op is immutable in shape
 // once launched (its costs are re-read on every expansion).
@@ -392,11 +400,17 @@ type siteEntry struct {
 	tiers         *siteTiers
 }
 
-// program returns the launcher's compiled form of op, compiling it on first
-// launch; without a launcher (nil sc) it compiles afresh.
+// program returns the launcher's compiled form of op — from the shared
+// table when op is of its catalog — compiling it on first launch; without a
+// launcher (nil sc) it compiles afresh.
 func (sc *Scratch) program(op Op) (*program, error) {
 	if sc == nil || len(op.Steps) == 0 {
 		return compile(op) // an Op without steps fails validation in there
+	}
+	if sc.shared != nil {
+		if p, err := sc.shared.program(op); p != nil || err != nil {
+			return p, err
+		}
 	}
 	key := opKey{steps: &op.Steps[0], n: len(op.Steps)}
 	if p := sc.programs[key]; p != nil {

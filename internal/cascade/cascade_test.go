@@ -537,6 +537,81 @@ func TestScratchCompilesOnceAndRecyclesBindings(t *testing.T) {
 	}
 }
 
+// Launchers sharing a catalog's Programs compile each of its operations
+// once between them, into the table's slabs, to what compiling it alone
+// gives; an operation outside the catalog compiles into the launcher's own
+// table, and one that fails to compile is not kept.
+func TestSharedProgramsCompileOnce(t *testing.T) {
+	_, inf := testInfra(t)
+	na, aus := inf.DC("NA"), inf.DC("AUS")
+	bad := Op{Name: "bad", Steps: [][]Msg{{{From: End{Role: "nobody"}, To: End{Role: App}}}}}
+	catalog := []Op{loginOp(), fanOp(), bad}
+	var progs *Programs
+	if n := testing.AllocsPerRun(10, func() { progs = NewPrograms(catalog) }); n != 3 {
+		t.Errorf("NewPrograms costs %v allocations, want 3", n)
+	}
+	var a, b Scratch
+	a.Share(progs)
+	b.Share(progs)
+	launch := func(sc *Scratch, op Op, local *topology.DataCenter) error {
+		run, err := sc.Instantiate(op, sc.NewBinding(inf, local, na))
+		if err != nil {
+			return err
+		}
+		for s := 0; s < run.NumSteps; s++ {
+			run.Expand(s)
+		}
+		run.Expander.Retire()
+		return nil
+	}
+	for _, sc := range []*Scratch{&a, &b, &a} {
+		for _, op := range catalog[:2] {
+			if err := launch(sc, op, aus); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if progs.Compiled() != 2 || len(a.programs)+len(b.programs) != 0 {
+		t.Fatalf("%d shared programs and %d/%d own after both launchers launched the catalog twice, want 2 and 0/0",
+			progs.Compiled(), len(a.programs), len(b.programs))
+	}
+	for i, op := range catalog[:2] {
+		want, err := compile(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := &progs.progs[i]; !reflect.DeepEqual(got, want) || cap(got.msgs) != len(got.msgs) {
+			t.Errorf("%s: shared program %+v, compiled alone %+v", op.Name, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		fresh := NewPrograms(catalog)
+		for _, op := range catalog[:2] {
+			if _, err := fresh.program(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 3 {
+		t.Errorf("a table and two compiles cost %v allocations, want the table's 3", n)
+	}
+	for range 2 {
+		if err := launch(&b, bad, aus); err == nil {
+			t.Fatal("an operation that fails validation launched")
+		}
+	}
+	if progs.Compiled() != 2 {
+		t.Error("a failed compile was kept")
+	}
+	other := loginOp() // equal, but not the catalog's arrays
+	if err := launch(&a, other, aus); err != nil {
+		t.Fatal(err)
+	}
+	if progs.Compiled() != 2 || len(a.programs) != 1 {
+		t.Errorf("an operation outside the catalog compiled into the shared table (%d) or not into its own (%d)",
+			progs.Compiled(), len(a.programs))
+	}
+}
+
 // Expand locates a step through a cursor that assumes the flow's order;
 // any other order must land on the same messages.
 func TestExpandOutOfOrderMatchesInOrder(t *testing.T) {

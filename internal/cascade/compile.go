@@ -8,8 +8,9 @@ import (
 
 // This file is the static half of cascade expansion: what can be decided
 // about an operation before an instance of it exists. An Op compiles, once
-// per launcher, into a program — one byte per message naming its two ends —
-// and each (local, master) pair of data centers a launcher binds resolves,
+// per launcher — or once per run for the launchers sharing its catalog's
+// Programs — into a program, one byte per message naming its two ends, and
+// each (local, master) pair of data centers a launcher binds resolves,
 // once, into the tiers behind the server roles (siteTiers). What stays a
 // run-time decision, made per instance in Binding.endpoint and
 // topology.AppendHop in the order messages expand: the client slot, the
@@ -73,14 +74,23 @@ type program struct {
 
 // compile validates the operation and numbers every message's ends.
 func compile(op Op) (*program, error) {
-	if err := op.Validate(); err != nil {
+	p := new(program)
+	if err := p.compile(op, nil); err != nil {
 		return nil, err
 	}
-	n := 0
-	for _, step := range op.Steps {
-		n += len(step)
+	return p, nil
+}
+
+// compile validates op and fills p with it, its message codes appended to
+// msgs, which is made at op's message count when it has no room for them.
+func (p *program) compile(op Op, msgs []uint8) error {
+	if err := op.Validate(); err != nil {
+		return err
 	}
-	p := &program{msgs: make([]uint8, 0, n)}
+	if n := op.messages(); cap(msgs)-len(msgs) < n {
+		msgs = make([]uint8, 0, n)
+	}
+	*p = program{msgs: msgs}
 	for _, step := range op.Steps {
 		p.width = max(p.width, len(step))
 		for _, m := range step {
@@ -96,7 +106,78 @@ func compile(op Op) (*program, error) {
 			}
 		}
 	}
-	return p, nil
+	return nil
+}
+
+// Programs is the compiled form of one operation catalog, shared by every
+// launcher of a run that launches from it (Scratch.Share): an operation
+// compiles on its first launch by any of them and every later launch reads
+// that program. The programs of the whole catalog are one slab and their
+// message codes another, made at the catalog's size, so a catalog costs
+// three allocations however many operations and launchers it has. A run's
+// launchers are polled by one goroutine, so they share a table without
+// locking; tables are not shared across runs.
+type Programs struct {
+	ops []Op
+	// progs[i] is ops[i] compiled once its width is set; its message codes
+	// are carved from one array made for the whole catalog.
+	progs []program
+}
+
+// NewPrograms makes the table for the catalog ops; nothing is compiled yet.
+// The catalog must not change while the table is in use.
+func NewPrograms(ops []Op) *Programs {
+	t := &Programs{ops: ops, progs: make([]program, len(ops))}
+	n := 0
+	for _, op := range ops {
+		n += op.messages()
+	}
+	msgs := make([]uint8, n)
+	for i, op := range ops {
+		n := op.messages()
+		t.progs[i].msgs, msgs = msgs[:0:n], msgs[n:]
+	}
+	return t
+}
+
+// messages returns the operation's message count over all steps.
+func (op Op) messages() int {
+	n := 0
+	for _, step := range op.Steps {
+		n += len(step)
+	}
+	return n
+}
+
+// Compiled returns how many of the catalog's operations have compiled.
+func (t *Programs) Compiled() int {
+	n := 0
+	for i := range t.progs {
+		if t.progs[i].width > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// program returns the compiled form of op, compiling it on its first use,
+// or nil when op is not of the catalog. An operation is the catalog's when
+// it has the same step table, the identity Scratch keys its own programs by.
+func (t *Programs) program(op Op) (*program, error) {
+	for i := range t.ops {
+		steps := t.ops[i].Steps
+		if len(steps) == 0 || len(steps) != len(op.Steps) || &steps[0] != &op.Steps[0] {
+			continue
+		}
+		p := &t.progs[i]
+		if p.width == 0 {
+			if err := p.compile(op, p.msgs[:0]); err != nil {
+				return nil, err
+			}
+		}
+		return p, nil
+	}
+	return nil, nil
 }
 
 // bindable reports why the program cannot run on the binding: it needs a

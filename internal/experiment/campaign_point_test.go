@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"fmt"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/cascade"
 	"repro/internal/config"
 )
 
@@ -38,12 +42,14 @@ func runCampaignPoint(tb testing.TB) uint64 {
 }
 
 // campaignPointCeiling bounds the heap objects one campaign point costs:
-// measured at 738 on go1.24 (load 144, compile 226, run 182, sweep 186)
-// once agent tables, part slabs, route scratch, expanders, probe batches
-// and response headers were sized from the spec, against 922 before (load
-// 144, compile 322, run 263, sweep 193); the ceiling leaves room for
-// toolchain drift, not for a return of that growth.
-const campaignPointCeiling = 780
+// measured at 556 on go1.24 (load 142, compile 116, run 110, sweep 188)
+// once the platform was laid out in one pass, catalogs and their programs
+// were shared across launchers, response series were sized from the
+// workloads' expected launches, a link's connection slots grew as one block
+// and the sweep formatted its labels once — against 738 before (load 144,
+// compile 226, run 182, sweep 186). The ceiling leaves 6% for toolchain
+// drift, not room for a return of any of that.
+const campaignPointCeiling = 590
 
 // TestCampaignPointAllocs pins what one campaign point allocates, and logs
 // where: loading the document (decode and FromDocument), compiling it
@@ -85,6 +91,46 @@ func TestCampaignPointAllocs(t *testing.T) {
 	}
 }
 
+// campaignGrid is the benchmark harness' campaign: examples/chaos.json at
+// its own 900 s window and seed 7, over fault severity, WAN bandwidth, a
+// tier's core count and the fluid tier on and off — 16 points.
+func campaignGrid() *Sweep {
+	load := func() (*Experiment, error) {
+		d, err := config.Load(filepath.Join("..", "..", "examples", "chaos.json"))
+		if err != nil {
+			return nil, err
+		}
+		d.Seed = 7
+		return FromDocument(d)
+	}
+	return NewSweep("campaign", load).
+		Vary("faults.atlantic.magnitude", 0.5, 1).
+		Vary("wan.NA-EU.mbps", 45, 155).
+		Vary("dcs.NA.app.cores", 4, 8).
+		Vary("workloads.PDM.EU.fluid", 0, 1)
+}
+
+// BenchmarkCampaignSweep runs the harness' 16-point campaign grid at one
+// and at two workers. Run it with -benchmem: allocs/op over 16 is a point's
+// share, its validation included, and what the harness' campaign
+// allocs_per_op divides by the operations the points complete.
+func BenchmarkCampaignSweep(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sr, err := campaignGrid().Run(workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(sr.Points) != 16 {
+					b.Fatalf("%d points, want 16", len(sr.Points))
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCampaignPoint times one campaign point end to end through the
 // sweep entry point: decode, FromDocument, Compile, a 320 s run of the
 // chaos document and the harvest. Run it with -benchmem: allocs/op is what
@@ -94,4 +140,68 @@ func BenchmarkCampaignPoint(b *testing.B) {
 	for b.Loop() {
 		runCampaignPoint(b)
 	}
+}
+
+// TestSharedCatalogIsReadOnly: the two PDM workloads of examples/chaos.json
+// launch from one catalog — one array, built once — and read one program
+// table, in which every operation compiles once for the run; a run with the
+// fluid tier on and the atlantic fault active leaves the shared catalog's
+// steps and costs as they were built.
+func TestSharedCatalogIsReadOnly(t *testing.T) {
+	d, err := config.Load(filepath.Join("..", "..", "examples", "chaos.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Seed = 7
+	e, err := FromDocument(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := applyPath(e, "workloads.PDM.EU.fluid", 1); err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Sim.Shutdown()
+	if len(r.catalogs) != 1 || r.catalogs[0].key != "PDM" {
+		t.Fatalf("the PDM workloads use %d catalogs, want the one PDM catalog", len(r.catalogs))
+	}
+	c := r.catalogs[0]
+	for i := range r.sources {
+		app := &r.sources[i].app
+		if !sameArray(app.Ops, c.ops) || app.Programs != c.progs {
+			t.Fatalf("workload %s@%s does not launch from the shared catalog and its program table", app.App, app.DC)
+		}
+	}
+	if r.sources[0].fluid == nil {
+		t.Fatal("the fluid tier is not on for PDM@EU")
+	}
+	before := cloneOps(c.ops)
+	res, err := r.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults == nil || len(res.Faults.Injections) != 1 || res.Faults.Injections[0].RecoveredAt <= 0 {
+		t.Fatal("the atlantic fault did not run its course")
+	}
+	if !reflect.DeepEqual(c.ops, before) {
+		t.Error("the run wrote into the shared PDM catalog")
+	}
+	if n := c.progs.Compiled(); n != len(c.ops) {
+		t.Errorf("%d of the catalog's %d operations compiled into the shared table", n, len(c.ops))
+	}
+}
+
+// cloneOps copies a catalog down to its messages.
+func cloneOps(ops []cascade.Op) []cascade.Op {
+	out := make([]cascade.Op, len(ops))
+	for i, op := range ops {
+		out[i] = cascade.Op{Name: op.Name, Steps: make([][]cascade.Msg, len(op.Steps))}
+		for j, step := range op.Steps {
+			out[i].Steps[j] = slices.Clone(step)
+		}
+	}
+	return out
 }

@@ -83,7 +83,7 @@ func FromDocument(d *config.Document) (*Experiment, error) {
 			return nil, fmt.Errorf("experiment: document %s: workload %s@%s: %w", d.Name, w.App, w.DC, err)
 		}
 		ew.OpsFn = fn
-		ew.OpsKey = name + "@" + w.DC
+		ew.OpsKey = opsKey(name, w.DC)
 		if d.AccessMatrix == nil {
 			// Without a document-level access matrix every workload
 			// manipulates files owned by its own data center.
@@ -140,6 +140,15 @@ func LoadDocument(path string) (*Experiment, error) {
 		return nil, err
 	}
 	return FromDocument(d)
+}
+
+// opsKey is the key workloads share a named operation set's catalog by:
+// the calibrated CAD set is built per data center, VIS and PDM once.
+func opsKey(name, dc string) string {
+	if name == "CAD" {
+		return name + "@" + dc
+	}
+	return name
 }
 
 // OpsByName resolves a named operation set to an OpsFn. The calibrated CAD

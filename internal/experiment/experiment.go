@@ -33,6 +33,7 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/fluid"
 	"repro/internal/metrics"
 	"repro/internal/refdata"
 	"repro/internal/topology"
@@ -84,7 +85,9 @@ type Workload struct {
 	// infrastructure (calibrated operations), leave it nil and set OpsFn.
 	Ops []cascade.Op
 	// OpsFn builds the mix against the built infrastructure. Workloads with
-	// equal OpsKey share a single invocation per compile.
+	// equal OpsKey share a single invocation per compile; workloads whose
+	// mixes are one array, built or declared, share one program table
+	// (cascade.Programs).
 	OpsFn  func(inf *topology.Infrastructure, step float64) ([]cascade.Op, error)
 	OpsKey string // defaults to App+"@"+DC
 	// Weights biases the mix; nil selects a uniform mix.
@@ -557,7 +560,11 @@ type Run struct {
 
 	// probes gathers every probe Compile's phases declare, registered as one
 	// batch at its end.
-	probes   []metrics.Probe
+	probes []metrics.Probe
+	// catalogs are the run's operation catalogs, and sources its workloads'
+	// sources, in declaration order, one slab.
+	catalogs []catalog
+	sources  []source
 	executed bool
 }
 
@@ -642,25 +649,15 @@ func (e *Experiment) Compile() (*Run, error) {
 // returns how many response series they can record: one per operation of
 // each workload's catalog.
 func (e *Experiment) attachWorkloads(r *Run) (series int, err error) {
-	opsMemo := map[string][]cascade.Op{}
+	r.catalogs = make([]catalog, 0, len(e.workloads))
+	r.sources = make([]source, len(e.workloads))
 	for i := range e.workloads {
 		w := &e.workloads[i]
-		ops := w.Ops
-		if ops == nil {
-			key := w.OpsKey
-			if key == "" {
-				key = w.App + "@" + w.DC
-			}
-			var ok bool
-			if ops, ok = opsMemo[key]; !ok {
-				built, err := w.OpsFn(r.Inf, e.step)
-				if err != nil {
-					return 0, fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
-				}
-				opsMemo[key] = built
-				ops = built
-			}
+		cat, err := r.catalog(w, e.step)
+		if err != nil {
+			return 0, fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
 		}
+		ops := cat.ops
 		// The mix length is only known once OpsFn has run, so the weights
 		// check lives here rather than in validate(): a mismatch must be an
 		// error, not the runtime panic AppWorkload reserves for wiring bugs.
@@ -676,7 +673,8 @@ func (e *Experiment) attachWorkloads(r *Run) (series int, err error) {
 		if w.Gauges {
 			prefix = w.App + ":" + w.DC
 		}
-		src := &workload.AppWorkload{
+		src := &r.sources[i].app
+		*src = workload.AppWorkload{
 			App:            w.App,
 			DC:             w.DC,
 			Users:          w.Users.Shift(e.startHour),
@@ -688,13 +686,14 @@ func (e *Experiment) attachWorkloads(r *Run) (series int, err error) {
 			GaugePrefix:    prefix,
 			ThinBelow:      w.ThinBelow,
 			Stream:         w.Stream,
+			Programs:       cat.progs,
 		}
 		// Fluid-configured workloads register through the fluid tier,
 		// which wraps the same source in the precomputed mode schedule; at
 		// Fluid.Above = 0 the wrapper is structurally elided, so the run is
 		// bit-identical to one that never configured fluid.
 		if w.Fluid.Above > 0 {
-			if err := e.attachFluid(r, w, src, ops); err != nil {
+			if r.sources[i].fluid, err = e.attachFluid(r, w, src, ops); err != nil {
 				return 0, err
 			}
 		} else {
@@ -713,6 +712,83 @@ func (e *Experiment) attachWorkloads(r *Run) (series int, err error) {
 		}
 	}
 	return series, nil
+}
+
+// source is one workload's launcher and, when the fluid tier carries it,
+// the tier's schedule.
+type source struct {
+	app   workload.AppWorkload
+	fluid []fluid.Segment
+}
+
+// expectResponses states what the workloads are expected to record over
+// [t0, t1) simulated seconds (metrics.Responses.Expect): each workload's
+// expected launches — over the discrete segments of its fluid schedule
+// when it has one, the only ones that launch — split by its mix.
+func (r *Run) expectResponses(t0, t1 float64) {
+	n := 0
+	for i := range r.sources {
+		n += len(r.sources[i].app.Ops)
+	}
+	exp := make([]metrics.Expected, 0, n)
+	for i := range r.sources {
+		src := &r.sources[i]
+		launches := 0.0
+		if src.fluid == nil {
+			launches = src.app.ExpectedLaunches(t0, t1)
+		}
+		for _, seg := range src.fluid {
+			if lo, hi := max(t0, seg.Start), min(t1, seg.End); !seg.Fluid && lo < hi {
+				launches += src.app.ExpectedLaunches(lo, hi)
+			}
+		}
+		exp = src.app.AppendExpected(exp, launches)
+	}
+	r.Sim.Responses.Expect(exp)
+}
+
+// catalog is one operation catalog of a run and the program table its
+// launchers share.
+type catalog struct {
+	key   string // the OpsKey an OpsFn catalog was built under; "" for declared Ops
+	ops   []cascade.Op
+	progs *cascade.Programs
+}
+
+// catalog returns w's operation catalog: its declared Ops, or what its
+// OpsFn builds, once per run for all workloads of equal OpsKey (App@DC when
+// unset). Workloads whose catalogs are one array share one program table.
+func (r *Run) catalog(w *Workload, step float64) (catalog, error) {
+	ops, key := w.Ops, ""
+	if ops == nil {
+		if key = w.OpsKey; key == "" {
+			key = w.App + "@" + w.DC
+		}
+	}
+	for _, c := range r.catalogs {
+		if key != "" && c.key == key || key == "" && c.key == "" && sameArray(c.ops, ops) {
+			return c, nil
+		}
+	}
+	if ops == nil {
+		built, err := w.OpsFn(r.Inf, step)
+		if err != nil {
+			return catalog{}, err
+		}
+		ops = built
+	}
+	c := catalog{key: key, ops: ops}
+	if len(ops) > 0 {
+		c.progs = cascade.NewPrograms(ops)
+	}
+	r.catalogs = append(r.catalogs, c)
+	return c, nil
+}
+
+// sameArray reports whether a and b are the same non-empty slice of one
+// array.
+func sameArray(a, b []cascade.Op) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
 // attachDaemons wires one SYNCHREP and one INDEXBUILD daemon per master, in
@@ -804,13 +880,18 @@ func (e *Experiment) indexCyclesPerByte(growth background.GrowthModel, master st
 // operation whose next step has no surviving route (*topology.NoRouteError)
 // — stops at the window it failed in and returns that error, wrapped in a
 // *core.OpError naming the operation, the client's data center and the
-// simulated second.
+// simulated second. Knowing the window, Execute sizes the workloads'
+// response series from their expected launches before it runs
+// (expectResponses), and the harvest trims the room they did not use
+// (metrics.Responses.Trim).
 func (r *Run) Execute() (*Result, error) {
 	if r.executed {
 		return nil, fmt.Errorf("experiment %s: Execute called twice", r.Experiment.name)
 	}
 	r.executed = true
-	r.Sim.RunFor(r.Experiment.DurationSeconds())
+	d, t0 := r.Experiment.DurationSeconds(), r.Sim.Clock().NowSeconds()
+	r.expectResponses(t0, t0+d)
+	r.Sim.RunFor(d)
 	if err := r.Sim.Err(); err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", r.Experiment.name, err)
 	}
@@ -854,16 +935,17 @@ type Result struct {
 }
 
 func harvest(r *Run) *Result {
+	keys := r.Sim.Collector.Keys()
 	res := &Result{
 		Name:      r.Experiment.name,
 		Seed:      r.Experiment.seed,
 		Stats:     r.Sim.Stats(),
-		Series:    map[string]*metrics.Series{},
+		Series:    make(map[string]*metrics.Series, len(keys)),
 		Responses: r.Sim.Responses,
 		Sim:       r.Sim,
 		Run:       r,
 	}
-	for _, key := range r.Sim.Collector.Keys() {
+	for _, key := range keys {
 		// fault: series belong to the fault report, not the ordinary series
 		// set: Digest hashes Series, and the recovery telemetry must not
 		// make a faulted run incomparable with its healthy baseline.
@@ -875,6 +957,7 @@ func harvest(r *Run) *Result {
 	if r.Faults != nil {
 		res.Faults = r.Faults.Finalize()
 	}
+	r.Sim.Responses.Trim()
 	return res
 }
 

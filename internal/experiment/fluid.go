@@ -99,25 +99,26 @@ func dominantOwner(apm workload.AccessMatrix, dc string) (string, error) {
 
 // attachFluid wires one fluid-configured workload: derives the station,
 // precomputes the segment schedule, registers the crossover controller
-// ahead of the flow wrapper, and installs the analytic series probes.
-func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload, ops []cascade.Op) error {
+// ahead of the flow wrapper, and installs the analytic series probes. It
+// returns the schedule.
+func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload, ops []cascade.Op) ([]fluid.Segment, error) {
 	apm := w.APM
 	if apm == nil {
 		apm = e.apm
 	}
 	masterName, err := dominantOwner(apm, w.DC)
 	if err != nil {
-		return fmt.Errorf("fluid %s@%s: %w", w.App, w.DC, err)
+		return nil, fmt.Errorf("fluid %s@%s: %w", w.App, w.DC, err)
 	}
 	local, master := r.Inf.DC(w.DC), r.Inf.DC(masterName)
 	st, err := fluid.DeriveStation(r.Inf, local, master, ops, w.Weights, e.step)
 	if err != nil {
-		return fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
+		return nil, fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
 	}
 	segs, err := fluid.BuildSegments(src.Users, w.OpsPerUserHour, e.step, e.DurationSeconds(),
 		fluid.Config{Above: w.Fluid.Above, RhoMax: w.Fluid.RhoMax}, st, e.fluidWindows())
 	if err != nil {
-		return fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
+		return nil, fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
 	}
 	tiers := make([]*topology.Tier, len(st.Tiers))
 	for i, tl := range st.Tiers {
@@ -128,7 +129,7 @@ func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload,
 	r.Sim.AddSource(&fluid.Controller{Segments: segs, Tiers: tiers})
 	r.Sim.AddSource(&fluid.Flow{Inner: src, Segments: segs})
 	e.registerFluidProbes(r, w, segs)
-	return nil
+	return segs, nil
 }
 
 // registerFluidProbes adds the analytic result series to Compile's probe

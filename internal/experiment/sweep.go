@@ -42,6 +42,7 @@ type Sweep struct {
 type axis struct {
 	path     string
 	values   []float64
+	labels   []string // values formatted, once, for PointValue.Label
 	variants []Variant
 }
 
@@ -93,7 +94,11 @@ func NewSweep(name string, base func() (*Experiment, error)) *Sweep {
 // Unknown paths and empty value lists are rejected by Run with an error
 // naming the offending axis.
 func (s *Sweep) Vary(path string, values ...float64) *Sweep {
-	s.axes = append(s.axes, axis{path: path, values: values})
+	labels := make([]string, len(values))
+	for i, v := range values {
+		labels[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	s.axes = append(s.axes, axis{path: path, values: values, labels: labels})
 	return s
 }
 
@@ -290,16 +295,14 @@ func (s *Sweep) runPoint(idx int) (pr PointResult) {
 	e.seed = core.DeriveSeed(e.seed, uint64(idx))
 	pr.Seed = e.seed
 
-	// Decompose the index into axis coordinates, first axis slowest.
-	rem := idx
-	coords := make([]int, len(s.axes))
-	for i := len(s.axes) - 1; i >= 0; i-- {
-		size := s.axes[i].size()
-		coords[i] = rem % size
-		rem /= size
-	}
-	for i, ax := range s.axes {
-		c := coords[i]
+	// Decompose the index into axis coordinates, first axis slowest: the
+	// stride of an axis is the point count of the axes after it.
+	rem, stride := idx, s.Size()
+	pr.Values = make([]PointValue, 0, len(s.axes))
+	for _, ax := range s.axes {
+		stride /= ax.size()
+		c := rem / stride
+		rem %= stride
 		if len(ax.variants) > 0 {
 			v := ax.variants[c]
 			if err := v.Apply(e); err != nil {
@@ -314,11 +317,7 @@ func (s *Sweep) runPoint(idx int) (pr PointResult) {
 			pr.Err = err
 			return pr
 		}
-		pr.Values = append(pr.Values, PointValue{
-			Axis:  ax.name(),
-			Label: strconv.FormatFloat(val, 'g', -1, 64),
-			Value: val,
-		})
+		pr.Values = append(pr.Values, PointValue{Axis: ax.name(), Label: ax.labels[c], Value: val})
 	}
 	pr.Seed = e.seed // a "seed" axis may have overridden the derivation
 	if err := e.validate(); err != nil {

@@ -23,10 +23,9 @@
 // drive lanes — is a piece of exact length, never appended to and walked by
 // index: a queue that has been set up must not be copied. A component can
 // also be set up and registered in place by its Init (CPU, Memory, NIC,
-// Link, RAID; each New… wraps it), so a client pool keeps its NICs in one
-// slab of its own and a tier its servers' components in one slab per kind;
-// a tier's CPUs and RAIDs carve their repeated parts from one Parts
-// (InitFrom).
+// Switch, Link, RAID, SAN; each New… wraps it), so a platform keeps each
+// component kind in one slab, and its CPUs, RAIDs and SANs carve their
+// repeated parts from one Parts (InitFrom).
 package hardware
 
 import (
@@ -99,7 +98,7 @@ func (c *CPU) Init(sim *core.Simulation, name string, spec CPUSpec) {
 }
 
 // InitFrom is Init with the sockets and their in-service arrays carved from
-// parts, which a tier reserves for all its servers at once.
+// parts, which a platform counts and makes for all its components at once.
 func (c *CPU) InitFrom(sim *core.Simulation, name string, spec CPUSpec, parts *Parts) {
 	if err := spec.Validate(); err != nil {
 		panic(err)

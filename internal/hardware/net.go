@@ -84,9 +84,17 @@ type Switch struct{ fcfsPort }
 // NewSwitch creates and registers a switch with speed in Gbps.
 func NewSwitch(sim *core.Simulation, name string, gbps float64) *Switch {
 	s := new(Switch)
+	s.Init(sim, name, gbps)
+	return s
+}
+
+// Init sets up the zero switch s in place, with speed in Gbps, and
+// registers it: what NewSwitch does, for a switch that lives in a slab of
+// switches made once (the data centers of a platform). s must not move or be
+// copied afterwards.
+func (s *Switch) Init(sim *core.Simulation, name string, gbps float64) {
 	s.init(sim, name, "switch", gbps)
 	sim.AddAgent(s)
-	return s
 }
 
 // Link models a network link as an M/M/1/k processor-sharing queue with a

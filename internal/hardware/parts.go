@@ -2,54 +2,72 @@ package hardware
 
 import "repro/internal/queueing"
 
-// Parts holds what a batch of identical CPUs and RAIDs repeat — the FCFS
+// Parts holds what a batch of CPUs, RAIDs and SANs repeat — the FCFS
 // queues of CPU sockets, store stages and drive lanes, the in-service arrays
 // of multi-core sockets and the drive arrays' miss buffers — as one slab per
 // kind, which each component set up by InitFrom carves its share of in turn.
-// A tier reserves the parts of all its servers before it sets up the first,
-// so they cost three allocations per tier, not six per server; Init is the
-// batch of one. Every piece is capped at its length, so no component can
-// append into its neighbour's. A carve the reservation did not cover makes
-// its piece on its own.
+// A platform counts the parts of all its components (Count, CountSAN) and
+// makes them (Make) before it sets up the first, so they cost three
+// allocations in all, not six per server; Init is the batch of one. Every
+// piece is capped at its length, so no component can append into its
+// neighbour's. A carve the slabs do not cover makes its piece on its own.
 type Parts struct {
 	queues slab[queueing.FCFS]
 	slots  slab[*queueing.Task]
 	misses slab[*forkSlab]
+	need   partCount // what Count and CountSAN have counted for the next Make
 }
+
+// partCount is a number of parts of each kind.
+type partCount struct{ queues, slots, misses int }
 
 // missRoom is the room a drive array's miss buffer starts with: the stripes
 // one lane takes from the controller caches in one tick before the buffer
 // grows.
 const missRoom = 8
 
-// Reserve makes the slabs for the parts of n CPUs of spec cpu and n RAIDs of
-// spec raid; a nil spec reserves none of that kind. Specs are validated by
+// Count adds the parts of n CPUs of spec cpu and n RAIDs of spec raid to
+// the next Make; a nil spec counts none of that kind. Specs are validated by
 // the components' InitFrom, before they carve anything, not here.
-func (p *Parts) Reserve(n int, cpu *CPUSpec, raid *RAIDSpec) {
-	var queues, slots, misses int
+func (p *Parts) Count(n int, cpu *CPUSpec, raid *RAIDSpec) {
 	if cpu != nil && cpu.Sockets > 0 {
-		queues += cpu.Sockets
+		p.need.queues += n * cpu.Sockets
 		if cpu.Cores > 1 {
-			slots += cpu.Sockets * cpu.Cores
+			p.need.slots += n * cpu.Sockets * cpu.Cores
 		}
 	}
 	if raid != nil && raid.Disks > 0 {
-		queues += 1 + lanes(raid.Disks, raid.Disk)
-		misses += missRoom
+		p.countStore(n, 1, raid.Disks, raid.Disk)
 	}
-	p.reserve(n*queues, n*slots, n*misses)
 }
 
-// reserveStore makes the slabs for one store of the given stage and disk
-// counts (a SAN).
-func (p *Parts) reserveStore(stages, disks int, disk DiskSpec) {
-	p.reserve(stages+lanes(disks, disk), 0, missRoom)
+// CountSAN adds the parts of one SAN of spec to the next Make.
+func (p *Parts) CountSAN(spec SANSpec) {
+	if spec.Disks > 0 {
+		p.countStore(1, 3, spec.Disks, spec.Disk)
+	}
 }
 
-func (p *Parts) reserve(queues, slots, misses int) {
-	p.queues.alloc(queues)
-	p.slots.alloc(slots)
-	p.misses.alloc(misses)
+// countStore counts n stores of the given stage and disk counts.
+func (p *Parts) countStore(n, stages, disks int, disk DiskSpec) {
+	p.need.queues += n * (stages + lanes(disks, disk))
+	p.need.misses += n * missRoom
+}
+
+// Make replaces the slabs with fresh ones holding what was counted since
+// the last Make, and starts the next count from zero.
+func (p *Parts) Make() {
+	p.queues.alloc(p.need.queues)
+	p.slots.alloc(p.need.slots)
+	p.misses.alloc(p.need.misses)
+	p.need = partCount{}
+}
+
+// Reserve makes the slabs for the parts of n CPUs of spec cpu and n RAIDs
+// of spec raid: Count, then Make.
+func (p *Parts) Reserve(n int, cpu *CPUSpec, raid *RAIDSpec) {
+	p.Count(n, cpu, raid)
+	p.Make()
 }
 
 // lanes returns the drive lanes of an array of n disks: one per drive when

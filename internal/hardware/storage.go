@@ -544,7 +544,7 @@ func (r *RAID) Init(sim *core.Simulation, name string, spec RAIDSpec) {
 }
 
 // InitFrom is Init with the queues and the miss buffer carved from parts,
-// which a tier reserves for all its servers at once.
+// which a platform counts and makes for all its components at once.
 func (r *RAID) InitFrom(sim *core.Simulation, name string, spec RAIDSpec, parts *Parts) {
 	if err := spec.validate(); err != nil {
 		panic(err)
@@ -588,16 +588,32 @@ type SAN struct {
 
 // NewSAN creates and registers a SAN agent.
 func NewSAN(sim *core.Simulation, name string, spec SANSpec) *SAN {
+	s := new(SAN)
+	s.Init(sim, name, spec)
+	return s
+}
+
+// Init sets up the zero SAN s in place and registers it: what NewSAN does,
+// for a SAN that lives in a slab of SANs made once (the SAN tiers of a
+// platform). It is InitFrom with parts counted for this one SAN. s must not
+// move or be copied afterwards.
+func (s *SAN) Init(sim *core.Simulation, name string, spec SANSpec) {
+	var p Parts
+	p.CountSAN(spec)
+	p.Make()
+	s.InitFrom(sim, name, spec, &p)
+}
+
+// InitFrom is Init with the stage and drive-lane queues and the miss buffer
+// carved from parts, which a platform counts for all its stores at once.
+func (s *SAN) InitFrom(sim *core.Simulation, name string, spec SANSpec, parts *Parts) {
 	if err := spec.validate(); err != nil {
 		panic(err)
 	}
-	s := &SAN{spec: spec}
-	var p Parts
-	p.reserveStore(3, spec.Disks, spec.Disk)
-	s.init(sim, name, spec.Disks, spec.Disk, spec.HitRate, tagSAN, tagSANArray, 1, &p,
+	s.spec = spec
+	s.init(sim, name, spec.Disks, spec.Disk, spec.HitRate, tagSAN, tagSANArray, 1, parts,
 		spec.FCSwitchGbps, spec.CtrlGbps, spec.FCALGbps)
 	sim.AddAgent(s)
-	return s
 }
 
 // Spec returns the SAN specification.

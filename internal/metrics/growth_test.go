@@ -89,3 +89,61 @@ func TestResponsesReserveHeaders(t *testing.T) {
 		t.Errorf("first samples of 8 series: %v allocations with their headers reserved, %v without; want 7 fewer", slab, apart)
 	}
 }
+
+// TestExpectedSeriesSizing: a series Expect sized records up to its
+// reserved count into its reserved block, allocating nothing; one sample
+// past it costs one block, no larger than what doubling from the first
+// eight samples holds at that count; and once Trim has run, every series
+// retains at most what doubling would — exactly its samples when it stayed
+// in its reserved block.
+func TestExpectedSeriesSizing(t *testing.T) {
+	doubled := func(n int) int { // the room doubling gives n samples
+		var s Series
+		for i := range n {
+			s.Add(float64(i), 1)
+		}
+		return cap(s.T)
+	}
+	for _, n := range []int{1, 7, 8, 9, 20, 100, 1000} {
+		// record makes a tracker that expects n samples of A, and records
+		// k of them.
+		record := func(k int) *Responses {
+			r := NewResponses()
+			r.Reserve(1)
+			r.Expect([]Expected{{Key: ResponseKey{"A", "NA"}, Samples: n}})
+			for i := range k {
+				r.Record("A", "NA", float64(i), 1)
+			}
+			return r
+		}
+		allocs := func(k int) float64 { return testing.AllocsPerRun(10, func() { record(k) }) }
+		first := allocs(1)
+		if got := allocs(n) - first; got != 0 {
+			t.Errorf("expecting %d samples: samples 2 to %d cost %v allocations, want 0", n, n, got)
+		}
+		if got := allocs(n+1) - first; got != 1 {
+			t.Errorf("expecting %d samples: one sample past them costs %v allocations, want 1", n, got)
+		}
+		over := record(n + 1)
+		if s := over.Series("A", "NA"); cap(s.T) > doubled(n+1) || cap(s.V) != cap(s.T) {
+			t.Errorf("expecting %d samples: %d samples grew into room for %d/%d, doubling gives %d",
+				n, n+1, cap(s.T), cap(s.V), doubled(n+1))
+		}
+		over.Trim()
+		if s := over.Series("A", "NA"); s.Len() != n+1 || cap(s.T) > doubled(n+1) {
+			t.Errorf("expecting %d samples: after Trim %d samples hold room for %d", n, s.Len(), cap(s.T))
+		}
+		for _, k := range []int{1, (n + 1) / 2, n} {
+			r := record(k)
+			r.Trim()
+			s := r.Series("A", "NA")
+			if s.Len() != k || cap(s.T) != k || cap(s.V) != k || s.T[k-1] != float64(k-1) || s.V[k-1] != 1 {
+				t.Errorf("expecting %d samples, %d recorded: Trim left %d samples in room for %d/%d",
+					n, k, s.Len(), cap(s.T), cap(s.V))
+			}
+			if r.Series("B", "NA") != nil {
+				t.Error("a series appeared without a sample")
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/names"
@@ -23,6 +24,17 @@ type Responses struct {
 	// headers is the slab Reserve made, which the series headers are taken
 	// from as their first samples arrive.
 	headers []Series
+	// expected is the table Expect took, and blocks the slab its series'
+	// first blocks are carved from, in table order, at their first samples.
+	expected []Expected
+	blocks   []float64
+}
+
+// Expected is a population's expected sample count: the room its series'
+// first block holds.
+type Expected struct {
+	Key     ResponseKey
+	Samples int
 }
 
 // NewResponses returns an empty response tracker.
@@ -43,6 +55,10 @@ func (r *Responses) Record(op, dc string, completed, dur float64) {
 		} else {
 			s = &Series{Name: name}
 		}
+		if block := r.block(k); block != nil {
+			n := len(block) / 2
+			s.T, s.V = block[:0:n], block[n:n:2*n]
+		}
 		r.byKey[k] = s
 	}
 	s.Add(completed, dur)
@@ -57,6 +73,83 @@ func (r *Responses) Record(op, dc string, completed, dur float64) {
 func (r *Responses) Reserve(n int) {
 	if n > cap(r.headers)-len(r.headers) {
 		r.headers = make([]Series, 0, n)
+	}
+}
+
+// Expect sizes the first blocks of the populations in exp, which a caller
+// that knows what it launches over a run (experiment's Execute counts each
+// workload's expected launches) states once: the series of exp[i].Key
+// starts with room for exp[i].Samples samples, carved from one slab made
+// here for the whole table, and grows as any series does past it. A series
+// still appears only at its first sample; a key listed twice gets the room
+// of both. Expect takes exp as its own table; a later Expect replaces the
+// table for the series not sampled yet. Trim gives back the room a finished
+// run did not use.
+func (r *Responses) Expect(exp []Expected) {
+	kept := exp[:0]
+	total := 0
+	for _, e := range exp {
+		if e.Samples <= 0 {
+			continue
+		}
+		total += e.Samples
+		if i := slices.IndexFunc(kept, func(k Expected) bool { return k.Key == e.Key }); i >= 0 {
+			kept[i].Samples += e.Samples
+			continue
+		}
+		kept = append(kept, e)
+	}
+	r.expected, r.blocks = kept, nil
+	if total > 0 {
+		r.blocks = make([]float64, 2*total)
+	}
+}
+
+// block returns the first block Expect reserved for k — T's room, then V's
+// — or nil when it reserved none.
+func (r *Responses) block(k ResponseKey) []float64 {
+	off := 0
+	for _, e := range r.expected {
+		n := 2 * e.Samples
+		if e.Key == k {
+			return r.blocks[off : off+n : off+n]
+		}
+		off += n
+	}
+	return nil
+}
+
+// Trim moves the series still in the blocks Expect reserved into one block
+// holding exactly their samples, and drops the reservation, so a finished
+// run keeps none of the room its series did not use; a series that outgrew
+// its reserved block keeps the block it grew into. Later samples grow a
+// trimmed series as any other.
+func (r *Responses) Trim() {
+	if r.blocks == nil {
+		return
+	}
+	total := 0
+	r.inBlocks(func(s *Series) { total += len(s.T) })
+	block := make([]float64, 2*total)
+	r.inBlocks(func(s *Series) {
+		n := len(s.T)
+		t, v := block[:n:n], block[n:2*n:2*n]
+		copy(t, s.T)
+		copy(v, s.V)
+		s.T, s.V, block = t, v, block[2*n:]
+	})
+	r.expected, r.blocks = nil, nil
+}
+
+// inBlocks calls fn with every series that still records into the first
+// block Expect reserved for it, in table order.
+func (r *Responses) inBlocks(fn func(*Series)) {
+	off := 0
+	for _, e := range r.expected {
+		if s := r.byKey[e.Key]; s != nil && len(s.T) > 0 && &s.T[0] == &r.blocks[off] {
+			fn(s)
+		}
+		off += 2 * e.Samples
 	}
 }
 

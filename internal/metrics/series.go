@@ -34,14 +34,20 @@ type Series struct {
 // so an append to either from outside reallocates instead of writing into
 // the other. A series of n samples so costs at most ⌈log₂ n⌉+1
 // allocations, where two slices appended apart cost twice that or more. The
-// first block holds minSamples samples.
+// first block holds minSamples samples, and every block a power of two
+// times that — also the one after a first block reserved at another size
+// (Responses.Expect), so a grown series never holds more room than doubling
+// from minSamples would have given it.
 func (s *Series) Add(t, v float64) {
 	n := len(s.T)
 	if n > 0 && t < s.T[n-1] {
 		panic(fmt.Sprintf("metrics: out-of-order sample %v after %v on %q", t, s.T[n-1], s.Name))
 	}
 	if len(s.V) == n && (n == cap(s.T) || n == cap(s.V)) {
-		c := max(2*n, minSamples)
+		c := minSamples
+		for c <= n {
+			c *= 2
+		}
 		block := make([]float64, 2*c)
 		s.T = block[:copy(block, s.T):c]
 		s.V = block[c : c+copy(block[c:], s.V) : 2*c]

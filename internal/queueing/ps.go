@@ -17,15 +17,26 @@ type PS struct {
 	k       int     // max simultaneous connections
 	latency float64 // seconds added ahead of each task's transfer
 
-	waiting   TaskList
-	inService []*Task
-	offs      []float64 // Step scratch: per-slot expiry offsets
+	waiting TaskList
+	// inService holds the tasks holding a connection slot, each beside its
+	// expiry offset within the Step in progress (Step's scratch), so the
+	// two grow as one block. The first slot is the queue's own (first): a
+	// link that never holds two connections at once allocates none.
+	inService []psSlot
+	first     [1]psSlot
 
 	work     float64 // accumulated transmitted units (for utilization)
 	arrivals uint64
 	departs  uint64
 
 	notify Notifier // arrival hook (see SetNotify)
+}
+
+// psSlot is a connection slot: its task and, during a Step, the task's
+// expiry offset in it.
+type psSlot struct {
+	t   *Task
+	off float64
 }
 
 // SetNotify installs the arrival hook: n.Arrive is invoked on every Enqueue
@@ -54,7 +65,8 @@ func NewPS(rate float64, k int, latency float64) *PS {
 // Init sets q up in place as an empty processor-sharing queue with aggregate
 // rate (units/second), connection limit k and constant latency in seconds,
 // so the queue can live inside the agent that owns it. It allocates
-// nothing; the in-service slice grows with the connections actually held.
+// nothing; past the queue's own first slot, the slots grow with the
+// connections actually held.
 // Panics unless rate is positive and finite, k positive and latency
 // non-negative and finite. Like an FCFS, the queue must not be copied once
 // it holds work.
@@ -63,6 +75,7 @@ func (q *PS) Init(rate float64, k int, latency float64) {
 		panic(fmt.Sprintf("queueing: invalid PS rate=%v k=%d latency=%v", rate, k, latency))
 	}
 	*q = PS{rate: rate, k: k, latency: latency}
+	q.inService = q.first[:0]
 }
 
 // Rate returns the aggregate service rate.
@@ -142,7 +155,7 @@ func (q *PS) fill() {
 		if t == nil {
 			return
 		}
-		q.inService = append(q.inService, t)
+		q.inService = append(q.inService, psSlot{t: t})
 	}
 }
 
@@ -161,8 +174,8 @@ func (q *PS) fill() {
 func (q *PS) Horizon() float64 {
 	q.fill()
 	h, minDemand, transferring := math.Inf(1), math.Inf(1), 0
-	for _, t := range q.inService {
-		if t.Delay > eps {
+	for _, s := range q.inService {
+		if t := s.t; t.Delay > eps {
 			if t.Delay < h {
 				h = t.Delay
 			}
@@ -206,15 +219,15 @@ func (q *PS) BulkStep(n int, dt float64) {
 		return
 	}
 	transferring := 0
-	for _, t := range q.inService {
-		if t.Delay <= eps {
+	for _, s := range q.inService {
+		if s.t.Delay <= eps {
 			transferring++
 		}
 	}
 	consumed := dt * q.share(transferring)
 	c := chains{n: n}
-	for _, t := range q.inService {
-		if t.Delay > eps {
+	for _, s := range q.inService {
+		if t := s.t; t.Delay > eps {
 			c.add(&t.Delay, dt)
 		} else {
 			c.add(&t.Demand, consumed)
@@ -248,17 +261,16 @@ func (q *PS) Step(dt float64, done DoneFunc) {
 	if len(q.inService) == 0 {
 		return
 	}
-	offs := q.offs[:0]
-	for _, t := range q.inService {
+	for i := range q.inService {
 		off := 0.0
-		if t.Delay > eps {
+		if t := q.inService[i].t; t.Delay > eps {
 			off = t.Delay
 			t.Delay -= dt
 			if t.Delay < eps {
 				t.Delay = 0
 			}
 		}
-		offs = append(offs, off)
+		q.inService[i].off = off
 	}
 	elapsed := 0.0
 	remaining := dt
@@ -269,15 +281,15 @@ func (q *PS) Step(dt float64, done DoneFunc) {
 		// offset exceeds elapsed by more than eps, so every boundary
 		// sub-step is a real advance and the loop terminates.
 		minOff, minDemand, transferring := math.Inf(1), math.Inf(1), 0
-		for i, t := range q.inService {
-			if off := offs[i]; off > elapsed+eps {
-				if off < minOff {
-					minOff = off
+		for _, s := range q.inService {
+			if s.off > elapsed+eps {
+				if s.off < minOff {
+					minOff = s.off
 				}
 			} else {
 				transferring++
-				if t.Demand < minDemand {
-					minDemand = t.Demand
+				if s.t.Demand < minDemand {
+					minDemand = s.t.Demand
 				}
 			}
 		}
@@ -304,13 +316,12 @@ func (q *PS) Step(dt float64, done DoneFunc) {
 			continue
 		}
 		kept := q.inService[:0]
-		keptOffs := offs[:0]
-		for i, t := range q.inService {
-			if offs[i] > elapsed+eps {
-				kept = append(kept, t)
-				keptOffs = append(keptOffs, offs[i])
+		for _, s := range q.inService {
+			if s.off > elapsed+eps {
+				kept = append(kept, s)
 				continue
 			}
+			t := s.t
 			consumed := sub * share
 			t.Demand -= consumed
 			q.work += consumed
@@ -319,22 +330,21 @@ func (q *PS) Step(dt float64, done DoneFunc) {
 				q.departs++
 				done(t)
 			} else {
-				kept = append(kept, t)
-				keptOffs = append(keptOffs, offs[i])
+				kept = append(kept, s)
 			}
 		}
 		for i := len(kept); i < len(q.inService); i++ {
-			q.inService[i] = nil
+			q.inService[i] = psSlot{}
 		}
 		q.inService = kept
-		offs = keptOffs
+		// Tasks promoted into freed slots start their countdown at the next
+		// step: their offset is one no sub-step reaches.
 		promoted := len(q.inService)
 		q.fill()
 		for i := promoted; i < len(q.inService); i++ {
-			offs = append(offs, math.Inf(1))
+			q.inService[i].off = math.Inf(1)
 		}
 		elapsed += sub
 		remaining -= sub
 	}
-	q.offs = offs
 }

@@ -214,3 +214,31 @@ func TestPSBulkStepBitIdentical(t *testing.T) {
 		t.Errorf("work accumulators differ: %v vs %v", rw, bw)
 	}
 }
+
+// TestPSSlotsGrowAsOneBlock: a connection slot holds its task and the
+// task's expiry offset within a Step side by side, so the slots a link's
+// connections take grow as one block — one allocation per doubling, where
+// an in-service slice and an offset slice grown apart cost two — and the
+// first slot is the queue's own, so one connection costs none.
+func TestPSSlotsGrowAsOneBlock(t *testing.T) {
+	done := func(*Task) {}
+	for _, n := range []int{1, 2, 5, 8, 33} {
+		tasks := make([]Task, n)
+		q := new(PS) // as it lives in its link: Init allocates nothing
+		got := testing.AllocsPerRun(20, func() {
+			q.Init(1e6, 64, 0.01)
+			for i := range tasks {
+				tasks[i] = Task{ID: uint64(i), Demand: 1e9}
+				q.Enqueue(&tasks[i])
+			}
+			q.Step(0.001, done)
+			q.Step(0.02, done)
+			if q.InService() != n {
+				t.Fatalf("%d of %d tasks hold a slot", q.InService(), n)
+			}
+		})
+		if bound := math.Ceil(math.Log2(float64(n))); got > bound {
+			t.Errorf("%d connections cost %v allocations, want at most %v", n, got, bound)
+		}
+	}
+}

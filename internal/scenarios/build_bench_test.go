@@ -11,15 +11,16 @@ import (
 // seven data centers, their tiers, SANs and RAIDs, 640 client slots and the
 // WAN) on a fresh simulation per iteration: what an experiment compiles
 // once per run and a campaign once per point. Run it with -benchmem;
-// allocs/op counts the heap objects a platform costs. A tier's servers and
-// their components are slabs, their CPUs' and RAIDs' parts (queues,
-// in-service arrays, miss buffers) are carved from three slabs per tier,
-// a client pool's slots and NICs are slabs too, and the agent tables are
-// reserved once from the spec's census, so what remains is a fixed count
-// per tier, per pool and per data center: 314 allocs/op on a 2-core Xeon,
-// against 429 with parts slabbed per component and agent tables grown by
-// append, and 835 where a server holon was allocated on its own and named
-// with Sprintf (DESIGN.md "Platform layout").
+// allocs/op counts the heap objects a platform costs. The platform is laid
+// out in one pass from the spec's census: every component kind is one slab
+// across all tiers and pools, the parts of every CPU, RAID and SAN
+// (queues, in-service arrays, miss buffers) are carved from three slabs,
+// the names from one chunk, and the agent tables are reserved once, so
+// what remains is a fixed count per platform and per data center: 61
+// allocs/op on a 2-core Xeon, against 314 with slabs and parts per tier,
+// 429 with parts slabbed per component and agent tables grown by append,
+// and 835 where a server holon was allocated on its own and named with
+// Sprintf (DESIGN.md "Platform layout").
 func BenchmarkBuildPlatform(b *testing.B) {
 	cfg := CaseConfig{Scale: 1}
 	if err := cfg.defaults(); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hardware"
-	"repro/internal/names"
 )
 
 // Server is a server holon: NIC, CPU, memory and optional RAID, plus the
@@ -119,22 +118,24 @@ type Infrastructure struct {
 type wanPair struct{ primary, backup *hardware.Link }
 
 // Build materializes the infrastructure specification into agents
-// registered with the simulation. It counts them from the spec first
-// (agentCensus) and reserves the simulation's agent tables once for all of
-// them.
+// registered with the simulation. It counts what the spec lays out first
+// (agentCensus), reserves the simulation's agent tables once for all of
+// them, and makes every component kind as one slab at its count (layout);
+// the components are then set up in place, in registration order.
 func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	sim.ReserveAgents(agentCensus(spec))
+	c := agentCensus(spec)
+	sim.ReserveAgents(c.agents)
+	l := c.layout()
 	inf := &Infrastructure{
 		sim: sim,
-		DCs: make(map[string]*DataCenter),
+		DCs: make(map[string]*DataCenter, len(spec.DCs)),
 	}
 	inf.dcOrder = make([]string, 0, len(spec.DCs))
 	for _, dcSpec := range spec.DCs {
-		dc := buildDC(sim, dcSpec)
-		inf.DCs[dcSpec.Name] = dc
+		inf.DCs[dcSpec.Name] = l.dc(sim, dcSpec)
 		inf.dcOrder = append(inf.dcOrder, dcSpec.Name)
 	}
 	sort.Strings(inf.dcOrder)
@@ -150,8 +151,8 @@ func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 	scratch := make([]int, 2*n)
 	inf.prev, inf.queue = scratch[:n:n], scratch[n:n]
 	for _, w := range spec.WAN {
-		fwd := hardware.NewLink(sim, "wan:"+w.From+"->"+w.To, w.Link)
-		rev := hardware.NewLink(sim, "wan:"+w.To+"->"+w.From, w.Link)
+		fwd := l.link(sim, l.names.Str("wan:").Str(w.From).Str("->").Str(w.To).Cut(), w.Link)
+		rev := l.link(sim, l.names.Str("wan:").Str(w.To).Str("->").Str(w.From).Cut(), w.Link)
 		there, back := inf.pair(w.From, w.To), inf.pair(w.To, w.From)
 		if w.Backup {
 			there.backup, back.backup = fwd, rev
@@ -168,119 +169,9 @@ func Build(sim *core.Simulation, spec InfraSpec) (*Infrastructure, error) {
 			continue
 		}
 		dc := inf.DCs[dcName]
-		dc.Clients = newClientPool(sim, dc, cs)
+		dc.Clients = l.pool(sim, dc, cs)
 	}
 	return inf, nil
-}
-
-// agentCensus counts the agents Build registers for spec: per data center
-// its switch, daemon line and client link; per server its CPU, NIC, local
-// link and RAID when it has one (its memory is no agent); per SAN tier the
-// SAN and its link; two per WAN connection; and per client pool its local
-// line and one NIC per slot.
-func agentCensus(spec InfraSpec) int {
-	n := 2 * len(spec.WAN)
-	for _, dc := range spec.DCs {
-		n += 3
-		for _, ts := range dc.Tiers {
-			perServer := 3
-			if ts.Server.RAID != nil {
-				perServer++
-			}
-			n += ts.Servers * perServer
-			if ts.SAN != nil {
-				n += 2
-			}
-		}
-	}
-	for _, cs := range spec.Clients {
-		n += 1 + cs.Slots
-	}
-	return n
-}
-
-func buildDC(sim *core.Simulation, spec DCSpec) *DataCenter {
-	dc := &DataCenter{
-		Name:   spec.Name,
-		Switch: hardware.NewSwitch(sim, "sw:"+spec.Name, spec.SwitchGbps),
-		Tiers:  make(map[string]*Tier, len(spec.Tiers)),
-		tiers:  make([]*Tier, len(spec.Tiers)),
-		Daemon: core.NewDelayLine(sim, "daemon:"+spec.Name),
-	}
-	dc.ClientLink = hardware.NewLink(sim, "clink:"+spec.Name, spec.ClientLink)
-	tiers := make([]Tier, len(spec.Tiers))
-	for i, ts := range spec.Tiers {
-		tier := &tiers[i]
-		tier.Name, tier.DC = ts.Name, dc
-		buildServers(sim, tier, ts)
-		if ts.SAN != nil {
-			tname := spec.Name + ":" + ts.Name
-			tier.SAN = hardware.NewSAN(sim, "san:"+tname, *ts.SAN)
-			tier.SANLink = hardware.NewLink(sim, "slink:"+tname, *ts.SANLink)
-		}
-		dc.Tiers[ts.Name] = tier
-		dc.tiers[i] = tier
-	}
-	return dc
-}
-
-// buildServers sets up the tier's servers in place. The servers are one
-// slab, and their CPUs, memories, NICs, local links and RAIDs one slab each,
-// all made once at the tier's size; the names are cut from one string, and
-// what the CPUs and RAIDs repeat (socket, stage and lane queues, in-service
-// arrays, miss buffers) is carved from one hardware.Parts reserved for the
-// whole tier. So a tier costs a fixed number of allocations, not a server
-// holon, its components, their parts and five names apiece. Server i is set
-// up as one by one construction did it, under the same IDs and names: its CPU
-// registers as "cpu:<dc>:<tier>:<i>", its memory's seed reads the next
-// agent ID after that, and then its NIC ("nic:…"), local link ("llink:…")
-// and RAID ("raid:…") register in that order.
-func buildServers(sim *core.Simulation, tier *Tier, ts TierSpec) {
-	n := ts.Servers
-	srvs := make([]Server, n)
-	cpus := make([]hardware.CPU, n)
-	mems := make([]hardware.Memory, n)
-	nics := make([]hardware.NIC, n)
-	links := make([]hardware.Link, n)
-	var raids []hardware.RAID
-	var hw hardware.Parts
-	hw.Reserve(n, &ts.Server.CPU, ts.Server.RAID)
-	// Each component's name is its prefix plus "<dc>:<tier>:<i>".
-	prefixes := len("cpu:") + len("nic:") + len("llink:")
-	parts := 3
-	if ts.Server.RAID != nil {
-		raids = make([]hardware.RAID, n)
-		prefixes += len("raid:")
-		parts++
-	}
-	stem := len(tier.DC.Name) + len(ts.Name) + 2
-	var nb names.Slab
-	nb.Grow(n*prefixes + parts*(n*stem+decimalLen(n)))
-	tier.Servers = make([]*Server, n)
-	for i := range srvs {
-		cpu := nb.Str("cpu:").Str(tier.DC.Name).Str(":").Str(ts.Name).Str(":").Int(i).Cut()
-		s := &srvs[i]
-		*s = Server{Name: cpu[len("cpu:"):], CPU: &cpus[i], Mem: &mems[i], NIC: &nics[i], Link: &links[i], Tier: tier}
-		s.CPU.InitFrom(sim, cpu, ts.Server.CPU, &hw)
-		s.Mem.Init(ts.Server.MemGB*1e9, ts.Server.CacheHitRate,
-			core.DeriveSeed(sim.Seed(), uint64(sim.NextAgentID())*2654435761+uint64(i)))
-		s.NIC.Init(sim, nb.Str("nic:").Str(s.Name).Cut(), ts.Server.NICGbps)
-		s.Link.Init(sim, nb.Str("llink:").Str(s.Name).Cut(), ts.LocalLink)
-		if raids != nil {
-			s.RAID = &raids[i]
-			s.RAID.InitFrom(sim, nb.Str("raid:").Str(s.Name).Cut(), *ts.Server.RAID, &hw)
-		}
-		tier.Servers[i] = s
-	}
-}
-
-// decimalLen returns the total length of the decimal forms of 0 … n-1.
-func decimalLen(n int) int {
-	total := 0
-	for i := range n {
-		total += names.IntLen(i)
-	}
-	return total
 }
 
 // DC returns the named data center, panicking on unknown names.

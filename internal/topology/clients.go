@@ -3,7 +3,6 @@ package topology
 import (
 	"repro/internal/core"
 	"repro/internal/hardware"
-	"repro/internal/names"
 )
 
 // ClientSlot is one client holon: its own NIC (clients do not contend with
@@ -30,26 +29,6 @@ type ClientPool struct {
 	// reads/writes at the client's disk rate) as pure delay.
 	Local *core.DelayLine
 	rr    int
-}
-
-// newClientPool registers the pool's delay line, then slot i's NIC as
-// "cnic:<dc>:<i>" in slot order. The names are cut from one string, so a
-// pool costs a fixed number of allocations whatever its size.
-func newClientPool(sim *core.Simulation, dc *DataCenter, spec ClientSpec) *ClientPool {
-	p := &ClientPool{
-		DC:    dc,
-		Spec:  spec,
-		Slots: make([]ClientSlot, spec.Slots),
-		Local: core.NewDelayLine(sim, "clocal:"+dc.Name),
-	}
-	nics := make([]hardware.NIC, spec.Slots)
-	var nb names.Slab
-	nb.Grow(spec.Slots*(len("cnic::")+len(dc.Name)) + decimalLen(spec.Slots))
-	for i := range p.Slots {
-		nics[i].Init(sim, nb.Str("cnic:").Str(dc.Name).Str(":").Int(i).Cut(), spec.NICGbps)
-		p.Slots[i] = ClientSlot{Index: i, NIC: &nics[i], Pool: p}
-	}
-	return p
 }
 
 // Next hands out the next client slot round-robin.

@@ -7,6 +7,14 @@ import (
 	"repro/internal/core"
 )
 
+// newClientPool lays out and sets up a client pool of dc on its own, as
+// Build does for each data center with clients (layout.pool).
+func newClientPool(sim *core.Simulation, dc *DataCenter, spec ClientSpec) *ClientPool {
+	var c census
+	c.countPool(dc.Name, spec)
+	return c.layout().pool(sim, dc, spec)
+}
+
 // poolAllocs returns what a fresh simulation with one pool of n client
 // slots allocates.
 func poolAllocs(n int) float64 {

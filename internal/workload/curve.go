@@ -81,6 +81,20 @@ func (c Curve) Ceiling(t0, t1 float64) float64 {
 	return p
 }
 
+// Integral returns the curve's integral over [t0, t1] seconds, exact for
+// the piecewise-linear curve: one trapezoid per hour segment the span
+// touches. The expected launches of a population over a span are this
+// times the per-user rate.
+func (c Curve) Integral(t0, t1 float64) float64 {
+	area := 0.0
+	for t := t0; t < t1; {
+		next := min(math.Floor(t/3600)*3600+3600, t1)
+		area += (c.At(t) + c.At(next)) / 2 * (next - t)
+		t = next
+	}
+	return area
+}
+
 // Peak returns the maximum hourly value.
 func (c Curve) Peak() float64 {
 	p := c[0]

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/names"
 	"repro/internal/topology"
 )
@@ -62,6 +63,10 @@ type AppWorkload struct {
 	// arrivals). 0 derives the stream from an FNV-1a hash of "App@DC";
 	// set it explicitly when two workloads share that identity.
 	Stream uint64
+	// Programs, when set, is the compiled table of the Ops catalog that the
+	// run's launchers of the same catalog share (cascade.Programs); nil
+	// compiles the operations for this workload alone.
+	Programs *cascade.Programs
 
 	cum      []float64
 	names    []string // "<App> <op name>" per operation of the mix
@@ -105,26 +110,16 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 		panic(err)
 	}
 	w.cum = make([]float64, len(w.Ops))
-	w.names = make([]string, len(w.Ops))
-	size := 0
-	for i := range w.Ops {
-		size += len(w.App) + len(" ") + len(w.Ops[i].Name)
-	}
-	var nb names.Slab // the names are cut from one string
-	nb.Grow(size)
+	w.opNames()
 	total := 0.0
 	for i := range w.Ops {
-		w.names[i] = nb.Str(w.App).Str(" ").Str(w.Ops[i].Name).Cut()
-		wgt := 1.0
-		if w.Weights != nil {
-			wgt = w.Weights[i]
-		}
-		total += wgt
+		total += w.weight(i)
 		w.cum[i] = total
 	}
 	for i := range w.cum {
 		w.cum[i] /= total
 	}
+	w.scratch.Share(w.Programs)
 	w.local = w.Inf.DC(w.DC)
 	w.owners = w.APM.owners(w.DC, w.Inf)
 	// Derive an independent deterministic stream from the simulation seed
@@ -147,6 +142,65 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 			w.thinBelow = DefaultThinBelow
 		}
 	}
+}
+
+// opNames makes the operations' response names, "<App> <op name>", cut
+// from one string, unless they are made.
+func (w *AppWorkload) opNames() {
+	if w.names != nil {
+		return
+	}
+	w.names = make([]string, len(w.Ops))
+	size := 0
+	for i := range w.Ops {
+		size += len(w.App) + len(" ") + len(w.Ops[i].Name)
+	}
+	var nb names.Slab
+	nb.Grow(size)
+	for i := range w.Ops {
+		w.names[i] = nb.Str(w.App).Str(" ").Str(w.Ops[i].Name).Cut()
+	}
+}
+
+// weight returns operation i's weight in the mix.
+func (w *AppWorkload) weight(i int) float64 {
+	if w.Weights != nil {
+		return w.Weights[i]
+	}
+	return 1
+}
+
+// ExpectedLaunches returns the workload's expected launches over [t0, t1)
+// simulated seconds: the population curve's integral times the per-user
+// rate.
+func (w *AppWorkload) ExpectedLaunches(t0, t1 float64) float64 {
+	return w.Users.Integral(t0, t1) * w.OpsPerUserHour / 3600
+}
+
+// AppendExpected appends to exp the response populations that launches
+// expected launches of the workload record: one per operation of the mix,
+// under the key its completions record by, with room for its share of the
+// launches plus two standard deviations of a Poisson count of that mean, so
+// about one series in forty outgrows it. Nothing is drawn, and a mix that
+// does not match its weights adds nothing (initialize panics on it).
+func (w *AppWorkload) AppendExpected(exp []metrics.Expected, launches float64) []metrics.Expected {
+	if len(w.Ops) == 0 || w.Weights != nil && len(w.Weights) != len(w.Ops) {
+		return exp
+	}
+	w.opNames()
+	total := 0.0
+	for i := range w.Ops {
+		total += w.weight(i)
+	}
+	for i := range w.Ops {
+		mean := launches * w.weight(i) / total
+		if !(mean > 0) {
+			continue
+		}
+		n := math.Ceil(mean + 2*math.Sqrt(mean))
+		exp = append(exp, metrics.Expected{Key: metrics.ResponseKey{Op: w.names[i], DC: w.DC}, Samples: int(n)})
+	}
+	return exp
 }
 
 // Poll launches the tick's arrivals. In the dense regime (expected

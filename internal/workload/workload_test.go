@@ -3,12 +3,14 @@ package workload
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/hardware"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -529,5 +531,72 @@ func TestPreparedOwnerRowMatchesOwner(t *testing.T) {
 	}
 	if apm.owners("EU", inf) != nil {
 		t.Error("a missing row prepared to something")
+	}
+}
+
+// TestCurveIntegral: the integral of the piecewise-linear curve over any
+// span — inside an hour, across hour points, across midnight — is the sum
+// of its trapezoids, which a fine midpoint sum approaches.
+func TestCurveIntegral(t *testing.T) {
+	c := BusinessDay(1000, 13, 22, 50)
+	for _, span := range [][2]float64{{0, 900}, {100, 250}, {3000, 11000}, {12 * 3600, 15*3600 + 17}, {23 * 3600, 26 * 3600}, {0, 24 * 3600}, {5, 5}} {
+		const n = 200000
+		h := (span[1] - span[0]) / n
+		sum := 0.0
+		for i := range n {
+			sum += c.At(span[0]+(float64(i)+0.5)*h) * h
+		}
+		if got := c.Integral(span[0], span[1]); math.Abs(got-sum) > 1e-6*math.Max(1, sum) {
+			t.Errorf("Integral(%v, %v) = %v, midpoint sum %v", span[0], span[1], got, sum)
+		}
+	}
+	var flat Curve
+	for h := range flat {
+		flat[h] = 20
+	}
+	if got := flat.Integral(0, 900); got != 20*900 {
+		t.Errorf("a flat curve of 20 over 900 s integrates to %v", got)
+	}
+}
+
+// TestAppendExpectedSizesTheMix: a workload states one population per
+// operation, keyed as its completions record, with room for its share of
+// the expected launches plus two standard deviations; a run records each
+// within it.
+func TestAppendExpectedSizesTheMix(t *testing.T) {
+	sim, inf := miniInfra(t, 6)
+	users := Curve{}
+	for h := range users {
+		users[h] = 720
+	}
+	w := &AppWorkload{
+		App: "X", DC: "NA",
+		Users:          users,
+		OpsPerUserHour: 20,
+		Ops:            []cascade.Op{quickOp("COMMON", 1e7), quickOp("RARE", 1e7)},
+		Weights:        []float64{9, 1},
+		APM:            SingleMaster([]string{"NA"}, "NA"),
+		Inf:            inf,
+	}
+	launches := w.ExpectedLaunches(0, 150)
+	if launches != 600 {
+		t.Fatalf("expected launches %v, want 720 users × 20/h × 150 s = 600", launches)
+	}
+	exp := w.AppendExpected(nil, launches)
+	want := []metrics.Expected{
+		{Key: metrics.ResponseKey{Op: "X COMMON", DC: "NA"}, Samples: int(math.Ceil(540 + 2*math.Sqrt(540)))},
+		{Key: metrics.ResponseKey{Op: "X RARE", DC: "NA"}, Samples: int(math.Ceil(60 + 2*math.Sqrt(60)))},
+	}
+	if !reflect.DeepEqual(exp, want) {
+		t.Fatalf("expected populations %v, want %v", exp, want)
+	}
+	sim.Responses.Expect(exp)
+	sim.AddSource(w)
+	sim.RunFor(150)
+	for _, e := range want {
+		s := sim.Responses.Series(e.Key.Op, e.Key.DC)
+		if s == nil || s.Len() > e.Samples || cap(s.T) != e.Samples {
+			t.Errorf("%v: recorded into room for %d, expected %d", e.Key, cap(s.T), e.Samples)
+		}
 	}
 }
