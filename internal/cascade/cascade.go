@@ -286,11 +286,17 @@ type Binding struct {
 // NewBinding builds a binding for a client at local, manipulating a file
 // owned by master. The client slot is drawn from the local pool.
 func NewBinding(inf *topology.Infrastructure, local, master *topology.DataCenter) *Binding {
-	b := &Binding{Inf: inf, Local: local, Master: master}
+	b := new(Binding)
+	b.bind(inf, local, master)
+	return b
+}
+
+// bind points b at its sites and draws its client slot from the local pool.
+func (b *Binding) bind(inf *topology.Infrastructure, local, master *topology.DataCenter) {
+	b.Inf, b.Local, b.Master = inf, local, master
 	if local.Clients != nil {
 		b.Slot = local.Clients.Next()
 	}
-	return b
 }
 
 // Resolve maps an endpoint reference to a concrete topology endpoint. It is
@@ -456,10 +462,8 @@ func (sc *Scratch) NewBinding(inf *topology.Infrastructure, local, master *topol
 		return b
 	}
 	sc.bindings, b.nextFree = b.nextFree, nil
-	b.Inf, b.Local, b.Master, b.owner = inf, local, master, sc
-	if local.Clients != nil {
-		b.Slot = local.Clients.Next()
-	}
+	b.owner = sc
+	b.bind(inf, local, master)
 	return b
 }
 
@@ -486,10 +490,8 @@ func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 		x = sc.free
 		sc.free, x.nextFree = x.nextFree, nil
 	} else {
-		x = &expander{sc: sc}
-		x.holds = x.holdBuf[:0]
-		x.stages = make([]core.Stage, 0, p.oneShotStages(b))
-		x.plans = make([]core.MessagePlan, 0, p.width)
+		x = newExpander(p.oneShotStages(b), p.width)
+		x.sc = sc
 	}
 	if cap(x.holds) < p.width {
 		x.holds = make([]core.Hold, 0, p.width)
@@ -530,8 +532,8 @@ func (sc *Scratch) retire(x *expander) {
 // sized for the first operation when the expander is created
 // (oneShotStages, width), whether it serves one operation or a launcher.
 // The expander is the OpRun's core.Expander itself, so an operation costs
-// no closure, and a new expander three allocations: itself, its stage
-// buffer and its plan slice.
+// no closure, and a new expander one allocation when a block of
+// newExpander has its first operation's size, three otherwise.
 type expander struct {
 	prog    *program
 	tiers   *siteTiers
@@ -552,6 +554,59 @@ type expander struct {
 	// links it into sc's free list while retired.
 	sc       *Scratch
 	nextFree *expander
+}
+
+// Expander blocks: a new expander and the stage and plan buffers of its
+// first operation in one allocation, at exactly the sizes instantiate asks
+// for, for the built-in operations whose block rounds up to within 64
+// bytes of the three allocations it replaces: one message a step (the PDM
+// catalog) on one site or two, and the eight-message fan-outs of the CAD
+// and VIS catalogs between two sites. Their fan-outs on one site (64
+// stages) would round up 320 bytes past the three allocations, so they
+// keep them.
+type (
+	expanderBlock1x8 struct {
+		x      expander
+		stages [8]core.Stage
+		plans  [1]core.MessagePlan
+	}
+	expanderBlock1x12 struct {
+		x      expander
+		stages [12]core.Stage
+		plans  [1]core.MessagePlan
+	}
+	expanderBlock8x96 struct {
+		x      expander
+		stages [96]core.Stage
+		plans  [8]core.MessagePlan
+	}
+)
+
+// newExpander makes an expander with room for stages stages and width
+// plans, in one block when one has that size, and its hold buffer on
+// holdBuf.
+func newExpander(stages, width int) *expander {
+	var x *expander
+	switch {
+	case width == 1 && stages == 8:
+		blk := new(expanderBlock1x8)
+		x = &blk.x
+		x.stages, x.plans = blk.stages[:0], blk.plans[:0]
+	case width == 1 && stages == 12:
+		blk := new(expanderBlock1x12)
+		x = &blk.x
+		x.stages, x.plans = blk.stages[:0], blk.plans[:0]
+	case width == 8 && stages == 96:
+		blk := new(expanderBlock8x96)
+		x = &blk.x
+		x.stages, x.plans = blk.stages[:0], blk.plans[:0]
+	default:
+		x = new(expander)
+		x.stages = make([]core.Stage, 0, stages)
+		x.plans = make([]core.MessagePlan, 0, width)
+	}
+	x.holds = x.holdBuf[:0]
+	return x
 }
 
 // Err implements core.Expander: why the last Expand returned nothing.

@@ -2,8 +2,10 @@ package cascade
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -764,12 +766,15 @@ func TestTierForMatchesResolve(t *testing.T) {
 }
 
 // A launcher's new expander — one per operation beyond those in flight —
-// is the OpRun's core.Expander itself: three allocations (the expander,
-// its stage buffer and its plan slice), no method values or retire
-// closure; a recycled one costs none.
+// is the OpRun's core.Expander itself, with no method values or retire
+// closure: one allocation when a block has the size of its first
+// operation (a message a step on one site or two, or eight a step between
+// two sites), three otherwise (the expander, its stage buffer and its
+// plan slice), four past eight messages a step (and the hold buffer
+// holdBuf cannot hold); a recycled one costs none.
 func TestExpanderAllocs(t *testing.T) {
 	_, inf := testInfra(t)
-	na := inf.DC("NA")
+	na, aus := inf.DC("NA"), inf.DC("AUS")
 	var sc Scratch
 	b := NewBinding(inf, na, na)
 	op := fanOp()
@@ -777,13 +782,34 @@ func TestExpanderAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var run core.OpRun
-	if n := testing.AllocsPerRun(50, func() { run, _ = sc.Instantiate(op, b) }); n > 3 {
-		t.Errorf("a new expander costs %v allocations, want at most 3", n)
+	if n := testing.AllocsPerRun(50, func() { run, _ = sc.Instantiate(op, b) }); n != 3 {
+		t.Errorf("a new expander costs %v allocations, want 3", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		run.Expander.Retire()
 		run, _ = sc.Instantiate(op, b)
 	}); n != 0 {
 		t.Errorf("a recycled expander costs %v allocations, want 0", n)
+	}
+	req := op.Steps[0][0]
+	seq := Seq("SEQ", req, op.Steps[2][0])
+	fan := func(n int) Op { return Op{Name: fmt.Sprintf("FAN%d", n), Steps: [][]Msg{slices.Repeat([]Msg{req}, n)}} }
+	for _, c := range []struct {
+		op    Op
+		local *topology.DataCenter
+		want  float64
+	}{
+		{seq, na, 1}, {seq, aus, 1},
+		{fan(8), aus, 1}, {fan(8), na, 3},
+		{fan(9), na, 4},
+	} {
+		var sc Scratch
+		b := NewBinding(inf, c.local, na)
+		if _, err := sc.Instantiate(c.op, b); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(50, func() { sc.Instantiate(c.op, b) }); n != c.want {
+			t.Errorf("a new expander of %s from %s costs %v allocations, want %v", c.op.Name, c.local.Name, n, c.want)
+		}
 	}
 }

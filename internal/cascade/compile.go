@@ -160,6 +160,14 @@ func (t *Programs) Compiled() int {
 	return n
 }
 
+// Ops returns the catalog the table compiles; nil for a nil table.
+func (t *Programs) Ops() []Op {
+	if t == nil {
+		return nil
+	}
+	return t.ops
+}
+
 // program returns the compiled form of op, compiling it on its first use,
 // or nil when op is not of the catalog. An operation is the catalog's when
 // it has the same step table, the identity Scratch keys its own programs by.
@@ -169,15 +177,21 @@ func (t *Programs) program(op Op) (*program, error) {
 		if len(steps) == 0 || len(steps) != len(op.Steps) || &steps[0] != &op.Steps[0] {
 			continue
 		}
-		p := &t.progs[i]
-		if p.width == 0 {
-			if err := p.compile(op, p.msgs[:0]); err != nil {
-				return nil, err
-			}
-		}
-		return p, nil
+		return t.compiled(i)
 	}
 	return nil, nil
+}
+
+// compiled returns the catalog's operation i compiled, compiling it on its
+// first use.
+func (t *Programs) compiled(i int) (*program, error) {
+	p := &t.progs[i]
+	if p.width == 0 {
+		if err := p.compile(t.ops[i], p.msgs[:0]); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // bindable reports why the program cannot run on the binding: it needs a
@@ -239,11 +253,16 @@ func TierFor(e End, local, master *topology.DataCenter) *topology.Tier {
 }
 
 func resolveTiers(local, master *topology.DataCenter) *siteTiers {
-	var t siteTiers
+	t := new(siteTiers)
+	t.resolve(local, master)
+	return t
+}
+
+// resolve fills the table for the pair (local, master).
+func (t *siteTiers) resolve(local, master *topology.DataCenter) {
 	for slot := range t {
 		t[slot] = siteTier(uint8(slot), local, master)
 	}
-	return &t
 }
 
 func noTier(slot uint8, master *topology.DataCenter) error {

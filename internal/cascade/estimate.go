@@ -19,21 +19,51 @@ func Estimate(op Op, b *Binding, step float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	tiers := resolveTiers(b.Local, b.Master)
+	var plan core.MessagePlan // one plan's buffers serve every message
+	return p.estimate(op, b, resolveTiers(b.Local, b.Master), step, &plan)
+}
+
+// Estimate is the package-level Estimate of the catalog's operation i,
+// under a binding made as NewBinding(inf, local, master) makes one (it
+// draws a client slot) and dropped after the call. The program comes from
+// the table, compiled on first use. plan's buffers hold each message in
+// turn; a caller estimating a whole catalog passes the same plan every
+// time.
+func (t *Programs) Estimate(i int, inf *topology.Infrastructure, local, master *topology.DataCenter,
+	step float64, plan *core.MessagePlan) (float64, error) {
+	var b Binding
+	b.bind(inf, local, master)
+	p, err := t.compiled(i)
+	if err != nil {
+		return 0, err
+	}
+	var tiers siteTiers
+	tiers.resolve(local, master)
+	if cap(plan.Stages) == 0 {
+		// The plan holds one message at a time: room for the stages an
+		// expander allows a message, and its one hold span.
+		plan.Stages = make([]core.Stage, 0, p.oneShotStages(&b)/p.width)
+		plan.Holds = make([]core.Hold, 0, 1)
+	}
+	return p.estimate(t.ops[i], &b, &tiers, step, plan)
+}
+
+// estimate is Estimate for op compiled into p, its ends resolved through
+// tiers and its stages appended into plan.
+func (p *program) estimate(op Op, b *Binding, tiers *siteTiers, step float64, plan *core.MessagePlan) (float64, error) {
 	if err := p.bindable(b, tiers); err != nil {
 		return 0, err
 	}
 	total := 0.0
 	codes := p.msgs
-	var plan core.MessagePlan // one plan's buffers serve every message
 	for _, msgs := range op.Steps {
 		slowest := 0.0
 		for i, m := range msgs {
 			plan.Stages, plan.Holds = plan.Stages[:0], plan.Holds[:0]
-			if err := b.appendMsg(&plan, codes[i], tiers, m.Cost); err != nil {
+			if err := b.appendMsg(plan, codes[i], tiers, m.Cost); err != nil {
 				return 0, err
 			}
-			if d := topology.PlanDuration(plan, step); d > slowest {
+			if d := topology.PlanDuration(*plan, step); d > slowest {
 				slowest = d
 			}
 		}

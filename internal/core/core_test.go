@@ -823,7 +823,10 @@ func TestProductionLoopNeverCallsEngine(t *testing.T) {
 
 // TestReserveAgentsGrowsTablesOnce: after ReserveAgents(n), registering n
 // agents and sizing the calendar to them allocates nothing; the agent past
-// the reservation still registers, under the next ID.
+// the reservation still registers, under the next ID. Under the race
+// detector calendar.grow costs one allocation a call: the compiler extends
+// a slice in place for append(s, make([]T, n)...) only when it does not
+// instrument the build, so there the make is a temporary of its own.
 func TestReserveAgentsGrowsTablesOnce(t *testing.T) {
 	const n = 100
 	s := NewSimulation(Config{Seed: 1})
@@ -833,12 +836,16 @@ func TestReserveAgentsGrowsTablesOnce(t *testing.T) {
 	}
 	s.ReserveAgents(n)
 	registered := 0
+	want := 0.0
+	if raceEnabled {
+		want = 1
+	}
 	if allocs := testing.AllocsPerRun(n-1, func() {
 		s.AddAgent(&lines[registered])
 		registered++
 		s.root.cal.grow(len(s.agents))
-	}); allocs != 0 {
-		t.Errorf("registering %d reserved agents: %v allocations each, want 0", n, allocs)
+	}); allocs != want {
+		t.Errorf("registering %d reserved agents: %v allocations each, want %v", n, allocs, want)
 	}
 	s.AddAgent(&lines[n])
 	if s.AgentCount() != n+1 || lines[n].ID() != n {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cascade"
 	"repro/internal/config"
 )
@@ -42,20 +43,20 @@ func runCampaignPoint(tb testing.TB) uint64 {
 }
 
 // campaignPointCeiling bounds the heap objects one campaign point costs:
-// measured at 556 on go1.24 (load 142, compile 116, run 110, sweep 188)
-// once the platform was laid out in one pass, catalogs and their programs
-// were shared across launchers, response series were sized from the
-// workloads' expected launches, a link's connection slots grew as one block
-// and the sweep formatted its labels once — against 738 before (load 144,
-// compile 226, run 182, sweep 186). The ceiling leaves 6% for toolchain
+// measured at 359 on go1.24 (load 137, compile 96, run 92, sweep 34) once
+// the sweep handed its validated base to point 0 and dry-applied its grid
+// on one clone, the gate stopped sorting what passes, the PDM catalog was
+// built once per process, a workload held its random stream and owner row
+// itself and a new expander came in one block — against 556 before (load 142,
+// compile 116, run 110, sweep 188). The ceiling leaves 6% for toolchain
 // drift, not room for a return of any of that.
-const campaignPointCeiling = 590
+const campaignPointCeiling = 380
 
 // TestCampaignPointAllocs pins what one campaign point allocates, and logs
 // where: loading the document (decode and FromDocument), compiling it
 // (topology, catalogs, sources, probes), running it (the simulation, its
 // first-use pools and the harvest), and the sweep around it (its grid
-// validation, which dry-loads the point once more).
+// validation, on one clone of the base it hands to the point).
 func TestCampaignPointAllocs(t *testing.T) {
 	const runs = 10
 	compile := func(tb testing.TB) *Run {
@@ -143,20 +144,31 @@ func BenchmarkCampaignPoint(b *testing.B) {
 }
 
 // TestSharedCatalogIsReadOnly: the two PDM workloads of examples/chaos.json
-// launch from one catalog — one array, built once — and read one program
-// table, in which every operation compiles once for the run; a run with the
-// fluid tier on and the atlantic fault active leaves the shared catalog's
-// steps and costs as they were built.
+// launch from one catalog — the process-wide PDM catalog, built once — and
+// read one program table, in which every operation compiles once for the
+// run; a run with the fluid tier on and the atlantic fault active leaves
+// the shared catalog's steps and costs as they were built. A second run in
+// the same process, with the fluid tier off, at another step and with AS1
+// launching VIS (NA given file and index tiers), reads the same
+// process-wide catalogs, and after both the
+// PDM and VIS catalogs still equal freshly built ones.
 func TestSharedCatalogIsReadOnly(t *testing.T) {
-	d, err := config.Load(filepath.Join("..", "..", "examples", "chaos.json"))
-	if err != nil {
-		t.Fatal(err)
+	load := func(step float64, edit func(*config.Document)) *Experiment {
+		d, err := config.Load(filepath.Join("..", "..", "examples", "chaos.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Seed, d.Step = 7, step
+		if edit != nil {
+			edit(d)
+		}
+		e, err := FromDocument(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	d.Seed = 7
-	e, err := FromDocument(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := load(0.01, nil)
 	if err := applyPath(e, "workloads.PDM.EU.fluid", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +181,9 @@ func TestSharedCatalogIsReadOnly(t *testing.T) {
 		t.Fatalf("the PDM workloads use %d catalogs, want the one PDM catalog", len(r.catalogs))
 	}
 	c := r.catalogs[0]
+	if !sameArray(c.ops, pdmCatalog()) {
+		t.Fatal("the PDM workloads do not launch from the process-wide PDM catalog")
+	}
 	for i := range r.sources {
 		app := &r.sources[i].app
 		if !sameArray(app.Ops, c.ops) || app.Programs != c.progs {
@@ -191,6 +206,40 @@ func TestSharedCatalogIsReadOnly(t *testing.T) {
 	}
 	if n := c.progs.Compiled(); n != len(c.ops) {
 		t.Errorf("%d of the catalog's %d operations compiled into the shared table", n, len(c.ops))
+	}
+
+	e2 := load(0.02, func(d *config.Document) {
+		// VIS reaches the file and index tiers, which chaos.json's NA lacks.
+		na := &d.Infrastructure.DCs[0]
+		for _, name := range []string{"fs", "idx"} {
+			tier := na.Tiers[0]
+			tier.Name = name
+			na.Tiers = append(na.Tiers, tier)
+		}
+		d.Workloads[1].Ops = "VIS"
+	})
+	r2, err := e2.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Sim.Shutdown()
+	if len(r2.catalogs) != 2 || !sameArray(r2.catalogs[0].ops, pdmCatalog()) || !sameArray(r2.catalogs[1].ops, visCatalog()) {
+		t.Fatal("the second run does not launch from the process-wide PDM and VIS catalogs")
+	}
+	if r2.sources[0].fluid != nil {
+		t.Fatal("the fluid tier is on in the second run")
+	}
+	if _, err := r2.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	if r2.catalogs[1].progs.Compiled() == 0 {
+		t.Fatal("AS1 launched no VIS operation")
+	}
+	if !reflect.DeepEqual(pdmCatalog(), apps.PDMOps()) {
+		t.Error("the process-wide PDM catalog differs from a fresh one after two runs")
+	}
+	if !reflect.DeepEqual(visCatalog(), apps.VISOps()) {
+		t.Error("the process-wide VIS catalog differs from a fresh one after two runs")
 	}
 }
 

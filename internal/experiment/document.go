@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/background"
@@ -151,10 +152,20 @@ func opsKey(name, dc string) string {
 	return name
 }
 
+// The VIS and PDM catalogs are infrastructure-independent, so one of each
+// serves every run of the process. Nothing writes into a catalog once its
+// OpsFn has returned it: launchers, program tables and the fluid station
+// only read operations, and calibration copies what it changes.
+var (
+	visCatalog = sync.OnceValue(apps.VISOps)
+	pdmCatalog = sync.OnceValue(apps.PDMOps)
+)
+
 // OpsByName resolves a named operation set to an OpsFn. The calibrated CAD
 // set is built against the workload's own data center (local = master for
 // calibration purposes — the APM still decides per-launch ownership); VIS
-// and PDM are infrastructure-independent.
+// and PDM are infrastructure-independent and built once per process,
+// read-only.
 func OpsByName(name, dc string) (func(*topology.Infrastructure, float64) ([]cascade.Op, error), error) {
 	switch name {
 	case "CAD":
@@ -164,11 +175,11 @@ func OpsByName(name, dc string) (func(*topology.Infrastructure, float64) ([]casc
 		}, nil
 	case "VIS":
 		return func(*topology.Infrastructure, float64) ([]cascade.Op, error) {
-			return apps.VISOps(), nil
+			return visCatalog(), nil
 		}, nil
 	case "PDM":
 		return func(*topology.Infrastructure, float64) ([]cascade.Op, error) {
-			return apps.PDMOps(), nil
+			return pdmCatalog(), nil
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown operation set %q (have CAD, VIS, PDM)", name)

@@ -23,6 +23,7 @@ package experiment
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -540,6 +541,40 @@ func (e *Experiment) clone() *Experiment {
 	return &c
 }
 
+// reset makes c, a clone of e, equal to e again in everything applyPath
+// writes, reusing c's storage, so Sweep.Validate dry-applies a whole grid
+// on one clone. What applyPath never writes stays the clone's own: each
+// tier's storage specs behind their pointers, and a fault whose magnitude
+// the last value left as e has it (applyPath writes a fault only through
+// SetMagnitude; every other injection field is copied back).
+func (e *Experiment) reset(c *Experiment) {
+	infra, workloads, injections := c.infra, c.workloads, c.faults
+	*c = *e
+	c.infra, c.workloads, c.faults = infra, workloads, injections
+	for i := range infra.DCs {
+		tiers := infra.DCs[i].Tiers
+		infra.DCs[i] = e.infra.DCs[i]
+		infra.DCs[i].Tiers = tiers
+		for j := range tiers {
+			t := &tiers[j]
+			raid, san, sanLink := t.Server.RAID, t.SAN, t.SANLink
+			*t = e.infra.DCs[i].Tiers[j]
+			t.Server.RAID, t.SAN, t.SANLink = raid, san, sanLink
+		}
+	}
+	copy(infra.WAN, e.infra.WAN)
+	maps.Copy(infra.Clients, e.infra.Clients)
+	copy(workloads, e.workloads)
+	for i := range injections {
+		f := injections[i].Fault
+		injections[i] = e.faults[i]
+		injections[i].Fault = f
+		if mf, ok := f.(faults.MagnitudeFault); ok && mf.Magnitude() != e.faults[i].Fault.(faults.MagnitudeFault).Magnitude() {
+			injections[i].Fault = e.faults[i].Fault.Clone()
+		}
+	}
+}
+
 // Run is a compiled experiment: the built simulation and topology with
 // everything attached, ready for time to advance. Execute runs the window
 // and harvests the Result; callers needing mid-run control can drive
@@ -693,7 +728,7 @@ func (e *Experiment) attachWorkloads(r *Run) (series int, err error) {
 		// Fluid.Above = 0 the wrapper is structurally elided, so the run is
 		// bit-identical to one that never configured fluid.
 		if w.Fluid.Above > 0 {
-			if r.sources[i].fluid, err = e.attachFluid(r, w, src, ops); err != nil {
+			if r.sources[i].fluid, err = e.attachFluid(r, w, src, cat.progs); err != nil {
 				return 0, err
 			}
 		} else {

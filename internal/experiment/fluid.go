@@ -5,8 +5,10 @@ import (
 	"sort"
 
 	"repro/internal/cascade"
+	"repro/internal/core"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
+	"repro/internal/names"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -97,11 +99,11 @@ func dominantOwner(apm workload.AccessMatrix, dc string) (string, error) {
 	return best, nil
 }
 
-// attachFluid wires one fluid-configured workload: derives the station,
-// precomputes the segment schedule, registers the crossover controller
-// ahead of the flow wrapper, and installs the analytic series probes. It
-// returns the schedule.
-func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload, ops []cascade.Op) ([]fluid.Segment, error) {
+// attachFluid wires one fluid-configured workload: derives the station from
+// its catalog's program table, precomputes the segment schedule, registers
+// the crossover controller ahead of the flow wrapper, and installs the
+// analytic series probes. It returns the schedule.
+func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload, progs *cascade.Programs) ([]fluid.Segment, error) {
 	apm := w.APM
 	if apm == nil {
 		apm = e.apm
@@ -111,7 +113,7 @@ func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload,
 		return nil, fmt.Errorf("fluid %s@%s: %w", w.App, w.DC, err)
 	}
 	local, master := r.Inf.DC(w.DC), r.Inf.DC(masterName)
-	st, err := fluid.DeriveStation(r.Inf, local, master, ops, w.Weights, e.step)
+	st, err := fluid.DeriveStationFrom(r.Inf, local, master, progs, w.Weights, e.step)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
 	}
@@ -135,24 +137,88 @@ func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload,
 // registerFluidProbes adds the analytic result series to Compile's probe
 // batch. Every sample is a pure lookup into the precomputed segments at the
 // snapshot instant, so the series — and therefore the digest — are
-// identical across engines by construction.
+// identical across engines by construction. The series sample one
+// fluidSeries, each through its own sampler type, and their keys are cut
+// from one chunk, so the batch costs two allocations.
 func (e *Experiment) registerFluidProbes(r *Run, w *Workload, segs []fluid.Segment) {
-	prefix := "fluid:" + w.App + ":" + w.DC
-	sim := r.Sim
-	now := func() float64 { return sim.Clock().NowSeconds() }
-	seg := func() *fluid.Segment { return fluid.At(segs, now()) }
-	r.probes = append(r.probes, []metrics.Probe{
-		{Key: prefix + ":mode", Sample: metrics.SampleFunc(func(float64) float64 {
-			if seg().Fluid {
-				return 1
-			}
-			return 0
-		})},
-		{Key: prefix + ":occupancy", Sample: metrics.SampleFunc(func(float64) float64 { return seg().Occupancy })},
-		{Key: prefix + ":resp_mean", Sample: metrics.SampleFunc(func(float64) float64 { return seg().RespMean })},
-		{Key: prefix + ":resp_p90", Sample: metrics.SampleFunc(func(float64) float64 { return seg().RespP90 })},
-		{Key: prefix + ":throughput", Sample: metrics.SampleFunc(func(float64) float64 { return seg().Lambda })},
-		{Key: prefix + ":ops", Sample: metrics.SampleFunc(func(float64) float64 { return fluid.OpsAt(segs, now()) })},
-		{Key: prefix + ":crossovers", Sample: metrics.SampleFunc(func(float64) float64 { return float64(seg().CrossBefore) })},
-	}...)
+	fs := &fluidSeries{sim: r.Sim, segs: segs}
+	series := [...]struct {
+		suffix string
+		sample metrics.Sampler
+	}{
+		{":mode", (*fluidMode)(fs)},
+		{":occupancy", (*fluidOccupancy)(fs)},
+		{":resp_mean", (*fluidRespMean)(fs)},
+		{":resp_p90", (*fluidRespP90)(fs)},
+		{":throughput", (*fluidThroughput)(fs)},
+		{":ops", (*fluidOps)(fs)},
+		{":crossovers", (*fluidCrossovers)(fs)},
+	}
+	prefix := len("fluid:") + len(w.App) + len(":") + len(w.DC)
+	size := 0
+	for _, s := range series {
+		size += prefix + len(s.suffix)
+	}
+	var nb names.Slab
+	nb.Grow(size)
+	for _, s := range series {
+		r.probes = append(r.probes, metrics.Probe{
+			Key:    nb.Str("fluid:").Str(w.App).Str(":").Str(w.DC).Str(s.suffix).Cut(),
+			Sample: s.sample,
+		})
+	}
+}
+
+// fluidSeries is what one workload's analytic series read: its precomputed
+// segments, at the simulation's clock.
+type fluidSeries struct {
+	sim  *core.Simulation
+	segs []fluid.Segment
+}
+
+func (f *fluidSeries) now() float64 { return f.sim.Clock().NowSeconds() }
+
+func (f *fluidSeries) seg() *fluid.Segment { return fluid.At(f.segs, f.now()) }
+
+// The analytic series sample their fluidSeries through pointers of these
+// types, each the series seen as a metrics.Sampler.
+type (
+	fluidMode       fluidSeries
+	fluidOccupancy  fluidSeries
+	fluidRespMean   fluidSeries
+	fluidRespP90    fluidSeries
+	fluidThroughput fluidSeries
+	fluidOps        fluidSeries
+	fluidCrossovers fluidSeries
+)
+
+// Sample returns 1 while the segment at the snapshot instant is fluid.
+func (p *fluidMode) Sample(float64) float64 {
+	if (*fluidSeries)(p).seg().Fluid {
+		return 1
+	}
+	return 0
+}
+
+// Sample returns the segment's analytic occupancy.
+func (p *fluidOccupancy) Sample(float64) float64 { return (*fluidSeries)(p).seg().Occupancy }
+
+// Sample returns the segment's analytic mean response time.
+func (p *fluidRespMean) Sample(float64) float64 { return (*fluidSeries)(p).seg().RespMean }
+
+// Sample returns the segment's analytic p90 response time.
+func (p *fluidRespP90) Sample(float64) float64 { return (*fluidSeries)(p).seg().RespP90 }
+
+// Sample returns the segment's arrival rate.
+func (p *fluidThroughput) Sample(float64) float64 { return (*fluidSeries)(p).seg().Lambda }
+
+// Sample returns the operations the fluid tier has carried so far.
+func (p *fluidOps) Sample(float64) float64 {
+	f := (*fluidSeries)(p)
+	return fluid.OpsAt(f.segs, f.now())
+}
+
+// Sample returns the crossovers before the segment.
+func (p *fluidCrossovers) Sample(float64) float64 {
+	return float64((*fluidSeries)(p).seg().CrossBefore)
 }

@@ -63,9 +63,9 @@ type Variant struct {
 }
 
 // NewSweep creates a sweep over experiments assembled by base. The factory
-// runs once per grid point, plus once for validation, so everything it
-// builds is per-point private; expensive shared inputs should be built
-// outside and captured read-only.
+// runs once per grid point — Run validates the grid on the experiment it
+// then hands to point 0 — so everything it builds is per-point private;
+// expensive shared inputs should be built outside and captured read-only.
 func NewSweep(name string, base func() (*Experiment, error)) *Sweep {
 	return &Sweep{name: name, base: base}
 }
@@ -171,48 +171,61 @@ type SweepResult struct {
 // the experiment gate once applied. It is run by Run; exposed for callers
 // wanting early errors (CLI flag parsing).
 func (s *Sweep) Validate() error {
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate returning the base experiment the grid was checked
+// against, as the factory made it: Run hands it to point 0, so the factory
+// runs once per point.
+func (s *Sweep) validate() (*Experiment, error) {
 	if s.base == nil {
-		return fmt.Errorf("sweep %s: needs a base experiment factory", s.name)
+		return nil, fmt.Errorf("sweep %s: needs a base experiment factory", s.name)
 	}
 	if len(s.axes) == 0 {
-		return fmt.Errorf("sweep %s: needs at least one axis (Vary or VaryFunc)", s.name)
+		return nil, fmt.Errorf("sweep %s: needs at least one axis (Vary or VaryFunc)", s.name)
 	}
 	base, err := s.base()
 	if err != nil {
-		return fmt.Errorf("sweep %s: base experiment: %w", s.name, err)
+		return nil, fmt.Errorf("sweep %s: base experiment: %w", s.name, err)
 	}
+	var dry *Experiment // the one clone of base every value is dry-applied to
 	for _, ax := range s.axes {
 		if ax.size() == 0 {
-			return fmt.Errorf("sweep %s: axis %q has no values", s.name, ax.name())
+			return nil, fmt.Errorf("sweep %s: axis %q has no values", s.name, ax.name())
 		}
 		if len(ax.variants) > 0 {
 			for i, v := range ax.variants {
 				if v.Apply == nil {
-					return fmt.Errorf("sweep %s: axis %q variant %d (%s) has no Apply function",
+					return nil, fmt.Errorf("sweep %s: axis %q variant %d (%s) has no Apply function",
 						s.name, ax.name(), i, v.Label)
 				}
 			}
 			continue
 		}
-		// Dry-apply every value against a clone of the base and run the gate
-		// on it, so unknown paths and unusable values fail before any
-		// simulation is built — a bad late value must not surface only after
-		// the valid points have already burned their simulation time. Each
-		// value gets its own clone because real points also apply at most
-		// one value per axis to a fresh experiment; relative paths ("peak"
+		// Dry-apply every value against the base and run the gate on it, so
+		// unknown paths and unusable values fail before any simulation is
+		// built — a bad late value must not surface only after the valid
+		// points have already burned their simulation time. Each value starts
+		// from the base again, because real points also apply at most one
+		// value per axis to a fresh experiment; relative paths ("peak"
 		// rescales the current curve) would compound if dry-applied
 		// cumulatively.
 		for _, v := range ax.values {
-			c := base.clone()
-			if err := applyPath(c, ax.path, v); err != nil {
-				return fmt.Errorf("sweep %s: %w", s.name, err)
+			if dry == nil {
+				dry = base.clone()
+			} else {
+				base.reset(dry)
 			}
-			if err := c.validate(); err != nil {
-				return fmt.Errorf("sweep %s: sweep axis %q: %w", s.name, ax.path, err)
+			if err := applyPath(dry, ax.path, v); err != nil {
+				return nil, fmt.Errorf("sweep %s: %w", s.name, err)
+			}
+			if err := dry.validate(); err != nil {
+				return nil, fmt.Errorf("sweep %s: sweep axis %q: %w", s.name, ax.path, err)
 			}
 		}
 	}
-	return nil
+	return base, nil
 }
 
 // Size returns the number of grid points.
@@ -233,7 +246,8 @@ func (s *Sweep) Size() int {
 // failed (joined per-point errors, with the successful points still in the
 // result).
 func (s *Sweep) Run(workers int) (*SweepResult, error) {
-	if err := s.Validate(); err != nil {
+	base, err := s.validate()
+	if err != nil {
 		return nil, err
 	}
 	if workers <= 0 {
@@ -252,7 +266,11 @@ func (s *Sweep) Run(workers int) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			for idx := range idxCh {
-				out.Points[idx] = s.runPoint(idx)
+				var e *Experiment
+				if idx == 0 {
+					e = base
+				}
+				out.Points[idx] = s.runPoint(idx, e)
 			}
 		}()
 	}
@@ -271,11 +289,13 @@ func (s *Sweep) Run(workers int) (*SweepResult, error) {
 	return out, errors.Join(errs...)
 }
 
-// runPoint assembles, seeds, mutates and runs one grid point. Each slot of
-// the result slice is written exactly once, by whichever worker drew the
-// index — determinism comes from the per-point derivation, not from
-// scheduling. A panic anywhere in the point becomes its PointError.
-func (s *Sweep) runPoint(idx int) (pr PointResult) {
+// runPoint assembles, seeds, mutates and runs one grid point, on e when it
+// is given (the base experiment the grid was validated against) and on a
+// fresh experiment from the factory otherwise. Each slot of the result
+// slice is written exactly once, by whichever worker drew the index —
+// determinism comes from the per-point derivation, not from scheduling. A
+// panic anywhere in the point becomes its PointError.
+func (s *Sweep) runPoint(idx int, e *Experiment) (pr PointResult) {
 	pr.Index = idx
 	defer func() {
 		// Experiment.Run has released the point's engine on its way out.
@@ -283,10 +303,12 @@ func (s *Sweep) runPoint(idx int) (pr PointResult) {
 			pr.Err = &PointError{Index: idx, Seed: pr.Seed, Values: pr.Values, Panic: p, Stack: debug.Stack()}
 		}
 	}()
-	e, err := s.base()
-	if err != nil {
-		pr.Err = fmt.Errorf("base experiment: %w", err)
-		return pr
+	if e == nil {
+		var err error
+		if e, err = s.base(); err != nil {
+			pr.Err = fmt.Errorf("base experiment: %w", err)
+			return pr
+		}
 	}
 	// Derive the point seed before applying axes, so a "seed" axis can
 	// still take explicit control of it. Record it immediately: a point

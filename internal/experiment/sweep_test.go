@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dispatch"
@@ -187,8 +188,9 @@ func TestSweepRelativePeakAxis(t *testing.T) {
 }
 
 // TestSweepCallsFactoryOncePerPoint pins the factory contract of NewSweep:
-// one call per grid point plus one for validation, which dry-applies every
-// axis value to a clone of that one base instead of building a probe each.
+// one call per grid point. Validation dry-applies every axis value to one
+// clone of the base it builds instead of building a probe each, and Run
+// hands that base to point 0.
 func TestSweepCallsFactoryOncePerPoint(t *testing.T) {
 	var calls atomic.Int64
 	s := NewSweep("counted", func() (*Experiment, error) {
@@ -205,8 +207,134 @@ func TestSweepCallsFactoryOncePerPoint(t *testing.T) {
 	if _, err := s.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if n, want := calls.Load(), int64(1+s.Size()); n != want {
+	if n, want := calls.Load(), int64(s.Size()); n != want {
 		t.Fatalf("Run called the factory %d times for %d points, want %d", n, s.Size(), want)
+	}
+}
+
+// TestSweepFactoryFailuresNeverHang: at 1 and 4 workers, Run returns —
+// under a deadline — and calls the factory exactly once per point whatever
+// the factory or a point does. A factory failing from its k-th call on
+// fails the points it was called for, each with its "base experiment"
+// error, while point 0 runs on the base the grid was validated against; a
+// panic in the factory or in an axis mutator (point 0's included) becomes
+// that point's *PointError; and a factory failing during validation fails
+// Run after that one call, before any point runs.
+func TestSweepFactoryFailuresNeverHang(t *testing.T) {
+	errFactory := errors.New("factory down")
+	type outcome struct {
+		res *SweepResult
+		err error
+	}
+	run := func(t *testing.T, s *Sweep, workers int) (*SweepResult, error) {
+		t.Helper()
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := s.Run(workers)
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			return o.res, o.err
+		case <-time.After(time.Minute):
+			t.Fatal("Run did not return within a minute")
+			return nil, nil
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var calls atomic.Int64
+			counted := func(fail func(call int64) error) func() (*Experiment, error) {
+				calls.Store(0)
+				return func() (*Experiment, error) {
+					if err := fail(calls.Add(1)); err != nil {
+						return nil, err
+					}
+					return testSweepBase()()
+				}
+			}
+
+			const k = 3 // the factory fails from its third call on
+			failing := NewSweep("failing", counted(func(call int64) error {
+				if call >= k {
+					return errFactory
+				}
+				return nil
+			})).Vary("dcs.NA.app.cores", 2, 4, 8).Vary("workloads.PDM.NA.ops", 20, 40)
+			res, err := run(t, failing, workers)
+			if n := calls.Load(); n != int64(failing.Size()) {
+				t.Errorf("failing factory: %d calls for %d points", n, failing.Size())
+			}
+			failed := 0
+			for i, p := range res.Points {
+				if p.Err == nil {
+					if p.Res == nil {
+						t.Errorf("failing factory: point %d has neither a result nor an error", i)
+					}
+					continue
+				}
+				failed++
+				want := fmt.Sprintf("point %d: base experiment: %v", i, errFactory)
+				if !errors.Is(p.Err, errFactory) || p.Err.Error() != "base experiment: factory down" || !strings.Contains(err.Error(), want) {
+					t.Errorf("failing factory: point %d error %q (joined %q), want %q", i, p.Err, err, want)
+				}
+			}
+			if want := failing.Size() - (k - 1); failed != want {
+				t.Errorf("failing factory: %d points failed, want %d", failed, want)
+			}
+			if res.Points[0].Err != nil {
+				t.Errorf("failing factory: point 0 failed (%v), but it runs on the validated base", res.Points[0].Err)
+			}
+			if workers == 1 && (res.Points[1].Err != nil || res.Points[2].Err == nil) {
+				t.Error("failing factory: one worker draws the points in order; points 1 and 2 should be the factory's second and third calls")
+			}
+
+			boom := func(*Experiment) error { panic("mutator boom") }
+			panicking := NewSweep("panicking", counted(func(call int64) error {
+				if call == 4 {
+					panic("factory boom")
+				}
+				return nil
+			})).VaryFunc("variant", Variant{Label: "boom", Apply: boom}, Variant{Label: "ok", Apply: func(*Experiment) error { return nil }}).
+				Vary("workloads.PDM.NA.ops", 20, 40)
+			res, err = run(t, panicking, workers)
+			if n := calls.Load(); n != int64(panicking.Size()) {
+				t.Errorf("panicking points: %d calls for %d points", n, panicking.Size())
+			}
+			factoryPanics := 0
+			for i, p := range res.Points {
+				var pe *PointError
+				switch {
+				case errors.As(p.Err, &pe) && pe.Panic == "factory boom":
+					factoryPanics++
+				case errors.As(p.Err, &pe) && pe.Panic == "mutator boom":
+					if i >= 2 {
+						t.Errorf("panicking points: point %d ran the boom variant", i)
+					}
+				case p.Err != nil || p.Res == nil:
+					t.Errorf("panicking points: point %d: %v", i, p.Err)
+				case i < 2:
+					t.Errorf("panicking points: point %d survived its boom variant", i)
+				}
+			}
+			if factoryPanics != 1 {
+				t.Errorf("panicking points: %d points report the factory's panic, want 1", factoryPanics)
+			}
+			var pe *PointError
+			if !errors.As(res.Points[0].Err, &pe) || pe.Panic != "mutator boom" {
+				t.Errorf("panicking points: point 0 error %v, want the mutator's panic", res.Points[0].Err)
+			}
+
+			invalid := NewSweep("invalid", counted(func(int64) error { return errFactory })).
+				Vary("dcs.NA.app.cores", 2, 4)
+			res, err = run(t, invalid, workers)
+			if n := calls.Load(); n != 1 {
+				t.Errorf("factory failing validation: %d calls, want 1", n)
+			}
+			if res != nil || !errors.Is(err, errFactory) || err.Error() != "sweep invalid: base experiment: factory down" {
+				t.Errorf("factory failing validation: result %v, error %v", res, err)
+			}
+		})
 	}
 }
 

@@ -2,9 +2,11 @@ package fluid
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/cascade"
+	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -54,16 +56,30 @@ func (st Station) reserveFracs(lamCeil float64) []float64 {
 // convention (nil selects a uniform mix). Like a real expansion, Estimate
 // consumes cache hit-decision randomness and advances the balancer
 // cursors; DeriveStation therefore runs at compile time, where the
-// consumption is deterministic.
+// consumption is deterministic. It compiles the mix into a table of its
+// own; DeriveStationFrom reads a run's.
 func DeriveStation(inf *topology.Infrastructure, local, master *topology.DataCenter,
 	ops []cascade.Op, weights []float64, step float64) (Station, error) {
+	return DeriveStationFrom(inf, local, master, cascade.NewPrograms(ops), weights, step)
+}
+
+// DeriveStationFrom is DeriveStation for the catalog of progs, the program
+// table the run's launchers of that catalog share: every operation is
+// estimated from its program there (Programs.Estimate), under a binding of
+// its own, so one client slot is drawn per operation, and one plan's
+// buffers serve the whole mix.
+func DeriveStationFrom(inf *topology.Infrastructure, local, master *topology.DataCenter,
+	progs *cascade.Programs, weights []float64, step float64) (Station, error) {
+	ops := progs.Ops()
 	if len(ops) == 0 {
 		return Station{}, fmt.Errorf("fluid: empty operation mix")
 	}
 	if weights != nil && len(weights) != len(ops) {
 		return Station{}, fmt.Errorf("fluid: %d weights for %d operations", len(weights), len(ops))
 	}
-	wts := make([]float64, len(ops))
+	// The normalized weights and the isolated durations, one block.
+	buf := make([]float64, 2*len(ops))
+	wts, durs := buf[:len(ops)], buf[len(ops):]
 	total := 0.0
 	for i := range ops {
 		w := 1.0
@@ -110,13 +126,13 @@ func DeriveStation(inf *topology.Infrastructure, local, master *topology.DataCen
 	for k := range demand {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dc != keys[j].dc {
-			return keys[i].dc < keys[j].dc
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := strings.Compare(a.dc, b.dc); c != 0 {
+			return c
 		}
-		return keys[i].tier < keys[j].tier
+		return strings.Compare(a.tier, b.tier)
 	})
-	st := Station{}
+	st := Station{Tiers: make([]TierLoad, 0, len(keys))}
 	bottleneck := -1.0
 	for _, k := range keys {
 		tl := TierLoad{
@@ -133,10 +149,9 @@ func DeriveStation(inf *topology.Infrastructure, local, master *topology.DataCen
 		}
 	}
 
-	durs := make([]float64, len(ops))
+	var plan core.MessagePlan // one plan's buffers serve every operation
 	for i := range ops {
-		b := cascade.NewBinding(inf, local, master)
-		d, err := cascade.Estimate(ops[i], b, step)
+		d, err := progs.Estimate(i, inf, local, master, step, &plan)
 		if err != nil {
 			return Station{}, fmt.Errorf("fluid: estimating %s: %w", ops[i].Name, err)
 		}
@@ -147,7 +162,17 @@ func DeriveStation(inf *topology.Infrastructure, local, master *topology.DataCen
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return durs[idx[a]] < durs[idx[b]] })
+	// The sort package's and the slices package's pattern-defeating
+	// quicksorts are one algorithm, so ties keep the order sort.Slice gave.
+	slices.SortFunc(idx, func(a, b int) int {
+		switch {
+		case durs[a] < durs[b]:
+			return -1
+		case durs[b] < durs[a]:
+			return 1
+		}
+		return 0
+	})
 	cum := 0.0
 	st.BaseP90 = durs[idx[len(idx)-1]]
 	for _, i := range idx {

@@ -211,7 +211,20 @@ func (s InfraSpec) Validate() error {
 			return fmt.Errorf("topology: WAN %s->%s: %w", w.From, w.To, err)
 		}
 	}
-	// Sorted, so a spec with several bad entries always reports the same one.
+	// A passing spec is checked in map order, without a key list; a failing
+	// one is checked again in sorted order, so a spec with several bad
+	// entries always reports the same one.
+	for dc, c := range s.Clients {
+		if !names[dc] || c.validate() != nil {
+			return s.clientsError(names)
+		}
+	}
+	return nil
+}
+
+// clientsError returns the error of the first bad client population in
+// sorted data-center order; names holds the spec's data centers.
+func (s InfraSpec) clientsError(names map[string]bool) error {
 	for _, dc := range slices.Sorted(maps.Keys(s.Clients)) {
 		if !names[dc] {
 			return &UnknownClientDCError{DC: dc}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -214,18 +215,25 @@ type owner struct {
 	dc   *topology.DataCenter
 }
 
-// owners prepares the row of clientDC in stableKeys order, nil when the
-// matrix has none. A launcher builds its own row once; drawOwner is then
-// Owner without the per-call sort — same iteration order, same float
-// accumulation, same single RNG draw.
-func (m AccessMatrix) owners(clientDC string, inf *topology.Infrastructure) []owner {
+// owners prepares the row of clientDC in stableKeys order, into dst's
+// storage when it has room for the row; nil when the matrix has none. A
+// launcher builds its own row once; drawOwner is then Owner without the
+// per-call sort — same iteration order, same float accumulation, same
+// single RNG draw.
+func (m AccessMatrix) owners(dst []owner, clientDC string, inf *topology.Infrastructure) []owner {
 	row, ok := m[clientDC]
 	if !ok {
 		return nil
 	}
-	out := make([]owner, 0, len(row))
-	for _, name := range stableKeys(row) {
-		out = append(out, owner{name: name, p: row[name], dc: inf.DCs[name]})
+	out := slices.Grow(dst[:0], len(row))
+	for name, p := range row {
+		out = append(out, owner{name: name, p: p, dc: inf.DCs[name]})
+	}
+	// Insertion sort by name, as stableKeys sorts the row's keys.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].name < out[j-1].name; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
 	}
 	return out
 }

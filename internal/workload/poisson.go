@@ -71,11 +71,17 @@ type AppWorkload struct {
 	cum      []float64
 	names    []string // "<App> <op name>" per operation of the mix
 	local    *topology.DataCenter
-	owners   []owner // the APM row of DC, in Owner's draw order
+	owners   []owner  // the APM row of DC, in Owner's draw order
+	ownerBuf [4]owner // backs owners when the row fits
 	scratch  cascade.Scratch
-	rng      *rand.Rand
-	active   core.Gauge // interned "<prefix>:active"
-	loggedin core.Gauge // interned "<prefix>:loggedin"
+	// The arrival stream's state lives in the workload, so a workload must
+	// not be copied once it has been polled: the copy's rng would draw from
+	// the original's pcg.
+	pcg         rand.PCG
+	rng         rand.Rand // draws from pcg
+	initialized bool
+	active      core.Gauge // interned "<prefix>:active"
+	loggedin    core.Gauge // interned "<prefix>:loggedin"
 
 	step      float64 // tick size, cached at initialize
 	thinBelow float64 // resolved threshold (0 when thinning disabled)
@@ -121,7 +127,7 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 	}
 	w.scratch.Share(w.Programs)
 	w.local = w.Inf.DC(w.DC)
-	w.owners = w.APM.owners(w.DC, w.Inf)
+	w.owners = w.APM.owners(w.ownerBuf[:0], w.DC, w.Inf)
 	// Derive an independent deterministic stream from the simulation seed
 	// and this workload's identity, so multiple workloads stay decoupled
 	// and adding or removing one never perturbs another's draws.
@@ -129,7 +135,7 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 	// The second PCG word chains through the first, so adjacent explicit
 	// streams never share a word.
 	seed1 := core.DeriveSeed(s.Seed(), stream)
-	w.rng = rand.New(rand.NewPCG(seed1, core.DeriveSeed(seed1, stream)))
+	w.seed(seed1, core.DeriveSeed(seed1, stream))
 	if w.GaugePrefix != "" {
 		w.active = s.GaugeHandle(w.GaugePrefix + ":active")
 		w.loggedin = s.GaugeHandle(w.GaugePrefix + ":loggedin")
@@ -142,6 +148,14 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 			w.thinBelow = DefaultThinBelow
 		}
 	}
+}
+
+// seed starts the arrival stream at PCG state (seed1, seed2), held in the
+// workload itself.
+func (w *AppWorkload) seed(seed1, seed2 uint64) {
+	w.pcg.Seed(seed1, seed2)
+	w.rng = *rand.New(&w.pcg)
+	w.initialized = true
 }
 
 // opNames makes the operations' response names, "<App> <op name>", cut
@@ -209,7 +223,7 @@ func (w *AppWorkload) AppendExpected(exp []metrics.Expected, launches float64) [
 // arrivals that have come due and samples their successors, so quiet
 // stretches need no polls at all.
 func (w *AppWorkload) Poll(s *core.Simulation, now float64) {
-	if w.rng == nil {
+	if !w.initialized {
 		w.initialize(s)
 	}
 	users := w.Users.At(now)
@@ -241,7 +255,7 @@ func (w *AppWorkload) Poll(s *core.Simulation, now float64) {
 		w.sampleNext(now)
 		return
 	}
-	n := poisson(w.rng, lambda)
+	n := poisson(&w.rng, lambda)
 	for i := 0; i < n; i++ {
 		w.launch(s)
 	}
@@ -292,7 +306,7 @@ func (w *AppWorkload) sampleNext(from float64) {
 // sampling: a pending instant committed before the fluid window would
 // otherwise replay a stale arrival. No RNG draws are made.
 func (w *AppWorkload) ResetPending() {
-	if w.rng != nil {
+	if w.initialized {
 		w.pending = math.NaN()
 	}
 }
@@ -304,7 +318,7 @@ func (w *AppWorkload) ResetPending() {
 // to tick-by-tick stepping — the classic quiet-hour veto this sampler
 // removes.
 func (w *AppWorkload) NextPoll(now float64) float64 {
-	if w.rng == nil {
+	if !w.initialized {
 		return now
 	}
 	if !math.IsNaN(w.pending) {
@@ -321,7 +335,7 @@ func (w *AppWorkload) launch(s *core.Simulation) {
 	if len(w.owners) == 0 {
 		panic(fmt.Sprintf("workload: APM has no row for %s", w.DC))
 	}
-	o := drawOwner(w.owners, w.rng)
+	o := drawOwner(w.owners, &w.rng)
 	if o.dc == nil {
 		w.Inf.DC(o.name) // panics: the owner names no data center
 	}

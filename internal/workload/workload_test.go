@@ -324,7 +324,7 @@ func TestThinnedArrivalsMatchPerTickDraws(t *testing.T) {
 	const horizon = days * 24 * 3600.0
 
 	w := &AppWorkload{Users: users, OpsPerUserHour: oph}
-	w.rng = rand.New(rand.NewPCG(101, 202))
+	w.seed(101, 202)
 	w.step = step
 	w.thinBelow = math.Inf(1) // stay in the sparse regime at every rate
 	var thinned [24]float64
@@ -516,7 +516,7 @@ func TestPreparedOwnerRowMatchesOwner(t *testing.T) {
 	if err := apm.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	row := apm.owners("NA", inf)
+	row := apm.owners(nil, "NA", inf)
 	if len(row) != 4 || row[3].dc != inf.DC("NA") || row[0].dc != nil {
 		t.Fatalf("prepared row %+v: want four owners in name order, NA resolved, the rest unknown", row)
 	}
@@ -529,7 +529,7 @@ func TestPreparedOwnerRowMatchesOwner(t *testing.T) {
 	if a.Uint64() != b.Uint64() {
 		t.Error("the two draw sequences consumed different amounts of randomness")
 	}
-	if apm.owners("EU", inf) != nil {
+	if apm.owners(nil, "EU", inf) != nil {
 		t.Error("a missing row prepared to something")
 	}
 }
