@@ -644,6 +644,51 @@ func BenchmarkPSLinkStep(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkStep times the quiet-tick replay the production loop hands
+// an agent whose next event lies beyond its window: FCFS with 1, 4 and 16
+// tasks in service and PS with 1 and 4 transferring, over windows of 8, 24
+// (the mean window on validation_day) and 256 ticks. Demands are large
+// enough that nothing completes however long the benchmark runs.
+func BenchmarkBulkStep(b *testing.B) {
+	const dt = 0.01
+	type bulkStepper interface{ BulkStep(n int, dt float64) }
+	type queueCase struct {
+		name string
+		mk   func() bulkStepper
+	}
+	var cases []queueCase
+	for _, k := range []int{1, 4, 16} {
+		cases = append(cases, queueCase{fmt.Sprintf("fcfs-%d", k), func() bulkStepper {
+			q := queueing.NewFCFS(k, 1)
+			for i := range k {
+				q.Enqueue(&queueing.Task{ID: uint64(i), Demand: 1e12})
+			}
+			return q
+		}})
+	}
+	for _, k := range []int{1, 4} {
+		cases = append(cases, queueCase{fmt.Sprintf("ps-%d", k), func() bulkStepper {
+			q := queueing.NewPS(1, k, 0)
+			for i := range k {
+				q.Enqueue(&queueing.Task{ID: uint64(i), Demand: 1e12})
+			}
+			return q
+		}})
+	}
+	for _, c := range cases {
+		for _, n := range []int{8, 24, 256} {
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				q := c.mk()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					q.BulkStep(n, dt)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tick")
+			})
+		}
+	}
+}
+
 func BenchmarkGrowthIntegration(b *testing.B) {
 	g := background.GrowthModel{
 		"NA": workload.BusinessDay(1000, 13, 22, 50),

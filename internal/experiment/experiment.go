@@ -728,7 +728,7 @@ func (e *Experiment) attachWorkloads(r *Run) (series int, err error) {
 		// Fluid.Above = 0 the wrapper is structurally elided, so the run is
 		// bit-identical to one that never configured fluid.
 		if w.Fluid.Above > 0 {
-			if r.sources[i].fluid, err = e.attachFluid(r, w, src, cat.progs); err != nil {
+			if r.sources[i].fluid, err = e.attachFluid(r, w, src); err != nil {
 				return 0, err
 			}
 		} else {

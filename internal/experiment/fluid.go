@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
@@ -100,10 +99,10 @@ func dominantOwner(apm workload.AccessMatrix, dc string) (string, error) {
 }
 
 // attachFluid wires one fluid-configured workload: derives the station from
-// its catalog's program table, precomputes the segment schedule, registers
-// the crossover controller ahead of the flow wrapper, and installs the
-// analytic series probes. It returns the schedule.
-func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload, progs *cascade.Programs) ([]fluid.Segment, error) {
+// its operation mix, precomputes the segment schedule, registers the
+// crossover controller ahead of the flow wrapper, and installs the analytic
+// series probes. It returns the schedule.
+func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload) ([]fluid.Segment, error) {
 	apm := w.APM
 	if apm == nil {
 		apm = e.apm
@@ -113,7 +112,7 @@ func (e *Experiment) attachFluid(r *Run, w *Workload, src *workload.AppWorkload,
 		return nil, fmt.Errorf("fluid %s@%s: %w", w.App, w.DC, err)
 	}
 	local, master := r.Inf.DC(w.DC), r.Inf.DC(masterName)
-	st, err := fluid.DeriveStationFrom(r.Inf, local, master, progs, w.Weights, e.step)
+	st, err := fluid.DeriveStation(r.Inf, local, master, src.Ops, w.Weights, e.step)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
 	}

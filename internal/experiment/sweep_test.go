@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -571,5 +572,79 @@ func TestSweepEnginePanicIsContained(t *testing.T) {
 		if i != bad && (p.Err != nil || p.Res == nil || p.Res.Stats.Seconds < 30) {
 			t.Errorf("healthy point %d did not run its 30 s: Res=%v Err=%v", i, p.Res, p.Err)
 		}
+	}
+}
+
+// TestSweepLeavesNoGoroutines pins that a run ends by itself: Sweep.Run, at
+// one worker and at four, returns with its worker pool gone on a clean grid,
+// under a factory that fails and with a point that panics, and
+// Experiment.Run stops the workers of a sharded engine instance. A goroutine
+// left behind keeps a caller's process alive after its work is done.
+func TestSweepLeavesNoGoroutines(t *testing.T) {
+	var calls atomic.Int64
+	failingAfterFirst := func() (*Experiment, error) {
+		if calls.Add(1) > 1 {
+			return nil, errors.New("factory down")
+		}
+		return testSweepBase()()
+	}
+	boom := Variant{Label: "boom", Apply: func(*Experiment) error { panic("mutator boom") }}
+	ok := Variant{Label: "ok", Apply: func(*Experiment) error { return nil }}
+	grids := []struct {
+		name     string
+		mk       func() *Sweep
+		failures bool // some points must fail
+	}{
+		{"clean", func() *Sweep {
+			return NewSweep("clean", testSweepBase()).Vary("dcs.NA.app.cores", 2, 4).Vary("workloads.PDM.NA.ops", 20, 40)
+		}, false},
+		{"failing factory", func() *Sweep {
+			calls.Store(0)
+			return NewSweep("failing", failingAfterFirst).Vary("dcs.NA.app.cores", 2, 4).Vary("workloads.PDM.NA.ops", 20, 40)
+		}, true},
+		{"panicking point", func() *Sweep {
+			return NewSweep("panicking", testSweepBase()).VaryFunc("variant", boom, ok).Vary("workloads.PDM.NA.ops", 20, 40)
+		}, true},
+	}
+	for _, workers := range []int{1, 4} {
+		for _, g := range grids {
+			t.Run(fmt.Sprintf("%s/workers=%d", g.name, workers), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				res, err := g.mk().Run(workers)
+				if res == nil || (err != nil) != g.failures {
+					t.Fatalf("result %v, error %v; points failing wanted: %v", res, err, g.failures)
+				}
+				requireGoroutinesGone(t, before)
+			})
+		}
+	}
+	t.Run("sharded engine", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		e, err := New("sharded", testOptions(WithEngineInstance(dispatch.NewSharded(2)))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		requireGoroutinesGone(t, before)
+	})
+}
+
+// requireGoroutinesGone waits up to a second for the goroutine count to fall
+// back to want, then fails with every goroutine's stack.
+func requireGoroutinesGone(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines left running, %d before:\n%s", n, want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

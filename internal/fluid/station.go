@@ -56,21 +56,12 @@ func (st Station) reserveFracs(lamCeil float64) []float64 {
 // convention (nil selects a uniform mix). Like a real expansion, Estimate
 // consumes cache hit-decision randomness and advances the balancer
 // cursors; DeriveStation therefore runs at compile time, where the
-// consumption is deterministic. It compiles the mix into a table of its
-// own; DeriveStationFrom reads a run's.
+// consumption is deterministic. The mix is compiled into a program table
+// of its own: every operation is estimated from its program there
+// (Programs.Estimate), under a binding of its own, so one client slot is
+// drawn per operation, and one plan's buffers serve the whole mix.
 func DeriveStation(inf *topology.Infrastructure, local, master *topology.DataCenter,
 	ops []cascade.Op, weights []float64, step float64) (Station, error) {
-	return DeriveStationFrom(inf, local, master, cascade.NewPrograms(ops), weights, step)
-}
-
-// DeriveStationFrom is DeriveStation for the catalog of progs, the program
-// table the run's launchers of that catalog share: every operation is
-// estimated from its program there (Programs.Estimate), under a binding of
-// its own, so one client slot is drawn per operation, and one plan's
-// buffers serve the whole mix.
-func DeriveStationFrom(inf *topology.Infrastructure, local, master *topology.DataCenter,
-	progs *cascade.Programs, weights []float64, step float64) (Station, error) {
-	ops := progs.Ops()
 	if len(ops) == 0 {
 		return Station{}, fmt.Errorf("fluid: empty operation mix")
 	}
@@ -149,6 +140,7 @@ func DeriveStationFrom(inf *topology.Infrastructure, local, master *topology.Dat
 		}
 	}
 
+	progs := cascade.NewPrograms(ops)
 	var plan core.MessagePlan // one plan's buffers serve every operation
 	for i := range ops {
 		d, err := progs.Estimate(i, inf, local, master, step, &plan)

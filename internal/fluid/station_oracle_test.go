@@ -158,8 +158,8 @@ func oraclePlatform(t *testing.T) (*core.Simulation, *topology.Infrastructure) {
 	return sim, inf
 }
 
-// TestDeriveStationMatchesOracle: the station DeriveStationFrom derives from
-// a catalog's program table equals, bit for bit, the one the per-operation
+// TestDeriveStationMatchesOracle: the station DeriveStation derives from a
+// catalog's program table equals, bit for bit, the one the per-operation
 // estimates of oracleDeriveStation give — bottleneck, Mu, Base, BaseP90 and
 // every tier load — on the PDM, VIS and calibrated CAD catalogs, local and
 // remote, uniform and weighted; and it leaves the platform where the oracle
@@ -190,16 +190,12 @@ func TestDeriveStationMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", name, err)
 				}
-				progs := cascade.NewPrograms(c.ops)
-				got, err := DeriveStationFrom(nInf, nInf.DC(local), nInf.DC("NA"), progs, weights, 0.01)
+				got, err := DeriveStation(nInf, nInf.DC(local), nInf.DC("NA"), c.ops, weights, 0.01)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if diff := stationDiff(got, want); diff != "" {
 					t.Errorf("%s: %s", name, diff)
-				}
-				if n := progs.Compiled(); n != len(c.ops) {
-					t.Errorf("%s: %d of %d operations compiled into the table", name, n, len(c.ops))
 				}
 				if diff := platformDiff(nInf, oInf, c.ops); diff != "" {
 					t.Errorf("%s: after the derivation %s", name, diff)

@@ -56,16 +56,14 @@ type extSlab struct {
 }
 
 // forkSlab is the whole state of one forked request: the join header, the
-// one task that stands for its n equal stripes at the controller caches, the
-// stripe's solo service on an idle drive, and one drive task per lane of the
-// owning array, filled in only when that lane enqueues the stripe. Every
-// task's payload points back at the slab.
+// one task that stands for its n equal stripes at the controller caches, and
+// one drive task per lane of the owning array, filled in only when that lane
+// enqueues the stripe. Every task's payload points back at the slab.
 type forkSlab struct {
 	parent  *queueing.Task
 	pending int             // disks whose stripe has not joined yet
 	stripe  float64         // stripe byte demand
 	ctrl    queueing.Task   // the stripe at the controller caches
-	solo    queueing.Solo   // the stripe alone on a drive, set as it leaves ctrl
 	stripes []queueing.Task // the stripe at each lane's drive
 }
 
@@ -176,12 +174,10 @@ func (a *diskArray) fork(e *extSlab) {
 }
 
 // step advances every disk pipeline one tick. The controller caches step
-// once, collecting the tick's completions and each stripe's solo service on
-// an idle drive — one division and one acceptance test per request, shared
-// by every lane, since the lanes are derated together and so share one
-// rate. Then the lanes are walked in disk order, each replaying those
-// completions — draw, then join a hit or collect the lane's stripe as a
-// miss — before its drive takes the misses and steps. That is the event,
+// once, collecting the tick's completions. Then the lanes are walked in disk
+// order, each replaying those completions — draw, then join a hit or
+// collect the lane's stripe as a miss, with its solo service on the drive
+// (FCFS.Solo) — before its drive takes the misses and steps. That is the event,
 // RNG-draw and join order of stepping disk 0's controller cache and drive,
 // then disk 1's, and so on: pipelines do not interact except through the
 // draw sequence and the join counts, and both see the same order. A drive
@@ -190,20 +186,10 @@ func (a *diskArray) fork(e *extSlab) {
 // the order its Step would have called back in; otherwise the lane's stripe
 // tasks are filled in and enqueued and the drive steps. Idle drives with no
 // misses are skipped: their Step is a strict no-op (nothing to fill,
-// nothing in service, no busy time accrues). A tick on which no stripe left
-// the controller caches hands the lanes nothing, so only the busy drives
-// step.
+// nothing in service, no busy time accrues).
 func (a *diskArray) step(dt float64) {
 	if !a.dcc.Idle() {
 		a.dcc.Step(dt, a.onDiskCtrlDone)
-	}
-	if len(a.ctrlDone) == 0 {
-		for i := range a.lanes {
-			if hdd := &a.lanes[i]; !hdd.Idle() {
-				hdd.Step(dt, a.onDriveDone)
-			}
-		}
-		return
 	}
 	for i := range a.lanes {
 		hdd := &a.lanes[i]
@@ -214,7 +200,7 @@ func (a *diskArray) step(dt float64) {
 				continue
 			}
 			misses = append(misses, fj)
-			solos = append(solos, fj.solo)
+			solos = append(solos, hdd.Solo(fj.stripe))
 		}
 		a.misses, a.solos = misses, solos
 		if len(misses) > 0 && hdd.ServeSolos(solos, dt) {
@@ -238,9 +224,7 @@ func (a *diskArray) step(dt float64) {
 }
 
 func (a *diskArray) onDiskCtrlDone(t *queueing.Task) {
-	fj := t.Payload.(*forkSlab)
-	fj.solo = a.lanes[0].Solo(fj.stripe)
-	a.ctrlDone = append(a.ctrlDone, fj)
+	a.ctrlDone = append(a.ctrlDone, t.Payload.(*forkSlab))
 }
 
 // cacheHits decides whether an access hits a cache of hit rate p, on a draw

@@ -30,10 +30,9 @@ func sameBits(t *testing.T, what string, ref, bulk []*Task) {
 	}
 }
 
-// BulkStep walks its accumulators four abreast (chains): with 1 to 9 tasks
-// in service the busy total and the demands fill every combination of full
-// and partial batches, and each must come out bit-identical to n single
-// steps.
+// BulkStep replays each accumulator in its own loop: with 1 to 9 tasks in
+// service, the busy total and every demand must come out bit-identical to n
+// single steps.
 func TestFCFSBulkStepLanes(t *testing.T) {
 	const dt = 0.01
 	noDone := func(*Task) { t.Fatal("a task completed inside a bulk window") }
@@ -69,8 +68,8 @@ func TestFCFSBulkStepLanes(t *testing.T) {
 // The PS form of the lane test, with the tasks split across the two phases:
 // the first j hold a slot in their transfer phase (their latency was zero),
 // the rest count down a latency longer than any window — so latency
-// countdowns, shared-bandwidth demands and, when exactly one task
-// transfers, the work total all ride the lanes.
+// countdowns, shared-bandwidth demands and the work total, at every
+// transferring count from 0 to k, are all replayed.
 func TestPSBulkStepLanes(t *testing.T) {
 	const dt = 0.01
 	noDone := func(*Task) { t.Fatal("a task completed inside a bulk window") }

@@ -186,22 +186,31 @@ func (q *FCFS) Horizon() float64 {
 // servers, as the window's first Step would — a task enqueued since the
 // last Step or Horizon call still waits even with a server free. Then each
 // tick's arithmetic reduces to one constant subtraction per in-service task
-// and one constant busy addition, and those per-accumulator operation
-// sequences are replayed exactly, four accumulators abreast (chains) — only
-// the per-tick call overhead (refill, completion scans) is elided. BulkStep
-// does not check the precondition.
+// and one constant busy addition, and each accumulator replays its own n
+// operations (repeatSub) — only the per-tick call overhead (refill,
+// completion scans) is elided. BulkStep does not check the precondition.
 func (q *FCFS) BulkStep(n int, dt float64) {
 	q.fill()
 	if len(q.inService) == 0 {
 		return
 	}
-	c := chains{n: n}
-	c.add(&q.busy, -(dt * float64(len(q.inService))))
+	q.busy = repeatSub(q.busy, -(dt * float64(len(q.inService))), n)
 	work := dt * q.rate
 	for _, t := range q.inService {
-		c.add(&t.Demand, work)
+		t.Demand = repeatSub(t.Demand, work, n)
 	}
-	c.flush()
+}
+
+// repeatSub returns x after n subtractions of w, rounded one by one: the
+// float trajectory of an accumulator that n quiet ticks each move by w. An
+// accumulator that adds a passes -a, which IEEE 754 defines as the same
+// operation. x stays in a register across the loop; subtracting through a
+// pointer would chain every step through a store and a load.
+func repeatSub(x, w float64, n int) float64 {
+	for range n {
+		x -= w
+	}
+	return x
 }
 
 // Step advances the queue by dt seconds. Completions within the step are
@@ -261,9 +270,8 @@ func (q *FCFS) stepOne(dt float64, done DoneFunc) {
 // Solo is what serving one task alone on an idle single-server queue costs
 // that depends only on the task's demand and the rate: the sub-step Step
 // would take for it, if Step would complete the task at its end. It is the
-// per-task half of ServeSolos, computed once (FCFS.Solo) for every queue of
-// that rate that receives the same demand — the drive lanes of a disk array
-// all receive each request's stripe.
+// per-task half of ServeSolos, computed by the Solo method of a queue of
+// that rate.
 type Solo struct {
 	rate float64 // the rate it was computed at
 	sub  float64 // Demand/rate, clamped at 0; +Inf if Step would not complete the task there

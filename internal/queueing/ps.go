@@ -210,9 +210,11 @@ func (q *PS) share(transferring int) float64 {
 // free slots, as the window's first Step would. The bandwidth share is then
 // constant across the window, so each tick subtracts the same consumed
 // amount from every transferring task (and dt from every latency
-// countdown), and the work accumulator receives the same constant once per
-// transferring task per tick — a sequence whose float result is
-// order-independent because every addend is identical.
+// countdown), and each accumulator replays its n subtractions in its own
+// loop (repeatSub). The work total receives the same constant once per
+// transferring task per tick, n·transferring additions in one loop — a
+// sequence whose float result is order-independent because every addend is
+// identical.
 func (q *PS) BulkStep(n int, dt float64) {
 	q.fill()
 	if len(q.inService) == 0 {
@@ -225,23 +227,14 @@ func (q *PS) BulkStep(n int, dt float64) {
 		}
 	}
 	consumed := dt * q.share(transferring)
-	c := chains{n: n}
 	for _, s := range q.inService {
 		if t := s.t; t.Delay > eps {
-			c.add(&t.Delay, dt)
+			t.Delay = repeatSub(t.Delay, dt, n)
 		} else {
-			c.add(&t.Demand, consumed)
+			t.Demand = repeatSub(t.Demand, consumed, n)
 		}
 	}
-	if transferring == 1 {
-		// One addend per tick: the work total is a chain like the others.
-		c.add(&q.work, -consumed)
-		transferring = 0
-	}
-	c.flush()
-	for i := n * transferring; i > 0; i-- {
-		q.work += consumed
-	}
+	q.work = repeatSub(q.work, -consumed, n*transferring)
 }
 
 // Step advances the queue by dt seconds resolving completions exactly.

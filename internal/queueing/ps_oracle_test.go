@@ -9,7 +9,7 @@ import (
 // their next event in one pass, kept verbatim (type renamed; CanBulk, which
 // production no longer has, and the accessors nothing calls dropped) as the
 // oracle of TestPSMatchesReference and FuzzPSMatchesReference. It shares
-// Task, the task list, eps and the bulk chains with production.
+// Task, the task list, eps and repeatSub with production.
 
 // refPS is a processor-sharing queue with a connection limit k and a constant
 // per-task latency, modeling network links (M/M/1/k-PS, Fig. 3-6 right).
@@ -173,23 +173,14 @@ func (q *refPS) BulkStep(n int, dt float64) {
 		share = q.rate / float64(transferring)
 	}
 	consumed := dt * share
-	c := chains{n: n}
 	for _, t := range q.inService {
 		if t.Delay > eps {
-			c.add(&t.Delay, dt)
+			t.Delay = repeatSub(t.Delay, dt, n)
 		} else {
-			c.add(&t.Demand, consumed)
+			t.Demand = repeatSub(t.Demand, consumed, n)
 		}
 	}
-	if transferring == 1 {
-		// One addend per tick: the work total is a chain like the others.
-		c.add(&q.work, -consumed)
-		transferring = 0
-	}
-	c.flush()
-	for i := n * transferring; i > 0; i-- {
-		q.work += consumed
-	}
+	q.work = repeatSub(q.work, -consumed, n*transferring)
 }
 
 // Step advances the queue by dt seconds resolving completions exactly.

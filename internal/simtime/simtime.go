@@ -108,14 +108,25 @@ func (c *Clock) WholeTicksBefore(d Seconds) Tick {
 // SecondsAt returns the simulated time in seconds at tick t.
 func (c *Clock) SecondsAt(t Tick) Seconds { return Seconds(t) * c.step }
 
-// TickAt returns the tick containing the simulated instant s (floor). A tiny
-// epsilon absorbs float error so that instants produced by SecondsAt map back
-// to their originating tick.
+// TickAt returns the tick containing the simulated instant s: the largest k
+// with SecondsAt(k) <= s. The float division is corrected in both
+// directions, as in WholeTicksBefore, so every instant SecondsAt produces
+// maps back to its originating tick however far into the run it lies.
 func (c *Clock) TickAt(s Seconds) Tick {
 	if s <= 0 {
 		return 0
 	}
-	return Tick(s/c.step + 1e-9)
+	if s/c.step >= 1<<62 {
+		return 1 << 62
+	}
+	k := Tick(s / c.step)
+	for k > 0 && Seconds(k)*c.step > s {
+		k--
+	}
+	for Seconds(k+1)*c.step <= s {
+		k++
+	}
+	return k
 }
 
 // HourOfDay returns the hour-of-day (0-23, GMT in the paper's scenarios) of
