@@ -718,7 +718,10 @@ func (a *busyAgent) Step(dt float64) {
 	}
 	a.state = x
 }
-func (a *busyAgent) Idle() bool { return true }
+
+// Idle is false: a dense-sweep agent does work every tick without queued
+// tasks, so it is active from registration on.
+func (a *busyAgent) Idle() bool { return false }
 
 // denseSweep measures engine scaling with thesis-comparable per-agent work,
 // on the reference loop (the one that sweeps through the engine). Compare
@@ -732,7 +735,6 @@ func denseSweep(b *testing.B, eng core.Engine) {
 		a := &busyAgent{state: 0x9e3779b97f4a7c15, spins: 3000}
 		a.InitAgent(sim.NextAgentID(), "busy")
 		sim.AddAgent(a)
-		a.Pin() // dense sweep: every agent does work every tick
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

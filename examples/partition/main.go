@@ -13,8 +13,11 @@
 // The run emits the recovery analysis as first-class experiment output:
 // exact injection/recovery times, time-to-reroute (first diverted traffic
 // on the backup link), peak backlog and time-to-drain, plus the per-phase
-// backlog curve for plotting. The same scenario in document form is
-// examples/chaos.json (`gdisim -doc examples/chaos.json`).
+// backlog curve for plotting. examples/chaos.json (`gdisim -doc
+// examples/chaos.json`) is a variant in document form, not this run: 900 s
+// with 300 s phases, a 45 Mbps backup link, cache hit rates of 0.1 and 0.05,
+// app and db tiers, 32-slot client pools and the PDM catalog in place of the
+// 1 MB FETCH.
 package main
 
 import (

@@ -12,19 +12,18 @@ import (
 
 // hzQueue is the method set FCFS and PS share that hzAgent drives.
 type hzQueue interface {
-	Enqueue(*queueing.Task)
+	Admit(*queueing.Task) float64
 	Step(dt float64, done queueing.DoneFunc)
 	Idle() bool
 	Horizon() float64
 	BulkStep(n int, dt float64)
-	SetNotify(queueing.Notifier)
 	Rate() float64
 }
 
 // hzAgent is a horizon-aware, bulk-capable queue agent — the minimal
 // hardware-like agent for core-layer tests. It reports exact horizons so
-// the production loop can step it lazily, keys its arrivals through Arrive
-// as hardware agents do, and counts Step invocations and total ticks
+// the production loop can step it lazily, reports its arrivals' bounds
+// (Admit) as hardware agents do, and counts Step invocations and total ticks
 // advanced so tests can assert both that laziness engaged and that no tick
 // was lost. Its StepN panics on a chunk that breaks BulkStepper's
 // precondition, which the production loop must never hand it.
@@ -33,7 +32,7 @@ type hzAgent struct {
 	q       hzQueue
 	steps   int   // Step invocations (per-tick work)
 	stepped int64 // total ticks advanced, bulk or not
-	arrived int   // enqueues since the loop last read Horizon: their Arrive may have keyed it early
+	arrived int   // enqueues since the loop last read Horizon: their bounds may have keyed it early
 }
 
 func newHzAgent(s *Simulation, name string, rate float64) *hzAgent {
@@ -42,7 +41,6 @@ func newHzAgent(s *Simulation, name string, rate float64) *hzAgent {
 
 func newHzAgentOn(s *Simulation, name string, q hzQueue) *hzAgent {
 	a := &hzAgent{q: q}
-	a.q.SetNotify(&a.AgentBase)
 	a.InitAgent(s.NextAgentID(), name)
 	s.AddAgent(a)
 	return a
@@ -51,10 +49,9 @@ func newHzAgentOn(s *Simulation, name string, q hzQueue) *hzAgent {
 // refFlags selects the reference loop when ref is set.
 func refFlags(ref bool) LoopFlags { return LoopFlags{NoFastForward: ref} }
 
-func (a *hzAgent) Enqueue(t *queueing.Task) {
-	a.Sync()
+func (a *hzAgent) Enqueue(t *queueing.Task) float64 {
 	a.arrived++
-	a.q.Enqueue(t)
+	return a.q.Admit(t)
 }
 
 func (a *hzAgent) Step(dt float64) {
@@ -88,12 +85,12 @@ func (a *hzAgent) Horizon() float64 {
 
 // TestBulkDrainReachesArmedCompletion is the drain-set correctness case:
 // a completion armed at t=0 that fires only after a long stretch, on an
-// agent that is neither due nor notified at any intermediate iteration —
-// a naive drain set built only from SetNotify firings would never reach
-// it. A busy neighbor keeps the loop iterating every tick, so the armed
-// agent is skipped by the involved-only sweep the whole way; the due-pop
-// at its event tick must still step and drain it at exactly the instant
-// the reference loop does.
+// agent that is neither due nor enqueued on at any intermediate iteration —
+// a naive drain set built only from arrivals would never reach it. A busy
+// neighbor keeps the loop iterating every tick, so the armed agent is
+// skipped by the involved-only sweep the whole way; the due-pop at its
+// event tick must still step and drain it at exactly the instant the
+// reference loop does.
 func TestBulkDrainReachesArmedCompletion(t *testing.T) {
 	run := func(ref bool) (*Simulation, *hzAgent, *hzAgent) {
 		s := NewSimulation(Config{Step: 0.01, Seed: 1, CollectEvery: 1 << 30, LoopFlags: refFlags(ref)})
@@ -245,7 +242,7 @@ func (p *parkingSource) NextPoll(now float64) float64 {
 // TestDormantSourceNotReconsulted pins the explicit re-arm contract: a
 // source whose NextPoll returns +Inf is parked — zero Poll or NextPoll
 // calls while dormant, however many iterations pass — and RearmSource is
-// what wakes it. The pinned veto agent forces an iteration per tick, so
+// what wakes it. The never-idle veto agent forces an iteration per tick, so
 // the old per-iteration reconsult would have produced hundreds of
 // NextPoll calls.
 func TestDormantSourceNotReconsulted(t *testing.T) {
@@ -253,7 +250,6 @@ func TestDormantSourceNotReconsulted(t *testing.T) {
 	v := &vetoAgent{}
 	v.InitAgent(s.NextAgentID(), "veto")
 	s.AddAgent(v)
-	v.Pin()
 	src := &parkingSource{at: 0.1}
 	h := s.AddSource(src)
 
@@ -290,7 +286,7 @@ func TestDormantSourceNotReconsulted(t *testing.T) {
 // operation that can move an agent's next event — enqueues onto idle and
 // busy FCFS queues of one to three servers and PS queues with and without
 // latency, ticks (due pops and completions), jumps, bare
-// MarkDirty/MarkActive — and after each operation folds the dirty set and
+// MarkDirty and Sync — and after each operation folds the dirty set and
 // checks the full calendar invariant on the root window (checkWindow). The
 // zero-latency PS queues take concurrent transfers, whose arrivals key
 // their agents strictly early; each seed must see that happen.
@@ -379,7 +375,7 @@ func calendarProperty(t *testing.T, seed uint64, nops int) {
 		a := agents[rng.IntN(len(agents))]
 		var op string
 		switch rng.IntN(10) {
-		case 0, 1, 2, 3: // enqueue work (flows exercise Sync + SetNotify)
+		case 0, 1, 2, 3: // enqueue work (the router syncs and keys from the bound)
 			demand := (0.2 + 5*rng.Float64()) * a.q.Rate() * s.clock.Step()
 			s.StartOp(singleStageOp("P", "NA", a, demand))
 			op = "enqueue"
@@ -393,8 +389,8 @@ func calendarProperty(t *testing.T, seed uint64, nops int) {
 			a.MarkDirty()
 			op = "markdirty"
 		default:
-			a.MarkActive()
-			op = "markactive"
+			a.Sync()
+			op = "sync"
 		}
 		n, err := checkWindow(&s.root, agents)
 		if err != nil {

@@ -197,17 +197,18 @@ func (cs *countingSource) Poll(s *Simulation, now float64) {
 }
 func (cs *countingSource) NextPoll(now float64) float64 { return cs.next }
 
-// vetoAgent is a pinned agent with the conservative default horizon (0):
-// while registered it vetoes every fast-forward jump. It accepts no work.
+// vetoAgent never goes idle and keeps the conservative default horizon (0):
+// it activates when it registers, and while registered it vetoes every
+// fast-forward jump. It accepts no work.
 type vetoAgent struct{ AgentBase }
 
 func (v *vetoAgent) Step(dt float64) {}
-func (v *vetoAgent) Idle() bool      { return true }
+func (v *vetoAgent) Idle() bool      { return false }
 
 // TestCalendarSkipsNotDuePolls checks the poll scheduler: a source with a
 // 50 ms schedule under a 10 ms step must be polled on roughly every fifth
 // tick by the production loop, while the reference loop polls it every
-// tick. A pinned default-horizon agent pins the clock to single steps, so
+// tick. A never-idle default-horizon agent holds the clock to single steps, so
 // the difference comes from poll scheduling alone, not from jumps.
 func TestCalendarSkipsNotDuePolls(t *testing.T) {
 	run := func(ref bool) int {
@@ -215,12 +216,11 @@ func TestCalendarSkipsNotDuePolls(t *testing.T) {
 		v := &vetoAgent{}
 		v.InitAgent(s.NextAgentID(), "veto")
 		s.AddAgent(v)
-		v.Pin()
 		src := &countingSource{interval: 0.05}
 		s.AddSource(src)
 		s.RunFor(10) // 1000 ticks
 		if j := s.Stats().Jumps; j != 0 {
-			t.Fatalf("pinned run took %d jumps", j)
+			t.Fatalf("vetoed run took %d jumps", j)
 		}
 		return src.polls
 	}
@@ -274,10 +274,9 @@ type orderAgent struct {
 	queue []*queueing.Task
 }
 
-func (o *orderAgent) Enqueue(t *queueing.Task) {
-	o.Sync()
-	o.MarkDirty()
+func (o *orderAgent) Enqueue(t *queueing.Task) float64 {
 	o.queue = append(o.queue, t)
+	return Rekey
 }
 func (o *orderAgent) Step(dt float64) {
 	for _, t := range o.queue {

@@ -3,10 +3,10 @@
 // that executes message cascades across hardware agents (§3.5.2), and the
 // centralized discrete time loop with its three control phases (§4.3):
 //
-//  1. Time increment — every *active* agent (one with in-flight work or a
-//     pin) advances its queues by one step. Idle agents are skipped: an
-//     agent joins the active set when work is enqueued on it and leaves it
-//     when a post-drain scan finds it idle, so the sweep cost scales with
+//  1. Time increment — every *active* agent (one with in-flight work)
+//     advances its queues by one step. Idle agents are skipped: an agent
+//     joins the active set when work is enqueued on it and leaves it when a
+//     post-drain scan finds it idle, so the sweep cost scales with
 //     utilization rather than topology size. On the reference loop the
 //     phase runs through a pluggable Engine (sequential here; the Chapter-4
 //     Scatter-Gather and H-Dispatch engines live in internal/dispatch); the
@@ -16,7 +16,10 @@
 //  3. Agent interaction — tasks that completed during the step advance
 //     their flows and enqueue work on downstream agents. Work forwarded
 //     during tick t is first served at tick t+1, enforcing the timestamp
-//     consistency rule of §4.3.3.
+//     consistency rule of §4.3.3. The flow router is the one place work
+//     arrives: it syncs the target agent, enqueues, and keys the agent from
+//     the arrival's bound (QueueAgent), so agents and queues know nothing of
+//     the loop's laziness.
 //
 // On top of the per-tick phases, RunFor and RunUntilIdle fast-forward the
 // clock across provably quiet stretches: every agent and source reports an
@@ -43,10 +46,10 @@ type AgentID int32
 // buffer the simulation walks sequentially after the step.
 //
 // The simulation only sweeps *active* agents: an agent joins the active set
-// when work is enqueued on it (MarkActive) and leaves it when a post-drain
-// scan finds it Idle. Agents that must be stepped every tick regardless of
-// queued work (synthetic load generators, polling components) opt out of
-// deactivation with Pin.
+// when work is enqueued on it (or it is marked dirty) and leaves it when a
+// post-drain scan finds it Idle. An agent that must be stepped every tick
+// regardless of queued work (a synthetic load generator, a polling
+// component) never reports Idle and keeps the default Horizon of 0.
 type Agent interface {
 	ID() AgentID
 	Name() string
@@ -73,9 +76,9 @@ type Agent interface {
 	// not override it. Only the production loop calls it, and only where
 	// nothing cheaper knows the answer: to key an agent that has just acted
 	// or was marked dirty, and to size the bulk chunks of a dirty agent. An
-	// arrival keys itself (AgentBase.Arrive), so the calendar key is the only
-	// horizon the loop otherwise consults. Like Step it must only touch the
-	// agent's own state.
+	// arrival is keyed from the bound its Enqueue reports (QueueAgent), so
+	// the calendar key is the only horizon the loop otherwise consults. Like
+	// Step it must only touch the agent's own state.
 	Horizon() float64
 }
 
@@ -98,21 +101,28 @@ type BulkStepper interface {
 
 // QueueAgent is an agent that accepts work: a flow stage can target it.
 //
-// Enqueue owns its agent's place in the loop: it must first Sync, so the
-// work lands on state caught up to the current tick, and must leave the
-// agent active and keyed. Either it reports the arrival's first event
-// through AgentBase.Arrive — the hardware agents' queue hooks do, with the
-// bound FCFS/PS.SetNotify document, and stay silent for a task that waits
-// behind work the active agent already holds, which moves no event — or it
-// calls MarkDirty, which activates the agent and rekeys it from its horizon
-// before the next jump. The flow router does neither: it hands the stage
-// over and trusts the contract. DelayLine keeps MarkDirty: its horizon is
-// the expiry less its local clock, (now+delay)−now, which can round below
+// The flow router (Simulation.startStage) owns the agent's place in the
+// loop when it hands over a stage: it syncs the agent to the current tick,
+// calls Enqueue, and keys the agent from what Enqueue returns. Enqueue only
+// admits the task and reports when the arrival may first act: a lower bound
+// h, in seconds, on the task's first event — hardware agents return their
+// ingress queue's FCFS/PS.Admit — or +Inf when the task waits behind work
+// the agent already holds, which moves no event, or Rekey when the agent's
+// next event must be read from its Horizon. A bound may undershoot the
+// task's first event but never pass it, and the arrival must move none of
+// the agent's other events earlier: the router only lowers the agent's key
+// to the bound's and reads no Horizon. DelayLine returns Rekey: its horizon
+// is the expiry less its local clock, (now+delay)−now, which can round below
 // the delay, so reporting the delay would key it a tick late.
 type QueueAgent interface {
 	Agent
-	Enqueue(*queueing.Task)
+	Enqueue(*queueing.Task) float64
 }
+
+// Rekey is the QueueAgent.Enqueue report that the arrival may have moved
+// the agent's next event anywhere: the router marks the agent dirty, and the
+// loop rekeys it from its Horizon before the next jump.
+const Rekey = -1.0
 
 // AgentBase supplies the bookkeeping shared by all agents: identity, the
 // completion buffer and active-set membership. Embed it and call InitAgent
@@ -124,11 +134,9 @@ type AgentBase struct {
 
 	sim       *Simulation // set by AddAgent; nil until registered
 	active    bool        // currently a member of the simulation's active set
-	pinned    bool        // never deactivated (swept every tick/window)
 	dirty     bool        // horizon invalidated; queued for a calendar rekey
 	listed    bool        // holds an entry in the simulation's active slice
 	pendDrain bool        // queued in the drain set since the last drain
-	inPinned  bool        // registered in the simulation's pinned list
 }
 
 // InitAgent sets the agent identity. It panics when called twice: an agent
@@ -153,14 +161,22 @@ func (b *AgentBase) Name() string { return b.name }
 // Base returns the embedded bookkeeping, satisfying the Agent interface.
 func (b *AgentBase) Base() *AgentBase { return b }
 
-// MarkActive joins the simulation's active set, making the agent eligible
-// for the next sweep, and invalidates the agent's event-calendar entry —
-// every activation is also an invalidation: new work may move the agent's
-// next event earlier. It is O(1), idempotent, and must only be called from
-// sequential phases (Enqueue during source polls or interaction callbacks).
-// Custom agents call it (as MarkDirty) from Enqueue; hardware queues report
-// their arrivals through Arrive instead.
-func (b *AgentBase) MarkActive() {
+// MarkDirty is the invalidation hook of the event calendar: it records that
+// the agent's state changed in a way that may move its next observable
+// event, so the simulation recomputes its horizon before the next jump
+// instead of trusting the cached calendar entry. It also joins the
+// simulation's active set, making the agent eligible for the next sweep:
+// every activation is an invalidation. A state change that may move an
+// event sits between Sync and MarkDirty on its agent; the hardware rate
+// methods (CPU.Derate and Reserve, RAID/SAN.Derate, Link.Degrade and Repair)
+// place both calls themselves, so their callers need neither. Work handed
+// over by a flow needs neither either: the router syncs and keys the agent
+// (QueueAgent). MarkDirty is O(1) and idempotent, a no-op before the agent
+// is registered, and must only be called from sequential phases; state
+// changes inside the parallel Step phase need no hook, because they can only
+// occur at an agent's scheduled event tick, where the loop rekeys the agent
+// right after it acts.
+func (b *AgentBase) MarkDirty() {
 	if b.sim == nil {
 		return
 	}
@@ -174,67 +190,23 @@ func (b *AgentBase) MarkActive() {
 	}
 }
 
-// Arrive is the arrival hook of the event calendar, cheaper than MarkDirty:
-// work was just enqueued on the agent (after Sync) and h bounds the arriving
-// task's first event from below, in seconds. Hardware agents install it as
-// their ingress queues' notify hook, which fires only for a task that can
-// start at the next fill: one that waits behind busy servers lands on a
-// queue that already holds work, so the agent is active and its key stands.
-// An inactive agent activates keyed from h — it was idle, so h is its whole
-// horizon; an active one lowers its key to h's when that is earlier, with no
-// Horizon call and no drain-set entry (an enqueue buffers no completion).
-// It is exact only if the arrival moves no other event of the agent
-// earlier; state changes that can must use MarkDirty. Like MarkActive it
-// must only be called from sequential phases.
-func (b *AgentBase) Arrive(h float64) {
-	if b.sim != nil {
-		b.sim.arrive(b, h)
-	}
-}
-
-// MarkDirty is the invalidation hook of the event calendar: it records that
-// the agent's state changed in a way that may move its next observable
-// event, so the simulation recomputes its horizon before the next jump
-// instead of trusting the cached calendar entry. Activation implies
-// invalidation, so MarkDirty and MarkActive are the same operation — the
-// two names exist because call sites mean different things: queues notify
-// transitions (dirty), sources and routers hand over work (active). A state
-// change that may move an event sits between Sync and MarkDirty on its agent;
-// the hardware rate methods (CPU.Derate and Reserve, RAID/SAN.Derate,
-// Link.Degrade and Repair) place both calls themselves, so their callers need
-// neither. Like MarkActive it must only be called from sequential phases;
-// state changes inside the parallel Step phase need no hook, because they can
-// only occur at an agent's scheduled event tick, where the loop rekeys the
-// agent right after it acts.
-func (b *AgentBase) MarkDirty() { b.MarkActive() }
-
-// Pin keeps the agent in the active set permanently: it is swept every tick
-// and never deactivated, restoring the pre-active-set full-sweep behavior
-// for agents whose Step does work without queued tasks.
-func (b *AgentBase) Pin() {
-	b.pinned = true
-	b.MarkActive()
-	if b.sim != nil && !b.inPinned {
-		b.inPinned = true
-		b.sim.root.pinned = append(b.sim.root.pinned, b.id)
-	}
-}
-
 // Horizon returns 0 — the conservative default that keeps an agent stepped
 // every tick while it is active. Agents whose next event is knowable
 // (hardware queues, delay lines) shadow this with an exact horizon so the
 // fast-forward loop can jump quiet stretches; agents whose Step has
 // per-tick side effects regardless of queued work (synthetic load
-// generators) keep the default and thereby veto jumps while active.
+// generators) keep the default and thereby veto jumps while active. Such an
+// agent that never reports Idle is activated when it registers and is
+// stepped in every window and every reference tick.
 func (b *AgentBase) Horizon() float64 { return 0 }
 
 // Sync catches the agent up to the current simulation tick. The production
 // loop steps an active agent lazily — advanced in bulk only when it next
-// matters — so any operation that mutates or reads
-// tick-dependent agent state from a sequential phase (an Enqueue, a local
-// clock read) must first replay the ticks the involved-only sweeps skipped.
-// Every Enqueue calls it first (QueueAgent); it is an O(1) no-op when the
-// agent is current, inactive or unregistered, and on the reference loop.
+// matters — so any operation that mutates or reads tick-dependent agent
+// state from a sequential phase (a rate change, a local clock read) must
+// first replay the ticks the involved-only sweeps skipped. The flow router
+// does it for every Enqueue it makes (QueueAgent); it is an O(1) no-op when
+// the agent is current, inactive or unregistered, and on the reference loop.
 func (b *AgentBase) Sync() {
 	if b.sim != nil {
 		b.sim.syncAgent(b.id)

@@ -14,8 +14,8 @@ import (
 )
 
 // testQueueAgent wraps an FCFS queue, standing in for a hardware component.
-// Its Enqueue keeps the QueueAgent contract the plain way: Sync first, then
-// MarkDirty, which activates it and rekeys it from its horizon.
+// Its Enqueue keeps the QueueAgent contract the plain way: it reports Rekey,
+// so the router activates it and the loop rekeys it from its horizon.
 type testQueueAgent struct {
 	AgentBase
 	q *queueing.FCFS
@@ -28,10 +28,9 @@ func newTestQueueAgent(s *Simulation, name string, servers int, rate float64) *t
 	return a
 }
 
-func (a *testQueueAgent) Enqueue(t *queueing.Task) {
-	a.Sync()
-	a.MarkDirty()
+func (a *testQueueAgent) Enqueue(t *queueing.Task) float64 {
 	a.q.Enqueue(t)
+	return Rekey
 }
 func (a *testQueueAgent) Step(dt float64) { a.q.Step(dt, a.BufferDone) }
 func (a *testQueueAgent) Idle() bool      { return a.q.Idle() }
@@ -405,44 +404,51 @@ func TestActiveSetDuplicateEnqueueSingleEntry(t *testing.T) {
 	}
 }
 
-// stepCounter counts sweeps; it never holds work, so without a pin it would
-// leave the active set immediately.
+// stepCounter counts sweeps. It holds no work; unless busy it reports Idle
+// and leaves the active set at once, while a busy one never goes idle and,
+// with the default Horizon of 0, acts on every tick.
 type stepCounter struct {
 	AgentBase
 	steps int
+	busy  bool
 }
 
 func (a *stepCounter) Step(dt float64) { a.steps++ }
-func (a *stepCounter) Idle() bool      { return true }
+func (a *stepCounter) Idle() bool      { return !a.busy }
 
+// TestPinnedAgentSweptEveryTick: an agent that never goes idle is stepped on
+// every tick with no pin — it activates when it registers, and its default
+// Horizon of 0 keys it for the next tick each time it acts — while an idle
+// one is never stepped.
 func TestPinnedAgentSweptEveryTick(t *testing.T) {
-	s := NewSimulation(Config{Step: 0.01, Seed: 1})
-	pinned := &stepCounter{}
-	pinned.InitAgent(s.NextAgentID(), "pinned")
-	s.AddAgent(pinned)
-	pinned.Pin()
-	loose := &stepCounter{}
-	loose.InitAgent(s.NextAgentID(), "loose")
-	s.AddAgent(loose)
-	s.RunFor(0.1) // 10 ticks
-	if pinned.steps != 10 {
-		t.Errorf("pinned agent stepped %d times, want 10", pinned.steps)
-	}
-	if loose.steps != 0 {
-		t.Errorf("unpinned idle agent stepped %d times, want 0", loose.steps)
+	for _, ref := range []bool{false, true} {
+		s := NewSimulation(Config{Step: 0.01, Seed: 1, LoopFlags: refFlags(ref)})
+		busy := &stepCounter{busy: true}
+		busy.InitAgent(s.NextAgentID(), "busy")
+		s.AddAgent(busy)
+		loose := &stepCounter{}
+		loose.InitAgent(s.NextAgentID(), "loose")
+		s.AddAgent(loose)
+		s.RunFor(0.1) // 10 ticks
+		if busy.steps != 10 {
+			t.Errorf("reference loop %v: never-idle agent stepped %d times, want 10", ref, busy.steps)
+		}
+		if loose.steps != 0 {
+			t.Errorf("reference loop %v: idle agent stepped %d times, want 0", ref, loose.steps)
+		}
 	}
 }
 
 func TestMarkActiveBeforeRegistrationIsSafe(t *testing.T) {
-	var a stepCounter
-	a.MarkActive() // not registered: must be a no-op, not a panic
-	a.Pin()
+	a := stepCounter{busy: true}
+	a.MarkDirty() // not registered: must be a no-op, not a panic
+	a.Sync()
 	s := NewSimulation(Config{Step: 0.01, Seed: 1})
 	a.InitAgent(s.NextAgentID(), "early")
 	s.AddAgent(&a)
 	s.RunFor(0.02)
 	if a.steps != 2 {
-		t.Errorf("pre-registration Pin: stepped %d times, want 2", a.steps)
+		t.Errorf("pre-registration MarkDirty: stepped %d times, want 2", a.steps)
 	}
 }
 

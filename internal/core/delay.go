@@ -27,16 +27,14 @@ func NewDelayLine(sim *Simulation, name string) *DelayLine {
 
 // Enqueue admits a task; it will complete after task.Demand seconds. The
 // line's local clock only advances while it is active, which is safe: the
-// expiry of every held task is relative to that same local clock. Sync
-// first replays any ticks the bulk-dense loop deferred, so the local clock
-// is current before the expiry is computed against it. The admission both
-// activates the line and invalidates its calendar entry — the new expiry
-// may precede the cached earliest one.
-func (d *DelayLine) Enqueue(t *queueing.Task) {
-	d.Sync()
-	d.MarkDirty()
+// expiry of every held task is relative to that same local clock, which the
+// router has synced to the current tick. It reports Rekey: the new expiry
+// may precede the cached earliest one, and only Horizon reads it against
+// the local clock exactly (QueueAgent).
+func (d *DelayLine) Enqueue(t *queueing.Task) float64 {
 	d.seq++
 	d.heap.push(delayEntry{expiry: d.now + t.Demand, seq: d.seq, task: t})
+	return Rekey
 }
 
 // Step advances local time and buffers expired tasks in expiry order (ties

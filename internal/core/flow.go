@@ -206,10 +206,12 @@ func (s *Simulation) advanceFlow(f *Flow) {
 }
 
 // startStage begins the token's current stage — opening the hold spans that
-// start there — and hands it to its queue, whose Enqueue syncs and keys the
-// agent itself (QueueAgent). Instantaneous stages are finished in place.
-// When the token runs out of stages the parent flow's outstanding count
-// drops and, at zero, the flow advances.
+// start there — and hands it to its queue: the one place work arrives on an
+// agent. It syncs the agent to the current tick, so the work lands on state
+// the reference loop would hold, enqueues, and keys the agent from the
+// bound Enqueue reports (QueueAgent, arrive). Instantaneous stages are
+// finished in place. When the token runs out of stages the parent flow's
+// outstanding count drops and, at zero, the flow advances.
 func (s *Simulation) startStage(tok *token) {
 	for tok.idx < len(tok.stages) {
 		for i := range tok.holds {
@@ -218,9 +220,11 @@ func (s *Simulation) startStage(tok *token) {
 			}
 		}
 		st := &tok.stages[tok.idx]
-		if st.Queue != nil {
+		if q := st.Queue; q != nil {
 			tok.task.Demand = st.Demand
-			st.Queue.Enqueue(&tok.task)
+			b := q.Base()
+			s.syncAgent(b.id)
+			s.arrive(b, q.Enqueue(&tok.task))
 			return
 		}
 		tok.finishStage()

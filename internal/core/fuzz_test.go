@@ -100,7 +100,7 @@ func (fs *fuzzSource) Poll(s *Simulation, now float64) {
 func (fs *fuzzSource) NextPoll(float64) float64 { return fs.next }
 
 // fuzzRun builds the platform the bytes describe — 2–12 queue agents of
-// mixed FCFS / PS / delay-line kinds and rates, an optional pinned
+// mixed FCFS / PS / delay-line kinds and rates, an optional never-idle
 // default-horizon agent, 1–4 timed or parking sources launching fork-join
 // cascades, a random collector period — and runs it for a few thousand
 // ticks on the production or the reference loop.
@@ -151,9 +151,8 @@ func fuzzPlatformRun(data []byte, cfg Config, drive func(*Simulation, float64)) 
 	}
 	if in.intn(4) == 0 {
 		v := &vetoAgent{}
-		v.InitAgent(s.NextAgentID(), "pinned")
+		v.InitAgent(s.NextAgentID(), "veto")
 		s.AddAgent(v)
-		v.Pin()
 	}
 	for i, n := 0, 1+in.intn(4); i < n; i++ {
 		fs := &fuzzSource{
@@ -205,7 +204,7 @@ func FuzzLoopMatchesReference(f *testing.F) {
 // free, and six four-slot zero-latency PS links, whose concurrent transfers
 // key their agents strictly early. The bytes follow fuzzPlatformRun's draw
 // order: collector period, agent count, then per agent its rate, kind and
-// kind parameters; no pinned agent; one source launching every 30 ms, 40
+// kind parameters; no veto agent; one source launching every 30 ms, 40
 // times, a four-way fork of single-stage messages: a long then a short one
 // on agent 0 and again on agent 1, so each short arrival finishes first and
 // must lower its agent's key. The rest comes from the hash-seeded stream.

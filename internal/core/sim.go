@@ -84,7 +84,7 @@ type Simulation struct {
 
 	// bases is the dense agent table: bases[id] is the AgentBase of agents[id],
 	// resolved once at registration so the loop's set-membership tests
-	// (active, dirty, pendDrain, pinned) index a slice instead of paying an
+	// (active, dirty, pendDrain) index a slice instead of paying an
 	// interface call per test.
 	bases []*AgentBase
 
@@ -92,7 +92,7 @@ type Simulation struct {
 	// loops stop at the next window boundary once it is set.
 	err error
 
-	// root is the loop state: the active, pinned, dirty and drain sets, the
+	// root is the loop state: the active, dirty and drain sets, the
 	// event calendar, the flow counters and the token pool. Its tick mirrors
 	// the clock. The reference loop uses only its active list and counters.
 	root window
@@ -192,21 +192,18 @@ func (s *Simulation) AddAgent(a Agent) {
 	s.bases = append(s.bases, b)
 	s.agentTick = append(s.agentTick, 0)
 	b.sim = s
-	if b.pinned || !a.Idle() {
-		b.MarkActive() // pinned (or pre-loaded) before registration
-		if b.pinned && !b.inPinned {
-			b.inPinned = true
-			s.root.pinned = append(s.root.pinned, b.id)
-		}
+	if !a.Idle() {
+		b.MarkDirty() // never idle, or pre-loaded before registration
 	}
 	s.rebind = true
 }
 
 // activate records an agent ID in the active list. Callers go through
-// AgentBase.MarkActive, which guarantees duplicate-free O(1) insertion. An
-// agent activates "current": its state has trivially been stepped through
-// the window's tick, so lazy catch-up starts from here; a tombstoned entry
-// (deactivated but not yet compacted away) is revived in place.
+// AgentBase.MarkDirty or arrive, which guarantee duplicate-free O(1)
+// insertion. An agent activates "current": its state has trivially been
+// stepped through the window's tick, so lazy catch-up starts from here; a
+// tombstoned entry (deactivated but not yet compacted away) is revived in
+// place.
 func (s *Simulation) activate(id AgentID) {
 	w := &s.root
 	w.live++
@@ -218,7 +215,7 @@ func (s *Simulation) activate(id AgentID) {
 }
 
 // invalidate queues an agent for a calendar rekey and for the next drain.
-// Callers go through AgentBase.MarkActive/MarkDirty, which gate duplicates.
+// Callers go through AgentBase.MarkDirty, which gates duplicates.
 // The reference loop keeps neither set.
 func (s *Simulation) invalidate(id AgentID) {
 	if !s.fastForward {
@@ -228,14 +225,18 @@ func (s *Simulation) invalidate(id AgentID) {
 	s.root.markDrain(s.bases[id])
 }
 
-// arrive is AgentBase.Arrive: work whose first event lies at least h
-// seconds ahead was just enqueued on the agent, whose state the enqueue synced to the
-// window's tick. An inactive agent was idle, so h is its whole horizon: it
-// activates keyed from h. An active agent's key drops to h's when that is
-// earlier — by the notify-hook contract the arrival moves no other event
-// earlier — and a dirty agent is left to its pending rekey. The reference
-// loop keeps no calendar and only activates.
+// arrive keys an agent the flow router has just synced and enqueued on,
+// from the bound h its Enqueue reported (QueueAgent). Rekey marks it dirty.
+// An inactive agent was idle, so h is its whole horizon: it activates keyed
+// from h. An active agent's key drops to h's when that is earlier — by the
+// QueueAgent contract the arrival moves no other event earlier, and +Inf, a
+// task that waits, moves nothing — and a dirty agent is left to its pending
+// rekey. The reference loop keeps no calendar and only activates.
 func (s *Simulation) arrive(b *AgentBase, h float64) {
+	if h < 0 {
+		b.MarkDirty()
+		return
+	}
 	w := &s.root
 	if !b.active {
 		b.active = true
@@ -409,7 +410,7 @@ func (s *Simulation) tick() {
 	}
 	kept := w.active[:0]
 	for i, a := range s.sweep {
-		if b := a.Base(); b.pinned || !a.Idle() {
+		if b := a.Base(); !a.Idle() {
 			kept = append(kept, w.active[i])
 		} else {
 			b.active, b.listed = false, false
@@ -427,11 +428,11 @@ func (s *Simulation) tick() {
 // skips every tick that provably holds no event, lands on the first one that
 // may (window.jump: the calendar head, a due poll, a collector boundary or
 // the limit), and steps only the agents that can act there — the calendar
-// entries due at the landing plus the pinned set. Each of them is rekeyed
-// from its horizon, or retired, as soon as it reaches the landing
-// (window.settle). Every other active agent is left untouched and caught up
-// in one key-bounded bulk replay when it next matters: it is enqueued on,
-// pops due, or a collector boundary or the run end lands. The drain walks
+// entries due at the landing. Each of them is rekeyed from its horizon, or
+// retired, as soon as it reaches the landing (window.settle). Every other
+// active agent is left untouched and caught up in one key-bounded bulk
+// replay when it next matters: it is enqueued on, pops due, or a collector
+// boundary or the run end lands. The drain walks
 // the popped-due set plus the agents invalidated since the last drain.
 //
 // The invariants that make laziness exact:
@@ -442,13 +443,15 @@ func (s *Simulation) tick() {
 //     event in the trailing ticks, so a bulk replay of the deficit is
 //     bit-identical to having stepped it every tick — the same
 //     per-accumulator operation sequence, merely batched. Arrivals keep it
-//     so by lowering the key to the arriving task's first event
-//     (AgentBase.Arrive); everything else that may move an event earlier
-//     marks the agent dirty for a full rekey.
+//     so: the flow router lowers the key to the bound on the arriving
+//     task's first event that Enqueue reports (arrive); everything else
+//     that may move an event earlier marks the agent dirty for a full
+//     rekey.
 //   - Mutating or reading an agent's tick-dependent state from a
-//     sequential phase is always preceded by a catch-up (AgentBase.Sync,
-//     which every Enqueue calls first), so enqueues land on state identical
-//     to the reference loop's.
+//     sequential phase is always preceded by a catch-up (syncAgent, which
+//     the flow router runs before every Enqueue and AgentBase.Sync exposes
+//     to the rate methods), so enqueues land on state identical to the
+//     reference loop's.
 //   - Only agents at their event tick can buffer completions, and those
 //     are exactly the popped-due set (an enqueue buffers none). Lazy agents
 //     therefore never hold completions, and skipping their drain is exact.
@@ -481,7 +484,7 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 
 // syncAgent catches a lazily-stepped active agent up to its window's tick.
 // It is the sequential-phase entry point of lazy stepping (reached through
-// AgentBase.Sync): any enqueue or tick-dependent read
+// the flow router and AgentBase.Sync): any enqueue or tick-dependent read
 // must first replay the ticks the involved-only sweeps skipped, on state
 // that — by the calendar invariant — holds no event in them. Inactive
 // agents have no queue state evolving, so they are left alone (activation
@@ -489,7 +492,7 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 // tick and keeps no agentTick, so it has nothing to catch up.
 func (s *Simulation) syncAgent(id AgentID) {
 	// The common case — agent already current — exits here, inlined into
-	// the caller: the hook sits on every enqueue.
+	// the caller: it sits on every enqueue.
 	if s.root.tick > s.agentTick[id] {
 		s.catchUp(id)
 	}
@@ -545,8 +548,8 @@ func (s *Simulation) advanceAgent(id AgentID, base, n simtime.Tick) {
 
 // quietTicks returns how many of the n ticks after base the agent can
 // replay in one bulk chunk: every tick before its calendar key. An agent
-// without an entry was popped due (or is pinned) at the landing base+n, so
-// all but that tick are quiet. A dirty agent's key may be stale, so its
+// without an entry was popped due at the landing base+n, so all but that
+// tick are quiet. A dirty agent's key may be stale, so its
 // chunk is sized from its horizon by the guarded whole-tick conversion the
 // keys use, which can never swallow an event.
 func (s *Simulation) quietTicks(id AgentID, base, n simtime.Tick) simtime.Tick {
@@ -738,8 +741,8 @@ func (s *Simulation) RunUntilIdle(maxSeconds float64) error {
 
 // idle reports whether no flow is in flight and no agent holds work.
 // Deactivation keeps every non-idle agent in the active list, so only that
-// list — after a step, the pinned agents plus drain-phase activations —
-// needs checking; tombstones awaiting compaction are skipped.
+// list — after a step, the agents still holding work plus drain-phase
+// activations — needs checking; tombstones awaiting compaction are skipped.
 func (s *Simulation) idle() bool {
 	if s.root.flows != 0 {
 		return false

@@ -18,11 +18,9 @@ type window struct {
 	// cal is the pending-event set: one entry per active agent, keyed by
 	// the first tick at which it may act. dirty queues the agents whose key
 	// is stale (AgentBase.dirty gates membership). active lists the agents
-	// with in-flight work or a pin — possibly with tombstones, dropped by
-	// compact — and pinned those that join every window's involved set.
+	// with in-flight work — possibly with tombstones, dropped by compact.
 	cal    calendar
 	active []AgentID
-	pinned []AgentID
 	dirty  []AgentID
 
 	// drainPend is the drain set: agents popped due or enqueued on since
@@ -82,17 +80,17 @@ func (w *window) pollDue() {
 }
 
 // rekey recomputes the calendar entry of every agent marked dirty —
-// MarkDirty/MarkActive: delay-line enqueues, custom agents, the hardware rate
+// MarkDirty: enqueues that report Rekey (delay lines), the hardware rate
 // changes (which Sync before and MarkDirty after themselves), registrations —
-// and clears the dirty set. The
-// hardware arrivals (Arrive) and the agents that acted (settle) key
-// themselves, so only these agents pay a Horizon call here. A horizon is
-// relative to the tick the agent's state has been stepped through, so the
-// key is based at agentTick; for agents invalidated through the usual hooks
-// that is the window's tick (enqueues sync first), and a bare MarkDirty on a
-// lazily-stepped agent re-bases correctly too. The calendar's cursor moves
-// up to the window's tick first: every entry due by then has been popped,
-// so every key left lies beyond it.
+// and clears the dirty set. Arrivals with a bound (arrive) and the agents
+// that acted (settle) are keyed where they happen, so only these agents pay
+// a Horizon call here. A horizon is relative to the tick the agent's state
+// has been stepped through, so the key is based at agentTick; for agents
+// invalidated through the usual doors that is the window's tick (the router
+// syncs before it enqueues), and a bare MarkDirty on a lazily-stepped agent
+// re-bases correctly too. The calendar's cursor moves up to the window's
+// tick first: every entry due by then has been popped, so every key left
+// lies beyond it.
 func (w *window) rekey() {
 	s := w.s
 	w.cal.cursor = w.tick
@@ -129,13 +127,11 @@ func (w *window) jump(bound simtime.Tick) simtime.Tick {
 // popInvolved collects into inv the agents the window must advance to its
 // landing tick: those whose calendar entry is due by then (by jump
 // construction, exactly at the landing, which is the calendar head when
-// nothing else bounded the window) plus every pinned agent. Both leave the
-// calendar — settle rekeys them once they have acted — and join the drain
-// set; a pinned agent already popped has no entry left, which dedups it.
-// With every entry due by the landing gone, the calendar's cursor moves up
-// to it. inv stays in calendar pop order: Step is agent-local, so the order
-// agents advance in reaches no result — only the drain order does, and
-// drain sorts. Synchronization points gather every active agent instead: a
+// nothing else bounded the window). They leave the calendar — settle rekeys
+// them once they have acted — and join the drain set. With every entry due
+// by the landing gone, the calendar's cursor moves up to it. inv stays in
+// calendar pop order: Step is agent-local, so the order agents advance in
+// reaches no result — only the drain order does, and drain sorts. Synchronization points gather every active agent instead: a
 // collector boundary needs exact busy accumulators behind every probe, and
 // a landing on the run limit hands callers a fully-advanced simulation;
 // their lazy agents keep their entries.
@@ -144,13 +140,6 @@ func (w *window) popInvolved(landing, limit simtime.Tick) {
 	w.inv = w.cal.popDue(landing, w.inv[:0])
 	w.cal.cursor = landing
 	for _, id := range w.inv {
-		w.markDrain(s.bases[id])
-	}
-	for _, id := range w.pinned {
-		if w.cal.contains(id) {
-			w.cal.remove(id)
-			w.inv = append(w.inv, id)
-		}
 		w.markDrain(s.bases[id])
 	}
 	if landing == w.nextSnap || landing == limit {
@@ -200,17 +189,17 @@ func (w *window) drain() {
 	w.drainSpare = pend[:0]
 }
 
-// settle files an involved agent that has just reached the landing. An
-// idle, unpinned one retires — only involved agents can have gone idle: a
-// lazy agent still holds the work that parked its calendar entry — leaving
-// its active-list entry behind as a tombstone until compact. One without an
-// entry (popped due, or pinned) is keyed from its horizon at the landing;
-// a lazy agent caught up at a synchronization point keeps its entry. Work
-// the drain then hands an agent settled here lowers or sets its key through
-// Arrive, or marks it dirty.
+// settle files an involved agent that has just reached the landing. An idle
+// one retires — only involved agents can have gone idle: a lazy agent still
+// holds the work that parked its calendar entry — leaving its active-list
+// entry behind as a tombstone until compact. One without an entry (popped
+// due) is keyed from its horizon at the landing; a lazy agent caught up at a
+// synchronization point keeps its entry. Work the drain then hands an agent
+// settled here lowers or sets its key through the router's arrive, or marks
+// it dirty.
 func (w *window) settle(id AgentID, landing simtime.Tick) {
 	s := w.s
-	if b := s.bases[id]; !b.pinned && s.agents[id].Idle() {
+	if b := s.bases[id]; s.agents[id].Idle() {
 		b.active = false
 		w.live--
 		w.cal.remove(id)

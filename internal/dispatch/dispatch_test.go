@@ -13,11 +13,13 @@ import (
 var onReference = core.LoopFlags{NoFastForward: true}
 
 // fakeAgent is a minimal queue-bearing agent for engine tests. Its Enqueue
-// keeps the core.QueueAgent contract: Sync, then MarkDirty.
+// keeps the core.QueueAgent contract by reporting core.Rekey. A held agent
+// never reports Idle, so it stays in the active set without queued work.
 type fakeAgent struct {
 	core.AgentBase
 	q     *queueing.FCFS
 	steps atomic.Int64
+	held  bool
 }
 
 func newFakeAgent(s *core.Simulation, name string) *fakeAgent {
@@ -27,16 +29,15 @@ func newFakeAgent(s *core.Simulation, name string) *fakeAgent {
 	return a
 }
 
-func (a *fakeAgent) Enqueue(t *queueing.Task) {
-	a.Sync()
-	a.MarkDirty()
+func (a *fakeAgent) Enqueue(t *queueing.Task) float64 {
 	a.q.Enqueue(t)
+	return core.Rekey
 }
 func (a *fakeAgent) Step(dt float64) {
 	a.steps.Add(1)
 	a.q.Step(dt, a.BufferDone)
 }
-func (a *fakeAgent) Idle() bool { return a.q.Idle() }
+func (a *fakeAgent) Idle() bool { return !a.held && a.q.Idle() }
 
 func TestNewEnginePanics(t *testing.T) {
 	for _, f := range []func(){
@@ -66,7 +67,8 @@ func TestEnginesSweepAllActiveAgents(t *testing.T) {
 			agents := make([]*fakeAgent, 100)
 			for i := range agents {
 				agents[i] = newFakeAgent(s, "a")
-				agents[i].Pin() // keep in the active set without queued work
+				agents[i].held = true // keep in the active set without queued work
+				agents[i].MarkDirty()
 			}
 			s.RunFor(0.1) // 10 ticks
 			for i, a := range agents {
@@ -93,11 +95,20 @@ func newSinkAgent(s *core.Simulation, name string) *sinkAgent {
 	return a
 }
 
-func (a *sinkAgent) Enqueue(t *queueing.Task) {
-	a.Sync()
-	a.MarkDirty()
+func (a *sinkAgent) Enqueue(t *queueing.Task) float64 {
 	a.q.Enqueue(t)
+	return core.Rekey
 }
+
+// give hands t to the agent outside any flow, doing what the flow router
+// does for a stage: sync, enqueue, and key the agent from the report —
+// here a rekey.
+func (a *sinkAgent) give(t *queueing.Task) {
+	a.Sync()
+	a.Enqueue(t)
+	a.MarkDirty()
+}
+
 func (a *sinkAgent) Step(dt float64) {
 	a.steps.Add(1)
 	a.q.Step(dt, func(*queueing.Task) {})
@@ -123,7 +134,7 @@ func TestMidRunAddAgentSweptSameTick(t *testing.T) {
 			s.AddSource(core.SourceFunc(func(sim *core.Simulation, now float64) {
 				if sim.Clock().Now() == 2 && late == nil {
 					late = newSinkAgent(sim, "late")
-					late.Enqueue(&queueing.Task{ID: 1, Demand: 1})
+					late.give(&queueing.Task{ID: 1, Demand: 1})
 				}
 			}))
 			s.RunFor(0.05)
@@ -152,7 +163,7 @@ func TestEnginesSkipIdleAgents(t *testing.T) {
 			busy := newSinkAgent(s, "busy")
 			idle := newSinkAgent(s, "idle")
 			// 100 units at rate 100 = 1 s of service: busy for 100 ticks.
-			busy.Enqueue(&queueing.Task{ID: 1, Demand: 100})
+			busy.give(&queueing.Task{ID: 1, Demand: 100})
 			s.RunFor(2)
 			if got := idle.steps.Load(); got != 0 {
 				t.Errorf("idle agent stepped %d times, want 0", got)
@@ -167,7 +178,7 @@ func TestEnginesSkipIdleAgents(t *testing.T) {
 				t.Errorf("deactivated agent stepped again: %d -> %d", stepsWhenDone, got)
 			}
 			// Re-enqueueing reactivates.
-			busy.Enqueue(&queueing.Task{ID: 2, Demand: 1})
+			busy.give(&queueing.Task{ID: 2, Demand: 1})
 			s.RunFor(0.1)
 			if got := busy.steps.Load(); got <= stepsWhenDone {
 				t.Error("re-enqueued agent was not swept again")

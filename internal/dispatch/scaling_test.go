@@ -24,7 +24,6 @@ func newBusyAgent(s *core.Simulation, spins int) *busyAgent {
 	a := &busyAgent{state: 0x9e3779b97f4a7c15, spins: spins}
 	a.InitAgent(s.NextAgentID(), "busy")
 	s.AddAgent(a)
-	a.Pin() // dense-sweep agents do work every tick without queued tasks
 	return a
 }
 
@@ -37,7 +36,9 @@ func (a *busyAgent) Step(dt float64) {
 	}
 	a.state = x
 }
-func (a *busyAgent) Idle() bool { return true }
+
+// Idle is false: dense-sweep agents do work every tick without queued tasks.
+func (a *busyAgent) Idle() bool { return false }
 
 // denseSweepSeconds measures the wall time of reference-loop ticks over a
 // population of busy agents under the given engine.

@@ -525,11 +525,12 @@ func TestSweepPointPanicIsContained(t *testing.T) {
 	}
 }
 
-// panicAgent is a pinned agent whose every step panics.
+// panicAgent never goes idle, so it is stepped from the tick it registers
+// on, and its every step panics.
 type panicAgent struct{ core.AgentBase }
 
 func (a *panicAgent) Step(float64) { panic("agent boom") }
-func (a *panicAgent) Idle() bool   { return true }
+func (a *panicAgent) Idle() bool   { return false }
 
 // TestSweepEnginePanicIsContained: a panic on an engine's worker — an agent
 // that H-Dispatch steps on the reference loop — reaches the point's recover
@@ -547,7 +548,6 @@ func TestSweepEnginePanicIsContained(t *testing.T) {
 				a := &panicAgent{}
 				a.InitAgent(r.Sim.NextAgentID(), "boom")
 				r.Sim.AddAgent(a)
-				a.Pin()
 				return nil
 			})(e)
 		}}

@@ -9,9 +9,9 @@ import (
 // TestConstructorAllocs pins what building each component allocates: the
 // agent itself, with its queues and RNG state inside it, plus one slab per
 // kind of repeated part (Parts) — a CPU's socket queues and their in-service
-// arrays, a store's stage and drive-lane queues and its miss buffer. A queue behind a pointer of
-// its own, an arrival hook bound as a closure or an RNG allocated apart
-// shows here as a higher count. Registering many agents on one simulation
+// arrays, a store's stage and drive-lane queues and its miss buffer. A queue
+// behind a pointer of its own or an RNG allocated apart shows here as a
+// higher count. Registering many agents on one simulation
 // amortises the growth of its agent tables to nothing per agent.
 func TestConstructorAllocs(t *testing.T) {
 	disk := DiskSpec{CtrlGbps: 4, MBps: 100, HitRate: 0.1}
@@ -20,8 +20,8 @@ func TestConstructorAllocs(t *testing.T) {
 		want  float64
 		build func(*core.Simulation)
 	}{
-		{"NIC", 1, func(s *core.Simulation) { NewNIC(s, "nic", 10) }},
-		{"Switch", 1, func(s *core.Simulation) { NewSwitch(s, "sw", 40) }},
+		{"NIC", 1, func(s *core.Simulation) { newNIC(s, "nic", 10) }},
+		{"Switch", 1, func(s *core.Simulation) { newSwitch(s, "sw", 40) }},
 		{"Link", 1, func(s *core.Simulation) { NewLink(s, "link", LinkSpec{Gbps: 1, LatencyMS: 20}) }},
 		// The agent, the socket queues and the sockets' in-service arrays.
 		{"CPU", 3, func(s *core.Simulation) { NewCPU(s, "cpu", CPUSpec{Sockets: 2, Cores: 4, GHz: 2.5}) }},
@@ -32,7 +32,7 @@ func TestConstructorAllocs(t *testing.T) {
 		{"SAN", 3, func(s *core.Simulation) {
 			NewSAN(s, "san", SANSpec{Disks: 20, Disk: disk, FCSwitchGbps: 8, CtrlGbps: 4, FCALGbps: 4, HitRate: 0.2})
 		}},
-		{"Memory", 1, func(*core.Simulation) { memSink = NewMemory(64e9, 0.3, 7) }},
+		{"Memory", 1, func(*core.Simulation) { memSink = newMemory(64e9, 0.3, 7) }},
 	}
 	for _, c := range cases {
 		sim := core.NewSimulation(core.Config{Seed: 1})
@@ -44,7 +44,7 @@ func TestConstructorAllocs(t *testing.T) {
 }
 
 // memSink keeps a memory the test builds on the heap, as a caller keeping
-// it would: an inlined NewMemory whose result is dropped allocates nothing.
+// it would: an inlined newMemory whose result is dropped allocates nothing.
 var memSink *Memory
 
 // TestInitAllocs pins what setting a component up in place allocates: Init
@@ -139,7 +139,7 @@ func TestInitMatchesNew(t *testing.T) {
 			raids[i].Disks() != wr.Disks() || raids[i].Spec() != wr.Spec() {
 			t.Fatalf("component %d set up in place differs from its constructed twin", i)
 		}
-		want := NewMemory(64e9, 0.3, uint64(i))
+		want := newMemory(64e9, 0.3, uint64(i))
 		mems[i].Init(64e9, 0.3, uint64(i))
 		for range 100 {
 			if mems[i].Hit() != want.Hit() {
@@ -150,15 +150,15 @@ func TestInitMatchesNew(t *testing.T) {
 }
 
 // TestNICInitInPlace: a NIC set up in a slab registers under the ID and
-// name NewNIC would give it and serves at the same rate, allocating nothing
-// of its own.
+// name a NIC of its own would get and serves at the same rate, allocating
+// nothing of its own.
 func TestNICInitInPlace(t *testing.T) {
 	fresh, slab := core.NewSimulation(core.Config{}), core.NewSimulation(core.Config{})
 	defer fresh.Shutdown()
 	defer slab.Shutdown()
 	nics := make([]NIC, 3)
 	for i := range nics {
-		want := NewNIC(fresh, "cnic", 10)
+		want := newNIC(fresh, "cnic", 10)
 		n := &nics[i]
 		n.Init(slab, "cnic", 10)
 		if n.ID() != want.ID() || n.Name() != want.Name() || n.Rate() != want.Rate() {

@@ -18,14 +18,14 @@
 //
 // Each component is one allocation: its queues (queueing.FCFS and PS, set
 // up in place by Init) and its RNG state (a rand.PCG value) live inside the
-// agent, and its arrival hook is the agent's own core.AgentBase. What a
-// component repeats — a CPU's sockets, a store's stages, a disk array's
-// drive lanes — is a piece of exact length, never appended to and walked by
-// index: a queue that has been set up must not be copied. A component can
-// also be set up and registered in place by its Init (CPU, Memory, NIC,
-// Switch, Link, RAID, SAN; each New… wraps it), so a platform keeps each
-// component kind in one slab, and its CPUs, RAIDs and SANs carve their
-// repeated parts from one Parts (InitFrom).
+// agent. What a component repeats — a CPU's sockets, a store's stages, a
+// disk array's drive lanes — is a piece of exact length, never appended to
+// and walked by index: a queue that has been set up must not be copied. A
+// component is set up and registered in place by its Init (CPU, Memory,
+// NIC, Switch, Link, RAID, SAN; NewCPU, NewLink, NewRAID and NewSAN wrap
+// theirs), so a platform keeps each component kind in one slab, and its
+// CPUs, RAIDs and SANs carve their repeated parts from one Parts
+// (InitFrom).
 package hardware
 
 import (
@@ -115,7 +115,6 @@ func (c *CPU) InitFrom(sim *core.Simulation, name string, spec CPUSpec, parts *P
 			slots = parts.slots.take(spec.Cores)[:0]
 		}
 		q.InitIn(spec.Cores, rate, slots)
-		q.SetNotify(&c.AgentBase) // sockets only receive external enqueues
 	}
 	c.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(c)
@@ -173,13 +172,12 @@ func (c *CPU) setFactors(derate, reserve float64) {
 	c.MarkDirty()
 }
 
-// Enqueue assigns the task to the next socket round-robin, after catching
-// up any ticks the bulk-dense loop deferred. The socket's notify hook
-// reports the arrival to the agent's calendar entry (Arrive).
-func (c *CPU) Enqueue(t *queueing.Task) {
-	c.Sync()
-	c.sockets[c.rr].Enqueue(t)
+// Enqueue assigns the task to the next socket round-robin and reports the
+// bound on its first event there (FCFS.Admit; core.QueueAgent).
+func (c *CPU) Enqueue(t *queueing.Task) float64 {
+	h := c.sockets[c.rr].Admit(t)
 	c.rr = (c.rr + 1) % len(c.sockets)
+	return h
 }
 
 // Step advances every socket queue.

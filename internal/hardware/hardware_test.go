@@ -12,6 +12,26 @@ import (
 	"repro/internal/simtime"
 )
 
+// newNIC, newSwitch and newMemory set up a component of their own, each a
+// zero value set up in place by its Init, as a platform's slabs are.
+func newNIC(sim *core.Simulation, name string, gbps float64) *NIC {
+	n := new(NIC)
+	n.Init(sim, name, gbps)
+	return n
+}
+
+func newSwitch(sim *core.Simulation, name string, gbps float64) *Switch {
+	s := new(Switch)
+	s.Init(sim, name, gbps)
+	return s
+}
+
+func newMemory(capacity, hitRate float64, seed uint64) *Memory {
+	m := new(Memory)
+	m.Init(capacity, hitRate, seed)
+	return m
+}
+
 func drainAll(t *testing.T, a core.Agent, dt float64, maxSteps int) []*queueing.Task {
 	t.Helper()
 	var done []*queueing.Task
@@ -47,7 +67,7 @@ func TestCPUSpecValidation(t *testing.T) {
 	}
 }
 
-// NewNIC, NewSwitch and NewMemory reject a speed, capacity or hit rate that
+// NIC, Switch and Memory Init reject a speed, capacity or hit rate that
 // is not a finite number in range — NaN, for which every comparison is
 // false, and ±Inf included.
 func TestNetAndMemoryConstructorValidation(t *testing.T) {
@@ -62,14 +82,14 @@ func TestNetAndMemoryConstructorValidation(t *testing.T) {
 		build()
 	}
 	for _, gbps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		panics(fmt.Sprintf("NewNIC(%v)", gbps), func() { NewNIC(s, "nic", gbps) })
-		panics(fmt.Sprintf("NewSwitch(%v)", gbps), func() { NewSwitch(s, "sw", gbps) })
+		panics(fmt.Sprintf("NIC.Init(%v)", gbps), func() { newNIC(s, "nic", gbps) })
+		panics(fmt.Sprintf("Switch.Init(%v)", gbps), func() { newSwitch(s, "sw", gbps) })
 	}
 	for _, c := range []struct{ capacity, hitRate float64 }{
 		{0, 0.5}, {-1, 0.5}, {math.NaN(), 0.5}, {math.Inf(1), 0.5}, {math.Inf(-1), 0.5},
 		{1e9, -0.1}, {1e9, 1.1}, {1e9, math.NaN()}, {1e9, math.Inf(1)}, {1e9, math.Inf(-1)},
 	} {
-		panics(fmt.Sprintf("NewMemory(%v, %v)", c.capacity, c.hitRate), func() { NewMemory(c.capacity, c.hitRate, 1) })
+		panics(fmt.Sprintf("Memory.Init(%v, %v)", c.capacity, c.hitRate), func() { newMemory(c.capacity, c.hitRate, 1) })
 	}
 }
 
@@ -135,7 +155,7 @@ func TestCPUBusyAccounting(t *testing.T) {
 }
 
 func TestMemoryOccupancy(t *testing.T) {
-	m := NewMemory(32e9, 0, 1)
+	m := newMemory(32e9, 0, 1)
 	m.Acquire(10e9)
 	m.Acquire(5e9)
 	if m.Used() != 15e9 {
@@ -154,7 +174,7 @@ func TestMemoryOccupancy(t *testing.T) {
 }
 
 func TestMemoryOverReleasePanics(t *testing.T) {
-	m := NewMemory(1e9, 0, 1)
+	m := newMemory(1e9, 0, 1)
 	m.Acquire(1)
 	defer func() {
 		if recover() == nil {
@@ -165,8 +185,8 @@ func TestMemoryOverReleasePanics(t *testing.T) {
 }
 
 func TestMemoryHitRateExtremes(t *testing.T) {
-	never := NewMemory(1e9, 0, 1)
-	always := NewMemory(1e9, 1, 1)
+	never := newMemory(1e9, 0, 1)
+	always := newMemory(1e9, 1, 1)
 	for i := 0; i < 100; i++ {
 		if never.Hit() {
 			t.Fatal("hitRate=0 produced a hit")
@@ -178,7 +198,7 @@ func TestMemoryHitRateExtremes(t *testing.T) {
 }
 
 func TestMemoryHitRateStatistical(t *testing.T) {
-	m := NewMemory(1e9, 0.3, 42)
+	m := newMemory(1e9, 0.3, 42)
 	hits := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
@@ -222,8 +242,8 @@ func TestDrawHitMatchesRandFloat64(t *testing.T) {
 
 func TestNICAndSwitchServiceRate(t *testing.T) {
 	s := core.NewSimulation(core.Config{})
-	nic := NewNIC(s, "nic", 1)   // 1 Gbps = 125e6 B/s
-	sw := NewSwitch(s, "sw", 10) // 10 Gbps
+	nic := newNIC(s, "nic", 1)   // 1 Gbps = 125e6 B/s
+	sw := newSwitch(s, "sw", 10) // 10 Gbps
 	if nic.Rate() != 125e6 {
 		t.Errorf("nic rate = %v", nic.Rate())
 	}
@@ -564,7 +584,7 @@ func harnessSANs(t *testing.T, s *core.Simulation) []*SAN {
 func TestAgentHorizons(t *testing.T) {
 	s := core.NewSimulation(core.Config{})
 	cpu := NewCPU(s, "cpu", CPUSpec{Sockets: 1, Cores: 2, GHz: 1e-9}) // 1 cycle/s per core
-	nic := NewNIC(s, "nic", 8e-9)                                     // 1 byte/s
+	nic := newNIC(s, "nic", 8e-9)                                     // 1 byte/s
 	raid := NewRAID(s, "raid", RAIDSpec{
 		Disks: 2, Disk: DiskSpec{CtrlGbps: 4, MBps: 150, HitRate: 0},
 		CtrlGbps: 8, HitRate: 0,

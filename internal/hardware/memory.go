@@ -38,19 +38,12 @@ func drawHit(src *rand.PCG, thr uint64) bool {
 	return src.Uint64()<<11>>11 < thr
 }
 
-// NewMemory creates a memory component with capacity in bytes and a cache
-// hit rate in [0,1], checked as one conjunction so NaN and ±Inf are
-// rejected. The rng stream keeps hit decisions deterministic:
-// its state is derived from the caller's seed through core.DeriveSeed, so
-// each memory's draws depend only on its own identity.
-func NewMemory(capacity, hitRate float64, seed uint64) *Memory {
-	m := new(Memory)
-	m.Init(capacity, hitRate, seed)
-	return m
-}
-
-// Init sets up m in place, as NewMemory would, for a memory that lives in a
-// slab of memories made once (the servers of a tier). It allocates nothing.
+// Init sets up m in place as a memory component with capacity in bytes and
+// a cache hit rate in [0,1], checked as one conjunction so NaN and ±Inf are
+// rejected; a platform keeps its memories in slabs made once (the servers of
+// a tier). It allocates nothing. The rng stream keeps hit decisions
+// deterministic: its state is derived from the caller's seed through
+// core.DeriveSeed, so each memory's draws depend only on its own identity.
 func (m *Memory) Init(capacity, hitRate float64, seed uint64) {
 	if !(capacity > 0 && hitRate >= 0 && hitRate <= 1 && finite(capacity)) {
 		panic(fmt.Sprintf("hardware: invalid Memory capacity=%v hitRate=%v", capacity, hitRate))

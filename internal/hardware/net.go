@@ -24,20 +24,15 @@ func (p *fcfsPort) init(sim *core.Simulation, name, kind string, gbps float64) {
 	}
 	p.rate = gbps * 1e9 / 8 // bytes per second
 	p.q.Init(1, p.rate)
-	p.q.SetNotify(&p.AgentBase)
 	p.InitAgent(sim.NextAgentID(), name)
 }
 
 // Rate returns the service rate in bytes/second.
 func (p *fcfsPort) Rate() float64 { return p.rate }
 
-// Enqueue adds a transfer task (Demand in bytes), after catching up any
-// ticks the bulk-dense loop deferred. The queue's notify hook reports the
-// arrival to the agent's calendar entry (Arrive).
-func (p *fcfsPort) Enqueue(t *queueing.Task) {
-	p.Sync()
-	p.q.Enqueue(t)
-}
+// Enqueue adds a transfer task (Demand in bytes) and reports the bound on
+// its first event (FCFS.Admit; core.QueueAgent).
+func (p *fcfsPort) Enqueue(t *queueing.Task) float64 { return p.q.Admit(t) }
 
 // Step advances the queue.
 func (p *fcfsPort) Step(dt float64) { p.q.Step(dt, p.BufferDone) }
@@ -61,17 +56,10 @@ func (p *fcfsPort) IsolatedCost(demand, _ float64) float64 { return demand / p.R
 // left). Demands are bytes; the rate derives from the card speed.
 type NIC struct{ fcfsPort }
 
-// NewNIC creates and registers a NIC with speed in Gbps.
-func NewNIC(sim *core.Simulation, name string, gbps float64) *NIC {
-	n := new(NIC)
-	n.Init(sim, name, gbps)
-	return n
-}
-
 // Init sets up the zero NIC n in place, with speed in Gbps, and registers
-// it: what NewNIC does, for a NIC that lives in a slab of NICs made once
-// (the client slots of a data center) rather than in an allocation of its
-// own. n must not move or be copied afterwards.
+// it. A platform keeps its NICs in slabs made once (the servers of a tier,
+// the client slots of a data center). n must not move or be copied
+// afterwards.
 func (n *NIC) Init(sim *core.Simulation, name string, gbps float64) {
 	n.init(sim, name, "NIC", gbps)
 	sim.AddAgent(n)
@@ -81,17 +69,9 @@ func (n *NIC) Init(sim *core.Simulation, name string, gbps float64) {
 // typically an order of magnitude faster than the NICs it serves.
 type Switch struct{ fcfsPort }
 
-// NewSwitch creates and registers a switch with speed in Gbps.
-func NewSwitch(sim *core.Simulation, name string, gbps float64) *Switch {
-	s := new(Switch)
-	s.Init(sim, name, gbps)
-	return s
-}
-
 // Init sets up the zero switch s in place, with speed in Gbps, and
-// registers it: what NewSwitch does, for a switch that lives in a slab of
-// switches made once (the data centers of a platform). s must not move or be
-// copied afterwards.
+// registers it. A platform keeps its switches in one slab (one per data
+// center). s must not move or be copied afterwards.
 func (s *Switch) Init(sim *core.Simulation, name string, gbps float64) {
 	s.init(sim, name, "switch", gbps)
 	sim.AddAgent(s)
@@ -156,7 +136,6 @@ func (l *Link) Init(sim *core.Simulation, name string, spec LinkSpec) {
 	rate := spec.Gbps * 1e9 / 8 * share // usable bytes/second
 	l.rate, l.capShare, l.baseRate, l.baseLatency = rate, share, rate, spec.LatencyMS/1000
 	l.q.Init(rate, spec.MaxConn, spec.LatencyMS/1000)
-	l.q.SetNotify(&l.AgentBase)
 	l.InitAgent(sim.NextAgentID(), name)
 	sim.AddAgent(l)
 }
@@ -167,17 +146,13 @@ func (l *Link) Rate() float64 { return l.rate }
 // Latency returns the link latency in seconds.
 func (l *Link) Latency() float64 { return l.q.Latency() }
 
-// Enqueue adds a transfer (Demand in bytes), after catching up any ticks
-// the bulk-dense loop deferred; the queue's notify hook reports the
-// arrival to the agent's calendar entry (Arrive). A failed link still accepts
+// Enqueue adds a transfer (Demand in bytes) and reports the bound on its
+// first event (PS.Admit; core.QueueAgent). A failed link still accepts
 // transfers: failure is a routing-plane event (see Fail), and a message
 // whose route was pinned before the failure may reach the link stages
 // later — those committed transfers drain normally rather than crashing
 // or stalling the flow.
-func (l *Link) Enqueue(t *queueing.Task) {
-	l.Sync()
-	l.q.Enqueue(t)
-}
+func (l *Link) Enqueue(t *queueing.Task) float64 { return l.q.Admit(t) }
 
 // Step advances the queue.
 func (l *Link) Step(dt float64) { l.q.Step(dt, l.BufferDone) }

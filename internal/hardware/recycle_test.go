@@ -172,7 +172,7 @@ func holdAndRelease(m *Memory, unit float64, depth int) {
 func TestMemoryReleaseToleratesRoundingResidue(t *testing.T) {
 	for _, unit := range []float64{1e9 / 3, 1e9 / 7, 2.4e9 / 7} {
 		for _, depth := range []int{10, 25, 40} {
-			m := NewMemory(64e9, 0, 1)
+			m := newMemory(64e9, 0, 1)
 			holdAndRelease(m, unit, depth) // panics on a false over-release
 			if m.Peak() < 4e9 {
 				t.Fatalf("unit %v depth %d peaked at %v, below the gigabyte range under test", unit, depth, m.Peak())
@@ -187,7 +187,7 @@ func TestMemoryReleaseToleratesRoundingResidue(t *testing.T) {
 // A release that is really unbalanced — one small message too many after
 // gigabytes of traffic — still panics.
 func TestMemoryUnbalancedReleasePanicsAtScale(t *testing.T) {
-	m := NewMemory(64e9, 0, 1)
+	m := newMemory(64e9, 0, 1)
 	holdAndRelease(m, 2.4e9/7, 10)
 	defer func() {
 		if recover() == nil {

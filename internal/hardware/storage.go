@@ -344,10 +344,9 @@ type store struct {
 
 // init sets up the stages at the given speeds (Gbps) and the disk array in
 // place and names the agent; the caller registers the agent that embeds the
-// store.
-// Only stage 0, the ingress, reports arrivals to the calendar (Arrive): the
-// later stages and the disk queues are fed by internal handoffs inside the
-// parallel Step phase and must not carry the hook.
+// store. Only stage 0, the ingress, admits work from the flow router
+// (Enqueue); the later stages and the disk queues are fed by internal
+// handoffs inside the Step phase and ignore what their Enqueue reports.
 func (s *store) init(sim *core.Simulation, name string, disks int, disk DiskSpec, hitRate float64,
 	tag, arrayTag uint64, cache int, parts *Parts, gbps ...float64) {
 	id := sim.NextAgentID()
@@ -357,7 +356,6 @@ func (s *store) init(sim *core.Simulation, name string, disks int, disk DiskSpec
 	for i, g := range gbps {
 		s.stages[i].Init(1, g*1e9/8)
 	}
-	s.stages[0].SetNotify(&s.AgentBase)
 	s.array.init(disks, disk, subSeed(sim, id, arrayTag), s, parts)
 	s.InitAgent(id, name)
 }
@@ -379,13 +377,11 @@ func (s *store) leave(i int, t *queueing.Task) {
 	}
 }
 
-// Enqueue admits a storage request (Demand in bytes) at stage 0, whose
-// notify hook reports the arrival (Arrive); any ticks the bulk-dense loop
-// deferred are replayed first.
-func (s *store) Enqueue(t *queueing.Task) {
-	s.Sync()
+// Enqueue admits a storage request (Demand in bytes) at stage 0 and reports
+// the bound on its first event there (FCFS.Admit; core.QueueAgent).
+func (s *store) Enqueue(t *queueing.Task) float64 {
 	s.inflight++
-	s.stages[0].Enqueue(&s.array.admit(t).task)
+	return s.stages[0].Admit(&s.array.admit(t).task)
 }
 
 // complete buffers a finished external request.

@@ -252,7 +252,6 @@ func newOracleStore(sim *core.Simulation, name string, disks int, disk DiskSpec,
 		o.stages = append(o.stages, queueing.NewFCFS(1, g*1e9/8))
 		o.done = append(o.done, o.leave(i))
 	}
-	o.stages[0].SetNotify(&o.AgentBase)
 	o.array = newOracleArray(disks, disk, subSeed(sim, id, arrayTag), o.complete)
 	o.InitAgent(id, name)
 	sim.AddAgent(o)
@@ -278,10 +277,9 @@ func (o *oracleStore) leave(i int) queueing.DoneFunc {
 	}
 }
 
-func (o *oracleStore) Enqueue(t *queueing.Task) {
-	o.Sync()
+func (o *oracleStore) Enqueue(t *queueing.Task) float64 {
 	o.inflight++
-	o.stages[0].Enqueue(&o.array.admit(t).task)
+	return o.stages[0].Admit(&o.array.admit(t).task)
 }
 
 func (o *oracleStore) complete(t *queueing.Task) {

@@ -10,12 +10,12 @@ import (
 // arrivalQueue is the method set FCFS and PS share that the arrival-bound
 // checks drive.
 type arrivalQueue interface {
-	Enqueue(*Task)
+	Enqueue(*Task) bool
+	Admit(*Task) float64
 	Horizon() float64
 	Idle() bool
 	InService() int
 	Waiting() int
-	SetNotify(Notifier)
 }
 
 // slots returns how many tasks q serves at once: its servers, or its
@@ -65,54 +65,47 @@ func copyList(l *TaskList) TaskList {
 	return c
 }
 
-// arrivalHook records the h every firing Enqueue of a queue reports.
-type arrivalHook struct{ hs []float64 }
-
-func (a *arrivalHook) notify(h float64) { a.hs = append(a.hs, h) }
-
-// checkArrival enqueues t on q, whose notify hook is a, and holds the
-// enqueue to the arrival contract of SetNotify. A task that will hold a
-// server or slot at the next fill fires the hook exactly once, and the
-// queue's horizon after the enqueue is at least min(its horizon before, h),
-// and exactly h, bit for bit, when the queue was idle. A task that has to
-// wait fires nothing, and the horizon after is the horizon before, bit for
-// bit. It returns whether the hook fired, the h it reported (+Inf when
-// silent) and the horizon after.
-func checkArrival(t testing.TB, q arrivalQueue, a *arrivalHook, task *Task) (fired bool, h, after float64) {
+// checkArrival admits t on q and holds the admission to the arrival
+// contract of Admit. A task that will hold a server or slot at the next fill
+// reports a finite h, and the queue's horizon after the enqueue is at least
+// min(its horizon before, h), and exactly h, bit for bit, when the queue was
+// idle. A task that has to wait reports +Inf, and the horizon after is the
+// horizon before, bit for bit. It returns whether the arrival reported a
+// bound, the h it reported and the horizon after.
+func checkArrival(t testing.TB, q arrivalQueue, task *Task) (fired bool, h, after float64) {
 	t.Helper()
-	idle, before, n := q.Idle(), peekHorizon(q), len(a.hs)
+	idle, before := q.Idle(), peekHorizon(q)
 	starts := q.InService()+q.Waiting() < slots(q)
-	q.Enqueue(task)
+	h = q.Admit(task)
 	after = peekHorizon(q)
 	if !starts {
-		if len(a.hs) != n {
-			t.Fatalf("task %d (demand %v) waits, but Enqueue fired the hook %d times", task.ID, task.Demand, len(a.hs)-n)
+		if !math.IsInf(h, 1) {
+			t.Fatalf("task %d (demand %v) waits, but Admit reported %v", task.ID, task.Demand, h)
 		}
 		if math.Float64bits(after) != math.Float64bits(before) {
 			t.Fatalf("task %d (demand %v) waits, but the horizon moved from %v to %v", task.ID, task.Demand, before, after)
 		}
-		return false, math.Inf(1), after
+		return false, h, after
 	}
-	if len(a.hs) != n+1 {
-		t.Fatalf("Enqueue fired the hook %d times, want once", len(a.hs)-n)
+	if math.IsInf(h, 1) {
+		t.Fatalf("task %d (demand %v) starts at the next fill, but Admit reported +Inf", task.ID, task.Demand)
 	}
-	h = a.hs[n]
 	if after < min(before, h) {
-		t.Fatalf("task %d (demand %v): horizon %v after the enqueue, below min(%v before, hook %v)",
+		t.Fatalf("task %d (demand %v): horizon %v after the enqueue, below min(%v before, bound %v)",
 			task.ID, task.Demand, after, before, h)
 	}
 	if idle && math.Float64bits(after) != math.Float64bits(h) {
-		t.Fatalf("task %d (demand %v) on an idle queue: hook %v, horizon after %v", task.ID, task.Demand, h, after)
+		t.Fatalf("task %d (demand %v) on an idle queue: bound %v, horizon after %v", task.ID, task.Demand, h, after)
 	}
 	return true, h, after
 }
 
-// TestArrivalHorizonBound pins the h each queue's hook reports and its
+// TestArrivalHorizonBound pins the h each queue's Admit reports and its
 // relation to the horizon after the enqueue, one row per case the bound
 // distinguishes: exact where the task's first event is the queue's next
-// (idle queues, FCFS with a free server, PS in its latency phase), silent
-// where it waits — no firing, the horizon unchanged — and strictly early on
-// a busy zero-latency PS, whose new transfer lowers the share.
+// (idle queues, FCFS with a free server, PS in its latency phase), +Inf
+// where it waits — the horizon unchanged — and strictly early on a busy
+// zero-latency PS, whose new transfer lowers the share.
 func TestArrivalHorizonBound(t *testing.T) {
 	inf := math.Inf(1)
 	cases := []struct {
@@ -120,7 +113,7 @@ func TestArrivalHorizonBound(t *testing.T) {
 		queue  func() arrivalQueue
 		loaded []float64 // demands enqueued (and promoted) before the checked arrival
 		demand float64
-		wantH  float64 // +Inf: the task waits and the hook stays silent
+		wantH  float64 // +Inf: the task waits
 		early  bool    // the horizon after lies strictly above min(before, h)
 	}{
 		{name: "idle FCFS", queue: func() arrivalQueue { return NewFCFS(1, 4) }, demand: 3, wantH: 0.75},
@@ -137,19 +130,14 @@ func TestArrivalHorizonBound(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			q := c.queue()
-			var a arrivalHook
-			q.SetNotify(NotifyFunc(a.notify))
 			for i, d := range c.loaded {
 				q.Enqueue(&Task{ID: uint64(100 + i), Demand: d})
 			}
 			q.Horizon() // promote the loaded tasks, as a Step would
 			before := q.Horizon()
-			fired, h, after := checkArrival(t, q, &a, &Task{ID: 1, Demand: c.demand})
-			if silent := math.IsInf(c.wantH, 1); fired == silent {
-				t.Fatalf("hook fired %v, want %v", fired, !silent)
-			}
+			_, h, after := checkArrival(t, q, &Task{ID: 1, Demand: c.demand})
 			if math.Float64bits(h) != math.Float64bits(c.wantH) {
-				t.Fatalf("hook reported %v, want %v", h, c.wantH)
+				t.Fatalf("Admit reported %v, want %v", h, c.wantH)
 			}
 			if got := after > min(before, h); got != c.early {
 				t.Fatalf("horizon %v after, min(before %v, h %v): strictly early %v, want %v", after, before, h, got, c.early)
@@ -158,7 +146,7 @@ func TestArrivalHorizonBound(t *testing.T) {
 	}
 }
 
-// TestBulkStepPromotesWaiting is the BulkStep side of the arrival hook: a
+// TestBulkStepPromotesWaiting is the BulkStep side of the arrival bound: a
 // task enqueued behind a free server (or slot) is not promoted until the
 // next Step, Horizon or BulkStep — the loop does not call Horizon after an
 // arrival — so BulkStep(n) must promote it first and then equal n Steps
@@ -167,7 +155,7 @@ func TestBulkStepPromotesWaiting(t *testing.T) {
 	const dt, n = 0.01, 37
 	noDone := func(*Task) { t.Fatal("a task completed inside the bulk window") }
 	type bulkQueue interface {
-		Enqueue(*Task)
+		Enqueue(*Task) bool
 		Step(dt float64, done DoneFunc)
 		BulkStep(n int, dt float64)
 		TakeBusy() float64

@@ -25,27 +25,7 @@ type FCFS struct {
 	busy     float64 // accumulated server-seconds of busy time
 	arrivals uint64
 	departs  uint64
-
-	notify Notifier // arrival hook (see SetNotify)
 }
-
-// SetNotify installs the arrival hook: n.Arrive is invoked on every Enqueue
-// whose task will hold a server at the next fill — the only arrivals that
-// can move the queue's next event earlier — with the arriving task's own
-// first event, its service time Demand/rate. An arrival changes no other
-// task's completion, so the queue's next event after the enqueue is exactly
-// min(Horizon() before, h). A task that has to wait behind busy servers
-// fires nothing: its first event lies beyond the queue's horizon, and a
-// queue that already holds work belongs to an agent that is active and
-// keyed. Owning agents forward the hook to their event calendar — the
-// agent's *core.AgentBase is the Notifier, and its Arrive lowers the agent's
-// key to h without a Horizon call. The hook runs synchronously inside
-// Enqueue: it must only be set on queues that receive work from sequential
-// simulation phases (ingress queues), never on queues fed by internal
-// handoffs inside the parallel Step phase — those transitions occur only at
-// scheduled event ticks, where the loop rekeys the agent right after it
-// acts.
-func (q *FCFS) SetNotify(n Notifier) { q.notify = n }
 
 // NewFCFS returns an FCFS queue with the given number of servers and
 // per-server service rate (units per second); see Init.
@@ -100,8 +80,8 @@ func (q *FCFS) Rate() float64 { return q.rate }
 // (a derated CPU, a rebuilding drive). It takes effect from the next Step:
 // in-service tasks finish their remaining demand at the new rate. Callers
 // must invoke it from a sequential simulation phase and invalidate the
-// owning agent's cached horizon (Sync before, MarkDirty after), exactly
-// like an Enqueue. Panics unless the rate is positive and finite.
+// owning agent's cached horizon (Sync before, MarkDirty after). Panics
+// unless the rate is positive and finite.
 func (q *FCFS) SetRate(rate float64) {
 	if !(rate > 0 && !math.IsInf(rate, 1)) {
 		panic(fmt.Sprintf("queueing: invalid FCFS rate %v", rate))
@@ -112,15 +92,28 @@ func (q *FCFS) SetRate(rate float64) {
 // Servers returns the number of servers.
 func (q *FCFS) Servers() int { return q.servers }
 
-// Enqueue adds a task at the tail, firing the notify hook when the task will
-// hold a server at the next fill. Zero-demand tasks are legal and complete on
-// the next Step.
-func (q *FCFS) Enqueue(t *Task) {
+// Enqueue adds a task at the tail and reports whether it will hold a server
+// at the next fill. Zero-demand tasks are legal and complete on the next
+// Step.
+func (q *FCFS) Enqueue(t *Task) bool {
 	q.arrivals++
 	q.waiting.Push(t)
-	if q.notify != nil && len(q.inService)+q.waiting.Len() <= q.servers {
-		q.notify.Arrive(t.Demand / q.rate)
+	return len(q.inService)+q.waiting.Len() <= q.servers
+}
+
+// Admit is Enqueue on an ingress queue, one whose owning agent reports its
+// arrivals to the simulation (core.QueueAgent): it returns the admitted
+// task's first event, its service time Demand/rate, when the task will hold
+// a server at the next fill, and +Inf when it waits behind busy servers. An
+// arrival changes no other task's completion, so the queue's next event
+// after the enqueue is exactly min(Horizon() before, h); a task that waits
+// moves no event, and a queue that already holds work belongs to an agent
+// that is active and keyed.
+func (q *FCFS) Admit(t *Task) float64 {
+	if q.Enqueue(t) {
+		return t.Demand / q.rate
 	}
+	return math.Inf(1)
 }
 
 // Waiting reports the number of queued (not in service) tasks.
@@ -300,10 +293,9 @@ func (q *FCFS) Solo(demand float64) Solo {
 // in order and counts the arrivals and departures. Otherwise it returns
 // false having changed nothing, and the caller enqueues and steps as usual.
 // The tasks themselves are the caller's: their completion, in order, and
-// the demands Step would zero. A queue with a notify hook is refused:
-// Enqueue would fire it.
+// the demands Step would zero.
 func (q *FCFS) ServeSolos(ss []Solo, dt float64) bool {
-	if q.servers != 1 || q.notify != nil || len(q.inService) > 0 || q.waiting.Len() > 0 {
+	if q.servers != 1 || len(q.inService) > 0 || q.waiting.Len() > 0 {
 		return false
 	}
 	busy, remaining := q.busy, dt

@@ -53,9 +53,9 @@ type doneEvent struct {
 	idle               bool
 }
 
-// oneSide is one queue of the pair with the step under test. Its notify
-// hook records the h of every arrival that fires it, and each enqueue op
-// holds the enqueue to the arrival contract (checkArrival).
+// oneSide is one queue of the pair with the step under test. Each enqueue
+// op admits the task and holds the admission to the arrival contract
+// (checkArrival).
 type oneSide struct {
 	tb       testing.TB
 	q        *FCFS
@@ -64,12 +64,10 @@ type oneSide struct {
 	log      []doneEvent
 	requeued map[uint64]bool
 	done     DoneFunc
-	arrivals arrivalHook
 }
 
 func newOneSide(tb testing.TB, rate float64, step func(q *FCFS, dt float64, done DoneFunc)) *oneSide {
 	s := &oneSide{tb: tb, q: NewFCFS(1, rate), step: step, requeued: map[uint64]bool{}}
-	s.q.SetNotify(NotifyFunc(s.arrivals.notify))
 	// The callback records what it sees and, once per task whose ID is a
 	// multiple of three, puts the task back into the same queue with a new
 	// demand (zero for every fifth ID) — a done that enqueues into the queue
@@ -90,7 +88,7 @@ func (s *oneSide) apply(o oneOp) (out float64, ok bool) {
 	case opEnqueue:
 		t := &Task{ID: uint64(len(s.tasks) + 1), Demand: o.x}
 		s.tasks = append(s.tasks, t)
-		checkArrival(s.tb, s.q, &s.arrivals, t)
+		checkArrival(s.tb, s.q, t)
 	case opStep:
 		s.step(s.q, o.x, s.done)
 	case opRate:
@@ -211,9 +209,9 @@ func decodeOneOps(raw []byte) []oneOp {
 // random enqueues (zero demands included), steps of varying dt, rate changes
 // between steps, and interleaved Horizon, horizon-bounded BulkStep and
 // TakeBusy calls, all on a one-server queue whose done re-enqueues into it.
-// Every enqueue also checks its notify hook — the h it reports, or its
-// silence for a task that waits — against the horizon before and after
-// (checkArrival).
+// Every enqueue is an Admit whose report — the h of a task that starts at
+// the next fill, +Inf for one that waits — is checked against the horizon
+// before and after (checkArrival).
 func FuzzFCFSOneServerMatchesGeneral(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 0, 33, 1, 3, 0x81, 20, 0, 63, 1, 100})
 	f.Add([]byte{0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 1, 40, 2, 1, 1, 40, 0x81, 255, 1, 200})

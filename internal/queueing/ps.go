@@ -28,8 +28,6 @@ type PS struct {
 	work     float64 // accumulated transmitted units (for utilization)
 	arrivals uint64
 	departs  uint64
-
-	notify Notifier // arrival hook (see SetNotify)
 }
 
 // psSlot is a connection slot: its task and, during a Step, the task's
@@ -38,21 +36,6 @@ type psSlot struct {
 	t   *Task
 	off float64
 }
-
-// SetNotify installs the arrival hook: n.Arrive is invoked on every Enqueue
-// whose task will hold a connection slot at the next fill, with a lower
-// bound h on the arriving task's first event, under the contract of
-// FCFS.SetNotify: sequential-phase ingress queues only; the owning agent
-// forwards it to its event calendar. h is the task's latency (the expiry
-// that changes the share) if that exceeds eps, and otherwise Demand/rate —
-// its transfer alone at the full rate, a lower bound because the share is at
-// most the rate. A task left waiting for a slot fires nothing: it changes no
-// share until it is promoted, and the queue's agent is already active. An
-// arrival can only lower the share, which moves every other completion
-// later, so the queue's next event after the enqueue is never earlier than
-// min(Horizon() before, h); with latency, or on an idle queue, h is the
-// expression Horizon evaluates and the bound is exact.
-func (q *PS) SetNotify(n Notifier) { q.notify = n }
 
 // NewPS returns a processor-sharing queue with aggregate rate (units/second),
 // connection limit k and constant latency in seconds; see Init.
@@ -85,9 +68,9 @@ func (q *PS) Rate() float64 { return q.rate }
 // (a browned-out link). It takes effect from the next Step: in-flight tasks
 // finish their remaining demand at the new share. Callers must invoke it
 // from a sequential simulation phase and invalidate the owning agent's
-// cached horizon (Sync before, MarkDirty after), exactly like an Enqueue.
-// Panics unless the rate is positive and finite — degradation never reaches
-// zero; a dead link is modeled by failing it.
+// cached horizon (Sync before, MarkDirty after). Panics unless the rate is
+// positive and finite — degradation never reaches zero; a dead link is
+// modeled by failing it.
 func (q *PS) SetRate(rate float64) {
 	if !(rate > 0 && !math.IsInf(rate, 1)) {
 		panic(fmt.Sprintf("queueing: invalid PS rate %v", rate))
@@ -110,20 +93,33 @@ func (q *PS) SetLatency(latency float64) {
 // Latency returns the constant per-task delay in seconds.
 func (q *PS) Latency() float64 { return q.latency }
 
-// Enqueue adds a task, firing the notify hook when the task will hold a
-// connection slot at the next fill. Its Delay field is initialized to the
-// link latency.
-func (q *PS) Enqueue(t *Task) {
+// Enqueue adds a task and reports whether it will hold a connection slot at
+// the next fill. Its Delay field is initialized to the link latency.
+func (q *PS) Enqueue(t *Task) bool {
 	q.arrivals++
 	t.Delay = q.latency
 	q.waiting.Push(t)
-	if q.notify != nil && len(q.inService)+q.waiting.Len() <= q.k {
-		h := t.Delay
-		if !(h > eps) {
-			h = t.Demand / q.rate
-		}
-		q.notify.Arrive(h)
+	return len(q.inService)+q.waiting.Len() <= q.k
+}
+
+// Admit is Enqueue on an ingress queue (see FCFS.Admit): when the task will
+// hold a connection slot at the next fill it returns a lower bound h on the
+// task's first event — its latency (the expiry that changes the share) if
+// that exceeds eps, and otherwise Demand/rate, its transfer alone at the
+// full rate, a bound because the share is at most the rate — and +Inf when
+// it waits for a slot, where it changes no share until it is promoted. An
+// arrival can only lower the share, which moves every other completion
+// later, so the queue's next event after the enqueue is never earlier than
+// min(Horizon() before, h); with latency, or on an idle queue, h is the
+// expression Horizon evaluates and the bound is exact.
+func (q *PS) Admit(t *Task) float64 {
+	if !q.Enqueue(t) {
+		return math.Inf(1)
 	}
+	if t.Delay > eps {
+		return t.Delay
+	}
+	return t.Demand / q.rate
 }
 
 // Waiting reports tasks awaiting a connection slot.

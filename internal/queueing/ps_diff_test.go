@@ -43,7 +43,7 @@ func (o psOp) String() string {
 
 // psQueue is the method set PS and refPS share.
 type psQueue interface {
-	Enqueue(*Task)
+	Enqueue(*Task) bool
 	Step(dt float64, done DoneFunc)
 	SetRate(rate float64)
 	SetLatency(latency float64)
@@ -55,9 +55,9 @@ type psQueue interface {
 	Idle() bool
 }
 
-// psSide is one queue of the pair. On the PS side, arrivals records the h of
-// every arrival that fires the hook and each enqueue op holds the enqueue to
-// the arrival contract (checkArrival); the reference has no hook.
+// psSide is one queue of the pair. On the PS side (tb set) each enqueue op
+// admits the task and holds the admission to the arrival contract
+// (checkArrival); the reference only enqueues.
 type psSide struct {
 	q        psQueue
 	tasks    []*Task
@@ -65,7 +65,6 @@ type psSide struct {
 	requeued map[uint64]bool
 	done     DoneFunc
 	tb       testing.TB
-	arrivals *arrivalHook
 }
 
 func newPSSide(q psQueue) *psSide {
@@ -89,8 +88,8 @@ func (s *psSide) apply(o psOp) (out float64, ok bool) {
 	case psEnqueue:
 		t := &Task{ID: uint64(len(s.tasks) + 1), Demand: o.x}
 		s.tasks = append(s.tasks, t)
-		if s.arrivals != nil {
-			checkArrival(s.tb, s.q.(*PS), s.arrivals, t)
+		if s.tb != nil {
+			checkArrival(s.tb, s.q.(*PS), t)
 		} else {
 			s.q.Enqueue(t)
 		}
@@ -122,8 +121,7 @@ func diffPS(t testing.TB, rate float64, k int, ops []psOp) {
 	t.Helper()
 	gq, wq := NewPS(rate, k, 0), newRefPS(rate, k, 0)
 	got, want := newPSSide(gq), newPSSide(wq)
-	got.tb, got.arrivals = t, &arrivalHook{}
-	gq.SetNotify(NotifyFunc(got.arrivals.notify))
+	got.tb = t
 	for i, o := range ops {
 		gv, gok := got.apply(o)
 		wv, wok := want.apply(o)
@@ -236,9 +234,9 @@ func decodePSOps(raw []byte) []psOp {
 // enqueues, steps of varying dt, rate and latency changes between steps, and
 // interleaved Horizon, horizon-bounded BulkStep and TakeBusy calls, on a
 // queue of one to four connections whose done re-enqueues into it. Every
-// enqueue on the PS side also checks its notify hook — the h it reports, or
-// its silence for a task that waits — against the horizon before and after
-// (checkArrival).
+// enqueue on the PS side is an Admit whose report — the h of a task that
+// takes a slot at the next fill, +Inf for one that waits — is checked
+// against the horizon before and after (checkArrival).
 func FuzzPSMatchesReference(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 16, 3, 48, 0, 63, 0x81, 63, 1, 63})
 	f.Add(uint8(0), []byte{0, 10, 0, 0, 0, 33, 1, 3, 0x81, 20, 0, 63, 1, 100, 1, 63})

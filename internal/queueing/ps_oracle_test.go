@@ -7,7 +7,8 @@ import (
 
 // The processor-sharing queue as it stood before Horizon and Step found
 // their next event in one pass, kept verbatim (type renamed; CanBulk, which
-// production no longer has, and the accessors nothing calls dropped) as the
+// production no longer has, the accessors nothing calls and the notify hook
+// dropped; Enqueue reports a start at the next fill as PS's does) as the
 // oracle of TestPSMatchesReference and FuzzPSMatchesReference. It shares
 // Task, the task list, eps and repeatSub with production.
 
@@ -30,8 +31,6 @@ type refPS struct {
 	work     float64 // accumulated transmitted units (for utilization)
 	arrivals uint64
 	departs  uint64
-
-	notify func() // arrival-transition hook (see SetNotify)
 }
 
 // newRefPS returns a processor-sharing queue with aggregate rate (units/second),
@@ -69,15 +68,13 @@ func (q *refPS) SetLatency(latency float64) {
 	q.latency = latency
 }
 
-// Enqueue adds a task, firing the notify hook. Its Delay field is
-// initialized to the link latency.
-func (q *refPS) Enqueue(t *Task) {
+// Enqueue adds a task and reports whether it will hold a connection slot at
+// the next fill. Its Delay field is initialized to the link latency.
+func (q *refPS) Enqueue(t *Task) bool {
 	q.arrivals++
 	t.Delay = q.latency
 	q.waiting.Push(t)
-	if q.notify != nil {
-		q.notify()
-	}
+	return len(q.inService)+q.waiting.Len() <= q.k
 }
 
 // Waiting reports tasks awaiting a connection slot.

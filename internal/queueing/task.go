@@ -17,25 +17,16 @@
 // A queue is a value, set up in place by Init (NewFCFS and NewPS wrap it for
 // a queue of its own), so the hardware agents hold their queues inside
 // themselves and a component costs one allocation rather than one per
-// queue. Its arrival hook is a Notifier — the owning agent's
-// *core.AgentBase, through Arrive — not a closure bound per queue. A queue
-// that has been set up must not be copied: the copy would share its
-// in-service array and the links of its waiting tasks, so slabs of queues
-// are walked by index, never ranged by value.
+// queue. A queue that has been set up must not be copied: the copy would
+// share its in-service array and the links of its waiting tasks, so slabs of
+// queues are walked by index, never ranged by value.
+//
+// A queue knows nothing of the simulation that owns its agent. Enqueue
+// reports whether the task starts at the next fill, which internal handoffs
+// ignore; Admit turns that into the bound on the task's first event that an
+// agent's Enqueue hands the flow router (core.QueueAgent), which keys the
+// agent from it.
 package queueing
-
-// Notifier receives a queue's arrival notifications (FCFS.SetNotify,
-// PS.SetNotify): Arrive(h) reports that the queue's next event may now lie
-// as early as h seconds ahead. *core.AgentBase implements it.
-type Notifier interface {
-	Arrive(h float64)
-}
-
-// NotifyFunc adapts a plain function to a Notifier.
-type NotifyFunc func(h float64)
-
-// Arrive calls f(h).
-func (f NotifyFunc) Arrive(h float64) { f(h) }
 
 // Task is a unit of work flowing through a queue. Demand is expressed in the
 // unit the queue serves (CPU cycles, bits, bytes). Payload carries an opaque
@@ -54,8 +45,9 @@ type DoneFunc func(*Task)
 
 // Queue is the common interface of the discrete-time queue implementations.
 type Queue interface {
-	// Enqueue adds a task at the tail of the queue.
-	Enqueue(*Task)
+	// Enqueue adds a task at the tail of the queue and reports whether it
+	// will be in service at the next fill.
+	Enqueue(*Task) bool
 	// Step advances simulated time by dt seconds, invoking done for every
 	// task that completes within the step, in completion order.
 	Step(dt float64, done DoneFunc)

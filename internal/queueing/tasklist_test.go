@@ -82,21 +82,17 @@ func TestQueueBurstAllocatesNothing(t *testing.T) {
 
 // Init sets a queue up where it lies: a single-server FCFS queue and a PS
 // queue allocate nothing for it, and c servers take one in-service array.
-// The hook is the Notifier itself, so installing it allocates nothing
-// either.
 func TestInitInPlaceAllocates(t *testing.T) {
 	var f FCFS
 	var p PS
-	var n arrivalHook
-	hook := NotifyFunc(n.notify)
 	for _, c := range []struct {
 		name string
 		want float64
 		init func()
 	}{
-		{"FCFS/1", 0, func() { f.Init(1, 1e5); f.SetNotify(hook) }},
-		{"FCFS/8", 1, func() { f.Init(8, 1e5); f.SetNotify(hook) }},
-		{"PS", 0, func() { p.Init(4e5, 4, 0.02); p.SetNotify(hook) }},
+		{"FCFS/1", 0, func() { f.Init(1, 1e5) }},
+		{"FCFS/8", 1, func() { f.Init(8, 1e5) }},
+		{"PS", 0, func() { p.Init(4e5, 4, 0.02) }},
 	} {
 		if got := testing.AllocsPerRun(20, c.init); got != c.want {
 			t.Errorf("%s: Init allocates %v, want %v", c.name, got, c.want)

@@ -28,8 +28,8 @@ func poolAllocs(n int) float64 {
 }
 
 // TestClientPoolSlabs: a pool's slots and NICs are one slab each, so
-// doubling the pool costs at most the extra slots' names, not a slot, a NIC,
-// its queue and its arrival hook apiece. (The names are one string, and the
+// doubling the pool costs at most the extra slots' names, not a slot, a NIC
+// and its queue apiece. (The names are one string, and the
 // simulation's agent tables grow by doubling, so the difference is a few
 // allocations.)
 func TestClientPoolSlabs(t *testing.T) {

@@ -33,8 +33,8 @@ func TestPlanDurationMatchesIsolatedStagePerAgent(t *testing.T) {
 		{"CPU", 3.3e8, 0, func(s *core.Simulation) core.QueueAgent {
 			return hardware.NewCPU(s, "cpu", hardware.CPUSpec{Sockets: 2, Cores: 4, GHz: 2, HTFactor: 1.3})
 		}},
-		{"NIC", 2.7e6, 0, func(s *core.Simulation) core.QueueAgent { return hardware.NewNIC(s, "nic", 1) }},
-		{"Switch", 2.7e7, 0, func(s *core.Simulation) core.QueueAgent { return hardware.NewSwitch(s, "sw", 10) }},
+		{"NIC", 2.7e6, 0, func(s *core.Simulation) core.QueueAgent { return newNIC(s, "nic", 1) }},
+		{"Switch", 2.7e7, 0, func(s *core.Simulation) core.QueueAgent { return newSwitch(s, "sw", 10) }},
 		{"Link", 2.7e6, 0, func(s *core.Simulation) core.QueueAgent {
 			return hardware.NewLink(s, "link", hardware.LinkSpec{Gbps: 1, LatencyMS: 12.3})
 		}},

@@ -14,6 +14,26 @@ import (
 	"repro/internal/names"
 )
 
+// newSwitch, newNIC and newMemory set up a component of its own, a zero
+// value set up in place by its Init, as the one-by-one build made them.
+func newSwitch(sim *core.Simulation, name string, gbps float64) *hardware.Switch {
+	s := new(hardware.Switch)
+	s.Init(sim, name, gbps)
+	return s
+}
+
+func newNIC(sim *core.Simulation, name string, gbps float64) *hardware.NIC {
+	n := new(hardware.NIC)
+	n.Init(sim, name, gbps)
+	return n
+}
+
+func newMemory(capacity, hitRate float64, seed uint64) *hardware.Memory {
+	m := new(hardware.Memory)
+	m.Init(capacity, hitRate, seed)
+	return m
+}
+
 // oracleBuildDC builds a data center as it was built before tiers were
 // slabbed: every server holon and each of its components allocated on its
 // own, named with Sprintf and concatenations. It is the oracle for the
@@ -21,7 +41,7 @@ import (
 func oracleBuildDC(sim *core.Simulation, spec DCSpec) *DataCenter {
 	dc := &DataCenter{
 		Name:   spec.Name,
-		Switch: hardware.NewSwitch(sim, "sw:"+spec.Name, spec.SwitchGbps),
+		Switch: newSwitch(sim, "sw:"+spec.Name, spec.SwitchGbps),
 		Tiers:  make(map[string]*Tier),
 		Daemon: core.NewDelayLine(sim, "daemon:"+spec.Name),
 	}
@@ -33,9 +53,9 @@ func oracleBuildDC(sim *core.Simulation, spec DCSpec) *DataCenter {
 			srv := &Server{
 				Name: name,
 				CPU:  hardware.NewCPU(sim, "cpu:"+name, ts.Server.CPU),
-				Mem: hardware.NewMemory(ts.Server.MemGB*1e9, ts.Server.CacheHitRate,
+				Mem: newMemory(ts.Server.MemGB*1e9, ts.Server.CacheHitRate,
 					core.DeriveSeed(sim.Seed(), uint64(sim.NextAgentID())*2654435761+uint64(i))),
-				NIC:  hardware.NewNIC(sim, "nic:"+name, ts.Server.NICGbps),
+				NIC:  newNIC(sim, "nic:"+name, ts.Server.NICGbps),
 				Link: hardware.NewLink(sim, "llink:"+name, ts.LocalLink),
 				Tier: tier,
 			}
@@ -188,7 +208,7 @@ func tierBuild(sim *core.Simulation, spec InfraSpec) *Infrastructure {
 func tierBuildDC(sim *core.Simulation, spec DCSpec) *DataCenter {
 	dc := &DataCenter{
 		Name:   spec.Name,
-		Switch: hardware.NewSwitch(sim, "sw:"+spec.Name, spec.SwitchGbps),
+		Switch: newSwitch(sim, "sw:"+spec.Name, spec.SwitchGbps),
 		Tiers:  make(map[string]*Tier, len(spec.Tiers)),
 		tiers:  make([]*Tier, len(spec.Tiers)),
 		Daemon: core.NewDelayLine(sim, "daemon:"+spec.Name),
