@@ -333,10 +333,10 @@ func checkWindow(w *window, agents []*hzAgent) (early int, err error) {
 			return 0, fmt.Errorf("active agent %d missing from calendar", b.id)
 		}
 		h := a.q.Horizon() // not a.Horizon: the check must not mark the key exact
-		got, want := w.cal.key(b.id), s.agentKey(h, s.agentTick[b.id])
+		got, want := w.cal.key(b.id), s.agentKey(h, b.tick)
 		if got > want || got < want && a.arrived == 0 {
 			return 0, fmt.Errorf("agent %d key %d, due at %d (horizon %v based at tick %d, %d arrivals since it was keyed)",
-				b.id, got, want, h, s.agentTick[b.id], a.arrived)
+				b.id, got, want, h, b.tick, a.arrived)
 		}
 		if got < want {
 			early++

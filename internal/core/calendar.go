@@ -97,6 +97,17 @@ func (c *calendar) contains(id AgentID) bool {
 	return int(id) < len(c.slot) && c.slot[id].at != 0
 }
 
+// members appends the agents that have an entry to dst, in ascending ID
+// order.
+func (c *calendar) members(dst []AgentID) []AgentID {
+	for id, sl := range c.slot {
+		if sl.at != 0 {
+			dst = append(dst, AgentID(id))
+		}
+	}
+	return dst
+}
+
 // minKey returns the earliest due tick, or neverTick when empty.
 func (c *calendar) minKey() simtime.Tick {
 	m := neverTick

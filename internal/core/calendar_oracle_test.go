@@ -223,8 +223,9 @@ var calendarFuzzSeeds = []uint64{1, 2, 3, 7, 42, 255, 1024, 65537}
 // the span, below the cursor, neverTick and re-sets to the current key,
 // with cursors wrapping the wheel and steps longer than the span. After
 // every operation both must agree on minKey, len, membership and every
-// agent's key, the two-tier calendar must pass its structural check, and
-// each landing must pop the same set of agents.
+// agent's key, members must list exactly the heap's agents in ascending ID
+// order, the two-tier calendar must pass its structural check, and each
+// landing must pop the same set of agents.
 // As a plain test it runs the seed corpus; `go test -fuzz
 // FuzzCalendarMatchesHeap ./internal/core` explores.
 func FuzzCalendarMatchesHeap(f *testing.F) {
@@ -374,6 +375,14 @@ func calendarDiff(data []byte, nops int) error {
 			if c.contains(id) && c.key(id) != oracleKey(id) {
 				return fmt.Errorf("op %d: after %s: agent %d keyed %d, in the heap %d", i, op, id, c.key(id), oracleKey(id))
 			}
+		}
+		want := make([]AgentID, 0, o.len())
+		for _, e := range o.entries {
+			want = append(want, e.id)
+		}
+		slices.Sort(want)
+		if got := c.members(nil); !slices.Equal(got, want) {
+			return fmt.Errorf("op %d: after %s: members %v, the heap holds %v", i, op, got, want)
 		}
 		if err := c.check(oracleKey); err != nil {
 			return fmt.Errorf("op %d: after %s: %v", i, op, err)

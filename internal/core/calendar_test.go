@@ -182,6 +182,72 @@ func TestSrcDueTickBoundaries(t *testing.T) {
 	}
 }
 
+// srcDueTickOracle is srcDueTick as it stood before it was written over
+// Clock.TickAt: a relative whole-tick estimate from now, corrected in both
+// directions in absolute tick time.
+func srcDueTickOracle(c *simtime.Clock, p float64, now simtime.Tick) simtime.Tick {
+	if math.IsInf(p, 1) {
+		return neverTick
+	}
+	nowSec := c.SecondsAt(now)
+	if p <= nowSec {
+		return now + 1
+	}
+	k := c.WholeTicksBefore(p - nowSec)
+	if k >= 1<<62 {
+		return neverTick
+	}
+	n := now + k + 1
+	for n > now+1 && c.SecondsAt(n-1) >= p {
+		n--
+	}
+	for c.SecondsAt(n) < p {
+		n++
+	}
+	return n
+}
+
+// TestSrcDueTickMatchesOracle holds srcDueTick to its oracle on the
+// boundary instants of several steps and origins — exact tick multiples
+// and one ulp either side of them, the origin itself, instants before it,
+// +Inf and instants beyond 2^62 ticks — and on random instants.
+func TestSrcDueTickMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, step := range []float64{0.01, 0.1, 0.5, 1.0 / 3, 0.001} {
+		s := NewSimulation(Config{Step: step, Seed: 1})
+		c := s.clock
+		for _, now := range []simtime.Tick{0, 1, 7, 50, 12345, 1 << 20, 1 << 40} {
+			check := func(p float64) {
+				t.Helper()
+				if got, want := s.srcDueTick(p, now), srcDueTickOracle(c, p, now); got != want {
+					t.Fatalf("step %v, now %d: srcDueTick(%v) = %d, the oracle's %d", step, now, p, got, want)
+				}
+			}
+			// Beyond 2^62 ticks from every origin here; at exactly 2^62 the
+			// two saturate differently (absolute against relative to now),
+			// both past any representable run.
+			far := 2 * c.SecondsAt(1<<62)
+			for _, p := range []float64{math.Inf(1), math.Inf(-1), far, math.Nextafter(far, math.Inf(1)), 1e300, math.MaxFloat64, 0, -1, -step} {
+				check(p)
+			}
+			for _, k := range []simtime.Tick{now - 3, now - 1, now, now + 1, now + 2, now + 5, now + 100, now + 12345, 2*now + 1, 1 << 30} {
+				if k < 0 {
+					continue
+				}
+				p := c.SecondsAt(k)
+				check(p)
+				check(math.Nextafter(p, math.Inf(1)))
+				check(math.Nextafter(p, math.Inf(-1)))
+				check(p + step/2)
+			}
+			for i := 0; i < 2000; i++ {
+				p := c.SecondsAt(now) + (rng.Float64()-0.1)*step*float64(rng.IntN(1<<20))
+				check(p)
+			}
+		}
+	}
+}
+
 // countingSource reports a fixed-interval schedule and counts its polls.
 type countingSource struct {
 	interval float64

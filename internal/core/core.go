@@ -5,8 +5,10 @@
 //
 //  1. Time increment — every *active* agent (one with in-flight work)
 //     advances its queues by one step. Idle agents are skipped: an agent
-//     joins the active set when work is enqueued on it and leaves it when a
-//     post-drain scan finds it idle, so the sweep cost scales with
+//     joins the active set when work is enqueued on it and leaves it when it
+//     is found idle right after it steps — on the production loop as soon as
+//     it reaches its window's landing, before the drain; on the reference
+//     loop in a post-drain scan — so the sweep cost scales with
 //     utilization rather than topology size. On the reference loop the
 //     phase runs through a pluggable Engine (sequential here; the Chapter-4
 //     Scatter-Gather and H-Dispatch engines live in internal/dispatch); the
@@ -32,6 +34,7 @@ import (
 	"fmt"
 
 	"repro/internal/queueing"
+	"repro/internal/simtime"
 )
 
 // AgentID identifies an agent. IDs are assigned densely by the Simulation
@@ -46,8 +49,8 @@ type AgentID int32
 // buffer the simulation walks sequentially after the step.
 //
 // The simulation only sweeps *active* agents: an agent joins the active set
-// when work is enqueued on it (or it is marked dirty) and leaves it when a
-// post-drain scan finds it Idle. An agent that must be stepped every tick
+// when work is enqueued on it (or it is marked dirty) and leaves it when it
+// reports Idle right after it steps. An agent that must be stepped every tick
 // regardless of queued work (a synthetic load generator, a polling
 // component) never reports Idle and keeps the default Horizon of 0.
 type Agent interface {
@@ -132,11 +135,10 @@ type AgentBase struct {
 	name string
 	done queueing.TaskList
 
-	sim       *Simulation // set by AddAgent; nil until registered
-	active    bool        // currently a member of the simulation's active set
-	dirty     bool        // horizon invalidated; queued for a calendar rekey
-	listed    bool        // holds an entry in the simulation's active slice
-	pendDrain bool        // queued in the drain set since the last drain
+	sim    *Simulation  // set by AddAgent; nil until registered
+	active bool         // currently a member of the simulation's active set
+	dirty  bool         // horizon invalidated; queued for a calendar rekey
+	tick   simtime.Tick // the tick the agent's state has been stepped through, while active
 }
 
 // InitAgent sets the agent identity. It panics when called twice: an agent
@@ -164,15 +166,16 @@ func (b *AgentBase) Base() *AgentBase { return b }
 // MarkDirty is the invalidation hook of the event calendar: it records that
 // the agent's state changed in a way that may move its next observable
 // event, so the simulation recomputes its horizon before the next jump
-// instead of trusting the cached calendar entry. It also joins the
-// simulation's active set, making the agent eligible for the next sweep:
-// every activation is an invalidation. A state change that may move an
-// event sits between Sync and MarkDirty on its agent; the hardware rate
-// methods (CPU.Derate and Reserve, RAID/SAN.Derate, Link.Degrade and Repair)
-// place both calls themselves, so their callers need neither. Work handed
-// over by a flow needs neither either: the router syncs and keys the agent
-// (QueueAgent). MarkDirty is O(1) and idempotent, a no-op before the agent
-// is registered, and must only be called from sequential phases; state
+// instead of trusting the cached calendar entry. An inactive agent also
+// joins the active set — on the production loop the calendar, where that
+// rekey files it — making it eligible for the next window or sweep. A state
+// change that may move an event sits between Sync and MarkDirty on its
+// agent, so a dirty agent is current when the loop rekeys it; the hardware
+// rate methods (CPU.Derate and Reserve, RAID/SAN.Derate, Link.Degrade and
+// Repair) place both calls themselves, so their callers need neither. Work
+// handed over by a flow needs neither either: the router syncs and keys the
+// agent (QueueAgent). MarkDirty is O(1) and idempotent, a no-op before the
+// agent is registered, and must only be called from sequential phases; state
 // changes inside the parallel Step phase need no hook, because they can only
 // occur at an agent's scheduled event tick, where the loop rekeys the agent
 // right after it acts.
@@ -182,7 +185,7 @@ func (b *AgentBase) MarkDirty() {
 	}
 	if !b.active {
 		b.active = true
-		b.sim.activate(b.id)
+		b.sim.activate(b)
 	}
 	if !b.dirty {
 		b.dirty = true
@@ -209,7 +212,7 @@ func (b *AgentBase) Horizon() float64 { return 0 }
 // the agent is current, inactive or unregistered, and on the reference loop.
 func (b *AgentBase) Sync() {
 	if b.sim != nil {
-		b.sim.syncAgent(b.id)
+		b.sim.syncAgent(b)
 	}
 }
 

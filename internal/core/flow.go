@@ -223,7 +223,7 @@ func (s *Simulation) startStage(tok *token) {
 		if q := st.Queue; q != nil {
 			tok.task.Demand = st.Demand
 			b := q.Base()
-			s.syncAgent(b.id)
+			s.syncAgent(b)
 			s.arrive(b, q.Enqueue(&tok.task))
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -184,8 +185,9 @@ func fuzzPlatformRun(data []byte, cfg Config, drive func(*Simulation, float64)) 
 // its smallest useful form: inputs nobody picked. Whatever platform the
 // bytes build, the production loop must reproduce the reference loop's
 // response records, collector series and completed-operation count bit for
-// bit. As a plain test it runs the seed corpus; `go test -fuzz
-// FuzzLoopMatchesReference ./internal/core` explores.
+// bit, and hold the window loop's set invariants around every window
+// (runCheckingSets). As a plain test it runs the seed corpus; `go test
+// -fuzz FuzzLoopMatchesReference ./internal/core` explores.
 func FuzzLoopMatchesReference(f *testing.F) {
 	for _, seed := range calendarPropertySeeds {
 		f.Add(binary.LittleEndian.AppendUint64(nil, seed))
@@ -194,8 +196,61 @@ func FuzzLoopMatchesReference(f *testing.F) {
 		f.Add(platform)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sameRun(t, fuzzRun(data, true), fuzzRun(data, false))
+		got := fuzzPlatformRun(data, Config{}, func(s *Simulation, d float64) {
+			if err := runCheckingSets(s, d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		sameRun(t, fuzzRun(data, true), got)
 	})
+}
+
+// runCheckingSets is the production loop's RunFor driven one window at a
+// time, with the two set invariants the window loop rests on checked around
+// every window:
+//
+//   - the calendar is the active set: before each jump its members are
+//     exactly the agents with their active flag set, ActiveAgents() of
+//     them, and a window landing on a synchronization point (a collector
+//     boundary or the run end) involves exactly those agents;
+//   - the popped-due set is the drain set: after each window no agent
+//     holds a buffered completion.
+//
+// It runs the window's first two phases (pollDue, rekey) itself, so the
+// active set is read as the jump sees it; runWindow then finds no source
+// due and no agent dirty, and the run is the one RunFor makes.
+func runCheckingSets(s *Simulation, d float64) error {
+	w := &s.root
+	end := s.clock.Now() + s.clock.TicksIn(d)
+	for s.clock.Now() < end && s.err == nil {
+		w.pollDue()
+		w.rekey()
+		var active []AgentID
+		for id, b := range s.bases {
+			if b.active {
+				active = append(active, AgentID(id))
+			}
+		}
+		if len(active) != s.ActiveAgents() {
+			return fmt.Errorf("tick %d: %d agents active, ActiveAgents() %d", w.tick, len(active), s.ActiveAgents())
+		}
+		if members := w.cal.members(nil); !slices.Equal(members, active) {
+			return fmt.Errorf("tick %d: calendar members %v, active agents %v", w.tick, members, active)
+		}
+		snap := w.nextSnap
+		s.runWindow(end)
+		if w.tick == snap || w.tick == end {
+			if inv := slices.Sorted(slices.Values(w.inv)); !slices.Equal(inv, active) {
+				return fmt.Errorf("synchronization point at tick %d involved %v, active agents %v", w.tick, inv, active)
+			}
+		}
+		for id, b := range s.bases {
+			if n := b.done.Len(); n != 0 {
+				return fmt.Errorf("tick %d: agent %d holds %d buffered completions after the window", w.tick, id, n)
+			}
+		}
+	}
+	return nil
 }
 
 // loweredKeyPlatforms seed FuzzLoopMatchesReference with platforms built

@@ -408,3 +408,36 @@ func TestShardedLaneLaunchesInsideSpans(t *testing.T) {
 	}
 	t.Logf("launches per DC %v", launched)
 }
+
+// TestWindowSetsOnChaosDocument checks the window loop's two set invariants
+// around every window of examples/chaos.json — the document `gdisim -doc`
+// runs: fault transitions, rate changes on busy agents and WAN reroutes on
+// a 117-agent platform. At every synchronization point the involved set is
+// exactly the active set, which before every jump is the calendar, and no
+// agent holds a buffered completion after any window (core.RunCheckingSets).
+// The checked run must also be the run Execute makes: same completed
+// operations, jumps and skipped ticks.
+func TestWindowSetsOnChaosDocument(t *testing.T) {
+	e, err := experiment.LoadDocument("../../examples/chaos.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Sim.Shutdown()
+	if err := core.RunCheckingSets(r.Sim, e.DurationSeconds()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sim.Err(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Sim.Stats(), res.Stats; got != want {
+		t.Errorf("checked run %+v, Execute's %+v", got, want)
+	}
+}

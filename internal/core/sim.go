@@ -83,18 +83,18 @@ type Simulation struct {
 	sources []Source
 
 	// bases is the dense agent table: bases[id] is the AgentBase of agents[id],
-	// resolved once at registration so the loop's set-membership tests
-	// (active, dirty, pendDrain) index a slice instead of paying an
-	// interface call per test.
+	// resolved once at registration so the loop's per-agent state (active,
+	// dirty, tick) is read through a slice instead of an interface call.
 	bases []*AgentBase
 
 	// err is the first fatal error a control point reported (Fail); the run
 	// loops stop at the next window boundary once it is set.
 	err error
 
-	// root is the loop state: the active, dirty and drain sets, the
-	// event calendar, the flow counters and the token pool. Its tick mirrors
-	// the clock. The reference loop uses only its active list and counters.
+	// root is the loop state: the event calendar, which is the production
+	// loop's active set, the dirty and involved sets, the flow counters and
+	// the token pool. Its tick mirrors the clock. The reference loop uses
+	// only its active list and counters.
 	root window
 
 	Collector *metrics.Collector
@@ -106,12 +106,8 @@ type Simulation struct {
 
 	fastForward bool // production window loop (LoopFlags.NoFastForward off)
 
-	// agentTick records, per agent, the tick its state has been stepped
-	// through — meaningful only while the agent is active; lazily-stepped
-	// agents trail the clock and are caught up by syncAgent. sweep is the
-	// agent list the reference tick hands the engine.
-	agentTick []simtime.Tick
-	sweep     []Agent
+	// sweep is the agent list the reference tick hands the engine.
+	sweep []Agent
 
 	// srcDue caches each source's due tick (first tick whose Poll may have
 	// an observable effect). Sources reporting +Inf are parked until
@@ -172,12 +168,11 @@ func (s *Simulation) NextAgentID() AgentID { return AgentID(len(s.agents)) }
 // later sizing its calendar to them — grows nothing. A caller that knows
 // its agent count up front (topology.Build counts its spec) reserves it
 // once instead of paying every doubling; registering past the reservation
-// still works, at append's usual cost. What follows the load — the active
-// list, the calendar's heap tier — still grows to the run's peak.
+// still works, at append's usual cost. What follows the load — the
+// involved set, the calendar's heap tier — still grows to the run's peak.
 func (s *Simulation) ReserveAgents(n int) {
 	s.agents = slices.Grow(s.agents, n)
 	s.bases = slices.Grow(s.bases, n)
-	s.agentTick = slices.Grow(s.agentTick, n)
 	s.root.cal.reserve(len(s.agents) + n)
 }
 
@@ -190,7 +185,6 @@ func (s *Simulation) AddAgent(a Agent) {
 	b := a.Base()
 	s.agents = append(s.agents, a)
 	s.bases = append(s.bases, b)
-	s.agentTick = append(s.agentTick, 0)
 	b.sim = s
 	if !a.Idle() {
 		b.MarkDirty() // never idle, or pre-loaded before registration
@@ -198,31 +192,28 @@ func (s *Simulation) AddAgent(a Agent) {
 	s.rebind = true
 }
 
-// activate records an agent ID in the active list. Callers go through
-// AgentBase.MarkDirty or arrive, which guarantee duplicate-free O(1)
-// insertion. An agent activates "current": its state has trivially been
-// stepped through the window's tick, so lazy catch-up starts from here; a
-// tombstoned entry (deactivated but not yet compacted away) is revived in
-// place.
-func (s *Simulation) activate(id AgentID) {
+// activate counts an agent into the active set; the caller has just set its
+// active flag. Callers go through AgentBase.MarkDirty or arrive, which key
+// it into the calendar — the production loop's active set — or append it to
+// the reference loop's active list here. An agent activates "current": its
+// state has trivially been stepped through the window's tick, so lazy
+// catch-up starts from here.
+func (s *Simulation) activate(b *AgentBase) {
 	w := &s.root
 	w.live++
-	s.agentTick[id] = w.tick
-	if b := s.bases[id]; !b.listed {
-		b.listed = true
-		w.active = append(w.active, id)
+	b.tick = w.tick
+	if !s.fastForward {
+		w.active = append(w.active, b.id)
 	}
 }
 
-// invalidate queues an agent for a calendar rekey and for the next drain.
-// Callers go through AgentBase.MarkDirty, which gates duplicates.
-// The reference loop keeps neither set.
+// invalidate queues an agent for a calendar rekey. Callers go through
+// AgentBase.MarkDirty, which gates duplicates. The reference loop keeps no
+// calendar.
 func (s *Simulation) invalidate(id AgentID) {
-	if !s.fastForward {
-		return
+	if s.fastForward {
+		s.root.dirty = append(s.root.dirty, id)
 	}
-	s.root.dirty = append(s.root.dirty, id)
-	s.root.markDrain(s.bases[id])
 }
 
 // arrive keys an agent the flow router has just synced and enqueued on,
@@ -240,7 +231,7 @@ func (s *Simulation) arrive(b *AgentBase, h float64) {
 	w := &s.root
 	if !b.active {
 		b.active = true
-		s.activate(b.id)
+		s.activate(b)
 		if s.fastForward {
 			w.cal.grow(len(s.agents))
 			w.cal.set(b.id, s.agentKey(h, w.tick))
@@ -250,7 +241,7 @@ func (s *Simulation) arrive(b *AgentBase, h float64) {
 	if b.dirty || !s.fastForward {
 		return
 	}
-	if k := s.agentKey(h, s.agentTick[b.id]); k < w.cal.key(b.id) {
+	if k := s.agentKey(h, b.tick); k < w.cal.key(b.id) {
 		w.cal.set(b.id, k)
 	}
 }
@@ -413,7 +404,7 @@ func (s *Simulation) tick() {
 		if b := a.Base(); !a.Idle() {
 			kept = append(kept, w.active[i])
 		} else {
-			b.active, b.listed = false, false
+			b.active = false
 			w.live--
 		}
 	}
@@ -430,15 +421,16 @@ func (s *Simulation) tick() {
 // the limit), and steps only the agents that can act there — the calendar
 // entries due at the landing. Each of them is rekeyed from its horizon, or
 // retired, as soon as it reaches the landing (window.settle). Every other
-// active agent is left untouched and caught up in one key-bounded bulk
-// replay when it next matters: it is enqueued on, pops due, or a collector
-// boundary or the run end lands. The drain walks
-// the popped-due set plus the agents invalidated since the last drain.
+// active agent — every other calendar member — is left untouched and caught
+// up in one key-bounded bulk replay when it next matters: it is enqueued on,
+// pops due, or a collector boundary or the run end lands. The drain walks
+// the popped-due set. The dirty agents are rekeyed once per window, before
+// the jump that reads the calendar head.
 //
 // The invariants that make laziness exact:
 //
 //   - An active agent's calendar key is never later than the first tick it
-//     may act, computed relative to agentTick (the tick its state has
+//     may act, computed relative to AgentBase.tick (the tick its state has
 //     advanced through). While its key lies beyond the clock it has no
 //     event in the trailing ticks, so a bulk replay of the deficit is
 //     bit-identical to having stepped it every tick — the same
@@ -466,16 +458,14 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 	w.pollDue()
 	w.rekey()
 	landing := w.tick + w.jump(limit)
-	w.popInvolved(landing, limit)
+	due := w.popInvolved(landing, limit)
 	for _, id := range w.inv {
-		s.advanceAgentTo(id, landing)
+		s.advanceAgentTo(s.bases[id], landing)
 		w.settle(id, landing)
 	}
 	w.tick = s.clock.AdvanceBy(landing - w.tick)
 
-	w.drain()
-	// Rekey everything invalidated since the jump was sized.
-	w.rekey()
+	w.drain(w.inv[:due])
 	if w.tick == w.nextSnap {
 		w.nextSnap += s.collectEvery
 		s.Collector.Snapshot(s.clock.NowSeconds())
@@ -488,13 +478,14 @@ func (s *Simulation) runWindow(limit simtime.Tick) {
 // must first replay the ticks the involved-only sweeps skipped, on state
 // that — by the calendar invariant — holds no event in them. Inactive
 // agents have no queue state evolving, so they are left alone (activation
-// re-bases agentTick). The reference loop steps every active agent every
-// tick and keeps no agentTick, so it has nothing to catch up.
-func (s *Simulation) syncAgent(id AgentID) {
+// re-bases AgentBase.tick). The reference loop steps every active agent
+// every tick and never advances AgentBase.tick, so it has nothing to catch
+// up.
+func (s *Simulation) syncAgent(b *AgentBase) {
 	// The common case — agent already current — exits here, inlined into
 	// the caller: it sits on every enqueue.
-	if s.root.tick > s.agentTick[id] {
-		s.catchUp(id)
+	if s.root.tick > b.tick {
+		s.catchUp(b)
 	}
 }
 
@@ -503,18 +494,18 @@ func (s *Simulation) syncAgent(id AgentID) {
 // it would push syncAgent past the inlining budget.
 //
 //go:noinline
-func (s *Simulation) catchUp(id AgentID) {
-	if s.fastForward && s.bases[id].active {
-		s.advanceAgentTo(id, s.root.tick)
+func (s *Simulation) catchUp(b *AgentBase) {
+	if s.fastForward && b.active {
+		s.advanceAgentTo(b, s.root.tick)
 	}
 }
 
 // advanceAgentTo steps one agent through any lazy deficit up to the given
 // tick, from the window's advance phase or from a sequential catch-up.
-func (s *Simulation) advanceAgentTo(id AgentID, to simtime.Tick) {
-	if base := s.agentTick[id]; to > base {
-		s.agentTick[id] = to
-		s.advanceAgent(id, base, to-base)
+func (s *Simulation) advanceAgentTo(b *AgentBase, to simtime.Tick) {
+	if base := b.tick; to > base {
+		b.tick = to
+		s.advanceAgent(b.id, base, to-base)
 	}
 }
 
@@ -577,32 +568,20 @@ const ffGuard = 1e-6
 
 // srcDueTick converts a NextPoll instant into the first tick whose poll may
 // matter: the first tick at or after p in the exact tick-time arithmetic
-// the loop uses for poll timestamps. A source reporting now or earlier
-// wants classic per-tick polling and is due again at the next tick; +Inf
-// (and schedules beyond any representable run) map to neverTick.
+// the loop uses for poll timestamps (Clock.TickAt, one past it when p falls
+// inside its tick), so every earlier tick — the polls a jump skips — falls
+// strictly before p. A source reporting now or earlier wants classic
+// per-tick polling and is due again at the next tick; +Inf (and schedules
+// beyond any representable run) map to neverTick.
 func (s *Simulation) srcDueTick(p float64, now simtime.Tick) simtime.Tick {
-	if math.IsInf(p, 1) {
+	n := s.clock.TickAt(p)
+	if n >= 1<<62 {
 		return neverTick
 	}
-	nowSec := s.clock.SecondsAt(now)
-	if p <= nowSec {
-		return now + 1
-	}
-	k := s.clock.WholeTicksBefore(p - nowSec)
-	if k >= 1<<62 {
-		return neverTick
-	}
-	n := now + k + 1
-	// Correct the float estimate in both directions: the due tick is the
-	// first tick landing at or after p, and every earlier tick must fall
-	// strictly before p (those are the polls a jump skips).
-	for n > now+1 && s.clock.SecondsAt(n-1) >= p {
-		n--
-	}
-	for s.clock.SecondsAt(n) < p {
+	if s.clock.SecondsAt(n) < p {
 		n++
 	}
-	return n
+	return max(n, now+1)
 }
 
 // agentKey converts an agent horizon, observed at tick now, into the
@@ -740,15 +719,14 @@ func (s *Simulation) RunUntilIdle(maxSeconds float64) error {
 }
 
 // idle reports whether no flow is in flight and no agent holds work.
-// Deactivation keeps every non-idle agent in the active list, so only that
-// list — after a step, the agents still holding work plus drain-phase
-// activations — needs checking; tombstones awaiting compaction are skipped.
+// Deactivation keeps every non-idle agent active, so only the agents with
+// their active flag set need checking.
 func (s *Simulation) idle() bool {
 	if s.root.flows != 0 {
 		return false
 	}
-	for _, id := range s.root.active {
-		if s.bases[id].active && !s.agents[id].Idle() {
+	for id, b := range s.bases {
+		if b.active && !s.agents[id].Idle() {
 			return false
 		}
 	}

@@ -15,21 +15,19 @@ type window struct {
 	s    *Simulation
 	tick simtime.Tick // the tick this window's agents are scheduled from
 
-	// cal is the pending-event set: one entry per active agent, keyed by
-	// the first tick at which it may act. dirty queues the agents whose key
-	// is stale (AgentBase.dirty gates membership). active lists the agents
-	// with in-flight work — possibly with tombstones, dropped by compact.
+	// cal is the pending-event set and, on the production loop, the active
+	// set: one entry per active agent, keyed by the first tick at which it
+	// may act. dirty queues the agents whose key is stale (AgentBase.dirty
+	// gates membership). active lists the active agents for the reference
+	// loop alone, in which an agent leaves it as soon as it goes idle.
 	cal    calendar
-	active []AgentID
 	dirty  []AgentID
+	active []AgentID
 
-	// drainPend is the drain set: agents popped due or enqueued on since
-	// the last drain (AgentBase.pendDrain gates membership); drainSpare
-	// recycles the previous drain's backing array. inv is the current
-	// window's involved set.
-	drainPend  []AgentID
-	drainSpare []AgentID
-	inv        []AgentID
+	// inv is the current window's involved set: the agents popped due at
+	// its landing — the drain set, ascending — followed at a
+	// synchronization point by every other calendar member.
+	inv []AgentID
 
 	// srcMin caches the earliest due tick of the simulation's sources, and
 	// nextSnap the next collector-snapshot tick: the first multiple of
@@ -37,7 +35,7 @@ type window struct {
 	srcMin   simtime.Tick
 	nextSnap simtime.Tick
 
-	live      int    // active agents, tombstones excluded
+	live      int    // active agents
 	flows     int    // in-flight operations
 	completed uint64 // finished operations
 	jumps     uint64 // fast-forward jumps taken
@@ -82,15 +80,18 @@ func (w *window) pollDue() {
 // rekey recomputes the calendar entry of every agent marked dirty —
 // MarkDirty: enqueues that report Rekey (delay lines), the hardware rate
 // changes (which Sync before and MarkDirty after themselves), registrations —
-// and clears the dirty set. Arrivals with a bound (arrive) and the agents
-// that acted (settle) are keyed where they happen, so only these agents pay
-// a Horizon call here. A horizon is relative to the tick the agent's state
-// has been stepped through, so the key is based at agentTick; for agents
-// invalidated through the usual doors that is the window's tick (the router
-// syncs before it enqueues), and a bare MarkDirty on a lazily-stepped agent
-// re-bases correctly too. The calendar's cursor moves up to the window's
-// tick first: every entry due by then has been popped, so every key left
-// lies beyond it.
+// and clears the dirty set. It runs once per window, before the jump, so it
+// also files the agents the previous window's drain marked. Arrivals with a
+// bound (arrive) and the agents that acted (settle) are keyed where they
+// happen, so only these agents pay a Horizon call here. A horizon is
+// relative to the tick the agent's state has been stepped through, so the
+// key is based at AgentBase.tick; every MarkDirty follows a Sync (or an
+// activation, which starts the agent current), so that is the tick the
+// agent was marked at, and no window has landed since. A dirty agent is
+// active — MarkDirty activates it, and only settle, which no dirty agent
+// reaches, retires one. The calendar's cursor moves up to the window's tick
+// first: every entry due by then has been popped, so every key left lies
+// beyond it.
 func (w *window) rekey() {
 	s := w.s
 	w.cal.cursor = w.tick
@@ -98,12 +99,7 @@ func (w *window) rekey() {
 	for _, id := range w.dirty {
 		b := s.bases[id]
 		b.dirty = false
-		if !b.active {
-			w.cal.remove(id)
-			continue
-		}
-		base := s.agentTick[id]
-		w.cal.set(id, s.agentKey(s.agents[id].Horizon(), base))
+		w.cal.set(id, s.agentKey(s.agents[id].Horizon(), b.tick))
 	}
 	w.dirty = w.dirty[:0]
 }
@@ -125,78 +121,48 @@ func (w *window) jump(bound simtime.Tick) simtime.Tick {
 }
 
 // popInvolved collects into inv the agents the window must advance to its
-// landing tick: those whose calendar entry is due by then (by jump
-// construction, exactly at the landing, which is the calendar head when
-// nothing else bounded the window). They leave the calendar — settle rekeys
-// them once they have acted — and join the drain set. With every entry due
-// by the landing gone, the calendar's cursor moves up to it. inv stays in
-// calendar pop order: Step is agent-local, so the order agents advance in
-// reaches no result — only the drain order does, and drain sorts. Synchronization points gather every active agent instead: a
-// collector boundary needs exact busy accumulators behind every probe, and
-// a landing on the run limit hands callers a fully-advanced simulation;
-// their lazy agents keep their entries.
-func (w *window) popInvolved(landing, limit simtime.Tick) {
-	s := w.s
+// landing tick and returns how many of them were popped due: those whose
+// calendar entry is due by then (by jump construction, exactly at the
+// landing, which is the calendar head when nothing else bounded the
+// window). They leave the calendar — settle rekeys them once they have
+// acted — and they are the drain set, sorted here into ascending ID order.
+// With every entry due by the landing gone, the calendar's cursor moves up
+// to it. A synchronization point also gathers every agent still in the
+// calendar, in ID order: a collector boundary needs exact busy accumulators
+// behind every probe, and a landing on the run limit hands callers a
+// fully-advanced simulation; those lazy agents keep their entries. Step is
+// agent-local, so the order agents advance in reaches no result — only the
+// drain order does.
+func (w *window) popInvolved(landing, limit simtime.Tick) int {
 	w.inv = w.cal.popDue(landing, w.inv[:0])
+	slices.Sort(w.inv)
+	due := len(w.inv)
 	w.cal.cursor = landing
-	for _, id := range w.inv {
-		w.markDrain(s.bases[id])
-	}
 	if landing == w.nextSnap || landing == limit {
-		w.compact()
-		w.inv = append(w.inv[:0], w.active...)
+		w.inv = w.cal.members(w.inv)
 	}
+	return due
 }
 
-// markDrain adds an agent to the drain set once.
-func (w *window) markDrain(b *AgentBase) {
-	if !b.pendDrain {
-		b.pendDrain = true
-		w.drainPend = append(w.drainPend, b.id)
+// drain hands the completions of the drain set — the agents popped due at
+// the landing, in ascending agent-ID order — to the flow router: the order
+// the reference loop drains in, restricted to the only agents that can hold
+// completions. Only an agent at its event tick can buffer one, and those
+// are exactly the popped-due agents; an enqueue buffers none, and a lazy
+// agent caught up at a synchronization point or by a sync crosses no event.
+func (w *window) drain(due []AgentID) {
+	for _, id := range due {
+		w.s.drainDone(w.s.bases[id])
 	}
-}
-
-// compact drops the tombstones deactivation leaves in the active list and
-// restores ascending ID order.
-func (w *window) compact() {
-	kept := w.active[:0]
-	for _, id := range w.active {
-		if b := w.s.bases[id]; b.active {
-			kept = append(kept, id)
-		} else {
-			b.listed = false
-		}
-	}
-	w.active = kept
-	slices.Sort(w.active)
-}
-
-// drain hands the completions of the drain set to the flow router in
-// ascending agent-ID order — the order the reference loop drains in,
-// restricted to the only agents that can hold completions or fresh work.
-// Invalidations fired meanwhile (downstream enqueues) accumulate for the
-// next window's drain.
-func (w *window) drain() {
-	s := w.s
-	pend := w.drainPend
-	w.drainPend = w.drainSpare[:0]
-	slices.Sort(pend)
-	for _, id := range pend {
-		b := s.bases[id]
-		b.pendDrain = false
-		s.drainDone(b)
-	}
-	w.drainSpare = pend[:0]
 }
 
 // settle files an involved agent that has just reached the landing. An idle
-// one retires — only involved agents can have gone idle: a lazy agent still
-// holds the work that parked its calendar entry — leaving its active-list
-// entry behind as a tombstone until compact. One without an entry (popped
-// due) is keyed from its horizon at the landing; a lazy agent caught up at a
-// synchronization point keeps its entry. Work the drain then hands an agent
-// settled here lowers or sets its key through the router's arrive, or marks
-// it dirty.
+// one retires, leaving the calendar and so the active set — only involved
+// agents can have gone idle: a lazy agent still holds the work that parked
+// its calendar entry. One without an entry (popped due) is keyed from its
+// horizon at the landing; a lazy agent caught up at a synchronization point
+// keeps its entry. Work the drain then hands an agent settled here lowers or
+// sets its key through the router's arrive, or marks it dirty.
 func (w *window) settle(id AgentID, landing simtime.Tick) {
 	s := w.s
 	if b := s.bases[id]; s.agents[id].Idle() {
