@@ -1,6 +1,7 @@
-// Command gdisim is the umbrella CLI of the GDISim reproduction. It runs
-// the multicore-scalability experiments of Chapter 4 (Tables 4.1 and 4.2,
-// Figs. 4-4 and 4-6), dispatches to the evaluation scenarios, and runs
+// Command gdisim is the CLI of the GDISim reproduction. It runs the
+// multicore-scalability experiments of Chapter 4 (Tables 4.1 and 4.2,
+// Figs. 4-4 and 4-6), reproduces the thesis' evaluations (Chapters 5-7)
+// with every table and figure beside the fidelity table, and runs
 // declarative scenario documents — single experiments or concurrent
 // parameter sweeps — through the experiment compiler.
 //
@@ -8,15 +9,28 @@
 //
 //	gdisim -table 4.1 [-minutes 2] [-scale 0.5]   # Scatter-Gather scaling
 //	gdisim -table 4.2 [-minutes 2] [-scale 0.5]   # H-Dispatch scaling
-//	gdisim -scenario validation|consolidation|multimaster
+//	gdisim -scenario validation [-seed 42]        # Chapter 5, experiments 1-3
+//	gdisim -scenario consolidation|multimaster \
+//	       [-scale 0.25] [-hours 11-17] [-seed 3] # Chapters 6 and 7
 //	gdisim -doc scenario.json [-csv out.csv]      # run one scenario document
 //	gdisim -doc scenario.json \
 //	       -sweep dcs.NA.app.cores=8,16,32 \
 //	       -sweep workloads.PDM.NA.ops=10,20 \
 //	       [-workers 8] [-csv sweep.csv]          # concurrent parameter sweep
 //
-// The cross-cutting flags compose with the run modes above:
+// At its default flags -scenario runs the scenario's referee — the run
+// the fidelity bands were set on (internal/scenarios/referee.go) — and the
+// fidelity table is the check: a banded row that reads FAIL or missing
+// exits 1. With -seed, -scale, -hours or -short the same table is printed
+// as a comparison and the exit status is 0. A flag means one thing in every
+// mode, and a flag the selected mode does not read is an error:
 //
+//	-scale k         platform scale; unset, the mode's own default (0.5
+//	                 for the Chapter-4 tables, the referee's 0.25 for the
+//	                 case studies; the validation platform is fixed)
+//	-short           smoke sizes for whatever -minutes, -scale and -hours
+//	                 leave unset (one shortened validation experiment);
+//	                 alone, it runs -table 4.2
 //	-v               print the loop statistics of a -scenario run: jumps,
 //	                 skipped ticks and windows (ticks - skipped); -doc
 //	                 always prints them
@@ -25,18 +39,17 @@
 //
 // A run steps its agents on one goroutine; -workers is how a sweep uses
 // more cores, one simulation per point.
-//
-// For the full per-chapter reports use cmd/validate, cmd/consolidate and
-// cmd/multimaster.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -54,20 +67,32 @@ type sweepAxes []string
 func (a *sweepAxes) String() string     { return strings.Join(*a, "; ") }
 func (a *sweepAxes) Set(v string) error { *a = append(*a, v); return nil }
 
+// reads lists, per run mode, the flags it reads beyond the cross-cutting
+// -v, -cpuprofile and -memprofile.
+var reads = map[string][]string{
+	"-doc":          {"doc", "sweep", "workers", "csv"},
+	"-table":        {"table", "minutes", "scale", "agentset", "short"},
+	"validation":    {"scenario", "seed", "short"},
+	"consolidation": {"scenario", "seed", "scale", "hours", "short"},
+	"multimaster":   {"scenario", "seed", "scale", "hours", "short"},
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gdisim: ")
-	table := flag.String("table", "", "table to regenerate: 4.1 or 4.2")
-	scenario := flag.String("scenario", "", "scenario smoke-run: validation, consolidation or multimaster")
+	table := flag.String("table", "", "Chapter-4 table to regenerate: 4.1 or 4.2")
+	scenario := flag.String("scenario", "", "thesis scenario to reproduce: validation, consolidation or multimaster")
 	doc := flag.String("doc", "", "run a scenario document (JSON) through the experiment compiler")
 	var axes sweepAxes
 	flag.Var(&axes, "sweep", "sweep axis path=v1,v2,... (repeatable; requires -doc)")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	csvOut := flag.String("csv", "", "write run series (or sweep rows) as CSV to this file")
 	minutes := flag.Float64("minutes", 2, "simulated minutes per speedup measurement")
-	scale := flag.Float64("scale", 0.5, "platform scale for speedup measurement")
+	scale := flag.Float64("scale", 0, "platform scale (unset: 0.5 for -table, the referee's 0.25 for the case studies)")
 	agentSet := flag.Int("agentset", 0, "H-Dispatch agent-set size (0 = 64, the thesis' best)")
-	short := flag.Bool("short", false, "smoke run: tiny H-Dispatch speedup measurement")
+	seed := flag.Uint64("seed", 0, "simulation seed of a -scenario run (unset: the referee's, 42 for validation and 3 for the case studies)")
+	hours := flag.String("hours", "", "GMT hour window [from, to) of a case study, as from-to (unset: the referee's 11-17)")
+	short := flag.Bool("short", false, "smoke sizes for the flags left unset; alone, runs -table 4.2")
 	verbose := flag.Bool("v", false, "print the loop statistics of a -scenario run: fast-forward jumps, skipped ticks and windows (ticks - skipped)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -76,8 +101,34 @@ func main() {
 	if *short && *table == "" && *scenario == "" && *doc == "" {
 		*table = "4.2"
 	}
-	if *short {
-		*minutes, *scale = 0.05, 0.1
+	mode := *scenario
+	switch {
+	case *doc != "":
+		mode = "-doc"
+	case len(axes) > 0:
+		log.Fatal("-sweep requires -doc (the document is the sweep's base experiment)")
+	case *table != "":
+		mode = "-table"
+	case *scenario == "":
+		flag.Usage()
+		os.Exit(2)
+	}
+	if reads[mode] == nil {
+		log.Fatalf("unknown scenario %q", mode)
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "v", "cpuprofile", "memprofile":
+		default:
+			if !slices.Contains(reads[mode], f.Name) {
+				log.Fatalf("-%s does not apply to %s", f.Name, mode)
+			}
+		}
+		set[f.Name] = true
+	})
+	if set["scale"] && *scale <= 0 {
+		log.Fatalf("bad -scale %v: want a positive platform scale", *scale)
 	}
 
 	// Profiles bracket the selected run mode. Error paths exit through
@@ -92,40 +143,69 @@ func main() {
 		}
 	}
 
-	switch {
-	case *doc != "" && len(axes) > 0:
-		runSweep(*doc, axes, *workers, *csvOut)
-	case *doc != "":
-		runDocument(*doc, *csvOut)
-	case len(axes) > 0:
-		log.Fatal("-sweep requires -doc (the document is the sweep's base experiment)")
-	case *table == "4.1":
-		speedupTable(scenarios.ScatterGather, refdata.Table41ScatterGather, *minutes, *scale, *agentSet)
-	case *table == "4.2":
-		speedupTable(scenarios.HDispatch, refdata.Table42HDispatch, *minutes, *scale, *agentSet)
-	case *scenario != "":
-		smoke(*scenario, *verbose)
+	status := 0
+	switch mode {
+	case "-doc":
+		if len(axes) > 0 {
+			runSweep(*doc, axes, *workers, *csvOut)
+		} else {
+			runDocument(*doc, *csvOut)
+		}
+	case "-table":
+		if *short && !set["minutes"] {
+			*minutes = 0.05
+		}
+		if !set["scale"] {
+			*scale = 0.5
+			if *short {
+				*scale = 0.1
+			}
+		}
+		switch *table {
+		case "4.1":
+			speedupTable("Table 4.1 and Fig. 4-4: simulation time and speedup vs threads (classic Scatter-Gather)",
+				scenarios.ScatterGather, refdata.Table41ScatterGather, *minutes, *scale, *agentSet)
+		case "4.2":
+			speedupTable("Table 4.2 and Fig. 4-6: simulation time and speedup vs threads (H-Dispatch, Agent Set=64)",
+				scenarios.HDispatch, refdata.Table42HDispatch, *minutes, *scale, *agentSet)
+		default:
+			log.Fatalf("unknown -table %q: want 4.1 or 4.2", *table)
+		}
+	case "validation":
+		cfg := scenarios.ValidationReferee()
+		if set["seed"] {
+			cfg.Seed = *seed
+		}
+		label, rows := validation(cfg, *short, *verbose)
+		status = reproduce(label, rows, set)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		cfg := scenarios.CaseReferee()
+		if *short {
+			cfg.Scale, cfg.StartHour, cfg.EndHour = 0.05, 13, 14
+		}
+		if set["seed"] {
+			cfg.Seed = *seed
+		}
+		if set["scale"] {
+			cfg.Scale = *scale
+		}
+		if set["hours"] {
+			if _, err := fmt.Sscanf(*hours, "%d-%d", &cfg.StartHour, &cfg.EndHour); err != nil || cfg.EndHour <= cfg.StartHour {
+				log.Fatalf("bad -hours %q: want from-to, e.g. 0-24", *hours)
+			}
+		}
+		label, rows := caseStudy(mode, cfg, *verbose)
+		status = reproduce(label, rows, set)
 	}
 
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
 		runtime.GC() // settle the heap so the profile shows retained memory
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+		writeFile(*memprofile, pprof.WriteHeapProfile)
 	}
+	os.Exit(status)
 }
 
 // runDocument compiles and runs one scenario document, printing the
@@ -154,23 +234,27 @@ func runDocument(path, csvOut string) {
 		if s.Len() == 0 {
 			continue
 		}
-		t.AddRow(key, fmt.Sprintf("%d", s.Len()),
-			fmt.Sprintf("%.4g", s.Mean(0, res.Stats.Seconds)),
+		t.AddRow(key, fmt.Sprintf("%d", s.Len()), fmt.Sprintf("%.4g", s.Mean(0, res.Stats.Seconds)),
 			fmt.Sprintf("%.4g", s.V[s.Len()-1]))
 	}
 	t.Fprint(os.Stdout)
 	if csvOut != "" {
-		f, err := os.Create(csvOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := config.ExportSeriesCSV(f, res.Series); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+		writeFile(csvOut, func(w io.Writer) error { return config.ExportSeriesCSV(w, res.Series) })
 		fmt.Printf("series exported to %s\n", csvOut)
+	}
+}
+
+// writeFile creates path and fills it with write; any error is fatal.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -184,15 +268,9 @@ func runSweep(path string, axes sweepAxes, workers int, csvOut string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := func() (*experiment.Experiment, error) {
-		return experiment.FromDocument(d)
-	}
-	sweep := experiment.NewSweep(path, base)
+	sweep := experiment.NewSweep(path, func() (*experiment.Experiment, error) { return experiment.FromDocument(d) })
 	for _, ax := range axes {
-		p, vals, err := parseAxis(ax)
-		if err != nil {
-			log.Fatal(err)
-		}
+		p, vals := parseAxis(ax)
 		sweep.Vary(p, vals...)
 	}
 	fmt.Printf("sweep: %d points x %s\n", sweep.Size(), strings.Join(axes, " x "))
@@ -217,9 +295,7 @@ func runSweep(path string, axes sweepAxes, workers int, csvOut string) {
 			row = append(row, "") // failed before all axes were applied
 		}
 		if p.Res != nil {
-			row = append(row,
-				fmt.Sprintf("%d", p.Res.Stats.CompletedOps),
-				fmt.Sprintf("%d", p.Res.Stats.Jumps))
+			row = append(row, fmt.Sprintf("%d", p.Res.Stats.CompletedOps), fmt.Sprintf("%d", p.Res.Stats.Jumps))
 		} else {
 			row = append(row, "error: "+p.Err.Error(), "")
 		}
@@ -227,16 +303,7 @@ func runSweep(path string, axes sweepAxes, workers int, csvOut string) {
 	}
 	t.Fprint(os.Stdout)
 	if csvOut != "" {
-		f, cerr := os.Create(csvOut)
-		if cerr != nil {
-			log.Fatal(cerr)
-		}
-		if cerr := res.WriteCSV(f); cerr != nil {
-			log.Fatal(cerr)
-		}
-		if cerr := f.Close(); cerr != nil {
-			log.Fatal(cerr)
-		}
+		writeFile(csvOut, func(w io.Writer) error { return res.WriteCSV(w) })
 		fmt.Printf("sweep rows exported to %s\n", csvOut)
 	}
 	if err != nil {
@@ -244,24 +311,27 @@ func runSweep(path string, axes sweepAxes, workers int, csvOut string) {
 	}
 }
 
-// parseAxis splits "path=v1,v2,..." into a Vary call.
-func parseAxis(s string) (string, []float64, error) {
+// parseAxis splits "path=v1,v2,..." into a Vary call; a malformed axis is
+// fatal.
+func parseAxis(s string) (string, []float64) {
 	path, list, ok := strings.Cut(s, "=")
 	if !ok || path == "" || list == "" {
-		return "", nil, fmt.Errorf("bad -sweep %q: want path=v1,v2,...", s)
+		log.Fatalf("bad -sweep %q: want path=v1,v2,...", s)
 	}
 	var vals []float64
 	for _, f := range strings.Split(list, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
-			return "", nil, fmt.Errorf("bad -sweep %q: value %q is not a number", s, f)
+			log.Fatalf("bad -sweep %q: value %q is not a number", s, f)
 		}
 		vals = append(vals, v)
 	}
-	return path, vals, nil
+	return path, vals
 }
 
-func speedupTable(mech scenarios.Mechanism, ref []refdata.SpeedupRow, minutes, scale float64, agentSet int) {
+// speedupTable measures one Chapter-4 engine's scaling and prints it as
+// its table, beside the linear speedup its figure plots and the thesis'.
+func speedupTable(title string, mech scenarios.Mechanism, ref []refdata.SpeedupRow, minutes, scale float64, agentSet int) {
 	threads := make([]int, 0, len(ref))
 	for _, r := range ref {
 		threads = append(threads, r.Threads)
@@ -272,69 +342,15 @@ func speedupTable(mech scenarios.Mechanism, ref []refdata.SpeedupRow, minutes, s
 	if err != nil {
 		log.Fatal(err)
 	}
-	title := "Table 4.1: simulation time and speedup vs threads (classic Scatter-Gather)"
-	if mech == scenarios.HDispatch {
-		title = "Table 4.2: simulation time and speedup vs threads (H-Dispatch, Agent Set=64)"
-	}
 	t := &metrics.Table{
 		Title:   title,
-		Headers: []string{"# of Threads", "Wall time (s)", "Speedup (x)", "Thesis speedup (x)"},
+		Headers: []string{"# of Threads", "Wall time (s)", "Speedup (x)", "Linear (x)", "Thesis speedup (x)"},
 	}
 	for i, r := range rows {
-		t.AddRow(fmt.Sprintf("%d", r.Threads),
-			fmt.Sprintf("%.2f", r.Seconds),
-			fmt.Sprintf("%.2f", r.Speedup),
-			fmt.Sprintf("%.2f", ref[i].Speedup))
+		t.AddRow(fmt.Sprintf("%d", r.Threads), fmt.Sprintf("%.2f", r.Seconds),
+			fmt.Sprintf("%.2f", r.Speedup), fmt.Sprintf("%d", r.Threads), fmt.Sprintf("%.2f", ref[i].Speedup))
 	}
 	t.Fprint(os.Stdout)
-	fmt.Println("\nFig. 4-4/4-6 series (speedup vs linear):")
-	for i, r := range rows {
-		fmt.Printf("  %2d threads: measured %.2fx, linear %dx, thesis %.2fx\n",
-			r.Threads, r.Speedup, r.Threads, ref[i].Speedup)
-	}
-}
-
-func smoke(name string, verbose bool) {
-	var sim *core.Simulation
-	switch name {
-	case "validation":
-		res, err := scenarios.RunValidation(scenarios.ValidationConfig{Experiment: 1, Seed: 42})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("validation experiment 2: app CPU steady mean %.1f%% (physical %.1f%%)\n",
-			res.SteadyMean["app"], refdata.Table52Physical[1]["app"].Mean)
-		sim = res.Sim
-	case "consolidation":
-		cs, err := scenarios.NewConsolidation(scenarios.CaseConfig{
-			Scale: 0.25, StartHour: 12, EndHour: 16, Seed: 7,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cs.Run()
-		pct, hr := cs.PeakCPUPct("NA", "app")
-		fmt.Printf("consolidation peak window: Tapp DNA %.1f%% at %.1fh GMT (paper ~%.0f%%)\n",
-			pct, hr, refdata.ConsolidatedAppPeak*100)
-		sim = cs.Sim
-	case "multimaster":
-		cs, err := scenarios.NewMultiMaster(scenarios.CaseConfig{
-			Scale: 0.25, StartHour: 12, EndHour: 16, Seed: 7,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cs.Run()
-		pct, hr := cs.PeakCPUPct("NA", "app")
-		fmt.Printf("multimaster peak window: Tapp DNA %.1f%% at %.1fh GMT (paper ~%.0f%%)\n",
-			pct, hr, refdata.MultiMasterAppPeakNA*100)
-		sim = cs.Sim
-	default:
-		log.Fatalf("unknown scenario %q", name)
-	}
-	if verbose {
-		fmt.Printf("  %s\n", loopLine(sim.Stats()))
-	}
 }
 
 // loopLine reports how the window loop covered a run: its fast-forward

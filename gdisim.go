@@ -63,9 +63,9 @@
 //
 // The thesis' evaluations are packaged as ready-made scenarios built on
 // the experiment API: RunValidation (Chapter 5), NewConsolidation
-// (Chapter 6), NewMultiMaster (Chapter 7) and RunDayNight. See
-// cmd/validate, cmd/consolidate and cmd/multimaster for complete
-// table/figure regeneration.
+// (Chapter 6), NewMultiMaster (Chapter 7) and RunDayNight. `gdisim
+// -scenario validation|consolidation|multimaster` regenerates each
+// chapter's tables and figures and checks its fidelity table.
 package gdisim
 
 import (

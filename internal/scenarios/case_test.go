@@ -1,7 +1,9 @@
 package scenarios
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -80,45 +82,72 @@ func TestConsolidationBuildsWithoutClients(t *testing.T) {
 	}
 }
 
-// TestConsolidationPeakWindow reproduces the Chapter 6 headline results on
-// a quarter-scale run over the 11:00-17:00 GMT peak: tier utilizations
-// (Figs. 6-12/6-13), link utilizations (Table 6.1), background-process
-// effectiveness (Fig. 6-14) and the latency behaviour of Table 6.2, all as
-// rows of the fidelity table. About 5 seconds of wall time.
-func TestConsolidationPeakWindow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("case-study run skipped in -short")
-	}
+// Table 6.1 is read over 12:00-16:00 GMT. A background-only run over
+// 00:00-02:00 never reaches that window, so every link row must read
+// missing: a mean over no samples reads 0, which the backup links' [0, 0]
+// band would pass without anything having been measured.
+func TestLinkRowsMissingOutsideTheirWindow(t *testing.T) {
 	cs, err := NewConsolidation(CaseConfig{
-		Step: 0.01, Seed: 3, Scale: 0.25, StartHour: 11, EndHour: 17,
+		Seed: 3, Scale: 0.05, StartHour: 0, EndHour: 2, DisableClients: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs.Run()
-	requireFidelity(t, "Fidelity: consolidation, scale 0.25, 11-17h GMT, seed 3", cs.Fidelity())
+	n := 0
+	for _, r := range cs.Fidelity() {
+		if strings.HasPrefix(r.ID, "Table 6.1 ") {
+			n++
+			if r.Verdict != "missing" {
+				t.Errorf("%s = %.2f (%s), want missing: the run covers 0-2h GMT", r.ID, r.Measured, r.Verdict)
+			}
+		}
+	}
+	if n != len(refdata.Table61LinkUtil) {
+		t.Errorf("%d Table 6.1 rows, want %d", n, len(refdata.Table61LinkUtil))
+	}
+	// A window the run does cover still reads a mean.
+	if v := cs.LinkUtilPct("NA", "EU", 0, 2); math.IsNaN(v) {
+		t.Error("NA->EU over the run's own window reads NaN")
+	}
+}
+
+// TestConsolidationPeakWindow reproduces the Chapter 6 headline results on
+// the case-study referee (referee.go: a quarter-scale run over the
+// 11:00-17:00 GMT peak, seed 3): tier utilizations (Figs. 6-12/6-13), link
+// utilizations (Table 6.1), background-process effectiveness (Fig. 6-14)
+// and the latency behaviour of Table 6.2, all as rows of the fidelity
+// table. About 5 seconds of wall time.
+func TestConsolidationPeakWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("case-study run skipped in -short")
+	}
+	cs, err := NewConsolidation(CaseReferee())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.Run()
+	requireFidelity(t, "Fidelity: "+cs.Label(), cs.Fidelity())
 	if cs.Idx["NA"].Durations.Len() == 0 {
 		t.Error("no INDEXBUILD completed")
 	}
 }
 
 // TestMultiMasterPeakWindow reproduces the Chapter 7 comparisons against
-// the consolidated platform as rows of the fidelity table: loaded
-// utilization on the downsized DNA hardware, idle backup links (Table 7.3)
-// and shorter staleness; per-master push volumes keep their ordering.
-// About 5 seconds of wall time.
+// the consolidated platform on the case-study referee as rows of the
+// fidelity table: loaded utilization on the downsized DNA hardware, idle
+// backup links (Table 7.3) and shorter staleness; per-master push volumes
+// keep their ordering. About 5 seconds of wall time.
 func TestMultiMasterPeakWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case-study run skipped in -short")
 	}
-	cs, err := NewMultiMaster(CaseConfig{
-		Step: 0.01, Seed: 3, Scale: 0.25, StartHour: 11, EndHour: 17,
-	})
+	cs, err := NewMultiMaster(CaseReferee())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs.Run()
-	requireFidelity(t, "Fidelity: multimaster, scale 0.25, 11-17h GMT, seed 3", cs.Fidelity())
+	requireFidelity(t, "Fidelity: "+cs.Label(), cs.Fidelity())
 
 	// Figs. 7-4/7-5: DNA pushes the largest owned volume, DEU second.
 	pushNA := cs.Sync["NA"].DailyPushMB()

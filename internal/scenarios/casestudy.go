@@ -87,7 +87,7 @@ type dcTraits struct {
 // CaseStudy is a built consolidation or multiple-master run. It is a thin
 // adapter over the experiment API: buildCaseStudy assembles an
 // experiment.Experiment from the traits and compiles it; the struct keeps
-// the familiar accessors for the cmd binaries and tests.
+// the familiar accessors for the CLI reports and tests.
 type CaseStudy struct {
 	Name    string
 	Cfg     CaseConfig
@@ -343,8 +343,12 @@ func (cs *CaseStudy) simWindow(gmtFrom, gmtTo float64) (float64, float64) {
 
 // LinkUtilPct returns the mean utilization (percent of allocated capacity)
 // of a directed WAN link over a GMT hour window — the Table 6.1 / 7.3
-// measurement.
+// measurement — or NaN unless the run covers the whole window: a mean over
+// part of it, or over no samples at all, is not that measurement.
 func (cs *CaseStudy) LinkUtilPct(from, to string, gmtFrom, gmtTo float64) float64 {
+	if gmtFrom < float64(cs.Cfg.StartHour) || gmtTo > float64(cs.Cfg.EndHour) {
+		return math.NaN()
+	}
 	t0, t1 := cs.simWindow(gmtFrom, gmtTo)
 	s := cs.Sim.Collector.MustSeries(fmt.Sprintf("link:%s->%s", from, to))
 	return s.Mean(t0, t1) * 100

@@ -229,6 +229,10 @@ func (r *ValidationResult) Fidelity() []FidelityRow {
 // Fidelity evaluates the fidelity rows of this case study's scenario.
 func (cs *CaseStudy) Fidelity() []FidelityRow { return evaluate(cs.Name, 0, run{cs: cs}) }
 
+// Failed reports whether a banded row read FAIL or missing: on a referee
+// run (referee.go) that is a failed check.
+func (r FidelityRow) Failed() bool { return r.Band != nil && r.Verdict != "pass" }
+
 // FidelityReport renders evaluated rows: thesis value, measurement, band
 // and verdict.
 func FidelityReport(title string, rows []FidelityRow) *metrics.Table {

@@ -33,7 +33,7 @@ func requireFidelity(t *testing.T, title string, rows []FidelityRow) {
 	}
 	t.Log("\n" + FidelityReport(title, rows).String())
 	for _, r := range rows {
-		if r.Band != nil && r.Verdict != "pass" {
+		if r.Failed() {
 			t.Errorf("%s = %.2f (%s), want within %s (thesis %.2f)", r.ID, r.Measured, r.Verdict, r.Band, r.Thesis)
 		}
 	}

@@ -12,19 +12,20 @@ func TestValidationConfigRejectsBadExperiment(t *testing.T) {
 	}
 }
 
-// TestValidationExperiment2 runs the middle experiment (the calibration
-// anchor) end to end and holds it to the fidelity table's experiment-2
-// rows: Table 5.2 steady means, Table 5.3 RMSE and Fig. 5-6 clients. The
-// full 38 simulated minutes at a 5 ms step run in a few seconds.
+// TestValidationExperiment2 runs the validation referee (referee.go: the
+// middle experiment, the calibration anchor, at seed 42) end to end and
+// holds it to the fidelity table's experiment-2 rows: Table 5.2 steady
+// means, Table 5.3 RMSE and Fig. 5-6 clients. The full 38 simulated
+// minutes at a 5 ms step run in a few seconds.
 func TestValidationExperiment2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full validation run skipped in -short")
 	}
-	res, err := RunValidation(ValidationConfig{Experiment: 1, Seed: 42})
+	res, err := RunValidation(ValidationReferee())
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireFidelity(t, "Fidelity: validation experiment 2, seed 42", res.Fidelity())
+	requireFidelity(t, "Fidelity: "+res.Label(), res.Fidelity())
 }
 
 // TestValidationPressureOrdering runs shortened versions of experiments 1

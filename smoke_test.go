@@ -1,7 +1,7 @@
-// Compile-and-run smoke tests for the examples and cmd binaries, so the
+// Compile-and-run smoke tests for the examples and the gdisim CLI, so the
 // user-facing entry points cannot rot silently: every binary is built with
-// the current module and the fast ones are executed end to end (the cmd
-// binaries via their -short flag).
+// the current module and the fast ones are executed end to end (the CLI's
+// scenario reports via its -short flag).
 package gdisim
 
 import (
@@ -81,24 +81,19 @@ func TestExamplesSmoke(t *testing.T) {
 	}
 }
 
-// TestCommandsSmoke compiles every cmd binary and runs each in its -short
-// mode, checking the headline artifact of each report appears.
+// TestCommandsSmoke compiles the gdisim CLI and runs each of its modes,
+// the scenario reproductions at -short, checking the headline artifact of
+// each report appears. A subtest is named after the report it smokes.
 func TestCommandsSmoke(t *testing.T) {
-	dir := t.TempDir()
-	bins := buildPackages(t, dir, []string{
-		"./cmd/validate",
-		"./cmd/consolidate",
-		"./cmd/multimaster",
-		"./cmd/gdisim",
-	})
+	bin := buildPackages(t, t.TempDir(), []string{"./cmd/gdisim"})["gdisim"]
 	cases := []struct {
-		bin  string
+		name string
 		args []string
 		want string
 	}{
-		{"validate", []string{"-short"}, "Table 5.2"},
-		{"consolidate", []string{"-short"}, "Table 6.1"},
-		{"multimaster", []string{"-short"}, "Table 7.3"},
+		{"validate", []string{"-scenario", "validation", "-short"}, "Table 5.2"},
+		{"consolidate", []string{"-scenario", "consolidation", "-short"}, "Table 6.1"},
+		{"multimaster", []string{"-scenario", "multimaster", "-short"}, "Table 7.3"},
 		{"gdisim", []string{"-short"}, "speedup"},
 		{"gdisim", []string{"-doc", "examples/scenario.json"}, "operations completed"},
 		{"gdisim", []string{"-doc", "examples/chaos.json"}, "fault report"},
@@ -107,11 +102,11 @@ func TestCommandsSmoke(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.bin, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			out := runBinary(t, bins[tc.bin], tc.args...)
+			out := runBinary(t, bin, tc.args...)
 			if !strings.Contains(out, tc.want) {
-				t.Errorf("%s %v output missing %q:\n%s", tc.bin, tc.args, tc.want, out)
+				t.Errorf("gdisim %v output missing %q:\n%s", tc.args, tc.want, out)
 			}
 		})
 	}
