@@ -493,8 +493,8 @@ func instantiate(op Op, b *Binding, sc *Scratch) (core.OpRun, error) {
 		x = newExpander(p.oneShotStages(b), p.width)
 		x.sc = sc
 	}
-	if cap(x.holds) < p.width {
-		x.holds = make([]core.Hold, 0, p.width)
+	if n := int(p.layouts); cap(x.holds) < n {
+		x.holds = make([]core.Hold, 0, n)
 	}
 	x.prog, x.tiers, x.steps, x.binding = p, tiers, op.Steps, b
 	return core.OpRun{
@@ -524,10 +524,12 @@ func (sc *Scratch) retire(x *expander) {
 
 // expander is the per-operation-instance expansion state: the flow's steps
 // are strictly sequential, so one stage buffer, one hold buffer and one plan
-// slice serve them all. A message holds at most one span, so instantiate
-// sizes the hold buffer to the program's width and expand never grows it;
-// holdBuf backs it for steps of up to eight messages — the widest step of
-// the built-in operations, the CAD fan-outs (apps.FanOut) — so an expander
+// slice serve them all. The stage and hold buffers hold the plans a step
+// lays out, not one per message: a run of repeated messages — a fan-out's
+// apps.FanOut identical copies — shares at most two plans (Expand). A plan
+// holds at most one span, so instantiate sizes the hold buffer to the
+// program's layouts and expand never grows it; holdBuf backs it for steps
+// laying out up to eight plans, every built-in operation's, so an expander
 // costs no hold allocation of its own. The stage buffer and plan slice are
 // sized for the first operation when the expander is created
 // (oneShotStages, width), whether it serves one operation or a launcher.
@@ -558,12 +560,9 @@ type expander struct {
 
 // Expander blocks: a new expander and the stage and plan buffers of its
 // first operation in one allocation, at exactly the sizes instantiate asks
-// for, for the built-in operations whose block rounds up to within 64
-// bytes of the three allocations it replaces: one message a step (the PDM
-// catalog) on one site or two, and the eight-message fan-outs of the CAD
-// and VIS catalogs between two sites. Their fan-outs on one site (64
-// stages) would round up 320 bytes past the three allocations, so they
-// keep them.
+// for, for the built-in operations: one message a step (the PDM catalog)
+// and the eight-message fan-outs of the CAD and VIS catalogs, which lay out
+// two plans a step, each on one site or two.
 type (
 	expanderBlock1x8 struct {
 		x      expander
@@ -575,9 +574,14 @@ type (
 		stages [12]core.Stage
 		plans  [1]core.MessagePlan
 	}
-	expanderBlock8x96 struct {
+	expanderBlock8x16 struct {
 		x      expander
-		stages [96]core.Stage
+		stages [16]core.Stage
+		plans  [8]core.MessagePlan
+	}
+	expanderBlock8x24 struct {
+		x      expander
+		stages [24]core.Stage
 		plans  [8]core.MessagePlan
 	}
 )
@@ -596,8 +600,12 @@ func newExpander(stages, width int) *expander {
 		blk := new(expanderBlock1x12)
 		x = &blk.x
 		x.stages, x.plans = blk.stages[:0], blk.plans[:0]
-	case width == 8 && stages == 96:
-		blk := new(expanderBlock8x96)
+	case width == 8 && stages == 16:
+		blk := new(expanderBlock8x16)
+		x = &blk.x
+		x.stages, x.plans = blk.stages[:0], blk.plans[:0]
+	case width == 8 && stages == 24:
+		blk := new(expanderBlock8x24)
 		x = &blk.x
 		x.stages, x.plans = blk.stages[:0], blk.plans[:0]
 	default:
@@ -620,12 +628,18 @@ func (x *expander) Retire() {
 	}
 }
 
-// expand runs one step of the compiled program: per message, endpoint
-// patching and a copy of the route's fabric. The previous step's plans are
-// dead, so their storage is overwritten in place (it only ever points into
-// the platform, which outlives the operation; retire clears it). A message
-// that cannot be routed abandons the step: expand returns nothing and the
-// error waits in Err. Expand implements core.Expander.
+// Expand runs one step of the compiled program: per message, endpoint
+// patching and a copy of the route's fabric. A message that repeats the one
+// before it (repeats: same ends, same cost) resolves to the same servers
+// over the same route, so only its memory draw can set it apart: it takes
+// that draw, in message order, and shares the plan its run already laid out
+// for the outcome, or lays out the other one. A run therefore costs at most
+// two layouts, and its messages' plans share Stages and Holds. The previous
+// step's plans are dead, so their storage is overwritten in place (it only
+// ever points into the platform, which outlives the operation; retire
+// clears it). A message that cannot be routed abandons the step before its
+// draw: Expand returns nothing and the error waits in Err. Expand
+// implements core.Expander.
 func (x *expander) Expand(step int) []core.MessagePlan {
 	if step != x.next {
 		x.off = 0
@@ -637,12 +651,34 @@ func (x *expander) Expand(step int) []core.MessagePlan {
 	codes := x.prog.msgs[x.off : x.off+len(msgs)]
 	x.next, x.off = step+1, x.off+len(msgs)
 
-	// Every message appends into one plan spanning the step; its hold spans
-	// are then re-based onto its own stages.
+	// Every layout appends into one plan spanning the step and is cut out
+	// of it, capped so no plan can append into its neighbour, with its hold
+	// spans re-based onto its own stages. A buffer that grows leaves the
+	// plans cut before it on the old array, which nothing writes again.
 	all, plans := core.MessagePlan{Stages: x.stages[:0], Holds: x.holds[:0]}, x.plans[:0]
+	inf := x.binding.Inf
+	var from, to topology.Endpoint
+	var laid [3]int // per draw outcome, 1 + the index of the run's plan laid out for it
 	for i, m := range codes {
+		cost, first := msgs[i].Cost, !repeats(codes, msgs, i)
+		var d topology.Draw
+		if first {
+			// Ends resolve from-then-to, the order server picks, and
+			// therefore round-robin cursors, advance in.
+			from, to = x.binding.endpoint(m>>4, x.tiers), x.binding.endpoint(m&15, x.tiers)
+			laid = [3]int{}
+		} else if d = topology.TakeDraw(to, cost); laid[d] > 0 {
+			plans = append(plans, plans[laid[d]-1])
+			continue
+		}
 		start, held := len(all.Stages), len(all.Holds)
-		if err := x.binding.appendMsg(&all, m, x.tiers, msgs[i].Cost); err != nil {
+		var err error
+		if first {
+			d, err = inf.AppendHopDrawn(&all, from, to, cost)
+		} else {
+			err = inf.AppendHopAs(&all, from, to, cost, d)
+		}
+		if err != nil {
 			x.err = err
 			return nil
 		}
@@ -650,16 +686,9 @@ func (x *expander) Expand(step int) []core.MessagePlan {
 			all.Holds[j].From -= int32(start)
 			all.Holds[j].To -= int32(start)
 		}
-		plans = append(plans, core.MessagePlan{Stages: all.Stages[start:], Holds: all.Holds[held:]})
-	}
-	// A grown buffer moved the earlier messages' stages or spans: re-slice
-	// every plan out of the final ones, capped so no plan can append into
-	// its neighbour.
-	off, hoff := 0, 0
-	for i := range plans {
-		end, hend := off+len(plans[i].Stages), hoff+len(plans[i].Holds)
-		plans[i].Stages, plans[i].Holds = all.Stages[off:end:end], all.Holds[hoff:hend:hend]
-		off, hoff = end, hend
+		end, hend := len(all.Stages), len(all.Holds)
+		plans = append(plans, core.MessagePlan{Stages: all.Stages[start:end:end], Holds: all.Holds[held:hend:hend]})
+		laid[d] = len(plans)
 	}
 	x.stages, x.holds, x.plans = all.Stages, all.Holds, plans
 	return plans

@@ -18,10 +18,18 @@ import (
 // only, mirroring the consolidated platform shape of Chapter 6.
 func testInfra(t *testing.T) (*core.Simulation, *topology.Infrastructure) {
 	t.Helper()
+	return cachedInfra(t, 0)
+}
+
+// cachedInfra is testInfra with server memories that serve a storage read
+// with probability hitRate.
+func cachedInfra(t *testing.T, hitRate float64) (*core.Simulation, *topology.Infrastructure) {
+	t.Helper()
 	srv := topology.ServerSpec{
-		CPU:     hardware.CPUSpec{Sockets: 1, Cores: 4, GHz: 2},
-		MemGB:   32,
-		NICGbps: 10,
+		CPU:          hardware.CPUSpec{Sockets: 1, Cores: 4, GHz: 2},
+		MemGB:        32,
+		CacheHitRate: hitRate,
+		NICGbps:      10,
 		RAID: &hardware.RAIDSpec{
 			Disks: 4, Disk: hardware.DiskSpec{CtrlGbps: 4, MBps: 150, HitRate: 0},
 			CtrlGbps: 4, HitRate: 0,
@@ -768,10 +776,10 @@ func TestTierForMatchesResolve(t *testing.T) {
 // A launcher's new expander — one per operation beyond those in flight —
 // is the OpRun's core.Expander itself, with no method values or retire
 // closure: one allocation when a block has the size of its first
-// operation (a message a step on one site or two, or eight a step between
-// two sites), three otherwise (the expander, its stage buffer and its
-// plan slice), four past eight messages a step (and the hold buffer
-// holdBuf cannot hold); a recycled one costs none.
+// operation (a message a step, or an eight-message fan-out laying out two
+// plans a step, on one site or two), three otherwise (the expander, its
+// stage buffer and its plan slice) — also for a nine-message fan-out,
+// whose two layouts' hold spans fit holdBuf; a recycled one costs none.
 func TestExpanderAllocs(t *testing.T) {
 	_, inf := testInfra(t)
 	na, aus := inf.DC("NA"), inf.DC("AUS")
@@ -800,8 +808,8 @@ func TestExpanderAllocs(t *testing.T) {
 		want  float64
 	}{
 		{seq, na, 1}, {seq, aus, 1},
-		{fan(8), aus, 1}, {fan(8), na, 3},
-		{fan(9), na, 4},
+		{fan(8), aus, 1}, {fan(8), na, 1},
+		{fan(9), na, 3},
 	} {
 		var sc Scratch
 		b := NewBinding(inf, c.local, na)
@@ -810,6 +818,141 @@ func TestExpanderAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(50, func() { sc.Instantiate(c.op, b) }); n != c.want {
 			t.Errorf("a new expander of %s from %s costs %v allocations, want %v", c.op.Name, c.local.Name, n, c.want)
+		}
+	}
+}
+
+// A fan-out's repeated messages share their plans. On a platform whose
+// caches hit half the time, a run of repeats is laid out at most twice,
+// once per outcome of the memory draw; yet every message still takes its
+// own draw, in message order: its plan equals what expanding it alone
+// gives on a twin platform, message by message, and both platforms'
+// memories end at the same RNG position. A message that cannot be routed
+// takes no draw.
+func TestFanSharesOneExpansion(t *testing.T) {
+	_, inf := cachedInfra(t, 0.5)
+	_, twin := cachedInfra(t, 0.5)
+	fan := func(m Msg) []Msg { return slices.Repeat([]Msg{m}, 8) }
+	req := Msg{From: End{Role: Client}, To: End{Role: App, Site: SiteMaster},
+		Cost: R{CPUCycles: 2e8, NetBytes: 30e3, MemBytes: 5e6, DiskBytes: 1e6}}
+	toFS := Msg{From: End{Role: Client}, To: End{Role: FS, Site: SiteLocal},
+		Cost: R{CPUCycles: 1e8, NetBytes: 1e6, MemBytes: 2e6, DiskBytes: 1e6}}
+	op := Op{Name: "FAN", Steps: [][]Msg{fan(req), append(fan(toFS)[:4:4], fan(req)[:4]...)}}
+	mems := map[core.Occupancy]string{}
+	for _, p := range []*topology.Infrastructure{inf, twin} {
+		for _, dc := range []string{"NA", "AUS"} {
+			for _, tier := range p.DC(dc).Tiers {
+				for _, srv := range tier.Servers {
+					mems[srv.Mem] = srv.Name
+				}
+			}
+		}
+	}
+	sameRNG := func(label string) {
+		t.Helper()
+		for _, dc := range []string{"NA", "AUS"} {
+			for name, tier := range inf.DC(dc).Tiers {
+				for i, srv := range tier.Servers {
+					for k := range 16 {
+						if srv.Mem.Hit() != twin.DC(dc).Tier(name).Servers[i].Mem.Hit() {
+							t.Fatalf("%s: memory RNG of %s diverged from the twin's (draw %d)", label, srv.Name, k)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	var sc Scratch
+	shared, split := 0, 0
+	for launch := range 12 {
+		local := inf.DC([]string{"NA", "AUS"}[launch%2])
+		b := sc.NewBinding(inf, local, inf.DC("NA"))
+		tb := NewBinding(twin, twin.DC(local.Name), twin.DC("NA"))
+		run, err := sc.Instantiate(op, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, msgs := range op.Steps {
+			plans := run.Expand(s)
+			if len(plans) != len(msgs) {
+				t.Fatalf("launch %d step %d: %d plans for %d messages (%v)", launch, s, len(plans), len(msgs), run.Expander.Err())
+			}
+			layouts, stepLayouts := map[*core.Stage]bool{}, map[*core.Stage]bool{}
+			for i, m := range msgs {
+				label := fmt.Sprintf("launch %d step %d msg %d", launch, s, i)
+				if i > 0 && m != msgs[i-1] {
+					if len(layouts) == 2 {
+						split++
+					}
+					layouts = map[*core.Stage]bool{}
+				}
+				layouts[&plans[i].Stages[0]], stepLayouts[&plans[i].Stages[0]] = true, true
+				if len(layouts) > 2 {
+					t.Fatalf("%s: its run has laid out %d plans, want at most two", label, len(layouts))
+				}
+				from, _ := tb.Resolve(m.From)
+				to, _ := tb.Resolve(m.To)
+				want, err := twin.ExpandHop(from, to, m.Cost)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePlan(t, label, mems, plans[i], want)
+			}
+			if len(layouts) == 2 {
+				split++
+			}
+			if len(stepLayouts) < len(msgs) {
+				shared++
+			}
+		}
+		run.Expander.Retire()
+		sameRNG(fmt.Sprintf("launch %d", launch))
+	}
+	if shared == 0 || split == 0 {
+		t.Fatalf("%d steps shared plans and %d runs laid out both outcomes: the test did not exercise sharing", shared, split)
+	}
+
+	// AUS cut off: the file-server run at AUS expands and draws, the
+	// request run to NA stops at its first message, before its draw.
+	inf.IsolateDC("AUS")
+	twin.IsolateDC("AUS")
+	b := sc.NewBinding(inf, inf.DC("AUS"), inf.DC("NA"))
+	tb := NewBinding(twin, twin.DC("AUS"), twin.DC("NA"))
+	run, err := sc.Instantiate(op, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plans := run.Expand(1); plans != nil || run.Expander.Err() == nil {
+		t.Fatalf("an unroutable step expanded into %d plans, error %v", len(plans), run.Expander.Err())
+	}
+	for _, m := range op.Steps[1] {
+		from, _ := tb.Resolve(m.From)
+		to, _ := tb.Resolve(m.To)
+		if _, err := twin.ExpandHop(from, to, m.Cost); err != nil {
+			break
+		}
+	}
+	sameRNG("isolated")
+}
+
+// samePlan fails unless got has want's stages (agent and demand) and hold
+// spans (memory, amount, first and last stage), want expanded on a twin
+// platform; mems names every memory of both platforms.
+func samePlan(t *testing.T, label string, mems map[core.Occupancy]string, got, want core.MessagePlan) {
+	t.Helper()
+	if len(got.Stages) != len(want.Stages) || len(got.Holds) != len(want.Holds) {
+		t.Fatalf("%s: %d stages, %d holds; expanded alone %d, %d", label,
+			len(got.Stages), len(got.Holds), len(want.Stages), len(want.Holds))
+	}
+	for k, w := range want.Stages {
+		if g := got.Stages[k]; g.Queue.Name() != w.Queue.Name() || g.Demand != w.Demand {
+			t.Fatalf("%s stage %d: %s %v, expanded alone %s %v", label, k, g.Queue.Name(), g.Demand, w.Queue.Name(), w.Demand)
+		}
+	}
+	for k, w := range want.Holds {
+		if g := got.Holds[k]; mems[g.Occ] != mems[w.Occ] || g.Amount != w.Amount || g.From != w.From || g.To != w.To {
+			t.Fatalf("%s hold %d: %+v, expanded alone %+v", label, k, g, w)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 // Programs — into a program, one byte per message naming its two ends, and
 // each (local, master) pair of data centers a launcher binds resolves,
 // once, into the tiers behind the server roles (siteTiers). What stays a
-// run-time decision, made per instance in Binding.endpoint and
-// topology.AppendHop in the order messages expand: the client slot, the
-// server each (role, site) pair picks, every memory-hit draw, and the WAN
-// route of the moment. Programs hold indices, not stages.
+// run-time decision, made per instance in Binding.endpoint and topology's
+// hop expansion in the order messages expand: the client slot, the server
+// each (role, site) pair picks, every memory-hit draw, and the WAN route of
+// the moment. Programs hold indices, not stages.
 
 // End codes: the dense numbering of everything a message end can be. A
 // server end is endServer plus its affinity slot, so the code also indexes
@@ -68,6 +68,10 @@ type program struct {
 	// usesClient is set when a message starts or ends at a client.
 	slots      uint8
 	usesClient bool
+	// layouts is the most plans a step lays out, a run of identical
+	// messages counting at most two (expander.Expand); an int32 beside the
+	// flags keeps a catalog's program slab at 40 bytes an operation.
+	layouts int32
 	// width is the message count of the widest step.
 	width int
 }
@@ -105,6 +109,7 @@ func (p *program) compile(op Op, msgs []uint8) error {
 				}
 			}
 		}
+		p.layouts = max(p.layouts, int32(layouts(p.msgs[len(p.msgs)-len(step):], step)))
 	}
 	return nil
 }
@@ -208,19 +213,47 @@ func (p *program) bindable(b *Binding, tiers *siteTiers) error {
 	return nil
 }
 
-// oneShotStages sizes the stage buffer of a new expander (its plan slice
-// gets width): the widest step at eight stages per message — NIC, link,
-// switch, link, NIC and up to three processing stages — plus a WAN hop
-// (link, far switch) each way of slack when the sites differ. An
-// underestimate costs a buffer growth, nothing else. A launcher's recycled
-// expander keeps the buffers it was created or grown with, so its
-// operations rarely grow them.
-func (p *program) oneShotStages(b *Binding) int {
-	if b.Local == b.Master {
-		return 8 * p.width
-	}
-	return 12 * p.width
+// repeats reports whether message i of a step, compiled into codes,
+// repeats message i-1: the same end codes and the same cost. It then
+// resolves to the same ends and routes the same way, so a run of repeats
+// lays out at most two plans, one per outcome of the memory draw
+// (expander.Expand).
+func repeats(codes []uint8, msgs []Msg, i int) bool {
+	return i > 0 && codes[i] == codes[i-1] && msgs[i].Cost == msgs[i-1].Cost
 }
+
+// layouts counts the plans a step compiled into codes lays out at most:
+// one per message, but at most two per run of repeats.
+func layouts(codes []uint8, msgs []Msg) int {
+	n, run := 0, 0
+	for i := range msgs {
+		run++
+		if !repeats(codes, msgs, i) {
+			run = 1
+		}
+		if run <= 2 {
+			n++
+		}
+	}
+	return n
+}
+
+// messageStages is the stage room one message is given: eight stages — NIC,
+// link, switch, link, NIC and up to three processing stages — plus a WAN
+// hop (link, far switch) each way of slack when the sites differ.
+func messageStages(b *Binding) int {
+	if b.Local == b.Master {
+		return 8
+	}
+	return 12
+}
+
+// oneShotStages sizes the stage buffer of a new expander (its plan slice
+// gets width): the room of one message per plan the program's busiest step
+// lays out. An underestimate costs a buffer growth, nothing else. A
+// launcher's recycled expander keeps the buffers it was created or grown
+// with, so its operations rarely grow them.
+func (p *program) oneShotStages(b *Binding) int { return messageStages(b) * int(p.layouts) }
 
 // siteTiers is the tier behind every affinity slot for one (local, master)
 // pair of data centers, the missing-tier fallback applied; nil where

@@ -42,7 +42,7 @@ func (t *Programs) Estimate(i int, inf *topology.Infrastructure, local, master *
 	if cap(plan.Stages) == 0 {
 		// The plan holds one message at a time: room for the stages an
 		// expander allows a message, and its one hold span.
-		plan.Stages = make([]core.Stage, 0, p.oneShotStages(&b)/p.width)
+		plan.Stages = make([]core.Stage, 0, messageStages(&b))
 		plan.Holds = make([]core.Hold, 0, 1)
 	}
 	return p.estimate(t.ops[i], &b, &tiers, step, plan)

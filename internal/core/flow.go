@@ -59,7 +59,11 @@ type MessagePlan struct {
 // message of step k has finished, so the plans of step k are dead once step
 // k+1 is expanded: an implementation may reuse the returned slice and the
 // stage storage behind it from one call to the next. That makes one
-// Expander drive one flow — start each flow from its own.
+// Expander drive one flow — start each flow from its own. The plans of one
+// step may share their Stages and Holds — identical messages expand into
+// one plan (cascade's fan-outs) — because the flow never writes a plan:
+// each message's token reads its stages and spans and keeps its progress
+// in itself.
 type Expander interface {
 	// Expand returns the parallel messages of the given step (0-based). An
 	// empty result completes the step immediately.

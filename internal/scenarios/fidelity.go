@@ -81,7 +81,7 @@ func buildFidelityTable() []FidelityRow {
 		}
 		c := refdata.SteadyStateClients[i]
 		add("Fig. 5-6 exp %d steady clients", c, &Band{c - 8, c + 8},
-			func(r *ValidationResult) float64 { return r.Clients.Mean(r.Config.SteadyStart, r.Config.SteadyEnd) })
+			(*ValidationResult).steadyClients)
 	}
 
 	add := func(sc, id string, thesis float64, b *Band, read func(*CaseStudy) float64) {

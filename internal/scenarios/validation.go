@@ -72,7 +72,10 @@ type ValidationConfig struct {
 	// simulated time. Defaults follow the thesis: ~34 and ~38 minutes.
 	LaunchFor float64
 	RunFor    float64
-	// Steady-state window for Table 5.2 statistics; defaults [5, 34] min.
+	// Steady-state window for Table 5.2 statistics; defaults [5, 34] min,
+	// each default capped so the window fits the run. A window that is
+	// inverted or reaches past RunFor is an error; one that holds no
+	// snapshot reads NaN.
 	SteadyStart, SteadyEnd float64
 	// LoopFlags selects the time loop (see core.LoopFlags); results are
 	// bit-identical on either loop.
@@ -92,11 +95,14 @@ func (c *ValidationConfig) defaults() error {
 	if c.RunFor <= 0 {
 		c.RunFor = 38 * 60
 	}
-	if c.SteadyStart <= 0 {
-		c.SteadyStart = 5 * 60
-	}
 	if c.SteadyEnd <= 0 {
-		c.SteadyEnd = c.LaunchFor
+		c.SteadyEnd = min(c.LaunchFor, c.RunFor)
+	}
+	if c.SteadyStart <= 0 {
+		c.SteadyStart = min(5*60, c.SteadyEnd)
+	}
+	if !(c.SteadyStart <= c.SteadyEnd && c.SteadyEnd <= c.RunFor) {
+		return fmt.Errorf("scenarios: steady window [%v, %v) s does not fit a %v s run", c.SteadyStart, c.SteadyEnd, c.RunFor)
 	}
 	return nil
 }
@@ -208,8 +214,8 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 	}
 	for _, tier := range refdata.ValidationTiers {
 		res.CPU[tier] = sim.Collector.MustSeries("cpu:NA:" + tier)
-		res.SteadyMean[tier] = res.CPU[tier].Mean(cfg.SteadyStart, cfg.SteadyEnd) * 100
-		res.SteadyStd[tier] = res.CPU[tier].Std(cfg.SteadyStart, cfg.SteadyEnd) * 100
+		res.SteadyMean[tier] = res.steady(res.CPU[tier], metrics.Mean) * 100
+		res.SteadyStd[tier] = res.steady(res.CPU[tier], metrics.Std) * 100
 	}
 	res.synthesizeReferences()
 	if err := res.computeRMSE(); err != nil {
@@ -218,6 +224,21 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 	res.computeResponseRMSE(series)
 	return res, nil
 }
+
+// steady applies stat to the samples of s inside the steady window, or
+// returns NaN when the window holds none: a statistic of no snapshots is
+// no measurement.
+func (r *ValidationResult) steady(s *metrics.Series, stat func([]float64) float64) float64 {
+	w := s.Window(r.Config.SteadyStart, r.Config.SteadyEnd)
+	if len(w) == 0 {
+		return math.NaN()
+	}
+	return stat(w)
+}
+
+// steadyClients is the mean number of concurrent clients over the steady
+// window (Fig. 5-6), NaN when the window holds no snapshot.
+func (r *ValidationResult) steadyClients() float64 { return r.steady(r.Clients, metrics.Mean) }
 
 // synthesizeReferences regenerates the "physical infrastructure" series
 // from the published Table 5.2 statistics: ramp to the steady mean, a

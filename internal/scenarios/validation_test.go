@@ -1,6 +1,8 @@
 package scenarios
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/refdata"
@@ -9,6 +11,58 @@ import (
 func TestValidationConfigRejectsBadExperiment(t *testing.T) {
 	if _, err := RunValidation(ValidationConfig{Experiment: 3}); err == nil {
 		t.Error("experiment index 3 accepted")
+	}
+}
+
+// A steady window that is inverted, reaches past the run or is not a
+// number is an error, not a panic in the statistics; the default window,
+// and the windows the benchmark harness runs, are valid.
+func TestValidationConfigRejectsBadSteadyWindow(t *testing.T) {
+	for _, c := range []ValidationConfig{
+		{Experiment: 1, LaunchFor: 60, RunFor: 90, SteadyStart: 50, SteadyEnd: 20},
+		{Experiment: 1, LaunchFor: 60, RunFor: 90, SteadyStart: 20, SteadyEnd: 120},
+		{Experiment: 1, LaunchFor: 60, RunFor: 90, SteadyStart: 80},
+		{Experiment: 1, LaunchFor: 60, RunFor: 90, SteadyStart: math.NaN(), SteadyEnd: 60},
+	} {
+		if _, err := RunValidation(c); err == nil {
+			t.Errorf("steady window [%v, %v) of a %v s run accepted", c.SteadyStart, c.SteadyEnd, c.RunFor)
+		}
+	}
+	for _, c := range []ValidationConfig{
+		{Experiment: 1},
+		{Experiment: 1, LaunchFor: 1, RunFor: 31, SteadyStart: 1, SteadyEnd: 31},
+		{Experiment: 1, LaunchFor: 40, RunFor: 45},
+		{Experiment: 1, LaunchFor: 60, RunFor: 30},
+	} {
+		want := c
+		if err := c.defaults(); err != nil {
+			t.Errorf("%+v rejected: %v", want, err)
+		}
+	}
+}
+
+// A steady window that holds no snapshot measures nothing: the Table 5.2
+// rows and the Fig. 5-6 steady clients read missing, not a mean of zero.
+func TestEmptySteadyWindowReadsMissing(t *testing.T) {
+	res, err := RunValidation(ValidationConfig{
+		Experiment: 1, Seed: 42,
+		LaunchFor: 120, RunFor: 150, SteadyStart: 100, SteadyEnd: 110,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, r := range res.Fidelity() {
+		if !strings.HasPrefix(r.ID, "Table 5.2 ") && !strings.HasPrefix(r.ID, "Fig. 5-6 ") {
+			continue
+		}
+		n++
+		if r.Verdict != "missing" {
+			t.Errorf("%s = %.2f (%s), want missing: the window [100, 110) s holds no 30 s snapshot", r.ID, r.Measured, r.Verdict)
+		}
+	}
+	if want := 2*len(refdata.ValidationTiers) + 1; n != want {
+		t.Errorf("%d Table 5.2 and Fig. 5-6 rows, want %d", n, want)
 	}
 }
 

@@ -257,6 +257,18 @@ func netStage(q core.QueueAgent, bytes float64) core.Stage {
 	return core.Stage{Queue: q, Demand: bytes}
 }
 
+// Draw is the outcome of the memory-cache draw a message takes at its
+// destination (Memory.Hit): whether the storage access it carries is served
+// from memory. A message that reads no storage, or ends at no server, takes
+// no draw.
+type Draw uint8
+
+const (
+	NoDraw Draw = iota // the message takes no draw
+	Miss               // the storage stages run
+	Hit                // the storage stages are bypassed
+)
+
 // AppendHop expands one cascade message between two holons into the chain
 // of hardware stages it traverses and appends them to plan, implementing the
 // decomposition of Eqs. 3.2-3.5: origin NIC, network path (local links,
@@ -267,47 +279,95 @@ func netStage(q core.QueueAgent, bytes float64) core.Stage {
 // out of the compiled route table (route), or just the local switch inside
 // one data center — the bulk of intra-platform traffic. It allocates only
 // when the plan lacks capacity. On error (a *NoRouteError) the plan is left
-// unextended.
+// unextended and no memory draw is taken.
 func (inf *Infrastructure) AppendHop(plan *core.MessagePlan, from, to Endpoint, cost Cost) error {
+	_, err := inf.AppendHopDrawn(plan, from, to, cost)
+	return err
+}
+
+// AppendHopDrawn is AppendHop reporting the outcome of the message's
+// memory draw, taken once the route is known to exist.
+func (inf *Infrastructure) AppendHopDrawn(plan *core.MessagePlan, from, to Endpoint, cost Cost) (Draw, error) {
+	if err := inf.appendNetwork(plan, from, to, cost); err != nil {
+		return NoDraw, err
+	}
+	d := TakeDraw(to, cost)
+	appendProcessing(plan, to, cost, d)
+	return d, nil
+}
+
+// AppendHopAs is AppendHop laid out as the memory draw d came out: it takes
+// no draw of its own. d is what TakeDraw returned for the same destination
+// and cost.
+func (inf *Infrastructure) AppendHopAs(plan *core.MessagePlan, from, to Endpoint, cost Cost, d Draw) error {
+	if err := inf.appendNetwork(plan, from, to, cost); err != nil {
+		return err
+	}
+	appendProcessing(plan, to, cost, d)
+	return nil
+}
+
+// TakeDraw takes the memory draw of a message carrying cost to to: one
+// Memory.Hit at the destination server when the message reads storage,
+// none otherwise.
+func TakeDraw(to Endpoint, cost Cost) Draw {
+	switch {
+	case to.kind != epServer || !(cost.DiskBytes > 0):
+		return NoDraw
+	case to.server.Mem.Hit():
+		return Hit
+	}
+	return Miss
+}
+
+// appendNetwork appends a message's network stages — origin NIC and link,
+// the fabric, destination link and NIC — or, when no route connects the
+// two data centers, returns the *NoRouteError with plan unextended.
+func (inf *Infrastructure) appendNetwork(plan *core.MessagePlan, from, to Endpoint, cost Cost) error {
+	net := cost.NetBytes
+	if net <= 0 {
+		return nil
+	}
+	var fabric []core.QueueAgent
+	if from.dc != to.dc {
+		r := inf.route(from.dc, to.dc)
+		if r.err != nil {
+			return r.err
+		}
+		fabric = r.fabric
+	}
 	stages := plan.Stages
-	if net := cost.NetBytes; net > 0 {
-		var fabric []core.QueueAgent
-		if from.dc != to.dc {
-			r := inf.route(from.dc, to.dc)
-			if r.err != nil {
-				return r.err
-			}
-			fabric = r.fabric
-		}
 
-		// Origin side: NIC then egress to the DC switch. Daemons attach
-		// directly to the switch fabric.
-		switch from.kind {
-		case epClient:
-			stages = append(stages, netStage(from.client.NIC, net), netStage(from.dc.ClientLink, net))
-		case epServer:
-			stages = append(stages, netStage(from.server.NIC, net), netStage(from.server.Link, net))
-		}
-
-		if fabric == nil {
-			stages = append(stages, netStage(from.dc.Switch, net))
-		}
-		for _, q := range fabric {
-			stages = append(stages, netStage(q, net))
-		}
-
-		// Destination side: ingress link, then NIC.
-		switch to.kind {
-		case epClient:
-			stages = append(stages, netStage(to.dc.ClientLink, net), netStage(to.client.NIC, net))
-		case epServer:
-			stages = append(stages, netStage(to.server.Link, net), netStage(to.server.NIC, net))
-		}
+	// Origin side: NIC then egress to the DC switch. Daemons attach
+	// directly to the switch fabric.
+	switch from.kind {
+	case epClient:
+		stages = append(stages, netStage(from.client.NIC, net), netStage(from.dc.ClientLink, net))
+	case epServer:
+		stages = append(stages, netStage(from.server.NIC, net), netStage(from.server.Link, net))
 	}
 
-	plan.Stages = stages
+	if fabric == nil {
+		stages = append(stages, netStage(from.dc.Switch, net))
+	}
+	for _, q := range fabric {
+		stages = append(stages, netStage(q, net))
+	}
 
-	// Destination processing. A delay line's stage demand is its latency.
+	// Destination side: ingress link, then NIC.
+	switch to.kind {
+	case epClient:
+		stages = append(stages, netStage(to.dc.ClientLink, net), netStage(to.client.NIC, net))
+	case epServer:
+		stages = append(stages, netStage(to.server.Link, net), netStage(to.server.NIC, net))
+	}
+	plan.Stages = stages
+	return nil
+}
+
+// appendProcessing appends the destination processing of a message whose
+// memory draw came out d. A delay line's stage demand is its latency.
+func appendProcessing(plan *core.MessagePlan, to Endpoint, cost Cost, d Draw) {
 	switch to.kind {
 	case epClient:
 		pool := to.client.Pool
@@ -322,20 +382,19 @@ func (inf *Infrastructure) AppendHop(plan *core.MessagePlan, from, to Endpoint, 
 			})
 		}
 	case epServer:
-		appendServerProcessing(plan, to.server, cost)
+		appendServerProcessing(plan, to.server, cost, d)
 	}
-	return nil
 }
 
 // appendServerProcessing appends the destination-holon stages at a server —
-// CPU service and the storage access, with the storage stage bypassed on a
-// memory cache hit — and the memory hold span across them (Fig. 3-5).
-func appendServerProcessing(plan *core.MessagePlan, srv *Server, cost Cost) {
+// CPU service and the storage access, bypassed when the memory draw d was a
+// hit — and the memory hold span across them (Fig. 3-5).
+func appendServerProcessing(plan *core.MessagePlan, srv *Server, cost Cost, d Draw) {
 	start := len(plan.Stages)
 	if cost.CPUCycles > 0 {
 		plan.Stages = append(plan.Stages, core.Stage{Queue: srv.CPU, Demand: cost.CPUCycles})
 	}
-	if cost.DiskBytes > 0 && !srv.Mem.Hit() {
+	if d == Miss {
 		plan.Stages = srv.AppendStorage(plan.Stages, cost.DiskBytes)
 	}
 	if end := len(plan.Stages); end > start && cost.MemBytes > 0 {
