@@ -39,7 +39,6 @@
 //			Users:          gdisim.BusinessDay(500, 9, 17, 25),
 //			OpsPerUserHour: 8,
 //			Ops:            ops, // cascade operations (gdisim.SeqOp, ...)
-//			Gauges:         true,
 //		}),
 //	)
 //	res, err := e.Run()
@@ -155,7 +154,6 @@ var (
 	WithAccessMatrix = experiment.WithAccessMatrix
 	WithWorkload     = experiment.WithWorkload
 	WithDaemons      = experiment.WithDaemons
-	WithProbes       = experiment.WithProbes
 	WithSetup        = experiment.WithSetup
 	WithFault        = experiment.WithFault
 	// WithFluid enables the hybrid analytic/discrete aggregation tier for

@@ -24,10 +24,12 @@
 // A single task occupies one core, so an operation could never burn 15
 // core-seconds at a tier within a 5-second wall time through one message.
 // The cascades of Figs. 5-2..5-5 carry x4/x10/x12 repetition marks: batches
-// of messages issued in parallel. Fan-out steps of width 4 below reproduce
-// that — they let the per-series tier demand exceed the series wall time
-// while individual tasks stay sub-second, which also keeps queueing delay
-// small below saturation (the "linear operation zone" of §5.2.4).
+// of messages issued in parallel. Fan-out steps of width FanOut (8) below
+// reproduce that — they let the per-series tier demand exceed the series
+// wall time while individual tasks stay sub-second, which also keeps
+// queueing delay small below saturation (the "linear operation zone" of
+// §5.2.4). A mark is not modelled as one batch of its width: an x4 mark
+// becomes 3 sequential width-8 rounds, an x10 or x12 mark 5.
 package apps
 
 import (
@@ -41,8 +43,9 @@ import (
 // budgets below are expressed in seconds at this frequency.
 const ServerGHz = 2.5
 
-// FanOut is the parallel batch width of fan-out steps (the x4 marks of
-// Figs. 5-2..5-5).
+// FanOut is the parallel batch width of fan-out steps. The x4, x10 and x12
+// marks of Figs. 5-2..5-5 are modelled as 3 or 5 sequential rounds of such
+// steps, not as batches of the marked width.
 const FanOut = 8
 
 // cyc converts CPU-seconds at ServerGHz into a cycle demand.

@@ -160,8 +160,8 @@ func TestSyncDaemonRunsCycles(t *testing.T) {
 	if n := d.Durations.Len(); n < 7 {
 		t.Fatalf("completed cycles = %d, want >= 7", n)
 	}
-	if d.Active() != 0 {
-		t.Errorf("active cycles = %d after drain", d.Active())
+	if n := sim.Stats().ActiveFlows; n != 0 {
+		t.Errorf("active cycles = %d after drain", n)
 	}
 	// Pull from EU and push to EU must both be recorded at 15 MB/cycle.
 	pulls := d.PullMB["EU"]
@@ -313,4 +313,13 @@ func TestIndexBuildExpandAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { op.Expand(0) }); n != 0 {
 		t.Errorf("an index-build expand costs %v allocations, want 0", n)
 	}
+}
+
+// GlobalDailyMB sums the generated volume of all data centers over one day.
+func (g GrowthModel) GlobalDailyMB() float64 {
+	total := 0.0
+	for _, dc := range g.DCs() {
+		total += g.VolumeMB(dc, 0, 24*3600)
+	}
+	return total
 }

@@ -71,15 +71,6 @@ func (g GrowthModel) VolumeMB(dc string, t0, t1 float64) float64 {
 	return vol
 }
 
-// GlobalDailyMB sums the generated volume of all data centers over one day.
-func (g GrowthModel) GlobalDailyMB() float64 {
-	total := 0.0
-	for _, dc := range g.DCs() {
-		total += g.VolumeMB(dc, 0, 24*3600)
-	}
-	return total
-}
-
 // OwnedVolumeMB returns the data volume generated across the infrastructure
 // during [t0, t1) that is owned by master m under the access matrix.
 func OwnedVolumeMB(g GrowthModel, apm workload.AccessMatrix, m string, t0, t1 float64) float64 {

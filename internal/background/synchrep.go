@@ -29,9 +29,8 @@ type SyncDaemon struct {
 	PullMB map[string]*metrics.Series
 	PushMB map[string]*metrics.Series
 
-	next        float64
-	started     bool
-	activeCount int
+	next    float64
+	started bool
 }
 
 // Poll launches SYNCHREP cycles on schedule. Implements core.Source.
@@ -64,9 +63,6 @@ func (d *SyncDaemon) NextPoll(now float64) float64 {
 	}
 	return d.next
 }
-
-// Active reports how many SYNCHREP operations are currently in flight.
-func (d *SyncDaemon) Active() int { return d.activeCount }
 
 // MaxStalenessMin returns R^max_SR: the longest time a stale file copy can
 // survive at a data center — the launch interval plus the longest observed
@@ -151,16 +147,12 @@ func (d *SyncDaemon) launch(s *core.Simulation, t0, t1 float64) {
 	if len(pushes) > 0 {
 		steps = append(steps, pushes)
 	}
-	d.activeCount++
 	s.StartOp(core.OpRun{
-		Name:     "SYNCHREP",
-		DC:       d.Master,
-		NumSteps: len(steps),
-		Expander: core.ExpandFunc(func(step int) []core.MessagePlan { return steps[step] }),
-		OnComplete: func(now, dur float64) {
-			d.activeCount--
-			d.Durations.Add(now, dur)
-		},
+		Name:       "SYNCHREP",
+		DC:         d.Master,
+		NumSteps:   len(steps),
+		Expander:   core.ExpandFunc(func(step int) []core.MessagePlan { return steps[step] }),
+		OnComplete: func(now, dur float64) { d.Durations.Add(now, dur) },
 	})
 }
 

@@ -214,17 +214,6 @@ func (op Op) Scale(name string, f float64) Op {
 	return op.remap(name, func(c R) R { return c.Scale(f) })
 }
 
-// ScaleIO returns a copy with only the network and disk costs scaled —
-// metadata operations are size-independent while OPEN/SAVE move the file
-// payload (Table 5.1's analysis).
-func (op Op) ScaleIO(name string, f float64) Op {
-	return op.remap(name, func(c R) R {
-		c.NetBytes *= f
-		c.DiskBytes *= f
-		return c
-	})
-}
-
 // remap returns a packed copy of the operation under name, every cost
 // passed through cost.
 func (op Op) remap(name string, cost func(R) R) Op {
@@ -365,17 +354,16 @@ func (b *Binding) appendMsg(plan *core.MessagePlan, m uint8, tiers *siteTiers, c
 // OpRun owns one stage buffer, one hold buffer and one plan slice that every
 // step's expansion reuses (see core.Expander for the lifetime rule), so it
 // drives a single flow. The operation is compiled on every call; launchers
-// instantiate through a Scratch, which compiles once.
+// instantiate through a Scratch, which reads its catalog's Programs.
 func Instantiate(op Op, b *Binding) (core.OpRun, error) {
 	return instantiate(op, b, nil)
 }
 
-// Scratch is a launcher's expansion state: what it has compiled — each
-// operation it launched, unless its catalog's shared Programs holds it, and
-// the tiers of each (local, master) pair it bound — and the free lists of
-// what its finished operations hand back (their stage, hold and plan
-// buffers, and their binding when Scratch.NewBinding made it) for the
-// launcher's next operation to expand into. One launcher owns one Scratch;
+// Scratch is a launcher's expansion state: the Programs of the catalog it
+// launches from, the tiers of each (local, master) pair it bound, and the
+// free lists of what its finished operations hand back (their stage, hold
+// and plan buffers, and their binding when Scratch.NewBinding made it) for
+// the launcher's next operation to expand into. One launcher owns one Scratch;
 // all its operations must start at one data center. The free lists link
 // their entries through the entries themselves, last retired first, so they
 // hold the launcher's peak number of operations in flight without a table
@@ -383,54 +371,32 @@ func Instantiate(op Op, b *Binding) (core.OpRun, error) {
 type Scratch struct {
 	free     *expander
 	bindings *Binding
-	shared   *Programs
-	programs map[opKey]*program
+	programs *Programs
 	sites    []siteEntry
 }
 
 // Share makes the launcher read its operations' programs from p, the
 // table of the catalog it launches from, which other launchers of the run
-// may share; an operation outside p's catalog compiles into the launcher's
-// own table.
-func (sc *Scratch) Share(p *Programs) { sc.shared = p }
-
-// opKey identifies an Op by its step table: an Op is immutable in shape
-// once launched (its costs are re-read on every expansion).
-type opKey struct {
-	steps *[]Msg
-	n     int
-}
+// may share. Every launcher has one: an operation outside p's catalog, or
+// any operation of a Scratch without a table, compiles afresh on every
+// launch, as the package-level Instantiate does.
+func (sc *Scratch) Share(p *Programs) { sc.programs = p }
 
 type siteEntry struct {
 	local, master *topology.DataCenter
 	tiers         *siteTiers
 }
 
-// program returns the launcher's compiled form of op — from the shared
-// table when op is of its catalog — compiling it on first launch; without a
-// launcher (nil sc) it compiles afresh.
+// program returns the compiled form of op from the launcher's table, which
+// compiles it on its first launch; an operation the table does not hold
+// (or a nil sc) compiles afresh.
 func (sc *Scratch) program(op Op) (*program, error) {
-	if sc == nil || len(op.Steps) == 0 {
-		return compile(op) // an Op without steps fails validation in there
-	}
-	if sc.shared != nil {
-		if p, err := sc.shared.program(op); p != nil || err != nil {
+	if sc != nil && sc.programs != nil {
+		if p, err := sc.programs.program(op); p != nil || err != nil {
 			return p, err
 		}
 	}
-	key := opKey{steps: &op.Steps[0], n: len(op.Steps)}
-	if p := sc.programs[key]; p != nil {
-		return p, nil
-	}
-	p, err := compile(op)
-	if err != nil {
-		return nil, err
-	}
-	if sc.programs == nil {
-		sc.programs = make(map[opKey]*program)
-	}
-	sc.programs[key] = p
-	return p, nil
+	return compile(op) // an Op without steps fails validation in there
 }
 
 // tiers returns the launcher's tier table for a pair of sites, resolving it
@@ -529,7 +495,7 @@ func (sc *Scratch) retire(x *expander) {
 // apps.FanOut identical copies — shares at most two plans (Expand). A plan
 // holds at most one span, so instantiate sizes the hold buffer to the
 // program's layouts and expand never grows it; holdBuf backs it for steps
-// laying out up to eight plans, every built-in operation's, so an expander
+// laying out up to two plans, every built-in operation's, so an expander
 // costs no hold allocation of its own. The stage buffer and plan slice are
 // sized for the first operation when the expander is created
 // (oneShotStages, width), whether it serves one operation or a launcher.
@@ -550,7 +516,7 @@ type expander struct {
 	holds   []core.Hold
 	plans   []core.MessagePlan
 	err     error // why the last expand returned nothing
-	holdBuf [8]core.Hold
+	holdBuf [2]core.Hold
 
 	// sc is the launcher the expander retires to (nil: none), and nextFree
 	// links it into sc's free list while retired.

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/hardware"
@@ -497,14 +498,16 @@ func freeCount(sc *Scratch) (expanders, bindings int) {
 	return expanders, bindings
 }
 
-// A launcher compiles an operation once and each pair of sites once; what it
-// recycles through Scratch.NewBinding comes back blank: no server picks, no
-// balancer, no sites.
+// A launcher compiles an operation once, into its table, and each pair of
+// sites once; what it recycles through Scratch.NewBinding comes back blank:
+// no server picks, no balancer, no sites.
 func TestScratchCompilesOnceAndRecyclesBindings(t *testing.T) {
 	_, inf := testInfra(t)
 	na, aus := inf.DC("NA"), inf.DC("AUS")
 	var sc Scratch
 	op := loginOp()
+	progs := NewPrograms([]Op{op})
+	sc.Share(progs)
 	launch := func(local, master *topology.DataCenter) *Binding {
 		t.Helper()
 		b := sc.NewBinding(inf, local, master)
@@ -529,9 +532,9 @@ func TestScratchCompilesOnceAndRecyclesBindings(t *testing.T) {
 		t.Error("second launch did not reuse the retired binding")
 	}
 	launch(aus, na)
-	if len(sc.programs) != 1 || len(sc.sites) != 2 {
+	if progs.Compiled() != 1 || len(sc.sites) != 2 {
 		t.Errorf("%d programs and %d site tables after three launches of one operation over two site pairs, want 1 and 2",
-			len(sc.programs), len(sc.sites))
+			progs.Compiled(), len(sc.sites))
 	}
 
 	// A caller-owned binding serves a whole series: it is never recycled.
@@ -549,8 +552,8 @@ func TestScratchCompilesOnceAndRecyclesBindings(t *testing.T) {
 
 // Launchers sharing a catalog's Programs compile each of its operations
 // once between them, into the table's slabs, to what compiling it alone
-// gives; an operation outside the catalog compiles into the launcher's own
-// table, and one that fails to compile is not kept.
+// gives; an operation outside the catalog compiles afresh and is not kept,
+// and neither is one that fails to compile.
 func TestSharedProgramsCompileOnce(t *testing.T) {
 	_, inf := testInfra(t)
 	na, aus := inf.DC("NA"), inf.DC("AUS")
@@ -581,9 +584,8 @@ func TestSharedProgramsCompileOnce(t *testing.T) {
 			}
 		}
 	}
-	if progs.Compiled() != 2 || len(a.programs)+len(b.programs) != 0 {
-		t.Fatalf("%d shared programs and %d/%d own after both launchers launched the catalog twice, want 2 and 0/0",
-			progs.Compiled(), len(a.programs), len(b.programs))
+	if progs.Compiled() != 2 {
+		t.Fatalf("%d shared programs after both launchers launched the catalog twice, want 2", progs.Compiled())
 	}
 	for i, op := range catalog[:2] {
 		want, err := compile(op)
@@ -616,9 +618,8 @@ func TestSharedProgramsCompileOnce(t *testing.T) {
 	if err := launch(&a, other, aus); err != nil {
 		t.Fatal(err)
 	}
-	if progs.Compiled() != 2 || len(a.programs) != 1 {
-		t.Errorf("an operation outside the catalog compiled into the shared table (%d) or not into its own (%d)",
-			progs.Compiled(), len(a.programs))
+	if progs.Compiled() != 2 {
+		t.Errorf("an operation outside the catalog compiled into the shared table (%d)", progs.Compiled())
 	}
 }
 
@@ -779,19 +780,35 @@ func TestTierForMatchesResolve(t *testing.T) {
 // operation (a message a step, or an eight-message fan-out laying out two
 // plans a step, on one site or two), three otherwise (the expander, its
 // stage buffer and its plan slice) — also for a nine-message fan-out,
-// whose two layouts' hold spans fit holdBuf; a recycled one costs none.
+// whose two layouts' hold spans fit holdBuf — and a fourth, the hold
+// buffer, for a step laying out three plans; a recycled one costs none.
+// holdBuf's two spans keep the blocks at 472, 568, 1 000 and 1 192 bytes.
 func TestExpanderAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"1x8", unsafe.Sizeof(expanderBlock1x8{}), 472},
+		{"1x12", unsafe.Sizeof(expanderBlock1x12{}), 568},
+		{"8x16", unsafe.Sizeof(expanderBlock8x16{}), 1000},
+		{"8x24", unsafe.Sizeof(expanderBlock8x24{}), 1192},
+	} {
+		if c.size != c.want {
+			t.Errorf("expander block %s is %d bytes, want %d", c.name, c.size, c.want)
+		}
+	}
 	_, inf := testInfra(t)
 	na, aus := inf.DC("NA"), inf.DC("AUS")
 	var sc Scratch
 	b := NewBinding(inf, na, na)
 	op := fanOp()
+	sc.Share(NewPrograms([]Op{op}))
 	if _, err := sc.Instantiate(op, b); err != nil { // compiles the program
 		t.Fatal(err)
 	}
 	var run core.OpRun
-	if n := testing.AllocsPerRun(50, func() { run, _ = sc.Instantiate(op, b) }); n != 3 {
-		t.Errorf("a new expander costs %v allocations, want 3", n)
+	if n := testing.AllocsPerRun(50, func() { run, _ = sc.Instantiate(op, b) }); n != 4 {
+		t.Errorf("a new expander laying out three plans a step costs %v allocations, want 4", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		run.Expander.Retire()
@@ -812,6 +829,7 @@ func TestExpanderAllocs(t *testing.T) {
 		{fan(9), na, 3},
 	} {
 		var sc Scratch
+		sc.Share(NewPrograms([]Op{c.op}))
 		b := NewBinding(inf, c.local, na)
 		if _, err := sc.Instantiate(c.op, b); err != nil {
 			t.Fatal(err)
@@ -955,4 +973,15 @@ func samePlan(t *testing.T, label string, mems map[core.Occupancy]string, got, w
 			t.Fatalf("%s hold %d: %+v, expanded alone %+v", label, k, g, w)
 		}
 	}
+}
+
+// ScaleIO returns a copy with only the network and disk costs scaled —
+// metadata operations are size-independent while OPEN/SAVE move the file
+// payload (Table 5.1's analysis).
+func (op Op) ScaleIO(name string, f float64) Op {
+	return op.remap(name, func(c R) R {
+		c.NetBytes *= f
+		c.DiskBytes *= f
+		return c
+	})
 }

@@ -8,8 +8,7 @@ import (
 
 // This file is the static half of cascade expansion: what can be decided
 // about an operation before an instance of it exists. An Op compiles, once
-// per launcher — or once per run for the launchers sharing its catalog's
-// Programs — into a program, one byte per message naming its two ends, and
+// per table of the catalog it belongs to (Programs), into a program, one byte per message naming its two ends, and
 // each (local, master) pair of data centers a launcher binds resolves,
 // once, into the tiers behind the server roles (siteTiers). What stays a
 // run-time decision, made per instance in Binding.endpoint and topology's
@@ -175,7 +174,8 @@ func (t *Programs) Ops() []Op {
 
 // program returns the compiled form of op, compiling it on its first use,
 // or nil when op is not of the catalog. An operation is the catalog's when
-// it has the same step table, the identity Scratch keys its own programs by.
+// it has the same step table: an Op is immutable in shape once launched
+// (its costs are re-read on every expansion).
 func (t *Programs) program(op Op) (*program, error) {
 	for i := range t.ops {
 		steps := t.ops[i].Steps

@@ -859,3 +859,7 @@ func TestReserveAgentsGrowsTablesOnce(t *testing.T) {
 			s.AgentCount(), lines[n].ID(), n+1, n)
 	}
 }
+
+// AddGauge adjusts a named gauge by delta — the string-keyed wrapper around
+// GaugeHandle/AddGaugeBy.
+func (s *Simulation) AddGauge(key string, delta float64) { s.AddGaugeBy(s.GaugeHandle(key), delta) }

@@ -336,10 +336,6 @@ func (s *Simulation) GaugeValueBy(g Gauge) float64 {
 	return s.gaugeVals[g-1]
 }
 
-// AddGauge adjusts a named gauge by delta — the string-keyed wrapper around
-// GaugeHandle/AddGaugeBy for probes and infrequent callers.
-func (s *Simulation) AddGauge(key string, delta float64) { s.AddGaugeBy(s.GaugeHandle(key), delta) }
-
 // GaugeValue reads a named gauge (0 when never set).
 func (s *Simulation) GaugeValue(key string) float64 { return s.GaugeValueBy(s.GaugeHandle(key)) }
 

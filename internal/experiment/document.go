@@ -67,7 +67,6 @@ func FromDocument(d *config.Document) (*Experiment, error) {
 			Weights:        w.Weights,
 			Stream:         w.Stream,
 			ThinBelow:      w.ThinBelow,
-			Gauges:         true,
 		}
 		if w.Fluid != nil {
 			ew.Fluid = Fluid{Above: w.Fluid.Above, RhoMax: w.Fluid.RhoMax}

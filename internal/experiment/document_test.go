@@ -48,6 +48,8 @@ var badDocuments = []struct {
 	{"fluid guard 1", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.01, RhoMax: 1} }},
 	{"negative fluid guard", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.01, RhoMax: -0.5} }},
 	{"negative fluid threshold", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: -1} }},
+	{"all-zero weights", func(d *config.Document) { d.Workloads[0].Fluid, d.Workloads[0].Weights = nil, pdmWeights() }},
+	{"negative weight", func(d *config.Document) { d.Workloads[0].Weights = pdmWeights(-1, 2) }},
 	{"negative step", func(d *config.Document) { d.Step = -0.01 }},
 	{"negative run length", func(d *config.Document) { d.Window = &config.WindowSpec{RunSeconds: -60} }},
 	{"run length and hour window", func(d *config.Document) { d.Window = &config.WindowSpec{StartHour: 1, EndHour: 2, RunSeconds: 60} }},
@@ -79,6 +81,14 @@ var badDocuments = []struct {
 	{"failover endpoints", func(d *config.Document) {
 		d.Faults[0] = config.FaultSpec{Name: "move", Kind: "failover", From: "MARS", To: "NA", At: 10, Duration: 10}
 	}},
+}
+
+// pdmWeights returns one weight per operation of the PDM catalog: the
+// leading ones from lead, the rest zero.
+func pdmWeights(lead ...float64) []float64 {
+	w := make([]float64, len(pdmCatalog()))
+	copy(w, lead)
+	return w
 }
 
 // masterWithoutFS drops the file tier of the daemons' master, which every
@@ -188,10 +198,56 @@ func TestOneGateAcrossSurfaces(t *testing.T) {
 	}
 }
 
+// twinDoc declares PDM@NA twice, as streams 1 and 2 with different
+// population curves — the way config.WorkloadSpec.Stream documents for
+// two populations of one app at one data center.
+func twinDoc() *config.Document {
+	d := engineDoc("")
+	d.Name = "twins"
+	d.Window.RunSeconds = 600
+	d.Workloads[0].Stream = 1
+	twin := d.Workloads[0]
+	twin.Stream, twin.Users = 2, workload.BusinessDay(60, 0, 1, 10)
+	d.Workloads = append(d.Workloads, twin)
+	return d
+}
+
+// TestTwinWorkloadsShareGauges: two workloads of one app@dc register one
+// active and one loggedin series between them. The active gauge counts the
+// operations of both in flight, and loggedin is the sum of both curves at
+// every snapshot.
+func TestTwinWorkloadsShareGauges(t *testing.T) {
+	d := twinDoc()
+	e, err := FromDocument(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Sim.GaugeValue("PDM:NA:active"), float64(res.Stats.ActiveFlows); got != want || want == 0 {
+		t.Errorf("PDM:NA:active gauge %v at the end, want the %v operations in flight", got, want)
+	}
+	loggedin := res.Series["PDM:NA:loggedin"]
+	if loggedin == nil || len(loggedin.V) == 0 {
+		t.Fatalf("no PDM:NA:loggedin samples (have %v)", res.SeriesKeys())
+	}
+	for i, at := range loggedin.T {
+		if want := d.Workloads[0].Users.At(at) + d.Workloads[1].Users.At(at); loggedin.V[i] != want {
+			t.Errorf("loggedin at %v s = %v, want %v", at, loggedin.V[i], want)
+		}
+	}
+}
+
 // FuzzDocumentNeverPanics feeds arbitrary bytes through the document
-// surface: config.Decode, then FromDocument. Every input must end in an
-// experiment or an error, never a panic. It stops before Compile, so a
-// fuzzed server or slot count cannot make it allocate without bound.
+// surface: config.Decode, then FromDocument and, when that succeeds,
+// Compile. Every input must end in a compiled run or an error, never a
+// panic. It stops before time runs, and skips a document whose platform
+// would register more than fuzzAgentCap agents or whose run is longer than
+// fuzzRunCap (a fluid workload lays out one segment per hour of it), so a
+// fuzzed server count, slot count or run length cannot make it allocate
+// without bound.
 func FuzzDocumentNeverPanics(f *testing.F) {
 	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.json"))
 	if err != nil || len(examples) == 0 {
@@ -213,6 +269,11 @@ func FuzzDocumentNeverPanics(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	var buf bytes.Buffer
+	if err := twinDoc().Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		d, err := config.Decode(bytes.NewReader(raw))
 		if err != nil {
@@ -222,5 +283,35 @@ func FuzzDocumentNeverPanics(f *testing.F) {
 		if (e == nil) == (err == nil) {
 			t.Fatalf("FromDocument returned experiment %v and error %v; want exactly one", e != nil, err)
 		}
+		if e == nil || fuzzAgents(e.Infra()) > fuzzAgentCap || e.DurationSeconds() > fuzzRunCap {
+			return
+		}
+		if r, err := e.Compile(); err == nil {
+			r.Sim.Shutdown()
+		}
 	})
+}
+
+// fuzzAgentCap and fuzzRunCap (a year, in seconds) bound the platforms and
+// runs FuzzDocumentNeverPanics compiles.
+const (
+	fuzzAgentCap = 5000
+	fuzzRunCap   = 365 * 24 * 3600
+)
+
+// fuzzAgents estimates the agents Compile registers for spec: four per
+// server, one per client slot, three per data center and two per WAN link.
+// It counts in floats, so a fuzzed count cannot overflow it.
+func fuzzAgents(spec *topology.InfraSpec) float64 {
+	n := 2 * float64(len(spec.WAN))
+	for _, dc := range spec.DCs {
+		n += 3
+		for _, t := range dc.Tiers {
+			n += 4 * float64(t.Servers)
+		}
+	}
+	for _, c := range spec.Clients {
+		n += float64(c.Slots)
+	}
+	return n
 }

@@ -1,10 +1,10 @@
 // Package experiment is the declarative what-if surface of the simulator:
 // one Experiment value — assembled from functional options or compiled from
 // a JSON scenario document — describes everything a run needs (the
-// infrastructure, the workloads, the background daemons, the probes, the
-// run window, the engine and the seed), and one pipeline turns it into
-// results (Compile: build simulation → build topology → attach workloads
-// and daemons → register probes → run → harvest a uniform Result).
+// infrastructure, the workloads, the background daemons, the run window,
+// the engine and the seed), and one pipeline turns it into results
+// (Compile: build simulation → build topology → attach workloads and
+// daemons → register probes → run → harvest a uniform Result).
 //
 // The engine an experiment carries (WithEngine, the document's "engine")
 // only parallelizes the reference loop's sweep (LoopFlags.NoFastForward);
@@ -65,7 +65,6 @@ type Experiment struct {
 	workloads []Workload
 	daemons   *Daemons
 	faults    []faults.Injection
-	probes    []func(*Run) []metrics.Probe
 	setup     []func(*Run) error
 }
 
@@ -77,6 +76,10 @@ type LoopFlags = core.LoopFlags
 // Workload declares one application workload at one data center, driven by
 // an open Poisson arrival process (workload.AppWorkload). Curves are given
 // in GMT; the compile step shifts them into the experiment's run window.
+// Every app@dc gets an "<app>:<dc>:active" gauge series (operations in
+// flight) and an exact "<app>:<dc>:loggedin" population series; workloads
+// sharing an app@dc (distinct Streams) share both, the population being the
+// sum of their curves.
 type Workload struct {
 	App            string
 	DC             string
@@ -95,9 +98,6 @@ type Workload struct {
 	Weights []float64
 	// APM overrides the experiment-level access matrix for this workload.
 	APM workload.AccessMatrix
-	// Gauges registers the "<app>:<dc>:active" gauge probe and an exact
-	// "<app>:<dc>:loggedin" population probe with the collector.
-	Gauges bool
 	// ThinBelow passes through to workload.AppWorkload.
 	ThinBelow float64
 	// Fluid engages the analytic client-aggregation tier (internal/fluid)
@@ -122,12 +122,10 @@ type Daemons struct {
 	// (refdata.SynchRepIntervalMin / refdata.IndexBuildGapMin).
 	SyncIntervalSec float64
 	IndexGapSec     float64
-	// IndexCyclesPerByte fixes the index server's per-byte cost. When zero,
-	// IndexHeadroom > 0 derives it from the master's peak owned
-	// data-generation rate (the Fig. 6-14 calibration); otherwise the
-	// background default applies.
-	IndexCyclesPerByte float64
-	IndexHeadroom      float64
+	// IndexHeadroom > 0 derives the index server's per-byte cost from the
+	// master's peak owned data-generation rate (the Fig. 6-14
+	// calibration); zero selects the background default.
+	IndexHeadroom float64
 }
 
 // Option mutates an experiment under assembly. Options are applied in
@@ -195,17 +193,6 @@ func WithEngine(mk func() core.Engine) Option {
 	return func(e *Experiment) error { e.engine = mk; return nil }
 }
 
-// WithEngineInstance wires an already-constructed engine — the adapter for
-// legacy config structs that carry a core.Engine value. The instance is
-// handed to the first Compile; it must not be used for sweeps, whose points
-// need one engine each (use WithEngine with a factory there).
-func WithEngineInstance(eng core.Engine) Option {
-	if eng == nil {
-		return func(*Experiment) error { return nil }
-	}
-	return WithEngine(func() core.Engine { return eng })
-}
-
 // WithWindow sets the simulated window of the day in GMT hours: the run
 // covers [startHour, endHour) and every workload and growth curve is
 // shifted so the simulation clock starts at startHour.
@@ -269,17 +256,10 @@ func WithFault(injections ...faults.Injection) Option {
 	}
 }
 
-// WithProbes registers extra collector probes once the simulation and
-// topology exist. Infrastructure probes are always registered; this adds
-// scenario-specific ones (gauge series, derived metrics).
-func WithProbes(mk func(*Run) []metrics.Probe) Option {
-	return func(e *Experiment) error { e.probes = append(e.probes, mk); return nil }
-}
-
 // WithSetup appends an arbitrary attachment hook running after workloads,
 // daemons and probes are in place — the escape hatch for scenario wiring
 // the declarative options do not cover (timed series launchers, custom
-// sources). Hooks run in declaration order.
+// sources, their probes). Hooks run in declaration order.
 func WithSetup(fn func(*Run) error) Option {
 	return func(e *Experiment) error { e.setup = append(e.setup, fn); return nil }
 }
@@ -399,6 +379,9 @@ func (e *Experiment) validateWorkloads(dcs map[string]bool) error {
 		if w.Ops == nil && w.OpsFn == nil {
 			return fmt.Errorf("workload %s@%s needs an operation mix (Ops or OpsFn)", w.App, w.DC)
 		}
+		if err := validateWeights(w.Weights); err != nil {
+			return fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
+		}
 		if w.APM == nil && e.apm == nil {
 			return fmt.Errorf("workload %s@%s needs an access matrix (WithAccessMatrix or Workload.APM)", w.App, w.DC)
 		}
@@ -446,10 +429,9 @@ func (e *Experiment) validateDaemons(dcs map[string]bool) error {
 			return fmt.Errorf("daemon growth curve for %s: %w", dc, err)
 		}
 	}
-	if !(nonNegativeFinite(d.SyncIntervalSec) && nonNegativeFinite(d.IndexGapSec) &&
-		nonNegativeFinite(d.IndexCyclesPerByte) && nonNegativeFinite(d.IndexHeadroom)) {
-		return fmt.Errorf("daemon interval %v s, gap %v s, cycles per byte %v and headroom %v must be finite and non-negative (0 selects the default)",
-			d.SyncIntervalSec, d.IndexGapSec, d.IndexCyclesPerByte, d.IndexHeadroom)
+	if !(nonNegativeFinite(d.SyncIntervalSec) && nonNegativeFinite(d.IndexGapSec) && nonNegativeFinite(d.IndexHeadroom)) {
+		return fmt.Errorf("daemon interval %v s, gap %v s and headroom %v must be finite and non-negative (0 selects the default)",
+			d.SyncIntervalSec, d.IndexGapSec, d.IndexHeadroom)
 	}
 	if e.apm == nil {
 		return fmt.Errorf("daemons need an access matrix (WithAccessMatrix)")
@@ -510,6 +492,28 @@ func (e *Experiment) validateDaemonReach() error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// validateWeights rejects a mix weight that is negative or not finite, and
+// weights that do not sum to a positive finite total — all zero, say, which
+// would leave the mix's cumulative table NaN. Nil selects a uniform mix.
+// Whether there is one weight per operation waits for the resolved mix
+// (attachWorkloads).
+func validateWeights(weights []float64) error {
+	if weights == nil {
+		return nil
+	}
+	total := 0.0
+	for i, v := range weights {
+		if !nonNegativeFinite(v) {
+			return fmt.Errorf("weight %d is %v; weights must be finite and non-negative", i, v)
+		}
+		total += v
+	}
+	if !positiveFinite(total) {
+		return fmt.Errorf("weights %v sum to %v; they must sum to a positive finite total", weights, total)
 	}
 	return nil
 }
@@ -604,8 +608,8 @@ type Run struct {
 }
 
 // Compile builds the runnable simulation: simulation core, topology,
-// infrastructure probes, workloads (in declaration order), daemons, extra
-// probes, setup hooks. The phases run in that fixed order — it is part of
+// infrastructure probes, workloads (in declaration order), daemons, faults,
+// setup hooks. The phases run in that fixed order — it is part of
 // the determinism contract, since source registration order is poll order.
 // The probes of every phase register as one batch, in that order, before
 // the setup hooks: nothing samples them before the run, and one batch
@@ -655,8 +659,7 @@ func (e *Experiment) Compile() (*Run, error) {
 	}
 	sim.Responses.Reserve(series)
 	// Faults attach after the daemons so failover injections can validate
-	// against the populated Sync map, and before the extra probes so
-	// scenario probes may read the controller through the Run.
+	// against the populated Sync map.
 	ctrl, err := faults.AttachSource(faults.Target{Sim: sim, Infra: inf, Sync: r.Sync}, e.faults)
 	if err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", e.name, err)
@@ -664,9 +667,6 @@ func (e *Experiment) Compile() (*Run, error) {
 	r.Faults = ctrl
 	if ctrl != nil {
 		r.probes = append(r.probes, ctrl.Probes()...)
-	}
-	for _, mk := range e.probes {
-		r.probes = append(r.probes, mk(r)...)
 	}
 	sim.Collector.Register(r.probes...)
 	r.probes = nil
@@ -704,10 +704,7 @@ func (e *Experiment) attachWorkloads(r *Run) (series int, err error) {
 		if apm == nil {
 			apm = e.apm
 		}
-		prefix := ""
-		if w.Gauges {
-			prefix = w.App + ":" + w.DC
-		}
+		prefix := w.App + ":" + w.DC
 		src := &r.sources[i].app
 		*src = workload.AppWorkload{
 			App:            w.App,
@@ -734,19 +731,43 @@ func (e *Experiment) attachWorkloads(r *Run) (series int, err error) {
 		} else {
 			r.Sim.AddSource(src)
 		}
-		if w.Gauges {
-			// The loggedin series samples the population curve directly at
-			// each snapshot instant: under thinning the workload is only
-			// polled at arrival instants, so its loggedin gauge goes stale
-			// between arrivals, while the curve is exact in every mode.
-			users, sim := src.Users, r.Sim
+		if e.firstOfApp(i) {
+			// One pair per app@dc: twins share the interned active gauge,
+			// and the loggedin series samples their population curves at
+			// each snapshot instant, exact in every arrival mode.
 			r.probes = append(r.probes, r.Sim.GaugeProbe(prefix+":active"), metrics.Probe{
 				Key:    prefix + ":loggedin",
-				Sample: metrics.SampleFunc(func(float64) float64 { return users.At(sim.Clock().NowSeconds()) }),
+				Sample: metrics.SampleFunc(func(float64) float64 { return r.loggedIn(i) }),
 			})
 		}
 	}
 	return series, nil
+}
+
+// firstOfApp reports whether workload i is the first declared at its
+// app@dc.
+func (e *Experiment) firstOfApp(i int) bool {
+	w := &e.workloads[i]
+	for j := range i {
+		if o := &e.workloads[j]; o.App == w.App && o.DC == w.DC {
+			return false
+		}
+	}
+	return true
+}
+
+// loggedIn is the population of workload i's app@dc now: the sum of the
+// curves of i and its later twins.
+func (r *Run) loggedIn(i int) float64 {
+	first := &r.sources[i].app
+	now := r.Sim.Clock().NowSeconds()
+	users := first.Users.At(now)
+	for j := i + 1; j < len(r.sources); j++ {
+		if w := &r.sources[j].app; w.App == first.App && w.DC == first.DC {
+			users += w.Users.At(now)
+		}
+	}
+	return users
 }
 
 // source is one workload's launcher and, when the fluid tier carries it,
@@ -875,15 +896,11 @@ func (e *Experiment) attachDaemons(r *Run) error {
 	return nil
 }
 
-// indexCyclesPerByte resolves the index server's per-byte cycle cost: an
-// explicit value wins; otherwise a positive headroom derives it from the
-// master's peak owned generation rate, and the background default applies
-// as the fallback.
+// indexCyclesPerByte resolves the index server's per-byte cycle cost: a
+// positive headroom derives it from the master's peak owned generation
+// rate, and the background default applies as the fallback.
 func (e *Experiment) indexCyclesPerByte(growth background.GrowthModel, master string) float64 {
 	d := e.daemons
-	if d.IndexCyclesPerByte > 0 {
-		return d.IndexCyclesPerByte
-	}
 	if d.IndexHeadroom <= 0 {
 		return background.DefaultIndexCyclesPerByte
 	}

@@ -71,7 +71,6 @@ func testOptions(extra ...Option) []Option {
 			OpsPerUserHour: 30,
 			OpsFn:          mustOps("PDM", "NA"),
 			OpsKey:         "PDM",
-			Gauges:         true,
 		}),
 	}
 	return append(opts, extra...)
@@ -280,8 +279,11 @@ func TestExperimentRejectsNonFiniteInputs(t *testing.T) {
 		{"negative index gap", withDaemons(func(d *Daemons) { d.IndexGapSec = -60 }), "gap -60"},
 		{"NaN headroom", withDaemons(func(d *Daemons) { d.IndexHeadroom = nan }), "headroom NaN"},
 		{"negative headroom", withDaemons(func(d *Daemons) { d.IndexHeadroom = -2 }), "headroom -2"},
-		{"NaN cycles per byte", withDaemons(func(d *Daemons) { d.IndexCyclesPerByte = nan }), "cycles per byte NaN"},
-		{"negative cycles per byte", withDaemons(func(d *Daemons) { d.IndexCyclesPerByte = -3 }), "cycles per byte -3"},
+		{"NaN weight", withWorkload(func(w *Workload) { w.Weights = []float64{1, nan} }), "weight 1 is NaN"},
+		{"infinite weight", withWorkload(func(w *Workload) { w.Weights = []float64{inf, 1} }), "weight 0 is +Inf"},
+		{"negative weight", withWorkload(func(w *Workload) { w.Weights = []float64{-1, 2} }), "weight 0 is -1"},
+		{"all-zero weights", withWorkload(func(w *Workload) { w.Weights = []float64{0, 0} }), "sum to 0"},
+		{"overflowing weights", withWorkload(func(w *Workload) { w.Weights = []float64{math.MaxFloat64, math.MaxFloat64} }), "sum to +Inf"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -383,7 +385,7 @@ func TestDocumentRoundTrip(t *testing.T) {
 
 	// The Go-built equivalent: same infrastructure, same workload declared
 	// through the option surface (the document defaults to a single-master
-	// matrix per workload DC and gauge probes on).
+	// matrix per workload DC).
 	goExp, err := New("doc-equiv",
 		WithInfra(testSpec()),
 		WithSeed(23),
@@ -397,7 +399,6 @@ func TestDocumentRoundTrip(t *testing.T) {
 			OpsFn:          mustOps("PDM", "NA"),
 			OpsKey:         "PDM@NA",
 			APM:            workload.SingleMaster([]string{"NA"}, "NA"),
-			Gauges:         true,
 		}),
 		WithWorkload(Workload{
 			App: "PDMF", DC: "NA",
@@ -407,7 +408,6 @@ func TestDocumentRoundTrip(t *testing.T) {
 			OpsFn:          mustOps("PDM", "NA"),
 			OpsKey:         "PDM@NA",
 			APM:            workload.SingleMaster([]string{"NA"}, "NA"),
-			Gauges:         true,
 		}),
 	)
 	if err != nil {

@@ -620,7 +620,7 @@ func TestSweepLeavesNoGoroutines(t *testing.T) {
 	}
 	t.Run("sharded engine", func(t *testing.T) {
 		before := runtime.NumGoroutine()
-		e, err := New("sharded", testOptions(WithEngineInstance(dispatch.NewSharded(2)))...)
+		e, err := New("sharded", testOptions(WithEngine(func() core.Engine { return dispatch.NewSharded(2) }))...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,7 +205,4 @@ func (c *Controller) NextPoll(now float64) float64 {
 	return next
 }
 
-// Phase returns the current scenario phase.
-func (c *Controller) Phase() int { return c.phase }
-
 var _ core.Source = (*Controller)(nil)

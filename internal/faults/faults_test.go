@@ -347,3 +347,6 @@ func TestRebuildExpandAllocatesNothing(t *testing.T) {
 		t.Errorf("a rebuild expand costs %v allocations, want 0", n)
 	}
 }
+
+// Phase returns the current scenario phase.
+func (c *Controller) Phase() int { return c.phase }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -250,4 +251,14 @@ func TestSparkline(t *testing.T) {
 	if flat != "▁▁▁" {
 		t.Errorf("flat sparkline = %q", flat)
 	}
+}
+
+// HourlyMeans returns per-hour mean response times for op at dc, for the
+// response-time-by-hour figures (6-15..6-20).
+func (r *Responses) HourlyMeans(op, dc string, hours int) ([]float64, error) {
+	s := r.Series(op, dc)
+	if s == nil {
+		return nil, fmt.Errorf("metrics: no responses recorded for %s at %s", op, dc)
+	}
+	return s.Hourly(hours), nil
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -214,14 +213,4 @@ func (r *Responses) Keys() []ResponseKey {
 		return keys[i].Op < keys[j].Op
 	})
 	return keys
-}
-
-// HourlyMeans returns per-hour mean response times for op at dc, for the
-// response-time-by-hour figures (6-15..6-20).
-func (r *Responses) HourlyMeans(op, dc string, hours int) ([]float64, error) {
-	s := r.Series(op, dc)
-	if s == nil {
-		return nil, fmt.Errorf("metrics: no responses recorded for %s at %s", op, dc)
-	}
-	return s.Hourly(hours), nil
 }

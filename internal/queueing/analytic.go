@@ -69,15 +69,6 @@ func (m MMc) MeanResponse() (float64, error) {
 	return wq + 1/m.Mu, nil
 }
 
-// MeanQueueLength returns the mean number waiting (Lq), by Little's law.
-func (m MMc) MeanQueueLength() (float64, error) {
-	wq, err := m.MeanWait()
-	if err != nil {
-		return 0, err
-	}
-	return m.Lambda * wq, nil
-}
-
 // WaitQuantile returns the p-quantile of the waiting time Wq. The M/M/c
 // FCFS waiting time is a mixture of an atom at zero (probability 1 - Pw,
 // Pw from Erlang C) and an Exp(c*mu - lambda) excursion, so the quantile
@@ -150,16 +141,6 @@ func (m MMc) ResponseQuantile(p float64) (float64, error) {
 		}
 	}
 	return (lo + hi) / 2, nil
-}
-
-// MM1PS gives the mean sojourn time of an M/M/1 processor-sharing queue,
-// which equals the M/M/1-FCFS mean response (1/(mu-lambda)) by symmetry of
-// the PS discipline, plus any constant latency.
-func MM1PS(lambda, mu, latency float64) (float64, error) {
-	if lambda >= mu {
-		return 0, fmt.Errorf("queueing: unstable PS lambda=%v >= mu=%v", lambda, mu)
-	}
-	return 1/(mu-lambda) + latency, nil
 }
 
 // ForkJoinZeroLoadExp returns the exact mean completion time of an n-way

@@ -2,10 +2,30 @@ package queueing
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// MeanQueueLength returns the mean number waiting (Lq), by Little's law.
+func (m MMc) MeanQueueLength() (float64, error) {
+	wq, err := m.MeanWait()
+	if err != nil {
+		return 0, err
+	}
+	return m.Lambda * wq, nil
+}
+
+// MM1PS gives the mean sojourn time of an M/M/1 processor-sharing queue,
+// which equals the M/M/1-FCFS mean response (1/(mu-lambda)) by symmetry of
+// the PS discipline, plus any constant latency.
+func MM1PS(lambda, mu, latency float64) (float64, error) {
+	if lambda >= mu {
+		return 0, fmt.Errorf("queueing: unstable PS lambda=%v >= mu=%v", lambda, mu)
+	}
+	return 1/(mu-lambda) + latency, nil
+}
 
 func TestErlangCKnownValues(t *testing.T) {
 	// M/M/1: P(wait) = rho.

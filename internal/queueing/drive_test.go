@@ -16,10 +16,9 @@ type DriveResult struct {
 // Drive feeds a queue Poisson arrivals (rate lambda) with exponential
 // demands (mean demand mean = rate/mu units so that service time is
 // Exp(mu)), stepping the queue with step dt for the given horizon. It
-// returns completion statistics. The rng makes runs deterministic.
-//
-// Drive exists so tests and benchmarks can validate FCFS and PS queues
-// against the closed-form M/M/c formulas in this package.
+// returns completion statistics. The rng makes runs deterministic. The
+// tests validate FCFS and PS queues through it against the closed-form
+// M/M/c formulas.
 func Drive(q Queue, servers int, lambda, mu, horizon, dt float64, rng *rand.Rand) DriveResult {
 	type rec struct{ arrive float64 }
 	started := map[uint64]rec{}

@@ -24,7 +24,6 @@ type FCFS struct {
 
 	busy     float64 // accumulated server-seconds of busy time
 	arrivals uint64
-	departs  uint64
 }
 
 // NewFCFS returns an FCFS queue with the given number of servers and
@@ -127,9 +126,6 @@ func (q *FCFS) Idle() bool { return len(q.inService) == 0 && q.waiting.Len() == 
 
 // Arrivals returns the total number of tasks ever enqueued.
 func (q *FCFS) Arrivals() uint64 { return q.arrivals }
-
-// Departures returns the total number of tasks ever completed.
-func (q *FCFS) Departures() uint64 { return q.departs }
 
 // TakeBusy returns and resets the accumulated busy server-seconds.
 func (q *FCFS) TakeBusy() float64 {
@@ -249,7 +245,6 @@ func (q *FCFS) stepOne(dt float64, done DoneFunc) {
 			continue
 		}
 		t.Demand = 0
-		q.departs++
 		done(t)
 		q.inService[0] = nil
 		q.inService = q.inService[:0]
@@ -308,7 +303,6 @@ func (q *FCFS) ServeSolos(ss []Solo, dt float64) bool {
 	}
 	q.busy = busy
 	q.arrivals += uint64(len(ss))
-	q.departs += uint64(len(ss))
 	return true
 }
 
@@ -336,7 +330,6 @@ func (q *FCFS) stepServers(dt float64, done DoneFunc) {
 			t.Demand -= work
 			if t.Demand <= eps*q.rate {
 				t.Demand = 0
-				q.departs++
 				done(t)
 			} else {
 				kept = append(kept, t)

@@ -138,9 +138,8 @@ func diffOneServer(t testing.TB, rate float64, ops []oneOp) {
 		if !bitsEqual(got.q.busy, want.q.busy) {
 			fail("busy", got.q.busy, want.q.busy)
 		}
-		if got.q.Arrivals() != want.q.Arrivals() || got.q.Departures() != want.q.Departures() {
-			fail("arrivals/departures", [2]uint64{got.q.Arrivals(), got.q.Departures()},
-				[2]uint64{want.q.Arrivals(), want.q.Departures()})
+		if got.q.Arrivals() != want.q.Arrivals() {
+			fail("arrivals", got.q.Arrivals(), want.q.Arrivals())
 		}
 		if got.q.InService() != want.q.InService() || got.q.Waiting() != want.q.Waiting() {
 			fail("in service/waiting", [2]int{got.q.InService(), got.q.Waiting()},
@@ -260,11 +259,11 @@ func checkServeSolos(t *testing.T, c serveCase) bool {
 	t.Helper()
 	same := func(what string, a, b *FCFS) {
 		t.Helper()
-		if !bitsEqual(a.busy, b.busy) || a.Arrivals() != b.Arrivals() || a.Departures() != b.Departures() ||
+		if !bitsEqual(a.busy, b.busy) || a.Arrivals() != b.Arrivals() ||
 			a.InService() != b.InService() || a.Waiting() != b.Waiting() {
-			t.Fatalf("%+v %s: busy %v arrivals %d departures %d in service %d waiting %d, want %v %d %d %d %d", c, what,
-				a.busy, a.Arrivals(), a.Departures(), a.InService(), a.Waiting(),
-				b.busy, b.Arrivals(), b.Departures(), b.InService(), b.Waiting())
+			t.Fatalf("%+v %s: busy %v arrivals %d in service %d waiting %d, want %v %d %d %d", c, what,
+				a.busy, a.Arrivals(), a.InService(), a.Waiting(),
+				b.busy, b.Arrivals(), b.InService(), b.Waiting())
 		}
 	}
 	q, ts := c.queue()

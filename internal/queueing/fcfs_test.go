@@ -147,8 +147,8 @@ func TestFCFSCounters(t *testing.T) {
 	}
 	var done []*Task
 	q.Step(0.6, collect(&done))
-	if q.Departures() != 1 {
-		t.Errorf("departures = %d, want 1", q.Departures())
+	if len(done) != 1 {
+		t.Errorf("departures = %d, want 1", len(done))
 	}
 	if q.Waiting() != 0 || q.InService() != 1 {
 		t.Errorf("waiting=%d inService=%d, want 0/1", q.Waiting(), q.InService())

@@ -27,7 +27,6 @@ type PS struct {
 
 	work     float64 // accumulated transmitted units (for utilization)
 	arrivals uint64
-	departs  uint64
 }
 
 // psSlot is a connection slot: its task and, during a Step, the task's
@@ -133,9 +132,6 @@ func (q *PS) Idle() bool { return len(q.inService) == 0 && q.waiting.Len() == 0 
 
 // Arrivals returns the total number of tasks ever enqueued.
 func (q *PS) Arrivals() uint64 { return q.arrivals }
-
-// Departures returns the total number of tasks ever completed.
-func (q *PS) Departures() uint64 { return q.departs }
 
 // TakeBusy returns and resets the accumulated transmitted units. Dividing by
 // rate x window yields the link utilization of the window.
@@ -316,7 +312,6 @@ func (q *PS) Step(dt float64, done DoneFunc) {
 			q.work += consumed
 			if t.Demand <= eps*q.rate {
 				t.Demand = 0
-				q.departs++
 				done(t)
 			} else {
 				kept = append(kept, s)

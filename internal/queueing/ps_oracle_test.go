@@ -30,7 +30,6 @@ type refPS struct {
 
 	work     float64 // accumulated transmitted units (for utilization)
 	arrivals uint64
-	departs  uint64
 }
 
 // newRefPS returns a processor-sharing queue with aggregate rate (units/second),
@@ -88,9 +87,6 @@ func (q *refPS) Idle() bool { return len(q.inService) == 0 && q.waiting.Len() ==
 
 // Arrivals returns the total number of tasks ever enqueued.
 func (q *refPS) Arrivals() uint64 { return q.arrivals }
-
-// Departures returns the total number of tasks ever completed.
-func (q *refPS) Departures() uint64 { return q.departs }
 
 // TakeBusy returns and resets the accumulated transmitted units. Dividing by
 // rate x window yields the link utilization of the window.
@@ -254,7 +250,6 @@ func (q *refPS) Step(dt float64, done DoneFunc) {
 			q.work += consumed
 			if t.Demand <= eps*q.rate {
 				t.Demand = 0
-				q.departs++
 				done(t)
 			} else {
 				kept = append(kept, t)

@@ -118,12 +118,13 @@ func buildCaseStudy(name string, cfg CaseConfig, traits map[string]dcTraits,
 	if err != nil {
 		return nil, err
 	}
+	eng := cfg.Engine
 	opts := []experiment.Option{
 		experiment.WithInfra(spec),
 		experiment.WithStep(cfg.Step),
 		experiment.WithCollectEvery(60), // 1-minute snapshots
 		experiment.WithSeed(cfg.Seed),
-		experiment.WithEngineInstance(cfg.Engine),
+		experiment.WithEngine(func() core.Engine { return eng }),
 		experiment.WithWindow(cfg.StartHour, cfg.EndHour),
 		experiment.WithLoopFlags(cfg.LoopFlags),
 		experiment.WithAccessMatrix(apm),
@@ -224,7 +225,6 @@ func caseWorkloads(cfg CaseConfig, spec topology.InfraSpec, traits map[string]dc
 				Users:          curve(w.peak),
 				OpsPerUserHour: w.opsHour,
 				OpsKey:         w.app,
-				Gauges:         true,
 			}
 			switch w.app {
 			case "CAD":

@@ -66,7 +66,6 @@ func ChaosExperiment(extra ...experiment.Option) (*experiment.Experiment, error)
 			OpsPerUserHour: 20,
 			OpsFn:          fn,
 			OpsKey:         "PDM@EU",
-			Gauges:         true,
 		}),
 		experiment.WithFault(faults.Injection{
 			Name:     "atlantic",

@@ -1,8 +1,6 @@
 package scenarios
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
@@ -15,23 +13,15 @@ import (
 // with a night floor. The night floor is the regime the thinned sampler
 // targets — a positive curve that used to veto every fast-forward jump —
 // while the business window exercises the dense per-tick path, so one run
-// crosses both regimes twice.
+// crosses both regimes twice. The run steps at the experiment's default
+// 10 ms.
 type DayNightConfig struct {
-	Step   float64 // time-loop granularity; default 10 ms
 	Seed   uint64
 	Engine core.Engine // nil selects the sequential engine
 	// Hours is the simulated span; default 24 (one full curve period).
 	Hours float64
 	// PeakUsers is the business-window population; default 60.
 	PeakUsers float64
-	// NightFloorFrac is the overnight population as a fraction of the
-	// peak; default 0.05 — the canonical 5% night floor.
-	NightFloorFrac float64
-	// OpsPerUserHour is the per-user operation rate; default 2.
-	OpsPerUserHour float64
-	// BizStart/BizEnd bound the business window in GMT hours; default
-	// [9, 17).
-	BizStart, BizEnd int
 	// Fluid engages the analytic client-aggregation tier on the CAD
 	// workload when Fluid.Above > 0 (see experiment.WithFluid): hour
 	// segments whose expected arrivals per tick reach the threshold are
@@ -42,28 +32,23 @@ type DayNightConfig struct {
 	core.LoopFlags
 }
 
+// The day-night population and rate: business hours [9, 17) GMT, a night
+// floor of 5% of the peak, two operations per user-hour.
+const (
+	dayNightBizStart, dayNightBizEnd = 9, 17
+	dayNightFloorFrac                = 0.05
+	dayNightOpsPerUserHour           = 2
+)
+
 // defaults fills the scenario-specific zero values; the shared defaults
 // (step, snapshot interval) live at the experiment level.
-func (c *DayNightConfig) defaults() error {
+func (c *DayNightConfig) defaults() {
 	if c.Hours <= 0 {
 		c.Hours = 24
 	}
 	if c.PeakUsers <= 0 {
 		c.PeakUsers = 60
 	}
-	if c.NightFloorFrac == 0 {
-		c.NightFloorFrac = 0.05
-	}
-	if c.NightFloorFrac < 0 || c.NightFloorFrac > 1 {
-		return fmt.Errorf("scenarios: night floor fraction %v out of [0,1]", c.NightFloorFrac)
-	}
-	if c.OpsPerUserHour <= 0 {
-		c.OpsPerUserHour = 2
-	}
-	if c.BizStart == 0 && c.BizEnd == 0 {
-		c.BizStart, c.BizEnd = 9, 17
-	}
-	return nil
 }
 
 // DayNightResult gathers the outputs the equivalence and benchmark
@@ -137,9 +122,7 @@ func runDayNight(cfg DayNightConfig, ghzScale, thinBelow float64) (*DayNightResu
 // ghzScale, the CAD workload's thinning threshold set to thinBelow (0 the
 // default, negative per-tick draws). It also returns the population curve.
 func dayNightExperiment(cfg *DayNightConfig, ghzScale, thinBelow float64) (*experiment.Experiment, workload.Curve, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, workload.Curve{}, err
-	}
+	cfg.defaults()
 	spec := ValidationInfraSpec()
 	if ghzScale != 1 {
 		for i := range spec.DCs {
@@ -148,8 +131,8 @@ func dayNightExperiment(cfg *DayNightConfig, ghzScale, thinBelow float64) (*expe
 			}
 		}
 	}
-	users := workload.BusinessDay(cfg.PeakUsers, cfg.BizStart, cfg.BizEnd,
-		cfg.PeakUsers*cfg.NightFloorFrac)
+	users := workload.BusinessDay(cfg.PeakUsers, dayNightBizStart, dayNightBizEnd,
+		cfg.PeakUsers*dayNightFloorFrac)
 	cadFn, err := experiment.OpsByName("CAD", "NA")
 	if err != nil {
 		return nil, workload.Curve{}, err
@@ -157,21 +140,17 @@ func dayNightExperiment(cfg *DayNightConfig, ghzScale, thinBelow float64) (*expe
 	opts := []experiment.Option{
 		experiment.WithInfra(spec),
 		experiment.WithSeed(cfg.Seed),
-		experiment.WithEngineInstance(cfg.Engine),
+		experiment.WithEngine(func() core.Engine { return cfg.Engine }),
 		experiment.WithDuration(cfg.Hours * 3600),
 		experiment.WithLoopFlags(cfg.LoopFlags),
 		experiment.WithAccessMatrix(workload.SingleMaster([]string{"NA"}, "NA")),
 		experiment.WithWorkload(experiment.Workload{
 			App: "CAD", DC: "NA",
 			Users:          users,
-			OpsPerUserHour: cfg.OpsPerUserHour,
+			OpsPerUserHour: dayNightOpsPerUserHour,
 			OpsFn:          cadFn,
-			Gauges:         true,
 			ThinBelow:      thinBelow,
 		}),
-	}
-	if cfg.Step > 0 {
-		opts = append(opts, experiment.WithStep(cfg.Step))
 	}
 	if cfg.Fluid.Above > 0 {
 		opts = append(opts, experiment.WithFluid("CAD", "NA", cfg.Fluid))

@@ -21,19 +21,15 @@ import (
 // is discrete for exactly eight hours and fluid from t=28800 to the end,
 // one crossover.
 func fluidDayNightConfig() DayNightConfig {
-	return DayNightConfig{
-		Step: 0.01, Seed: 7, Hours: 10, PeakUsers: 600,
-		NightFloorFrac: 0.05, OpsPerUserHour: 2, BizStart: 9, BizEnd: 17,
-		Fluid: experiment.Fluid{Above: 0.002},
-	}
+	return DayNightConfig{Seed: 7, Hours: 10, PeakUsers: 600, Fluid: experiment.Fluid{Above: 0.002}}
 }
 
 // fluidAnalyticOps integrates the configured curve over the fluid window
 // [8h, 10h) — the exact trapezoid BuildSegments commits to.
 func fluidAnalyticOps(cfg DayNightConfig) float64 {
-	users := workload.BusinessDay(cfg.PeakUsers, cfg.BizStart, cfg.BizEnd,
-		cfg.PeakUsers*cfg.NightFloorFrac)
-	perUser := cfg.OpsPerUserHour / 3600
+	users := workload.BusinessDay(cfg.PeakUsers, dayNightBizStart, dayNightBizEnd,
+		cfg.PeakUsers*dayNightFloorFrac)
+	perUser := dayNightOpsPerUserHour / 3600.0
 	ops := 0.0
 	for h := 8; h < 10; h++ {
 		s, e := float64(h)*3600, float64(h+1)*3600
@@ -330,7 +326,7 @@ func TestFluidChaosFallback(t *testing.T) {
 // threshold 460-fold), zero discrete launches, and an ops series matching
 // the exact curve integral.
 func TestRunDayNightFluid(t *testing.T) {
-	res, err := RunDayNightFluid(DayNightConfig{Step: 0.01, Seed: 9})
+	res, err := RunDayNightFluid(DayNightConfig{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,15 @@ type routeSide struct {
 	router *oracleRouter               // oracle side only
 	sc     map[string]*cascade.Scratch // production side only, per local DC
 	mems   map[core.Occupancy]string   // server memory -> server name
+	// shared counts the production side's plans that reuse a plan laid out
+	// before them in their step: expander.Expand's shared-plan path.
+	shared int
 }
 
-func newRouteSide(t testing.TB, spec topology.InfraSpec, seed uint64) *routeSide {
+// newRouteSide builds one side on spec; on the production side every local
+// DC's launcher reads one program table of the catalog ops, as a run's
+// launchers of one catalog do.
+func newRouteSide(t testing.TB, spec topology.InfraSpec, seed uint64, ops []cascade.Op) *routeSide {
 	t.Helper()
 	sim := core.NewSimulation(core.Config{Step: 0.01, Seed: seed})
 	inf, err := topology.Build(sim, spec)
@@ -35,8 +41,10 @@ func newRouteSide(t testing.TB, spec topology.InfraSpec, seed uint64) *routeSide
 	}
 	s := &routeSide{inf: inf, router: newOracleRouter(inf),
 		sc: map[string]*cascade.Scratch{}, mems: map[core.Occupancy]string{}}
+	progs := cascade.NewPrograms(ops)
 	for _, name := range inf.DCNames() {
 		s.sc[name] = &cascade.Scratch{}
+		s.sc[name].Share(progs)
 		for _, tier := range inf.DC(name).Tiers {
 			for _, srv := range tier.Servers {
 				s.mems[srv.Mem] = srv.Name
@@ -122,11 +130,21 @@ func diffOp(t testing.TB, label string, prod, orc *routeSide, op cascade.Op, loc
 		if len(plans) != len(want) {
 			t.Fatalf("%s step %d: %d plans, oracle %d", label, step, len(plans), len(want))
 		}
+		for i := range plans {
+			if slices.ContainsFunc(plans[:i], func(p core.MessagePlan) bool { return sharesStages(p, plans[i]) }) {
+				prod.shared++
+			}
+		}
 		for i := range want {
 			diffPlans(t, fmt.Sprintf("%s step %d msg %d", label, step, i), prod, orc, plans[i], want[i])
 		}
 	}
 	return nil
+}
+
+// sharesStages reports whether two plans are one layout.
+func sharesStages(a, b core.MessagePlan) bool {
+	return len(a.Stages) > 0 && len(b.Stages) > 0 && &a.Stages[0] == &b.Stages[0]
 }
 
 // diffPlans compares one message: stage by stage (agent, demand bits), then
@@ -266,7 +284,7 @@ func TestCompiledRoutesMatchOracle(t *testing.T) {
 	ops := appCatalogue()
 	for _, p := range platforms {
 		t.Run(p.name, func(t *testing.T) {
-			prod, orc := newRouteSide(t, p.spec, 11), newRouteSide(t, p.spec, 11)
+			prod, orc := newRouteSide(t, p.spec, 11, ops), newRouteSide(t, p.spec, 11, ops)
 			cases, unroutable := 0, 0
 			for _, st := range routeStates(p.failA, p.failB, p.isolate) {
 				mutate(prod, orc, st.fn)
@@ -329,7 +347,9 @@ func fuzzPlatform() topology.InfraSpec {
 
 // fuzzOp builds an operation from two words: shape gives the step count and
 // each step's width, pattern walks the (role, site) pairs, and the rng fills
-// cost arrays in which every component is zero a quarter of the time.
+// cost arrays in which every component is zero a quarter of the time. A
+// third of the messages after a step's first repeat the one before them —
+// same ends, same cost — as a fan-out's copies do.
 func fuzzOp(shape, pattern uint64, rng *rand.Rand) cascade.Op {
 	roles := []cascade.Role{cascade.Client, cascade.App, cascade.DB, cascade.FS, cascade.Idx, cascade.Daemon}
 	end := func() cascade.End {
@@ -348,6 +368,10 @@ func fuzzOp(shape, pattern uint64, rng *rand.Rand) cascade.Op {
 		shape /= 4
 		var step []cascade.Msg
 		for width := 1 + shape%3; width > 0; width-- {
+			if len(step) > 0 && rng.IntN(3) == 0 {
+				step = append(step, step[len(step)-1])
+				continue
+			}
 			step = append(step, cascade.Msg{From: end(), To: end(), Cost: cascade.R{
 				CPUCycles: amount(1e8), NetBytes: amount(1e5), MemBytes: amount(1e7), DiskBytes: amount(1e6),
 			}})
@@ -358,42 +382,76 @@ func fuzzOp(shape, pattern uint64, rng *rand.Rand) cascade.Op {
 	return op
 }
 
+// routeFuzzSeeds is the seed corpus of FuzzCompiledRoutesMatchOracle.
+var routeFuzzSeeds = []struct {
+	shape, pattern uint64
+	pair, faults   uint8
+	seed           uint64
+}{
+	{0, 0, 0, 0, 1},
+	{0x1b, 0x0123456789abcdef, 1, 0x15, 2},
+	{0xffff, 0xfedcba9876543210, 5, 0x2a, 3},
+	{0x2d7, 0x5a5a5a5a5a5a5a5a, 7, 0xff, 4},
+	{0x93, 0x1111111111111111, 3, 0x3c, 5},
+	{0x6e, 0x0f1e2d3c4b5a6978, 8, 0x81, 6},
+}
+
 // FuzzCompiledRoutesMatchOracle is the differential test over generated
 // operations: op shape, role/site pattern, data-center pair, which WAN
 // mutations precede each launch, and the seed of the platform and the costs.
 // The operation is launched three times on one pair of platforms, so compiled
 // state is reused across the mutations in between.
 func FuzzCompiledRoutesMatchOracle(f *testing.F) {
-	f.Add(uint64(0), uint64(0), uint8(0), uint8(0), uint64(1))
-	f.Add(uint64(0x1b), uint64(0x0123456789abcdef), uint8(1), uint8(0x15), uint64(2))
-	f.Add(uint64(0xffff), uint64(0xfedcba9876543210), uint8(5), uint8(0x2a), uint64(3))
-	f.Add(uint64(0x2d7), uint64(0x5a5a5a5a5a5a5a5a), uint8(7), uint8(0xff), uint64(4))
-	f.Add(uint64(0x93), uint64(0x1111111111111111), uint8(3), uint8(0x3c), uint64(5))
-	f.Add(uint64(0x6e), uint64(0x0f1e2d3c4b5a6978), uint8(8), uint8(0x81), uint64(6))
+	for _, s := range routeFuzzSeeds {
+		f.Add(s.shape, s.pattern, s.pair, s.faults, s.seed)
+	}
 	spec := fuzzPlatform()
 	f.Fuzz(func(t *testing.T, shape, pattern uint64, pair, faults uint8, seed uint64) {
-		prod, orc := newRouteSide(t, spec, seed), newRouteSide(t, spec, seed)
-		rng := rand.New(rand.NewPCG(seed, shape))
-		op := fuzzOp(shape, pattern, rng)
-		dcs := prod.inf.DCNames()
-		local, master := dcs[int(pair)%len(dcs)], dcs[int(pair)/len(dcs)%len(dcs)]
-		mutations := []func(*topology.Infrastructure){
-			func(inf *topology.Infrastructure) { inf.FailWAN("NA", "EU") },
-			func(inf *topology.Infrastructure) { inf.IsolateDC("AS1") },
-			func(inf *topology.Infrastructure) { inf.RestoreWAN("NA", "EU") },
-			func(inf *topology.Infrastructure) { inf.RejoinDC("AS1") },
-		}
-		for round := 0; round < 3; round++ {
-			for i, fn := range mutations {
-				if faults>>((round*4+i)%8)&1 != 0 {
-					mutate(prod, orc, fn)
-				}
-			}
-			bal := diffBalancers[(int(faults)+round)%len(diffBalancers)]
-			diffOp(t, fmt.Sprintf("round %d %s->%s %s", round, local, master, bal.name), prod, orc, op, local, master, bal.fn)
-			diffSideEffects(t, fmt.Sprintf("round %d", round), prod, orc)
-		}
+		diffFuzzedOp(t, spec, shape, pattern, pair, faults, seed)
 	})
+}
+
+// TestRouteFuzzSeedsSharePlans: the seed corpus of
+// FuzzCompiledRoutesMatchOracle repeats messages, so it holds
+// expander.Expand's shared-plan path to the oracle too.
+func TestRouteFuzzSeedsSharePlans(t *testing.T) {
+	spec := fuzzPlatform()
+	shared := 0
+	for _, s := range routeFuzzSeeds {
+		shared += diffFuzzedOp(t, spec, s.shape, s.pattern, s.pair, s.faults, s.seed)
+	}
+	if shared == 0 {
+		t.Error("no seed laid out a shared plan")
+	}
+	t.Logf("%d plans shared over %d seeds", shared, len(routeFuzzSeeds))
+}
+
+// diffFuzzedOp is one input of FuzzCompiledRoutesMatchOracle; it returns
+// how many of the production side's plans were shared.
+func diffFuzzedOp(t *testing.T, spec topology.InfraSpec, shape, pattern uint64, pair, faults uint8, seed uint64) int {
+	rng := rand.New(rand.NewPCG(seed, shape))
+	op := fuzzOp(shape, pattern, rng)
+	ops := []cascade.Op{op}
+	prod, orc := newRouteSide(t, spec, seed, ops), newRouteSide(t, spec, seed, ops)
+	dcs := prod.inf.DCNames()
+	local, master := dcs[int(pair)%len(dcs)], dcs[int(pair)/len(dcs)%len(dcs)]
+	mutations := []func(*topology.Infrastructure){
+		func(inf *topology.Infrastructure) { inf.FailWAN("NA", "EU") },
+		func(inf *topology.Infrastructure) { inf.IsolateDC("AS1") },
+		func(inf *topology.Infrastructure) { inf.RestoreWAN("NA", "EU") },
+		func(inf *topology.Infrastructure) { inf.RejoinDC("AS1") },
+	}
+	for round := 0; round < 3; round++ {
+		for i, fn := range mutations {
+			if faults>>((round*4+i)%8)&1 != 0 {
+				mutate(prod, orc, fn)
+			}
+		}
+		bal := diffBalancers[(int(faults)+round)%len(diffBalancers)]
+		diffOp(t, fmt.Sprintf("round %d %s->%s %s", round, local, master, bal.name), prod, orc, op, local, master, bal.fn)
+		diffSideEffects(t, fmt.Sprintf("round %d", round), prod, orc)
+	}
+	return prod.shared
 }
 
 // backupMeshPlatform is a five-site platform whose routing leans on backup

@@ -161,13 +161,11 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 		experiment.WithStep(cfg.Step),
 		experiment.WithCollectEvery(30), // 30 s snapshot windows (§4.3.1 averages minute-scale windows)
 		experiment.WithSeed(cfg.Seed+uint64(cfg.Experiment)),
-		experiment.WithEngineInstance(cfg.Engine),
+		experiment.WithEngine(func() core.Engine { return cfg.Engine }),
 		experiment.WithDuration(cfg.RunFor),
 		experiment.WithLoopFlags(cfg.LoopFlags),
-		experiment.WithProbes(func(r *experiment.Run) []metrics.Probe {
-			return []metrics.Probe{r.Sim.GaugeProbe("clients")}
-		}),
 		experiment.WithSetup(func(r *experiment.Run) error {
+			r.Sim.Collector.Register(r.Sim.GaugeProbe("clients"))
 			na := r.Inf.DC("NA")
 			var err error
 			series, err = apps.CalibratedCADSeries(r.Inf, na, na, cfg.Step)

@@ -10,7 +10,6 @@ package simtime
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Tick is a discrete simulation step index. Tick 0 is the simulation start.
@@ -45,12 +44,6 @@ func (c *Clock) Now() Tick { return c.now }
 // NowSeconds returns the current simulated time in seconds.
 func (c *Clock) NowSeconds() Seconds { return Seconds(c.now) * c.step }
 
-// Advance moves the clock forward one tick and returns the new tick.
-func (c *Clock) Advance() Tick {
-	c.now++
-	return c.now
-}
-
 // AdvanceBy moves the clock forward n whole ticks in one jump — the
 // fast-forward primitive of the event-horizon time loop — and returns the
 // new tick. It panics on n < 1: a loop that advances by nothing (or
@@ -62,9 +55,6 @@ func (c *Clock) AdvanceBy(n Tick) Tick {
 	c.now += n
 	return c.now
 }
-
-// Reset rewinds the clock to tick zero.
-func (c *Clock) Reset() { c.now = 0 }
 
 // TicksIn returns the number of whole ticks covering d seconds, rounding up
 // so that a strictly positive duration always occupies at least one tick.
@@ -127,24 +117,4 @@ func (c *Clock) TickAt(s Seconds) Tick {
 		k++
 	}
 	return k
-}
-
-// HourOfDay returns the hour-of-day (0-23, GMT in the paper's scenarios) of
-// the simulated instant s, for workloads defined as hourly curves.
-func HourOfDay(s Seconds) int {
-	const day = 24 * 3600
-	sec := int64(s) % day
-	if sec < 0 {
-		sec += day
-	}
-	return int(sec / 3600)
-}
-
-// FormatHMS renders a simulated duration as H:MM:SS for reports.
-func FormatHMS(s Seconds) string {
-	d := time.Duration(s * float64(time.Second))
-	h := int(d.Hours())
-	m := int(d.Minutes()) % 60
-	sec := int(d.Seconds()) % 60
-	return fmt.Sprintf("%d:%02d:%02d", h, m, sec)
 }

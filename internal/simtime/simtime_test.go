@@ -1,9 +1,11 @@
 package simtime
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNewClockPanicsOnNonPositiveStep(t *testing.T) {
@@ -235,4 +237,33 @@ func TestTickSecondsRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Advance moves the clock forward one tick and returns the new tick.
+func (c *Clock) Advance() Tick {
+	c.now++
+	return c.now
+}
+
+// Reset rewinds the clock to tick zero.
+func (c *Clock) Reset() { c.now = 0 }
+
+// HourOfDay returns the hour-of-day (0-23, GMT in the paper's scenarios) of
+// the simulated instant s, for workloads defined as hourly curves.
+func HourOfDay(s Seconds) int {
+	const day = 24 * 3600
+	sec := int64(s) % day
+	if sec < 0 {
+		sec += day
+	}
+	return int(sec / 3600)
+}
+
+// FormatHMS renders a simulated duration as H:MM:SS for reports.
+func FormatHMS(s Seconds) string {
+	d := time.Duration(s * float64(time.Second))
+	h := int(d.Hours())
+	m := int(d.Minutes()) % 60
+	sec := int(d.Seconds()) % 60
+	return fmt.Sprintf("%d:%02d:%02d", h, m, sec)
 }

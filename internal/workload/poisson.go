@@ -39,11 +39,9 @@ type AppWorkload struct {
 	Weights        []float64 // nil selects a uniform mix
 	APM            AccessMatrix
 	Inf            *topology.Infrastructure
-	// GaugePrefix, when set, maintains gauges "<prefix>:active" (operations
-	// in flight) and "<prefix>:loggedin" (population curve sample). The
-	// loggedin gauge is refreshed on due polls only; under thinning those
-	// are the arrival instants, so probes wanting the exact population
-	// between arrivals should sample Users.At directly.
+	// GaugePrefix, when set, maintains the gauge "<prefix>:active"
+	// (operations in flight). Workloads of one prefix share it. The logged-in
+	// population is the curve itself: sample Users.At.
 	GaugePrefix string
 	// ThinBelow overrides the per-tick expected-arrival threshold below
 	// which arrivals are sampled by exponential-gap thinning instead of
@@ -65,7 +63,7 @@ type AppWorkload struct {
 	Stream uint64
 	// Programs, when set, is the compiled table of the Ops catalog that the
 	// run's launchers of the same catalog share (cascade.Programs); nil
-	// compiles the operations for this workload alone.
+	// makes a table for this workload alone at its first poll.
 	Programs *cascade.Programs
 
 	cum      []float64
@@ -81,7 +79,6 @@ type AppWorkload struct {
 	rng         rand.Rand // draws from pcg
 	initialized bool
 	active      core.Gauge // interned "<prefix>:active"
-	loggedin    core.Gauge // interned "<prefix>:loggedin"
 
 	step      float64 // tick size, cached at initialize
 	thinBelow float64 // resolved threshold (0 when thinning disabled)
@@ -125,7 +122,11 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 	for i := range w.cum {
 		w.cum[i] /= total
 	}
-	w.scratch.Share(w.Programs)
+	progs := w.Programs
+	if progs == nil {
+		progs = cascade.NewPrograms(w.Ops)
+	}
+	w.scratch.Share(progs)
 	w.local = w.Inf.DC(w.DC)
 	w.owners = w.APM.owners(w.ownerBuf[:0], w.DC, w.Inf)
 	// Derive an independent deterministic stream from the simulation seed
@@ -138,7 +139,6 @@ func (w *AppWorkload) initialize(s *core.Simulation) {
 	w.seed(seed1, core.DeriveSeed(seed1, stream))
 	if w.GaugePrefix != "" {
 		w.active = s.GaugeHandle(w.GaugePrefix + ":active")
-		w.loggedin = s.GaugeHandle(w.GaugePrefix + ":loggedin")
 	}
 	w.step = s.Clock().Step()
 	w.pending = math.NaN()
@@ -227,7 +227,6 @@ func (w *AppWorkload) Poll(s *core.Simulation, now float64) {
 		w.initialize(s)
 	}
 	users := w.Users.At(now)
-	s.AddGaugeBy(w.loggedin, users-s.GaugeValueBy(w.loggedin))
 	if !math.IsNaN(w.pending) {
 		// Thinned mode: every committed arrival at or before now launches,
 		// each successor sampled from its predecessor's instant so the

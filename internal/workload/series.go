@@ -58,6 +58,7 @@ func (l *SeriesLauncher) Poll(s *core.Simulation, now float64) {
 		}
 		l.next = l.FirstAt
 		l.gauge = s.GaugeHandle(l.GaugeKey)
+		l.scratch.Share(cascade.NewPrograms(l.Series.Ops))
 		l.initialized = true
 	}
 	for now >= l.next && (l.Until <= 0 || l.next < l.Until) {
