@@ -518,10 +518,6 @@ func localHeavy8DC(mk func() core.Engine, seconds float64, extra ...experiment.O
 	if mk != nil {
 		opts = append(opts, experiment.WithEngine(mk))
 	}
-	pdm, err := experiment.OpsByName("PDM", "")
-	if err != nil {
-		panic(err)
-	}
 	for d := 0; d < dcs; d++ {
 		dc, next := name(d), name(d+1)
 		spec.DCs = append(spec.DCs, topology.DCSpec{
@@ -543,8 +539,7 @@ func localHeavy8DC(mk func() core.Engine, seconds float64, extra ...experiment.O
 				App: "PDM", DC: dc, Stream: uint64(stream + 1),
 				Users:          workload.BusinessDay(users*w.share, 0, 24, users*w.share),
 				OpsPerUserHour: opsPerUserHour,
-				OpsFn:          pdm, OpsKey: "PDM",
-				APM: workload.AccessMatrix{dc: {w.owner: 1}},
+				APM:            workload.AccessMatrix{dc: {w.owner: 1}},
 			}))
 		}
 	}

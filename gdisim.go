@@ -44,6 +44,12 @@
 //	res, err := e.Run()
 //	fmt.Println(res.Stats.CompletedOps, res.Series["cpu:NA:app"].Mean(0, 8*3600))
 //
+// A workload without Ops runs a named operation set instead, its Set (a
+// document's "ops"): "VIS", "PDM", "CAD@<dc>" — the CAD mix calibrated at
+// data center <dc> — or "CAD", calibrated at the workload's own DC. An
+// empty Set names the set after the app, and workloads naming one set
+// share its catalog.
+//
 // On top of a single experiment, NewSweep expands a parameter grid into
 // independent simulations fanned out across a worker pool, each point
 // seeded by SplitMix64 derivation so results are bit-identical regardless
@@ -58,7 +64,10 @@
 // JSON scenario documents (gdisim.LoadScenario) compile to the same
 // Experiment type through ExperimentFromDocument — one surface whether the
 // scenario comes from Go code or a document; `gdisim -doc file.json
-// [-sweep path=v1,v2 ...]` is the CLI for it.
+// [-sweep path=v1,v2 ...]` is the CLI for it. examples/consolidation.json
+// and examples/multimaster.json are the Chapter 6 and 7 case studies as
+// documents, at seed 7, scale 0.1, 3-4 h GMT; they run to the digests of
+// NewConsolidation and NewMultiMaster at that configuration.
 //
 // The thesis' evaluations are packaged as ready-made scenarios built on
 // the experiment API: RunValidation (Chapter 5), NewConsolidation

@@ -68,8 +68,10 @@ type WorkloadSpec struct {
 	OpsPerUserHour float64        `json:"opsPerUserHour"`
 	// Weights biases the operation mix; empty selects a uniform mix.
 	Weights []float64 `json:"weights,omitempty"`
-	// Ops names the operation set ("CAD", "VIS", "PDM"); empty selects the
-	// set named like the app.
+	// Ops names the operation set, as experiment.Workload.Set does: "VIS",
+	// "PDM", "CAD@<dc>" (the CAD mix calibrated against data center <dc>)
+	// or "CAD", calibrated at this workload's own DC. Empty selects the set
+	// named like the app. Workloads naming one set share its catalog.
 	Ops string `json:"ops,omitempty"`
 	// Stream sets the workload's RNG stream identity; 0 derives it from
 	// app@dc. Two workloads sharing app and dc must declare distinct
@@ -96,7 +98,9 @@ type FluidSpec struct {
 	RhoMax float64 `json:"rhoMax,omitempty"`
 }
 
-// DaemonsSpec is the JSON form of the background-daemon declaration.
+// DaemonsSpec is the JSON form of the background-daemon declaration. The
+// daemons run at the thesis' cadence (a SYNCHREP cycle every 15 minutes, a
+// 5-minute gap between index builds), which no document field changes.
 type DaemonsSpec struct {
 	// Masters lists the data centers running a SYNCHREP and an INDEXBUILD
 	// daemon each.
@@ -104,9 +108,6 @@ type DaemonsSpec struct {
 	// GrowthMBh gives each data center's hourly data-generation curve in
 	// MB/hour (GMT).
 	GrowthMBh map[string]workload.Curve `json:"growthMBh,omitempty"`
-	// SyncIntervalMin / IndexGapMin override the thesis defaults (15 / 5).
-	SyncIntervalMin float64 `json:"syncIntervalMin,omitempty"`
-	IndexGapMin     float64 `json:"indexGapMin,omitempty"`
 	// IndexHeadroom derives the index server's per-byte cost from the
 	// master's peak owned generation rate (the Fig. 6-14 calibration);
 	// zero keeps the background default.

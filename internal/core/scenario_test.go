@@ -333,10 +333,6 @@ func TestShardedLaneLaunchesInsideSpans(t *testing.T) {
 		if eng != nil {
 			opts = append(opts, experiment.WithEngine(func() core.Engine { return eng }))
 		}
-		pdm, err := experiment.OpsByName("PDM", "")
-		if err != nil {
-			t.Fatal(err)
-		}
 		for d := 0; d < dcs; d++ {
 			dc, next := name(d), name(d+1)
 			spec.DCs = append(spec.DCs, topology.DCSpec{
@@ -352,7 +348,7 @@ func TestShardedLaneLaunchesInsideSpans(t *testing.T) {
 			opts = append(opts, experiment.WithWorkload(experiment.Workload{
 				App: "PDM", DC: dc, Stream: 2,
 				Users: workload.BusinessDay(30, 0, 24, 30), OpsPerUserHour: 40,
-				OpsFn: pdm, OpsKey: "PDM", APM: workload.AccessMatrix{dc: {next: 1}},
+				APM: workload.AccessMatrix{dc: {next: 1}},
 			}))
 		}
 		probes := make([]*launchProbe, dcs)

@@ -177,16 +177,16 @@ func TestSharedCatalogIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Sim.Shutdown()
-	if len(r.catalogs) != 1 || r.catalogs[0].key != "PDM" {
+	if len(r.catalogs) != 1 || r.catalogs[0].set != "PDM" {
 		t.Fatalf("the PDM workloads use %d catalogs, want the one PDM catalog", len(r.catalogs))
 	}
 	c := r.catalogs[0]
-	if !sameArray(c.ops, pdmCatalog()) {
+	if !oneArray(c.ops, pdmCatalog()) {
 		t.Fatal("the PDM workloads do not launch from the process-wide PDM catalog")
 	}
 	for i := range r.sources {
 		app := &r.sources[i].app
-		if !sameArray(app.Ops, c.ops) || app.Programs != c.progs {
+		if !oneArray(app.Ops, c.ops) || app.Programs != c.progs {
 			t.Fatalf("workload %s@%s does not launch from the shared catalog and its program table", app.App, app.DC)
 		}
 	}
@@ -223,7 +223,7 @@ func TestSharedCatalogIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Sim.Shutdown()
-	if len(r2.catalogs) != 2 || !sameArray(r2.catalogs[0].ops, pdmCatalog()) || !sameArray(r2.catalogs[1].ops, visCatalog()) {
+	if len(r2.catalogs) != 2 || !oneArray(r2.catalogs[0].ops, pdmCatalog()) || !oneArray(r2.catalogs[1].ops, visCatalog()) {
 		t.Fatal("the second run does not launch from the process-wide PDM and VIS catalogs")
 	}
 	if r2.sources[0].fluid != nil {
@@ -241,6 +241,12 @@ func TestSharedCatalogIsReadOnly(t *testing.T) {
 	if !reflect.DeepEqual(visCatalog(), apps.VISOps()) {
 		t.Error("the process-wide VIS catalog differs from a fresh one after two runs")
 	}
+}
+
+// oneArray reports whether a and b are the same non-empty slice of one
+// array.
+func oneArray(a, b []cascade.Op) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
 // cloneOps copies a catalog down to its messages.

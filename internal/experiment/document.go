@@ -4,14 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sync"
 
-	"repro/internal/apps"
 	"repro/internal/background"
-	"repro/internal/cascade"
 	"repro/internal/config"
 	"repro/internal/faults"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -65,6 +61,7 @@ func FromDocument(d *config.Document) (*Experiment, error) {
 			Users:          w.Users,
 			OpsPerUserHour: w.OpsPerUserHour,
 			Weights:        w.Weights,
+			Set:            w.Ops,
 			Stream:         w.Stream,
 			ThinBelow:      w.ThinBelow,
 		}
@@ -74,16 +71,6 @@ func FromDocument(d *config.Document) (*Experiment, error) {
 				return nil, fmt.Errorf("experiment: document %s: %w", d.Name, err)
 			}
 		}
-		name := w.Ops
-		if name == "" {
-			name = w.App
-		}
-		fn, err := OpsByName(name, w.DC)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: document %s: workload %s@%s: %w", d.Name, w.App, w.DC, err)
-		}
-		ew.OpsFn = fn
-		ew.OpsKey = opsKey(name, w.DC)
 		if d.AccessMatrix == nil {
 			// Without a document-level access matrix every workload
 			// manipulates files owned by its own data center.
@@ -93,11 +80,9 @@ func FromDocument(d *config.Document) (*Experiment, error) {
 	}
 	if dm := d.Daemons; dm != nil {
 		opts = append(opts, WithDaemons(Daemons{
-			Masters:         dm.Masters,
-			Growth:          background.GrowthModel(maps.Clone(dm.GrowthMBh)),
-			SyncIntervalSec: dm.SyncIntervalMin * 60,
-			IndexGapSec:     dm.IndexGapMin * 60,
-			IndexHeadroom:   dm.IndexHeadroom,
+			Masters:       dm.Masters,
+			Growth:        background.GrowthModel(maps.Clone(dm.GrowthMBh)),
+			IndexHeadroom: dm.IndexHeadroom,
 		}))
 	}
 	if len(d.Faults) > 0 {
@@ -140,46 +125,4 @@ func LoadDocument(path string) (*Experiment, error) {
 		return nil, err
 	}
 	return FromDocument(d)
-}
-
-// opsKey is the key workloads share a named operation set's catalog by:
-// the calibrated CAD set is built per data center, VIS and PDM once.
-func opsKey(name, dc string) string {
-	if name == "CAD" {
-		return name + "@" + dc
-	}
-	return name
-}
-
-// The VIS and PDM catalogs are infrastructure-independent, so one of each
-// serves every run of the process. Nothing writes into a catalog once its
-// OpsFn has returned it: launchers, program tables and the fluid station
-// only read operations, and calibration copies what it changes.
-var (
-	visCatalog = sync.OnceValue(apps.VISOps)
-	pdmCatalog = sync.OnceValue(apps.PDMOps)
-)
-
-// OpsByName resolves a named operation set to an OpsFn. The calibrated CAD
-// set is built against the workload's own data center (local = master for
-// calibration purposes — the APM still decides per-launch ownership); VIS
-// and PDM are infrastructure-independent and built once per process,
-// read-only.
-func OpsByName(name, dc string) (func(*topology.Infrastructure, float64) ([]cascade.Op, error), error) {
-	switch name {
-	case "CAD":
-		return func(inf *topology.Infrastructure, step float64) ([]cascade.Op, error) {
-			home := inf.DC(dc)
-			return apps.CalibratedCADOps(inf, home, home, step)
-		}, nil
-	case "VIS":
-		return func(*topology.Infrastructure, float64) ([]cascade.Op, error) {
-			return visCatalog(), nil
-		}, nil
-	case "PDM":
-		return func(*topology.Infrastructure, float64) ([]cascade.Op, error) {
-			return pdmCatalog(), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown operation set %q (have CAD, VIS, PDM)", name)
 }

@@ -34,51 +34,74 @@ func gateDoc() *config.Document {
 // badDocuments holds one mutation per check the document surface makes:
 // the gate's (through FromDocument) and the fault checks that need the
 // built target (through Compile).
-var badDocuments = []struct {
-	name   string
-	mutate func(*config.Document)
-}{
-	{"no name", func(d *config.Document) { d.Name = "" }},
-	{"no data centers", func(d *config.Document) { d.Infrastructure.DCs = nil }},
-	{"workload unknown DC", func(d *config.Document) { d.Workloads[0].DC = "MARS" }},
-	{"workload without app", func(d *config.Document) { d.Workloads[0].App = "" }},
-	{"zero rate", func(d *config.Document) { d.Workloads[0].OpsPerUserHour = 0 }},
-	{"access matrix row not a distribution", func(d *config.Document) { d.AccessMatrix = workload.AccessMatrix{"NA": {"NA": 0.5}} }},
-	{"fluid threshold 0", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0} }},
-	{"fluid guard 1", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.01, RhoMax: 1} }},
-	{"negative fluid guard", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.01, RhoMax: -0.5} }},
-	{"negative fluid threshold", func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: -1} }},
-	{"all-zero weights", func(d *config.Document) { d.Workloads[0].Fluid, d.Workloads[0].Weights = nil, pdmWeights() }},
-	{"negative weight", func(d *config.Document) { d.Workloads[0].Weights = pdmWeights(-1, 2) }},
-	{"negative step", func(d *config.Document) { d.Step = -0.01 }},
-	{"negative run length", func(d *config.Document) { d.Window = &config.WindowSpec{RunSeconds: -60} }},
-	{"run length and hour window", func(d *config.Document) { d.Window = &config.WindowSpec{StartHour: 1, EndHour: 2, RunSeconds: 60} }},
-	{"inverted hour window", func(d *config.Document) { d.Window = &config.WindowSpec{StartHour: 5, EndHour: 3} }},
-	{"empty window", func(d *config.Document) { d.Window = &config.WindowSpec{} }},
-	{"daemons without masters", func(d *config.Document) { d.Daemons.Masters = nil }},
-	{"daemon master unknown", func(d *config.Document) { d.Daemons.Masters = []string{"MARS"} }},
-	{"growth for unknown DC", func(d *config.Document) { d.Daemons.GrowthMBh["MARS"] = workload.BusinessDay(10, 0, 24, 10) }},
-	{"negative growth", func(d *config.Document) { d.Daemons.GrowthMBh["NA"] = workload.BusinessDay(-10, 0, 24, -10) }},
-	{"negative sync interval", func(d *config.Document) { d.Daemons.SyncIntervalMin = -1 }},
-	{"negative index gap", func(d *config.Document) { d.Daemons.IndexGapMin = -1 }},
-	{"negative index headroom", func(d *config.Document) { d.Daemons.IndexHeadroom = -1 }},
-	{"daemons without access matrix", func(d *config.Document) { d.AccessMatrix = nil }},
-	{"daemon master without fs tier", masterWithoutFS},
-	{"growth DC without access matrix row", growthWithoutAPMRow},
-	{"fault without name", func(d *config.Document) { d.Faults[0].Name = "" }},
-	{"duplicate fault name", func(d *config.Document) { d.Faults = append(d.Faults, d.Faults[0]) }},
-	{"negative fault at", func(d *config.Document) { d.Faults[0].At = -1 }},
-	{"negative fault duration", func(d *config.Document) { d.Faults[0].Duration = -1 }},
-	{"unknown fault kind", func(d *config.Document) { d.Faults[0].Kind = "meteor" }},
-	{"wan fault endpoints", func(d *config.Document) {
+// badDocument is one row of badDocuments: gateDoc with mutate applied and,
+// when daemonsField is set, that JSON member spliced into the encoded
+// daemons object — the way to write a field the document no longer has.
+type badDocument struct {
+	name         string
+	mutate       func(*config.Document)
+	daemonsField string
+}
+
+// encode returns the row's document as JSON.
+func (c badDocument) encode(tb testing.TB) []byte {
+	d := gateDoc()
+	if c.mutate != nil {
+		c.mutate(d)
+	}
+	var buf bytes.Buffer
+	if err := d.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	if c.daemonsField == "" {
+		return buf.Bytes()
+	}
+	return bytes.Replace(buf.Bytes(), []byte(`"daemons": {`), []byte(`"daemons": {`+c.daemonsField+","), 1)
+}
+
+var badDocuments = []badDocument{
+	{name: "no name", mutate: func(d *config.Document) { d.Name = "" }},
+	{name: "no data centers", mutate: func(d *config.Document) { d.Infrastructure.DCs = nil }},
+	{name: "workload unknown DC", mutate: func(d *config.Document) { d.Workloads[0].DC = "MARS" }},
+	{name: "workload without app", mutate: func(d *config.Document) { d.Workloads[0].App = "" }},
+	{name: "zero rate", mutate: func(d *config.Document) { d.Workloads[0].OpsPerUserHour = 0 }},
+	{name: "CAD at unknown DC", mutate: func(d *config.Document) { d.Workloads[0].Ops = "CAD@MARS" }},
+	{name: "VIS at a DC", mutate: func(d *config.Document) { d.Workloads[0].Ops = "VIS@NA" }},
+	{name: "access matrix row not a distribution", mutate: func(d *config.Document) { d.AccessMatrix = workload.AccessMatrix{"NA": {"NA": 0.5}} }},
+	{name: "fluid threshold 0", mutate: func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0} }},
+	{name: "fluid guard 1", mutate: func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.01, RhoMax: 1} }},
+	{name: "negative fluid guard", mutate: func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.01, RhoMax: -0.5} }},
+	{name: "negative fluid threshold", mutate: func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: -1} }},
+	{name: "all-zero weights", mutate: func(d *config.Document) { d.Workloads[0].Fluid, d.Workloads[0].Weights = nil, pdmWeights() }},
+	{name: "negative weight", mutate: func(d *config.Document) { d.Workloads[0].Weights = pdmWeights(-1, 2) }},
+	{name: "negative step", mutate: func(d *config.Document) { d.Step = -0.01 }},
+	{name: "negative run length", mutate: func(d *config.Document) { d.Window = &config.WindowSpec{RunSeconds: -60} }},
+	{name: "run length and hour window", mutate: func(d *config.Document) { d.Window = &config.WindowSpec{StartHour: 1, EndHour: 2, RunSeconds: 60} }},
+	{name: "inverted hour window", mutate: func(d *config.Document) { d.Window = &config.WindowSpec{StartHour: 5, EndHour: 3} }},
+	{name: "empty window", mutate: func(d *config.Document) { d.Window = &config.WindowSpec{} }},
+	{name: "daemons without masters", mutate: func(d *config.Document) { d.Daemons.Masters = nil }},
+	{name: "daemon master unknown", mutate: func(d *config.Document) { d.Daemons.Masters = []string{"MARS"} }},
+	{name: "growth for unknown DC", mutate: func(d *config.Document) { d.Daemons.GrowthMBh["MARS"] = workload.BusinessDay(10, 0, 24, 10) }},
+	{name: "negative growth", mutate: func(d *config.Document) { d.Daemons.GrowthMBh["NA"] = workload.BusinessDay(-10, 0, 24, -10) }},
+	{name: "sync interval field", daemonsField: `"syncIntervalMin": 15`},
+	{name: "negative index headroom", mutate: func(d *config.Document) { d.Daemons.IndexHeadroom = -1 }},
+	{name: "daemons without access matrix", mutate: func(d *config.Document) { d.AccessMatrix = nil }},
+	{name: "daemon master without fs tier", mutate: masterWithoutFS},
+	{name: "growth DC without access matrix row", mutate: growthWithoutAPMRow},
+	{name: "fault without name", mutate: func(d *config.Document) { d.Faults[0].Name = "" }},
+	{name: "duplicate fault name", mutate: func(d *config.Document) { d.Faults = append(d.Faults, d.Faults[0]) }},
+	{name: "negative fault at", mutate: func(d *config.Document) { d.Faults[0].At = -1 }},
+	{name: "negative fault duration", mutate: func(d *config.Document) { d.Faults[0].Duration = -1 }},
+	{name: "unknown fault kind", mutate: func(d *config.Document) { d.Faults[0].Kind = "meteor" }},
+	{name: "wan fault endpoints", mutate: func(d *config.Document) {
 		d.Faults[0] = config.FaultSpec{Name: "cut", Kind: "wan", From: "NA", To: "MARS", At: 10, Duration: 10, Magnitude: 1}
 	}},
-	{"dc fault unknown DC", func(d *config.Document) {
+	{name: "dc fault unknown DC", mutate: func(d *config.Document) {
 		d.Faults[0] = config.FaultSpec{Name: "dark", Kind: "dc", DC: "MARS", At: 10, Duration: 10, Magnitude: 1}
 	}},
-	{"storage fault unknown DC", func(d *config.Document) { d.Faults[0].DC = "MARS" }},
-	{"storage fault without tier", func(d *config.Document) { d.Faults[0].Tier = "" }},
-	{"failover endpoints", func(d *config.Document) {
+	{name: "storage fault unknown DC", mutate: func(d *config.Document) { d.Faults[0].DC = "MARS" }},
+	{name: "storage fault without tier", mutate: func(d *config.Document) { d.Faults[0].Tier = "" }},
+	{name: "failover endpoints", mutate: func(d *config.Document) {
 		d.Faults[0] = config.FaultSpec{Name: "move", Kind: "failover", From: "MARS", To: "NA", At: 10, Duration: 10}
 	}},
 }
@@ -129,8 +152,9 @@ func TestDaemonGateNamesTheGap(t *testing.T) {
 }
 
 // TestValidateRejectsBadDocuments pins one row per document check: every
-// bad document ends in an error — from FromDocument's gate, or from Compile
-// where the check needs the built target — and never in a panic.
+// bad document ends in an error — from config.Decode for a field the
+// document lacks, from FromDocument's gate, or from Compile where the check
+// needs the built target — and never in a panic.
 func TestValidateRejectsBadDocuments(t *testing.T) {
 	e, err := FromDocument(gateDoc())
 	if err != nil {
@@ -143,8 +167,13 @@ func TestValidateRejectsBadDocuments(t *testing.T) {
 	r.Sim.Shutdown()
 	for _, c := range badDocuments {
 		t.Run(c.name, func(t *testing.T) {
-			d := gateDoc()
-			c.mutate(d)
+			d, err := config.Decode(bytes.NewReader(c.encode(t)))
+			if err != nil {
+				if c.daemonsField == "" {
+					t.Fatalf("the encoded document does not decode: %v", err)
+				}
+				return
+			}
 			e, err := FromDocument(d)
 			if err != nil {
 				return
@@ -174,7 +203,7 @@ func TestOneGateAcrossSurfaces(t *testing.T) {
 	}{
 		{"negative step", WithStep(-0.5), func(d *config.Document) { d.Step = -0.5 }, "step", -0.5,
 			"step must be positive and finite, got -0.5"},
-		{"negative rate", WithWorkload(Workload{App: "VIS", DC: "NA", OpsPerUserHour: -3, OpsFn: mustOps("VIS", "NA")}), func(d *config.Document) { d.Workloads[0].OpsPerUserHour = -3 }, "workloads.PDM.NA.ops", -3,
+		{"negative rate", WithWorkload(Workload{App: "VIS", DC: "NA", OpsPerUserHour: -3}), func(d *config.Document) { d.Workloads[0].OpsPerUserHour = -3 }, "workloads.PDM.NA.ops", -3,
 			"operation rate must be positive and finite, got -3"},
 		{"negative fluid threshold", WithFluid("PDM", "NA", Fluid{Above: -1}), func(d *config.Document) { d.Workloads[0].Fluid.Above = -1 }, "workloads.PDM.NA.fluid", -1,
 			"fluid threshold Above must be finite and non-negative, got -1"},
@@ -195,6 +224,22 @@ func TestOneGateAcrossSurfaces(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGateRejectsRunsOverAYear: a fluid document whose run would be 1e13 s
+// fails in the gate, before Compile could lay out its segment schedule (one
+// edge per simulated hour, some 2.8e9), while a run of exactly a year
+// passes the gate.
+func TestGateRejectsRunsOverAYear(t *testing.T) {
+	d := gateDoc()
+	d.Window = &config.WindowSpec{RunSeconds: 1e13}
+	if _, err := FromDocument(d); err == nil || !strings.Contains(err.Error(), "longer than a year") {
+		t.Errorf("a 1e13 s fluid run: error %v, want one saying it is longer than a year", err)
+	}
+	d.Window.RunSeconds = 365 * 24 * 3600
+	if _, err := FromDocument(d); err != nil {
+		t.Errorf("a one-year run rejected: %v", err)
 	}
 }
 
@@ -244,10 +289,12 @@ func TestTwinWorkloadsShareGauges(t *testing.T) {
 // surface: config.Decode, then FromDocument and, when that succeeds,
 // Compile. Every input must end in a compiled run or an error, never a
 // panic. It stops before time runs, and skips a document whose platform
-// would register more than fuzzAgentCap agents or whose run is longer than
-// fuzzRunCap (a fluid workload lays out one segment per hour of it), so a
-// fuzzed server count, slot count or run length cannot make it allocate
-// without bound.
+// would register more than fuzzAgentCap agents, so a fuzzed server or slot
+// count cannot make it allocate without bound; the gate's one-year cap
+// bounds the run length. The seeds are examples/*.json — the consolidation
+// and multimaster case studies at the golden configuration among them, so
+// it starts from CAD@NA, daemons and a seven-DC spec — the bad-document
+// rows and the twin-workload document.
 func FuzzDocumentNeverPanics(f *testing.F) {
 	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.json"))
 	if err != nil || len(examples) == 0 {
@@ -261,13 +308,7 @@ func FuzzDocumentNeverPanics(f *testing.F) {
 		f.Add(raw)
 	}
 	for _, c := range badDocuments {
-		d := gateDoc()
-		c.mutate(d)
-		var buf bytes.Buffer
-		if err := d.Encode(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(c.encode(f))
 	}
 	var buf bytes.Buffer
 	if err := twinDoc().Encode(&buf); err != nil {
@@ -283,7 +324,7 @@ func FuzzDocumentNeverPanics(f *testing.F) {
 		if (e == nil) == (err == nil) {
 			t.Fatalf("FromDocument returned experiment %v and error %v; want exactly one", e != nil, err)
 		}
-		if e == nil || fuzzAgents(e.Infra()) > fuzzAgentCap || e.DurationSeconds() > fuzzRunCap {
+		if e == nil || fuzzAgents(e.Infra()) > fuzzAgentCap {
 			return
 		}
 		if r, err := e.Compile(); err == nil {
@@ -292,12 +333,8 @@ func FuzzDocumentNeverPanics(f *testing.F) {
 	})
 }
 
-// fuzzAgentCap and fuzzRunCap (a year, in seconds) bound the platforms and
-// runs FuzzDocumentNeverPanics compiles.
-const (
-	fuzzAgentCap = 5000
-	fuzzRunCap   = 365 * 24 * 3600
-)
+// fuzzAgentCap bounds the platforms FuzzDocumentNeverPanics compiles.
+const fuzzAgentCap = 5000
 
 // fuzzAgents estimates the agents Compile registers for spec: four per
 // server, one per client slot, three per data center and two per WAN link.

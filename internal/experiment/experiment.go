@@ -85,15 +85,16 @@ type Workload struct {
 	DC             string
 	Users          workload.Curve // concurrent-user curve, GMT
 	OpsPerUserHour float64
-	// Ops is the operation mix. When the mix depends on the built
-	// infrastructure (calibrated operations), leave it nil and set OpsFn.
+	// Ops declares the operation mix outright; leave it nil to launch a
+	// named set.
 	Ops []cascade.Op
-	// OpsFn builds the mix against the built infrastructure. Workloads with
-	// equal OpsKey share a single invocation per compile; workloads whose
-	// mixes are one array, built or declared, share one program table
+	// Set names the operation set a workload without Ops launches: "VIS",
+	// "PDM", "CAD@<dc>" (the CAD mix calibrated against data center <dc>)
+	// or "CAD", which is CAD calibrated at the workload's own DC. Empty
+	// selects the set named like App. A run builds each resolved set once
+	// and every workload naming it shares its catalog and program table
 	// (cascade.Programs).
-	OpsFn  func(inf *topology.Infrastructure, step float64) ([]cascade.Op, error)
-	OpsKey string // defaults to App+"@"+DC
+	Set string
 	// Weights biases the mix; nil selects a uniform mix.
 	Weights []float64
 	// APM overrides the experiment-level access matrix for this workload.
@@ -113,15 +114,12 @@ type Workload struct {
 }
 
 // Daemons declares the background daemons (§6.4.3): one SYNCHREP and one
-// INDEXBUILD daemon per master data center. Growth curves are given in
-// GMT; the compile step shifts them into the run window.
+// INDEXBUILD daemon per master data center, at the thesis' cadence
+// (refdata.SynchRepIntervalMin, refdata.IndexBuildGapMin). Growth curves are
+// given in GMT; the compile step shifts them into the run window.
 type Daemons struct {
 	Masters []string
 	Growth  background.GrowthModel // MB/hour per data center, GMT
-	// SyncIntervalSec / IndexGapSec default to the thesis values
-	// (refdata.SynchRepIntervalMin / refdata.IndexBuildGapMin).
-	SyncIntervalSec float64
-	IndexGapSec     float64
 	// IndexHeadroom > 0 derives the index server's per-byte cost from the
 	// master's peak owned data-generation rate (the Fig. 6-14
 	// calibration); zero selects the background default.
@@ -330,14 +328,21 @@ func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 // nonNegativeFinite reports whether x is zero or positive and finite.
 func nonNegativeFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
-// validateWindow checks the run window: exactly one of a positive finite
-// duration and an hour window [startHour, endHour) within the day. Zero
-// leaves either unset.
+// maxRunSeconds is the longest run the gate accepts, a year. Compile lays
+// out per-hour state for some runs (a fluid workload's segment schedule), so
+// an unbounded duration would let one document ask for gigabytes.
+const maxRunSeconds = 365 * 24 * 3600
+
+// validateWindow checks the run window: exactly one of a positive duration
+// of at most a year and an hour window [startHour, endHour) within the day.
+// Zero leaves either unset.
 func (e *Experiment) validateWindow() error {
 	hours := e.startHour != 0 || e.endHour != 0
 	switch {
 	case e.duration != 0 && !positiveFinite(e.duration):
 		return fmt.Errorf("duration must be positive and finite, got %v", e.duration)
+	case e.duration > maxRunSeconds:
+		return fmt.Errorf("duration %v s is longer than a year (%d s)", e.duration, maxRunSeconds)
 	case hours && (e.startHour < 0 || e.endHour <= e.startHour || e.endHour > 24):
 		return fmt.Errorf("bad hour window [%d, %d)", e.startHour, e.endHour)
 	case e.duration != 0 && hours:
@@ -376,8 +381,13 @@ func (e *Experiment) validateWorkloads(dcs map[string]bool) error {
 		if err := validateCurve(w.Users); err != nil {
 			return fmt.Errorf("workload %s@%s: users %w", w.App, w.DC, err)
 		}
-		if w.Ops == nil && w.OpsFn == nil {
-			return fmt.Errorf("workload %s@%s needs an operation mix (Ops or OpsFn)", w.App, w.DC)
+		if w.Ops != nil && w.Set != "" {
+			return fmt.Errorf("workload %s@%s declares both Ops and Set %q; give one", w.App, w.DC, w.Set)
+		}
+		if w.Ops == nil {
+			if err := w.checkSet(dcs); err != nil {
+				return fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
+			}
 		}
 		if err := validateWeights(w.Weights); err != nil {
 			return fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
@@ -429,9 +439,8 @@ func (e *Experiment) validateDaemons(dcs map[string]bool) error {
 			return fmt.Errorf("daemon growth curve for %s: %w", dc, err)
 		}
 	}
-	if !(nonNegativeFinite(d.SyncIntervalSec) && nonNegativeFinite(d.IndexGapSec) && nonNegativeFinite(d.IndexHeadroom)) {
-		return fmt.Errorf("daemon interval %v s, gap %v s and headroom %v must be finite and non-negative (0 selects the default)",
-			d.SyncIntervalSec, d.IndexGapSec, d.IndexHeadroom)
+	if !nonNegativeFinite(d.IndexHeadroom) {
+		return fmt.Errorf("daemon index headroom %v must be finite and non-negative (0 selects the default)", d.IndexHeadroom)
 	}
 	if e.apm == nil {
 		return fmt.Errorf("daemons need an access matrix (WithAccessMatrix)")
@@ -693,7 +702,7 @@ func (e *Experiment) attachWorkloads(r *Run) (series int, err error) {
 			return 0, fmt.Errorf("workload %s@%s: %w", w.App, w.DC, err)
 		}
 		ops := cat.ops
-		// The mix length is only known once OpsFn has run, so the weights
+		// The mix length is only known once the set is built, so the weights
 		// check lives here rather than in validate(): a mismatch must be an
 		// error, not the runtime panic AppWorkload reserves for wiring bugs.
 		if w.Weights != nil && len(w.Weights) != len(ops) {
@@ -803,50 +812,6 @@ func (r *Run) expectResponses(t0, t1 float64) {
 	r.Sim.Responses.Expect(exp)
 }
 
-// catalog is one operation catalog of a run and the program table its
-// launchers share.
-type catalog struct {
-	key   string // the OpsKey an OpsFn catalog was built under; "" for declared Ops
-	ops   []cascade.Op
-	progs *cascade.Programs
-}
-
-// catalog returns w's operation catalog: its declared Ops, or what its
-// OpsFn builds, once per run for all workloads of equal OpsKey (App@DC when
-// unset). Workloads whose catalogs are one array share one program table.
-func (r *Run) catalog(w *Workload, step float64) (catalog, error) {
-	ops, key := w.Ops, ""
-	if ops == nil {
-		if key = w.OpsKey; key == "" {
-			key = w.App + "@" + w.DC
-		}
-	}
-	for _, c := range r.catalogs {
-		if key != "" && c.key == key || key == "" && c.key == "" && sameArray(c.ops, ops) {
-			return c, nil
-		}
-	}
-	if ops == nil {
-		built, err := w.OpsFn(r.Inf, step)
-		if err != nil {
-			return catalog{}, err
-		}
-		ops = built
-	}
-	c := catalog{key: key, ops: ops}
-	if len(ops) > 0 {
-		c.progs = cascade.NewPrograms(ops)
-	}
-	r.catalogs = append(r.catalogs, c)
-	return c, nil
-}
-
-// sameArray reports whether a and b are the same non-empty slice of one
-// array.
-func sameArray(a, b []cascade.Op) bool {
-	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
-}
-
 // attachDaemons wires one SYNCHREP and one INDEXBUILD daemon per master, in
 // the declared master order, with growth curves shifted into the run
 // window. Index-build capacity follows the declared headroom over the
@@ -862,28 +827,20 @@ func (e *Experiment) attachDaemons(r *Run) error {
 	for dc, c := range d.Growth {
 		r.Growth[dc] = c.Shift(e.startHour)
 	}
-	interval := d.SyncIntervalSec
-	if interval <= 0 {
-		interval = refdata.SynchRepIntervalMin * 60
-	}
-	gap := d.IndexGapSec
-	if gap <= 0 {
-		gap = refdata.IndexBuildGapMin * 60
-	}
 	for _, master := range d.Masters {
 		sync := &background.SyncDaemon{
 			Inf:      r.Inf,
 			Master:   master,
 			APM:      e.apm,
 			Growth:   r.Growth,
-			Interval: interval,
+			Interval: refdata.SynchRepIntervalMin * 60,
 		}
 		idx := &background.IndexDaemon{
 			Inf:           r.Inf,
 			Master:        master,
 			APM:           e.apm,
 			Growth:        r.Growth,
-			Gap:           gap,
+			Gap:           refdata.IndexBuildGapMin * 60,
 			CyclesPerByte: e.indexCyclesPerByte(r.Growth, master),
 		}
 		r.Sync[master] = sync

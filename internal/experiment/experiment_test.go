@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/background"
-	"repro/internal/cascade"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/hardware"
@@ -69,19 +68,9 @@ func testOptions(extra ...Option) []Option {
 			App: "PDM", DC: "NA",
 			Users:          workload.BusinessDay(40, 0, 24, 40),
 			OpsPerUserHour: 30,
-			OpsFn:          mustOps("PDM", "NA"),
-			OpsKey:         "PDM",
 		}),
 	}
 	return append(opts, extra...)
-}
-
-func mustOps(name, dc string) func(*topology.Infrastructure, float64) ([]cascade.Op, error) {
-	fn, err := OpsByName(name, dc)
-	if err != nil {
-		panic(err)
-	}
-	return fn
 }
 
 // TestExperimentRunEndToEnd drives the primary surface: assemble, run,
@@ -160,15 +149,27 @@ func TestExperimentRejectsBadAssembly(t *testing.T) {
 		{"infinite duration", []Option{WithDuration(math.Inf(1))}, "duration must be positive and finite"},
 		{"workload unknown DC", []Option{
 			WithInfra(testSpec()), WithDuration(10),
-			WithWorkload(Workload{App: "PDM", DC: "MARS", OpsPerUserHour: 1, OpsFn: mustOps("PDM", "NA")}),
+			WithWorkload(Workload{App: "PDM", DC: "MARS", OpsPerUserHour: 1}),
 		}, "unknown DC"},
 		{"workload no mix", []Option{
 			WithInfra(testSpec()), WithDuration(10),
-			WithWorkload(Workload{App: "PDM", DC: "NA", OpsPerUserHour: 1}),
-		}, "operation mix"},
+			WithWorkload(Workload{App: "WEB", DC: "NA", OpsPerUserHour: 1}),
+		}, `unknown operation set "WEB"`},
+		{"workload Ops and Set", []Option{
+			WithInfra(testSpec()), WithDuration(10),
+			WithWorkload(Workload{App: "PDM", DC: "NA", OpsPerUserHour: 1, Ops: pdmCatalog(), Set: "PDM"}),
+		}, "both Ops and Set"},
+		{"workload VIS@NA", []Option{
+			WithInfra(testSpec()), WithDuration(10),
+			WithWorkload(Workload{App: "VIS", DC: "NA", OpsPerUserHour: 1, Set: "VIS@NA"}),
+		}, "takes no @<dc>"},
+		{"workload CAD at unknown DC", []Option{
+			WithInfra(testSpec()), WithDuration(10),
+			WithWorkload(Workload{App: "CAD", DC: "NA", OpsPerUserHour: 1, Set: "CAD@MARS"}),
+		}, `calibrated at DC "MARS"`},
 		{"workload no apm", []Option{
 			WithInfra(testSpec()), WithDuration(10),
-			WithWorkload(Workload{App: "PDM", DC: "NA", OpsPerUserHour: 1, OpsFn: mustOps("PDM", "NA")}),
+			WithWorkload(Workload{App: "PDM", DC: "NA", OpsPerUserHour: 1}),
 		}, "access matrix"},
 		{"daemon unknown master", []Option{
 			WithInfra(testSpec()), WithDuration(10),
@@ -178,8 +179,8 @@ func TestExperimentRejectsBadAssembly(t *testing.T) {
 		{"duplicate workload identity", []Option{
 			WithInfra(testSpec()), WithDuration(10),
 			WithAccessMatrix(workload.SingleMaster([]string{"NA"}, "NA")),
-			WithWorkload(Workload{App: "PDM", DC: "NA", OpsPerUserHour: 1, OpsFn: mustOps("PDM", "NA")}),
-			WithWorkload(Workload{App: "PDM", DC: "NA", OpsPerUserHour: 2, OpsFn: mustOps("PDM", "NA")}),
+			WithWorkload(Workload{App: "PDM", DC: "NA", OpsPerUserHour: 1}),
+			WithWorkload(Workload{App: "PDM", DC: "NA", OpsPerUserHour: 2}),
 		}, "distinct Workload.Stream"},
 	}
 	for _, tc := range cases {
@@ -199,7 +200,7 @@ func TestExperimentRejectsBadAssembly(t *testing.T) {
 
 	// A weights list mismatching the resolved mix length is a compile
 	// error, not the runtime panic AppWorkload reserves for wiring bugs —
-	// the mix length is only known once OpsFn has run.
+	// the mix length is only known once the set is built.
 	badWeights, err := New("weights", testOptions()...)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +215,6 @@ func TestExperimentRejectsBadAssembly(t *testing.T) {
 	_, err = New("hash-collision", testOptions(WithWorkload(Workload{
 		App: "PDM", DC: "NA", OpsPerUserHour: 5,
 		Users:  workload.BusinessDay(10, 0, 24, 10),
-		OpsFn:  mustOps("PDM", "NA"),
 		Stream: workload.EffectiveStream("PDM", "NA", 0),
 	}))...)
 	if err == nil || !strings.Contains(err.Error(), "distinct Workload.Stream") {
@@ -225,8 +225,6 @@ func TestExperimentRejectsBadAssembly(t *testing.T) {
 	_, err = New("twins", testOptions(WithWorkload(Workload{
 		App: "PDM", DC: "NA", OpsPerUserHour: 5,
 		Users:  workload.BusinessDay(10, 0, 24, 10),
-		OpsFn:  mustOps("PDM", "NA"),
-		OpsKey: "PDM",
 		Stream: 99,
 	}))...)
 	if err != nil {
@@ -245,7 +243,6 @@ func TestExperimentRejectsNonFiniteInputs(t *testing.T) {
 		w := Workload{
 			App: "VIS", DC: "NA", OpsPerUserHour: 5,
 			Users: workload.BusinessDay(10, 0, 24, 10),
-			OpsFn: mustOps("VIS", "NA"),
 		}
 		edit(&w)
 		return testOptions(WithWorkload(w))
@@ -273,10 +270,6 @@ func TestExperimentRejectsNonFiniteInputs(t *testing.T) {
 		{"NaN fluid guard", withWorkload(func(w *Workload) { w.Fluid = Fluid{Above: 0.01, RhoMax: nan} }), "RhoMax"},
 		{"NaN growth", withDaemons(func(d *Daemons) { c := d.Growth["NA"]; c[5] = nan; d.Growth["NA"] = c }), "growth curve for NA: hour 5"},
 		{"negative growth", withDaemons(func(d *Daemons) { d.Growth["NA"] = workload.BusinessDay(-5, 0, 24, -5) }), "growth curve for NA"},
-		{"NaN sync interval", withDaemons(func(d *Daemons) { d.SyncIntervalSec = nan }), "daemon interval"},
-		{"negative sync interval", withDaemons(func(d *Daemons) { d.SyncIntervalSec = -1 }), "daemon interval"},
-		{"NaN index gap", withDaemons(func(d *Daemons) { d.IndexGapSec = nan }), "gap NaN"},
-		{"negative index gap", withDaemons(func(d *Daemons) { d.IndexGapSec = -60 }), "gap -60"},
 		{"NaN headroom", withDaemons(func(d *Daemons) { d.IndexHeadroom = nan }), "headroom NaN"},
 		{"negative headroom", withDaemons(func(d *Daemons) { d.IndexHeadroom = -2 }), "headroom -2"},
 		{"NaN weight", withWorkload(func(w *Workload) { w.Weights = []float64{1, nan} }), "weight 1 is NaN"},
@@ -328,8 +321,6 @@ func TestWithFluidValidation(t *testing.T) {
 		WithWorkload(Workload{
 			App: "PDM", DC: "NA", OpsPerUserHour: 5,
 			Users:  workload.BusinessDay(10, 0, 24, 10),
-			OpsFn:  mustOps("PDM", "NA"),
-			OpsKey: "PDM",
 			Stream: 99,
 		}),
 		WithFluid("PDM", "NA", Fluid{Above: 0.01}),
@@ -396,8 +387,6 @@ func TestDocumentRoundTrip(t *testing.T) {
 			Users:          workload.BusinessDay(40, 0, 24, 40),
 			OpsPerUserHour: 30,
 			ThinBelow:      0.9,
-			OpsFn:          mustOps("PDM", "NA"),
-			OpsKey:         "PDM@NA",
 			APM:            workload.SingleMaster([]string{"NA"}, "NA"),
 		}),
 		WithWorkload(Workload{
@@ -405,8 +394,7 @@ func TestDocumentRoundTrip(t *testing.T) {
 			Users:          workload.BusinessDay(40, 0, 24, 40),
 			OpsPerUserHour: 30,
 			Fluid:          Fluid{Above: 1e-3, RhoMax: 0.8},
-			OpsFn:          mustOps("PDM", "NA"),
-			OpsKey:         "PDM@NA",
+			Set:            "PDM",
 			APM:            workload.SingleMaster([]string{"NA"}, "NA"),
 		}),
 	)

@@ -8,6 +8,26 @@ import (
 	"testing/quick"
 )
 
+// ForkJoinZeroLoadExp returns the exact mean completion time of an n-way
+// fork-join whose branches have independent Exp(mu) service times and no
+// queueing (zero load): E[max of n iid exponentials] = H_n / mu. It is the
+// theoretical reference for the RAID/SAN fork-join structures under light
+// load (Figs. 3-7 and 3-8).
+func ForkJoinZeroLoadExp(n int, mu float64) (float64, error) {
+	if n <= 0 || mu <= 0 {
+		return 0, fmt.Errorf("queueing: ForkJoinZeroLoadExp needs n > 0, mu > 0")
+	}
+	return harmonic(n) / mu, nil
+}
+
+func harmonic(n int) float64 {
+	h := 0.0
+	for i := 1; i <= n; i++ {
+		h += 1 / float64(i)
+	}
+	return h
+}
+
 // MeanQueueLength returns the mean number waiting (Lq), by Little's law.
 func (m MMc) MeanQueueLength() (float64, error) {
 	wq, err := m.MeanWait()

@@ -5,6 +5,33 @@ import (
 	"math/rand/v2"
 )
 
+// Queue is the common interface of the discrete-time queue implementations.
+type Queue interface {
+	// Enqueue adds a task at the tail of the queue and reports whether it
+	// will be in service at the next fill.
+	Enqueue(*Task) bool
+	// Step advances simulated time by dt seconds, invoking done for every
+	// task that completes within the step, in completion order.
+	Step(dt float64, done DoneFunc)
+	// Waiting reports the number of tasks not yet in service.
+	Waiting() int
+	// InService reports the number of tasks currently being served.
+	InService() int
+	// Idle reports whether the queue holds no work at all.
+	Idle() bool
+	// Horizon reports the time in seconds until the queue's next internal
+	// event (departure, or a share-changing latency expiry for PS queues)
+	// assuming no further arrivals; +Inf when empty. Horizons bound
+	// fast-forward jumps from below: undershooting is safe, overshooting
+	// would skip an event and is a correctness bug.
+	Horizon() float64
+	// TakeBusy returns the accumulated busy time (in server-seconds for
+	// FCFS queues, in seconds-of-transmission for PS queues) since the
+	// last call, and resets the accumulator. Collectors call this once
+	// per measurement window.
+	TakeBusy() float64
+}
+
 // DriveResult summarizes a stochastic drive of a queue, used to cross-check
 // the discrete-time queue implementations against analytic M/M/c results.
 type DriveResult struct {

@@ -32,10 +32,6 @@ type CaseConfig struct {
 	// studies); DisableBackground drops the SR/IB daemons.
 	DisableClients    bool
 	DisableBackground bool
-	// Fluid engages the analytic client-aggregation tier on every client
-	// workload when Fluid.Above > 0 (see experiment.WithFluid); the zero
-	// value leaves the tier out entirely.
-	Fluid experiment.Fluid
 	// LoopFlags selects the time loop (see core.LoopFlags); results are
 	// bit-identical on either loop.
 	core.LoopFlags
@@ -145,11 +141,9 @@ func buildCaseStudy(name string, cfg CaseConfig, traits map[string]dcTraits,
 	}
 	if !cfg.DisableBackground {
 		opts = append(opts, experiment.WithDaemons(experiment.Daemons{
-			Masters:         masters,
-			Growth:          growth,
-			SyncIntervalSec: refdata.SynchRepIntervalMin * 60,
-			IndexGapSec:     refdata.IndexBuildGapMin * 60,
-			IndexHeadroom:   idxHeadroom,
+			Masters:       masters,
+			Growth:        growth,
+			IndexHeadroom: idxHeadroom,
 		}))
 	}
 
@@ -184,14 +178,9 @@ func buildCaseStudy(name string, cfg CaseConfig, traits map[string]dcTraits,
 
 // caseWorkloads declares the CAD, VIS and PDM Poisson workloads per client
 // DC in sorted DC order. Operation rates: CAD 3.2, VIS 4.8, PDM 8.0
-// operations per user-hour; the CAD mix is calibrated against the built
-// infrastructure (shared across DCs through the "CAD" ops key), VIS and
-// PDM are static.
+// operations per user-hour; every DC launches the one CAD mix calibrated at
+// the NA master (set "CAD@NA"), and VIS and PDM are static.
 func caseWorkloads(cfg CaseConfig, spec topology.InfraSpec, traits map[string]dcTraits) []experiment.Option {
-	cadFn, _ := experiment.OpsByName("CAD", "NA") // a known set cannot fail
-	visOps := apps.VISOps()
-	pdmOps := apps.PDMOps()
-
 	dcs := make([]string, 0, len(spec.DCs))
 	for _, dc := range spec.DCs {
 		dcs = append(dcs, dc.Name)
@@ -209,37 +198,22 @@ func caseWorkloads(cfg CaseConfig, spec topology.InfraSpec, traits map[string]dc
 				peak*cfg.Scale*0.05)
 		}
 		for _, w := range []struct {
-			app     string
-			peak    float64
-			opsHour float64
+			app, set string
+			peak     float64
+			opsHour  float64
 		}{
-			{"CAD", tr.CADPeak, 3.2},
-			{"VIS", tr.VISPeak, 4.8},
-			{"PDM", tr.PDMPeak, 8.0},
+			{"CAD", "CAD@NA", tr.CADPeak, 3.2},
+			{"VIS", "VIS", tr.VISPeak, 4.8},
+			{"PDM", "PDM", tr.PDMPeak, 8.0},
 		} {
 			if w.peak <= 0 {
 				continue
 			}
-			ew := experiment.Workload{
-				App: w.app, DC: dc,
+			opts = append(opts, experiment.WithWorkload(experiment.Workload{
+				App: w.app, DC: dc, Set: w.set,
 				Users:          curve(w.peak),
 				OpsPerUserHour: w.opsHour,
-				OpsKey:         w.app,
-			}
-			switch w.app {
-			case "CAD":
-				ew.OpsFn = cadFn
-			case "VIS":
-				ew.Ops = visOps
-			case "PDM":
-				ew.Ops = pdmOps
-			}
-			opts = append(opts, experiment.WithWorkload(ew))
-			if cfg.Fluid.Above > 0 {
-				// Options apply in order, so the fluid configuration always
-				// finds its workload already declared.
-				opts = append(opts, experiment.WithFluid(w.app, dc, cfg.Fluid))
-			}
+			}))
 		}
 	}
 	return opts

@@ -51,10 +51,6 @@ func chaosPlatform() topology.InfraSpec {
 // next 120 s (traffic detours over AS1), then 120 s of recovery. The fault
 // suites of several packages run it; extra options apply last.
 func ChaosExperiment(extra ...experiment.Option) (*experiment.Experiment, error) {
-	fn, err := experiment.OpsByName("PDM", "EU")
-	if err != nil {
-		return nil, err
-	}
 	opts := []experiment.Option{
 		experiment.WithInfra(chaosPlatform()),
 		experiment.WithSeed(42),
@@ -64,8 +60,6 @@ func ChaosExperiment(extra ...experiment.Option) (*experiment.Experiment, error)
 			App: "PDM", DC: "EU",
 			Users:          workload.BusinessDay(25, 0, 24, 25),
 			OpsPerUserHour: 20,
-			OpsFn:          fn,
-			OpsKey:         "PDM@EU",
 		}),
 		experiment.WithFault(faults.Injection{
 			Name:     "atlantic",

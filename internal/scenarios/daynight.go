@@ -133,10 +133,6 @@ func dayNightExperiment(cfg *DayNightConfig, ghzScale, thinBelow float64) (*expe
 	}
 	users := workload.BusinessDay(cfg.PeakUsers, dayNightBizStart, dayNightBizEnd,
 		cfg.PeakUsers*dayNightFloorFrac)
-	cadFn, err := experiment.OpsByName("CAD", "NA")
-	if err != nil {
-		return nil, workload.Curve{}, err
-	}
 	opts := []experiment.Option{
 		experiment.WithInfra(spec),
 		experiment.WithSeed(cfg.Seed),
@@ -148,7 +144,6 @@ func dayNightExperiment(cfg *DayNightConfig, ghzScale, thinBelow float64) (*expe
 			App: "CAD", DC: "NA",
 			Users:          users,
 			OpsPerUserHour: dayNightOpsPerUserHour,
-			OpsFn:          cadFn,
 			ThinBelow:      thinBelow,
 		}),
 	}

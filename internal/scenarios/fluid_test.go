@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/experiment"
@@ -228,32 +229,32 @@ func TestFluidNoFluidBitIdentity(t *testing.T) {
 // consolidation platform — multiple client DCs whose app/db cascades
 // resolve at the NA master, window-shifted curves, three workloads per DC —
 // and checks that at least one workload aggregates analytically while the
-// run still completes discrete work elsewhere.
+// run still completes discrete work elsewhere. It runs the consolidation
+// document with a fluid block on every workload.
 func TestFluidConsolidationActive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("consolidation run skipped in -short")
 	}
-	cs, err := NewConsolidation(CaseConfig{
+	d := caseDocument(t, "consolidation", CaseConfig{
 		Step: 0.01, Seed: 11, Scale: 0.25, StartHour: 12, EndHour: 13,
-		Fluid: experiment.Fluid{Above: 1e-3},
 	})
-	if err != nil {
-		t.Fatal(err)
+	for i := range d.Workloads {
+		d.Workloads[i].Fluid = &config.FluidSpec{Above: 1e-3}
 	}
-	cs.Run()
+	_, res := runDocument(t, d)
 	// 12:00-13:00 GMT is business time in NA and EU: their workloads offer
 	// well above 1e-3 expected arrivals per tick at quarter scale.
 	fluidOps := 0.0
-	for _, k := range cs.Result.SeriesKeys() {
+	for _, k := range res.SeriesKeys() {
 		if len(k) > 6 && k[:6] == "fluid:" && k[len(k)-4:] == ":ops" {
-			s := cs.Result.Series[k]
+			s := res.Series[k]
 			fluidOps += s.V[len(s.V)-1]
 		}
 	}
 	if fluidOps <= 0 {
 		t.Error("no workload aggregated analytically over the business-hour window")
 	}
-	if cs.Result.Stats.CompletedOps == 0 {
+	if res.Stats.CompletedOps == 0 {
 		t.Error("no discrete completions — the night-side DCs should still sample")
 	}
 }

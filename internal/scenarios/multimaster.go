@@ -2,6 +2,8 @@ package scenarios
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/refdata"
 	"repro/internal/workload"
@@ -40,14 +42,15 @@ func multiMasterTraits() map[string]dcTraits {
 }
 
 // MultiMasterAPM converts the published Table 7.2 percentages into a
-// row-stochastic access matrix.
+// row-stochastic access matrix. Each row is summed in sorted owner order:
+// a sum in map order would differ by an ulp from call to call.
 func MultiMasterAPM() (workload.AccessMatrix, error) {
 	apm := workload.AccessMatrix{}
 	for from, row := range refdata.Table72APM {
 		apm[from] = map[string]float64{}
 		sum := 0.0
-		for _, p := range row {
-			sum += p
+		for _, to := range slices.Sorted(maps.Keys(row)) {
+			sum += row[to]
 		}
 		if sum <= 0 {
 			return nil, fmt.Errorf("scenarios: empty APM row %s", from)
