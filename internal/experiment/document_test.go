@@ -67,6 +67,7 @@ var badDocuments = []badDocument{
 	{name: "zero rate", mutate: func(d *config.Document) { d.Workloads[0].OpsPerUserHour = 0 }},
 	{name: "CAD at unknown DC", mutate: func(d *config.Document) { d.Workloads[0].Ops = "CAD@MARS" }},
 	{name: "VIS at a DC", mutate: func(d *config.Document) { d.Workloads[0].Ops = "VIS@NA" }},
+	{name: "CAD at no DC", mutate: func(d *config.Document) { d.Workloads[0].Ops = "CAD@" }},
 	{name: "access matrix row not a distribution", mutate: func(d *config.Document) { d.AccessMatrix = workload.AccessMatrix{"NA": {"NA": 0.5}} }},
 	{name: "fluid threshold 0", mutate: func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0} }},
 	{name: "fluid guard 1", mutate: func(d *config.Document) { d.Workloads[0].Fluid = &config.FluidSpec{Above: 0.01, RhoMax: 1} }},

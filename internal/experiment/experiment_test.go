@@ -167,6 +167,10 @@ func TestExperimentRejectsBadAssembly(t *testing.T) {
 			WithInfra(testSpec()), WithDuration(10),
 			WithWorkload(Workload{App: "CAD", DC: "NA", OpsPerUserHour: 1, Set: "CAD@MARS"}),
 		}, `calibrated at DC "MARS"`},
+		{"workload CAD at no DC", []Option{
+			WithInfra(testSpec()), WithDuration(10),
+			WithWorkload(Workload{App: "CAD", DC: "NA", OpsPerUserHour: 1, Set: "CAD@"}),
+		}, "names no DC"},
 		{"workload no apm", []Option{
 			WithInfra(testSpec()), WithDuration(10),
 			WithWorkload(Workload{App: "PDM", DC: "NA", OpsPerUserHour: 1}),

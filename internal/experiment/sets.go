@@ -24,7 +24,8 @@ var (
 // setName resolves the operation set w launches to the name a run shares
 // its catalog by — "VIS", "PDM" or "CAD@<home>" — and returns the home data
 // center a CAD set is calibrated at ("" for VIS and PDM). An empty Set
-// names the set after App, and a bare "CAD" calibrates at w's own DC.
+// names the set after App, and a bare "CAD" calibrates at w's own DC; setName
+// is the one reader of the "<set>@<dc>" form.
 func (w *Workload) setName() (name, home string, err error) {
 	set := w.Set
 	if set == "" {
@@ -35,6 +36,8 @@ func (w *Workload) setName() (name, home string, err error) {
 	case "CAD":
 		if !at {
 			home = w.DC
+		} else if home == "" {
+			return "", "", fmt.Errorf("operation set %q names no DC after the @", set)
 		}
 		return "CAD@" + home, home, nil
 	case "VIS", "PDM":
@@ -56,16 +59,17 @@ func (w *Workload) checkSet(dcs map[string]bool) error {
 	return err
 }
 
-// buildSet builds the catalog of a resolved set name on the built platform.
-func buildSet(name string, inf *topology.Infrastructure, step float64) ([]cascade.Op, error) {
-	switch name {
-	case "VIS":
+// buildSet builds the catalog of a resolved set on the built platform: CAD
+// calibrated at home, or, with no home, the VIS or PDM catalog.
+func buildSet(name, home string, inf *topology.Infrastructure, step float64) ([]cascade.Op, error) {
+	switch {
+	case home != "":
+		dc := inf.DC(home)
+		return apps.CalibratedCADOps(inf, dc, dc, step)
+	case name == "VIS":
 		return visCatalog(), nil
-	case "PDM":
-		return pdmCatalog(), nil
 	}
-	home := inf.DC(strings.TrimPrefix(name, "CAD@"))
-	return apps.CalibratedCADOps(inf, home, home, step)
+	return pdmCatalog(), nil
 }
 
 // catalog is one operation catalog of a run and the program table its
@@ -81,17 +85,17 @@ type catalog struct {
 func (r *Run) catalog(w *Workload, step float64) (catalog, error) {
 	c := catalog{ops: w.Ops}
 	if c.ops == nil {
-		c.set, _, _ = w.setName() // the gate has resolved it
+		set, home, _ := w.setName() // the gate has resolved it
 		for _, o := range r.catalogs {
-			if o.set == c.set {
+			if o.set == set {
 				return o, nil
 			}
 		}
-		ops, err := buildSet(c.set, r.Inf, step)
+		ops, err := buildSet(set, home, r.Inf, step)
 		if err != nil {
 			return catalog{}, err
 		}
-		c.ops = ops
+		c.set, c.ops = set, ops
 	}
 	if len(c.ops) > 0 {
 		c.progs = cascade.NewPrograms(c.ops)

@@ -3,94 +3,68 @@ package scenarios
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/experiment"
-	"repro/internal/refdata"
 	"repro/internal/workload"
 )
 
-// caseRecipe is what a case-study builder hands buildCaseStudy besides the
-// config: the traits, the access matrix, the daemon masters and the index
-// headroom.
-type caseRecipe struct {
-	build    func(CaseConfig) (*CaseStudy, error)
-	traits   func() map[string]dcTraits
-	apm      func() (workload.AccessMatrix, error)
-	masters  []string
-	headroom float64
+// caseStudies are the two case studies by name: their definition and the
+// Go builder whose run a document must reproduce.
+var caseStudies = map[string]struct {
+	study func() (caseStudy, error)
+	build func(CaseConfig) (*CaseStudy, error)
+}{
+	"consolidation": {func() (caseStudy, error) { return consolidationStudy(), nil }, NewConsolidation},
+	"multimaster":   {multiMasterStudy, NewMultiMaster},
 }
 
-var caseRecipes = map[string]caseRecipe{
-	"consolidation": {NewConsolidation, consolidatedTraits, func() (workload.AccessMatrix, error) {
-		return workload.SingleMaster(refdata.ConsolidatedDCs, "NA"), nil
-	}, []string{"NA"}, 1.022},
-	"multimaster": {NewMultiMaster, multiMasterTraits, MultiMasterAPM,
-		[]string{"AFR", "AS1", "AUS", "EU", "NA", "SA"}, 1.09},
-}
-
-// caseDocument writes the case study as a scenario document: caseInfraSpec
-// for the platform; per client DC, in sorted order, the CAD, VIS and PDM
-// workloads on the traits' business-day curves, every CAD one launching the
-// mix calibrated at NA ("CAD@NA"); the traits' growth curves for the
-// daemons; the recipe's access matrix, masters and headroom.
+// caseDocument writes a case study as a scenario document from the
+// definition its builder reads: caseInfraSpec for the platform; per client
+// DC, in sorted order, the caseApps workloads on the DC's business-day
+// curves; the growth curves, masters and headroom for the daemons; the
+// access matrix.
 func caseDocument(t testing.TB, study string, cfg CaseConfig) *config.Document {
 	t.Helper()
-	rc := caseRecipes[study]
-	if err := cfg.defaults(); err != nil {
-		t.Fatal(err)
-	}
-	traits := rc.traits()
-	spec, err := caseInfraSpec(cfg, traits)
+	s, err := caseStudies[study].study()
 	if err != nil {
 		t.Fatal(err)
 	}
-	apm, err := rc.apm()
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := caseInfraSpec(cfg, s.traits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := &config.Document{
-		Name: study, Seed: cfg.Seed, Step: cfg.Step,
+		Name: s.name, Seed: cfg.Seed, Step: cfg.Step,
 		Window:         &config.WindowSpec{StartHour: cfg.StartHour, EndHour: cfg.EndHour},
 		Infrastructure: spec,
-		AccessMatrix:   apm,
+		AccessMatrix:   s.apm,
 		Daemons: &config.DaemonsSpec{
-			Masters:       rc.masters,
+			Masters:       s.masters,
 			GrowthMBh:     map[string]workload.Curve{},
-			IndexHeadroom: rc.headroom,
+			IndexHeadroom: s.headroom,
 		},
 	}
-	dcs := make([]string, 0, len(traits))
-	for dc := range traits {
-		dcs = append(dcs, dc)
-	}
-	sort.Strings(dcs)
-	for _, dc := range dcs {
-		tr := traits[dc]
-		curve := func(peak float64) workload.Curve {
-			return workload.BusinessDay(peak*cfg.Scale, tr.BizStart, tr.BizEnd, peak*cfg.Scale*0.05)
-		}
+	for _, dc := range slices.Sorted(maps.Keys(s.traits)) {
+		tr := s.traits[dc]
 		if tr.GrowthPeakMBh > 0 {
-			d.Daemons.GrowthMBh[dc] = curve(tr.GrowthPeakMBh)
+			d.Daemons.GrowthMBh[dc] = tr.day(tr.GrowthPeakMBh, cfg.Scale)
 		}
 		if tr.ClientSlots == 0 {
 			continue
 		}
-		for _, w := range []struct {
-			app, ops   string
-			peak, rate float64
-		}{
-			{"CAD", "CAD@NA", tr.CADPeak, 3.2},
-			{"VIS", "VIS", tr.VISPeak, 4.8},
-			{"PDM", "PDM", tr.PDMPeak, 8.0},
-		} {
-			if w.peak > 0 {
+		for _, a := range caseApps {
+			if peak := a.peak(tr); peak > 0 {
 				d.Workloads = append(d.Workloads, config.WorkloadSpec{
-					App: w.app, DC: dc, Ops: w.ops, Users: curve(w.peak), OpsPerUserHour: w.rate,
+					App: a.app, DC: dc, Ops: a.set, Users: tr.day(peak, cfg.Scale), OpsPerUserHour: a.rate,
 				})
 			}
 		}
@@ -141,7 +115,7 @@ func TestCaseStudiesAreDocuments(t *testing.T) {
 				if i == 0 {
 					checkExampleDocument(t, study, raw)
 				}
-				cs, err := caseRecipes[study].build(cfg)
+				cs, err := caseStudies[study].build(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

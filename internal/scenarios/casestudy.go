@@ -101,16 +101,45 @@ type CaseStudy struct {
 	run    *experiment.Run
 }
 
-// buildCaseStudy assembles the experiment shared by both case studies —
-// infrastructure from traits, one CAD/VIS/PDM workload per client DC, one
-// SYNCHREP + INDEXBUILD daemon pair per master — and compiles it.
-func buildCaseStudy(name string, cfg CaseConfig, traits map[string]dcTraits,
-	apm workload.AccessMatrix, masters []string, idxHeadroom float64) (*CaseStudy, error) {
+// caseStudy is what tells the two case studies apart: the per-DC traits,
+// the access matrix, and the daemon masters with their index headroom.
+type caseStudy struct {
+	name     string
+	traits   map[string]dcTraits
+	apm      workload.AccessMatrix
+	masters  []string
+	headroom float64
+}
 
+// caseApps are the interactive workloads of every client DC: the app, the
+// operation set it launches (every DC launches the one CAD mix calibrated at
+// the NA master, set "CAD@NA"; VIS and PDM are static), its population peak
+// and its rate in operations per user-hour.
+var caseApps = []struct {
+	app, set string
+	peak     func(dcTraits) float64
+	rate     float64
+}{
+	{"CAD", "CAD@NA", func(tr dcTraits) float64 { return tr.CADPeak }, 3.2},
+	{"VIS", "VIS", func(tr dcTraits) float64 { return tr.VISPeak }, 4.8},
+	{"PDM", "PDM", func(tr dcTraits) float64 { return tr.PDMPeak }, 8.0},
+}
+
+// day is the DC's business-day curve (GMT) at the scaled plateau, with a
+// night floor of 5% of it: the shape of every population and growth curve
+// of the case studies.
+func (tr dcTraits) day(peak, scale float64) workload.Curve {
+	return workload.BusinessDay(peak*scale, tr.BizStart, tr.BizEnd, peak*scale*0.05)
+}
+
+// buildCaseStudy assembles the experiment shared by both case studies —
+// infrastructure from the traits, one CAD/VIS/PDM workload per client DC,
+// one SYNCHREP + INDEXBUILD daemon pair per master — and compiles it.
+func buildCaseStudy(s caseStudy, cfg CaseConfig) (*CaseStudy, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	spec, err := caseInfraSpec(cfg, traits)
+	spec, err := caseInfraSpec(cfg, s.traits)
 	if err != nil {
 		return nil, err
 	}
@@ -123,31 +152,30 @@ func buildCaseStudy(name string, cfg CaseConfig, traits map[string]dcTraits,
 		experiment.WithEngine(func() core.Engine { return eng }),
 		experiment.WithWindow(cfg.StartHour, cfg.EndHour),
 		experiment.WithLoopFlags(cfg.LoopFlags),
-		experiment.WithAccessMatrix(apm),
+		experiment.WithAccessMatrix(s.apm),
 	}
 
 	// Growth curves are declared in GMT; the experiment shifts them (and
 	// the workload curves) into the run window at compile time.
 	growth := background.GrowthModel{}
-	for dc, tr := range traits {
+	for dc, tr := range s.traits {
 		if tr.GrowthPeakMBh > 0 {
-			growth[dc] = workload.BusinessDay(tr.GrowthPeakMBh*cfg.Scale,
-				tr.BizStart, tr.BizEnd, tr.GrowthPeakMBh*cfg.Scale*0.05)
+			growth[dc] = tr.day(tr.GrowthPeakMBh, cfg.Scale)
 		}
 	}
 
 	if !cfg.DisableClients {
-		opts = append(opts, caseWorkloads(cfg, spec, traits)...)
+		opts = append(opts, caseWorkloads(cfg, spec, s.traits)...)
 	}
 	if !cfg.DisableBackground {
 		opts = append(opts, experiment.WithDaemons(experiment.Daemons{
-			Masters:       masters,
+			Masters:       s.masters,
 			Growth:        growth,
-			IndexHeadroom: idxHeadroom,
+			IndexHeadroom: s.headroom,
 		}))
 	}
 
-	e, err := experiment.New(name, opts...)
+	e, err := experiment.New(s.name, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -156,13 +184,13 @@ func buildCaseStudy(name string, cfg CaseConfig, traits map[string]dcTraits,
 		return nil, err
 	}
 	cs := &CaseStudy{
-		Name: name, Cfg: cfg, Sim: run.Sim, Inf: run.Inf,
-		Masters: masters,
+		Name: s.name, Cfg: cfg, Sim: run.Sim, Inf: run.Inf,
+		Masters: s.masters,
 		Sync:    run.Sync,
 		Idx:     run.Idx,
 		Growth:  run.Growth,
-		APM:     apm,
-		traits:  traits,
+		APM:     s.apm,
+		traits:  s.traits,
 		run:     run,
 	}
 	if cs.Growth == nil {
@@ -176,10 +204,8 @@ func buildCaseStudy(name string, cfg CaseConfig, traits map[string]dcTraits,
 	return cs, nil
 }
 
-// caseWorkloads declares the CAD, VIS and PDM Poisson workloads per client
-// DC in sorted DC order. Operation rates: CAD 3.2, VIS 4.8, PDM 8.0
-// operations per user-hour; every DC launches the one CAD mix calibrated at
-// the NA master (set "CAD@NA"), and VIS and PDM are static.
+// caseWorkloads declares the caseApps workloads of every client DC, in
+// sorted DC order, on the DC's business-day curves.
 func caseWorkloads(cfg CaseConfig, spec topology.InfraSpec, traits map[string]dcTraits) []experiment.Option {
 	dcs := make([]string, 0, len(spec.DCs))
 	for _, dc := range spec.DCs {
@@ -193,27 +219,14 @@ func caseWorkloads(cfg CaseConfig, spec topology.InfraSpec, traits map[string]dc
 		if tr.ClientSlots == 0 {
 			continue
 		}
-		curve := func(peak float64) workload.Curve {
-			return workload.BusinessDay(peak*cfg.Scale, tr.BizStart, tr.BizEnd,
-				peak*cfg.Scale*0.05)
-		}
-		for _, w := range []struct {
-			app, set string
-			peak     float64
-			opsHour  float64
-		}{
-			{"CAD", "CAD@NA", tr.CADPeak, 3.2},
-			{"VIS", "VIS", tr.VISPeak, 4.8},
-			{"PDM", "PDM", tr.PDMPeak, 8.0},
-		} {
-			if w.peak <= 0 {
-				continue
+		for _, a := range caseApps {
+			if peak := a.peak(tr); peak > 0 {
+				opts = append(opts, experiment.WithWorkload(experiment.Workload{
+					App: a.app, DC: dc, Set: a.set,
+					Users:          tr.day(peak, cfg.Scale),
+					OpsPerUserHour: a.rate,
+				}))
 			}
-			opts = append(opts, experiment.WithWorkload(experiment.Workload{
-				App: w.app, DC: dc, Set: w.set,
-				Users:          curve(w.peak),
-				OpsPerUserHour: w.opsHour,
-			}))
 		}
 	}
 	return opts

@@ -72,15 +72,20 @@ func consolidatedTraits() map[string]dcTraits {
 	}
 }
 
-// NewConsolidation builds the Chapter 6 case study: eleven data centers
+// consolidationStudy is the Chapter 6 case study: eleven data centers
 // consolidated into six (plus the AS2 site), DNA as single master running
 // the SYNCHREP and INDEXBUILD daemons.
-func NewConsolidation(cfg CaseConfig) (*CaseStudy, error) {
-	traits := consolidatedTraits()
-	clientDCs := make([]string, 0, len(traits))
-	for _, dc := range refdata.ConsolidatedDCs {
-		clientDCs = append(clientDCs, dc)
+func consolidationStudy() caseStudy {
+	return caseStudy{
+		name:     "consolidation",
+		traits:   consolidatedTraits(),
+		apm:      workload.SingleMaster(refdata.ConsolidatedDCs, "NA"),
+		masters:  []string{"NA"},
+		headroom: 1.022,
 	}
-	apm := workload.SingleMaster(clientDCs, "NA")
-	return buildCaseStudy("consolidation", cfg, traits, apm, []string{"NA"}, 1.022)
+}
+
+// NewConsolidation builds the Chapter 6 case study (consolidationStudy).
+func NewConsolidation(cfg CaseConfig) (*CaseStudy, error) {
+	return buildCaseStudy(consolidationStudy(), cfg)
 }

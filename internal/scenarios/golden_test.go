@@ -13,15 +13,18 @@ import (
 	"repro/internal/core"
 )
 
-// update regenerates the golden trace snapshots in testdata/ instead of
-// comparing against them:
+// update regenerates the golden trace snapshots in testdata/ and the
+// case-study documents examples/consolidation.json and
+// examples/multimaster.json instead of comparing against them; scope it
+// with -run to rewrite only one kind:
 //
 //	go test ./internal/scenarios/ -run TestGolden -update
+//	go test ./internal/scenarios/ -run TestCaseStudiesAreDocuments -update
 //
 // Regenerate only when a change is *supposed* to alter results (a model
 // fix, a new workload); loop and engine changes must reproduce the
 // committed traces bit for bit — that is the point of the files.
-var update = flag.Bool("update", false, "regenerate golden trace snapshots")
+var update = flag.Bool("update", false, "regenerate golden trace snapshots and the case-study example documents")
 
 // goldenResponse summarizes one response-time population: its task count
 // and the mean/p90 latency of the recorded durations.

@@ -62,14 +62,28 @@ func MultiMasterAPM() (workload.AccessMatrix, error) {
 	return apm, nil
 }
 
-// NewMultiMaster builds the Chapter 7 case study: six master data centers,
+// multiMasterStudy is the Chapter 7 case study: six master data centers,
 // each owning the file subsets of Table 7.2 and running its own SYNCHREP
 // and INDEXBUILD daemons (Fig. 7-3).
-func NewMultiMaster(cfg CaseConfig) (*CaseStudy, error) {
+func multiMasterStudy() (caseStudy, error) {
 	apm, err := MultiMasterAPM()
+	if err != nil {
+		return caseStudy{}, err
+	}
+	return caseStudy{
+		name:     "multimaster",
+		traits:   multiMasterTraits(),
+		apm:      apm,
+		masters:  []string{"AFR", "AS1", "AUS", "EU", "NA", "SA"},
+		headroom: 1.09,
+	}, nil
+}
+
+// NewMultiMaster builds the Chapter 7 case study (multiMasterStudy).
+func NewMultiMaster(cfg CaseConfig) (*CaseStudy, error) {
+	s, err := multiMasterStudy()
 	if err != nil {
 		return nil, err
 	}
-	masters := []string{"AFR", "AS1", "AUS", "EU", "NA", "SA"}
-	return buildCaseStudy("multimaster", cfg, multiMasterTraits(), apm, masters, 1.09)
+	return buildCaseStudy(s, cfg)
 }
