@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -127,8 +128,8 @@ func main() {
 		}
 		set[f.Name] = true
 	})
-	if set["scale"] && *scale <= 0 {
-		log.Fatalf("bad -scale %v: want a positive platform scale", *scale)
+	if k := *scale; set["scale"] && (!(k > 0) || math.IsInf(k, 1)) {
+		log.Fatalf("bad -scale %v: want a positive finite platform scale", *scale)
 	}
 
 	// Profiles bracket the selected run mode. Error paths exit through

@@ -65,13 +65,15 @@
 // Experiment type through ExperimentFromDocument — one surface whether the
 // scenario comes from Go code or a document; `gdisim -doc file.json
 // [-sweep path=v1,v2 ...]` is the CLI for it. examples/consolidation.json
-// and examples/multimaster.json are the Chapter 6 and 7 case studies as
-// documents, at seed 7, scale 0.1, 3-4 h GMT; they run to the digests of
-// NewConsolidation and NewMultiMaster at that configuration.
+// and examples/multimaster.json are the Chapter 6 and 7 case studies: the
+// only definition of the two platforms, at scale 1 over 11-17 h GMT, seed
+// 3.
 //
 // The thesis' evaluations are packaged as ready-made scenarios built on
 // the experiment API: RunValidation (Chapter 5), NewConsolidation
-// (Chapter 6), NewMultiMaster (Chapter 7) and RunDayNight. `gdisim
+// (Chapter 6), NewMultiMaster (Chapter 7) and RunDayNight. The two case
+// studies load their documents, set the run's seed, step and window, and
+// scale them (CaseConfig). `gdisim
 // -scenario validation|consolidation|multimaster` regenerates each
 // chapter's tables and figures and checks its fidelity table.
 package gdisim
@@ -454,7 +456,7 @@ type (
 	ValidationResult = scenarios.ValidationResult
 	// CaseConfig parameterizes the Chapter 6/7 case studies.
 	CaseConfig = scenarios.CaseConfig
-	// CaseStudy is a built consolidation or multiple-master run.
+	// CaseStudy is a loaded consolidation or multiple-master run.
 	CaseStudy = scenarios.CaseStudy
 	// DayNightConfig parameterizes the 24 h day-night client scenario.
 	DayNightConfig = scenarios.DayNightConfig
@@ -467,12 +469,14 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 	return scenarios.RunValidation(cfg)
 }
 
-// NewConsolidation builds the Chapter 6 consolidated-platform case study.
+// NewConsolidation loads the Chapter 6 consolidated-platform case study,
+// examples/consolidation.json, as cfg sets it up.
 func NewConsolidation(cfg CaseConfig) (*CaseStudy, error) {
 	return scenarios.NewConsolidation(cfg)
 }
 
-// NewMultiMaster builds the Chapter 7 multiple-master case study.
+// NewMultiMaster loads the Chapter 7 multiple-master case study,
+// examples/multimaster.json, as cfg sets it up.
 func NewMultiMaster(cfg CaseConfig) (*CaseStudy, error) {
 	return scenarios.NewMultiMaster(cfg)
 }

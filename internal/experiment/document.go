@@ -24,8 +24,9 @@ var ErrEngineRemoved = errors.New("engine selectors other than \"sequential\" we
 // reduce to the same Experiment value before anything is simulated. Each
 // field maps onto its option unchanged (zero leaves the option's default),
 // and New's gate decides whether the values are usable, exactly as for a
-// Go-built experiment.
-func FromDocument(d *config.Document) (*Experiment, error) {
+// Go-built experiment. extra options apply last, for what a document does
+// not say: the engine, the loop flags.
+func FromDocument(d *config.Document, extra ...Option) (*Experiment, error) {
 	opts := []Option{
 		WithInfra(d.Infrastructure),
 		WithSeed(d.Seed),
@@ -98,7 +99,7 @@ func FromDocument(d *config.Document) (*Experiment, error) {
 		}
 		opts = append(opts, WithFault(inj...))
 	}
-	return New(d.Name, opts...)
+	return New(d.Name, append(opts, extra...)...)
 }
 
 // compileFault maps a document fault spec onto the fault library. The

@@ -293,7 +293,7 @@ func TestTwinWorkloadsShareGauges(t *testing.T) {
 // would register more than fuzzAgentCap agents, so a fuzzed server or slot
 // count cannot make it allocate without bound; the gate's one-year cap
 // bounds the run length. The seeds are examples/*.json — the consolidation
-// and multimaster case studies at the golden configuration among them, so
+// and multimaster case studies at scale 1 among them, so
 // it starts from CAD@NA, daemons and a seven-DC spec — the bad-document
 // rows and the twin-workload document.
 func FuzzDocumentNeverPanics(f *testing.F) {

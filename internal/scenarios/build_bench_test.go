@@ -3,6 +3,7 @@ package scenarios
 import (
 	"testing"
 
+	"repro/examples"
 	"repro/internal/apps"
 	"repro/internal/cascade"
 	"repro/internal/core"
@@ -26,13 +27,11 @@ import (
 // Sprintf (DESIGN.md "Platform layout").
 func BenchmarkBuildPlatform(b *testing.B) {
 	cfg := CaseConfig{Scale: 1}
-	if err := cfg.defaults(); err != nil {
-		b.Fatal(err)
-	}
-	spec, err := caseInfraSpec(cfg, consolidatedTraits())
+	d, err := decodeCase(examples.Consolidation, &cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	spec := d.Infrastructure
 	b.ReportAllocs()
 	for b.Loop() {
 		sim := core.NewSimulation(core.Config{Step: cfg.Step, Seed: 1})
@@ -54,13 +53,11 @@ func BenchmarkBuildPlatform(b *testing.B) {
 // message was laid out on its own (and 159-187 ns/op against 287-359).
 func BenchmarkExpandFanStep(b *testing.B) {
 	cfg := CaseConfig{Scale: 1}
-	if err := cfg.defaults(); err != nil {
-		b.Fatal(err)
-	}
-	spec, err := caseInfraSpec(cfg, consolidatedTraits())
+	d, err := decodeCase(examples.Consolidation, &cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	spec := d.Infrastructure
 	sim := core.NewSimulation(core.Config{Step: cfg.Step, Seed: 1})
 	defer sim.Shutdown()
 	inf, err := topology.Build(sim, spec)

@@ -1,22 +1,37 @@
 package scenarios
 
 import (
+	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/examples"
 	"repro/internal/core"
 	"repro/internal/refdata"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 func TestCaseConfigValidation(t *testing.T) {
-	if _, err := NewConsolidation(CaseConfig{StartHour: 20, EndHour: 10}); err == nil {
-		t.Error("inverted hour window accepted")
-	}
-	if _, err := NewConsolidation(CaseConfig{EndHour: 30}); err == nil {
-		t.Error("out-of-range end hour accepted")
+	for _, c := range []struct {
+		name string
+		cfg  CaseConfig
+	}{
+		{"inverted hour window", CaseConfig{StartHour: 20, EndHour: 10}},
+		{"out-of-range end hour", CaseConfig{EndHour: 30}},
+		{"negative scale", CaseConfig{Scale: -1}},
+		{"NaN scale", CaseConfig{Scale: math.NaN()}},
+		{"infinite scale", CaseConfig{Scale: math.Inf(1)}},
+		{"negative infinite scale", CaseConfig{Scale: math.Inf(-1)}},
+		{"negative step", CaseConfig{Step: -0.01}},
+	} {
+		if cs, err := NewConsolidation(c.cfg); err == nil {
+			cs.Sim.Shutdown()
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -26,16 +41,13 @@ func TestCaseConfigValidation(t *testing.T) {
 // the Clients map's iteration order must not reach them.
 func TestConsolidationClientPoolOrderIsStable(t *testing.T) {
 	cfg := CaseConfig{Seed: 7}
-	if err := cfg.defaults(); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := caseInfraSpec(cfg, consolidatedTraits())
+	d, err := decodeCase(examples.Consolidation, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first []core.AgentID
 	for i := 0; i < 20; i++ {
-		inf, err := topology.Build(core.NewSimulation(core.Config{Step: cfg.Step, Seed: cfg.Seed}), spec)
+		inf, err := topology.Build(core.NewSimulation(core.Config{Step: cfg.Step, Seed: cfg.Seed}), d.Infrastructure)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,13 +68,31 @@ func TestConsolidationClientPoolOrderIsStable(t *testing.T) {
 	}
 }
 
+// The multimaster document's access matrix is row-stochastic and is the
+// published Table 7.2 with each row divided by its sum, taken in sorted
+// owner order: a sum in map order would differ by an ulp from run to run.
 func TestMultiMasterAPMIsStochastic(t *testing.T) {
-	apm, err := MultiMasterAPM()
+	d, err := decodeCase(examples.MultiMaster, &CaseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	apm := d.AccessMatrix
 	if err := apm.Validate(); err != nil {
 		t.Errorf("normalized Table 7.2 invalid: %v", err)
+	}
+	want := workload.AccessMatrix{}
+	for from, row := range refdata.Table72APM {
+		sum := 0.0
+		for _, to := range slices.Sorted(maps.Keys(row)) {
+			sum += row[to]
+		}
+		want[from] = map[string]float64{}
+		for to, p := range row {
+			want[from][to] = p / sum
+		}
+	}
+	if !reflect.DeepEqual(apm, want) {
+		t.Errorf("access matrix %v, want Table 7.2 normalized: %v", apm, want)
 	}
 	if apm["EU"]["EU"] < 0.8 {
 		t.Errorf("EU self-ownership = %v, Table 7.2 says %v", apm["EU"]["EU"], refdata.Table72APM["EU"]["EU"]/100)
@@ -117,7 +147,8 @@ func TestLinkRowsMissingOutsideTheirWindow(t *testing.T) {
 // 11:00-17:00 GMT peak, seed 3): tier utilizations (Figs. 6-12/6-13), link
 // utilizations (Table 6.1), background-process effectiveness (Fig. 6-14)
 // and the latency behaviour of Table 6.2, all as rows of the fidelity
-// table. About 5 seconds of wall time.
+// table, and pins the run's digest as the Go builder recorded it. About 5
+// seconds of wall time.
 func TestConsolidationPeakWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case-study run skipped in -short")
@@ -126,7 +157,7 @@ func TestConsolidationPeakWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.Run()
+	checkDigest(t, cs, "52fb2a68c4ab8372b6a6c07c1241716296cd313df5e5709e3bc39da8a24112b8") // 36 449 ops
 	requireFidelity(t, "Fidelity: "+cs.Label(), cs.Fidelity())
 	if cs.Idx["NA"].Durations.Len() == 0 {
 		t.Error("no INDEXBUILD completed")
@@ -137,7 +168,8 @@ func TestConsolidationPeakWindow(t *testing.T) {
 // the consolidated platform on the case-study referee as rows of the
 // fidelity table: loaded utilization on the downsized DNA hardware, idle
 // backup links (Table 7.3) and shorter staleness; per-master push volumes
-// keep their ordering. About 5 seconds of wall time.
+// keep their ordering; the run's digest is pinned as the Go builder
+// recorded it. About 5 seconds of wall time.
 func TestMultiMasterPeakWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case-study run skipped in -short")
@@ -146,7 +178,7 @@ func TestMultiMasterPeakWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.Run()
+	checkDigest(t, cs, "76eded637a7ad734fa3ebcb02e3ba024b2f1f81751f3abd38ba104faff0c2f9e") // 36 709 ops
 	requireFidelity(t, "Fidelity: "+cs.Label(), cs.Fidelity())
 
 	// Figs. 7-4/7-5: DNA pushes the largest owned volume, DEU second.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/examples"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dispatch"
@@ -235,13 +236,23 @@ func TestFluidConsolidationActive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("consolidation run skipped in -short")
 	}
-	d := caseDocument(t, "consolidation", CaseConfig{
+	d, err := decodeCase(examples.Consolidation, &CaseConfig{
 		Step: 0.01, Seed: 11, Scale: 0.25, StartHour: 12, EndHour: 13,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range d.Workloads {
 		d.Workloads[i].Fluid = &config.FluidSpec{Above: 1e-3}
 	}
-	_, res := runDocument(t, d)
+	e, err := experiment.FromDocument(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// 12:00-13:00 GMT is business time in NA and EU: their workloads offer
 	// well above 1e-3 expected arrivals per tick at quarter scale.
 	fluidOps := 0.0

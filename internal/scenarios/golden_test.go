@@ -13,18 +13,15 @@ import (
 	"repro/internal/core"
 )
 
-// update regenerates the golden trace snapshots in testdata/ and the
-// case-study documents examples/consolidation.json and
-// examples/multimaster.json instead of comparing against them; scope it
-// with -run to rewrite only one kind:
+// update regenerates the golden trace snapshots in testdata/ instead of
+// comparing against them, and writes nothing else:
 //
 //	go test ./internal/scenarios/ -run TestGolden -update
-//	go test ./internal/scenarios/ -run TestCaseStudiesAreDocuments -update
 //
 // Regenerate only when a change is *supposed* to alter results (a model
 // fix, a new workload); loop and engine changes must reproduce the
 // committed traces bit for bit — that is the point of the files.
-var update = flag.Bool("update", false, "regenerate golden trace snapshots and the case-study example documents")
+var update = flag.Bool("update", false, "regenerate the golden trace snapshots")
 
 // goldenResponse summarizes one response-time population: its task count
 // and the mean/p90 latency of the recorded durations.

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/examples"
 	"repro/internal/apps"
 	"repro/internal/cascade"
 	"repro/internal/config"
@@ -260,15 +261,11 @@ func appCatalogue() []cascade.Op {
 // compiled routes — and requires identical stages, identical errors and
 // identical side effects, with no tolerance.
 func TestCompiledRoutesMatchOracle(t *testing.T) {
-	cfg := CaseConfig{Scale: 0.05}
-	if err := cfg.defaults(); err != nil {
-		t.Fatal(err)
-	}
-	consolidated, err := caseInfraSpec(cfg, consolidatedTraits())
+	consolidated, err := decodeCase(examples.Consolidation, &CaseConfig{Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := caseInfraSpec(cfg, multiMasterTraits())
+	multi, err := decodeCase(examples.MultiMaster, &CaseConfig{Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +274,8 @@ func TestCompiledRoutesMatchOracle(t *testing.T) {
 		spec                  topology.InfraSpec
 		failA, failB, isolate string
 	}{
-		{"consolidated", consolidated, "NA", "AS1", "EU"},
-		{"multimaster", multi, "NA", "AS1", "AS1"},
+		{"consolidated", consolidated.Infrastructure, "NA", "AS1", "EU"},
+		{"multimaster", multi.Infrastructure, "NA", "AS1", "AS1"},
 		{"chaos", chaosPlatform(), "NA", "EU", "NA"},
 	}
 	ops := appCatalogue()
